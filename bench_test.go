@@ -300,7 +300,7 @@ func BenchmarkAblationBlockingDirectory(b *testing.B) {
 		}
 		var queued, gets uint64
 		for n := 0; n < 8; n++ {
-			st := s.dirH[n].Stats()
+			st := s.homes[n].Stats()
 			queued += st.QueuedConflicts
 			gets += st.GetS + st.GetM
 		}

@@ -426,6 +426,9 @@ func replay(args []string) {
 			if r.Result.Panic != "" {
 				fmt.Printf("         %s\n", r.Result.Panic)
 			}
+			if r.TraceDiff != "" {
+				fmt.Printf("         %s\n", r.TraceDiff)
+			}
 		}
 	}
 	fmt.Printf("replayed %d cases, %d mismatches\n", total, bad)

@@ -209,16 +209,10 @@ func (r InjectionResult) String() string {
 // architecturally visible misbehaviour for DVMC to detect, rather than a
 // simulator abort.
 func (s *System) SetStrict(strict bool) {
-	for _, c := range s.dirC {
+	for _, c := range s.ctrls {
 		c.SetStrict(strict)
 	}
-	for _, h := range s.dirH {
-		h.SetStrict(strict)
-	}
-	for _, c := range s.snpC {
-		c.SetStrict(strict)
-	}
-	for _, h := range s.snpH {
+	for _, h := range s.homes {
 		h.SetStrict(strict)
 	}
 }
@@ -264,7 +258,7 @@ func (s *System) apply(inj Injection, rng *sim.Rand) bool {
 		b := blocks[rng.Intn(len(blocks))]
 		return s.ctrls[n].CorruptCacheBit(b, rng.Intn(mem.BlockBytes*8))
 	case FaultMemoryDataFlip:
-		memory := s.homeMemory(n)
+		memory := s.homes[n].Memory()
 		blocks := memory.SampleBlocks(64)
 		if len(blocks) == 0 {
 			return false
@@ -370,18 +364,10 @@ func (s *System) wbFaultFired(n int) bool {
 	}
 }
 
-// homeMemory returns node n's memory module.
-func (s *System) homeMemory(n int) *mem.Memory {
-	if len(s.dirH) > 0 {
-		return s.dirH[n].Memory()
-	}
-	return s.snpH[n].Memory()
-}
-
 // blockDirty reports whether node n's cached copy of b differs from the
 // block's home memory image. Fault-targeting cold path only.
 func (s *System) blockDirty(n int, b mem.BlockAddr) bool {
-	img := s.homeMemory(int(s.cfg.Memory.HomeOf(b))).ReadBlock(b)
+	img := s.homes[s.cfg.Memory.HomeOf(b)].Memory().ReadBlock(b)
 	for w := 0; w < mem.WordsPerBlock; w++ {
 		v, ok := s.ctrls[n].PeekWord(b.WordAddr(w))
 		if !ok {

@@ -66,23 +66,6 @@ func (a *cacheArray) peek(b mem.BlockAddr) *line {
 	return nil
 }
 
-// victim returns the line to allocate for b: an invalid way if one
-// exists, else the LRU way. The caller must handle eviction of the
-// returned line's previous contents.
-func (a *cacheArray) victim(b mem.BlockAddr) *line {
-	set := a.setOf(b)
-	var lru *line
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
-		}
-		if lru == nil || set[i].lru < lru.lru {
-			lru = &set[i]
-		}
-	}
-	return lru
-}
-
 // install places block b into l with the given state and data.
 func (a *cacheArray) install(l *line, b mem.BlockAddr, s State, data mem.Block, dataValid bool) {
 	a.tick++

@@ -247,6 +247,10 @@ type Controller interface {
 	// Stats returns controller counters.
 	Stats() ControllerStats
 
+	// SetStrict toggles panic-on-protocol-anomaly (default true); fault
+	// injection runs with it off.
+	SetStrict(strict bool)
+
 	// CorruptCacheBit flips one bit of a resident block's data, modelling
 	// a fault in the SRAM array. Returns false if the block is absent.
 	CorruptCacheBit(b mem.BlockAddr, bit int) bool
@@ -302,6 +306,27 @@ type Controller interface {
 	// Reset invalidates the whole cache and drops transient state
 	// (SafetyNet recovery). Statistics are preserved.
 	Reset()
+}
+
+// Home is the memory-side controller of either protocol (DirHome,
+// SnoopHome) as system assembly, checkpointing and fault injection see
+// it; the protocol-specific message entry points stay on the concrete
+// types, which the handlers in dispatch.go take.
+type Home interface {
+	sim.Clockable
+
+	// Memory returns the home's memory module.
+	Memory() *mem.Memory
+	// Reset clears directory/ownership and transient state (SafetyNet
+	// recovery) and re-arms the new-block hook.
+	Reset()
+	// SetStrict toggles panic-on-protocol-anomaly (default true).
+	SetStrict(strict bool)
+	// SetNewBlockListener installs the hook fired the first time any
+	// processor requests a block, with the block's memory data.
+	SetNewBlockListener(fn func(b mem.BlockAddr, data mem.Block))
+	// Stats returns home-controller counters.
+	Stats() HomeStats
 }
 
 // ControllerStats counts cache-controller activity.

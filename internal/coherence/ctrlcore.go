@@ -1,0 +1,611 @@
+package coherence
+
+import (
+	"sort"
+
+	"dvmc/internal/mem"
+	"dvmc/internal/network"
+	"dvmc/internal/sim"
+)
+
+// ctrlCore is the protocol-independent half of a cache controller,
+// embedded by DirCache and SnoopCache: the L1 tag filter and L2 array,
+// the event queue, the MSHR and writeback tables, the processor-facing
+// access path, listener and statistics plumbing, and every
+// fault-injection hook. What differs between the two evaluated systems
+// (Table 6) is only how requests are ordered, so the embedding
+// controller supplies just that: its message/snoop handlers, the two
+// protocol methods below, and the epoch time base. A new listener or
+// fault hook is added here, once.
+type ctrlCore struct {
+	node  network.NodeID
+	cfg   Config
+	proto protocol
+
+	// hitUnderMiss is the one difference on the shared access path, fixed
+	// by the constructor. The directory home blocks per block, so an S
+	// copy stays coherent — and keeps serving read hits — until the Inv
+	// or grant that ends it arrives, even while its own upgrade is
+	// outstanding (true). A snooping line's state runs ahead of its data
+	// between the ordering point and data arrival, so nothing may hit on
+	// a block that has an MSHR (false).
+	hitUnderMiss bool
+
+	l2 *cacheArray
+	l1 *tagFilter
+
+	events sim.EventQueue
+	now    sim.Cycle
+
+	mshrs map[mem.BlockAddr]*mshr
+	wb    map[mem.BlockAddr]*wbEntry
+
+	epochL  EpochListener
+	accessL AccessListener
+	txnL    TxnListener
+
+	stats  ControllerStats
+	strict bool
+
+	// Armed CorruptLineStateFault record: which block's MOSI state was
+	// corrupted, in which direction, and whether the corruption was
+	// architecturally exercised before being erased.
+	stateFaultBlock   mem.BlockAddr
+	stateFaultPromote bool
+	stateFaultArmed   bool
+	stateFaultFired   bool
+	stateFaultFiredAt sim.Cycle
+}
+
+// protocol is what the core needs from the controller embedding it. Both
+// methods are reached from the miss path only; hits never leave the core.
+type protocol interface {
+	// sendRequest puts the MSHR's GetS/GetM on the protocol's request
+	// network.
+	sendRequest(ms *mshr)
+	// evict removes a stable line to make room: it ends the line's epoch
+	// in the protocol's time base and starts the writeback its state
+	// calls for.
+	evict(l *line)
+}
+
+type waiterKind uint8
+
+const (
+	waitLoad waiterKind = iota + 1
+	waitStore
+	waitRMW
+)
+
+type waiter struct {
+	kind     waiterKind
+	addr     mem.Addr
+	val      mem.Word
+	class    network.Class
+	loadDone func(mem.Word, bool)
+	perfDone func()
+	rmwFn    func(mem.Word) mem.Word
+	rmwDone  func(mem.Word)
+}
+
+// mshr tracks one outstanding transaction. The home's per-block blocking
+// means the directory needs only the first group of fields; the second
+// group is snooping's bookkeeping between a transaction's ordering point
+// and its data arrival (zero under the directory), kept in the same
+// struct so a miss costs one allocation in either protocol.
+type mshr struct {
+	block   mem.BlockAddr
+	wantM   bool
+	issued  bool
+	pending bool // waiting for a wb entry on the same block to clear
+	class   network.Class
+	waiters []waiter
+
+	ordered     bool
+	orderedAt   uint64
+	dataArrived bool
+	grantKind   EpochKind
+	curState    State // our state in global order during the pending phase
+	transitions []snoopTransition
+	dataPending *mem.Block // data that arrived before a line could be allocated
+}
+
+// wbEntry is an evicted block awaiting the protocol's writeback
+// acknowledgement (directory: WBAck; snooping: the ordering of its own
+// PutM). dirty says the entry still holds the system's only up-to-date
+// copy, so recalls/snoops are answered from it and checkpoints capture
+// it: false for the directory's dataless PutS placeholder, and cleared
+// when a foreign GetM takes ownership before a snooping PutM is ordered.
+type wbEntry struct {
+	data  mem.Block
+	dirty bool
+}
+
+func (c *ctrlCore) init(node network.NodeID, cfg Config, proto protocol, hitUnderMiss bool) {
+	c.node = node
+	c.cfg = cfg
+	c.proto = proto
+	c.hitUnderMiss = hitUnderMiss
+	c.l2 = newCacheArray(cfg.L2Sets, cfg.L2Ways, cfg.CacheECC)
+	c.l1 = newTagFilter(cfg.L1Sets, cfg.L1Ways)
+	c.mshrs = make(map[mem.BlockAddr]*mshr)
+	c.wb = make(map[mem.BlockAddr]*wbEntry)
+	c.strict = true
+}
+
+// SetStrict implements Controller: toggles panic-on-protocol-anomaly
+// (default true). Fault-injection campaigns run with strict=false so that
+// injected corruptions produce architecturally visible misbehaviour for
+// DVMC to catch rather than a simulator abort.
+func (c *ctrlCore) SetStrict(s bool) { c.strict = s }
+
+// SetEpochListener implements Controller.
+func (c *ctrlCore) SetEpochListener(l EpochListener) { c.epochL = l }
+
+// SetAccessListener implements Controller.
+func (c *ctrlCore) SetAccessListener(l AccessListener) { c.accessL = l }
+
+// SetTxnListener implements Controller.
+func (c *ctrlCore) SetTxnListener(l TxnListener) { c.txnL = l }
+
+// Stats implements Controller.
+func (c *ctrlCore) Stats() ControllerStats { return c.stats }
+
+// Outstanding implements Controller.
+func (c *ctrlCore) Outstanding() int { return len(c.mshrs) }
+
+// Tick implements sim.Clockable.
+func (c *ctrlCore) Tick(now sim.Cycle) {
+	c.now = now
+	c.events.Tick(now)
+}
+
+func (c *ctrlCore) epochBegin(b mem.BlockAddr, k EpochKind, at uint64, dataKnown bool, data mem.Block) {
+	if c.epochL != nil {
+		c.epochL.EpochBegin(b, k, at, dataKnown, data)
+	}
+}
+
+func (c *ctrlCore) epochData(b mem.BlockAddr, data mem.Block) {
+	if c.epochL != nil {
+		c.epochL.EpochData(b, data)
+	}
+}
+
+func (c *ctrlCore) epochEnd(b mem.BlockAddr, k EpochKind, at uint64, data mem.Block) {
+	if c.epochL != nil {
+		c.epochL.EpochEnd(b, k, at, data)
+	}
+}
+
+func (c *ctrlCore) access(b mem.BlockAddr, write bool) {
+	if c.accessL != nil {
+		c.accessL.Access(b, write)
+	}
+}
+
+// mayHit reports whether block b's resident line may serve hits now (see
+// hitUnderMiss).
+func (c *ctrlCore) mayHit(b mem.BlockAddr) bool {
+	return c.hitUnderMiss || c.mshrs[b] == nil
+}
+
+// Load implements Controller.
+func (c *ctrlCore) Load(addr mem.Addr, class network.Class, done func(mem.Word, bool)) {
+	b := addr.Block()
+	replay := class == network.ClassReplay
+	if replay {
+		c.stats.ReplayLoads++
+	} else {
+		c.stats.Loads++
+	}
+	c.events.After(c.now, c.cfg.L1Latency, func() {
+		l := c.l2.lookup(b)
+		readable := l != nil && l.state.CanRead() && l.dataValid && c.mayHit(b)
+		if c.l1.present(b) && readable {
+			c.stats.L1Hits++
+			val := c.l2.readWord(l, addr)
+			c.access(b, false)
+			done(val, true)
+			return
+		}
+		c.stats.L1Misses++
+		if replay {
+			c.stats.ReplayL1Misses++
+		}
+		c.events.After(c.now, c.cfg.L2Latency, func() {
+			l := c.l2.lookup(b)
+			if l != nil && l.state.CanRead() && l.dataValid && c.mayHit(b) {
+				c.stats.L2Hits++
+				c.l1.insert(b)
+				val := c.l2.readWord(l, addr)
+				c.access(b, false)
+				done(val, false)
+				return
+			}
+			c.stats.L2Misses++
+			c.join(b, false, class, waiter{kind: waitLoad, addr: addr, class: class, loadDone: done})
+		})
+	})
+}
+
+// Store implements Controller.
+func (c *ctrlCore) Store(addr mem.Addr, val mem.Word, done func()) {
+	b := addr.Block()
+	c.stats.Stores++
+	c.events.After(c.now, c.cfg.L1Latency, func() {
+		// Fast path: a store to a writable block with a hot L1 tag
+		// completes at L1 latency (the exclusive prefetch at execute
+		// usually makes this the common case, which is what lets the
+		// TSO write buffer drain at pipeline speed).
+		if l := c.l2.lookup(b); l != nil && l.state.CanWrite() && l.dataValid && c.mayHit(b) && c.l1.present(b) {
+			c.performStore(l, addr, val)
+			done()
+			return
+		}
+		c.events.After(c.now, c.cfg.L2Latency, func() {
+			l := c.l2.lookup(b)
+			if l != nil && l.state.CanWrite() && l.dataValid && c.mayHit(b) {
+				c.performStore(l, addr, val)
+				done()
+				return
+			}
+			c.stats.L2Misses++
+			c.join(b, true, network.ClassCoherence, waiter{kind: waitStore, addr: addr, val: val, perfDone: done})
+		})
+	})
+}
+
+// RMW implements Controller.
+func (c *ctrlCore) RMW(addr mem.Addr, f func(mem.Word) mem.Word, done func(mem.Word)) {
+	b := addr.Block()
+	c.stats.Loads++
+	c.stats.Stores++
+	c.events.After(c.now, c.cfg.L1Latency+c.cfg.L2Latency, func() {
+		l := c.l2.lookup(b)
+		if l != nil && l.state.CanWrite() && l.dataValid && c.mayHit(b) {
+			old := c.l2.readWord(l, addr)
+			c.performStore(l, addr, f(old))
+			done(old)
+			return
+		}
+		c.stats.L2Misses++
+		c.join(b, true, network.ClassCoherence, waiter{kind: waitRMW, addr: addr, rmwFn: f, rmwDone: done})
+	})
+}
+
+// PrefetchExclusive implements Controller.
+func (c *ctrlCore) PrefetchExclusive(addr mem.Addr) {
+	b := addr.Block()
+	c.events.After(c.now, c.cfg.L1Latency, func() {
+		l := c.l2.lookup(b)
+		if l != nil && l.state.CanWrite() && c.mayHit(b) {
+			return
+		}
+		if ms, busy := c.mshrs[b]; busy {
+			if !ms.issued {
+				ms.wantM = true
+			}
+			return
+		}
+		if len(c.mshrs) >= c.cfg.MSHRs {
+			return // drop the hint; prefetches are best-effort
+		}
+		c.join(b, true, network.ClassCoherence, waiter{})
+	})
+}
+
+// PeekWord implements Controller.
+func (c *ctrlCore) PeekWord(addr mem.Addr) (mem.Word, bool) {
+	l := c.l2.peek(addr.Block())
+	if l == nil || !l.state.CanRead() || !l.dataValid {
+		return 0, false
+	}
+	return l.data[addr.WordIndex()], true
+}
+
+// performStore writes into a Modified line and notifies listeners.
+func (c *ctrlCore) performStore(l *line, addr mem.Addr, val mem.Word) {
+	if c.stateFaultArmed && c.stateFaultPromote && l.block == c.stateFaultBlock {
+		// The store is performing under write permission the system never
+		// granted (no GetM was ordered for it): other sharers still hold —
+		// and may read — the old value.
+		c.fireStateFault()
+	}
+	c.l2.writeWord(l, addr, val)
+	c.l1.insert(l.block)
+	c.access(l.block, true)
+}
+
+// join adds a request to the block's MSHR, creating and issuing one if
+// needed. A zero-kind waiter (prefetch) registers no callback.
+func (c *ctrlCore) join(b mem.BlockAddr, needM bool, class network.Class, w waiter) {
+	ms := c.mshrs[b]
+	if ms == nil {
+		if len(c.mshrs) >= c.cfg.MSHRs {
+			// Structural stall: retry when an MSHR frees up.
+			c.events.After(c.now, 4, func() { c.join(b, needM, class, w) })
+			return
+		}
+		ms = &mshr{block: b, wantM: needM, class: class}
+		c.mshrs[b] = ms
+		if _, wbPending := c.wb[b]; wbPending {
+			ms.pending = true
+		} else {
+			c.issue(ms)
+		}
+	} else if needM && !ms.wantM && !ms.issued {
+		ms.wantM = true
+	}
+	if w.kind != 0 {
+		ms.waiters = append(ms.waiters, w)
+	}
+}
+
+// issue starts the MSHR's transaction and sends its request.
+func (c *ctrlCore) issue(ms *mshr) {
+	ms.issued = true
+	ms.pending = false
+	c.stats.TransactionsIssued++
+	if c.txnL != nil {
+		c.txnL.TxnBegin(ms.block, ms.wantM)
+	}
+	c.proto.sendRequest(ms)
+}
+
+// wbDone clears block b's writeback entry once the protocol has
+// acknowledged or ordered the writeback, and releases an MSHR that was
+// held back behind it.
+func (c *ctrlCore) wbDone(b mem.BlockAddr) {
+	delete(c.wb, b)
+	if ms := c.mshrs[b]; ms != nil && ms.pending {
+		c.issue(ms)
+	}
+}
+
+// allocate finds room for block b, evicting if necessary. Lines with an
+// active MSHR are transient and not eviction candidates; nil means every
+// way in the set is busy and the caller retries.
+func (c *ctrlCore) allocate(b mem.BlockAddr) *line {
+	set := c.l2.setOf(b)
+	var vic *line
+	for i := range set {
+		l := &set[i]
+		if !l.valid {
+			return l
+		}
+		if _, busy := c.mshrs[l.block]; busy {
+			continue
+		}
+		if vic == nil || l.lru < vic.lru {
+			vic = l
+		}
+	}
+	if vic == nil {
+		return nil
+	}
+	c.proto.evict(vic)
+	return vic
+}
+
+// dropLine invalidates a line and its L1 tag (inclusion).
+func (c *ctrlCore) dropLine(l *line) {
+	c.l1.invalidate(l.block)
+	c.l2.invalidate(l)
+}
+
+// serveWaiters completes the MSHR's waiters on a granted line: loads
+// always, stores and RMWs only under an exclusive grant. It returns the
+// store waiters a Shared grant could not satisfy.
+func (c *ctrlCore) serveWaiters(ms *mshr, l *line, exclusive bool) (remaining []waiter) {
+	for _, w := range ms.waiters {
+		switch w.kind {
+		case waitLoad:
+			val := c.l2.readWord(l, w.addr)
+			c.access(l.block, false)
+			w.loadDone(val, false)
+		case waitStore:
+			if exclusive {
+				c.performStore(l, w.addr, w.val)
+				w.perfDone()
+			} else {
+				remaining = append(remaining, w)
+			}
+		case waitRMW:
+			if exclusive {
+				old := c.l2.readWord(l, w.addr)
+				c.performStore(l, w.addr, w.rmwFn(old))
+				w.rmwDone(old)
+			} else {
+				remaining = append(remaining, w)
+			}
+		}
+	}
+	return remaining
+}
+
+// retire ends the MSHR's transaction. With store waiters left over from a
+// Shared grant the MSHR stays, now wanting M, and retire reports true:
+// the caller re-issues it as a fresh transaction.
+func (c *ctrlCore) retire(ms *mshr, remaining []waiter) (upgrade bool) {
+	upgrade = len(remaining) > 0
+	if c.txnL != nil {
+		c.txnL.TxnEnd(ms.block, upgrade)
+	}
+	if !upgrade {
+		delete(c.mshrs, ms.block)
+		return false
+	}
+	ms.waiters = remaining
+	ms.wantM = true
+	return true
+}
+
+// fireStateFault records that the armed state corruption took
+// architectural effect this cycle.
+func (c *ctrlCore) fireStateFault() {
+	if !c.stateFaultFired {
+		c.stateFaultFired = true
+		c.stateFaultFiredAt = c.now
+	}
+}
+
+// stateFaultLeaving is called wherever block b's line is about to be
+// read out, overwritten or dropped by the path its (possibly corrupted)
+// state selects. If b is the line an armed CorruptLineStateFault
+// demoted, that path is the clean one and the only up-to-date copy is
+// lost: the fault fires. erased says the line does not survive, which
+// ends the corruption either way.
+func (c *ctrlCore) stateFaultLeaving(b mem.BlockAddr, erased bool) {
+	if !c.stateFaultArmed || b != c.stateFaultBlock {
+		return
+	}
+	if !c.stateFaultPromote {
+		c.fireStateFault()
+	}
+	if erased {
+		c.stateFaultArmed = false
+	}
+}
+
+// resident returns up to max blocks with valid data that keep accepts,
+// most recently used first.
+func (c *ctrlCore) resident(max int, keep func(*line) bool) []mem.BlockAddr {
+	type cand struct {
+		b   mem.BlockAddr
+		lru uint64
+	}
+	var cands []cand
+	for i := range c.l2.lines {
+		l := &c.l2.lines[i]
+		if l.valid && l.dataValid && keep(l) {
+			cands = append(cands, cand{l.block, l.lru})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].lru > cands[j].lru })
+	if len(cands) > max {
+		cands = cands[:max]
+	}
+	out := make([]mem.BlockAddr, len(cands))
+	for i, cd := range cands {
+		out[i] = cd.b
+	}
+	return out
+}
+
+// ResidentBlocks implements Controller: resident blocks, MRU first.
+func (c *ctrlCore) ResidentBlocks(max int) []mem.BlockAddr {
+	return c.resident(max, func(*line) bool { return true })
+}
+
+// ResidentReadOnlyBlocks implements Controller.
+func (c *ctrlCore) ResidentReadOnlyBlocks(max int) []mem.BlockAddr {
+	return c.resident(max, func(l *line) bool { return l.state == Shared || l.state == Owned })
+}
+
+// ForEachDirty implements Controller: dirty lines in array order, then
+// dirty writeback entries in ascending block order (deterministic).
+func (c *ctrlCore) ForEachDirty(fn func(b mem.BlockAddr, data mem.Block)) {
+	for i := range c.l2.lines {
+		l := &c.l2.lines[i]
+		if l.valid && l.dataValid && (l.state == Modified || l.state == Owned) {
+			fn(l.block, l.data)
+		}
+	}
+	wbs := make([]mem.BlockAddr, 0, len(c.wb))
+	for b := range c.wb {
+		wbs = append(wbs, b)
+	}
+	sort.Slice(wbs, func(i, j int) bool { return wbs[i] < wbs[j] })
+	for _, b := range wbs {
+		if e := c.wb[b]; e.dirty {
+			fn(b, e.data)
+		}
+	}
+}
+
+// ECCCorrected implements Controller.
+func (c *ctrlCore) ECCCorrected() uint64 {
+	if c.l2.ecc == nil {
+		return 0
+	}
+	return c.l2.ecc.Corrected()
+}
+
+// Reset implements Controller.
+func (c *ctrlCore) Reset() {
+	c.stateFaultArmed = false // recovery wipes the cache; fired persists
+	for i := range c.l2.lines {
+		if c.l2.lines[i].valid {
+			c.l2.invalidate(&c.l2.lines[i])
+		}
+	}
+	c.l1 = newTagFilter(c.cfg.L1Sets, c.cfg.L1Ways)
+	c.mshrs = make(map[mem.BlockAddr]*mshr)
+	c.wb = make(map[mem.BlockAddr]*wbEntry)
+	c.events = sim.EventQueue{}
+}
+
+// CorruptCacheBit implements Controller.
+func (c *ctrlCore) CorruptCacheBit(b mem.BlockAddr, bit int) bool {
+	l := c.l2.peek(b)
+	if l == nil || !l.valid || !l.dataValid {
+		return false
+	}
+	l.data[bit/64] ^= mem.Word(1) << (bit % 64)
+	return true
+}
+
+// DropPermissionFault implements Controller.
+func (c *ctrlCore) DropPermissionFault(b mem.BlockAddr) bool {
+	l := c.l2.peek(b)
+	if l == nil || !l.valid {
+		return false
+	}
+	// The controller forgets it holds the block: no epoch end, no
+	// writeback, no inform. The rest of the system still believes this
+	// node holds it.
+	c.dropLine(l)
+	return true
+}
+
+// WriteWithoutPermissionFault implements Controller.
+func (c *ctrlCore) WriteWithoutPermissionFault(addr mem.Addr, val mem.Word) bool {
+	l := c.l2.peek(addr.Block())
+	if l == nil || !l.valid || !l.dataValid {
+		return false
+	}
+	// Skip the upgrade: write in whatever state the line is in. The
+	// access listener still fires, as the datapath performed a store.
+	c.l2.writeWord(l, addr, val)
+	c.access(addr.Block(), true)
+	return true
+}
+
+// CorruptLineStateFault implements Controller.
+func (c *ctrlCore) CorruptLineStateFault(b mem.BlockAddr, promote bool) bool {
+	l := c.l2.peek(b)
+	if l == nil || !l.valid || !l.dataValid {
+		return false
+	}
+	if promote {
+		if l.state != Shared && l.state != Owned {
+			return false
+		}
+		l.state = Modified
+	} else {
+		if l.state != Modified {
+			return false
+		}
+		l.state = Shared
+	}
+	c.stateFaultBlock = b
+	c.stateFaultPromote = promote
+	c.stateFaultArmed = true
+	return true
+}
+
+// StateFaultFired implements Controller.
+func (c *ctrlCore) StateFaultFired() (sim.Cycle, bool) {
+	return c.stateFaultFiredAt, c.stateFaultFired
+}

@@ -2,17 +2,16 @@ package coherence
 
 import (
 	"fmt"
-	"sort"
 
 	"dvmc/internal/mem"
 	"dvmc/internal/network"
-	"dvmc/internal/sim"
 )
 
 // DirCache is the cache controller of the blocking MOSI directory
 // protocol. One instance serves one node's L1 (tag filter) and L2 (the
-// coherence point). Transient conditions live in MSHRs; the home
-// controller's per-block blocking keeps the race surface small:
+// coherence point); everything protocol-independent lives in the embedded
+// ctrlCore. Transient conditions live in MSHRs; the home controller's
+// per-block blocking keeps the race surface small:
 //
 //   - Inv arrives only for blocks held in S (or already evicted).
 //   - Recall arrives only for blocks held in M/O, or sitting in the
@@ -24,308 +23,45 @@ import (
 // produce architecturally visible misbehaviour for DVMC to catch rather
 // than a simulator abort.
 type DirCache struct {
-	node network.NodeID
-	cfg  Config
-	net  network.Network
-
-	l2 *cacheArray
-	l1 *tagFilter
-
-	events sim.EventQueue
-	now    sim.Cycle
-
-	mshrs map[mem.BlockAddr]*mshr
-	wb    map[mem.BlockAddr]*wbEntry
-
+	ctrlCore
+	net   network.Network
 	clock LogicalClock
-
-	epochL  EpochListener
-	accessL AccessListener
-	txnL    TxnListener
-
-	stats  ControllerStats
-	strict bool
-
-	// Armed CorruptLineStateFault record: which block's MOSI state was
-	// corrupted, in which direction, and whether the corruption was
-	// architecturally exercised before being erased.
-	stateFaultBlock   mem.BlockAddr
-	stateFaultPromote bool
-	stateFaultArmed   bool
-	stateFaultFired   bool
-	stateFaultFiredAt sim.Cycle
 }
 
 var _ Controller = (*DirCache)(nil)
 
-// fireStateFault records that the armed state corruption took
-// architectural effect this cycle.
-func (c *DirCache) fireStateFault() {
-	if !c.stateFaultFired {
-		c.stateFaultFired = true
-		c.stateFaultFiredAt = c.now
-	}
-}
-
-type waiterKind uint8
-
-const (
-	waitLoad waiterKind = iota + 1
-	waitStore
-	waitRMW
-)
-
-type waiter struct {
-	kind     waiterKind
-	addr     mem.Addr
-	val      mem.Word
-	class    network.Class
-	loadDone func(mem.Word, bool)
-	perfDone func()
-	rmwFn    func(mem.Word) mem.Word
-	rmwDone  func(mem.Word)
-}
-
-type mshr struct {
-	block   mem.BlockAddr
-	wantM   bool
-	issued  bool
-	pending bool // waiting for a wb entry on the same block to clear
-	class   network.Class
-	waiters []waiter
-}
-
-type wbEntry struct {
-	data    mem.Block
-	hasData bool
-}
-
 // NewDirCache builds the directory cache controller for a node. clock is
 // the node's logical time base (a SkewedClock in the directory system).
 func NewDirCache(node network.NodeID, cfg Config, net network.Network, clock LogicalClock) *DirCache {
-	return &DirCache{
-		node:   node,
-		cfg:    cfg,
-		net:    net,
-		clock:  clock,
-		l2:     newCacheArray(cfg.L2Sets, cfg.L2Ways, cfg.CacheECC),
-		l1:     newTagFilter(cfg.L1Sets, cfg.L1Ways),
-		mshrs:  make(map[mem.BlockAddr]*mshr),
-		wb:     make(map[mem.BlockAddr]*wbEntry),
-		strict: true,
-	}
+	c := &DirCache{net: net, clock: clock}
+	c.init(node, cfg, c, true)
+	return c
 }
 
-// SetStrict toggles panic-on-protocol-anomaly (default true). Fault
-// injection campaigns run with strict=false.
-func (c *DirCache) SetStrict(s bool) { c.strict = s }
-
-// SetEpochListener implements Controller.
-func (c *DirCache) SetEpochListener(l EpochListener) { c.epochL = l }
-
-// SetAccessListener implements Controller.
-func (c *DirCache) SetAccessListener(l AccessListener) { c.accessL = l }
-
-// SetTxnListener implements Controller.
-func (c *DirCache) SetTxnListener(l TxnListener) { c.txnL = l }
-
-// Stats implements Controller.
-func (c *DirCache) Stats() ControllerStats { return c.stats }
-
-// Outstanding implements Controller.
-func (c *DirCache) Outstanding() int { return len(c.mshrs) }
-
-// Tick implements sim.Clockable.
-func (c *DirCache) Tick(now sim.Cycle) {
-	c.now = now
-	c.events.Tick(now)
+// beginNow and endNow stamp epoch events with the node clock: directory
+// transitions take effect when their message is handled.
+func (c *DirCache) beginNow(b mem.BlockAddr, k EpochKind, data mem.Block) {
+	c.epochBegin(b, k, c.clock.LogicalNow(), true, data)
 }
 
-func (c *DirCache) epochBegin(b mem.BlockAddr, k EpochKind, data mem.Block) {
-	if c.epochL != nil {
-		c.epochL.EpochBegin(b, k, c.clock.LogicalNow(), true, data)
-	}
+func (c *DirCache) endNow(b mem.BlockAddr, k EpochKind, data mem.Block) {
+	c.epochEnd(b, k, c.clock.LogicalNow(), data)
 }
 
-func (c *DirCache) epochEnd(b mem.BlockAddr, k EpochKind, data mem.Block) {
-	if c.epochL != nil {
-		c.epochL.EpochEnd(b, k, c.clock.LogicalNow(), data)
-	}
+// toHome sends a coherence-class message to block b's home controller.
+func (c *DirCache) toHome(b mem.BlockAddr, size int, payload any) {
+	c.net.Send(&network.Message{Src: c.node, Dst: c.cfg.HomeOf(b), Size: size, Class: network.ClassCoherence, Payload: payload})
 }
 
-func (c *DirCache) access(b mem.BlockAddr, write bool) {
-	if c.accessL != nil {
-		c.accessL.Access(b, write)
-	}
-}
-
-// Load implements Controller.
-func (c *DirCache) Load(addr mem.Addr, class network.Class, done func(mem.Word, bool)) {
-	b := addr.Block()
-	replay := class == network.ClassReplay
-	if replay {
-		c.stats.ReplayLoads++
-	} else {
-		c.stats.Loads++
-	}
-	c.events.After(c.now, c.cfg.L1Latency, func() {
-		l := c.l2.lookup(b)
-		readable := l != nil && l.state.CanRead() && l.dataValid
-		if c.l1.present(b) && readable {
-			c.stats.L1Hits++
-			val := c.l2.readWord(l, addr)
-			c.access(b, false)
-			done(val, true)
-			return
-		}
-		c.stats.L1Misses++
-		if replay {
-			c.stats.ReplayL1Misses++
-		}
-		c.events.After(c.now, c.cfg.L2Latency, func() {
-			l := c.l2.lookup(b)
-			if l != nil && l.state.CanRead() && l.dataValid {
-				c.stats.L2Hits++
-				c.l1.insert(b)
-				val := c.l2.readWord(l, addr)
-				c.access(b, false)
-				done(val, false)
-				return
-			}
-			c.stats.L2Misses++
-			c.join(b, false, class, waiter{kind: waitLoad, addr: addr, class: class, loadDone: done})
-		})
-	})
-}
-
-// Store implements Controller.
-func (c *DirCache) Store(addr mem.Addr, val mem.Word, done func()) {
-	b := addr.Block()
-	c.stats.Stores++
-	c.events.After(c.now, c.cfg.L1Latency, func() {
-		// Fast path: a store to a writable block with a hot L1 tag
-		// completes at L1 latency (the exclusive prefetch at execute
-		// usually makes this the common case, which is what lets the
-		// TSO write buffer drain at pipeline speed).
-		if l := c.l2.lookup(b); l != nil && l.state.CanWrite() && l.dataValid && c.l1.present(b) {
-			c.performStore(l, addr, val)
-			done()
-			return
-		}
-		c.events.After(c.now, c.cfg.L2Latency, func() {
-			l := c.l2.lookup(b)
-			if l != nil && l.state.CanWrite() && l.dataValid {
-				c.performStore(l, addr, val)
-				done()
-				return
-			}
-			c.stats.L2Misses++
-			c.join(b, true, network.ClassCoherence, waiter{kind: waitStore, addr: addr, val: val, perfDone: done})
-		})
-	})
-}
-
-// RMW implements Controller.
-func (c *DirCache) RMW(addr mem.Addr, f func(mem.Word) mem.Word, done func(mem.Word)) {
-	b := addr.Block()
-	c.stats.Loads++
-	c.stats.Stores++
-	c.events.After(c.now, c.cfg.L1Latency+c.cfg.L2Latency, func() {
-		l := c.l2.lookup(b)
-		if l != nil && l.state.CanWrite() && l.dataValid {
-			old := c.l2.readWord(l, addr)
-			c.performStore(l, addr, f(old))
-			done(old)
-			return
-		}
-		c.stats.L2Misses++
-		c.join(b, true, network.ClassCoherence, waiter{kind: waitRMW, addr: addr, rmwFn: f, rmwDone: done})
-	})
-}
-
-// PrefetchExclusive implements Controller.
-func (c *DirCache) PrefetchExclusive(addr mem.Addr) {
-	b := addr.Block()
-	c.events.After(c.now, c.cfg.L1Latency, func() {
-		l := c.l2.lookup(b)
-		if l != nil && l.state.CanWrite() {
-			return
-		}
-		if _, busy := c.mshrs[b]; busy {
-			if ms := c.mshrs[b]; !ms.issued {
-				ms.wantM = true
-			}
-			return
-		}
-		if len(c.mshrs) >= c.cfg.MSHRs {
-			return // drop the hint; prefetches are best-effort
-		}
-		c.join(b, true, network.ClassCoherence, waiter{})
-	})
-}
-
-// PeekWord implements Controller.
-func (c *DirCache) PeekWord(addr mem.Addr) (mem.Word, bool) {
-	l := c.l2.peek(addr.Block())
-	if l == nil || !l.state.CanRead() || !l.dataValid {
-		return 0, false
-	}
-	return l.data[addr.WordIndex()], true
-}
-
-// performStore writes into a Modified line and notifies listeners.
-func (c *DirCache) performStore(l *line, addr mem.Addr, val mem.Word) {
-	if c.stateFaultArmed && c.stateFaultPromote && l.block == c.stateFaultBlock {
-		// The store is performing under write permission the system never
-		// granted: other sharers still hold — and may read — the old value.
-		c.fireStateFault()
-	}
-	c.l2.writeWord(l, addr, val)
-	c.l1.insert(l.block)
-	c.access(l.block, true)
-}
-
-// join adds a request to the block's MSHR, creating and issuing one if
-// needed. A zero-kind waiter (prefetch) registers no callback.
-func (c *DirCache) join(b mem.BlockAddr, needM bool, class network.Class, w waiter) {
-	ms := c.mshrs[b]
-	if ms == nil {
-		if len(c.mshrs) >= c.cfg.MSHRs {
-			// Structural stall: retry when an MSHR frees up.
-			c.events.After(c.now, 4, func() { c.join(b, needM, class, w) })
-			return
-		}
-		ms = &mshr{block: b, wantM: needM, class: class}
-		c.mshrs[b] = ms
-		if _, wbPending := c.wb[b]; wbPending {
-			ms.pending = true
-		} else {
-			c.issue(ms)
-		}
-	} else if needM && !ms.wantM && !ms.issued {
-		ms.wantM = true
-	}
-	if w.kind != 0 {
-		ms.waiters = append(ms.waiters, w)
-	}
-}
-
-// issue sends the MSHR's coherence request to the home controller.
-func (c *DirCache) issue(ms *mshr) {
-	ms.issued = true
-	ms.pending = false
-	c.stats.TransactionsIssued++
-	if c.txnL != nil {
-		c.txnL.TxnBegin(ms.block, ms.wantM)
-	}
-	home := c.cfg.HomeOf(ms.block)
+// sendRequest implements protocol: GetS/GetM go to the home controller.
+func (c *DirCache) sendRequest(ms *mshr) {
 	var payload any
 	if ms.wantM {
 		payload = MsgGetM{Block: ms.block, Requestor: c.node}
 	} else {
 		payload = MsgGetS{Block: ms.block, Requestor: c.node}
 	}
-	c.net.Send(&network.Message{Src: c.node, Dst: home, Size: CtrlBytes, Class: ms.class, Payload: payload})
+	c.net.Send(&network.Message{Src: c.node, Dst: c.cfg.HomeOf(ms.block), Size: CtrlBytes, Class: ms.class, Payload: payload})
 }
 
 // Handle dispatches a delivered network message to the controller.
@@ -341,7 +77,7 @@ func (c *DirCache) Handle(m *network.Message) {
 		case MsgRecall:
 			c.onRecall(p)
 		case MsgWBAck:
-			c.onWBAck(p)
+			c.wbDone(p.Block)
 		default:
 			if c.strict {
 				panic(fmt.Sprintf("DirCache %d: unexpected payload %T", c.node, m.Payload))
@@ -350,68 +86,30 @@ func (c *DirCache) Handle(m *network.Message) {
 	})
 }
 
-// allocate finds room for block b, evicting if necessary. Lines with an
-// active MSHR or in-flight writeback are not eviction candidates.
-func (c *DirCache) allocate(b mem.BlockAddr) *line {
-	set := c.l2.setOf(b)
-	var vic *line
-	for i := range set {
-		l := &set[i]
-		if !l.valid {
-			return l
-		}
-		if _, busy := c.mshrs[l.block]; busy {
-			continue
-		}
-		if vic == nil || l.lru < vic.lru {
-			vic = l
-		}
-	}
-	if vic == nil {
-		return nil // every way busy; caller retries
-	}
-	c.evict(vic)
-	return vic
-}
-
-// evict removes a stable line, ending its epoch and writing back dirty
-// data.
+// evict implements protocol: the line's epoch ends now, and the home is
+// told with a PutM (dirty data) or a PutS (sharer bookkeeping); the block
+// sits in the writeback buffer until the home's WBAck.
 func (c *DirCache) evict(l *line) {
 	b := l.block
-	if c.stateFaultArmed && b == c.stateFaultBlock {
-		if !c.stateFaultPromote {
-			// The demoted line's dirty data leaves through the clean
-			// (Shared) eviction path: the only up-to-date copy is dropped.
-			c.fireStateFault()
-		}
-		c.stateFaultArmed = false
-	}
-	home := c.cfg.HomeOf(b)
+	// A demoted line's dirty data leaves through the clean (Shared)
+	// eviction path: the only up-to-date copy is dropped.
+	c.stateFaultLeaving(b, true)
 	data := c.l2.readBlock(l)
 	switch l.state {
-	case Modified:
-		c.epochEnd(b, ReadWrite, data)
-		c.wb[b] = &wbEntry{data: data, hasData: true}
+	case Modified, Owned:
+		c.endNow(b, epochKindOf(l.state), data)
+		c.wb[b] = &wbEntry{data: data, dirty: true}
 		c.stats.WritebacksDirty++
-		c.net.Send(&network.Message{Src: c.node, Dst: home, Size: DataBytes, Class: network.ClassCoherence,
-			Payload: MsgPutM{Block: b, Requestor: c.node, Data: data}})
-	case Owned:
-		c.epochEnd(b, ReadOnly, data)
-		c.wb[b] = &wbEntry{data: data, hasData: true}
-		c.stats.WritebacksDirty++
-		c.net.Send(&network.Message{Src: c.node, Dst: home, Size: DataBytes, Class: network.ClassCoherence,
-			Payload: MsgPutM{Block: b, Requestor: c.node, Data: data}})
+		c.toHome(b, DataBytes, MsgPutM{Block: b, Requestor: c.node, Data: data})
 	case Shared:
-		c.epochEnd(b, ReadOnly, data)
+		c.endNow(b, ReadOnly, data)
 		c.wb[b] = &wbEntry{}
 		c.stats.EvictionsClean++
-		c.net.Send(&network.Message{Src: c.node, Dst: home, Size: CtrlBytes, Class: network.ClassCoherence,
-			Payload: MsgPutS{Block: b, Requestor: c.node}})
+		c.toHome(b, CtrlBytes, MsgPutS{Block: b, Requestor: c.node})
 	default:
 		panic(fmt.Sprintf("DirCache %d: evict of %v line %#x", c.node, l.state, b))
 	}
-	c.l1.invalidate(b)
-	c.l2.invalidate(l)
+	c.dropLine(l)
 }
 
 // onData installs a granted block and serves the MSHR's waiters.
@@ -432,17 +130,12 @@ func (c *DirCache) onData(p MsgData) {
 			return
 		}
 	} else if l.valid && l.state != Invalid {
-		if c.stateFaultArmed && p.Block == c.stateFaultBlock {
-			if !c.stateFaultPromote {
-				// Home's grant data (stale memory) is about to overwrite
-				// the demoted line's dirty copy: the stores are lost.
-				c.fireStateFault()
-			}
-			c.stateFaultArmed = false
-		}
+		// Home's grant data (stale memory) is about to overwrite a
+		// demoted line's dirty copy: the stores are lost.
+		c.stateFaultLeaving(p.Block, true)
 		// Upgrading an existing Shared copy: its Read-Only epoch ends at
 		// the instant the new (Read-Write) grant takes effect.
-		c.epochEnd(p.Block, epochKindOf(l.state), c.l2.readBlock(l))
+		c.endNow(p.Block, epochKindOf(l.state), c.l2.readBlock(l))
 	}
 	st := Shared
 	kind := ReadOnly
@@ -452,7 +145,7 @@ func (c *DirCache) onData(p MsgData) {
 	}
 	c.l2.install(l, p.Block, st, p.Data, true)
 	c.l1.insert(p.Block)
-	c.epochBegin(p.Block, kind, p.Data)
+	c.beginNow(p.Block, kind, p.Data)
 	c.serve(ms, l, p.Exclusive)
 }
 
@@ -467,120 +160,66 @@ func (c *DirCache) onPermM(p MsgPermM) {
 		return
 	}
 	data := c.l2.readBlock(l)
-	c.epochEnd(p.Block, ReadOnly, data)
+	c.endNow(p.Block, ReadOnly, data)
 	l.state = Modified
-	c.epochBegin(p.Block, ReadWrite, data)
+	c.beginNow(p.Block, ReadWrite, data)
 	c.serve(ms, l, true)
 }
 
-// serve completes waiters after a grant. If Shared was granted but store
-// waiters remain, the MSHR re-issues as GetM after unblocking the home.
+// serve completes waiters after a grant and unblocks the home. If Shared
+// was granted but store waiters remain, the MSHR re-issues as GetM.
 func (c *DirCache) serve(ms *mshr, l *line, exclusive bool) {
-	var remaining []waiter
-	for _, w := range ms.waiters {
-		switch w.kind {
-		case waitLoad:
-			val := c.l2.readWord(l, w.addr)
-			c.access(l.block, false)
-			w.loadDone(val, false)
-		case waitStore:
-			if exclusive {
-				c.performStore(l, w.addr, w.val)
-				w.perfDone()
-			} else {
-				remaining = append(remaining, w)
-			}
-		case waitRMW:
-			if exclusive {
-				old := c.l2.readWord(l, w.addr)
-				c.performStore(l, w.addr, w.rmwFn(old))
-				w.rmwDone(old)
-			} else {
-				remaining = append(remaining, w)
-			}
-		}
-	}
-	home := c.cfg.HomeOf(ms.block)
-	c.net.Send(&network.Message{Src: c.node, Dst: home, Size: CtrlBytes, Class: network.ClassCoherence,
-		Payload: MsgUnblock{Block: ms.block, From: c.node}})
-	if len(remaining) > 0 {
+	remaining := c.serveWaiters(ms, l, exclusive)
+	c.toHome(ms.block, CtrlBytes, MsgUnblock{Block: ms.block, From: c.node})
+	if c.retire(ms, remaining) {
 		// Shared was not enough; upgrade. The home has been unblocked, so
-		// this is a fresh transaction.
-		ms.waiters = remaining
-		ms.wantM = true
-		c.stats.TransactionsIssued++
-		if c.txnL != nil {
-			c.txnL.TxnEnd(ms.block, true)
-			c.txnL.TxnBegin(ms.block, true)
-		}
-		c.net.Send(&network.Message{Src: c.node, Dst: home, Size: CtrlBytes, Class: network.ClassCoherence,
-			Payload: MsgGetM{Block: ms.block, Requestor: c.node}})
-		return
+		// this is a fresh transaction — demand traffic on behalf of the
+		// stores, even if a replay load opened the MSHR.
+		ms.class = network.ClassCoherence
+		c.issue(ms)
 	}
-	if c.txnL != nil {
-		c.txnL.TxnEnd(ms.block, false)
-	}
-	delete(c.mshrs, ms.block)
 }
 
 // onInv invalidates a Shared copy and acks the home.
 func (c *DirCache) onInv(p MsgInv) {
 	l := c.l2.peek(p.Block)
 	if l != nil && l.valid {
-		if c.stateFaultArmed && p.Block == c.stateFaultBlock {
-			if !c.stateFaultPromote {
-				c.fireStateFault() // the dirty copy is dropped
-			}
-			c.stateFaultArmed = false
-		}
+		c.stateFaultLeaving(p.Block, true) // a demoted line's dirty copy is dropped
 		if l.state == Modified || l.state == Owned {
 			if c.strict {
 				panic(fmt.Sprintf("DirCache %d: Inv for owned block %#x", c.node, p.Block))
 			}
 		}
-		data := c.l2.readBlock(l)
-		c.epochEnd(p.Block, epochKindOf(l.state), data)
-		c.l1.invalidate(p.Block)
-		c.l2.invalidate(l)
+		c.endNow(p.Block, epochKindOf(l.state), c.l2.readBlock(l))
+		c.dropLine(l)
 	}
-	home := c.cfg.HomeOf(p.Block)
-	c.net.Send(&network.Message{Src: c.node, Dst: home, Size: CtrlBytes, Class: network.ClassCoherence,
-		Payload: MsgInvAck{Block: p.Block, From: c.node}})
+	c.toHome(p.Block, CtrlBytes, MsgInvAck{Block: p.Block, From: c.node})
 }
 
 // onRecall surrenders an owned block to the home controller.
 func (c *DirCache) onRecall(p MsgRecall) {
-	home := c.cfg.HomeOf(p.Block)
-	if c.stateFaultArmed && p.Block == c.stateFaultBlock {
-		if !c.stateFaultPromote {
-			// Home recalls what it believes is this node's owned copy; the
-			// demoted line fails the ownership check below, so the response
-			// carries no data and the dirty copy is lost.
-			c.fireStateFault()
-		}
-		c.stateFaultArmed = false
-	}
+	// Home recalls what it believes is this node's owned copy; a demoted
+	// line fails the ownership check below, so the response carries no
+	// data and the dirty copy is lost.
+	c.stateFaultLeaving(p.Block, true)
 	l := c.l2.peek(p.Block)
 	if l != nil && l.valid && (l.state == Modified || l.state == Owned) {
 		data := c.l2.readBlock(l)
 		if p.ForGetM {
-			c.epochEnd(p.Block, epochKindOf(l.state), data)
-			c.l1.invalidate(p.Block)
-			c.l2.invalidate(l)
+			c.endNow(p.Block, epochKindOf(l.state), data)
+			c.dropLine(l)
 		} else if l.state == Modified {
-			c.epochEnd(p.Block, ReadWrite, data)
+			c.endNow(p.Block, ReadWrite, data)
 			l.state = Owned
-			c.epochBegin(p.Block, ReadOnly, data)
+			c.beginNow(p.Block, ReadOnly, data)
 		}
-		c.net.Send(&network.Message{Src: c.node, Dst: home, Size: DataBytes, Class: network.ClassCoherence,
-			Payload: MsgRecallAck{Block: p.Block, Data: data, From: c.node}})
+		c.toHome(p.Block, DataBytes, MsgRecallAck{Block: p.Block, Data: data, From: c.node})
 		return
 	}
-	if e, ok := c.wb[p.Block]; ok && e.hasData {
+	if e, ok := c.wb[p.Block]; ok && e.dirty {
 		// Eviction raced with the recall: respond from the writeback
 		// buffer; the stale PutM will be acked later.
-		c.net.Send(&network.Message{Src: c.node, Dst: home, Size: DataBytes, Class: network.ClassCoherence,
-			Payload: MsgRecallAck{Block: p.Block, Data: e.data, From: c.node}})
+		c.toHome(p.Block, DataBytes, MsgRecallAck{Block: p.Block, Data: e.data, From: c.node})
 		return
 	}
 	if c.strict {
@@ -588,168 +227,5 @@ func (c *DirCache) onRecall(p MsgRecall) {
 	}
 	// Under fault injection a misrouted recall can land here; answer with
 	// zeros so the protocol proceeds and DVMC sees the corruption.
-	c.net.Send(&network.Message{Src: c.node, Dst: home, Size: DataBytes, Class: network.ClassCoherence,
-		Payload: MsgRecallAck{Block: p.Block, From: c.node}})
-}
-
-// onWBAck clears the writeback buffer and releases deferred MSHRs.
-func (c *DirCache) onWBAck(p MsgWBAck) {
-	delete(c.wb, p.Block)
-	if ms := c.mshrs[p.Block]; ms != nil && ms.pending {
-		c.issue(ms)
-	}
-}
-
-// ResidentBlocks implements Controller: resident blocks, MRU first.
-func (c *DirCache) ResidentBlocks(max int) []mem.BlockAddr {
-	type cand struct {
-		b   mem.BlockAddr
-		lru uint64
-	}
-	var cands []cand
-	for i := range c.l2.lines {
-		l := &c.l2.lines[i]
-		if l.valid && l.dataValid {
-			cands = append(cands, cand{l.block, l.lru})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].lru > cands[j].lru })
-	if len(cands) > max {
-		cands = cands[:max]
-	}
-	out := make([]mem.BlockAddr, len(cands))
-	for i, c := range cands {
-		out[i] = c.b
-	}
-	return out
-}
-
-// ResidentReadOnlyBlocks implements Controller.
-func (c *DirCache) ResidentReadOnlyBlocks(max int) []mem.BlockAddr {
-	type cand struct {
-		b   mem.BlockAddr
-		lru uint64
-	}
-	var cands []cand
-	for i := range c.l2.lines {
-		l := &c.l2.lines[i]
-		if l.valid && l.dataValid && (l.state == Shared || l.state == Owned) {
-			cands = append(cands, cand{l.block, l.lru})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].lru > cands[j].lru })
-	if len(cands) > max {
-		cands = cands[:max]
-	}
-	out := make([]mem.BlockAddr, len(cands))
-	for i, c := range cands {
-		out[i] = c.b
-	}
-	return out
-}
-
-// ECCCorrected implements Controller.
-func (c *DirCache) ECCCorrected() uint64 {
-	if c.l2.ecc == nil {
-		return 0
-	}
-	return c.l2.ecc.Corrected()
-}
-
-// CorruptCacheBit implements Controller.
-func (c *DirCache) CorruptCacheBit(b mem.BlockAddr, bit int) bool {
-	l := c.l2.peek(b)
-	if l == nil || !l.valid || !l.dataValid {
-		return false
-	}
-	l.data[bit/64] ^= mem.Word(1) << (bit % 64)
-	return true
-}
-
-// DropPermissionFault implements Controller.
-func (c *DirCache) DropPermissionFault(b mem.BlockAddr) bool {
-	l := c.l2.peek(b)
-	if l == nil || !l.valid {
-		return false
-	}
-	// The controller forgets it holds the block: no epoch end, no
-	// writeback, no inform. Home still believes this node holds it.
-	c.l1.invalidate(b)
-	c.l2.invalidate(l)
-	return true
-}
-
-// ForEachDirty implements Controller.
-func (c *DirCache) ForEachDirty(fn func(b mem.BlockAddr, data mem.Block)) {
-	for i := range c.l2.lines {
-		l := &c.l2.lines[i]
-		if l.valid && l.dataValid && (l.state == Modified || l.state == Owned) {
-			fn(l.block, l.data)
-		}
-	}
-	wbs := make([]mem.BlockAddr, 0, len(c.wb))
-	for b := range c.wb {
-		wbs = append(wbs, b)
-	}
-	sort.Slice(wbs, func(i, j int) bool { return wbs[i] < wbs[j] })
-	for _, b := range wbs {
-		if e := c.wb[b]; e.hasData {
-			fn(b, e.data)
-		}
-	}
-}
-
-// CorruptLineStateFault implements Controller.
-func (c *DirCache) CorruptLineStateFault(b mem.BlockAddr, promote bool) bool {
-	l := c.l2.peek(b)
-	if l == nil || !l.valid || !l.dataValid {
-		return false
-	}
-	if promote {
-		if l.state != Shared && l.state != Owned {
-			return false
-		}
-		l.state = Modified
-	} else {
-		if l.state != Modified {
-			return false
-		}
-		l.state = Shared
-	}
-	c.stateFaultBlock = b
-	c.stateFaultPromote = promote
-	c.stateFaultArmed = true
-	return true
-}
-
-// StateFaultFired implements Controller.
-func (c *DirCache) StateFaultFired() (sim.Cycle, bool) {
-	return c.stateFaultFiredAt, c.stateFaultFired
-}
-
-// Reset implements Controller.
-func (c *DirCache) Reset() {
-	c.stateFaultArmed = false // recovery wipes the cache; fired persists
-	for i := range c.l2.lines {
-		if c.l2.lines[i].valid {
-			c.l2.invalidate(&c.l2.lines[i])
-		}
-	}
-	c.l1 = newTagFilter(c.cfg.L1Sets, c.cfg.L1Ways)
-	c.mshrs = make(map[mem.BlockAddr]*mshr)
-	c.wb = make(map[mem.BlockAddr]*wbEntry)
-	c.events = sim.EventQueue{}
-}
-
-// WriteWithoutPermissionFault implements Controller.
-func (c *DirCache) WriteWithoutPermissionFault(addr mem.Addr, val mem.Word) bool {
-	l := c.l2.peek(addr.Block())
-	if l == nil || !l.valid || !l.dataValid {
-		return false
-	}
-	// Skip the upgrade: write in whatever state the line is in. The
-	// access listener still fires, as the datapath performed a store.
-	c.l2.writeWord(l, addr, val)
-	c.access(addr.Block(), true)
-	return true
+	c.toHome(p.Block, DataBytes, MsgRecallAck{Block: p.Block, From: c.node})
 }

@@ -5,247 +5,15 @@ import (
 
 	"dvmc/internal/mem"
 	"dvmc/internal/network"
-	"dvmc/internal/sim"
 )
 
-func TestDirLoadReturnsZeroFromFreshMemory(t *testing.T) {
-	s := newDirSystem(t, 4)
-	if got := s.load(t, 0, 0x1000); got != 0 {
-		t.Errorf("fresh load = %#x, want 0", got)
-	}
-}
-
-func TestDirStoreThenLoadSameNode(t *testing.T) {
-	s := newDirSystem(t, 4)
-	s.store(t, 1, 0x2000, 0xbeef)
-	if got := s.load(t, 1, 0x2000); got != 0xbeef {
-		t.Errorf("load after store = %#x, want 0xbeef", got)
-	}
-}
-
-func TestDirStoreThenLoadRemoteNode(t *testing.T) {
-	s := newDirSystem(t, 4)
-	s.store(t, 0, 0x3000, 0xcafe)
-	if got := s.load(t, 3, 0x3000); got != 0xcafe {
-		t.Errorf("remote load = %#x, want 0xcafe", got)
-	}
-}
-
-func TestDirWriteWriteTransfer(t *testing.T) {
-	s := newDirSystem(t, 4)
-	s.store(t, 0, 0x4000, 1)
-	s.store(t, 1, 0x4000, 2)
-	s.store(t, 2, 0x4000, 3)
-	for n := 0; n < 4; n++ {
-		if got := s.load(t, n, 0x4000); got != 3 {
-			t.Errorf("node %d sees %#x, want 3", n, got)
-		}
-	}
-}
-
-func TestDirSharersInvalidatedOnWrite(t *testing.T) {
-	s := newDirSystem(t, 4)
-	addr := mem.Addr(0x5000)
-	s.store(t, 0, addr, 10)
-	// All nodes read: everyone shares.
-	for n := 0; n < 4; n++ {
-		s.load(t, n, addr)
-	}
-	// Write from node 3 must invalidate the rest.
-	s.store(t, 3, addr, 11)
-	for n := 0; n < 4; n++ {
-		if got := s.load(t, n, addr); got != 11 {
-			t.Errorf("node %d sees stale %#x after invalidation", n, got)
-		}
-	}
-}
-
-func TestDirSWMRInvariantUnderContention(t *testing.T) {
-	// At any instant at most one cache may hold a block writable. Pump
-	// concurrent stores from all nodes and audit states every cycle.
-	s := newDirSystem(t, 4)
-	addr := mem.Addr(0x6000)
-	pending := 0
-	for round := 0; round < 5; round++ {
-		for n := 0; n < 4; n++ {
-			n := n
-			pending++
-			s.caches[n].Store(addr, mem.Word(round*10+n), func() { pending-- })
-		}
-	}
-	b := addr.Block()
-	for i := 0; i < 200000 && pending > 0; i++ {
-		writers := 0
-		readers := 0
-		for _, c := range s.caches {
-			if l := c.l2.peek(b); l != nil && l.valid {
-				switch l.state {
-				case Modified:
-					writers++
-				case Owned, Shared:
-					readers++
-				}
-			}
-		}
-		if writers > 1 {
-			t.Fatalf("SWMR violated: %d writers", writers)
-		}
-		if writers == 1 && readers > 0 {
-			t.Fatalf("SWMR violated: writer coexists with %d readers", readers)
-		}
-		s.k.Step()
-	}
-	if pending > 0 {
-		t.Fatalf("%d stores never performed", pending)
-	}
-}
-
-func TestDirReadSharingKeepsAllReadable(t *testing.T) {
-	s := newDirSystem(t, 8)
-	addr := mem.Addr(0x7000)
-	s.store(t, 0, addr, 42)
-	for n := 0; n < 8; n++ {
-		if got := s.load(t, n, addr); got != 42 {
-			t.Fatalf("node %d read %#x", n, got)
-		}
-	}
-	// After all loads, the block must be readable at every node (S or O).
-	b := addr.Block()
-	holders := 0
-	for _, c := range s.caches {
-		if l := c.l2.peek(b); l != nil && l.valid && l.state.CanRead() {
-			holders++
-		}
-	}
-	if holders != 8 {
-		t.Errorf("%d nodes hold the block readable, want 8", holders)
-	}
-}
-
-func TestDirEvictionWritebackReachesMemory(t *testing.T) {
-	s := newDirSystem(t, 2)
-	// Fill one set past capacity with dirty blocks to force writebacks.
-	// Set index = block % 8; choose addresses mapping to set 0.
-	base := mem.Addr(0)
-	var addrs []mem.Addr
-	for i := 0; i < 6; i++ { // 6 > 4 ways
-		addrs = append(addrs, base+mem.Addr(i)*8*mem.BlockBytes)
-	}
-	for i, a := range addrs {
-		s.store(t, 0, a, mem.Word(i+100))
-	}
-	// Wait for writebacks to settle.
-	s.k.Run(5000)
-	// All values must still be visible from the other node.
-	for i, a := range addrs {
-		if got := s.load(t, 1, a); got != mem.Word(i+100) {
-			t.Errorf("addr %#x = %#x, want %#x", a, got, i+100)
-		}
-	}
-	var wbs uint64
-	for _, c := range s.caches {
-		wbs += c.Stats().WritebacksDirty
-	}
-	if wbs == 0 {
-		t.Error("no dirty writebacks occurred despite set overflow")
-	}
-}
-
-func TestDirRMWAtomicity(t *testing.T) {
-	// Concurrent atomic swaps from all nodes must each observe a distinct
-	// old value: swap(k) chains k values through the word exactly once.
-	s := newDirSystem(t, 4)
-	addr := mem.Addr(0x8000)
-	const total = 20
-	seen := make(map[mem.Word]int)
-	pending := 0
-	for i := 0; i < total; i++ {
-		pending++
-		v := mem.Word(i + 1)
-		s.caches[i%4].RMW(addr, func(mem.Word) mem.Word { return v }, func(old mem.Word) {
-			seen[old]++
-			pending--
-		})
-	}
-	s.run(t, func() bool { return pending == 0 }, 500000)
-	for v, n := range seen {
-		if n > 1 {
-			t.Errorf("old value %d observed %d times; swaps not serialised", v, n)
-		}
-	}
-	if len(seen) != total {
-		t.Errorf("observed %d distinct old values, want %d", len(seen), total)
-	}
-}
-
-func TestDirFetchAndIncrementSerialises(t *testing.T) {
-	// Fetch-and-add built from the functional RMW: the final value must
-	// equal the number of increments, regardless of interleaving.
-	s := newDirSystem(t, 4)
-	addr := mem.Addr(0x9000)
-	const total = 12
-	done := 0
-	inc := func(old mem.Word) mem.Word { return old + 1 }
-	for i := 0; i < total; i++ {
-		s.caches[i%4].RMW(addr, inc, func(mem.Word) { done++ })
-	}
-	s.run(t, func() bool { return done == total }, 2000000)
-	if got := s.load(t, 0, addr); got != total {
-		t.Errorf("counter = %d, want %d", got, total)
-	}
-}
-
-func TestDirL1HitLatencyFasterThanL2(t *testing.T) {
-	s := newDirSystem(t, 2)
-	addr := mem.Addr(0xa000)
-	s.store(t, 0, addr, 5)
-	// First load warms L1 (store already did), second must be an L1 hit.
-	start := s.k.Now()
-	var hitL1 bool
-	ok := false
-	s.caches[0].Load(addr, network.ClassCoherence, func(_ mem.Word, h bool) { hitL1 = h; ok = true })
-	s.run(t, func() bool { return ok }, 1000)
-	lat := s.k.Now() - start
-	if !hitL1 {
-		t.Error("expected L1 hit after store")
-	}
-	if lat > 3 {
-		t.Errorf("L1 hit took %d cycles, want <= 3", lat)
-	}
-}
-
-func TestDirStatsCounted(t *testing.T) {
-	s := newDirSystem(t, 2)
-	s.store(t, 0, 0xb000, 1)
-	s.load(t, 1, 0xb000)
-	c0 := s.caches[0].Stats()
-	if c0.Stores != 1 {
-		t.Errorf("node0 Stores = %d, want 1", c0.Stores)
-	}
-	if c0.TransactionsIssued == 0 {
-		t.Error("node0 issued no transactions")
-	}
-	var gets, getm uint64
-	for _, h := range s.homes {
-		st := h.Stats()
-		gets += st.GetS
-		getm += st.GetM
-	}
-	if getm == 0 {
-		t.Error("no GetM processed at any home")
-	}
-	if gets == 0 {
-		t.Error("no GetS processed at any home")
-	}
-}
-
 func TestDirDirectoryStateMatchesCaches(t *testing.T) {
-	s := newDirSystem(t, 4)
+	s := newHarness(t, directory, 4)
 	addr := mem.Addr(0xc000)
 	s.store(t, 2, addr, 7)
 	s.k.Run(100)
 	b := addr.Block()
-	home := s.homes[s.cfg.HomeOf(b)]
+	home := s.dirHomes[s.cfg.HomeOf(b)]
 	owner, sharers := home.OwnerOf(b)
 	if owner != 2 {
 		t.Errorf("directory owner = %d, want 2", owner)
@@ -264,75 +32,18 @@ func TestDirDirectoryStateMatchesCaches(t *testing.T) {
 	}
 }
 
-func TestDirPrefetchExclusiveAcquiresM(t *testing.T) {
-	s := newDirSystem(t, 2)
-	addr := mem.Addr(0xd000)
-	s.caches[0].PrefetchExclusive(addr)
-	s.k.Run(2000)
-	l := s.caches[0].l2.peek(addr.Block())
-	if l == nil || !l.valid || l.state != Modified {
-		t.Fatalf("prefetch did not install M (line=%v)", l)
-	}
-	// A store now performs at L2-hit latency, without a transaction.
-	before := s.caches[0].Stats().TransactionsIssued
-	s.store(t, 0, addr, 9)
-	if after := s.caches[0].Stats().TransactionsIssued; after != before {
-		t.Errorf("store after prefetch issued a transaction (%d -> %d)", before, after)
-	}
-}
-
-func TestDirManyBlocksManyNodes(t *testing.T) {
-	// Random-ish workload across nodes and blocks; verify final values
-	// against a reference model.
-	s := newDirSystem(t, 8)
-	ref := make(map[mem.Addr]mem.Word)
-	rng := sim.NewRand(123)
-	pending := 0
-	type op struct {
-		node int
-		addr mem.Addr
-		val  mem.Word
-	}
-	var ops []op
-	for i := 0; i < 300; i++ {
-		a := mem.Addr(rng.Intn(64)) * mem.BlockBytes
-		ops = append(ops, op{node: rng.Intn(8), addr: a, val: mem.Word(i + 1)})
-	}
-	// Issue sequentially (each store completes before the next issues) so
-	// the reference model is exact.
-	i := 0
-	var issueNext func()
-	issueNext = func() {
-		if i >= len(ops) {
-			return
-		}
-		o := ops[i]
-		i++
-		ref[o.addr] = o.val
-		pending++
-		s.caches[o.node].Store(o.addr, o.val, func() { pending--; issueNext() })
-	}
-	issueNext()
-	s.run(t, func() bool { return pending == 0 && i == len(ops) }, 5000000)
-	for a, want := range ref {
-		if got := s.load(t, int(uint64(a)%8), a); got != want {
-			t.Errorf("addr %#x = %d, want %d", a, got, want)
-		}
-	}
-}
-
 func TestDirEpochEventsBalanced(t *testing.T) {
 	// Every epoch that begins must end exactly once when the block is
 	// invalidated or evicted; pending epochs may remain open at the end.
-	s := newDirSystem(t, 4)
+	s := newHarness(t, directory, 4)
 	type key struct {
 		node int
 		b    mem.BlockAddr
 	}
 	open := make(map[key]EpochKind)
-	for n := range s.caches {
+	for n := range s.cores {
 		n := n
-		s.caches[n].SetEpochListener(&funcEpochListener{
+		s.ctrl(n).SetEpochListener(&funcEpochListener{
 			begin: func(b mem.BlockAddr, k EpochKind, lt uint64, known bool, data mem.Block) {
 				if prev, ok := open[key{n, b}]; ok {
 					t.Errorf("node %d block %#x: epoch %v begins while %v open", n, b, k, prev)
@@ -382,13 +93,13 @@ func (f *funcEpochListener) EpochEnd(b mem.BlockAddr, k EpochKind, lt uint64, d 
 func TestDirEpochTimesRespectCausality(t *testing.T) {
 	// If node A's RW epoch ends because node B requested the block, B's
 	// epoch begin ltime must be >= A's end ltime.
-	s := newDirSystem(t, 4)
+	s := newHarness(t, directory, 4)
 	addr := mem.Addr(0xe000)
 	b := addr.Block()
 	var lastEnd uint64
 	var beginAfter uint64
-	for n := range s.caches {
-		s.caches[n].SetEpochListener(&funcEpochListener{
+	for n := range s.cores {
+		s.ctrl(n).SetEpochListener(&funcEpochListener{
 			begin: func(blk mem.BlockAddr, k EpochKind, lt uint64, known bool, d mem.Block) {
 				if blk == b {
 					beginAfter = lt

@@ -38,7 +38,7 @@ type DirHome struct {
 	strict bool
 }
 
-var _ sim.Clockable = (*DirHome)(nil)
+var _ Home = (*DirHome)(nil)
 
 type txnKind uint8
 

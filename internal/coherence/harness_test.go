@@ -22,139 +22,142 @@ func testConfig(nodes int) Config {
 	}
 }
 
-// dirSystem is an assembled directory-protocol system for tests.
-type dirSystem struct {
-	k      *sim.Kernel
-	cfg    Config
-	net    *network.Torus
-	caches []*DirCache
-	homes  []*DirHome
+// protocolKind selects which of the two evaluated systems a harness
+// assembles.
+type protocolKind int
+
+const (
+	directory protocolKind = iota
+	snooping
+)
+
+func (p protocolKind) String() string {
+	if p == directory {
+		return "directory"
+	}
+	return "snooping"
 }
 
-func newDirSystem(t *testing.T, nodes int) *dirSystem {
+// bothProtocols runs a scenario once per protocol, as a subtest.
+func bothProtocols(t *testing.T, scenario func(*testing.T, protocolKind)) {
+	for _, proto := range []protocolKind{directory, snooping} {
+		t.Run(proto.String(), func(t *testing.T) { scenario(t, proto) })
+	}
+}
+
+// harness is an assembled memory system of either protocol: kernel,
+// network(s), and one cache controller plus one home controller per node.
+// Shared scenarios drive it through load/store/rmw/run/ctrl/memoryOf;
+// protocol-specific tests reach the concrete homes through dirHomes or
+// snoopHomes.
+type harness struct {
+	k     *sim.Kernel
+	cfg   Config
+	torus *network.Torus
+	bcast *network.BroadcastTree // snooping only
+
+	cores      []*ctrlCore
+	homes      []Home
+	dirHomes   []*DirHome
+	snoopHomes []*SnoopHome
+}
+
+func newHarness(t *testing.T, proto protocolKind, nodes int) *harness {
 	t.Helper()
-	return newDirSystemWithCfg(t, testConfig(nodes))
+	return newHarnessWithCfg(t, proto, testConfig(nodes))
 }
 
-func newDirSystemWithCfg(t *testing.T, cfg Config) *dirSystem {
+func newHarnessWithCfg(t *testing.T, proto protocolKind, cfg Config) *harness {
 	t.Helper()
 	nodes := cfg.Nodes
-	var k sim.Kernel
-	tor := network.NewTorus(nodes, 8.0, 2, sim.NewRand(7))
-	k.Register(tor)
-	s := &dirSystem{k: &k, cfg: cfg, net: tor}
+	h := &harness{k: &sim.Kernel{}, cfg: cfg}
+	if proto == snooping {
+		h.bcast = network.NewBroadcastTree(nodes, 8.0, 3, sim.NewRand(9))
+		h.torus = network.NewTorus(nodes, 8.0, 2, sim.NewRand(11))
+		h.k.Register(h.bcast)
+	} else {
+		h.torus = network.NewTorus(nodes, 8.0, 2, sim.NewRand(7))
+	}
+	h.k.Register(h.torus)
 	for n := 0; n < nodes; n++ {
 		nid := network.NodeID(n)
-		clock := NewSkewedClock(k.Now, uint64(n%4), 8)
-		cache := NewDirCache(nid, cfg, tor, clock)
-		home := NewDirHome(nid, cfg, tor, mem.NewMemory(false))
-		tor.SetHandler(nid, DirectoryHandler(cache, home, nil))
-		k.Register(cache)
-		k.Register(home)
-		s.caches = append(s.caches, cache)
-		s.homes = append(s.homes, home)
+		memory := mem.NewMemory(false)
+		var cache Controller
+		var home Home
+		if proto == snooping {
+			sc := NewSnoopCache(nid, cfg, h.bcast, h.torus)
+			sh := NewSnoopHome(nid, cfg, h.torus, memory)
+			h.bcast.SetHandler(nid, SnoopingAddressHandler(sc, sh))
+			h.torus.SetHandler(nid, SnoopingDataHandler(sc, sh, nil))
+			h.cores = append(h.cores, &sc.ctrlCore)
+			h.snoopHomes = append(h.snoopHomes, sh)
+			cache, home = sc, sh
+		} else {
+			dc := NewDirCache(nid, cfg, h.torus, NewSkewedClock(h.k.Now, uint64(n%4), 8))
+			dh := NewDirHome(nid, cfg, h.torus, memory)
+			h.torus.SetHandler(nid, DirectoryHandler(dc, dh, nil))
+			h.cores = append(h.cores, &dc.ctrlCore)
+			h.dirHomes = append(h.dirHomes, dh)
+			cache, home = dc, dh
+		}
+		h.homes = append(h.homes, home)
+		h.k.Register(cache)
+		h.k.Register(home)
 	}
-	return s
+	return h
+}
+
+// ctrl returns node n's cache controller: the shared core, through which
+// every Controller method and the cache internals are reachable.
+func (h *harness) ctrl(n int) *ctrlCore { return h.cores[n] }
+
+// memoryOf returns the memory module of block b's home.
+func (h *harness) memoryOf(b mem.BlockAddr) *mem.Memory {
+	return h.homes[h.cfg.HomeOf(b)].Memory()
+}
+
+// setStrict toggles the protocol-anomaly panics everywhere, as fault
+// injection does.
+func (h *harness) setStrict(strict bool) {
+	for n := range h.cores {
+		h.cores[n].SetStrict(strict)
+		h.homes[n].SetStrict(strict)
+	}
 }
 
 // run advances until fn reports done or the cycle budget is exhausted.
-func (s *dirSystem) run(t *testing.T, done func() bool, budget uint64) {
+func (h *harness) run(t *testing.T, done func() bool, budget uint64) {
 	t.Helper()
-	if !s.k.RunUntil(done, budget) {
+	if !h.k.RunUntil(done, budget) {
 		t.Fatalf("simulation did not converge within %d cycles", budget)
 	}
 }
 
 // load performs a synchronous load on node n.
-func (s *dirSystem) load(t *testing.T, n int, addr mem.Addr) mem.Word {
+func (h *harness) load(t *testing.T, n int, addr mem.Addr) mem.Word {
 	t.Helper()
 	var val mem.Word
 	ok := false
-	s.caches[n].Load(addr, network.ClassCoherence, func(v mem.Word, _ bool) { val = v; ok = true })
-	s.run(t, func() bool { return ok }, 100000)
+	h.cores[n].Load(addr, network.ClassCoherence, func(v mem.Word, _ bool) { val = v; ok = true })
+	h.run(t, func() bool { return ok }, 100000)
 	return val
 }
 
 // store performs a synchronous store on node n.
-func (s *dirSystem) store(t *testing.T, n int, addr mem.Addr, v mem.Word) {
+func (h *harness) store(t *testing.T, n int, addr mem.Addr, v mem.Word) {
 	t.Helper()
 	ok := false
-	s.caches[n].Store(addr, v, func() { ok = true })
-	s.run(t, func() bool { return ok }, 100000)
+	h.cores[n].Store(addr, v, func() { ok = true })
+	h.run(t, func() bool { return ok }, 100000)
 }
 
 // rmw performs a synchronous atomic swap on node n, returning the old
 // value.
-func (s *dirSystem) rmw(t *testing.T, n int, addr mem.Addr, v mem.Word) mem.Word {
+func (h *harness) rmw(t *testing.T, n int, addr mem.Addr, v mem.Word) mem.Word {
 	t.Helper()
 	var old mem.Word
 	ok := false
-	s.caches[n].RMW(addr, func(mem.Word) mem.Word { return v }, func(o mem.Word) { old = o; ok = true })
-	s.run(t, func() bool { return ok }, 100000)
-	return old
-}
-
-// snoopSystem is an assembled snooping-protocol system for tests.
-type snoopSystem struct {
-	k      *sim.Kernel
-	cfg    Config
-	bcast  *network.BroadcastTree
-	data   *network.Torus
-	caches []*SnoopCache
-	homes  []*SnoopHome
-}
-
-func newSnoopSystem(t *testing.T, nodes int) *snoopSystem {
-	t.Helper()
-	cfg := testConfig(nodes)
-	var k sim.Kernel
-	bt := network.NewBroadcastTree(nodes, 8.0, 3, sim.NewRand(9))
-	tor := network.NewTorus(nodes, 8.0, 2, sim.NewRand(11))
-	k.Register(bt)
-	k.Register(tor)
-	s := &snoopSystem{k: &k, cfg: cfg, bcast: bt, data: tor}
-	for n := 0; n < nodes; n++ {
-		nid := network.NodeID(n)
-		cache := NewSnoopCache(nid, cfg, bt, tor)
-		home := NewSnoopHome(nid, cfg, tor, mem.NewMemory(false))
-		bt.SetHandler(nid, SnoopingAddressHandler(cache, home))
-		tor.SetHandler(nid, SnoopingDataHandler(cache, home, nil))
-		k.Register(cache)
-		k.Register(home)
-		s.caches = append(s.caches, cache)
-		s.homes = append(s.homes, home)
-	}
-	return s
-}
-
-func (s *snoopSystem) run(t *testing.T, done func() bool, budget uint64) {
-	t.Helper()
-	if !s.k.RunUntil(done, budget) {
-		t.Fatalf("snooping simulation did not converge within %d cycles", budget)
-	}
-}
-
-func (s *snoopSystem) load(t *testing.T, n int, addr mem.Addr) mem.Word {
-	t.Helper()
-	var val mem.Word
-	ok := false
-	s.caches[n].Load(addr, network.ClassCoherence, func(v mem.Word, _ bool) { val = v; ok = true })
-	s.run(t, func() bool { return ok }, 100000)
-	return val
-}
-
-func (s *snoopSystem) store(t *testing.T, n int, addr mem.Addr, v mem.Word) {
-	t.Helper()
-	ok := false
-	s.caches[n].Store(addr, v, func() { ok = true })
-	s.run(t, func() bool { return ok }, 100000)
-}
-
-func (s *snoopSystem) rmw(t *testing.T, n int, addr mem.Addr, v mem.Word) mem.Word {
-	t.Helper()
-	var old mem.Word
-	ok := false
-	s.caches[n].RMW(addr, func(mem.Word) mem.Word { return v }, func(o mem.Word) { old = o; ok = true })
-	s.run(t, func() bool { return ok }, 100000)
+	h.cores[n].RMW(addr, func(mem.Word) mem.Word { return v }, func(o mem.Word) { old = o; ok = true })
+	h.run(t, func() bool { return ok }, 100000)
 	return old
 }

@@ -1,18 +1,14 @@
 package coherence
 
-import (
-	"testing"
-
-	"dvmc/internal/mem"
-)
+import "testing"
 
 func TestDirCacheResetAndResume(t *testing.T) {
-	s := newDirSystem(t, 4)
+	s := newHarness(t, directory, 4)
 	s.store(t, 0, 0x1000, 7)
 	s.load(t, 1, 0x1000)
 	// Simulate recovery: drop all caches, home state, and the network.
-	s.net.Reset()
-	for _, c := range s.caches {
+	s.torus.Reset()
+	for _, c := range s.cores {
 		c.Reset()
 	}
 	for i, h := range s.homes {
@@ -27,88 +23,19 @@ func TestDirCacheResetAndResume(t *testing.T) {
 	if got := s.load(t, 3, 0x1000); got != 9 {
 		t.Errorf("post-reset value = %d, want 9", got)
 	}
-	for _, c := range s.caches {
+	for _, c := range s.cores {
 		if c.Outstanding() != 0 && c.l2.occupancy() == 0 {
 			t.Error("reset left transient state")
 		}
 	}
 }
 
-func TestDirCacheForEachDirty(t *testing.T) {
-	s := newDirSystem(t, 2)
-	s.store(t, 0, 0x2000, 0xaa)
-	s.store(t, 0, 0x2040, 0xbb)
-	s.load(t, 0, 0x3000) // clean block: not dirty
-	dirty := map[mem.BlockAddr]mem.Word{}
-	s.caches[0].ForEachDirty(func(b mem.BlockAddr, data mem.Block) {
-		dirty[b] = data[0]
-	})
-	if dirty[mem.Addr(0x2000).Block()] != 0xaa || dirty[mem.Addr(0x2040).Block()] != 0xbb {
-		t.Errorf("dirty capture wrong: %v", dirty)
-	}
-	if _, ok := dirty[mem.Addr(0x3000).Block()]; ok {
-		t.Error("clean block reported dirty")
-	}
-}
-
-func TestResidentBlocksMRUFirst(t *testing.T) {
-	s := newDirSystem(t, 2)
-	s.store(t, 0, 0x1000, 1)
-	s.store(t, 0, 0x2000, 2)
-	s.store(t, 0, 0x3000, 3)
-	s.load(t, 0, 0x1000) // touch 0x1000 last
-	blocks := s.caches[0].ResidentBlocks(8)
-	if len(blocks) < 3 {
-		t.Fatalf("resident blocks %d, want >= 3", len(blocks))
-	}
-	if blocks[0] != mem.Addr(0x1000).Block() {
-		t.Errorf("MRU block = %#x, want %#x", blocks[0], mem.Addr(0x1000).Block())
-	}
-}
-
-func TestResidentReadOnlyBlocks(t *testing.T) {
-	s := newDirSystem(t, 2)
-	s.store(t, 0, 0x1000, 1) // node 0: M
-	s.load(t, 1, 0x1000)     // node 1: S, node 0: O
-	s.store(t, 1, 0x2000, 2) // node 1: M
-	ro := s.caches[1].ResidentReadOnlyBlocks(8)
-	found := false
-	for _, b := range ro {
-		if b == mem.Addr(0x2000).Block() {
-			t.Error("M block listed as read-only")
-		}
-		if b == mem.Addr(0x1000).Block() {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("S block missing from read-only list")
-	}
-}
-
-func TestCacheECCStatsExposed(t *testing.T) {
-	cfg := testConfig(2)
-	cfg.CacheECC = true
-	// Assemble manually to get ECC-enabled caches.
-	s := newDirSystemWithCfg(t, cfg)
-	s.store(t, 0, 0x1000, 5)
-	if !s.caches[0].CorruptCacheBit(mem.Addr(0x1000).Block(), 3) {
-		t.Fatal("no resident block to corrupt")
-	}
-	if got := s.load(t, 0, 0x1000); got != 5 {
-		t.Errorf("ECC did not correct: got %d", got)
-	}
-	if s.caches[0].ECCCorrected() != 1 {
-		t.Errorf("ECCCorrected = %d, want 1", s.caches[0].ECCCorrected())
-	}
-}
-
 func TestSnoopCacheResetAndResume(t *testing.T) {
-	s := newSnoopSystem(t, 2)
+	s := newHarness(t, snooping, 2)
 	s.store(t, 0, 0x1000, 7)
-	s.data.Reset()
+	s.torus.Reset()
 	s.bcast.Reset()
-	for _, c := range s.caches {
+	for _, c := range s.cores {
 		c.Reset()
 	}
 	for _, h := range s.homes {

@@ -2,11 +2,9 @@ package coherence
 
 import (
 	"fmt"
-	"sort"
 
 	"dvmc/internal/mem"
 	"dvmc/internal/network"
-	"dvmc/internal/sim"
 )
 
 // SnoopCache is the cache controller of the MOSI snooping protocol. All
@@ -22,47 +20,15 @@ import (
 // the data lands, local waiters perform inside the original epoch, the
 // deferred epoch transitions are replayed with the logical times at which
 // they were ordered, and the block is supplied to the recorded
-// requestors.
+// requestors. Everything protocol-independent lives in the embedded
+// ctrlCore.
 type SnoopCache struct {
-	node  network.NodeID
-	cfg   Config
+	ctrlCore
 	bcast *network.BroadcastTree
 	data  network.Network
-
-	l2 *cacheArray
-	l1 *tagFilter
-
-	events sim.EventQueue
-	now    sim.Cycle
-
-	mshrs map[mem.BlockAddr]*snoopMSHR
-	wb    map[mem.BlockAddr]*snoopWB
-
-	epochL  EpochListener
-	accessL AccessListener
-	txnL    TxnListener
-
-	stats  ControllerStats
-	strict bool
-
-	// Armed CorruptLineStateFault record (see DirCache).
-	stateFaultBlock   mem.BlockAddr
-	stateFaultPromote bool
-	stateFaultArmed   bool
-	stateFaultFired   bool
-	stateFaultFiredAt sim.Cycle
 }
 
 var _ Controller = (*SnoopCache)(nil)
-
-// fireStateFault records that the armed state corruption took
-// architectural effect this cycle.
-func (c *SnoopCache) fireStateFault() {
-	if !c.stateFaultFired {
-		c.stateFaultFired = true
-		c.stateFaultFiredAt = c.now
-	}
-}
 
 // snoopTransition is a deferred epoch transition ordered while the
 // block's data was still in flight.
@@ -74,246 +40,19 @@ type snoopTransition struct {
 	supplyTo  network.NodeID // -1: no data supply obligation
 }
 
-type snoopMSHR struct {
-	block       mem.BlockAddr
-	wantM       bool
-	issued      bool
-	ordered     bool
-	orderedAt   uint64
-	dataArrived bool
-	grantKind   EpochKind
-	curState    State // our state in global order during the pending phase
-	transitions []snoopTransition
-	dataPending *mem.Block // data that arrived before a line could be allocated
-	pending     bool       // waiting for a wb entry to clear before issuing
-	class       network.Class
-	waiters     []waiter
-}
-
-type snoopWB struct {
-	data       mem.Block
-	superseded bool // a foreign GetM took ownership before our PutM ordered
-}
-
 // NewSnoopCache builds the snooping cache controller for a node.
 func NewSnoopCache(node network.NodeID, cfg Config, bcast *network.BroadcastTree, data network.Network) *SnoopCache {
-	return &SnoopCache{
-		node:   node,
-		cfg:    cfg,
-		bcast:  bcast,
-		data:   data,
-		l2:     newCacheArray(cfg.L2Sets, cfg.L2Ways, cfg.CacheECC),
-		l1:     newTagFilter(cfg.L1Sets, cfg.L1Ways),
-		mshrs:  make(map[mem.BlockAddr]*snoopMSHR),
-		wb:     make(map[mem.BlockAddr]*snoopWB),
-		strict: true,
-	}
-}
-
-// SetStrict toggles panic-on-protocol-anomaly (default true).
-func (c *SnoopCache) SetStrict(s bool) { c.strict = s }
-
-// SetEpochListener implements Controller.
-func (c *SnoopCache) SetEpochListener(l EpochListener) { c.epochL = l }
-
-// SetAccessListener implements Controller.
-func (c *SnoopCache) SetAccessListener(l AccessListener) { c.accessL = l }
-
-// SetTxnListener implements Controller.
-func (c *SnoopCache) SetTxnListener(l TxnListener) { c.txnL = l }
-
-// Stats implements Controller.
-func (c *SnoopCache) Stats() ControllerStats { return c.stats }
-
-// Outstanding implements Controller.
-func (c *SnoopCache) Outstanding() int { return len(c.mshrs) }
-
-// Tick implements sim.Clockable.
-func (c *SnoopCache) Tick(now sim.Cycle) {
-	c.now = now
-	c.events.Tick(now)
+	c := &SnoopCache{bcast: bcast, data: data}
+	c.init(node, cfg, c, false)
+	return c
 }
 
 // seqNow is the snooping logical time: broadcasts processed so far.
 func (c *SnoopCache) seqNow() uint64 { return c.bcast.Sequence() }
 
-func (c *SnoopCache) epochBegin(b mem.BlockAddr, k EpochKind, at uint64, dataKnown bool, data mem.Block) {
-	if c.epochL != nil {
-		c.epochL.EpochBegin(b, k, at, dataKnown, data)
-	}
-}
-
-func (c *SnoopCache) epochData(b mem.BlockAddr, data mem.Block) {
-	if c.epochL != nil {
-		c.epochL.EpochData(b, data)
-	}
-}
-
-func (c *SnoopCache) epochEnd(b mem.BlockAddr, k EpochKind, at uint64, data mem.Block) {
-	if c.epochL != nil {
-		c.epochL.EpochEnd(b, k, at, data)
-	}
-}
-
-func (c *SnoopCache) access(b mem.BlockAddr, write bool) {
-	if c.accessL != nil {
-		c.accessL.Access(b, write)
-	}
-}
-
-// Load implements Controller.
-func (c *SnoopCache) Load(addr mem.Addr, class network.Class, done func(mem.Word, bool)) {
-	b := addr.Block()
-	replay := class == network.ClassReplay
-	if replay {
-		c.stats.ReplayLoads++
-	} else {
-		c.stats.Loads++
-	}
-	c.events.After(c.now, c.cfg.L1Latency, func() {
-		l := c.l2.lookup(b)
-		readable := l != nil && l.state.CanRead() && l.dataValid && c.mshrs[b] == nil
-		if c.l1.present(b) && readable {
-			c.stats.L1Hits++
-			val := c.l2.readWord(l, addr)
-			c.access(b, false)
-			done(val, true)
-			return
-		}
-		c.stats.L1Misses++
-		if replay {
-			c.stats.ReplayL1Misses++
-		}
-		c.events.After(c.now, c.cfg.L2Latency, func() {
-			l := c.l2.lookup(b)
-			if l != nil && l.state.CanRead() && l.dataValid && c.mshrs[b] == nil {
-				c.stats.L2Hits++
-				c.l1.insert(b)
-				val := c.l2.readWord(l, addr)
-				c.access(b, false)
-				done(val, false)
-				return
-			}
-			c.stats.L2Misses++
-			c.join(b, false, class, waiter{kind: waitLoad, addr: addr, class: class, loadDone: done})
-		})
-	})
-}
-
-// Store implements Controller.
-func (c *SnoopCache) Store(addr mem.Addr, val mem.Word, done func()) {
-	b := addr.Block()
-	c.stats.Stores++
-	c.events.After(c.now, c.cfg.L1Latency, func() {
-		// Fast path: writable block with a hot L1 tag performs at L1
-		// latency (see DirCache.Store).
-		if l := c.l2.lookup(b); l != nil && l.state.CanWrite() && l.dataValid &&
-			c.mshrs[b] == nil && c.l1.present(b) {
-			c.performStore(l, addr, val)
-			done()
-			return
-		}
-		c.events.After(c.now, c.cfg.L2Latency, func() {
-			l := c.l2.lookup(b)
-			if l != nil && l.state.CanWrite() && l.dataValid && c.mshrs[b] == nil {
-				c.performStore(l, addr, val)
-				done()
-				return
-			}
-			c.stats.L2Misses++
-			c.join(b, true, network.ClassCoherence, waiter{kind: waitStore, addr: addr, val: val, perfDone: done})
-		})
-	})
-}
-
-// RMW implements Controller.
-func (c *SnoopCache) RMW(addr mem.Addr, f func(mem.Word) mem.Word, done func(mem.Word)) {
-	b := addr.Block()
-	c.stats.Loads++
-	c.stats.Stores++
-	c.events.After(c.now, c.cfg.L1Latency+c.cfg.L2Latency, func() {
-		l := c.l2.lookup(b)
-		if l != nil && l.state.CanWrite() && l.dataValid && c.mshrs[b] == nil {
-			old := c.l2.readWord(l, addr)
-			c.performStore(l, addr, f(old))
-			done(old)
-			return
-		}
-		c.stats.L2Misses++
-		c.join(b, true, network.ClassCoherence, waiter{kind: waitRMW, addr: addr, rmwFn: f, rmwDone: done})
-	})
-}
-
-// PrefetchExclusive implements Controller.
-func (c *SnoopCache) PrefetchExclusive(addr mem.Addr) {
-	b := addr.Block()
-	c.events.After(c.now, c.cfg.L1Latency, func() {
-		l := c.l2.lookup(b)
-		if l != nil && l.state.CanWrite() && c.mshrs[b] == nil {
-			return
-		}
-		if ms, busy := c.mshrs[b]; busy {
-			if !ms.issued {
-				ms.wantM = true
-			}
-			return
-		}
-		if len(c.mshrs) >= c.cfg.MSHRs {
-			return
-		}
-		c.join(b, true, network.ClassCoherence, waiter{})
-	})
-}
-
-// PeekWord implements Controller.
-func (c *SnoopCache) PeekWord(addr mem.Addr) (mem.Word, bool) {
-	l := c.l2.peek(addr.Block())
-	if l == nil || !l.state.CanRead() || !l.dataValid {
-		return 0, false
-	}
-	return l.data[addr.WordIndex()], true
-}
-
-func (c *SnoopCache) performStore(l *line, addr mem.Addr, val mem.Word) {
-	if c.stateFaultArmed && c.stateFaultPromote && l.block == c.stateFaultBlock {
-		// The store performs without a globally ordered GetM: other
-		// sharers still hold — and may read — the old value.
-		c.fireStateFault()
-	}
-	c.l2.writeWord(l, addr, val)
-	c.l1.insert(l.block)
-	c.access(l.block, true)
-}
-
-func (c *SnoopCache) join(b mem.BlockAddr, needM bool, class network.Class, w waiter) {
-	ms := c.mshrs[b]
-	if ms == nil {
-		if len(c.mshrs) >= c.cfg.MSHRs {
-			c.events.After(c.now, 4, func() { c.join(b, needM, class, w) })
-			return
-		}
-		ms = &snoopMSHR{block: b, wantM: needM, class: class}
-		c.mshrs[b] = ms
-		if _, wbPending := c.wb[b]; wbPending {
-			ms.pending = true
-		} else {
-			c.issue(ms)
-		}
-	} else if needM && !ms.wantM && !ms.issued {
-		ms.wantM = true
-	}
-	if w.kind != 0 {
-		ms.waiters = append(ms.waiters, w)
-	}
-}
-
-func (c *SnoopCache) issue(ms *snoopMSHR) {
-	ms.issued = true
-	ms.pending = false
-	c.stats.TransactionsIssued++
-	if c.txnL != nil {
-		c.txnL.TxnBegin(ms.block, ms.wantM)
-	}
+// sendRequest implements protocol: GetS/GetM are broadcast on the ordered
+// address network.
+func (c *SnoopCache) sendRequest(ms *mshr) {
 	kind := SnoopGetS
 	if ms.wantM {
 		kind = SnoopGetM
@@ -379,12 +118,14 @@ func (c *SnoopCache) onOwnRequest(p MsgSnoop, seq uint64) {
 				c.complete(ms, l)
 				return
 			}
-			if c.stateFaultArmed && !c.stateFaultPromote && p.Block == c.stateFaultBlock {
-				// Upgrading the demoted line abandons its dirty copy: the
+			if !c.stateFaultPromote {
+				// Upgrading a demoted line abandons its dirty copy: the
 				// data now expected over the torus comes from stale memory
 				// (or never comes — the system believes we are the owner).
-				c.fireStateFault()
-				c.stateFaultArmed = false
+				// A promoted line is not leaving: it stays armed, and the
+				// stores waiting on this upgrade still count as exercising
+				// the corruption.
+				c.stateFaultLeaving(p.Block, true)
 			}
 			// We held S: permission granted now, data still in flight.
 			l.state = Modified
@@ -392,7 +133,7 @@ func (c *SnoopCache) onOwnRequest(p MsgSnoop, seq uint64) {
 			c.epochBegin(p.Block, ReadWrite, seq, false, mem.Block{})
 			return
 		}
-		l = c.allocateSnoop(p.Block)
+		l = c.allocate(p.Block)
 		if l == nil {
 			// No way free: rare transient squeeze; retry installation via
 			// event (the epoch has begun regardless).
@@ -412,7 +153,7 @@ func (c *SnoopCache) onOwnRequest(p MsgSnoop, seq uint64) {
 			panic(fmt.Sprintf("SnoopCache %d: own GetS for resident block %#x", c.node, p.Block))
 		}
 	}
-	l = c.allocateSnoop(p.Block)
+	l = c.allocate(p.Block)
 	if l == nil {
 		c.epochBegin(p.Block, ReadOnly, seq, false, mem.Block{})
 		c.events.After(c.now, 4, func() { c.installRetry(ms) })
@@ -424,11 +165,11 @@ func (c *SnoopCache) onOwnRequest(p MsgSnoop, seq uint64) {
 
 // installRetry re-attempts allocating a line for an ordered transaction
 // whose set was fully transient at ordering time.
-func (c *SnoopCache) installRetry(ms *snoopMSHR) {
+func (c *SnoopCache) installRetry(ms *mshr) {
 	if c.l2.peek(ms.block) != nil {
 		return
 	}
-	l := c.allocateSnoop(ms.block)
+	l := c.allocate(ms.block)
 	if l == nil {
 		c.events.After(c.now, 4, func() { c.installRetry(ms) })
 		return
@@ -445,48 +186,20 @@ func (c *SnoopCache) installRetry(ms *snoopMSHR) {
 	}
 }
 
-// allocateSnoop finds a victim way, skipping transient lines.
-func (c *SnoopCache) allocateSnoop(b mem.BlockAddr) *line {
-	set := c.l2.setOf(b)
-	var vic *line
-	for i := range set {
-		l := &set[i]
-		if !l.valid {
-			return l
-		}
-		if _, busy := c.mshrs[l.block]; busy {
-			continue
-		}
-		if vic == nil || l.lru < vic.lru {
-			vic = l
-		}
-	}
-	if vic == nil {
-		return nil
-	}
-	c.evictSnoop(vic)
-	return vic
-}
-
-// evictSnoop removes a stable line. Dirty blocks end their epoch now (the
+// evict implements protocol. Dirty blocks end their epoch now (the
 // current logical time) and broadcast a PutM to order the writeback;
 // Shared blocks are dropped silently (snooping needs no directory
 // bookkeeping for sharers).
-func (c *SnoopCache) evictSnoop(l *line) {
+func (c *SnoopCache) evict(l *line) {
 	b := l.block
-	if c.stateFaultArmed && b == c.stateFaultBlock {
-		if !c.stateFaultPromote {
-			// The demoted line takes the silent Shared drop below: the
-			// only up-to-date copy leaves without a PutM.
-			c.fireStateFault()
-		}
-		c.stateFaultArmed = false
-	}
+	// A demoted line takes the silent Shared drop below: the only
+	// up-to-date copy leaves without a PutM.
+	c.stateFaultLeaving(b, true)
 	data := c.l2.readBlock(l)
 	switch l.state {
 	case Modified, Owned:
 		c.epochEnd(b, epochKindOf(l.state), c.seqNow(), data)
-		c.wb[b] = &snoopWB{data: data}
+		c.wb[b] = &wbEntry{data: data, dirty: true}
 		c.stats.WritebacksDirty++
 		c.bcast.Send(&network.Message{Src: c.node, Size: CtrlBytes, Class: network.ClassCoherence,
 			Payload: MsgSnoop{Kind: SnoopPutM, Block: b, Requestor: c.node}})
@@ -496,8 +209,7 @@ func (c *SnoopCache) evictSnoop(l *line) {
 	default:
 		panic(fmt.Sprintf("SnoopCache %d: evict of %v line %#x", c.node, l.state, b))
 	}
-	c.l1.invalidate(b)
-	c.l2.invalidate(l)
+	c.dropLine(l)
 }
 
 // onForeignRequest reacts to another node's ordered request.
@@ -509,18 +221,11 @@ func (c *SnoopCache) onForeignRequest(p MsgSnoop, seq uint64) {
 	}
 	l := c.l2.peek(b)
 	if l != nil && l.valid {
-		if c.stateFaultArmed && b == c.stateFaultBlock {
-			if !c.stateFaultPromote {
-				// A foreign request is ordered against the demoted line:
-				// the supply obligation the real owner carries is missed
-				// (the Shared cases below supply nothing), so the
-				// requestor sees stale memory or hangs.
-				c.fireStateFault()
-			}
-			if p.Kind == SnoopGetM {
-				c.stateFaultArmed = false // the corrupted line is invalidated
-			}
-		}
+		// A foreign request ordered against a demoted line misses the
+		// supply obligation the real owner carries (the Shared cases below
+		// supply nothing), so the requestor sees stale memory or hangs.
+		// Only a GetM invalidates the corrupted line.
+		c.stateFaultLeaving(b, p.Kind == SnoopGetM)
 		data := c.l2.readBlock(l)
 		switch {
 		case p.Kind == SnoopGetS && l.state == Modified:
@@ -535,24 +240,23 @@ func (c *SnoopCache) onForeignRequest(p MsgSnoop, seq uint64) {
 			if l.state == Modified || l.state == Owned {
 				c.supply(p.Requestor, b, data)
 			}
-			c.l1.invalidate(b)
-			c.l2.invalidate(l)
+			c.dropLine(l)
 		}
 		return
 	}
-	if e, ok := c.wb[b]; ok && !e.superseded {
+	if e, ok := c.wb[b]; ok && e.dirty {
 		// We are still the owner in global order; our PutM has not been
 		// ordered yet. Supply from the writeback buffer.
 		c.supply(p.Requestor, b, e.data)
 		if p.Kind == SnoopGetM {
-			e.superseded = true
+			e.dirty = false // ownership moved on before our PutM ordered
 		}
 	}
 }
 
 // deferTransition records a foreign request ordered inside our pending
 // transaction's epoch, to be replayed when the data arrives.
-func (c *SnoopCache) deferTransition(ms *snoopMSHR, p MsgSnoop, seq uint64) {
+func (c *SnoopCache) deferTransition(ms *mshr, p MsgSnoop, seq uint64) {
 	switch {
 	case p.Kind == SnoopGetS && ms.curState == Modified:
 		ms.transitions = append(ms.transitions, snoopTransition{
@@ -584,45 +288,12 @@ func (c *SnoopCache) onOwnPutM(b mem.BlockAddr) {
 		}
 		return
 	}
-	if !e.superseded {
+	if e.dirty {
 		home := c.cfg.HomeOf(b)
 		c.data.Send(&network.Message{Src: c.node, Dst: home, Size: DataBytes, Class: network.ClassCoherence,
 			Payload: MsgSnoopWB{Block: b, Data: e.data, From: c.node}})
 	}
-	delete(c.wb, b)
-	if ms := c.mshrs[b]; ms != nil && ms.pending {
-		c.issue(ms)
-	}
-}
-
-// DebugMSHRs dumps outstanding transaction state.
-func (c *SnoopCache) DebugMSHRs() string {
-	out := ""
-	blocks := make([]mem.BlockAddr, 0, len(c.mshrs))
-	for b := range c.mshrs {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	for _, b := range blocks {
-		ms := c.mshrs[b]
-		out += fmt.Sprintf("[blk=%#x wantM=%v issued=%v ordered=%v@%d dataArrived=%v cur=%v waiters=%d trans=%d pending=%v] ",
-			b, ms.wantM, ms.issued, ms.ordered, ms.orderedAt, ms.dataArrived, ms.curState, len(ms.waiters), len(ms.transitions), ms.pending)
-	}
-	for _, b := range c.sortedWB() {
-		out += fmt.Sprintf("[wb blk=%#x] ", b)
-	}
-	return out
-}
-
-// sortedWB returns the pending-writeback block addresses in ascending
-// order, so every scan over c.wb is deterministic.
-func (c *SnoopCache) sortedWB() []mem.BlockAddr {
-	keys := make([]mem.BlockAddr, 0, len(c.wb))
-	for b := range c.wb {
-		keys = append(keys, b)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+	c.wbDone(b)
 }
 
 // HandleData processes a block arriving over the torus.
@@ -661,32 +332,8 @@ func (c *SnoopCache) onSnoopData(p MsgSnoopData) {
 
 // complete serves waiters inside the granted epoch, replays deferred
 // transitions, and retires or re-issues the MSHR.
-func (c *SnoopCache) complete(ms *snoopMSHR, l *line) {
-	exclusive := ms.grantKind == ReadWrite
-	var remaining []waiter
-	for _, w := range ms.waiters {
-		switch w.kind {
-		case waitLoad:
-			val := c.l2.readWord(l, w.addr)
-			c.access(l.block, false)
-			w.loadDone(val, false)
-		case waitStore:
-			if exclusive {
-				c.performStore(l, w.addr, w.val)
-				w.perfDone()
-			} else {
-				remaining = append(remaining, w)
-			}
-		case waitRMW:
-			if exclusive {
-				old := c.l2.readWord(l, w.addr)
-				c.performStore(l, w.addr, w.rmwFn(old))
-				w.rmwDone(old)
-			} else {
-				remaining = append(remaining, w)
-			}
-		}
-	}
+func (c *SnoopCache) complete(ms *mshr, l *line) {
+	remaining := c.serveWaiters(ms, l, ms.grantKind == ReadWrite)
 	c.l1.insert(l.block)
 	// Replay deferred transitions with their recorded logical times; the
 	// data now includes any stores performed above, which is exactly the
@@ -705,173 +352,16 @@ func (c *SnoopCache) complete(ms *snoopMSHR, l *line) {
 		l.state = tr.toState
 	}
 	if l.state == Invalid {
-		c.l1.invalidate(ms.block)
-		c.l2.invalidate(l)
+		c.dropLine(l)
 	}
-	ms.waiters = nil
-	ms.transitions = nil
-	if len(remaining) > 0 {
+	if c.retire(ms, remaining) {
 		// Shared grant with store waiters (or we lost the line before the
 		// stores could perform): upgrade with a fresh transaction.
-		ms.waiters = remaining
-		ms.wantM = true
+		ms.transitions = nil
 		ms.ordered = false
 		ms.dataArrived = false
 		ms.grantKind = 0
 		ms.curState = Invalid
-		if c.txnL != nil {
-			c.txnL.TxnEnd(ms.block, true)
-		}
 		c.issue(ms)
-		return
 	}
-	if c.txnL != nil {
-		c.txnL.TxnEnd(ms.block, false)
-	}
-	delete(c.mshrs, ms.block)
-}
-
-// ResidentBlocks implements Controller: resident blocks, MRU first.
-func (c *SnoopCache) ResidentBlocks(max int) []mem.BlockAddr {
-	type cand struct {
-		b   mem.BlockAddr
-		lru uint64
-	}
-	var cands []cand
-	for i := range c.l2.lines {
-		l := &c.l2.lines[i]
-		if l.valid && l.dataValid {
-			cands = append(cands, cand{l.block, l.lru})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].lru > cands[j].lru })
-	if len(cands) > max {
-		cands = cands[:max]
-	}
-	out := make([]mem.BlockAddr, len(cands))
-	for i, c := range cands {
-		out[i] = c.b
-	}
-	return out
-}
-
-// ResidentReadOnlyBlocks implements Controller.
-func (c *SnoopCache) ResidentReadOnlyBlocks(max int) []mem.BlockAddr {
-	type cand struct {
-		b   mem.BlockAddr
-		lru uint64
-	}
-	var cands []cand
-	for i := range c.l2.lines {
-		l := &c.l2.lines[i]
-		if l.valid && l.dataValid && (l.state == Shared || l.state == Owned) {
-			cands = append(cands, cand{l.block, l.lru})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].lru > cands[j].lru })
-	if len(cands) > max {
-		cands = cands[:max]
-	}
-	out := make([]mem.BlockAddr, len(cands))
-	for i, c := range cands {
-		out[i] = c.b
-	}
-	return out
-}
-
-// ECCCorrected implements Controller.
-func (c *SnoopCache) ECCCorrected() uint64 {
-	if c.l2.ecc == nil {
-		return 0
-	}
-	return c.l2.ecc.Corrected()
-}
-
-// CorruptCacheBit implements Controller.
-func (c *SnoopCache) CorruptCacheBit(b mem.BlockAddr, bit int) bool {
-	l := c.l2.peek(b)
-	if l == nil || !l.valid || !l.dataValid {
-		return false
-	}
-	l.data[bit/64] ^= mem.Word(1) << (bit % 64)
-	return true
-}
-
-// DropPermissionFault implements Controller.
-func (c *SnoopCache) DropPermissionFault(b mem.BlockAddr) bool {
-	l := c.l2.peek(b)
-	if l == nil || !l.valid {
-		return false
-	}
-	c.l1.invalidate(b)
-	c.l2.invalidate(l)
-	return true
-}
-
-// ForEachDirty implements Controller.
-func (c *SnoopCache) ForEachDirty(fn func(b mem.BlockAddr, data mem.Block)) {
-	for i := range c.l2.lines {
-		l := &c.l2.lines[i]
-		if l.valid && l.dataValid && (l.state == Modified || l.state == Owned) {
-			fn(l.block, l.data)
-		}
-	}
-	for _, b := range c.sortedWB() {
-		if e := c.wb[b]; !e.superseded {
-			fn(b, e.data)
-		}
-	}
-}
-
-// CorruptLineStateFault implements Controller.
-func (c *SnoopCache) CorruptLineStateFault(b mem.BlockAddr, promote bool) bool {
-	l := c.l2.peek(b)
-	if l == nil || !l.valid || !l.dataValid {
-		return false
-	}
-	if promote {
-		if l.state != Shared && l.state != Owned {
-			return false
-		}
-		l.state = Modified
-	} else {
-		if l.state != Modified {
-			return false
-		}
-		l.state = Shared
-	}
-	c.stateFaultBlock = b
-	c.stateFaultPromote = promote
-	c.stateFaultArmed = true
-	return true
-}
-
-// StateFaultFired implements Controller.
-func (c *SnoopCache) StateFaultFired() (sim.Cycle, bool) {
-	return c.stateFaultFiredAt, c.stateFaultFired
-}
-
-// Reset implements Controller.
-func (c *SnoopCache) Reset() {
-	c.stateFaultArmed = false // recovery wipes the cache; fired persists
-	for i := range c.l2.lines {
-		if c.l2.lines[i].valid {
-			c.l2.invalidate(&c.l2.lines[i])
-		}
-	}
-	c.l1 = newTagFilter(c.cfg.L1Sets, c.cfg.L1Ways)
-	c.mshrs = make(map[mem.BlockAddr]*snoopMSHR)
-	c.wb = make(map[mem.BlockAddr]*snoopWB)
-	c.events = sim.EventQueue{}
-}
-
-// WriteWithoutPermissionFault implements Controller.
-func (c *SnoopCache) WriteWithoutPermissionFault(addr mem.Addr, val mem.Word) bool {
-	l := c.l2.peek(addr.Block())
-	if l == nil || !l.valid || !l.dataValid {
-		return false
-	}
-	c.l2.writeWord(l, addr, val)
-	c.access(addr.Block(), true)
-	return true
 }

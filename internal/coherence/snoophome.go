@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"fmt"
-	"sort"
 
 	"dvmc/internal/mem"
 	"dvmc/internal/network"
@@ -36,7 +35,7 @@ type SnoopHome struct {
 	strict bool
 }
 
-var _ sim.Clockable = (*SnoopHome)(nil)
+var _ Home = (*SnoopHome)(nil)
 
 // NewSnoopHome builds the snooping memory controller for a node.
 func NewSnoopHome(node network.NodeID, cfg Config, data network.Network, memory *mem.Memory) *SnoopHome {
@@ -90,20 +89,6 @@ func (h *SnoopHome) ownerOf(b mem.BlockAddr) network.NodeID {
 
 // OwnerOf exposes the tracked owner for tests and injection.
 func (h *SnoopHome) OwnerOf(b mem.BlockAddr) network.NodeID { return h.ownerOf(b) }
-
-// DebugPending dumps pending writebacks and deferred supplies.
-func (h *SnoopHome) DebugPending() string {
-	out := ""
-	pending := make([]mem.BlockAddr, 0, len(h.pendingWB))
-	for b := range h.pendingWB {
-		pending = append(pending, b)
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
-	for _, b := range pending {
-		out += fmt.Sprintf("[pendingWB %#x owner=%d deferred=%d] ", b, h.ownerOf(b), len(h.deferred[b]))
-	}
-	return out
-}
 
 // Snoop processes a broadcast for blocks homed at this node.
 func (h *SnoopHome) Snoop(m *network.Message) {

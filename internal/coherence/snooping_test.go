@@ -4,205 +4,16 @@ import (
 	"testing"
 
 	"dvmc/internal/mem"
-	"dvmc/internal/sim"
 )
-
-func TestSnoopLoadReturnsZeroFromFreshMemory(t *testing.T) {
-	s := newSnoopSystem(t, 4)
-	if got := s.load(t, 0, 0x1000); got != 0 {
-		t.Errorf("fresh load = %#x, want 0", got)
-	}
-}
-
-func TestSnoopStoreThenLoadSameNode(t *testing.T) {
-	s := newSnoopSystem(t, 4)
-	s.store(t, 1, 0x2000, 0xbeef)
-	if got := s.load(t, 1, 0x2000); got != 0xbeef {
-		t.Errorf("load after store = %#x, want 0xbeef", got)
-	}
-}
-
-func TestSnoopStoreThenLoadRemoteNode(t *testing.T) {
-	s := newSnoopSystem(t, 4)
-	s.store(t, 0, 0x3000, 0xcafe)
-	if got := s.load(t, 3, 0x3000); got != 0xcafe {
-		t.Errorf("remote load = %#x, want 0xcafe", got)
-	}
-}
-
-func TestSnoopWriteWriteTransfer(t *testing.T) {
-	s := newSnoopSystem(t, 4)
-	s.store(t, 0, 0x4000, 1)
-	s.store(t, 1, 0x4000, 2)
-	s.store(t, 2, 0x4000, 3)
-	for n := 0; n < 4; n++ {
-		if got := s.load(t, n, 0x4000); got != 3 {
-			t.Errorf("node %d sees %#x, want 3", n, got)
-		}
-	}
-}
-
-func TestSnoopSharersInvalidatedOnWrite(t *testing.T) {
-	s := newSnoopSystem(t, 4)
-	addr := mem.Addr(0x5000)
-	s.store(t, 0, addr, 10)
-	for n := 0; n < 4; n++ {
-		s.load(t, n, addr)
-	}
-	s.store(t, 3, addr, 11)
-	for n := 0; n < 4; n++ {
-		if got := s.load(t, n, addr); got != 11 {
-			t.Errorf("node %d sees stale %#x after invalidation", n, got)
-		}
-	}
-}
-
-func TestSnoopSWMRInvariantUnderContention(t *testing.T) {
-	s := newSnoopSystem(t, 4)
-	addr := mem.Addr(0x6000)
-	pending := 0
-	for round := 0; round < 5; round++ {
-		for n := 0; n < 4; n++ {
-			pending++
-			s.caches[n].Store(addr, mem.Word(round*10+n), func() { pending-- })
-		}
-	}
-	b := addr.Block()
-	for i := 0; i < 200000 && pending > 0; i++ {
-		writers, readers := 0, 0
-		for _, c := range s.caches {
-			l := c.l2.peek(b)
-			if l == nil || !l.valid || !l.dataValid {
-				continue
-			}
-			// Only stable lines participate in the wall-clock audit:
-			// transient lines (MSHR pending) hold permission in logical
-			// time, which the MET checks; physically their data is not
-			// yet accessible.
-			if _, busy := c.mshrs[b]; busy {
-				continue
-			}
-			switch l.state {
-			case Modified:
-				writers++
-			case Owned, Shared:
-				readers++
-			}
-		}
-		if writers > 1 {
-			t.Fatalf("SWMR violated: %d writers", writers)
-		}
-		if writers == 1 && readers > 0 {
-			t.Fatalf("SWMR violated: writer coexists with %d readers", readers)
-		}
-		s.k.Step()
-	}
-	if pending > 0 {
-		t.Fatalf("%d stores never performed", pending)
-	}
-}
-
-func TestSnoopRMWAtomicity(t *testing.T) {
-	s := newSnoopSystem(t, 4)
-	addr := mem.Addr(0x8000)
-	const total = 20
-	seen := make(map[mem.Word]int)
-	pending := 0
-	for i := 0; i < total; i++ {
-		pending++
-		v := mem.Word(i + 1)
-		s.caches[i%4].RMW(addr, func(mem.Word) mem.Word { return v }, func(old mem.Word) {
-			seen[old]++
-			pending--
-		})
-	}
-	s.run(t, func() bool { return pending == 0 }, 500000)
-	for v, n := range seen {
-		if n > 1 {
-			t.Errorf("old value %d observed %d times", v, n)
-		}
-	}
-	if len(seen) != total {
-		t.Errorf("observed %d distinct old values, want %d", len(seen), total)
-	}
-}
-
-func TestSnoopFetchAndIncrementSerialises(t *testing.T) {
-	s := newSnoopSystem(t, 4)
-	addr := mem.Addr(0x9000)
-	const total = 16
-	done := 0
-	inc := func(old mem.Word) mem.Word { return old + 1 }
-	for i := 0; i < total; i++ {
-		s.caches[i%4].RMW(addr, inc, func(mem.Word) { done++ })
-	}
-	s.run(t, func() bool { return done == total }, 2000000)
-	if got := s.load(t, 0, addr); got != total {
-		t.Errorf("counter = %d, want %d", got, total)
-	}
-}
-
-func TestSnoopEvictionWritebackReachesMemory(t *testing.T) {
-	s := newSnoopSystem(t, 2)
-	var addrs []mem.Addr
-	for i := 0; i < 6; i++ {
-		addrs = append(addrs, mem.Addr(i)*8*mem.BlockBytes)
-	}
-	for i, a := range addrs {
-		s.store(t, 0, a, mem.Word(i+100))
-	}
-	s.k.Run(5000)
-	for i, a := range addrs {
-		if got := s.load(t, 1, a); got != mem.Word(i+100) {
-			t.Errorf("addr %#x = %#x, want %#x", a, got, i+100)
-		}
-	}
-}
-
-func TestSnoopManyBlocksManyNodes(t *testing.T) {
-	s := newSnoopSystem(t, 8)
-	ref := make(map[mem.Addr]mem.Word)
-	rng := sim.NewRand(321)
-	pending := 0
-	i := 0
-	type op struct {
-		node int
-		addr mem.Addr
-		val  mem.Word
-	}
-	var ops []op
-	for j := 0; j < 300; j++ {
-		a := mem.Addr(rng.Intn(64)) * mem.BlockBytes
-		ops = append(ops, op{node: rng.Intn(8), addr: a, val: mem.Word(j + 1)})
-	}
-	var issueNext func()
-	issueNext = func() {
-		if i >= len(ops) {
-			return
-		}
-		o := ops[i]
-		i++
-		ref[o.addr] = o.val
-		pending++
-		s.caches[o.node].Store(o.addr, o.val, func() { pending--; issueNext() })
-	}
-	issueNext()
-	s.run(t, func() bool { return pending == 0 && i == len(ops) }, 5000000)
-	for a, want := range ref {
-		if got := s.load(t, int(uint64(a)%8), a); got != want {
-			t.Errorf("addr %#x = %d, want %d", a, got, want)
-		}
-	}
-}
 
 func TestSnoopLogicalTimeIsBroadcastOrder(t *testing.T) {
 	// Epoch begin logical times must be monotone in broadcast order and
 	// equal to the sequence number of the ordering broadcast.
-	s := newSnoopSystem(t, 4)
+	s := newHarness(t, snooping, 4)
 	addr := mem.Addr(0xa000)
 	var times []uint64
-	for n := range s.caches {
-		s.caches[n].SetEpochListener(&funcEpochListener{
+	for n := range s.cores {
+		s.ctrl(n).SetEpochListener(&funcEpochListener{
 			begin: func(b mem.BlockAddr, k EpochKind, lt uint64, known bool, d mem.Block) {
 				if b == addr.Block() && k == ReadWrite {
 					times = append(times, lt)
@@ -224,7 +35,7 @@ func TestSnoopLogicalTimeIsBroadcastOrder(t *testing.T) {
 }
 
 func TestSnoopEpochTimesRespectCausality(t *testing.T) {
-	s := newSnoopSystem(t, 4)
+	s := newHarness(t, snooping, 4)
 	addr := mem.Addr(0xb000)
 	b := addr.Block()
 	type ev struct {
@@ -234,9 +45,9 @@ func TestSnoopEpochTimesRespectCausality(t *testing.T) {
 		lt    uint64
 	}
 	var evs []ev
-	for n := range s.caches {
+	for n := range s.cores {
 		n := n
-		s.caches[n].SetEpochListener(&funcEpochListener{
+		s.ctrl(n).SetEpochListener(&funcEpochListener{
 			begin: func(blk mem.BlockAddr, k EpochKind, lt uint64, known bool, d mem.Block) {
 				if blk == b {
 					evs = append(evs, ev{n, k, true, lt})
@@ -297,16 +108,16 @@ func TestSnoopEpochTimesRespectCausality(t *testing.T) {
 func TestSnoopUpgradeFromOwned(t *testing.T) {
 	// Node 0 writes (M), node 1 reads (0 downgrades to O), node 0 writes
 	// again: 0 upgrades O→M without a data transfer.
-	s := newSnoopSystem(t, 2)
+	s := newHarness(t, snooping, 2)
 	addr := mem.Addr(0xc000)
 	s.store(t, 0, addr, 1)
 	s.load(t, 1, addr)
-	l := s.caches[0].l2.peek(addr.Block())
+	l := s.ctrl(0).l2.peek(addr.Block())
 	if l == nil || l.state != Owned {
 		t.Fatalf("node 0 state = %v, want O", l)
 	}
 	s.store(t, 0, addr, 2)
-	l = s.caches[0].l2.peek(addr.Block())
+	l = s.ctrl(0).l2.peek(addr.Block())
 	if l == nil || l.state != Modified {
 		t.Fatalf("node 0 state after upgrade = %v, want M", l)
 	}
@@ -316,10 +127,10 @@ func TestSnoopUpgradeFromOwned(t *testing.T) {
 }
 
 func TestSnoopHomeTracksOwnership(t *testing.T) {
-	s := newSnoopSystem(t, 4)
+	s := newHarness(t, snooping, 4)
 	addr := mem.Addr(0xd000)
 	b := addr.Block()
-	home := s.homes[s.cfg.HomeOf(b)]
+	home := s.snoopHomes[s.cfg.HomeOf(b)]
 	s.store(t, 2, addr, 5)
 	s.k.Run(100)
 	if got := home.OwnerOf(b); got != 2 {
@@ -340,12 +151,12 @@ func TestSnoopHomeTracksOwnership(t *testing.T) {
 func TestSnoopContendedStoresAllDistinctEpochTimes(t *testing.T) {
 	// Heavy same-block store contention: every RW epoch gets a distinct
 	// logical time (broadcast order is total).
-	s := newSnoopSystem(t, 8)
+	s := newHarness(t, snooping, 8)
 	addr := mem.Addr(0xe000)
 	seen := make(map[uint64]bool)
 	dup := false
-	for n := range s.caches {
-		s.caches[n].SetEpochListener(&funcEpochListener{
+	for n := range s.cores {
+		s.ctrl(n).SetEpochListener(&funcEpochListener{
 			begin: func(b mem.BlockAddr, k EpochKind, lt uint64, known bool, d mem.Block) {
 				if b == addr.Block() && k == ReadWrite {
 					if seen[lt] {
@@ -359,7 +170,7 @@ func TestSnoopContendedStoresAllDistinctEpochTimes(t *testing.T) {
 	pending := 0
 	for i := 0; i < 40; i++ {
 		pending++
-		s.caches[i%8].Store(addr, mem.Word(i), func() { pending-- })
+		s.ctrl(i%8).Store(addr, mem.Word(i), func() { pending-- })
 	}
 	s.run(t, func() bool { return pending == 0 }, 2000000)
 	if dup {

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -79,12 +80,21 @@ type ReplayResult struct {
 	Expect Class     `json:"expect"`
 	Got    Class     `json:"got"`
 	Result RunResult `json:"result"`
-	// OK: the replay reproduced the recorded classification.
+	// TraceDiff is set when the re-recorded execution trace is not byte
+	// for byte the committed <name>.trc: the case name and the first
+	// differing offset.
+	TraceDiff string `json:"trace_diff,omitempty"`
+	// OK: the replay reproduced the recorded classification and, where a
+	// trace is committed next to the case, that trace.
 	OK bool `json:"ok"`
 }
 
 // ReplayDir re-runs every reproducer in a corpus directory and checks
-// that each still shows its recorded classification. It returns one
+// that each still shows its recorded classification and re-records its
+// <name>.trc exactly — the simulator is deterministic, so the traces pin
+// simulated behaviour across commits far tighter than the classification
+// does (a case without a .trc is held to its classification only). It
+// returns one
 // result per file (load errors become non-OK results with the error in
 // Result.Panic) and an error only for directory-level failures.
 func ReplayDir(dir string) ([]ReplayResult, error) {
@@ -107,15 +117,35 @@ func replayFile(path string) ReplayResult {
 		return rr
 	}
 	rr.Expect = c.Expect
-	res, _, err := RunCase(c)
+	res, got, err := RunCase(c)
 	if err != nil {
 		rr.Result.Panic = err.Error()
 		return rr
 	}
 	rr.Result = res
 	rr.Got = res.Class
+	name := strings.TrimSuffix(path, ".json")
+	if want, err := os.ReadFile(name + ".trc"); err == nil {
+		rr.TraceDiff = traceDiff(filepath.Base(name), got, want)
+	} else if !os.IsNotExist(err) {
+		rr.TraceDiff = err.Error()
+	}
 	// A corpus case without a recorded expectation just has to run; one
 	// with an expectation has to reproduce it.
-	rr.OK = c.Expect == "" || res.Class == c.Expect
+	rr.OK = (c.Expect == "" || res.Class == c.Expect) && rr.TraceDiff == ""
 	return rr
+}
+
+// traceDiff describes where got departs from the committed trace want
+// ("" when they are equal).
+func traceDiff(name string, got, want []byte) string {
+	if bytes.Equal(got, want) {
+		return ""
+	}
+	off := 0
+	for off < len(got) && off < len(want) && got[off] == want[off] {
+		off++
+	}
+	return fmt.Sprintf("%s: re-recorded trace differs from %s.trc at offset %d (got %d bytes, committed %d)",
+		name, name, off, len(got), len(want))
 }

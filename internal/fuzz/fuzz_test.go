@@ -3,6 +3,7 @@ package fuzz
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -649,7 +650,9 @@ func TestReplayDirMissing(t *testing.T) {
 }
 
 // TestCorpusRegression replays the committed corpus: every reproducer
-// must still show its recorded classification.
+// must still show its recorded classification and re-record its
+// committed .trc byte for byte (the cross-commit identity pin for
+// simulator refactors).
 func TestCorpusRegression(t *testing.T) {
 	results, err := ReplayDir(filepath.Join("testdata", "corpus"))
 	if err != nil {
@@ -660,7 +663,42 @@ func TestCorpusRegression(t *testing.T) {
 	}
 	for _, r := range results {
 		if !r.OK {
-			t.Errorf("%s: expect %s, got %s (%s)", r.Path, r.Expect, r.Got, r.Result.Panic)
+			t.Errorf("%s: expect %s, got %s (%s%s)", r.Path, r.Expect, r.Got, r.Result.Panic, r.TraceDiff)
 		}
+		if _, err := os.Stat(strings.TrimSuffix(r.Path, ".json") + ".trc"); err != nil {
+			t.Errorf("%s has no committed trace: %v", r.Path, err)
+		}
+	}
+}
+
+// TestReplayReportsTraceDrift: a reproducer whose committed trace no
+// longer matches fails replay, naming the case and the first differing
+// offset.
+func TestReplayReportsTraceDrift(t *testing.T) {
+	dir := t.TempDir()
+	c := seededEscapeCaseWithExpect()
+	if _, err := WriteCase(dir, "drift", c); err != nil {
+		t.Fatal(err)
+	}
+	_, trace, err := RunCase(c)
+	if err != nil || len(trace) < 40 {
+		t.Fatalf("RunCase: %d trace bytes, err %v", len(trace), err)
+	}
+	if _, err := WriteTrace(dir, "drift", trace); err != nil {
+		t.Fatal(err)
+	}
+	if results, _ := ReplayDir(dir); len(results) != 1 || !results[0].OK {
+		t.Fatalf("faithful trace rejected: %+v", results)
+	}
+	trace[37] ^= 0x40
+	if _, err := WriteTrace(dir, "drift", trace); err != nil {
+		t.Fatal(err)
+	}
+	results, _ := ReplayDir(dir)
+	if len(results) != 1 || results[0].OK {
+		t.Fatalf("drifted trace accepted: %+v", results)
+	}
+	if d := results[0].TraceDiff; !strings.Contains(d, "drift.trc at offset 37 ") {
+		t.Errorf("TraceDiff = %q, want case name and offset 37", d)
 	}
 }

@@ -97,6 +97,7 @@ func (f *fakeCtrl) SetEpochListener(coherence.EpochListener)     {}
 func (f *fakeCtrl) SetAccessListener(l coherence.AccessListener) { f.accessL = l }
 func (f *fakeCtrl) SetTxnListener(coherence.TxnListener)         {}
 func (f *fakeCtrl) Stats() coherence.ControllerStats             { return coherence.ControllerStats{} }
+func (f *fakeCtrl) SetStrict(bool)                               {}
 func (f *fakeCtrl) CorruptCacheBit(mem.BlockAddr, int) bool      { return false }
 func (f *fakeCtrl) DropPermissionFault(mem.BlockAddr) bool       { return false }
 func (f *fakeCtrl) WriteWithoutPermissionFault(mem.Addr, mem.Word) bool {

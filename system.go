@@ -51,10 +51,7 @@ type System struct {
 	bcast  *network.BroadcastTree // snooping only
 
 	ctrls []coherence.Controller
-	dirC  []*coherence.DirCache
-	dirH  []*coherence.DirHome
-	snpC  []*coherence.SnoopCache
-	snpH  []*coherence.SnoopHome
+	homes []coherence.Home
 
 	// clocks retains the directory system's per-node skewed clocks so
 	// fault injection can skew them; nil entries under snooping (whose
@@ -228,6 +225,7 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 
 		// Coherence substrate.
 		var ctrl coherence.Controller
+		var home coherence.Home
 		memory := mem.NewMemory(cfg.Memory.CacheECC)
 		var met *core.MemChecker
 		if cfg.DVMC.CacheCoherence {
@@ -238,31 +236,21 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 		case Directory:
 			dc := coherence.NewDirCache(nid, cfg.Memory, s.torus, clock)
 			dh := coherence.NewDirHome(nid, cfg.Memory, s.torus, memory)
-			if met != nil {
-				dh.SetNewBlockListener(met.BlockRequested)
-			}
 			s.torus.SetHandler(nid, coherence.DirectoryHandler(dc, dh, s.informFallback(met)))
-			s.dirC = append(s.dirC, dc)
-			s.dirH = append(s.dirH, dh)
-			ctrl = dc
-			s.kernel.Register(dh)
-			s.kernel.Register(dc)
+			ctrl, home = dc, dh
 		case Snooping:
 			sc := coherence.NewSnoopCache(nid, cfg.Memory, s.bcast, s.torus)
 			sh := coherence.NewSnoopHome(nid, cfg.Memory, s.torus, memory)
-			if met != nil {
-				sh.SetNewBlockListener(met.BlockRequested)
-			}
 			s.bcast.SetHandler(nid, coherence.SnoopingAddressHandler(sc, sh))
 			s.torus.SetHandler(nid, coherence.SnoopingDataHandler(sc, sh, s.informFallback(met)))
-			s.snpC = append(s.snpC, sc)
-			s.snpH = append(s.snpH, sh)
-			ctrl = sc
-			s.kernel.Register(sh)
-			s.kernel.Register(sc)
+			ctrl, home = sc, sh
 		}
 		s.ctrls = append(s.ctrls, ctrl)
+		s.homes = append(s.homes, home)
+		s.kernel.Register(home)
+		s.kernel.Register(ctrl)
 		if met != nil {
+			home.SetNewBlockListener(met.BlockRequested)
 			s.kernel.Register(met)
 		}
 
@@ -475,8 +463,8 @@ type checkpointState struct {
 // architectural program position.
 func (s *System) capture(now sim.Cycle) any {
 	st := &checkpointState{}
-	for _, h := range s.homes() {
-		st.memories = append(st.memories, h.snapshot())
+	for _, h := range s.homes {
+		st.memories = append(st.memories, h.Memory().Snapshot())
 	}
 	// Overlay dirty blocks (the owner's copy is newer than memory).
 	for _, c := range s.ctrls {
@@ -519,8 +507,9 @@ func (s *System) restore(state any) {
 	if s.bcast != nil {
 		s.bcast.Reset()
 	}
-	for i, h := range s.homes() {
-		h.restore(st.memories[i])
+	for i, h := range s.homes {
+		h.Memory().Restore(st.memories[i])
+		h.Reset()
 	}
 	for _, c := range s.ctrls {
 		c.Reset()
@@ -544,37 +533,6 @@ func (s *System) restore(state any) {
 	for _, m := range s.met {
 		m.Reset()
 	}
-}
-
-// homeView unifies the two home-controller types for checkpointing.
-type homeView struct {
-	snapshot func() map[mem.BlockAddr]mem.Block
-	restore  func(map[mem.BlockAddr]mem.Block)
-}
-
-func (s *System) homes() []homeView {
-	var out []homeView
-	for _, h := range s.dirH {
-		h := h
-		out = append(out, homeView{
-			snapshot: h.Memory().Snapshot,
-			restore: func(m map[mem.BlockAddr]mem.Block) {
-				h.Memory().Restore(m)
-				h.Reset()
-			},
-		})
-	}
-	for _, h := range s.snpH {
-		h := h
-		out = append(out, homeView{
-			snapshot: h.Memory().Snapshot,
-			restore: func(m map[mem.BlockAddr]mem.Block) {
-				h.Memory().Restore(m)
-				h.Reset()
-			},
-		})
-	}
-	return out
 }
 
 // Recover rolls back to the newest checkpoint preceding errorCycle,
