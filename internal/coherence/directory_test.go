@@ -5,6 +5,7 @@ import (
 
 	"dvmc/internal/mem"
 	"dvmc/internal/network"
+	"dvmc/internal/sim"
 )
 
 func TestDirDirectoryStateMatchesCaches(t *testing.T) {
@@ -164,5 +165,62 @@ func TestStateAndKindStrings(t *testing.T) {
 	}
 	if Shared.CanWrite() || Owned.CanWrite() || !Modified.CanWrite() {
 		t.Error("CanWrite wrong")
+	}
+}
+
+// TestDirHomeQueueSurvivesPutS: a PutS (or stale PutM) popped from a
+// block's queue finishes on the spot, so the home must go on to the next
+// queued request itself — nothing else will. Drives DirHome.Handle
+// directly: node 0's GetM is granted and left un-unblocked while node 1's
+// PutS and node 2's GetS queue behind it; once node 0 unblocks, node 2
+// must be granted.
+func TestDirHomeQueueSurvivesPutS(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		finisher any // the queued request that completes without a transaction
+	}{
+		{"PutS", MsgPutS{Block: 3, Requestor: 1}},
+		{"stale PutM", MsgPutM{Block: 3, Requestor: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const b = mem.BlockAddr(3) // homed at node 3 of 4
+			cfg := testConfig(4)
+			var k sim.Kernel
+			tor := network.NewTorus(4, 8.0, 2, sim.NewRand(7))
+			home := NewDirHome(3, cfg, tor, mem.NewMemory(false))
+			k.Register(tor)
+			k.Register(home)
+			got := make([][]any, 4) // payloads delivered per node
+			for n := 0; n < 4; n++ {
+				tor.SetHandler(network.NodeID(n), func(m *network.Message) {
+					got[n] = append(got[n], m.Payload)
+					if _, ok := m.Payload.(MsgRecall); ok { // node 0 owns the block by then
+						home.Handle(&network.Message{Payload: MsgRecallAck{Block: b, From: network.NodeID(n)}})
+					}
+				})
+			}
+			granted := func(n int) bool {
+				for _, p := range got[n] {
+					if d, ok := p.(MsgData); ok && d.Block == b {
+						return true
+					}
+				}
+				return false
+			}
+			home.Handle(&network.Message{Payload: MsgGetM{Block: b, Requestor: 0}})
+			if !k.RunUntil(func() bool { return granted(0) }, 1000) {
+				t.Fatal("node 0's GetM never granted")
+			}
+			home.Handle(&network.Message{Payload: tc.finisher})
+			home.Handle(&network.Message{Payload: MsgGetS{Block: b, Requestor: 2}})
+			k.Run(50)
+			if home.Stats().QueuedConflicts != 2 {
+				t.Fatalf("QueuedConflicts = %d, want both requests queued behind the open GetM", home.Stats().QueuedConflicts)
+			}
+			home.Handle(&network.Message{Payload: MsgUnblock{Block: b, From: 0}})
+			if !k.RunUntil(func() bool { return granted(2) }, 5000) {
+				t.Fatalf("node 2's GetS stranded in the block's queue after the %s ahead of it completed (node 1 got %v)", tc.name, got[1])
+			}
+		})
 	}
 }

@@ -236,17 +236,23 @@ func (h *DirHome) startGetM(e *dirEntry, p MsgGetM) {
 	h.maybeGrant(p.Block, e)
 }
 
+// startPutS drops a sharer. It completes on the spot without making the
+// entry busy, so when it was popped from the block's queue it must hand
+// on to the next queued request itself: no Unblock or memory write will.
 func (h *DirHome) startPutS(e *dirEntry, p MsgPutS) {
 	e.sharers &^= 1 << uint(p.Requestor)
 	h.net.Send(&network.Message{Src: h.node, Dst: p.Requestor, Size: CtrlBytes, Class: network.ClassCoherence,
 		Payload: MsgWBAck{Block: p.Block}})
+	h.next(p.Block, e)
 }
 
 func (h *DirHome) startPutM(e *dirEntry, p MsgPutM) {
 	if e.owner != p.Requestor {
-		// Raced with a recall: home already obtained the data.
+		// Raced with a recall: home already obtained the data. Like a
+		// PutS this finishes at once, so the queue moves on from here.
 		h.net.Send(&network.Message{Src: h.node, Dst: p.Requestor, Size: CtrlBytes, Class: network.ClassCoherence,
 			Payload: MsgWBAck{Block: p.Block, Stale: true}})
+		h.next(p.Block, e)
 		return
 	}
 	h.stats.Writebacks++

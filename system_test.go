@@ -249,3 +249,19 @@ func TestProtocolString(t *testing.T) {
 		t.Error("Protocol strings wrong")
 	}
 }
+
+// TestDirectorySeed3RunsPastLostWakeup pins the fix for DirHome stranding
+// a block's queue behind a PutS / stale PutM: fault-free directory/TSO
+// OLTP at seed 3 used to report operation-timeout at cycle 1,124,063 (a
+// load on node 7 whose GetS sat in a stranded queue).
+func TestDirectorySeed3RunsPastLostWakeup(t *testing.T) {
+	cfg := ScaledConfig().WithProtocol(Directory).WithModel(TSO).WithSeed(3)
+	sys, err := NewSystem(cfg, OLTP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.RunCycles(1_200_000)
+	if v := sys.Violations(); len(v) != 0 {
+		t.Fatalf("%d violations in a fault-free run, first: %v", len(v), v[0])
+	}
+}
