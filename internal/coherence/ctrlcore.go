@@ -81,7 +81,6 @@ type waiter struct {
 	kind     waiterKind
 	addr     mem.Addr
 	val      mem.Word
-	class    network.Class
 	loadDone func(mem.Word, bool)
 	perfDone func()
 	rmwFn    func(mem.Word) mem.Word
@@ -224,7 +223,7 @@ func (c *ctrlCore) Load(addr mem.Addr, class network.Class, done func(mem.Word, 
 				return
 			}
 			c.stats.L2Misses++
-			c.join(b, false, class, waiter{kind: waitLoad, addr: addr, class: class, loadDone: done})
+			c.join(b, false, class, waiter{kind: waitLoad, addr: addr, loadDone: done})
 		})
 	})
 }

@@ -11,11 +11,9 @@ func TestDirCacheResetAndResume(t *testing.T) {
 	for _, c := range s.cores {
 		c.Reset()
 	}
-	for i, h := range s.homes {
-		memory := h.Memory().Snapshot()
-		h.Memory().Restore(memory)
+	for _, h := range s.homes {
+		h.Memory().Restore(h.Memory().Snapshot())
 		h.Reset()
-		_ = i
 	}
 	// The memory snapshot was taken after reset of caches, so the dirty
 	// value lives only in the pre-reset cache: rebuild it via a store.
