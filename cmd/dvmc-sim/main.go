@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"dvmc"
+	"dvmc/internal/network"
 	"dvmc/internal/telemetry"
 )
 
@@ -117,8 +118,8 @@ func main() {
 		res.ReplayLoads, res.ReplayL1Misses, res.ReplayMissRatio())
 	fmt.Printf("interconnect:   max link %.3f B/cycle, total %d bytes\n",
 		res.MaxLinkBandwidth, res.TotalLinkBytes)
-	for cl, bw := range res.MaxLinkByClass {
-		if bw > 0 {
+	for _, cl := range network.Classes {
+		if bw := res.MaxLinkByClass[cl]; bw > 0 {
 			fmt.Printf("                  %-10v %.4f B/cycle on hottest link\n", cl, bw)
 		}
 	}

@@ -13,6 +13,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dvmc/internal/mem"
 	"dvmc/internal/network"
@@ -139,6 +140,11 @@ type SkewedClock struct {
 	now  func() sim.Cycle
 	skew uint64
 	div  uint64
+	// shift is log2(div) when div is a power of two (the system's is 8),
+	// sparing every read a 64-bit divide; -1 otherwise.
+	shift int
+
+	onSkew []func()
 }
 
 var _ LogicalClock = (*SkewedClock)(nil)
@@ -151,17 +157,47 @@ func NewSkewedClock(now func() sim.Cycle, skew, div uint64) *SkewedClock {
 	if div == 0 {
 		panic("coherence: SkewedClock div must be positive")
 	}
-	return &SkewedClock{now: now, skew: skew, div: div}
+	c := &SkewedClock{now: now, skew: skew, div: div, shift: -1}
+	if div&(div-1) == 0 {
+		c.shift = bits.TrailingZeros64(div)
+	}
+	return c
 }
 
 // LogicalNow implements LogicalClock.
-func (c *SkewedClock) LogicalNow() uint64 { return (uint64(c.now()) + c.skew) / c.div }
+func (c *SkewedClock) LogicalNow() uint64 {
+	raw := uint64(c.now()) + c.skew
+	if c.shift >= 0 {
+		return raw >> uint(c.shift)
+	}
+	return raw / c.div
+}
+
+// CycleAt returns the first cycle at which LogicalNow reads t or later.
+// A checker waiting for logical time t can compare cycles against it
+// instead of reading the clock every tick; InjectSkew moves the answer,
+// so such a checker also registers with OnSkew.
+func (c *SkewedClock) CycleAt(t uint64) sim.Cycle {
+	raw := t * c.div
+	if raw <= c.skew {
+		return 0
+	}
+	return sim.Cycle(raw - c.skew)
+}
+
+// OnSkew registers fn to run after every InjectSkew.
+func (c *SkewedClock) OnSkew(fn func()) { c.onSkew = append(c.onSkew, fn) }
 
 // InjectSkew adds delta raw cycles of extra skew, modelling a fault in
 // the loose clock-synchronisation hardware. Injected skew above the
 // minimum network latency breaks the causality premise of Section 4.3,
 // and skew near the Time16 half-range attacks the wraparound scrubber.
-func (c *SkewedClock) InjectSkew(delta uint64) { c.skew += delta }
+func (c *SkewedClock) InjectSkew(delta uint64) {
+	c.skew += delta
+	for _, fn := range c.onSkew {
+		fn()
+	}
+}
 
 // Config sizes the memory system. Zero values are invalid; use
 // DefaultConfig from the public package or fill every field.

@@ -46,6 +46,11 @@ type CacheChecker struct {
 	scrub     []scrubEntry
 	scrubHead int
 
+	// due is the first cycle at which the scrub FIFO's head can be old
+	// enough to announce; see MemChecker.due.
+	sched cycleClock
+	due   sim.Cycle
+
 	cycleNow func() sim.Cycle
 
 	stats CETStats
@@ -85,7 +90,7 @@ type scrubEntry struct {
 // violations with the current processor cycle.
 func NewCacheChecker(node network.NodeID, cfg coherence.Config, net network.Network,
 	clock coherence.LogicalClock, cycleNow func() sim.Cycle, sink Sink) *CacheChecker {
-	return &CacheChecker{
+	c := &CacheChecker{
 		node:     node,
 		cfg:      cfg,
 		net:      net,
@@ -94,6 +99,11 @@ func NewCacheChecker(node network.NodeID, cfg coherence.Config, net network.Netw
 		cet:      make(map[mem.BlockAddr]int32),
 		cycleNow: cycleNow,
 	}
+	if cc, ok := clock.(cycleClock); ok {
+		c.sched = cc
+		cc.OnSkew(func() { c.due = 0 })
+	}
+	return c
 }
 
 // SetInformPool attaches a message pool for inform traffic. The owner of
@@ -123,6 +133,7 @@ func (c *CacheChecker) Reset() {
 	c.free = c.free[:0]
 	c.scrub = c.scrub[:0]
 	c.scrubHead = 0
+	c.due = 0
 }
 
 // alloc grabs a free slab slot (zeroed) and returns its index.
@@ -281,10 +292,16 @@ func (c *CacheChecker) popScrub() scrubEntry {
 //
 //dvmc:hotpath
 func (c *CacheChecker) Tick(now sim.Cycle) {
+	if c.scrubLen() == 0 || now < c.due {
+		return
+	}
 	lnow := c.clock.LogicalNow()
 	for c.scrubLen() > 0 {
 		head := c.scrub[c.scrubHead]
 		if lnow-head.begin <= scrubThreshold {
+			if c.sched != nil {
+				c.due = c.sched.CycleAt(head.begin + scrubThreshold + 1)
+			}
 			break
 		}
 		c.scrubOne(c.popScrub())
@@ -295,6 +312,7 @@ func (c *CacheChecker) Tick(now sim.Cycle) {
 func (c *CacheChecker) pushScrub(b mem.BlockAddr, begin uint64) {
 	if c.scrubLen() >= scrubFIFOSize {
 		c.scrubOne(c.popScrub())
+		c.due = 0
 	}
 	//dvmc:alloc-ok scrub ring is compacted by popScrub; capacity amortizes to the FIFO bound
 	c.scrub = append(c.scrub, scrubEntry{block: b, begin: begin})

@@ -60,10 +60,26 @@ type MemChecker struct {
 	cycleNow func() sim.Cycle
 	enqSeq   uint64
 
+	// due is the first cycle at which Tick can pop the head inform; until
+	// then Tick returns without reading the clock. Only a cycle-derived
+	// clock can say (sched nil otherwise: due stays 0 and Tick always
+	// looks). Anything that changes the head or the clock zeroes it.
+	sched cycleClock
+	due   sim.Cycle
+
 	stats METStats
 }
 
 var _ sim.Clockable = (*MemChecker)(nil)
+
+// cycleClock is a logical clock that is a function of the cycle count
+// (the directory system's SkewedClock, not the snooping broadcast
+// sequence): it can name the cycle at which it will read a given time,
+// and reports when a fault moves it.
+type cycleClock interface {
+	CycleAt(t uint64) sim.Cycle
+	OnSkew(func())
+}
 
 // METStats counts checker activity.
 type METStats struct {
@@ -150,7 +166,7 @@ func (m *MemChecker) pqPop() queuedInform {
 // NewMemChecker builds the MET checker for one home node.
 func NewMemChecker(node network.NodeID, cfg coherence.Config, clock coherence.LogicalClock,
 	cycleNow func() sim.Cycle, sink Sink) *MemChecker {
-	return &MemChecker{
+	m := &MemChecker{
 		node:        node,
 		cfg:         cfg,
 		clock:       clock,
@@ -160,6 +176,11 @@ func NewMemChecker(node network.NodeID, cfg coherence.Config, clock coherence.Lo
 		cycleWindow: 4096,
 		cycleNow:    cycleNow,
 	}
+	if cc, ok := clock.(cycleClock); ok {
+		m.sched = cc
+		cc.OnSkew(func() { m.due = 0 })
+	}
+	return m
 }
 
 // Stats returns checker counters.
@@ -185,6 +206,7 @@ func (m *MemChecker) Reset() {
 	m.slab = m.slab[:0]
 	m.pq = m.pq[:0]
 	m.oldestValid = false
+	m.due = 0
 }
 
 // BlockRequested constructs the MET entry for a block's first request:
@@ -236,6 +258,7 @@ func (m *MemChecker) enqueue(p InformEpoch) {
 		m.oldestValid = true
 	}
 	m.pqPush(qi)
+	m.due = 0
 	if len(m.pq) > metQueueSize {
 		m.stats.QueueOverflows++
 		m.processOne(m.pqPop())
@@ -247,12 +270,20 @@ func (m *MemChecker) enqueue(p InformEpoch) {
 //
 //dvmc:hotpath
 func (m *MemChecker) Tick(now sim.Cycle) {
+	if len(m.pq) == 0 || now < m.due {
+		return
+	}
 	lnow := m.clock.LogicalNow()
 	for len(m.pq) > 0 && m.pq[0].begin+m.window <= lnow {
 		m.processOne(m.pqPop())
 	}
 	for len(m.pq) > 0 && now > m.oldestArrival()+m.cycleWindow {
 		m.processOne(m.pqPop())
+	}
+	if m.sched != nil && len(m.pq) > 0 {
+		// Neither loop pops before the clock passes the head's settle
+		// window or the oldest inform outwaits cycleWindow.
+		m.due = min(m.sched.CycleAt(m.pq[0].begin+m.window), m.oldestArrival()+m.cycleWindow+1)
 	}
 }
 

@@ -108,7 +108,7 @@ func (b *BroadcastTree) Send(m *Message) {
 // delivering to all nodes after the serialisation plus tree latency.
 func (b *BroadcastTree) Tick(now sim.Cycle) {
 	b.lastTick = now
-	b.stat.Observed++
+	b.stat.Observed++ // one link: its observation time is the tick count
 	if len(b.delayed) > 0 {
 		var keep []*delayedSend
 		for _, d := range b.delayed {
@@ -121,7 +121,6 @@ func (b *BroadcastTree) Tick(now sim.Cycle) {
 		b.delayed = keep
 	}
 	if b.inFlight != nil {
-		b.stat.Busy++
 		if now >= b.deliverAt {
 			m := b.inFlight
 			b.inFlight = nil

@@ -34,6 +34,10 @@ const (
 	numClasses
 )
 
+// Classes lists the traffic classes in declaration order, the order
+// reports print them in.
+var Classes = [...]Class{ClassCoherence, ClassInform, ClassSafetyNet, ClassReplay}
+
 // String implements fmt.Stringer.
 func (c Class) String() string {
 	switch c {
@@ -90,7 +94,6 @@ type LinkStat struct {
 	Name     string
 	Bytes    uint64             // total bytes carried
 	ByClass  [numClasses]uint64 // bytes per traffic class
-	Busy     uint64             // cycles the link was serialising a message
 	Observed sim.Cycle          // cycles of observation
 }
 

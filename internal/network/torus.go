@@ -21,6 +21,17 @@ type Torus struct {
 	outLinks [][4]*link // per node: +X, -X, +Y, -Y (nil if dimension degenerate)
 	handlers []Handler
 
+	// dueAt[i] is the cycle at which links[i] next has something to do:
+	// its head's done cycle while it serialises one, 0 with a queue and
+	// no head, never while it holds nothing. Tick touches only links
+	// whose cycle has come, in link order (delivery order is part of
+	// determinism), and none at all before wakeAt, a lower bound on the
+	// earliest of them. ticks counts Tick calls — every link's
+	// observation time.
+	dueAt  []sim.Cycle
+	wakeAt sim.Cycle
+	ticks  sim.Cycle
+
 	// routes caches the dimension-order path for every (src, dst) pair:
 	// routing is static, so each path is computed once and shared by all
 	// transits (which keep their own hop cursor instead of re-slicing).
@@ -79,11 +90,15 @@ type transit struct {
 
 type link struct {
 	name  string
+	index int // position in Torus.links and Torus.dueAt
 	queue []*transit
 	head  *transit
 	done  sim.Cycle
 	stat  LinkStat
 }
+
+// never is the dueAt of a link that holds nothing.
+const never = ^sim.Cycle(0)
 
 // NewTorus builds a torus for n nodes with the given link bandwidth in
 // bytes/cycle and per-hop latency. Node counts that are not perfect
@@ -107,10 +122,12 @@ func NewTorus(n int, bytesPerCycle float64, hopLatency sim.Cycle, rng *sim.Rand)
 		routes:     make([][]*link, n*n),
 		rng:        rng,
 		prioritize: true,
+		wakeAt:     never,
 	}
 	addLink := func(node int, dir int, label string) {
-		l := &link{name: fmt.Sprintf("n%d%s", node, label)}
+		l := &link{name: fmt.Sprintf("n%d%s", node, label), index: len(t.links)}
 		t.links = append(t.links, l)
+		t.dueAt = append(t.dueAt, never)
 		t.outLinks[node][dir] = l
 	}
 	for node := 0; node < n; node++ {
@@ -272,9 +289,20 @@ func (t *Torus) enqueue(m *Message, when sim.Cycle) {
 		return
 	}
 	path := t.route(m.Src, m.Dst)
-	tr := t.allocTransit(m, path, when)
+	t.queueOn(path[0], t.allocTransit(m, path, when))
+}
+
+// queueOn appends a transit to a link's queue. An idle link is due: it
+// starts serialising the transit when Tick next reaches it.
+//
+//dvmc:hotpath
+func (t *Torus) queueOn(l *link, tr *transit) {
 	//dvmc:alloc-ok link queue capacity amortizes to the steady-state occupancy; Tick pops in place
-	path[0].queue = append(path[0].queue, tr)
+	l.queue = append(l.queue, tr)
+	if l.head == nil {
+		t.dueAt[l.index] = 0
+		t.wakeAt = 0
+	}
 }
 
 // allocTransit takes a transit envelope from the freelist (or allocates
@@ -340,6 +368,7 @@ var _ sim.Clockable = (*Torus)(nil)
 //dvmc:hotpath
 func (t *Torus) Tick(now sim.Cycle) {
 	t.lastTick = now
+	t.ticks++
 	// Release a FaultHold burst in reverse order once the fault hook has
 	// disarmed (the burst is complete) or the window expired: the
 	// captured messages re-enter the network newest-first, violating the
@@ -386,23 +415,31 @@ func (t *Torus) Tick(now sim.Cycle) {
 		appended := copy(t.local[keep:], t.local[n:])
 		t.local = t.local[:keep+appended]
 	}
-	// Advance every link.
-	for _, l := range t.links {
-		l.stat.Observed++
-		if l.head != nil {
-			l.stat.Busy++
-			if now >= l.done {
-				tr := l.head
-				l.head = nil
-				tr.hop++
-				if tr.hop == len(tr.path) {
-					t.deliver(tr.msg)
-					t.recycleTransit(tr)
-				} else {
-					tr.queuedAt = now
-					//dvmc:alloc-ok next-hop queue capacity amortizes to the steady-state occupancy
-					tr.path[tr.hop].queue = append(tr.path[tr.hop].queue, tr)
-				}
+	if now < t.wakeAt {
+		return
+	}
+	// Advance every link whose cycle has come. dueAt is read live: a link
+	// that falls due ahead of the walk (a hop forwarded to it, a delivery
+	// handler sending into it) is still reached this tick, one behind the
+	// walk waits for the next — as when the walk visited every link.
+	t.wakeAt = never
+	next := never
+	for li := range t.links {
+		if t.dueAt[li] > now {
+			next = min(next, t.dueAt[li])
+			continue
+		}
+		l := t.links[li]
+		if l.head != nil && now >= l.done {
+			tr := l.head
+			l.head = nil
+			tr.hop++
+			if tr.hop == len(tr.path) {
+				t.deliver(tr.msg)
+				t.recycleTransit(tr)
+			} else {
+				tr.queuedAt = now
+				t.queueOn(tr.path[tr.hop], tr)
 			}
 		}
 		if l.head == nil && len(l.queue) > 0 {
@@ -434,7 +471,15 @@ func (t *Torus) Tick(now sim.Cycle) {
 				l.stat.ByClass[tr.msg.Class] += uint64(tr.msg.Size)
 			}
 		}
+		if l.head != nil {
+			t.dueAt[li] = l.done
+			next = min(next, l.done)
+		} else {
+			t.dueAt[li] = never
+		}
 	}
+	// A send behind the walk has zeroed wakeAt meanwhile.
+	t.wakeAt = min(t.wakeAt, next)
 }
 
 //dvmc:hotpath
@@ -480,6 +525,7 @@ func (t *Torus) LinkStats() []LinkStat {
 	for _, l := range t.links {
 		s := l.stat
 		s.Name = l.name
+		s.Observed = t.ticks
 		out = append(out, s)
 	}
 	return out
@@ -540,5 +586,8 @@ func (t *Torus) Reset() {
 			t.recycleTransit(l.head)
 			l.head = nil
 		}
+	}
+	for i := range t.dueAt {
+		t.dueAt[i] = never
 	}
 }

@@ -110,6 +110,23 @@ type CPU struct {
 	// once per completion.
 	drainChecked bool
 
+	// Sleep/wake guard (DESIGN.md, "The tick contract"). awake is the
+	// wake mark: something changed pipeline state since the last run of
+	// the pipeline began — a stage of that run, or a wake path since. A
+	// run that leaves it clear would repeat itself every cycle, so Tick
+	// skips until a wake path marks it or now reaches wakeAt, the
+	// earliest cycle one of the core's own timers comes due. slept counts
+	// the skipped ticks not yet added to the per-cycle state below:
+	// idleStall is the stall counter the last run bumped (each skipped
+	// tick would bump it again), idleNoHead and idleNoStores record that
+	// the watchdog was refreshing headSince and wbProgressAt.
+	awake        bool
+	wakeAt       sim.Cycle
+	slept        uint64
+	idleStall    *uint64
+	idleNoHead   bool
+	idleNoStores bool
+
 	stats Stats
 }
 
@@ -129,19 +146,26 @@ func NewCPU(node network.NodeID, cfg Config, model consistency.Model, ctrl coher
 		model: model,
 		ctrl:  ctrl,
 		prog:  prog,
+		awake: true,
 	}
-	c.wb = NewWriteBufferFor(model, cfg, ctrl, c.storePerformed)
+	c.wb = NewWriteBufferFor(model, cfg, ctrl, c.storePerformed, c.wake)
 	c.watchdogCycles = 30000
 	return c
 }
 
 // InjectLoadValueFault arms a one-shot bit flip on the next executed
 // load's value (LSQ data-path corruption, Section 6.1).
-func (c *CPU) InjectLoadValueFault() { c.faultLoadValue = true }
+func (c *CPU) InjectLoadValueFault() {
+	c.faultLoadValue = true
+	c.wake()
+}
 
 // InjectForwardFault arms a one-shot incorrect forwarding: the next
 // LSQ/write-buffer forwarded load receives a corrupted value.
-func (c *CPU) InjectForwardFault() { c.faultForward = true }
+func (c *CPU) InjectForwardFault() {
+	c.faultForward = true
+	c.wake()
+}
 
 // FaultActivatedAt returns when an armed LSQ fault actually corrupted a
 // value (injection campaigns measure detection latency from activation).
@@ -163,12 +187,16 @@ func (c *CPU) FaultOutcome() (caught, squashed bool) {
 func (c *CPU) AttachDVMC(uo *core.UniprocChecker, reorder *core.ReorderChecker) {
 	c.uo = uo
 	c.reorder = reorder
+	c.wake()
 }
 
 // AttachTracer enables execution-trace event emission. Call before the
 // first Tick. Emission is independent of the DVMC toggles so a no-DVMC
 // run can still be verified offline.
-func (c *CPU) AttachTracer(t trace.Sink) { c.tracer = t }
+func (c *CPU) AttachTracer(t trace.Sink) {
+	c.tracer = t
+	c.wake()
+}
 
 // emitTrace stamps and forwards one trace event. Controller callbacks can
 // run while another component holds the tick, so c.now may lag the true
@@ -206,8 +234,12 @@ func (c *CPU) traceCommitPerformLoad(u *uop) {
 	c.emitTrace(ev)
 }
 
-// Stats returns core counters.
-func (c *CPU) Stats() Stats { return c.stats }
+// Stats returns core counters, with the stall cycles of a sleeping core
+// added in.
+func (c *CPU) Stats() Stats {
+	c.settle()
+	return c.stats
+}
 
 // Model returns the core's configured consistency model.
 func (c *CPU) Model() consistency.Model { return c.model }
@@ -245,10 +277,28 @@ func (c *CPU) effectiveModel(op Op) consistency.Model {
 	return c.model
 }
 
-// Tick implements sim.Clockable: one core cycle.
+// Tick implements sim.Clockable: one core cycle. A sleeping core only
+// notes the time.
+//
+//dvmc:hotpath
 func (c *CPU) Tick(now sim.Cycle) {
+	if !c.awake && now < c.wakeAt {
+		c.now = now
+		c.slept++
+		return
+	}
+	//dvmc:alloc-ok the pipeline itself allocates (one uop per fetched op); the hot path is the sleeping return above
+	c.cycle(now)
+}
+
+// cycle runs the pipeline for one cycle and decides whether the core
+// sleeps: if no stage changed anything, the next cycle would find the
+// same state and do the same nothing, until a wake path or a timer.
+func (c *CPU) cycle(now sim.Cycle) {
+	c.settle()
 	c.now = now
-	c.stats.Cycles++
+	c.awake = false
+	c.idleStall = nil
 	c.retireStage(now)
 	c.executeStage(now)
 	c.fetchStage(now)
@@ -261,8 +311,75 @@ func (c *CPU) Tick(now sim.Cycle) {
 		// machine lost a store (e.g. dropped inside the write buffer).
 		c.drainChecked = true
 		c.uo.CheckDrained(now)
+		c.wake()
 	}
-	c.stats.ROBOccupancySum += uint64(len(c.rob))
+	if c.awake {
+		return
+	}
+	c.idleNoHead = c.watchdogOn() && len(c.rob) == 0
+	c.idleNoStores = c.watchdogOn() && c.WBLen() == 0
+	c.wakeAt = c.nextTimer(now)
+}
+
+// wake marks pipeline state as changed. The stages call it where they
+// make progress; so does everything that hands the core work from
+// outside its own tick: the cache's completion callbacks, the write
+// buffer, squashes, Recover, and the Inject and Attach hooks.
+//
+//dvmc:hotpath
+func (c *CPU) wake() { c.awake = true }
+
+// stall counts one retire-stage stall cycle and remembers the counter,
+// so the cycles a sleeping core skips are added to the same one.
+func (c *CPU) stall(counter *uint64) {
+	*counter++
+	c.idleStall = counter
+}
+
+// settle adds what the skipped ticks would have: one stall each on the
+// counter the last run stalled on, and the watchdog's refresh of its
+// idle stamps to the last skipped cycle.
+func (c *CPU) settle() {
+	if c.slept == 0 {
+		return
+	}
+	if c.idleStall != nil {
+		*c.idleStall += c.slept
+	}
+	if c.idleNoHead {
+		c.headSince = c.now
+	}
+	if c.idleNoStores {
+		c.wbProgressAt = c.now
+	}
+	c.slept = 0
+}
+
+// nextTimer returns the earliest cycle after now at which the core acts
+// without being handed anything: fetch resuming after a squash penalty,
+// the membar-injection interval, and the two watchdog deadlines. (A
+// forwarded load's execReadyAt needs no entry: it is the cycle after the
+// load issued, and issuing is progress, so that cycle runs.)
+func (c *CPU) nextTimer(now sim.Cycle) sim.Cycle {
+	at := ^sim.Cycle(0)
+	due := func(t sim.Cycle) {
+		if t > now && t < at {
+			at = t
+		}
+	}
+	due(c.fetchStallUntil)
+	if c.reorder != nil && c.cfg.MembarInjectionInterval > 0 {
+		due(c.lastInject + c.cfg.MembarInjectionInterval)
+	}
+	if c.watchdogOn() {
+		if len(c.rob) > 0 && !c.watchdogFired {
+			due(c.headSince + c.watchdogCycles + 1)
+		}
+		if c.WBLen() > 0 && !c.wbWatchdogFired {
+			due(c.wbProgressAt + c.watchdogCycles + 1)
+		}
+	}
+	return at
 }
 
 // ---------- fetch ----------
@@ -292,6 +409,7 @@ func (c *CPU) fetchStage(now sim.Cycle) {
 			}
 			c.pendingGap -= take
 			budget -= take
+			c.wake()
 			if c.pendingGap > 0 {
 				return
 			}
@@ -304,6 +422,7 @@ func (c *CPU) fetchStage(now sim.Cycle) {
 		c.pendingOp = nil
 		c.instrs += u.instrCost
 		c.rob = append(c.rob, u)
+		c.wake()
 		if u.op.Blocking {
 			c.blockingOp = u
 		}
@@ -319,9 +438,11 @@ func (c *CPU) nextFromProgram(now sim.Cycle) bool {
 		}
 		c.nextResult = Result{Valid: true, Value: c.blockingOp.loadVal}
 		c.blockingOp = nil
+		c.wake()
 	}
 	if c.reorder != nil && c.cfg.MembarInjectionInterval > 0 &&
 		now-c.lastInject >= c.cfg.MembarInjectionInterval {
+		c.wake()
 		c.lastInject = now
 		c.stats.InjectedMembars++
 		c.pendingOp = &uop{
@@ -338,6 +459,7 @@ func (c *CPU) nextFromProgram(now sim.Cycle) bool {
 	if c.finished {
 		return false
 	}
+	c.wake()
 	snap := c.prog.Snapshot()
 	prev := c.nextResult
 	c.nextResult = Result{}
@@ -396,6 +518,7 @@ func (c *CPU) executeStage(now sim.Cycle) {
 		if u.state == uExecuting {
 			if u.op.Kind == OpLoad && u.forwarded && now >= u.execReadyAt {
 				c.loadExecuted(u)
+				c.wake()
 			}
 			continue
 		}
@@ -422,6 +545,9 @@ func (c *CPU) executeStage(now sim.Cycle) {
 			issued++
 			u.state = uExecuted
 		}
+	}
+	if issued > 0 {
+		c.wake()
 	}
 }
 
@@ -493,6 +619,7 @@ func (c *CPU) issueLoad(u *uop, now sim.Cycle) {
 		if u.squashed {
 			return
 		}
+		c.wake()
 		u.loadVal = v
 		c.loadExecuted(u)
 	})
@@ -611,22 +738,31 @@ func (c *CPU) verifyStage(now sim.Cycle) {
 		if conflict {
 			continue
 		}
-		hit, match := c.uo.ReplayLoad(u.op.Addr, u.loadVal, now)
-		u.replayStarted = true
-		if hit {
-			u.replayDone = true
-			u.replayMatch = match
-			continue
-		}
-		c.ctrl.Load(u.op.Addr, network.ClassReplay, func(v mem.Word, _ bool) {
-			if u.squashed {
-				return
-			}
-			u.replayVal = v
-			u.replayDone = true
-			u.replayMatch = c.uo.CompareReplay(u.op.Addr, u.loadVal, v, c.now)
-		})
+		c.startReplay(u, now)
 	}
+}
+
+// startReplay replays a load against the VC, or on a VC miss against
+// the cache hierarchy, bypassing the write buffer (the paper's replay
+// path).
+func (c *CPU) startReplay(u *uop, now sim.Cycle) {
+	c.wake()
+	hit, match := c.uo.ReplayLoad(u.op.Addr, u.loadVal, now)
+	u.replayStarted = true
+	if hit {
+		u.replayDone = true
+		u.replayMatch = match
+		return
+	}
+	c.ctrl.Load(u.op.Addr, network.ClassReplay, func(v mem.Word, _ bool) {
+		if u.squashed {
+			return
+		}
+		c.wake()
+		u.replayVal = v
+		u.replayDone = true
+		u.replayMatch = c.uo.CompareReplay(u.op.Addr, u.loadVal, v, c.now)
+	})
 }
 
 func (c *CPU) retireStage(now sim.Cycle) {
@@ -636,7 +772,6 @@ func (c *CPU) retireStage(now sim.Cycle) {
 	for budget > 0 && len(c.rob) > 0 {
 		u := c.rob[0]
 		if u.state != uExecuted {
-			c.stats.CommitStalls++
 			return
 		}
 		if !u.committed && u.op.Kind == OpMembar {
@@ -644,6 +779,7 @@ func (c *CPU) retireStage(now sim.Cycle) {
 			// counters of everything older, all of which has already been
 			// counted (retirement is in order).
 			u.committed = true
+			c.wake()
 			if c.tracer != nil {
 				c.emitTrace(trace.Event{
 					Kind:  trace.EvCommit,
@@ -669,7 +805,6 @@ func (c *CPU) retireStage(now sim.Cycle) {
 			done = c.retireMembar(u, now)
 		}
 		if !done {
-			c.stats.CommitStalls++
 			return
 		}
 		budget--
@@ -678,6 +813,7 @@ func (c *CPU) retireStage(now sim.Cycle) {
 }
 
 func (c *CPU) popHead(u *uop) {
+	c.wake()
 	c.rob = c.rob[1:]
 	c.instrs -= u.instrCost
 	c.stats.OpsRetired++
@@ -706,23 +842,7 @@ func (c *CPU) retireLoad(u *uop, now sim.Cycle) bool {
 	if !u.replayStarted {
 		// The eager verify window skipped this load (same-word conflict
 		// with an older store, now retired): replay at the head.
-		hit, match := c.uo.ReplayLoad(u.op.Addr, u.loadVal, now)
-		u.replayStarted = true
-		if hit {
-			u.replayDone = true
-			u.replayMatch = match
-		} else {
-			// VC miss: replay against the cache hierarchy, bypassing the
-			// write buffer (the paper's replay path).
-			c.ctrl.Load(u.op.Addr, network.ClassReplay, func(v mem.Word, _ bool) {
-				if u.squashed {
-					return
-				}
-				u.replayVal = v
-				u.replayDone = true
-				u.replayMatch = c.uo.CompareReplay(u.op.Addr, u.loadVal, v, c.now)
-			})
-		}
+		c.startReplay(u, now)
 	}
 	if !u.replayDone {
 		return false
@@ -767,13 +887,14 @@ func (c *CPU) performLoad(u *uop) {
 // the cache directly under SC).
 func (c *CPU) retireStore(u *uop, now sim.Cycle) bool {
 	if c.uo != nil && !u.irrevocable && !c.uo.CanAllocateStore(u.op.Addr) {
-		c.stats.VCFullStalls++
+		c.stall(&c.stats.VCFullStalls)
 		return false
 	}
 	if c.model == consistency.SC {
 		// No write buffer: the store performs before retirement; its
 		// cache miss is on the critical path.
 		if !u.irrevocable {
+			c.wake()
 			u.irrevocable = true
 			c.traceCommitStore(u)
 			if c.reorder != nil {
@@ -786,6 +907,7 @@ func (c *CPU) retireStore(u *uop, now sim.Cycle) bool {
 				if u.squashed {
 					return
 				}
+				c.wake()
 				u.performed = true
 				c.storePerformedChecks(u.seq, u.op.Addr, u.op.Data, u.model)
 			})
@@ -795,9 +917,10 @@ func (c *CPU) retireStore(u *uop, now sim.Cycle) bool {
 	if !u.irrevocable {
 		ordered := u.model == consistency.TSO || u.model == consistency.SC
 		if !c.wb.Push(u.seq, u.op.Addr, u.op.Data, ordered) {
-			c.stats.WBFullStalls++
+			c.stall(&c.stats.WBFullStalls)
 			return false
 		}
+		c.wake()
 		u.irrevocable = true
 		c.traceCommitStore(u)
 		if c.reorder != nil {
@@ -877,13 +1000,14 @@ func (c *CPU) storePerformedChecks(seq uint64, addr mem.Addr, written mem.Word, 
 func (c *CPU) retireRMW(u *uop, now sim.Cycle) bool {
 	if !u.irrevocable {
 		if !c.wbEmpty() {
-			c.stats.MembarStalls++
+			c.stall(&c.stats.MembarStalls)
 			return false
 		}
 		if c.uo != nil && !c.uo.CanAllocateStore(u.op.Addr) {
-			c.stats.VCFullStalls++
+			c.stall(&c.stats.VCFullStalls)
 			return false
 		}
+		c.wake()
 		u.irrevocable = true
 		if c.tracer != nil {
 			// The atomic's written value is unknown until it performs (it
@@ -905,6 +1029,7 @@ func (c *CPU) retireRMW(u *uop, now sim.Cycle) bool {
 			if u.squashed {
 				return
 			}
+			c.wake()
 			u.loadVal = old
 			newVal := u.op.RMW(old)
 			if c.tracer != nil {
@@ -940,7 +1065,7 @@ func (c *CPU) retireMembar(u *uop, now sim.Cycle) bool {
 	// Older stores must have performed for #SL/#SS masks: the write
 	// buffer must be empty (all buffered stores are older).
 	if u.op.Mask&(consistency.SL|consistency.SS) != 0 && !c.wbEmpty() {
-		c.stats.MembarStalls++
+		c.stall(&c.stats.MembarStalls)
 		return false
 	}
 	if !u.performed {
@@ -967,12 +1092,16 @@ func (c *CPU) retireMembar(u *uop, now sim.Cycle) bool {
 	return true
 }
 
+// watchdogOn reports whether the progress watchdog runs: it reports
+// through the reorder checker.
+func (c *CPU) watchdogOn() bool { return c.reorder != nil && c.watchdogCycles != 0 }
+
 // watchdog reports a lost operation when the retire head is stuck: a
 // dropped coherence message leaves an operation committed forever
 // unperformed, which the paper's invariant covers ("it is crucial for
 // the checker that all committed operations perform eventually").
 func (c *CPU) watchdog(now sim.Cycle) {
-	if c.reorder == nil || c.watchdogCycles == 0 {
+	if !c.watchdogOn() {
 		return
 	}
 	// A committed store stuck in the write buffer never stalls the
@@ -1021,6 +1150,7 @@ func (c *CPU) squashFrom(u *uop, spec bool) {
 	if idx < 0 {
 		panic("proc: squash target not in ROB")
 	}
+	c.wake()
 	if spec {
 		c.stats.SpecSquashes++
 	} else {
@@ -1109,6 +1239,7 @@ func (c *CPU) ArchSnapshot() ArchState {
 // (SafetyNet recovery): the pipeline and write buffer flush, the program
 // rewinds, and fetch restarts after the squash penalty.
 func (c *CPU) Recover(st ArchState) {
+	c.wake()
 	for _, u := range c.rob {
 		u.squashed = true
 	}
@@ -1131,6 +1262,7 @@ func (c *CPU) Recover(st ArchState) {
 // typically with an updated value), rewinding the program to just after
 // u. Used by value-update recovery at verification mismatches.
 func (c *CPU) squashYounger(u *uop) {
+	c.wake()
 	c.stats.VerifySquashes++
 	idx := -1
 	for i, r := range c.rob {

@@ -163,7 +163,6 @@ func (c Config) Validate() error {
 
 // Stats counts core activity.
 type Stats struct {
-	Cycles          uint64
 	OpsRetired      uint64
 	InstrsRetired   uint64 // including gap instructions
 	LoadsExecuted   uint64
@@ -175,8 +174,6 @@ type Stats struct {
 	WBFullStalls    uint64
 	VCFullStalls    uint64
 	MembarStalls    uint64
-	CommitStalls    uint64 // cycles the retire head was blocked
 	InjectedMembars uint64
 	ForwardedLoads  uint64
-	ROBOccupancySum uint64 // for mean occupancy
 }

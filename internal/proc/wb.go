@@ -24,7 +24,9 @@ type WriteBuffer interface {
 	// Lookup returns the newest buffered value for a word (store-to-load
 	// forwarding).
 	Lookup(addr mem.Addr) (mem.Word, bool)
-	// Tick advances draining.
+	// Tick advances draining. A Tick that changes nothing (no drain to
+	// start) stays that way until the buffer calls its constructor's
+	// wake, which it does whenever its state changes other than by Push.
 	Tick(now sim.Cycle)
 	// Empty reports whether all stores have performed (membar condition).
 	Empty() bool
@@ -65,6 +67,7 @@ type wbFault struct {
 type InOrderWB struct {
 	ctrl  coherence.Controller
 	perf  performFn
+	wake  func()
 	cap   int
 	queue []wbStore
 	busy  bool
@@ -86,9 +89,11 @@ type wbStore struct {
 
 var _ WriteBuffer = (*InOrderWB)(nil)
 
-// NewInOrderWB builds the TSO write buffer.
-func NewInOrderWB(ctrl coherence.Controller, capacity int, perf performFn) *InOrderWB {
-	return &InOrderWB{ctrl: ctrl, cap: capacity, perf: perf}
+// NewInOrderWB builds the TSO write buffer. wake tells the owning core
+// that the buffer changed: a drain started or completed, or a fault was
+// armed.
+func NewInOrderWB(ctrl coherence.Controller, capacity int, perf performFn, wake func()) *InOrderWB {
+	return &InOrderWB{ctrl: ctrl, cap: capacity, perf: perf, wake: wake}
 }
 
 // Push implements WriteBuffer.
@@ -128,6 +133,7 @@ func (w *InOrderWB) Tick(now sim.Cycle) {
 	if w.busy || len(w.queue) == 0 {
 		return
 	}
+	w.wake()
 	idx := 0
 	if w.fault.swapNext && len(w.queue) > 1 {
 		idx = 1 // injected fault: younger store drains first
@@ -157,6 +163,7 @@ func (w *InOrderWB) Tick(now sim.Cycle) {
 			st := w.draining
 			w.busy = false
 			w.perf(st.seq, st.addr, st.val)
+			w.wake()
 		}
 	}
 	w.busy = true
@@ -180,19 +187,34 @@ func (w *InOrderWB) Clear() {
 }
 
 // InjectReorder arms a one-shot illegal drain order fault.
-func (w *InOrderWB) InjectReorder() { w.fault.swapNext = true }
+func (w *InOrderWB) InjectReorder() {
+	w.fault.swapNext = true
+	w.wake()
+}
 
 // InjectDrop arms a one-shot dropped-store fault for the given store.
-func (w *InOrderWB) InjectDrop(seq uint64) { w.fault.dropSeq = seq }
+func (w *InOrderWB) InjectDrop(seq uint64) {
+	w.fault.dropSeq = seq
+	w.wake()
+}
 
 // InjectCorrupt arms a one-shot data-corruption fault for the given store.
-func (w *InOrderWB) InjectCorrupt(seq uint64) { w.fault.corruptSeq = seq }
+func (w *InOrderWB) InjectCorrupt(seq uint64) {
+	w.fault.corruptSeq = seq
+	w.wake()
+}
 
 // InjectDropNext arms a one-shot dropped-store fault for the next drain.
-func (w *InOrderWB) InjectDropNext() { w.fault.dropNext = true }
+func (w *InOrderWB) InjectDropNext() {
+	w.fault.dropNext = true
+	w.wake()
+}
 
 // InjectCorruptNext arms a one-shot corruption fault for the next drain.
-func (w *InOrderWB) InjectCorruptNext() { w.fault.corruptNext = true }
+func (w *InOrderWB) InjectCorruptNext() {
+	w.fault.corruptNext = true
+	w.wake()
+}
 
 // FaultFired reports whether an armed fault actually altered a drain.
 func (w *InOrderWB) FaultFired() bool { return w.fault.fired }
@@ -206,6 +228,7 @@ func (w *InOrderWB) FaultFired() bool { return w.fault.fired }
 type OOOWB struct {
 	ctrl        coherence.Controller
 	perf        performFn
+	wake        func()
 	capStores   int
 	outstanding int
 	maxOut      int
@@ -239,9 +262,9 @@ type oooEntry struct {
 var _ WriteBuffer = (*OOOWB)(nil)
 
 // NewOOOWB builds the PSO/RMO write buffer. maxOutstanding bounds
-// concurrent block drains.
-func NewOOOWB(ctrl coherence.Controller, capacity, maxOutstanding int, perf performFn) *OOOWB {
-	return &OOOWB{ctrl: ctrl, capStores: capacity, maxOut: maxOutstanding, perf: perf}
+// concurrent block drains; wake is as for NewInOrderWB.
+func NewOOOWB(ctrl coherence.Controller, capacity, maxOutstanding int, perf performFn, wake func()) *OOOWB {
+	return &OOOWB{ctrl: ctrl, capStores: capacity, maxOut: maxOutstanding, perf: perf, wake: wake}
 }
 
 // Push implements WriteBuffer, coalescing same-block stores. While an
@@ -405,6 +428,7 @@ func (w *OOOWB) olderOrderedBlocking(idx int) bool {
 //
 //dvmc:hotpath
 func (w *OOOWB) drain(e *oooEntry) {
+	w.wake()
 	e.draining = true
 	w.outstanding++
 	dropped := uint64(0)
@@ -482,6 +506,9 @@ func (w *OOOWB) finish(e *oooEntry) {
 	if found {
 		w.recycle(e)
 	}
+	// Also when an injected fault swallowed the only store and no
+	// perform callback ran: Empty and Len just changed.
+	w.wake()
 }
 
 // recycle resets a drained entry and returns it to the free list. Entries
@@ -529,24 +556,30 @@ func (w *OOOWB) Clear() {
 
 // InjectDrop arms a one-shot lost-store fault (the perform notification
 // for the store vanishes, modelling buffer-control corruption).
-func (w *OOOWB) InjectDrop(seq uint64) { w.fault.dropSeq = seq }
+func (w *OOOWB) InjectDrop(seq uint64) {
+	w.fault.dropSeq = seq
+	w.wake()
+}
 
 // InjectDropNext arms a one-shot lost-store fault for the next push.
-func (w *OOOWB) InjectDropNext() { w.fault.dropNext = true }
+func (w *OOOWB) InjectDropNext() {
+	w.fault.dropNext = true
+	w.wake()
+}
 
 // FaultFired reports whether an armed fault actually altered a drain.
 func (w *OOOWB) FaultFired() bool { return w.fault.fired }
 
 // NewWriteBufferFor builds the write buffer matching a model's Table 5
 // optimization, or nil for SC (no write buffer).
-func NewWriteBufferFor(model consistency.Model, cfg Config, ctrl coherence.Controller, perf performFn) WriteBuffer {
+func NewWriteBufferFor(model consistency.Model, cfg Config, ctrl coherence.Controller, perf performFn, wake func()) WriteBuffer {
 	switch model {
 	case consistency.SC:
 		return nil
 	case consistency.TSO, consistency.PC:
-		return NewInOrderWB(ctrl, cfg.WBEntries, perf)
+		return NewInOrderWB(ctrl, cfg.WBEntries, perf, wake)
 	case consistency.PSO, consistency.RMO:
-		return NewOOOWB(ctrl, cfg.WBEntries, cfg.WBOutstand, perf)
+		return NewOOOWB(ctrl, cfg.WBEntries, cfg.WBOutstand, perf, wake)
 	default:
 		panic("proc: unknown model")
 	}

@@ -27,7 +27,7 @@ func TestInOrderWBDrainsFIFO(t *testing.T) {
 	var performed []uint64
 	wb := NewInOrderWB(f, 8, func(seq uint64, _ mem.Addr, _ mem.Word) {
 		performed = append(performed, seq)
-	})
+	}, func() {})
 	for i := uint64(1); i <= 5; i++ {
 		if !wb.Push(i, mem.Addr(0x100+64*i), mem.Word(i), true) {
 			t.Fatalf("push %d rejected", i)
@@ -43,7 +43,7 @@ func TestInOrderWBDrainsFIFO(t *testing.T) {
 
 func TestInOrderWBCapacity(t *testing.T) {
 	f := newFakeCtrl(1000) // effectively never drains during the test
-	wb := NewInOrderWB(f, 2, func(uint64, mem.Addr, mem.Word) {})
+	wb := NewInOrderWB(f, 2, func(uint64, mem.Addr, mem.Word) {}, func() {})
 	if !wb.Push(1, 0x100, 1, true) || !wb.Push(2, 0x140, 2, true) {
 		t.Fatal("pushes below capacity rejected")
 	}
@@ -54,7 +54,7 @@ func TestInOrderWBCapacity(t *testing.T) {
 
 func TestInOrderWBLookupNewest(t *testing.T) {
 	f := newFakeCtrl(1000)
-	wb := NewInOrderWB(f, 8, func(uint64, mem.Addr, mem.Word) {})
+	wb := NewInOrderWB(f, 8, func(uint64, mem.Addr, mem.Word) {}, func() {})
 	wb.Push(1, 0x100, 1, true)
 	wb.Push(2, 0x100, 2, true)
 	if v, ok := wb.Lookup(0x100); !ok || v != 2 {
@@ -74,7 +74,7 @@ func TestOOOWBSameWordStoresPerformInOrder(t *testing.T) {
 		var performed []wbStore
 		wb := NewOOOWB(ctrl, 256, 4, func(seq uint64, addr mem.Addr, val mem.Word) {
 			performed = append(performed, wbStore{seq: seq, addr: addr, val: val})
-		})
+		}, func() {})
 		var kernel sim.Kernel
 		kernel.Register(ctrl)
 		kernel.Register(tick(wb))
@@ -127,7 +127,7 @@ func TestOOOWBOrderedStoreIsBarrier(t *testing.T) {
 		ordered := map[uint64]bool{}
 		wb := NewOOOWB(ctrl, 256, 4, func(seq uint64, _ mem.Addr, _ mem.Word) {
 			performed = append(performed, seq)
-		})
+		}, func() {})
 		var kernel sim.Kernel
 		kernel.Register(ctrl)
 		kernel.Register(tick(wb))
@@ -171,7 +171,7 @@ func TestOOOWBOrderedStoreIsBarrier(t *testing.T) {
 
 func TestOOOWBCoalescesSameBlock(t *testing.T) {
 	f := newFakeCtrl(50)
-	wb := NewOOOWB(f, 32, 4, func(uint64, mem.Addr, mem.Word) {})
+	wb := NewOOOWB(f, 32, 4, func(uint64, mem.Addr, mem.Word) {}, func() {})
 	wb.Push(1, 0x1000, 1, false)
 	wb.Push(2, 0x1008, 2, false) // same block, different word
 	if wb.Len() != 2 {
@@ -187,7 +187,7 @@ func TestOOOWBCoalescesSameBlock(t *testing.T) {
 
 func TestOOOWBPendingSortedBySeq(t *testing.T) {
 	f := newFakeCtrl(10000)
-	wb := NewOOOWB(f, 32, 4, func(uint64, mem.Addr, mem.Word) {})
+	wb := NewOOOWB(f, 32, 4, func(uint64, mem.Addr, mem.Word) {}, func() {})
 	wb.Push(3, 0x1000, 3, false)
 	wb.Push(1, 0x2000, 1, false)
 	wb.Push(2, 0x1008, 2, false)
@@ -209,14 +209,14 @@ func TestOOOWBPendingSortedBySeq(t *testing.T) {
 func TestNewWriteBufferFor(t *testing.T) {
 	f := newFakeCtrl(1)
 	perf := func(uint64, mem.Addr, mem.Word) {}
-	if NewWriteBufferFor(consistency.SC, DefaultConfig(), f, perf) != nil {
+	if NewWriteBufferFor(consistency.SC, DefaultConfig(), f, perf, func() {}) != nil {
 		t.Error("SC got a write buffer")
 	}
-	if _, ok := NewWriteBufferFor(consistency.TSO, DefaultConfig(), f, perf).(*InOrderWB); !ok {
+	if _, ok := NewWriteBufferFor(consistency.TSO, DefaultConfig(), f, perf, func() {}).(*InOrderWB); !ok {
 		t.Error("TSO buffer wrong type")
 	}
 	for _, m := range []consistency.Model{consistency.PSO, consistency.RMO} {
-		if _, ok := NewWriteBufferFor(m, DefaultConfig(), f, perf).(*OOOWB); !ok {
+		if _, ok := NewWriteBufferFor(m, DefaultConfig(), f, perf, func() {}).(*OOOWB); !ok {
 			t.Errorf("%v buffer wrong type", m)
 		}
 	}
@@ -233,7 +233,7 @@ func TestOOOWBCoalesceTargetsNewestSameBlockEntry(t *testing.T) {
 	var performed []wbStore
 	wb := NewOOOWB(ctrl, 256, 4, func(seq uint64, addr mem.Addr, val mem.Word) {
 		performed = append(performed, wbStore{seq: seq, addr: addr, val: val})
-	})
+	}, func() {})
 	var k sim.Kernel
 	k.Register(ctrl)
 	k.Register(tick(wb))

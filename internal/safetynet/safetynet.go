@@ -73,6 +73,8 @@ type Manager struct {
 
 	live []Checkpoint
 	seq  uint64
+	// next is the first interval boundary Tick has not yet looked at.
+	next sim.Cycle
 
 	// cpAfterRecovery is false between a recovery and the next
 	// checkpoint: a second recovery in that window is "nested" — it
@@ -123,11 +125,24 @@ func (m *Manager) SetRecoveryListener(f func(seq uint64, cpCycle, errorCycle sim
 	m.onRecovery = f
 }
 
-// Tick implements sim.Clockable: takes coordinated checkpoints.
+// Tick implements sim.Clockable: takes coordinated checkpoints at the
+// multiples of the interval.
+//
+//dvmc:hotpath
 func (m *Manager) Tick(now sim.Cycle) {
-	if now%m.cfg.Interval != 0 {
+	if now < m.next {
 		return
 	}
+	into := now % m.cfg.Interval
+	m.next = now - into + m.cfg.Interval
+	if into != 0 {
+		return
+	}
+	//dvmc:alloc-ok a checkpoint copies architectural state; it runs once per interval, never on the idle path
+	m.checkpoint(now)
+}
+
+func (m *Manager) checkpoint(now sim.Cycle) {
 	m.seq++
 	m.stats.CheckpointsTaken++
 	m.cpAfterRecovery = true
@@ -201,9 +216,8 @@ type Logger struct {
 	mgr    *Manager
 
 	interval sim.Cycle
-	epoch    sim.Cycle // current interval index
+	next     sim.Cycle // start of the next checkpoint interval
 	logged   map[mem.BlockAddr]bool
-	now      sim.Cycle
 }
 
 // logMsgBytes is the wire size of one log record. SafetyNet logs old
@@ -229,6 +243,7 @@ func NewLogger(node network.NodeID, homeOf func(mem.BlockAddr) network.NodeID,
 		net:      net,
 		mgr:      mgr,
 		interval: mgr.cfg.Interval,
+		next:     mgr.cfg.Interval,
 		logged:   make(map[mem.BlockAddr]bool),
 	}
 }
@@ -237,12 +252,14 @@ var _ sim.Clockable = (*Logger)(nil)
 
 // Tick implements sim.Clockable: reset the logged set at interval
 // boundaries.
+//
+//dvmc:hotpath
 func (l *Logger) Tick(now sim.Cycle) {
-	l.now = now
-	if e := now / l.interval; e != l.epoch {
-		l.epoch = e
-		l.logged = make(map[mem.BlockAddr]bool)
+	if now < l.next {
+		return
 	}
+	l.next = now - now%l.interval + l.interval
+	clear(l.logged)
 }
 
 // Access records a cache access; first writes per interval emit log

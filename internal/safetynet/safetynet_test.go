@@ -160,3 +160,49 @@ func TestNewManagerPanicsOnBadConfig(t *testing.T) {
 	}()
 	NewManager(Config{}, nil, nil)
 }
+
+// TestIntervalBoundariesExact: the manager checkpoints on the multiples
+// of the interval and nowhere else, also when its first tick falls inside
+// an interval, and the logger forgets its logged set on the boundary
+// cycle itself.
+func TestIntervalBoundariesExact(t *testing.T) {
+	m, captured, _ := newTestManager(100, 3)
+	net := &captureNet{}
+	lg := NewLogger(0, func(mem.BlockAddr) network.NodeID { return 0 }, net, m)
+	for now := sim.Cycle(150); now <= 400; now++ {
+		m.Tick(now)
+		lg.Tick(now)
+		lg.Access(0x10, true)
+	}
+	if want := []sim.Cycle{200, 300, 400}; len(*captured) != 3 || (*captured)[0] != want[0] || (*captured)[2] != want[2] {
+		t.Fatalf("checkpoints at %v, want %v", *captured, want)
+	}
+	// One log record in the interval the run starts in, one on each
+	// boundary cycle after.
+	if len(net.msgs) != 4 {
+		t.Fatalf("%d log messages over cycles 150..400, want 4", len(net.msgs))
+	}
+}
+
+// TestIdleTickSteadyStateAllocFree: between boundaries neither tick
+// allocates, and the logger keeps its map across intervals.
+func TestIdleTickSteadyStateAllocFree(t *testing.T) {
+	m, _, _ := newTestManager(1_000_000, 2)
+	lg := NewLogger(0, func(mem.BlockAddr) network.NodeID { return 0 }, &captureNet{}, m)
+	now := sim.Cycle(0)
+	m.Tick(now) // the checkpoint at cycle 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		now++
+		m.Tick(now)
+		lg.Tick(now)
+	}); allocs != 0 {
+		t.Errorf("idle safetynet ticks: %.2f allocs/op, want 0", allocs)
+	}
+	lg.Access(0x10, true)
+	if allocs := testing.AllocsPerRun(10, func() {
+		now += 1_000_000
+		lg.Tick(now)
+	}); allocs != 0 {
+		t.Errorf("logger interval rollover: %.2f allocs/op, want 0", allocs)
+	}
+}

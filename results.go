@@ -107,8 +107,7 @@ func (s *System) results(start sim.Cycle) Results {
 	r.MaxLinkBandwidth = maxLink.MeanBandwidth()
 	r.MaxLinkByClass = make(map[network.Class]float64)
 	if maxLink.Observed > 0 {
-		for _, cl := range []network.Class{network.ClassCoherence, network.ClassInform,
-			network.ClassSafetyNet, network.ClassReplay} {
+		for _, cl := range network.Classes {
 			r.MaxLinkByClass[cl] = float64(maxLink.ClassBytes(cl)) / float64(maxLink.Observed)
 		}
 	}

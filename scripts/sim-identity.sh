@@ -1,0 +1,102 @@
+#!/usr/bin/env bash
+# sim-identity.sh — show that this checkout simulates exactly what its
+# parent commit does.
+#
+# Builds the base revision (default HEAD^, extracted with `git archive`
+# into a temporary directory, so nothing is registered in .git) and the
+# checkout, produces the same artifacts from both, and cmp's every one:
+#
+#   - dvmc-trace record over {directory,snooping} x {SC,TSO,PSO,RMO} x
+#     {oltp,slash} x seeds {1,2} at -txns 300 (32 traces a side)
+#   - dvmc-sim -txns 300 with -spans-out and -metrics-out, both protocols
+#     (span dump, telemetry snapshot, stdout)
+#   - stdout of CI's two fuzz-smoke campaigns
+#   - dvmc-fuzz replay of the committed corpus (re-records all 13 .trc)
+#   - the directory soak, seeds 1..8, which must also exit 0
+#
+# A commit that means to change simulated behaviour opts out with a
+# trailer in its message:   Identity-Change: <reason>
+# (on its own line; any commit between the base and HEAD counts).
+#
+# usage: scripts/sim-identity.sh [base-rev]
+set -euo pipefail
+
+root=$(git rev-parse --show-toplevel)
+base=${1:-HEAD^}
+
+# Every commit since the base counts: on a pull request HEAD is the merge
+# commit and the trailer sits on the commit merged in.
+reason=$(git -C "$root" log --format=%B "$base"..HEAD | sed -n 's/^Identity-Change:[[:space:]]*//p' | head -n 1)
+if [ -n "$reason" ]; then
+	echo "sim-identity: skipped, a commit since $base declares Identity-Change: $reason"
+	exit 0
+fi
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir -p "$tmp/base/src" "$tmp/base/bin" "$tmp/base/out" "$tmp/head/bin" "$tmp/head/out"
+git -C "$root" archive "$base" | tar -x -C "$tmp/base/src"
+
+echo "sim-identity: building $(git -C "$root" rev-parse --short "$base") and the checkout"
+(cd "$tmp/base/src" && go build -o "$tmp/base/bin/" ./cmd/dvmc-trace ./cmd/dvmc-sim ./cmd/dvmc-fuzz)
+(cd "$root" && go build -o "$tmp/head/bin/" ./cmd/dvmc-trace ./cmd/dvmc-sim ./cmd/dvmc-fuzz)
+
+# artifacts BIN SRC OUT: run the matrix with BIN's binaries, writing into
+# OUT. File arguments are relative so stdout that names them compares
+# equal; SRC supplies the committed fuzz corpus.
+artifacts() {
+	local bin=$1 src=$2 out=$3
+	cd "$out"
+	for p in directory snooping; do
+		for m in SC TSO PSO RMO; do
+			for w in oltp slash; do
+				for s in 1 2; do
+					"$bin/dvmc-trace" record -protocol $p -model $m -workload $w -seed $s -txns 300 \
+						"trace-$p-$m-$w-$s.trc" >/dev/null 2>>"$out.log"
+				done
+			done
+		done
+		"$bin/dvmc-sim" -protocol $p -workload oltp -model TSO -txns 300 \
+			-spans-out "sim-$p.spans" -metrics-out "sim-$p.metrics.json" >"sim-$p.stdout"
+	done
+	"$bin/dvmc-fuzz" run -seed 1 -n 60 -fault-frac 0.5 -v >fuzz-smoke-1.stdout
+	"$bin/dvmc-fuzz" run -seed 23 -n 80 -fault-frac 0.8 -v \
+		-kinds msg-stale-dup,msg-reorder-burst,ctrl-state-corrupt,lt-skew,nested-recovery >fuzz-smoke-23.stdout
+	(cd "$src" && "$bin/dvmc-fuzz" replay internal/fuzz/testdata/corpus) >fuzz-replay.stdout
+	for s in 1 2 3 4 5 6 7 8; do
+		"$bin/dvmc-sim" -workload oltp -protocol directory -model TSO -seed $s -txns 4500 >"soak-$s.stdout"
+	done
+}
+
+(artifacts "$tmp/base/bin" "$tmp/base/src" "$tmp/base/out") &
+base_pid=$!
+(artifacts "$tmp/head/bin" "$root" "$tmp/head/out") &
+head_pid=$!
+status=0
+wait $base_pid || { echo "sim-identity: a command failed on the base side" >&2; status=1; }
+wait $head_pid || { echo "sim-identity: a command failed on the head side" >&2; status=1; }
+[ $status -eq 0 ] || tail -n 5 "$tmp"/*/out.log >&2
+[ $status -eq 0 ] || exit $status
+
+n=0
+for f in "$tmp/base/out"/*; do
+	name=$(basename "$f")
+	n=$((n + 1))
+	if cmp -s "$f" "$tmp/head/out/$name"; then
+		continue
+	fi
+	# dvmc-sim printed its per-class bandwidth lines in map order before
+	# the class-order fix; against such a base only the line order differs.
+	case $name in
+	*.stdout)
+		if cmp -s <(sort "$f") <(sort "$tmp/head/out/$name"); then
+			echo "sim-identity: note: $name differs only in line order"
+			continue
+		fi
+		;;
+	esac
+	echo "sim-identity: FIRST DIFFERING ARTIFACT: $name" >&2
+	cmp "$f" "$tmp/head/out/$name" >&2 || true
+	exit 1
+done
+echo "sim-identity: $n artifacts identical between $(git -C "$root" rev-parse --short "$base") and the checkout"
