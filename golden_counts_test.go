@@ -17,7 +17,7 @@ import (
 	"dvmc/internal/proc"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_counts.json from this build")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/golden_*.json of the tests that run from this build")
 
 // goldenCounts is every simulated count of one run that an execution
 // trace does not carry: stall counters, link observation time, checker
@@ -142,25 +142,10 @@ func TestGoldenCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 22 runs of up to 110k cycles")
 	}
-	path := filepath.Join("testdata", "golden_counts.json")
 	got := goldenRuns(t)
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want []goldenCounts
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
+	if goldenFile(t, "golden_counts.json", got, &want) {
+		return
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d runs, golden file has %d", len(got), len(want))
@@ -180,6 +165,31 @@ func TestGoldenCounts(t *testing.T) {
 	if rec := got[len(got)-2]; rec.Results.Recoveries != 2 {
 		t.Errorf("recovery run: %d recoveries, want 2", rec.Results.Recoveries)
 	}
+}
+
+// goldenFile rewrites testdata/<name> from got under -update-golden and
+// reports true; otherwise it decodes the file into want.
+func goldenFile(t *testing.T, name string, got, want any) (updated bool) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, want); err != nil {
+		t.Fatal(err)
+	}
+	return false
 }
 
 // firstJSONDiff renders both values and returns the first differing line

@@ -1,6 +1,7 @@
 package dvmc
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -159,14 +160,78 @@ func TestCampaign(t *testing.T) {
 	}
 }
 
+// TestFaultKindStrings pins the fault-kind vocabulary — the corpus,
+// case-JSON and -kinds names, in kind order — and checks that the
+// faultKinds table is complete: what the exhaustive lint guaranteed arm
+// by arm while the kinds lived in switches.
 func TestFaultKindStrings(t *testing.T) {
-	seen := map[string]bool{}
-	for _, k := range AllFaultKinds() {
-		s := k.String()
-		if s == "" || seen[s] {
-			t.Errorf("fault kind %d bad string %q", k, s)
+	want := []string{
+		"msg-drop", "msg-duplicate", "msg-misroute", "msg-reorder", "msg-data-flip",
+		"msg-stale-dup", "msg-reorder-burst", "cache-data-flip", "memory-data-flip",
+		"wb-reorder", "wb-drop", "wb-corrupt", "lsq-value-flip", "lsq-bad-forward",
+		"ctrl-permission-drop", "ctrl-silent-write", "ctrl-state-corrupt", "lt-skew",
+		"nested-recovery",
+	}
+	kinds := AllFaultKinds()
+	if len(kinds) != len(want) || int(numFaultKinds)-1 != len(kinds) {
+		t.Fatalf("%d kinds, numFaultKinds-1 = %d, want %d", len(kinds), numFaultKinds-1, len(want))
+	}
+	for i, k := range kinds {
+		if k.String() != want[i] {
+			t.Errorf("kind %d is %q, want %q", k, k, want[i])
 		}
-		seen[s] = true
+		if got, err := ParseFaultKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseFaultKind(%q) = %v, %v", k, got, err)
+		}
+		row := faultKinds[k]
+		if row.name == "" || row.arm == nil {
+			t.Errorf("kind %d: row without a name or an arm", k)
+		}
+		if row.undetected != escape && row.undetected != maskedIfDormant && row.undetected != masked {
+			t.Errorf("%v: row states no undetected policy", k)
+		}
+		if row.undetected == maskedIfDormant && row.fired == nil {
+			t.Errorf("%v: maskedIfDormant without a fired probe", k)
+		}
+	}
+	if _, err := ParseFaultKind("no-such-kind"); err == nil {
+		t.Error("ParseFaultKind accepted an unknown name")
+	}
+	// Every fuzzed case parses its kind's name a few times.
+	if n := testing.AllocsPerRun(10, func() { ParseFaultKind("nested-recovery") }); n != 0 {
+		t.Errorf("ParseFaultKind allocates %v objects per successful call", n)
+	}
+}
+
+// TestFaultKindStringOutOfRange: a span dump can carry any kind byte
+// (dvmc-stat timeline prints it), so String must not index the table
+// with one.
+func TestFaultKindStringOutOfRange(t *testing.T) {
+	for _, k := range []FaultKind{0, numFaultKinds, 200, 255} {
+		if got, want := k.String(), fmt.Sprintf("FaultKind(%d)", uint8(k)); got != want {
+			t.Errorf("FaultKind(%d).String() = %q, want %q", uint8(k), got, want)
+		}
+	}
+}
+
+// TestRunInjectionRejectsBadInput: a negative node or a kind outside the
+// table (both reachable from a case file) is an error, not a panic
+// inside the run.
+func TestRunInjectionRejectsBadInput(t *testing.T) {
+	for _, inj := range []Injection{
+		{Kind: FaultCtrlStateCorrupt, Node: -1, Cycle: 100},
+		{Kind: 0, Node: 0, Cycle: 100},
+		{Kind: numFaultKinds, Node: 0, Cycle: 100},
+		{Kind: 200, Node: 0, Cycle: 100},
+	} {
+		if _, s, err := RunInjectionSystem(injCfg(), OLTP(), inj, 1000); err == nil || s != nil {
+			t.Errorf("%+v: err = %v, system = %v; want an error and no system", inj, err, s != nil)
+		}
+	}
+	// Nodes past the last one keep their modulo meaning.
+	res, err := RunInjection(injCfg(), OLTP(), Injection{Kind: FaultLSQValue, Node: 4 + 1, Cycle: 100}, 1000)
+	if err != nil || !res.Applied {
+		t.Errorf("node 5 of 4: applied = %v, err = %v", res.Applied, err)
 	}
 }
 

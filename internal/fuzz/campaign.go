@@ -71,9 +71,8 @@ func (cc CampaignConfig) Validate() error {
 		return fmt.Errorf("fuzz: FaultFrac = %v, need 0..1", cc.FaultFrac)
 	}
 	for _, k := range cc.Kinds {
-		if _, ok := faultKindsByName[k]; !ok {
-			return fmt.Errorf("fuzz: unknown fault kind %q in Kinds (known: %s)",
-				k, strings.Join(FaultKindNames(), ", "))
+		if _, err := dvmc.ParseFaultKind(k); err != nil {
+			return fmt.Errorf("fuzz: Kinds: %w", err)
 		}
 	}
 	return nil
@@ -226,25 +225,17 @@ func deriveCase(seed uint64, index int, faultFrac float64, budget uint64, kinds 
 	return c
 }
 
-// deriveFaultExtras draws the per-kind fault parameters, after every
-// base draw so existing kinds keep their streams. Nested-recovery is
-// only meaningful with SafetyNet on (System.Recover without a manager
-// reports not-applied), so the case gains checkpointing too.
+// deriveFaultExtras draws the chosen kind's fault parameters from the
+// ranges its dvmc.FaultKind declares, after every base draw so existing
+// kinds keep their streams, and turns SafetyNet on for a kind that is
+// only meaningful with it.
 func deriveFaultExtras(rng *sim.Rand, c *Case) {
-	switch c.Fault.Kind {
-	case dvmc.FaultMsgStaleDup.String():
-		c.Fault.Window = 200 + rng.Uint64n(2000)
-	case dvmc.FaultMsgReorderBurst.String():
-		c.Fault.Window = 100 + rng.Uint64n(600)
-		c.Fault.Magnitude = 2 + rng.Uint64n(6)
-	case dvmc.FaultTimeSkew.String():
-		// Bias toward the Time16 half-range, where skew attacks the
-		// wraparound scrubber's ordering premise hardest.
-		c.Fault.Magnitude = 1 + rng.Uint64n(1<<16)
-	case dvmc.FaultNestedRecovery.String():
-		c.Fault.Window = 100 + rng.Uint64n(4000)
-		c.SafetyNet = true
-	}
+	// An unknown name (a Kinds pool nobody validated) parses to kind 0,
+	// which draws nothing; the case then fails Validate when it runs.
+	k, _ := dvmc.ParseFaultKind(c.Fault.Kind)
+	window, magnitude := k.DrawParams(rng)
+	c.Fault.Window, c.Fault.Magnitude = uint64(window), magnitude
+	c.SafetyNet = c.SafetyNet || k.NeedsSafetyNet()
 }
 
 // runOne executes run index i of the campaign: derive the case, run it

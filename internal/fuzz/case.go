@@ -69,15 +69,6 @@ type FaultSpec struct {
 	Magnitude uint64 `json:"magnitude,omitempty"`
 }
 
-// faultKindsByName maps the String() names back to kinds.
-var faultKindsByName = func() map[string]dvmc.FaultKind {
-	m := make(map[string]dvmc.FaultKind)
-	for _, k := range dvmc.AllFaultKinds() {
-		m[k.String()] = k
-	}
-	return m
-}()
-
 // FaultKindNames lists every injectable fault kind by name, in kind
 // order.
 func FaultKindNames() []string {
@@ -90,10 +81,12 @@ func FaultKindNames() []string {
 
 // Injection converts the spec to the simulator's form.
 func (f FaultSpec) Injection() (dvmc.Injection, error) {
-	k, ok := faultKindsByName[f.Kind]
-	if !ok {
-		return dvmc.Injection{}, fmt.Errorf("fuzz: unknown fault kind %q (known: %s)",
-			f.Kind, strings.Join(FaultKindNames(), ", "))
+	k, err := dvmc.ParseFaultKind(f.Kind)
+	if err != nil {
+		return dvmc.Injection{}, err
+	}
+	if f.Node < 0 {
+		return dvmc.Injection{}, fmt.Errorf("fuzz: fault.node = %d, need >= 0", f.Node)
 	}
 	return dvmc.Injection{
 		Kind:      k,

@@ -300,8 +300,6 @@ func mutateFault(rng *sim.Rand, c *Case, kinds []string) {
 	switch rng.Intn(5) {
 	case 0:
 		c.Fault.Kind = names[rng.Intn(len(names))]
-		c.Fault.Window = 0
-		c.Fault.Magnitude = 0
 		deriveFaultExtras(rng, c)
 	case 1:
 		c.Fault.Node = rng.Intn(c.Program.NumThreads())
@@ -319,7 +317,7 @@ func mutateFault(rng *sim.Rand, c *Case, kinds []string) {
 	case 4:
 		c.Fault.Magnitude = rng.Uint64n(1 << 16)
 	}
-	if c.Fault.Kind == dvmc.FaultNestedRecovery.String() {
+	if k, _ := dvmc.ParseFaultKind(c.Fault.Kind); k.NeedsSafetyNet() {
 		c.SafetyNet = true
 	}
 }

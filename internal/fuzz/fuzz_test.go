@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"dvmc/internal/mem"
 	"dvmc/internal/telemetry"
 )
 
@@ -151,6 +152,29 @@ func TestDecodeCaseRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNegativeFaultNode: a case file with a negative
+// fault.node used to pass DecodeCase and die in an index-out-of-range
+// panic classified as a crash.
+func TestValidateRejectsNegativeFaultNode(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "corpus", "detect-ctrl-state-corrupt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DecodeCase(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Fault.Node = -1
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "fault.node") {
+		t.Fatalf("Validate with fault.node = -1: %v, want an error naming fault.node", err)
+	}
+	// Nodes past the last thread keep their modulo meaning.
+	c.Fault.Node = c.Nodes() + 1
+	if err := c.Validate(); err != nil {
+		t.Fatalf("Validate with fault.node past the node count: %v", err)
+	}
+}
+
 func TestOpValidate(t *testing.T) {
 	bad := []Op{
 		{Kind: "jump"},
@@ -232,18 +256,20 @@ func TestRunCaseHang(t *testing.T) {
 }
 
 func TestRunCaseCrashRecovered(t *testing.T) {
-	// A fault pinned to a negative node panics inside the injector
-	// (Go's % keeps the sign, so the controller index goes negative);
-	// RunCase must recover it into a crash classification — the campaign
-	// driver relies on this to survive hostile cases.
+	// A panic inside the simulator — here an RMW transform, registered
+	// for this test only, that blows up when the pipeline executes it —
+	// must be recovered into a crash classification: the campaign driver
+	// relies on this to survive hostile cases.
+	rmwTransforms["boom"] = func(mem.Word) mem.Word { panic("boom") }
+	defer delete(rmwTransforms, "boom")
 	c := cleanCase(8)
-	c.Fault = &FaultSpec{Kind: "ctrl-silent-write", Node: -1, Cycle: 100}
+	c.Program.Threads[0] = append(c.Program.Threads[0], Op{Kind: KindRMW, Addr: 64, RMW: "boom"})
 	res, trace, err := RunCase(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Class != ClassCrash {
-		t.Fatalf("out-of-range fault node classified %s", res.Class)
+		t.Fatalf("panicking run classified %s", res.Class)
 	}
 	if res.Panic == "" {
 		t.Fatal("crash result lost the panic message")

@@ -57,16 +57,6 @@ func RunCaseStreamed(c *Case, instrument bool) (RunResult, *telemetry.Snapshot, 
 	return res, snap, err
 }
 
-// RunCaseInstrumented is RunCase with telemetry sampling enabled: the
-// classification and trace are identical (telemetry observes the
-// simulation without perturbing it), and the additional snapshot
-// captures the run's metrics as of its final cycle. The snapshot is nil
-// for crash runs — a recovered panic leaves no coherent registry to
-// read.
-func RunCaseInstrumented(c *Case) (RunResult, []byte, *telemetry.Snapshot, error) {
-	return runCase(c, true, true)
-}
-
 func runCase(c *Case, instrument, record bool) (res RunResult, traceBytes []byte, snap *telemetry.Snapshot, err error) {
 	var chk *stream.Checker
 	defer func() {

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"fmt"
 	"math"
 
 	"dvmc/internal/sim"
@@ -163,21 +162,6 @@ func (b *BroadcastTree) ClassBytes(c Class) uint64 { return b.stat.ClassBytes(c)
 // TotalBytes returns the total bytes carried on the broadcast root
 // link, without allocating.
 func (b *BroadcastTree) TotalBytes() uint64 { return b.stat.Bytes }
-
-// DebugQueue reports pending broadcast state.
-func (b *BroadcastTree) DebugQueue() string {
-	return fmt.Sprintf("queued=%d inFlight=%v delayed=%d", len(b.queue), b.inFlight != nil, len(b.delayed))
-}
-
-// DebugQueue2 dumps arbitration state.
-func (b *BroadcastTree) DebugQueue2() string {
-	msg := "nil"
-	if b.inFlight != nil {
-		msg = fmt.Sprintf("%T src=%d payload=%+v", b.inFlight.Payload, b.inFlight.Src, b.inFlight.Payload)
-	}
-	return fmt.Sprintf("seq=%d busyUntil=%d deliverAt=%d lastTick=%d inFlight=%s queued=%d",
-		b.seq, b.busyUntil, b.deliverAt, b.lastTick, msg, len(b.queue))
-}
 
 // Reset drops queued and in-flight broadcasts (SafetyNet recovery). The
 // sequence counter keeps advancing: logical time is monotonic across

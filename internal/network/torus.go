@@ -495,30 +495,6 @@ func (t *Torus) deliver(m *Message) {
 	h(m)
 }
 
-// DebugQueues reports links with queued or in-flight messages.
-func (t *Torus) DebugQueues() string {
-	out := ""
-	for _, l := range t.links {
-		if l.head != nil || len(l.queue) > 0 {
-			out += fmt.Sprintf("link %s: head=%v queue=%d", l.name, l.head != nil, len(l.queue))
-			for _, q := range l.queue {
-				out += fmt.Sprintf(" [%v %T src=%d dst=%d queuedAt=%d]", q.msg.Class, q.msg.Payload, q.msg.Src, q.msg.Dst, q.queuedAt)
-			}
-			out += "\n"
-		}
-	}
-	if len(t.local) > 0 {
-		out += fmt.Sprintf("local pending=%d\n", len(t.local))
-	}
-	if len(t.delayed) > 0 {
-		out += fmt.Sprintf("delayed=%d\n", len(t.delayed))
-	}
-	if len(t.held) > 0 {
-		out += fmt.Sprintf("held=%d\n", len(t.held))
-	}
-	return out
-}
-
 // LinkStats implements Network.
 func (t *Torus) LinkStats() []LinkStat {
 	out := make([]LinkStat, 0, len(t.links))

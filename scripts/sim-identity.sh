@@ -11,6 +11,10 @@
 #   - dvmc-sim -txns 300 with -spans-out and -metrics-out, both protocols
 #     (span dump, telemetry snapshot, stdout)
 #   - stdout of CI's two fuzz-smoke campaigns
+#   - per fault kind (all 19): dvmc-fuzz run -seed 7 -n 40 -fault-frac 1
+#     -kinds <kind> -v, stdout and exit code
+#   - dvmc-errors -n 40 -each on directory/TSO and snooping/RMO, stdout
+#     and exit code
 #   - dvmc-fuzz replay of the committed corpus (re-records all 13 .trc)
 #   - the directory soak, seeds 1..8, which must also exit 0
 #
@@ -38,8 +42,25 @@ mkdir -p "$tmp/base/src" "$tmp/base/bin" "$tmp/base/out" "$tmp/head/bin" "$tmp/h
 git -C "$root" archive "$base" | tar -x -C "$tmp/base/src"
 
 echo "sim-identity: building $(git -C "$root" rev-parse --short "$base") and the checkout"
-(cd "$tmp/base/src" && go build -o "$tmp/base/bin/" ./cmd/dvmc-trace ./cmd/dvmc-sim ./cmd/dvmc-fuzz)
-(cd "$root" && go build -o "$tmp/head/bin/" ./cmd/dvmc-trace ./cmd/dvmc-sim ./cmd/dvmc-fuzz)
+(cd "$tmp/base/src" && go build -o "$tmp/base/bin/" ./cmd/dvmc-trace ./cmd/dvmc-sim ./cmd/dvmc-fuzz ./cmd/dvmc-errors)
+(cd "$root" && go build -o "$tmp/head/bin/" ./cmd/dvmc-trace ./cmd/dvmc-sim ./cmd/dvmc-fuzz ./cmd/dvmc-errors)
+
+# The fault-kind vocabulary, in kind order (TestFaultKindStrings pins it).
+kinds="msg-drop msg-duplicate msg-misroute msg-reorder msg-data-flip msg-stale-dup
+	msg-reorder-burst cache-data-flip memory-data-flip wb-reorder wb-drop wb-corrupt
+	lsq-value-flip lsq-bad-forward ctrl-permission-drop ctrl-silent-write
+	ctrl-state-corrupt lt-skew nested-recovery"
+
+# verdict OUTFILE CMD...: run a command that exits 0 (clean) or 2 (a
+# failure found, an undetected fault) and append the exit code to its
+# stdout, so the code is compared too instead of aborting the script.
+verdict() {
+	local outfile=$1 code=0
+	shift
+	"$@" >"$outfile" || code=$?
+	echo "exit $code" >>"$outfile"
+	[ $code -eq 0 ] || [ $code -eq 2 ]
+}
 
 # artifacts BIN SRC OUT: run the matrix with BIN's binaries, writing into
 # OUT. File arguments are relative so stdout that names them compares
@@ -62,6 +83,11 @@ artifacts() {
 	"$bin/dvmc-fuzz" run -seed 1 -n 60 -fault-frac 0.5 -v >fuzz-smoke-1.stdout
 	"$bin/dvmc-fuzz" run -seed 23 -n 80 -fault-frac 0.8 -v \
 		-kinds msg-stale-dup,msg-reorder-burst,ctrl-state-corrupt,lt-skew,nested-recovery >fuzz-smoke-23.stdout
+	for k in $kinds; do
+		verdict "fuzz-kind-$k.stdout" "$bin/dvmc-fuzz" run -seed 7 -n 40 -fault-frac 1 -kinds $k -v
+	done
+	verdict errors-directory-TSO.stdout "$bin/dvmc-errors" -n 40 -each
+	verdict errors-snooping-RMO.stdout "$bin/dvmc-errors" -n 40 -each -protocol snooping -model RMO
 	(cd "$src" && "$bin/dvmc-fuzz" replay internal/fuzz/testdata/corpus) >fuzz-replay.stdout
 	for s in 1 2 3 4 5 6 7 8; do
 		"$bin/dvmc-sim" -workload oltp -protocol directory -model TSO -seed $s -txns 4500 >"soak-$s.stdout"

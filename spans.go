@@ -227,9 +227,6 @@ func (s *System) buildSpans(cfg Config) {
 	s.kernel.Register(&phaseSampler{s: s, every: cfg.Spans.WithDefaults().PhaseEvery})
 }
 
-// SpanRecording reports whether this system records causal spans.
-func (s *System) SpanRecording() bool { return s.spanRec != nil }
-
 // SpanStats returns recorder accounting (zero value when spans are
 // off).
 func (s *System) SpanStats() span.Stats {

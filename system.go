@@ -94,12 +94,14 @@ type System struct {
 	// enabled (see spans.go).
 	spanRec *span.Recorder
 
-	violations  core.CollectorSink
-	onViolation func(Violation)
-	stop        bool
+	violations core.CollectorSink
+	stop       bool
 
 	// msgFaultActivated records when an armed message fault fired.
 	msgFaultActivated sim.Cycle
+	// recoverAgainAt, set by the nested-recovery fault, is when its
+	// injection run issues the second rollback.
+	recoverAgainAt sim.Cycle
 }
 
 // snoopClock adapts the broadcast sequence number as the snooping
@@ -342,17 +344,11 @@ func (s *System) sink() core.Sink {
 		if s.spanRec != nil {
 			s.spanRec.FaultEvent(span.LabelViolation, v.Cycle, uint64(v.Kind), uint64(v.Block))
 		}
-		if s.onViolation != nil {
-			s.onViolation(v)
-		}
 		if s.cfg.StopOnViolation {
 			s.stop = true
 		}
 	})
 }
-
-// OnViolation installs a callback fired for every detected violation.
-func (s *System) OnViolation(fn func(Violation)) { s.onViolation = fn }
 
 // Now returns the current cycle.
 func (s *System) Now() sim.Cycle { return s.kernel.Now() }
