@@ -14,7 +14,7 @@ import (
 // access path, listener and statistics plumbing, and every
 // fault-injection hook. What differs between the two evaluated systems
 // (Table 6) is only how requests are ordered, so the embedding
-// controller supplies just that: its message/snoop handlers, the two
+// controller supplies just that: its message/snoop handlers, the three
 // protocol methods below, and the epoch time base. A new listener or
 // fault hook is added here, once.
 type ctrlCore struct {
@@ -40,6 +40,14 @@ type ctrlCore struct {
 	mshrs map[mem.BlockAddr]*mshr
 	wb    map[mem.BlockAddr]*wbEntry
 
+	// Records that live and die inside this controller are recycled
+	// (DESIGN.md, "Object lifetimes"): a processor request on its way
+	// through the lookup stages, a delivered message in the input latch,
+	// and MSHRs.
+	accesses sim.FreeList[access]
+	inbounds sim.FreeList[inbound]
+	mshrFree sim.FreeList[mshr]
+
 	epochL  EpochListener
 	accessL AccessListener
 	txnL    TxnListener
@@ -57,8 +65,9 @@ type ctrlCore struct {
 	stateFaultFiredAt sim.Cycle
 }
 
-// protocol is what the core needs from the controller embedding it. Both
-// methods are reached from the miss path only; hits never leave the core.
+// protocol is what the core needs from the controller embedding it. All
+// of it is reached from the miss path or on a delivered message; hits
+// never leave the core.
 type protocol interface {
 	// sendRequest puts the MSHR's GetS/GetM on the protocol's request
 	// network.
@@ -67,6 +76,8 @@ type protocol interface {
 	// in the protocol's time base and starts the writeback its state
 	// calls for.
 	evict(l *line)
+	// deliver handles a message that has passed the input latch.
+	deliver(m *network.Message)
 }
 
 type waiterKind uint8
@@ -189,109 +200,204 @@ func (c *ctrlCore) mayHit(b mem.BlockAddr) bool {
 	return c.hitUnderMiss || c.mshrs[b] == nil
 }
 
+// access is one processor request on its way through the lookup stages.
+// The event queue holds it (through step) until a stage completes it or
+// hands its waiter to an MSHR; either way it is released first, so at no
+// time do both the queue and an MSHR know it.
+type access struct {
+	core *ctrlCore
+	step func() // run, bound once when the record is first made
+	w    waiter // kind 0: an exclusive prefetch
+	// class is the traffic class a miss is issued under.
+	class network.Class
+	// atL2 says the L1 stage missed and this is the L2 lookup.
+	atL2 bool
+}
+
+// launch starts a request: its first lookup stage runs after delay.
+func (c *ctrlCore) launch(w waiter, class network.Class, delay sim.Cycle) {
+	a := c.accesses.Get()
+	if a.step == nil {
+		a.core = c
+		a.step = a.run
+	}
+	a.w, a.class = w, class
+	c.events.After(c.now, delay, a.step)
+}
+
+// finish releases a, handing back what its last stage still needs.
+func (a *access) finish() (w waiter, class network.Class) {
+	w, class = a.w, a.class
+	*a = access{core: a.core, step: a.step}
+	a.core.accesses.Put(a)
+	return w, class
+}
+
+// run is one lookup stage of the request.
+//
+//dvmc:hotpath
+func (a *access) run() {
+	c := a.core
+	b := a.w.addr.Block()
+	switch a.w.kind {
+	case waitLoad:
+		c.loadStage(a, b)
+	case waitStore:
+		c.storeStage(a, b)
+	case waitRMW:
+		c.rmwStage(a, b)
+	default:
+		c.prefetchStage(a, b)
+	}
+}
+
 // Load implements Controller.
 func (c *ctrlCore) Load(addr mem.Addr, class network.Class, done func(mem.Word, bool)) {
-	b := addr.Block()
-	replay := class == network.ClassReplay
-	if replay {
+	if class == network.ClassReplay {
 		c.stats.ReplayLoads++
 	} else {
 		c.stats.Loads++
 	}
-	c.events.After(c.now, c.cfg.L1Latency, func() {
-		l := c.l2.lookup(b)
-		readable := l != nil && l.state.CanRead() && l.dataValid && c.mayHit(b)
+	c.launch(waiter{kind: waitLoad, addr: addr, loadDone: done}, class, c.cfg.L1Latency)
+}
+
+//dvmc:hotpath
+func (c *ctrlCore) loadStage(a *access, b mem.BlockAddr) {
+	l := c.l2.lookup(b)
+	readable := l != nil && l.state.CanRead() && l.dataValid && c.mayHit(b)
+	if !a.atL2 {
 		if c.l1.present(b) && readable {
 			c.stats.L1Hits++
-			val := c.l2.readWord(l, addr)
+			val := c.l2.readWord(l, a.w.addr)
 			c.access(b, false)
-			done(val, true)
+			w, _ := a.finish()
+			w.loadDone(val, true)
 			return
 		}
 		c.stats.L1Misses++
-		if replay {
+		if a.class == network.ClassReplay {
 			c.stats.ReplayL1Misses++
 		}
-		c.events.After(c.now, c.cfg.L2Latency, func() {
-			l := c.l2.lookup(b)
-			if l != nil && l.state.CanRead() && l.dataValid && c.mayHit(b) {
-				c.stats.L2Hits++
-				c.l1.insert(b)
-				val := c.l2.readWord(l, addr)
-				c.access(b, false)
-				done(val, false)
-				return
-			}
-			c.stats.L2Misses++
-			c.join(b, false, class, waiter{kind: waitLoad, addr: addr, loadDone: done})
-		})
-	})
+		a.atL2 = true
+		c.events.After(c.now, c.cfg.L2Latency, a.step)
+		return
+	}
+	if readable {
+		c.stats.L2Hits++
+		c.l1.insert(b)
+		val := c.l2.readWord(l, a.w.addr)
+		c.access(b, false)
+		w, _ := a.finish()
+		w.loadDone(val, false)
+		return
+	}
+	c.stats.L2Misses++
+	w, class := a.finish()
+	//dvmc:alloc-ok a miss allocates its messages; the hit stages above are the steady state
+	c.join(b, false, class, w)
 }
 
 // Store implements Controller.
 func (c *ctrlCore) Store(addr mem.Addr, val mem.Word, done func()) {
-	b := addr.Block()
 	c.stats.Stores++
-	c.events.After(c.now, c.cfg.L1Latency, func() {
-		// Fast path: a store to a writable block with a hot L1 tag
-		// completes at L1 latency (the exclusive prefetch at execute
-		// usually makes this the common case, which is what lets the
-		// TSO write buffer drain at pipeline speed).
-		if l := c.l2.lookup(b); l != nil && l.state.CanWrite() && l.dataValid && c.mayHit(b) && c.l1.present(b) {
-			c.performStore(l, addr, val)
-			done()
-			return
-		}
-		c.events.After(c.now, c.cfg.L2Latency, func() {
-			l := c.l2.lookup(b)
-			if l != nil && l.state.CanWrite() && l.dataValid && c.mayHit(b) {
-				c.performStore(l, addr, val)
-				done()
-				return
-			}
-			c.stats.L2Misses++
-			c.join(b, true, network.ClassCoherence, waiter{kind: waitStore, addr: addr, val: val, perfDone: done})
-		})
-	})
+	c.launch(waiter{kind: waitStore, addr: addr, val: val, perfDone: done}, network.ClassCoherence, c.cfg.L1Latency)
+}
+
+//dvmc:hotpath
+func (c *ctrlCore) storeStage(a *access, b mem.BlockAddr) {
+	l := c.l2.lookup(b)
+	writable := l != nil && l.state.CanWrite() && l.dataValid && c.mayHit(b)
+	// Fast path: a store to a writable block with a hot L1 tag completes
+	// at L1 latency (the exclusive prefetch at execute usually makes this
+	// the common case, which is what lets the TSO write buffer drain at
+	// pipeline speed).
+	if writable && (a.atL2 || c.l1.present(b)) {
+		w, _ := a.finish()
+		c.performStore(l, w.addr, w.val)
+		w.perfDone()
+		return
+	}
+	if !a.atL2 {
+		a.atL2 = true
+		c.events.After(c.now, c.cfg.L2Latency, a.step)
+		return
+	}
+	c.stats.L2Misses++
+	w, class := a.finish()
+	//dvmc:alloc-ok a miss allocates its messages; the hit stages above are the steady state
+	c.join(b, true, class, w)
 }
 
 // RMW implements Controller.
 func (c *ctrlCore) RMW(addr mem.Addr, f func(mem.Word) mem.Word, done func(mem.Word)) {
-	b := addr.Block()
 	c.stats.Loads++
 	c.stats.Stores++
-	c.events.After(c.now, c.cfg.L1Latency+c.cfg.L2Latency, func() {
-		l := c.l2.lookup(b)
-		if l != nil && l.state.CanWrite() && l.dataValid && c.mayHit(b) {
-			old := c.l2.readWord(l, addr)
-			c.performStore(l, addr, f(old))
-			done(old)
-			return
-		}
-		c.stats.L2Misses++
-		c.join(b, true, network.ClassCoherence, waiter{kind: waitRMW, addr: addr, rmwFn: f, rmwDone: done})
-	})
+	c.launch(waiter{kind: waitRMW, addr: addr, rmwFn: f, rmwDone: done}, network.ClassCoherence,
+		c.cfg.L1Latency+c.cfg.L2Latency)
+}
+
+func (c *ctrlCore) rmwStage(a *access, b mem.BlockAddr) {
+	w, class := a.finish()
+	l := c.l2.lookup(b)
+	if l != nil && l.state.CanWrite() && l.dataValid && c.mayHit(b) {
+		old := c.l2.readWord(l, w.addr)
+		c.performStore(l, w.addr, w.rmwFn(old))
+		w.rmwDone(old)
+		return
+	}
+	c.stats.L2Misses++
+	c.join(b, true, class, w)
 }
 
 // PrefetchExclusive implements Controller.
 func (c *ctrlCore) PrefetchExclusive(addr mem.Addr) {
-	b := addr.Block()
-	c.events.After(c.now, c.cfg.L1Latency, func() {
-		l := c.l2.lookup(b)
-		if l != nil && l.state.CanWrite() && c.mayHit(b) {
-			return
+	c.launch(waiter{addr: addr}, network.ClassCoherence, c.cfg.L1Latency)
+}
+
+func (c *ctrlCore) prefetchStage(a *access, b mem.BlockAddr) {
+	w, class := a.finish()
+	l := c.l2.lookup(b)
+	if l != nil && l.state.CanWrite() && c.mayHit(b) {
+		return
+	}
+	if ms, busy := c.mshrs[b]; busy {
+		if !ms.issued {
+			ms.wantM = true
 		}
-		if ms, busy := c.mshrs[b]; busy {
-			if !ms.issued {
-				ms.wantM = true
-			}
-			return
-		}
-		if len(c.mshrs) >= c.cfg.MSHRs {
-			return // drop the hint; prefetches are best-effort
-		}
-		c.join(b, true, network.ClassCoherence, waiter{})
-	})
+		return
+	}
+	if len(c.mshrs) >= c.cfg.MSHRs {
+		return // drop the hint; prefetches are best-effort
+	}
+	c.join(b, true, class, w)
+}
+
+// inbound is a delivered message in the controller's one-cycle input
+// latch.
+type inbound struct {
+	core *ctrlCore
+	step func() // run, bound once
+	m    *network.Message
+}
+
+// receive latches a delivered message; the protocol sees it next cycle.
+func (c *ctrlCore) receive(m *network.Message) {
+	r := c.inbounds.Get()
+	if r.step == nil {
+		r.core = c
+		r.step = r.run
+	}
+	r.m = m
+	c.events.After(c.now, 1, r.step)
+}
+
+//dvmc:hotpath
+func (r *inbound) run() {
+	c, m := r.core, r.m
+	*r = inbound{core: c, step: r.step}
+	c.inbounds.Put(r)
+	//dvmc:alloc-ok protocol handlers send messages; the latch itself is what must stay free
+	c.proto.deliver(m)
 }
 
 // PeekWord implements Controller.
@@ -326,7 +432,8 @@ func (c *ctrlCore) join(b mem.BlockAddr, needM bool, class network.Class, w wait
 			c.events.After(c.now, 4, func() { c.join(b, needM, class, w) })
 			return
 		}
-		ms = &mshr{block: b, wantM: needM, class: class}
+		ms = c.mshrFree.Get()
+		ms.block, ms.wantM, ms.class = b, needM, class
 		c.mshrs[b] = ms
 		if _, wbPending := c.wb[b]; wbPending {
 			ms.pending = true
@@ -433,6 +540,10 @@ func (c *ctrlCore) retire(ms *mshr, remaining []waiter) (upgrade bool) {
 	}
 	if !upgrade {
 		delete(c.mshrs, ms.block)
+		// Nothing else points to a retired MSHR: its waiters were served
+		// and a snooping install retry ends before the line exists.
+		*ms = mshr{waiters: ms.waiters[:0], transitions: ms.transitions[:0]}
+		c.mshrFree.Put(ms)
 		return false
 	}
 	ms.waiters = remaining

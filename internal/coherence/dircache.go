@@ -64,26 +64,27 @@ func (c *DirCache) sendRequest(ms *mshr) {
 	c.net.Send(&network.Message{Src: c.node, Dst: c.cfg.HomeOf(ms.block), Size: CtrlBytes, Class: ms.class, Payload: payload})
 }
 
-// Handle dispatches a delivered network message to the controller.
-func (c *DirCache) Handle(m *network.Message) {
-	c.events.After(c.now, 1, func() {
-		switch p := m.Payload.(type) {
-		case MsgData:
-			c.onData(p)
-		case MsgPermM:
-			c.onPermM(p)
-		case MsgInv:
-			c.onInv(p)
-		case MsgRecall:
-			c.onRecall(p)
-		case MsgWBAck:
-			c.wbDone(p.Block)
-		default:
-			if c.strict {
-				panic(fmt.Sprintf("DirCache %d: unexpected payload %T", c.node, m.Payload))
-			}
+// Handle takes a delivered network message into the controller.
+func (c *DirCache) Handle(m *network.Message) { c.receive(m) }
+
+// deliver implements protocol: dispatch by payload.
+func (c *DirCache) deliver(m *network.Message) {
+	switch p := m.Payload.(type) {
+	case MsgData:
+		c.onData(p)
+	case MsgPermM:
+		c.onPermM(p)
+	case MsgInv:
+		c.onInv(p)
+	case MsgRecall:
+		c.onRecall(p)
+	case MsgWBAck:
+		c.wbDone(p.Block)
+	default:
+		if c.strict {
+			panic(fmt.Sprintf("DirCache %d: unexpected payload %T", c.node, m.Payload))
 		}
-	})
+	}
 }
 
 // evict implements protocol: the line's epoch ends now, and the home is

@@ -29,6 +29,9 @@ type DirHome struct {
 
 	entries map[mem.BlockAddr]*dirEntry
 
+	// waits recycles the records of work waiting out a latency in events.
+	waits sim.FreeList[dirWait]
+
 	// dirLatency models the directory SRAM/DRAM lookup.
 	dirLatency sim.Cycle
 
@@ -113,9 +116,78 @@ func (h *DirHome) entry(b mem.BlockAddr) *dirEntry {
 	return e
 }
 
-// Handle dispatches a delivered network message.
+// dirWait is one piece of work waiting out a latency in the home's event
+// queue: a delivered message in the input latch, a request in the
+// directory lookup, or a transaction waiting for DRAM. The queue holds it
+// through step until it runs; it is released as it starts to.
+type dirWait struct {
+	home *DirHome
+	step func() // run, bound once when the record is first made
+	what dirWork
+	m    *network.Message // workDispatch, workStart
+	e    *dirEntry        // all but workDispatch
+	t    *homeTxn         // workGetMData: the transaction that asked
+	// block is what the DRAM waits read or write; from and data are the
+	// PutM's writer and contents.
+	block mem.BlockAddr
+	from  network.NodeID
+	data  mem.Block
+}
+
+type dirWork uint8
+
+const (
+	workDispatch dirWork = iota + 1 // input latch → dispatch
+	workStart                       // directory lookup → start
+	workGetSData                    // DRAM read for a GetS
+	workGetMData                    // DRAM read for a GetM
+	workPutM                        // DRAM write of a PutM
+)
+
+// after schedules w, filled in by the caller, delay cycles from now.
+func (h *DirHome) after(delay sim.Cycle, w *dirWait) {
+	if w.step == nil {
+		w.home = h
+		w.step = w.run
+	}
+	h.events.After(h.now, delay, w.step)
+}
+
+//dvmc:hotpath
+func (w *dirWait) run() {
+	h, what, m, e, t, b := w.home, w.what, w.m, w.e, w.t, w.block
+	from, data := w.from, w.data
+	*w = dirWait{home: h, step: w.step}
+	h.waits.Put(w)
+	//dvmc:alloc-ok the work itself sends messages; the wait record is what must stay free
+	switch what {
+	case workDispatch:
+		h.dispatch(m)
+	case workStart:
+		h.start(e, m)
+	case workGetSData:
+		e.txn.haveData = true
+		e.txn.data = h.memory.ReadBlock(b)
+		h.maybeGrant(b, e)
+	case workGetMData:
+		t.haveData = true
+		t.data = h.memory.ReadBlock(b)
+		h.maybeGrant(b, e)
+	case workPutM:
+		h.memory.WriteBlock(b, data)
+		h.net.Send(&network.Message{Src: h.node, Dst: from, Size: CtrlBytes, Class: network.ClassCoherence,
+			Payload: MsgWBAck{Block: b}})
+		e.busy = false
+		e.txn = nil
+		h.next(b, e)
+	}
+}
+
+// Handle takes a delivered network message into the input latch.
 func (h *DirHome) Handle(m *network.Message) {
-	h.events.After(h.now, 1, func() { h.dispatch(m) })
+	w := h.waits.Get()
+	w.what, w.m = workDispatch, m
+	h.after(1, w)
 }
 
 func (h *DirHome) dispatch(m *network.Message) {
@@ -159,7 +231,9 @@ func (h *DirHome) request(m *network.Message) {
 		h.stats.QueuedConflicts++
 		return
 	}
-	h.events.After(h.now, h.dirLatency, func() { h.start(e, m) })
+	w := h.waits.Get()
+	w.what, w.e, w.m = workStart, e, m
+	h.after(h.dirLatency, w)
 }
 
 func (h *DirHome) start(e *dirEntry, m *network.Message) {
@@ -195,11 +269,9 @@ func (h *DirHome) startGetS(e *dirEntry, p MsgGetS) {
 		return
 	}
 	h.stats.MemoryReads++
-	h.events.After(h.now, h.cfg.MemLatency, func() {
-		e.txn.haveData = true
-		e.txn.data = h.memory.ReadBlock(p.Block)
-		h.maybeGrant(p.Block, e)
-	})
+	w := h.waits.Get()
+	w.what, w.e, w.block = workGetSData, e, p.Block
+	h.after(h.cfg.MemLatency, w)
 }
 
 func (h *DirHome) startGetM(e *dirEntry, p MsgGetM) {
@@ -227,11 +299,9 @@ func (h *DirHome) startGetM(e *dirEntry, p MsgGetM) {
 			Payload: MsgRecall{Block: p.Block, ForGetM: true}})
 	default:
 		h.stats.MemoryReads++
-		h.events.After(h.now, h.cfg.MemLatency, func() {
-			t.haveData = true
-			t.data = h.memory.ReadBlock(p.Block)
-			h.maybeGrant(p.Block, e)
-		})
+		w := h.waits.Get()
+		w.what, w.e, w.t, w.block = workGetMData, e, t, p.Block
+		h.after(h.cfg.MemLatency, w)
 	}
 	h.maybeGrant(p.Block, e)
 }
@@ -259,14 +329,9 @@ func (h *DirHome) startPutM(e *dirEntry, p MsgPutM) {
 	h.stats.MemoryWrites++
 	e.owner = -1
 	e.busy = true // hold conflicting requests until memory is written
-	h.events.After(h.now, h.cfg.MemLatency, func() {
-		h.memory.WriteBlock(p.Block, p.Data)
-		h.net.Send(&network.Message{Src: h.node, Dst: p.Requestor, Size: CtrlBytes, Class: network.ClassCoherence,
-			Payload: MsgWBAck{Block: p.Block}})
-		e.busy = false
-		e.txn = nil
-		h.next(p.Block, e)
-	})
+	w := h.waits.Get()
+	w.what, w.e, w.block, w.from, w.data = workPutM, e, p.Block, p.Requestor, p.Data
+	h.after(h.cfg.MemLatency, w)
 }
 
 func (h *DirHome) onRecallAck(p MsgRecallAck) {

@@ -12,7 +12,8 @@ func TestDirCacheResetAndResume(t *testing.T) {
 		c.Reset()
 	}
 	for _, h := range s.homes {
-		h.Memory().Restore(h.Memory().Snapshot())
+		m := h.Memory()
+		m.Rewind(m.Mark())
 		h.Reset()
 	}
 	// The memory snapshot was taken after reset of caches, so the dirty

@@ -296,17 +296,19 @@ func (c *SnoopCache) onOwnPutM(b mem.BlockAddr) {
 	c.wbDone(b)
 }
 
-// HandleData processes a block arriving over the torus.
+// HandleData takes a block arriving over the torus into the controller.
 func (c *SnoopCache) HandleData(m *network.Message) {
-	p, ok := m.Payload.(MsgSnoopData)
-	if !ok {
+	if _, ok := m.Payload.(MsgSnoopData); !ok {
 		if c.strict {
 			panic(fmt.Sprintf("SnoopCache %d: unexpected data payload %T", c.node, m.Payload))
 		}
 		return
 	}
-	c.events.After(c.now, 1, func() { c.onSnoopData(p) })
+	c.receive(m)
 }
+
+// deliver implements protocol: only data blocks pass HandleData.
+func (c *SnoopCache) deliver(m *network.Message) { c.onSnoopData(m.Payload.(MsgSnoopData)) }
 
 func (c *SnoopCache) onSnoopData(p MsgSnoopData) {
 	ms := c.mshrs[p.Block]

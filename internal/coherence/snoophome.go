@@ -29,6 +29,9 @@ type SnoopHome struct {
 	pendingWB map[mem.BlockAddr]bool
 	deferred  map[mem.BlockAddr][]network.NodeID // supplies awaiting WB data
 
+	// waits recycles the records of work waiting out a latency in events.
+	waits sim.FreeList[snoopWait]
+
 	newBlock func(b mem.BlockAddr, data mem.Block)
 
 	stats  HomeStats
@@ -142,11 +145,64 @@ func (h *SnoopHome) supplyFromMemory(b mem.BlockAddr, req network.NodeID) {
 		return
 	}
 	h.stats.MemoryReads++
-	h.events.After(h.now, h.cfg.MemLatency, func() {
-		data := h.memory.ReadBlock(b)
-		h.data.Send(&network.Message{Src: h.node, Dst: req, Size: DataBytes, Class: network.ClassCoherence,
-			Payload: MsgSnoopData{Block: b, Data: data}})
-	})
+	w := h.waits.Get()
+	w.what, w.block, w.node = workSupply, b, req
+	h.after(h.cfg.MemLatency, w)
+}
+
+// snoopWait is one piece of work waiting out a latency in the home's
+// event queue: writeback data in the input latch, or a block on its way
+// to or from DRAM. The queue holds it through step until it runs; it is
+// released as it starts to.
+type snoopWait struct {
+	home *SnoopHome
+	step func() // run, bound once when the record is first made
+	what snoopWork
+	// block is read (workSupply, for node) or written with data (the
+	// writeback of node).
+	block mem.BlockAddr
+	node  network.NodeID
+	data  mem.Block
+}
+
+type snoopWork uint8
+
+const (
+	workSupply  snoopWork = iota + 1 // DRAM read → data to the requestor
+	workWBLatch                      // input latch → onWBData
+	workWBWrite                      // DRAM write of the writeback
+)
+
+// after schedules w, filled in by the caller, delay cycles from now.
+func (h *SnoopHome) after(delay sim.Cycle, w *snoopWait) {
+	if w.step == nil {
+		w.home = h
+		w.step = w.run
+	}
+	h.events.After(h.now, delay, w.step)
+}
+
+//dvmc:hotpath
+func (w *snoopWait) run() {
+	h, what, b, node, data := w.home, w.what, w.block, w.node, w.data
+	*w = snoopWait{home: h, step: w.step}
+	h.waits.Put(w)
+	//dvmc:alloc-ok the work itself sends messages; the wait record is what must stay free
+	switch what {
+	case workSupply:
+		h.data.Send(&network.Message{Src: h.node, Dst: node, Size: DataBytes, Class: network.ClassCoherence,
+			Payload: MsgSnoopData{Block: b, Data: h.memory.ReadBlock(b)}})
+	case workWBLatch:
+		h.onWBData(MsgSnoopWB{Block: b, Data: data, From: node})
+	case workWBWrite:
+		h.memory.WriteBlock(b, data)
+		delete(h.pendingWB, b)
+		reqs := h.deferred[b]
+		delete(h.deferred, b)
+		for _, r := range reqs {
+			h.supplyFromMemory(b, r)
+		}
+	}
 }
 
 // HandleData processes torus messages addressed to the home: writeback
@@ -159,7 +215,9 @@ func (h *SnoopHome) HandleData(m *network.Message) {
 		}
 		return
 	}
-	h.events.After(h.now, 1, func() { h.onWBData(p) })
+	w := h.waits.Get()
+	w.what, w.block, w.node, w.data = workWBLatch, p.Block, p.From, p.Data
+	h.after(1, w)
 }
 
 func (h *SnoopHome) onWBData(p MsgSnoopWB) {
@@ -170,13 +228,7 @@ func (h *SnoopHome) onWBData(p MsgSnoopWB) {
 		return
 	}
 	h.stats.MemoryWrites++
-	h.events.After(h.now, h.cfg.MemLatency, func() {
-		h.memory.WriteBlock(p.Block, p.Data)
-		delete(h.pendingWB, p.Block)
-		reqs := h.deferred[p.Block]
-		delete(h.deferred, p.Block)
-		for _, r := range reqs {
-			h.supplyFromMemory(p.Block, r)
-		}
-	})
+	w := h.waits.Get()
+	w.what, w.block, w.data = workWBWrite, p.Block, p.Data
+	h.after(h.cfg.MemLatency, w)
 }

@@ -1,6 +1,9 @@
 package core
 
-import "dvmc/internal/network"
+import (
+	"dvmc/internal/network"
+	"dvmc/internal/sim"
+)
 
 // InformPool recycles the network.Message envelopes and inform payload
 // structs that carry CET→MET verification traffic. Without it every
@@ -18,79 +21,52 @@ import "dvmc/internal/network"
 // event closures and park messages in per-block queues, so their
 // lifetime is unbounded from the sender's point of view.
 //
-// A nil *InformPool is valid everywhere and degrades to plain
-// allocation, so standalone CacheChecker tests need no pool. The
-// simulator is single-threaded; the pool is not safe for concurrent
-// use, and each System owns its own.
+// The pool is four sim.FreeLists behind the inform vocabulary; its zero
+// value is ready to use and starts empty. A nil *InformPool is valid
+// everywhere and degrades to plain allocation, so standalone
+// CacheChecker tests need no pool. The simulator is single-threaded; the
+// pool is not safe for concurrent use, and each System owns its own.
 type InformPool struct {
-	msgs    []*network.Message
-	epochs  []*InformEpoch
-	opens   []*InformOpenEpoch
-	closeds []*InformClosedEpoch
+	msgs    sim.FreeList[network.Message]
+	epochs  sim.FreeList[InformEpoch]
+	opens   sim.FreeList[InformOpenEpoch]
+	closeds sim.FreeList[InformClosedEpoch]
 }
 
 //dvmc:hotpath
 func (p *InformPool) message() *network.Message {
 	if p == nil {
-		//dvmc:alloc-ok pool refill and nil-pool fallback are cold; steady state recycles released envelopes
+		//dvmc:alloc-ok the nil-pool fallback is for standalone checker tests; a system always has a pool
 		return &network.Message{}
 	}
-	if n := len(p.msgs); n > 0 {
-		m := p.msgs[n-1]
-		p.msgs[n-1] = nil
-		p.msgs = p.msgs[:n-1]
-		return m
-	}
-	//dvmc:alloc-ok pool refill and nil-pool fallback are cold; steady state recycles released envelopes
-	return &network.Message{}
+	return p.msgs.Get()
 }
 
 //dvmc:hotpath
 func (p *InformPool) epoch() *InformEpoch {
 	if p == nil {
-		//dvmc:alloc-ok pool refill and nil-pool fallback are cold; steady state recycles released payloads
+		//dvmc:alloc-ok the nil-pool fallback is for standalone checker tests; a system always has a pool
 		return &InformEpoch{}
 	}
-	if n := len(p.epochs); n > 0 {
-		e := p.epochs[n-1]
-		p.epochs[n-1] = nil
-		p.epochs = p.epochs[:n-1]
-		return e
-	}
-	//dvmc:alloc-ok pool refill and nil-pool fallback are cold; steady state recycles released payloads
-	return &InformEpoch{}
+	return p.epochs.Get()
 }
 
 //dvmc:hotpath
 func (p *InformPool) open() *InformOpenEpoch {
 	if p == nil {
-		//dvmc:alloc-ok pool refill and nil-pool fallback are cold; steady state recycles released payloads
+		//dvmc:alloc-ok the nil-pool fallback is for standalone checker tests; a system always has a pool
 		return &InformOpenEpoch{}
 	}
-	if n := len(p.opens); n > 0 {
-		e := p.opens[n-1]
-		p.opens[n-1] = nil
-		p.opens = p.opens[:n-1]
-		return e
-	}
-	//dvmc:alloc-ok pool refill and nil-pool fallback are cold; steady state recycles released payloads
-	return &InformOpenEpoch{}
+	return p.opens.Get()
 }
 
 //dvmc:hotpath
 func (p *InformPool) closed() *InformClosedEpoch {
 	if p == nil {
-		//dvmc:alloc-ok pool refill and nil-pool fallback are cold; steady state recycles released payloads
+		//dvmc:alloc-ok the nil-pool fallback is for standalone checker tests; a system always has a pool
 		return &InformClosedEpoch{}
 	}
-	if n := len(p.closeds); n > 0 {
-		e := p.closeds[n-1]
-		p.closeds[n-1] = nil
-		p.closeds = p.closeds[:n-1]
-		return e
-	}
-	//dvmc:alloc-ok pool refill and nil-pool fallback are cold; steady state recycles released payloads
-	return &InformClosedEpoch{}
+	return p.closeds.Get()
 }
 
 // Release returns a delivered inform message and its payload to the
@@ -103,16 +79,16 @@ func (p *InformPool) Release(m *network.Message) {
 	switch pl := m.Payload.(type) {
 	case *InformEpoch:
 		*pl = InformEpoch{}
-		p.epochs = append(p.epochs, pl)
+		p.epochs.Put(pl)
 	case *InformOpenEpoch:
 		*pl = InformOpenEpoch{}
-		p.opens = append(p.opens, pl)
+		p.opens.Put(pl)
 	case *InformClosedEpoch:
 		*pl = InformClosedEpoch{}
-		p.closeds = append(p.closeds, pl)
+		p.closeds.Put(pl)
 	default:
 		return
 	}
 	*m = network.Message{}
-	p.msgs = append(p.msgs, m)
+	p.msgs.Put(m)
 }

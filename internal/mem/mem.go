@@ -58,9 +58,49 @@ func (b Block) String() string {
 
 // Memory is the globally shared main memory, sparsely backed. The zero
 // value is not usable; create one with NewMemory.
+//
+// Memory keeps an undo log for backward error recovery (SafetyNet logs
+// "the old value of a block on its first write per interval"): Mark opens
+// an interval, every change to a stored block — a write, an injected bit
+// flip, an ECC repair on read — records the block's previous contents the
+// first time it happens after the newest mark, and Rewind unwinds the log
+// back to a mark. The log sits here, not with the caches' store stream,
+// because what a checkpoint must reproduce is memory as it physically is,
+// faults included, and a flipped or repaired bit changes memory without
+// any store.
 type Memory struct {
-	blocks map[BlockAddr]*Block
+	blocks map[BlockAddr]*cell
 	ecc    *ECC
+
+	// log holds the old contents of changed blocks, oldest first; marks
+	// are the live interval starts, oldest first, as positions in the log
+	// counted from its first ever entry (logBase is log[0]'s position).
+	log     []undoRec
+	logBase int
+	marks   []mark
+	lastID  uint64
+	// epoch numbers the stretches between Marks and Rewinds; a cell whose
+	// stamp equals it has already logged its old contents in this one.
+	epoch uint64
+}
+
+// cell is one stored block and the epoch of its last logged change.
+type cell struct {
+	data  Block
+	stamp uint64
+}
+
+// undoRec is the state of one block before its first change in an
+// interval: its contents, or that it was not stored at all.
+type undoRec struct {
+	addr   BlockAddr
+	old    Block
+	absent bool
+}
+
+type mark struct {
+	id  uint64
+	pos int
 }
 
 // NewMemory returns an empty memory. If withECC is true, every block is
@@ -68,36 +108,54 @@ type Memory struct {
 // via CorruptBit are corrected on the next read, as the paper requires for
 // main memory ("DVMC requires ECC on all main memory DRAMs").
 func NewMemory(withECC bool) *Memory {
-	m := &Memory{blocks: make(map[BlockAddr]*Block)}
+	m := &Memory{blocks: make(map[BlockAddr]*cell)}
 	if withECC {
 		m.ecc = NewECC()
 	}
 	return m
 }
 
+// logOld records block b's contents before its first change since the
+// newest mark. Call it before the change, or pass the saved contents.
+func (m *Memory) logOld(b BlockAddr, c *cell, old *Block) {
+	if len(m.marks) == 0 || c.stamp == m.epoch {
+		return
+	}
+	c.stamp = m.epoch
+	m.log = append(m.log, undoRec{addr: b, old: *old})
+}
+
 // ReadBlock returns the contents of block b. Unwritten blocks read as zero.
 func (m *Memory) ReadBlock(b BlockAddr) Block {
+	c, ok := m.blocks[b]
+	if !ok {
+		return Block{}
+	}
 	if m.ecc != nil {
-		if blk, ok := m.blocks[b]; ok {
-			m.ecc.Check(uint64(b), blk)
+		before, repairs := c.data, m.ecc.corrected
+		m.ecc.Check(uint64(b), &c.data)
+		if m.ecc.corrected != repairs {
+			m.logOld(b, c, &before)
 		}
 	}
-	if blk, ok := m.blocks[b]; ok {
-		return *blk
-	}
-	return Block{}
+	return c.data
 }
 
 // WriteBlock replaces the contents of block b.
 func (m *Memory) WriteBlock(b BlockAddr, data Block) {
-	blk, ok := m.blocks[b]
-	if !ok {
-		blk = new(Block)
-		m.blocks[b] = blk
+	c, ok := m.blocks[b]
+	if ok {
+		m.logOld(b, c, &c.data)
+	} else {
+		c = &cell{stamp: m.epoch}
+		m.blocks[b] = c
+		if len(m.marks) > 0 {
+			m.log = append(m.log, undoRec{addr: b, absent: true})
+		}
 	}
-	*blk = data
+	c.data = data
 	if m.ecc != nil {
-		m.ecc.Protect(uint64(b), blk)
+		m.ecc.Protect(uint64(b), &c.data)
 	}
 }
 
@@ -120,11 +178,12 @@ func (m *Memory) WriteWord(addr Addr, w Word) {
 // It reports whether a stored block existed to corrupt (an absent block
 // cannot be corrupted; it has no physical cells in this model).
 func (m *Memory) CorruptBit(b BlockAddr, bit int) bool {
-	blk, ok := m.blocks[b]
+	c, ok := m.blocks[b]
 	if !ok {
 		return false
 	}
-	blk[bit/64] ^= Word(1) << (bit % 64)
+	m.logOld(b, c, &c.data)
+	c.data[bit/64] ^= Word(1) << (bit % 64)
 	return true
 }
 
@@ -145,30 +204,82 @@ func (m *Memory) SampleBlocks(max int) []BlockAddr {
 	return out
 }
 
-// Snapshot returns a deep copy of the memory contents (SafetyNet
-// checkpointing).
-func (m *Memory) Snapshot() map[BlockAddr]Block {
-	snap := make(map[BlockAddr]Block, len(m.blocks))
-	for _, b := range m.SampleBlocks(len(m.blocks)) {
-		snap[b] = *m.blocks[b]
-	}
-	return snap
+// Mark opens a new undo interval and returns its id: until it is trimmed
+// or a Rewind to an older mark squashes it, memory can be rewound to its
+// contents as of this call (SafetyNet checkpointing). It costs nothing
+// now; the interval's first change to each block pays for it.
+func (m *Memory) Mark() uint64 {
+	m.lastID++
+	m.epoch++
+	m.marks = append(m.marks, mark{id: m.lastID, pos: m.logBase + len(m.log)})
+	return m.lastID
 }
 
-// Restore replaces the memory contents with a snapshot (SafetyNet
-// recovery), re-protecting every block under ECC.
-func (m *Memory) Restore(snap map[BlockAddr]Block) {
-	m.blocks = make(map[BlockAddr]*Block, len(snap))
-	order := make([]BlockAddr, 0, len(snap))
-	for b := range snap {
-		order = append(order, b)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, b := range order {
-		cp := snap[b]
-		m.blocks[b] = &cp
-		if m.ecc != nil {
-			m.ecc.Protect(uint64(b), &cp)
+// markIndex finds a live mark. An unknown id is a caller bug (the mark was
+// trimmed or squashed): rewinding to it would silently restore the wrong
+// contents, so it panics.
+func (m *Memory) markIndex(id uint64) int {
+	for i := range m.marks {
+		if m.marks[i].id == id {
+			return i
 		}
 	}
+	panic(fmt.Sprintf("mem: mark %d is not live (trimmed, squashed or never made)", id))
 }
+
+// Rewind restores every block to its contents as of Mark id (SafetyNet
+// recovery) by unwinding the log newest entry first; blocks first written
+// since then are stored no more. Marks newer than id are squashed, id
+// itself stays live and can be rewound to again. The ECC code words are
+// left as they are: the caller re-protects (Reprotect) once it has
+// finished writing the restored image.
+func (m *Memory) Rewind(id uint64) {
+	i := m.markIndex(id)
+	keep := m.marks[i].pos - m.logBase
+	for j := len(m.log) - 1; j >= keep; j-- {
+		r := &m.log[j]
+		if r.absent {
+			delete(m.blocks, r.addr)
+		} else {
+			m.blocks[r.addr].data = r.old
+		}
+	}
+	m.log = m.log[:keep]
+	m.marks = m.marks[:i+1]
+	m.epoch++
+}
+
+// Trim forgets Mark id: memory can no longer be rewound to it. The oldest
+// mark takes its interval's log entries with it, which is what keeps the
+// log bounded by the first writes of the live intervals; any other mark's
+// entries now serve the mark before it.
+func (m *Memory) Trim(id uint64) {
+	i := m.markIndex(id)
+	if i == 0 {
+		end := m.logBase + len(m.log)
+		if len(m.marks) > 1 {
+			end = m.marks[1].pos
+		}
+		n := copy(m.log, m.log[end-m.logBase:])
+		m.log = m.log[:n]
+		m.logBase = end
+	}
+	m.marks = append(m.marks[:i], m.marks[i+1:]...)
+}
+
+// Reprotect recomputes the ECC code word of every stored block from its
+// current contents, as a recovery's bulk rewrite of memory does: a bit
+// that was already flipped when the checkpoint was taken is part of the
+// restored image and stays flipped.
+func (m *Memory) Reprotect() {
+	if m.ecc == nil {
+		return
+	}
+	//dvmc:orderinsensitive each block's code word depends on that block alone
+	for b, c := range m.blocks {
+		m.ecc.Protect(uint64(b), &c.data)
+	}
+}
+
+// LogLen returns the number of undo-log entries held (accounting).
+func (m *Memory) LogLen() int { return len(m.log) }

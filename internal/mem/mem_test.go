@@ -1,6 +1,11 @@
 package mem
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -144,5 +149,381 @@ func TestECCProtectIdempotent(t *testing.T) {
 	e.Protect(7, &b) // legitimate rewrite
 	if !e.Check(7, &b) {
 		t.Error("rewritten block reported corrupt")
+	}
+}
+
+// refMemory is the memory as it was before the undo log, whole-memory
+// Snapshot and Restore included: the reference the log is tested against.
+type refMemory struct {
+	blocks map[BlockAddr]*Block
+	ecc    *ECC
+}
+
+func newRefMemory(withECC bool) *refMemory {
+	m := &refMemory{blocks: make(map[BlockAddr]*Block)}
+	if withECC {
+		m.ecc = NewECC()
+	}
+	return m
+}
+
+func (m *refMemory) ReadBlock(b BlockAddr) Block {
+	if m.ecc != nil {
+		if blk, ok := m.blocks[b]; ok {
+			m.ecc.Check(uint64(b), blk)
+		}
+	}
+	if blk, ok := m.blocks[b]; ok {
+		return *blk
+	}
+	return Block{}
+}
+
+func (m *refMemory) WriteBlock(b BlockAddr, data Block) {
+	blk, ok := m.blocks[b]
+	if !ok {
+		blk = new(Block)
+		m.blocks[b] = blk
+	}
+	*blk = data
+	if m.ecc != nil {
+		m.ecc.Protect(uint64(b), blk)
+	}
+}
+
+func (m *refMemory) WriteWord(addr Addr, w Word) {
+	b := addr.Block()
+	blk := m.ReadBlock(b)
+	blk[addr.WordIndex()] = w
+	m.WriteBlock(b, blk)
+}
+
+func (m *refMemory) CorruptBit(b BlockAddr, bit int) bool {
+	blk, ok := m.blocks[b]
+	if !ok {
+		return false
+	}
+	blk[bit/64] ^= Word(1) << (bit % 64)
+	return true
+}
+
+func (m *refMemory) Blocks() int { return len(m.blocks) }
+
+func (m *refMemory) SampleBlocks(max int) []BlockAddr {
+	out := make([]BlockAddr, 0, len(m.blocks))
+	for b := range m.blocks {
+		out = append(out, b)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if len(out) > max {
+		out = out[:max]
+	}
+	return out
+}
+
+func (m *refMemory) Snapshot() map[BlockAddr]Block {
+	snap := make(map[BlockAddr]Block, len(m.blocks))
+	for _, b := range m.SampleBlocks(len(m.blocks)) {
+		snap[b] = *m.blocks[b]
+	}
+	return snap
+}
+
+func (m *refMemory) Restore(snap map[BlockAddr]Block) {
+	m.blocks = make(map[BlockAddr]*Block, len(snap))
+	order := make([]BlockAddr, 0, len(snap))
+	for b := range snap {
+		order = append(order, b)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	for _, b := range order {
+		cp := snap[b]
+		m.blocks[b] = &cp
+		if m.ecc != nil {
+			m.ecc.Protect(uint64(b), &cp)
+		}
+	}
+}
+
+// undoTwins drives a Memory and the reference with the same operations.
+type undoTwins struct {
+	t       *testing.T
+	m       *Memory
+	ref     *refMemory
+	snaps   map[uint64]map[BlockAddr]Block
+	live    []uint64 // marks, oldest first
+	touched map[BlockAddr]bool
+}
+
+func newUndoTwins(t *testing.T, ecc bool) *undoTwins {
+	return &undoTwins{t: t, m: NewMemory(ecc), ref: newRefMemory(ecc),
+		snaps: map[uint64]map[BlockAddr]Block{}, touched: map[BlockAddr]bool{}}
+}
+
+func (u *undoTwins) writeBlock(b BlockAddr, d Block) {
+	u.touched[b] = true
+	u.m.WriteBlock(b, d)
+	u.ref.WriteBlock(b, d)
+}
+
+func (u *undoTwins) writeWord(a Addr, w Word) {
+	u.touched[a.Block()] = true
+	u.m.WriteWord(a, w)
+	u.ref.WriteWord(a, w)
+}
+
+func (u *undoTwins) readBlock(b BlockAddr) {
+	u.t.Helper()
+	if got, want := u.m.ReadBlock(b), u.ref.ReadBlock(b); got != want {
+		u.t.Fatalf("ReadBlock(%#x) = %v, reference %v", b, got, want)
+	}
+}
+
+func (u *undoTwins) corrupt(b BlockAddr, bits ...int) {
+	u.t.Helper()
+	for _, bit := range bits {
+		if got, want := u.m.CorruptBit(b, bit), u.ref.CorruptBit(b, bit); got != want {
+			u.t.Fatalf("CorruptBit(%#x, %d) = %v, reference %v", b, bit, got, want)
+		}
+	}
+}
+
+func (u *undoTwins) mark() uint64 {
+	id := u.m.Mark()
+	u.snaps[id] = u.ref.Snapshot()
+	u.live = append(u.live, id)
+	return id
+}
+
+func (u *undoTwins) trimOldest() {
+	id := u.live[0]
+	u.live = u.live[1:]
+	u.m.Trim(id)
+	delete(u.snaps, id)
+}
+
+// rewind restores both sides to live mark i (squashing the newer ones)
+// and compares everything a caller can observe.
+func (u *undoTwins) rewind(i int) {
+	u.t.Helper()
+	id := u.live[i]
+	u.live = u.live[:i+1]
+	u.m.Rewind(id)
+	u.m.Reprotect()
+	u.ref.Restore(u.snaps[id])
+	u.compare()
+}
+
+func (u *undoTwins) compare() {
+	u.t.Helper()
+	if got, want := u.m.Blocks(), u.ref.Blocks(); got != want {
+		u.t.Fatalf("Blocks() = %d, reference %d", got, want)
+	}
+	if got, want := u.m.SampleBlocks(64), u.ref.SampleBlocks(64); !reflect.DeepEqual(got, want) {
+		u.t.Fatalf("SampleBlocks(64) = %v, reference %v", got, want)
+	}
+	all := make([]BlockAddr, 0, len(u.touched))
+	for b := range u.touched {
+		all = append(all, b)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	for _, b := range all {
+		u.readBlock(b)
+	}
+	// The code words must match too: one more flip is repaired, or stays,
+	// exactly as in the reference.
+	for i, b := range all {
+		if i%3 == 0 {
+			u.corrupt(b, int(b)%512)
+			u.readBlock(b)
+		}
+	}
+	u.counters()
+}
+
+func (u *undoTwins) counters() {
+	u.t.Helper()
+	if u.m.ecc == nil {
+		return
+	}
+	if got, want := u.m.ecc.Corrected(), u.ref.ecc.Corrected(); got != want {
+		u.t.Fatalf("Corrected() = %d, reference %d", got, want)
+	}
+	if got, want := u.m.ecc.Uncorrectable(), u.ref.ecc.Uncorrectable(); got != want {
+		u.t.Fatalf("Uncorrectable() = %d, reference %d", got, want)
+	}
+}
+
+// TestUndoLogMatchesSnapshots drives the undo log and the whole-memory
+// snapshots it replaced with the same seeded random operations.
+func TestUndoLogMatchesSnapshots(t *testing.T) {
+	for _, ecc := range []bool{false, true} {
+		for seed := int64(1); seed <= 6; seed++ {
+			t.Run(fmt.Sprintf("ecc=%v/seed=%d", ecc, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				u := newUndoTwins(t, ecc)
+				block := func() BlockAddr { return BlockAddr(rng.Intn(48)) }
+				rewinds := 0
+				for step := 0; step < 4000; step++ {
+					switch op := rng.Intn(100); {
+					case op < 30:
+						var d Block
+						for i := range d {
+							d[i] = Word(rng.Uint64())
+						}
+						u.writeBlock(block(), d)
+					case op < 55:
+						u.writeWord(block().WordAddr(rng.Intn(WordsPerBlock)), Word(rng.Uint64()))
+					case op < 75:
+						u.readBlock(block())
+					case op < 80:
+						u.corrupt(block(), rng.Intn(512))
+					case op < 83:
+						bit := rng.Intn(511)
+						u.corrupt(block(), bit, bit+1) // beyond SEC-DED's repair
+					case op < 91:
+						u.mark()
+						if len(u.live) > 4 {
+							u.trimOldest()
+						}
+					case op < 97 && len(u.live) > 0:
+						// Newest, an older one, or — when the last step was
+						// also a rewind — the same one again (nested).
+						u.rewind(rng.Intn(len(u.live)))
+						rewinds++
+						if rng.Intn(3) == 0 {
+							u.writeWord(block().WordAddr(0), Word(step))
+							u.rewind(len(u.live) - 1)
+						}
+					case len(u.live) > 1:
+						u.trimOldest()
+					}
+				}
+				u.compare()
+				if rewinds < 50 {
+					t.Errorf("only %d rewinds", rewinds)
+				}
+			})
+		}
+	}
+}
+
+// TestUndoLogFlipCapturedByMarkSurvivesRewind: a bit flipped before a
+// checkpoint is part of what the checkpoint holds. After recovery it is
+// still flipped and ECC, re-protected over the restored image, takes it
+// for the code word — as Restore(Snapshot()) always did.
+func TestUndoLogFlipCapturedByMarkSurvivesRewind(t *testing.T) {
+	u := newUndoTwins(t, true)
+	u.writeBlock(3, Block{0xf0})
+	u.corrupt(3, 2)
+	u.mark()
+	u.readBlock(3) // repairs the flip, in place, without a store
+	if u.m.LogLen() != 1 {
+		t.Fatalf("ECC repair logged %d entries, want 1", u.m.LogLen())
+	}
+	u.writeBlock(3, Block{7})
+	u.rewind(0)
+	if got := u.m.ReadBlock(3); got != (Block{0xf0 ^ 4}) {
+		t.Errorf("restored block = %v, want the flipped %v", got, Block{0xf0 ^ 4})
+	}
+}
+
+func TestUndoLogBlocksCreatedAfterMarkVanish(t *testing.T) {
+	u := newUndoTwins(t, false)
+	u.writeBlock(1, Block{1})
+	u.mark()
+	u.writeBlock(2, Block{2})
+	u.writeWord(BlockAddr(9).WordAddr(3), 5)
+	if !u.m.CorruptBit(2, 0) {
+		t.Fatal("block 2 not stored")
+	}
+	u.rewind(0)
+	if u.m.Blocks() != 1 || u.m.CorruptBit(2, 0) || u.m.CorruptBit(9, 0) {
+		t.Errorf("blocks created after the mark survive the rewind: %v", u.m.SampleBlocks(8))
+	}
+	// Created again, they are logged again.
+	u.writeBlock(2, Block{3})
+	u.rewind(0)
+	if u.m.Blocks() != 1 {
+		t.Errorf("Blocks() = %d after the second rewind, want 1", u.m.Blocks())
+	}
+}
+
+// TestUndoLogStaysBounded: with the oldest mark trimmed at every
+// checkpoint, the log never holds more than the first writes of the live
+// intervals, however long the run.
+func TestUndoLogStaysBounded(t *testing.T) {
+	const keep, blocks, writes = 4, 64, 40
+	rng := rand.New(rand.NewSource(9))
+	m := NewMemory(true)
+	var live []uint64
+	var firstWrites []int // per live interval
+	peak := 0
+	for interval := 0; interval < 1000; interval++ {
+		live = append(live, m.Mark())
+		firstWrites = append(firstWrites, 0)
+		if len(live) > keep {
+			m.Trim(live[0])
+			live, firstWrites = live[1:], firstWrites[1:]
+		}
+		seen := map[BlockAddr]bool{}
+		for i := 0; i < writes; i++ {
+			b := BlockAddr(rng.Intn(blocks))
+			m.WriteWord(b.WordAddr(i%WordsPerBlock), Word(i))
+			if !seen[b] {
+				seen[b] = true
+				firstWrites[len(firstWrites)-1]++
+			}
+		}
+		bound := 0
+		for _, n := range firstWrites {
+			bound += n
+		}
+		if m.LogLen() > bound {
+			t.Fatalf("interval %d: %d log entries, the live intervals made %d first writes", interval, m.LogLen(), bound)
+		}
+		if m.LogLen() > peak {
+			peak = m.LogLen()
+		}
+	}
+	if peak == 0 || peak > keep*writes {
+		t.Errorf("peak log length %d, want in (0, %d]", peak, keep*writes)
+	}
+}
+
+func TestUndoLogRewindToTrimmedMarkPanics(t *testing.T) {
+	m := NewMemory(false)
+	old := m.Mark()
+	m.WriteWord(0x40, 1)
+	m.Mark()
+	m.Trim(old)
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "not live") {
+			t.Errorf("Rewind to a trimmed mark: recovered %v, want a panic naming the mark", r)
+		}
+	}()
+	m.Rewind(old)
+}
+
+// TestUndoLogTrimOfNewestKeepsOlderRewindExact: a recovery squashes the
+// checkpoints after the one it restores; their marks go before the rewind
+// and their entries must still unwind.
+func TestUndoLogTrimOfNewestKeepsOlderRewindExact(t *testing.T) {
+	u := newUndoTwins(t, true)
+	u.writeBlock(1, Block{1})
+	u.mark()
+	u.writeBlock(1, Block{2})
+	u.mark()
+	u.writeBlock(1, Block{3}) // first write of the second interval
+	u.writeBlock(4, Block{4})
+	newest := u.live[1]
+	u.m.Trim(newest)
+	delete(u.snaps, newest)
+	u.live = u.live[:1]
+	u.writeBlock(1, Block{5})
+	u.rewind(0)
+	if got := u.m.ReadBlock(1); got != (Block{1}) {
+		t.Errorf("block 1 = %v, want %v", got, Block{1})
 	}
 }

@@ -37,9 +37,9 @@ type Torus struct {
 	// transits (which keep their own hop cursor instead of re-slicing).
 	routes [][]*link
 
-	// freeTransits recycles transit envelopes so the steady-state Send
-	// path does not allocate.
-	freeTransits []*transit
+	// transits recycles transit envelopes so the steady-state Send path
+	// does not allocate.
+	transits sim.FreeList[transit]
 
 	local   []localDelivery // loopback messages in flight
 	delayed []delayedSend   // FaultDelay / FaultDupStale victims
@@ -289,7 +289,9 @@ func (t *Torus) enqueue(m *Message, when sim.Cycle) {
 		return
 	}
 	path := t.route(m.Src, m.Dst)
-	t.queueOn(path[0], t.allocTransit(m, path, when))
+	tr := t.transits.Get()
+	tr.msg, tr.path, tr.queuedAt = m, path, when
+	t.queueOn(path[0], tr)
 }
 
 // queueOn appends a transit to a link's queue. An idle link is due: it
@@ -305,35 +307,12 @@ func (t *Torus) queueOn(l *link, tr *transit) {
 	}
 }
 
-// allocTransit takes a transit envelope from the freelist (or allocates
-// one) and initialises it.
-//
-//dvmc:hotpath
-func (t *Torus) allocTransit(m *Message, path []*link, when sim.Cycle) *transit {
-	var tr *transit
-	if n := len(t.freeTransits); n > 0 {
-		tr = t.freeTransits[n-1]
-		t.freeTransits[n-1] = nil
-		t.freeTransits = t.freeTransits[:n-1]
-	} else {
-		//dvmc:alloc-ok freelist refill is cold; steady state recycles transits released by Tick
-		tr = &transit{}
-	}
-	tr.msg = m
-	tr.path = path
-	tr.hop = 0
-	tr.queuedAt = when
-	return tr
-}
-
 // recycleTransit returns a finished transit envelope to the freelist.
 //
 //dvmc:hotpath
 func (t *Torus) recycleTransit(tr *transit) {
-	tr.msg = nil
-	tr.path = nil
-	//dvmc:alloc-ok freelist capacity tracks peak in-flight transits; growth amortizes to zero
-	t.freeTransits = append(t.freeTransits, tr)
+	*tr = transit{}
+	t.transits.Put(tr)
 }
 
 // SetFaultWindow configures the stateful fault actions: how long a

@@ -236,10 +236,10 @@ type OOOWB struct {
 	stores      int
 	fault       wbFault
 
-	// freeEntries recycles drained entries (and their constituent slices
-	// and drain closures) so the steady-state push/drain path is
+	// free recycles drained entries (and their constituent slices and
+	// drain closures) so the steady-state push/drain path is
 	// allocation-free.
-	freeEntries []*oooEntry
+	free sim.FreeList[oooEntry]
 }
 
 type oooEntry struct {
@@ -308,7 +308,7 @@ func (w *OOOWB) Push(seq uint64, addr mem.Addr, val mem.Word, ordered bool) bool
 	if w.stores >= w.capStores {
 		return false
 	}
-	e := w.allocEntry()
+	e := w.free.Get()
 	e.block = b
 	e.ordered = ordered
 	e.words[addr.WordIndex()] = val
@@ -319,20 +319,6 @@ func (w *OOOWB) Push(seq uint64, addr mem.Addr, val mem.Word, ordered bool) bool
 	w.entries = append(w.entries, e)
 	w.stores++
 	return true
-}
-
-// allocEntry pops a recycled entry or allocates a fresh one.
-//
-//dvmc:hotpath
-func (w *OOOWB) allocEntry() *oooEntry {
-	if n := len(w.freeEntries); n > 0 {
-		e := w.freeEntries[n-1]
-		w.freeEntries[n-1] = nil
-		w.freeEntries = w.freeEntries[:n-1]
-		return e
-	}
-	//dvmc:alloc-ok pool refill is cold; steady state pops recycled entries off freeEntries
-	return &oooEntry{}
 }
 
 // Lookup implements WriteBuffer.
@@ -511,23 +497,15 @@ func (w *OOOWB) finish(e *oooEntry) {
 	w.wake()
 }
 
-// recycle resets a drained entry and returns it to the free list. Entries
-// orphaned by Clear (SafetyNet recovery flushed the buffer while their
-// drain was in flight) are not recycled: their completion callback may
-// still fire.
+// recycle returns a drained entry to the free list, keeping its slices'
+// capacity and its drain closure. Entries orphaned by Clear (SafetyNet
+// recovery flushed the buffer while their drain was in flight) are not
+// recycled: their completion callback may still fire.
 //
 //dvmc:hotpath
 func (w *OOOWB) recycle(e *oooEntry) {
-	e.block = 0
-	e.words = [mem.WordsPerBlock]mem.Word{}
-	e.valid = [mem.WordsPerBlock]bool{}
-	e.constituents = e.constituents[:0]
-	e.ordered = false
-	e.draining = false
-	e.drainWords = e.drainWords[:0]
-	e.cursor = 0
-	//dvmc:alloc-ok freelist growth amortizes to the entry capacity; steady state recycles in place
-	w.freeEntries = append(w.freeEntries, e)
+	*e = oooEntry{constituents: e.constituents[:0], drainWords: e.drainWords[:0], cb: e.cb, owner: e.owner}
+	w.free.Put(e)
 }
 
 // Pending implements WriteBuffer.

@@ -7,7 +7,9 @@
 //   - per-node write logging: old values are logged locally in
 //     checkpoint-log buffers; the log-ownership metadata for the first
 //     write to a block in each interval crosses the interconnect (the
-//     modest SafetyNet traffic visible in the paper's Figures 5 and 7),
+//     modest SafetyNet traffic visible in the paper's Figures 5 and 7).
+//     Logger models that traffic only; the old values themselves are
+//     held where they are exact, in mem.Memory's undo log,
 //   - checkpoint lifetime management: a checkpoint "expires" after the
 //     recovery window; an error is recoverable only while a checkpoint
 //     older than the error is still live — which bounds DVMC's allowed
@@ -15,7 +17,8 @@
 //
 // The architectural state captured per checkpoint is provided by the
 // system assembly through a CaptureFunc; recovery replays it through a
-// RestoreFunc. This keeps the package independent of the processor and
+// RestoreFunc, and a ReleaseFunc hears of every checkpoint that stops
+// being live. This keeps the package independent of the processor and
 // coherence implementations.
 package safetynet
 
@@ -65,11 +68,17 @@ type CaptureFunc func(now sim.Cycle) any
 // RestoreFunc reinstalls a snapshot.
 type RestoreFunc func(state any)
 
+// ReleaseFunc is told that a captured state has left the live set — its
+// checkpoint expired, or a recovery to an older one squashed it — and
+// will never be restored: the assembly lets go of what it held for it.
+type ReleaseFunc func(state any)
+
 // Manager runs the checkpoint schedule.
 type Manager struct {
 	cfg     Config
 	capture CaptureFunc
 	restore RestoreFunc
+	release ReleaseFunc
 
 	live []Checkpoint
 	seq  uint64
@@ -125,6 +134,10 @@ func (m *Manager) SetRecoveryListener(f func(seq uint64, cpCycle, errorCycle sim
 	m.onRecovery = f
 }
 
+// SetReleaseFunc installs the callback that runs exactly once for every
+// checkpoint leaving the live set; nil clears it.
+func (m *Manager) SetReleaseFunc(f ReleaseFunc) { m.release = f }
+
 // Tick implements sim.Clockable: takes coordinated checkpoints at the
 // multiples of the interval.
 //
@@ -149,11 +162,25 @@ func (m *Manager) checkpoint(now sim.Cycle) {
 	cp := Checkpoint{Seq: m.seq, Cycle: now, State: m.capture(now)}
 	m.live = append(m.live, cp)
 	if len(m.live) > m.cfg.Keep {
-		m.live = m.live[1:] // oldest checkpoint expires
+		m.leave(0, 1) // oldest checkpoint expires
 	}
 	if m.onCheckpoint != nil {
 		m.onCheckpoint(cp.Seq, now)
 	}
+}
+
+// leave takes live[from:to] out of the live set: each state is released,
+// the rest close the gap, and the vacated slots are cleared so the slice's
+// backing array pins no state the assembly was told is gone.
+func (m *Manager) leave(from, to int) {
+	if m.release != nil {
+		for _, cp := range m.live[from:to] {
+			m.release(cp.State)
+		}
+	}
+	n := from + copy(m.live[from:], m.live[to:])
+	clear(m.live[n:])
+	m.live = m.live[:n]
 }
 
 // Live returns the retained checkpoints, oldest first.
@@ -177,7 +204,9 @@ func (m *Manager) ValidFor(errorCycle sim.Cycle) (Checkpoint, bool) {
 }
 
 // Recover rolls the system back to the newest checkpoint preceding
-// errorCycle. It reports whether recovery was possible.
+// errorCycle. It reports whether recovery was possible. Checkpoints after
+// the recovery point describe squashed futures: they leave the live set
+// before the restore runs, so the restore finds its checkpoint the newest.
 func (m *Manager) Recover(errorCycle sim.Cycle) (Checkpoint, bool) {
 	cp, ok := m.ValidFor(errorCycle)
 	if !ok {
@@ -188,15 +217,12 @@ func (m *Manager) Recover(errorCycle sim.Cycle) (Checkpoint, bool) {
 		m.stats.NestedRecoveries++
 	}
 	m.cpAfterRecovery = false
-	m.restore(cp.State)
-	// Checkpoints after the recovery point describe squashed futures.
-	keep := m.live[:0]
-	for _, c := range m.live {
-		if c.Cycle <= cp.Cycle {
-			keep = append(keep, c)
-		}
+	newer := len(m.live)
+	for newer > 0 && m.live[newer-1].Cycle > cp.Cycle {
+		newer--
 	}
-	m.live = keep
+	m.leave(newer, len(m.live))
+	m.restore(cp.State)
 	if m.onRecovery != nil {
 		m.onRecovery(cp.Seq, cp.Cycle, errorCycle)
 	}

@@ -206,3 +206,85 @@ func TestIdleTickSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("logger interval rollover: %.2f allocs/op, want 0", allocs)
 	}
 }
+
+// TestManagerReleasesEveryCheckpointOnce drives 200 intervals with
+// recoveries at pseudo-random points — two of them back to back, with no
+// checkpoint between — and follows every captured state: it is either
+// still live or was released exactly once, and is never restored after.
+func TestManagerReleasesEveryCheckpointOnce(t *testing.T) {
+	const interval, keep = 50, 4
+	type state struct{ released int }
+	var captured []*state
+	var m *Manager
+	m = NewManager(Config{Interval: interval, Keep: keep},
+		func(sim.Cycle) any {
+			st := &state{}
+			captured = append(captured, st)
+			return st
+		},
+		func(s any) {
+			if st := s.(*state); st.released != 0 {
+				t.Fatalf("restore of a state released %d times", st.released)
+			}
+		})
+	m.SetReleaseFunc(func(s any) { s.(*state).released++ })
+
+	check := func(when string) {
+		t.Helper()
+		live := map[*state]bool{}
+		for _, cp := range m.Live() {
+			live[cp.State.(*state)] = true
+		}
+		if len(live) > keep {
+			t.Fatalf("%s: %d live checkpoints, keep is %d", when, len(live), keep)
+		}
+		for i, st := range captured {
+			want := 1
+			if live[st] {
+				want = 0
+			}
+			if st.released != want {
+				t.Fatalf("%s: state %d (live=%v) released %d times", when, i, live[st], st.released)
+			}
+		}
+		// No released state stays reachable through the slice's spare capacity.
+		for _, cp := range m.live[len(m.live):cap(m.live)] {
+			if cp.State != nil {
+				t.Fatalf("%s: a vacated slot still holds its state", when)
+			}
+		}
+	}
+
+	rng := sim.NewRand(5)
+	recoveries, nested := 0, 0
+	for now := sim.Cycle(0); now < 200*interval; now++ {
+		m.Tick(now)
+		check("tick")
+		if now > interval && rng.Intn(3*interval) == 0 {
+			// Anywhere in the recovery window, so some recoveries squash
+			// several newer checkpoints and some none.
+			back := sim.Cycle(rng.Intn(keep * interval))
+			if back > now {
+				back = now
+			}
+			if _, ok := m.Recover(now - back); ok {
+				recoveries++
+			}
+			check("recover")
+			if rng.Intn(4) == 0 {
+				if _, ok := m.Recover(now - back/2); ok {
+					recoveries++
+					nested++
+				}
+				check("nested recover")
+			}
+		}
+	}
+	if recoveries < 20 || nested < 2 || m.Stats().NestedRecoveries < 2 {
+		t.Errorf("%d recoveries, %d back to back (manager counted %d nested): the schedule lost its coverage",
+			recoveries, nested, m.Stats().NestedRecoveries)
+	}
+	if len(captured) != 200 {
+		t.Errorf("%d checkpoints captured, want 200", len(captured))
+	}
+}

@@ -74,6 +74,8 @@ type System struct {
 
 	snMgr     *safetynet.Manager
 	snLoggers []*safetynet.Logger
+	// cpStates recycles checkpoint records released by the manager.
+	cpStates sim.FreeList[checkpointState]
 
 	// rec captures the execution trace when Config.Trace is enabled. One
 	// shared recorder preserves the global chronological order of events
@@ -214,6 +216,7 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	// cycle-start state.
 	if cfg.SafetyNet {
 		s.snMgr = safetynet.NewManager(cfg.SNConfig, s.capture, s.restore)
+		s.snMgr.SetReleaseFunc(s.release)
 		s.kernel.Register(s.snMgr)
 	}
 
@@ -449,41 +452,72 @@ func (s *System) TraceStats() trace.RecorderStats {
 }
 
 // checkpointState is the architectural state captured per checkpoint.
+// Memory is not copied: each home's memory opens an undo interval (marks)
+// and logs old contents as blocks change, so a checkpoint costs what is
+// written after it. What the checkpoint does record is what memory does
+// not hold at that moment: the dirty cache lines and each core's
+// committed-but-unperformed stores.
 type checkpointState struct {
-	memories []map[mem.BlockAddr]mem.Block
-	cpus     []proc.ArchState
+	marks []uint64 // per home: the undo mark of its memory
+	// dirty is every dirty line and writeback entry, controllers in index
+	// order, ForEachDirty order within: the order recovery writes them.
+	dirty []dirtyLine
+	cpus  []proc.ArchState
 }
 
-// capture builds a checkpoint: per-home memory images with dirty cache
-// lines overlaid and write-buffer stores applied, plus each core's
-// architectural program position.
+type dirtyLine struct {
+	block mem.BlockAddr
+	data  mem.Block
+}
+
+// capture builds a checkpoint: one undo mark per home memory, the dirty
+// cache lines of the moment, and each core's architectural program
+// position with its write-buffer stores.
 func (s *System) capture(now sim.Cycle) any {
-	st := &checkpointState{}
+	st := s.cpStates.Get()
 	for _, h := range s.homes {
-		st.memories = append(st.memories, h.Memory().Snapshot())
+		st.marks = append(st.marks, h.Memory().Mark())
 	}
-	// Overlay dirty blocks (the owner's copy is newer than memory).
+	keep := func(b mem.BlockAddr, data mem.Block) {
+		st.dirty = append(st.dirty, dirtyLine{b, data})
+	}
 	for _, c := range s.ctrls {
-		c.ForEachDirty(func(b mem.BlockAddr, data mem.Block) {
-			st.memories[int(s.cfg.Memory.HomeOf(b))][b] = data
-		})
+		c.ForEachDirty(keep)
 	}
-	// Apply committed-but-unperformed stores, then record positions.
 	for _, c := range s.cpus {
-		as := c.ArchSnapshot()
-		for _, p := range as.Pending {
-			home := int(s.cfg.Memory.HomeOf(p.Addr.Block()))
-			blk := st.memories[home][p.Addr.Block()]
-			blk[p.Addr.WordIndex()] = p.Val
-			st.memories[home][p.Addr.Block()] = blk
-		}
-		st.cpus = append(st.cpus, as)
+		st.cpus = append(st.cpus, c.ArchSnapshot())
 	}
 	return st
 }
 
+// release lets go of a checkpoint that expired or was squashed by a
+// recovery: the memories trim its undo interval (which is what bounds the
+// log to the live checkpoints' first writes) and the record is recycled.
+func (s *System) release(state any) {
+	st := state.(*checkpointState)
+	for i, h := range s.homes {
+		h.Memory().Trim(st.marks[i])
+	}
+	clear(st.cpus) // drop the program snapshots and pending-store slices
+	*st = checkpointState{marks: st.marks[:0], dirty: st.dirty[:0], cpus: st.cpus[:0]}
+	s.cpStates.Put(st)
+}
+
+// homeMemory returns the memory module block b lives in.
+func (s *System) homeMemory(b mem.BlockAddr) *mem.Memory {
+	return s.homes[s.cfg.Memory.HomeOf(b)].Memory()
+}
+
 // restore reinstalls a checkpoint: caches and networks flush, memories
-// and program positions rewind, checkers reset.
+// and program positions rewind, checkers reset. Memory is rebuilt in four
+// steps whose order matters: unwind each home's undo log to the
+// checkpoint's mark (memory as it physically was, injected flips
+// included); write the recorded dirty lines over it (the owner's copy was
+// newer than memory); recompute every block's ECC code word, so the
+// restored image, flips and all, is what ECC now vouches for; and only
+// then apply the committed-but-unperformed stores — they read-modify-write
+// a word, and a read before the re-protect would let ECC "repair" a
+// restored flip and count a correction the checkpoint never saw.
 func (s *System) restore(state any) {
 	st := state.(*checkpointState)
 	if s.tracer != nil {
@@ -504,7 +538,20 @@ func (s *System) restore(state any) {
 		s.bcast.Reset()
 	}
 	for i, h := range s.homes {
-		h.Memory().Restore(st.memories[i])
+		h.Memory().Rewind(st.marks[i])
+	}
+	for _, d := range st.dirty {
+		s.homeMemory(d.block).WriteBlock(d.block, d.data)
+	}
+	for _, h := range s.homes {
+		h.Memory().Reprotect()
+	}
+	for _, as := range st.cpus {
+		for _, p := range as.Pending {
+			s.homeMemory(p.Addr.Block()).WriteWord(p.Addr, p.Val)
+		}
+	}
+	for _, h := range s.homes {
 		h.Reset()
 	}
 	for _, c := range s.ctrls {
