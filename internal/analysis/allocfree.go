@@ -455,6 +455,13 @@ func recvTypeName(fd *ast.FuncDecl) string {
 	if se, ok := t.(*ast.StarExpr); ok {
 		t = se.X
 	}
+	// A generic receiver names its type parameters: FreeList[T].
+	switch ix := t.(type) {
+	case *ast.IndexExpr:
+		t = ix.X
+	case *ast.IndexListExpr:
+		t = ix.X
+	}
 	if id, ok := t.(*ast.Ident); ok {
 		return id.Name
 	}

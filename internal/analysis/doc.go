@@ -65,12 +65,12 @@
 //     select, channel types/ops, and the sync and sync/atomic imports);
 //     outside it, checks the //dvmc:guardedby contract over annotated
 //     struct fields with a positional Lock/Unlock discipline.
-//   - pooldiscipline: every pool acquire (InformPool message/epoch/
-//     open/closed, Torus.allocTransit, OOOWB.allocEntry) must reach its
-//     release or an ownership handoff on all control-flow paths to a
-//     function exit, walked over a per-function CFG; a leaked pooled
-//     object silently refills the pool from the heap and kills the
-//     steady-state zero-alloc claim.
+//   - pooldiscipline: every pool acquire (sim.FreeList's Get, on
+//     whatever element type, or a wrapper that returns what it got, such
+//     as InformPool.message) must reach its release or an ownership
+//     handoff on all control-flow paths to a function exit, walked over
+//     a per-function CFG; a leaked pooled object silently refills the
+//     pool from the heap and kills the steady-state zero-alloc claim.
 //
 // # Annotation vocabulary
 //

@@ -87,7 +87,9 @@ func calleeOf(info *types.Info, mod *Module, call *ast.CallExpr) *funcInfo {
 	if !ok {
 		return nil
 	}
-	return mod.funcIndex()[fn]
+	// A method of an instantiated generic type is declared once, on the
+	// generic type.
+	return mod.funcIndex()[fn.Origin()]
 }
 
 // triviallyClean reports whether fi is provably allocation-free without a

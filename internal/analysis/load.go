@@ -48,11 +48,13 @@ type Module struct {
 	TypeErrors []error
 
 	// funcs is the lazily-built module-wide function index (see
-	// funcIndex), clean memoizes triviallyClean verdicts, and
-	// emptyAllocOK deduplicates missing-reason annotation findings. All
-	// three are driver-internal; the driver is single-threaded.
+	// funcIndex), clean memoizes triviallyClean verdicts, acquires
+	// memoizes poolAcquire verdicts, and emptyAllocOK deduplicates
+	// missing-reason annotation findings. All are driver-internal; the
+	// driver is single-threaded.
 	funcs        map[*types.Func]*funcInfo
 	clean        map[*funcInfo]int8
+	acquires     map[*funcInfo]string
 	emptyAllocOK map[ast.Node]bool
 }
 

@@ -5,21 +5,84 @@ import (
 	"go/types"
 )
 
-// poolAcquires maps "ReceiverType.method" acquire calls to the release
-// the acquired object must eventually reach. These are the module's three
-// object pools: the inform pool the checkers draw verification messages
-// from, the torus transit freelist, and the out-of-order write buffer's
-// entry freelist. A pooled object that exits a function without being
-// released or handed off is exactly the PR 4 lost-message hazard: the
-// object is live forever, the pool refills from the heap, and the
-// steady-state 0 allocs/op claim quietly dies.
-var poolAcquires = map[string]string{
-	"InformPool.message": "InformPool.Release",
-	"InformPool.epoch":   "InformPool.Release",
-	"InformPool.open":    "InformPool.Release",
-	"InformPool.closed":  "InformPool.Release",
-	"Torus.allocTransit": "Torus.recycleTransit",
-	"OOOWB.allocEntry":   "OOOWB.recycle",
+// poolAcquire and poolRelease name the module's one object pool: every
+// recycled object — inform messages, torus transits, write-buffer
+// entries, cache-controller event records, micro-ops — comes out of a
+// sim.FreeList and goes back into one. A pooled object that exits a
+// function without being released or handed off is exactly the PR 4
+// lost-message hazard: the object is live forever, the pool refills from
+// the heap, and the steady-state 0 allocs/op claim quietly dies.
+const (
+	poolAcquire = "FreeList.Get"
+	poolRelease = "FreeList.Put"
+)
+
+// poolAcquire reports whether calling fi acquires a pooled object, and
+// under what name to report it: FreeList.Get itself, or a wrapper that
+// returns what it (or another wrapper) acquired — InformPool.message and
+// its siblings — whose callers then own the object just the same.
+func (m *Module) poolAcquire(fi *funcInfo) (name string, ok bool) {
+	if fi == nil {
+		return "", false
+	}
+	if name, seen := m.acquires[fi]; seen {
+		return name, name != ""
+	}
+	if m.acquires == nil {
+		m.acquires = make(map[*funcInfo]string)
+	}
+	m.acquires[fi] = "" // a recursion cycle acquires nothing
+	name = recvTypeName(fi.decl) + "." + fi.decl.Name.Name
+	if fi.decl.Recv == nil {
+		name = fi.decl.Name.Name
+	}
+	if name != poolAcquire && !m.returnsAcquired(fi) {
+		return "", false
+	}
+	m.acquires[fi] = name
+	return name, true
+}
+
+// returnsAcquired reports whether some return statement of fi hands back
+// an acquire call's result, directly or through the variable it was
+// bound to.
+func (m *Module) returnsAcquired(fi *funcInfo) bool {
+	if fi.decl.Body == nil {
+		return false
+	}
+	info := fi.pkg.Info
+	isAcquire := func(e ast.Expr) bool {
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		_, ok = m.poolAcquire(calleeOf(info, m, call))
+		return ok
+	}
+	bound := map[types.Object]bool{}
+	found := false
+	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			if len(st.Lhs) == 1 && len(st.Rhs) == 1 && isAcquire(st.Rhs[0]) {
+				if id, ok := st.Lhs[0].(*ast.Ident); ok {
+					bound[objOf(info, id)] = true
+				}
+			}
+		case *ast.ReturnStmt:
+			for _, r := range st.Results {
+				if id, ok := ast.Unparen(r).(*ast.Ident); ok && bound[objOf(info, id)] {
+					found = true
+				} else if isAcquire(r) {
+					found = true
+				}
+			}
+		}
+		return true
+	})
+	return found
 }
 
 // PoolDiscipline is the intra-procedural ownership check over pooled
@@ -33,9 +96,9 @@ var poolAcquires = map[string]string{
 // guessed at.
 var PoolDiscipline = &Analyzer{
 	Name: "pooldiscipline",
-	Doc: "require every pool acquire (InformPool message/epoch/open/closed, " +
-		"Torus.allocTransit, OOOWB.allocEntry) to be released or handed " +
-		"off on all paths to a function exit",
+	Doc: "require every pool acquire (sim.FreeList's Get, or a wrapper " +
+		"returning what it got) to be released or handed off on all " +
+		"paths to a function exit",
 	Run: runPoolDiscipline,
 }
 
@@ -67,15 +130,11 @@ func checkPoolFunc(p *Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return
 		}
-		fi := calleeOf(info, p.Mod, call)
-		if fi == nil || fi.decl.Recv == nil {
-			return
-		}
-		key := recvTypeName(fi.decl) + "." + fi.decl.Name.Name
-		release, ok := poolAcquires[key]
+		key, ok := p.Mod.poolAcquire(calleeOf(info, p.Mod, call))
 		if !ok {
 			return
 		}
+		release := poolRelease
 		site := acquireSite{call: call, release: release}
 		if len(stack) >= 2 {
 			switch parent := stack[len(stack)-2].(type) {

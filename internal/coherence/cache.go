@@ -37,12 +37,15 @@ func newCacheArray(sets, ways int, withECC bool) *cacheArray {
 	return a
 }
 
+//dvmc:hotpath
 func (a *cacheArray) setOf(b mem.BlockAddr) []line {
 	s := int(uint64(b) % uint64(a.sets))
 	return a.lines[s*a.ways : (s+1)*a.ways]
 }
 
 // lookup returns the line holding b, or nil.
+//
+//dvmc:hotpath
 func (a *cacheArray) lookup(b mem.BlockAddr) *line {
 	set := a.setOf(b)
 	for i := range set {
@@ -76,6 +79,8 @@ func (a *cacheArray) install(l *line, b mem.BlockAddr, s State, data mem.Block, 
 }
 
 // writeWord performs a store into a resident line, refreshing ECC.
+//
+//dvmc:hotpath
 func (a *cacheArray) writeWord(l *line, addr mem.Addr, w mem.Word) {
 	l.data[addr.WordIndex()] = w
 	if a.ecc != nil {
@@ -93,6 +98,8 @@ func (a *cacheArray) writeBlock(l *line, data mem.Block) {
 }
 
 // readWord reads a word, letting ECC scrub single-bit upsets first.
+//
+//dvmc:hotpath
 func (a *cacheArray) readWord(l *line, addr mem.Addr) mem.Word {
 	if a.ecc != nil {
 		a.ecc.Check(uint64(l.block), &l.data)
@@ -145,12 +152,15 @@ func newTagFilter(sets, ways int) *tagFilter {
 	return &tagFilter{sets: sets, ways: ways, tags: make([]mem.BlockAddr, n), valid: make([]bool, n), lru: make([]uint64, n)}
 }
 
+//dvmc:hotpath
 func (f *tagFilter) index(b mem.BlockAddr) (lo, hi int) {
 	s := int(uint64(b) % uint64(f.sets))
 	return s * f.ways, (s + 1) * f.ways
 }
 
 // present reports an L1 tag hit and refreshes LRU.
+//
+//dvmc:hotpath
 func (f *tagFilter) present(b mem.BlockAddr) bool {
 	lo, hi := f.index(b)
 	for i := lo; i < hi; i++ {
@@ -164,6 +174,8 @@ func (f *tagFilter) present(b mem.BlockAddr) bool {
 }
 
 // insert fills b into the filter, evicting the LRU way silently.
+//
+//dvmc:hotpath
 func (f *tagFilter) insert(b mem.BlockAddr) {
 	lo, hi := f.index(b)
 	vic := lo

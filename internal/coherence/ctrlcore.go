@@ -188,6 +188,7 @@ func (c *ctrlCore) epochEnd(b mem.BlockAddr, k EpochKind, at uint64, data mem.Bl
 	}
 }
 
+//dvmc:hotpath
 func (c *ctrlCore) access(b mem.BlockAddr, write bool) {
 	if c.accessL != nil {
 		c.accessL.Access(b, write)
@@ -196,6 +197,8 @@ func (c *ctrlCore) access(b mem.BlockAddr, write bool) {
 
 // mayHit reports whether block b's resident line may serve hits now (see
 // hitUnderMiss).
+//
+//dvmc:hotpath
 func (c *ctrlCore) mayHit(b mem.BlockAddr) bool {
 	return c.hitUnderMiss || c.mshrs[b] == nil
 }
@@ -222,10 +225,17 @@ func (c *ctrlCore) launch(w waiter, class network.Class, delay sim.Cycle) {
 		a.step = a.run
 	}
 	a.w, a.class = w, class
-	c.events.After(c.now, delay, a.step)
+	c.schedule(a, delay)
 }
 
+// schedule hands a to the event queue: its next stage runs after delay.
+//
+//dvmc:hotpath
+func (c *ctrlCore) schedule(a *access, delay sim.Cycle) { c.events.After(c.now, delay, a.step) }
+
 // finish releases a, handing back what its last stage still needs.
+//
+//dvmc:hotpath
 func (a *access) finish() (w waiter, class network.Class) {
 	w, class = a.w, a.class
 	*a = access{core: a.core, step: a.step}
@@ -279,7 +289,7 @@ func (c *ctrlCore) loadStage(a *access, b mem.BlockAddr) {
 			c.stats.ReplayL1Misses++
 		}
 		a.atL2 = true
-		c.events.After(c.now, c.cfg.L2Latency, a.step)
+		c.schedule(a, c.cfg.L2Latency)
 		return
 	}
 	if readable {
@@ -319,7 +329,7 @@ func (c *ctrlCore) storeStage(a *access, b mem.BlockAddr) {
 	}
 	if !a.atL2 {
 		a.atL2 = true
-		c.events.After(c.now, c.cfg.L2Latency, a.step)
+		c.schedule(a, c.cfg.L2Latency)
 		return
 	}
 	c.stats.L2Misses++
@@ -336,6 +346,7 @@ func (c *ctrlCore) RMW(addr mem.Addr, f func(mem.Word) mem.Word, done func(mem.W
 		c.cfg.L1Latency+c.cfg.L2Latency)
 }
 
+//dvmc:hotpath
 func (c *ctrlCore) rmwStage(a *access, b mem.BlockAddr) {
 	w, class := a.finish()
 	l := c.l2.lookup(b)
@@ -346,6 +357,7 @@ func (c *ctrlCore) rmwStage(a *access, b mem.BlockAddr) {
 		return
 	}
 	c.stats.L2Misses++
+	//dvmc:alloc-ok a miss allocates its messages; the hit above is the steady state
 	c.join(b, true, class, w)
 }
 
@@ -354,6 +366,7 @@ func (c *ctrlCore) PrefetchExclusive(addr mem.Addr) {
 	c.launch(waiter{addr: addr}, network.ClassCoherence, c.cfg.L1Latency)
 }
 
+//dvmc:hotpath
 func (c *ctrlCore) prefetchStage(a *access, b mem.BlockAddr) {
 	w, class := a.finish()
 	l := c.l2.lookup(b)
@@ -369,6 +382,7 @@ func (c *ctrlCore) prefetchStage(a *access, b mem.BlockAddr) {
 	if len(c.mshrs) >= c.cfg.MSHRs {
 		return // drop the hint; prefetches are best-effort
 	}
+	//dvmc:alloc-ok a miss allocates its messages; the line already being writable is the steady state
 	c.join(b, true, class, w)
 }
 
@@ -388,8 +402,11 @@ func (c *ctrlCore) receive(m *network.Message) {
 		r.step = r.run
 	}
 	r.m = m
-	c.events.After(c.now, 1, r.step)
+	c.latch(r)
 }
+
+// latch hands r to the event queue for the one cycle of input latency.
+func (c *ctrlCore) latch(r *inbound) { c.events.After(c.now, 1, r.step) }
 
 //dvmc:hotpath
 func (r *inbound) run() {
@@ -410,6 +427,8 @@ func (c *ctrlCore) PeekWord(addr mem.Addr) (mem.Word, bool) {
 }
 
 // performStore writes into a Modified line and notifies listeners.
+//
+//dvmc:hotpath
 func (c *ctrlCore) performStore(l *line, addr mem.Addr, val mem.Word) {
 	if c.stateFaultArmed && c.stateFaultPromote && l.block == c.stateFaultBlock {
 		// The store is performing under write permission the system never
@@ -553,6 +572,8 @@ func (c *ctrlCore) retire(ms *mshr, remaining []waiter) (upgrade bool) {
 
 // fireStateFault records that the armed state corruption took
 // architectural effect this cycle.
+//
+//dvmc:hotpath
 func (c *ctrlCore) fireStateFault() {
 	if !c.stateFaultFired {
 		c.stateFaultFired = true

@@ -153,33 +153,38 @@ func (h *DirHome) after(delay sim.Cycle, w *dirWait) {
 	h.events.After(h.now, delay, w.step)
 }
 
+// run releases the record and does the work it stood for.
+//
 //dvmc:hotpath
 func (w *dirWait) run() {
-	h, what, m, e, t, b := w.home, w.what, w.m, w.e, w.t, w.block
-	from, data := w.from, w.data
+	h, job := w.home, *w
 	*w = dirWait{home: h, step: w.step}
 	h.waits.Put(w)
-	//dvmc:alloc-ok the work itself sends messages; the wait record is what must stay free
-	switch what {
+	//dvmc:alloc-ok the work sends messages; what must stay free is the wait
+	h.perform(job)
+}
+
+func (h *DirHome) perform(w dirWait) {
+	switch w.what {
 	case workDispatch:
-		h.dispatch(m)
+		h.dispatch(w.m)
 	case workStart:
-		h.start(e, m)
+		h.start(w.e, w.m)
 	case workGetSData:
-		e.txn.haveData = true
-		e.txn.data = h.memory.ReadBlock(b)
-		h.maybeGrant(b, e)
+		w.e.txn.haveData = true
+		w.e.txn.data = h.memory.ReadBlock(w.block)
+		h.maybeGrant(w.block, w.e)
 	case workGetMData:
-		t.haveData = true
-		t.data = h.memory.ReadBlock(b)
-		h.maybeGrant(b, e)
+		w.t.haveData = true
+		w.t.data = h.memory.ReadBlock(w.block)
+		h.maybeGrant(w.block, w.e)
 	case workPutM:
-		h.memory.WriteBlock(b, data)
-		h.net.Send(&network.Message{Src: h.node, Dst: from, Size: CtrlBytes, Class: network.ClassCoherence,
-			Payload: MsgWBAck{Block: b}})
-		e.busy = false
-		e.txn = nil
-		h.next(b, e)
+		h.memory.WriteBlock(w.block, w.data)
+		h.net.Send(&network.Message{Src: h.node, Dst: w.from, Size: CtrlBytes, Class: network.ClassCoherence,
+			Payload: MsgWBAck{Block: w.block}})
+		w.e.busy = false
+		w.e.txn = nil
+		h.next(w.block, w.e)
 	}
 }
 

@@ -182,25 +182,32 @@ func (h *SnoopHome) after(delay sim.Cycle, w *snoopWait) {
 	h.events.After(h.now, delay, w.step)
 }
 
+// run releases the record and does the work it stood for.
+//
 //dvmc:hotpath
 func (w *snoopWait) run() {
-	h, what, b, node, data := w.home, w.what, w.block, w.node, w.data
+	h, job := w.home, *w
 	*w = snoopWait{home: h, step: w.step}
 	h.waits.Put(w)
-	//dvmc:alloc-ok the work itself sends messages; the wait record is what must stay free
-	switch what {
+	//dvmc:alloc-ok the work sends messages; what must stay free is the wait
+	h.perform(job)
+}
+
+func (h *SnoopHome) perform(w snoopWait) {
+	switch w.what {
 	case workSupply:
-		h.data.Send(&network.Message{Src: h.node, Dst: node, Size: DataBytes, Class: network.ClassCoherence,
-			Payload: MsgSnoopData{Block: b, Data: h.memory.ReadBlock(b)}})
+		data := h.memory.ReadBlock(w.block)
+		h.data.Send(&network.Message{Src: h.node, Dst: w.node, Size: DataBytes, Class: network.ClassCoherence,
+			Payload: MsgSnoopData{Block: w.block, Data: data}})
 	case workWBLatch:
-		h.onWBData(MsgSnoopWB{Block: b, Data: data, From: node})
+		h.onWBData(MsgSnoopWB{Block: w.block, Data: w.data, From: w.node})
 	case workWBWrite:
-		h.memory.WriteBlock(b, data)
-		delete(h.pendingWB, b)
-		reqs := h.deferred[b]
-		delete(h.deferred, b)
+		h.memory.WriteBlock(w.block, w.data)
+		delete(h.pendingWB, w.block)
+		reqs := h.deferred[w.block]
+		delete(h.deferred, w.block)
 		for _, r := range reqs {
-			h.supplyFromMemory(b, r)
+			h.supplyFromMemory(w.block, r)
 		}
 	}
 }

@@ -173,10 +173,17 @@ type threadProgram struct {
 var _ proc.Program = (*threadProgram)(nil)
 
 // Snapshot implements proc.Program.
-func (t *threadProgram) Snapshot() any { return t.pos }
+func (t *threadProgram) Snapshot(into any) any {
+	p, ok := into.(*int)
+	if !ok {
+		p = new(int)
+	}
+	*p = t.pos
+	return p
+}
 
 // Restore implements proc.Program.
-func (t *threadProgram) Restore(s any) { t.pos = s.(int) }
+func (t *threadProgram) Restore(s any) { t.pos = *s.(*int) }
 
 // Next implements proc.Program.
 func (t *threadProgram) Next(proc.Result) (proc.Op, bool) {

@@ -21,12 +21,35 @@ const (
 	uExecuted
 )
 
+// uop is one operation in flight. uops are recycled (DESIGN.md, "Object
+// lifetimes"): the pipeline holds one through the ROB, pendingOp and
+// blockingOp, the cache through at most one demand and one replay
+// completion, and it returns to the core's free list only when all of
+// those have let go — so a completion that arrives after a squash finds
+// squashed set, never a new occupant.
 type uop struct {
-	op         Op
-	seq        uint64
-	model      consistency.Model // effective model (Bits32 forces TSO)
-	state      uopState
-	instrCost  int // 1 + gap instructions
+	// What survives recycling: the owner, the completion callbacks handed
+	// to the cache (bound on first use), and the buffer the program's
+	// snapshot is taken into.
+	cpu      *CPU
+	onLoad   func(mem.Word, bool)
+	onReplay func(mem.Word, bool)
+	onStore  func()
+	onRMW    func(mem.Word)
+	snapBuf  any
+
+	// inflight counts cache completions issued for this uop and not yet
+	// delivered; dropped says the pipeline is done with it.
+	inflight int
+	dropped  bool
+
+	op        Op
+	seq       uint64
+	model     consistency.Model // effective model (Bits32 forces TSO)
+	state     uopState
+	instrCost int // 1 + gap instructions
+	// genSnap is the program state before this op was generated (snapBuf,
+	// or nil for an injected membar, which the program never produced).
 	genSnap    any
 	prevResult Result
 
@@ -60,7 +83,12 @@ type CPU struct {
 	ctrl  coherence.Controller
 	prog  Program
 
+	// rob is the reorder buffer, oldest first: a window of robBuf that
+	// slides right as ops retire and moves back to the front when it
+	// reaches the end, so fetch never grows it.
 	rob      []*uop
+	robBuf   []*uop
+	uops     sim.FreeList[uop]
 	instrs   int // instructions in flight (ops + gaps)
 	seqNext  uint64
 	now      sim.Cycle
@@ -93,8 +121,9 @@ type CPU struct {
 	faultForward     bool
 	faultActivated   sim.Cycle
 	faultDidActivate bool
-	faultUop         *uop
+	faultUop         *uop // the corrupted load, while it is in flight
 	faultCaught      bool
+	faultSquashed    bool
 
 	// Watchdog: report a lost operation if the retire head makes no
 	// progress for this many cycles (a dropped protocol message hangs
@@ -147,7 +176,10 @@ func NewCPU(node network.NodeID, cfg Config, model consistency.Model, ctrl coher
 		ctrl:  ctrl,
 		prog:  prog,
 		awake: true,
+		// Every op in flight costs at least one of the ROBInstrs.
+		robBuf: make([]*uop, cfg.ROBInstrs),
 	}
+	c.rob = c.robBuf[:0]
 	c.wb = NewWriteBufferFor(model, cfg, ctrl, c.storePerformed, c.wake)
 	c.watchdogCycles = 30000
 	return c
@@ -176,10 +208,7 @@ func (c *CPU) FaultActivatedAt() (sim.Cycle, bool) { return c.faultActivated, c.
 // mis-speculation flush erased the corruption before verification (the
 // fault left no architectural trace).
 func (c *CPU) FaultOutcome() (caught, squashed bool) {
-	if c.faultUop == nil {
-		return false, false
-	}
-	return c.faultCaught, c.faultUop.squashed && !c.faultCaught
+	return c.faultCaught, c.faultSquashed && !c.faultCaught
 }
 
 // AttachDVMC enables the Uniprocessor Ordering and Allowable Reordering
@@ -287,7 +316,7 @@ func (c *CPU) Tick(now sim.Cycle) {
 		c.slept++
 		return
 	}
-	//dvmc:alloc-ok the pipeline itself allocates (one uop per fetched op); the hot path is the sleeping return above
+	//dvmc:alloc-ok the pipeline's own steady state is pinned by TestSteadyStateAllocBudget; the hot path proved here is the sleeping return above
 	c.cycle(now)
 }
 
@@ -421,10 +450,10 @@ func (c *CPU) fetchStage(now sim.Cycle) {
 		u := c.pendingOp
 		c.pendingOp = nil
 		c.instrs += u.instrCost
-		c.rob = append(c.rob, u)
+		c.pushROB(u)
 		c.wake()
 		if u.op.Blocking {
-			c.blockingOp = u
+			c.setBlocking(u)
 		}
 	}
 }
@@ -437,7 +466,7 @@ func (c *CPU) nextFromProgram(now sim.Cycle) bool {
 			return false
 		}
 		c.nextResult = Result{Valid: true, Value: c.blockingOp.loadVal}
-		c.blockingOp = nil
+		c.setBlocking(nil)
 		c.wake()
 	}
 	if c.reorder != nil && c.cfg.MembarInjectionInterval > 0 &&
@@ -445,14 +474,15 @@ func (c *CPU) nextFromProgram(now sim.Cycle) bool {
 		c.wake()
 		c.lastInject = now
 		c.stats.InjectedMembars++
-		c.pendingOp = &uop{
-			op:        Op{Kind: OpMembar, Mask: consistency.FullMask},
-			seq:       c.nextSeq(),
-			model:     c.model,
-			state:     uFetched,
-			instrCost: 1,
-			injected:  true,
-		}
+		u := c.uops.Get()
+		u.cpu = c
+		u.op = Op{Kind: OpMembar, Mask: consistency.FullMask}
+		u.seq = c.nextSeq()
+		u.model = c.model
+		u.state = uFetched
+		u.instrCost = 1
+		u.injected = true
+		c.pendingOp = u
 		c.pendingGap = 0
 		return true
 	}
@@ -460,29 +490,83 @@ func (c *CPU) nextFromProgram(now sim.Cycle) bool {
 		return false
 	}
 	c.wake()
-	snap := c.prog.Snapshot()
+	u := c.uops.Get()
+	u.cpu = c
+	u.snapBuf = c.prog.Snapshot(u.snapBuf)
 	prev := c.nextResult
 	c.nextResult = Result{}
 	op, ok := c.prog.Next(prev)
 	if !ok {
 		c.finished = true
+		c.drop(u)
 		return false
 	}
 	cost := 1 + op.Gap
 	if cost > c.cfg.ROBInstrs {
 		cost = c.cfg.ROBInstrs // huge gaps must still fit the ROB
 	}
-	c.pendingOp = &uop{
-		op:         op,
-		seq:        c.nextSeq(),
-		model:      c.effectiveModel(op),
-		state:      uFetched,
-		instrCost:  cost,
-		genSnap:    snap,
-		prevResult: prev,
-	}
+	u.op = op
+	u.seq = c.nextSeq()
+	u.model = c.effectiveModel(op)
+	u.state = uFetched
+	u.instrCost = cost
+	u.genSnap = u.snapBuf
+	u.prevResult = prev
+	c.pendingOp = u
 	c.pendingGap = op.Gap
 	return true
+}
+
+// pushROB appends a fetched op to the reorder buffer.
+func (c *CPU) pushROB(u *uop) {
+	if len(c.rob) == cap(c.rob) {
+		// The window reached the end of the buffer: move it to the front.
+		n := copy(c.robBuf, c.rob)
+		clear(c.robBuf[n:])
+		c.rob = c.robBuf[:n]
+	}
+	c.rob = append(c.rob, u)
+}
+
+// setBlocking changes the op fetch is stalled behind. The front end may
+// still be holding an op that has since retired, which is what kept it
+// from being recycled.
+func (c *CPU) setBlocking(u *uop) {
+	old := c.blockingOp
+	c.blockingOp = u
+	if old != nil && old != u {
+		c.reclaim(old)
+	}
+}
+
+// squash marks an op flushed; the flag is what a late cache completion
+// for it finds.
+func (c *CPU) squash(u *uop) {
+	u.squashed = true
+	if u == c.faultUop {
+		c.faultSquashed = true
+	}
+}
+
+// drop is the pipeline letting go of u: it retired, was squashed, or was
+// flushed by a recovery.
+func (c *CPU) drop(u *uop) {
+	u.dropped = true
+	if u == c.faultUop {
+		c.faultUop = nil
+	}
+	c.reclaim(u)
+}
+
+// reclaim recycles u once nothing holds it: the pipeline dropped it, no
+// cache completion is outstanding for it, and fetch is not waiting to read
+// its value. It is called wherever one of those three changes.
+func (c *CPU) reclaim(u *uop) {
+	if !u.dropped || u.inflight > 0 || u == c.blockingOp {
+		return
+	}
+	*u = uop{cpu: c, onLoad: u.onLoad, onReplay: u.onReplay, onStore: u.onStore, onRMW: u.onRMW, snapBuf: u.snapBuf}
+	c.uops.Put(u)
 }
 
 func (c *CPU) nextSeq() uint64 {
@@ -615,14 +699,24 @@ func (c *CPU) issueLoad(u *uop, now sim.Cycle) {
 			return
 		}
 	}
-	c.ctrl.Load(u.op.Addr, network.ClassCoherence, func(v mem.Word, _ bool) {
-		if u.squashed {
-			return
-		}
-		c.wake()
-		u.loadVal = v
-		c.loadExecuted(u)
-	})
+	if u.onLoad == nil {
+		u.onLoad = u.loadDone
+	}
+	u.inflight++
+	c.ctrl.Load(u.op.Addr, network.ClassCoherence, u.onLoad)
+}
+
+// loadDone is the demand load's cache completion.
+func (u *uop) loadDone(v mem.Word, _ bool) {
+	c := u.cpu
+	u.inflight--
+	if u.squashed {
+		c.reclaim(u)
+		return
+	}
+	c.wake()
+	u.loadVal = v
+	c.loadExecuted(u)
 }
 
 // loadExecuted finalises a load's execution. Loads under ordered-load
@@ -754,15 +848,25 @@ func (c *CPU) startReplay(u *uop, now sim.Cycle) {
 		u.replayMatch = match
 		return
 	}
-	c.ctrl.Load(u.op.Addr, network.ClassReplay, func(v mem.Word, _ bool) {
-		if u.squashed {
-			return
-		}
-		c.wake()
-		u.replayVal = v
-		u.replayDone = true
-		u.replayMatch = c.uo.CompareReplay(u.op.Addr, u.loadVal, v, c.now)
-	})
+	if u.onReplay == nil {
+		u.onReplay = u.replayLoadDone
+	}
+	u.inflight++
+	c.ctrl.Load(u.op.Addr, network.ClassReplay, u.onReplay)
+}
+
+// replayLoadDone is the replay load's cache completion.
+func (u *uop) replayLoadDone(v mem.Word, _ bool) {
+	c := u.cpu
+	u.inflight--
+	if u.squashed {
+		c.reclaim(u)
+		return
+	}
+	c.wake()
+	u.replayVal = v
+	u.replayDone = true
+	u.replayMatch = c.uo.CompareReplay(u.op.Addr, u.loadVal, v, c.now)
 }
 
 func (c *CPU) retireStage(now sim.Cycle) {
@@ -814,6 +918,7 @@ func (c *CPU) retireStage(now sim.Cycle) {
 
 func (c *CPU) popHead(u *uop) {
 	c.wake()
+	c.rob[0] = nil
 	c.rob = c.rob[1:]
 	c.instrs -= u.instrCost
 	c.stats.OpsRetired++
@@ -829,6 +934,7 @@ func (c *CPU) popHead(u *uop) {
 	if u.op.EndTxn {
 		c.stats.Transactions++
 	}
+	c.drop(u)
 }
 
 // retireLoad verifies (DVMC) and performs the load.
@@ -903,14 +1009,11 @@ func (c *CPU) retireStore(u *uop, now sim.Cycle) bool {
 			if c.uo != nil {
 				c.uo.StoreCommitted(u.op.Addr, u.op.Data)
 			}
-			c.ctrl.Store(u.op.Addr, u.op.Data, func() {
-				if u.squashed {
-					return
-				}
-				c.wake()
-				u.performed = true
-				c.storePerformedChecks(u.seq, u.op.Addr, u.op.Data, u.model)
-			})
+			if u.onStore == nil {
+				u.onStore = u.storeDone
+			}
+			u.inflight++
+			c.ctrl.Store(u.op.Addr, u.op.Data, u.onStore)
 		}
 		return u.performed
 	}
@@ -932,6 +1035,19 @@ func (c *CPU) retireStore(u *uop, now sim.Cycle) bool {
 		c.rememberModel(u.seq, u.model)
 	}
 	return true
+}
+
+// storeDone is the cache completion of an SC store.
+func (u *uop) storeDone() {
+	c := u.cpu
+	u.inflight--
+	if u.squashed {
+		c.reclaim(u)
+		return
+	}
+	c.wake()
+	u.performed = true
+	c.storePerformedChecks(u.seq, u.op.Addr, u.op.Data, u.model)
 }
 
 // rememberModel records the effective model of a store entering the
@@ -1025,37 +1141,47 @@ func (c *CPU) retireRMW(u *uop, now sim.Cycle) bool {
 		if c.reorder != nil {
 			c.reorder.OpCommitted(consistency.Load, true)
 		}
-		c.ctrl.RMW(u.op.Addr, u.op.RMW, func(old mem.Word) {
-			if u.squashed {
-				return
-			}
-			c.wake()
-			u.loadVal = old
-			newVal := u.op.RMW(old)
-			if c.tracer != nil {
-				c.emitTrace(trace.Event{
-					Kind:  trace.EvPerform,
-					Class: consistency.Store,
-					IsRMW: true,
-					Model: u.model,
-					Seq:   u.seq,
-					Addr:  u.op.Addr,
-					Val:   newVal,
-					Val2:  old,
-				})
-			}
-			if c.uo != nil {
-				c.uo.StoreCommitted(u.op.Addr, newVal)
-				c.uo.StorePerformed(u.op.Addr, newVal, c.now)
-			}
-			u.performed = true
-			if c.reorder != nil {
-				c.reorder.OpPerformed(core.PerformedOp{
-					Seq: u.seq, Class: consistency.Store, IsRMW: true, Model: u.model}, c.now)
-			}
-		})
+		if u.onRMW == nil {
+			u.onRMW = u.rmwDone
+		}
+		u.inflight++
+		c.ctrl.RMW(u.op.Addr, u.op.RMW, u.onRMW)
 	}
 	return u.performed
+}
+
+// rmwDone is the atomic's cache completion: its perform point.
+func (u *uop) rmwDone(old mem.Word) {
+	c := u.cpu
+	u.inflight--
+	if u.squashed {
+		c.reclaim(u)
+		return
+	}
+	c.wake()
+	u.loadVal = old
+	newVal := u.op.RMW(old)
+	if c.tracer != nil {
+		c.emitTrace(trace.Event{
+			Kind:  trace.EvPerform,
+			Class: consistency.Store,
+			IsRMW: true,
+			Model: u.model,
+			Seq:   u.seq,
+			Addr:  u.op.Addr,
+			Val:   newVal,
+			Val2:  old,
+		})
+	}
+	if c.uo != nil {
+		c.uo.StoreCommitted(u.op.Addr, newVal)
+		c.uo.StorePerformed(u.op.Addr, newVal, c.now)
+	}
+	u.performed = true
+	if c.reorder != nil {
+		c.reorder.OpPerformed(core.PerformedOp{
+			Seq: u.seq, Class: consistency.Store, IsRMW: true, Model: u.model}, c.now)
+	}
 }
 
 // retireMembar stalls until the membar's ordering conditions hold, then
@@ -1162,22 +1288,32 @@ func (c *CPU) squashFrom(u *uop, spec bool) {
 		c.nextResult = u.prevResult
 		c.finished = false
 	}
-	for _, r := range c.rob[idx:] {
-		r.squashed = true
-		c.instrs -= r.instrCost
-	}
-	c.rob = c.rob[:idx]
-	// The pending (not yet inserted) op is younger than the squash point;
-	// the generator rewind regenerates it.
-	c.pendingOp = nil
-	c.pendingGap = 0
-	c.blockingOp = nil
+	c.flushFrom(idx)
 	for _, r := range c.rob {
 		if r.op.Blocking && !c.blockingValueReady(r) {
-			c.blockingOp = r
+			c.setBlocking(r)
 		}
 	}
 	c.fetchStallUntil = c.now + c.cfg.SquashPenalty
+}
+
+// flushFrom squashes rob[idx:] and the pending (not yet inserted) op,
+// which is younger still; the generator rewind regenerates them. Fetch no
+// longer waits on anything.
+func (c *CPU) flushFrom(idx int) {
+	c.setBlocking(nil)
+	for _, r := range c.rob[idx:] {
+		c.squash(r)
+		c.instrs -= r.instrCost
+		c.drop(r)
+	}
+	clear(c.rob[idx:])
+	c.rob = c.rob[:idx]
+	if c.pendingOp != nil {
+		c.drop(c.pendingOp)
+		c.pendingOp = nil
+	}
+	c.pendingGap = 0
 }
 
 // ---------- SafetyNet checkpoint support ----------
@@ -1187,6 +1323,8 @@ func (c *CPU) squashFrom(u *uop, spec bool) {
 // performed-irrevocable, operation) plus the pending stores the write
 // buffer holds for already-retired work.
 type ArchState struct {
+	// ProgSnap is a program snapshot the checkpoint owns: nothing writes
+	// to it again.
 	ProgSnap any
 	Prev     Result
 	Pending  []PendingStore
@@ -1211,20 +1349,16 @@ func (c *CPU) ArchSnapshot() ArchState {
 	// one (injected membars do not).
 	for j := i; j < len(c.rob); j++ {
 		if c.rob[j].genSnap != nil {
-			st.ProgSnap = c.rob[j].genSnap
-			st.Prev = c.rob[j].prevResult
-			return st
+			return c.rob[j].keepSnapshot(st)
 		}
 	}
 	if c.pendingOp != nil && c.pendingOp.genSnap != nil {
-		st.ProgSnap = c.pendingOp.genSnap
-		st.Prev = c.pendingOp.prevResult
-		return st
+		return c.pendingOp.keepSnapshot(st)
 	}
 	// Nothing speculative in flight: the generator's current state is the
 	// position. If an irrevocable blocking op (RMW) performed, its value
 	// is the pending Result.
-	st.ProgSnap = c.prog.Snapshot()
+	st.ProgSnap = c.prog.Snapshot(nil)
 	st.Prev = c.nextResult
 	if i > 0 && c.rob[i-1].op.Blocking {
 		st.Prev = Result{Valid: true, Value: c.rob[i-1].loadVal}
@@ -1235,19 +1369,24 @@ func (c *CPU) ArchSnapshot() ArchState {
 	return st
 }
 
+// keepSnapshot makes u's program position the checkpoint's. The
+// checkpoint outlives the uop, so the snapshot changes hands rather than
+// being shared: u still reads it for a squash in this life, but gives up
+// the buffer, and its next life takes its snapshot into a fresh one.
+func (u *uop) keepSnapshot(st ArchState) ArchState {
+	st.ProgSnap = u.genSnap
+	st.Prev = u.prevResult
+	u.snapBuf = nil
+	return st
+}
+
 // Recover rewinds the core to a checkpointed architectural state
 // (SafetyNet recovery): the pipeline and write buffer flush, the program
 // rewinds, and fetch restarts after the squash penalty.
 func (c *CPU) Recover(st ArchState) {
 	c.wake()
-	for _, u := range c.rob {
-		u.squashed = true
-	}
-	c.rob = nil
+	c.flushFrom(0)
 	c.instrs = 0
-	c.pendingOp = nil
-	c.pendingGap = 0
-	c.blockingOp = nil
 	if c.wb != nil {
 		c.wb.Clear()
 	}
@@ -1295,16 +1434,9 @@ func (c *CPU) squashYounger(u *uop) {
 		// Younger ops will be regenerated from u's corrected value.
 		c.nextResult = Result{Valid: true, Value: u.loadVal}
 	}
-	for _, r := range c.rob[idx+1:] {
-		r.squashed = true
-		c.instrs -= r.instrCost
-	}
-	c.rob = c.rob[:idx+1]
-	c.pendingOp = nil
-	c.pendingGap = 0
-	c.blockingOp = nil
+	c.flushFrom(idx + 1)
 	if u.op.Blocking && !c.blockingValueReady(u) {
-		c.blockingOp = u
+		c.setBlocking(u)
 	}
 	c.fetchStallUntil = c.now + c.cfg.SquashPenalty
 }

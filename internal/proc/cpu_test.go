@@ -274,8 +274,8 @@ func (p *dependentProg) Next(prev Result) (Op, bool) {
 		return Op{}, false
 	}
 }
-func (p *dependentProg) Snapshot() any { return *p }
-func (p *dependentProg) Restore(s any) { *p = s.(dependentProg) }
+func (p *dependentProg) Snapshot(any) any { return *p }
+func (p *dependentProg) Restore(s any)    { *p = s.(dependentProg) }
 
 func TestCPURMWBlockingValue(t *testing.T) {
 	f := newFakeCtrl(10)
@@ -309,8 +309,8 @@ func (p *rmwProg) Next(prev Result) (Op, bool) {
 		return Op{}, false
 	}
 }
-func (p *rmwProg) Snapshot() any { return *p }
-func (p *rmwProg) Restore(s any) { *p = s.(rmwProg) }
+func (p *rmwProg) Snapshot(any) any { return *p }
+func (p *rmwProg) Restore(s any)    { *p = s.(rmwProg) }
 
 func TestCPUDVMCCleanRunNoViolations(t *testing.T) {
 	for _, model := range consistency.Models {
@@ -489,7 +489,7 @@ func TestCPUSquashOnEpochEnd(t *testing.T) {
 
 func TestCPUScriptSnapshotRestore(t *testing.T) {
 	s := NewScript([]Op{ld(1 * 8), ld(2 * 8), ld(3 * 8)})
-	snap := s.Snapshot()
+	snap := s.Snapshot(nil)
 	op1, _ := s.Next(Result{})
 	s.Restore(snap)
 	op1again, _ := s.Next(Result{})

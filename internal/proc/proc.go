@@ -107,8 +107,13 @@ type Program interface {
 	// ends the thread.
 	Next(prev Result) (op Op, ok bool)
 	// Snapshot captures the generator state before the next Next call.
-	Snapshot() any
-	// Restore rewinds to a previously captured state.
+	// The processor takes one per fetched op, so a program whose state is
+	// more than a word should not box a fresh copy each time: into is nil
+	// or a value an earlier Snapshot of this program returned and the
+	// caller is done with, which may be overwritten and returned.
+	Snapshot(into any) any
+	// Restore rewinds to a previously captured state. It must not keep s:
+	// the caller may hand it back to Snapshot.
 	Restore(s any)
 }
 

@@ -24,7 +24,14 @@ func (s *ScriptProgram) Next(Result) (Op, bool) {
 }
 
 // Snapshot implements Program.
-func (s *ScriptProgram) Snapshot() any { return s.pos }
+func (s *ScriptProgram) Snapshot(into any) any {
+	p, ok := into.(*int)
+	if !ok {
+		p = new(int)
+	}
+	*p = s.pos
+	return p
+}
 
 // Restore implements Program.
-func (s *ScriptProgram) Restore(v any) { s.pos = v.(int) }
+func (s *ScriptProgram) Restore(v any) { s.pos = *v.(*int) }

@@ -131,6 +131,8 @@ func (tw *twins) view(i int) cpuView {
 	for _, u := range c.rob {
 		cp := *u
 		cp.genSnap, cp.op.RMW = nil, nil // not comparable; the program position shows in SeqNext
+		// Nor is what a uop keeps across lives: its owner, callbacks, buffer.
+		cp.cpu, cp.snapBuf, cp.onLoad, cp.onReplay, cp.onStore, cp.onRMW = nil, nil, nil, nil, nil, nil
 		v.ROB = append(v.ROB, cp)
 	}
 	return v

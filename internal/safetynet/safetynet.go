@@ -93,6 +93,11 @@ type Manager struct {
 	onCheckpoint func(seq uint64, at sim.Cycle)
 	onRecovery   func(seq uint64, cpCycle, errorCycle sim.Cycle)
 
+	// logMsgs and logRecs recycle the loggers' write-log messages, which
+	// are sent at one node and released (ReleaseLog) at another.
+	logMsgs sim.FreeList[network.Message]
+	logRecs sim.FreeList[LogRecord]
+
 	stats Stats
 }
 
@@ -253,8 +258,9 @@ type Logger struct {
 // overhead as modest.
 const logMsgBytes = 16
 
-// LogRecord is the payload of a write-log message. The home controller
-// only accounts it; contents are immaterial to the simulation.
+// LogRecord is the payload of a write-log message, carried as a
+// *LogRecord. The home controller only accounts it; contents are
+// immaterial to the simulation.
 type LogRecord struct {
 	Block mem.BlockAddr
 	From  network.NodeID
@@ -297,11 +303,29 @@ func (l *Logger) Access(b mem.BlockAddr, write bool) {
 	l.logged[b] = true
 	l.mgr.stats.LogMessages++
 	l.mgr.stats.LogBytes += logMsgBytes
-	l.net.Send(&network.Message{
+	rec := l.mgr.logRecs.Get()
+	*rec = LogRecord{Block: b, From: l.node}
+	m := l.mgr.logMsgs.Get()
+	*m = network.Message{
 		Src:     l.node,
 		Dst:     l.homeOf(b),
 		Size:    logMsgBytes,
 		Class:   network.ClassSafetyNet,
-		Payload: LogRecord{Block: b, From: l.node},
-	})
+		Payload: rec,
+	}
+	l.net.Send(m)
+}
+
+// ReleaseLog takes back a delivered write-log message and its record for
+// the loggers to send again; the assembly calls it from the handler the
+// message was delivered to. Other messages are left alone.
+func (m *Manager) ReleaseLog(msg *network.Message) {
+	rec, ok := msg.Payload.(*LogRecord)
+	if !ok {
+		return
+	}
+	*rec = LogRecord{}
+	m.logRecs.Put(rec)
+	*msg = network.Message{}
+	m.logMsgs.Put(msg)
 }

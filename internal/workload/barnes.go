@@ -41,10 +41,17 @@ type barnesState struct {
 var _ proc.Program = (*barnesGen)(nil)
 
 // Snapshot implements proc.Program.
-func (g *barnesGen) Snapshot() any { return g.state }
+func (g *barnesGen) Snapshot(into any) any {
+	p, ok := into.(*barnesState)
+	if !ok {
+		p = new(barnesState)
+	}
+	*p = g.state
+	return p
+}
 
 // Restore implements proc.Program.
-func (g *barnesGen) Restore(s any) { g.state = s.(barnesState) }
+func (g *barnesGen) Restore(s any) { g.state = *s.(*barnesState) }
 
 // reads per iteration: the tree walk touches many bodies.
 func (g *barnesGen) readsPerIter() int { return g.spec.Params.OpsPerTxn * 3 / 4 }

@@ -227,7 +227,7 @@ const (
 )
 
 // genState is the snapshotable generator state: a plain value copied by
-// Snapshot/Restore.
+// Snapshot/Restore, into and out of a *genState the caller recycles.
 type genState struct {
 	Rng      sim.Rand
 	Phase    phase
@@ -247,10 +247,17 @@ type generator struct {
 var _ proc.Program = (*generator)(nil)
 
 // Snapshot implements proc.Program.
-func (g *generator) Snapshot() any { return g.state }
+func (g *generator) Snapshot(into any) any {
+	p, ok := into.(*genState)
+	if !ok {
+		p = new(genState)
+	}
+	*p = g.state
+	return p
+}
 
 // Restore implements proc.Program.
-func (g *generator) Restore(s any) { g.state = s.(genState) }
+func (g *generator) Restore(s any) { g.state = *s.(*genState) }
 
 // Next implements proc.Program.
 func (g *generator) Next(prev proc.Result) (proc.Op, bool) {

@@ -116,7 +116,7 @@ func TestSnapshotRestoreReplaysIdentically(t *testing.T) {
 		s := s.WithThreads(4).WithModel(consistency.TSO)
 		g := s.NewProgram(2, 7)
 		_, prev := driveFrom(t, g, 100, proc.Result{}, nil)
-		snap := g.Snapshot()
+		snap := g.Snapshot(nil)
 		first, _ := driveFrom(t, g, 50, prev, nil)
 		g.Restore(snap)
 		second, _ := driveFrom(t, g, 50, prev, nil)

@@ -318,19 +318,23 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	return s, nil
 }
 
-// informFallback wraps a MET's Handle so each delivered inform is
-// returned to the system's pool once the checker has consumed it.
-// MemChecker.Handle is synchronous and copies everything it retains, so
-// release-after-handle is safe; coherence traffic never reaches the
-// fallback handler.
+// informFallback is the handler for what is not coherence traffic: it
+// gives a delivered inform to the MET and then returns it to the system's
+// pool, and returns a SafetyNet write-log message (which the home only
+// accounts) to the loggers. MemChecker.Handle is synchronous and copies
+// everything it retains, so release-after-handle is safe.
 func (s *System) informFallback(met *core.MemChecker) network.Handler {
-	if met == nil {
+	if met == nil && s.snMgr == nil {
 		return nil
 	}
-	pool := s.informPool
 	return func(m *network.Message) {
-		met.Handle(m)
-		pool.Release(m)
+		if met != nil {
+			met.Handle(m)
+			s.informPool.Release(m)
+		}
+		if s.snMgr != nil {
+			s.snMgr.ReleaseLog(m)
+		}
 	}
 }
 
