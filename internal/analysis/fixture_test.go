@@ -118,8 +118,9 @@ func TestHotSetCoversAllocAsserted(t *testing.T) {
 		}
 	}
 	// The roots the alloc_bench/steady-state tests assert with
-	// AllocsPerRun (core VC/CET/MET, proc write buffers, sim event queue,
-	// torus, trace encode, telemetry update/sample).
+	// AllocsPerRun (core VC/CET/MET, proc write buffers, sim event queue
+	// and freelist, the controllers' event records, torus, trace encode,
+	// telemetry update/sample).
 	roots := []string{
 		"internal/core.UniprocChecker.StoreCommitted",
 		"internal/core.UniprocChecker.StorePerformed",
@@ -136,6 +137,12 @@ func TestHotSetCoversAllocAsserted(t *testing.T) {
 		"internal/proc.OOOWB.Tick",
 		"internal/sim.EventQueue.At",
 		"internal/sim.EventQueue.Tick",
+		"internal/sim.FreeList.Get",
+		"internal/sim.FreeList.Put",
+		"internal/coherence.access.run",
+		"internal/coherence.inbound.run",
+		"internal/coherence.dirWait.run",
+		"internal/coherence.snoopWait.run",
 		"internal/network.Torus.Send",
 		"internal/network.Torus.Tick",
 		"internal/trace.Writer.Write",

@@ -116,10 +116,9 @@ func runPoolDiscipline(p *Pass) {
 
 // acquireSite is one pool-acquire call and how its result is bound.
 type acquireSite struct {
-	call    *ast.CallExpr
-	release string     // the expected release, for the message
-	stmt    ast.Stmt   // the statement the call is the direct RHS/expr of
-	v       *types.Var // bound variable, nil when discarded or handed off
+	call *ast.CallExpr
+	stmt ast.Stmt   // the statement the call is the direct RHS/expr of
+	v    *types.Var // bound variable, nil when discarded or handed off
 }
 
 func checkPoolFunc(p *Pass, fd *ast.FuncDecl) {
@@ -134,15 +133,14 @@ func checkPoolFunc(p *Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return
 		}
-		release := poolRelease
-		site := acquireSite{call: call, release: release}
+		site := acquireSite{call: call}
 		if len(stack) >= 2 {
 			switch parent := stack[len(stack)-2].(type) {
 			case *ast.AssignStmt:
 				if len(parent.Lhs) == 1 && len(parent.Rhs) == 1 && parent.Rhs[0] == ast.Expr(call) {
 					if id, ok := parent.Lhs[0].(*ast.Ident); ok {
 						if id.Name == "_" {
-							p.ReportfReason(call.Pos(), "pool-leak", "pooled object from %s is discarded; it will never reach %s and leaks from the pool", key, release)
+							p.ReportfReason(call.Pos(), "pool-leak", "pooled object from %s is discarded; it will never reach %s and leaks from the pool", key, poolRelease)
 							return
 						}
 						if v, ok := objOf(info, id).(*types.Var); ok {
@@ -153,7 +151,7 @@ func checkPoolFunc(p *Pass, fd *ast.FuncDecl) {
 				}
 			case *ast.ExprStmt:
 				if parent.X == ast.Expr(call) {
-					p.ReportfReason(call.Pos(), "pool-leak", "pooled object from %s is discarded; it will never reach %s and leaks from the pool", key, release)
+					p.ReportfReason(call.Pos(), "pool-leak", "pooled object from %s is discarded; it will never reach %s and leaks from the pool", key, poolRelease)
 					return
 				}
 			}
@@ -234,7 +232,7 @@ func checkAcquirePaths(p *Pass, g *funcCFG, site acquireSite) {
 		return false
 	}
 	if leak(home, homeIdx+1) {
-		p.ReportfReason(site.call.Pos(), "pool-leak", "pooled object %s can leak: a path reaches a function exit without releasing or handing it off (expected %s or an ownership transfer on every exit)", site.v.Name(), site.release)
+		p.ReportfReason(site.call.Pos(), "pool-leak", "pooled object %s can leak: a path reaches a function exit without releasing or handing it off (expected %s or an ownership transfer on every exit)", site.v.Name(), poolRelease)
 	}
 }
 

@@ -643,6 +643,9 @@ func (c *ctrlCore) ForEachDirty(fn func(b mem.BlockAddr, data mem.Block)) {
 			fn(l.block, l.data)
 		}
 	}
+	if len(c.wb) == 0 {
+		return // every checkpoint comes through here
+	}
 	wbs := make([]mem.BlockAddr, 0, len(c.wb))
 	for b := range c.wb {
 		wbs = append(wbs, b)

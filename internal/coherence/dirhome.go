@@ -119,7 +119,7 @@ func (h *DirHome) entry(b mem.BlockAddr) *dirEntry {
 // dirWait is one piece of work waiting out a latency in the home's event
 // queue: a delivered message in the input latch, a request in the
 // directory lookup, or a transaction waiting for DRAM. The queue holds it
-// through step until it runs; it is released as it starts to.
+// through step until it runs; it is released when its work is done.
 type dirWait struct {
 	home *DirHome
 	step func() // run, bound once when the record is first made
@@ -153,18 +153,18 @@ func (h *DirHome) after(delay sim.Cycle, w *dirWait) {
 	h.events.After(h.now, delay, w.step)
 }
 
-// run releases the record and does the work it stood for.
+// run does the work the record stood for and releases it.
 //
 //dvmc:hotpath
 func (w *dirWait) run() {
-	h, job := w.home, *w
+	h := w.home
+	//dvmc:alloc-ok the work sends messages; what must stay free is the wait
+	h.perform(w)
 	*w = dirWait{home: h, step: w.step}
 	h.waits.Put(w)
-	//dvmc:alloc-ok the work sends messages; what must stay free is the wait
-	h.perform(job)
 }
 
-func (h *DirHome) perform(w dirWait) {
+func (h *DirHome) perform(w *dirWait) {
 	switch w.what {
 	case workDispatch:
 		h.dispatch(w.m)

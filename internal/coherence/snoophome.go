@@ -153,7 +153,7 @@ func (h *SnoopHome) supplyFromMemory(b mem.BlockAddr, req network.NodeID) {
 // snoopWait is one piece of work waiting out a latency in the home's
 // event queue: writeback data in the input latch, or a block on its way
 // to or from DRAM. The queue holds it through step until it runs; it is
-// released as it starts to.
+// released when its work is done.
 type snoopWait struct {
 	home *SnoopHome
 	step func() // run, bound once when the record is first made
@@ -182,18 +182,18 @@ func (h *SnoopHome) after(delay sim.Cycle, w *snoopWait) {
 	h.events.After(h.now, delay, w.step)
 }
 
-// run releases the record and does the work it stood for.
+// run does the work the record stood for and releases it.
 //
 //dvmc:hotpath
 func (w *snoopWait) run() {
-	h, job := w.home, *w
+	h := w.home
+	//dvmc:alloc-ok the work sends messages; what must stay free is the wait
+	h.perform(w)
 	*w = snoopWait{home: h, step: w.step}
 	h.waits.Put(w)
-	//dvmc:alloc-ok the work sends messages; what must stay free is the wait
-	h.perform(job)
 }
 
-func (h *SnoopHome) perform(w snoopWait) {
+func (h *SnoopHome) perform(w *snoopWait) {
 	switch w.what {
 	case workSupply:
 		data := h.memory.ReadBlock(w.block)

@@ -17,9 +17,10 @@ import (
 // synchronous and copies everything it keeps (queuedInform for epoch
 // informs, metEntry fields for open/closed informs), so nothing aliases
 // the released structs. Coherence-class messages are deliberately NOT
-// pooled: the directory and snooping controllers defer handling through
-// event closures and park messages in per-block queues, so their
-// lifetime is unbounded from the sender's point of view.
+// pooled: the home controllers park them in per-block queues, fault
+// injection duplicates and holds them, and span observers read them
+// after delivery, so no one owner knows when a message is dead
+// (DESIGN.md, "Object lifetimes").
 //
 // The pool is four sim.FreeLists behind the inform vocabulary; its zero
 // value is ready to use and starts empty. A nil *InformPool is valid

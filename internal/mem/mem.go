@@ -280,6 +280,3 @@ func (m *Memory) Reprotect() {
 		m.ecc.Protect(uint64(b), &c.data)
 	}
 }
-
-// LogLen returns the number of undo-log entries held (accounting).
-func (m *Memory) LogLen() int { return len(m.log) }

@@ -418,8 +418,8 @@ func TestUndoLogFlipCapturedByMarkSurvivesRewind(t *testing.T) {
 	u.corrupt(3, 2)
 	u.mark()
 	u.readBlock(3) // repairs the flip, in place, without a store
-	if u.m.LogLen() != 1 {
-		t.Fatalf("ECC repair logged %d entries, want 1", u.m.LogLen())
+	if len(u.m.log) != 1 {
+		t.Fatalf("ECC repair logged %d entries, want 1", len(u.m.log))
 	}
 	u.writeBlock(3, Block{7})
 	u.rewind(0)
@@ -479,11 +479,11 @@ func TestUndoLogStaysBounded(t *testing.T) {
 		for _, n := range firstWrites {
 			bound += n
 		}
-		if m.LogLen() > bound {
-			t.Fatalf("interval %d: %d log entries, the live intervals made %d first writes", interval, m.LogLen(), bound)
+		if len(m.log) > bound {
+			t.Fatalf("interval %d: %d log entries, the live intervals made %d first writes", interval, len(m.log), bound)
 		}
-		if m.LogLen() > peak {
-			peak = m.LogLen()
+		if len(m.log) > peak {
+			peak = len(m.log)
 		}
 	}
 	if peak == 0 || peak > keep*writes {
@@ -525,5 +525,38 @@ func TestUndoLogTrimOfNewestKeepsOlderRewindExact(t *testing.T) {
 	u.rewind(0)
 	if got := u.m.ReadBlock(1); got != (Block{1}) {
 		t.Errorf("block 1 = %v, want %v", got, Block{1})
+	}
+}
+
+// TestUndoLogSteadyStateAllocFree: once the log has grown to the live
+// intervals' first writes, a checkpoint interval — mark, rewrite stored
+// blocks, trim the oldest mark — allocates nothing.
+func TestUndoLogSteadyStateAllocFree(t *testing.T) {
+	m := NewMemory(true)
+	for b := BlockAddr(0); b < 32; b++ {
+		m.WriteBlock(b, Block{Word(b)})
+	}
+	var live []uint64
+	n := 0
+	interval := func() {
+		live = append(live, m.Mark())
+		if len(live) > 3 {
+			m.Trim(live[0])
+			copy(live, live[1:])
+			live = live[:len(live)-1]
+		}
+		for i := 0; i < 24; i++ {
+			n++
+			m.WriteWord(BlockAddr(n%32).WordAddr(n%WordsPerBlock), Word(n))
+		}
+	}
+	for i := 0; i < 8; i++ {
+		interval()
+	}
+	if allocs := testing.AllocsPerRun(200, interval); allocs != 0 {
+		t.Errorf("%v allocs per checkpoint interval, want 0", allocs)
+	}
+	if len(m.log) == 0 || len(m.log) > 3*24 {
+		t.Errorf("log holds %d entries, want in (0, 72]", len(m.log))
 	}
 }

@@ -1386,7 +1386,6 @@ func (u *uop) keepSnapshot(st ArchState) ArchState {
 func (c *CPU) Recover(st ArchState) {
 	c.wake()
 	c.flushFrom(0)
-	c.instrs = 0
 	if c.wb != nil {
 		c.wb.Clear()
 	}

@@ -56,6 +56,14 @@ type twins struct {
 	// sleptTicks counts ticks cores[0] skipped; a test that never put the
 	// core to sleep tested nothing.
 	sleptTicks int
+
+	// fresh makes cores[1] the twin of the recycling tests instead
+	// (recycle_test.go): it is not woken, it never recycles a uop.
+	fresh bool
+	// lives counts, per uop of cores[0], the ops it has carried.
+	lives map[*uop]uint64
+	// reused counts uops of cores[0] seen carrying a second op.
+	reused int
 }
 
 type twinOpts struct {
@@ -133,6 +141,7 @@ func (tw *twins) view(i int) cpuView {
 		cp.genSnap, cp.op.RMW = nil, nil // not comparable; the program position shows in SeqNext
 		// Nor is what a uop keeps across lives: its owner, callbacks, buffer.
 		cp.cpu, cp.snapBuf, cp.onLoad, cp.onReplay, cp.onStore, cp.onRMW = nil, nil, nil, nil, nil, nil
+		cp.inflight %= pinned
 		v.ROB = append(v.ROB, cp)
 	}
 	return v
@@ -143,7 +152,7 @@ func (tw *twins) step() {
 	tw.t.Helper()
 	for i, c := range tw.cores {
 		tw.ctrls[i].Tick(tw.now)
-		if i == 1 {
+		if i == 1 && !tw.fresh {
 			c.wake()
 		}
 		before := c.slept
@@ -152,8 +161,11 @@ func (tw *twins) step() {
 			tw.sleptTicks++
 		}
 	}
+	if tw.fresh {
+		tw.trackLives()
+	}
 	if a, b := tw.view(0), tw.view(1); !reflect.DeepEqual(a, b) {
-		tw.t.Fatalf("cycle %d: sleeping core diverged from its always-ticked twin\n sleeper %+v\n twin    %+v", tw.now, a, b)
+		tw.t.Fatalf("cycle %d: the core diverged from its twin\n core %+v\n twin %+v", tw.now, a, b)
 	}
 	tw.now++
 }
