@@ -9,122 +9,79 @@
 // disjoint result slots; -compare re-runs each figure serially and
 // fails if the parallel table differs.
 //
-// With -json the run also executes a representative telemetry-
-// instrumented simulation (whose per-class link bandwidth and inform
-// counters populate the report's "bandwidth" section) and the checker
-// microbenchmarks (ns/op + allocs/op for the VC-replay, CET-update,
-// MET-inform, event queue, torus, and trace-encode hot paths), then
-// writes a machine-readable report. -metrics-out additionally records
-// that instrumented run's full telemetry snapshot for dvmc-stat.
+// It prints tables, not measurements: how fast the figures regenerate
+// is `go run ./benchmark` (workload paper-eval, harness.* metrics), and
+// an instrumented OLTP run is `dvmc-sim -workload oltp -metrics-out`.
 //
 // Example:
 //
 //	dvmc-bench -fig all -reps 3 -txns 150
-//	dvmc-bench -fig 5 -json BENCH.json
-//	dvmc-bench -fig all -workers 8 -compare -json BENCH_PR5.json -metrics-out bench.metrics.json
+//	dvmc-bench -fig 5 -workers 8 -compare
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
 
 	"dvmc"
-	"dvmc/internal/telemetry"
 )
 
-type figureReport struct {
-	Key          string  `json:"key"`
-	Name         string  `json:"name"`
-	WallMS       float64 `json:"wall_ms"`
-	SerialWallMS float64 `json:"serial_wall_ms,omitempty"`
-	// ParallelSpeedup is the percent wall clock saved by the parallel run
-	// against the serial re-run (-compare). Null when the host has a
-	// single core: the comparison then measures goroutine overhead, not
-	// speedup, and reporting a number would be dishonest.
-	ParallelSpeedup *float64 `json:"parallel_speedup"`
-	Identical       *bool    `json:"tables_identical,omitempty"`
+type figure struct {
+	key, name string
+	run       func(dvmc.ExperimentOpts) (dvmc.Table, error)
 }
 
-type microReport struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Iterations  int     `json:"iterations"`
+var figures = []figure{
+	{"3", "Figure 3", func(o dvmc.ExperimentOpts) (dvmc.Table, error) { return dvmc.FigureRuntimes(dvmc.Directory, o) }},
+	{"4", "Figure 4", func(o dvmc.ExperimentOpts) (dvmc.Table, error) { return dvmc.FigureRuntimes(dvmc.Snooping, o) }},
+	{"5", "Figure 5", dvmc.Figure5},
+	{"6", "Figure 6", dvmc.Figure6},
+	{"7", "Figure 7", dvmc.Figure7},
+	{"8", "Figure 8", dvmc.Figure8},
+	{"9", "Figure 9", dvmc.Figure9},
+	{"errors", "Section 6.1", func(o dvmc.ExperimentOpts) (dvmc.Table, error) {
+		return dvmc.ErrorDetectionTable(10, 400_000, 42, o.Workers)
+	}},
 }
 
-// bandwidthReport carries the Figure 7 headline numbers from one
-// representative instrumented run: peak link utilisation broken down by
-// traffic class, plus the coherence-checker inform counters that drive
-// the inform class.
-type bandwidthReport struct {
-	Workload         string             `json:"workload"`
-	Transactions     uint64             `json:"transactions"`
-	Cycles           uint64             `json:"cycles"`
-	MaxLinkBandwidth float64            `json:"max_link_bytes_per_cycle"`
-	MaxLinkByClass   map[string]float64 `json:"max_link_by_class"`
-	TotalLinkBytes   uint64             `json:"total_link_bytes"`
-	Informs          uint64             `json:"informs"`
-	OpenInforms      uint64             `json:"open_informs"`
-	InformsProcessed uint64             `json:"informs_processed"`
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-type report struct {
-	GoVersion    string           `json:"go_version"`
-	GOOS         string           `json:"goos"`
-	GOARCH       string           `json:"goarch"`
-	CPUs         int              `json:"cpus"`
-	Workers      int              `json:"workers"`
-	Repetitions  int              `json:"repetitions"`
-	Transactions uint64           `json:"transactions"`
-	Compared     bool             `json:"compared_serial_vs_parallel"`
-	SingleCore   bool             `json:"single_core"`
-	Figures      []figureReport   `json:"figures"`
-	Bandwidth    *bandwidthReport `json:"bandwidth,omitempty"`
-	Micro        []microReport    `json:"microbenchmarks"`
-}
-
-// runInstrumented executes one representative telemetry-enabled run
-// (oltp on the default 8-node directory/TSO system) and returns its
-// results plus the telemetry snapshot. It powers both the JSON report's
-// bandwidth section and the -metrics-out snapshot.
-func runInstrumented(txns uint64) (dvmc.Results, *telemetry.Snapshot, error) {
-	cfg := dvmc.ScaledConfig().WithTelemetry(dvmc.TelemetryOn())
-	w, err := dvmc.WorkloadByName("oltp")
-	if err != nil {
-		return dvmc.Results{}, nil, err
-	}
-	sys, err := dvmc.NewSystem(cfg, w)
-	if err != nil {
-		return dvmc.Results{}, nil, err
-	}
-	res, err := sys.Run(txns, 100_000_000)
-	if err != nil {
-		return dvmc.Results{}, nil, err
-	}
-	sys.DrainCheckers()
-	return res, sys.TelemetrySnapshot(), nil
-}
-
-func main() {
+// run is main with its process edges passed in: 0 on success, 1 on an
+// unknown figure, a failed experiment or a parallel table that differs
+// from its serial re-run, 2 on a flag error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvmc-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig        = flag.String("fig", "all", "figure to regenerate: 3|4|5|6|7|8|9|errors|all")
-		reps       = flag.Int("reps", 3, "perturbed repetitions per configuration")
-		txns       = flag.Uint64("txns", 120, "transactions per run")
-		workers    = flag.Int("workers", 0, "worker pool size for the figure matrices (0 = min(GOMAXPROCS, jobs), 1 = serial)")
-		jsonPath   = flag.String("json", "", "write a machine-readable report (wall clocks + checker microbenchmarks) to this file")
-		compare    = flag.Bool("compare", false, "re-run each figure serially and fail unless the parallel table is identical")
-		metricsOut = flag.String("metrics-out", "", "write the representative run's telemetry snapshot to this file (.json|.prom|.csv|.series.csv; '-' for stdout JSON)")
+		fig     = fs.String("fig", "all", "figure to regenerate: 3|4|5|6|7|8|9|errors|all")
+		reps    = fs.Int("reps", 3, "perturbed repetitions per configuration")
+		txns    = fs.Uint64("txns", 120, "transactions per run")
+		workers = fs.Int("workers", 0, "worker pool size for the figure matrices (0 = min(GOMAXPROCS, jobs), 1 = serial)")
+		compare = fs.Bool("compare", false, "re-run each figure serially and fail unless the parallel table is identical")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 	if *workers <= 0 {
-		// Resolve "auto" here so the JSON report records the actual pool
-		// cap; parallelFor still clamps to each figure's job count.
 		*workers = runtime.GOMAXPROCS(0)
+	}
+
+	var selected []figure
+	for _, f := range figures {
+		if *fig == "all" || *fig == f.key {
+			selected = append(selected, f)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(stderr, "dvmc-bench: unknown figure %q\n", *fig)
+		return 1
 	}
 
 	opts := dvmc.DefaultExperimentOpts()
@@ -132,139 +89,31 @@ func main() {
 	opts.Transactions = *txns
 	opts.Workers = *workers
 
-	type job struct {
-		name string
-		run  func(dvmc.ExperimentOpts) (dvmc.Table, error)
-	}
-	jobs := map[string]job{
-		"3": {"Figure 3", func(o dvmc.ExperimentOpts) (dvmc.Table, error) { return dvmc.FigureRuntimes(dvmc.Directory, o) }},
-		"4": {"Figure 4", func(o dvmc.ExperimentOpts) (dvmc.Table, error) { return dvmc.FigureRuntimes(dvmc.Snooping, o) }},
-		"5": {"Figure 5", dvmc.Figure5},
-		"6": {"Figure 6", dvmc.Figure6},
-		"7": {"Figure 7", dvmc.Figure7},
-		"8": {"Figure 8", dvmc.Figure8},
-		"9": {"Figure 9", dvmc.Figure9},
-		"errors": {"Section 6.1", func(o dvmc.ExperimentOpts) (dvmc.Table, error) {
-			return dvmc.ErrorDetectionTable(10, 400_000, 42, o.Workers)
-		}},
-	}
-	order := []string{"3", "4", "5", "6", "7", "8", "9", "errors"}
-
-	var selected []string
-	if *fig == "all" {
-		selected = order
-	} else if _, ok := jobs[*fig]; ok {
-		selected = []string{*fig}
-	} else {
-		fmt.Fprintf(os.Stderr, "dvmc-bench: unknown figure %q\n", *fig)
-		os.Exit(1)
-	}
-
-	rep := report{
-		GoVersion:    runtime.Version(),
-		GOOS:         runtime.GOOS,
-		GOARCH:       runtime.GOARCH,
-		CPUs:         runtime.NumCPU(),
-		Workers:      *workers,
-		Repetitions:  *reps,
-		Transactions: *txns,
-		Compared:     *compare,
-		SingleCore:   runtime.GOMAXPROCS(0) == 1,
-	}
-	if rep.SingleCore && *compare {
-		fmt.Println("single core (GOMAXPROCS=1): parallel speedup will not be measured")
-	}
-
-	for _, key := range selected {
-		j := jobs[key]
+	for _, f := range selected {
 		start := time.Now()
-		t, err := j.run(opts)
-		wall := time.Since(start)
+		t, err := f.run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvmc-bench: %s: %v\n", j.name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "dvmc-bench: %s: %v\n", f.name, err)
+			return 1
 		}
-		fmt.Println(t)
-		fmt.Printf("  [%s regenerated in %v, %d worker(s)]\n\n", j.name, wall.Round(time.Millisecond), *workers)
-
-		fr := figureReport{Key: key, Name: j.name, WallMS: float64(wall.Microseconds()) / 1000}
-		if *compare {
-			sOpts := opts
-			sOpts.Workers = 1
-			sStart := time.Now()
-			st, err := j.run(sOpts)
-			sWall := time.Since(sStart)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dvmc-bench: %s (serial re-run): %v\n", j.name, err)
-				os.Exit(1)
-			}
-			identical := st.String() == t.String()
-			fr.SerialWallMS = float64(sWall.Microseconds()) / 1000
-			if sWall > 0 && !rep.SingleCore {
-				sp := 100 * (1 - wall.Seconds()/sWall.Seconds())
-				fr.ParallelSpeedup = &sp
-			}
-			fr.Identical = &identical
-			fmt.Printf("  [serial re-run %v; parallel table identical: %v]\n\n", sWall.Round(time.Millisecond), identical)
-			if !identical {
-				fmt.Fprintf(os.Stderr, "dvmc-bench: %s: parallel table differs from serial table (determinism regression)\n", j.name)
-				os.Exit(1)
-			}
+		fmt.Fprintln(stdout, t)
+		fmt.Fprintf(stdout, "  [%s regenerated in %v, %d worker(s)]\n\n", f.name, time.Since(start).Round(time.Millisecond), *workers)
+		if !*compare {
+			continue
 		}
-		rep.Figures = append(rep.Figures, fr)
-	}
-
-	if *jsonPath != "" || *metricsOut != "" {
-		fmt.Println("running representative instrumented run (oltp, telemetry on)...")
-		res, snap, err := runInstrumented(*txns)
+		serial := opts
+		serial.Workers = 1
+		st, err := f.run(serial)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvmc-bench: instrumented run: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "dvmc-bench: %s (serial re-run): %v\n", f.name, err)
+			return 1
 		}
-		bw := &bandwidthReport{
-			Workload:         "oltp",
-			Transactions:     res.Transactions,
-			Cycles:           res.Cycles,
-			MaxLinkBandwidth: res.MaxLinkBandwidth,
-			MaxLinkByClass:   make(map[string]float64, len(res.MaxLinkByClass)),
-			TotalLinkBytes:   res.TotalLinkBytes,
-			Informs:          res.Informs,
-			OpenInforms:      res.OpenInforms,
-			InformsProcessed: res.InformsProcessed,
-		}
-		for cl, v := range res.MaxLinkByClass {
-			bw.MaxLinkByClass[cl.String()] = v
-		}
-		rep.Bandwidth = bw
-		fmt.Printf("  max link %.3f B/cycle, %d bytes total, %d informs (+%d open)\n",
-			bw.MaxLinkBandwidth, bw.TotalLinkBytes, bw.Informs, bw.OpenInforms)
-		if *metricsOut != "" {
-			if err := telemetry.WriteSnapshotFile(snap, *metricsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "dvmc-bench: %v\n", err)
-				os.Exit(1)
-			}
-			if *metricsOut != "-" {
-				fmt.Printf("  telemetry snapshot written to %s\n", *metricsOut)
-			}
+		identical := st.String() == t.String()
+		fmt.Fprintf(stdout, "  [serial re-run; parallel table identical: %v]\n\n", identical)
+		if !identical {
+			fmt.Fprintf(stderr, "dvmc-bench: %s: parallel table differs from serial table (determinism regression)\n", f.name)
+			return 1
 		}
 	}
-
-	if *jsonPath != "" {
-		fmt.Println("running checker microbenchmarks...")
-		rep.Micro = runMicrobenchmarks()
-		for _, m := range rep.Micro {
-			fmt.Printf("  %-28s %12.1f ns/op %6d B/op %4d allocs/op\n", m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvmc-bench: encode report: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dvmc-bench: write report: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("report written to %s\n", *jsonPath)
-	}
+	return 0
 }

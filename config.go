@@ -10,8 +10,9 @@
 //
 // The package is the public façade: build a System from a Config and a
 // workload, run it for a number of transactions, and read Results. The
-// experiment harness in bench_test.go regenerates every table and figure
-// of the paper's evaluation through this API.
+// experiment harness in experiments.go regenerates every table and
+// figure of the paper's evaluation through this API; cmd/dvmc-bench
+// prints them.
 package dvmc
 
 import (

@@ -34,10 +34,7 @@ func TestDiagnosticString(t *testing.T) {
 func TestDeterministicAllowlist(t *testing.T) {
 	// Every allowlisted package must exist in the repo module; a stale
 	// entry would silently stop being enforced after a rename.
-	mod, err := LoadModule("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := loadRepo(t)
 	have := make(map[string]bool)
 	for _, pkg := range mod.Pkgs {
 		have[mod.Rel(pkg.Path)] = true

@@ -11,8 +11,25 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// repoModule loads this repository's module once per test binary: one
+// load type-checks the module and the standard library from source, and
+// the analyzers only read the result.
+var repoModule = sync.OnceValues(func() (*Module, error) {
+	return LoadModule(filepath.Join("..", ".."))
+})
+
+func loadRepo(t *testing.T) *Module {
+	t.Helper()
+	mod, err := repoModule()
+	if err != nil {
+		t.Fatalf("loading repo module: %v", err)
+	}
+	return mod
+}
 
 func loadFixture(t *testing.T, name string) *Module {
 	t.Helper()
@@ -94,10 +111,7 @@ func TestHotSetCoversAllocAsserted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module parse is slow; skipped with -short")
 	}
-	mod, err := LoadModule(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("loading repo module: %v", err)
-	}
+	mod := loadRepo(t)
 	hot := make(map[string]bool)
 	for _, pkg := range mod.Pkgs {
 		for _, f := range pkg.Files {
@@ -169,10 +183,7 @@ func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is slow; skipped with -short")
 	}
-	mod, err := LoadModule(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("loading repo module: %v", err)
-	}
+	mod := loadRepo(t)
 	if len(mod.TypeErrors) > 0 {
 		t.Fatalf("repo module has type errors: %v", mod.TypeErrors)
 	}

@@ -146,12 +146,6 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	if cfg.Budget == 0 {
 		cfg.Budget = DefaultBudget
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers > cfg.Runs {
-		cfg.Workers = cfg.Runs
-	}
 	if cfg.MinimizeBudget <= 0 {
 		cfg.MinimizeBudget = DefaultMinimizeBudget
 	}
@@ -344,6 +338,43 @@ func FinalizeRecords(records []Record, corpusDir string) error {
 	return nil
 }
 
+// forEachIndex runs fn(from..to-1) on min(workers, to-from) goroutines;
+// workers<=0 sizes the pool to GOMAXPROCS first, and one worker runs
+// inline. This package deliberately sits outside the dvmc-lint
+// determinism allowlist: determinism is architectural — fn(i) writes
+// only slot i of the caller's outputs, and every slot is a pure
+// function of its run index.
+func forEachIndex(from, to, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > to-from {
+		workers = to - from
+	}
+	if workers <= 1 {
+		for i := from; i < to; i++ {
+			fn(i)
+		}
+		return
+	}
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				fn(i)
+			}
+		}()
+	}
+	for i := from; i < to; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+}
+
 // Run executes the campaign and returns its records in index order,
 // plus the merged telemetry snapshot when cfg.Metrics is on (nil
 // otherwise).
@@ -352,26 +383,9 @@ func (cp *Campaign) Run() ([]Record, Summary, *telemetry.Snapshot, error) {
 	records := make([]Record, cfg.Runs)
 	snaps := make([]*telemetry.Snapshot, cfg.Runs)
 
-	// Bounded worker pool. This package deliberately sits outside the
-	// dvmc-lint determinism allowlist: determinism is architectural —
-	// workers only write their own slots, and every slot is a pure
-	// function of its run index.
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				records[i], snaps[i] = runOne(cfg, i)
-			}
-		}()
-	}
-	for i := 0; i < cfg.Runs; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	forEachIndex(0, cfg.Runs, cfg.Workers, func(i int) {
+		records[i], snaps[i] = runOne(cfg, i)
+	})
 
 	// Post-pool, single-threaded: persist failures in ascending index
 	// order so corpus bytes are reproducible.

@@ -3,8 +3,6 @@ package fuzz
 import (
 	"fmt"
 	"path/filepath"
-	"runtime"
-	"sync"
 
 	"dvmc/internal/sim"
 	"dvmc/internal/telemetry"
@@ -260,10 +258,6 @@ func RunCoverage(cc CoverageConfig) ([]Record, CoverageSummary, *telemetry.Snaps
 		return nil, CoverageSummary{}, nil, err
 	}
 	cc = cc.normalized()
-	workers := cc.Campaign.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	total := cc.TotalRuns()
 	records := make([]Record, total)
 	snaps := make([]*telemetry.Snapshot, total)
@@ -271,26 +265,9 @@ func RunCoverage(cc CoverageConfig) ([]Record, CoverageSummary, *telemetry.Snaps
 	for g := 0; g <= cc.Generations; g++ {
 		from, to := cc.GenBounds(g)
 		pool := cm.pool
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		w := workers
-		if w > to-from {
-			w = to - from
-		}
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					records[i], snaps[i] = runOneCov(cc, i, pool)
-				}
-			}()
-		}
-		for i := from; i < to; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
+		forEachIndex(from, to, cc.Campaign.Workers, func(i int) {
+			records[i], snaps[i] = runOneCov(cc, i, pool)
+		})
 		// Barrier passed; fold the generation in ascending index order.
 		for i := from; i < to; i++ {
 			cm.add(&records[i])

@@ -85,14 +85,3 @@ func TestSumDeterministic(t *testing.T) {
 		t.Error("Sum is not deterministic")
 	}
 }
-
-func BenchmarkSumWords64B(b *testing.B) {
-	words := make([]uint64, 8)
-	for i := range words {
-		words[i] = uint64(i) * 0x9e3779b97f4a7c15
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = SumWords(words)
-	}
-}

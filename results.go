@@ -7,10 +7,11 @@ import (
 	"dvmc/internal/core"
 	"dvmc/internal/network"
 	"dvmc/internal/proc"
-	"dvmc/internal/sim"
 )
 
-// Results summarises one simulation interval.
+// Results summarises one simulation interval: what Run, RunCycles or
+// RunToCompletion added since the previous such call returned (or since
+// construction). ResultsSoFar reports the same fields since cycle 0.
 type Results struct {
 	Cycles       uint64
 	Transactions uint64
@@ -31,7 +32,9 @@ type Results struct {
 	ReplayL1Misses   uint64
 	Writebacks       uint64
 
-	// Interconnect.
+	// Interconnect. MaxLinkBandwidth and MaxLinkByClass are means over
+	// the whole run even in a later interval: the hottest link is chosen
+	// by its whole-run mean, which has no per-interval counterpart.
 	MaxLinkBandwidth float64 // bytes/cycle on the hottest link (Figure 7)
 	MaxLinkByClass   map[network.Class]float64
 	TotalLinkBytes   uint64
@@ -72,10 +75,48 @@ func (r Results) String() string {
 		r.Cycles, r.Transactions, r.TPKC(), r.L1Misses, r.ReplayMissRatio(), r.MaxLinkBandwidth, r.Violations)
 }
 
-// results gathers metrics since the given start cycle.
-func (s *System) results(start sim.Cycle) Results {
+// interval closes a Run* call: the totals now, less the totals the
+// previous call ended with.
+func (s *System) interval() Results {
+	total := s.results()
+	r := total.since(s.reported)
+	s.reported = total
+	return r
+}
+
+// since subtracts prev from every monotone counter of r.
+func (r Results) since(prev Results) Results {
+	r.Cycles -= prev.Cycles
+	r.Transactions -= prev.Transactions
+	r.OpsRetired -= prev.OpsRetired
+	r.LoadsExecuted -= prev.LoadsExecuted
+	r.SpecSquashes -= prev.SpecSquashes
+	r.VerifySquashes -= prev.VerifySquashes
+	r.MembarStalls -= prev.MembarStalls
+	r.VCFullStalls -= prev.VCFullStalls
+	r.WBFullStalls -= prev.WBFullStalls
+	r.L1Hits -= prev.L1Hits
+	r.L1Misses -= prev.L1Misses
+	r.L2Hits -= prev.L2Hits
+	r.L2Misses -= prev.L2Misses
+	r.ReplayLoads -= prev.ReplayLoads
+	r.ReplayL1Misses -= prev.ReplayL1Misses
+	r.Writebacks -= prev.Writebacks
+	r.TotalLinkBytes -= prev.TotalLinkBytes
+	r.Informs -= prev.Informs
+	r.OpenInforms -= prev.OpenInforms
+	r.InformsProcessed -= prev.InformsProcessed
+	r.Violations -= prev.Violations
+	r.Checkpoints -= prev.Checkpoints
+	r.Recoveries -= prev.Recoveries
+	r.LogMessages -= prev.LogMessages
+	return r
+}
+
+// results gathers whole-run metrics (since cycle 0).
+func (s *System) results() Results {
 	r := Results{
-		Cycles:       uint64(s.kernel.Now() - start),
+		Cycles:       uint64(s.kernel.Now()),
 		Transactions: s.Transactions(),
 		Violations:   s.violations.Count(),
 	}
@@ -132,8 +173,9 @@ func (s *System) results(start sim.Cycle) Results {
 }
 
 // ResultsSoFar gathers whole-run metrics (since cycle 0) without
-// advancing the system — live introspection and chunked run drivers.
-func (s *System) ResultsSoFar() Results { return s.results(0) }
+// advancing the system or closing an interval — live introspection and
+// chunked run drivers.
+func (s *System) ResultsSoFar() Results { return s.results() }
 
 // CPUStats exposes one core's counters (examples and tests).
 func (s *System) CPUStats(node int) proc.Stats { return s.cpus[node].Stats() }

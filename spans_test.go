@@ -181,30 +181,3 @@ func TestSpanChromeExport(t *testing.T) {
 		t.Fatal("chrome export has no events")
 	}
 }
-
-// benchmarkSystem runs a fixed slice of simulation per iteration; the
-// spans-on/off pair quantifies the recorder's overhead (BENCH_PR10).
-func benchmarkSystem(b *testing.B, cfg Config) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		// Construction — including the recorder's one-time ring
-		// preallocation — is untimed; the benchmark measures the
-		// steady-state cycle loop, which is where recording overhead
-		// would tax a soak run.
-		b.StopTimer()
-		s, err := NewSystem(cfg, Uniform(128, 0.7))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		s.RunCycles(10000)
-	}
-}
-
-func BenchmarkSystemSpansOff(b *testing.B) {
-	benchmarkSystem(b, ScaledConfig().WithNodes(4).WithSeed(1))
-}
-
-func BenchmarkSystemSpansOn(b *testing.B) {
-	benchmarkSystem(b, ScaledConfig().WithNodes(4).WithSeed(1).WithSpans(SpansOn()))
-}

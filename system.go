@@ -98,6 +98,9 @@ type System struct {
 
 	violations core.CollectorSink
 	stop       bool
+	// reported is the whole-run Results the last Run* call ended with;
+	// the next call's interval is counted from it.
+	reported Results
 
 	// msgFaultActivated records when an armed message fault fired.
 	msgFaultActivated sim.Cycle
@@ -377,13 +380,12 @@ func (s *System) Step() { s.kernel.Step() }
 // StopOnViolation), or the cycle budget expires. It returns the results
 // and an error if the budget expired first.
 func (s *System) Run(transactions uint64, maxCycles uint64) (Results, error) {
-	start := s.kernel.Now()
 	startTxns := s.Transactions()
 	done := func() bool {
 		return s.stop || s.Transactions()-startTxns >= transactions
 	}
 	finished := s.kernel.RunUntil(done, maxCycles)
-	res := s.results(start)
+	res := s.interval()
 	if !finished {
 		return res, fmt.Errorf("dvmc: %d of %d transactions after %d cycles",
 			s.Transactions()-startTxns, transactions, maxCycles)
@@ -393,9 +395,8 @@ func (s *System) Run(transactions uint64, maxCycles uint64) (Results, error) {
 
 // RunCycles simulates a fixed number of cycles.
 func (s *System) RunCycles(n uint64) Results {
-	start := s.kernel.Now()
 	s.kernel.RunUntil(func() bool { return s.stop }, n)
-	return s.results(start)
+	return s.interval()
 }
 
 // Finished reports whether every thread's program ended and every
@@ -415,9 +416,8 @@ func (s *System) Finished() bool {
 // expires. It reports whether the programs completed within the budget.
 // Only meaningful for finite programs (workload.Custom specs).
 func (s *System) RunToCompletion(maxCycles uint64) (Results, bool) {
-	start := s.kernel.Now()
 	s.kernel.RunUntil(func() bool { return s.stop || s.Finished() }, maxCycles)
-	return s.results(start), s.Finished()
+	return s.interval(), s.Finished()
 }
 
 // DrainCheckers forces the MET priority queues to process every queued

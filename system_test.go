@@ -1,6 +1,7 @@
 package dvmc
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -263,5 +264,41 @@ func TestDirectorySeed3RunsPastLostWakeup(t *testing.T) {
 	sys.RunCycles(1_200_000)
 	if v := sys.Violations(); len(v) != 0 {
 		t.Fatalf("%d violations in a fault-free run, first: %v", len(v), v[0])
+	}
+}
+
+// TestResultsAreIntervalDeltas: a second interval's Results count what
+// that interval added, not the whole run. Every integer field of two
+// consecutive intervals sums to ResultsSoFar, so a counter added to
+// Results without a line in since() fails here.
+func TestResultsAreIntervalDeltas(t *testing.T) {
+	sys, err := NewSystem(smallConfig(), smallWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := sys.RunCycles(40_000)
+	txnsAfterFirst := sys.Transactions()
+	second := sys.RunCycles(40_000)
+	total := sys.ResultsSoFar()
+
+	if first.Transactions == 0 || second.Transactions == 0 {
+		t.Fatalf("intervals too short to tell: %d and %d transactions", first.Transactions, second.Transactions)
+	}
+	if want := sys.Transactions() - txnsAfterFirst; second.Transactions != want {
+		t.Errorf("second interval reports %d transactions, committed %d", second.Transactions, want)
+	}
+	a, b, sum := reflect.ValueOf(first), reflect.ValueOf(second), reflect.ValueOf(total)
+	for i := 0; i < sum.NumField(); i++ {
+		name := sum.Type().Field(i).Name
+		switch sum.Field(i).Kind() {
+		case reflect.Uint64:
+			if got, want := a.Field(i).Uint()+b.Field(i).Uint(), sum.Field(i).Uint(); got != want {
+				t.Errorf("%s: intervals sum to %d, whole run %d", name, got, want)
+			}
+		case reflect.Int:
+			if got, want := a.Field(i).Int()+b.Field(i).Int(), sum.Field(i).Int(); got != want {
+				t.Errorf("%s: intervals sum to %d, whole run %d", name, got, want)
+			}
+		}
 	}
 }

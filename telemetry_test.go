@@ -160,27 +160,6 @@ func TestTelemetrySnapshotShape(t *testing.T) {
 	}
 }
 
-// benchmarkSystemRun measures whole-simulation throughput with the
-// given telemetry config; the Off/On pair quantifies sampling overhead
-// (EXPERIMENTS.md documents the measured delta; target < 2%).
-func benchmarkSystemRun(b *testing.B, tc TelemetryConfig) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := smallConfig().WithTelemetry(tc)
-		sys, err := NewSystem(cfg, smallWorkload())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.Run(200, 5_000_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSystemTelemetryOff(b *testing.B) { benchmarkSystemRun(b, TelemetryConfig{}) }
-
-func BenchmarkSystemTelemetryOn(b *testing.B) { benchmarkSystemRun(b, TelemetryOn()) }
-
 // TestCampaignLatencyByKind runs a small injection campaign and checks
 // the per-invariant detection-latency aggregation: every detected fault
 // lands in exactly one invariant's sample, and the samples render as
