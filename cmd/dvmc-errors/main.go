@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"dvmc"
 )
@@ -53,21 +52,15 @@ error, 2 undetected faults or unrecoverable detections.
 	cfg.SNConfig.Interval = 10000
 	cfg.SNConfig.Keep = 10
 	cfg.Proc.MembarInjectionInterval = 5000
-	switch strings.ToUpper(*modelName) {
-	case "SC":
-		cfg = cfg.WithModel(dvmc.SC)
-	case "TSO":
-		cfg = cfg.WithModel(dvmc.TSO)
-	case "PSO":
-		cfg = cfg.WithModel(dvmc.PSO)
-	case "RMO":
-		cfg = cfg.WithModel(dvmc.RMO)
-	default:
-		fatalf("unknown model %q", *modelName)
+	model, err := dvmc.ParseModel(*modelName)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	if strings.ToLower(*protoName) == "snooping" {
-		cfg = cfg.WithProtocol(dvmc.Snooping)
+	proto, err := dvmc.ParseProtocol(*protoName)
+	if err != nil {
+		fatalf("%v", err)
 	}
+	cfg = cfg.WithModel(model).WithProtocol(proto)
 
 	w, err := dvmc.WorkloadByName(*workloadName)
 	if err != nil {

@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -343,7 +344,7 @@ func status(args []string) {
 	}
 	defer resp.Body.Close()
 	var st fabric.StatusResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, fabric.MaxControlBody)).Decode(&st); err != nil {
 		fatalf("status: %v", err)
 	}
 	if *jsonOut {

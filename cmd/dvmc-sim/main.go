@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"dvmc"
 	"dvmc/internal/network"
@@ -56,19 +55,15 @@ func main() {
 		cfg = dvmc.DefaultConfig()
 	}
 	cfg = cfg.WithNodes(*nodes).WithLinkGBps(*linkGBps).WithSeed(*seed)
-	model, ok := parseModel(*modelName)
-	if !ok {
-		fatalf("unknown model %q", *modelName)
+	model, err := dvmc.ParseModel(*modelName)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	cfg = cfg.WithModel(model)
-	switch strings.ToLower(*protoName) {
-	case "directory":
-		cfg = cfg.WithProtocol(dvmc.Directory)
-	case "snooping":
-		cfg = cfg.WithProtocol(dvmc.Snooping)
-	default:
-		fatalf("unknown protocol %q", *protoName)
+	proto, err := dvmc.ParseProtocol(*protoName)
+	if err != nil {
+		fatalf("%v", err)
 	}
+	cfg = cfg.WithModel(model).WithProtocol(proto)
 	if *noDVMC {
 		cfg.DVMC = dvmc.Off()
 	}
@@ -168,21 +163,6 @@ func main() {
 	}
 	if res.Violations > 0 {
 		os.Exit(2)
-	}
-}
-
-func parseModel(s string) (dvmc.Model, bool) {
-	switch strings.ToUpper(s) {
-	case "SC":
-		return dvmc.SC, true
-	case "TSO":
-		return dvmc.TSO, true
-	case "PSO":
-		return dvmc.PSO, true
-	case "RMO":
-		return dvmc.RMO, true
-	default:
-		return 0, false
 	}
 }
 

@@ -99,6 +99,10 @@ func parseFlags(fs *flag.FlagSet, args []string) {
 	}
 }
 
+// maxSnapshotBody bounds a snapshot read from a URL, so a server the tool
+// was pointed at by mistake cannot make it allocate without limit.
+const maxSnapshotBody = 64 << 20
+
 // load decodes the snapshot named by the single positional argument:
 // a file path, "-" for stdin, or an http(s):// URL — the live /metrics
 // endpoint of dvmc-sim -http or a dvmc-farm coordinator's
@@ -120,7 +124,7 @@ func load(fs *flag.FlagSet) *telemetry.Snapshot {
 		if resp.StatusCode != http.StatusOK {
 			fatalf("%s: %s", path, resp.Status)
 		}
-		r = resp.Body
+		r = io.LimitReader(resp.Body, maxSnapshotBody)
 	case path != "-":
 		f, err := os.Open(path)
 		if err != nil {

@@ -15,8 +15,11 @@
 //	dvmc-trace check trace.trc
 //	dvmc-trace record -model RMO - | dvmc-trace check -
 //
-// Exit codes: 0 clean, 1 usage or I/O error, 2 the oracle found
-// violations — so the pair composes into shell pipelines and CI jobs.
+// Exit codes: 0 clean, 1 usage or I/O error (a missing file, a trace the
+// oracle refuses as a truncated window), 2 the oracle found violations or
+// the input is not a decodable trace — the position of the damage goes to
+// stderr — so the pair composes into shell pipelines and CI jobs, and a
+// corrupt artifact can never read as "checked, clean".
 package main
 
 import (
@@ -26,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"dvmc"
@@ -36,32 +38,38 @@ import (
 	"dvmc/internal/trace"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// cli is main's process edges, passed in so tests can drive it.
+type cli struct {
+	stdin          io.Reader
+	stdout, stderr io.Writer
+}
+
+// run is main with its process edges passed in; it returns the exit code.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	c := &cli{stdin: stdin, stdout: stdout, stderr: stderr}
+	if len(args) < 1 {
+		c.usage()
+		return 1
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "record":
-		record(os.Args[2:])
+		return c.record(args[1:])
 	case "check":
-		check(os.Args[2:])
+		return c.check(args[1:])
 	case "info":
-		info(os.Args[2:])
+		return c.info(args[1:])
 	case "-h", "-help", "--help", "help":
-		printUsage()
-		os.Exit(0)
+		c.usage()
+		return 0
 	default:
-		fatalf("unknown subcommand %q (want record, check, or info)", os.Args[1])
+		return c.failf("unknown subcommand %q (want record, check, or info)", args[0])
 	}
 }
 
-func usage() {
-	printUsage()
-	os.Exit(1)
-}
-
-func printUsage() {
-	fmt.Fprintf(os.Stderr, `usage:
+func (c *cli) usage() {
+	fmt.Fprintf(c.stderr, `usage:
   dvmc-trace record [flags] <out.trc | ->   run a simulation, write its trace
   dvmc-trace check [flags] <in.trc | ->     verify a trace with the offline oracle
   dvmc-trace info [-json] <in.trc | ->      summarise a trace
@@ -72,13 +80,54 @@ streaming parallel oracle; report identical to the batch engine), so it
 can sit on the end of a pipe while 'record' is still running.
 
 exit codes: 0 clean, 1 usage or I/O error, 2 the oracle found
-violations.
+violations or the input is not a decodable trace (the record and byte
+offset of the damage are printed).
 `)
 }
 
-func record(args []string) {
+// failf reports a usage or I/O error: exit 1.
+func (c *cli) failf(format string, args ...any) int {
+	fmt.Fprintf(c.stderr, "dvmc-trace: "+format+"\n", args...)
+	return 1
+}
+
+// traceErr reports a failure to read a trace. Bytes that were there but
+// are not a trace are a failed artifact, exit 2; anything else (no such
+// file, a truncated window the oracle refuses) is exit 1.
+func (c *cli) traceErr(sub string, err error) int {
+	code := c.failf("%s: %v", sub, err)
+	var pe *trace.PosError
+	if errors.As(err, &pe) || errors.Is(err, trace.ErrBadMagic) {
+		code = 2
+	}
+	return code
+}
+
+// flags parses a subcommand's flags; ok false means return code now.
+func (c *cli) flags(fs *flag.FlagSet, args []string) (code int, ok bool) {
+	fs.SetOutput(c.stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, false
+		}
+		return 1, false
+	}
+	return 0, true
+}
+
+// open resolves the single trace path argument of check and info.
+func (c *cli) open(args []string) (io.ReadCloser, error) {
+	if len(args) != 1 {
+		return nil, fmt.Errorf("need exactly one trace path (or '-' for stdin)")
+	}
+	if args[0] == "-" {
+		return io.NopCloser(c.stdin), nil
+	}
+	return os.Open(args[0])
+}
+
+func (c *cli) record(args []string) int {
 	fs := flag.NewFlagSet("record", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
 	var (
 		workloadName = fs.String("workload", "oltp", "workload: apache|oltp|jbb|slash|barnes|uniform")
 		modelName    = fs.String("model", "TSO", "consistency model: SC|TSO|PSO|RMO")
@@ -89,31 +138,23 @@ func record(args []string) {
 		seed         = fs.Uint64("seed", 1, "simulation seed")
 		flight       = fs.Int("flight", 0, "flight-recorder mode: keep only the last N events (0 = full capture)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		os.Exit(1)
+	if code, ok := c.flags(fs, args); !ok {
+		return code
 	}
 	if fs.NArg() != 1 {
-		fatalf("record: need exactly one output path (or '-' for stdout)")
+		return c.failf("record: need exactly one output path (or '-' for stdout)")
 	}
 	out := fs.Arg(0)
 
-	cfg := dvmc.ScaledConfig().WithNodes(*nodes).WithSeed(*seed)
-	model, ok := parseModel(*modelName)
-	if !ok {
-		fatalf("unknown model %q", *modelName)
+	model, err := dvmc.ParseModel(*modelName)
+	if err != nil {
+		return c.failf("%v", err)
 	}
-	cfg = cfg.WithModel(model)
-	switch strings.ToLower(*protoName) {
-	case "directory":
-		cfg = cfg.WithProtocol(dvmc.Directory)
-	case "snooping":
-		cfg = cfg.WithProtocol(dvmc.Snooping)
-	default:
-		fatalf("unknown protocol %q", *protoName)
+	proto, err := dvmc.ParseProtocol(*protoName)
+	if err != nil {
+		return c.failf("%v", err)
 	}
+	cfg := dvmc.ScaledConfig().WithNodes(*nodes).WithSeed(*seed).WithModel(model).WithProtocol(proto)
 	tc := dvmc.TraceOn()
 	if *flight > 0 {
 		tc.FlightRecorder = true
@@ -123,40 +164,41 @@ func record(args []string) {
 
 	w, err := dvmc.WorkloadByName(*workloadName)
 	if err != nil {
-		fatalf("%v", err)
+		return c.failf("%v", err)
 	}
 	sys, err := dvmc.NewSystem(cfg, w)
 	if err != nil {
-		fatalf("assemble: %v", err)
+		return c.failf("assemble: %v", err)
 	}
 	res, err := sys.Run(*txns, *maxCycles)
 	if err != nil {
-		fatalf("run: %v", err)
+		return c.failf("run: %v", err)
 	}
 	sys.DrainCheckers()
 
 	data, err := sys.TraceBytes()
 	if err != nil {
-		fatalf("trace: %v", err)
+		return c.failf("trace: %v", err)
 	}
 	if out == "-" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			fatalf("write stdout: %v", err)
+		if _, err := c.stdout.Write(data); err != nil {
+			return c.failf("write stdout: %v", err)
 		}
 	} else if err := os.WriteFile(out, data, 0o644); err != nil {
-		fatalf("write %s: %v", out, err)
+		return c.failf("write %s: %v", out, err)
 	}
 	ts := sys.TraceStats()
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(c.stderr,
 		"dvmc-trace: %s %v/%v ran %d txns in %d cycles; %d events (%d dropped), %d bytes\n",
 		w.Name, cfg.Protocol, cfg.Model, res.Transactions, res.Cycles,
 		ts.Events, ts.Dropped, len(data))
 	if onv := sys.Violations(); len(onv) > 0 {
-		fmt.Fprintf(os.Stderr, "dvmc-trace: online checkers reported %d violations during recording:\n", len(onv))
+		fmt.Fprintf(c.stderr, "dvmc-trace: online checkers reported %d violations during recording:\n", len(onv))
 		for _, v := range onv {
-			fmt.Fprintf(os.Stderr, "  %v\n", v)
+			fmt.Fprintf(c.stderr, "  %v\n", v)
 		}
 	}
+	return 0
 }
 
 // streamSummary is the stream-engine section of check's JSON output.
@@ -175,9 +217,8 @@ type checkJSON struct {
 	Stream     *streamSummary     `json:"stream,omitempty"`
 }
 
-func check(args []string) {
+func (c *cli) check(args []string) int {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
 	var (
 		streamOn   = fs.Bool("stream", false, "streaming engine: verify incrementally with bounded memory")
 		shards     = fs.Int("shards", 0, "stream: address shards for the value check (0 = default)")
@@ -185,87 +226,79 @@ func check(args []string) {
 		jsonOut    = fs.Bool("json", false, "emit the verdict as JSON on stdout")
 		metricsOut = fs.String("metrics-out", "", "stream: write a telemetry snapshot of checker progress to this file")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		os.Exit(1)
+	if code, ok := c.flags(fs, args); !ok {
+		return code
 	}
 	if (*shards != 0 || *window != 0 || *metricsOut != "") && !*streamOn {
-		fatalf("check: -shards/-window/-metrics-out require -stream")
+		return c.failf("check: -shards/-window/-metrics-out require -stream")
 	}
+	src, err := c.open(fs.Args())
+	if err != nil {
+		return c.failf("check: %v", err)
+	}
+	defer src.Close()
 
 	var (
 		rep *oracle.Report
 		sum *streamSummary
-		err error
 	)
 	if *streamOn {
-		rep, sum, err = checkStream(fs.Args(), *shards, *window, *metricsOut)
+		rep, sum, err = checkStream(src, *shards, *window, *metricsOut)
 	} else {
-		data := readTrace(fs.Args(), "check")
-		rep, err = oracle.CheckBytes(data)
+		var data []byte
+		if data, err = io.ReadAll(src); err == nil {
+			rep, err = oracle.CheckBytes(data)
+		}
 	}
 	if err != nil {
-		fatalf("check: %v", err)
+		return c.traceErr("check", err)
 	}
 
+	verdict := 0
+	if !rep.Clean() {
+		verdict = 2
+	}
 	if *jsonOut {
 		out := checkJSON{Meta: rep.Meta, Violations: rep.Violations, Stats: rep.Stats, Stream: sum}
 		if out.Violations == nil {
 			out.Violations = []oracle.Violation{}
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(c.stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fatalf("check: encode: %v", err)
+			return c.failf("check: encode: %v", err)
 		}
-		if !rep.Clean() {
-			os.Exit(2)
-		}
-		return
+		return verdict
 	}
 
 	st := rep.Stats
-	fmt.Printf("trace:  v%d, %d nodes, %v, %s protocol, seed %d\n",
+	fmt.Fprintf(c.stdout, "trace:  v%d, %d nodes, %v, %s protocol, seed %d\n",
 		rep.Meta.Version, rep.Meta.Nodes, rep.Meta.Model, protoName(rep.Meta.Protocol), rep.Meta.Seed)
-	fmt.Printf("events: %d (%d loads, %d stores, %d rmws, %d membars, %d recoveries)\n",
+	fmt.Fprintf(c.stdout, "events: %d (%d loads, %d stores, %d rmws, %d membars, %d recoveries)\n",
 		st.Events, st.Loads, st.Stores, st.RMWs, st.Membars, st.Recoveries)
-	fmt.Printf("oracle: %d ordering pair checks, %d value checks (%d forwarded loads exempt), max window %d\n",
+	fmt.Fprintf(c.stdout, "oracle: %d ordering pair checks, %d value checks (%d forwarded loads exempt), max window %d\n",
 		st.PairChecks, st.ValueChecks, st.SkippedForwarded, st.MaxWindow)
 	if st.UnperformedAtEnd > 0 {
-		fmt.Printf("note:   %d operations committed but unperformed when the trace ends\n", st.UnperformedAtEnd)
+		fmt.Fprintf(c.stdout, "note:   %d operations committed but unperformed when the trace ends\n", st.UnperformedAtEnd)
 	}
 	if rep.Clean() {
-		fmt.Println("verdict: clean — the trace satisfies the recorded consistency model")
-		return
+		fmt.Fprintln(c.stdout, "verdict: clean — the trace satisfies the recorded consistency model")
+	} else {
+		fmt.Fprintf(c.stdout, "verdict: %d violations\n", len(rep.Violations))
 	}
-	fmt.Printf("verdict: %d violations\n", len(rep.Violations))
 	for _, v := range rep.Violations {
-		fmt.Printf("  %v\n", v)
+		fmt.Fprintf(c.stdout, "  %v\n", v)
 	}
-	os.Exit(2)
+	return verdict
 }
 
-// checkStream runs the streaming engine over a file or stdin without
+// checkStream runs the streaming engine over a file or a pipe without
 // ever holding the trace: the decoder hands events straight to the
 // pipelined checker. Progress gauges (events fed, events/sec, frontier
 // depth and high-water, windows in flight, pending value queries) are
 // exposed on a telemetry registry; -metrics-out snapshots it after the
 // verdict for dvmc-stat.
-func checkStream(args []string, shards, window int, metricsOut string) (*oracle.Report, *streamSummary, error) {
-	if len(args) != 1 {
-		fatalf("check: need exactly one trace path (or '-' for stdin)")
-	}
-	src := io.Reader(os.Stdin)
-	if args[0] != "-" {
-		f, err := os.Open(args[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		src = f
-	}
+func checkStream(src io.Reader, shards, window int, metricsOut string) (*oracle.Report, *streamSummary, error) {
 	r, err := trace.NewReader(src)
 	if err != nil {
 		return nil, nil, err
@@ -332,46 +365,33 @@ type infoJSON struct {
 	PerNode  []uint64   `json:"per_node"`
 }
 
-func info(args []string) {
+func (c *cli) info(args []string) int {
 	fs := flag.NewFlagSet("info", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
 	jsonOut := fs.Bool("json", false, "emit the summary as JSON on stdout")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		os.Exit(1)
+	if code, ok := c.flags(fs, args); !ok {
+		return code
 	}
-	if fs.NArg() != 1 {
-		fatalf("info: need exactly one trace path (or '-' for stdin)")
+	src, err := c.open(fs.Args())
+	if err != nil {
+		return c.failf("info: %v", err)
 	}
-	src := io.Reader(os.Stdin)
-	if fs.Arg(0) != "-" {
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		src = f
-	}
+	defer src.Close()
 	// Incremental decode: info summarises arbitrarily large traces (and
 	// live pipes) without holding events or bytes.
 	r, err := trace.NewReader(src)
 	if err != nil {
-		fatalf("info: %v", err)
+		return c.traceErr("info", err)
 	}
 	meta := r.Meta()
-	var sum infoJSON
-	sum.Meta = meta
-	byNode := map[uint8]uint64{}
-	first := true
+	// The reader vouches for every event's node being below meta.Nodes.
+	sum := infoJSON{Meta: meta, PerNode: make([]uint64, meta.Nodes)}
 	for {
 		ev, err := r.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			fatalf("info: %v", err)
+			return c.traceErr("info", err)
 		}
 		switch ev.Kind {
 		case trace.EvCommit:
@@ -381,60 +401,38 @@ func info(args []string) {
 		case trace.EvRecover:
 			sum.Recovers++
 		}
-		byNode[ev.Node]++
-		sum.Events++
-		if first {
+		sum.PerNode[ev.Node]++
+		if sum.Events == 0 {
 			sum.SpanLo = uint64(ev.Time)
-			first = false
 		}
+		sum.Events++
 		sum.SpanHi = uint64(ev.Time)
 	}
 	sum.Bytes = r.Offset()
-	for n := 0; n < meta.Nodes; n++ {
-		sum.PerNode = append(sum.PerNode, byNode[uint8(n)])
-	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(c.stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(sum); err != nil {
-			fatalf("info: encode: %v", err)
+			return c.failf("info: encode: %v", err)
 		}
-		return
+		return 0
 	}
-	fmt.Printf("trace:  v%d, %d nodes, %v, %s protocol, seed %d\n",
+	fmt.Fprintf(c.stdout, "trace:  v%d, %d nodes, %v, %s protocol, seed %d\n",
 		meta.Version, meta.Nodes, meta.Model, protoName(meta.Protocol), meta.Seed)
 	if meta.Truncated {
-		fmt.Println("note:   truncated flight-recorder window (oracle will refuse it)")
+		fmt.Fprintln(c.stdout, "note:   truncated flight-recorder window (oracle will refuse it)")
 	}
-	fmt.Printf("size:   %d bytes, %d events (%.2f bytes/event)\n",
+	fmt.Fprintf(c.stdout, "size:   %d bytes, %d events (%.2f bytes/event)\n",
 		sum.Bytes, sum.Events, float64(sum.Bytes)/float64(max(1, sum.Events)))
-	fmt.Printf("events: %d commits, %d performs, %d recovery markers\n", sum.Commits, sum.Performs, sum.Recovers)
+	fmt.Fprintf(c.stdout, "events: %d commits, %d performs, %d recovery markers\n", sum.Commits, sum.Performs, sum.Recovers)
 	if sum.Events > 0 {
-		fmt.Printf("span:   cycles %d..%d\n", sum.SpanLo, sum.SpanHi)
+		fmt.Fprintf(c.stdout, "span:   cycles %d..%d\n", sum.SpanLo, sum.SpanHi)
 	}
-	for n := uint8(0); int(n) < int(meta.Nodes); n++ {
-		fmt.Printf("  node %d: %d events\n", n, byNode[n])
+	for n, count := range sum.PerNode {
+		fmt.Fprintf(c.stdout, "  node %d: %d events\n", n, count)
 	}
-}
-
-// readTrace resolves the single path argument of check/info.
-func readTrace(args []string, sub string) []byte {
-	if len(args) != 1 {
-		fatalf("%s: need exactly one trace path (or '-' for stdin)", sub)
-	}
-	if args[0] == "-" {
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fatalf("read stdin: %v", err)
-		}
-		return data
-	}
-	data, err := os.ReadFile(args[0])
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return data
+	return 0
 }
 
 func protoName(p uint8) string {
@@ -442,24 +440,4 @@ func protoName(p uint8) string {
 		return "snooping"
 	}
 	return "directory"
-}
-
-func parseModel(s string) (dvmc.Model, bool) {
-	switch strings.ToUpper(s) {
-	case "SC":
-		return dvmc.SC, true
-	case "TSO":
-		return dvmc.TSO, true
-	case "PSO":
-		return dvmc.PSO, true
-	case "RMO":
-		return dvmc.RMO, true
-	default:
-		return 0, false
-	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "dvmc-trace: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -1,0 +1,135 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"dvmc/internal/consistency"
+	"dvmc/internal/hash"
+	"dvmc/internal/trace"
+)
+
+func runTrace(stdin []byte, args ...string) (code int, stdout, stderr string) {
+	var out, errOut bytes.Buffer
+	code = run(args, bytes.NewReader(stdin), &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// TestExitCodes pins the tool's contract for every way of reading a
+// trace: 0 for a clean one, 1 for usage and I/O errors, 2 for an oracle
+// violation and — with the position of the damage on stderr — for bytes
+// that are not a decodable trace.
+func TestExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name string, data []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	cleanPath := filepath.Join(dir, "clean.trc")
+	if code, _, stderr := runTrace(nil, "record", "-txns", "20", "-nodes", "2", cleanPath); code != 0 {
+		t.Fatalf("record: exit %d, stderr:\n%s", code, stderr)
+	}
+	clean, err := os.ReadFile(cleanPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A store that performs without ever committing: the oracle's R4.
+	meta := trace.Meta{Version: trace.Version, Nodes: 1, Model: consistency.TSO}
+	bad, err := trace.Encode(meta, []trace.Event{{
+		Kind: trace.EvPerform, Class: consistency.Store, Model: consistency.TSO, Seq: 1, Addr: 8, Val: 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	violating := file("violating.trc", bad)
+	torn := file("torn.trc", clean[:len(clean)/2])
+	flipped := append([]byte(nil), clean...)
+	flipped[len(flipped)/2] ^= 0x41
+	// A CRC-valid header declaring 300 nodes: `info` used to loop on it forever.
+	lie := []byte("DVMCTR\x01\x00\xac\x02\x02\x00\x07\x00\x00") // header, sentinel, count 0
+	crc := hash.Sum(lie)
+	hostile := file("hostile.trc", append(lie, byte(crc), byte(crc>>8)))
+
+	for _, sub := range [][]string{{"check"}, {"check", "-stream"}, {"info"}} {
+		checks := sub[0] == "check"
+		for _, tc := range []struct {
+			name   string
+			stdin  []byte
+			path   string // "" for no path argument
+			code   int
+			stderr string
+		}{
+			{"clean file", nil, cleanPath, 0, ""},
+			{"clean stdin", clean, "-", 0, ""},
+			{"no path", nil, "", 1, "exactly one trace path"},
+			{"missing file", nil, filepath.Join(dir, "absent.trc"), 1, "no such file"},
+			{"violation", nil, violating, map[bool]int{true: 2, false: 0}[checks], ""},
+			{"torn tail", nil, torn, 2, "offset "},
+			{"flipped byte on stdin", flipped, "-", 2, "offset "},
+			{"hostile node count", nil, hostile, 2, "offset 8: node count 300"},
+			{"not a trace", []byte("not a trace"), "-", 2, "bad magic"},
+			{"empty stdin", nil, "-", 2, "bad magic"},
+		} {
+			args := append([]string(nil), sub...)
+			if tc.path != "" {
+				args = append(args, tc.path)
+			}
+			code, stdout, stderr := runTrace(tc.stdin, args...)
+			if code != tc.code || !strings.Contains(stderr, tc.stderr) {
+				t.Errorf("%s, %s: exit %d, stderr %q; want exit %d and stderr containing %q",
+					strings.Join(sub, " "), tc.name, code, stderr, tc.code, tc.stderr)
+			}
+			if code == 0 && stdout == "" {
+				t.Errorf("%s, %s: exit 0 but nothing on stdout", strings.Join(sub, " "), tc.name)
+			}
+			if checks && tc.name == "violation" && !strings.Contains(stdout, "verdict: 1 violations") {
+				t.Errorf("%s, violation: stdout %q names no verdict", strings.Join(sub, " "), stdout)
+			}
+		}
+	}
+}
+
+// TestUsage pins the outer shell: no subcommand and an unknown one are
+// usage errors, help is not, and flag errors are exit 1 like every other
+// usage error of this tool.
+func TestUsage(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{nil, 1, "usage:"},
+		{[]string{"help"}, 0, "exit codes: 0 clean, 1 usage or I/O error, 2"},
+		{[]string{"verify"}, 1, `unknown subcommand "verify"`},
+		{[]string{"check", "-h"}, 0, "-stream"},
+		{[]string{"check", "-no-such-flag"}, 1, "flag provided but not defined"},
+		{[]string{"check", "-shards", "2", "x.trc"}, 1, "require -stream"},
+		{[]string{"record", "-model", "XC", "-"}, 1, `unknown model "XC" (known: SC, TSO, PSO, RMO)`},
+		{[]string{"record", "-protocol", "bus", "-"}, 1, `unknown protocol "bus" (known: directory, snooping)`},
+		{[]string{"record"}, 1, "exactly one output path"},
+	} {
+		code, _, stderr := runTrace(nil, tc.args...)
+		if code != tc.code || !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("%v: exit %d, stderr %q; want exit %d and stderr containing %q", tc.args, code, stderr, tc.code, tc.stderr)
+		}
+	}
+}
+
+// TestRecordToStdoutPipesIntoCheck is the README's pipeline, in process.
+func TestRecordToStdoutPipesIntoCheck(t *testing.T) {
+	code, recorded, stderr := runTrace(nil, "record", "-model", "rmo", "-protocol", "Snooping", "-txns", "20", "-")
+	if code != 0 {
+		t.Fatalf("record -: exit %d, stderr:\n%s", code, stderr)
+	}
+	code, stdout, stderr := runTrace([]byte(recorded), "check", "-stream", "-json", "-")
+	if code != 0 || !strings.Contains(stdout, `"violations": []`) {
+		t.Fatalf("check -stream -json -: exit %d, stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+}

@@ -17,6 +17,7 @@ package dvmc
 
 import (
 	"fmt"
+	"strings"
 
 	"dvmc/internal/coherence"
 	"dvmc/internal/consistency"
@@ -54,6 +55,16 @@ func (p Protocol) String() string {
 	}
 }
 
+// ParseProtocol resolves a protocol by name, in any letter case.
+func ParseProtocol(name string) (Protocol, error) {
+	for _, p := range [...]Protocol{Directory, Snooping} {
+		if strings.EqualFold(name, p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("dvmc: unknown protocol %q (known: directory, snooping)", name)
+}
+
 // Model re-exports the consistency models for the public API.
 type Model = consistency.Model
 
@@ -67,6 +78,17 @@ const (
 
 // Models lists the four models in evaluation order.
 var Models = []Model{SC, TSO, PSO, RMO}
+
+// ParseModel resolves a runtime-selectable model by name, in any letter
+// case.
+func ParseModel(name string) (Model, error) {
+	for _, m := range Models {
+		if strings.EqualFold(name, m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("dvmc: unknown model %q (known: SC, TSO, PSO, RMO)", name)
+}
 
 // ClockGHz is the simulated core clock; it converts the paper's GB/s
 // link bandwidths to bytes/cycle.

@@ -105,6 +105,7 @@ var DeterministicPkgs = map[string]bool{
 	"internal/mem":       true,
 	"internal/network":   true,
 	"internal/trace":     true,
+	"internal/frame":     true,
 	"internal/safetynet": true,
 	"internal/telemetry": true,
 	"internal/span":      true,

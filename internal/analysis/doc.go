@@ -27,6 +27,7 @@
 //	internal/mem        memory, ECC
 //	internal/network    torus and broadcast interconnects
 //	internal/trace      execution-trace recorder and codec
+//	internal/frame      sealed-stream container under the trace and span codecs
 //	internal/safetynet  checkpoint/recovery
 //	internal/telemetry  metrics registry and cycle-driven sampler
 //	internal/span       causal span recorder and timeline codec

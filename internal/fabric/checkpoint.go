@@ -51,32 +51,32 @@ func AppendEntry(w io.Writer, e CheckpointEntry) error {
 	return err
 }
 
-// DecodeEntryLine strictly decodes one record line (without its
-// terminating newline).
-func DecodeEntryLine(line []byte) (CheckpointEntry, error) {
+// decodeEntryLine strictly decodes one record line (without its
+// terminating newline). ReadCheckpoint adds the position to its errors.
+func decodeEntryLine(line []byte) (CheckpointEntry, error) {
 	var e CheckpointEntry
 	rest, ok := bytes.CutPrefix(line, []byte(checkpointMagic+" "))
 	if !ok {
-		return e, fmt.Errorf("fabric: checkpoint line missing %s frame", checkpointMagic)
+		return e, fmt.Errorf("line missing %s frame", checkpointMagic)
 	}
 	crcHex, payload, ok := bytes.Cut(rest, []byte(" "))
 	if !ok || len(crcHex) != 4 {
-		return e, fmt.Errorf("fabric: checkpoint line missing crc field")
+		return e, fmt.Errorf("line missing crc field")
 	}
 	var want uint16
 	if _, err := fmt.Sscanf(string(crcHex), "%04x", &want); err != nil {
-		return e, fmt.Errorf("fabric: checkpoint crc field %q: %w", crcHex, err)
+		return e, fmt.Errorf("crc field %q: %w", crcHex, err)
 	}
 	if got := uint16(hash.Sum(payload)); got != want {
-		return e, fmt.Errorf("fabric: checkpoint crc mismatch: line says %04x, payload sums to %04x", want, got)
+		return e, fmt.Errorf("crc mismatch: line says %04x, payload sums to %04x", want, got)
 	}
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&e); err != nil {
-		return e, fmt.Errorf("fabric: checkpoint payload: %w", err)
+		return e, fmt.Errorf("payload: %w", err)
 	}
 	if (e.Spec == nil) == (e.Result == nil) {
-		return e, fmt.Errorf("fabric: checkpoint entry must carry exactly one of spec/result")
+		return e, fmt.Errorf("entry must carry exactly one of spec/result")
 	}
 	return e, nil
 }
@@ -84,21 +84,21 @@ func DecodeEntryLine(line []byte) (CheckpointEntry, error) {
 // ReadCheckpoint decodes a checkpoint file's bytes. droppedTail reports
 // the length of an unterminated (torn) final line that was recovered
 // by dropping; any other defect is an error. An empty file yields no
-// entries.
+// entries. An error names the record and the byte offset of its line.
 func ReadCheckpoint(data []byte) (entries []CheckpointEntry, droppedTail int, err error) {
-	for len(data) > 0 {
-		line, rest, ok := bytes.Cut(data, []byte("\n"))
+	for off := 0; off < len(data); {
+		line, _, ok := bytes.Cut(data[off:], []byte("\n"))
 		if !ok {
 			// Unterminated tail: the one recoverable defect. A record is
 			// only accepted once its newline hits the disk.
 			return entries, len(line), nil
 		}
-		e, err := DecodeEntryLine(line)
+		e, err := decodeEntryLine(line)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("fabric: checkpoint record %d, offset %d: %w", len(entries), off, err)
 		}
 		entries = append(entries, e)
-		data = rest
+		off += len(line) + 1
 	}
 	return entries, 0, nil
 }

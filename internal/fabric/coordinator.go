@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -60,10 +61,11 @@ type Coordinator struct {
 	//dvmc:guardedby mu
 	workers map[string]*workerInfo
 	//dvmc:guardedby mu
-	ckpt   *os.File
-	clock  func() uint64
-	ttl    uint64
-	doneCh chan struct{}
+	ckpt          *os.File
+	clock         func() uint64
+	ttl           uint64
+	completeLimit int64 // body bound for PathComplete, from the largest shard
+	doneCh        chan struct{}
 }
 
 // NewCoordinator starts a fresh job.
@@ -126,6 +128,9 @@ func ResumeCoordinator(path string, opts CoordinatorOptions) (*Coordinator, erro
 			return nil, fmt.Errorf("fabric: checkpoint %s has a second spec entry", path)
 		}
 		r := *e.Result
+		if err := c.checkResult(&r); err != nil {
+			return nil, fmt.Errorf("fabric: checkpoint %s: %w", path, err)
+		}
 		if c.leases.Complete(r.Shard.ID) {
 			c.results[r.Shard.ID] = &r
 		}
@@ -151,16 +156,21 @@ func newCoordinator(spec JobSpec, shards []Shard, opts CoordinatorOptions) *Coor
 		start := time.Now()
 		clock = func() uint64 { return uint64(time.Since(start) / time.Second) }
 	}
+	largest := 0
+	for _, sh := range shards {
+		largest = max(largest, sh.To-sh.From)
+	}
 	return &Coordinator{
-		spec:    spec,
-		shards:  append([]Shard(nil), shards...),
-		leases:  NewLeaseTable(shards, ttl),
-		results: make(map[int]*ShardResult),
-		pools:   make(map[int]json.RawMessage),
-		workers: make(map[string]*workerInfo),
-		clock:   clock,
-		ttl:     ttl,
-		doneCh:  make(chan struct{}),
+		spec:          spec,
+		shards:        append([]Shard(nil), shards...),
+		leases:        NewLeaseTable(shards, ttl),
+		results:       make(map[int]*ShardResult),
+		pools:         make(map[int]json.RawMessage),
+		workers:       make(map[string]*workerInfo),
+		clock:         clock,
+		ttl:           ttl,
+		completeLimit: caseBodyLimit(largest),
+		doneCh:        make(chan struct{}),
 	}
 }
 
@@ -334,13 +344,41 @@ func (c *Coordinator) Renew(req RenewRequest) RenewResponse {
 	return RenewResponse{OK: ok}
 }
 
+// ErrBadResult marks a completion that cannot be a result of this job.
+var ErrBadResult = errors.New("fabric: result does not belong to this job")
+
+// checkResult refuses a result that finalize could not place: accepted,
+// it would be journaled and sink the whole job after its last shard.
+func (c *Coordinator) checkResult(r *ShardResult) error {
+	id := r.Shard.ID
+	if id < 0 || id >= len(c.shards) || r.Shard != c.shards[id] {
+		return fmt.Errorf("%w: shard %+v is not in its partition", ErrBadResult, r.Shard)
+	}
+	for _, rec := range r.Records {
+		if rec.Index < r.Shard.From || rec.Index >= r.Shard.To {
+			return fmt.Errorf("%w: shard %d carries record %d", ErrBadResult, id, rec.Index)
+		}
+	}
+	for _, p := range r.Rows {
+		if c.spec.Kind != JobExperiment || p.Row < 0 || p.Row >= len(dvmc.ErrorDetectionRows()) ||
+			p.From < 0 || p.From > c.spec.Experiment.Faults-len(p.Results) {
+			return fmt.Errorf("%w: shard %d carries row %d slots [%d, %d)", ErrBadResult, id, p.Row, p.From, p.From+len(p.Results))
+		}
+	}
+	return nil
+}
+
 // Complete accepts a shard result. The first completion wins; a
 // duplicate (a worker finishing a shard that was stolen and completed
 // by someone else) is acknowledged but dropped — both copies carry
-// identical bytes, so nothing is lost.
+// identical bytes, so nothing is lost. A result that is not this job's
+// is an ErrBadResult and changes nothing.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.checkResult(&req.Result); err != nil {
+		return CompleteResponse{}, err
+	}
 	info := c.touch(req.Worker)
 	if info != nil {
 		info.lastRenew = c.clock()
@@ -576,31 +614,23 @@ func assembleRecords(results []ShardResult, total int) ([]fuzz.Record, []*teleme
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case PathRegister:
-		var req RegisterRequest
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		writeJSON(w, c.Register(req))
+		answer(w, r, c.Register)
 	case PathLease:
-		var req LeaseRequest
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		writeJSON(w, c.Lease(req))
+		answer(w, r, c.Lease)
 	case PathRenew:
-		var req RenewRequest
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		writeJSON(w, c.Renew(req))
+		answer(w, r, c.Renew)
 	case PathComplete:
 		var req CompleteRequest
-		if !decodeBody(w, r, &req) {
+		if !decodeBody(w, r, c.completeLimit, &req) {
 			return
 		}
 		resp, err := c.Complete(req)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			status := http.StatusInternalServerError
+			if errors.Is(err, ErrBadResult) {
+				status = http.StatusBadRequest
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		writeJSON(w, resp)
@@ -621,13 +651,28 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
+// answer serves one control request: decode it, reply with f's answer.
+func answer[Req, Resp any](w http.ResponseWriter, r *http.Request, f func(Req) Resp) {
+	var req Req
+	if decodeBody(w, r, MaxControlBody, &req) {
+		writeJSON(w, f(req))
+	}
+}
+
+// decodeBody reads a POSTed JSON body of at most limit bytes, answering
+// 413 to a longer one before it is held in memory.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, into any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(into); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return false
 	}
 	return true
@@ -635,8 +680,5 @@ func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The response is already committed; nothing useful to add.
-		return
-	}
+	_ = json.NewEncoder(w).Encode(v) // the response is committed; nothing useful to add
 }

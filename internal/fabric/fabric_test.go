@@ -321,11 +321,11 @@ func TestFarmCrashResumeMatchesSerial(t *testing.T) {
 	}
 	// Worker 2 "crashes": it acquires a lease and never completes it.
 	var reg RegisterResponse
-	if err := postJSON(ctx, srv.Client(), srv.URL+PathRegister, RegisterRequest{Worker: "w2"}, &reg); err != nil {
+	if err := postJSON(ctx, srv.Client(), srv.URL+PathRegister, RegisterRequest{Worker: "w2"}, &reg, MaxControlBody); err != nil {
 		t.Fatal(err)
 	}
 	var lease LeaseResponse
-	if err := postJSON(ctx, srv.Client(), srv.URL+PathLease, LeaseRequest{Worker: "w2"}, &lease); err != nil {
+	if err := postJSON(ctx, srv.Client(), srv.URL+PathLease, LeaseRequest{Worker: "w2"}, &lease, MaxControlBody); err != nil {
 		t.Fatal(err)
 	}
 	if lease.Shard == nil {

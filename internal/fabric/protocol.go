@@ -19,6 +19,23 @@ const (
 	PathMetrics  = "/metrics.json"
 )
 
+// Every body read off the wire is bounded, so one POST (or one reply)
+// cannot make its reader allocate without limit.
+const (
+	// MaxControlBody bounds bodies that carry no per-case payload:
+	// register, lease and renew requests, every reply but a lease, status.
+	MaxControlBody = 64 << 10
+	// maxCaseBody is what each case may add to one that does: 10x the
+	// largest share the fabric's tests produce, a 32,761-byte completion
+	// of a 5-case shard, its telemetry snapshot included (6.6 KB a case).
+	maxCaseBody = 64 << 10
+)
+
+// caseBodyLimit bounds a body carrying per-case payload for n cases: a
+// completion (n = the job's largest shard) or a lease with its seed pool
+// (n = the whole job: a pool is bred from every earlier case).
+func caseBodyLimit(n int) int64 { return MaxControlBody + int64(n)*maxCaseBody }
+
 // RegisterRequest announces a worker to the coordinator.
 type RegisterRequest struct {
 	Worker string `json:"worker"`

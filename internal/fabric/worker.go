@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	neturl "net/url"
 	"time"
@@ -137,7 +138,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 	var reg RegisterResponse
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = postJSON(ctx, client, opts.Coordinator+PathRegister, RegisterRequest{Worker: opts.Name}, &reg)
+		err = postJSON(ctx, client, opts.Coordinator+PathRegister, RegisterRequest{Worker: opts.Name}, &reg, MaxControlBody)
 		if err == nil {
 			break
 		}
@@ -152,13 +153,14 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 	logf("registered with %s: %s job, %d cases, lease ttl %ds",
 		opts.Coordinator, reg.Spec.Kind, reg.Spec.TotalCases(), reg.TTLSeconds)
 
+	leaseLimit := caseBodyLimit(reg.Spec.TotalCases())
 	completed := 0
 	for {
 		if ctx.Err() != nil {
 			return completed, ctx.Err()
 		}
 		var lease LeaseResponse
-		if err := postJSONRetry(ctx, client, opts.Coordinator+PathLease, LeaseRequest{Worker: opts.Name}, &lease); err != nil {
+		if err := postJSONRetry(ctx, client, opts.Coordinator+PathLease, LeaseRequest{Worker: opts.Name}, &lease, leaseLimit); err != nil {
 			return completed, err
 		}
 		switch {
@@ -184,7 +186,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 			return completed, fmt.Errorf("fabric: shard %d: %w", sh.ID, err)
 		}
 		var ack CompleteResponse
-		if err := postJSONRetry(ctx, client, opts.Coordinator+PathComplete, CompleteRequest{Worker: opts.Name, Result: result}, &ack); err != nil {
+		if err := postJSONRetry(ctx, client, opts.Coordinator+PathComplete, CompleteRequest{Worker: opts.Name, Result: result}, &ack, MaxControlBody); err != nil {
 			return completed, err
 		}
 		if ack.Accepted {
@@ -223,7 +225,7 @@ func executeWithHeartbeat(ctx context.Context, client *http.Client, opts WorkerO
 				return
 			case <-t.C:
 				var resp RenewResponse
-				_ = postJSON(hbCtx, client, opts.Coordinator+PathRenew, RenewRequest{Worker: opts.Name, Shard: sh.ID}, &resp)
+				_ = postJSON(hbCtx, client, opts.Coordinator+PathRenew, RenewRequest{Worker: opts.Name, Shard: sh.ID}, &resp, MaxControlBody)
 			}
 		}
 	}()
@@ -233,7 +235,7 @@ func executeWithHeartbeat(ctx context.Context, client *http.Client, opts WorkerO
 // postJSONRetry rides out transient transport failures (a coordinator
 // restarting, a dropped connection) with a few short retries. HTTP
 // errors — the coordinator answered, unhappily — are not retried.
-func postJSONRetry(ctx context.Context, client *http.Client, url string, req, resp any) error {
+func postJSONRetry(ctx context.Context, client *http.Client, url string, req, resp any, limit int64) error {
 	var err error
 	for attempt := 0; attempt < 10; attempt++ {
 		if attempt > 0 {
@@ -242,7 +244,7 @@ func postJSONRetry(ctx context.Context, client *http.Client, url string, req, re
 				break
 			}
 		}
-		err = postJSON(ctx, client, url, req, resp)
+		err = postJSON(ctx, client, url, req, resp, limit)
 		var uerr *neturl.Error
 		if err == nil || !errors.As(err, &uerr) {
 			return err
@@ -251,9 +253,9 @@ func postJSONRetry(ctx context.Context, client *http.Client, url string, req, re
 	return err
 }
 
-// postJSON is the wire primitive: POST a JSON body, decode a JSON
-// reply, surface non-200s as errors.
-func postJSON(ctx context.Context, client *http.Client, url string, req, resp any) error {
+// postJSON is the wire primitive: POST a JSON body, decode a JSON reply
+// of at most limit bytes, surface non-200s as errors.
+func postJSON(ctx context.Context, client *http.Client, url string, req, resp any, limit int64) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
@@ -268,12 +270,16 @@ func postJSON(ctx context.Context, client *http.Client, url string, req, resp an
 		return err
 	}
 	defer hresp.Body.Close()
+	reply := io.LimitReader(hresp.Body, limit)
 	if hresp.StatusCode != http.StatusOK {
 		var msg bytes.Buffer
-		_, _ = msg.ReadFrom(hresp.Body)
+		_, _ = msg.ReadFrom(reply) // best effort: the status is the error
 		return fmt.Errorf("%s: %s: %s", url, hresp.Status, bytes.TrimSpace(msg.Bytes()))
 	}
-	return json.NewDecoder(hresp.Body).Decode(resp)
+	if err := json.NewDecoder(reply).Decode(resp); err != nil {
+		return fmt.Errorf("%s: reply (read up to its %d-byte bound): %w", url, limit, err)
+	}
+	return nil
 }
 
 func sleep(ctx context.Context, d time.Duration) {

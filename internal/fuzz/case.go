@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"dvmc"
 )
@@ -128,10 +127,7 @@ type Case struct {
 
 // Validate reports structural errors.
 func (c *Case) Validate() error {
-	if _, err := parseModel(c.Model); err != nil {
-		return err
-	}
-	if _, err := parseProtocol(c.Protocol); err != nil {
+	if _, err := c.Config(); err != nil { // the model and protocol names
 		return err
 	}
 	if c.Budget == 0 {
@@ -166,11 +162,11 @@ func (c *Case) Nodes() int {
 
 // Config assembles the simulator configuration for this case.
 func (c *Case) Config() (dvmc.Config, error) {
-	model, err := parseModel(c.Model)
+	model, err := dvmc.ParseModel(c.Model)
 	if err != nil {
 		return dvmc.Config{}, err
 	}
-	proto, err := parseProtocol(c.Protocol)
+	proto, err := dvmc.ParseProtocol(c.Protocol)
 	if err != nil {
 		return dvmc.Config{}, err
 	}
@@ -205,38 +201,10 @@ func DecodeCase(data []byte) (*Case, error) {
 	dec.DisallowUnknownFields()
 	var c Case
 	if err := dec.Decode(&c); err != nil {
-		return nil, fmt.Errorf("fuzz: decode case: %w", err)
+		return nil, fmt.Errorf("fuzz: decode case: offset %d: %w", dec.InputOffset(), err)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	return &c, nil
-}
-
-// parseModel resolves a model name.
-func parseModel(s string) (dvmc.Model, error) {
-	switch strings.ToUpper(s) {
-	case "SC":
-		return dvmc.SC, nil
-	case "TSO":
-		return dvmc.TSO, nil
-	case "PSO":
-		return dvmc.PSO, nil
-	case "RMO":
-		return dvmc.RMO, nil
-	default:
-		return 0, fmt.Errorf("fuzz: unknown model %q (want SC, TSO, PSO, or RMO)", s)
-	}
-}
-
-// parseProtocol resolves a protocol name.
-func parseProtocol(s string) (dvmc.Protocol, error) {
-	switch strings.ToLower(s) {
-	case "directory":
-		return dvmc.Directory, nil
-	case "snooping":
-		return dvmc.Snooping, nil
-	default:
-		return 0, fmt.Errorf("fuzz: unknown protocol %q (want directory or snooping)", s)
-	}
 }

@@ -2,8 +2,8 @@ package hash
 
 // Digest is a streaming CRC-16 accumulator over the same CCITT polynomial
 // as Sum. It lets the trace codec checksum an encoded stream incrementally
-// without buffering the whole file: feed bytes with Write/WriteByte, read
-// the signature so far with Sum16.
+// without buffering the whole file: feed bytes with Write, read the
+// signature so far with Sum16.
 //
 // The zero value is NOT ready to use; obtain one with NewDigest (the CRC
 // register must start at 0xffff).
@@ -26,12 +26,6 @@ func (d *Digest) Write(p []byte) (int, error) {
 	}
 	d.crc = crc
 	return len(p), nil
-}
-
-// WriteByte absorbs a single byte.
-func (d *Digest) WriteByte(b byte) error {
-	d.crc = (d.crc >> 8) ^ table[byte(d.crc)^b]
-	return nil
 }
 
 // Sum16 returns the signature of everything written so far. It does not

@@ -15,7 +15,7 @@ func TestDigestMatchesSum(t *testing.T) {
 		d := NewDigest()
 		d.Write(data[:split])
 		for _, b := range data[split:] {
-			d.WriteByte(b)
+			d.Write([]byte{b})
 		}
 		if got := d.Sum16(); got != want {
 			t.Errorf("split %d: digest=%#04x want %#04x", split, got, want)

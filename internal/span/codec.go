@@ -1,23 +1,34 @@
 package span
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 
-	"dvmc/internal/hash"
+	"dvmc/internal/frame"
 	"dvmc/internal/sim"
 )
 
-// Binary span-dump format, mirroring internal/trace's codec discipline:
-// a magic+version header, varint-packed delta-encoded records, a 0x00
-// sentinel (no span family is zero), a span count, and a streaming
-// CRC-16 footer over everything before the two raw CRC bytes. The
-// encoding is a pure function of (Meta, sorted span list), which is
-// what makes dumps byte-comparable across runs, worker counts, and
-// serial-vs-farm execution.
+// Binary span-dump format (version 1): a sealed stream (internal/frame —
+// header, records, footer with record count and CRC-16) whose records
+// are spans in canonical (Start, ID) order, little-endian varints
+// throughout:
+//
+//	span:   family u8 (never 0x00) | kind u8 | node zigzag |
+//	        addr uvarint | id-delta zigzag | start-delta uvarint |
+//	        duration uvarint | outcome u8 | dropped uvarint |
+//	        events uvarint | event...
+//	event:  label u8 | time-delta zigzag | a uvarint | b uvarint
+//
+// ID and Start are deltas against the previous span; event times against
+// the span start, then the previous event, and signed because backfilled
+// events (the fault span's "fired" annotation) may sit earlier than their
+// neighbours. The encoding is a pure function of (Meta, sorted span list):
+// dumps are byte-comparable across runs, worker counts and farm shapes.
 
 // Magic identifies a span dump file.
-var Magic = [6]byte{'D', 'V', 'M', 'C', 'S', 'P'}
+const Magic = "DVMCSP"
 
 // Version is the current format version.
 const Version = 1
@@ -31,11 +42,6 @@ type Meta struct {
 	Seed     uint64
 }
 
-// appendZigzag appends v in zigzag-varint form.
-func appendZigzag(b []byte, v int64) []byte {
-	return binary.AppendUvarint(b, uint64(v<<1)^uint64(v>>63))
-}
-
 // Encode renders a span dump. The input is re-sorted into canonical
 // (Start, ID) order, so encoding is insensitive to caller ordering.
 func Encode(meta Meta, spans []Span) ([]byte, error) {
@@ -43,13 +49,13 @@ func Encode(meta Meta, spans []Span) ([]byte, error) {
 	copy(sorted, spans)
 	sortSpans(sorted)
 
-	out := make([]byte, 0, 32+24*len(sorted))
-	out = append(out, Magic[:]...)
-	out = append(out, Version, 0) // version, flags
-	out = binary.AppendUvarint(out, uint64(meta.Nodes))
-	out = append(out, meta.Model, meta.Protocol)
-	out = binary.AppendUvarint(out, meta.Seed)
-
+	var out bytes.Buffer
+	out.Grow(32 + 24*len(sorted))
+	w, err := frame.NewWriter(&out, Magic, Version,
+		frame.Header{Nodes: meta.Nodes, Model: meta.Model, Protocol: meta.Protocol, Seed: meta.Seed})
+	if err != nil {
+		return nil, err
+	}
 	var prevStart sim.Cycle
 	var prevID uint64
 	for i := range sorted {
@@ -60,161 +66,87 @@ func Encode(meta Meta, spans []Span) ([]byte, error) {
 		if s.End < s.Start {
 			return nil, fmt.Errorf("span: encode: span %d ends (%d) before it starts (%d)", i, s.End, s.Start)
 		}
-		out = append(out, byte(s.Family), s.Kind)
-		out = appendZigzag(out, int64(s.Node))
-		out = binary.AppendUvarint(out, s.Addr)
-		out = appendZigzag(out, int64(s.ID)-int64(prevID))
-		out = binary.AppendUvarint(out, uint64(s.Start-prevStart))
-		out = binary.AppendUvarint(out, uint64(s.End-s.Start))
-		out = append(out, byte(s.Outcome))
-		out = binary.AppendUvarint(out, uint64(s.Dropped))
-		out = binary.AppendUvarint(out, uint64(len(s.Events)))
-		// Event times are zigzag deltas against the span start, then the
-		// previous event: backfilled events (the fault span's "fired"
-		// annotation) may sit earlier than their neighbours.
+		b := append(w.Buf(), byte(s.Family), s.Kind)
+		b = frame.AppendZigzag(b, int64(s.Node))
+		b = binary.AppendUvarint(b, s.Addr)
+		b = frame.AppendZigzag(b, int64(s.ID)-int64(prevID))
+		b = binary.AppendUvarint(b, uint64(s.Start-prevStart))
+		b = binary.AppendUvarint(b, uint64(s.End-s.Start))
+		b = append(b, byte(s.Outcome))
+		b = binary.AppendUvarint(b, uint64(s.Dropped))
+		b = binary.AppendUvarint(b, uint64(len(s.Events)))
 		prevT := int64(s.Start)
 		for _, e := range s.Events {
-			out = append(out, byte(e.Label))
-			out = appendZigzag(out, int64(e.Time)-prevT)
+			b = append(b, byte(e.Label))
+			b = frame.AppendZigzag(b, int64(e.Time)-prevT)
 			prevT = int64(e.Time)
-			out = binary.AppendUvarint(out, e.A)
-			out = binary.AppendUvarint(out, e.B)
+			b = binary.AppendUvarint(b, e.A)
+			b = binary.AppendUvarint(b, e.B)
 		}
-		prevStart = s.Start
-		prevID = s.ID
+		if err := w.Record(b); err != nil {
+			return nil, err
+		}
+		prevStart, prevID = s.Start, s.ID
 	}
-	out = append(out, 0x00)
-	out = binary.AppendUvarint(out, uint64(len(sorted)))
-	d := hash.NewDigest()
-	d.Write(out)
-	crc := uint16(d.Sum16())
-	out = append(out, byte(crc), byte(crc>>8))
-	return out, nil
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
 }
 
-// decoder is a cursor over an encoded dump that reports positioned
-// errors.
-type decoder struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("span: decode at offset %d: %s", d.off, fmt.Sprintf(format, args...))
-	}
-}
-
-func (d *decoder) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.data) {
-		d.fail("truncated")
-		return 0
-	}
-	b := d.data[d.off]
-	d.off++
-	return b
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) zigzag() int64 {
-	u := d.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// Decode parses a span dump, verifying the CRC footer first.
+// Decode parses a span dump. Failures carry their position as a
+// *frame.PosError; a dump that decodes re-encodes to the same bytes.
 func Decode(data []byte) (Meta, []Span, error) {
-	if len(data) < len(Magic)+2+2 {
-		return Meta{}, nil, fmt.Errorf("span: decode: %d bytes is too short for a span dump", len(data))
+	f, h, err := frame.NewReader(bytes.NewReader(data), Magic, Version, 0)
+	if err != nil {
+		return Meta{}, nil, err
 	}
-	if string(data[:len(Magic)]) != string(Magic[:]) {
-		return Meta{}, nil, fmt.Errorf("span: decode: bad magic %q", data[:len(Magic)])
-	}
-	hd := hash.NewDigest()
-	hd.Write(data[:len(data)-2])
-	want := uint16(data[len(data)-2]) | uint16(data[len(data)-1])<<8
-	if got := uint16(hd.Sum16()); got != want {
-		return Meta{}, nil, fmt.Errorf("span: decode: CRC mismatch (file %#04x, computed %#04x)", want, got)
-	}
-
-	d := &decoder{data: data[:len(data)-2], off: len(Magic)}
-	if v := d.u8(); v != Version {
-		return Meta{}, nil, fmt.Errorf("span: decode: unsupported version %d (want %d)", v, Version)
-	}
-	d.u8() // flags, reserved
-	var meta Meta
-	meta.Nodes = int(d.uvarint())
-	meta.Model = d.u8()
-	meta.Protocol = d.u8()
-	meta.Seed = d.uvarint()
-
 	var spans []Span
-	var prevStart sim.Cycle
-	var prevID uint64
-	for d.err == nil {
-		fam := d.u8()
-		if d.err != nil {
-			break
+	var prev Span
+	for {
+		fam, err := f.Next()
+		if err == io.EOF {
+			return Meta{Nodes: h.Nodes, Model: h.Model, Protocol: h.Protocol, Seed: h.Seed}, spans, nil
 		}
-		if fam == 0 { // footer sentinel
-			count := d.uvarint()
-			if d.err == nil && count != uint64(len(spans)) {
-				d.fail("footer count %d, decoded %d spans", count, len(spans))
-			}
-			if d.err == nil && d.off != len(d.data) {
-				d.fail("%d trailing bytes after footer", len(d.data)-d.off)
-			}
-			break
+		if err != nil {
+			return Meta{}, nil, err
 		}
-		var s Span
-		s.Family = Family(fam)
-		s.Kind = d.u8()
-		s.Node = int32(d.zigzag())
-		s.Addr = d.uvarint()
-		s.ID = uint64(int64(prevID) + d.zigzag())
-		s.Start = prevStart + sim.Cycle(d.uvarint())
-		s.End = s.Start + sim.Cycle(d.uvarint())
-		s.Outcome = Outcome(d.u8())
-		s.Dropped = uint16(d.uvarint())
-		n := d.uvarint()
-		if d.err == nil && n > uint64(len(d.data)-d.off) {
-			d.fail("event count %d exceeds remaining input", n)
+		s := Span{Family: Family(fam), Kind: f.Byte()}
+		node := f.Zigzag()
+		s.Node = int32(node)
+		s.Addr = f.Uvarint()
+		s.ID = uint64(int64(prev.ID) + f.Zigzag())
+		s.Start = prev.Start + sim.Cycle(f.Uvarint())
+		s.End = s.Start + sim.Cycle(f.Uvarint())
+		s.Outcome = Outcome(f.Byte())
+		dropped := f.Uvarint()
+		s.Dropped = uint16(dropped)
+		n := f.Uvarint()
+		switch {
+		case f.Failed():
+		case int64(s.Node) != node || uint64(s.Dropped) != dropped:
+			f.Failf("node %d or dropped count %d out of range", node, dropped)
+		case s.End < s.Start:
+			f.Failf("span duration overflows the cycle counter")
+		case len(spans) > 0 && !spanLess(&prev, &s):
+			f.Failf("span (start %d, id %d) is not after (start %d, id %d): not in canonical order",
+				s.Start, s.ID, prev.Start, prev.ID)
 		}
-		if d.err != nil {
-			break
-		}
-		s.Events = make([]Event, 0, n)
+		// The count reserves little up front: one the input cannot back
+		// runs out of input long before it runs out of memory.
+		s.Events = make([]Event, 0, min(n, 64))
 		prevT := int64(s.Start)
-		for j := uint64(0); j < n && d.err == nil; j++ {
-			var e Event
-			e.Label = Label(d.u8())
-			prevT += d.zigzag()
+		for ; n > 0 && !f.Failed(); n-- {
+			e := Event{Label: Label(f.Byte())}
+			prevT += f.Zigzag()
 			e.Time = sim.Cycle(prevT)
-			e.A = d.uvarint()
-			e.B = d.uvarint()
+			e.A, e.B = f.Uvarint(), f.Uvarint()
 			s.Events = append(s.Events, e)
 		}
-		prevStart = s.Start
-		prevID = s.ID
+		if err := f.End(); err != nil {
+			return Meta{}, nil, err
+		}
 		spans = append(spans, s)
+		prev = s
 	}
-	if d.err != nil {
-		return Meta{}, nil, d.err
-	}
-	return meta, spans, nil
 }

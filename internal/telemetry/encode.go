@@ -155,13 +155,24 @@ func (s *Snapshot) EncodeJSON(w io.Writer) error {
 }
 
 // DecodeSnapshot reads a JSON snapshot, rejecting unknown fields so
-// format drift is caught loudly.
+// format drift is caught loudly, and the two shapes the renderers index
+// into unchecked: a valueless scalar, a series of unequal lengths.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Snapshot
 	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("telemetry: decode snapshot: %w", err)
+		return nil, fmt.Errorf("telemetry: decode snapshot: offset %d: %w", dec.InputOffset(), err)
+	}
+	for i := range s.Metrics {
+		if m := &s.Metrics[i]; m.Label == "" && len(m.Values) == 0 {
+			return nil, fmt.Errorf("telemetry: decode snapshot: scalar metric %q has no value", m.Name)
+		}
+	}
+	for i := range s.Series {
+		if sr := &s.Series[i]; len(sr.Cycles) != len(sr.Values) {
+			return nil, fmt.Errorf("telemetry: decode snapshot: series %q has %d cycles but %d values", sr.Name, len(sr.Cycles), len(sr.Values))
+		}
 	}
 	return &s, nil
 }

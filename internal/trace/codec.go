@@ -3,22 +3,20 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
 	"dvmc/internal/consistency"
-	"dvmc/internal/hash"
+	"dvmc/internal/frame"
 	"dvmc/internal/mem"
 	"dvmc/internal/sim"
 )
 
-// Binary trace format (version 1), little-endian varints throughout:
+// Binary trace format (version 1): a sealed stream (internal/frame —
+// header, records, footer with record count and CRC-16) whose records
+// are events, little-endian varints throughout:
 //
-//	header:  "DVMCTR" | version u8 | flags u8 | nodes uvarint |
-//	         model u8 | protocol u8 | seed uvarint
 //	event:   tag u8 | fields (see below) | time-delta zigzag-varint
-//	footer:  0x00 sentinel | count uvarint | crc16 u16le
 //
 // The tag byte packs kind (bits 0..1, values 1..3 so a tag is never 0x00),
 // class (bits 2..3), IsRMW (bit 4), and Fwd (bit 5). Fields by shape:
@@ -30,8 +28,8 @@ import (
 //
 // Time is delta-encoded against the previous event's time with zigzag
 // signed varints: callback timestamps across CPUs can be up to one cycle
-// stale, so deltas may be slightly negative. The CRC-16 footer covers every
-// preceding byte of the stream (header, events, sentinel, count).
+// stale, so deltas may be slightly negative. Header flags bit 0 marks a
+// truncated flight-recorder window.
 
 // Magic is the 6-byte file signature of a trace.
 const Magic = "DVMCTR"
@@ -46,73 +44,46 @@ const (
 	tagClassBits  = 0x03
 	tagRMWBit     = 1 << 4
 	tagFwdBit     = 1 << 5
+	tagUsedBits   = tagKindBits | tagClassBits<<tagClassShift | tagRMWBit | tagFwdBit
 
 	// header flags byte
 	flagTruncated = 1 << 0
 )
 
-// ErrBadMagic is returned when the input does not start with Magic.
-var ErrBadMagic = errors.New("trace: bad magic (not a DVMC trace)")
+// The container's failures, under the names trace's callers match on.
+var (
+	ErrBadMagic = frame.ErrBadMagic // the input does not start with Magic
+	ErrChecksum = frame.ErrChecksum // the footer CRC does not match the stream
+)
 
-// ErrChecksum is returned when the footer CRC does not match the stream.
-var ErrChecksum = errors.New("trace: checksum mismatch (corrupt trace)")
+// PosError locates a decode failure by event index and byte offset.
+type PosError = frame.PosError
 
 // Writer encodes events to an io.Writer. Create with NewWriter (which
 // emits the header), append with Write, and call Close to emit the footer.
 type Writer struct {
-	w        io.Writer
-	d        *hash.Digest
-	scratch  []byte
+	f        *frame.Writer
 	lastTime int64
-	count    uint64
-	closed   bool
-	err      error
 }
 
 // NewWriter writes the header for meta and returns a Writer. meta.Version
 // is forced to Version.
 func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
-	if meta.Nodes < 0 || meta.Nodes > 255 {
-		return nil, fmt.Errorf("trace: node count %d out of range", meta.Nodes)
-	}
-	tw := &Writer{w: w, d: hash.NewDigest(), scratch: make([]byte, 0, 64)}
-	b := tw.scratch[:0]
-	var flags byte
+	h := frame.Header{Nodes: meta.Nodes, Model: byte(meta.Model), Protocol: meta.Protocol, Seed: meta.Seed}
 	if meta.Truncated {
-		flags |= flagTruncated
+		h.Flags = flagTruncated
 	}
-	b = append(b, Magic...)
-	b = append(b, Version, flags)
-	b = binary.AppendUvarint(b, uint64(meta.Nodes))
-	b = append(b, byte(meta.Model), meta.Protocol)
-	b = binary.AppendUvarint(b, meta.Seed)
-	if err := tw.flush(b); err != nil {
+	f, err := frame.NewWriter(w, Magic, Version, h)
+	if err != nil {
 		return nil, err
 	}
-	return tw, nil
-}
-
-// flush writes b to the underlying writer, teeing it into the digest.
-//
-//dvmc:hotpath
-func (w *Writer) flush(b []byte) error {
-	if w.err != nil {
-		return w.err
-	}
-	w.d.Write(b)
-	if _, err := w.w.Write(b); err != nil {
-		w.err = err
-	}
-	return w.err
+	return &Writer{f: f}, nil
 }
 
 // Write appends one event.
 //
 //dvmc:hotpath
 func (w *Writer) Write(ev Event) error {
-	if w.closed {
-		return errors.New("trace: Write after Close")
-	}
 	if ev.Kind < EvCommit || ev.Kind > EvRecover {
 		//dvmc:alloc-ok rejecting a malformed event is a cold error path, not steady-state encoding
 		return fmt.Errorf("trace: invalid event kind %d", ev.Kind)
@@ -124,8 +95,8 @@ func (w *Writer) Write(ev Event) error {
 	if ev.Fwd {
 		tag |= tagFwdBit
 	}
-	//dvmc:alloc-ok scratch growth is retained after the write (w.scratch = b[:0]); amortizes to zero
-	b := append(w.scratch[:0], tag, ev.Node)
+	//dvmc:alloc-ok the frame's scratch buffer keeps its growth between records; amortizes to zero
+	b := append(w.f.Buf(), tag, ev.Node)
 	switch {
 	case ev.Kind == EvRecover:
 		// node only
@@ -143,343 +114,98 @@ func (w *Writer) Write(ev Event) error {
 			b = binary.AppendUvarint(b, uint64(ev.Val2))
 		}
 	}
-	dt := int64(ev.Time) - w.lastTime
-	b = binary.AppendVarint(b, dt)
+	b = frame.AppendZigzag(b, int64(ev.Time)-w.lastTime)
 	w.lastTime = int64(ev.Time)
-	if err := w.flush(b); err != nil {
-		return err
-	}
-	w.scratch = b[:0] // keep any growth so the encode path stays allocation-free
-	w.count++
-	return nil
+	return w.f.Record(b)
 }
-
-// Count returns the number of events written so far.
-func (w *Writer) Count() uint64 { return w.count }
 
 // Close writes the footer (sentinel, count, CRC-16). Idempotent.
-func (w *Writer) Close() error {
-	if w.closed {
-		return w.err
-	}
-	w.closed = true
-	b := append(w.scratch[:0], 0x00)
-	b = binary.AppendUvarint(b, w.count)
-	if err := w.flush(b); err != nil {
-		return err
-	}
-	crc := w.d.Sum16()
-	tail := []byte{byte(crc), byte(crc >> 8)}
-	if _, err := w.w.Write(tail); err != nil {
-		w.err = err
-	}
-	return w.err
-}
-
-// PosError locates a decode failure in the stream: the index of the event
-// being decoded when it struck (0-based; equal to the number of complete
-// events before it) and the byte offset of the failing position. It wraps
-// the underlying cause, so errors.Is(err, ErrChecksum) and
-// errors.Is(err, io.ErrUnexpectedEOF) keep working through it.
-//
-// Positioned errors exist for operational triage of soak-length traces: a
-// torn tail (a pipe or file truncated mid-event) and a mid-stream flipped
-// byte are different failures, and "checksum mismatch" alone says neither
-// where nor how far a multi-gigabyte check got.
-type PosError struct {
-	Event  uint64 // index of the event being decoded when the failure struck
-	Offset int64  // byte offset of the failing position in the stream
-	Err    error  // underlying cause
-}
-
-// Error implements error.
-func (e *PosError) Error() string {
-	return fmt.Sprintf("trace: event %d, offset %d: %v", e.Event, e.Offset, e.Err)
-}
-
-// Unwrap exposes the cause to errors.Is/As.
-func (e *PosError) Unwrap() error { return e.Err }
-
-// readerBufSize is the Reader's fill-buffer capacity: large enough that
-// syscall overhead vanishes on pipes, small enough to be irrelevant
-// against the bounded-memory contract.
-const readerBufSize = 64 << 10
+func (w *Writer) Close() error { return w.f.Close() }
 
 // Reader decodes a trace incrementally from an io.Reader — a file, a
 // pipe from a concurrently-running `dvmc-trace record`, or an in-memory
 // slice via bytes.NewReader — without materializing the stream. Create
 // with NewReader (which reads and validates the header) and iterate with
-// Next until io.EOF; the footer count and CRC are verified when the
-// sentinel is reached. Decode failures carry their position as a
-// *PosError.
+// Next until io.EOF, which vouches for the footer count and CRC. Decode
+// failures carry their position as a *PosError.
 type Reader struct {
-	src        io.Reader
-	d          *hash.Digest
-	buf        []byte
-	start, end int   // unread window within buf
-	off        int64 // absolute offset of the next unread byte
-	srcErr     error // sticky error from src (io.EOF included)
-	meta       Meta
-	lastTime   int64
-	count      uint64
-	done       bool
+	f        *frame.Reader
+	meta     Meta
+	lastTime int64
 }
 
 // NewReader reads and parses the trace header from src and returns a
 // Reader positioned at the first event.
 func NewReader(src io.Reader) (*Reader, error) {
-	r := &Reader{src: src, d: hash.NewDigest(), buf: make([]byte, readerBufSize)}
-	var magic [len(Magic)]byte
-	for i := range magic {
-		b, err := r.byte()
-		if err != nil {
-			return nil, ErrBadMagic
-		}
-		magic[i] = b
-	}
-	if string(magic[:]) != Magic {
-		return nil, ErrBadMagic
-	}
-	ver, err := r.byte()
+	f, h, err := frame.NewReader(src, Magic, Version, flagTruncated)
 	if err != nil {
-		return nil, r.posErr(err)
+		return nil, err
 	}
-	if ver != Version {
-		return nil, fmt.Errorf("trace: unsupported version %d (want %d)", ver, Version)
-	}
-	flags, err := r.byte()
-	if err != nil {
-		return nil, r.posErr(err)
-	}
-	nodes, err := r.uvarint()
-	if err != nil {
-		return nil, r.posErr(err)
-	}
-	model, err := r.byte()
-	if err != nil {
-		return nil, r.posErr(err)
-	}
-	proto, err := r.byte()
-	if err != nil {
-		return nil, r.posErr(err)
-	}
-	seed, err := r.uvarint()
-	if err != nil {
-		return nil, r.posErr(err)
-	}
-	r.meta = Meta{
-		Version: ver, Nodes: int(nodes), Model: consistency.Model(model),
-		Protocol: proto, Seed: seed, Truncated: flags&flagTruncated != 0,
-	}
-	return r, nil
+	return &Reader{f: f, meta: Meta{
+		Version: Version, Nodes: h.Nodes, Model: consistency.Model(h.Model),
+		Protocol: h.Protocol, Seed: h.Seed, Truncated: h.Flags&flagTruncated != 0,
+	}}, nil
 }
 
 // Meta returns the decoded header.
 func (r *Reader) Meta() Meta { return r.meta }
 
 // Count returns the number of events decoded so far.
-func (r *Reader) Count() uint64 { return r.count }
+func (r *Reader) Count() uint64 { return r.f.Count() }
 
 // Offset returns the absolute byte offset of the next unread byte.
-func (r *Reader) Offset() int64 { return r.off }
-
-// posErr wraps a decode failure with the stream position. A bare io.EOF
-// mid-event means the source ended where more bytes were required — a
-// torn tail — so it is normalised to io.ErrUnexpectedEOF.
-func (r *Reader) posErr(err error) error {
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return &PosError{Event: r.count, Offset: r.off, Err: err}
-}
-
-// fill tops the buffer up from src. It returns nil if at least one unread
-// byte is available afterwards.
-func (r *Reader) fill() error {
-	if r.start < r.end {
-		return nil
-	}
-	if r.srcErr != nil {
-		return r.srcErr
-	}
-	r.start, r.end = 0, 0
-	for r.end == 0 {
-		n, err := r.src.Read(r.buf)
-		r.end = n
-		if err != nil {
-			r.srcErr = err
-			if n == 0 {
-				return err
-			}
-			break
-		}
-	}
-	return nil
-}
-
-// byte consumes one byte, teeing it into the running digest.
-func (r *Reader) byte() (byte, error) {
-	if err := r.fill(); err != nil {
-		return 0, err
-	}
-	b := r.buf[r.start]
-	r.start++
-	r.off++
-	r.d.WriteByte(b)
-	return b, nil
-}
-
-// rawByte consumes one byte WITHOUT digesting it — only for the two CRC
-// footer bytes, which the checksum does not cover.
-func (r *Reader) rawByte() (byte, error) {
-	if err := r.fill(); err != nil {
-		return 0, err
-	}
-	b := r.buf[r.start]
-	r.start++
-	r.off++
-	return b, nil
-}
-
-func (r *Reader) uvarint() (uint64, error) {
-	var v uint64
-	for shift := uint(0); shift < 64; shift += 7 {
-		b, err := r.byte()
-		if err != nil {
-			return 0, err
-		}
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v, nil
-		}
-	}
-	return 0, errors.New("varint overflows 64 bits")
-}
-
-func (r *Reader) varint() (int64, error) {
-	uv, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	v := int64(uv >> 1)
-	if uv&1 != 0 {
-		v = ^v
-	}
-	return v, nil
-}
+func (r *Reader) Offset() int64 { return r.f.Offset() }
 
 // Next returns the next event, or io.EOF after the footer has been reached
-// and verified. Any other error is positioned (*PosError).
+// and verified. Any other error is positioned (*PosError). An event the
+// oracles could not take — a node the header does not declare, a model
+// with no ordering table — is a decode failure, not an event.
 func (r *Reader) Next() (Event, error) {
-	if r.done {
-		return Event{}, io.EOF
-	}
-	if err := r.fill(); err != nil {
-		// The stream ended cleanly between events but before the footer
-		// sentinel: a torn tail, reported with its position.
-		return Event{}, r.posErr(err)
-	}
-	tagOff := r.off
-	tag, err := r.byte()
+	f := r.f
+	tag, err := f.Next()
 	if err != nil {
-		return Event{}, r.posErr(err)
+		return Event{}, err
 	}
-	if tag == 0x00 {
-		return Event{}, r.finishFooter()
-	}
-	var ev Event
-	ev.Kind = Kind(tag & tagKindBits)
-	ev.Class = consistency.OpClass(tag >> tagClassShift & tagClassBits)
-	ev.IsRMW = tag&tagRMWBit != 0
-	ev.Fwd = tag&tagFwdBit != 0
-	if ev.Node, err = r.byte(); err != nil {
-		return Event{}, r.posErr(err)
+	ev := Event{
+		Kind:  Kind(tag & tagKindBits),
+		Class: consistency.OpClass(tag >> tagClassShift & tagClassBits),
+		IsRMW: tag&tagRMWBit != 0,
+		Fwd:   tag&tagFwdBit != 0,
+		Node:  f.Byte(),
 	}
 	switch {
+	case tag&^tagUsedBits != 0 || ev.Kind == 0 || ev.Class == 0 && ev.Kind != EvRecover:
+		f.Failf("invalid tag %#02x (corrupt byte or mid-stream damage)", tag)
 	case ev.Kind == EvRecover:
 		// node only
 	case ev.Class == consistency.Membar:
-		var m, mask byte
-		if m, err = r.byte(); err != nil {
-			return Event{}, r.posErr(err)
-		}
-		if mask, err = r.byte(); err != nil {
-			return Event{}, r.posErr(err)
-		}
-		ev.Model, ev.Mask = consistency.Model(m), consistency.MembarMask(mask)
-		if ev.Seq, err = r.uvarint(); err != nil {
-			return Event{}, r.posErr(err)
-		}
-	case ev.Class == consistency.Load || ev.Class == consistency.Store:
-		var m byte
-		if m, err = r.byte(); err != nil {
-			return Event{}, r.posErr(err)
-		}
-		ev.Model = consistency.Model(m)
-		if ev.Seq, err = r.uvarint(); err != nil {
-			return Event{}, r.posErr(err)
-		}
-		var a, v uint64
-		if a, err = r.uvarint(); err != nil {
-			return Event{}, r.posErr(err)
-		}
-		if v, err = r.uvarint(); err != nil {
-			return Event{}, r.posErr(err)
-		}
-		ev.Addr, ev.Val = mem.Addr(a), mem.Word(v)
+		ev.Model, ev.Mask = consistency.Model(f.Byte()), consistency.MembarMask(f.Byte())
+		ev.Seq = f.Uvarint()
+	default: // load or store
+		ev.Model = consistency.Model(f.Byte())
+		ev.Seq = f.Uvarint()
+		ev.Addr, ev.Val = mem.Addr(f.Uvarint()), mem.Word(f.Uvarint())
 		if ev.IsRMW && ev.Kind == EvPerform {
-			if v, err = r.uvarint(); err != nil {
-				return Event{}, r.posErr(err)
-			}
-			ev.Val2 = mem.Word(v)
+			ev.Val2 = mem.Word(f.Uvarint())
 		}
-	default:
-		return Event{}, &PosError{Event: r.count, Offset: tagOff,
-			Err: fmt.Errorf("invalid tag %#02x (corrupt byte or mid-stream damage)", tag)}
 	}
-	dt, err := r.varint()
-	if err != nil {
-		return Event{}, r.posErr(err)
-	}
-	r.lastTime += dt
+	r.lastTime += f.Zigzag()
 	ev.Time = sim.Cycle(r.lastTime)
-	r.count++
+	if int(ev.Node) >= r.meta.Nodes {
+		f.Failf("event for node %d but the header declares %d nodes", ev.Node, r.meta.Nodes)
+	}
+	if ev.Kind != EvRecover && (ev.Model < consistency.SC || ev.Model > consistency.RMO) {
+		f.Failf("model byte %d is none of SC, TSO, PSO, RMO", uint8(ev.Model))
+	}
+	if err := f.End(); err != nil {
+		return Event{}, err
+	}
 	return ev, nil
-}
-
-// finishFooter validates count and CRC after the sentinel, returning io.EOF
-// on success.
-func (r *Reader) finishFooter() error {
-	n, err := r.uvarint()
-	if err != nil {
-		return r.posErr(err)
-	}
-	if n != r.count {
-		return r.posErr(fmt.Errorf("footer count %d != decoded events %d", n, r.count))
-	}
-	want := r.d.Sum16()
-	lo, err := r.rawByte()
-	if err != nil {
-		return r.posErr(err)
-	}
-	hi, err := r.rawByte()
-	if err != nil {
-		return r.posErr(err)
-	}
-	if got := hash.Signature(uint16(lo) | uint16(hi)<<8); want != got {
-		// The stream decoded structurally but its checksum does not match:
-		// some byte between header and footer was silently damaged in a
-		// way the per-event shape checks could not see. The position names
-		// the footer so the report still says how far the check got.
-		return &PosError{Event: r.count, Offset: r.off - 2, Err: ErrChecksum}
-	}
-	r.done = true
-	return io.EOF
 }
 
 // Encode serialises meta and events into a complete trace byte stream.
 func Encode(meta Meta, events []Event) ([]byte, error) {
-	var buf writerBuf
+	var buf bytes.Buffer
 	w, err := NewWriter(&buf, meta)
 	if err != nil {
 		return nil, err
@@ -492,7 +218,7 @@ func Encode(meta Meta, events []Event) ([]byte, error) {
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
-	return buf.b, nil
+	return buf.Bytes(), nil
 }
 
 // Decode parses a complete trace byte stream held in memory.
@@ -512,13 +238,4 @@ func Decode(data []byte) (Meta, []Event, error) {
 		}
 		events = append(events, ev)
 	}
-}
-
-// writerBuf is a minimal append-only buffer (avoids bytes.Buffer's
-// interface indirection on the encode path).
-type writerBuf struct{ b []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }

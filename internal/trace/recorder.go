@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 )
 
@@ -27,7 +27,7 @@ type Recorder struct {
 	cfg      Config
 	meta     Meta
 	ring     *ring
-	buf      writerBuf
+	buf      bytes.Buffer
 	w        *Writer
 	stats    RecorderStats
 	out      []byte
@@ -116,16 +116,12 @@ func (r *Recorder) Finish() ([]byte, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("trace: finish: %w", r.err)
 	}
-	r.out = r.buf.b
+	r.out = r.buf.Bytes()
 	return r.out, nil
 }
 
 // Stats returns capture accounting.
 func (r *Recorder) Stats() RecorderStats { return r.stats }
-
-// ErrTruncated marks a flight-recorder trace that lost events; callers that
-// need a complete trace (the oracle) should refuse such traces.
-var ErrTruncated = errors.New("trace: flight recorder dropped events; trace is truncated")
 
 // Complete reports whether the recorder captured every emitted event.
 func (r *Recorder) Complete() bool { return r.stats.Dropped == 0 }

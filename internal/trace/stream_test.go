@@ -106,13 +106,13 @@ func TestReaderTornTail(t *testing.T) {
 		if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrChecksum) {
 			t.Fatalf("cut %d: cause = %v, want unexpected EOF or checksum", cut, pe.Err)
 		}
-		if pe.Event != n {
-			t.Fatalf("cut %d: positioned at event %d, but %d events decoded", cut, pe.Event, n)
+		if pe.Record != n {
+			t.Fatalf("cut %d: positioned at event %d, but %d events decoded", cut, pe.Record, n)
 		}
 		if pe.Offset <= 0 || pe.Offset > int64(cut) {
 			t.Fatalf("cut %d: offset %d outside the torn stream", cut, pe.Offset)
 		}
-		if !strings.Contains(err.Error(), "event ") || !strings.Contains(err.Error(), "offset ") {
+		if !strings.Contains(err.Error(), "record ") || !strings.Contains(err.Error(), "offset ") {
 			t.Fatalf("cut %d: message %q lacks position", cut, err)
 		}
 	}
@@ -175,8 +175,8 @@ func TestReaderChecksumPosition(t *testing.T) {
 		}
 		var pe *PosError
 		if errors.As(err, &pe) && errors.Is(err, ErrChecksum) && r.Count() == uint64(len(events)) {
-			if pe.Event != uint64(len(events)) {
-				t.Fatalf("checksum failure positioned at event %d, want %d", pe.Event, len(events))
+			if pe.Record != uint64(len(events)) {
+				t.Fatalf("checksum failure positioned at event %d, want %d", pe.Record, len(events))
 			}
 			if pe.Offset != int64(len(mut)-2) {
 				t.Fatalf("checksum failure at offset %d, want footer offset %d", pe.Offset, len(mut)-2)
