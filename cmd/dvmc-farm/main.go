@@ -19,7 +19,8 @@
 // bytes, so the merged output never depends on the schedule.
 //
 // Exit codes: 0 clean, 1 usage or I/O error, 2 campaign failure found
-// (fuzz: escape, false alarm, or crash; experiment: undetected faults).
+// (fuzz: escape, false alarm, or crash; experiment: undetected faults)
+// or, on resume, a checkpoint that does not decode.
 //
 // Example (two terminals):
 //
@@ -30,16 +31,17 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"dvmc/internal/fabric"
+	"dvmc/internal/frame"
 	"dvmc/internal/fuzz"
 	"dvmc/internal/telemetry"
 )
@@ -76,6 +78,7 @@ campaign, regardless of worker count, ordering, or crashes.
 '<sub> -h' lists each subcommand's flags.
 
 exit codes: 0 clean, 1 usage or I/O error, 2 campaign failure found
+(or, on resume, a checkpoint that does not decode)
 `)
 	os.Exit(1)
 }
@@ -83,20 +86,6 @@ exit codes: 0 clean, 1 usage or I/O error, 2 campaign failure found
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "dvmc-farm: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// parseKinds splits a comma-separated fault-kind list ("" = all kinds).
-func parseKinds(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, k := range strings.Split(s, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 func newFlagSet(name string) *flag.FlagSet {
@@ -127,22 +116,22 @@ func serve(args []string, resume bool) {
 		shard      = fs.Int("shard", fabric.DefaultShardSize, "cases per lease")
 		jsonOut    = fs.Bool("json", false, "print the fuzz summary as JSON")
 		recordsOut = fs.String("records-out", "", "write the full fuzz record table (JSON) to this file")
-		metricsOut = fs.String("metrics-out", "", "write the merged telemetry snapshot to this file ('-' for stdout; needs -metrics)")
-		spansOut   = fs.String("spans-out", "", "fuzz/coverage: re-run the first failing case (else the first case) with span recording and write its dump to this file")
+		metricsOut = fs.String("metrics-out", "", "write the merged telemetry snapshot to this file ('-' for stdout; needs a fuzz job with -metrics)")
+		spansOut   = fs.String("spans-out", "", "fuzz: re-run the first failing case (else the first case) with span recording and write its dump to this file")
 
 		// Job flags (serve only; resume reads the spec from the journal).
-		kind      = fs.String("job", "fuzz", "job kind: fuzz | coverage | experiment")
+		kind      = fs.String("job", "fuzz", "job kind: fuzz | experiment")
 		seed      = fs.Uint64("seed", 1, "campaign master seed")
-		n         = fs.Int("n", 200, "fuzz/coverage: number of runs")
-		faultFrac = fs.Float64("fault-frac", 0.5, "fuzz/coverage: fraction of runs that inject a fault")
+		n         = fs.Int("n", 200, "fuzz: number of runs, all generations together")
+		faultFrac = fs.Float64("fault-frac", 0.5, "fuzz: fraction of runs that inject a fault")
 		budget    = fs.Uint64("budget", fuzz.DefaultBudget, "per-run cycle budget")
-		corpus    = fs.String("corpus", "", "fuzz/coverage: directory for minimized failure reproducers")
-		minimize  = fs.Bool("minimize", true, "fuzz/coverage: delta-debug failures before writing them")
-		minBudget = fs.Int("minimize-budget", fuzz.DefaultMinimizeBudget, "fuzz/coverage: max re-runs per minimized failure")
-		metrics   = fs.Bool("metrics", false, "fuzz/coverage: instrument every case and merge telemetry farm-wide")
-		kinds     = fs.String("kinds", "", "fuzz/coverage: comma-separated fault kinds to inject (default all)")
-		gens      = fs.Int("gens", 4, "coverage: breeding generations after the random prefix")
-		genSize   = fs.Int("gen-size", 0, "coverage: mutants per generation (0 = n/8, min 1)")
+		corpus    = fs.String("corpus", "", "fuzz: directory for minimized failure reproducers (and, with -gens, the distilled seed pool)")
+		minimize  = fs.Bool("minimize", true, "fuzz: delta-debug failures before writing them")
+		minBudget = fs.Int("minimize-budget", fuzz.DefaultMinimizeBudget, "fuzz: max re-runs per minimized failure")
+		metrics   = fs.Bool("metrics", false, "fuzz: instrument every case and merge telemetry farm-wide")
+		kinds     = fs.String("kinds", "", "fuzz: comma-separated fault kinds to inject (default all)")
+		gens      = fs.Int("gens", 0, "fuzz: breeding generations after the random prefix (0 = plain random fuzzing)")
+		genSize   = fs.Int("gen-size", 0, "fuzz: mutants per generation (0 = n/8, min 1)")
 		faults    = fs.Int("faults", 100, "experiment: injections per protocol x model row")
 	)
 	parseFlags(fs, args)
@@ -150,6 +139,16 @@ func serve(args []string, resume bool) {
 		fatalf("%s: unexpected arguments %v", name, fs.Args())
 	}
 
+	// checkOutputs refuses, before anything is bound or run, an output
+	// flag the job cannot honour.
+	checkOutputs := func(spec fabric.JobSpec) {
+		switch {
+		case *spansOut != "" && spec.Kind != fabric.JobFuzz:
+			fatalf("%s: -spans-out needs a fuzz job, this is an %s job", name, spec.Kind)
+		case *metricsOut != "" && (spec.Kind != fabric.JobFuzz || !spec.Fuzz.Metrics):
+			fatalf("%s: -metrics-out needs a fuzz job started with -metrics", name)
+		}
+	}
 	opts := fabric.CoordinatorOptions{CheckpointPath: *checkpoint, TTLSeconds: *ttl}
 	var coord *fabric.Coordinator
 	var err error
@@ -160,40 +159,34 @@ func serve(args []string, resume bool) {
 		coord, err = fabric.ResumeCoordinator(*checkpoint, opts)
 	} else {
 		spec := fabric.JobSpec{Kind: fabric.JobKind(*kind), ShardSize: *shard}
-		base := fuzz.CampaignConfig{
-			Seed: *seed, Runs: *n, FaultFrac: *faultFrac, Budget: *budget,
-			CorpusDir: *corpus, Minimize: *minimize, MinimizeBudget: *minBudget,
-			Metrics: *metrics, Kinds: parseKinds(*kinds),
-		}
 		switch spec.Kind {
 		case fabric.JobFuzz:
-			spec.Fuzz = &base
-		case fabric.JobCoverage:
-			size := *genSize
-			if size <= 0 {
-				size = *n / 8
-				if size < 1 {
-					size = 1
-				}
-			}
-			init := *n - *gens*size
-			if init < 1 {
-				fatalf("serve: -n %d leaves no random prefix for %d generations of %d", *n, *gens, size)
-			}
-			spec.Coverage = &fuzz.CoverageConfig{
-				Campaign: base, InitRuns: init, Generations: *gens, PerGen: size,
+			spec.Fuzz = &fuzz.CampaignConfig{
+				Seed: *seed, Runs: *n, Generations: *gens, PerGen: *genSize,
+				FaultFrac: *faultFrac, Budget: *budget,
+				CorpusDir: *corpus, Minimize: *minimize, MinimizeBudget: *minBudget,
+				Metrics: *metrics, Kinds: fuzz.ParseKinds(*kinds),
 			}
 		case fabric.JobExperiment:
 			spec.Experiment = &fabric.ExperimentSpec{Faults: *faults, Budget: *budget, Seed: *seed}
 		default:
 			fatalf("serve: unknown -job %q", *kind)
 		}
+		checkOutputs(spec) // before NewCoordinator creates the checkpoint
 		coord, err = fabric.NewCoordinator(spec, opts)
+	}
+	var pe *frame.PosError
+	if errors.As(err, &pe) {
+		// A checkpoint that does not decode is a failed artifact, not a
+		// usage error.
+		fmt.Fprintf(os.Stderr, "dvmc-farm: %s: %v\n", name, err)
+		os.Exit(2)
 	}
 	if err != nil {
 		fatalf("%s: %v", name, err)
 	}
 	defer coord.Close()
+	checkOutputs(coord.Spec()) // on resume, the journaled job
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -219,9 +212,6 @@ func serve(args []string, resume bool) {
 		fatalf("%s: %v", name, err)
 	}
 	if *spansOut != "" {
-		if out.Records == nil {
-			fatalf("%s: -spans-out needs a fuzz or coverage job", name)
-		}
 		rec, err := fuzz.WriteSpans(out.Records, *spansOut)
 		if err != nil {
 			fatalf("%s: %v", name, err)
@@ -244,20 +234,14 @@ func serve(args []string, resume bool) {
 // baselines.
 func writeOutputs(coord *fabric.Coordinator, out *fabric.Output, jsonOut bool, recordsOut, metricsOut string) (failed bool, err error) {
 	if out.Records != nil {
-		// Coverage jobs render the extended summary (features, pool,
-		// per-generation novelty) the serial dvmc-fuzz -coverage prints.
-		var summary any = out.Summary
-		if out.Coverage != nil {
-			summary = *out.Coverage
-		}
 		if jsonOut {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
-			if err := enc.Encode(summary); err != nil {
+			if err := enc.Encode(out.Summary); err != nil {
 				return false, err
 			}
 		} else {
-			fmt.Print(summary)
+			fmt.Print(out.Summary)
 		}
 		if recordsOut != "" {
 			data, err := json.MarshalIndent(out.Records, "", "  ")

@@ -12,15 +12,21 @@
 //	shrink  delta-debug one failing case to a minimal reproducer
 //	replay  re-run corpus reproducers and check their classifications
 //
-// Campaigns are deterministic: the same -seed produces byte-identical
-// classification tables and corpus artifacts regardless of -workers.
+// A campaign has -gens >= 0 breeding generations: 0 (the default) is
+// plain random fuzzing; with more, the cases a random prefix leaves of
+// the -n budget are bred, generation by generation, from the runs that
+// reached new coverage. Campaigns are deterministic: the same flags
+// produce byte-identical classification tables and corpus artifacts
+// regardless of -workers.
 //
 // Exit codes (all subcommands): 0 clean, 1 usage or I/O error, 2 a
-// failure was found (escape, false alarm, crash, or replay mismatch).
+// failure was found (escape, false alarm, crash, or replay mismatch —
+// which includes a case file that does not decode).
 //
 // Examples:
 //
 //	dvmc-fuzz run -seed 1 -n 500 -fault-frac 0.5 -workers 8 -corpus corpus/
+//	dvmc-fuzz run -seed 1 -n 500 -gens 4 -corpus corpus/
 //	dvmc-fuzz gen -seed 7 -threads 4 -ops 32 > case.json
 //	dvmc-fuzz shrink case.json > min.json
 //	dvmc-fuzz replay internal/fuzz/testdata/corpus
@@ -28,68 +34,84 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"dvmc"
 	"dvmc/internal/fuzz"
-	"dvmc/internal/telemetry"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is main's process edges, passed in so tests can drive it.
+type cli struct {
+	stdout, stderr io.Writer
+}
+
+// run is main with its process edges passed in; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	c := &cli{stdout: stdout, stderr: stderr}
+	if len(args) < 1 {
+		c.usage()
+		return 1
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "gen":
-		gen(os.Args[2:])
+		return c.gen(args[1:])
 	case "run":
-		run(os.Args[2:])
+		return c.campaign(args[1:])
 	case "shrink":
-		shrink(os.Args[2:])
+		return c.shrink(args[1:])
 	case "replay":
-		replay(os.Args[2:])
+		return c.replay(args[1:])
 	case "-h", "-help", "--help", "help":
-		usage()
+		c.usage()
+		return 0
 	default:
-		fatalf("unknown subcommand %q (want gen, run, shrink, or replay)", os.Args[1])
+		return c.failf("unknown subcommand %q (want gen, run, shrink, or replay)", args[0])
 	}
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
+func (c *cli) usage() {
+	fmt.Fprintf(c.stderr, `usage:
   dvmc-fuzz gen    [flags]                 generate one case as JSON on stdout
   dvmc-fuzz run    [flags]                 run a fuzzing campaign
   dvmc-fuzz shrink [flags] <case.json>     minimize a failing case to stdout
   dvmc-fuzz replay <dir | case.json>...    re-run corpus reproducers
 
-Campaigns are deterministic: the same -seed gives byte-identical results
+Campaigns are deterministic: the same flags give byte-identical results
 regardless of -workers. '<sub> -h' lists each subcommand's flags.
 
 exit codes: 0 clean, 1 usage or I/O error, 2 failure found
-(escape, false alarm, crash, or replay mismatch).
+(escape, false alarm, crash, or replay mismatch, an undecodable
+case file included).
 `)
-	os.Exit(1)
 }
 
-// newFlagSet builds a flag set that exits 1 (usage), not 2, on parse
-// errors — exit 2 is reserved for found failures.
-func newFlagSet(name string) *flag.FlagSet {
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
-	return fs
+// failf reports a usage or I/O error: exit 1 (2 is reserved for found
+// failures).
+func (c *cli) failf(format string, args ...any) int {
+	fmt.Fprintf(c.stderr, "dvmc-fuzz: "+format+"\n", args...)
+	return 1
 }
 
-func parseFlags(fs *flag.FlagSet, args []string) {
+// flags parses a subcommand's flags; ok false means return code now.
+func (c *cli) flags(fs *flag.FlagSet, args []string) (code int, ok bool) {
+	fs.SetOutput(c.stderr)
 	if err := fs.Parse(args); err != nil {
-		os.Exit(1)
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, false
+		}
+		return 1, false
 	}
+	return 0, true
 }
 
-func gen(args []string) {
-	fs := newFlagSet("gen")
+func (c *cli) gen(args []string) int {
+	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
 	var (
 		seed     = fs.Uint64("seed", 1, "generator seed")
 		threads  = fs.Int("threads", 4, "thread count")
@@ -106,9 +128,11 @@ func gen(args []string) {
 		budget   = fs.Uint64("budget", fuzz.DefaultBudget, "cycle budget")
 		faultStr = fs.String("fault", "", "fault to inject as kind:node:cycle (e.g. msg-drop:1:400); known kinds: "+strings.Join(fuzz.FaultKindNames(), ", "))
 	)
-	parseFlags(fs, args)
+	if code, ok := c.flags(fs, args); !ok {
+		return code
+	}
 	if fs.NArg() != 0 {
-		fatalf("gen: unexpected arguments %v", fs.Args())
+		return c.failf("gen: unexpected arguments %v", fs.Args())
 	}
 	gp := fuzz.DefaultGenParams(*seed)
 	gp.Threads = *threads
@@ -121,9 +145,9 @@ func gen(args []string) {
 	gp.Bits32Frac = *b32Frac
 	prog, err := gp.Generate()
 	if err != nil {
-		fatalf("gen: %v", err)
+		return c.failf("gen: %v", err)
 	}
-	c := &fuzz.Case{
+	cs := &fuzz.Case{
 		Name:     fmt.Sprintf("gen-seed%d", *seed),
 		Model:    *model,
 		Protocol: *proto,
@@ -135,18 +159,19 @@ func gen(args []string) {
 	if *faultStr != "" {
 		f, err := parseFault(*faultStr)
 		if err != nil {
-			fatalf("gen: %v", err)
+			return c.failf("gen: %v", err)
 		}
-		c.Fault = f
+		cs.Fault = f
 	}
-	if err := c.Validate(); err != nil {
-		fatalf("gen: %v", err)
+	if err := cs.Validate(); err != nil {
+		return c.failf("gen: %v", err)
 	}
-	data, err := c.Encode()
+	data, err := cs.Encode()
 	if err != nil {
-		fatalf("gen: %v", err)
+		return c.failf("gen: %v", err)
 	}
-	os.Stdout.Write(data)
+	c.stdout.Write(data)
+	return 0
 }
 
 func parseFault(s string) (*fuzz.FaultSpec, error) {
@@ -178,242 +203,146 @@ func parseFault(s string) (*fuzz.FaultSpec, error) {
 	return &f, nil
 }
 
-// parseKinds splits a comma-separated fault-kind pool.
-func parseKinds(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, k := range strings.Split(s, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-func run(args []string) {
-	fs := newFlagSet("run")
+func (c *cli) campaign(args []string) int {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	var (
 		seed       = fs.Uint64("seed", 1, "campaign master seed")
-		n          = fs.Int("n", 200, "number of runs")
+		n          = fs.Int("n", 200, "number of runs, all generations together")
 		workers    = fs.Int("workers", 0, "worker pool size (0 = min(GOMAXPROCS, runs), 1 = serial)")
 		faultFrac  = fs.Float64("fault-frac", 0.5, "fraction of runs that inject a fault")
 		budget     = fs.Uint64("budget", fuzz.DefaultBudget, "per-run cycle budget")
-		corpus     = fs.String("corpus", "", "directory for minimized failure reproducers")
+		corpus     = fs.String("corpus", "", "directory for minimized failure reproducers (and, with -gens, the distilled seed pool)")
 		minimize   = fs.Bool("minimize", true, "delta-debug failures before writing them")
 		minBudget  = fs.Int("minimize-budget", fuzz.DefaultMinimizeBudget, "max re-runs per minimized failure")
 		jsonOut    = fs.Bool("json", false, "print the summary as JSON")
 		verbose    = fs.Bool("v", false, "print one line per non-clean run")
 		metricsOut = fs.String("metrics-out", "", "re-run the first failing case (else the first case) with telemetry and write the snapshot to this file")
 		spansOut   = fs.String("spans-out", "", "re-run the first failing case (else the first case) with span recording and write the binary dump to this file (render with dvmc-stat timeline)")
-		coverage   = fs.Bool("coverage", false, "coverage-guided mode: after a random prefix, breed mutants from runs that reached new coverage (-n stays the total case budget)")
-		gens       = fs.Int("gens", 4, "breeding generations (with -coverage)")
-		genSize    = fs.Int("gen-size", 0, "mutants per generation (with -coverage; 0 = n/8)")
+		gens       = fs.Int("gens", 0, "breeding generations after the random prefix: each breeds -gen-size mutants from the runs that reached new coverage (0 = plain random fuzzing)")
+		genSize    = fs.Int("gen-size", 0, "mutants per generation (0 = n/8, min 1)")
 		kindsStr   = fs.String("kinds", "", "comma-separated fault-kind pool (empty = every kind); known: "+strings.Join(fuzz.FaultKindNames(), ", "))
 	)
-	parseFlags(fs, args)
-	if fs.NArg() != 0 {
-		fatalf("run: unexpected arguments %v", fs.Args())
+	if code, ok := c.flags(fs, args); !ok {
+		return code
 	}
-	base := fuzz.CampaignConfig{
-		Seed: *seed, Runs: *n, Workers: *workers, FaultFrac: *faultFrac,
+	if fs.NArg() != 0 {
+		return c.failf("run: unexpected arguments %v", fs.Args())
+	}
+	cfg := fuzz.CampaignConfig{
+		Seed: *seed, Runs: *n, Generations: *gens, PerGen: *genSize,
+		Workers: *workers, FaultFrac: *faultFrac,
 		Budget: *budget, CorpusDir: *corpus,
 		Minimize: *minimize, MinimizeBudget: *minBudget,
-		Kinds: parseKinds(*kindsStr),
+		Kinds: fuzz.ParseKinds(*kindsStr),
 	}
-	var (
-		records []fuzz.Record
-		summary fuzz.Summary
-		printed any
-	)
-	if *coverage {
-		per := *genSize
-		if per == 0 {
-			per = *n / 8
-			if per < 1 {
-				per = 1
-			}
-		}
-		init := *n - *gens*per
-		if init < 1 {
-			fatalf("run: -n %d leaves no random prefix for %d generations of %d mutants", *n, *gens, per)
-		}
-		cc := fuzz.CoverageConfig{Campaign: base, InitRuns: init, Generations: *gens, PerGen: per}
-		var covSum fuzz.CoverageSummary
-		var err error
-		records, covSum, _, err = fuzz.RunCoverage(cc)
-		if err != nil {
-			fatalf("run: %v", err)
-		}
-		summary, printed = covSum.Summary, covSum
-	} else {
-		cp, err := fuzz.NewCampaign(base)
-		if err != nil {
-			fatalf("run: %v", err)
-		}
-		records, summary, _, err = cp.Run()
-		if err != nil {
-			fatalf("run: %v", err)
-		}
-		printed = summary
+	records, summary, _, err := fuzz.Run(cfg)
+	if err != nil {
+		return c.failf("run: %v", err)
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(c.stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(printed); err != nil {
-			fatalf("run: %v", err)
+		if err := enc.Encode(summary); err != nil {
+			return c.failf("run: %v", err)
 		}
 	} else {
-		fmt.Print(printed)
+		fmt.Fprint(c.stdout, summary)
 	}
 	if *verbose {
 		for _, r := range fuzz.SortRecordsByClass(records) {
 			if r.Result.Class == fuzz.ClassAgreeClean {
 				continue
 			}
-			fmt.Printf("  run %d: %s %s/%s", r.Index, r.Result.Class, r.Case.Model, r.Case.Protocol)
+			fmt.Fprintf(c.stdout, "  run %d: %s %s/%s", r.Index, r.Result.Class, r.Case.Model, r.Case.Protocol)
 			if r.Case.Fault != nil {
-				fmt.Printf(" fault=%s@%d", r.Case.Fault.Kind, r.Case.Fault.Cycle)
+				fmt.Fprintf(c.stdout, " fault=%s@%d", r.Case.Fault.Kind, r.Case.Fault.Cycle)
 			}
 			if r.Result.Detail != "" {
-				fmt.Printf(" (%s)", r.Result.Detail)
+				fmt.Fprintf(c.stdout, " (%s)", r.Result.Detail)
 			}
 			if r.CorpusFile != "" {
-				fmt.Printf(" -> %s", r.CorpusFile)
+				fmt.Fprintf(c.stdout, " -> %s", r.CorpusFile)
 			}
-			fmt.Println()
+			fmt.Fprintln(c.stdout)
 		}
 	}
-	if *metricsOut != "" && len(records) > 0 {
-		if err := writeRunSnapshot(records, *metricsOut); err != nil {
-			fatalf("run: metrics: %v", err)
+	if *metricsOut != "" {
+		if _, err := fuzz.WriteTelemetry(records, *metricsOut); err != nil {
+			return c.failf("run: metrics: %v", err)
 		}
 		if *metricsOut != "-" {
-			fmt.Printf("telemetry snapshot written to %s\n", *metricsOut)
+			fmt.Fprintf(c.stdout, "telemetry snapshot written to %s\n", *metricsOut)
 		}
 	}
-	if *spansOut != "" && len(records) > 0 {
+	if *spansOut != "" {
 		rec, err := fuzz.WriteSpans(records, *spansOut)
 		if err != nil {
-			fatalf("run: spans: %v", err)
+			return c.failf("run: spans: %v", err)
 		}
 		// stderr, so -json stdout stays machine-readable (and cmp-equal
 		// to a farm run's summary).
-		fmt.Fprintf(os.Stderr, "span dump for run %d (%s) written to %s\n", rec.Index, rec.Result.Class, *spansOut)
+		fmt.Fprintf(c.stderr, "span dump for run %d (%s) written to %s\n", rec.Index, rec.Result.Class, *spansOut)
 	}
 	if summary.Failed() {
-		fmt.Fprintf(os.Stderr, "dvmc-fuzz: %d failing runs\n", summary.Failures)
-		os.Exit(2)
+		fmt.Fprintf(c.stderr, "dvmc-fuzz: %d failing runs\n", summary.Failures)
+		return 2
 	}
+	return 0
 }
 
-// writeRunSnapshot re-executes one campaign case — the first failing
-// run if any, else the first run — with telemetry enabled, and records
-// its snapshot. The campaign itself stays uninstrumented so telemetry
-// cost never skews classification timing; the re-run reproduces the
-// same deterministic execution with sampling on.
-func writeRunSnapshot(records []fuzz.Record, path string) error {
-	rec := records[0]
-	for _, r := range fuzz.SortRecordsByClass(records) {
-		if r.Result.Class.Failure() {
-			rec = r
-			break
-		}
-	}
-	c := rec.Case
-	cfg, err := c.Config()
-	if err != nil {
-		return err
-	}
-	cfg = cfg.WithTelemetry(dvmc.TelemetryOn())
-	name := c.Name
-	if name == "" {
-		name = "fuzz"
-	}
-	w := c.Program.Spec(name)
-
-	var sys *dvmc.System
-	if c.Fault == nil {
-		sys, err = dvmc.NewSystem(cfg, w)
-		if err != nil {
-			return err
-		}
-		sys.RunToCompletion(c.Budget)
-	} else {
-		inj, err := c.Fault.Injection()
-		if err != nil {
-			return err
-		}
-		_, sys, err = dvmc.RunInjectionSystem(cfg, w, inj, c.Budget)
-		if err != nil {
-			return err
-		}
-	}
-	return telemetry.WriteSnapshotFile(sys.TelemetrySnapshot(), path)
-}
-
-func shrink(args []string) {
-	fs := newFlagSet("shrink")
+func (c *cli) shrink(args []string) int {
+	fs := flag.NewFlagSet("shrink", flag.ContinueOnError)
 	var (
 		budget = fs.Int("budget", fuzz.DefaultMinimizeBudget, "max re-runs")
 		out    = fs.String("o", "-", "output path ('-' for stdout)")
 	)
-	parseFlags(fs, args)
+	if code, ok := c.flags(fs, args); !ok {
+		return code
+	}
 	if fs.NArg() != 1 {
-		fatalf("shrink: need exactly one case file")
+		return c.failf("shrink: need exactly one case file")
 	}
-	c, err := fuzz.LoadCase(fs.Arg(0))
+	cs, err := fuzz.LoadCase(fs.Arg(0))
 	if err != nil {
-		fatalf("shrink: %v", err)
+		return c.failf("shrink: %v", err)
 	}
-	min, err := fuzz.Minimize(c, *budget)
+	min, err := fuzz.Minimize(cs, *budget)
 	if err != nil {
-		fatalf("shrink: %v", err)
+		return c.failf("shrink: %v", err)
 	}
 	data, err := min.Encode()
 	if err != nil {
-		fatalf("shrink: %v", err)
+		return c.failf("shrink: %v", err)
 	}
 	if *out == "-" {
-		os.Stdout.Write(data)
+		c.stdout.Write(data)
 	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fatalf("shrink: %v", err)
+		return c.failf("shrink: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "dvmc-fuzz: shrunk to %d threads, %d ops (%s)\n",
+	fmt.Fprintf(c.stderr, "dvmc-fuzz: shrunk to %d threads, %d ops (%s)\n",
 		min.Program.NumThreads(), min.Program.NumOps(), min.Expect)
+	return 0
 }
 
-func replay(args []string) {
+// replay re-runs reproducers: every case of a directory argument, the
+// one case of a file argument, both through fuzz.ReplayFile. A case that
+// does not load is a mismatch like any other — the artifact failed.
+func (c *cli) replay(args []string) int {
 	if len(args) == 0 {
-		fatalf("replay: need at least one corpus directory or case file")
+		return c.failf("replay: need at least one corpus directory or case file")
 	}
 	bad := 0
 	total := 0
 	for _, arg := range args {
-		var results []fuzz.ReplayResult
 		info, err := os.Stat(arg)
-		switch {
-		case err != nil:
-			fatalf("replay: %v", err)
-		case info.IsDir():
-			results, err = fuzz.ReplayDir(arg)
-			if err != nil {
-				fatalf("replay: %v", err)
-			}
-		default:
-			c, err := fuzz.LoadCase(arg)
-			if err != nil {
-				fatalf("replay: %v", err)
-			}
-			res, _, err := fuzz.RunCase(c)
-			if err != nil {
-				fatalf("replay: %v", err)
-			}
-			results = []fuzz.ReplayResult{{
-				Path: arg, Expect: c.Expect, Got: res.Class, Result: res,
-				OK: c.Expect == "" || res.Class == c.Expect,
-			}}
+		if err != nil {
+			return c.failf("replay: %v", err)
+		}
+		var results []fuzz.ReplayResult
+		if !info.IsDir() {
+			results = append(results, fuzz.ReplayFile(arg))
+		} else if results, err = fuzz.ReplayDir(arg); err != nil {
+			return c.failf("replay: %v", err)
 		}
 		for _, r := range results {
 			total++
@@ -422,19 +351,20 @@ func replay(args []string) {
 				status = "MISMATCH"
 				bad++
 			}
-			fmt.Printf("%-8s %s: expect %s, got %s\n", status, r.Path, orDash(string(r.Expect)), orDash(string(r.Got)))
+			fmt.Fprintf(c.stdout, "%-8s %s: expect %s, got %s\n", status, r.Path, orDash(string(r.Expect)), orDash(string(r.Got)))
 			if r.Result.Panic != "" {
-				fmt.Printf("         %s\n", r.Result.Panic)
+				fmt.Fprintf(c.stdout, "         %s\n", r.Result.Panic)
 			}
 			if r.TraceDiff != "" {
-				fmt.Printf("         %s\n", r.TraceDiff)
+				fmt.Fprintf(c.stdout, "         %s\n", r.TraceDiff)
 			}
 		}
 	}
-	fmt.Printf("replayed %d cases, %d mismatches\n", total, bad)
+	fmt.Fprintf(c.stdout, "replayed %d cases, %d mismatches\n", total, bad)
 	if bad > 0 {
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
 func orDash(s string) string {
@@ -442,9 +372,4 @@ func orDash(s string) string {
 		return "-"
 	}
 	return s
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "dvmc-fuzz: "+format+"\n", args...)
-	os.Exit(1)
 }

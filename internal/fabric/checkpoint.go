@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"dvmc/internal/frame"
 	"dvmc/internal/hash"
 )
 
@@ -84,7 +85,8 @@ func decodeEntryLine(line []byte) (CheckpointEntry, error) {
 // ReadCheckpoint decodes a checkpoint file's bytes. droppedTail reports
 // the length of an unterminated (torn) final line that was recovered
 // by dropping; any other defect is an error. An empty file yields no
-// entries. An error names the record and the byte offset of its line.
+// entries. An error is a *frame.PosError: the record and the byte offset
+// of its line.
 func ReadCheckpoint(data []byte) (entries []CheckpointEntry, droppedTail int, err error) {
 	for off := 0; off < len(data); {
 		line, _, ok := bytes.Cut(data[off:], []byte("\n"))
@@ -95,7 +97,7 @@ func ReadCheckpoint(data []byte) (entries []CheckpointEntry, droppedTail int, er
 		}
 		e, err := decodeEntryLine(line)
 		if err != nil {
-			return nil, 0, fmt.Errorf("fabric: checkpoint record %d, offset %d: %w", len(entries), off, err)
+			return nil, 0, fmt.Errorf("fabric: checkpoint %w", &frame.PosError{Record: uint64(len(entries)), Offset: int64(off), Err: err})
 		}
 		entries = append(entries, e)
 		off += len(line) + 1

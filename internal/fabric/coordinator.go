@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dvmc"
+	"dvmc/internal/frame"
 	"dvmc/internal/fuzz"
 	"dvmc/internal/telemetry"
 )
@@ -38,7 +39,7 @@ type workerInfo struct {
 	lastSeen    uint64
 	lastRenew   uint64 // last renewal/completion — the mid-shard heartbeat
 	activeShard int    // currently leased shard, -1 when idle
-	activeGen   int    // coverage generation of the active shard, -1 otherwise
+	activeGen   int    // generation of the active shard, -1 when idle
 }
 
 // Coordinator owns a job's lease table and accumulates shard results.
@@ -48,14 +49,15 @@ type workerInfo struct {
 // shape reproduces a serial run's bytes.
 type Coordinator struct {
 	mu     sync.Mutex
-	spec   JobSpec // immutable after construction
-	shards []Shard // immutable after construction
+	spec   JobSpec             // immutable after construction
+	gens   fuzz.CampaignConfig // spec.generations(): what the lease gate walks
+	shards []Shard             // immutable after construction
 	//dvmc:guardedby mu
 	leases *LeaseTable
 	//dvmc:guardedby mu
 	results map[int]*ShardResult
-	// pools caches coverage jobs' per-generation mutation seed pools
-	// (serialized), computed once when the generation unlocks.
+	// pools caches the per-generation mutation seed pools (serialized),
+	// each computed once when its generation unlocks.
 	//dvmc:guardedby mu
 	pools map[int]json.RawMessage
 	//dvmc:guardedby mu
@@ -98,7 +100,8 @@ func NewCoordinator(spec JobSpec, opts CoordinatorOptions) (*Coordinator, error)
 // every accepted shard result are replayed from the journal, completed
 // shards are never re-run, and new results append to the same file. A
 // torn trailing line (coordinator crashed mid-append) is truncated
-// away; any other corruption refuses to resume.
+// away; any other corruption — a record that does not decode, a spec
+// that does not validate — refuses to resume with a *frame.PosError.
 //
 //dvmc:guardedby mu
 func ResumeCoordinator(path string, opts CoordinatorOptions) (*Coordinator, error) {
@@ -111,11 +114,13 @@ func ResumeCoordinator(path string, opts CoordinatorOptions) (*Coordinator, erro
 		return nil, err
 	}
 	if len(entries) == 0 || entries[0].Spec == nil {
-		return nil, fmt.Errorf("fabric: checkpoint %s does not start with a job spec", path)
+		return nil, fmt.Errorf("fabric: checkpoint %s: %w", path, &frame.PosError{Err: errors.New("does not start with a job spec")})
 	}
 	spec := *entries[0].Spec
 	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("fabric: checkpoint %s: %w", path, err)
+		// A spec no coordinator would have journaled: the file is damaged
+		// (or hostile), and says so like any other undecodable record.
+		return nil, fmt.Errorf("fabric: checkpoint %s: %w", path, &frame.PosError{Err: err})
 	}
 	if droppedTail > 0 {
 		if err := os.Truncate(path, int64(len(data)-droppedTail)); err != nil {
@@ -162,6 +167,7 @@ func newCoordinator(spec JobSpec, shards []Shard, opts CoordinatorOptions) *Coor
 	}
 	return &Coordinator{
 		spec:          spec,
+		gens:          spec.generations(),
 		shards:        append([]Shard(nil), shards...),
 		leases:        NewLeaseTable(shards, ttl),
 		results:       make(map[int]*ShardResult),
@@ -202,6 +208,9 @@ func (c *Coordinator) Close() error {
 
 // Done is closed when every shard has completed.
 func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
+
+// Spec returns the job being coordinated (on resume, the journaled one).
+func (c *Coordinator) Spec() JobSpec { return c.spec }
 
 //dvmc:guardedby mu
 func (c *Coordinator) touch(worker string) *workerInfo {
@@ -247,10 +256,7 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 		}
 		if info := c.workers[req.Worker]; info != nil {
 			info.activeShard = sh.ID
-			info.activeGen = -1
-			if c.spec.Kind == JobCoverage {
-				info.activeGen = c.spec.Coverage.GenOf(sh.From)
-			}
+			info.activeGen = c.gens.GenOf(sh.From)
 		}
 		return LeaseResponse{Shard: &sh, Input: input}
 	}
@@ -265,23 +271,20 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 }
 
 // unlockedLimit is the lease gate: the end index of the lowest
-// incomplete generation for coverage jobs (shards past it stay locked
-// until every earlier case has completed, because their mutants breed
-// from those cases), and the whole case space otherwise.
+// incomplete generation (shards past it stay locked until every earlier
+// case has completed, because their mutants breed from those cases) —
+// the whole case space once only the last generation is left, which for
+// a job that breeds nothing is from the start.
 //
 //dvmc:guardedby mu
 func (c *Coordinator) unlockedLimit() int {
-	if c.spec.Kind != JobCoverage {
-		return c.spec.TotalCases()
-	}
-	cc := c.spec.Coverage
-	for g := 0; g <= cc.Generations; g++ {
-		from, to := cc.GenBounds(g)
+	for g := 0; g < c.gens.Generations; g++ {
+		from, to := c.gens.GenBounds(g)
 		if !c.rangeDone(from, to) {
 			return to
 		}
 	}
-	return cc.TotalRuns()
+	return c.gens.Runs
 }
 
 // rangeDone reports whether every shard inside [from, to) completed.
@@ -296,25 +299,21 @@ func (c *Coordinator) rangeDone(from, to int) bool {
 	return true
 }
 
-// shardInput assembles the per-shard lease input: for a coverage shard
-// in generation g >= 1, the generation's serialized mutation seed pool,
+// shardInput assembles the per-shard lease input: for a shard in
+// generation g >= 1, the generation's serialized mutation seed pool,
 // distilled (and cached) from the completed earlier generations with
-// the same fuzz.CoveragePool walk the serial driver performs.
+// the same fuzz.CoveragePool walk the local driver performs.
 //
 //dvmc:guardedby mu
 func (c *Coordinator) shardInput(sh Shard) (json.RawMessage, error) {
-	if c.spec.Kind != JobCoverage {
-		return nil, nil
-	}
-	cc := c.spec.Coverage
-	g := cc.GenOf(sh.From)
+	g := c.gens.GenOf(sh.From)
 	if g == 0 {
 		return nil, nil
 	}
 	if cached, ok := c.pools[g]; ok {
 		return cached, nil
 	}
-	from, _ := cc.GenBounds(g)
+	from, _ := c.gens.GenBounds(g)
 	records := make([]fuzz.Record, from)
 	for _, r := range c.results {
 		for _, rec := range r.Records {
@@ -323,8 +322,7 @@ func (c *Coordinator) shardInput(sh Shard) (json.RawMessage, error) {
 			}
 		}
 	}
-	pool := fuzz.CoveragePool(*cc, records, g)
-	data, err := json.Marshal(pool)
+	data, err := json.Marshal(fuzz.CoveragePool(c.gens, records, g))
 	if err != nil {
 		return nil, err
 	}
@@ -471,13 +469,11 @@ func (c *Coordinator) MetricsSnapshot() (*telemetry.Snapshot, error) {
 // Output is a finished job's merged artifacts — the same values the
 // serial drivers produce, byte for byte.
 type Output struct {
-	// Fuzz and coverage jobs: the complete record table (index order),
-	// its summary, and — with Metrics on — the merged telemetry snapshot.
+	// Fuzz jobs: the complete record table (index order), its summary,
+	// and — with Metrics on — the merged telemetry snapshot.
 	Records  []fuzz.Record
 	Summary  fuzz.Summary
 	Snapshot *telemetry.Snapshot
-	// Coverage jobs: the summary extended with the coverage map's shape.
-	Coverage *fuzz.CoverageSummary
 	// Experiment jobs: one merged campaign per Section 6.1 row, and the
 	// assembled table.
 	Campaigns []dvmc.CampaignResult
@@ -485,9 +481,9 @@ type Output struct {
 }
 
 // Finalize assembles the finished job's artifacts. For fuzz jobs it
-// runs the same fuzz.FinalizeRecords corpus pass as the serial driver
-// (writing into the spec's CorpusDir), then Summarize. Callable only
-// after Done.
+// runs the same fuzz.Finalize pass as the local driver (corpus writes
+// into the spec's CorpusDir, then the summary). Callable only after
+// Done.
 func (c *Coordinator) Finalize() (*Output, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -515,36 +511,14 @@ func finalize(spec JobSpec, results []ShardResult) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := fuzz.FinalizeRecords(records, spec.Fuzz.CorpusDir); err != nil {
+		out.Records = records
+		if out.Summary, err = fuzz.Finalize(*spec.Fuzz, records); err != nil {
 			return nil, err
 		}
-		out.Records = records
-		out.Summary = fuzz.Summarize(spec.Fuzz.Seed, records)
 		if spec.Fuzz.Metrics {
-			merged, err := telemetry.MergeSnapshots(snaps...)
-			if err != nil {
+			if out.Snapshot, err = telemetry.MergeSnapshots(snaps...); err != nil {
 				return nil, err
 			}
-			out.Snapshot = merged
-		}
-	case JobCoverage:
-		records, snaps, err := assembleRecords(results, spec.Coverage.TotalRuns())
-		if err != nil {
-			return nil, err
-		}
-		sum, err := fuzz.FinalizeCoverage(*spec.Coverage, records)
-		if err != nil {
-			return nil, err
-		}
-		out.Records = records
-		out.Summary = sum.Summary
-		out.Coverage = &sum
-		if spec.Coverage.Campaign.Metrics {
-			merged, err := telemetry.MergeSnapshots(snaps...)
-			if err != nil {
-				return nil, err
-			}
-			out.Snapshot = merged
 		}
 	case JobExperiment:
 		faults := spec.Experiment.Faults

@@ -7,10 +7,14 @@
 // layer and composed here:
 //
 //  1. Every case is a pure function of (campaign seed, case index) —
-//     fuzz.DeriveCase and dvmc.DeriveCampaignInjections. A shard's
-//     records therefore do not depend on which worker ran it, when, or
-//     how many times (re-running a stolen lease reproduces the same
-//     bytes).
+//     fuzz.DeriveCase and dvmc.DeriveCampaignInjections — or, for a
+//     fuzz campaign's breeding generations (it has Generations >= 0),
+//     of those and the records of the generations before it, which is
+//     why shards never straddle a generation, a generation is leased
+//     only once the earlier ones are complete, and its seed pool rides
+//     in the lease. A shard's records therefore do not depend on which
+//     worker ran it, when, or how many times (re-running a stolen lease
+//     reproduces the same bytes).
 //  2. Shards are slot-disjoint index ranges, so merging is
 //     order-independent: dvmc.Merge for injection campaigns,
 //     slot-placement for fuzz records, and the canonical
@@ -18,8 +22,7 @@
 //  3. All artifact writes (corpus files, summaries, tables) happen on
 //     the coordinator after every slot is filled, in ascending index
 //     order, through the same finalize code the serial drivers use
-//     (fuzz.FinalizeRecords, fuzz.Summarize,
-//     dvmc.AssembleErrorDetectionTable).
+//     (fuzz.Finalize, dvmc.AssembleErrorDetectionTable).
 //
 // Consequently the merged outputs are byte-identical to a serial run at
 // any worker count, join/leave order, or crash/retry schedule.

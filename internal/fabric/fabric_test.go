@@ -122,19 +122,23 @@ func TestJobSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	goodCov := JobSpec{Kind: JobCoverage, Coverage: &fuzz.CoverageConfig{
-		Campaign: fuzz.CampaignConfig{Seed: 1}, InitRuns: 4, Generations: 1, PerGen: 2,
-	}}
-	if err := goodCov.Validate(); err != nil {
-		t.Fatal(err)
+	for _, cfg := range []fuzz.CampaignConfig{
+		{Seed: 1, Runs: 6, Generations: 1, PerGen: 2},
+		{Seed: 1, Runs: 12, Generations: 2}, // PerGen defaults to Runs/8, min 1
+	} {
+		if err := (JobSpec{Kind: JobFuzz, Fuzz: &cfg}).Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	bad := []JobSpec{
 		{},
 		{Kind: JobFuzz},
 		{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Runs: 0}},
-		{Kind: JobCoverage},
-		{Kind: JobCoverage, Coverage: &fuzz.CoverageConfig{Campaign: fuzz.CampaignConfig{Seed: 1}, InitRuns: 0}},
-		{Kind: JobCoverage, Coverage: &fuzz.CoverageConfig{Campaign: fuzz.CampaignConfig{Seed: 1}, InitRuns: 4, Generations: 2, PerGen: 0}},
+		{Kind: "coverage", Fuzz: &fuzz.CampaignConfig{Seed: 1, Runs: 6, Generations: 1, PerGen: 2}},
+		{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 1, Runs: 4, Generations: 2, PerGen: 2}}, // no prefix left
+		{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 1, Runs: 4, Generations: 1, PerGen: -1}},
+		// Generations*PerGen overflows to 0: refused without multiplying.
+		{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 1, Runs: 1, Generations: 1 << 40, PerGen: 1 << 40}},
 		{Kind: JobExperiment},
 		{Kind: JobExperiment, Experiment: &ExperimentSpec{Faults: 0, Budget: 1}},
 		{Kind: JobExperiment, Experiment: &ExperimentSpec{Faults: 1, Budget: 0}},
@@ -165,7 +169,7 @@ func farmSpec(corpusDir string) JobSpec {
 	}
 }
 
-// serialBaseline runs the same campaign in one process with the serial
+// serialBaseline runs the same campaign in one process with the local
 // driver, producing the reference bytes the farm must reproduce.
 func serialBaseline(t *testing.T, spec JobSpec) ([]byte, fuzz.Summary, []byte, string) {
 	t.Helper()
@@ -173,11 +177,7 @@ func serialBaseline(t *testing.T, spec JobSpec) ([]byte, fuzz.Summary, []byte, s
 	cfg := *spec.Fuzz
 	cfg.Workers = 1
 	cfg.CorpusDir = dir
-	cp, err := fuzz.NewCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, sum, snap, err := cp.Run()
+	recs, sum, snap, err := fuzz.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,24 +205,6 @@ func recordsJSON(t *testing.T, recs []fuzz.Record) []byte {
 	return data
 }
 
-// corpusContents snapshots a corpus directory as name -> bytes.
-func corpusContents(t *testing.T, dir string) map[string]string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string]string, len(entries))
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[e.Name()] = string(data)
-	}
-	return out
-}
-
 func assertFarmMatchesSerial(t *testing.T, out *Output, farmCorpus string,
 	wantRecords []byte, wantSummary fuzz.Summary, wantSnap []byte, serialCorpus string) {
 	t.Helper()
@@ -239,7 +221,7 @@ func assertFarmMatchesSerial(t *testing.T, out *Output, farmCorpus string,
 	if !bytes.Equal(snapJSON.Bytes(), wantSnap) {
 		t.Error("farm merged telemetry differs from serial run")
 	}
-	if !reflect.DeepEqual(corpusContents(t, farmCorpus), corpusContents(t, serialCorpus)) {
+	if !reflect.DeepEqual(corpusTree(t, farmCorpus), corpusTree(t, serialCorpus)) {
 		t.Error("farm corpus artifacts differ from serial run")
 	}
 }
@@ -447,28 +429,26 @@ func TestFarmExperimentMatchesSerial(t *testing.T) {
 	}
 }
 
-// coverageSpec is the coverage farm fixture: three generations with
-// shard boundaries ragged inside each generation.
+// coverageSpec is the farm fixture with generations: three of them, with
+// shard boundaries ragged inside each.
 func coverageSpec(corpusDir string) JobSpec {
 	return JobSpec{
-		Kind: JobCoverage,
-		Coverage: &fuzz.CoverageConfig{
-			Campaign: fuzz.CampaignConfig{
-				Seed: 77, FaultFrac: 0.5,
-				Minimize: true, MinimizeBudget: 100, Metrics: true,
-				CorpusDir: corpusDir,
-			},
-			InitRuns: 8, Generations: 2, PerGen: 4,
+		Kind: JobFuzz,
+		Fuzz: &fuzz.CampaignConfig{
+			Seed: 77, FaultFrac: 0.5,
+			Minimize: true, MinimizeBudget: 100, Metrics: true,
+			CorpusDir: corpusDir,
+			Runs:      16, Generations: 2, PerGen: 4,
 		},
 		ShardSize: 3,
 	}
 }
 
-// TestCoverageShardsGenerationAligned: the coverage partition never
-// crosses a generation boundary, at any shard size.
+// TestCoverageShardsGenerationAligned: the partition never crosses a
+// generation boundary, at any shard size.
 func TestCoverageShardsGenerationAligned(t *testing.T) {
 	spec := coverageSpec("")
-	cc := spec.Coverage
+	cc := spec.Fuzz
 	for _, size := range []int{1, 3, 5, 8, 100} {
 		spec.ShardSize = size
 		covered := 0
@@ -478,35 +458,27 @@ func TestCoverageShardsGenerationAligned(t *testing.T) {
 			}
 			covered += sh.To - sh.From
 		}
-		if covered != cc.TotalRuns() {
-			t.Fatalf("size %d: shards cover %d of %d cases", size, covered, cc.TotalRuns())
+		if covered != cc.Runs {
+			t.Fatalf("size %d: shards cover %d of %d cases", size, covered, cc.Runs)
 		}
 	}
 }
 
-// TestFarmCoverageMatchesSerial is the coverage fabric's headline
-// property: a coordinator gating leases by generation and shipping each
-// generation's distilled seed pool with the lease reproduces the serial
-// fuzz.RunCoverage byte-for-byte — records, coverage summary, merged
-// telemetry, and corpus tree (failure reproducers and distilled seeds).
+// TestFarmCoverageMatchesSerial is the headline property for a campaign
+// with generations: a coordinator gating leases by generation and
+// shipping each generation's distilled seed pool with the lease
+// reproduces the local fuzz.Run byte-for-byte — records, summary with
+// its coverage block, merged telemetry, and corpus tree (failure
+// reproducers and distilled seeds).
 func TestFarmCoverageMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("farm test in -short mode")
 	}
 	farmCorpus := t.TempDir()
 	spec := coverageSpec(farmCorpus)
-
-	serialCorpus := t.TempDir()
-	cc := *spec.Coverage
-	cc.Campaign.Workers = 1
-	cc.Campaign.CorpusDir = serialCorpus
-	wantRecs, wantSum, wantSnap, err := fuzz.RunCoverage(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantSnapJSON bytes.Buffer
-	if err := wantSnap.EncodeJSON(&wantSnapJSON); err != nil {
-		t.Fatal(err)
+	wantRecords, wantSummary, wantSnap, serialCorpus := serialBaseline(t, spec)
+	if wantSummary.Features == 0 || wantSummary.PoolSize == 0 {
+		t.Fatalf("local driver summarized no coverage: %+v", wantSummary)
 	}
 
 	coord, err := NewCoordinator(spec, CoordinatorOptions{TTLSeconds: testTTL()})
@@ -533,29 +505,11 @@ func TestFarmCoverageMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(recordsJSON(t, out.Records), recordsJSON(t, wantRecs)) {
-		t.Error("farm coverage records differ from serial run")
-	}
-	if out.Coverage == nil {
-		t.Fatal("coverage job finalized without a coverage summary")
-	}
-	if !reflect.DeepEqual(*out.Coverage, wantSum) {
-		t.Errorf("farm coverage summary = %+v, want %+v", *out.Coverage, wantSum)
-	}
-	var snapJSON bytes.Buffer
-	if err := out.Snapshot.EncodeJSON(&snapJSON); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapJSON.Bytes(), wantSnapJSON.Bytes()) {
-		t.Error("farm coverage telemetry differs from serial run")
-	}
-	if !reflect.DeepEqual(corpusTree(t, farmCorpus), corpusTree(t, serialCorpus)) {
-		t.Error("farm coverage corpus artifacts differ from serial run")
-	}
+	assertFarmMatchesSerial(t, out, farmCorpus, wantRecords, wantSummary, wantSnap, serialCorpus)
 }
 
-// corpusTree snapshots a corpus directory recursively (coverage runs
-// write a distilled/ subdirectory) as relative path -> bytes.
+// corpusTree snapshots a corpus directory recursively (a campaign with
+// generations writes a distilled/ subdirectory) as relative path -> bytes.
 func corpusTree(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	out := map[string]string{}

@@ -4,16 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dvmc"
+	"dvmc/internal/frame"
 	"dvmc/internal/fuzz"
+	"dvmc/internal/hash"
 )
 
 // handlerFixture is a two-shard fuzz job behind an httptest server, on a
@@ -205,5 +211,46 @@ func TestResumeRefusesForeignResult(t *testing.T) {
 	}
 	if _, err := ResumeCoordinator(path, CoordinatorOptions{}); err == nil || !strings.Contains(err.Error(), "does not belong to this job") {
 		t.Fatalf("resume from a checkpoint with a foreign result: %v", err)
+	}
+}
+
+// TestResumeRefusesHostileSpec: a journal whose framing and CRC hold but
+// whose spec no coordinator would have written is refused at once, with
+// the record and offset of the spec line. The first is 205 bytes whose
+// Generations*PerGen overflows to 0: multiplied, it validated, and
+// Shards() then walked 2^40 generations. The second is the job kind the
+// generations fold removed.
+func TestResumeRefusesHostileSpec(t *testing.T) {
+	frameLine := func(payload string) []byte {
+		return []byte(fmt.Sprintf("%s %04x %s\n", checkpointMagic, uint16(hash.Sum([]byte(payload))), payload))
+	}
+	for name, tc := range map[string]struct{ payload, want string }{
+		"overflowing generations": {
+			`{"spec":{"kind":"fuzz","fuzz":{"seed":1,"runs":1,"generations":1099511627776,"per_gen":1099511627776,"workers":0,"fault_frac":0,"budget":0,"minimize":false}}}`,
+			"leaves no random prefix",
+		},
+		"removed coverage kind": {
+			`{"spec":{"kind":"coverage","coverage":{"campaign":{"seed":1,"runs":0,"workers":0,"fault_frac":0,"budget":0,"minimize":false},"init_runs":4,"generations":1,"per_gen":2}}}`,
+			`unknown field "coverage"`,
+		},
+	} {
+		path := filepath.Join(t.TempDir(), "hostile.ckpt")
+		if err := os.WriteFile(path, frameLine(tc.payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := ResumeCoordinator(path, CoordinatorOptions{})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var pe *frame.PosError
+			if !errors.As(err, &pe) || pe.Record != 0 || pe.Offset != 0 || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: resume = %v, want a record 0, offset 0 refusal saying %q", name, err, tc.want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s: resume still running after 1 s", name)
+		}
 	}
 }

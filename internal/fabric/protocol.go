@@ -62,9 +62,9 @@ type LeaseResponse struct {
 	Done        bool   `json:"done,omitempty"`
 	WaitSeconds uint64 `json:"wait_seconds,omitempty"`
 	// Input is per-shard input state the worker cannot derive from the
-	// spec alone: for a coverage shard in generation g >= 1, the
-	// generation's mutation seed pool (a JSON []*fuzz.Case), distilled
-	// coordinator-side from the completed earlier generations.
+	// spec alone: for a fuzz shard in generation g >= 1, the generation's
+	// mutation seed pool (a JSON []*fuzz.Case), distilled coordinator-side
+	// from the completed earlier generations.
 	Input json.RawMessage `json:"input,omitempty"`
 }
 
@@ -112,8 +112,9 @@ type WorkerStatus struct {
 	// -1 when idle. A stolen lease leaves the victim's row pointing at
 	// the stale shard until its next request — itself a staleness tell.
 	ActiveShard int `json:"active_shard"`
-	// Generation is the coverage generation of the active shard
-	// (coverage jobs only; -1 otherwise or when idle).
+	// Generation is the generation of the active shard: 0 in the random
+	// prefix (all of an experiment, or of a campaign that breeds nothing),
+	// -1 when idle.
 	Generation int `json:"generation"`
 	// ShardsPerSec is the worker's delivery rate since admission.
 	ShardsPerSec float64 `json:"shards_per_sec"`

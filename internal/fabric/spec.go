@@ -11,21 +11,20 @@ import (
 type JobKind string
 
 const (
-	// JobFuzz shards a randomized litmus-program fuzzing campaign
-	// (internal/fuzz): case i is fuzz.DeriveCase(seed, i).
+	// JobFuzz shards a litmus-program fuzzing campaign (internal/fuzz,
+	// fuzz.Run): case i of the random prefix is fuzz.DeriveCase(seed, i).
+	// Shards are generation-aligned, and a shard in generation g >= 1
+	// receives the generation's mutation seed pool with its lease. The
+	// coordinator only leases a generation once every earlier one has
+	// completed, which is what keeps the farm byte-identical to the local
+	// driver; a campaign with Generations == 0 is one generation, all of
+	// it leasable at once.
 	JobFuzz JobKind = "fuzz"
 	// JobExperiment shards the Section 6.1 error-detection matrix:
 	// the case space is rows × faults, row-major, where the rows are
 	// dvmc.ErrorDetectionRows and each row's injections are
 	// dvmc.DeriveCampaignInjections.
 	JobExperiment JobKind = "experiment"
-	// JobCoverage shards a coverage-guided campaign (fuzz.RunCoverage):
-	// shards are generation-aligned, and a shard in generation g >= 1
-	// receives the generation's mutation seed pool with its lease. The
-	// coordinator only leases a generation once every earlier one has
-	// completed, which is what keeps the farm byte-identical to the
-	// serial driver.
-	JobCoverage JobKind = "coverage"
 )
 
 // ExperimentSpec parameterises a JobExperiment: the Section 6.1
@@ -56,9 +55,6 @@ type JobSpec struct {
 	// workers ignore them (shards run serially, corpus writes happen at
 	// finalize).
 	Fuzz *fuzz.CampaignConfig `json:"fuzz,omitempty"`
-	// Coverage is the campaign configuration when Kind == JobCoverage.
-	// As with Fuzz, CorpusDir and Workers are coordinator-side concerns.
-	Coverage *fuzz.CoverageConfig `json:"coverage,omitempty"`
 	// Experiment parameterises the matrix when Kind == JobExperiment.
 	Experiment *ExperimentSpec `json:"experiment,omitempty"`
 	// ShardSize is the number of cases per lease; 0 picks
@@ -74,13 +70,6 @@ func (s JobSpec) Validate() error {
 			return fmt.Errorf("fabric: %s job without a fuzz config", s.Kind)
 		}
 		if err := s.Fuzz.Validate(); err != nil {
-			return err
-		}
-	case JobCoverage:
-		if s.Coverage == nil {
-			return fmt.Errorf("fabric: %s job without a coverage config", s.Kind)
-		}
-		if err := s.Coverage.Validate(); err != nil {
 			return err
 		}
 	case JobExperiment:
@@ -110,11 +99,6 @@ func (s JobSpec) TotalCases() int {
 			return 0
 		}
 		return s.Fuzz.Runs
-	case JobCoverage:
-		if s.Coverage == nil {
-			return 0
-		}
-		return s.Coverage.TotalRuns()
 	case JobExperiment:
 		if s.Experiment == nil {
 			return 0
@@ -125,34 +109,33 @@ func (s JobSpec) TotalCases() int {
 	}
 }
 
+// generations is the job's case space as a campaign shape — what the
+// partition and the lease gate walk. An experiment is one generation
+// over its matrix, like a campaign that breeds nothing.
+func (s JobSpec) generations() fuzz.CampaignConfig {
+	if s.Kind == JobFuzz && s.Fuzz != nil {
+		return *s.Fuzz
+	}
+	return fuzz.CampaignConfig{Runs: s.TotalCases()}
+}
+
 // Shards partitions the case space into contiguous leases of ShardSize
-// cases (the last of each segment ragged). Shard IDs are their
-// position, so the partition is a pure function of the spec. Coverage
-// jobs partition each generation separately — a shard never straddles a
-// generation boundary, because the mutation seed pool a shard runs
-// against is per-generation state.
+// cases (the last of each generation ragged). Shard IDs are their
+// position, so the partition is a pure function of the spec. A shard
+// never straddles a generation boundary, because the mutation seed pool
+// a shard runs against is per-generation state.
 func (s JobSpec) Shards() []Shard {
 	size := s.ShardSize
 	if size <= 0 {
 		size = DefaultShardSize
 	}
 	var out []Shard
-	chunk := func(from, to int) {
+	cc := s.generations()
+	for g := 0; g <= cc.Generations; g++ {
+		from, to := cc.GenBounds(g)
 		for f := from; f < to; f += size {
-			t := f + size
-			if t > to {
-				t = to
-			}
-			out = append(out, Shard{ID: len(out), From: f, To: t})
+			out = append(out, Shard{ID: len(out), From: f, To: min(f+size, to)})
 		}
 	}
-	if s.Kind == JobCoverage && s.Coverage != nil {
-		for g := 0; g <= s.Coverage.Generations; g++ {
-			from, to := s.Coverage.GenBounds(g)
-			chunk(from, to)
-		}
-		return out
-	}
-	chunk(0, s.TotalCases())
 	return out
 }

@@ -21,7 +21,8 @@ import (
 // coordinator state, clock, or worker identity reaches the simulation,
 // which is what makes shard results interchangeable across workers,
 // retries, and steals. input is the lease's Input payload — the
-// generation seed pool for coverage shards, nil otherwise.
+// generation's seed pool for a fuzz shard past the random prefix, nil
+// otherwise.
 func ExecuteShard(spec JobSpec, sh Shard, input json.RawMessage) (ShardResult, error) {
 	out := ShardResult{Shard: sh}
 	switch spec.Kind {
@@ -30,24 +31,13 @@ func ExecuteShard(spec JobSpec, sh Shard, input json.RawMessage) (ShardResult, e
 		// Corpus writing is the coordinator's finalize step; worker-side
 		// config must not touch the (possibly nonexistent) directory.
 		cfg.CorpusDir = ""
-		records, snap, err := fuzz.RunRange(cfg, sh.From, sh.To)
-		if err != nil {
-			return out, err
-		}
-		out.Records = records
-		if err := out.encodeSnapshot(snap); err != nil {
-			return out, err
-		}
-	case JobCoverage:
-		cc := *spec.Coverage
-		cc.Campaign.CorpusDir = ""
 		var pool []*fuzz.Case
 		if len(input) > 0 {
 			if err := json.Unmarshal(input, &pool); err != nil {
-				return out, fmt.Errorf("fabric: coverage shard %d pool: %w", sh.ID, err)
+				return out, fmt.Errorf("fabric: shard %d seed pool: %w", sh.ID, err)
 			}
 		}
-		records, snap, err := fuzz.RunCoverageRange(cc, pool, sh.From, sh.To)
+		records, snap, err := fuzz.RunRange(cfg, sh.From, sh.To, pool...)
 		if err != nil {
 			return out, err
 		}

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -19,13 +20,28 @@ func newCaseRand(seed uint64, index int) *sim.Rand {
 	return sim.NewRand(seed).Fork(uint64(index))
 }
 
-// CampaignConfig shapes a fuzzing campaign: N independently derived
-// cases, each a pure function of (Seed, run index).
+// CampaignConfig shapes a campaign: Runs cases, of which a random prefix
+// (generation 0) derives each case purely from (Seed, run index) and
+// Generations later rounds of PerGen cases each breed mutants from the
+// runs that reached new coverage. Generations == 0 is plain random
+// fuzzing — the whole campaign is its prefix. Each round's mutants come
+// from the seed pool distilled, in ascending run-index order, from every
+// earlier run's coverage features, so the whole campaign is a pure
+// function of the configuration: byte-identical across worker counts and
+// across the local driver and the fabric.
 type CampaignConfig struct {
 	// Seed is the campaign master seed.
 	Seed uint64 `json:"seed"`
-	// Runs is the number of cases to execute.
+	// Runs is the total case budget, all generations together.
 	Runs int `json:"runs"`
+	// Generations is the number of breeding rounds after the random
+	// prefix. A campaign with generations runs every case instrumented
+	// and records its coverage features; one without does neither.
+	Generations int `json:"generations,omitempty"`
+	// PerGen is the number of mutants per breeding round; zero picks
+	// Runs/8 (at least 1). The prefix is what the rounds leave of Runs,
+	// InitRuns, and must hold at least one case.
+	PerGen int `json:"per_gen,omitempty"`
 	// Workers bounds the worker pool; <=0 picks min(GOMAXPROCS, Runs)
 	// so small hosts never oversubscribe (1 runs serially).
 	Workers int `json:"workers"`
@@ -36,7 +52,8 @@ type CampaignConfig struct {
 	// default.
 	Budget uint64 `json:"budget"`
 	// CorpusDir, when nonempty, receives minimized reproducers for
-	// every failing run.
+	// every failing run and, under distilled/, the final seed pool of a
+	// campaign with generations.
 	CorpusDir string `json:"corpus_dir,omitempty"`
 	// Minimize enables delta-debugging of failures before they are
 	// written to the corpus.
@@ -44,12 +61,11 @@ type CampaignConfig struct {
 	// MinimizeBudget bounds the minimizer's re-run count per failure;
 	// zero picks a default.
 	MinimizeBudget int `json:"minimize_budget,omitempty"`
-	// Metrics runs every case telemetry-instrumented and merges the
-	// per-case snapshots into one canonical campaign-level snapshot
-	// (telemetry.MergeSnapshots). Classification is unaffected —
-	// telemetry observes the simulation without perturbing it — and the
-	// merged snapshot is byte-identical at any worker count, shard
-	// split, or merge order.
+	// Metrics merges the per-case telemetry snapshots into one canonical
+	// campaign-level snapshot (telemetry.MergeSnapshots). Classification
+	// is unaffected — telemetry observes the simulation without
+	// perturbing it — and the merged snapshot is byte-identical at any
+	// worker count, shard split, or merge order.
 	Metrics bool `json:"metrics,omitempty"`
 	// Kinds restricts derived faults to the named dvmc.FaultKind pool
 	// (targeted campaigns over e.g. only the hostile message classes).
@@ -69,6 +85,16 @@ func (cc CampaignConfig) Validate() error {
 		return fmt.Errorf("fuzz: Runs = %d, need >= 1", cc.Runs)
 	case cc.FaultFrac < 0 || cc.FaultFrac > 1:
 		return fmt.Errorf("fuzz: FaultFrac = %v, need 0..1", cc.FaultFrac)
+	case cc.Generations < 0:
+		return fmt.Errorf("fuzz: Generations = %d, need >= 0", cc.Generations)
+	case cc.PerGen < 0:
+		return fmt.Errorf("fuzz: PerGen = %d, need >= 0", cc.PerGen)
+	}
+	// Generations*PerGen < Runs, decided without the product (it
+	// overflows on hostile input); it also bounds Generations by Runs.
+	if per := cc.withDefaults().PerGen; cc.Generations > 0 && per > (cc.Runs-1)/cc.Generations {
+		return fmt.Errorf("fuzz: Runs = %d leaves no random prefix for %d generations of %d mutants",
+			cc.Runs, cc.Generations, per)
 	}
 	for _, k := range cc.Kinds {
 		if _, err := dvmc.ParseFaultKind(k); err != nil {
@@ -76,6 +102,60 @@ func (cc CampaignConfig) Validate() error {
 		}
 	}
 	return nil
+}
+
+// withDefaults resolves every zero-means-default field: the one place
+// they are defaulted, which each entry point applies to the
+// configuration it is handed.
+func (cc CampaignConfig) withDefaults() CampaignConfig {
+	if cc.Budget == 0 {
+		cc.Budget = DefaultBudget
+	}
+	if cc.MinimizeBudget <= 0 {
+		cc.MinimizeBudget = DefaultMinimizeBudget
+	}
+	if cc.Generations > 0 && cc.PerGen == 0 {
+		cc.PerGen = max(cc.Runs/8, 1)
+	}
+	return cc
+}
+
+// InitRuns is the size of the random prefix, generation 0.
+func (cc CampaignConfig) InitRuns() int {
+	cc = cc.withDefaults()
+	return cc.Runs - cc.Generations*cc.PerGen
+}
+
+// GenBounds returns generation g's run-index range [from, to):
+// generation 0 is the random prefix, generation g >= 1 the g-th breeding
+// round.
+func (cc CampaignConfig) GenBounds(g int) (from, to int) {
+	cc = cc.withDefaults()
+	if g <= 0 {
+		return 0, cc.InitRuns()
+	}
+	from = cc.InitRuns() + (g-1)*cc.PerGen
+	return from, from + cc.PerGen
+}
+
+// GenOf maps a run index to its generation.
+func (cc CampaignConfig) GenOf(index int) int {
+	cc = cc.withDefaults()
+	if init := cc.InitRuns(); cc.Generations > 0 && index >= init {
+		return 1 + (index-init)/cc.PerGen
+	}
+	return 0
+}
+
+// ParseKinds splits a comma-separated fault-kind pool ("" = every kind).
+func ParseKinds(s string) []string {
+	var out []string
+	for _, k := range strings.Split(s, ",") {
+		if k = strings.TrimSpace(k); k != "" {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // Record is one campaign run's identity and outcome.
@@ -89,7 +169,7 @@ type Record struct {
 	// CorpusFile is the corpus path the reproducer was written to.
 	CorpusFile string `json:"corpus_file,omitempty"`
 	// Features is the run's distilled coverage signature (sorted,
-	// deduplicated), present only in coverage-guided campaigns. It is
+	// deduplicated), present only in campaigns with generations. It is
 	// what the coordinator-side distillation consumes, so a shard result
 	// carries everything the seed scheduler needs without shipping
 	// telemetry snapshots.
@@ -108,12 +188,25 @@ type Summary struct {
 	LatencyP99  float64 `json:"latency_p99,omitempty"`
 	LatencyMax  float64 `json:"latency_max,omitempty"`
 	LatencyHist string  `json:"latency_hist,omitempty"`
+	// The coverage block, empty for a campaign without generations.
+	// InitRuns/Generations/PerGen echo the campaign shape.
+	InitRuns    int `json:"init_runs,omitempty"`
+	Generations int `json:"generations,omitempty"`
+	PerGen      int `json:"per_gen,omitempty"`
+	// Features is the number of distinct coverage features reached.
+	Features int `json:"features,omitempty"`
+	// NewByGen is the count of first-seen features per generation
+	// (index 0 = the random prefix).
+	NewByGen []int `json:"new_by_gen,omitempty"`
+	// PoolSize is the final seed-pool size: runs that added coverage.
+	PoolSize int `json:"pool_size,omitempty"`
 }
 
 // Failed reports whether the campaign found any failure.
 func (s Summary) Failed() bool { return s.Failures > 0 }
 
-// String renders the classification table in reporting order.
+// String renders the classification table in reporting order and, for a
+// campaign with generations, its coverage shape.
 func (s Summary) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "campaign seed=%d runs=%d\n", s.Seed, s.Runs)
@@ -126,30 +219,11 @@ func (s Summary) String() string {
 		fmt.Fprintf(&b, "  detection latency p50=%.0f p99=%.0f max=%.0f cycles\n",
 			s.LatencyP50, s.LatencyP99, s.LatencyMax)
 	}
+	if s.Generations > 0 {
+		fmt.Fprintf(&b, "  coverage features=%d pool=%d new-by-gen=%v\n",
+			s.Features, s.PoolSize, s.NewByGen)
+	}
 	return b.String()
-}
-
-// Campaign is the parallel campaign driver. Each run's case derives
-// purely from (Seed, index), workers write disjoint slots of a
-// pre-allocated record table, and corpus artifacts are produced after
-// the pool drains, in ascending index order — so the campaign's entire
-// output is byte-identical across invocations and worker counts.
-type Campaign struct {
-	cfg CampaignConfig
-}
-
-// NewCampaign validates the configuration.
-func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Budget == 0 {
-		cfg.Budget = DefaultBudget
-	}
-	if cfg.MinimizeBudget <= 0 {
-		cfg.MinimizeBudget = DefaultMinimizeBudget
-	}
-	return &Campaign{cfg: cfg}, nil
 }
 
 // DeriveCase builds run index i's case: a pure function of the campaign
@@ -232,25 +306,51 @@ func deriveFaultExtras(rng *sim.Rand, c *Case) {
 	c.SafetyNet = c.SafetyNet || k.NeedsSafetyNet()
 }
 
-// runOne executes run index i of the campaign: derive the case, run it
-// (instrumented when cfg.Metrics), and — for failures — attach the
-// minimized reproducer. Every step is a pure function of (cfg, i), so
-// the record (and snapshot) are identical wherever the run executes:
-// a local goroutine pool or a fabric worker on another machine.
-func runOne(cfg CampaignConfig, i int) (Record, *telemetry.Snapshot) {
-	c := deriveCase(cfg.Seed, i, cfg.FaultFrac, cfg.Budget, cfg.Kinds)
-	return execRecord(cfg, i, c, cfg.Metrics)
+// covSalt separates the mutation random streams from the derivation
+// streams: generation-g mutants fork from Seed^covSalt by run index, so
+// a mutant's randomness never collides with the random prefix's, and
+// every case remains a pure function of (config, index, earlier
+// records).
+const covSalt = 0x636f76 // "cov"
+
+// campaignCase builds run index i's case. An index in the random prefix
+// derives from (Seed, i) alone; a later one breeds a mutant from pool —
+// the distilled cases of every earlier generation, which the caller
+// supplies (the local driver accumulates it; fabric workers receive it
+// with their lease).
+func campaignCase(cfg CampaignConfig, i int, pool []*Case) *Case {
+	// An empty pool past the prefix is only reachable if every prior run
+	// produced zero features — impossible in practice (the first record
+	// always has novel features) but kept total.
+	if i >= cfg.InitRuns() && len(pool) > 0 {
+		rng := sim.NewRand(cfg.Seed ^ covSalt).Fork(uint64(i))
+		c := mutateCase(rng, pool[rng.Intn(len(pool))], cfg.Kinds)
+		c.Name = fmt.Sprintf("cov-%06d", i)
+		// Mutators preserve validity by construction; if one ever
+		// regresses, fall back to a fresh random case rather than crash
+		// the campaign.
+		if c.Validate() == nil {
+			return c
+		}
+	}
+	return deriveCase(cfg.Seed, i, cfg.FaultFrac, cfg.Budget, cfg.Kinds)
 }
 
-// execRecord runs a prepared case and assembles its record — the step
-// the random and coverage-guided drivers share. instrument controls
-// telemetry capture (the coverage driver always needs the snapshot for
-// feature extraction, even when the campaign does not merge metrics).
-func execRecord(cfg CampaignConfig, i int, c *Case, instrument bool) (Record, *telemetry.Snapshot) {
+// runOne executes run index i of the campaign: build the case, run it
+// and — for failures — attach the minimized reproducer. A campaign with
+// generations instruments every run, because the telemetry snapshot is
+// the raw material of the coverage signature, and records the features;
+// Metrics alone instruments without recording them. Every step is a pure
+// function of (cfg, i, pool), so the record (and snapshot) are identical
+// wherever the run executes: a local goroutine pool or a fabric worker
+// on another machine.
+func runOne(cfg CampaignConfig, i int, pool []*Case) (Record, *telemetry.Snapshot) {
+	c := campaignCase(cfg, i, pool)
+	guided := cfg.Generations > 0
 	// Streamed: campaign workers never materialize a trace — the oracle
 	// rides the run as a sink and only failure reproduction (Finalize)
 	// re-runs with byte capture.
-	res, snap, err := RunCaseStreamed(c, instrument)
+	res, snap, err := RunCaseStreamed(c, cfg.Metrics || guided)
 	if err != nil {
 		// Structural errors cannot occur for derived cases; record them
 		// as crashes so the campaign survives.
@@ -268,74 +368,135 @@ func execRecord(cfg CampaignConfig, i int, c *Case, instrument bool) (Record, *t
 		}
 		rec.Minimized = repro
 	}
+	if guided {
+		rec.Features = CaseFeatures(c, rec.Result, snap)
+	}
+	if !cfg.Metrics {
+		snap = nil
+	}
 	return rec, snap
+}
+
+// runRange is the shard primitive under both drivers: runs [from, to) of
+// one generation against its seed pool on a bounded worker pool, each
+// run writing its own slot. The snapshots are empty unless cfg.Metrics.
+func runRange(cfg CampaignConfig, pool []*Case, from, to, workers int) ([]Record, []*telemetry.Snapshot) {
+	sampled := 0
+	if cfg.Metrics {
+		sampled = to - from
+	}
+	// Each assigned once, so the closure holds them by value.
+	records, snaps := make([]Record, to-from), make([]*telemetry.Snapshot, sampled)
+	forEachIndex(from, to, workers, func(i int) {
+		rec, snap := runOne(cfg, i, pool)
+		records[i-from] = rec
+		if sampled > 0 {
+			snaps[i-from] = snap
+		}
+	})
+	return records, snaps
+}
+
+// mergeMetrics is the campaign-level snapshot: nil unless cfg.Metrics.
+func mergeMetrics(cfg CampaignConfig, snaps []*telemetry.Snapshot) (*telemetry.Snapshot, error) {
+	if !cfg.Metrics {
+		return nil, nil
+	}
+	return telemetry.MergeSnapshots(snaps...)
 }
 
 // RunRange executes runs [from, to) serially and returns their records
 // in index order plus, when cfg.Metrics, the canonical merge of their
 // telemetry snapshots — the shard unit the fabric's workers execute.
-// cfg.Runs bounds the range; corpus writing is the merge side's job
-// (FinalizeRecords), not the shard's.
-func RunRange(cfg CampaignConfig, from, to int) ([]Record, *telemetry.Snapshot, error) {
+// The range must lie within one generation (the coordinator's shards are
+// generation-aligned), because the seed pool — needed past the random
+// prefix, and handed over by whoever distilled it with CoveragePool — is
+// per-generation state. Corpus writing is the merge side's job
+// (Finalize), not the shard's.
+func RunRange(cfg CampaignConfig, from, to int, pool ...*Case) ([]Record, *telemetry.Snapshot, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	cfg = cfg.withDefaults()
 	if from < 0 || to > cfg.Runs || from > to {
 		return nil, nil, fmt.Errorf("fuzz: RunRange: range [%d, %d) outside 0..%d", from, to, cfg.Runs)
 	}
-	if cfg.Budget == 0 {
-		cfg.Budget = DefaultBudget
+	if from < to && cfg.GenOf(from) != cfg.GenOf(to-1) {
+		return nil, nil, fmt.Errorf("fuzz: RunRange: range [%d, %d) spans generations %d..%d",
+			from, to, cfg.GenOf(from), cfg.GenOf(to-1))
 	}
-	if cfg.MinimizeBudget <= 0 {
-		cfg.MinimizeBudget = DefaultMinimizeBudget
-	}
-	records := make([]Record, 0, to-from)
-	var snaps []*telemetry.Snapshot
-	for i := from; i < to; i++ {
-		rec, snap := runOne(cfg, i)
-		records = append(records, rec)
-		if snap != nil {
-			snaps = append(snaps, snap)
-		}
-	}
-	var merged *telemetry.Snapshot
-	if cfg.Metrics {
-		var err error
-		merged, err = telemetry.MergeSnapshots(snaps...)
-		if err != nil {
-			return records, nil, err
-		}
-	}
-	return records, merged, nil
+	records, snaps := runRange(cfg, pool, from, to, 1)
+	merged, err := mergeMetrics(cfg, snaps)
+	return records, merged, err
 }
 
-// FinalizeRecords persists the failure reproducers of a complete record
-// table into corpusDir, in ascending index order, filling in each
-// record's CorpusFile. Records must already carry their Minimized
-// reproducers (runOne attaches them); each reproducer is re-run once to
-// capture its trace next to the case, for offline inspection with
-// dvmc-trace. The serial campaign driver and the fabric coordinator
-// share this step, so corpus bytes cannot diverge between them. An
-// empty corpusDir is a no-op.
-func FinalizeRecords(records []Record, corpusDir string) error {
-	if corpusDir == "" {
-		return nil
+// CoveragePool distills the mutation seed pool available to generation
+// gen from a record table whose generations < gen are complete: the
+// ascending-index walk over their features that both the local driver
+// and the fabric coordinator perform, so the pool — and everything bred
+// from it — is identical wherever the campaign runs.
+func CoveragePool(cfg CampaignConfig, records []Record, gen int) []*Case {
+	cm := newCoverageMap()
+	from, _ := cfg.GenBounds(gen)
+	for i := 0; i < from && i < len(records); i++ {
+		cm.add(&records[i])
 	}
+	return cm.pool
+}
+
+// Finalize is the campaign's merge step, shared by the local driver and
+// the fabric coordinator so corpus bytes cannot diverge between them. It
+// persists the failure reproducers of a complete record table into
+// cfg.CorpusDir in ascending index order, filling in each record's
+// CorpusFile (records already carry their Minimized reproducers; each is
+// re-run once to capture its trace next to the case, for offline
+// inspection with dvmc-trace), and assembles the summary. For a campaign
+// with generations it also re-distills the table in ascending index
+// order and writes the seed pool under CorpusDir/distilled. An empty
+// CorpusDir writes nothing.
+func Finalize(cfg CampaignConfig, records []Record) (Summary, error) {
+	cfg = cfg.withDefaults()
+	dir := cfg.CorpusDir
 	for i := range records {
 		rec := &records[i]
-		if !rec.Result.Class.Failure() || rec.Minimized == nil {
+		if dir == "" || !rec.Result.Class.Failure() || rec.Minimized == nil {
 			continue
 		}
 		name := corpusName(rec)
-		path, err := WriteCase(corpusDir, name, rec.Minimized)
+		path, err := WriteCase(dir, name, rec.Minimized)
 		if err != nil {
-			return err
+			return Summary{}, err
 		}
 		rec.CorpusFile = path
 		if _, trace, err := RunCase(rec.Minimized); err == nil && len(trace) > 0 {
-			if _, err := WriteTrace(corpusDir, name, trace); err != nil {
-				return err
+			if _, err := WriteTrace(dir, name, trace); err != nil {
+				return Summary{}, err
 			}
 		}
 	}
-	return nil
+	sum := summarize(cfg.Seed, records)
+	if cfg.Generations == 0 {
+		return sum, nil
+	}
+	cm := newCoverageMap()
+	sum.NewByGen = make([]int, cfg.Generations+1)
+	for i := range records {
+		rec := &records[i]
+		novel := cm.add(rec)
+		if novel == 0 {
+			continue
+		}
+		sum.NewByGen[cfg.GenOf(rec.Index)] += novel
+		if dir != "" {
+			name := fmt.Sprintf("seed-%06d", rec.Index)
+			if _, err := WriteCase(filepath.Join(dir, "distilled"), name, rec.Case); err != nil {
+				return Summary{}, err
+			}
+		}
+	}
+	sum.InitRuns, sum.Generations, sum.PerGen = cfg.InitRuns(), cfg.Generations, cfg.PerGen
+	sum.Features, sum.PoolSize = len(cm.features), len(cm.pool)
+	return sum, nil
 }
 
 // forEachIndex runs fn(from..to-1) on min(workers, to-from) goroutines;
@@ -375,32 +536,40 @@ func forEachIndex(from, to, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Run executes the campaign and returns its records in index order,
-// plus the merged telemetry snapshot when cfg.Metrics is on (nil
-// otherwise).
-func (cp *Campaign) Run() ([]Record, Summary, *telemetry.Snapshot, error) {
-	cfg := cp.cfg
-	records := make([]Record, cfg.Runs)
-	snaps := make([]*telemetry.Snapshot, cfg.Runs)
-
-	forEachIndex(0, cfg.Runs, cfg.Workers, func(i int) {
-		records[i], snaps[i] = runOne(cfg, i)
-	})
-
-	// Post-pool, single-threaded: persist failures in ascending index
-	// order so corpus bytes are reproducible.
-	if err := FinalizeRecords(records, cfg.CorpusDir); err != nil {
-		return records, Summary{}, nil, err
+// Run is the local campaign driver. Each generation runs on a bounded
+// worker pool writing disjoint slots of the record table, with a barrier
+// and an ascending-index distillation between generations (a mutant may
+// only see seeds from completed generations — the property that makes
+// the campaign worker-count independent); a campaign without generations
+// is the one pass over its prefix. Artifacts are produced after the last
+// barrier, by Finalize, so the campaign's entire output is byte-identical
+// across invocations and worker counts. Returns the records in index
+// order, the summary, and the merged telemetry snapshot when cfg.Metrics
+// is on (nil otherwise).
+func Run(cfg CampaignConfig) ([]Record, Summary, *telemetry.Snapshot, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, Summary{}, nil, err
 	}
-	var merged *telemetry.Snapshot
-	if cfg.Metrics {
-		var err error
-		merged, err = telemetry.MergeSnapshots(snaps...)
-		if err != nil {
-			return records, Summary{}, nil, err
+	cfg = cfg.withDefaults()
+	records := make([]Record, 0, cfg.Runs)
+	var snaps []*telemetry.Snapshot
+	cm := newCoverageMap()
+	for g := 0; g <= cfg.Generations; g++ {
+		from, to := cfg.GenBounds(g)
+		recs, sn := runRange(cfg, cm.pool, from, to, cfg.Workers)
+		records = append(records, recs...)
+		snaps = append(snaps, sn...)
+		// Barrier passed; fold the generation in ascending index order.
+		for i := from; i < to; i++ {
+			cm.add(&records[i])
 		}
 	}
-	return records, Summarize(cfg.Seed, records), merged, nil
+	sum, err := Finalize(cfg, records)
+	if err != nil {
+		return records, Summary{}, nil, err
+	}
+	merged, err := mergeMetrics(cfg, snaps)
+	return records, sum, merged, err
 }
 
 // corpusName labels a failing run's reproducer file.
@@ -415,10 +584,9 @@ func caseSeedOf(rec *Record) uint64 {
 	return 0
 }
 
-// Summarize builds the classification table and latency statistics
-// over a complete record table — shared by the serial driver and the
-// fabric coordinator.
-func Summarize(seed uint64, records []Record) Summary {
+// summarize builds the classification table and latency statistics
+// over a complete record table.
+func summarize(seed uint64, records []Record) Summary {
 	s := Summary{
 		Seed:   seed,
 		Runs:   len(records),

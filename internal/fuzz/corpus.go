@@ -89,14 +89,9 @@ type ReplayResult struct {
 	OK bool `json:"ok"`
 }
 
-// ReplayDir re-runs every reproducer in a corpus directory and checks
-// that each still shows its recorded classification and re-records its
-// <name>.trc exactly — the simulator is deterministic, so the traces pin
-// simulated behaviour across commits far tighter than the classification
-// does (a case without a .trc is held to its classification only). It
-// returns one
-// result per file (load errors become non-OK results with the error in
-// Result.Panic) and an error only for directory-level failures.
+// ReplayDir replays (ReplayFile) every reproducer in a corpus directory,
+// one result per file in lexical order; the error is for directory-level
+// failures only.
 func ReplayDir(dir string) ([]ReplayResult, error) {
 	files, err := CorpusFiles(dir)
 	if err != nil {
@@ -104,12 +99,18 @@ func ReplayDir(dir string) ([]ReplayResult, error) {
 	}
 	var out []ReplayResult
 	for _, path := range files {
-		out = append(out, replayFile(path))
+		out = append(out, ReplayFile(path))
 	}
 	return out, nil
 }
 
-func replayFile(path string) ReplayResult {
+// ReplayFile re-runs one reproducer and checks that it still shows its
+// recorded classification and re-records its <name>.trc exactly — the
+// simulator is deterministic, so the trace pins simulated behaviour
+// across commits far tighter than the classification does (a case
+// without a .trc is held to its classification only). A file that does
+// not load or run is a non-OK result with the error in Result.Panic.
+func ReplayFile(path string) ReplayResult {
 	rr := ReplayResult{Path: path}
 	c, err := LoadCase(path)
 	if err != nil {

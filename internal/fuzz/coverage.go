@@ -12,11 +12,11 @@ import (
 	"dvmc/internal/telemetry"
 )
 
-// This file is the coverage half of the coverage-guided campaign mode:
-// a deterministic coverage map distilled from each run's classification
+// This file is the coverage half of a campaign with generations: a
+// deterministic coverage map distilled from each run's classification
 // and telemetry snapshot, and the mutation engine that breeds new cases
-// from the seeds that reached novel coverage. The generational driver
-// lives in covcampaign.go.
+// from the seeds that reached novel coverage. The generation loop is
+// campaign.go's Run.
 
 // logBucket collapses a counter onto its power-of-two bucket (0 -> 0,
 // 1 -> 1, 2..3 -> 2, 4..7 -> 3, ...): coarse enough that feature counts

@@ -21,19 +21,33 @@
 //     paths via workload.Custom, classified as agree-clean /
 //     agree-detect / escape / false-alarm (plus not-applied, hang, and
 //     crash for campaign bookkeeping).
-//   - Campaign / Run — the parallel campaign driver: a bounded worker
-//     pool spreads independent simulations across host cores. Each run
-//     is a pure function of (campaign seed, run index), so the
-//     classification table and corpus artifacts are byte-identical
-//     across invocations and worker counts; a per-run recover wrapper
-//     turns a panicking simulation into a "crash" classification
-//     instead of killing the campaign.
+//   - CampaignConfig / Run — the one campaign driver. A campaign has
+//     Generations >= 0: its Runs cases are a random prefix (generation
+//     0) followed by that many breeding rounds of PerGen mutants each,
+//     bred from the runs that reached new coverage (coverage.go: the
+//     feature map and the mutation engine). Random fuzzing is the
+//     campaign with no generations — the same loop, run once — and
+//     then runs uninstrumented and records no features. A bounded
+//     worker pool spreads each generation's independent simulations
+//     across host cores; each run is a pure function of (config, run
+//     index, earlier generations' records), so the classification
+//     table and corpus artifacts are byte-identical across invocations
+//     and worker counts, and a per-run recover wrapper turns a
+//     panicking simulation into a "crash" classification instead of
+//     killing the campaign. RunRange is the same step for one index
+//     range — the shard a fabric worker executes — and Finalize the
+//     merge both callers share: reproducers, the distilled seed pool,
+//     the Summary.
 //   - Minimize — delta debugging: drop threads, ddmin each thread's op
 //     list, weaken membar masks, simplify ops, and canonicalize the
 //     address set, re-running deterministically after every candidate
 //     until the reproducer is 1-minimal.
-//   - corpus.go — stable JSON serialization of cases, plus replay
-//     helpers used by the regression test over testdata/corpus/.
+//   - corpus.go — stable JSON serialization of cases, plus ReplayFile /
+//     ReplayDir, which the regression test over testdata/corpus/ and
+//     dvmc-fuzz replay share.
+//   - observe.go — -spans-out / -metrics-out: one exemplar case re-run
+//     with an observer on, through the same execute step as every
+//     other run.
 //
 // This package deliberately lives outside the dvmc-lint determinism
 // allowlist: the worker pool uses goroutines and sync primitives, which

@@ -428,16 +428,11 @@ func TestDeriveCaseDeterministic(t *testing.T) {
 	}
 }
 
-func campaignRecordsJSON(t *testing.T, workers int, dir string) ([]byte, Summary) {
+// campaignRecordsJSON runs a campaign and returns its record table as
+// JSON, and its summary.
+func campaignRecordsJSON(t *testing.T, cfg CampaignConfig) ([]byte, Summary) {
 	t.Helper()
-	cp, err := NewCampaign(CampaignConfig{
-		Seed: 2024, Runs: 24, Workers: workers, FaultFrac: 0.5,
-		CorpusDir: dir, Minimize: true, MinimizeBudget: 200,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, sum, _, err := cp.Run()
+	recs, sum, _, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,8 +454,11 @@ func TestCampaignReproducibleAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
-	d1, s1 := campaignRecordsJSON(t, 1, t.TempDir())
-	d4, s4 := campaignRecordsJSON(t, 4, t.TempDir())
+	cfg := CampaignConfig{Seed: 2024, Runs: 24, FaultFrac: 0.5, Minimize: true, MinimizeBudget: 200}
+	cfg.Workers, cfg.CorpusDir = 1, t.TempDir()
+	d1, s1 := campaignRecordsJSON(t, cfg)
+	cfg.Workers, cfg.CorpusDir = 4, t.TempDir()
+	d4, s4 := campaignRecordsJSON(t, cfg)
 	if !bytes.Equal(d1, d4) {
 		t.Fatal("records differ between workers=1 and workers=4")
 	}
@@ -481,8 +479,8 @@ func TestCampaignReproducibleAcrossWorkers(t *testing.T) {
 
 // TestRunRangeShardsMatchCampaign is the fabric's sharding contract:
 // executing index ranges on independent "workers" (RunRange calls) and
-// concatenating the records reproduces Campaign.Run exactly, and the
-// shared Summarize gives the same summary.
+// concatenating the records reproduces Run exactly, and the shared
+// Finalize gives the same summary.
 func TestRunRangeShardsMatchCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -491,11 +489,7 @@ func TestRunRangeShardsMatchCampaign(t *testing.T) {
 		Seed: 2024, Runs: 12, Workers: 2, FaultFrac: 0.5,
 		Minimize: true, MinimizeBudget: 200,
 	}
-	cp, err := NewCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, sum, _, err := cp.Run()
+	serial, sum, _, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,10 +507,10 @@ func TestRunRangeShardsMatchCampaign(t *testing.T) {
 	a, _ := json.Marshal(serial)
 	b, _ := json.Marshal(sharded)
 	if !bytes.Equal(a, b) {
-		t.Fatal("sharded RunRange records differ from Campaign.Run")
+		t.Fatal("sharded RunRange records differ from Run")
 	}
-	if !reflect.DeepEqual(sum, Summarize(cfg.Seed, sharded)) {
-		t.Fatal("Summarize over sharded records differs from campaign summary")
+	if got, err := Finalize(cfg, sharded); err != nil || !reflect.DeepEqual(sum, got) {
+		t.Fatalf("Finalize over sharded records = %+v, %v; campaign summary %+v", got, err, sum)
 	}
 }
 
@@ -541,11 +535,7 @@ func TestCampaignMetricsDeterministic(t *testing.T) {
 	encode := func(workers int) ([]byte, []byte) {
 		c := cfg
 		c.Workers = workers
-		cp, err := NewCampaign(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, _, snap, err := cp.Run()
+		recs, _, snap, err := Run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -571,11 +561,7 @@ func TestCampaignMetricsDeterministic(t *testing.T) {
 	// Uninstrumented classification must match exactly.
 	plain := cfg
 	plain.Metrics = false
-	cp, err := NewCampaign(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recsPlain, _, snapPlain, err := cp.Run()
+	recsPlain, _, snapPlain, err := Run(plain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,9 @@ import (
 // returns the -spans-out artifact bytes.
 func campaignSpanDump(t *testing.T, workers int) []byte {
 	t.Helper()
-	cp, err := NewCampaign(CampaignConfig{
+	recs, _, _, err := Run(CampaignConfig{
 		Seed: 2024, Runs: 8, Workers: workers, FaultFrac: 0.5,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, _, _, err := cp.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,6 +57,28 @@ func RunCaseStreamed(c *Case, instrument bool) (RunResult, *telemetry.Snapshot, 
 	return res, snap, err
 }
 
+// execute is the one place a case becomes a system: run c's program on
+// cfg — c.Config() with whatever observers the caller switched on — to
+// completion or budget, through RunInjectionSystem when c carries a
+// fault (whose ground truth is the second result; zero otherwise).
+func execute(c *Case, cfg dvmc.Config) (*dvmc.System, dvmc.InjectionResult, error) {
+	w := c.Program.Spec(caseName(c))
+	if c.Fault == nil {
+		sys, err := dvmc.NewSystem(cfg, w)
+		if err != nil {
+			return nil, dvmc.InjectionResult{}, err
+		}
+		sys.RunToCompletion(c.Budget)
+		return sys, dvmc.InjectionResult{}, nil
+	}
+	inj, err := c.Fault.Injection()
+	if err != nil {
+		return nil, dvmc.InjectionResult{}, err
+	}
+	ir, sys, err := dvmc.RunInjectionSystem(cfg, w, inj, c.Budget)
+	return sys, ir, err
+}
+
 func runCase(c *Case, instrument, record bool) (res RunResult, traceBytes []byte, snap *telemetry.Snapshot, err error) {
 	var chk *stream.Checker
 	defer func() {
@@ -87,40 +109,8 @@ func runCase(c *Case, instrument, record bool) (res RunResult, traceBytes []byte
 	chk = stream.New(cfg.TraceMeta(), stream.Options{Shards: 1, Window: streamWindow})
 	cfg.Trace.Sink = chk
 	cfg.Trace.SinkOnly = !record
-	w := c.Program.Spec(caseName(c))
 
-	if c.Fault == nil {
-		sys, err := dvmc.NewSystem(cfg, w)
-		if err != nil {
-			return RunResult{}, nil, nil, err
-		}
-		r, finished := sys.RunToCompletion(c.Budget)
-		verdict := streamVerdict(sys, chk)
-		res := RunResult{
-			Online:   len(verdict.Online),
-			Oracle:   oracleCount(verdict),
-			Cycles:   r.Cycles,
-			Finished: finished,
-		}
-		res.Class, res.Detail = classifyClean(verdict, finished)
-		if instrument {
-			snap = sys.TelemetrySnapshot()
-		}
-		if !record {
-			return res, nil, snap, nil
-		}
-		data, err := sys.TraceBytes()
-		if err != nil {
-			return res, nil, snap, err
-		}
-		return res, data, snap, nil
-	}
-
-	inj, err := c.Fault.Injection()
-	if err != nil {
-		return RunResult{}, nil, nil, err
-	}
-	ir, sys, err := dvmc.RunInjectionSystem(cfg, w, inj, c.Budget)
+	sys, ir, err := execute(c, cfg)
 	if err != nil {
 		chk.Abort()
 		return RunResult{}, nil, nil, err
@@ -136,18 +126,18 @@ func runCase(c *Case, instrument, record bool) (res RunResult, traceBytes []byte
 		Cycles:   uint64(sys.Now()),
 		Finished: sys.Finished(),
 	}
-	res.Class, res.Detail = classifyFault(ir, verdict)
+	if c.Fault == nil {
+		res.Class, res.Detail = classifyClean(verdict, res.Finished)
+	} else {
+		res.Class, res.Detail = classifyFault(ir, verdict)
+	}
 	if instrument {
 		snap = sys.TelemetrySnapshot()
 	}
-	if !record {
-		return res, nil, snap, nil
+	if record {
+		traceBytes, err = sys.TraceBytes()
 	}
-	data, err := sys.TraceBytes()
-	if err != nil {
-		return res, nil, snap, err
-	}
-	return res, data, snap, nil
+	return res, traceBytes, snap, err
 }
 
 // streamVerdict assembles both referees' conclusions from a finished
