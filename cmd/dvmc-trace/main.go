@@ -3,11 +3,14 @@
 // The simulator's online DVMC checkers run inside the machine they
 // verify. dvmc-trace closes the loop from the outside: `record` runs a
 // full-system simulation with the trace recorder attached and writes the
-// captured per-processor commit/perform stream to disk; `check` replays
-// a trace through the offline consistency oracle (internal/oracle),
+// captured per-processor commit/perform stream to disk; `check` runs a
+// trace through the offline consistency oracle (internal/oracle/stream),
 // which re-derives the uniprocessor-ordering and allowable-reordering
 // verdicts from nothing but the trace and the consistency model's
-// ordering table; `info` summarises a trace without checking it.
+// ordering table, judging each event as its bytes arrive — so it holds
+// neither the file nor the events, and can sit on the end of a pipe while
+// `record` is still running; `info` summarises a trace without checking
+// it.
 //
 // Examples:
 //
@@ -75,9 +78,8 @@ func (c *cli) usage() {
   dvmc-trace info [-json] <in.trc | ->      summarise a trace
 
 '-' reads from stdin / writes to stdout. 'record -h' / 'check -h' list
-flags. 'check -stream' verifies incrementally with bounded memory (the
-streaming parallel oracle; report identical to the batch engine), so it
-can sit on the end of a pipe while 'record' is still running.
+flags. 'check' judges each event as it is decoded, in bounded memory, so
+it can sit on the end of a pipe while 'record' is still running.
 
 exit codes: 0 clean, 1 usage or I/O error, 2 the oracle found
 violations or the input is not a decodable trace (the record and byte
@@ -201,36 +203,21 @@ func (c *cli) record(args []string) int {
 	return 0
 }
 
-// streamSummary is the stream-engine section of check's JSON output.
-type streamSummary struct {
-	Shards      int    `json:"shards"`
-	Window      int    `json:"window"`
-	MaxFrontier int64  `json:"max_frontier"`
-	Events      uint64 `json:"events"`
-}
-
 // checkJSON is the machine-readable verdict of `check -json`.
 type checkJSON struct {
 	Meta       trace.Meta         `json:"meta"`
 	Violations []oracle.Violation `json:"violations"`
 	Stats      oracle.Stats       `json:"stats"`
-	Stream     *streamSummary     `json:"stream,omitempty"`
 }
 
 func (c *cli) check(args []string) int {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
 	var (
-		streamOn   = fs.Bool("stream", false, "streaming engine: verify incrementally with bounded memory")
-		shards     = fs.Int("shards", 0, "stream: address shards for the value check (0 = default)")
-		window     = fs.Int("window", 0, "stream: events per pipeline window (0 = default)")
 		jsonOut    = fs.Bool("json", false, "emit the verdict as JSON on stdout")
-		metricsOut = fs.String("metrics-out", "", "stream: write a telemetry snapshot of checker progress to this file")
+		metricsOut = fs.String("metrics-out", "", "write a telemetry snapshot of the checker's gauges to this file")
 	)
 	if code, ok := c.flags(fs, args); !ok {
 		return code
-	}
-	if (*shards != 0 || *window != 0 || *metricsOut != "") && !*streamOn {
-		return c.failf("check: -shards/-window/-metrics-out require -stream")
 	}
 	src, err := c.open(fs.Args())
 	if err != nil {
@@ -238,20 +225,33 @@ func (c *cli) check(args []string) int {
 	}
 	defer src.Close()
 
-	var (
-		rep *oracle.Report
-		sum *streamSummary
-	)
-	if *streamOn {
-		rep, sum, err = checkStream(src, *shards, *window, *metricsOut)
-	} else {
-		var data []byte
-		if data, err = io.ReadAll(src); err == nil {
-			rep, err = oracle.CheckBytes(data)
-		}
-	}
+	// The decoder hands each event straight to the checker: nothing is
+	// judged before the header verifies, nothing is printed before the
+	// footer does.
+	r, err := trace.NewReader(src)
 	if err != nil {
 		return c.traceErr("check", err)
+	}
+	if r.Meta().Truncated {
+		return c.traceErr("check", oracle.ErrTruncatedTrace)
+	}
+	chk := stream.New(r.Meta(), stream.Options{})
+	start := time.Now()
+	for {
+		ev, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return c.traceErr("check", err)
+		}
+		chk.Feed(ev)
+	}
+	rep := chk.Finish()
+	if *metricsOut != "" {
+		if err := writeMetrics(chk, time.Since(start), *metricsOut); err != nil {
+			return c.failf("check: %v", err)
+		}
 	}
 
 	verdict := 0
@@ -259,7 +259,7 @@ func (c *cli) check(args []string) int {
 		verdict = 2
 	}
 	if *jsonOut {
-		out := checkJSON{Meta: rep.Meta, Violations: rep.Violations, Stats: rep.Stats, Stream: sum}
+		out := checkJSON{Meta: rep.Meta, Violations: rep.Violations, Stats: rep.Stats}
 		if out.Violations == nil {
 			out.Violations = []oracle.Violation{}
 		}
@@ -292,64 +292,17 @@ func (c *cli) check(args []string) int {
 	return verdict
 }
 
-// checkStream runs the streaming engine over a file or a pipe without
-// ever holding the trace: the decoder hands events straight to the
-// pipelined checker. Progress gauges (events fed, events/sec, frontier
-// depth and high-water, windows in flight, pending value queries) are
-// exposed on a telemetry registry; -metrics-out snapshots it after the
-// verdict for dvmc-stat.
-func checkStream(src io.Reader, shards, window int, metricsOut string) (*oracle.Report, *streamSummary, error) {
-	r, err := trace.NewReader(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if r.Meta().Truncated {
-		return nil, nil, oracle.ErrTruncatedTrace
-	}
-	opts := stream.Options{Shards: shards, Window: window, Pipeline: true}
-	chk := stream.New(r.Meta(), opts)
-
+// writeMetrics snapshots the finished checker's gauges (events fed,
+// frontier depth and high-water, pending value queries) and its
+// throughput, decode included, for dvmc-stat.
+func writeMetrics(chk *stream.Checker, elapsed time.Duration, path string) error {
 	reg := telemetry.NewRegistry(telemetry.Config{})
 	chk.RegisterMetrics(reg)
-	start := time.Now()
-	rate := reg.Gauge("stream_events_per_sec", "streaming-check throughput since start")
-	reg.AddProbe(func() {
-		if el := time.Since(start).Seconds(); el > 0 {
-			rate.Set(0, int64(float64(chk.EventsFed())/el))
-		}
-	})
-
-	for {
-		ev, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			chk.Abort()
-			return nil, nil, err
-		}
-		chk.Feed(ev)
+	if el := elapsed.Seconds(); el > 0 {
+		reg.Gauge("stream_events_per_sec", "check throughput since start").
+			Set(0, int64(float64(chk.EventsFed())/el))
 	}
-	rep := chk.Finish()
-	sum := &streamSummary{
-		Shards:      orDefault(shards, stream.DefaultShards),
-		Window:      orDefault(window, stream.DefaultWindow),
-		MaxFrontier: chk.MaxFrontier(),
-		Events:      chk.EventsFed(),
-	}
-	if metricsOut != "" {
-		if err := telemetry.WriteSnapshotFile(reg.Snapshot(0), metricsOut); err != nil {
-			return nil, nil, err
-		}
-	}
-	return rep, sum, nil
-}
-
-func orDefault(v, d int) int {
-	if v <= 0 {
-		return d
-	}
-	return v
+	return telemetry.WriteSnapshotFile(reg.Snapshot(0), path)
 }
 
 // infoJSON is the machine-readable summary of `info -json`.

@@ -9,6 +9,7 @@ import (
 
 	"dvmc/internal/consistency"
 	"dvmc/internal/hash"
+	"dvmc/internal/telemetry"
 	"dvmc/internal/trace"
 )
 
@@ -57,7 +58,7 @@ func TestExitCodes(t *testing.T) {
 	crc := hash.Sum(lie)
 	hostile := file("hostile.trc", append(lie, byte(crc), byte(crc>>8)))
 
-	for _, sub := range [][]string{{"check"}, {"check", "-stream"}, {"info"}} {
+	for _, sub := range [][]string{{"check"}, {"info"}} {
 		checks := sub[0] == "check"
 		for _, tc := range []struct {
 			name   string
@@ -98,7 +99,8 @@ func TestExitCodes(t *testing.T) {
 
 // TestUsage pins the outer shell: no subcommand and an unknown one are
 // usage errors, help is not, and flag errors are exit 1 like every other
-// usage error of this tool.
+// usage error of this tool — the flags of the deleted second engine
+// included.
 func TestUsage(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
@@ -108,9 +110,11 @@ func TestUsage(t *testing.T) {
 		{nil, 1, "usage:"},
 		{[]string{"help"}, 0, "exit codes: 0 clean, 1 usage or I/O error, 2"},
 		{[]string{"verify"}, 1, `unknown subcommand "verify"`},
-		{[]string{"check", "-h"}, 0, "-stream"},
+		{[]string{"check", "-h"}, 0, "-metrics-out"},
 		{[]string{"check", "-no-such-flag"}, 1, "flag provided but not defined"},
-		{[]string{"check", "-shards", "2", "x.trc"}, 1, "require -stream"},
+		{[]string{"check", "-stream", "x.trc"}, 1, "flag provided but not defined: -stream"},
+		{[]string{"check", "-shards", "2", "x.trc"}, 1, "flag provided but not defined: -shards"},
+		{[]string{"check", "-window", "8", "x.trc"}, 1, "flag provided but not defined: -window"},
 		{[]string{"record", "-model", "XC", "-"}, 1, `unknown model "XC" (known: SC, TSO, PSO, RMO)`},
 		{[]string{"record", "-protocol", "bus", "-"}, 1, `unknown protocol "bus" (known: directory, snooping)`},
 		{[]string{"record"}, 1, "exactly one output path"},
@@ -122,14 +126,42 @@ func TestUsage(t *testing.T) {
 	}
 }
 
-// TestRecordToStdoutPipesIntoCheck is the README's pipeline, in process.
+// TestRecordToStdoutPipesIntoCheck is the README's pipeline, in process,
+// with the gauges the check leaves behind for dvmc-stat.
 func TestRecordToStdoutPipesIntoCheck(t *testing.T) {
 	code, recorded, stderr := runTrace(nil, "record", "-model", "rmo", "-protocol", "Snooping", "-txns", "20", "-")
 	if code != 0 {
 		t.Fatalf("record -: exit %d, stderr:\n%s", code, stderr)
 	}
-	code, stdout, stderr := runTrace([]byte(recorded), "check", "-stream", "-json", "-")
+	code, stdout, stderr := runTrace([]byte(recorded), "check", "-json", "-")
 	if code != 0 || !strings.Contains(stdout, `"violations": []`) {
-		t.Fatalf("check -stream -json -: exit %d, stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+		t.Fatalf("check -json -: exit %d, stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	if strings.Contains(stdout, `"stream"`) {
+		t.Errorf("check -json - prints an engine section:\n%s", stdout)
+	}
+
+	metrics := filepath.Join(t.TempDir(), "check.metrics.json")
+	code, withMetrics, stderr := runTrace([]byte(recorded), "check", "-json", "-metrics-out", metrics, "-")
+	if code != 0 || withMetrics != stdout {
+		t.Fatalf("check -json -metrics-out F -: exit %d, stdout differs from plain -json: %v\nstderr:\n%s", code, withMetrics != stdout, stderr)
+	}
+	f, err := os.Open(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	snap, err := telemetry.DecodeSnapshot(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peak int64
+	for i := range snap.Metrics {
+		if m := &snap.Metrics[i]; m.Name == "stream_frontier_max" {
+			peak = m.Total()
+		}
+	}
+	if peak <= 0 {
+		t.Errorf("stream_frontier_max in the -metrics-out snapshot is %d, want > 0", peak)
 	}
 }

@@ -109,6 +109,8 @@ var DeterministicPkgs = map[string]bool{
 	"internal/safetynet": true,
 	"internal/telemetry": true,
 	"internal/span":      true,
+
+	"internal/oracle/stream": true,
 }
 
 // Deterministic reports whether the pass's package is on the

@@ -31,6 +31,7 @@
 //	internal/safetynet  checkpoint/recovery
 //	internal/telemetry  metrics registry and cycle-driven sampler
 //	internal/span       causal span recorder and timeline codec
+//	internal/oracle/stream  the trace oracle: decides escape vs agree
 //
 // Code outside the allowlist is exempt from maprange and detsource:
 // cmd/dvmc-bench legitimately calls time.Now to measure host throughput,

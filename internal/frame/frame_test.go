@@ -109,10 +109,6 @@ func TestHostileFiles(t *testing.T) {
 			"trace.Decode":      func() error { _, _, err := trace.Decode(tc.data); return err },
 			"oracle.CheckBytes": func() error { _, err := oracle.CheckBytes(tc.data); return err },
 			"stream.CheckBytes": func() error { _, err := stream.CheckBytes(tc.data, stream.Options{}); return err },
-			"stream.CheckBytes/pipelined": func() error {
-				_, err := stream.CheckBytes(tc.data, stream.Options{Shards: 2, Pipeline: true})
-				return err
-			},
 		}
 		for name, dec := range decoders {
 			what := tc.name + " via " + name

@@ -31,11 +31,6 @@ type RunResult struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// streamWindow is the event-batch size of the per-run streaming
-// checker. Small: fuzz cases are short, and the checker runs inline on
-// the case goroutine, so the window only amortizes dispatch overhead.
-const streamWindow = 1024
-
 // RunCase executes one case deterministically and classifies the
 // outcome. Panics anywhere inside the simulator are recovered into a
 // crash classification — the campaign driver relies on this to survive
@@ -80,12 +75,8 @@ func execute(c *Case, cfg dvmc.Config) (*dvmc.System, dvmc.InjectionResult, erro
 }
 
 func runCase(c *Case, instrument, record bool) (res RunResult, traceBytes []byte, snap *telemetry.Snapshot, err error) {
-	var chk *stream.Checker
 	defer func() {
 		if r := recover(); r != nil {
-			if chk != nil {
-				chk.Abort()
-			}
 			res = RunResult{Class: ClassCrash, Panic: fmt.Sprint(r)}
 			traceBytes = nil
 			snap = nil
@@ -102,17 +93,15 @@ func runCase(c *Case, instrument, record bool) (res RunResult, traceBytes []byte
 	if instrument {
 		cfg = cfg.WithTelemetry(dvmc.TelemetryOn())
 	}
-	// The oracle checks the run live: a streaming checker rides along as
-	// the trace sink (inline — no goroutines inside a fuzz worker) and
-	// its Finish report is byte-identical to batch-replaying the trace.
-	// Byte capture stays on only when the caller wants reproducer bytes.
-	chk = stream.New(cfg.TraceMeta(), stream.Options{Shards: 1, Window: streamWindow})
+	// The oracle checks the run live: the checker rides along as the
+	// trace sink and judges each event as the simulation emits it. Byte
+	// capture stays on only when the caller wants reproducer bytes.
+	chk := stream.New(cfg.TraceMeta(), stream.Options{})
 	cfg.Trace.Sink = chk
 	cfg.Trace.SinkOnly = !record
 
 	sys, ir, err := execute(c, cfg)
 	if err != nil {
-		chk.Abort()
 		return RunResult{}, nil, nil, err
 	}
 	verdict := streamVerdict(sys, chk)
@@ -142,9 +131,7 @@ func runCase(c *Case, instrument, record bool) (res RunResult, traceBytes []byte
 
 // streamVerdict assembles both referees' conclusions from a finished
 // run whose oracle checked it live: drain the online checkers, then
-// close the streaming checker for its report. The system's own Verdict
-// would re-decode and batch-replay the recorded bytes; this path needs
-// neither the bytes nor the replay.
+// close the checker for its report.
 func streamVerdict(sys *dvmc.System, chk *stream.Checker) dvmc.RunVerdict {
 	sys.DrainCheckers()
 	return dvmc.RunVerdict{

@@ -1,7 +1,13 @@
-// Package oracle is the offline consistency referee: an independent,
-// polynomial-time checker that replays a captured execution trace against
-// the internal/consistency ordering tables and re-derives the verdict the
-// online DVMC checkers reached during the run.
+// Package oracle is the reference implementation of the offline
+// consistency referee: an independent, polynomial-time checker that replays
+// a captured execution trace against the internal/consistency ordering
+// tables and re-derives the verdict the online DVMC checkers reached during
+// the run. The product does not run it: dvmc-trace, the fuzzer and the farm
+// get their verdicts from internal/oracle/stream, which applies the same
+// rules one event at a time and is held byte for byte to this package's
+// reports. Check and CheckBytes have no callers outside test files and
+// benchmark/; what both engines share is the vocabulary (Rule, Violation,
+// Stats, Report, ErrTruncatedTrace) and the ordering relation OrderedPair.
 //
 // It exists for differential verification (cf. Roy et al., "Fast and
 // Generalized Polynomial Time Memory Consistency Verification", and Ravi
@@ -443,6 +449,8 @@ func (c *checker) checkValue(ev trace.Event, v mem.Word) {
 // function, so the two deliberately share it. Allocation-free: the RMW
 // expansion uses value arrays, keeping it callable from //dvmc:hotpath
 // per-event steps.
+//
+//dvmc:hotpath
 func OrderedPair(t *consistency.Table, first consistency.Op, firstRMW bool, second consistency.Op, secondRMW bool) bool {
 	if first.Class == consistency.Membar && second.Class == consistency.Membar {
 		return second.Mask != 0

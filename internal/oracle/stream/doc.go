@@ -1,89 +1,69 @@
-// Package stream is the streaming engine of the offline consistency
-// oracle: it consumes trace events incrementally — from a live
-// simulation's sink, a pipe, or a file — with bounded memory, and emits
-// a report byte-identical to internal/oracle's batch Check at any shard
-// or window configuration.
+// Package stream is the offline consistency oracle the product runs:
+// `dvmc-trace check`, every fuzz case and every farm worker get their
+// verdict from it. It judges a trace one event at a time — from a live
+// simulation's sink, a pipe, or a file — on the feeding goroutine, keeps
+// state that does not grow with trace length, and reports byte for byte
+// what internal/oracle's batch Check reports over the same events. That
+// batch checker is the reference the tests compare against; see its
+// package comment for the rules R1–R5 and the tolerances each one needs.
+// Judging events incrementally is the form QED (Ravi et al., arXiv
+// 2404.03113) and Roy et al.'s polynomial-time checker argue for.
 //
-// # Why a second engine
+// # What is kept
 //
-// The batch oracle materializes the whole trace (an []Event plus
-// per-node maps that grow with trace length), which caps it at traces
-// that fit in memory and makes it the post-hoc serial bottleneck of
-// every fuzz verdict. Soak-length runs — the billion-cycle campaigns
-// the fabric can generate — need the QED-style decomposition (Ravi et
-// al., arXiv 2404.03113; Roy et al.'s polynomial-time checker): keep
-// only the in-flight frontier, partition the check, and pipeline it so
-// verification runs concurrently with the workload producing the trace.
+// Per processor, exactly what the reference keeps, in bounded form:
 //
-// # Architecture
+//   - the committed-but-unperformed operations, as a slice ascending by
+//     sequence number (the reference's map, walked in its sorted-key
+//     order) — the frontier R2 scans and R5 reads the committed value from;
+//   - the performed sequence numbers, as a coalescing interval set (the
+//     reference's map[uint64]bool; one interval per recovery epoch on a
+//     legal trace) — what R4 tells a double perform from a perform
+//     without a commit by;
+//   - the R1 reorder window of performed operations, pruned by the
+//     reference's frontier rule after every perform.
 //
-// Events are buffered into fixed-size windows (batches) and flow through
-// a two-stage pipeline:
+// Per (word, value) pair, for R3: whether a store has performed it
+// (writers), whether a recovery marker legitimized it (recovered), and
+// the loads that bound it before either happened (pending).
 //
-//	feed → [node lanes: R1 R2 R4 R5] → in-order forwarder → [addr shards: R3] → merge
+// None of it grows with trace length on legal traces. A faulty trace
+// grows it by its anomaly count: a lost store pins one frontier entry, an
+// unwritten load value pins one pending query.
 //
-// Stage one is one lane per processor. A lane owns exactly the per-node
-// state the batch checker keeps — the committed-but-unperformed set
-// (as an ascending slice), the performed-sequence interval set, and the
-// R1 reorder window, all pruned exactly as the batch checker prunes
-// them — so the ordering (R1/R2), structural (R4), and store-value (R5)
-// rules see bit-identical state. On a SafetyNet recovery marker a lane
-// folds its pending committed store values onto the batch itself, which
-// the forwarder hands to stage two only after every lane has finished
-// that batch: the happens-before edge that lets shards apply recovery
-// writer-set additions at exactly the stream position the batch checker
-// applies them.
+// # Why R3 defers
 //
-// Stage two shards the R3 value check by a hash of the word address.
-// Each shard owns a disjoint slice of the global write history
-// (performed-store values, plus recovery folds for its addresses) and
-// defers unresolved membership queries instead of requiring the batch
-// checker's whole-trace first pass: a load binding a value nobody has
-// written *yet* goes pending and is silently resolved if any later
-// store performs that value to that word — exactly reproducing the
-// batch oracle's whole-trace writer sets — while recovery folds
-// legitimize only later loads, exactly reproducing its second-pass
-// ordering. Queries still pending at end-of-stream become R3 findings.
+// The reference makes two passes: the first collects every value any
+// store performs in the whole trace, so that same-cycle callback
+// interleavings cannot flag a load racing its writer. One pass cannot
+// know the future, so a load that binds a value nobody has written *yet*
+// opens a query instead of a finding. A later store performing that
+// value to that word closes it silently; a query still open when the
+// stream ends is the finding. Recovery folds differ on purpose: the
+// reference adds a rolled-back node's pending committed store values to
+// its writer sets when its second pass reaches the marker, so they
+// legitimize later loads only — here they go into recovered, which passes
+// new loads but closes no open query.
 //
-// # Deterministic merge
+// # Why the report equals the reference's
 //
-// Every finding carries (global event index, rule category, emission
-// ordinal), where categories are numbered in the batch checker's
-// intra-event emission order (out-of-range node, structural, store
-// value, overtaken scan, reorder-window scan, load value). Sorting the
-// union of all lanes' findings by that key reconstructs the batch
-// checker's exact violation order, so reports are byte-identical
-// regardless of shard count, window size, or whether the pipeline ran
-// on goroutines at all. Stats are sums (pair/value checks, class
-// counts, unperformed-at-end) and maxima (per-node window high-water)
-// over per-lane partials, equally partition-independent.
+// Every other rule is decided on the spot from the same per-node state in
+// the same order the reference runs them on an event — out-of-range node,
+// structural, store value, the ascending overtaken scan, the reorder
+// window scan — so appending findings as they are found is the
+// reference's violation order. R3 is the last rule the reference runs on
+// an event, so Finish places each end-of-stream R3 finding after
+// everything found at or before its event's stream index and before
+// everything found later. Stats are the same counters incremented at the
+// same points. The contract covers malformed traces too: both engines
+// judge an event for an out-of-range processor against node 0. The only
+// shared code is the ordering relation itself (oracle.OrderedPair) —
+// deliberately, since the contract is over everything downstream of it.
 //
-// # Bounded memory
+// # Determinism
 //
-// Steady-state retained state is the committed-but-unperformed frontier
-// plus a bounded reorder window per node, the per-shard distinct
-// (address, value) write history, and at most maxBatches in-flight
-// windows; none of it grows with trace length on legal traces. Faulty
-// traces grow it only by the anomaly count (a lost store pins one
-// frontier entry; an unwritten load value pins one pending query).
-//
-// # Scope of the equivalence contract
-//
-// The contract is exact, not approximate, and covers malformed traces
-// too: events for an out-of-range processor are judged against node
-// 0's state by both engines, and since a lane walks every window in
-// stream order, lane 0 sees them in exactly the interleaving the batch
-// checker does. The only shared code is the ordering relation itself
-// (oracle.OrderedPair) — deliberately, since the contract is over
-// everything downstream of it.
-//
-// # Concurrency confinement
-//
-// This package deliberately sits outside the dvmc-lint determinism
-// allowlist (like internal/fuzz and internal/fabric): goroutines,
-// channels, and atomics are confined here and in the cmd layer, never
-// in the simulated machine. Determinism is architectural — lanes own
-// disjoint state, batches carry all cross-stage data, and the merge key
-// erases scheduling — so the report is a pure function of the event
-// stream and nothing else.
+// The package is on the dvmc-lint determinism allowlist: no goroutine,
+// channel, lock, atomic, wall clock or unordered map walk, so the report
+// is a pure function of the event stream. A Checker is not safe for
+// concurrent use; its gauges are read by the goroutine that feeds it.
 package stream

@@ -10,12 +10,12 @@ import (
 	"dvmc/internal/trace"
 )
 
-// commitEnt is one committed-but-unperformed operation, the streaming
-// twin of the batch checker's commitRec keyed by sequence number. Lanes
-// keep these in an ascending slice instead of a map: commits arrive in
-// near-monotonic sequence order, so insertion is an append, the R2 scan
-// is a slice walk in exactly the ascending order the batch checker gets
-// from sorting its map keys, and pruning on perform is a memmove.
+// commitEnt is one committed-but-unperformed operation, the reference
+// checker's commitRec keyed by sequence number. Nodes keep these in an
+// ascending slice instead of a map: commits arrive in near-monotonic
+// sequence order, so insertion is an append, the R2 scan is a slice walk
+// in exactly the ascending order the reference gets from sorting its map
+// keys, and pruning on perform is a memmove.
 type commitEnt struct {
 	seq    uint64
 	op     consistency.Op
@@ -34,157 +34,116 @@ type perfRec struct {
 	isRMW bool
 }
 
-// laneStats are the partition-independent partial counters a lane
-// accumulates; Finish sums them across lanes into oracle.Stats.
-type laneStats struct {
-	loads, stores, membars, rmws uint64
-	pairChecks                   uint64
-	valueChecks                  uint64
-	skippedForwarded             uint64
-	maxWindow                    int
-}
-
-// nodeLane owns one processor's ordering state: the R1/R2/R4/R5 checks
-// over exactly the per-node structures the batch checker keeps. Events
-// for out-of-range nodes are judged against lane 0, as the batch
-// checker judges them against node 0.
-type nodeLane struct {
-	id     int
-	nNodes int
-	chk    *Checker
-
+// nodeState is one processor's ordering state: exactly the per-node
+// structures the reference keeps for R1/R2/R4/R5, in bounded form.
+type nodeState struct {
 	committed []commitEnt // ascending by seq
 	performed seqSet
 	window    []perfRec
 	maxCommit uint64
-
-	stats laneStats
-	viol  []keyed
-	ord   uint64 // per-lane emission ordinal (merge tiebreak)
-
-	ch chan *batch // parallel mode input
 }
 
-// owns reports whether this lane judges events stamped with node n.
-func (l *nodeLane) owns(n int) bool {
-	if n >= l.nNodes {
-		return l.id == 0
+// node returns the state that judges ev. An event for an out-of-range
+// processor is flagged and judged against node 0, as the reference does.
+//
+//dvmc:hotpath
+func (c *Checker) node(idx uint64, ev *trace.Event) *nodeState {
+	n := int(ev.Node)
+	if n >= len(c.nodes) {
+		//dvmc:alloc-ok violation path
+		c.violate(idx, oracle.RuleStructural, ev, fmt.Sprintf("event for node %d but trace header declares %d nodes", n, len(c.nodes)))
+		n = 0
 	}
-	return n == l.id
-}
-
-// process runs the lane over one window of events.
-func (l *nodeLane) process(b *batch) {
-	for i := range b.events {
-		ev := &b.events[i]
-		switch ev.Kind {
-		case trace.EvRecover:
-			l.recover(b, i)
-		case trace.EvCommit, trace.EvPerform:
-			n := int(ev.Node)
-			if !l.owns(n) {
-				continue
-			}
-			idx := b.base + uint64(i)
-			if n >= l.nNodes {
-				l.violate(idx, catNode, oracle.RuleStructural, ev,
-					fmt.Sprintf("event for node %d but trace header declares %d nodes", n, l.nNodes))
-			}
-			if ev.Kind == trace.EvCommit {
-				l.commit(idx, ev)
-			} else {
-				l.perform(idx, ev)
-			}
-		}
-	}
-}
-
-// violate records one finding under the deterministic merge key.
-func (l *nodeLane) violate(idx uint64, cat uint8, rule oracle.Rule, ev *trace.Event, detail string) {
-	l.viol = append(l.viol, keyed{
-		idx: idx, cat: cat, ord: l.ord,
-		v: oracle.Violation{Rule: rule, Node: int(ev.Node), Seq: ev.Seq, Time: ev.Time, Detail: detail},
-	})
-	l.ord++
+	return &c.nodes[n]
 }
 
 // findCommitted binary-searches the ascending committed slice.
-func (l *nodeLane) findCommitted(seq uint64) (int, bool) {
-	lo, hi := 0, len(l.committed)
+func (ns *nodeState) findCommitted(seq uint64) (int, bool) {
+	lo, hi := 0, len(ns.committed)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if l.committed[mid].seq < seq {
+		if ns.committed[mid].seq < seq {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(l.committed) && l.committed[lo].seq == seq
+	return lo, lo < len(ns.committed) && ns.committed[lo].seq == seq
 }
 
-func (l *nodeLane) commit(idx uint64, ev *trace.Event) {
+//dvmc:hotpath
+func (c *Checker) commit(idx uint64, ev *trace.Event) {
+	ns := c.node(idx, ev)
 	switch ev.Class {
 	case consistency.Load:
-		l.stats.loads++
+		c.stats.Loads++
 	case consistency.Store:
 		if ev.IsRMW {
-			l.stats.rmws++
+			c.stats.RMWs++
 		} else {
-			l.stats.stores++
+			c.stats.Stores++
 		}
 	case consistency.Membar:
-		l.stats.membars++
+		c.stats.Membars++
 	}
-	pos, dup := l.findCommitted(ev.Seq)
-	if dup || l.performed.contains(ev.Seq) {
-		l.violate(idx, catStructural, oracle.RuleStructural, ev, "double commit of sequence number")
+	pos, dup := ns.findCommitted(ev.Seq)
+	if dup || ns.performed.contains(ev.Seq) {
+		c.violate(idx, oracle.RuleStructural, ev, "double commit of sequence number")
 		return
 	}
 	//dvmc:alloc-ok frontier slice keeps its high-water capacity; grows only while the in-flight frontier does
-	l.committed = append(l.committed, commitEnt{})
-	copy(l.committed[pos+1:], l.committed[pos:])
-	l.committed[pos] = commitEnt{
+	ns.committed = append(ns.committed, commitEnt{})
+	copy(ns.committed[pos+1:], ns.committed[pos:])
+	ns.committed[pos] = commitEnt{
 		seq: ev.Seq, op: ev.Op(), isRMW: ev.IsRMW, model: ev.Model,
 		addr: ev.Addr, val: ev.Val, time: ev.Time,
 		hasVal: ev.Class == consistency.Store && !ev.IsRMW,
 	}
-	if ev.Seq > l.maxCommit {
-		l.maxCommit = ev.Seq
+	if ev.Seq > ns.maxCommit {
+		ns.maxCommit = ev.Seq
 	}
-	l.chk.frontierAdd(1)
+	c.frontierAdd(1)
 }
 
-func (l *nodeLane) perform(idx uint64, ev *trace.Event) {
-	pos, wasCommitted := l.findCommitted(ev.Seq)
+//dvmc:hotpath
+func (c *Checker) perform(idx uint64, ev *trace.Event) {
+	ns := c.node(idx, ev)
+	op := ev.Op()
+	pos, wasCommitted := ns.findCommitted(ev.Seq)
 	var rec commitEnt
 	switch {
 	case wasCommitted:
-		rec = l.committed[pos]
-		l.committed = append(l.committed[:pos], l.committed[pos+1:]...)
-		l.chk.frontierAdd(-1)
-	case l.performed.contains(ev.Seq):
-		l.violate(idx, catStructural, oracle.RuleStructural, ev, "double perform of sequence number")
+		rec = ns.committed[pos]
+		//dvmc:alloc-ok deletes in place: the result is one shorter than the slice it aliases
+		ns.committed = append(ns.committed[:pos], ns.committed[pos+1:]...)
+		c.frontierAdd(-1)
+	case ns.performed.contains(ev.Seq):
+		c.violate(idx, oracle.RuleStructural, ev, "double perform of sequence number")
 	default:
-		l.violate(idx, catStructural, oracle.RuleStructural, ev, "perform without prior commit")
+		c.violate(idx, oracle.RuleStructural, ev, "perform without prior commit")
 	}
-	l.performed.add(ev.Seq)
+	//dvmc:alloc-ok interval set is one run per recovery epoch on legal traces; grows by one per anomaly
+	ns.performed.add(ev.Seq)
 
 	// R5: a plain store must perform with exactly the committed value.
 	if wasCommitted && rec.hasVal && ev.Class == consistency.Store && !ev.IsRMW && ev.Val != rec.val {
-		l.violate(idx, catStoreValue, oracle.RuleStoreValue, ev,
+		//dvmc:alloc-ok violation path
+		c.violate(idx, oracle.RuleStoreValue, ev,
 			fmt.Sprintf("store committed %#x but performed %#x at %#x", uint64(rec.val), uint64(ev.Val), uint64(ev.Addr)))
 	}
 
 	// R2: must not overtake an older committed-but-unperformed ordered op.
-	// The slice is ascending, matching the batch checker's sorted-key scan.
-	for j := range l.committed {
-		old := &l.committed[j]
+	// The slice is ascending, matching the reference's sorted-key scan, so
+	// the older ops are a prefix of it.
+	for j := range ns.committed {
+		old := &ns.committed[j]
 		if old.seq >= ev.Seq {
-			continue
+			break
 		}
-		l.stats.pairChecks++
-		if oracle.OrderedPair(consistency.TableFor(old.model), old.op, old.isRMW, ev.Op(), ev.IsRMW) {
-			l.violate(idx, catOvertaken, oracle.RuleOvertaken, ev,
+		c.stats.PairChecks++
+		if oracle.OrderedPair(consistency.TableFor(old.model), old.op, old.isRMW, op, ev.IsRMW) {
+			//dvmc:alloc-ok violation path
+			c.violate(idx, oracle.RuleOvertaken, ev,
 				fmt.Sprintf("%v performed before older ordered %v seq %d (committed @%d, model %v)",
 					ev.Class, old.op.Class, old.seq, old.time, old.model))
 		}
@@ -192,76 +151,71 @@ func (l *nodeLane) perform(idx uint64, ev *trace.Event) {
 
 	// R1: must not have been overtaken by a younger performed ordered op.
 	table := consistency.TableFor(ev.Model)
-	for j := range l.window {
-		p := &l.window[j]
+	for j := range ns.window {
+		p := &ns.window[j]
 		if p.seq <= ev.Seq {
 			continue
 		}
-		l.stats.pairChecks++
-		if oracle.OrderedPair(table, ev.Op(), ev.IsRMW, p.op, p.isRMW) {
-			l.violate(idx, catReorder, oracle.RuleReorder, ev,
+		c.stats.PairChecks++
+		if oracle.OrderedPair(table, op, ev.IsRMW, p.op, p.isRMW) {
+			//dvmc:alloc-ok violation path
+			c.violate(idx, oracle.RuleReorder, ev,
 				fmt.Sprintf("%v overtaken by younger performed %v seq %d (model %v)",
 					ev.Class, p.op.Class, p.seq, ev.Model))
 		}
 	}
 
-	// R3 (loads and the RMW old value) belongs to the address shards.
+	// R3 (loads and the RMW old value).
+	c.performValue(idx, ev)
 
-	// Window bookkeeping and frontier pruning, exactly the batch rule:
+	// Window bookkeeping and frontier pruning, exactly the reference's rule:
 	// entries at or below the oldest committed-but-unperformed seq (or the
 	// newest committed seq when nothing is pending) can never pair again.
 	//dvmc:alloc-ok reorder window keeps its pruned high-water capacity
-	l.window = append(l.window, perfRec{seq: ev.Seq, op: ev.Op(), isRMW: ev.IsRMW})
-	if len(l.window) > l.stats.maxWindow {
-		l.stats.maxWindow = len(l.window)
+	ns.window = append(ns.window, perfRec{seq: ev.Seq, op: op, isRMW: ev.IsRMW})
+	if len(ns.window) > c.stats.MaxWindow {
+		c.stats.MaxWindow = len(ns.window)
 	}
-	frontier := l.maxCommit
-	if len(l.committed) > 0 {
-		frontier = l.committed[0].seq
+	frontier := ns.maxCommit
+	if len(ns.committed) > 0 {
+		frontier = ns.committed[0].seq
 	}
-	kept := l.window[:0]
-	for _, p := range l.window {
+	kept := ns.window[:0]
+	for _, p := range ns.window {
 		if p.seq > frontier {
+			//dvmc:alloc-ok filters in place: kept never outgrows the window it aliases
 			kept = append(kept, p)
 		}
 	}
-	l.window = kept
+	ns.window = kept
 }
 
-// windowLen is a memory gauge for telemetry (racy read tolerated).
-func (l *nodeLane) windowLen() int { return len(l.window) }
-
-// recover handles a SafetyNet rollback marker: fold pending committed
-// store values onto the batch (the forwarder publishes them to the
-// address shards, which add them to their writer sets at this exact
-// stream position, mirroring the batch checker's recover), then clear
-// the R2 pending set and R1 window. performed and maxCommit survive,
-// as in the batch checker.
-func (l *nodeLane) recover(b *batch, i int) {
-	for j := range l.committed {
-		rec := &l.committed[j]
-		if rec.hasVal {
-			b.folds[l.id] = append(b.folds[l.id], foldEntry{idx: i, addr: rec.addr, val: rec.val})
+// recover handles a SafetyNet rollback marker, mirroring the reference's
+// recover: every node's pending committed store values become legitimate
+// for later loads (a store may have drained just before the rollback with
+// its perform record lost), then the R2 pending sets and R1 windows clear.
+// performed and maxCommit survive, as in the reference.
+//
+//dvmc:hotpath
+func (c *Checker) recover() {
+	c.stats.Recoveries++
+	for i := range c.nodes {
+		ns := &c.nodes[i]
+		for j := range ns.committed {
+			if rec := &ns.committed[j]; rec.hasVal {
+				c.recovered[wkey{addr: rec.addr, val: rec.val}] = struct{}{}
+			}
 		}
+		c.frontierAdd(-len(ns.committed))
+		ns.committed = ns.committed[:0]
+		ns.window = ns.window[:0]
 	}
-	l.chk.frontierAdd(-len(l.committed))
-	l.committed = l.committed[:0]
-	l.window = l.window[:0]
 }
 
 // frontierAdd tracks the global committed-but-unperformed population.
 func (c *Checker) frontierAdd(d int) {
-	v := c.frontier.Add(int64(d))
-	if d <= 0 {
-		return
-	}
-	for {
-		m := c.maxFrontier.Load()
-		if v <= m {
-			return
-		}
-		if c.maxFrontier.CompareAndSwap(m, v) {
-			return
-		}
+	c.frontier += int64(d)
+	if c.frontier > c.maxFrontier {
+		c.maxFrontier = c.frontier
 	}
 }

@@ -4,199 +4,78 @@ import (
 	"bytes"
 	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"dvmc/internal/mem"
 	"dvmc/internal/oracle"
 	"dvmc/internal/telemetry"
 	"dvmc/internal/trace"
 )
 
-// Rule categories in the batch checker's intra-event emission order;
-// the middle component of the deterministic merge key.
-const (
-	catNode       uint8 = iota // out-of-range node (R4, emitted by node lookup)
-	catStructural              // double commit/perform, perform without commit (R4)
-	catStoreValue              // R5
-	catOvertaken               // R2, ascending committed-seq scan
-	catReorder                 // R1, window scan
-	catLoadValue               // R3
-)
+// Options is what the frozen benchmark/ spells when it builds a checker.
+type Options struct {
+	// Shards is read by nothing; it exists so that benchmark/ compiles, and
+	// goes with stream.shards2_ns_per_event in the next benchmark PR.
+	Shards int
+}
 
-// keyed is one finding under the merge key (idx, cat, ord): global
-// event index, batch-checker emission category, per-lane emission
-// ordinal. Within one (idx, cat) exactly one lane emits (an event has
-// one judging node lane and one judging shard), so sorting by the key
-// reconstructs the batch checker's violation order exactly.
-type keyed struct {
+// finding is one violation and the stream index of the event it judges.
+type finding struct {
 	idx uint64
-	cat uint8
-	ord uint64
 	v   oracle.Violation
 }
 
-// foldEntry is one committed-store value a node lane folds into the
-// writer history at a recovery marker (batch index idx).
-type foldEntry struct {
-	idx  int
-	addr mem.Addr
-	val  mem.Word
-}
-
-// Options configures a streaming checker.
-type Options struct {
-	// Shards is the number of address-hash slices the R3 value check is
-	// partitioned into. 0 means DefaultShards. The report is identical
-	// at any value.
-	Shards int
-	// Window is the event-batch size flowing through the pipeline; it
-	// bounds both dispatch granularity and (times maxBatches) the
-	// events in flight. 0 means DefaultWindow. The report is identical
-	// at any value.
-	Window int
-	// Pipeline runs the lanes on goroutines (one per node lane and one
-	// per shard) with bounded in-flight windows. Off, the same lanes
-	// run inline on the feeding goroutine — zero concurrency, same
-	// report; the mode fuzz workers use.
-	Pipeline bool
-	// Depth bounds the windows in flight in pipeline mode (0 means
-	// DefaultDepth); the feed blocks when all are busy, so memory stays
-	// bounded regardless of how far the producer runs ahead.
-	Depth int
-}
-
-// Defaults for Options zero values.
-const (
-	DefaultShards = 4
-	DefaultWindow = 4096
-	DefaultDepth  = 4
-)
-
-// batch is one window of events flowing through the pipeline, plus the
-// recovery folds the node lanes attach for the shards. Batches are
-// recycled through a freelist; refcounts track stage completion.
-type batch struct {
-	seqNo     uint64
-	base      uint64 // global index of events[0]
-	events    []trace.Event
-	folds     [][]foldEntry // indexed by node lane
-	nodeRefs  atomic.Int32
-	shardRefs atomic.Int32
-}
-
-// Checker is the streaming consistency oracle. Feed it events in
-// stream order (it implements trace.Sink, so it can ride along with a
-// live simulation), then Finish for a report byte-identical to the
-// batch oracle.Check over the same stream. Not safe for concurrent
-// feeding; all concurrency is internal.
+// Checker is the consistency oracle. Feed it events in stream order (it
+// implements trace.Sink, so it can ride along with a live simulation),
+// then Finish for a report byte-identical to the reference oracle.Check
+// over the same stream. Single-threaded: one goroutine feeds and finishes.
 type Checker struct {
-	meta      trace.Meta
-	opts      Options
-	window    int
-	maxBatch  int
-	nodeLanes []*nodeLane
-	shards    []*shardLane
+	meta  trace.Meta
+	nodes []nodeState
 
-	cur     *batch
-	spare   *batch // inline-mode recycle slot
-	count   uint64 // events fed (feeder-owned)
-	nextSeq uint64 // next batch sequence number
+	// The value rule's state (value.go).
+	writers   map[wkey]struct{}  // performed-store history; answers pending
+	recovered map[wkey]struct{}  // recovery folds; legitimize later loads only
+	pending   map[wkey][]finding // deferred R3 queries
 
-	// Pipeline plumbing (nil/unused when !opts.Pipeline).
-	free      chan *batch
-	allocated int
-	nodeWg    sync.WaitGroup
-	shardWg   sync.WaitGroup
-	fmu       sync.Mutex
-	fdone     map[uint64]*batch
-	nextFwd   uint64
-
-	// Telemetry (atomics: read by probes on other goroutines).
-	fed         atomic.Uint64
-	frontier    atomic.Int64
-	maxFrontier atomic.Int64
-	inflight    atomic.Int64
-	pendingQ    atomic.Int64
-
-	recoveries uint64
-	closed     bool
-	report     *oracle.Report
+	found       []finding // in the order found, which is stream order
+	stats       oracle.Stats
+	frontier    int64 // committed-but-unperformed operations, all nodes
+	maxFrontier int64
+	report      *oracle.Report
 }
 
-// New builds a streaming checker for a trace with the given header.
-func New(meta trace.Meta, opts Options) *Checker {
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
-	}
-	if opts.Window <= 0 {
-		opts.Window = DefaultWindow
-	}
-	if opts.Depth <= 0 {
-		opts.Depth = DefaultDepth
-	}
-	c := &Checker{meta: meta, opts: opts, window: opts.Window, maxBatch: opts.Depth}
+// New builds a checker for a trace with the given header.
+func New(meta trace.Meta, _ Options) *Checker {
 	n := meta.Nodes
 	if n < 1 {
 		n = 1
 	}
-	c.nodeLanes = make([]*nodeLane, n)
-	for i := range c.nodeLanes {
-		c.nodeLanes[i] = &nodeLane{id: i, nNodes: n, chk: c}
+	return &Checker{
+		meta:      meta,
+		nodes:     make([]nodeState, n),
+		writers:   make(map[wkey]struct{}),
+		recovered: make(map[wkey]struct{}),
+		pending:   make(map[wkey][]finding),
 	}
-	c.shards = make([]*shardLane, opts.Shards)
-	for i := range c.shards {
-		c.shards[i] = &shardLane{
-			id: i, n: opts.Shards, chk: c,
-			writers:   make(map[wkey]struct{}),
-			recovered: make(map[wkey]struct{}),
-			pending:   make(map[wkey][]pendQ),
-		}
-	}
-	if opts.Pipeline {
-		c.free = make(chan *batch, c.maxBatch)
-		c.fdone = make(map[uint64]*batch, c.maxBatch)
-		for _, l := range c.nodeLanes {
-			l.ch = make(chan *batch, c.maxBatch)
-			c.nodeWg.Add(1)
-			go c.nodeWorker(l)
-		}
-		for _, s := range c.shards {
-			s.ch = make(chan *batch, c.maxBatch)
-			c.shardWg.Add(1)
-			go c.shardWorker(s)
-		}
-	}
-	return c
 }
 
-// Feed advances the checker by one event. This is the per-event step
-// of the streaming oracle: append into the current window, hand the
-// window to the pipeline when full. Steady-state allocation-free; all
-// per-event work beyond the append happens at window granularity.
+// Feed judges one event: the owning node's ordering, structural and
+// store-value rules, then the value rule. Events after Finish are ignored.
+// Steady-state allocation-free on legal traces.
 //
 //dvmc:hotpath
 func (c *Checker) Feed(ev trace.Event) {
-	if c.closed {
+	if c.report != nil {
 		return
 	}
-	b := c.cur
-	if b == nil {
-		//dvmc:alloc-ok windows recycle through the freelist; allocation only while warming up to Depth
-		b = c.takeBatch()
-		c.cur = b
-	}
-	//dvmc:alloc-ok append into a window-capacity buffer reset on recycle; never grows
-	b.events = append(b.events, ev)
-	c.count++
-	c.fed.Store(c.count)
-	if ev.Kind == trace.EvRecover {
-		c.recoveries++
-	}
-	if len(b.events) == c.window {
-		//dvmc:alloc-ok window dispatch is the per-window cold edge, not the per-event step
-		c.dispatch(b)
-		c.cur = nil
+	idx := c.stats.Events
+	c.stats.Events++
+	switch ev.Kind {
+	case trace.EvRecover:
+		c.recover()
+	case trace.EvCommit:
+		c.commit(idx, &ev)
+	case trace.EvPerform:
+		c.perform(idx, &ev)
 	}
 }
 
@@ -204,245 +83,92 @@ func (c *Checker) Feed(ev trace.Event) {
 // trace.Config.Sink and verify a simulation as it runs.
 func (c *Checker) Emit(ev trace.Event) { c.Feed(ev) }
 
-// takeBatch acquires a window: recycle if one is free, allocate while
-// under the in-flight cap, otherwise block on the pipeline (the
-// backpressure that bounds memory).
-func (c *Checker) takeBatch() *batch {
-	if !c.opts.Pipeline {
-		if b := c.spare; b != nil {
-			c.spare = nil
-			b.base = c.count
-			return b
-		}
-		return c.newBatch()
-	}
-	select {
-	case b := <-c.free:
-		b.base = c.count
-		return b
-	default:
-	}
-	if c.allocated < c.maxBatch {
-		c.allocated++
-		return c.newBatch()
-	}
-	b := <-c.free
-	b.base = c.count
-	return b
+// violate records a finding against the event at stream index idx.
+//
+//dvmc:hotpath
+func (c *Checker) violate(idx uint64, rule oracle.Rule, ev *trace.Event, detail string) {
+	//dvmc:alloc-ok findings exist only on violating traces
+	c.found = append(c.found, finding{idx: idx, v: oracle.Violation{
+		Rule: rule, Node: int(ev.Node), Seq: ev.Seq, Time: ev.Time, Detail: detail,
+	}})
 }
 
-func (c *Checker) newBatch() *batch {
-	return &batch{
-		base:   c.count,
-		events: make([]trace.Event, 0, c.window),
-		folds:  make([][]foldEntry, len(c.nodeLanes)),
-	}
-}
-
-// reset readies a batch for reuse.
-func (b *batch) reset() {
-	b.events = b.events[:0]
-	for i := range b.folds {
-		b.folds[i] = b.folds[i][:0]
-	}
-}
-
-// dispatch hands a full (or final partial) window to the lanes.
-func (c *Checker) dispatch(b *batch) {
-	b.seqNo = c.nextSeq
-	c.nextSeq++
-	if !c.opts.Pipeline {
-		for _, l := range c.nodeLanes {
-			l.process(b)
-		}
-		for _, s := range c.shards {
-			s.process(b)
-		}
-		b.reset()
-		c.spare = b
-		return
-	}
-	b.nodeRefs.Store(int32(len(c.nodeLanes)))
-	c.inflight.Add(1)
-	for _, l := range c.nodeLanes {
-		l.ch <- b // never blocks: channel capacity == total batches
-	}
-}
-
-// nodeWorker drains one ordering lane; the last lane to release a
-// window forwards it to the shard stage.
-func (c *Checker) nodeWorker(l *nodeLane) {
-	defer c.nodeWg.Done()
-	for b := range l.ch {
-		l.process(b)
-		if b.nodeRefs.Add(-1) == 0 {
-			c.forward(b)
-		}
-	}
-}
-
-// forward releases windows to the shard stage strictly in stream
-// order, whatever order the node lanes finished them in — the shards'
-// state is order-sensitive.
-func (c *Checker) forward(b *batch) {
-	c.fmu.Lock()
-	c.fdone[b.seqNo] = b
-	for {
-		nb, ok := c.fdone[c.nextFwd]
-		if !ok {
-			break
-		}
-		delete(c.fdone, c.nextFwd)
-		c.nextFwd++
-		nb.shardRefs.Store(int32(len(c.shards)))
-		for _, s := range c.shards {
-			s.ch <- nb // never blocks: channel capacity == total batches
-		}
-	}
-	c.fmu.Unlock()
-}
-
-// shardWorker drains one value shard; the last shard to release a
-// window recycles it.
-func (c *Checker) shardWorker(s *shardLane) {
-	defer c.shardWg.Done()
-	for b := range s.ch {
-		s.process(b)
-		if b.shardRefs.Add(-1) == 0 {
-			b.reset()
-			c.inflight.Add(-1)
-			c.free <- b // never blocks: capacity == total batches
-		}
-	}
-}
-
-// stopPipeline flushes and joins the workers (idempotent).
-func (c *Checker) stopPipeline() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	if !c.opts.Pipeline {
-		return
-	}
-	for _, l := range c.nodeLanes {
-		close(l.ch)
-	}
-	c.nodeWg.Wait() // all windows forwarded once the node stage drains
-	for _, s := range c.shards {
-		close(s.ch)
-	}
-	c.shardWg.Wait()
-}
-
-// Finish flushes the pipeline and returns the verdict. The report is
-// byte-identical to oracle.Check over the same event stream, for any
-// Shards/Window/Pipeline/Depth. Idempotent.
+// Finish returns the verdict, byte-identical to oracle.Check over the
+// same event stream. Idempotent.
 func (c *Checker) Finish() *oracle.Report {
 	if c.report != nil {
 		return c.report
 	}
-	if b := c.cur; b != nil {
-		c.cur = nil
-		if len(b.events) > 0 {
-			c.dispatch(b)
-		}
+	for i := range c.nodes {
+		c.stats.UnperformedAtEnd += len(c.nodes[i].committed)
 	}
-	c.stopPipeline()
-
-	stats := oracle.Stats{Events: c.count, Recoveries: c.recoveries}
-	var all []keyed
-	for _, l := range c.nodeLanes {
-		stats.Loads += l.stats.loads
-		stats.Stores += l.stats.stores
-		stats.Membars += l.stats.membars
-		stats.RMWs += l.stats.rmws
-		stats.PairChecks += l.stats.pairChecks
-		if l.stats.maxWindow > stats.MaxWindow {
-			stats.MaxWindow = l.stats.maxWindow
-		}
-		stats.UnperformedAtEnd += len(l.committed)
-		all = append(all, l.viol...)
+	// Value queries nobody answered are the one kind of finding known later
+	// than its event. The reference reports it where it judges the event,
+	// after that event's other rules: R3 is the last one it runs.
+	var late []finding
+	for _, qs := range c.pending {
+		late = append(late, qs...)
 	}
-	for _, s := range c.shards {
-		s.drainPending()
-		stats.ValueChecks += s.stats.valueChecks
-		stats.SkippedForwarded += s.stats.skippedForwarded
-		all = append(all, s.viol...)
+	sort.Slice(late, func(i, j int) bool { return late[i].idx < late[j].idx })
+	var vs []oracle.Violation // nil when clean, as the reference leaves it
+	for _, f := range c.found {
+		for len(late) > 0 && late[0].idx < f.idx {
+			vs = append(vs, late[0].v)
+			late = late[1:]
+		}
+		vs = append(vs, f.v)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.idx != b.idx {
-			return a.idx < b.idx
-		}
-		if a.cat != b.cat {
-			return a.cat < b.cat
-		}
-		return a.ord < b.ord
-	})
-	var vs []oracle.Violation // nil when clean, as the batch checker leaves it
-	if len(all) > 0 {
-		vs = make([]oracle.Violation, len(all))
-		for i := range all {
-			vs[i] = all[i].v
-		}
+	for _, q := range late {
+		vs = append(vs, q.v)
 	}
-	c.report = &oracle.Report{Meta: c.meta, Violations: vs, Stats: stats}
+	c.pending = nil // they are findings now
+	c.report = &oracle.Report{Meta: c.meta, Violations: vs, Stats: c.stats}
 	return c.report
 }
 
-// Abort tears the pipeline down without producing a report — the
-// cleanup path when the producer dies mid-stream (fuzz panic
-// recovery). Idempotent; safe before or after Finish.
-func (c *Checker) Abort() {
-	c.cur = nil
-	c.stopPipeline()
+// EventsFed returns the events accepted so far.
+func (c *Checker) EventsFed() uint64 { return c.stats.Events }
+
+// FrontierDepth returns the current committed-but-unperformed population
+// across all nodes.
+func (c *Checker) FrontierDepth() int64 { return c.frontier }
+
+// MaxFrontier returns the high-water FrontierDepth — the bounded-memory
+// claim is over this number.
+func (c *Checker) MaxFrontier() int64 { return c.maxFrontier }
+
+// PendingValueQueries returns the open deferred R3 queries (zero on legal
+// traces once writers catch up).
+func (c *Checker) PendingValueQueries() int64 {
+	var n int64
+	//dvmc:orderinsensitive a sum
+	for _, qs := range c.pending {
+		n += int64(len(qs))
+	}
+	return n
 }
 
-// EventsFed returns the events accepted so far (atomic; probe-safe).
-func (c *Checker) EventsFed() uint64 { return c.fed.Load() }
-
-// FrontierDepth returns the current committed-but-unperformed
-// population across all nodes (atomic; probe-safe).
-func (c *Checker) FrontierDepth() int64 { return c.frontier.Load() }
-
-// MaxFrontier returns the high-water FrontierDepth — the bounded-
-// memory claim is over this number (atomic; probe-safe).
-func (c *Checker) MaxFrontier() int64 { return c.maxFrontier.Load() }
-
-// WindowsInFlight returns the windows currently inside the pipeline
-// (atomic; probe-safe; 0 in inline mode).
-func (c *Checker) WindowsInFlight() int64 { return c.inflight.Load() }
-
-// PendingValueQueries returns the open deferred R3 queries (atomic;
-// probe-safe; zero on legal traces once writers catch up).
-func (c *Checker) PendingValueQueries() int64 { return c.pendingQ.Load() }
-
-// RegisterMetrics exposes the checker's live gauges on a telemetry
-// registry: stream_events_total, stream_frontier_depth,
-// stream_frontier_max, stream_windows_inflight,
-// stream_pending_value_queries. Values refresh on Registry.Collect via
-// a probe, so `dvmc-stat` and the /metrics endpoint render streaming
-// progress with zero coupling to checker internals.
+// RegisterMetrics exposes the checker's gauges on a telemetry registry:
+// stream_events_total, stream_frontier_depth, stream_frontier_max,
+// stream_pending_value_queries. Values refresh on Registry.Collect via a
+// probe, which must run on the feeding goroutine.
 func (c *Checker) RegisterMetrics(reg *telemetry.Registry) {
 	events := reg.Counter("stream_events_total", "events fed to the streaming oracle")
 	depth := reg.Gauge("stream_frontier_depth", "committed-but-unperformed operations retained")
 	peak := reg.Gauge("stream_frontier_max", "high-water frontier depth (bounded-memory gauge)")
-	wins := reg.Gauge("stream_windows_inflight", "event windows inside the checking pipeline")
 	pend := reg.Gauge("stream_pending_value_queries", "deferred R3 value queries awaiting a writer")
 	reg.AddProbe(func() {
 		events.Set(0, int64(c.EventsFed()))
 		depth.Set(0, c.FrontierDepth())
 		peak.Set(0, c.MaxFrontier())
-		wins.Set(0, c.WindowsInFlight())
 		pend.Set(0, c.PendingValueQueries())
 	})
 }
 
-// CheckReader streams a binary trace from src — a file, a pipe from a
-// live `dvmc-trace record`, anything — through a streaming checker
-// without ever materializing the byte stream or the event slice.
-// Returns the decoder's positioned error if the trace is damaged.
+// CheckReader checks a binary trace from src — a file, a pipe from a
+// live `dvmc-trace record`, anything — as its bytes arrive, without ever
+// holding the byte stream or the event slice. Returns the decoder's
+// positioned error if the trace is damaged.
 func CheckReader(src io.Reader, opts Options) (*oracle.Report, error) {
 	r, err := trace.NewReader(src)
 	if err != nil {
@@ -458,15 +184,13 @@ func CheckReader(src io.Reader, opts Options) (*oracle.Report, error) {
 			return c.Finish(), nil
 		}
 		if err != nil {
-			c.Abort()
 			return nil, err
 		}
 		c.Feed(ev)
 	}
 }
 
-// CheckBytes is CheckReader over an in-memory trace: the streaming
-// drop-in for oracle.CheckBytes.
+// CheckBytes is CheckReader over an in-memory trace.
 func CheckBytes(data []byte, opts Options) (*oracle.Report, error) {
 	return CheckReader(bytes.NewReader(data), opts)
 }

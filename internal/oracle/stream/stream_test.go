@@ -182,18 +182,8 @@ func synth(cfg synthCfg) (trace.Meta, []trace.Event) {
 	return meta, out
 }
 
-// configs is the shard × window × mode equivalence matrix.
-func configs() []Options {
-	return []Options{
-		{Shards: 1, Window: 1},
-		{Shards: 1, Window: 64},
-		{Shards: 4, Window: 3},
-		{Shards: 4, Window: 64, Pipeline: true},
-		{Shards: 7, Window: 17},
-		{Shards: 7, Window: 1, Pipeline: true, Depth: 2},
-		{Shards: 4}, // default window
-	}
-}
+// configs is the single configuration there is.
+func configs() []Options { return []Options{{}} }
 
 // runStream feeds events through a fresh checker.
 func runStream(meta trace.Meta, events []trace.Event, o Options) *oracle.Report {
@@ -205,8 +195,7 @@ func runStream(meta trace.Meta, events []trace.Event, o Options) *oracle.Report 
 }
 
 // TestEquivalenceSynthetic checks report identity against the batch
-// oracle across the full option matrix on generated traces of every
-// flavour: clean FIFO, reordered (R1/R2-rich), rollback-bearing, and
+// oracle on generated traces of every flavour: clean FIFO, reordered (R1/R2-rich), rollback-bearing, and
 // anomaly-injected.
 func TestEquivalenceSynthetic(t *testing.T) {
 	cases := []synthCfg{
@@ -271,11 +260,47 @@ func TestCheckReaderRefusesTruncated(t *testing.T) {
 	}
 }
 
+// TestUnansweredLoadReportsAtItsEvent pins the one place the order
+// findings are made in and the order they are reported in differ: a load
+// of a value nobody ever writes is a finding only once the stream has
+// ended, and is reported where the reference judges it — at its own
+// event, after that event's other rules and before any later event's.
+func TestUnansweredLoadReportsAtItsEvent(t *testing.T) {
+	meta := trace.Meta{Version: trace.Version, Nodes: 1, Model: consistency.TSO}
+	load := func(kind trace.Kind, seq uint64, addr mem.Addr, val mem.Word) trace.Event {
+		return trace.Event{Kind: kind, Class: consistency.Load, Model: consistency.TSO, Seq: seq, Addr: addr, Val: val}
+	}
+	events := []trace.Event{
+		load(trace.EvCommit, 1, 8, 7),
+		load(trace.EvPerform, 1, 8, 7),  // R3, known at end of stream
+		load(trace.EvPerform, 5, 16, 9), // R4 at once, R3 at end of stream
+		{Kind: trace.EvPerform, Class: consistency.Store, Model: consistency.TSO, Seq: 9, Addr: 24, Val: 1}, // R4 at once
+	}
+	got := runStream(meta, events, Options{})
+	if want := oracle.Check(meta, events); !reflect.DeepEqual(want, got) {
+		t.Fatalf("stream diverges from batch\nbatch:  %v\nstream: %v", want.Violations, got.Violations)
+	}
+	type at struct {
+		rule oracle.Rule
+		seq  uint64
+	}
+	want := []at{
+		{oracle.RuleLoadValue, 1}, {oracle.RuleStructural, 5}, {oracle.RuleLoadValue, 5}, {oracle.RuleStructural, 9},
+	}
+	if len(got.Violations) != len(want) {
+		t.Fatalf("%d violations, want %d: %v", len(got.Violations), len(want), got.Violations)
+	}
+	for i, w := range want {
+		if v := got.Violations[i]; v.Rule != w.rule || v.Seq != w.seq {
+			t.Errorf("violation %d is %s seq %d, want %s seq %d", i, v.Rule, v.Seq, w.rule, w.seq)
+		}
+	}
+}
+
 // TestStreamPipeSoak drives the checker from a live pipe — the
-// dvmc-trace record | dvmc-trace check -stream topology — with far
-// more events than the in-flight bound retains, and asserts the
-// frontier (the retained state) stayed bounded while the verdict
-// stayed clean.
+// dvmc-trace record - | dvmc-trace check - topology — with far more
+// events than the frontier retains, and asserts the frontier (the
+// retained state) stayed bounded while the verdict stayed clean.
 func TestStreamPipeSoak(t *testing.T) {
 	n := 2_000_000
 	if testing.Short() {
@@ -302,7 +327,7 @@ func TestStreamPipeSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk := New(c.Meta(), Options{Shards: 4, Window: 1024, Pipeline: true})
+	chk := New(c.Meta(), Options{})
 	for {
 		ev, err := c.Next()
 		if err == io.EOF {
@@ -323,8 +348,8 @@ func TestStreamPipeSoak(t *testing.T) {
 	if chk.EventsFed() != uint64(n) {
 		t.Fatalf("EventsFed = %d, want %d", chk.EventsFed(), n)
 	}
-	// The frontier is the retained state; a window-churning soak must
-	// keep it far below the event count (batch retains O(events)).
+	// The frontier is the retained state; a soak must keep it far below
+	// the event count (batch retains O(events)).
 	if max := chk.MaxFrontier(); max <= 0 || max > 10_000 {
 		t.Fatalf("MaxFrontier = %d: retained state not bounded", max)
 	}
@@ -352,11 +377,11 @@ func TestSeqSet(t *testing.T) {
 }
 
 // TestStreamFeedSteadyStateAllocFree pins the //dvmc:hotpath claim:
-// once the lanes' frontier slices, windows, interval sets, and writer
-// maps reach their working set, the per-event step allocates nothing.
+// once the nodes' frontier slices, windows, interval sets, and the
+// writer map reach their working set, the per-event step allocates nothing.
 func TestStreamFeedSteadyStateAllocFree(t *testing.T) {
 	meta, events := synth(synthCfg{nodes: 4, events: 200_000, seed: 10, fifo: true})
-	c := New(meta, Options{Shards: 4, Window: 512})
+	c := New(meta, Options{})
 	warm := len(events) / 2
 	for _, ev := range events[:warm] {
 		c.Feed(ev)
@@ -373,32 +398,18 @@ func TestStreamFeedSteadyStateAllocFree(t *testing.T) {
 	c.Finish()
 }
 
-// BenchmarkStreamFeed measures the per-event cost of the streaming
-// step, inline and pipelined.
+// BenchmarkStreamFeed measures the per-event cost of the checking step.
 func BenchmarkStreamFeed(b *testing.B) {
 	meta, events := synth(synthCfg{nodes: 4, events: 100_000, seed: 11, fifo: true})
-	for _, bc := range []struct {
-		name string
-		o    Options
-	}{
-		{"inline", Options{Shards: 4, Window: 1024}},
-		{"pipeline", Options{Shards: 4, Window: 1024, Pipeline: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			c := New(meta, bc.o)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				j := i % len(events)
-				if j == 0 && i > 0 {
-					// Restart the checker rather than replay duplicate
-					// sequence numbers into it.
-					c.Abort()
-					c = New(meta, bc.o)
-				}
-				c.Feed(events[j])
-			}
-			b.StopTimer()
-			c.Abort()
-		})
+	c := New(meta, Options{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		j := i % len(events)
+		if j == 0 && i > 0 {
+			// Restart the checker rather than replay duplicate sequence
+			// numbers into it.
+			c = New(meta, Options{})
+		}
+		c.Feed(events[j])
 	}
 }

@@ -87,6 +87,8 @@ type Event struct {
 }
 
 // Op returns the event's operation as seen by an ordering table.
+//
+//dvmc:hotpath
 func (e Event) Op() consistency.Op {
 	return consistency.Op{Class: e.Class, Mask: e.Mask}
 }

@@ -69,47 +69,25 @@ type OracleReport = oracle.Report
 type OracleViolation = oracle.Violation
 
 // RunVerdict captures both referees' conclusions about one finished run:
-// the online DVMC checkers' violations and, when the run captured an
-// execution trace, the offline oracle's independent replay of it. The two
+// the online DVMC checkers' violations and, when the run's trace events
+// went to an oracle, that oracle's independent verdict on them. The two
 // share only the ordering tables, so disagreement between them (or with
 // injected-fault ground truth) localises a bug to one implementation —
 // the differential check at the heart of dvmc-fuzz.
 type RunVerdict struct {
 	// Online is every violation the online checkers reported.
 	Online []Violation
-	// Oracle is the offline replay verdict (nil when tracing was off).
+	// Oracle is the trace oracle's verdict (nil when no oracle ran).
 	Oracle *OracleReport
 }
 
 // CleanOnline reports whether the online checkers stayed silent.
 func (v RunVerdict) CleanOnline() bool { return len(v.Online) == 0 }
 
-// CleanOracle reports whether the offline oracle stayed silent (true
-// when tracing was off — no oracle, no findings).
+// CleanOracle reports whether the trace oracle stayed silent (true when
+// none ran — no oracle, no findings).
 func (v RunVerdict) CleanOracle() bool {
 	return v.Oracle == nil || v.Oracle.Clean()
-}
-
-// Verdict extracts both verdicts from a finished system: it drains the
-// checkers, finalises the execution trace (when tracing is enabled), and
-// replays it through the offline oracle. Call once the run is complete —
-// events emitted afterwards are not re-judged.
-func (s *System) Verdict() (RunVerdict, error) {
-	s.DrainCheckers()
-	v := RunVerdict{Online: append([]Violation(nil), s.Violations()...)}
-	if !s.Tracing() {
-		return v, nil
-	}
-	data, err := s.TraceBytes()
-	if err != nil {
-		return v, err
-	}
-	rep, err := oracle.CheckBytes(data)
-	if err != nil {
-		return v, err
-	}
-	v.Oracle = rep
-	return v, nil
 }
 
 // OrderingRequired reports whether the model's ordering table requires a

@@ -16,6 +16,11 @@
 #   - dvmc-errors -n 40 -each on directory/TSO and snooping/RMO, stdout
 #     and exit code
 #   - dvmc-fuzz replay of the committed corpus (re-records all 13 .trc)
+#   - dvmc-trace check and check -json of two of the traces above, stdout
+#     and exit code (the oracle's report, byte for byte)
+#   - the guided campaign dvmc-fuzz run -seed 5 -n 64 -gens 2 -gen-size 8
+#     -fault-frac 0.5 -json, stdout, exit code and a cksum listing of its
+#     -corpus tree
 #   - the directory soak, seeds 1..8, which must also exit 0
 #
 # A commit that means to change simulated behaviour opts out with a
@@ -89,6 +94,15 @@ artifacts() {
 	verdict errors-directory-TSO.stdout "$bin/dvmc-errors" -n 40 -each
 	verdict errors-snooping-RMO.stdout "$bin/dvmc-errors" -n 40 -each -protocol snooping -model RMO
 	(cd "$src" && "$bin/dvmc-fuzz" replay internal/fuzz/testdata/corpus) >fuzz-replay.stdout
+	for t in trace-directory-TSO-oltp-1 trace-snooping-RMO-slash-2; do
+		verdict "check-$t.stdout" "$bin/dvmc-trace" check "$t.trc"
+		verdict "check-json-$t.stdout" "$bin/dvmc-trace" check -json "$t.trc"
+	done
+	mkdir guided-corpus
+	verdict fuzz-guided-5.stdout "$bin/dvmc-fuzz" run -seed 5 -n 64 -gens 2 -gen-size 8 -fault-frac 0.5 \
+		-corpus guided-corpus -json
+	(cd guided-corpus && find . -type f | LC_ALL=C sort | xargs -r cksum) >fuzz-guided-5.corpus.cksum
+	rm -r guided-corpus # listed above; the comparison below is over files
 	for s in 1 2 3 4 5 6 7 8; do
 		"$bin/dvmc-sim" -workload oltp -protocol directory -model TSO -seed $s -txns 4500 >"soak-$s.stdout"
 	done

@@ -1,12 +1,12 @@
 package dvmc
 
-// Streaming-oracle equivalence suite: the streaming parallel checker
+// Oracle equivalence suite: the per-event checker the product runs
 // (internal/oracle/stream) must produce reports byte-identical to the
-// batch oracle on every trace the differential harness produces —
-// litmus streams, full-system fault-free runs, SafetyNet-recovery runs,
-// and injected-fault runs — at every shard count and window size. This
-// is the contract that lets fuzz verdicts and `dvmc-trace check
-// -stream` substitute the streaming engine freely for the batch one.
+// batch reference (internal/oracle) on every trace the differential
+// harness produces — litmus streams, full-system fault-free runs,
+// SafetyNet-recovery runs, and injected-fault runs. This is the contract
+// that lets fuzz verdicts and `dvmc-trace check` run the per-event engine
+// alone.
 
 import (
 	"reflect"
@@ -18,23 +18,10 @@ import (
 	"dvmc/internal/trace"
 )
 
-// streamMatrix is the shard × window equivalence grid: shard counts
-// {1, 4, 7} (one, the default, and a prime that misaligns with the
-// address stride) × windows {small, default}, plus pipelined variants.
-func streamMatrix() []stream.Options {
-	return []stream.Options{
-		{Shards: 1, Window: 3},
-		{Shards: 1},
-		{Shards: 4, Window: 3},
-		{Shards: 4},
-		{Shards: 7, Window: 3},
-		{Shards: 7},
-		{Shards: 4, Window: 5, Pipeline: true},
-		{Shards: 7, Pipeline: true},
-	}
-}
+// streamMatrix is the single configuration there is.
+func streamMatrix() []stream.Options { return []stream.Options{{}} }
 
-// assertStreamEquivalent checks every matrix point against the batch
+// assertStreamEquivalent checks the stream report against the batch
 // report on one event stream.
 func assertStreamEquivalent(t *testing.T, label string, meta trace.Meta, events []trace.Event) *oracle.Report {
 	t.Helper()
@@ -46,8 +33,7 @@ func assertStreamEquivalent(t *testing.T, label string, meta trace.Meta, events 
 		}
 		got := chk.Finish()
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: stream report (shards=%d window=%d pipeline=%v) differs from batch:\nbatch : %+v\nstream: %+v",
-				label, o.Shards, o.Window, o.Pipeline, want, got)
+			t.Errorf("%s: stream report differs from batch:\nbatch : %+v\nstream: %+v", label, want, got)
 		}
 	}
 	return want
@@ -64,11 +50,10 @@ func assertStreamEquivalentBytes(t *testing.T, label string, data []byte) *oracl
 	for _, o := range streamMatrix() {
 		got, err := stream.CheckBytes(data, o)
 		if err != nil {
-			t.Fatalf("%s: stream decode (shards=%d): %v", label, o.Shards, err)
+			t.Fatalf("%s: stream decode: %v", label, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: stream report (shards=%d window=%d pipeline=%v) differs from batch",
-				label, o.Shards, o.Window, o.Pipeline)
+			t.Errorf("%s: stream report differs from batch", label)
 		}
 	}
 	return want
@@ -197,7 +182,7 @@ func TestStreamedFuzzVerdictMatchesBatch(t *testing.T) {
 		s.DrainCheckers()
 		return s
 	}
-	chk := stream.New(tracedConfig().TraceMeta(), stream.Options{Shards: 2, Window: 64})
+	chk := stream.New(tracedConfig().TraceMeta(), stream.Options{})
 	sinkSys := run(chk)
 	streamed := chk.Finish()
 
