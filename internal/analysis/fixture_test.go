@@ -133,8 +133,8 @@ func TestHotSetCoversAllocAsserted(t *testing.T) {
 	}
 	// The roots the alloc_bench/steady-state tests assert with
 	// AllocsPerRun (core VC/CET/MET, proc write buffers, sim event queue
-	// and freelist, the controllers' event records, torus, trace encode,
-	// telemetry update/sample).
+	// and freelist, the controllers' event records, torus, trace encode
+	// and decode, telemetry update/sample).
 	roots := []string{
 		"internal/core.UniprocChecker.StoreCommitted",
 		"internal/core.UniprocChecker.StorePerformed",
@@ -160,6 +160,7 @@ func TestHotSetCoversAllocAsserted(t *testing.T) {
 		"internal/network.Torus.Send",
 		"internal/network.Torus.Tick",
 		"internal/trace.Writer.Write",
+		"internal/trace.Reader.Next",
 		"internal/oracle/stream.Checker.Feed",
 		"internal/telemetry.Metric.Set",
 		"internal/telemetry.Metric.Add",

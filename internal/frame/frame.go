@@ -242,7 +242,10 @@ func (r *Reader) more() bool {
 }
 
 // Byte reads one byte, or 0 where the input has run out.
+//
+//dvmc:hotpath
 func (r *Reader) Byte() (b byte) {
+	//dvmc:alloc-ok the io.Reader refill and its positioned failure run once per buffer, not per byte
 	if r.start < r.end || r.more() {
 		b = r.buf[r.start]
 		r.start++
@@ -250,30 +253,75 @@ func (r *Reader) Byte() (b byte) {
 	return b
 }
 
+// The two ways a varint can fail to be the one spelling of its value.
+var (
+	errPadded   = errors.New("varint is not in its shortest form")
+	errOverflow = errors.New("varint overflows 64 bits")
+)
+
+// uvarint decodes the varint at the front of p, which holds at most
+// binary.MaxVarintLen64 bytes, and returns its value, the bytes it spans,
+// and why it is not the one spelling of that value (nil when it is). A
+// zero group after the first pads; a tenth byte above 1, or no
+// terminator in ten bytes, overflows.
+func uvarint(p []byte) (v uint64, n int, bad error) {
+	for i, b := range p {
+		if b < 0x80 {
+			switch {
+			case b == 0 && i > 0:
+				return 0, i + 1, errPadded
+			case i == binary.MaxVarintLen64-1 && b > 1:
+				return 0, i + 1, errOverflow
+			}
+			return v | uint64(b)<<(7*i), i + 1, nil
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+	}
+	return 0, len(p), errOverflow
+}
+
 // Uvarint reads one uvarint. Overflowing 64 bits or padding with a zero
 // group is a failure, so a stream that decodes has exactly one spelling.
+// A one-byte varint, and any varint while a longest one's worth of bytes
+// is buffered, is decoded in place; only the last few bytes of a buffer
+// go through Byte and its refill. Both paths consume the same bytes and
+// fail at the same offset, just past the byte that broke the rule.
+//
+//dvmc:hotpath
 func (r *Reader) Uvarint() uint64 {
+	if r.start < r.end && r.buf[r.start] < 0x80 {
+		r.start++
+		return uint64(r.buf[r.start-1])
+	}
 	var v uint64
-	for shift := uint(0); shift < 64; shift += 7 {
-		b := r.Byte()
-		if b < 0x80 {
-			if b == 0 && (shift > 0 || r.err != nil) {
-				// A no-op where Byte already failed.
-				r.fail(errors.New("varint is not in its shortest form"))
-				return 0
-			}
-			if shift == 63 && b > 1 {
+	var bad error
+	if r.end-r.start >= binary.MaxVarintLen64 {
+		var n int
+		v, n, bad = uvarint(r.buf[r.start : r.start+binary.MaxVarintLen64])
+		r.start += n
+	} else {
+		var p [binary.MaxVarintLen64]byte
+		n := 0
+		for n < len(p) {
+			p[n] = r.Byte() // 0 once the input has run out, which ends the varint
+			n++
+			if p[n-1] < 0x80 {
 				break
 			}
-			return v | uint64(b)<<shift
 		}
-		v |= uint64(b&0x7f) << shift
+		v, _, bad = uvarint(p[:n])
 	}
-	r.fail(errors.New("varint overflows 64 bits"))
-	return 0
+	if bad != nil {
+		//dvmc:alloc-ok a rejected varint fails the stream once; legal streams never reach it
+		r.fail(bad) // a no-op where Byte already failed
+		return 0
+	}
+	return v
 }
 
 // Zigzag reads one zigzag-coded signed varint.
+//
+//dvmc:hotpath
 func (r *Reader) Zigzag() int64 {
 	u := r.Uvarint()
 	return int64(u>>1) ^ -int64(u&1)
@@ -282,6 +330,8 @@ func (r *Reader) Zigzag() int64 {
 // Next begins the next record and returns its tag, or io.EOF once the
 // footer has been read and verified. Any other error is a *PosError, and
 // is what every later call returns too.
+//
+//dvmc:hotpath
 func (r *Reader) Next() (byte, error) {
 	if r.sealed {
 		return 0, io.EOF
@@ -292,11 +342,14 @@ func (r *Reader) Next() (byte, error) {
 	} else if tag != 0x00 {
 		return tag, nil
 	}
+	//dvmc:alloc-ok the footer is read once per stream
 	return 0, r.footer()
 }
 
 // End ends the current record: the failure that stuck while it was
 // read, or nil — and then the record counts.
+//
+//dvmc:hotpath
 func (r *Reader) End() error {
 	if r.err != nil {
 		return r.err

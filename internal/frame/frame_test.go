@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -180,9 +182,32 @@ func TestTruncationSweep(t *testing.T) {
 	sweep("span dump", spanDump(t), func(b []byte) error { _, _, err := span.Decode(b); return err })
 }
 
+// readTrace decodes a whole trace from src, as trace.Decode does from a
+// slice.
+func readTrace(src io.Reader) ([]trace.Event, error) {
+	r, err := trace.NewReader(src)
+	if err != nil {
+		return nil, err
+	}
+	var events []trace.Event
+	for {
+		ev, err := r.Next()
+		if err == io.EOF {
+			return events, nil
+		}
+		if err != nil {
+			return events, err
+		}
+		events = append(events, ev)
+	}
+}
+
 // TestOneSpelling pins the rules that make a decoded stream re-encode to
 // the bytes it came from: shortest-form varints, no unknown flags or
-// version, nothing after the footer.
+// version, nothing after the footer. Each stream is read twice: whole, so
+// a varint with ten bytes buffered behind it is decoded in place, and one
+// byte per Read, so every varint goes through the refilling byte loop.
+// Both must fail at the same offset with the same cause.
 func TestOneSpelling(t *testing.T) {
 	good := seal(header(trace.Magic, 4), 0)
 	if _, _, err := trace.Decode(good); err != nil {
@@ -196,6 +221,13 @@ func TestOneSpelling(t *testing.T) {
 	flags[7] = 0x82
 	version := append([]byte(nil), header(trace.Magic, 4)...)
 	version[6] = 2
+	// The same two spellings as a record's seq field (offset 15), with a
+	// whole record and the footer — more than ten bytes — behind them.
+	inRecord := func(seq ...byte) []byte {
+		rec := append([]byte{storeCommit(0, 2)[0], 0, 2}, seq...)
+		rec = append(rec, 8, 1, 0)
+		return seal(append(append(header(trace.Magic, 4), rec...), storeCommit(1, 2)...), 2)
+	}
 	for _, tc := range []struct {
 		name   string
 		data   []byte
@@ -204,6 +236,9 @@ func TestOneSpelling(t *testing.T) {
 	}{
 		{"padded varint", seal(long, 0), 10, "shortest form"},
 		{"overflowing varint", seal(huge, 0), 21, "overflows 64 bits"},
+		{"padded varint in a record", inRecord(0x81, 0x80, 0x00), 18, "shortest form"},
+		{"overflowing varint in a record", inRecord(append(bytes.Repeat([]byte{0xff}, 9), 0x02)...), 25, "overflows 64 bits"},
+		{"unterminated varint in a record", inRecord(bytes.Repeat([]byte{0x80}, 10)...), 25, "overflows 64 bits"},
 		{"unknown flag", seal(flags, 0), 7, "unknown header flags 0x82"},
 		{"unknown version", seal(version, 0), 6, "unsupported version 2"},
 		{"trailing byte", append(append([]byte(nil), good...), 0), int64(len(good)), "trailing bytes"},
@@ -213,6 +248,10 @@ func TestOneSpelling(t *testing.T) {
 		pe := posErr(t, tc.name, err)
 		if pe.Offset != tc.offset || !strings.Contains(pe.Err.Error(), tc.want) {
 			t.Errorf("%s: %v; want offset %d, cause naming %q", tc.name, pe, tc.offset, tc.want)
+		}
+		_, slow := readTrace(iotest.OneByteReader(bytes.NewReader(tc.data)))
+		if posErr(t, tc.name+" byte by byte", slow); slow.Error() != err.Error() {
+			t.Errorf("%s: byte by byte %q, whole %q", tc.name, slow, err)
 		}
 	}
 	// A span dump admits no flag at all, and spans out of (Start, ID) order
@@ -230,6 +269,63 @@ func TestOneSpelling(t *testing.T) {
 	_, _, err := span.Decode(seal(body, 2))
 	if pe := posErr(t, "span order", err); pe.Record != 1 || !strings.Contains(pe.Err.Error(), "canonical order") {
 		t.Errorf("span order: %v, want record 1 refused as out of canonical order", err)
+	}
+}
+
+// TestVarintAcrossRefill puts the longest varint across the reader's
+// 64 KiB refill at each of its nine cut points: the bytes before the cut
+// are too few to decode in place, so the varint is read byte by byte
+// through the refill and must come out whole.
+func TestVarintAcrossRefill(t *testing.T) {
+	const refill = 64 << 10
+	const v = 1<<63 | 0x0123456789abcdef
+	for cut := 1; cut < binary.MaxVarintLen64; cut++ {
+		var buf bytes.Buffer
+		w, err := frame.NewWriter(&buf, "DVMCXX", 1, frame.Header{Nodes: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Tag-only records up to the one whose varint starts cut bytes
+		// before the refill.
+		fill := refill - cut - 1 - buf.Len()
+		for i := 0; i < fill; i++ {
+			if err := w.Record(append(w.Buf(), 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Record(binary.AppendUvarint(append(w.Buf(), 2), v)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, _, err := frame.NewReader(bytes.NewReader(buf.Bytes()), "DVMCXX", 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			tag, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			if tag == 2 {
+				if at := r.Offset(); at != refill-int64(cut) {
+					t.Fatalf("cut %d: varint starts at %d, want %d", cut, at, refill-cut)
+				}
+				if got := r.Uvarint(); got != v {
+					t.Fatalf("cut %d: varint across the refill = %#x, want %#x", cut, got, uint64(v))
+				}
+			}
+			if err := r.End(); err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+		}
+		if r.Count() != uint64(fill)+1 {
+			t.Fatalf("cut %d: %d records, want %d", cut, r.Count(), fill+1)
+		}
 	}
 }
 
@@ -298,8 +394,11 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 // the same bytes go to both codecs built on it. Each either decodes — to
 // no more elements than the input has bytes, and to a value that encodes
 // back to exactly those bytes — or fails with ErrBadMagic or a positioned
-// error. A panic, a hang or an allocation sized by a decoded count is
-// what the fuzzer is looking for.
+// error. The trace is decoded a second time one byte per Read, which
+// takes every varint through the byte loop instead of the in-place
+// decode: the events, or the error, must be the same. A panic, a hang or
+// an allocation sized by a decoded count is what the fuzzer is looking
+// for.
 func FuzzSealedStream(f *testing.F) {
 	f.Add(goldenTrace(f))
 	f.Add(spanDump(f))
@@ -324,7 +423,12 @@ func FuzzSealedStream(f *testing.F) {
 				t.Fatalf("%s: %v points outside the %d-byte input", what, err, len(data))
 			}
 		}
-		if meta, events, err := trace.Decode(data); err != nil {
+		meta, events, err := trace.Decode(data)
+		slow, slowErr := readTrace(iotest.OneByteReader(bytes.NewReader(data)))
+		if fmt.Sprint(err) != fmt.Sprint(slowErr) || err == nil && !reflect.DeepEqual(events, slow) {
+			t.Fatalf("trace: whole %d events (err %v), byte by byte %d events (err %v)", len(events), err, len(slow), slowErr)
+		}
+		if err != nil {
 			closed("trace.Decode", err)
 		} else {
 			if len(events) > len(data) {

@@ -9,6 +9,8 @@
 // probability 1/65535.
 package hash
 
+import "encoding/binary"
+
 // Poly is the CRC-16-CCITT generator polynomial (x^16 + x^12 + x^5 + 1) in
 // reversed (LSB-first) representation.
 const Poly = 0x8408
@@ -17,8 +19,12 @@ const Poly = 0x8408
 // Inform-Epoch messages.
 type Signature uint16
 
-// table is the 256-entry lookup table for byte-at-a-time CRC computation.
-var table [256]uint16
+// tables drive the slicing-by-8 kernel: tables[0][b] is the register after
+// shifting byte b through the polynomial bit by bit, and tables[k][b] the
+// register after that byte is followed by k zero bytes. The CRC of eight
+// bytes is then the XOR of eight lookups, one per byte, each in the table
+// for the number of bytes that follow it.
+var tables [8][256]uint16
 
 func init() {
 	for i := 0; i < 256; i++ {
@@ -30,17 +36,45 @@ func init() {
 				crc >>= 1
 			}
 		}
-		table[i] = crc
+		tables[0][i] = crc
 	}
+	for i := 0; i < 256; i++ {
+		crc := tables[0][i]
+		for k := 1; k < 8; k++ {
+			crc = tables[0][byte(crc)] ^ crc>>8
+			tables[k][i] = crc
+		}
+	}
+}
+
+// update8 absorbs one 8-byte word, taken in little-endian byte order.
+//
+//dvmc:hotpath
+func update8(crc uint16, w uint64) uint16 {
+	x := w ^ uint64(crc)
+	return tables[7][byte(x)] ^ tables[6][byte(x>>8)] ^
+		tables[5][byte(x>>16)] ^ tables[4][byte(x>>24)] ^
+		tables[3][byte(x>>32)] ^ tables[2][byte(x>>40)] ^
+		tables[1][byte(x>>48)] ^ tables[0][byte(x>>56)]
+}
+
+// update is the one CRC kernel: eight bytes per step, then the tail byte
+// by byte.
+//
+//dvmc:hotpath
+func update(crc uint16, p []byte) uint16 {
+	for ; len(p) >= 8; p = p[8:] {
+		crc = update8(crc, binary.LittleEndian.Uint64(p))
+	}
+	for _, b := range p {
+		crc = tables[0][byte(crc)^b] ^ crc>>8
+	}
+	return crc
 }
 
 // Sum returns the CRC-16 signature of data.
 func Sum(data []byte) Signature {
-	var crc uint16 = 0xffff
-	for _, b := range data {
-		crc = (crc >> 8) ^ table[byte(crc)^b]
-	}
-	return Signature(^crc)
+	return Signature(^update(0xffff, data))
 }
 
 // SumWords returns the CRC-16 signature of a block expressed as 64-bit
@@ -50,9 +84,7 @@ func Sum(data []byte) Signature {
 func SumWords(words []uint64) Signature {
 	var crc uint16 = 0xffff
 	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			crc = (crc >> 8) ^ table[byte(crc)^byte(w>>(8*i))]
-		}
+		crc = update8(crc, w)
 	}
 	return Signature(^crc)
 }

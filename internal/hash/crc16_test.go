@@ -1,6 +1,7 @@
 package hash
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -60,6 +61,65 @@ func TestSumDetectsDoubleBitFlips(t *testing.T) {
 			}
 			block[b/8] ^= 1 << (b % 8)
 			block[a/8] ^= 1 << (a % 8)
+		}
+	}
+}
+
+// reference is the CRC by its definition: every bit shifted through Poly
+// one at a time, no table — the loop init derives the kernel's tables from.
+func reference(data []byte) Signature {
+	var crc uint16 = 0xffff
+	for _, b := range data {
+		crc ^= uint16(b)
+		for j := 0; j < 8; j++ {
+			if crc&1 != 0 {
+				crc = (crc >> 1) ^ Poly
+			} else {
+				crc >>= 1
+			}
+		}
+	}
+	return Signature(^crc)
+}
+
+// TestSumMatchesDefinition pins the slicing-by-8 kernel to the bitwise
+// definition at every length 0..80 from every start offset 0..7, so each
+// tail length and each alignment of the 8-byte step is covered, through
+// Sum and through a Digest fed the same bytes in one Write.
+func TestSumMatchesDefinition(t *testing.T) {
+	buf := make([]byte, 8+80)
+	for i := range buf {
+		buf[i] = byte(i*151 + 29)
+	}
+	for off := 0; off < 8; off++ {
+		for n := 0; n <= 80; n++ {
+			data := buf[off : off+n]
+			want := reference(data)
+			if got := Sum(data); got != want {
+				t.Fatalf("Sum(offset %d, len %d) = %#04x, want %#04x", off, n, got, want)
+			}
+			d := NewDigest()
+			d.Write(data)
+			if got := d.Sum16(); got != want {
+				t.Fatalf("Digest(offset %d, len %d) = %#04x, want %#04x", off, n, got, want)
+			}
+		}
+	}
+}
+
+// TestSumWordsMatchesDefinition does the same for 0..9 words.
+func TestSumWordsMatchesDefinition(t *testing.T) {
+	words := make([]uint64, 9)
+	for i := range words {
+		words[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+	}
+	for n := 0; n <= len(words); n++ {
+		var bytes []byte
+		for _, w := range words[:n] {
+			bytes = binary.LittleEndian.AppendUint64(bytes, w)
+		}
+		if got, want := SumWords(words[:n]), reference(bytes); got != want {
+			t.Fatalf("SumWords(%d words) = %#04x, want %#04x", n, got, want)
 		}
 	}
 }

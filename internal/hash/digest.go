@@ -20,11 +20,7 @@ func NewDigest() *Digest {
 // Write absorbs p into the digest. It never fails; the error return exists
 // to satisfy io.Writer so the codec can tee into it.
 func (d *Digest) Write(p []byte) (int, error) {
-	crc := d.crc
-	for _, b := range p {
-		crc = (crc >> 8) ^ table[byte(crc)^b]
-	}
-	d.crc = crc
+	d.crc = update(d.crc, p)
 	return len(p), nil
 }
 

@@ -203,7 +203,7 @@ func (c *Checker) recover() {
 		ns := &c.nodes[i]
 		for j := range ns.committed {
 			if rec := &ns.committed[j]; rec.hasVal {
-				c.recovered[wkey{addr: rec.addr, val: rec.val}] = struct{}{}
+				c.recovered.add(wkey{addr: rec.addr, val: rec.val})
 			}
 		}
 		c.frontierAdd(-len(ns.committed))

@@ -32,8 +32,8 @@ type Checker struct {
 	nodes []nodeState
 
 	// The value rule's state (value.go).
-	writers   map[wkey]struct{}  // performed-store history; answers pending
-	recovered map[wkey]struct{}  // recovery folds; legitimize later loads only
+	writers   wset               // performed-store history; answers pending
+	recovered wset               // recovery folds; legitimize later loads only
 	pending   map[wkey][]finding // deferred R3 queries
 
 	found       []finding // in the order found, which is stream order
@@ -50,11 +50,9 @@ func New(meta trace.Meta, _ Options) *Checker {
 		n = 1
 	}
 	return &Checker{
-		meta:      meta,
-		nodes:     make([]nodeState, n),
-		writers:   make(map[wkey]struct{}),
-		recovered: make(map[wkey]struct{}),
-		pending:   make(map[wkey][]finding),
+		meta:    meta,
+		nodes:   make([]nodeState, n),
+		pending: make(map[wkey][]finding),
 	}
 }
 

@@ -376,9 +376,60 @@ func TestSeqSet(t *testing.T) {
 	}
 }
 
+// TestWSet runs the flat write-history set against a map model over random
+// add / has operations: the zero key, keys one address apart, values that
+// differ only above bit 40 (they agree in every low bit a small table
+// would index by), and enough distinct keys for many doublings.
+func TestWSet(t *testing.T) {
+	g := &rng{s: 7}
+	var s wset
+	model := map[wkey]struct{}{}
+	key := func() wkey {
+		switch g.n(4) {
+		case 0:
+			return wkey{}
+		case 1: // one address, values alike in their low 40 bits
+			return wkey{addr: 0x40, val: mem.Word(g.n(64)) << 40}
+		case 2: // a small space, so adds and hits repeat
+			return wkey{addr: mem.Addr(g.n(8)), val: mem.Word(g.n(8))}
+		default: // a growing space: the table keeps doubling
+			return wkey{addr: mem.Addr(g.n(4096) * 8), val: mem.Word(g.n(4))}
+		}
+	}
+	doublings, size := 0, 0
+	for i := 0; i < 120_000; i++ {
+		k := key()
+		_, in := model[k]
+		if g.n(2) == 0 {
+			if added := s.add(k); added == in {
+				t.Fatalf("op %d: add(%v) = %v, model held it: %v", i, k, added, in)
+			}
+			model[k] = struct{}{}
+		} else if got := s.has(k); got != in {
+			t.Fatalf("op %d: has(%v) = %v, model %v", i, k, got, in)
+		}
+		if len(s.slots) != size {
+			doublings, size = doublings+1, len(s.slots)
+		}
+		if 2*s.n > len(s.slots) {
+			t.Fatalf("op %d: %d keys in %d slots, more than half full", i, s.n, len(s.slots))
+		}
+	}
+	want := len(model)
+	if s.zero {
+		want-- // held in the flag, not a slot
+	}
+	if s.n != want {
+		t.Fatalf("set holds %d keys in slots, model %d (zero key %v)", s.n, len(model), s.zero)
+	}
+	if doublings < 5 {
+		t.Fatalf("table sized %d times, want several doublings", doublings)
+	}
+}
+
 // TestStreamFeedSteadyStateAllocFree pins the //dvmc:hotpath claim:
 // once the nodes' frontier slices, windows, interval sets, and the
-// writer map reach their working set, the per-event step allocates nothing.
+// writer set reach their working set, the per-event step allocates nothing.
 func TestStreamFeedSteadyStateAllocFree(t *testing.T) {
 	meta, events := synth(synthCfg{nodes: 4, events: 200_000, seed: 10, fifo: true})
 	c := New(meta, Options{})

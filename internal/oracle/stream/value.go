@@ -44,12 +44,9 @@ func (c *Checker) performValue(idx uint64, ev *trace.Event) {
 //
 //dvmc:hotpath
 func (c *Checker) addWriter(k wkey) {
-	if _, ok := c.writers[k]; ok {
-		return
+	if c.writers.add(k) && len(c.pending) > 0 {
+		delete(c.pending, k)
 	}
-	//dvmc:alloc-ok write-history set is bounded by distinct (addr, value) pairs, not trace length
-	c.writers[k] = struct{}{}
-	delete(c.pending, k)
 }
 
 // checkValue is R3 with membership deferred. The reference's writer sets
@@ -63,13 +60,7 @@ func (c *Checker) addWriter(k wkey) {
 func (c *Checker) checkValue(idx uint64, ev *trace.Event, v mem.Word) {
 	c.stats.ValueChecks++
 	k := wkey{addr: ev.Addr, val: v}
-	if _, ok := c.writers[k]; ok {
-		return
-	}
-	if _, ok := c.recovered[k]; ok {
-		return
-	}
-	if v == 0 {
+	if c.writers.has(k) || c.recovered.has(k) || v == 0 {
 		return
 	}
 	what := "load"

@@ -160,6 +160,8 @@ func (r *Reader) Offset() int64 { return r.f.Offset() }
 // and verified. Any other error is positioned (*PosError). An event the
 // oracles could not take — a node the header does not declare, a model
 // with no ordering table — is a decode failure, not an event.
+//
+//dvmc:hotpath
 func (r *Reader) Next() (Event, error) {
 	f := r.f
 	tag, err := f.Next()
@@ -175,6 +177,7 @@ func (r *Reader) Next() (Event, error) {
 	}
 	switch {
 	case tag&^tagUsedBits != 0 || ev.Kind == 0 || ev.Class == 0 && ev.Kind != EvRecover:
+		//dvmc:alloc-ok rejecting a corrupt record is a cold error path
 		f.Failf("invalid tag %#02x (corrupt byte or mid-stream damage)", tag)
 	case ev.Kind == EvRecover:
 		// node only
@@ -192,9 +195,11 @@ func (r *Reader) Next() (Event, error) {
 	r.lastTime += f.Zigzag()
 	ev.Time = sim.Cycle(r.lastTime)
 	if int(ev.Node) >= r.meta.Nodes {
+		//dvmc:alloc-ok rejecting a corrupt record is a cold error path
 		f.Failf("event for node %d but the header declares %d nodes", ev.Node, r.meta.Nodes)
 	}
 	if ev.Kind != EvRecover && (ev.Model < consistency.SC || ev.Model > consistency.RMO) {
+		//dvmc:alloc-ok rejecting a corrupt record is a cold error path
 		f.Failf("model byte %d is none of SC, TSO, PSO, RMO", uint8(ev.Model))
 	}
 	if err := f.End(); err != nil {
