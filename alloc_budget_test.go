@@ -3,6 +3,8 @@ package dvmc
 import (
 	"runtime"
 	"testing"
+
+	"dvmc/internal/oracle/stream"
 )
 
 // TestSteadyStateAllocBudget pins heap objects per simulated cycle on the
@@ -45,6 +47,44 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 			}
 			if s.Violations() != nil {
 				t.Errorf("fault-free run reported %v", s.Violations())
+			}
+		})
+	}
+}
+
+// TestConstructionAllocBudget pins the bytes one NewSystem allocates. A
+// system allocates what its run touches (DESIGN.md, "Object lifetimes"):
+// an L2 set chunk at its first fill, a telemetry ring at its first
+// sample. Before that rule the fuzz shape cost 1.20 MB and the 8-node
+// shape 2.34 MB, nearly all of it L2 lines and rings no run had touched.
+func TestConstructionAllocBudget(t *testing.T) {
+	fuzzShape := smallConfig().WithProtocol(Snooping).WithModel(TSO).WithTrace(TraceOn())
+	fuzzShape.SafetyNet = true
+	fuzzShape.Trace.Sink = stream.New(fuzzShape.TraceMeta(), stream.Options{})
+	fuzzShape.Trace.SinkOnly = true
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		w      Workload
+		budget uint64
+	}{
+		{"fuzz shape: 4-node snooping/TSO/SafetyNet, sink-only trace", fuzzShape, smallWorkload(), 128 << 10},
+		{"8-node ScaledConfig/OLTP", ScaledConfig(), OLTP(), 256 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const builds = 8
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < builds; i++ {
+				if _, err := NewSystem(tc.cfg, tc.w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perSystem := (after.TotalAlloc - before.TotalAlloc) / builds
+			t.Logf("%d bytes and %d heap objects per NewSystem", perSystem, (after.Mallocs-before.Mallocs)/builds)
+			if perSystem > tc.budget {
+				t.Errorf("NewSystem allocates %d bytes, budget %d", perSystem, tc.budget)
 			}
 		})
 	}

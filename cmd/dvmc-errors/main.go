@@ -15,16 +15,20 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dvmc"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its process edges passed in; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dvmc-errors", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
+	fs.SetOutput(stderr)
 	var (
-		n            = fs.Int("n", 20, "number of faults to inject")
+		n            = fs.Int("n", 20, "number of faults to inject (at least 1)")
 		workloadName = fs.String("workload", "oltp", "workload under test")
 		modelName    = fs.String("model", "TSO", "consistency model: SC|TSO|PSO|RMO")
 		protoName    = fs.String("protocol", "directory", "coherence protocol")
@@ -33,18 +37,25 @@ func main() {
 		each         = fs.Bool("each", false, "print every injection result")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dvmc-errors [flags]\n\n")
+		fmt.Fprintf(stderr, "usage: dvmc-errors [flags]\n\n")
 		fs.PrintDefaults()
-		fmt.Fprintf(os.Stderr, `
+		fmt.Fprintf(stderr, `
 exit codes: 0 every applied fault detected or masked, 1 usage or setup
 error, 2 undetected faults or unrecoverable detections.
 `)
 	}
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0) // help was requested and printed
+			return 0 // help was requested and printed
 		}
-		os.Exit(1) // usage error (ContinueOnError already printed it)
+		return 1 // usage error (ContinueOnError already printed it)
+	}
+	failf := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "dvmc-errors: "+format+"\n", args...)
+		return 1
+	}
+	if *n < 1 {
+		return failf("-n %d: need at least one fault", *n)
 	}
 
 	cfg := dvmc.ScaledConfig().WithSeed(*seed)
@@ -54,42 +65,38 @@ error, 2 undetected faults or unrecoverable detections.
 	cfg.Proc.MembarInjectionInterval = 5000
 	model, err := dvmc.ParseModel(*modelName)
 	if err != nil {
-		fatalf("%v", err)
+		return failf("%v", err)
 	}
 	proto, err := dvmc.ParseProtocol(*protoName)
 	if err != nil {
-		fatalf("%v", err)
+		return failf("%v", err)
 	}
 	cfg = cfg.WithModel(model).WithProtocol(proto)
 
 	w, err := dvmc.WorkloadByName(*workloadName)
 	if err != nil {
-		fatalf("%v", err)
+		return failf("%v", err)
 	}
 
-	fmt.Printf("dvmc-errors: %d faults into %s on %v/%v (recovery window %d cycles)\n",
+	fmt.Fprintf(stdout, "dvmc-errors: %d faults into %s on %v/%v (recovery window %d cycles)\n",
 		*n, w.Name, cfg.Protocol, cfg.Model, cfg.SNConfig.Window())
 
 	camp, err := dvmc.RunCampaign(cfg, w, *n, *budget)
 	if err != nil {
-		fatalf("campaign: %v", err)
+		return failf("campaign: %v", err)
 	}
 	if *each {
 		for _, r := range camp.Results {
-			fmt.Printf("  %v\n", r)
+			fmt.Fprintf(stdout, "  %v\n", r)
 		}
 	}
 	applied, detected, masked, undetected := camp.Counts()
-	fmt.Printf("\napplied:    %d\ndetected:   %d\nmasked:     %d (no architectural effect)\nundetected: %d (false negatives)\n",
+	fmt.Fprintf(stdout, "\napplied:    %d\ndetected:   %d\nmasked:     %d (no architectural effect)\nundetected: %d (false negatives)\n",
 		applied, detected, masked, undetected)
-	fmt.Printf("max detection latency: %d cycles\nall recoverable: %v\n",
+	fmt.Fprintf(stdout, "max detection latency: %d cycles\nall recoverable: %v\n",
 		camp.MaxLatency(), camp.AllRecoverable())
 	if undetected > 0 || !camp.AllRecoverable() {
-		os.Exit(2)
+		return 2
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "dvmc-errors: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

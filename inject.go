@@ -439,5 +439,8 @@ func RunCampaignSlice(cfg Config, w Workload, injs []Injection, budget uint64, f
 // RunCampaign injects n random faults (random kind, node, and time, per
 // the paper's methodology) into fresh systems and aggregates detection.
 func RunCampaign(cfg Config, w Workload, n int, budget uint64) (CampaignResult, error) {
+	if n < 0 {
+		return CampaignResult{}, fmt.Errorf("dvmc: RunCampaign: n = %d, need >= 0", n)
+	}
 	return RunCampaignSlice(cfg, w, DeriveCampaignInjections(cfg, n), budget, 0, n)
 }

@@ -233,6 +233,10 @@ func TestRunInjectionRejectsBadInput(t *testing.T) {
 	if err != nil || !res.Applied {
 		t.Errorf("node 5 of 4: applied = %v, err = %v", res.Applied, err)
 	}
+	// A negative campaign size used to panic sizing the injection list.
+	if _, err := RunCampaign(injCfg(), OLTP(), -1, 1000); err == nil {
+		t.Error("RunCampaign(n = -1) returned no error")
+	}
 }
 
 func TestInjectionResultString(t *testing.T) {

@@ -1,0 +1,317 @@
+package coherence
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"dvmc/internal/mem"
+	"dvmc/internal/network"
+	"dvmc/internal/sim"
+)
+
+// flatArray is the L2 array as it was before set chunks: every line
+// allocated up front, row-major by set. It survives only as the
+// reference the chunked cacheArray is checked against.
+type flatArray struct {
+	sets, ways int
+	lines      []line
+	tick       uint64
+	ecc        *mem.ECC
+}
+
+func newFlatArray(sets, ways int, withECC bool) *flatArray {
+	a := &flatArray{sets: sets, ways: ways, lines: make([]line, sets*ways)}
+	if withECC {
+		a.ecc = mem.NewECC()
+	}
+	return a
+}
+
+func (a *flatArray) setOf(b mem.BlockAddr) []line {
+	s := int(uint64(b) % uint64(a.sets))
+	return a.lines[s*a.ways : (s+1)*a.ways]
+}
+
+func (a *flatArray) lookup(b mem.BlockAddr) *line {
+	set := a.setOf(b)
+	for i := range set {
+		if set[i].valid && set[i].block == b {
+			a.tick++
+			set[i].lru = a.tick
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (a *flatArray) peek(b mem.BlockAddr) *line {
+	set := a.setOf(b)
+	for i := range set {
+		if set[i].valid && set[i].block == b {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (a *flatArray) install(l *line, b mem.BlockAddr, s State, data mem.Block, dataValid bool) {
+	a.tick++
+	*l = line{valid: true, block: b, state: s, data: data, dataValid: dataValid, lru: a.tick}
+	if a.ecc != nil && dataValid {
+		a.ecc.Protect(uint64(b), &l.data)
+	}
+}
+
+func (a *flatArray) writeWord(l *line, addr mem.Addr, w mem.Word) {
+	l.data[addr.WordIndex()] = w
+	if a.ecc != nil {
+		a.ecc.Protect(uint64(l.block), &l.data)
+	}
+}
+
+func (a *flatArray) readWord(l *line, addr mem.Addr) mem.Word {
+	if a.ecc != nil {
+		a.ecc.Check(uint64(l.block), &l.data)
+	}
+	return l.data[addr.WordIndex()]
+}
+
+func (a *flatArray) invalidate(l *line) {
+	if a.ecc != nil {
+		a.ecc.Unprotect(uint64(l.block))
+	}
+	l.valid = false
+	l.state = Invalid
+}
+
+func (a *flatArray) occupancy() int {
+	n := 0
+	for i := range a.lines {
+		if a.lines[i].valid {
+			n++
+		}
+	}
+	return n
+}
+
+// allocate is ctrlCore.allocate over the flat array, with the eviction
+// modelEvict performs.
+func (a *flatArray) allocate(b mem.BlockAddr, busy map[mem.BlockAddr]*mshr) *line {
+	set := a.setOf(b)
+	var vic *line
+	for i := range set {
+		l := &set[i]
+		if !l.valid {
+			return l
+		}
+		if _, isBusy := busy[l.block]; isBusy {
+			continue
+		}
+		if vic == nil || l.lru < vic.lru {
+			vic = l
+		}
+	}
+	if vic == nil {
+		return nil
+	}
+	a.invalidate(vic)
+	return vic
+}
+
+// dirty is ctrlCore.ForEachDirty's line walk over the flat array.
+func (a *flatArray) dirty() []dirtyLine {
+	var out []dirtyLine
+	for i := range a.lines {
+		l := &a.lines[i]
+		if l.valid && l.dataValid && (l.state == Modified || l.state == Owned) {
+			out = append(out, dirtyLine{l.block, l.data})
+		}
+	}
+	return out
+}
+
+// resident is ctrlCore.ResidentBlocks over the flat array.
+func (a *flatArray) resident(max int) []mem.BlockAddr {
+	var valid []line
+	for _, l := range a.lines {
+		if l.valid && l.dataValid {
+			valid = append(valid, l)
+		}
+	}
+	sort.Slice(valid, func(i, j int) bool { return valid[i].lru > valid[j].lru })
+	out := []mem.BlockAddr{}
+	for i := 0; i < len(valid) && i < max; i++ {
+		out = append(out, valid[i].block)
+	}
+	return out
+}
+
+type dirtyLine struct {
+	b    mem.BlockAddr
+	data mem.Block
+}
+
+// modelEvict is a protocol whose eviction drops the victim, as both
+// real protocols end theirs.
+type modelEvict struct{ c *ctrlCore }
+
+func (p modelEvict) sendRequest(*mshr)        {}
+func (p modelEvict) evict(l *line)            { p.c.l2.invalidate(l) }
+func (p modelEvict) deliver(*network.Message) {}
+
+// wayOf is l's index in set, -1 for nil.
+func wayOf(t *testing.T, set []line, l *line) int {
+	if l == nil {
+		return -1
+	}
+	for i := range set {
+		if &set[i] == l {
+			return i
+		}
+	}
+	t.Fatalf("line %p is not in its block's set", l)
+	return -1
+}
+
+// TestChunkedArrayMatchesFlat drives the chunked L2 array, through the
+// real ctrlCore.allocate, and the flat reference with the same random
+// fills, lookups, peeks, word reads and writes, invalidations and busy
+// (MSHR-held) blocks. Victims, LRU state, occupancy, the order of valid
+// lines, the ForEachDirty sequence and ResidentBlocks must all agree,
+// including on geometries whose set count is not a multiple of the chunk;
+// and only a fill may allocate a chunk.
+func TestChunkedArrayMatchesFlat(t *testing.T) {
+	for _, g := range []struct {
+		sets, ways int
+		ecc        bool
+	}{
+		{1, 4, false}, {3, 2, true}, {65, 4, false}, {65, 16, true}, {512, 4, false}, {4096, 4, true},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", g.sets, g.ways), func(t *testing.T) {
+			flat := newFlatArray(g.sets, g.ways, g.ecc)
+			c := &ctrlCore{l2: newCacheArray(g.sets, g.ways, g.ecc), mshrs: make(map[mem.BlockAddr]*mshr)}
+			c.proto = modelEvict{c}
+			filled := make(map[int]bool) // chunks a fill has landed in
+			rng := sim.NewRand(uint64(g.sets)<<8 | uint64(g.ways))
+			span := 2 * g.sets * g.ways
+
+			compare := func(op int) {
+				t.Helper()
+				if got, want := c.l2.occupancy(), flat.occupancy(); got != want {
+					t.Fatalf("op %d: occupancy %d, flat %d", op, got, want)
+				}
+				if c.l2.tick != flat.tick {
+					t.Fatalf("op %d: LRU tick %d, flat %d", op, c.l2.tick, flat.tick)
+				}
+				var got, want []line
+				for _, chunk := range c.l2.chunks {
+					for _, l := range chunk {
+						if l.valid {
+							got = append(got, l)
+						}
+					}
+				}
+				for _, l := range flat.lines {
+					if l.valid {
+						want = append(want, l)
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("op %d: valid lines differ from the flat array's, in content or order", op)
+				}
+				var dirty []dirtyLine
+				c.ForEachDirty(func(b mem.BlockAddr, data mem.Block) { dirty = append(dirty, dirtyLine{b, data}) })
+				if !reflect.DeepEqual(dirty, flat.dirty()) {
+					t.Fatalf("op %d: ForEachDirty sequence differs from the flat array's", op)
+				}
+				if got, want := c.ResidentBlocks(8), flat.resident(8); !reflect.DeepEqual(got, want) {
+					t.Fatalf("op %d: ResidentBlocks %v, flat %v", op, got, want)
+				}
+				for k, chunk := range c.l2.chunks {
+					if (chunk != nil) != filled[k] {
+						t.Fatalf("op %d: chunk %d allocated=%v, filled=%v", op, k, chunk != nil, filled[k])
+					}
+				}
+			}
+
+			const ops = 100_000
+			for op := 0; op < ops; op++ {
+				b := mem.BlockAddr(rng.Intn(span))
+				addr := mem.Addr(uint64(b)*mem.BlockBytes + uint64(rng.Intn(mem.WordsPerBlock))*mem.WordBytes)
+				switch k := rng.Intn(10); {
+				case k < 3: // fill: a miss's data arrives
+					if (c.l2.peek(b) == nil) != (flat.peek(b) == nil) {
+						t.Fatalf("op %d: residency of %#x differs", op, b)
+					}
+					if flat.peek(b) != nil {
+						continue // only a non-resident block is filled
+					}
+					want := flat.allocate(b, c.mshrs)
+					got := c.allocate(b)
+					filled[int(uint64(b)%uint64(g.sets))/chunkSets] = true
+					if gw, ww := wayOf(t, c.l2.setOf(b), got), wayOf(t, flat.setOf(b), want); gw != ww {
+						t.Fatalf("op %d: fill of %#x picked way %d, flat way %d", op, b, gw, ww)
+					}
+					if want == nil {
+						continue
+					}
+					st := []State{Shared, Owned, Modified}[rng.Intn(3)]
+					var data mem.Block
+					for i := range data {
+						data[i] = mem.Word(rng.Uint64())
+					}
+					dataValid := rng.Intn(5) > 0
+					c.l2.install(got, b, st, data, dataValid)
+					flat.install(want, b, st, data, dataValid)
+				case k < 5:
+					got, want := c.l2.lookup(b), flat.lookup(b)
+					if (got == nil) != (want == nil) || got != nil && *got != *want {
+						t.Fatalf("op %d: lookup(%#x) differs", op, b)
+					}
+				case k < 6:
+					got, want := c.l2.peek(b), flat.peek(b)
+					if (got == nil) != (want == nil) || got != nil && *got != *want {
+						t.Fatalf("op %d: peek(%#x) differs", op, b)
+					}
+				case k < 7:
+					if got, want := c.l2.peek(b), flat.peek(b); got != nil && want != nil {
+						w := mem.Word(rng.Uint64())
+						c.l2.writeWord(got, addr, w)
+						flat.writeWord(want, addr, w)
+					}
+				case k < 8:
+					if got, want := c.l2.peek(b), flat.peek(b); got != nil && want != nil {
+						if c.l2.readWord(got, addr) != flat.readWord(want, addr) {
+							t.Fatalf("op %d: readWord(%#x) differs", op, addr)
+						}
+					}
+				case k < 9:
+					if got, want := c.l2.peek(b), flat.peek(b); got != nil && want != nil {
+						c.l2.invalidate(got)
+						flat.invalidate(want)
+					}
+				default: // an MSHR takes or releases the block
+					if _, isBusy := c.mshrs[b]; isBusy {
+						delete(c.mshrs, b)
+					} else if len(c.mshrs) < g.ways {
+						c.mshrs[b] = &mshr{block: b}
+					}
+				}
+				if op%2500 == 0 {
+					compare(op)
+				}
+			}
+			compare(ops)
+
+			c.Reset()
+			for i := range flat.lines {
+				if flat.lines[i].valid {
+					flat.invalidate(&flat.lines[i])
+				}
+			}
+			compare(ops + 1)
+		})
+	}
+}

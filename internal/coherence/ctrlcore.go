@@ -492,7 +492,7 @@ func (c *ctrlCore) wbDone(b mem.BlockAddr) {
 // active MSHR are transient and not eviction candidates; nil means every
 // way in the set is busy and the caller retries.
 func (c *ctrlCore) allocate(b mem.BlockAddr) *line {
-	set := c.l2.setOf(b)
+	set := c.l2.fillSet(b)
 	var vic *line
 	for i := range set {
 		l := &set[i]
@@ -607,10 +607,12 @@ func (c *ctrlCore) resident(max int, keep func(*line) bool) []mem.BlockAddr {
 		lru uint64
 	}
 	var cands []cand
-	for i := range c.l2.lines {
-		l := &c.l2.lines[i]
-		if l.valid && l.dataValid && keep(l) {
-			cands = append(cands, cand{l.block, l.lru})
+	for _, chunk := range c.l2.chunks {
+		for i := range chunk {
+			l := &chunk[i]
+			if l.valid && l.dataValid && keep(l) {
+				cands = append(cands, cand{l.block, l.lru})
+			}
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].lru > cands[j].lru })
@@ -637,10 +639,12 @@ func (c *ctrlCore) ResidentReadOnlyBlocks(max int) []mem.BlockAddr {
 // ForEachDirty implements Controller: dirty lines in array order, then
 // dirty writeback entries in ascending block order (deterministic).
 func (c *ctrlCore) ForEachDirty(fn func(b mem.BlockAddr, data mem.Block)) {
-	for i := range c.l2.lines {
-		l := &c.l2.lines[i]
-		if l.valid && l.dataValid && (l.state == Modified || l.state == Owned) {
-			fn(l.block, l.data)
+	for _, chunk := range c.l2.chunks {
+		for i := range chunk {
+			l := &chunk[i]
+			if l.valid && l.dataValid && (l.state == Modified || l.state == Owned) {
+				fn(l.block, l.data)
+			}
 		}
 	}
 	if len(c.wb) == 0 {
@@ -669,9 +673,11 @@ func (c *ctrlCore) ECCCorrected() uint64 {
 // Reset implements Controller.
 func (c *ctrlCore) Reset() {
 	c.stateFaultArmed = false // recovery wipes the cache; fired persists
-	for i := range c.l2.lines {
-		if c.l2.lines[i].valid {
-			c.l2.invalidate(&c.l2.lines[i])
+	for _, chunk := range c.l2.chunks {
+		for i := range chunk {
+			if chunk[i].valid {
+				c.l2.invalidate(&chunk[i])
+			}
 		}
 	}
 	c.l1 = newTagFilter(c.cfg.L1Sets, c.cfg.L1Ways)

@@ -190,8 +190,9 @@ func (r *Registry) Collect() {
 	}
 }
 
-// Track allocates a time-series ring per slot of m; each Sample call
-// appends the slot's current value. Returns m for chaining.
+// Track gives each slot of m a time-series ring, allocated at its first
+// sample; each Sample call appends the slot's current value. Returns m
+// for chaining.
 func (r *Registry) Track(m *Metric) *Metric {
 	r.tracked = append(r.tracked, m)
 	for i := 0; i < m.Len(); i++ {

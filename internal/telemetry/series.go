@@ -6,31 +6,34 @@ import (
 
 // Series is one fixed-capacity time-series ring: (cycle, value) pairs
 // for one slot of one tracked metric. Once full, the oldest sample is
-// overwritten (flight-recorder semantics). All storage is allocated at
-// Track time; push is allocation-free.
+// overwritten (flight-recorder semantics). The ring is allocated at the
+// first sample, so a system whose sampler never runs holds none; push is
+// allocation-free after that.
 type Series struct {
-	metric *Metric
-	slot   int
+	metric   *Metric
+	slot     int
+	capacity int
 
-	cycles []uint64
+	cycles []uint64 // nil until the first push
 	vals   []int64
 	head   int // index of the oldest sample
 	count  int
 }
 
 func newSeries(m *Metric, slot, capacity int) *Series {
-	return &Series{
-		metric: m,
-		slot:   slot,
-		cycles: make([]uint64, capacity),
-		vals:   make([]int64, capacity),
-	}
+	return &Series{metric: m, slot: slot, capacity: capacity}
 }
 
 // push appends a sample, evicting the oldest when full.
+//
+//dvmc:hotpath
 func (s *Series) push(cycle uint64, v int64) {
-	if s.count < len(s.vals) {
-		i := (s.head + s.count) % len(s.vals)
+	if s.vals == nil {
+		//dvmc:alloc-ok first sample
+		s.cycles, s.vals = make([]uint64, s.capacity), make([]int64, s.capacity)
+	}
+	if s.count < s.capacity {
+		i := (s.head + s.count) % s.capacity
 		s.cycles[i] = cycle
 		s.vals[i] = v
 		s.count++
@@ -38,7 +41,7 @@ func (s *Series) push(cycle uint64, v int64) {
 	}
 	s.cycles[s.head] = cycle
 	s.vals[s.head] = v
-	s.head = (s.head + 1) % len(s.vals)
+	s.head = (s.head + 1) % s.capacity
 }
 
 // Metric returns the tracked metric.
@@ -55,11 +58,11 @@ func (s *Series) LabelValue() string { return s.metric.LabelValue(s.slot) }
 func (s *Series) Len() int { return s.count }
 
 // Cap returns the ring capacity.
-func (s *Series) Cap() int { return len(s.vals) }
+func (s *Series) Cap() int { return s.capacity }
 
 // At returns sample i in oldest-first order.
 func (s *Series) At(i int) (cycle uint64, v int64) {
-	j := (s.head + i) % len(s.vals)
+	j := (s.head + i) % s.capacity
 	return s.cycles[j], s.vals[j]
 }
 

@@ -3,10 +3,14 @@ package dvmc
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"dvmc/internal/core"
+	"dvmc/internal/telemetry"
 )
 
 // telemetryDump runs one instrumented simulation and returns every
@@ -157,6 +161,52 @@ func TestTelemetrySnapshotShape(t *testing.T) {
 		if c1-c0 != 128 {
 			t.Errorf("sampling stride = %d cycles, want 128", c1-c0)
 		}
+	}
+}
+
+// TestTelemetryOffBuildsNoRing: with telemetry off the sampler never
+// runs, so no series ring is ever allocated. Every series still reports
+// its configured capacity and no samples, and the snapshot encodes to the
+// bytes the eagerly allocated rings gave (testdata/golden_telemetry_off.json
+// was written by the commit before rings became lazy).
+func TestTelemetryOffBuildsNoRing(t *testing.T) {
+	sys, err := NewSystem(smallConfig(), smallWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(20, 2_000_000); err != nil {
+		t.Fatal(err)
+	}
+	sys.DrainCheckers()
+	series := sys.Telemetry().Series()
+	if len(series) == 0 {
+		t.Fatal("no tracked series")
+	}
+	for _, s := range series {
+		if s.Len() != 0 || s.Cap() != telemetry.DefaultSeriesCap {
+			t.Errorf("%s[%s]: len/cap %d/%d, want 0/%d", s.Metric().Name(), s.LabelValue(), s.Len(), s.Cap(), telemetry.DefaultSeriesCap)
+		}
+		if ring := reflect.ValueOf(s).Elem(); !ring.FieldByName("cycles").IsNil() || !ring.FieldByName("vals").IsNil() {
+			t.Errorf("%s[%s]: ring allocated with telemetry off", s.Metric().Name(), s.LabelValue())
+		}
+	}
+	var got bytes.Buffer
+	if err := sys.TelemetrySnapshot().EncodeJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "golden_telemetry_off.json")
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("telemetry-off snapshot differs from %s", path)
 	}
 }
 
