@@ -6,17 +6,20 @@
 //	file:line:col: [analyzer] message
 //
 // (or, with -json, as a machine-readable array of
-// {file,line,col,analyzer,msg,reason} records) and exits 0 when clean, 1 on
-// any diagnostic, 2 when the module fails to load or type-check. Package
-// patterns are accepted for familiarity
+// {file,line,col,analyzer,msg,reason} records). It exits 0 when clean and
+// for -list and -h, 1 on any diagnostic, and 2 on a usage error (an
+// unknown flag or -analyzers name) or when the module fails to load or
+// type-check. Package patterns are accepted for familiarity
 // ("go run ./cmd/dvmc-lint ./...") but the suite always analyzes the
 // whole module: the determinism contract is a whole-module property.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,7 +42,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dvmc-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	analyzers := fs.String("analyzers", "", "comma-separated subset to run (see -list); empty = all")
@@ -50,6 +53,9 @@ func run(args []string, stdout, stderr *os.File) int {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0 // help was requested and printed
+		}
 		return 2
 	}
 

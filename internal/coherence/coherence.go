@@ -383,3 +383,46 @@ type HomeStats struct {
 	MemoryReads, MemoryWrites        uint64
 	QueuedConflicts                  uint64
 }
+
+// queue is the event queue every coherence controller runs on, and the
+// controller's place in the kernel. The queue's head is the controller's
+// due cycle: later is the one way work enters the queue, and the Tick
+// that drains it publishes the next head. "Now" for a controller is its
+// slot's LastTick, the cycle of its last tick whether or not the kernel
+// called it.
+type queue struct {
+	events sim.EventQueue
+	slot   sim.Slot
+}
+
+var (
+	_ sim.Scheduled = (*DirCache)(nil)
+	_ sim.Scheduled = (*SnoopCache)(nil)
+	_ sim.Scheduled = (*DirHome)(nil)
+	_ sim.Scheduled = (*SnoopHome)(nil)
+)
+
+// Attach implements sim.Scheduled.
+func (q *queue) Attach(s sim.Slot) { q.slot = s }
+
+// Tick implements sim.Clockable: runs the events due by now.
+//
+//dvmc:hotpath
+func (q *queue) Tick(now sim.Cycle) {
+	q.events.Tick(now)
+	q.slot.SleepUntil(q.events.Next())
+}
+
+// now returns the cycle of the controller's last tick.
+//
+//dvmc:hotpath
+func (q *queue) now() sim.Cycle { return q.slot.LastTick() }
+
+// later schedules fn delay cycles after now.
+//
+//dvmc:hotpath
+func (q *queue) later(delay sim.Cycle, fn func()) {
+	at := q.now() + delay
+	q.events.At(at, fn)
+	q.slot.WakeAt(at)
+}

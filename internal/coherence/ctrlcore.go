@@ -34,8 +34,7 @@ type ctrlCore struct {
 	l2 *cacheArray
 	l1 *tagFilter
 
-	events sim.EventQueue
-	now    sim.Cycle
+	queue
 
 	mshrs map[mem.BlockAddr]*mshr
 	wb    map[mem.BlockAddr]*wbEntry
@@ -164,12 +163,6 @@ func (c *ctrlCore) Stats() ControllerStats { return c.stats }
 // Outstanding implements Controller.
 func (c *ctrlCore) Outstanding() int { return len(c.mshrs) }
 
-// Tick implements sim.Clockable.
-func (c *ctrlCore) Tick(now sim.Cycle) {
-	c.now = now
-	c.events.Tick(now)
-}
-
 func (c *ctrlCore) epochBegin(b mem.BlockAddr, k EpochKind, at uint64, dataKnown bool, data mem.Block) {
 	if c.epochL != nil {
 		c.epochL.EpochBegin(b, k, at, dataKnown, data)
@@ -231,7 +224,7 @@ func (c *ctrlCore) launch(w waiter, class network.Class, delay sim.Cycle) {
 // schedule hands a to the event queue: its next stage runs after delay.
 //
 //dvmc:hotpath
-func (c *ctrlCore) schedule(a *access, delay sim.Cycle) { c.events.After(c.now, delay, a.step) }
+func (c *ctrlCore) schedule(a *access, delay sim.Cycle) { c.later(delay, a.step) }
 
 // finish releases a, handing back what its last stage still needs.
 //
@@ -406,7 +399,7 @@ func (c *ctrlCore) receive(m *network.Message) {
 }
 
 // latch hands r to the event queue for the one cycle of input latency.
-func (c *ctrlCore) latch(r *inbound) { c.events.After(c.now, 1, r.step) }
+func (c *ctrlCore) latch(r *inbound) { c.later(1, r.step) }
 
 //dvmc:hotpath
 func (r *inbound) run() {
@@ -448,7 +441,7 @@ func (c *ctrlCore) join(b mem.BlockAddr, needM bool, class network.Class, w wait
 	if ms == nil {
 		if len(c.mshrs) >= c.cfg.MSHRs {
 			// Structural stall: retry when an MSHR frees up.
-			c.events.After(c.now, 4, func() { c.join(b, needM, class, w) })
+			c.later(4, func() { c.join(b, needM, class, w) })
 			return
 		}
 		ms = c.mshrFree.Get()
@@ -577,7 +570,7 @@ func (c *ctrlCore) retire(ms *mshr, remaining []waiter) (upgrade bool) {
 func (c *ctrlCore) fireStateFault() {
 	if !c.stateFaultFired {
 		c.stateFaultFired = true
-		c.stateFaultFiredAt = c.now
+		c.stateFaultFiredAt = c.now()
 	}
 }
 

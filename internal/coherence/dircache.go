@@ -127,7 +127,7 @@ func (c *DirCache) onData(p MsgData) {
 		l = c.allocate(p.Block)
 		if l == nil {
 			// Every way in the set is transient; retry installation.
-			c.events.After(c.now, 4, func() { c.onData(p) })
+			c.later(4, func() { c.onData(p) })
 			return
 		}
 	} else if l.valid && l.state != Invalid {

@@ -24,8 +24,7 @@ type DirHome struct {
 
 	memory *mem.Memory
 
-	events sim.EventQueue
-	now    sim.Cycle
+	queue
 
 	entries map[mem.BlockAddr]*dirEntry
 
@@ -98,12 +97,6 @@ func (h *DirHome) Memory() *mem.Memory { return h.memory }
 // Stats returns home-controller counters.
 func (h *DirHome) Stats() HomeStats { return h.stats }
 
-// Tick implements sim.Clockable.
-func (h *DirHome) Tick(now sim.Cycle) {
-	h.now = now
-	h.events.Tick(now)
-}
-
 func (h *DirHome) entry(b mem.BlockAddr) *dirEntry {
 	e, ok := h.entries[b]
 	if !ok {
@@ -150,7 +143,7 @@ func (h *DirHome) after(delay sim.Cycle, w *dirWait) {
 		w.home = h
 		w.step = w.run
 	}
-	h.events.After(h.now, delay, w.step)
+	h.later(delay, w.step)
 }
 
 // run does the work the record stood for and releases it.
@@ -411,7 +404,7 @@ func (h *DirHome) next(b mem.BlockAddr, e *dirEntry) {
 	}
 	m := e.queue[0]
 	e.queue = e.queue[1:]
-	h.events.After(h.now, h.dirLatency, func() {
+	h.later(h.dirLatency, func() {
 		if e.busy {
 			// A fresh request slipped in; requeue at the front.
 			e.queue = append([]*network.Message{m}, e.queue...)

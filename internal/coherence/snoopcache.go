@@ -138,7 +138,7 @@ func (c *SnoopCache) onOwnRequest(p MsgSnoop, seq uint64) {
 			// No way free: rare transient squeeze; retry installation via
 			// event (the epoch has begun regardless).
 			c.epochBegin(p.Block, ReadWrite, seq, false, mem.Block{})
-			c.events.After(c.now, 4, func() { c.installRetry(ms) })
+			c.later(4, func() { c.installRetry(ms) })
 			return
 		}
 		c.l2.install(l, p.Block, Modified, mem.Block{}, false)
@@ -156,7 +156,7 @@ func (c *SnoopCache) onOwnRequest(p MsgSnoop, seq uint64) {
 	l = c.allocate(p.Block)
 	if l == nil {
 		c.epochBegin(p.Block, ReadOnly, seq, false, mem.Block{})
-		c.events.After(c.now, 4, func() { c.installRetry(ms) })
+		c.later(4, func() { c.installRetry(ms) })
 		return
 	}
 	c.l2.install(l, p.Block, Shared, mem.Block{}, false)
@@ -171,7 +171,7 @@ func (c *SnoopCache) installRetry(ms *mshr) {
 	}
 	l := c.allocate(ms.block)
 	if l == nil {
-		c.events.After(c.now, 4, func() { c.installRetry(ms) })
+		c.later(4, func() { c.installRetry(ms) })
 		return
 	}
 	st := Shared

@@ -22,8 +22,7 @@ type SnoopHome struct {
 
 	memory *mem.Memory
 
-	events sim.EventQueue
-	now    sim.Cycle
+	queue
 
 	owner     map[mem.BlockAddr]network.NodeID
 	pendingWB map[mem.BlockAddr]bool
@@ -66,12 +65,6 @@ func (h *SnoopHome) Memory() *mem.Memory { return h.memory }
 
 // Stats returns home counters.
 func (h *SnoopHome) Stats() HomeStats { return h.stats }
-
-// Tick implements sim.Clockable.
-func (h *SnoopHome) Tick(now sim.Cycle) {
-	h.now = now
-	h.events.Tick(now)
-}
 
 // Reset clears ownership tracking and pending writebacks (SafetyNet
 // recovery); the new-block hook re-arms for MET reconstruction.
@@ -179,7 +172,7 @@ func (h *SnoopHome) after(delay sim.Cycle, w *snoopWait) {
 		w.home = h
 		w.step = w.run
 	}
-	h.events.After(h.now, delay, w.step)
+	h.later(delay, w.step)
 }
 
 // run does the work the record stood for and releases it.

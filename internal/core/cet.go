@@ -51,6 +51,11 @@ type CacheChecker struct {
 	sched cycleClock
 	due   sim.Cycle
 
+	// slot is the CET's place in the kernel; Tick publishes next() there.
+	// advancing says the clock wakes it when it moves.
+	slot      sim.Slot
+	advancing bool
+
 	cycleNow func() sim.Cycle
 
 	stats CETStats
@@ -59,7 +64,7 @@ type CacheChecker struct {
 var (
 	_ coherence.EpochListener  = (*CacheChecker)(nil)
 	_ coherence.AccessListener = (*CacheChecker)(nil)
-	_ sim.Clockable            = (*CacheChecker)(nil)
+	_ sim.Scheduled            = (*CacheChecker)(nil)
 )
 
 // CETStats counts checker activity.
@@ -101,9 +106,25 @@ func NewCacheChecker(node network.NodeID, cfg coherence.Config, net network.Netw
 	}
 	if cc, ok := clock.(cycleClock); ok {
 		c.sched = cc
-		cc.OnSkew(func() { c.due = 0 })
+		cc.OnSkew(c.wake)
 	}
 	return c
+}
+
+// Attach implements sim.Scheduled. On a clock that wakes on advance the
+// CET subscribes: it sleeps until the clock moves or pushScrub wakes it.
+func (c *CacheChecker) Attach(s sim.Slot) {
+	c.slot = s
+	c.advancing = subscribe(c.clock, s)
+}
+
+// wake marks the scrub FIFO's head or the clock changed: the next tick
+// looks.
+//
+//dvmc:hotpath
+func (c *CacheChecker) wake() {
+	c.due = 0
+	c.slot.Wake()
 }
 
 // SetInformPool attaches a message pool for inform traffic. The owner of
@@ -133,7 +154,7 @@ func (c *CacheChecker) Reset() {
 	c.free = c.free[:0]
 	c.scrub = c.scrub[:0]
 	c.scrubHead = 0
-	c.due = 0
+	c.wake()
 }
 
 // alloc grabs a free slab slot (zeroed) and returns its index.
@@ -292,9 +313,35 @@ func (c *CacheChecker) popScrub() scrubEntry {
 //
 //dvmc:hotpath
 func (c *CacheChecker) Tick(now sim.Cycle) {
-	if c.scrubLen() == 0 || now < c.due {
-		return
+	if c.scrubLen() > 0 && now >= c.due {
+		c.scrubAged()
 	}
+	c.slot.SleepUntil(c.next())
+}
+
+// next is the cycle the CET is next due: never with an empty FIFO; due on
+// a cycle-derived clock; never on a clock that wakes on advance (the head
+// ages only when the clock moves, and a new head comes from pushScrub,
+// which wakes the CET); on any other clock, every cycle.
+//
+//dvmc:hotpath
+func (c *CacheChecker) next() sim.Cycle {
+	switch {
+	case c.scrubLen() == 0:
+		return sim.Never
+	case c.sched != nil:
+		return c.due
+	case c.advancing:
+		return sim.Never
+	default:
+		return 0
+	}
+}
+
+// scrubAged announces every FIFO head past the scrub threshold.
+//
+//dvmc:hotpath
+func (c *CacheChecker) scrubAged() {
 	lnow := c.clock.LogicalNow()
 	for c.scrubLen() > 0 {
 		head := c.scrub[c.scrubHead]
@@ -310,9 +357,12 @@ func (c *CacheChecker) Tick(now sim.Cycle) {
 
 //dvmc:hotpath
 func (c *CacheChecker) pushScrub(b mem.BlockAddr, begin uint64) {
-	if c.scrubLen() >= scrubFIFOSize {
+	switch n := c.scrubLen(); {
+	case n >= scrubFIFOSize:
 		c.scrubOne(c.popScrub())
-		c.due = 0
+		c.wake()
+	case n == 0:
+		c.slot.Wake() // a new head, however old its begin
 	}
 	//dvmc:alloc-ok scrub ring is compacted by popScrub; capacity amortizes to the FIFO bound
 	c.scrub = append(c.scrub, scrubEntry{block: b, begin: begin})

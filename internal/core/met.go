@@ -67,10 +67,15 @@ type MemChecker struct {
 	sched cycleClock
 	due   sim.Cycle
 
+	// slot is the MET's place in the kernel; Tick publishes next() there.
+	// advancing says the clock wakes it when it moves.
+	slot      sim.Slot
+	advancing bool
+
 	stats METStats
 }
 
-var _ sim.Clockable = (*MemChecker)(nil)
+var _ sim.Scheduled = (*MemChecker)(nil)
 
 // cycleClock is a logical clock that is a function of the cycle count
 // (the directory system's SkewedClock, not the snooping broadcast
@@ -79,6 +84,23 @@ var _ sim.Clockable = (*MemChecker)(nil)
 type cycleClock interface {
 	CycleAt(t uint64) sim.Cycle
 	OnSkew(func())
+}
+
+// advanceClock is a logical clock that moves only at discrete events (the
+// snooping broadcast sequence): it wakes the slots handed to it whenever
+// it advances, so a checker waiting on it can sleep until then.
+type advanceClock interface {
+	WakeOnAdvance(sim.Slot)
+}
+
+// subscribe hands s to clock if the clock wakes on advance, and reports
+// whether it did.
+func subscribe(clock coherence.LogicalClock, s sim.Slot) bool {
+	ac, ok := clock.(advanceClock)
+	if ok {
+		ac.WakeOnAdvance(s)
+	}
+	return ok
 }
 
 // METStats counts checker activity.
@@ -178,9 +200,25 @@ func NewMemChecker(node network.NodeID, cfg coherence.Config, clock coherence.Lo
 	}
 	if cc, ok := clock.(cycleClock); ok {
 		m.sched = cc
-		cc.OnSkew(func() { m.due = 0 })
+		cc.OnSkew(m.wake)
 	}
 	return m
+}
+
+// Attach implements sim.Scheduled. On a clock that wakes on advance the
+// MET subscribes: it sleeps until the clock moves, an inform arrives, or
+// the oldest inform outwaits cycleWindow.
+func (m *MemChecker) Attach(s sim.Slot) {
+	m.slot = s
+	m.advancing = subscribe(m.clock, s)
+}
+
+// wake marks the head or the clock changed: the next tick looks.
+//
+//dvmc:hotpath
+func (m *MemChecker) wake() {
+	m.due = 0
+	m.slot.Wake()
 }
 
 // Stats returns checker counters.
@@ -206,7 +244,7 @@ func (m *MemChecker) Reset() {
 	m.slab = m.slab[:0]
 	m.pq = m.pq[:0]
 	m.oldestValid = false
-	m.due = 0
+	m.wake()
 }
 
 // BlockRequested constructs the MET entry for a block's first request:
@@ -258,7 +296,7 @@ func (m *MemChecker) enqueue(p InformEpoch) {
 		m.oldestValid = true
 	}
 	m.pqPush(qi)
-	m.due = 0
+	m.wake()
 	if len(m.pq) > metQueueSize {
 		m.stats.QueueOverflows++
 		m.processOne(m.pqPop())
@@ -270,9 +308,17 @@ func (m *MemChecker) enqueue(p InformEpoch) {
 //
 //dvmc:hotpath
 func (m *MemChecker) Tick(now sim.Cycle) {
-	if len(m.pq) == 0 || now < m.due {
-		return
+	if len(m.pq) > 0 && now >= m.due {
+		m.settle(now)
 	}
+	m.slot.SleepUntil(m.next())
+}
+
+// settle processes the informs old enough to be safely ordered, and
+// those the cycle window forces out.
+//
+//dvmc:hotpath
+func (m *MemChecker) settle(now sim.Cycle) {
 	lnow := m.clock.LogicalNow()
 	for len(m.pq) > 0 && m.pq[0].begin+m.window <= lnow {
 		m.processOne(m.pqPop())
@@ -284,6 +330,26 @@ func (m *MemChecker) Tick(now sim.Cycle) {
 		// Neither loop pops before the clock passes the head's settle
 		// window or the oldest inform outwaits cycleWindow.
 		m.due = min(m.sched.CycleAt(m.pq[0].begin+m.window), m.oldestArrival()+m.cycleWindow+1)
+	}
+}
+
+// next is the cycle the MET is next due: never with an empty queue; due
+// on a cycle-derived clock; on a clock that wakes on advance, the cycle
+// the oldest inform outwaits cycleWindow (the first loop of settle cannot
+// pop before the clock moves or an inform arrives, and both wake the
+// MET); on any other clock, every cycle.
+//
+//dvmc:hotpath
+func (m *MemChecker) next() sim.Cycle {
+	switch {
+	case len(m.pq) == 0:
+		return sim.Never
+	case m.sched != nil:
+		return m.due
+	case m.advancing:
+		return m.oldestArrival() + m.cycleWindow + 1
+	default:
+		return 0
 	}
 }
 

@@ -28,10 +28,16 @@ type BroadcastTree struct {
 	stat      LinkStat
 	delayed   []*delayedSend
 
-	lastTick sim.Cycle
+	// slot is the tree's place in the kernel: it is due while anything
+	// is queued, delayed or in flight, stamps delays with its LastTick
+	// and reports its Ticks as the root link's observation time.
+	slot sim.Slot
+	// advance are the slots of the components whose logical clock is
+	// Sequence: each delivery wakes them (WakeOnAdvance).
+	advance []sim.Slot
 }
 
-var _ sim.Clockable = (*BroadcastTree)(nil)
+var _ sim.Scheduled = (*BroadcastTree)(nil)
 
 // NewBroadcastTree builds the ordered address network for n nodes.
 func NewBroadcastTree(n int, bytesPerCycle float64, latency sim.Cycle, rng *sim.Rand) *BroadcastTree {
@@ -48,8 +54,17 @@ func NewBroadcastTree(n int, bytesPerCycle float64, latency sim.Cycle, rng *sim.
 		handlers: make([]Handler, n),
 		rng:      rng,
 		stat:     LinkStat{Name: "bcast-root"},
+		// Each node's two coherence checkers run on the sequence clock.
+		advance: make([]sim.Slot, 0, 2*n),
 	}
 }
+
+// Attach implements sim.Scheduled.
+func (b *BroadcastTree) Attach(s sim.Slot) { b.slot = s }
+
+// WakeOnAdvance makes every delivery, the only event that advances
+// Sequence, wake the component at s.
+func (b *BroadcastTree) WakeOnAdvance(s sim.Slot) { b.advance = append(b.advance, s) }
 
 // SetHandler installs the snoop callback for a node. Every node, including
 // the sender, observes every broadcast.
@@ -72,6 +87,7 @@ func (b *BroadcastTree) Sequence() uint64 { return b.seq }
 // Send enqueues a broadcast. Order of delivery equals order of Send calls
 // (arbitration is FIFO).
 func (b *BroadcastTree) Send(m *Message) {
+	b.slot.Wake()
 	if b.fault != nil {
 		switch b.fault(m) {
 		case FaultDrop:
@@ -83,17 +99,17 @@ func (b *BroadcastTree) Send(m *Message) {
 			// A faulty arbiter holds the request back so that requests
 			// issued later overtake it — an ordering violation on a
 			// network that is supposed to be totally ordered.
-			b.delayed = append(b.delayed, &delayedSend{msg: m, at: b.lastTick + 64})
+			b.delayed = append(b.delayed, &delayedSend{msg: m, at: b.slot.LastTick() + 64})
 			return
 		case FaultDupStale:
 			// A faulty arbiter replays an already-arbitrated request much
 			// later; the original proceeds normally.
 			dup := *m
-			b.delayed = append(b.delayed, &delayedSend{msg: &dup, at: b.lastTick + 64})
+			b.delayed = append(b.delayed, &delayedSend{msg: &dup, at: b.slot.LastTick() + 64})
 		case FaultHold:
 			// On a totally ordered network a held burst degenerates to a
 			// single held request (FaultDelay semantics).
-			b.delayed = append(b.delayed, &delayedSend{msg: m, at: b.lastTick + 64})
+			b.delayed = append(b.delayed, &delayedSend{msg: m, at: b.slot.LastTick() + 64})
 			return
 		case FaultMisroute, FaultCorrupt, FaultNone:
 			// Misroute is meaningless on a broadcast; corrupt already
@@ -106,8 +122,6 @@ func (b *BroadcastTree) Send(m *Message) {
 // Tick implements sim.Clockable: arbitrates one broadcast at a time,
 // delivering to all nodes after the serialisation plus tree latency.
 func (b *BroadcastTree) Tick(now sim.Cycle) {
-	b.lastTick = now
-	b.stat.Observed++ // one link: its observation time is the tick count
 	if len(b.delayed) > 0 {
 		var keep []*delayedSend
 		for _, d := range b.delayed {
@@ -124,6 +138,9 @@ func (b *BroadcastTree) Tick(now sim.Cycle) {
 			m := b.inFlight
 			b.inFlight = nil
 			b.seq++
+			for _, s := range b.advance {
+				s.Wake()
+			}
 			if b.observer != nil {
 				b.observer(m, now)
 			}
@@ -150,10 +167,25 @@ func (b *BroadcastTree) Tick(now sim.Cycle) {
 			b.stat.ByClass[m.Class] += uint64(m.Size)
 		}
 	}
+	switch {
+	case len(b.delayed) > 0:
+		b.slot.SleepUntil(now)
+	case b.inFlight != nil:
+		b.slot.SleepUntil(b.deliverAt)
+	case len(b.queue) > 0:
+		b.slot.SleepUntil(b.busyUntil)
+	default:
+		b.slot.SleepUntil(sim.Never)
+	}
 }
 
-// LinkStats returns the root link's utilisation (the tree's bottleneck).
-func (b *BroadcastTree) LinkStats() []LinkStat { return []LinkStat{b.stat} }
+// LinkStats returns the root link's utilisation (the tree's bottleneck);
+// one link, so its observation time is the tick count.
+func (b *BroadcastTree) LinkStats() []LinkStat {
+	s := b.stat
+	s.Observed = sim.Cycle(b.slot.Ticks())
+	return []LinkStat{s}
+}
 
 // ClassBytes returns the bytes carried for one traffic class on the
 // broadcast root link, without allocating.

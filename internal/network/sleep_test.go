@@ -7,85 +7,127 @@ import (
 	"dvmc/internal/sim"
 )
 
-// delivery is one handler invocation as a torus twin test records it.
+// alwaysDue keeps the Slot of the twin it wraps; the twin tests wake it
+// before every Step, so the kernel calls the twin every cycle.
+type alwaysDue struct {
+	sim.Scheduled
+	slot sim.Slot
+}
+
+func (a *alwaysDue) Attach(s sim.Slot) {
+	a.slot = s
+	a.Scheduled.Attach(s)
+}
+
+// counting counts the kernel's calls to the component it wraps.
+type counting struct {
+	sim.Scheduled
+	calls int
+}
+
+func (c *counting) Tick(now sim.Cycle) {
+	c.calls++
+	c.Scheduled.Tick(now)
+}
+
+// delivery is one handler invocation as a network twin test records it.
 type delivery struct {
 	At  sim.Cycle
 	Dst NodeID
 	ID  int
 }
 
-// torusTwins drives two identical toruses with the same traffic. The
-// first skips links as it does in a system; before every tick the twin
-// has every link marked due, so its walk visits all of them, every
-// cycle, as the torus did before links could be skipped. Deliveries and
-// link statistics must agree after every cycle.
-type torusTwins struct {
-	t    *testing.T
-	tors [2]*Torus
-	logs [2][]delivery
-	now  sim.Cycle
+// netTwins drives two identical networks with the same traffic, each
+// registered in a kernel of its own, the kernels stepped in lockstep. The
+// first is called only when the due cycle it published comes, as in a
+// system. The twin's slot is woken before every Step, and for a torus
+// every link is marked due as well, so the twin walks all of its links
+// every cycle. Deliveries and link statistics must agree after every
+// cycle.
+type netTwins struct {
+	t      *testing.T
+	ks     [2]*sim.Kernel
+	nets   [2]Network
+	logs   [2][]delivery
+	sleepy *counting
+	always *alwaysDue
 	// reply, if set, lets a delivery handler answer from inside Tick.
 	reply func(m *Message) *Message
-	// skipped counts ticks on which the first torus walked no link.
-	skipped int
 }
 
-func newTorusTwins(t *testing.T, nodes int) *torusTwins {
-	tw := &torusTwins{t: t}
-	for i := range tw.tors {
+func newNetTwins(t *testing.T, nodes int, build func() Network) *netTwins {
+	tw := &netTwins{t: t}
+	for i := range tw.nets {
 		i := i
-		tor := NewTorus(nodes, 1.25, 15, sim.NewRand(3))
+		net := build()
+		k := sim.NewKernel(1)
 		for n := 0; n < nodes; n++ {
-			tor.SetHandler(NodeID(n), func(m *Message) {
-				tw.logs[i] = append(tw.logs[i], delivery{At: tw.now, Dst: m.Dst, ID: m.Payload.(int)})
+			net.SetHandler(NodeID(n), func(m *Message) {
+				tw.logs[i] = append(tw.logs[i], delivery{At: k.Now(), Dst: NodeID(n), ID: m.Payload.(int)})
 				if tw.reply != nil {
 					if r := tw.reply(m); r != nil {
-						tor.Send(r)
+						net.Send(r)
 					}
 				}
 			})
 		}
-		tw.tors[i] = tor
+		if i == 0 {
+			tw.sleepy = &counting{Scheduled: net.(sim.Scheduled)}
+			k.Register(tw.sleepy)
+		} else {
+			tw.always = &alwaysDue{Scheduled: net.(sim.Scheduled)}
+			k.Register(tw.always)
+		}
+		tw.ks[i], tw.nets[i] = k, net
 	}
 	return tw
 }
 
-func (tw *torusTwins) both(fn func(tor *Torus)) {
-	for _, tor := range tw.tors {
-		fn(tor)
+func newTorusTwins(t *testing.T, nodes int) *netTwins {
+	return newNetTwins(t, nodes, func() Network { return NewTorus(nodes, 1.25, 15, sim.NewRand(3)) })
+}
+
+func (tw *netTwins) both(fn func(net Network)) {
+	for _, net := range tw.nets {
+		fn(net)
 	}
 }
 
-func (tw *torusTwins) send(src, dst NodeID, size int, class Class, id int) {
-	tw.both(func(tor *Torus) {
-		tor.Send(&Message{Src: src, Dst: dst, Size: size, Class: class, Payload: id})
+func (tw *netTwins) tor(i int) *Torus { return tw.nets[i].(*Torus) }
+
+func (tw *netTwins) send(src, dst NodeID, size int, class Class, id int) {
+	tw.both(func(net Network) {
+		net.Send(&Message{Src: src, Dst: dst, Size: size, Class: class, Payload: id})
 	})
 }
 
-func (tw *torusTwins) step() {
+// skipped is how many cycles the kernel did not call the first network.
+func (tw *netTwins) skipped() int { return int(tw.ks[0].Now()) - tw.sleepy.calls }
+
+func (tw *netTwins) step() {
 	tw.t.Helper()
-	if tw.now < tw.tors[0].wakeAt {
-		tw.skipped++
+	if twin, ok := tw.nets[1].(*Torus); ok {
+		twin.wakeAt = 0
+		for i := range twin.dueAt {
+			twin.dueAt[i] = 0
+		}
 	}
-	tw.tors[0].Tick(tw.now)
-	twin := tw.tors[1]
-	twin.wakeAt = 0
-	for i := range twin.dueAt {
-		twin.dueAt[i] = 0
+	tw.always.slot.Wake()
+	for _, k := range tw.ks {
+		k.Step()
 	}
-	twin.Tick(tw.now)
+	now := tw.ks[0].Now() - 1
 	if !reflect.DeepEqual(tw.logs[0], tw.logs[1]) {
-		tw.t.Fatalf("cycle %d: deliveries diverged\n skipping %v\n twin     %v", tw.now, tail(tw.logs[0]), tail(tw.logs[1]))
+		tw.t.Fatalf("cycle %d: deliveries diverged\n skipping %v\n twin     %v", now, tail(tw.logs[0]), tail(tw.logs[1]))
 	}
-	if a, b := tw.tors[0].LinkStats(), tw.tors[1].LinkStats(); !reflect.DeepEqual(a, b) {
-		tw.t.Fatalf("cycle %d: link statistics diverged\n skipping %v\n twin     %v", tw.now, a, b)
+	if a, b := tw.nets[0].LinkStats(), tw.nets[1].LinkStats(); !reflect.DeepEqual(a, b) {
+		tw.t.Fatalf("cycle %d: link statistics diverged\n skipping %v\n twin     %v", now, a, b)
 	}
-	tw.now++
 }
 
 func tail(l []delivery) []delivery { return l[max(0, len(l)-4):] }
 
-func (tw *torusTwins) run(cycles int) {
+func (tw *netTwins) run(cycles int) {
 	tw.t.Helper()
 	for i := 0; i < cycles; i++ {
 		tw.step()
@@ -104,8 +146,8 @@ func TestTorusSendIntoIdleNetwork(t *testing.T) {
 		return nil
 	}
 	tw.run(500)
-	if tw.skipped != 500 {
-		t.Fatalf("idle torus walked its links on %d of 500 ticks", 500-tw.skipped)
+	if s := tw.skipped(); s != 499 {
+		t.Fatalf("an idle torus was called on %d of 500 cycles, want only the first", 500-s)
 	}
 	tw.send(0, 5, 8, ClassCoherence, 1)
 	tw.run(400)
@@ -115,8 +157,11 @@ func TestTorusSendIntoIdleNetwork(t *testing.T) {
 	if got := len(tw.logs[0]); got != 6 {
 		t.Fatalf("%d deliveries, want 3 messages and 3 replies: %v", got, tw.logs[0])
 	}
-	if obs := tw.tors[0].LinkStats()[0].Observed; obs != 1500 {
-		t.Fatalf("Observed = %d after 1500 ticks", obs)
+	if obs := tw.nets[0].LinkStats()[0].Observed; obs != 1500 {
+		t.Fatalf("Observed = %d after 1500 cycles", obs)
+	}
+	if s := tw.skipped(); s < 1300 {
+		t.Fatalf("the torus was skipped on only %d of 1500 cycles", s)
 	}
 }
 
@@ -125,7 +170,8 @@ func TestTorusSendIntoIdleNetwork(t *testing.T) {
 func TestTorusFaultHoldBurstRelease(t *testing.T) {
 	tw := newTorusTwins(t, 8)
 	for round, disarm := range []bool{true, false} {
-		tw.both(func(tor *Torus) {
+		for i := range tw.nets {
+			tor := tw.tor(i)
 			held := 0
 			tor.SetFaultWindow(90)
 			tor.SetFaultHook(func(m *Message) FaultAction {
@@ -138,13 +184,13 @@ func TestTorusFaultHoldBurstRelease(t *testing.T) {
 				}
 				return FaultHold
 			})
-		})
+		}
 		for i := 0; i < 4; i++ {
 			tw.send(2, 7, 8, ClassCoherence, 10*round+i)
 			tw.run(3)
 		}
 		tw.run(400)
-		tw.both(func(tor *Torus) { tor.SetFaultHook(nil) })
+		tw.both(func(net Network) { net.SetFaultHook(nil) })
 	}
 	var order []int
 	for _, d := range tw.logs[0] {
@@ -154,6 +200,9 @@ func TestTorusFaultHoldBurstRelease(t *testing.T) {
 	// while the burst still waited out its window), the burst reversed.
 	if want := []int{2, 1, 0, 3, 13, 12, 11, 10}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("delivery order %v, want %v", order, want)
+	}
+	if tw.skipped() == 0 {
+		t.Fatal("the torus was never skipped")
 	}
 }
 
@@ -165,18 +214,22 @@ func TestTorusResetMidFlight(t *testing.T) {
 		tw.send(NodeID(i%8), NodeID((i+3)%8), 72, ClassCoherence, i)
 	}
 	tw.run(40) // first hops serialising, queues behind them
-	tw.both(func(tor *Torus) { tor.Reset() })
+	tw.both(func(net Network) { net.(*Torus).Reset() })
 	tw.run(300)
 	if len(tw.logs[0]) != 0 {
 		t.Fatalf("%d messages survived Reset", len(tw.logs[0]))
 	}
-	if tw.tors[0].wakeAt != never {
-		t.Fatalf("torus still expects work at cycle %d after Reset", tw.tors[0].wakeAt)
+	if tw.tor(0).wakeAt != sim.Never {
+		t.Fatalf("torus still expects work at cycle %d after Reset", tw.tor(0).wakeAt)
 	}
+	skipped := tw.skipped()
 	tw.send(1, 6, 72, ClassCoherence, 99)
 	tw.run(400)
 	if len(tw.logs[0]) != 1 {
 		t.Fatalf("post-reset delivery failed: %v", tw.logs[0])
+	}
+	if tw.skipped() == skipped {
+		t.Fatal("the torus was not skipped after Reset")
 	}
 }
 
@@ -207,44 +260,60 @@ func TestTorusTwinsUnderRandomTraffic(t *testing.T) {
 	if got := len(tw.logs[0]); got != 2000 {
 		t.Fatalf("%d deliveries, want 1500 messages and 500 replies", got)
 	}
-	if tw.skipped == 0 {
-		t.Fatal("the torus never skipped its walk")
+	if tw.skipped() == 0 {
+		t.Fatal("the torus was never skipped")
 	}
 }
 
-// TestBroadcastTreeObservedIsTickCount: the root link's observation time
-// is the number of ticks, idle, busy or across a Reset, and a broadcast
-// into an idle tree takes what the first one took.
+// TestBroadcastTreeObservedIsTickCount: a tree called only on its due
+// cycles delivers what one called every cycle does, idle, busy, under a
+// delay fault and across a Reset; the root link's observation time is
+// the cycle count either way, and a broadcast into an idle tree takes
+// what the first one took.
 func TestBroadcastTreeObservedIsTickCount(t *testing.T) {
-	bt := NewBroadcastTree(4, 1.25, 6, sim.NewRand(1))
-	var at []sim.Cycle
-	now := sim.Cycle(0)
-	for n := 0; n < 4; n++ {
-		bt.SetHandler(NodeID(n), func(*Message) { at = append(at, now) })
-	}
-	run := func(cycles int) {
-		for i := 0; i < cycles; i++ {
-			bt.Tick(now)
-			now++
-		}
-	}
-	run(1)
-	bt.Send(&Message{Src: 0, Size: 8, Class: ClassCoherence})
-	run(300)
-	bt.Send(&Message{Src: 1, Size: 8, Class: ClassCoherence})
-	run(2) // arbitrated and in flight
-	bt.Reset()
-	run(300)
-	bt.Send(&Message{Src: 2, Size: 8, Class: ClassCoherence})
-	run(300)
+	tw := newNetTwins(t, 4, func() Network { return NewBroadcastTree(4, 1.25, 6, sim.NewRand(1)) })
+	tw.run(1)
+	tw.send(0, 0, 8, ClassCoherence, 1)
+	tw.run(300)
+	tw.send(1, 1, 8, ClassCoherence, 2)
+	tw.run(2) // arbitrated and in flight
+	tw.both(func(net Network) { net.(*BroadcastTree).Reset() })
+	tw.run(300)
+	tw.send(2, 2, 8, ClassCoherence, 3)
+	tw.run(300)
+	at := tw.logs[0]
 	if len(at) != 8 {
 		t.Fatalf("%d snoops, want two broadcasts at four nodes (the one in flight at Reset is dropped)", len(at))
 	}
-	if first, third := at[0]-1, at[4]-603; first != third {
+	if first, third := at[0].At-1, at[4].At-603; first != third {
 		t.Fatalf("broadcast latency %d into the idle tree at cycle 603, %d at cycle 1", third, first)
 	}
-	if obs := bt.LinkStats()[0].Observed; obs != 903 {
-		t.Fatalf("Observed = %d after 903 ticks", obs)
+	if obs := tw.nets[0].LinkStats()[0].Observed; obs != 903 {
+		t.Fatalf("Observed = %d after 903 cycles", obs)
+	}
+	// A burst queues behind the arbiter; a delayed one is overtaken.
+	tw.both(func(net Network) {
+		delayed := false
+		net.SetFaultHook(func(*Message) FaultAction {
+			if delayed {
+				return FaultNone
+			}
+			delayed = true
+			return FaultDelay
+		})
+	})
+	for id := 10; id < 16; id++ {
+		tw.send(NodeID(id%4), NodeID(id%4), 8+8*(id%3), ClassCoherence, id)
+	}
+	tw.run(200)
+	if got := len(tw.logs[0]); got != 8+6*4 {
+		t.Fatalf("%d snoops after the burst, want %d", got, 8+6*4)
+	}
+	if first := tw.logs[0][8].ID; first != 11 {
+		t.Fatalf("the delayed broadcast was not overtaken: first of the burst is %d", first)
+	}
+	if s := tw.skipped(); s < 1000 {
+		t.Fatalf("the tree was skipped on only %d of %d cycles", s, tw.ks[0].Now())
 	}
 }
 

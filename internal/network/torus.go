@@ -26,11 +26,15 @@ type Torus struct {
 	// no head, never while it holds nothing. Tick touches only links
 	// whose cycle has come, in link order (delivery order is part of
 	// determinism), and none at all before wakeAt, a lower bound on the
-	// earliest of them. ticks counts Tick calls — every link's
-	// observation time.
+	// earliest of them.
 	dueAt  []sim.Cycle
 	wakeAt sim.Cycle
-	ticks  sim.Cycle
+
+	// slot is the torus's place in the kernel: it publishes wakeAt there
+	// (every cycle while a held, delayed or loopback list is non-empty),
+	// stamps sends with its LastTick and reports its Ticks as every
+	// link's observation time.
+	slot sim.Slot
 
 	// routes caches the dimension-order path for every (src, dst) pair:
 	// routing is static, so each path is computed once and shared by all
@@ -51,10 +55,6 @@ type Torus struct {
 	faultWindow sim.Cycle
 	held        []*Message // FaultHold burst awaiting reversed release
 	heldAt      sim.Cycle  // release deadline for the held burst
-
-	// lastTick is the cycle of the most recent Tick; Send schedules
-	// injections relative to it.
-	lastTick sim.Cycle
 
 	// prioritize lets protocol traffic overtake verification/log traffic
 	// at link arbitration (default on).
@@ -97,9 +97,6 @@ type link struct {
 	stat  LinkStat
 }
 
-// never is the dueAt of a link that holds nothing.
-const never = ^sim.Cycle(0)
-
 // NewTorus builds a torus for n nodes with the given link bandwidth in
 // bytes/cycle and per-hop latency. Node counts that are not perfect
 // rectangles get the most square factorisation (8 -> 4x2, 6 -> 3x2,
@@ -122,12 +119,12 @@ func NewTorus(n int, bytesPerCycle float64, hopLatency sim.Cycle, rng *sim.Rand)
 		routes:     make([][]*link, n*n),
 		rng:        rng,
 		prioritize: true,
-		wakeAt:     never,
+		wakeAt:     sim.Never,
 	}
 	addLink := func(node int, dir int, label string) {
 		l := &link{name: fmt.Sprintf("n%d%s", node, label), index: len(t.links)}
 		t.links = append(t.links, l)
-		t.dueAt = append(t.dueAt, never)
+		t.dueAt = append(t.dueAt, sim.Never)
 		t.outLinks[node][dir] = l
 	}
 	for node := 0; node < n; node++ {
@@ -172,6 +169,9 @@ func (t *Torus) SetHandler(n NodeID, h Handler) { t.handlers[n] = h }
 
 // SetFaultHook implements Network.
 func (t *Torus) SetFaultHook(h FaultHook) { t.fault = h }
+
+// Attach implements sim.Scheduled.
+func (t *Torus) Attach(s sim.Slot) { t.slot = s }
 
 // SetObserver installs a delivery observer (nil clears it); it fires
 // for every message immediately before the destination handler runs.
@@ -237,7 +237,7 @@ func (t *Torus) computeRoute(src, dst NodeID) []*link {
 //
 //dvmc:hotpath
 func (t *Torus) Send(m *Message) {
-	t.sendAt(m, t.lastTick+1)
+	t.sendAt(m, t.slot.LastTick()+1)
 }
 
 //dvmc:hotpath
@@ -256,6 +256,7 @@ func (t *Torus) sendAt(m *Message, when sim.Cycle) {
 		case FaultDelay:
 			//dvmc:alloc-ok fault injection is cold: FaultDelay only fires under an installed fault hook
 			t.delayed = append(t.delayed, delayedSend{msg: m, at: when + 64})
+			t.slot.Wake()
 			return
 		case FaultDupStale:
 			// The original is delivered normally; a byte-identical replay
@@ -264,6 +265,7 @@ func (t *Torus) sendAt(m *Message, when sim.Cycle) {
 			dup := *m
 			//dvmc:alloc-ok fault injection is cold: FaultDupStale only fires under an installed fault hook
 			t.delayed = append(t.delayed, delayedSend{msg: &dup, at: when + t.window()})
+			t.slot.Wake()
 		case FaultHold:
 			// Capture into the held burst; Tick releases the burst in
 			// reverse order once the hook disarms or the window expires,
@@ -273,6 +275,7 @@ func (t *Torus) sendAt(m *Message, when sim.Cycle) {
 			if len(t.held) == 1 {
 				t.heldAt = when + t.window()
 			}
+			t.slot.Wake()
 			return
 		case FaultCorrupt, FaultNone:
 			// payload already mutated by the hook (corrupt) or untouched
@@ -286,6 +289,7 @@ func (t *Torus) enqueue(m *Message, when sim.Cycle) {
 	if m.Src == m.Dst {
 		//dvmc:alloc-ok loopback queue capacity amortizes; entries are compacted in place every Tick
 		t.local = append(t.local, localDelivery{msg: m, at: when})
+		t.slot.Wake()
 		return
 	}
 	path := t.route(m.Src, m.Dst)
@@ -304,6 +308,7 @@ func (t *Torus) queueOn(l *link, tr *transit) {
 	if l.head == nil {
 		t.dueAt[l.index] = 0
 		t.wakeAt = 0
+		t.slot.Wake()
 	}
 }
 
@@ -339,15 +344,23 @@ func (t *Torus) serialize(size int) sim.Cycle {
 	return c
 }
 
-var _ sim.Clockable = (*Torus)(nil)
+var _ sim.Scheduled = (*Torus)(nil)
 
 // Tick implements sim.Clockable: advances link pipelines, moves messages
 // hop to hop, and fires delivery handlers.
 //
 //dvmc:hotpath
 func (t *Torus) Tick(now sim.Cycle) {
-	t.lastTick = now
-	t.ticks++
+	t.tick(now)
+	if len(t.held)+len(t.delayed)+len(t.local) > 0 {
+		t.slot.SleepUntil(now)
+	} else {
+		t.slot.SleepUntil(t.wakeAt)
+	}
+}
+
+//dvmc:hotpath
+func (t *Torus) tick(now sim.Cycle) {
 	// Release a FaultHold burst in reverse order once the fault hook has
 	// disarmed (the burst is complete) or the window expired: the
 	// captured messages re-enter the network newest-first, violating the
@@ -401,8 +414,8 @@ func (t *Torus) Tick(now sim.Cycle) {
 	// that falls due ahead of the walk (a hop forwarded to it, a delivery
 	// handler sending into it) is still reached this tick, one behind the
 	// walk waits for the next — as when the walk visited every link.
-	t.wakeAt = never
-	next := never
+	t.wakeAt = sim.Never
+	next := sim.Never
 	for li := range t.links {
 		if t.dueAt[li] > now {
 			next = min(next, t.dueAt[li])
@@ -454,7 +467,7 @@ func (t *Torus) Tick(now sim.Cycle) {
 			t.dueAt[li] = l.done
 			next = min(next, l.done)
 		} else {
-			t.dueAt[li] = never
+			t.dueAt[li] = sim.Never
 		}
 	}
 	// A send behind the walk has zeroed wakeAt meanwhile.
@@ -465,7 +478,7 @@ func (t *Torus) Tick(now sim.Cycle) {
 func (t *Torus) deliver(m *Message) {
 	t.delivered++
 	if t.observer != nil {
-		t.observer(m, t.lastTick)
+		t.observer(m, t.slot.LastTick())
 	}
 	h := t.handlers[m.Dst]
 	if h == nil {
@@ -480,7 +493,7 @@ func (t *Torus) LinkStats() []LinkStat {
 	for _, l := range t.links {
 		s := l.stat
 		s.Name = l.name
-		s.Observed = t.ticks
+		s.Observed = sim.Cycle(t.slot.Ticks())
 		out = append(out, s)
 	}
 	return out
@@ -543,6 +556,6 @@ func (t *Torus) Reset() {
 		}
 	}
 	for i := range t.dueAt {
-		t.dueAt[i] = never
+		t.dueAt[i] = sim.Never
 	}
 }

@@ -74,7 +74,7 @@ type uop struct {
 }
 
 // CPU is one processor core (or thread context) driving a cache
-// controller. It implements sim.Clockable; the system assembly forwards
+// controller. It implements sim.Scheduled; the system assembly forwards
 // epoch-end events to EpochEnd for load-order mis-speculation squashes.
 type CPU struct {
 	node  network.NodeID
@@ -91,7 +91,6 @@ type CPU struct {
 	uops     sim.FreeList[uop]
 	instrs   int // instructions in flight (ops + gaps)
 	seqNext  uint64
-	now      sim.Cycle
 	finished bool
 
 	// Front end.
@@ -142,16 +141,20 @@ type CPU struct {
 	// Sleep/wake guard (DESIGN.md, "The tick contract"). awake is the
 	// wake mark: something changed pipeline state since the last run of
 	// the pipeline began — a stage of that run, or a wake path since. A
-	// run that leaves it clear would repeat itself every cycle, so Tick
-	// skips until a wake path marks it or now reaches wakeAt, the
-	// earliest cycle one of the core's own timers comes due. slept counts
-	// the skipped ticks not yet added to the per-cycle state below:
-	// idleStall is the stall counter the last run bumped (each skipped
-	// tick would bump it again), idleNoHead and idleNoStores record that
-	// the watchdog was refreshing headSince and wbProgressAt.
+	// run that leaves it clear would repeat itself every cycle, so the
+	// core sleeps until a wake path marks it or now reaches wakeAt, the
+	// earliest cycle one of the core's own timers comes due; Tick
+	// publishes that on slot, the core's place in the kernel, whose
+	// LastTick is also the core's "now". accounted is how many ticks the
+	// per-cycle state below includes (the last run's, or the last
+	// settle's); the ticks since were skipped: idleStall is the stall
+	// counter the last run bumped (each skipped tick would bump it
+	// again), idleNoHead and idleNoStores record that the watchdog was
+	// refreshing headSince and wbProgressAt.
 	awake        bool
 	wakeAt       sim.Cycle
-	slept        uint64
+	slot         sim.Slot
+	accounted    uint64
 	idleStall    *uint64
 	idleNoHead   bool
 	idleNoStores bool
@@ -160,7 +163,7 @@ type CPU struct {
 }
 
 var (
-	_ sim.Clockable = (*CPU)(nil)
+	_ sim.Scheduled = (*CPU)(nil)
 )
 
 // NewCPU builds a core for the given model. ctrl is the node's cache
@@ -227,12 +230,14 @@ func (c *CPU) AttachTracer(t trace.Sink) {
 	c.wake()
 }
 
-// emitTrace stamps and forwards one trace event. Controller callbacks can
-// run while another component holds the tick, so c.now may lag the true
-// cycle by one; the trace codec's signed time deltas absorb that.
+// emitTrace stamps and forwards one trace event with the core's last
+// tick. Under its own tick and the later components' that is the current
+// cycle; a controller callback that runs under the controller's earlier
+// tick stamps the cycle before. The trace codec's signed time deltas
+// absorb that lag.
 func (c *CPU) emitTrace(ev trace.Event) {
 	ev.Node = uint8(c.node)
-	ev.Time = c.now
+	ev.Time = c.lastTick()
 	c.tracer.Emit(ev)
 }
 
@@ -266,7 +271,7 @@ func (c *CPU) traceCommitPerformLoad(u *uop) {
 // Stats returns core counters, with the stall cycles of a sleeping core
 // added in.
 func (c *CPU) Stats() Stats {
-	c.settle()
+	c.settle(c.slot.Ticks())
 	return c.stats
 }
 
@@ -306,26 +311,38 @@ func (c *CPU) effectiveModel(op Op) consistency.Model {
 	return c.model
 }
 
-// Tick implements sim.Clockable: one core cycle. A sleeping core only
-// notes the time.
+// Attach implements sim.Scheduled.
+func (c *CPU) Attach(s sim.Slot) { c.slot = s }
+
+// lastTick is the core's "now": the cycle of its last tick, whether or
+// not the kernel called it (sim.Slot.LastTick).
+//
+//dvmc:hotpath
+func (c *CPU) lastTick() sim.Cycle { return c.slot.LastTick() }
+
+// Tick implements sim.Clockable: one core cycle, unless the core sleeps.
+// It publishes the cycle the core is next due: the next one while awake,
+// wakeAt while asleep.
 //
 //dvmc:hotpath
 func (c *CPU) Tick(now sim.Cycle) {
-	if !c.awake && now < c.wakeAt {
-		c.now = now
-		c.slept++
-		return
+	if c.awake || now >= c.wakeAt {
+		//dvmc:alloc-ok the pipeline's own steady state is pinned by TestSteadyStateAllocBudget; the hot path proved here is the sleeping return above
+		c.cycle(now)
 	}
-	//dvmc:alloc-ok the pipeline's own steady state is pinned by TestSteadyStateAllocBudget; the hot path proved here is the sleeping return above
-	c.cycle(now)
+	if c.awake {
+		c.slot.SleepUntil(now)
+	} else {
+		c.slot.SleepUntil(c.wakeAt)
+	}
 }
 
 // cycle runs the pipeline for one cycle and decides whether the core
 // sleeps: if no stage changed anything, the next cycle would find the
 // same state and do the same nothing, until a wake path or a timer.
 func (c *CPU) cycle(now sim.Cycle) {
-	c.settle()
-	c.now = now
+	c.settle(uint64(now))
+	c.accounted = uint64(now) + 1
 	c.awake = false
 	c.idleStall = nil
 	c.retireStage(now)
@@ -350,13 +367,17 @@ func (c *CPU) cycle(now sim.Cycle) {
 	c.wakeAt = c.nextTimer(now)
 }
 
-// wake marks pipeline state as changed. The stages call it where they
-// make progress; so does everything that hands the core work from
-// outside its own tick: the cache's completion callbacks, the write
-// buffer, squashes, Recover, and the Inject and Attach hooks.
+// wake marks pipeline state as changed and makes the core due. The
+// stages call it where they make progress; so does everything that hands
+// the core work from outside its own tick: the cache's completion
+// callbacks, the write buffer, squashes, Recover, and the Inject and
+// Attach hooks.
 //
 //dvmc:hotpath
-func (c *CPU) wake() { c.awake = true }
+func (c *CPU) wake() {
+	c.awake = true
+	c.slot.Wake()
+}
 
 // stall counts one retire-stage stall cycle and remembers the counter,
 // so the cycles a sleeping core skips are added to the same one.
@@ -365,23 +386,24 @@ func (c *CPU) stall(counter *uint64) {
 	c.idleStall = counter
 }
 
-// settle adds what the skipped ticks would have: one stall each on the
-// counter the last run stalled on, and the watchdog's refresh of its
-// idle stamps to the last skipped cycle.
-func (c *CPU) settle() {
-	if c.slept == 0 {
+// settle adds what the ticks skipped since the last accounted one would
+// have, given ticks, the number that have passed (a running tick not
+// counted): one stall each on the counter the last run stalled on, and
+// the watchdog's refresh of its idle stamps to the last skipped cycle.
+func (c *CPU) settle(ticks uint64) {
+	if ticks <= c.accounted {
 		return
 	}
 	if c.idleStall != nil {
-		*c.idleStall += c.slept
+		*c.idleStall += ticks - c.accounted
 	}
 	if c.idleNoHead {
-		c.headSince = c.now
+		c.headSince = sim.Cycle(ticks - 1)
 	}
 	if c.idleNoStores {
-		c.wbProgressAt = c.now
+		c.wbProgressAt = sim.Cycle(ticks - 1)
 	}
-	c.slept = 0
+	c.accounted = ticks
 }
 
 // nextTimer returns the earliest cycle after now at which the core acts
@@ -741,14 +763,14 @@ func (c *CPU) loadExecuted(u *uop) {
 	cacheVal := u.loadVal
 	if c.faultLoadValue {
 		c.faultLoadValue = false
-		c.faultActivated = c.now
+		c.faultActivated = c.lastTick()
 		c.faultDidActivate = true
 		c.faultUop = u
 		u.loadVal ^= 1 << 13
 	}
 	if c.faultForward && u.forwarded {
 		c.faultForward = false
-		c.faultActivated = c.now
+		c.faultActivated = c.lastTick()
 		c.faultDidActivate = true
 		c.faultUop = u
 		u.loadVal ^= 1 << 5
@@ -759,7 +781,7 @@ func (c *CPU) loadExecuted(u *uop) {
 		c.traceCommitPerformLoad(u)
 		if c.reorder != nil {
 			c.reorder.OpCommitted(consistency.Load, false)
-			c.reorder.OpPerformed(core.PerformedOp{Seq: u.seq, Class: consistency.Load, Model: u.model}, c.now)
+			c.reorder.OpPerformed(core.PerformedOp{Seq: u.seq, Class: consistency.Load, Model: u.model}, c.lastTick())
 		}
 		if c.uo != nil {
 			c.uo.LoadExecuted(u.op.Addr, cacheVal)
@@ -866,7 +888,7 @@ func (u *uop) replayLoadDone(v mem.Word, _ bool) {
 	c.wake()
 	u.replayVal = v
 	u.replayDone = true
-	u.replayMatch = c.uo.CompareReplay(u.op.Addr, u.loadVal, v, c.now)
+	u.replayMatch = c.uo.CompareReplay(u.op.Addr, u.loadVal, v, c.lastTick())
 }
 
 func (c *CPU) retireStage(now sim.Cycle) {
@@ -985,7 +1007,7 @@ func (c *CPU) performLoad(u *uop) {
 	c.traceCommitPerformLoad(u)
 	if c.reorder != nil {
 		c.reorder.OpCommitted(consistency.Load, false)
-		c.reorder.OpPerformed(core.PerformedOp{Seq: u.seq, Class: consistency.Load, Model: u.model}, c.now)
+		c.reorder.OpPerformed(core.PerformedOp{Seq: u.seq, Class: consistency.Load, Model: u.model}, c.lastTick())
 	}
 }
 
@@ -1089,7 +1111,7 @@ func (c *CPU) traceCommitStore(u *uop) {
 }
 
 func (c *CPU) storePerformedChecks(seq uint64, addr mem.Addr, written mem.Word, m consistency.Model) {
-	c.wbProgressAt = c.now
+	c.wbProgressAt = c.lastTick()
 	if c.tracer != nil {
 		c.emitTrace(trace.Event{
 			Kind:  trace.EvPerform,
@@ -1101,10 +1123,10 @@ func (c *CPU) storePerformedChecks(seq uint64, addr mem.Addr, written mem.Word, 
 		})
 	}
 	if c.uo != nil {
-		c.uo.StorePerformed(addr, written, c.now)
+		c.uo.StorePerformed(addr, written, c.lastTick())
 	}
 	if c.reorder != nil {
-		c.reorder.OpPerformed(core.PerformedOp{Seq: seq, Class: consistency.Store, Model: m}, c.now)
+		c.reorder.OpPerformed(core.PerformedOp{Seq: seq, Class: consistency.Store, Model: m}, c.lastTick())
 	}
 }
 
@@ -1175,12 +1197,12 @@ func (u *uop) rmwDone(old mem.Word) {
 	}
 	if c.uo != nil {
 		c.uo.StoreCommitted(u.op.Addr, newVal)
-		c.uo.StorePerformed(u.op.Addr, newVal, c.now)
+		c.uo.StorePerformed(u.op.Addr, newVal, c.lastTick())
 	}
 	u.performed = true
 	if c.reorder != nil {
 		c.reorder.OpPerformed(core.PerformedOp{
-			Seq: u.seq, Class: consistency.Store, IsRMW: true, Model: u.model}, c.now)
+			Seq: u.seq, Class: consistency.Store, IsRMW: true, Model: u.model}, c.lastTick())
 	}
 }
 
@@ -1212,7 +1234,7 @@ func (c *CPU) retireMembar(u *uop, now sim.Cycle) bool {
 		}
 		if c.reorder != nil {
 			c.reorder.OpPerformed(core.PerformedOp{
-				Seq: u.seq, Class: consistency.Membar, Mask: u.op.Mask, Model: u.model}, c.now)
+				Seq: u.seq, Class: consistency.Membar, Mask: u.op.Mask, Model: u.model}, c.lastTick())
 		}
 	}
 	return true
@@ -1294,7 +1316,7 @@ func (c *CPU) squashFrom(u *uop, spec bool) {
 			c.setBlocking(r)
 		}
 	}
-	c.fetchStallUntil = c.now + c.cfg.SquashPenalty
+	c.fetchStallUntil = c.lastTick() + c.cfg.SquashPenalty
 }
 
 // flushFrom squashes rob[idx:] and the pending (not yet inserted) op,
@@ -1393,7 +1415,7 @@ func (c *CPU) Recover(st ArchState) {
 	c.prog.Restore(st.ProgSnap)
 	c.nextResult = st.Prev
 	c.finished = false
-	c.fetchStallUntil = c.now + c.cfg.SquashPenalty
+	c.fetchStallUntil = c.lastTick() + c.cfg.SquashPenalty
 }
 
 // squashYounger flushes everything younger than u (u itself survives,
@@ -1437,7 +1459,7 @@ func (c *CPU) squashYounger(u *uop) {
 	if u.op.Blocking && !c.blockingValueReady(u) {
 		c.setBlocking(u)
 	}
-	c.fetchStallUntil = c.now + c.cfg.SquashPenalty
+	c.fetchStallUntil = c.lastTick() + c.cfg.SquashPenalty
 }
 
 // EpochEnd implements load-order mis-speculation detection: when another

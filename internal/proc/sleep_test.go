@@ -43,18 +43,45 @@ func (h *holdCtrl) release() {
 	}
 }
 
-// twins runs one program on two cores in lockstep. cores[0] sleeps as it
-// does in a system; cores[1] has its wake mark forced before every tick,
-// so it runs the pipeline every cycle as every core did before cores
-// could sleep. After each cycle the two must be indistinguishable.
+// alwaysDue keeps the Slot of the twin it wraps; the twin tests wake it
+// before every Step, so the kernel calls the twin every cycle.
+type alwaysDue struct {
+	sim.Scheduled
+	slot sim.Slot
+}
+
+func (a *alwaysDue) Attach(s sim.Slot) {
+	a.slot = s
+	a.Scheduled.Attach(s)
+}
+
+// counting counts the kernel's calls to the component it wraps.
+type counting struct {
+	sim.Scheduled
+	calls int
+}
+
+func (c *counting) Tick(now sim.Cycle) {
+	c.calls++
+	c.Scheduled.Tick(now)
+}
+
+// twins runs one program on two cores, each registered after its
+// controller in a kernel of its own, the kernels stepped in lockstep.
+// cores[0] is called only when the due cycle it published comes, as in a
+// system; cores[1] is reached through alwaysDue and has its wake mark
+// forced before every Step, so it runs the pipeline every cycle as every
+// core did before cores could sleep. After each cycle the two must be
+// indistinguishable.
 type twins struct {
-	t     *testing.T
-	cores [2]*CPU
-	ctrls [2]*holdCtrl
-	sinks [2]*core.CollectorSink
-	now   sim.Cycle
-	// sleptTicks counts ticks cores[0] skipped; a test that never put the
-	// core to sleep tested nothing.
+	t      *testing.T
+	ks     [2]*sim.Kernel
+	cores  [2]*CPU
+	ctrls  [2]*holdCtrl
+	sinks  [2]*core.CollectorSink
+	sleepy *counting
+	// sleptTicks counts cycles the kernel did not call cores[0]; a test
+	// that never put the core to sleep tested nothing.
 	sleptTicks int
 
 	// fresh makes cores[1] the twin of the recycling tests instead
@@ -89,10 +116,21 @@ func newTwins(t *testing.T, o twinOpts) *twins {
 		if o.watchdog != 0 {
 			c.watchdogCycles = o.watchdog
 		}
-		tw.cores[i], tw.ctrls[i] = c, h
+		k := sim.NewKernel(2)
+		k.Register(h)
+		if i == 0 {
+			tw.sleepy = &counting{Scheduled: c}
+			k.Register(tw.sleepy)
+		} else {
+			k.Register(&alwaysDue{Scheduled: c})
+		}
+		tw.ks[i], tw.cores[i], tw.ctrls[i] = k, c, h
 	}
 	return tw
 }
+
+// now is the cycle the next step runs.
+func (tw *twins) now() sim.Cycle { return tw.ks[0].Now() }
 
 // both applies the same stimulus to both cores, between two cycles.
 func (tw *twins) both(fn func(c *CPU, h *holdCtrl)) {
@@ -126,7 +164,7 @@ func (tw *twins) view(i int) cpuView {
 		Stats:  c.Stats(), // settles a sleeping core's counters and stamps
 		Instrs: c.instrs, PendingGap: c.pendingGap,
 		SeqNext: c.seqNext, HeadSeq: c.headSeq,
-		Now: c.now, FetchStallUntil: c.fetchStallUntil,
+		Now: c.lastTick(), FetchStallUntil: c.fetchStallUntil,
 		LastInject: c.lastInject, HeadSince: c.headSince, WBSince: c.wbProgressAt,
 		Finished: c.finished, Pending: c.pendingOp != nil, Blocking: c.blockingOp != nil,
 		WatchdogFired: c.watchdogFired, WBWatchdogFired: c.wbWatchdogFired,
@@ -150,24 +188,22 @@ func (tw *twins) view(i int) cpuView {
 // step runs one cycle on both cores and compares them.
 func (tw *twins) step() {
 	tw.t.Helper()
-	for i, c := range tw.cores {
-		tw.ctrls[i].Tick(tw.now)
-		if i == 1 && !tw.fresh {
-			c.wake()
-		}
-		before := c.slept
-		c.Tick(tw.now)
-		if i == 0 && c.slept > before {
-			tw.sleptTicks++
-		}
+	now, calls := tw.now(), tw.sleepy.calls
+	if !tw.fresh {
+		tw.cores[1].wake()
+	}
+	for _, k := range tw.ks {
+		k.Step()
+	}
+	if tw.sleepy.calls == calls {
+		tw.sleptTicks++
 	}
 	if tw.fresh {
 		tw.trackLives()
 	}
 	if a, b := tw.view(0), tw.view(1); !reflect.DeepEqual(a, b) {
-		tw.t.Fatalf("cycle %d: the core diverged from its twin\n core %+v\n twin %+v", tw.now, a, b)
+		tw.t.Fatalf("cycle %d: the core diverged from its twin\n core %+v\n twin %+v", now, a, b)
 	}
-	tw.now++
 }
 
 func (tw *twins) run(cycles int) {
@@ -181,8 +217,8 @@ func (tw *twins) run(cycles int) {
 // before at least `until`.
 func (tw *twins) asleep() {
 	tw.t.Helper()
-	if c := tw.cores[0]; c.awake || c.wakeAt <= tw.now {
-		tw.t.Fatalf("cycle %d: core is not asleep (awake=%v wakeAt=%d): %v", tw.now, c.awake, c.wakeAt, c)
+	if c := tw.cores[0]; c.awake || c.wakeAt <= tw.now() {
+		tw.t.Fatalf("cycle %d: core is not asleep (awake=%v wakeAt=%d): %v", tw.now(), c.awake, c.wakeAt, c)
 	}
 }
 
@@ -460,27 +496,32 @@ func TestTwinsOnRandomPrograms(t *testing.T) {
 	}
 }
 
-// TestCPUIdleTickSteadyStateAllocFree: a sleeping core's Tick allocates
-// nothing.
+// TestCPUIdleTickSteadyStateAllocFree: a cycle of a sleeping core — the
+// kernel's step past it, and its Tick should something wake it without
+// work — allocates nothing, and a settle accounts the skipped cycles.
 func TestCPUIdleTickSteadyStateAllocFree(t *testing.T) {
 	h := &holdCtrl{fakeCtrl: newFakeCtrl(3), hold: holdAddr(0x1000, network.ClassCoherence)}
 	c := NewCPU(0, testProcCfg(), consistency.TSO, h, NewScript([]Op{ld(0x1000)}))
-	now := sim.Cycle(0)
-	tick := func() {
-		h.Tick(now)
-		c.Tick(now)
-		now++
-	}
-	for i := 0; i < 50; i++ {
-		tick()
-	}
+	k := sim.NewKernel(2)
+	k.Register(h)
+	cc := &counting{Scheduled: c}
+	k.Register(cc)
+	k.Run(50)
 	if c.awake {
 		t.Fatal("core is not asleep behind the held miss")
 	}
-	if allocs := testing.AllocsPerRun(1000, tick); allocs != 0 {
+	calls := cc.calls
+	if allocs := testing.AllocsPerRun(1000, k.Step); allocs != 0 {
+		t.Errorf("sleeping core's cycle: %.2f allocs/op, want 0", allocs)
+	}
+	if cc.calls != calls {
+		t.Fatalf("the kernel called a sleeping core %d times", cc.calls-calls)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { c.Tick(k.Now()) }); allocs != 0 {
 		t.Errorf("sleeping Tick: %.2f allocs/op, want 0", allocs)
 	}
-	if c.slept < 1000 {
-		t.Fatalf("core skipped %d ticks of 1000", c.slept)
+	c.Stats()
+	if c.accounted != uint64(k.Now()) {
+		t.Fatalf("Stats settled %d ticks of %d", c.accounted, k.Now())
 	}
 }

@@ -82,8 +82,10 @@ type Manager struct {
 
 	live []Checkpoint
 	seq  uint64
-	// next is the first interval boundary Tick has not yet looked at.
+	// next is the first interval boundary Tick has not yet looked at; the
+	// manager publishes it on slot, its place in the kernel.
 	next sim.Cycle
+	slot sim.Slot
 
 	// cpAfterRecovery is false between a recovery and the next
 	// checkpoint: a second recovery in that window is "nested" — it
@@ -101,7 +103,7 @@ type Manager struct {
 	stats Stats
 }
 
-var _ sim.Clockable = (*Manager)(nil)
+var _ sim.Scheduled = (*Manager)(nil)
 
 // Stats counts BER activity.
 type Stats struct {
@@ -148,17 +150,19 @@ func (m *Manager) SetReleaseFunc(f ReleaseFunc) { m.release = f }
 //
 //dvmc:hotpath
 func (m *Manager) Tick(now sim.Cycle) {
-	if now < m.next {
-		return
+	if now >= m.next {
+		into := now % m.cfg.Interval
+		m.next = now - into + m.cfg.Interval
+		if into == 0 {
+			//dvmc:alloc-ok a checkpoint copies architectural state; it runs once per interval, never on the idle path
+			m.checkpoint(now)
+		}
 	}
-	into := now % m.cfg.Interval
-	m.next = now - into + m.cfg.Interval
-	if into != 0 {
-		return
-	}
-	//dvmc:alloc-ok a checkpoint copies architectural state; it runs once per interval, never on the idle path
-	m.checkpoint(now)
+	m.slot.SleepUntil(m.next)
 }
+
+// Attach implements sim.Scheduled.
+func (m *Manager) Attach(s sim.Slot) { m.slot = s }
 
 func (m *Manager) checkpoint(now sim.Cycle) {
 	m.seq++
@@ -247,7 +251,8 @@ type Logger struct {
 	mgr    *Manager
 
 	interval sim.Cycle
-	next     sim.Cycle // start of the next checkpoint interval
+	next     sim.Cycle // start of the next checkpoint interval, published on slot
+	slot     sim.Slot
 	logged   map[mem.BlockAddr]bool
 }
 
@@ -280,19 +285,22 @@ func NewLogger(node network.NodeID, homeOf func(mem.BlockAddr) network.NodeID,
 	}
 }
 
-var _ sim.Clockable = (*Logger)(nil)
+var _ sim.Scheduled = (*Logger)(nil)
 
 // Tick implements sim.Clockable: reset the logged set at interval
 // boundaries.
 //
 //dvmc:hotpath
 func (l *Logger) Tick(now sim.Cycle) {
-	if now < l.next {
-		return
+	if now >= l.next {
+		l.next = now - now%l.interval + l.interval
+		clear(l.logged)
 	}
-	l.next = now - now%l.interval + l.interval
-	clear(l.logged)
+	l.slot.SleepUntil(l.next)
 }
+
+// Attach implements sim.Scheduled.
+func (l *Logger) Attach(s sim.Slot) { l.slot = s }
 
 // Access records a cache access; first writes per interval emit log
 // traffic.

@@ -95,6 +95,16 @@ func (q *EventQueue) Tick(now Cycle) {
 	}
 }
 
+// Next returns the cycle of the earliest pending event, or Never.
+//
+//dvmc:hotpath
+func (q *EventQueue) Next() Cycle {
+	if len(q.h) == 0 {
+		return Never
+	}
+	return q.h[0].at
+}
+
 // Len returns the number of pending events.
 //
 //dvmc:hotpath

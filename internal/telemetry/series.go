@@ -75,6 +75,7 @@ type Sampler struct {
 	reg   *Registry
 	every sim.Cycle
 	taken uint64
+	slot  sim.Slot // due at the next multiple of every
 }
 
 // NewSampler builds a sampler ticking reg every `every` cycles
@@ -90,13 +91,17 @@ func NewSampler(reg *Registry, every sim.Cycle) *Sampler {
 //
 //dvmc:hotpath
 func (sp *Sampler) Tick(now sim.Cycle) {
-	if now%sp.every != 0 {
-		return
+	into := now % sp.every
+	if into == 0 {
+		sp.reg.Collect()
+		sp.reg.Sample(uint64(now))
+		sp.taken++
 	}
-	sp.reg.Collect()
-	sp.reg.Sample(uint64(now))
-	sp.taken++
+	sp.slot.SleepUntil(now - into + sp.every)
 }
+
+// Attach implements sim.Scheduled.
+func (sp *Sampler) Attach(s sim.Slot) { sp.slot = s }
 
 // Samples returns the number of sampling ticks taken so far.
 func (sp *Sampler) Samples() uint64 { return sp.taken }

@@ -145,12 +145,17 @@ type phaseSampler struct {
 	every sim.Cycle
 	last  sim.Cycle
 	prev  [4]uint64
+	slot  sim.Slot // due at the next multiple of every
 }
 
-var _ sim.Clockable = (*phaseSampler)(nil)
+var _ sim.Scheduled = (*phaseSampler)(nil)
+
+func (p *phaseSampler) Attach(s sim.Slot) { p.slot = s }
 
 func (p *phaseSampler) Tick(now sim.Cycle) {
-	if now == 0 || now%p.every != 0 {
+	into := now % p.every
+	p.slot.SleepUntil(now - into + p.every)
+	if now == 0 || into != 0 {
 		return
 	}
 	cur := [4]uint64{p.s.procWork(), p.s.coherenceWork(), p.s.networkWork(), p.s.checkerWork()}

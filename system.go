@@ -110,10 +110,13 @@ type System struct {
 }
 
 // snoopClock adapts the broadcast sequence number as the snooping
-// logical time base.
+// logical time base. It advances only when the tree delivers, and wakes
+// the checkers that subscribe to it then.
 type snoopClock struct{ bt *network.BroadcastTree }
 
 func (c snoopClock) LogicalNow() uint64 { return c.bt.Sequence() }
+
+func (c snoopClock) WakeOnAdvance(s sim.Slot) { c.bt.WakeOnAdvance(s) }
 
 // fanEpoch fans epoch events out to the CET checker (if any) and the
 // CPU's mis-speculation squash hook.
@@ -174,7 +177,10 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	}
 	w = w.WithThreads(cfg.Nodes).WithModel(cfg.Model)
 
-	s := &System{cfg: cfg, kernel: &sim.Kernel{}}
+	// At most five system-wide components (torus, tree, SafetyNet manager,
+	// two samplers) and six per node (home, controller, MET, CET, logger,
+	// core).
+	s := &System{cfg: cfg, kernel: sim.NewKernel(5 + 6*cfg.Nodes)}
 	rng := sim.NewRand(cfg.Seed)
 	now := s.kernel.Now
 
