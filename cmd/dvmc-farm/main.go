@@ -18,9 +18,11 @@
 // expire and are stolen, and re-executed shards reproduce identical
 // bytes, so the merged output never depends on the schedule.
 //
-// Exit codes: 0 clean, 1 usage or I/O error, 2 campaign failure found
-// (fuzz: escape, false alarm, or crash; experiment: undetected faults)
-// or, on resume, a checkpoint that does not decode.
+// Exit codes: 0 clean (and for -h), 1 usage or I/O error, 2 campaign
+// failure found (fuzz: escape, false alarm, or crash; experiment:
+// undetected faults) or, on resume, a checkpoint that does not decode —
+// torn mid-file, a CRC mismatch, or a DVMC1 journal from before shard
+// results became verdicts.
 //
 // Example (two terminals):
 //
@@ -46,28 +48,39 @@ import (
 	"dvmc/internal/telemetry"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is main's process edges, passed in so tests can drive it.
+type cli struct {
+	stdout, stderr io.Writer
+}
+
+// run is main with its process edges passed in; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	c := &cli{stdout: stdout, stderr: stderr}
+	if len(args) < 1 {
+		c.usage()
+		return 1
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "serve":
-		serve(os.Args[2:], false)
+		return c.serve(args[1:], false)
 	case "resume":
-		serve(os.Args[2:], true)
+		return c.serve(args[1:], true)
 	case "work":
-		work(os.Args[2:])
+		return c.work(args[1:])
 	case "status":
-		status(os.Args[2:])
+		return c.status(args[1:])
 	case "-h", "-help", "--help", "help":
-		usage()
+		c.usage()
+		return 0
 	default:
-		fatalf("unknown subcommand %q (want serve, resume, work, or status)", os.Args[1])
+		return c.failf("unknown subcommand %q (want serve, resume, work, or status)", args[0])
 	}
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
+func (c *cli) usage() {
+	fmt.Fprintf(c.stderr, `usage:
   dvmc-farm serve  [flags]    coordinate a new sharded campaign
   dvmc-farm resume [flags]    restart a coordinator from -checkpoint
   dvmc-farm work   [flags]    execute leases for a coordinator
@@ -80,35 +93,36 @@ campaign, regardless of worker count, ordering, or crashes.
 exit codes: 0 clean, 1 usage or I/O error, 2 campaign failure found
 (or, on resume, a checkpoint that does not decode)
 `)
-	os.Exit(1)
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "dvmc-farm: "+format+"\n", args...)
-	os.Exit(1)
+// failf reports a usage or I/O error: exit 1 (2 is reserved for found
+// failures and undecodable checkpoints).
+func (c *cli) failf(format string, args ...any) int {
+	fmt.Fprintf(c.stderr, "dvmc-farm: "+format+"\n", args...)
+	return 1
 }
 
-func newFlagSet(name string) *flag.FlagSet {
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
-	return fs
-}
-
-func parseFlags(fs *flag.FlagSet, args []string) {
+// flags parses a subcommand's flags; ok false means return code now.
+func (c *cli) flags(fs *flag.FlagSet, args []string) (code int, ok bool) {
+	fs.SetOutput(c.stderr)
 	if err := fs.Parse(args); err != nil {
-		os.Exit(1)
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, false
+		}
+		return 1, false
 	}
+	return 0, true
 }
 
 // serve runs a coordinator to completion: bind, hand out leases, merge
 // results, write artifacts. resume=true loads the job from -checkpoint
 // instead of the job flags.
-func serve(args []string, resume bool) {
+func (c *cli) serve(args []string, resume bool) int {
 	name := "serve"
 	if resume {
 		name = "resume"
 	}
-	fs := newFlagSet(name)
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8700", "coordinator listen address")
 		checkpoint = fs.String("checkpoint", "", "append-only journal of accepted results (required for resume)")
@@ -134,27 +148,30 @@ func serve(args []string, resume bool) {
 		genSize   = fs.Int("gen-size", 0, "fuzz: mutants per generation (0 = n/8, min 1)")
 		faults    = fs.Int("faults", 100, "experiment: injections per protocol x model row")
 	)
-	parseFlags(fs, args)
+	if code, ok := c.flags(fs, args); !ok {
+		return code
+	}
 	if fs.NArg() != 0 {
-		fatalf("%s: unexpected arguments %v", name, fs.Args())
+		return c.failf("%s: unexpected arguments %v", name, fs.Args())
 	}
 
 	// checkOutputs refuses, before anything is bound or run, an output
 	// flag the job cannot honour.
-	checkOutputs := func(spec fabric.JobSpec) {
+	checkOutputs := func(spec fabric.JobSpec) error {
 		switch {
 		case *spansOut != "" && spec.Kind != fabric.JobFuzz:
-			fatalf("%s: -spans-out needs a fuzz job, this is an %s job", name, spec.Kind)
+			return fmt.Errorf("-spans-out needs a fuzz job, this is an %s job", spec.Kind)
 		case *metricsOut != "" && (spec.Kind != fabric.JobFuzz || !spec.Fuzz.Metrics):
-			fatalf("%s: -metrics-out needs a fuzz job started with -metrics", name)
+			return fmt.Errorf("-metrics-out needs a fuzz job started with -metrics")
 		}
+		return nil
 	}
 	opts := fabric.CoordinatorOptions{CheckpointPath: *checkpoint, TTLSeconds: *ttl}
 	var coord *fabric.Coordinator
 	var err error
 	if resume {
 		if *checkpoint == "" {
-			fatalf("resume: -checkpoint is required")
+			return c.failf("resume: -checkpoint is required")
 		}
 		coord, err = fabric.ResumeCoordinator(*checkpoint, opts)
 	} else {
@@ -170,53 +187,59 @@ func serve(args []string, resume bool) {
 		case fabric.JobExperiment:
 			spec.Experiment = &fabric.ExperimentSpec{Faults: *faults, Budget: *budget, Seed: *seed}
 		default:
-			fatalf("serve: unknown -job %q", *kind)
+			return c.failf("serve: unknown -job %q", *kind)
 		}
-		checkOutputs(spec) // before NewCoordinator creates the checkpoint
+		// Before NewCoordinator creates the checkpoint.
+		if err := checkOutputs(spec); err != nil {
+			return c.failf("%s: %v", name, err)
+		}
 		coord, err = fabric.NewCoordinator(spec, opts)
 	}
 	var pe *frame.PosError
 	if errors.As(err, &pe) {
 		// A checkpoint that does not decode is a failed artifact, not a
 		// usage error.
-		fmt.Fprintf(os.Stderr, "dvmc-farm: %s: %v\n", name, err)
-		os.Exit(2)
+		fmt.Fprintf(c.stderr, "dvmc-farm: %s: %v\n", name, err)
+		return 2
 	}
 	if err != nil {
-		fatalf("%s: %v", name, err)
+		return c.failf("%s: %v", name, err)
 	}
 	defer coord.Close()
-	checkOutputs(coord.Spec()) // on resume, the journaled job
+	if err := checkOutputs(coord.Spec()); err != nil { // on resume, the journaled job
+		return c.failf("%s: %v", name, err)
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatalf("%s: %v", name, err)
+		return c.failf("%s: %v", name, err)
 	}
 	srv := &http.Server{Handler: coord}
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			fatalf("%s: %v", name, err)
-		}
-	}()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
 	st := coord.Status()
-	fmt.Fprintf(os.Stderr, "dvmc-farm: coordinating %s job: %d cases in %d shards on %s (%d already done)\n",
+	fmt.Fprintf(c.stderr, "dvmc-farm: coordinating %s job: %d cases in %d shards on %s (%d already done)\n",
 		st.Kind, st.Cases, st.Total, ln.Addr(), st.Done)
 
-	<-coord.Done()
+	select {
+	case <-coord.Done():
+	case err := <-served:
+		return c.failf("%s: %v", name, err)
+	}
 	out, err := coord.Finalize()
 	if err != nil {
-		fatalf("%s: %v", name, err)
+		return c.failf("%s: %v", name, err)
 	}
-	failed, err := writeOutputs(coord, out, *jsonOut, *recordsOut, *metricsOut)
+	failed, err := c.writeOutputs(out, *jsonOut, *recordsOut, *metricsOut)
 	if err != nil {
-		fatalf("%s: %v", name, err)
+		return c.failf("%s: %v", name, err)
 	}
 	if *spansOut != "" {
 		rec, err := fuzz.WriteSpans(out.Records, *spansOut)
 		if err != nil {
-			fatalf("%s: %v", name, err)
+			return c.failf("%s: %v", name, err)
 		}
-		fmt.Fprintf(os.Stderr, "dvmc-farm: span dump for run %d (%s) written to %s\n",
+		fmt.Fprintf(c.stderr, "dvmc-farm: span dump for run %d (%s) written to %s\n",
 			rec.Index, rec.Result.Class, *spansOut)
 	}
 	// Linger past the workers' poll interval so they observe the job's
@@ -224,24 +247,25 @@ func serve(args []string, resume bool) {
 	time.Sleep(4 * time.Second)
 	srv.Shutdown(context.Background())
 	if failed {
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
 // writeOutputs renders a finished job's artifacts exactly as the serial
 // CLIs do (dvmc-fuzz's summary encoding, the experiments' table text),
 // so farm output files can be compared byte-for-byte against serial
 // baselines.
-func writeOutputs(coord *fabric.Coordinator, out *fabric.Output, jsonOut bool, recordsOut, metricsOut string) (failed bool, err error) {
+func (c *cli) writeOutputs(out *fabric.Output, jsonOut bool, recordsOut, metricsOut string) (failed bool, err error) {
 	if out.Records != nil {
 		if jsonOut {
-			enc := json.NewEncoder(os.Stdout)
+			enc := json.NewEncoder(c.stdout)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(out.Summary); err != nil {
 				return false, err
 			}
 		} else {
-			fmt.Print(out.Summary)
+			fmt.Fprint(c.stdout, out.Summary)
 		}
 		if recordsOut != "" {
 			data, err := json.MarshalIndent(out.Records, "", "  ")
@@ -252,43 +276,51 @@ func writeOutputs(coord *fabric.Coordinator, out *fabric.Output, jsonOut bool, r
 				return false, err
 			}
 		}
-		if metricsOut != "" && out.Snapshot != nil {
+		switch {
+		case metricsOut == "" || out.Snapshot == nil:
+		case metricsOut == "-":
+			if err := out.Snapshot.EncodeJSON(c.stdout); err != nil {
+				return false, err
+			}
+		default:
 			if err := telemetry.WriteSnapshotFile(out.Snapshot, metricsOut); err != nil {
 				return false, err
 			}
 		}
 		if out.Summary.Failed() {
-			fmt.Fprintf(os.Stderr, "dvmc-farm: %d failing runs\n", out.Summary.Failures)
+			fmt.Fprintf(c.stderr, "dvmc-farm: %d failing runs\n", out.Summary.Failures)
 			return true, nil
 		}
 		return false, nil
 	}
 
 	// Experiment job: print the table; fail on undetected faults.
-	fmt.Print(out.Table)
+	fmt.Fprint(c.stdout, out.Table)
 	undetected := 0
-	for _, c := range out.Campaigns {
-		_, _, _, u := c.Counts()
+	for _, camp := range out.Campaigns {
+		_, _, _, u := camp.Counts()
 		undetected += u
 	}
 	if undetected > 0 {
-		fmt.Fprintf(os.Stderr, "dvmc-farm: %d undetected faults\n", undetected)
+		fmt.Fprintf(c.stderr, "dvmc-farm: %d undetected faults\n", undetected)
 		return true, nil
 	}
 	return false, nil
 }
 
-func work(args []string) {
-	fs := newFlagSet("work")
+func (c *cli) work(args []string) int {
+	fs := flag.NewFlagSet("work", flag.ContinueOnError)
 	var (
 		coordinator = fs.String("coordinator", "http://127.0.0.1:8700", "coordinator base URL")
 		workerName  = fs.String("name", "", "worker name (default host-pid)")
 		maxShards   = fs.Int("max-shards", 0, "stop after completing this many shards (0 = run until the job finishes)")
 		quiet       = fs.Bool("q", false, "suppress per-shard progress lines")
 	)
-	parseFlags(fs, args)
+	if code, ok := c.flags(fs, args); !ok {
+		return code
+	}
 	if fs.NArg() != 0 {
-		fatalf("work: unexpected arguments %v", fs.Args())
+		return c.failf("work: unexpected arguments %v", fs.Args())
 	}
 	name := *workerName
 	if name == "" {
@@ -299,7 +331,7 @@ func work(args []string) {
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "dvmc-farm[%s]: "+format+"\n", append([]any{name}, args...)...)
+		fmt.Fprintf(c.stderr, "dvmc-farm[%s]: "+format+"\n", append([]any{name}, args...)...)
 	}
 	if *quiet {
 		logf = nil
@@ -308,43 +340,46 @@ func work(args []string) {
 		Name: name, Coordinator: *coordinator, MaxShards: *maxShards, Logf: logf,
 	})
 	if err != nil {
-		fatalf("work: %v (after %d shards)", err, n)
+		return c.failf("work: %v (after %d shards)", err, n)
 	}
+	return 0
 }
 
-func status(args []string) {
-	fs := newFlagSet("status")
+func (c *cli) status(args []string) int {
+	fs := flag.NewFlagSet("status", flag.ContinueOnError)
 	var (
 		coordinator = fs.String("coordinator", "http://127.0.0.1:8700", "coordinator base URL")
 		jsonOut     = fs.Bool("json", false, "print the raw status JSON")
 	)
-	parseFlags(fs, args)
+	if code, ok := c.flags(fs, args); !ok {
+		return code
+	}
 	if fs.NArg() != 0 {
-		fatalf("status: unexpected arguments %v", fs.Args())
+		return c.failf("status: unexpected arguments %v", fs.Args())
 	}
 	resp, err := http.Get(*coordinator + fabric.PathStatus)
 	if err != nil {
-		fatalf("status: %v", err)
+		return c.failf("status: %v", err)
 	}
 	defer resp.Body.Close()
 	var st fabric.StatusResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, fabric.MaxControlBody)).Decode(&st); err != nil {
-		fatalf("status: %v", err)
+		return c.failf("status: %v", err)
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(c.stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(st); err != nil {
-			fatalf("status: %v", err)
+			return c.failf("status: %v", err)
 		}
-		return
+		return 0
 	}
-	fmt.Printf("%s job: %d cases, shards %d done / %d active / %d pending of %d",
+	fmt.Fprintf(c.stdout, "%s job: %d cases, shards %d done / %d active / %d pending of %d",
 		st.Kind, st.Cases, st.Done, st.Active, st.Pending, st.Total)
 	if st.Finished {
-		fmt.Print("  [finished]")
+		fmt.Fprint(c.stdout, "  [finished]")
 	}
-	fmt.Println()
+	fmt.Fprintln(c.stdout)
 	for _, w := range st.Workers {
 		shard := "idle"
 		if w.ActiveShard >= 0 {
@@ -353,7 +388,8 @@ func status(args []string) {
 				shard += fmt.Sprintf(" (gen %d)", w.Generation)
 			}
 		}
-		fmt.Printf("  worker %-20s %3d shards (%.2f/s), %-16s seen %ds ago, renewed %ds ago\n",
+		fmt.Fprintf(c.stdout, "  worker %-20s %3d shards (%.2f/s), %-16s seen %ds ago, renewed %ds ago\n",
 			w.Name, w.Shards, w.ShardsPerSec, shard+",", w.LastSeenSeconds, w.LastRenewSeconds)
 	}
+	return 0
 }

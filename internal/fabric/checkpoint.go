@@ -13,13 +13,14 @@ import (
 // The checkpoint is an append-only journal of coordinator progress: one
 // CRC-framed record per line,
 //
-//	DVMC1 <crc16 hex4> <payload JSON>\n
+//	DVMC2 <crc16 hex4> <payload JSON>\n
 //
 // where the CRC-16 (the repo's CCITT signature, internal/hash) covers
 // the payload bytes. The first record is the job spec; every subsequent
-// record is one accepted shard result. Appends are flushed per record,
-// so after a coordinator crash the file holds every accepted result
-// plus at most one torn trailing line.
+// record is one accepted shard result, whose fuzz records are verdicts
+// (no case: the coordinator re-derives them). Appends are flushed per
+// record, so after a coordinator crash the file holds every accepted
+// result plus at most one torn trailing line.
 //
 // Decoding is strict: a framing error, CRC mismatch, or malformed
 // payload anywhere but the unterminated tail refuses the whole file
@@ -28,8 +29,10 @@ import (
 // Only an unterminated final line (no trailing newline: the signature
 // of a crash mid-append) is recovered by dropping it.
 
-// checkpointMagic frames every record line.
-const checkpointMagic = "DVMC1"
+// checkpointMagic frames every record line; its digit is the journal
+// version. A version 1 result line carried each record's whole case and
+// does not decode as version 2, so a DVMC1 journal is refused by name.
+const checkpointMagic = "DVMC2"
 
 // CheckpointEntry is one journal record; exactly one field is set.
 type CheckpointEntry struct {
@@ -58,6 +61,9 @@ func decodeEntryLine(line []byte) (CheckpointEntry, error) {
 	var e CheckpointEntry
 	rest, ok := bytes.CutPrefix(line, []byte(checkpointMagic+" "))
 	if !ok {
+		if bytes.HasPrefix(line, []byte("DVMC1 ")) {
+			return e, fmt.Errorf("journal version DVMC1, whose results carry whole cases; this coordinator reads %s only", checkpointMagic)
+		}
 		return e, fmt.Errorf("line missing %s frame", checkpointMagic)
 	}
 	crcHex, payload, ok := bytes.Cut(rest, []byte(" "))

@@ -2,10 +2,16 @@ package fabric
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"dvmc/internal/frame"
 	"dvmc/internal/fuzz"
+	"dvmc/internal/hash"
 )
 
 func sampleEntries() []CheckpointEntry {
@@ -67,7 +73,7 @@ func TestCheckpointRefusesCorruption(t *testing.T) {
 		// A line without the magic frame.
 		"foreign line": lines[0] + "not a checkpoint line\n" + lines[2],
 		// A bad CRC field.
-		"mangled crc": lines[0] + strings.Replace(lines[1], "DVMC1 ", "DVMC1 zz", 1),
+		"mangled crc": lines[0] + strings.Replace(lines[1], checkpointMagic+" ", checkpointMagic+" zz", 1),
 	}
 	for name, data := range cases {
 		if _, _, err := ReadCheckpoint([]byte(data)); err == nil {
@@ -127,5 +133,70 @@ func TestCheckpointEmpty(t *testing.T) {
 	out, dropped, err := ReadCheckpoint(nil)
 	if err != nil || len(out) != 0 || dropped != 0 {
 		t.Fatalf("empty checkpoint = (%v, %d, %v)", out, dropped, err)
+	}
+}
+
+// legacyJournal is a version 1 journal with valid CRCs: the spec, then
+// one result whose record carries its whole case.
+func legacyJournal() []byte {
+	var b bytes.Buffer
+	for _, payload := range []string{
+		`{"spec":{"kind":"fuzz","fuzz":{"seed":5,"runs":4,"workers":0,"fault_frac":0,"budget":2000,"minimize":false},"shard_size":2}}`,
+		`{"result":{"shard":{"id":0,"from":0,"to":2},"records":[{"index":0,"case":{"name":"run-000000","model":"TSO"},"result":{"class":"agree-clean","cycles":900,"finished":true}}]}}`,
+	} {
+		fmt.Fprintf(&b, "DVMC1 %04x %s\n", uint16(hash.Sum([]byte(payload))), payload)
+	}
+	return b.Bytes()
+}
+
+// TestCheckpointRefusesVersion1: a journal written before results became
+// verdicts is refused at its first line, naming the version, both by the
+// reader and by resume.
+func TestCheckpointRefusesVersion1(t *testing.T) {
+	data := legacyJournal()
+	if _, _, err := ReadCheckpoint(data); err == nil || !strings.Contains(err.Error(), "DVMC1") {
+		t.Fatalf("reading a DVMC1 journal: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ResumeCoordinator(path, CoordinatorOptions{})
+	var pe *frame.PosError
+	if !errors.As(err, &pe) || pe.Record != 0 || pe.Offset != 0 || !strings.Contains(err.Error(), "journal version DVMC1") {
+		t.Fatalf("resuming a DVMC1 journal = %v, want a record 0, offset 0 refusal naming the version", err)
+	}
+}
+
+// TestCheckpointResultLineIsSmall: a journaled fuzz result holds verdicts,
+// not cases, so an 8-case shard with no failures stays under 2 KB.
+func TestCheckpointResultLineIsSmall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a shard in -short mode")
+	}
+	spec := JobSpec{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 1, Runs: 8, FaultFrac: 0.5}}
+	sh := spec.Shards()[0]
+	res, err := ExecuteShard(spec, sh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 8 {
+		t.Fatalf("shard %+v delivered %d records", sh, len(res.Records))
+	}
+	for _, r := range res.Records {
+		if r.Result.Class.Failure() {
+			t.Fatalf("case %d is a %s: the fixture wants a shard with no failures", r.Index, r.Result.Class)
+		}
+	}
+	var line bytes.Buffer
+	if err := AppendEntry(&line, CheckpointEntry{Result: &res}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("journal line for shard %+v: %d bytes", sh, line.Len())
+	if line.Len() >= 2048 {
+		t.Fatalf("journal line for an 8-case shard is %d bytes, want < 2048", line.Len())
+	}
+	if bytes.Contains(line.Bytes(), []byte(`"case"`)) {
+		t.Fatal("journal line carries a case")
 	}
 }

@@ -56,10 +56,10 @@ type Coordinator struct {
 	leases *LeaseTable
 	//dvmc:guardedby mu
 	results map[int]*ShardResult
-	// pools caches the per-generation mutation seed pools (serialized),
-	// each computed once when its generation unlocks.
+	// pools caches the per-generation mutation seed pools, each distilled
+	// once: when its generation unlocks, or when Finalize first derives it.
 	//dvmc:guardedby mu
-	pools map[int]json.RawMessage
+	pools map[int]*seedPool
 	//dvmc:guardedby mu
 	workers map[string]*workerInfo
 	//dvmc:guardedby mu
@@ -171,7 +171,7 @@ func newCoordinator(spec JobSpec, shards []Shard, opts CoordinatorOptions) *Coor
 		shards:        append([]Shard(nil), shards...),
 		leases:        NewLeaseTable(shards, ttl),
 		results:       make(map[int]*ShardResult),
-		pools:         make(map[int]json.RawMessage),
+		pools:         make(map[int]*seedPool),
 		workers:       make(map[string]*workerInfo),
 		clock:         clock,
 		ttl:           ttl,
@@ -299,10 +299,16 @@ func (c *Coordinator) rangeDone(from, to int) bool {
 	return true
 }
 
+// seedPool is one generation's mutation seed pool: the cases the
+// coordinator breeds the generation's cases from, and their JSON, which
+// rides in the generation's leases.
+type seedPool struct {
+	cases []*fuzz.Case
+	data  json.RawMessage
+}
+
 // shardInput assembles the per-shard lease input: for a shard in
-// generation g >= 1, the generation's serialized mutation seed pool,
-// distilled (and cached) from the completed earlier generations with
-// the same fuzz.CoveragePool walk the local driver performs.
+// generation g >= 1, the generation's serialized mutation seed pool.
 //
 //dvmc:guardedby mu
 func (c *Coordinator) shardInput(sh Shard) (json.RawMessage, error) {
@@ -310,24 +316,88 @@ func (c *Coordinator) shardInput(sh Shard) (json.RawMessage, error) {
 	if g == 0 {
 		return nil, nil
 	}
-	if cached, ok := c.pools[g]; ok {
-		return cached, nil
+	if p := c.pools[g]; p != nil {
+		return p.data, nil
 	}
 	from, _ := c.gens.GenBounds(g)
-	records := make([]fuzz.Record, from)
-	for _, r := range c.results {
-		for _, rec := range r.Records {
-			if rec.Index >= 0 && rec.Index < from {
-				records[rec.Index] = rec
-			}
-		}
-	}
-	data, err := json.Marshal(fuzz.CoveragePool(c.gens, records, g))
+	records, err := c.records(from)
 	if err != nil {
 		return nil, err
 	}
-	c.pools[g] = data
-	return data, nil
+	p, err := c.pool(g, records)
+	if err != nil {
+		return nil, err
+	}
+	return p.data, nil
+}
+
+// pool returns generation g's seed pool (empty for the random prefix),
+// distilled on first use with the same fuzz.CoveragePool walk the local
+// driver performs, from records that hold every earlier generation.
+//
+//dvmc:guardedby mu
+func (c *Coordinator) pool(g int, records []fuzz.Record) (*seedPool, error) {
+	if g == 0 {
+		return &seedPool{}, nil
+	}
+	if p := c.pools[g]; p != nil {
+		return p, nil
+	}
+	cases := fuzz.CoveragePool(c.gens, records, g)
+	data, err := json.Marshal(cases)
+	if err != nil {
+		return nil, err
+	}
+	p := &seedPool{cases: cases, data: data}
+	c.pools[g] = p
+	return p, nil
+}
+
+// records is the one place verdicts become records: the dense table of
+// runs [0, upTo), upTo a generation boundary, with every case
+// re-derived by fuzz.CaseAt — generation by generation in index order,
+// each against the pool distilled from the generations before it. The
+// table depends only on which shards were accepted, not on the order
+// (live or replayed from the journal) in which they were. A duplicate or
+// missing index is an error.
+//
+//dvmc:guardedby mu
+func (c *Coordinator) records(upTo int) ([]fuzz.Record, error) {
+	records := make([]fuzz.Record, upTo)
+	filled := make([]bool, upTo)
+	for id, sh := range c.shards {
+		if sh.From >= upTo {
+			break
+		}
+		r := c.results[id]
+		if r == nil {
+			continue
+		}
+		for _, v := range r.Records {
+			if v.Index < 0 || v.Index >= upTo || filled[v.Index] {
+				return nil, fmt.Errorf("fabric: shard %d delivered record index %d out of place", id, v.Index)
+			}
+			records[v.Index] = v
+			filled[v.Index] = true
+		}
+	}
+	for g := 0; g <= c.gens.Generations; g++ {
+		from, to := c.gens.GenBounds(g)
+		if from >= upTo {
+			break
+		}
+		p, err := c.pool(g, records)
+		if err != nil {
+			return nil, err
+		}
+		for i := from; i < min(to, upTo); i++ {
+			if !filled[i] {
+				return nil, fmt.Errorf("fabric: record %d missing", i)
+			}
+			records[i].Case = fuzz.CaseAt(c.gens, i, p.cases)
+		}
+	}
+	return records, nil
 }
 
 // Renew extends a worker's lease.
@@ -450,20 +520,32 @@ func (c *Coordinator) Status() StatusResponse {
 // of the merge makes this canonical at any completion state.
 func (c *Coordinator) MetricsSnapshot() (*telemetry.Snapshot, error) {
 	c.mu.Lock()
-	snaps := make([]*telemetry.Snapshot, 0, len(c.results))
-	for _, r := range c.results {
-		if len(r.Snapshot) == 0 {
+	snaps, err := c.snapshots()
+	c.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return telemetry.MergeSnapshots(snaps...)
+}
+
+// snapshots decodes the telemetry snapshots of the shards accepted so
+// far, in shard order.
+//
+//dvmc:guardedby mu
+func (c *Coordinator) snapshots() ([]*telemetry.Snapshot, error) {
+	var snaps []*telemetry.Snapshot
+	for id := range c.shards {
+		r := c.results[id]
+		if r == nil || len(r.Snapshot) == 0 {
 			continue
 		}
 		s, err := telemetry.DecodeSnapshot(bytes.NewReader(r.Snapshot))
 		if err != nil {
-			c.mu.Unlock()
 			return nil, err
 		}
 		snaps = append(snaps, s)
 	}
-	c.mu.Unlock()
-	return telemetry.MergeSnapshots(snaps...)
+	return snaps, nil
 }
 
 // Output is a finished job's merged artifacts — the same values the
@@ -490,51 +572,41 @@ func (c *Coordinator) Finalize() (*Output, error) {
 	if !c.leases.Done() {
 		return nil, fmt.Errorf("fabric: Finalize before all shards completed")
 	}
-	ids := make([]int, 0, len(c.results))
-	for id := range c.results {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	ordered := make([]ShardResult, len(ids))
-	for i, id := range ids {
-		ordered[i] = *c.results[id]
-	}
-	return finalize(c.spec, ordered)
-}
-
-// finalize merges ordered shard results into the job's artifacts.
-func finalize(spec JobSpec, results []ShardResult) (*Output, error) {
 	out := &Output{}
-	switch spec.Kind {
+	switch c.spec.Kind {
 	case JobFuzz:
-		records, snaps, err := assembleRecords(results, spec.Fuzz.Runs)
+		records, err := c.records(c.gens.Runs)
 		if err != nil {
 			return nil, err
 		}
 		out.Records = records
-		if out.Summary, err = fuzz.Finalize(*spec.Fuzz, records); err != nil {
+		if out.Summary, err = fuzz.Finalize(*c.spec.Fuzz, records); err != nil {
 			return nil, err
 		}
-		if spec.Fuzz.Metrics {
+		if c.spec.Fuzz.Metrics {
+			snaps, err := c.snapshots()
+			if err != nil {
+				return nil, err
+			}
 			if out.Snapshot, err = telemetry.MergeSnapshots(snaps...); err != nil {
 				return nil, err
 			}
 		}
 	case JobExperiment:
-		faults := spec.Experiment.Faults
+		faults := c.spec.Experiment.Faults
 		rows := dvmc.ErrorDetectionRows()
 		campaigns := make([]dvmc.CampaignResult, len(rows))
 		for i := range campaigns {
 			campaigns[i] = dvmc.CampaignResult{Results: make([]dvmc.InjectionResult, faults)}
 		}
-		for _, r := range results {
-			for _, p := range r.Rows {
+		for id := range c.shards {
+			for _, p := range c.results[id].Rows {
 				if p.Row < 0 || p.Row >= len(rows) {
-					return nil, fmt.Errorf("fabric: shard %d delivered row %d outside the matrix", r.Shard.ID, p.Row)
+					return nil, fmt.Errorf("fabric: shard %d delivered row %d outside the matrix", id, p.Row)
 				}
 				merged, err := dvmc.Merge(campaigns[p.Row], p.Expand(faults))
 				if err != nil {
-					return nil, fmt.Errorf("fabric: shard %d row %d: %w", r.Shard.ID, p.Row, err)
+					return nil, fmt.Errorf("fabric: shard %d row %d: %w", id, p.Row, err)
 				}
 				campaigns[p.Row] = merged
 			}
@@ -549,39 +621,9 @@ func finalize(spec JobSpec, results []ShardResult) (*Output, error) {
 		out.Campaigns = campaigns
 		out.Table = dvmc.AssembleErrorDetectionTable(campaigns)
 	default:
-		return nil, fmt.Errorf("fabric: unknown job kind %q", spec.Kind)
+		return nil, fmt.Errorf("fabric: unknown job kind %q", c.spec.Kind)
 	}
 	return out, nil
-}
-
-// assembleRecords rebuilds the dense record table (and collects shard
-// snapshots) from ordered shard results, refusing gaps and duplicates.
-func assembleRecords(results []ShardResult, total int) ([]fuzz.Record, []*telemetry.Snapshot, error) {
-	records := make([]fuzz.Record, total)
-	filled := make([]bool, total)
-	var snaps []*telemetry.Snapshot
-	for _, r := range results {
-		for _, rec := range r.Records {
-			if rec.Index < 0 || rec.Index >= total || filled[rec.Index] {
-				return nil, nil, fmt.Errorf("fabric: shard %d delivered record index %d out of place", r.Shard.ID, rec.Index)
-			}
-			records[rec.Index] = rec
-			filled[rec.Index] = true
-		}
-		if len(r.Snapshot) > 0 {
-			s, err := telemetry.DecodeSnapshot(bytes.NewReader(r.Snapshot))
-			if err != nil {
-				return nil, nil, err
-			}
-			snaps = append(snaps, s)
-		}
-	}
-	for i, ok := range filled {
-		if !ok {
-			return nil, nil, fmt.Errorf("fabric: record %d missing after all shards completed", i)
-		}
-	}
-	return records, snaps, nil
 }
 
 // ServeHTTP implements the coordinator side of the wire protocol.
@@ -634,13 +676,16 @@ func answer[Req, Resp any](w http.ResponseWriter, r *http.Request, f func(Req) R
 }
 
 // decodeBody reads a POSTed JSON body of at most limit bytes, answering
-// 413 to a longer one before it is held in memory.
+// 413 to a longer one before it is held in memory and 400 to one with a
+// field the protocol does not have.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, into any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(into); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

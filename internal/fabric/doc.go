@@ -14,7 +14,11 @@
 //     only once the earlier ones are complete, and its seed pool rides
 //     in the lease. A shard's records therefore do not depend on which
 //     worker ran it, when, or how many times (re-running a stolen lease
-//     reproduces the same bytes).
+//     reproduces the same bytes). Because a case is derivable, a fuzz
+//     shard's result carries only verdicts (Verdicts: the index, result,
+//     minimized reproducer and coverage features), and the coordinator
+//     re-derives every case with fuzz.CaseAt, against the seed pools it
+//     distils itself, before anything is merged.
 //  2. Shards are slot-disjoint index ranges, so merging is
 //     order-independent: dvmc.Merge for injection campaigns,
 //     slot-placement for fuzz records, and the canonical

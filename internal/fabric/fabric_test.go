@@ -156,12 +156,14 @@ func TestJobSpecValidate(t *testing.T) {
 
 // farmSpec is the shared fixture: small enough to run in seconds, large
 // enough to exercise failures (minimization + corpus), metrics, and
-// multiple shards.
+// multiple shards. Seed 2099 is the first seed from 2024 up whose twelve
+// cases hold a failure (case 7, an msg-data-flip escape), so a minimized
+// reproducer crosses the wire.
 func farmSpec(corpusDir string) JobSpec {
 	return JobSpec{
 		Kind: JobFuzz,
 		Fuzz: &fuzz.CampaignConfig{
-			Seed: 2024, Runs: 12, FaultFrac: 0.5,
+			Seed: 2099, Runs: 12, FaultFrac: 0.5,
 			Minimize: true, MinimizeBudget: 200, Metrics: true,
 			CorpusDir: corpusDir,
 		},
@@ -203,6 +205,18 @@ func recordsJSON(t *testing.T, recs []fuzz.Record) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// minimizedFailures counts the failures that carry a minimized
+// reproducer: the one part of a record that travels besides the verdict.
+func minimizedFailures(recs []fuzz.Record) int {
+	n := 0
+	for _, r := range recs {
+		if r.Result.Class.Failure() && r.Minimized != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func assertFarmMatchesSerial(t *testing.T, out *Output, farmCorpus string,
@@ -273,6 +287,9 @@ func TestFarmMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if minimizedFailures(out.Records) == 0 {
+		t.Fatal("the campaign has no failure with a minimized reproducer to carry")
+	}
 	assertFarmMatchesSerial(t, out, farmCorpus, wantRecords, wantSummary, wantSnap, serialCorpus)
 }
 
@@ -324,7 +341,7 @@ func TestFarmCrashResumeMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("DVMC1 0f0f {\"result\":{\"shard\""); err != nil {
+	if _, err := f.WriteString(checkpointMagic + " 0f0f {\"result\":{\"shard\""); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -349,6 +366,9 @@ func TestFarmCrashResumeMatchesSerial(t *testing.T) {
 	out, err := coord2.Finalize()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if minimizedFailures(out.Records) == 0 {
+		t.Fatal("the campaign has no failure with a minimized reproducer to carry")
 	}
 	assertFarmMatchesSerial(t, out, farmCorpus, wantRecords, wantSummary, wantSnap, serialCorpus)
 
@@ -500,6 +520,79 @@ func TestFarmCoverageMatchesSerial(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+	out, err := coord.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(out.Records); n == 0 || spec.Fuzz.GenOf(out.Records[n-1].Index) < 1 {
+		t.Fatal("no record from a generation >= 1: nothing was re-derived through a seed pool")
+	}
+	assertFarmMatchesSerial(t, out, farmCorpus, wantRecords, wantSummary, wantSnap, serialCorpus)
+}
+
+// TestResumeOutOfOrderJournalMatchesSerial: cases are re-derived by
+// index, not in the order results were accepted. The journal holds a
+// generation-1 shard before the generation-0 shards it breeds from;
+// resumed, the coordinator distils generation 1's pool from the replayed
+// results, leases the rest, and finalizes to the serial bytes.
+func TestResumeOutOfOrderJournalMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("farm test in -short mode")
+	}
+	farmCorpus := t.TempDir()
+	spec := coverageSpec(farmCorpus)
+	wantRecords, wantSummary, wantSnap, serialCorpus := serialBaseline(t, spec)
+	var serial []fuzz.Record
+	if err := json.Unmarshal(wantRecords, &serial); err != nil {
+		t.Fatal(err)
+	}
+
+	// Shards 0-2 are generation 0 ([0, 8)), shard 3 opens generation 1.
+	shards := spec.Shards()
+	if g := spec.Fuzz.GenOf(shards[3].From); g != 1 || spec.Fuzz.GenOf(shards[2].From) != 0 {
+		t.Fatalf("shard 3 %+v is in generation %d, want the first of generation 1", shards[3], g)
+	}
+	pool, err := json.Marshal(fuzz.CoveragePool(*spec.Fuzz, serial, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journal bytes.Buffer
+	if err := AppendEntry(&journal, CheckpointEntry{Spec: &spec}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{3, 1, 0, 2} {
+		var input json.RawMessage
+		if id == 3 {
+			input = pool
+		}
+		res, err := ExecuteShard(spec, shards[id], input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := AppendEntry(&journal, CheckpointEntry{Result: &res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckpt := filepath.Join(t.TempDir(), "farm.ckpt")
+	if err := os.WriteFile(ckpt, journal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	coord, err := ResumeCoordinator(ckpt, CoordinatorOptions{TTLSeconds: testTTL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if st := coord.Status(); st.Done != 4 {
+		t.Fatalf("resumed status = %+v, want the 4 journaled shards done", st)
+	}
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if _, err := RunWorker(ctx, WorkerOptions{Name: "w1", Coordinator: srv.URL}); err != nil {
+		t.Fatal(err)
 	}
 	out, err := coord.Finalize()
 	if err != nil {

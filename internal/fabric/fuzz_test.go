@@ -20,7 +20,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 	}
 	f.Add(clean.Bytes())
 	f.Add(clean.Bytes()[:clean.Len()-7]) // a torn tail
-	f.Add([]byte("DVMC1 0f0f {\"result\":{\"shard\"\n"))
+	f.Add([]byte(checkpointMagic + " 0f0f {\"result\":{\"shard\"\n"))
+	f.Add(legacyJournal())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, dropped, err := ReadCheckpoint(data)
 		if err != nil {

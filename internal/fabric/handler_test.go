@@ -160,6 +160,23 @@ func TestHandlersRefuseWhatIsNotTheirs(t *testing.T) {
 			t.Errorf("completion with %s: %d %s, want 400", name, code, strings.TrimSpace(reply))
 		}
 	}
+	// A record that still carries its case (a worker from before results
+	// became verdicts) is refused whole, not accepted with the case dropped.
+	body, err := json.Marshal(CompleteRequest{Worker: "w2", Result: good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCase := bytes.Replace(body, []byte(`{"index":0,`), []byte(`{"index":0,"case":{"name":"run-000000"},`), 1)
+	if bytes.Equal(withCase, body) {
+		t.Fatalf("no record 0 to plant a case in: %s", body)
+	}
+	before := f.coord.Status()
+	if code, reply := f.post(PathComplete, withCase); code != http.StatusBadRequest || !strings.Contains(reply, `unknown field "case"`) {
+		t.Errorf("completion whose record carries a case: %d %s, want 400", code, strings.TrimSpace(reply))
+	}
+	if after := f.coord.Status(); !reflect.DeepEqual(before, after) {
+		t.Errorf("a completion carrying a case changed the coordinator:\nbefore %+v\nafter  %+v", before, after)
+	}
 	if st := f.coord.Status(); st.Done != 0 {
 		t.Fatalf("refused completions were counted: %+v", st)
 	}

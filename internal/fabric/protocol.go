@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/json"
 
 	"dvmc"
@@ -25,9 +26,12 @@ const (
 	// MaxControlBody bounds bodies that carry no per-case payload:
 	// register, lease and renew requests, every reply but a lease, status.
 	MaxControlBody = 64 << 10
-	// maxCaseBody is what each case may add to one that does: 10x the
-	// largest share the fabric's tests produce, a 32,761-byte completion
-	// of a 5-case shard, its telemetry snapshot included (6.6 KB a case).
+	// maxCaseBody is what each case may add to one that does. The
+	// largest completion the fabric's tests produce is 12,073 bytes for a
+	// 3-case shard, and the largest share a case takes is 7,392 bytes,
+	// almost all of it the shard's telemetry snapshot. The bound is
+	// 8.9x that share because lease replies share it, and their seed
+	// pools carry whole cases.
 	maxCaseBody = 64 << 10
 )
 
@@ -138,8 +142,9 @@ type StatusResponse struct {
 // different workers, retries, and steals interchangeable.
 type ShardResult struct {
 	Shard Shard `json:"shard"`
-	// Records are the shard's fuzz records in index order (JobFuzz).
-	Records []fuzz.Record `json:"records,omitempty"`
+	// Records are the shard's fuzz records in index order (JobFuzz), as
+	// verdicts.
+	Records Verdicts `json:"records,omitempty"`
 	// Rows are the shard's per-row injection slices (JobExperiment).
 	Rows []RowPartial `json:"rows,omitempty"`
 	// Snapshot is the shard's canonical merged telemetry snapshot
@@ -168,4 +173,50 @@ func (p RowPartial) Expand(faults int) dvmc.CampaignResult {
 		}
 	}
 	return out
+}
+
+// Verdicts are a fuzz shard's records as they cross the wire and enter
+// the journal: each record's index, result, minimized reproducer and
+// coverage features, never its case. The coordinator re-derives every
+// case with fuzz.CaseAt, so a worker reports the outcome of the indices
+// it was leased and cannot put a case into the merged output. In memory
+// they stay fuzz.Records, so fuzz.RunRange's table is a result as it is;
+// decoded, a record's Case and CorpusFile are empty, and a record
+// carrying any other field, a "case" among them, does not decode.
+type Verdicts []fuzz.Record
+
+// verdict is one record's wire form.
+type verdict struct {
+	Index  int            `json:"index"`
+	Result fuzz.RunResult `json:"result"`
+	// Minimized travels because the coordinator cannot rebuild it: it is
+	// the outcome of a ddmin search, present only on failures.
+	Minimized *fuzz.Case `json:"minimized,omitempty"`
+	Features  []string   `json:"features,omitempty"`
+}
+
+// MarshalJSON encodes the records without their cases.
+func (v Verdicts) MarshalJSON() ([]byte, error) {
+	wire := make([]verdict, len(v))
+	for i, r := range v {
+		wire[i] = verdict{Index: r.Index, Result: r.Result, Minimized: r.Minimized, Features: r.Features}
+	}
+	return json.Marshal(wire)
+}
+
+// UnmarshalJSON decodes verdicts strictly: a caller's
+// DisallowUnknownFields does not reach a custom decoder, so it is set
+// here.
+func (v *Verdicts) UnmarshalJSON(data []byte) error {
+	var wire []verdict
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&wire); err != nil {
+		return err
+	}
+	*v = make(Verdicts, len(wire))
+	for i, w := range wire {
+		(*v)[i] = fuzz.Record{Index: w.Index, Result: w.Result, Minimized: w.Minimized, Features: w.Features}
+	}
+	return nil
 }

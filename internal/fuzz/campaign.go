@@ -313,12 +313,20 @@ func deriveFaultExtras(rng *sim.Rand, c *Case) {
 // records).
 const covSalt = 0x636f76 // "cov"
 
-// campaignCase builds run index i's case. An index in the random prefix
+// CaseAt builds run index i's case. An index in the random prefix
 // derives from (Seed, i) alone; a later one breeds a mutant from pool —
 // the distilled cases of every earlier generation, which the caller
 // supplies (the local driver accumulates it; fabric workers receive it
-// with their lease).
-func campaignCase(cfg CampaignConfig, i int, pool []*Case) *Case {
+// with their lease; the fabric coordinator distils it itself).
+//
+// Every record a campaign produces satisfies
+//
+//	Record.Case == CaseAt(cfg, Record.Index, CoveragePool(cfg, records, cfg.GenOf(Record.Index)))
+//
+// with a nil pool in generation 0. The fabric depends on it: shard
+// results carry verdicts only, and the coordinator re-derives each case.
+func CaseAt(cfg CampaignConfig, i int, pool []*Case) *Case {
+	cfg = cfg.withDefaults()
 	// An empty pool past the prefix is only reachable if every prior run
 	// produced zero features — impossible in practice (the first record
 	// always has novel features) but kept total.
@@ -345,7 +353,7 @@ func campaignCase(cfg CampaignConfig, i int, pool []*Case) *Case {
 // wherever the run executes: a local goroutine pool or a fabric worker
 // on another machine.
 func runOne(cfg CampaignConfig, i int, pool []*Case) (Record, *telemetry.Snapshot) {
-	c := campaignCase(cfg, i, pool)
+	c := CaseAt(cfg, i, pool)
 	guided := cfg.Generations > 0
 	// Streamed: campaign workers never materialize a trace — the oracle
 	// rides the run as a sink and only failure reproduction (Finalize)

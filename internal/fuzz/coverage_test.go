@@ -198,7 +198,7 @@ func TestMutateCaseValid(t *testing.T) {
 		DeriveCase(123, 2, 1, DefaultBudget),
 	}
 	for i := cc.InitRuns(); i < cc.Runs; i++ {
-		c := campaignCase(cc, i, pool)
+		c := CaseAt(cc, i, pool)
 		if err := c.Validate(); err != nil {
 			t.Fatalf("mutant %d invalid: %v", i, err)
 		}
@@ -207,7 +207,7 @@ func TestMutateCaseValid(t *testing.T) {
 				t.Fatalf("mutant %d thread %d grew to %d ops", i, ti, len(ops))
 			}
 		}
-		again := campaignCase(cc, i, pool)
+		again := CaseAt(cc, i, pool)
 		ea, _ := c.Encode()
 		eb, _ := again.Encode()
 		if !bytes.Equal(ea, eb) {
