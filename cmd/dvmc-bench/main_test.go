@@ -31,6 +31,23 @@ func TestUnknownFigureExitsOne(t *testing.T) {
 	}
 }
 
+// TestBadSizesExitOne pins that sizes no run can use fail closed with the
+// flag named, instead of a divide-by-zero panic or an all-zero table.
+func TestBadSizesExitOne(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig", "5", "-reps", "0"},
+		{"-fig", "5", "-reps", "-2"},
+		{"-fig", "5", "-txns", "0"},
+		{"-fig", "6", "-reps", "0"},
+	} {
+		code, stdout, stderr := runBench(args...)
+		flag := args[2]
+		if code != 1 || !strings.Contains(stderr, flag) || stdout != "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 1, nothing printed and %s named", args, code, stdout, stderr, flag)
+		}
+	}
+}
+
 // TestReportFlagsAreGone pins that the JSON report and the telemetry
 // snapshot stay removed: speed is recorded by `go run ./benchmark -out`.
 func TestReportFlagsAreGone(t *testing.T) {

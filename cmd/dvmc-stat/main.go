@@ -1,6 +1,6 @@
 // Command dvmc-stat inspects telemetry snapshots: the JSON files
-// written by the -metrics-out flags of dvmc-sim, dvmc-bench, dvmc-fuzz,
-// and dvmc-farm, or fetched live from an http(s) URL (dvmc-sim -http's
+// written by the -metrics-out flags of dvmc-sim, dvmc-fuzz and
+// dvmc-farm, or fetched live from an http(s) URL (dvmc-sim -http's
 // /metrics, a dvmc-farm coordinator's /metrics.json). The JSON snapshot
 // is the interchange format; every other rendering (Prometheus text,
 // CSV, human-readable) is re-encoded from it, so all views agree by
@@ -70,7 +70,7 @@ func usage() {
   dvmc-stat timeline [-o FILE] <spans>
 
 <snapshot> is a JSON snapshot file written by the -metrics-out flags of
-dvmc-sim, dvmc-bench, dvmc-fuzz, or dvmc-farm; '-' for stdin; or an
+dvmc-sim, dvmc-fuzz, or dvmc-farm; '-' for stdin; or an
 http(s):// URL — dvmc-sim -http's /metrics or a dvmc-farm coordinator's
 /metrics.json for a live farm-wide view. All renderings are derived
 from the JSON, so text, Prometheus, and CSV views always agree.

@@ -2,10 +2,9 @@ package dvmc
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
+	"dvmc/internal/par"
 	"dvmc/internal/stats"
 )
 
@@ -78,95 +77,188 @@ func (t Table) String() string {
 	return b.String()
 }
 
-// parallelFor runs fn(0..n-1) on min(workers, n) goroutines; workers<=0
-// sizes the pool to min(GOMAXPROCS, n). Callers must make fn(i) write
-// only slot i of their outputs; under that contract results are
-// independent of worker count and schedule. The root package sits
-// outside the dvmc-lint determinism allowlist precisely for
-// harness-level concurrency like this: each simulation is a sealed
-// deterministic machine, and the harness only farms them out.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// Validate reports sizes no sample run can use: each needs at least
+// one transaction, one repetition and one cycle of budget.
+func (o ExperimentOpts) Validate() error {
+	switch {
+	case o.Transactions < 1:
+		return fmt.Errorf("dvmc: ExperimentOpts.Transactions = %d, need >= 1", o.Transactions)
+	case o.Repetitions < 1:
+		return fmt.Errorf("dvmc: ExperimentOpts.Repetitions = %d, need >= 1", o.Repetitions)
+	case o.MaxCycles < 1:
+		return fmt.Errorf("dvmc: ExperimentOpts.MaxCycles = %d, need >= 1", o.MaxCycles)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	return nil
 }
 
-// sampleJob is one runtimeSample request in a figure's job matrix.
+// A Figure is one table of the paper's evaluation: the runs it needs
+// and a view that renders its Table from their results. Figures declare
+// runs instead of running them, so Evaluate can run every distinct run
+// of a set of figures once, on one pool — Figures 3 and 5–9 share their
+// directory/TSO runs.
+type Figure struct {
+	Name string // "Figure 3" … "Figure 9", "Section 6.1"
+
+	configs   []Config      // sample jobs: each config against every workload
+	campaigns []campaignJob // injection campaigns (the Section 6.1 rows)
+	view      func(*runs) Table
+}
+
+// sampleJob is one runtimeSample: a configuration against a workload.
 type sampleJob struct {
 	cfg Config
 	w   Workload
 }
 
-// sampleResult is the disjoint slot a worker fills for one sampleJob.
-type sampleResult struct {
-	sample  *stats.Sample
-	results []Results
-	err     error
+// sampleKey identifies a sampleJob; a workload is keyed by its name.
+type sampleKey struct {
+	cfg      Config
+	workload string
 }
 
-// runSampleJobs executes the job matrix with opts.Workers workers and
-// returns the per-job results in job order. The first error (in job
-// order, regardless of completion order) aborts the caller.
-func runSampleJobs(jobs []sampleJob, opts ExperimentOpts) ([]sampleResult, error) {
-	out := make([]sampleResult, len(jobs))
-	parallelFor(len(jobs), opts.Workers, func(i int) {
-		out[i].sample, out[i].results, out[i].err = runtimeSample(jobs[i].cfg, jobs[i].w, opts)
-	})
-	for i := range out {
-		if out[i].err != nil {
-			return out, out[i].err
+// campaignJob is one injection campaign: n derived injections into cfg
+// on OLTP, each run for budget cycles.
+type campaignJob struct {
+	cfg    Config
+	n      int
+	budget uint64
+}
+
+// runs is a finished matrix, for the views to look results up in.
+type runs struct {
+	samples   map[sampleKey][]Results
+	campaigns map[campaignJob]CampaignResult
+}
+
+// over samples metric across the repetitions of cfg on w.
+func (r *runs) over(cfg Config, w Workload, metric func(Results) float64) *stats.Sample {
+	s := &stats.Sample{}
+	for _, res := range r.samples[sampleKey{cfg, w.Name}] {
+		s.Add(metric(res))
+	}
+	return s
+}
+
+// cycles is the runtime metric: cycles to complete the transaction
+// quota.
+func cycles(r Results) float64 { return float64(r.Cycles) }
+
+func cellOf(s *stats.Sample) Cell { return Cell{Mean: s.Mean(), Std: s.StdDev()} }
+
+// Evaluate runs the figures as one matrix and renders their tables in
+// order. Their sample jobs are keyed by (Config, workload name) and
+// their campaigns by (Config, faults, budget), so a run two figures
+// share executes once; every sample job and every campaign injection is
+// one slot of a single pool of opts.Workers workers (an injection slot
+// is the one-injection RunCampaignSlice). The first error in slot order,
+// regardless of completion order, aborts the evaluation.
+func Evaluate(figs []Figure, opts ExperimentOpts) ([]Table, error) {
+	samples, campaigns := plan(figs)
+	if len(samples) > 0 {
+		if err := opts.Validate(); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	type slot struct{ c, i int } // injection i of campaign c
+	var slots []slot
+	injs := make([][]Injection, len(campaigns))
+	camps := make([]CampaignResult, len(campaigns))
+	for c, job := range campaigns {
+		if job.n < 0 {
+			return nil, fmt.Errorf("dvmc: campaign of %d faults, need >= 0", job.n)
+		}
+		injs[c] = DeriveCampaignInjections(job.cfg, job.n)
+		camps[c].Results = make([]InjectionResult, job.n)
+		for i := 0; i < job.n; i++ {
+			slots = append(slots, slot{c, i})
+		}
+	}
+	results := make([][]Results, len(samples))
+	errs := make([]error, len(samples)+len(slots))
+	par.For(len(errs), opts.Workers, func(k int) {
+		if k < len(samples) {
+			results[k], errs[k] = runtimeSample(samples[k].cfg, samples[k].w, opts)
+			return
+		}
+		s := slots[k-len(samples)]
+		one, err := RunCampaignSlice(campaigns[s.c].cfg, OLTP(), injs[s.c], campaigns[s.c].budget, s.i, s.i+1)
+		camps[s.c].Results[s.i], errs[k] = one.Results[s.i], err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	r := &runs{samples: make(map[sampleKey][]Results, len(samples)), campaigns: make(map[campaignJob]CampaignResult, len(campaigns))}
+	for k, job := range samples {
+		r.samples[sampleKey{job.cfg, job.w.Name}] = results[k]
+	}
+	for c, job := range campaigns {
+		r.campaigns[job] = camps[c]
+	}
+	tables := make([]Table, len(figs))
+	for i, f := range figs {
+		tables[i] = f.view(r)
+	}
+	return tables, nil
 }
 
-// runtimeSample measures the runtime (cycles to complete the transaction
-// quota) over perturbed repetitions.
-func runtimeSample(cfg Config, w Workload, opts ExperimentOpts) (*stats.Sample, []Results, error) {
-	sample := &stats.Sample{}
+// plan is the figures' distinct sample jobs and campaigns, in the order
+// the figures first name them.
+func plan(figs []Figure) ([]sampleJob, []campaignJob) {
+	var samples []sampleJob
+	var campaigns []campaignJob
+	seen := map[sampleKey]bool{}
+	seenCampaign := map[campaignJob]bool{}
+	ws := Workloads()
+	for _, f := range figs {
+		for _, cfg := range f.configs {
+			for _, w := range ws {
+				if k := (sampleKey{cfg, w.Name}); !seen[k] {
+					seen[k] = true
+					samples = append(samples, sampleJob{cfg, w})
+				}
+			}
+		}
+		for _, c := range f.campaigns {
+			if !seenCampaign[c] {
+				seenCampaign[c] = true
+				campaigns = append(campaigns, c)
+			}
+		}
+	}
+	return samples, campaigns
+}
+
+// evaluateOne runs a single figure.
+func evaluateOne(f Figure, opts ExperimentOpts) (Table, error) {
+	tables, err := Evaluate([]Figure{f}, opts)
+	if err != nil {
+		return Table{}, err
+	}
+	return tables[0], nil
+}
+
+// runtimeSample runs cfg on w over perturbed repetitions and returns
+// each repetition's Results.
+func runtimeSample(cfg Config, w Workload, opts ExperimentOpts) ([]Results, error) {
 	var all []Results
 	for rep := 0; rep < opts.Repetitions; rep++ {
 		s, err := NewSystem(cfg.WithSeed(opts.SeedBase+uint64(rep)), w)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		res, err := s.Run(opts.Transactions, opts.MaxCycles)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s/%v/%v rep %d: %w", w.Name, cfg.Protocol, cfg.Model, rep, err)
+			return nil, fmt.Errorf("%s/%v/%v rep %d: %w", w.Name, cfg.Protocol, cfg.Model, rep, err)
 		}
 		s.DrainCheckers()
 		if v := s.Violations(); len(v) != 0 {
-			return nil, nil, fmt.Errorf("%s/%v/%v rep %d: unexpected violation %v", w.Name, cfg.Protocol, cfg.Model, rep, v[0])
+			return nil, fmt.Errorf("%s/%v/%v rep %d: unexpected violation %v", w.Name, cfg.Protocol, cfg.Model, rep, v[0])
 		}
-		sample.Add(float64(res.Cycles))
 		all = append(all, res)
 	}
-	return sample, all, nil
+	return all, nil
 }
 
 // baseConfig returns the experiment baseline (unprotected: no DVMC, no
@@ -186,256 +278,109 @@ func protectConfig(protocol Protocol, model Model) Config {
 	return cfg
 }
 
-// FigureRuntimes regenerates Figure 3 (directory) or Figure 4 (snooping):
+// snConfig returns the directory/TSO system with SafetyNet on and the
+// given checkers: the SN, SN+DVCC and SN+DVUO bars of Figures 5 and 7.
+func snConfig(d DVMCConfig) Config {
+	cfg := baseConfig(Directory, TSO)
+	cfg.SafetyNet = true
+	cfg.DVMC = d
+	return cfg
+}
+
+// workloadFigure renders one row per workload and one cell per config:
+// metric sampled over the config's repetitions on that workload and,
+// if normalise, divided by configs[0]'s mean there.
+func workloadFigure(name string, t Table, configs []Config, metric func(Results) float64, normalise bool) Figure {
+	return Figure{Name: name, configs: configs, view: func(r *runs) Table {
+		out := t
+		for _, w := range Workloads() {
+			out.Rows = append(out.Rows, w.Name)
+			row := make([]Cell, 0, len(configs))
+			for _, cfg := range configs {
+				s := r.over(cfg, w, metric)
+				if normalise {
+					s = stats.NormalizeBy(s, r.over(configs[0], w, metric).Mean())
+				}
+				row = append(row, cellOf(s))
+			}
+			out.Cells = append(out.Cells, row)
+		}
+		return out
+	}}
+}
+
+// sweepFigure is a sensitivity sweep of the directory/TSO system: per
+// point, the full system's runtime over the base's, averaged over the
+// workloads.
+func sweepFigure[T any](name, title, row string, points []T, at func(Config, T) Config) Figure {
+	t := Table{Title: title, Cols: []string{"normalised runtime"}}
+	var configs []Config // base, protected per point
+	for _, p := range points {
+		t.Rows = append(t.Rows, fmt.Sprintf(row, p))
+		configs = append(configs, at(baseConfig(Directory, TSO), p), at(protectConfig(Directory, TSO), p))
+	}
+	return Figure{Name: name, configs: configs, view: func(r *runs) Table {
+		out := t
+		for i := 0; i < len(configs); i += 2 {
+			agg := &stats.Sample{}
+			for _, w := range Workloads() {
+				agg.Add(r.over(configs[i+1], w, cycles).Mean() / r.over(configs[i], w, cycles).Mean())
+			}
+			out.Cells = append(out.Cells, []Cell{cellOf(agg)})
+		}
+		return out
+	}}
+}
+
+// runtimeFigure is Figure 3 (directory) or Figure 4 (snooping):
 // runtimes of the unprotected base and the full DVMC system under each
 // consistency model, normalised per workload to the unprotected SC run.
-func FigureRuntimes(protocol Protocol, opts ExperimentOpts) (Table, error) {
+func runtimeFigure(n int, protocol Protocol) Figure {
 	t := Table{
-		Title: fmt.Sprintf("Figure %d: runtime normalised to SC-base (%v system)", map[Protocol]int{Directory: 3, Snooping: 4}[protocol], protocol),
+		Title: fmt.Sprintf("Figure %d: runtime normalised to SC-base (%v system)", n, protocol),
 		Note:  "lower is faster; Base = unprotected, DVMC = full verification + SafetyNet",
 	}
+	var configs []Config // Models[0] is SC, so configs[0] is the SC base
 	for _, m := range Models {
 		t.Cols = append(t.Cols, m.String()+"-base", m.String()+"-dvmc")
+		configs = append(configs, baseConfig(protocol, m), protectConfig(protocol, m))
 	}
-	// Job matrix: per workload, a base and a protected sample per model
-	// (SC's base doubles as the normalisation reference).
-	ws := Workloads()
-	stride := 2 * len(Models)
-	jobs := make([]sampleJob, 0, len(ws)*stride)
-	for _, w := range ws {
-		for _, m := range Models {
-			jobs = append(jobs,
-				sampleJob{baseConfig(protocol, m), w},
-				sampleJob{protectConfig(protocol, m), w})
-		}
-	}
-	res, err := runSampleJobs(jobs, opts)
-	if err != nil {
-		return t, err
-	}
-	for wi, w := range ws {
-		t.Rows = append(t.Rows, w.Name)
-		ref := res[wi*stride].sample.Mean() // Models[0] is SC
-		var row []Cell
-		for mi := range Models {
-			base := res[wi*stride+2*mi].sample
-			prot := res[wi*stride+2*mi+1].sample
-			baseN := stats.NormalizeBy(base, ref)
-			protN := stats.NormalizeBy(prot, ref)
-			row = append(row,
-				Cell{Mean: baseN.Mean(), Std: baseN.StdDev()},
-				Cell{Mean: protN.Mean(), Std: protN.StdDev()})
-		}
-		t.Cells = append(t.Cells, row)
-	}
-	return t, nil
+	return workloadFigure(fmt.Sprintf("Figure %d", n), t, configs, cycles, true)
 }
 
-// Figure5 regenerates the component breakdown on the TSO directory
-// system: Base, SafetyNet only (SN), SN + coherence verification
-// (SN+DVCC), SN + uniprocessor-ordering verification (SN+DVUO), and the
-// full system (DVTSO), normalised per workload to Base.
-func Figure5(opts ExperimentOpts) (Table, error) {
-	t := Table{
-		Title: "Figure 5: DVMC component breakdown, TSO directory system",
-		Note:  "runtime normalised to the unprotected base",
-		Cols:  []string{"Base", "SN", "SN+DVCC", "SN+DVUO", "DVTSO"},
+// Figures returns Figures 3–9 of the paper's evaluation, in order;
+// their table titles say what each shows. Figures 5 and 7 break the
+// TSO directory system down into Base, SafetyNet only (SN), SN +
+// coherence verification (SN+DVCC), SN + uniprocessor-ordering
+// verification (SN+DVUO) and the full system (DVTSO).
+func Figures() []Figure {
+	base, dvtso := baseConfig(Directory, TSO), protectConfig(Directory, TSO)
+	sn, snDVCC := snConfig(Off()), snConfig(DVMCConfig{CacheCoherence: true})
+	return []Figure{
+		runtimeFigure(3, Directory),
+		runtimeFigure(4, Snooping),
+		workloadFigure("Figure 5", Table{
+			Title: "Figure 5: DVMC component breakdown, TSO directory system",
+			Note:  "runtime normalised to the unprotected base",
+			Cols:  []string{"Base", "SN", "SN+DVCC", "SN+DVUO", "DVTSO"},
+		}, []Config{base, sn, snDVCC, snConfig(DVMCConfig{UniprocessorOrdering: true, AllowableReordering: true}), dvtso}, cycles, true),
+		workloadFigure("Figure 6", Table{
+			Title: "Figure 6: replay L1 misses normalised to demand L1 misses (TSO directory)",
+			Cols:  []string{"replay/demand"},
+		}, []Config{dvtso}, Results.ReplayMissRatio, false),
+		workloadFigure("Figure 7", Table{
+			Title: "Figure 7: mean bandwidth on the highest-loaded link (TSO directory), bytes/cycle",
+			Cols:  []string{"Base", "SN", "SN+DVCC", "DVTSO"},
+		}, []Config{base, sn, snDVCC, dvtso}, func(r Results) float64 { return r.MaxLinkBandwidth }, false),
+		sweepFigure("Figure 8", "Figure 8: DVTSO slowdown vs link bandwidth (directory, mean over workloads)",
+			"%.1f GB/s", []float64{1.0, 1.5, 2.0, 2.5, 3.0}, Config.WithLinkGBps),
+		sweepFigure("Figure 9", "Figure 9: DVTSO slowdown vs processor count (directory, mean over workloads)",
+			"%d", []int{1, 2, 4, 8}, Config.WithNodes),
 	}
-	variants := []func() Config{
-		func() Config { return baseConfig(Directory, TSO) },
-		func() Config {
-			cfg := baseConfig(Directory, TSO)
-			cfg.SafetyNet = true
-			cfg.SNConfig = ScaledConfig().SNConfig
-			return cfg
-		},
-		func() Config {
-			cfg := baseConfig(Directory, TSO)
-			cfg.SafetyNet = true
-			cfg.SNConfig = ScaledConfig().SNConfig
-			cfg.DVMC = DVMCConfig{CacheCoherence: true}
-			return cfg
-		},
-		func() Config {
-			cfg := baseConfig(Directory, TSO)
-			cfg.SafetyNet = true
-			cfg.SNConfig = ScaledConfig().SNConfig
-			cfg.DVMC = DVMCConfig{UniprocessorOrdering: true, AllowableReordering: true}
-			return cfg
-		},
-		func() Config { return protectConfig(Directory, TSO) },
-	}
-	ws := Workloads()
-	jobs := make([]sampleJob, 0, len(ws)*len(variants))
-	for _, w := range ws {
-		for _, mk := range variants {
-			jobs = append(jobs, sampleJob{mk(), w})
-		}
-	}
-	res, err := runSampleJobs(jobs, opts)
-	if err != nil {
-		return t, err
-	}
-	for wi, w := range ws {
-		t.Rows = append(t.Rows, w.Name)
-		ref := res[wi*len(variants)].sample.Mean()
-		var row []Cell
-		for vi := range variants {
-			n := stats.NormalizeBy(res[wi*len(variants)+vi].sample, ref)
-			row = append(row, Cell{Mean: n.Mean(), Std: n.StdDev()})
-		}
-		t.Cells = append(t.Cells, row)
-	}
-	return t, nil
 }
 
-// Figure6 regenerates the replay-miss figure: L1 misses during
-// verification replay normalised to demand L1 misses (TSO directory,
-// full DVMC).
-func Figure6(opts ExperimentOpts) (Table, error) {
-	t := Table{
-		Title: "Figure 6: replay L1 misses normalised to demand L1 misses (TSO directory)",
-		Cols:  []string{"replay/demand"},
-	}
-	ws := Workloads()
-	jobs := make([]sampleJob, 0, len(ws))
-	for _, w := range ws {
-		jobs = append(jobs, sampleJob{protectConfig(Directory, TSO), w})
-	}
-	res, err := runSampleJobs(jobs, opts)
-	if err != nil {
-		return t, err
-	}
-	for wi, w := range ws {
-		t.Rows = append(t.Rows, w.Name)
-		sample := &stats.Sample{}
-		for _, r := range res[wi].results {
-			sample.Add(r.ReplayMissRatio())
-		}
-		t.Cells = append(t.Cells, []Cell{{Mean: sample.Mean(), Std: sample.StdDev()}})
-	}
-	return t, nil
-}
-
-// Figure7 regenerates the interconnect figure: mean bandwidth on the
-// highest-loaded link (bytes/cycle) for the base system, base+SafetyNet,
-// base+SafetyNet+coherence verification, and full DVTSO.
-func Figure7(opts ExperimentOpts) (Table, error) {
-	t := Table{
-		Title: "Figure 7: mean bandwidth on the highest-loaded link (TSO directory), bytes/cycle",
-		Cols:  []string{"Base", "SN", "SN+DVCC", "DVTSO"},
-	}
-	variants := []func() Config{
-		func() Config { return baseConfig(Directory, TSO) },
-		func() Config {
-			cfg := baseConfig(Directory, TSO)
-			cfg.SafetyNet = true
-			cfg.SNConfig = ScaledConfig().SNConfig
-			return cfg
-		},
-		func() Config {
-			cfg := baseConfig(Directory, TSO)
-			cfg.SafetyNet = true
-			cfg.SNConfig = ScaledConfig().SNConfig
-			cfg.DVMC = DVMCConfig{CacheCoherence: true}
-			return cfg
-		},
-		func() Config { return protectConfig(Directory, TSO) },
-	}
-	ws := Workloads()
-	jobs := make([]sampleJob, 0, len(ws)*len(variants))
-	for _, w := range ws {
-		for _, mk := range variants {
-			jobs = append(jobs, sampleJob{mk(), w})
-		}
-	}
-	res, err := runSampleJobs(jobs, opts)
-	if err != nil {
-		return t, err
-	}
-	for wi, w := range ws {
-		t.Rows = append(t.Rows, w.Name)
-		var row []Cell
-		for vi := range variants {
-			sample := &stats.Sample{}
-			for _, r := range res[wi*len(variants)+vi].results {
-				sample.Add(r.MaxLinkBandwidth)
-			}
-			row = append(row, Cell{Mean: sample.Mean(), Std: sample.StdDev()})
-		}
-		t.Cells = append(t.Cells, row)
-	}
-	return t, nil
-}
-
-// Figure8 regenerates the link-bandwidth sensitivity sweep: DVTSO
-// runtime normalised to the unprotected base, averaged over the
-// workloads, at 1–3 GB/s links.
-func Figure8(opts ExperimentOpts) (Table, error) {
-	t := Table{
-		Title: "Figure 8: DVTSO slowdown vs link bandwidth (directory, mean over workloads)",
-		Cols:  []string{"normalised runtime"},
-	}
-	speeds := []float64{1.0, 1.5, 2.0, 2.5, 3.0}
-	ws := Workloads()
-	jobs := make([]sampleJob, 0, len(speeds)*len(ws)*2)
-	for _, gbps := range speeds {
-		for _, w := range ws {
-			jobs = append(jobs,
-				sampleJob{baseConfig(Directory, TSO).WithLinkGBps(gbps), w},
-				sampleJob{protectConfig(Directory, TSO).WithLinkGBps(gbps), w})
-		}
-	}
-	res, err := runSampleJobs(jobs, opts)
-	if err != nil {
-		return t, err
-	}
-	for si, gbps := range speeds {
-		t.Rows = append(t.Rows, fmt.Sprintf("%.1f GB/s", gbps))
-		agg := &stats.Sample{}
-		for wi := range ws {
-			base := res[(si*len(ws)+wi)*2].sample
-			prot := res[(si*len(ws)+wi)*2+1].sample
-			agg.Add(prot.Mean() / base.Mean())
-		}
-		t.Cells = append(t.Cells, []Cell{{Mean: agg.Mean(), Std: agg.StdDev()}})
-	}
-	return t, nil
-}
-
-// Figure9 regenerates the scaling sweep: DVTSO runtime normalised to the
-// unprotected base for 1–8 processors at 2.5 GB/s.
-func Figure9(opts ExperimentOpts) (Table, error) {
-	t := Table{
-		Title: "Figure 9: DVTSO slowdown vs processor count (directory, mean over workloads)",
-		Cols:  []string{"normalised runtime"},
-	}
-	counts := []int{1, 2, 4, 8}
-	ws := Workloads()
-	jobs := make([]sampleJob, 0, len(counts)*len(ws)*2)
-	for _, nodes := range counts {
-		for _, w := range ws {
-			jobs = append(jobs,
-				sampleJob{baseConfig(Directory, TSO).WithNodes(nodes), w},
-				sampleJob{protectConfig(Directory, TSO).WithNodes(nodes), w})
-		}
-	}
-	res, err := runSampleJobs(jobs, opts)
-	if err != nil {
-		return t, err
-	}
-	for ni, nodes := range counts {
-		t.Rows = append(t.Rows, fmt.Sprintf("%d", nodes))
-		agg := &stats.Sample{}
-		for wi := range ws {
-			base := res[(ni*len(ws)+wi)*2].sample
-			prot := res[(ni*len(ws)+wi)*2+1].sample
-			agg.Add(prot.Mean() / base.Mean())
-		}
-		t.Cells = append(t.Cells, []Cell{{Mean: agg.Mean(), Std: agg.StdDev()}})
-	}
-	return t, nil
-}
+// Figure5 regenerates Figure 5 alone.
+func Figure5(opts ExperimentOpts) (Table, error) { return evaluateOne(Figures()[2], opts) }
 
 // ErrorDetectionRow is one row of the Section 6.1 table: a fault
 // campaign against one protocol × consistency-model system.
@@ -492,21 +437,27 @@ func AssembleErrorDetectionTable(campaigns []CampaignResult) Table {
 	return t
 }
 
-// ErrorDetectionTable regenerates the Section 6.1 experiment: a fault
-// campaign per consistency model and protocol, reporting detection
-// coverage. workers bounds the row-level worker pool (1 serial, <=0
-// min(GOMAXPROCS, rows)); the table is identical at any worker count.
-func ErrorDetectionTable(faultsPerConfig int, budget uint64, seed uint64, workers int) (Table, error) {
-	rows := ErrorDetectionRows()
-	campaigns := make([]CampaignResult, len(rows))
-	errs := make([]error, len(rows))
-	parallelFor(len(rows), workers, func(i int) {
-		campaigns[i], errs[i] = RunCampaign(ErrorDetectionConfig(rows[i], seed), OLTP(), faultsPerConfig, budget)
-	})
-	for i := range rows {
-		if errs[i] != nil {
-			return AssembleErrorDetectionTable(nil), errs[i]
-		}
+// ErrorDetection is the Section 6.1 experiment as a Figure: per
+// ErrorDetectionRows row, a campaign of faultsPerConfig injections of
+// budget cycles each, seeded from seed, reporting detection coverage.
+// Each injection is one slot of Evaluate's pool.
+func ErrorDetection(faultsPerConfig int, budget uint64, seed uint64) Figure {
+	var campaigns []campaignJob
+	for _, row := range ErrorDetectionRows() {
+		campaigns = append(campaigns, campaignJob{ErrorDetectionConfig(row, seed), faultsPerConfig, budget})
 	}
-	return AssembleErrorDetectionTable(campaigns), nil
+	return Figure{Name: "Section 6.1", campaigns: campaigns, view: func(r *runs) Table {
+		results := make([]CampaignResult, len(campaigns))
+		for i, c := range campaigns {
+			results[i] = r.campaigns[c]
+		}
+		return AssembleErrorDetectionTable(results)
+	}}
+}
+
+// ErrorDetectionTable regenerates the Section 6.1 table alone. workers
+// bounds the pool its injections share (1 serial, <=0 min(GOMAXPROCS,
+// injections)); the table is identical at any worker count.
+func ErrorDetectionTable(faultsPerConfig int, budget uint64, seed uint64, workers int) (Table, error) {
+	return evaluateOne(ErrorDetection(faultsPerConfig, budget, seed), ExperimentOpts{Workers: workers})
 }

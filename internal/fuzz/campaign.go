@@ -3,12 +3,11 @@ package fuzz
 import (
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"dvmc"
+	"dvmc/internal/par"
 	"dvmc/internal/sim"
 	"dvmc/internal/stats"
 	"dvmc/internal/telemetry"
@@ -395,11 +394,11 @@ func runRange(cfg CampaignConfig, pool []*Case, from, to, workers int) ([]Record
 	}
 	// Each assigned once, so the closure holds them by value.
 	records, snaps := make([]Record, to-from), make([]*telemetry.Snapshot, sampled)
-	forEachIndex(from, to, workers, func(i int) {
-		rec, snap := runOne(cfg, i, pool)
-		records[i-from] = rec
+	par.For(to-from, workers, func(k int) {
+		rec, snap := runOne(cfg, from+k, pool)
+		records[k] = rec
 		if sampled > 0 {
-			snaps[i-from] = snap
+			snaps[k] = snap
 		}
 	})
 	return records, snaps
@@ -505,43 +504,6 @@ func Finalize(cfg CampaignConfig, records []Record) (Summary, error) {
 	sum.InitRuns, sum.Generations, sum.PerGen = cfg.InitRuns(), cfg.Generations, cfg.PerGen
 	sum.Features, sum.PoolSize = len(cm.features), len(cm.pool)
 	return sum, nil
-}
-
-// forEachIndex runs fn(from..to-1) on min(workers, to-from) goroutines;
-// workers<=0 sizes the pool to GOMAXPROCS first, and one worker runs
-// inline. This package deliberately sits outside the dvmc-lint
-// determinism allowlist: determinism is architectural — fn(i) writes
-// only slot i of the caller's outputs, and every slot is a pure
-// function of its run index.
-func forEachIndex(from, to, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > to-from {
-		workers = to - from
-	}
-	if workers <= 1 {
-		for i := from; i < to; i++ {
-			fn(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := from; i < to; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // Run is the local campaign driver. Each generation runs on a bounded

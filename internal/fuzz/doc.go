@@ -50,9 +50,9 @@
 //     other run.
 //
 // This package deliberately lives outside the dvmc-lint determinism
-// allowlist: the worker pool uses goroutines and sync primitives, which
-// are banned inside the simulated machine. Determinism here is preserved
-// architecturally instead — workers only ever write disjoint slots of
-// the result table, and every simulation they run is itself a pure
-// function of its seed.
+// allowlist: it drives the shared worker pool (internal/par), whose
+// goroutines are banned inside the simulated machine. Determinism here is
+// preserved architecturally instead — workers only ever write disjoint
+// slots of the result table, and every simulation they run is itself a
+// pure function of its seed.
 package fuzz

@@ -6,10 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"dvmc/internal/core"
+	"dvmc/internal/par"
 	"dvmc/internal/telemetry"
 )
 
@@ -79,9 +79,9 @@ func TestTelemetryDumpsDeterministic(t *testing.T) {
 }
 
 // TestTelemetryDumpsIdenticalAcrossWorkerCounts runs the seed×protocol
-// matrix through worker pools of several sizes (the dvmc-bench harness
-// shape) and requires every combination's dump to match its serial
-// reference. Each simulation is a sealed single-threaded machine, so
+// matrix through the evaluation matrix's worker pool (internal/par) at
+// several sizes and requires every combination's dump to match its
+// serial reference. Each simulation is a sealed single-threaded machine, so
 // host scheduling across pool workers must be invisible in the bytes.
 func TestTelemetryDumpsIdenticalAcrossWorkerCounts(t *testing.T) {
 	combos := telemetryCombos()
@@ -91,22 +91,9 @@ func TestTelemetryDumpsIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4} {
 		got := make([][]byte, len(combos))
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					got[i] = telemetryDump(t, combos[i].seed, combos[i].proto)
-				}
-			}()
-		}
-		for i := range combos {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
+		par.For(len(combos), workers, func(i int) {
+			got[i] = telemetryDump(t, combos[i].seed, combos[i].proto)
+		})
 		for i, c := range combos {
 			if !bytes.Equal(got[i], serial[i]) {
 				t.Errorf("workers=%d seed %d %v: dump differs from serial reference",
