@@ -1,7 +1,10 @@
 // Command dvmc-errors runs the Section 6.1 fault-injection campaign:
 // random errors (bit flips; dropped, reordered, mis-routed, duplicated
 // messages; LSQ and write-buffer faults; controller-logic faults) are
-// injected into running systems and DVMC's detection is measured.
+// injected into running systems and DVMC's detection is measured. The
+// system is the Section 6.1 table's row for -protocol and -model
+// (dvmc.ErrorDetectionConfig), and the injections run on a pool of one
+// worker per CPU; the output is the same at any worker count.
 //
 // Example:
 //
@@ -58,21 +61,10 @@ error, 2 undetected faults or unrecoverable detections.
 		return failf("-n %d: need at least one fault", *n)
 	}
 
-	cfg := dvmc.ScaledConfig().WithSeed(*seed)
-	cfg.Memory.CacheECC = true
-	cfg.SNConfig.Interval = 10000
-	cfg.SNConfig.Keep = 10
-	cfg.Proc.MembarInjectionInterval = 5000
-	model, err := dvmc.ParseModel(*modelName)
+	cfg, err := config(*protoName, *modelName, *seed)
 	if err != nil {
 		return failf("%v", err)
 	}
-	proto, err := dvmc.ParseProtocol(*protoName)
-	if err != nil {
-		return failf("%v", err)
-	}
-	cfg = cfg.WithModel(model).WithProtocol(proto)
-
 	w, err := dvmc.WorkloadByName(*workloadName)
 	if err != nil {
 		return failf("%v", err)
@@ -99,4 +91,17 @@ error, 2 undetected faults or unrecoverable detections.
 		return 2
 	}
 	return 0
+}
+
+// config is the Section 6.1 row the -protocol and -model flags name.
+func config(protoName, modelName string, seed uint64) (dvmc.Config, error) {
+	model, err := dvmc.ParseModel(modelName)
+	if err != nil {
+		return dvmc.Config{}, err
+	}
+	proto, err := dvmc.ParseProtocol(protoName)
+	if err != nil {
+		return dvmc.Config{}, err
+	}
+	return dvmc.ErrorDetectionConfig(dvmc.ErrorDetectionRow{Protocol: proto, Model: model}, seed), nil
 }

@@ -21,8 +21,9 @@
 // Exit codes: 0 clean (and for -h), 1 usage or I/O error, 2 campaign
 // failure found (fuzz: escape, false alarm, or crash; experiment:
 // undetected faults) or, on resume, a checkpoint that does not decode —
-// torn mid-file, a CRC mismatch, or a DVMC1 journal from before shard
-// results became verdicts.
+// torn mid-file, a CRC mismatch, a DVMC1 journal from before shard
+// results became verdicts, an experiment journal whose results carry
+// per-row "rows" — or that holds a result the job would refuse.
 //
 // Example (two terminals):
 //
@@ -42,6 +43,7 @@ import (
 	"os"
 	"time"
 
+	"dvmc"
 	"dvmc/internal/fabric"
 	"dvmc/internal/frame"
 	"dvmc/internal/fuzz"
@@ -296,12 +298,7 @@ func (c *cli) writeOutputs(out *fabric.Output, jsonOut bool, recordsOut, metrics
 
 	// Experiment job: print the table; fail on undetected faults.
 	fmt.Fprint(c.stdout, out.Table)
-	undetected := 0
-	for _, camp := range out.Campaigns {
-		_, _, _, u := camp.Counts()
-		undetected += u
-	}
-	if undetected > 0 {
+	if _, _, _, undetected := (dvmc.CampaignResult{Results: out.Injections}).Counts(); undetected > 0 {
 		fmt.Fprintf(c.stderr, "dvmc-farm: %d undetected faults\n", undetected)
 		return true, nil
 	}

@@ -21,8 +21,9 @@ func runFarm(args ...string) (code int, stdout, stderr string) {
 
 // TestExitCodes pins the tool's contract on the paths that end before a
 // coordinator binds: 0 for help, 1 for a usage error, 2 for a checkpoint
-// that does not decode. Every serve and resume names port 0, so a case
-// that did reach the listener would not collide with anything.
+// that does not decode or holds a result the job would refuse. Every
+// serve and resume names port 0, so a case that did reach the listener
+// would not collide with anything.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string, data []byte) string {
@@ -55,8 +56,16 @@ func TestExitCodes(t *testing.T) {
 	flipped := []byte(journal.String())
 	flipped[len(lines[0])+len(lines[1])/2] ^= 0x01
 	crc := file("crc.ckpt", flipped)
+	frame := func(magic, payload string) string {
+		return fmt.Sprintf("%s %04x %s\n", magic, uint16(hash.Sum([]byte(payload))), payload)
+	}
 	payload := `{"spec":{"kind":"fuzz","fuzz":{"seed":5,"runs":4,"workers":0,"fault_frac":0,"budget":2000,"minimize":false},"shard_size":2}}`
-	v1 := file("v1.ckpt", []byte(fmt.Sprintf("DVMC1 %04x %s\n", uint16(hash.Sum([]byte(payload))), payload)))
+	v1 := file("v1.ckpt", []byte(frame("DVMC1", payload)))
+	// A result whose CRC holds but that covers only case 0 of its shard.
+	short := file("short.ckpt", []byte(lines[0]+frame("DVMC2", `{"result":{"shard":{"id":0,"from":0,"to":2},"records":[{"index":0,"result":{"class":"agree-clean"}}]}}`)))
+	// An experiment journal from before results were one injection list.
+	rows := file("rows.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"experiment","experiment":{"faults":2,"budget":1000,"seed":3},"shard_size":3}}`)+
+		frame("DVMC2", `{"result":{"shard":{"id":0,"from":0,"to":3},"rows":[{"row":0,"from":0,"results":[]}]}}`)))
 
 	for _, tc := range []struct {
 		name   string
@@ -76,6 +85,8 @@ func TestExitCodes(t *testing.T) {
 		{"torn mid-file", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", torn}, 2, "record 1, offset"},
 		{"crc mismatch", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", crc}, 2, "crc mismatch"},
 		{"DVMC1 journal", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", v1}, 2, "journal version DVMC1"},
+		{"a short result", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", short}, 2, fmt.Sprintf("record 1, offset %d", len(lines[0]))},
+		{"experiment rows", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", rows}, 2, `unknown field "rows"`},
 	} {
 		code, _, stderr := runFarm(tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.stderr) {

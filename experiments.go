@@ -117,17 +117,78 @@ type sampleKey struct {
 }
 
 // campaignJob is one injection campaign: n derived injections into cfg
-// on OLTP, each run for budget cycles.
+// on w, each run for budget cycles.
 type campaignJob struct {
 	cfg    Config
+	w      Workload
 	n      int
 	budget uint64
 }
 
+// campaignKey identifies a campaignJob; a workload is keyed by its name.
+type campaignKey struct {
+	cfg      Config
+	workload string
+	n        int
+	budget   uint64
+}
+
+func (j campaignJob) key() campaignKey { return campaignKey{j.cfg, j.w.Name, j.n, j.budget} }
+
 // runs is a finished matrix, for the views to look results up in.
 type runs struct {
 	samples   map[sampleKey][]Results
-	campaigns map[campaignJob]CampaignResult
+	campaigns map[campaignKey]CampaignResult
+}
+
+// injectionSpace numbers the injections of a list of campaigns as one
+// index space: campaign by campaign, each campaign's derived injections
+// in order. The Section 6.1 matrix's campaigns are its rows, so there
+// index i is row i/faults, injection i%faults. Evaluate's pool,
+// RunCampaign and the fabric's experiment shards all run index i
+// through run.
+type injectionSpace struct {
+	jobs  []campaignJob
+	injs  []Injection // every campaign's injections, campaign by campaign
+	first []int       // first[c] is campaign c's first index; first[len(jobs)] is len(injs)
+}
+
+// newInjectionSpace derives every campaign's injections; a campaign of
+// fewer than zero faults contributes none (execute refuses it).
+func newInjectionSpace(jobs []campaignJob) injectionSpace {
+	s := injectionSpace{jobs: jobs}
+	for _, job := range jobs {
+		s.first = append(s.first, len(s.injs))
+		s.injs = append(s.injs, DeriveCampaignInjections(job.cfg, max(job.n, 0))...)
+	}
+	s.first = append(s.first, len(s.injs))
+	return s
+}
+
+// run executes index i, injection j of its campaign, into a fresh system
+// seeded cfg.Seed+j: the rule that makes any injection of a campaign
+// runnable anywhere with the serial run's result.
+func (s injectionSpace) run(i int) (InjectionResult, error) {
+	c := 0
+	for i >= s.first[c+1] {
+		c++
+	}
+	job, j := s.jobs[c], i-s.first[c]
+	r, err := RunInjection(job.cfg.WithSeed(job.cfg.Seed+uint64(j)), job.w, s.injs[i], job.budget)
+	if err != nil {
+		return r, fmt.Errorf("injection %d (%v): %w", j, s.injs[i].Kind, err)
+	}
+	return r, nil
+}
+
+// campaigns splits results, one per index in index order, into each
+// campaign's CampaignResult.
+func (s injectionSpace) campaigns(results []InjectionResult) map[campaignKey]CampaignResult {
+	out := make(map[campaignKey]CampaignResult, len(s.jobs))
+	for c, job := range s.jobs {
+		out[job.key()] = CampaignResult{Results: results[s.first[c]:s.first[c+1]]}
+	}
+	return out
 }
 
 // over samples metric across the repetitions of cfg on w.
@@ -147,54 +208,15 @@ func cellOf(s *stats.Sample) Cell { return Cell{Mean: s.Mean(), Std: s.StdDev()}
 
 // Evaluate runs the figures as one matrix and renders their tables in
 // order. Their sample jobs are keyed by (Config, workload name) and
-// their campaigns by (Config, faults, budget), so a run two figures
-// share executes once; every sample job and every campaign injection is
-// one slot of a single pool of opts.Workers workers (an injection slot
-// is the one-injection RunCampaignSlice). The first error in slot order,
-// regardless of completion order, aborts the evaluation.
+// their campaigns by (Config, workload name, faults, budget), so a run
+// two figures share executes once; every sample job and every campaign
+// injection is one slot of a single pool of opts.Workers workers. The
+// first error in slot order, regardless of completion order, aborts the
+// evaluation.
 func Evaluate(figs []Figure, opts ExperimentOpts) ([]Table, error) {
-	samples, campaigns := plan(figs)
-	if len(samples) > 0 {
-		if err := opts.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	type slot struct{ c, i int } // injection i of campaign c
-	var slots []slot
-	injs := make([][]Injection, len(campaigns))
-	camps := make([]CampaignResult, len(campaigns))
-	for c, job := range campaigns {
-		if job.n < 0 {
-			return nil, fmt.Errorf("dvmc: campaign of %d faults, need >= 0", job.n)
-		}
-		injs[c] = DeriveCampaignInjections(job.cfg, job.n)
-		camps[c].Results = make([]InjectionResult, job.n)
-		for i := 0; i < job.n; i++ {
-			slots = append(slots, slot{c, i})
-		}
-	}
-	results := make([][]Results, len(samples))
-	errs := make([]error, len(samples)+len(slots))
-	par.For(len(errs), opts.Workers, func(k int) {
-		if k < len(samples) {
-			results[k], errs[k] = runtimeSample(samples[k].cfg, samples[k].w, opts)
-			return
-		}
-		s := slots[k-len(samples)]
-		one, err := RunCampaignSlice(campaigns[s.c].cfg, OLTP(), injs[s.c], campaigns[s.c].budget, s.i, s.i+1)
-		camps[s.c].Results[s.i], errs[k] = one.Results[s.i], err
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	r := &runs{samples: make(map[sampleKey][]Results, len(samples)), campaigns: make(map[campaignJob]CampaignResult, len(campaigns))}
-	for k, job := range samples {
-		r.samples[sampleKey{job.cfg, job.w.Name}] = results[k]
-	}
-	for c, job := range campaigns {
-		r.campaigns[job] = camps[c]
+	r, err := execute(figs, opts)
+	if err != nil {
+		return nil, err
 	}
 	tables := make([]Table, len(figs))
 	for i, f := range figs {
@@ -203,13 +225,50 @@ func Evaluate(figs []Figure, opts ExperimentOpts) ([]Table, error) {
 	return tables, nil
 }
 
+// execute runs the figures' distinct sample jobs and injections on one
+// pool and collects their results for the views.
+func execute(figs []Figure, opts ExperimentOpts) (*runs, error) {
+	samples, campaigns := plan(figs)
+	if len(samples) > 0 {
+		if err := opts.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	for _, job := range campaigns {
+		if job.n < 0 {
+			return nil, fmt.Errorf("dvmc: campaign of %d faults, need >= 0", job.n)
+		}
+	}
+	space := newInjectionSpace(campaigns)
+	results := make([][]Results, len(samples))
+	injections := make([]InjectionResult, len(space.injs))
+	errs := make([]error, len(samples)+len(injections))
+	par.For(len(errs), opts.Workers, func(k int) {
+		if k < len(samples) {
+			results[k], errs[k] = runtimeSample(samples[k].cfg, samples[k].w, opts)
+			return
+		}
+		injections[k-len(samples)], errs[k] = space.run(k - len(samples))
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	r := &runs{samples: make(map[sampleKey][]Results, len(samples)), campaigns: space.campaigns(injections)}
+	for k, job := range samples {
+		r.samples[sampleKey{job.cfg, job.w.Name}] = results[k]
+	}
+	return r, nil
+}
+
 // plan is the figures' distinct sample jobs and campaigns, in the order
 // the figures first name them.
 func plan(figs []Figure) ([]sampleJob, []campaignJob) {
 	var samples []sampleJob
 	var campaigns []campaignJob
 	seen := map[sampleKey]bool{}
-	seenCampaign := map[campaignJob]bool{}
+	seenCampaign := map[campaignKey]bool{}
 	ws := Workloads()
 	for _, f := range figs {
 		for _, cfg := range f.configs {
@@ -221,13 +280,44 @@ func plan(figs []Figure) ([]sampleJob, []campaignJob) {
 			}
 		}
 		for _, c := range f.campaigns {
-			if !seenCampaign[c] {
-				seenCampaign[c] = true
+			if !seenCampaign[c.key()] {
+				seenCampaign[c.key()] = true
 				campaigns = append(campaigns, c)
 			}
 		}
 	}
 	return samples, campaigns
+}
+
+// space is f's injection index space, as Evaluate numbers it.
+func (f Figure) space() injectionSpace {
+	_, campaigns := plan([]Figure{f})
+	return newInjectionSpace(campaigns)
+}
+
+// Injections are f's injections in index order (for the Section 6.1
+// figure, row-major): the index space a caller that runs them elsewhere
+// — the fabric's experiment shards — walks with Inject.
+func (f Figure) Injections() []Injection { return f.space().injs }
+
+// Inject runs injection i of f exactly as Evaluate does.
+func (f Figure) Inject(i int) (InjectionResult, error) {
+	s := f.space()
+	if i < 0 || i >= len(s.injs) {
+		return InjectionResult{}, fmt.Errorf("dvmc: %s has no injection %d", f.Name, i)
+	}
+	return s.run(i)
+}
+
+// View renders a figure that runs nothing but injections from their
+// results, one per index in index order, through the view Evaluate
+// renders it with.
+func (f Figure) View(results []InjectionResult) (Table, error) {
+	s := f.space()
+	if len(results) != len(s.injs) {
+		return Table{}, fmt.Errorf("dvmc: %s has %d injections, got %d results", f.Name, len(s.injs), len(results))
+	}
+	return f.view(&runs{campaigns: s.campaigns(results)}), nil
 }
 
 // evaluateOne runs a single figure.
@@ -404,7 +494,7 @@ func ErrorDetectionRows() []ErrorDetectionRow {
 // ErrorDetectionConfig builds one row's fully-protected system
 // configuration (ECC on, tight SafetyNet interval, periodic membar
 // injection) — the exact knobs the Section 6.1 campaign has always
-// used, exported so the distributed fabric reproduces the same rows.
+// used, exported so dvmc-errors runs the same rows.
 func ErrorDetectionConfig(r ErrorDetectionRow, seed uint64) Config {
 	cfg := protectConfig(r.Protocol, r.Model).WithSeed(seed)
 	cfg.Memory.CacheECC = true
@@ -414,44 +504,31 @@ func ErrorDetectionConfig(r ErrorDetectionRow, seed uint64) Config {
 	return cfg
 }
 
-// AssembleErrorDetectionTable renders per-row campaign results (in
-// ErrorDetectionRows order; missing trailing rows are skipped) into the
-// Section 6.1 table. Serial runs and the fabric's merged shards go
-// through this same assembly, so their tables are byte-identical.
-func AssembleErrorDetectionTable(campaigns []CampaignResult) Table {
-	t := Table{
-		Title: "Section 6.1: error-detection campaign (detected / applied; masked faults had no architectural effect)",
-		Cols:  []string{"applied", "detected", "masked", "undetected"},
-	}
-	for i, r := range ErrorDetectionRows() {
-		if i >= len(campaigns) {
-			break
-		}
-		applied, detected, masked, undetected := campaigns[i].Counts()
-		t.Rows = append(t.Rows, fmt.Sprintf("%v/%v", r.Protocol, r.Model))
-		t.Cells = append(t.Cells, []Cell{
-			{Mean: float64(applied)}, {Mean: float64(detected)},
-			{Mean: float64(masked)}, {Mean: float64(undetected)},
-		})
-	}
-	return t
-}
-
 // ErrorDetection is the Section 6.1 experiment as a Figure: per
-// ErrorDetectionRows row, a campaign of faultsPerConfig injections of
-// budget cycles each, seeded from seed, reporting detection coverage.
-// Each injection is one slot of Evaluate's pool.
+// ErrorDetectionRows row, a campaign of faultsPerConfig injections into
+// OLTP of budget cycles each, seeded from seed, reporting detection
+// coverage. Each injection is one slot of Evaluate's pool; the rows in
+// order make its injection index space row-major.
 func ErrorDetection(faultsPerConfig int, budget uint64, seed uint64) Figure {
-	var campaigns []campaignJob
-	for _, row := range ErrorDetectionRows() {
-		campaigns = append(campaigns, campaignJob{ErrorDetectionConfig(row, seed), faultsPerConfig, budget})
+	rows := ErrorDetectionRows()
+	campaigns := make([]campaignJob, len(rows))
+	for i, row := range rows {
+		campaigns[i] = campaignJob{ErrorDetectionConfig(row, seed), OLTP(), faultsPerConfig, budget}
 	}
 	return Figure{Name: "Section 6.1", campaigns: campaigns, view: func(r *runs) Table {
-		results := make([]CampaignResult, len(campaigns))
-		for i, c := range campaigns {
-			results[i] = r.campaigns[c]
+		t := Table{
+			Title: "Section 6.1: error-detection campaign (detected / applied; masked faults had no architectural effect)",
+			Cols:  []string{"applied", "detected", "masked", "undetected"},
 		}
-		return AssembleErrorDetectionTable(results)
+		for i, row := range rows {
+			applied, detected, masked, undetected := r.campaigns[campaigns[i].key()].Counts()
+			t.Rows = append(t.Rows, fmt.Sprintf("%v/%v", row.Protocol, row.Model))
+			t.Cells = append(t.Cells, []Cell{
+				{Mean: float64(applied)}, {Mean: float64(detected)},
+				{Mean: float64(masked)}, {Mean: float64(undetected)},
+			})
+		}
+		return t
 	}}
 }
 

@@ -278,49 +278,10 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 	return res, s, nil
 }
 
-// CampaignResult aggregates an injection campaign. Results is indexed
-// by injection number; a zero-value slot (Injection.Kind == 0) is a
-// hole — an injection this partial result did not run. Holes let
-// shard-sized partials from different workers combine with Merge into
-// the same table a serial run produces.
+// CampaignResult aggregates an injection campaign: Results holds one
+// result per injection, in injection order.
 type CampaignResult struct {
 	Results []InjectionResult
-}
-
-// Occupied reports whether this slot holds an executed injection (fault
-// kinds start at 1, so the zero value is recognisably a hole).
-func (r InjectionResult) Occupied() bool { return r.Injection.Kind != 0 }
-
-// Merge combines two slot-disjoint partial campaign results into one.
-// Each slot must be occupied in at most one argument; because slots are
-// disjoint, Merge(a, b) == Merge(b, a) and any association order over a
-// set of partials yields the same result — the property the distributed
-// fabric's coordinator relies on to be independent of shard completion
-// order.
-func Merge(a, b CampaignResult) (CampaignResult, error) {
-	n := len(a.Results)
-	if len(b.Results) > n {
-		n = len(b.Results)
-	}
-	out := CampaignResult{Results: make([]InjectionResult, n)}
-	for i := range out.Results {
-		var av, bv InjectionResult
-		if i < len(a.Results) {
-			av = a.Results[i]
-		}
-		if i < len(b.Results) {
-			bv = b.Results[i]
-		}
-		switch {
-		case av.Occupied() && bv.Occupied():
-			return CampaignResult{}, fmt.Errorf("dvmc: Merge: slot %d occupied in both partial results", i)
-		case av.Occupied():
-			out.Results[i] = av
-		default:
-			out.Results[i] = bv
-		}
-	}
-	return out, nil
 }
 
 // Counts returns (applied, detected, masked, undetected) totals.
@@ -401,7 +362,7 @@ func (c CampaignResult) AllRecoverable() bool {
 // DeriveCampaignInjections precomputes a campaign's n injections
 // (random kind, node, and time, per the paper's methodology). The
 // sequence is a pure function of cfg.Seed — the same stream RunCampaign
-// has always drawn — so any subset of the campaign can be executed
+// has always drawn — so any injection of the campaign can be executed
 // anywhere and still agree with the serial run.
 func DeriveCampaignInjections(cfg Config, n int) []Injection {
 	rng := sim.NewRand(cfg.Seed + 0xfa17)
@@ -417,30 +378,15 @@ func DeriveCampaignInjections(cfg Config, n int) []Injection {
 	return out
 }
 
-// RunCampaignSlice executes injections [from, to) of a derived campaign
-// into fresh systems and returns a partial CampaignResult of length
-// len(injs) with only those slots occupied — the shard unit of the
-// distributed fabric. Slot-disjoint partials combine with Merge.
-func RunCampaignSlice(cfg Config, w Workload, injs []Injection, budget uint64, from, to int) (CampaignResult, error) {
-	out := CampaignResult{Results: make([]InjectionResult, len(injs))}
-	if from < 0 || to > len(injs) || from > to {
-		return out, fmt.Errorf("dvmc: RunCampaignSlice: range [%d, %d) outside 0..%d", from, to, len(injs))
-	}
-	for i := from; i < to; i++ {
-		r, err := RunInjection(cfg.WithSeed(cfg.Seed+uint64(i)), w, injs[i], budget)
-		if err != nil {
-			return out, fmt.Errorf("injection %d (%v): %w", i, injs[i].Kind, err)
-		}
-		out.Results[i] = r
-	}
-	return out, nil
-}
-
 // RunCampaign injects n random faults (random kind, node, and time, per
 // the paper's methodology) into fresh systems and aggregates detection.
+// It is Evaluate over one campaign: each injection is one slot of the
+// default-sized pool, and the result is the same at any worker count.
 func RunCampaign(cfg Config, w Workload, n int, budget uint64) (CampaignResult, error) {
-	if n < 0 {
-		return CampaignResult{}, fmt.Errorf("dvmc: RunCampaign: n = %d, need >= 0", n)
+	job := campaignJob{cfg, w, n, budget}
+	r, err := execute([]Figure{{Name: "campaign", campaigns: []campaignJob{job}}}, ExperimentOpts{})
+	if err != nil {
+		return CampaignResult{}, err
 	}
-	return RunCampaignSlice(cfg, w, DeriveCampaignInjections(cfg, n), budget, 0, n)
+	return r.campaigns[job.key()], nil
 }

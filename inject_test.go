@@ -360,120 +360,29 @@ func TestInjectionLSQValueFlipRMO(t *testing.T) {
 	}
 }
 
-// mergeFixture builds a fully-occupied campaign table and three
-// slot-disjoint partials that partition it, mimicking three fabric
-// shards of one campaign.
-func mergeFixture() (full CampaignResult, parts []CampaignResult) {
-	kinds := AllFaultKinds()
-	full = CampaignResult{Results: make([]InjectionResult, 7)}
-	for i := range full.Results {
-		full.Results[i] = InjectionResult{
-			Injection: Injection{Kind: kinds[i%len(kinds)], Node: i % 4, Cycle: Cycle(1000 * (i + 1))},
-			Applied:   i%3 != 0,
-			Detected:  i%3 == 1,
-			Latency:   Cycle(10 * i),
-		}
-	}
-	ranges := [][2]int{{0, 3}, {3, 5}, {5, 7}}
-	for _, r := range ranges {
-		p := CampaignResult{Results: make([]InjectionResult, len(full.Results))}
-		copy(p.Results[r[0]:r[1]], full.Results[r[0]:r[1]])
-		parts = append(parts, p)
-	}
-	return full, parts
-}
-
-// TestMergeOrderIndependent proves the fabric's merging contract:
-// slot-disjoint partial results combine to the same table under every
-// argument order and association.
-func TestMergeOrderIndependent(t *testing.T) {
-	full, parts := mergeFixture()
-	orders := [][]int{{0, 1, 2}, {2, 1, 0}, {1, 0, 2}, {2, 0, 1}}
-	for _, ord := range orders {
-		acc := CampaignResult{}
-		for _, pi := range ord {
-			var err error
-			acc, err = Merge(acc, parts[pi])
-			if err != nil {
-				t.Fatalf("order %v: %v", ord, err)
-			}
-		}
-		if !reflect.DeepEqual(acc, full) {
-			t.Fatalf("order %v: merged table differs from the serial table", ord)
-		}
-	}
-	// Right-associated for good measure: Merge(p0, Merge(p1, p2)).
-	inner, err := Merge(parts[1], parts[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := Merge(parts[0], inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(acc, full) {
-		t.Fatal("right-associated merge differs from the serial table")
-	}
-}
-
-// TestMergeRejectsOverlap: the same slot occupied on both sides is a
-// protocol violation (two workers claiming one shard), not silently
-// resolvable.
-func TestMergeRejectsOverlap(t *testing.T) {
-	full, parts := mergeFixture()
-	if _, err := Merge(parts[0], parts[0]); err == nil {
-		t.Fatal("merging a partial with itself must fail")
-	}
-	if _, err := Merge(full, parts[1]); err == nil {
-		t.Fatal("merging overlapping results must fail")
-	}
-}
-
-// TestMergeUnevenLengths: a shorter partial (old checkpoint, smaller
-// shard plan) pads with holes rather than erroring.
-func TestMergeUnevenLengths(t *testing.T) {
-	full, parts := mergeFixture()
-	short := CampaignResult{Results: append([]InjectionResult(nil), parts[0].Results[:3]...)}
-	acc, err := Merge(short, parts[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err = Merge(parts[2], acc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(acc, full) {
-		t.Fatal("merge with a truncated partial differs from the serial table")
-	}
-}
-
-// TestCampaignSliceMatchesSerial runs one small campaign whole and as
-// two merged slices, and requires identical results — the simulation-
-// level half of the fabric's byte-identity claim.
-func TestCampaignSliceMatchesSerial(t *testing.T) {
+// TestCampaignMatchesSerialLoop pins the one rule every campaign path
+// runs injection i by, and that benchmark/ inlines: a fresh system
+// seeded cfg.Seed+i, given the campaign's derived injection i. RunCampaign
+// runs on the pool; its results must equal the plain serial loop's.
+func TestCampaignMatchesSerialLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign is slow")
 	}
 	cfg := injCfg()
-	const n = 6
-	serial, err := RunCampaign(cfg, OLTP(), n, 200_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	injs := DeriveCampaignInjections(cfg, n)
-	lo, err := RunCampaignSlice(cfg, OLTP(), injs, 200_000, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := RunCampaignSlice(cfg, OLTP(), injs, 200_000, 4, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := Merge(hi, lo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged, serial) {
-		t.Fatalf("sliced campaign differs from serial:\n merged %+v\n serial %+v", merged, serial)
+	const n, budget = 5, 200_000
+	for _, w := range []Workload{OLTP(), Slashcode()} {
+		camp, err := RunCampaign(cfg, w, n, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]InjectionResult, n)
+		for i, inj := range DeriveCampaignInjections(cfg, n) {
+			if want[i], err = RunInjection(cfg.WithSeed(cfg.Seed+uint64(i)), w, inj, budget); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(camp.Results, want) {
+			t.Fatalf("%s: RunCampaign differs from the serial loop:\n got %+v\nwant %+v", w.Name, camp.Results, want)
+		}
 	}
 }

@@ -136,17 +136,67 @@ func TestCheckpointEmpty(t *testing.T) {
 	}
 }
 
+// journalLine frames payload as one journal line under magic, with a
+// valid CRC.
+func journalLine(magic, payload string) string {
+	return fmt.Sprintf("%s %04x %s\n", magic, uint16(hash.Sum([]byte(payload))), payload)
+}
+
 // legacyJournal is a version 1 journal with valid CRCs: the spec, then
 // one result whose record carries its whole case.
 func legacyJournal() []byte {
-	var b bytes.Buffer
-	for _, payload := range []string{
-		`{"spec":{"kind":"fuzz","fuzz":{"seed":5,"runs":4,"workers":0,"fault_frac":0,"budget":2000,"minimize":false},"shard_size":2}}`,
-		`{"result":{"shard":{"id":0,"from":0,"to":2},"records":[{"index":0,"case":{"name":"run-000000","model":"TSO"},"result":{"class":"agree-clean","cycles":900,"finished":true}}]}}`,
-	} {
-		fmt.Fprintf(&b, "DVMC1 %04x %s\n", uint16(hash.Sum([]byte(payload))), payload)
+	return []byte(journalLine("DVMC1", `{"spec":{"kind":"fuzz","fuzz":{"seed":5,"runs":4,"workers":0,"fault_frac":0,"budget":2000,"minimize":false},"shard_size":2}}`) +
+		journalLine("DVMC1", `{"result":{"shard":{"id":0,"from":0,"to":2},"records":[{"index":0,"case":{"name":"run-000000","model":"TSO"},"result":{"class":"agree-clean","cycles":900,"finished":true}}]}}`))
+}
+
+// rowsJournal is a DVMC2 experiment journal as written before shard
+// results carried one injection list: its result splits the shard into
+// per-row partials under "rows".
+func rowsJournal() []byte {
+	return []byte(journalLine(checkpointMagic, `{"spec":{"kind":"experiment","experiment":{"faults":2,"budget":1000,"seed":3},"shard_size":3}}`) +
+		journalLine(checkpointMagic, `{"result":{"shard":{"id":0,"from":0,"to":3},"rows":[{"row":0,"from":0,"results":[{"Injection":{"Kind":3,"Node":1,"Cycle":4000,"Window":0,"Magnitude":0},"Applied":true,"ActivatedAt":4000,"Detected":true,"DetectionKind":2,"Latency":12,"Recoverable":true,"Masked":false}]}]}}`))
+}
+
+// TestCheckpointRefusesExperimentRows: strict decoding refuses a rows
+// journal at its first result line, both in the reader and at resume,
+// while a fuzz journal of the same version still resumes.
+func TestCheckpointRefusesExperimentRows(t *testing.T) {
+	data := rowsJournal()
+	specLine := bytes.IndexByte(data, '\n') + 1
+	path := filepath.Join(t.TempDir(), "rows.ckpt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	return b.Bytes()
+	_, err := ResumeCoordinator(path, CoordinatorOptions{})
+	var pe *frame.PosError
+	if !errors.As(err, &pe) || pe.Record != 1 || pe.Offset != int64(specLine) || !strings.Contains(err.Error(), `unknown field "rows"`) {
+		t.Fatalf("resuming a rows journal = %v, want a record 1, offset %d refusal naming the field", err, specLine)
+	}
+
+	spec := JobSpec{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 5, Runs: 4, Budget: 2000}, ShardSize: 2}
+	var journal bytes.Buffer
+	if err := AppendEntry(&journal, CheckpointEntry{Spec: &spec}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := ExecuteShard(spec, spec.Shards()[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendEntry(&journal, CheckpointEntry{Result: &res}); err != nil {
+		t.Fatal(err)
+	}
+	path = filepath.Join(t.TempDir(), "fuzz.ckpt")
+	if err := os.WriteFile(path, journal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := ResumeCoordinator(path, CoordinatorOptions{})
+	if err != nil {
+		t.Fatalf("resuming a fuzz journal: %v", err)
+	}
+	defer c.Close()
+	if st := c.Status(); st.Done != 1 || st.Pending != 1 {
+		t.Fatalf("resumed fuzz journal: %+v, want 1 shard done and 1 pending", st)
+	}
 }
 
 // TestCheckpointRefusesVersion1: a journal written before results became

@@ -101,7 +101,8 @@ func NewCoordinator(spec JobSpec, opts CoordinatorOptions) (*Coordinator, error)
 // shards are never re-run, and new results append to the same file. A
 // torn trailing line (coordinator crashed mid-append) is truncated
 // away; any other corruption — a record that does not decode, a spec
-// that does not validate — refuses to resume with a *frame.PosError.
+// that does not validate, a result Complete would have refused —
+// refuses to resume with a *frame.PosError.
 //
 //dvmc:guardedby mu
 func ResumeCoordinator(path string, opts CoordinatorOptions) (*Coordinator, error) {
@@ -128,16 +129,24 @@ func ResumeCoordinator(path string, opts CoordinatorOptions) (*Coordinator, erro
 		}
 	}
 	c := newCoordinator(spec, spec.Shards(), opts)
-	for _, e := range entries[1:] {
-		if e.Result == nil {
-			return nil, fmt.Errorf("fabric: checkpoint %s has a second spec entry", path)
+	// off is the byte offset of record k's line: the entries decoded, so
+	// each is one newline-terminated line.
+	off := 0
+	for k, e := range entries {
+		var err error
+		switch {
+		case k == 0:
+		case e.Result == nil:
+			err = errors.New("a second spec entry")
+		default:
+			err = c.checkResult(e.Result)
 		}
-		r := *e.Result
-		if err := c.checkResult(&r); err != nil {
-			return nil, fmt.Errorf("fabric: checkpoint %s: %w", path, err)
+		if err != nil {
+			return nil, fmt.Errorf("fabric: checkpoint %s: %w", path, &frame.PosError{Record: uint64(k), Offset: int64(off), Err: err})
 		}
-		if c.leases.Complete(r.Shard.ID) {
-			c.results[r.Shard.ID] = &r
+		off += bytes.IndexByte(data[off:], '\n') + 1
+		if k > 0 && c.leases.Complete(e.Result.Shard.ID) {
+			c.results[e.Result.Shard.ID] = e.Result
 		}
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -358,28 +367,22 @@ func (c *Coordinator) pool(g int, records []fuzz.Record) (*seedPool, error) {
 // re-derived by fuzz.CaseAt — generation by generation in index order,
 // each against the pool distilled from the generations before it. The
 // table depends only on which shards were accepted, not on the order
-// (live or replayed from the journal) in which they were. A duplicate or
-// missing index is an error.
+// (live or replayed from the journal) in which they were. Every accepted
+// result covers its shard exactly (checkResult), so the shards' records
+// in shard order are the table; a shard without a result is an error.
 //
 //dvmc:guardedby mu
 func (c *Coordinator) records(upTo int) ([]fuzz.Record, error) {
-	records := make([]fuzz.Record, upTo)
-	filled := make([]bool, upTo)
+	records := make([]fuzz.Record, 0, upTo)
 	for id, sh := range c.shards {
 		if sh.From >= upTo {
 			break
 		}
 		r := c.results[id]
 		if r == nil {
-			continue
+			return nil, fmt.Errorf("fabric: shard %d has no result", id)
 		}
-		for _, v := range r.Records {
-			if v.Index < 0 || v.Index >= upTo || filled[v.Index] {
-				return nil, fmt.Errorf("fabric: shard %d delivered record index %d out of place", id, v.Index)
-			}
-			records[v.Index] = v
-			filled[v.Index] = true
-		}
+		records = append(records, r.Records...)
 	}
 	for g := 0; g <= c.gens.Generations; g++ {
 		from, to := c.gens.GenBounds(g)
@@ -391,9 +394,6 @@ func (c *Coordinator) records(upTo int) ([]fuzz.Record, error) {
 			return nil, err
 		}
 		for i := from; i < min(to, upTo); i++ {
-			if !filled[i] {
-				return nil, fmt.Errorf("fabric: record %d missing", i)
-			}
 			records[i].Case = fuzz.CaseAt(c.gens, i, p.cases)
 		}
 	}
@@ -416,21 +416,37 @@ func (c *Coordinator) Renew(req RenewRequest) RenewResponse {
 var ErrBadResult = errors.New("fabric: result does not belong to this job")
 
 // checkResult refuses a result that finalize could not place: accepted,
-// it would be journaled and sink the whole job after its last shard.
+// it would be journaled and sink the whole job after its last shard. A
+// result carries exactly one outcome per case of its shard, in index
+// order, of its job's kind; an experiment outcome must report the
+// injection the coordinator derives for its index, so a worker reports
+// outcomes and cannot put a case of its own into the table.
 func (c *Coordinator) checkResult(r *ShardResult) error {
 	id := r.Shard.ID
 	if id < 0 || id >= len(c.shards) || r.Shard != c.shards[id] {
 		return fmt.Errorf("%w: shard %+v is not in its partition", ErrBadResult, r.Shard)
 	}
-	for _, rec := range r.Records {
-		if rec.Index < r.Shard.From || rec.Index >= r.Shard.To {
-			return fmt.Errorf("%w: shard %d carries record %d", ErrBadResult, id, rec.Index)
+	// Outcomes of the job's kind (records for a fuzz job, injection
+	// results for an experiment) and of the other kind.
+	ours, theirs := len(r.Records), len(r.Injections)
+	if c.spec.Kind == JobExperiment {
+		ours, theirs = theirs, ours
+	}
+	if ours != r.Shard.To-r.Shard.From || theirs != 0 {
+		return fmt.Errorf("%w: shard %d covers cases [%d, %d) of a %s job but carries %d records and %d injection results",
+			ErrBadResult, id, r.Shard.From, r.Shard.To, c.spec.Kind, len(r.Records), len(r.Injections))
+	}
+	for k, rec := range r.Records {
+		if rec.Index != r.Shard.From+k {
+			return fmt.Errorf("%w: shard %d carries record %d at case %d", ErrBadResult, id, rec.Index, r.Shard.From+k)
 		}
 	}
-	for _, p := range r.Rows {
-		if c.spec.Kind != JobExperiment || p.Row < 0 || p.Row >= len(dvmc.ErrorDetectionRows()) ||
-			p.From < 0 || p.From > c.spec.Experiment.Faults-len(p.Results) {
-			return fmt.Errorf("%w: shard %d carries row %d slots [%d, %d)", ErrBadResult, id, p.Row, p.From, p.From+len(p.Results))
+	if len(r.Injections) > 0 {
+		injs := c.spec.Experiment.figure().Injections()
+		for k, res := range r.Injections {
+			if i := r.Shard.From + k; res.Injection != injs[i] {
+				return fmt.Errorf("%w: shard %d reports injection %+v at case %d, which is %+v", ErrBadResult, id, res.Injection, i, injs[i])
+			}
 		}
 	}
 	return nil
@@ -556,10 +572,10 @@ type Output struct {
 	Records  []fuzz.Record
 	Summary  fuzz.Summary
 	Snapshot *telemetry.Snapshot
-	// Experiment jobs: one merged campaign per Section 6.1 row, and the
-	// assembled table.
-	Campaigns []dvmc.CampaignResult
-	Table     dvmc.Table
+	// Experiment jobs: every injection result in index order, and the
+	// Section 6.1 table rendered from them.
+	Injections []dvmc.InjectionResult
+	Table      dvmc.Table
 }
 
 // Finalize assembles the finished job's artifacts. For fuzz jobs it
@@ -593,33 +609,16 @@ func (c *Coordinator) Finalize() (*Output, error) {
 			}
 		}
 	case JobExperiment:
-		faults := c.spec.Experiment.Faults
-		rows := dvmc.ErrorDetectionRows()
-		campaigns := make([]dvmc.CampaignResult, len(rows))
-		for i := range campaigns {
-			campaigns[i] = dvmc.CampaignResult{Results: make([]dvmc.InjectionResult, faults)}
-		}
+		// Each accepted result covers its shard exactly, so the shards'
+		// results in shard order are the index space.
+		out.Injections = make([]dvmc.InjectionResult, 0, c.spec.TotalCases())
 		for id := range c.shards {
-			for _, p := range c.results[id].Rows {
-				if p.Row < 0 || p.Row >= len(rows) {
-					return nil, fmt.Errorf("fabric: shard %d delivered row %d outside the matrix", id, p.Row)
-				}
-				merged, err := dvmc.Merge(campaigns[p.Row], p.Expand(faults))
-				if err != nil {
-					return nil, fmt.Errorf("fabric: shard %d row %d: %w", id, p.Row, err)
-				}
-				campaigns[p.Row] = merged
-			}
+			out.Injections = append(out.Injections, c.results[id].Injections...)
 		}
-		for i := range campaigns {
-			for j, slot := range campaigns[i].Results {
-				if !slot.Occupied() {
-					return nil, fmt.Errorf("fabric: row %d injection %d missing after all shards completed", i, j)
-				}
-			}
+		var err error
+		if out.Table, err = c.spec.Experiment.figure().View(out.Injections); err != nil {
+			return nil, err
 		}
-		out.Campaigns = campaigns
-		out.Table = dvmc.AssembleErrorDetectionTable(campaigns)
 	default:
 		return nil, fmt.Errorf("fabric: unknown job kind %q", c.spec.Kind)
 	}

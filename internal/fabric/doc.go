@@ -7,26 +7,33 @@
 // layer and composed here:
 //
 //  1. Every case is a pure function of (campaign seed, case index) —
-//     fuzz.DeriveCase and dvmc.DeriveCampaignInjections — or, for a
-//     fuzz campaign's breeding generations (it has Generations >= 0),
-//     of those and the records of the generations before it, which is
-//     why shards never straddle a generation, a generation is leased
-//     only once the earlier ones are complete, and its seed pool rides
-//     in the lease. A shard's records therefore do not depend on which
-//     worker ran it, when, or how many times (re-running a stolen lease
-//     reproduces the same bytes). Because a case is derivable, a fuzz
-//     shard's result carries only verdicts (Verdicts: the index, result,
-//     minimized reproducer and coverage features), and the coordinator
-//     re-derives every case with fuzz.CaseAt, against the seed pools it
-//     distils itself, before anything is merged.
-//  2. Shards are slot-disjoint index ranges, so merging is
-//     order-independent: dvmc.Merge for injection campaigns,
-//     slot-placement for fuzz records, and the canonical
-//     telemetry.MergeSnapshots for metrics.
+//     fuzz.DeriveCase, and for the Section 6.1 matrix the Inject(i) of
+//     dvmc.ErrorDetection's figure, the per-index function dvmc.Evaluate
+//     runs too — or, for a fuzz campaign's breeding generations (it has
+//     Generations >= 0), of those and the records of the generations
+//     before it, which is why shards never straddle a generation, a
+//     generation is leased only once the earlier ones are complete, and
+//     its seed pool rides in the lease. A shard's result therefore does
+//     not depend on which worker ran it, when, or how many times
+//     (re-running a stolen lease reproduces the same bytes). Because a
+//     case is derivable, a result carries outcomes, not cases: a fuzz
+//     shard's verdicts (Verdicts: the index, result, minimized
+//     reproducer and coverage features), which the coordinator turns
+//     back into records by re-deriving every case with fuzz.CaseAt
+//     against the seed pools it distils itself, and an experiment
+//     shard's injection results, each of which must report the
+//     injection the coordinator derives for its index.
+//  2. Shards partition the index space into contiguous ranges, and the
+//     coordinator accepts only a result with exactly one outcome per
+//     index of its shard, in index order. Joining the accepted results
+//     in shard order is then the dense table whatever order they
+//     arrived in; metrics merge with the order-independent
+//     telemetry.MergeSnapshots.
 //  3. All artifact writes (corpus files, summaries, tables) happen on
-//     the coordinator after every slot is filled, in ascending index
-//     order, through the same finalize code the serial drivers use
-//     (fuzz.Finalize, dvmc.AssembleErrorDetectionTable).
+//     the coordinator once every shard is done, in ascending index
+//     order, through the same code the serial drivers use
+//     (fuzz.Finalize; the Section 6.1 figure's View, which is the view
+//     Evaluate renders).
 //
 // Consequently the merged outputs are byte-identical to a serial run at
 // any worker count, join/leave order, or crash/retry schedule.

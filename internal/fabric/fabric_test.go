@@ -102,21 +102,6 @@ func TestProtocolRoundTrips(t *testing.T) {
 	}
 }
 
-func TestRowPartialExpand(t *testing.T) {
-	p := RowPartial{Row: 1, From: 2, Results: []dvmc.InjectionResult{
-		{Injection: dvmc.Injection{Kind: dvmc.AllFaultKinds()[0], Node: 1, Cycle: 7}, Applied: true},
-	}}
-	got := p.Expand(5)
-	if len(got.Results) != 5 {
-		t.Fatalf("expanded length %d, want 5", len(got.Results))
-	}
-	for i, r := range got.Results {
-		if (i == 2) != r.Occupied() {
-			t.Fatalf("slot %d occupied=%v", i, r.Occupied())
-		}
-	}
-}
-
 func TestJobSpecValidate(t *testing.T) {
 	good := JobSpec{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 1, Runs: 4}}
 	if err := good.Validate(); err != nil {
@@ -401,7 +386,7 @@ func TestFarmCrashResumeMatchesSerial(t *testing.T) {
 
 // TestFarmExperimentMatchesSerial shards the Section 6.1 matrix with
 // shard boundaries that cross rows and checks the assembled table's
-// bytes against the serial dvmc.ErrorDetectionTable.
+// bytes against dvmc.ErrorDetectionTable run on one worker.
 func TestFarmExperimentMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("farm test in -short mode")
@@ -444,8 +429,8 @@ func TestFarmExperimentMatchesSerial(t *testing.T) {
 	if out.Table.String() != want.String() {
 		t.Errorf("farm table differs from serial:\n%s\nvs\n%s", out.Table, want)
 	}
-	if len(out.Campaigns) != len(dvmc.ErrorDetectionRows()) {
-		t.Fatalf("campaign count %d", len(out.Campaigns))
+	if len(out.Injections) != spec.TotalCases() {
+		t.Fatalf("%d injection results for %d cases", len(out.Injections), spec.TotalCases())
 	}
 }
 

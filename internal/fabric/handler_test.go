@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -19,11 +18,10 @@ import (
 	"dvmc"
 	"dvmc/internal/frame"
 	"dvmc/internal/fuzz"
-	"dvmc/internal/hash"
 )
 
-// handlerFixture is a two-shard fuzz job behind an httptest server, on a
-// clock the test steps by hand.
+// handlerFixture is a job behind an httptest server, on a clock the test
+// steps by hand.
 type handlerFixture struct {
 	t     *testing.T
 	coord *Coordinator
@@ -31,10 +29,14 @@ type handlerFixture struct {
 	now   uint64
 }
 
-func newHandlerFixture(t *testing.T) *handlerFixture {
+// twoShardFuzz is the handler tests' fuzz job: cases [0, 2) and [2, 4).
+func twoShardFuzz() JobSpec {
+	return JobSpec{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 5, Runs: 4, Budget: 2000}, ShardSize: 2}
+}
+
+func newHandlerFixture(t *testing.T, spec JobSpec) *handlerFixture {
 	t.Helper()
 	f := &handlerFixture{t: t}
-	spec := JobSpec{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 5, Runs: 4, Budget: 2000}, ShardSize: 2}
 	coord, err := NewCoordinator(spec, CoordinatorOptions{TTLSeconds: 10, Clock: func() uint64 { return f.now }})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +86,7 @@ func (f *handlerFixture) result(id int) ShardResult {
 // reads: the answer is 413 and the coordinator is as it was — no worker
 // admitted, no lease handed out, no result taken.
 func TestOversizedBodyIs413(t *testing.T) {
-	f := newHandlerFixture(t)
+	f := newHandlerFixture(t, twoShardFuzz())
 	if got, want := f.coord.completeLimit, int64(MaxControlBody+2*maxCaseBody); got != want {
 		t.Fatalf("completion bound = %d, want %d (the largest shard holds 2 cases)", got, want)
 	}
@@ -114,7 +116,7 @@ func TestOversizedBodyIs413(t *testing.T) {
 // TestHandlersRefuseWhatIsNotTheirs walks the protocol's refusals through
 // the HTTP surface: none may panic, none may change what the job holds.
 func TestHandlersRefuseWhatIsNotTheirs(t *testing.T) {
-	f := newHandlerFixture(t)
+	f := newHandlerFixture(t, twoShardFuzz())
 
 	// A worker nobody has seen holds no lease to renew.
 	if code, reply := f.postJSON(PathRenew, RenewRequest{Worker: "ghost", Shard: 0}); code != 200 || !strings.Contains(reply, `"ok":false`) {
@@ -145,20 +147,36 @@ func TestHandlersRefuseWhatIsNotTheirs(t *testing.T) {
 
 	// Completions that are not results of this job: 400, nothing kept.
 	good := f.result(0)
-	outside := good
-	outside.Records = append([]fuzz.Record(nil), good.Records...)
-	outside.Records[0].Index = 3 // shard 0 is cases [0, 2)
+	withRecords := func(edit func([]fuzz.Record) []fuzz.Record) ShardResult {
+		res := good
+		res.Records = edit(append([]fuzz.Record(nil), good.Records...))
+		return res
+	}
+	withInjections := good
+	withInjections.Injections = make([]dvmc.InjectionResult, 2)
+	before := f.coord.Status()
 	for name, res := range map[string]ShardResult{
 		"a shard id past the partition": {Shard: Shard{ID: 99, From: 0, To: 2}},
 		"a negative shard id":           {Shard: Shard{ID: -1}},
 		"a shard with other bounds":     {Shard: Shard{ID: 0, From: 0, To: 4}},
-		"a record outside its shard":    outside,
-		"experiment rows in a fuzz job": {Shard: good.Shard, Rows: []RowPartial{{Row: 0, From: -5, Results: make([]dvmc.InjectionResult, 1)}}},
+		"a record outside its shard": withRecords(func(r []fuzz.Record) []fuzz.Record {
+			r[0].Index = 3 // shard 0 is cases [0, 2)
+			return r
+		}),
+		"a short completion":                 withRecords(func(r []fuzz.Record) []fuzz.Record { return r[:1] }),
+		"no records at all":                  {Shard: good.Shard},
+		"a record twice":                     withRecords(func(r []fuzz.Record) []fuzz.Record { return append(r[:1], r[0]) }),
+		"records out of order":               withRecords(func(r []fuzz.Record) []fuzz.Record { return []fuzz.Record{r[1], r[0]} }),
+		"injection results in a fuzz job":    withInjections,
+		"an extra record past the shard end": withRecords(func(r []fuzz.Record) []fuzz.Record { return append(r, fuzz.Record{Index: 2}) }),
 	} {
 		code, reply := f.postJSON(PathComplete, CompleteRequest{Worker: "w2", Result: res})
 		if code != http.StatusBadRequest || !strings.Contains(reply, "does not belong to this job") {
 			t.Errorf("completion with %s: %d %s, want 400", name, code, strings.TrimSpace(reply))
 		}
+	}
+	if after := f.coord.Status(); !reflect.DeepEqual(before, after) {
+		t.Errorf("refused completions changed the coordinator:\nbefore %+v\nafter  %+v", before, after)
 	}
 	// A record that still carries its case (a worker from before results
 	// became verdicts) is refused whole, not accepted with the case dropped.
@@ -170,7 +188,7 @@ func TestHandlersRefuseWhatIsNotTheirs(t *testing.T) {
 	if bytes.Equal(withCase, body) {
 		t.Fatalf("no record 0 to plant a case in: %s", body)
 	}
-	before := f.coord.Status()
+	before = f.coord.Status()
 	if code, reply := f.post(PathComplete, withCase); code != http.StatusBadRequest || !strings.Contains(reply, `unknown field "case"`) {
 		t.Errorf("completion whose record carries a case: %d %s, want 400", code, strings.TrimSpace(reply))
 	}
@@ -211,23 +229,72 @@ func TestHandlersRefuseWhatIsNotTheirs(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesForeignResult pins the same check on the other way a
-// result reaches a coordinator: a checkpoint whose CRCs hold but whose
-// result is not the job's refuses to resume instead of failing at the end.
-func TestResumeRefusesForeignResult(t *testing.T) {
-	spec := JobSpec{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 5, Runs: 4, Budget: 2000}, ShardSize: 2}
-	var buf bytes.Buffer
-	for _, e := range []CheckpointEntry{{Spec: &spec}, {Result: &ShardResult{Shard: Shard{ID: 1, From: 0, To: 2}}}} {
-		if err := AppendEntry(&buf, e); err != nil {
-			t.Fatal(err)
+// TestExperimentRefusesUnderivedInjections: an experiment completion
+// reports one outcome per case of its shard, each for the injection the
+// coordinator derives for that index. A tampered node, a short result
+// and an empty one are refused with 400 and change nothing; the honest
+// result is taken.
+func TestExperimentRefusesUnderivedInjections(t *testing.T) {
+	spec := JobSpec{Kind: JobExperiment, Experiment: &ExperimentSpec{Faults: 2, Budget: 1000, Seed: 3}, ShardSize: 3}
+	f := newHandlerFixture(t, spec)
+	injs := spec.Experiment.figure().Injections()
+	sh := spec.Shards()[1] // cases [3, 6): rows 1 and 2
+	result := func(n int) ShardResult {
+		res := ShardResult{Shard: sh}
+		for i := sh.From; i < sh.From+n; i++ {
+			res.Injections = append(res.Injections, dvmc.InjectionResult{Injection: injs[i], Applied: true, Detected: true})
+		}
+		return res
+	}
+	tampered := result(3)
+	tampered.Injections[1].Injection.Node++
+	before := f.coord.Status()
+	for name, res := range map[string]ShardResult{
+		"a tampered node":    tampered,
+		"a short completion": result(2),
+		"no results at all":  result(0),
+		"fuzz records":       {Shard: sh, Records: Verdicts{{Index: 3}, {Index: 4}, {Index: 5}}},
+	} {
+		code, reply := f.postJSON(PathComplete, CompleteRequest{Worker: "w1", Result: res})
+		if code != http.StatusBadRequest || !strings.Contains(reply, "does not belong to this job") {
+			t.Errorf("completion with %s: %d %s, want 400", name, code, strings.TrimSpace(reply))
 		}
 	}
-	path := t.TempDir() + "/farm.ckpt"
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	if after := f.coord.Status(); !reflect.DeepEqual(before, after) {
+		t.Errorf("refused completions changed the coordinator:\nbefore %+v\nafter  %+v", before, after)
 	}
-	if _, err := ResumeCoordinator(path, CoordinatorOptions{}); err == nil || !strings.Contains(err.Error(), "does not belong to this job") {
-		t.Fatalf("resume from a checkpoint with a foreign result: %v", err)
+	if code, reply := f.postJSON(PathComplete, CompleteRequest{Worker: "w1", Result: result(3)}); code != 200 || !strings.Contains(reply, `"accepted":true`) {
+		t.Errorf("the derived injections: %d %s", code, reply)
+	}
+}
+
+// TestResumeRefusesForeignResult pins the same check on the other way a
+// result reaches a coordinator: a checkpoint whose CRCs hold but whose
+// result Complete would refuse does not resume — it fails at once with
+// the record and offset of the result's line, instead of at the end.
+func TestResumeRefusesForeignResult(t *testing.T) {
+	spec := twoShardFuzz()
+	for name, res := range map[string]ShardResult{
+		"a shard with other bounds": {Shard: Shard{ID: 1, From: 0, To: 2}},
+		"a short result":            {Shard: Shard{ID: 0, From: 0, To: 2}, Records: Verdicts{{Index: 0}}},
+		"an empty result":           {Shard: Shard{ID: 1, From: 2, To: 4}},
+	} {
+		var buf bytes.Buffer
+		for _, e := range []CheckpointEntry{{Spec: &spec}, {Result: &res}} {
+			if err := AppendEntry(&buf, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		specLine := bytes.IndexByte(buf.Bytes(), '\n') + 1
+		path := filepath.Join(t.TempDir(), "farm.ckpt")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ResumeCoordinator(path, CoordinatorOptions{})
+		var pe *frame.PosError
+		if !errors.As(err, &pe) || pe.Record != 1 || pe.Offset != int64(specLine) || !errors.Is(err, ErrBadResult) {
+			t.Errorf("%s: resume = %v, want a record 1, offset %d refusal wrapping ErrBadResult", name, err, specLine)
+		}
 	}
 }
 
@@ -238,9 +305,6 @@ func TestResumeRefusesForeignResult(t *testing.T) {
 // Shards() then walked 2^40 generations. The second is the job kind the
 // generations fold removed.
 func TestResumeRefusesHostileSpec(t *testing.T) {
-	frameLine := func(payload string) []byte {
-		return []byte(fmt.Sprintf("%s %04x %s\n", checkpointMagic, uint16(hash.Sum([]byte(payload))), payload))
-	}
 	for name, tc := range map[string]struct{ payload, want string }{
 		"overflowing generations": {
 			`{"spec":{"kind":"fuzz","fuzz":{"seed":1,"runs":1,"generations":1099511627776,"per_gen":1099511627776,"workers":0,"fault_frac":0,"budget":0,"minimize":false}}}`,
@@ -252,7 +316,7 @@ func TestResumeRefusesHostileSpec(t *testing.T) {
 		},
 	} {
 		path := filepath.Join(t.TempDir(), "hostile.ckpt")
-		if err := os.WriteFile(path, frameLine(tc.payload), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(journalLine(checkpointMagic, tc.payload)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		done := make(chan error, 1)

@@ -143,36 +143,14 @@ type StatusResponse struct {
 type ShardResult struct {
 	Shard Shard `json:"shard"`
 	// Records are the shard's fuzz records in index order (JobFuzz), as
-	// verdicts.
+	// verdicts: exactly one per case in [Shard.From, Shard.To).
 	Records Verdicts `json:"records,omitempty"`
-	// Rows are the shard's per-row injection slices (JobExperiment).
-	Rows []RowPartial `json:"rows,omitempty"`
+	// Injections are the shard's injection results in index order
+	// (JobExperiment): exactly one per case in [Shard.From, Shard.To).
+	Injections []dvmc.InjectionResult `json:"injections,omitempty"`
 	// Snapshot is the shard's canonical merged telemetry snapshot
 	// (JobFuzz with Metrics on), in telemetry JSON encoding.
 	Snapshot json.RawMessage `json:"snapshot,omitempty"`
-}
-
-// RowPartial is a contiguous slice of one Section 6.1 row's injection
-// results: global case indices map row-major onto (row, slot), and a
-// shard that spans row boundaries splits into one RowPartial per row.
-type RowPartial struct {
-	Row int `json:"row"`
-	// From is the first slot (injection number within the row) Results
-	// covers.
-	From    int                    `json:"from"`
-	Results []dvmc.InjectionResult `json:"results"`
-}
-
-// Expand rebuilds the full-length slot array this partial occupies, for
-// combination with dvmc.Merge.
-func (p RowPartial) Expand(faults int) dvmc.CampaignResult {
-	out := dvmc.CampaignResult{Results: make([]dvmc.InjectionResult, faults)}
-	for i, r := range p.Results {
-		if p.From+i < faults {
-			out.Results[p.From+i] = r
-		}
-	}
-	return out
 }
 
 // Verdicts are a fuzz shard's records as they cross the wire and enter

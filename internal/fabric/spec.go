@@ -20,10 +20,9 @@ const (
 	// driver; a campaign with Generations == 0 is one generation, all of
 	// it leasable at once.
 	JobFuzz JobKind = "fuzz"
-	// JobExperiment shards the Section 6.1 error-detection matrix:
-	// the case space is rows × faults, row-major, where the rows are
-	// dvmc.ErrorDetectionRows and each row's injections are
-	// dvmc.DeriveCampaignInjections.
+	// JobExperiment shards the Section 6.1 error-detection matrix: the
+	// case space is the injection index space of dvmc.ErrorDetection's
+	// figure, and case i runs as its Inject(i).
 	JobExperiment JobKind = "experiment"
 )
 
@@ -38,6 +37,9 @@ type ExperimentSpec struct {
 	// stream from it via the row config).
 	Seed uint64 `json:"seed"`
 }
+
+// figure is the matrix the spec parameterises.
+func (e ExperimentSpec) figure() dvmc.Figure { return dvmc.ErrorDetection(e.Faults, e.Budget, e.Seed) }
 
 // DefaultShardSize is the lease granularity when the spec leaves it
 // zero: small enough that work-stealing re-runs stay cheap, large
@@ -103,7 +105,7 @@ func (s JobSpec) TotalCases() int {
 		if s.Experiment == nil {
 			return 0
 		}
-		return len(dvmc.ErrorDetectionRows()) * s.Experiment.Faults
+		return len(s.Experiment.figure().Injections())
 	default:
 		return 0
 	}

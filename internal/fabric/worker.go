@@ -11,7 +11,6 @@ import (
 	neturl "net/url"
 	"time"
 
-	"dvmc"
 	"dvmc/internal/fuzz"
 	"dvmc/internal/telemetry"
 )
@@ -46,25 +45,13 @@ func ExecuteShard(spec JobSpec, sh Shard, input json.RawMessage) (ShardResult, e
 			return out, err
 		}
 	case JobExperiment:
-		faults := spec.Experiment.Faults
-		rows := dvmc.ErrorDetectionRows()
-		// Global case indices map row-major onto (row, slot); a shard
-		// spanning row boundaries splits into one partial per row.
-		for r := sh.From / faults; r*faults < sh.To && r < len(rows); r++ {
-			lo, hi := 0, faults
-			if v := sh.From - r*faults; v > lo {
-				lo = v
-			}
-			if v := sh.To - r*faults; v < hi {
-				hi = v
-			}
-			cfg := dvmc.ErrorDetectionConfig(rows[r], spec.Experiment.Seed)
-			injs := dvmc.DeriveCampaignInjections(cfg, faults)
-			res, err := dvmc.RunCampaignSlice(cfg, dvmc.OLTP(), injs, spec.Experiment.Budget, lo, hi)
+		fig := spec.Experiment.figure()
+		for i := sh.From; i < sh.To; i++ {
+			r, err := fig.Inject(i)
 			if err != nil {
 				return out, err
 			}
-			out.Rows = append(out.Rows, RowPartial{Row: r, From: lo, Results: res.Results[lo:hi]})
+			out.Injections = append(out.Injections, r)
 		}
 	default:
 		return out, fmt.Errorf("fabric: unknown job kind %q", spec.Kind)
