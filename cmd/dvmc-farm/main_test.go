@@ -66,6 +66,10 @@ func TestExitCodes(t *testing.T) {
 	// An experiment journal from before results were one injection list.
 	rows := file("rows.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"experiment","experiment":{"faults":2,"budget":1000,"seed":3},"shard_size":3}}`)+
 		frame("DVMC2", `{"result":{"shard":{"id":0,"from":0,"to":3},"rows":[{"row":0,"from":0,"results":[]}]}}`)))
+	// Specs whose case space would size the shard partition or the
+	// injection list near 2^40 entries.
+	hugeRuns := file("huge-runs.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"fuzz","fuzz":{"seed":5,"runs":1099511627776,"budget":2000}}}`)))
+	hugeFaults := file("huge-faults.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"experiment","experiment":{"faults":137438953472,"budget":1000,"seed":3}}}`)))
 
 	for _, tc := range []struct {
 		name   string
@@ -87,6 +91,8 @@ func TestExitCodes(t *testing.T) {
 		{"DVMC1 journal", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", v1}, 2, "journal version DVMC1"},
 		{"a short result", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", short}, 2, fmt.Sprintf("record 1, offset %d", len(lines[0]))},
 		{"experiment rows", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", rows}, 2, `unknown field "rows"`},
+		{"fuzz runs near 2^40", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", hugeRuns}, 2, "record 0, offset 0: fabric: fuzz Runs = 1099511627776, need <= 1048576 cases"},
+		{"experiment faults near 2^40", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", hugeFaults}, 2, "record 0, offset 0: fabric: experiment Faults = 137438953472, need <= 1048576 cases"},
 	} {
 		code, _, stderr := runFarm(tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.stderr) {

@@ -1,12 +1,11 @@
 // Command dvmc-lint runs the dvmc static-analysis suite (internal/analysis)
 // over the module containing the working directory: maprange, detsource,
-// time16cmp, exhaustive, allocfree, confine, and pooldiscipline. It prints
-// findings as
+// time16cmp, and exhaustive. It prints findings as
 //
 //	file:line:col: [analyzer] message
 //
 // (or, with -json, as a machine-readable array of
-// {file,line,col,analyzer,msg,reason} records). It exits 0 when clean and
+// {file,line,col,analyzer,msg} records). It exits 0 when clean and
 // for -list and -h, 1 on any diagnostic, and 2 on a usage error (an
 // unknown flag or -analyzers name) or when the module fails to load or
 // type-check. Package patterns are accepted for familiarity
@@ -35,7 +34,6 @@ type jsonFinding struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Msg      string `json:"msg"`
-	Reason   string `json:"reason,omitempty"`
 }
 
 func main() {
@@ -47,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	analyzers := fs.String("analyzers", "", "comma-separated subset to run (see -list); empty = all")
 	listDoc := fs.Bool("list", false, "list analyzers and exit")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array of {file,line,col,analyzer,msg,reason}")
+	asJSON := fs.Bool("json", false, "emit findings as a JSON array of {file,line,col,analyzer,msg}")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: dvmc-lint [flags] [packages]\n\nFlags:\n")
 		fs.PrintDefaults()
@@ -102,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		findings = append(findings, jsonFinding{
 			File: file, Line: d.Pos.Line, Col: d.Pos.Column,
-			Analyzer: d.Analyzer, Msg: d.Message, Reason: d.Reason,
+			Analyzer: d.Analyzer, Msg: d.Message,
 		})
 	}
 	if *asJSON {

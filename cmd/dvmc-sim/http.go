@@ -47,11 +47,10 @@ func telemetryMux(ls *lockedSystem) *http.ServeMux {
 }
 
 // lockedSystem pairs the simulated system with the lock that serialises
-// the driver loop against the HTTP handlers; dvmc-lint's confine checker
-// enforces that every access to sys holds mu.
+// the driver loop against the HTTP handlers: every access to sys holds
+// mu.
 type lockedSystem struct {
-	mu sync.Mutex
-	//dvmc:guardedby mu
+	mu  sync.Mutex
 	sys *dvmc.System
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -78,6 +79,73 @@ func TestTelemetryMuxMetrics(t *testing.T) {
 	_, _, body2 := get(t, srv, "/metrics")
 	if !strings.Contains(body2, "dvmc_snapshot_cycle 5120") {
 		t.Errorf("/metrics after RunCycles: snapshot cycle not advanced to 5120")
+	}
+}
+
+// TestMetricsScrapeDuringStep scrapes /metrics from another goroutine
+// while the driver loop steps the system, which is what -http does. Run
+// under -race it checks that the handlers and step share the system only
+// through ls.mu; every scrape must also see a chunk boundary.
+func TestMetricsScrapeDuringStep(t *testing.T) {
+	sys := newTestSystem(t)
+	ls := &lockedSystem{sys: sys}
+	srv := httptest.NewServer(telemetryMux(ls))
+	defer srv.Close()
+
+	start := uint64(sys.Now())
+	first := make(chan struct{})
+	stop := make(chan struct{})
+	type scrape struct {
+		cycle uint64
+		err   error
+	}
+	scrapes := make(chan []scrape)
+	go func() {
+		var got []scrape
+		for {
+			s := scrape{}
+			resp, err := http.Get(srv.URL + "/metrics")
+			if err == nil {
+				var body []byte
+				body, err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+				_, rest, ok := strings.Cut(string(body), "\ndvmc_snapshot_cycle ")
+				if !ok {
+					err = fmt.Errorf("no dvmc_snapshot_cycle in body")
+				} else {
+					_, err = fmt.Sscan(rest, &s.cycle)
+				}
+			}
+			s.err = err
+			got = append(got, s)
+			if len(got) == 1 {
+				close(first)
+			}
+			select {
+			case <-stop:
+				scrapes <- got
+				return
+			default:
+			}
+		}
+	}()
+
+	<-first
+	const chunks = 6
+	for !ls.step(1<<62, start+chunks*httpRunChunk) {
+	}
+	close(stop)
+	got := <-scrapes
+	if len(got) < 2 {
+		t.Fatalf("%d scrapes, want some while the system stepped", len(got))
+	}
+	for i, s := range got {
+		if s.err != nil {
+			t.Fatalf("scrape %d: %v", i, s.err)
+		}
+		if s.cycle < start || (s.cycle-start)%httpRunChunk != 0 {
+			t.Errorf("scrape %d saw cycle %d, not a chunk boundary after %d", i, s.cycle, start)
+		}
 	}
 }
 

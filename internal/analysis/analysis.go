@@ -22,7 +22,7 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MapRange, DetSource, Time16Cmp, Exhaustive, AllocFree, Confine, PoolDiscipline}
+	return []*Analyzer{MapRange, DetSource, Time16Cmp, Exhaustive}
 }
 
 // ByName resolves a comma-separated analyzer list ("maprange,detsource").
@@ -40,7 +40,7 @@ func ByName(list string) ([]*Analyzer, error) {
 		name = strings.TrimSpace(name)
 		a, ok := byName[name]
 		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have maprange, detsource, time16cmp, exhaustive, allocfree, confine, pooldiscipline)", name)
+			return nil, fmt.Errorf("unknown analyzer %q (have maprange, detsource, time16cmp, exhaustive)", name)
 		}
 		out = append(out, a)
 	}
@@ -52,11 +52,6 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Reason is an optional machine-readable category slug ("heap",
-	// "boxing", "guardedby", "pool-leak", …) carried into dvmc-lint's
-	// -json output so tooling can group findings without parsing the
-	// message text.
-	Reason string
 }
 
 // String renders the finding in the canonical "file:line:col: [analyzer]
@@ -76,17 +71,10 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportfReason(pos, "", format, args...)
-}
-
-// ReportfReason records a diagnostic at pos with a machine-readable
-// category slug.
-func (p *Pass) ReportfReason(pos token.Pos, reason, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Mod.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Reason:   reason,
 	})
 }
 

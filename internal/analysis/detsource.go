@@ -6,16 +6,17 @@ import (
 	"strconv"
 )
 
-// DetSource bans sources of nondeterministic *data* in the deterministic
-// packages: wall-clock reads (time.Now), the global math/rand generators,
-// and environment lookups (os.Getenv / os.LookupEnv). Randomness must
-// come from seed-forked sim.Rand streams and time from the event kernel's
-// cycle counter. Nondeterministic *scheduling* — goroutines, select,
-// channels, locks — is the confine analyzer's half of the contract.
+// DetSource bans the sources of nondeterminism in the deterministic
+// packages. Data: wall-clock reads (time.Now), the global math/rand
+// generators, and environment lookups (os.Getenv / os.LookupEnv).
+// Randomness must come from seed-forked sim.Rand streams and time from
+// the event kernel's cycle counter. Scheduling: go statements, select,
+// and the sync and sync/atomic imports. Channels are not banned: without
+// a goroutine to run the other end they cannot reorder anything.
 var DetSource = &Analyzer{
 	Name: "detsource",
-	Doc: "ban time.Now, math/rand, and os.Getenv in deterministic " +
-		"packages; use sim.Rand and the event kernel instead",
+	Doc: "ban time.Now, math/rand, os.Getenv, go, select, and sync in " +
+		"deterministic packages; use sim.Rand and the event kernel instead",
 	Run: runDetSource,
 }
 
@@ -33,10 +34,16 @@ func runDetSource(p *Pass) {
 			switch path {
 			case "math/rand", "math/rand/v2":
 				p.Reportf(spec.Pos(), "import of %s seeds from global, run-varying state; use a forked sim.Rand stream instead", path)
+			case "sync", "sync/atomic":
+				p.Reportf(spec.Pos(), "import of %s: locks and atomics reintroduce host scheduling into the replay; keep concurrency in the cmd and fabric layers", path)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.GoStmt:
+				p.Reportf(n.Pos(), "go statement in deterministic package: goroutine interleaving is host-scheduler nondeterminism; drive concurrency from the cmd or fabric layer")
+			case *ast.SelectStmt:
+				p.Reportf(n.Pos(), "select in deterministic package: select picks among ready cases pseudo-randomly and breaks replay")
 			case *ast.SelectorExpr:
 				pkg, sel := selectorPkgFunc(info, n)
 				switch {

@@ -6,7 +6,7 @@
 //
 // # Why a custom linter
 //
-// PR 1 made byte-identical traces per seed a load-bearing contract: the
+// Byte-identical traces per seed are a load-bearing contract: the
 // differential harness replays recorded traces through an independent
 // offline oracle, and fault-injection experiments compare runs that
 // differ only in the injected fault. Any nondeterminism — a map
@@ -46,8 +46,10 @@
 //     deterministic packages, unless the loop feeds the collect-and-sort
 //     idiom or carries a //dvmc:orderinsensitive annotation (below).
 //   - detsource: bans time.Now, math/rand imports, os.Getenv/LookupEnv/
-//     Environ, go statements, and select statements in deterministic
-//     packages, pointing offenders at sim.Rand and the event kernel.
+//     Environ, go statements, select statements, and the sync and
+//     sync/atomic imports in deterministic packages, pointing offenders
+//     at sim.Rand and the event kernel. Channels are allowed: with no
+//     goroutine on the other end they cannot reorder anything.
 //   - time16cmp: forbids raw </>/<=/>= on core.Time16 outside
 //     internal/core/ltime.go; 16-bit logical timestamps wrap, so ordering
 //     them requires Reconstruct against a local reference (or
@@ -56,64 +58,30 @@
 //     and type switches over the coherence Msg* payload family to cover
 //     every declared variant or carry an explicit default clause (which
 //     should panic or record a violation, never silently ignore).
-//   - allocfree: proves the //dvmc:hotpath set heap-allocation-free —
-//     escaping composites, make/new/append growth, interface boxing,
-//     capturing closures, string concat/conversions, and fmt calls are
-//     findings, and the hot set is closed under static calls (a hot
-//     function may only call hot, provably-clean, or //dvmc:alloc-ok
-//     annotated code). A per-function escape pass keeps provably-local
-//     allocations and panic-only paths silent.
-//   - confine: inside the allowlist, forbids concurrency outright (go,
-//     select, channel types/ops, and the sync and sync/atomic imports);
-//     outside it, checks the //dvmc:guardedby contract over annotated
-//     struct fields with a positional Lock/Unlock discipline.
-//   - pooldiscipline: every pool acquire (sim.FreeList's Get, on
-//     whatever element type, or a wrapper that returns what it got, such
-//     as InformPool.message) must reach its release or an ownership
-//     handoff on all control-flow paths to a function exit, walked over
-//     a per-function CFG; a leaked pooled object silently refills the
-//     pool from the heap and kills the steady-state zero-alloc claim.
 //
-// # Annotation vocabulary
+// Allocation freedom, pool release and lock discipline are not linted:
+// they are pinned dynamically by the AllocsPerRun tests (the
+// SteadyStateAllocFree / SteadyStateAllocBudget family) and by the -race
+// runs of the fabric and dvmc-sim tests.
 //
-// All directives are line comments placed directly above (or on) the
-// annotated declaration or statement. Every reason text is mandatory
-// and is a reviewed assertion, not an escape hatch — it should say why
-// the claim holds, so a reviewer can check it. An annotation without a
-// reason is itself a diagnostic.
+// # The orderinsensitive directive
+//
+// The suite reads one directive, a line comment placed directly above
+// (or trailing) a map-range statement:
 //
 //	//dvmc:orderinsensitive <reason>
 //
-// On a map-range statement: its observable effect does not depend on
-// iteration order (commutative fold, building another map, or results
-// sorted before use in a way the analyzer cannot see):
+// It says the loop's observable effect does not depend on iteration
+// order (commutative fold, building another map, or results sorted
+// before use in a way the analyzer cannot see). The reason is mandatory
+// and is a reviewed assertion, not an escape hatch: it should say why
+// the claim holds, so a reviewer can check it. An annotation without a
+// reason does not suppress the finding.
 //
 //	//dvmc:orderinsensitive folds into a commutative sum
 //	for _, v := range m.counts {
 //		total += v
 //	}
-//
-//	//dvmc:hotpath
-//
-// On a function declaration: the function is part of the steady-state
-// hot set the AllocsPerRun tests pin to zero allocations; allocfree
-// proves the property over every statement. Takes no reason — the mark
-// itself is the claim.
-//
-//	//dvmc:alloc-ok <reason>
-//
-// On a statement inside a hot function: this allocation is acceptable —
-// a cold fallback (pool refill, violation reporting), or an append whose
-// capacity amortizes to steady-state zero (retained scratch buffers,
-// freelists).
-//
-//	//dvmc:guardedby <lock>
-//
-// On a struct field: the field may only be accessed while the named
-// sibling mutex field is held. On a function: its callers hold the lock
-// (under-lock helpers, and constructors running before the value is
-// shared). The <lock> word is the guard's field name; confine validates
-// it names a real sibling field.
 //
 // # Running
 //
@@ -121,7 +89,7 @@
 //
 // prints findings as file:line:col: [analyzer] message and exits 1 if
 // there are any, 2 on load/type-check failure; -json emits the findings
-// as a machine-readable array instead ({file,line,col,analyzer,msg,
-// reason}), which CI maps to inline annotations through a GitHub
-// problem matcher. CI runs it as a required job next to build and test.
+// as a machine-readable array instead ({file,line,col,analyzer,msg}).
+// CI maps the text form to inline annotations through a GitHub problem
+// matcher. CI runs it as a required job next to build and test.
 package analysis

@@ -7,7 +7,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -95,86 +94,10 @@ func checkFixture(t *testing.T, name string, a *Analyzer) {
 	}
 }
 
-func TestMapRangeFixture(t *testing.T)       { checkFixture(t, "maprange", MapRange) }
-func TestDetSourceFixture(t *testing.T)      { checkFixture(t, "detsource", DetSource) }
-func TestTime16CmpFixture(t *testing.T)      { checkFixture(t, "time16cmp", Time16Cmp) }
-func TestExhaustiveFixture(t *testing.T)     { checkFixture(t, "exhaustive", Exhaustive) }
-func TestAllocFreeFixture(t *testing.T)      { checkFixture(t, "allocfree", AllocFree) }
-func TestConfineFixture(t *testing.T)        { checkFixture(t, "confine", Confine) }
-func TestPoolDisciplineFixture(t *testing.T) { checkFixture(t, "pooldiscipline", PoolDiscipline) }
-
-// TestHotSetCoversAllocAsserted pins the //dvmc:hotpath set to the
-// dynamic zero-alloc assertions: every function a testing.AllocsPerRun
-// step drives as its root must be in the declared hot set, so the static
-// allocfree proof covers at least what the dynamic tests sample.
-func TestHotSetCoversAllocAsserted(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module parse is slow; skipped with -short")
-	}
-	mod := loadRepo(t)
-	hot := make(map[string]bool)
-	for _, pkg := range mod.Pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if found, _ := directiveFor(mod.Fset, f, fd, HotPath); !found {
-					continue
-				}
-				name := fd.Name.Name
-				if rt := recvTypeName(fd); rt != "" {
-					name = rt + "." + name
-				}
-				hot[mod.Rel(pkg.Path)+"."+name] = true
-			}
-		}
-	}
-	// The roots the alloc_bench/steady-state tests assert with
-	// AllocsPerRun (core VC/CET/MET, proc write buffers, sim event queue
-	// and freelist, the controllers' event records, torus, trace encode
-	// and decode, telemetry update/sample).
-	roots := []string{
-		"internal/core.UniprocChecker.StoreCommitted",
-		"internal/core.UniprocChecker.StorePerformed",
-		"internal/core.UniprocChecker.ReplayLoad",
-		"internal/core.CacheChecker.EpochBegin",
-		"internal/core.CacheChecker.EpochEnd",
-		"internal/core.CacheChecker.Access",
-		"internal/core.CacheChecker.Tick",
-		"internal/core.MemChecker.Handle",
-		"internal/core.MemChecker.Tick",
-		"internal/proc.InOrderWB.Push",
-		"internal/proc.InOrderWB.Tick",
-		"internal/proc.OOOWB.Push",
-		"internal/proc.OOOWB.Tick",
-		"internal/sim.EventQueue.At",
-		"internal/sim.EventQueue.Tick",
-		"internal/sim.FreeList.Get",
-		"internal/sim.FreeList.Put",
-		"internal/coherence.access.run",
-		"internal/coherence.inbound.run",
-		"internal/coherence.dirWait.run",
-		"internal/coherence.snoopWait.run",
-		"internal/network.Torus.Send",
-		"internal/network.Torus.Tick",
-		"internal/trace.Writer.Write",
-		"internal/trace.Reader.Next",
-		"internal/oracle/stream.Checker.Feed",
-		"internal/telemetry.Metric.Set",
-		"internal/telemetry.Metric.Add",
-		"internal/telemetry.Metric.Inc",
-		"internal/telemetry.Registry.Collect",
-		"internal/telemetry.Registry.Sample",
-		"internal/telemetry.Sampler.Tick",
-	}
-	for _, want := range roots {
-		if !hot[want] {
-			t.Errorf("zero-alloc-asserted function %s is not marked //dvmc:hotpath", want)
-		}
-	}
-}
+func TestMapRangeFixture(t *testing.T)   { checkFixture(t, "maprange", MapRange) }
+func TestDetSourceFixture(t *testing.T)  { checkFixture(t, "detsource", DetSource) }
+func TestTime16CmpFixture(t *testing.T)  { checkFixture(t, "time16cmp", Time16Cmp) }
+func TestExhaustiveFixture(t *testing.T) { checkFixture(t, "exhaustive", Exhaustive) }
 
 // TestRepoClean pins the satellite fixes: the real module must be
 // diagnostic-free under the full suite, so any PR that reintroduces an

@@ -46,16 +46,6 @@ type Module struct {
 	// their presence, but drivers should surface them: findings computed
 	// from a partially-checked package may be incomplete.
 	TypeErrors []error
-
-	// funcs is the lazily-built module-wide function index (see
-	// funcIndex), clean memoizes triviallyClean verdicts, acquires
-	// memoizes poolAcquire verdicts, and emptyAllocOK deduplicates
-	// missing-reason annotation findings. All are driver-internal; the
-	// driver is single-threaded.
-	funcs        map[*types.Func]*funcInfo
-	clean        map[*funcInfo]int8
-	acquires     map[*funcInfo]string
-	emptyAllocOK map[ast.Node]bool
 }
 
 // Rel returns pkgPath relative to the module path ("" for the root

@@ -4,8 +4,14 @@ package sim
 import (
 	"math/rand" // want "seeds from global, run-varying state"
 	"os"
+	"sync"        // want "locks and atomics reintroduce host scheduling"
+	"sync/atomic" // want "locks and atomics reintroduce host scheduling"
 	"time"
 )
+
+var mu sync.Mutex
+
+var ready atomic.Bool
 
 // Clock reads the wall clock: flagged.
 func Clock() int64 {
@@ -24,6 +30,30 @@ func Roll() int {
 }
 
 // Since is not time.Now: allowed (only wall-clock *reads* are banned).
-// Goroutines, select, and channels are the confine analyzer's domain and
-// live in its fixture.
 func Since(d time.Duration) time.Duration { return d }
+
+// Spawn starts a goroutine: flagged.
+func Spawn(done chan bool) {
+	go func() { // want "go statement in deterministic package"
+		done <- true
+	}()
+}
+
+// Wait selects over a channel: flagged. The channel type and receive
+// are not findings on their own.
+func Wait(done chan bool) bool {
+	select { // want "select picks among ready cases pseudo-randomly"
+	case v := <-done:
+		return v
+	default:
+		return false
+	}
+}
+
+// Shutdown takes a lock and stores an atomic; the imports above carry
+// the findings.
+func Shutdown() {
+	mu.Lock()
+	ready.Store(true)
+	mu.Unlock()
+}

@@ -53,8 +53,6 @@ func newCacheArray(sets, ways int, withECC bool) *cacheArray {
 
 // setOf returns block b's set: empty while its chunk has never been
 // filled, so a lookup there misses.
-//
-//dvmc:hotpath
 func (a *cacheArray) setOf(b mem.BlockAddr) []line {
 	s := int(uint64(b) % uint64(a.sets))
 	chunk := a.chunks[s/chunkSets]
@@ -70,15 +68,12 @@ func (a *cacheArray) fillSet(b mem.BlockAddr) []line {
 	k := int(uint64(b)%uint64(a.sets)) / chunkSets
 	if a.chunks[k] == nil {
 		n := min(chunkSets, a.sets-k*chunkSets)
-		//dvmc:alloc-ok first fill of a set chunk
 		a.chunks[k] = make([]line, n*a.ways)
 	}
 	return a.setOf(b)
 }
 
 // lookup returns the line holding b, or nil.
-//
-//dvmc:hotpath
 func (a *cacheArray) lookup(b mem.BlockAddr) *line {
 	set := a.setOf(b)
 	for i := range set {
@@ -112,8 +107,6 @@ func (a *cacheArray) install(l *line, b mem.BlockAddr, s State, data mem.Block, 
 }
 
 // writeWord performs a store into a resident line, refreshing ECC.
-//
-//dvmc:hotpath
 func (a *cacheArray) writeWord(l *line, addr mem.Addr, w mem.Word) {
 	l.data[addr.WordIndex()] = w
 	if a.ecc != nil {
@@ -131,8 +124,6 @@ func (a *cacheArray) writeBlock(l *line, data mem.Block) {
 }
 
 // readWord reads a word, letting ECC scrub single-bit upsets first.
-//
-//dvmc:hotpath
 func (a *cacheArray) readWord(l *line, addr mem.Addr) mem.Word {
 	if a.ecc != nil {
 		a.ecc.Check(uint64(l.block), &l.data)
@@ -187,15 +178,12 @@ func newTagFilter(sets, ways int) *tagFilter {
 	return &tagFilter{sets: sets, ways: ways, tags: make([]mem.BlockAddr, n), valid: make([]bool, n), lru: make([]uint64, n)}
 }
 
-//dvmc:hotpath
 func (f *tagFilter) index(b mem.BlockAddr) (lo, hi int) {
 	s := int(uint64(b) % uint64(f.sets))
 	return s * f.ways, (s + 1) * f.ways
 }
 
 // present reports an L1 tag hit and refreshes LRU.
-//
-//dvmc:hotpath
 func (f *tagFilter) present(b mem.BlockAddr) bool {
 	lo, hi := f.index(b)
 	for i := lo; i < hi; i++ {
@@ -209,8 +197,6 @@ func (f *tagFilter) present(b mem.BlockAddr) bool {
 }
 
 // insert fills b into the filter, evicting the LRU way silently.
-//
-//dvmc:hotpath
 func (f *tagFilter) insert(b mem.BlockAddr) {
 	lo, hi := f.index(b)
 	vic := lo

@@ -406,21 +406,15 @@ var (
 func (q *queue) Attach(s sim.Slot) { q.slot = s }
 
 // Tick implements sim.Clockable: runs the events due by now.
-//
-//dvmc:hotpath
 func (q *queue) Tick(now sim.Cycle) {
 	q.events.Tick(now)
 	q.slot.SleepUntil(q.events.Next())
 }
 
 // now returns the cycle of the controller's last tick.
-//
-//dvmc:hotpath
 func (q *queue) now() sim.Cycle { return q.slot.LastTick() }
 
 // later schedules fn delay cycles after now.
-//
-//dvmc:hotpath
 func (q *queue) later(delay sim.Cycle, fn func()) {
 	at := q.now() + delay
 	q.events.At(at, fn)

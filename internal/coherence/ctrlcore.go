@@ -181,7 +181,6 @@ func (c *ctrlCore) epochEnd(b mem.BlockAddr, k EpochKind, at uint64, data mem.Bl
 	}
 }
 
-//dvmc:hotpath
 func (c *ctrlCore) access(b mem.BlockAddr, write bool) {
 	if c.accessL != nil {
 		c.accessL.Access(b, write)
@@ -190,8 +189,6 @@ func (c *ctrlCore) access(b mem.BlockAddr, write bool) {
 
 // mayHit reports whether block b's resident line may serve hits now (see
 // hitUnderMiss).
-//
-//dvmc:hotpath
 func (c *ctrlCore) mayHit(b mem.BlockAddr) bool {
 	return c.hitUnderMiss || c.mshrs[b] == nil
 }
@@ -222,13 +219,9 @@ func (c *ctrlCore) launch(w waiter, class network.Class, delay sim.Cycle) {
 }
 
 // schedule hands a to the event queue: its next stage runs after delay.
-//
-//dvmc:hotpath
 func (c *ctrlCore) schedule(a *access, delay sim.Cycle) { c.later(delay, a.step) }
 
 // finish releases a, handing back what its last stage still needs.
-//
-//dvmc:hotpath
 func (a *access) finish() (w waiter, class network.Class) {
 	w, class = a.w, a.class
 	*a = access{core: a.core, step: a.step}
@@ -237,8 +230,6 @@ func (a *access) finish() (w waiter, class network.Class) {
 }
 
 // run is one lookup stage of the request.
-//
-//dvmc:hotpath
 func (a *access) run() {
 	c := a.core
 	b := a.w.addr.Block()
@@ -264,7 +255,6 @@ func (c *ctrlCore) Load(addr mem.Addr, class network.Class, done func(mem.Word, 
 	c.launch(waiter{kind: waitLoad, addr: addr, loadDone: done}, class, c.cfg.L1Latency)
 }
 
-//dvmc:hotpath
 func (c *ctrlCore) loadStage(a *access, b mem.BlockAddr) {
 	l := c.l2.lookup(b)
 	readable := l != nil && l.state.CanRead() && l.dataValid && c.mayHit(b)
@@ -296,7 +286,6 @@ func (c *ctrlCore) loadStage(a *access, b mem.BlockAddr) {
 	}
 	c.stats.L2Misses++
 	w, class := a.finish()
-	//dvmc:alloc-ok a miss allocates its messages; the hit stages above are the steady state
 	c.join(b, false, class, w)
 }
 
@@ -306,7 +295,6 @@ func (c *ctrlCore) Store(addr mem.Addr, val mem.Word, done func()) {
 	c.launch(waiter{kind: waitStore, addr: addr, val: val, perfDone: done}, network.ClassCoherence, c.cfg.L1Latency)
 }
 
-//dvmc:hotpath
 func (c *ctrlCore) storeStage(a *access, b mem.BlockAddr) {
 	l := c.l2.lookup(b)
 	writable := l != nil && l.state.CanWrite() && l.dataValid && c.mayHit(b)
@@ -327,7 +315,6 @@ func (c *ctrlCore) storeStage(a *access, b mem.BlockAddr) {
 	}
 	c.stats.L2Misses++
 	w, class := a.finish()
-	//dvmc:alloc-ok a miss allocates its messages; the hit stages above are the steady state
 	c.join(b, true, class, w)
 }
 
@@ -339,7 +326,6 @@ func (c *ctrlCore) RMW(addr mem.Addr, f func(mem.Word) mem.Word, done func(mem.W
 		c.cfg.L1Latency+c.cfg.L2Latency)
 }
 
-//dvmc:hotpath
 func (c *ctrlCore) rmwStage(a *access, b mem.BlockAddr) {
 	w, class := a.finish()
 	l := c.l2.lookup(b)
@@ -350,7 +336,6 @@ func (c *ctrlCore) rmwStage(a *access, b mem.BlockAddr) {
 		return
 	}
 	c.stats.L2Misses++
-	//dvmc:alloc-ok a miss allocates its messages; the hit above is the steady state
 	c.join(b, true, class, w)
 }
 
@@ -359,7 +344,6 @@ func (c *ctrlCore) PrefetchExclusive(addr mem.Addr) {
 	c.launch(waiter{addr: addr}, network.ClassCoherence, c.cfg.L1Latency)
 }
 
-//dvmc:hotpath
 func (c *ctrlCore) prefetchStage(a *access, b mem.BlockAddr) {
 	w, class := a.finish()
 	l := c.l2.lookup(b)
@@ -375,7 +359,6 @@ func (c *ctrlCore) prefetchStage(a *access, b mem.BlockAddr) {
 	if len(c.mshrs) >= c.cfg.MSHRs {
 		return // drop the hint; prefetches are best-effort
 	}
-	//dvmc:alloc-ok a miss allocates its messages; the line already being writable is the steady state
 	c.join(b, true, class, w)
 }
 
@@ -401,12 +384,10 @@ func (c *ctrlCore) receive(m *network.Message) {
 // latch hands r to the event queue for the one cycle of input latency.
 func (c *ctrlCore) latch(r *inbound) { c.later(1, r.step) }
 
-//dvmc:hotpath
 func (r *inbound) run() {
 	c, m := r.core, r.m
 	*r = inbound{core: c, step: r.step}
 	c.inbounds.Put(r)
-	//dvmc:alloc-ok protocol handlers send messages; the latch itself is what must stay free
 	c.proto.deliver(m)
 }
 
@@ -420,8 +401,6 @@ func (c *ctrlCore) PeekWord(addr mem.Addr) (mem.Word, bool) {
 }
 
 // performStore writes into a Modified line and notifies listeners.
-//
-//dvmc:hotpath
 func (c *ctrlCore) performStore(l *line, addr mem.Addr, val mem.Word) {
 	if c.stateFaultArmed && c.stateFaultPromote && l.block == c.stateFaultBlock {
 		// The store is performing under write permission the system never
@@ -565,8 +544,6 @@ func (c *ctrlCore) retire(ms *mshr, remaining []waiter) (upgrade bool) {
 
 // fireStateFault records that the armed state corruption took
 // architectural effect this cycle.
-//
-//dvmc:hotpath
 func (c *ctrlCore) fireStateFault() {
 	if !c.stateFaultFired {
 		c.stateFaultFired = true

@@ -147,11 +147,8 @@ func (h *DirHome) after(delay sim.Cycle, w *dirWait) {
 }
 
 // run does the work the record stood for and releases it.
-//
-//dvmc:hotpath
 func (w *dirWait) run() {
 	h := w.home
-	//dvmc:alloc-ok the work sends messages; what must stay free is the wait
 	h.perform(w)
 	*w = dirWait{home: h, step: w.step}
 	h.waits.Put(w)

@@ -176,11 +176,8 @@ func (h *SnoopHome) after(delay sim.Cycle, w *snoopWait) {
 }
 
 // run does the work the record stood for and releases it.
-//
-//dvmc:hotpath
 func (w *snoopWait) run() {
 	h := w.home
-	//dvmc:alloc-ok the work sends messages; what must stay free is the wait
 	h.perform(w)
 	*w = snoopWait{home: h, step: w.step}
 	h.waits.Put(w)

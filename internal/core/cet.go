@@ -120,8 +120,6 @@ func (c *CacheChecker) Attach(s sim.Slot) {
 
 // wake marks the scrub FIFO's head or the clock changed: the next tick
 // looks.
-//
-//dvmc:hotpath
 func (c *CacheChecker) wake() {
 	c.due = 0
 	c.slot.Wake()
@@ -158,8 +156,6 @@ func (c *CacheChecker) Reset() {
 }
 
 // alloc grabs a free slab slot (zeroed) and returns its index.
-//
-//dvmc:hotpath
 func (c *CacheChecker) alloc() int32 {
 	if n := len(c.free); n > 0 {
 		i := c.free[n-1]
@@ -167,19 +163,17 @@ func (c *CacheChecker) alloc() int32 {
 		c.slab[i] = cetEntry{}
 		return i
 	}
-	//dvmc:alloc-ok slab grows only until the peak concurrent-epoch count; steady state reuses freed slots
+	// The slab grows only until the peak concurrent-epoch count; steady
+	// state reuses freed slots.
 	c.slab = append(c.slab, cetEntry{})
 	return int32(len(c.slab) - 1)
 }
 
 // EpochBegin implements coherence.EpochListener.
-//
-//dvmc:hotpath
 func (c *CacheChecker) EpochBegin(b mem.BlockAddr, kind coherence.EpochKind, ltime uint64, dataKnown bool, data mem.Block) {
 	c.stats.EpochsBegun++
 	i, exists := c.cet[b]
 	if exists {
-		//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 		c.violate(b, CETStateViolation, fmt.Sprintf("epoch %v begins while another is open", kind))
 		// Recover conservatively: replace the entry in place.
 		c.slab[i] = cetEntry{}
@@ -199,12 +193,9 @@ func (c *CacheChecker) EpochBegin(b mem.BlockAddr, kind coherence.EpochKind, lti
 
 // EpochData implements coherence.EpochListener: the block's data arrived
 // after the epoch's ordering point (the CET's DataReadyBit case).
-//
-//dvmc:hotpath
 func (c *CacheChecker) EpochData(b mem.BlockAddr, data mem.Block) {
 	i, ok := c.cet[b]
 	if !ok {
-		//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 		c.violate(b, CETStateViolation, "data arrived for a block with no open epoch")
 		return
 	}
@@ -216,19 +207,15 @@ func (c *CacheChecker) EpochData(b mem.BlockAddr, data mem.Block) {
 }
 
 // EpochEnd implements coherence.EpochListener: ship the Inform-Epoch.
-//
-//dvmc:hotpath
 func (c *CacheChecker) EpochEnd(b mem.BlockAddr, kind coherence.EpochKind, ltime uint64, data mem.Block) {
 	c.stats.EpochsEnded++
 	i, ok := c.cet[b]
 	if !ok {
-		//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 		c.violate(b, CETStateViolation, fmt.Sprintf("epoch %v ends but none open", kind))
 		return
 	}
 	e := &c.slab[i]
 	if e.kind != kind {
-		//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 		c.violate(b, CETStateViolation, fmt.Sprintf("epoch %v ends but %v open", kind, e.kind))
 	}
 	endHash := BlockHash(data)
@@ -246,13 +233,11 @@ func (c *CacheChecker) EpochEnd(b mem.BlockAddr, kind coherence.EpochKind, ltime
 		c.send(home, InformEpochBytes, pl)
 	}
 	delete(c.cet, b)
-	//dvmc:alloc-ok free-list capacity tracks the slab, which is itself bounded; growth amortizes to zero
+	// Free-list capacity tracks the slab, which is itself bounded.
 	c.free = append(c.free, i)
 }
 
 // send ships one inform payload to the block's home MET.
-//
-//dvmc:hotpath
 func (c *CacheChecker) send(home network.NodeID, size int, payload any) {
 	m := c.pool.message()
 	m.Src = c.node
@@ -265,23 +250,18 @@ func (c *CacheChecker) send(home network.NodeID, size int, payload any) {
 
 // Access implements coherence.AccessListener: coherence rule 1 — reads
 // and writes are performed only during appropriate epochs.
-//
-//dvmc:hotpath
 func (c *CacheChecker) Access(b mem.BlockAddr, write bool) {
 	c.stats.Accesses++
 	i, ok := c.cet[b]
 	if !ok {
-		//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 		c.violate(b, EpochAccessViolation, accessName(write)+" performed with no open epoch")
 		return
 	}
 	if write && c.slab[i].kind != coherence.ReadWrite {
-		//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 		c.violate(b, EpochAccessViolation, "store performed during a Read-Only epoch")
 	}
 }
 
-//dvmc:hotpath
 func accessName(write bool) string {
 	if write {
 		return "store"
@@ -290,14 +270,10 @@ func accessName(write bool) string {
 }
 
 // scrubLen returns the number of queued scrub entries.
-//
-//dvmc:hotpath
 func (c *CacheChecker) scrubLen() int { return len(c.scrub) - c.scrubHead }
 
 // popScrub removes and returns the oldest scrub entry, compacting the
 // ring's dead prefix once it dominates the backing array.
-//
-//dvmc:hotpath
 func (c *CacheChecker) popScrub() scrubEntry {
 	head := c.scrub[c.scrubHead]
 	c.scrubHead++
@@ -310,8 +286,6 @@ func (c *CacheChecker) popScrub() scrubEntry {
 }
 
 // Tick implements sim.Clockable: the wraparound scrubbing walk.
-//
-//dvmc:hotpath
 func (c *CacheChecker) Tick(now sim.Cycle) {
 	if c.scrubLen() > 0 && now >= c.due {
 		c.scrubAged()
@@ -323,8 +297,6 @@ func (c *CacheChecker) Tick(now sim.Cycle) {
 // a cycle-derived clock; never on a clock that wakes on advance (the head
 // ages only when the clock moves, and a new head comes from pushScrub,
 // which wakes the CET); on any other clock, every cycle.
-//
-//dvmc:hotpath
 func (c *CacheChecker) next() sim.Cycle {
 	switch {
 	case c.scrubLen() == 0:
@@ -339,8 +311,6 @@ func (c *CacheChecker) next() sim.Cycle {
 }
 
 // scrubAged announces every FIFO head past the scrub threshold.
-//
-//dvmc:hotpath
 func (c *CacheChecker) scrubAged() {
 	lnow := c.clock.LogicalNow()
 	for c.scrubLen() > 0 {
@@ -355,7 +325,6 @@ func (c *CacheChecker) scrubAged() {
 	}
 }
 
-//dvmc:hotpath
 func (c *CacheChecker) pushScrub(b mem.BlockAddr, begin uint64) {
 	switch n := c.scrubLen(); {
 	case n >= scrubFIFOSize:
@@ -364,14 +333,13 @@ func (c *CacheChecker) pushScrub(b mem.BlockAddr, begin uint64) {
 	case n == 0:
 		c.slot.Wake() // a new head, however old its begin
 	}
-	//dvmc:alloc-ok scrub ring is compacted by popScrub; capacity amortizes to the FIFO bound
+	// The scrub ring is compacted by popScrub; its capacity amortizes to
+	// the FIFO bound.
 	c.scrub = append(c.scrub, scrubEntry{block: b, begin: begin})
 }
 
 // scrubOne announces a still-open old epoch to the home MET so its begin
 // timestamp can be retired before wraparound.
-//
-//dvmc:hotpath
 func (c *CacheChecker) scrubOne(s scrubEntry) {
 	i, ok := c.cet[s.block]
 	if !ok {
@@ -383,7 +351,7 @@ func (c *CacheChecker) scrubOne(s scrubEntry) {
 	}
 	if !e.dataReady {
 		// Cannot announce without the begin signature; re-queue.
-		//dvmc:alloc-ok re-queue reuses ring capacity freed by popScrub; amortizes to zero
+		// Re-queueing reuses ring capacity freed by popScrub.
 		c.scrub = append(c.scrub, s)
 		return
 	}

@@ -34,37 +34,31 @@ type InformPool struct {
 	closeds sim.FreeList[InformClosedEpoch]
 }
 
-//dvmc:hotpath
 func (p *InformPool) message() *network.Message {
 	if p == nil {
-		//dvmc:alloc-ok the nil-pool fallback is for standalone checker tests; a system always has a pool
+		// The nil-pool fallback is for standalone checker tests; a system
+		// always has a pool.
 		return &network.Message{}
 	}
 	return p.msgs.Get()
 }
 
-//dvmc:hotpath
 func (p *InformPool) epoch() *InformEpoch {
 	if p == nil {
-		//dvmc:alloc-ok the nil-pool fallback is for standalone checker tests; a system always has a pool
 		return &InformEpoch{}
 	}
 	return p.epochs.Get()
 }
 
-//dvmc:hotpath
 func (p *InformPool) open() *InformOpenEpoch {
 	if p == nil {
-		//dvmc:alloc-ok the nil-pool fallback is for standalone checker tests; a system always has a pool
 		return &InformOpenEpoch{}
 	}
 	return p.opens.Get()
 }
 
-//dvmc:hotpath
 func (p *InformPool) closed() *InformClosedEpoch {
 	if p == nil {
-		//dvmc:alloc-ok the nil-pool fallback is for standalone checker tests; a system always has a pool
 		return &InformClosedEpoch{}
 	}
 	return p.closeds.Get()

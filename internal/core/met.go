@@ -134,8 +134,6 @@ type queuedInform struct {
 
 // pqLess orders informs by epoch begin time, ties broken by arrival
 // order (paper).
-//
-//dvmc:hotpath
 func (m *MemChecker) pqLess(i, j int) bool {
 	if m.pq[i].begin != m.pq[j].begin {
 		return m.pq[i].begin < m.pq[j].begin
@@ -143,9 +141,9 @@ func (m *MemChecker) pqLess(i, j int) bool {
 	return m.pq[i].seq < m.pq[j].seq
 }
 
-//dvmc:hotpath
 func (m *MemChecker) pqPush(qi queuedInform) {
-	//dvmc:alloc-ok queue capacity is bounded by metQueueSize and amortizes during warmup
+	// Queue capacity is bounded by metQueueSize and amortizes during
+	// warmup.
 	m.pq = append(m.pq, qi)
 	i := len(m.pq) - 1
 	for i > 0 {
@@ -158,7 +156,6 @@ func (m *MemChecker) pqPush(qi queuedInform) {
 	}
 }
 
-//dvmc:hotpath
 func (m *MemChecker) pqPop() queuedInform {
 	top := m.pq[0]
 	n := len(m.pq) - 1
@@ -214,8 +211,6 @@ func (m *MemChecker) Attach(s sim.Slot) {
 }
 
 // wake marks the head or the clock changed: the next tick looks.
-//
-//dvmc:hotpath
 func (m *MemChecker) wake() {
 	m.due = 0
 	m.slot.Wake()
@@ -265,8 +260,6 @@ func (m *MemChecker) BlockRequested(b mem.BlockAddr, data mem.Block) {
 }
 
 // Handle consumes a verification message delivered at the home node.
-//
-//dvmc:hotpath
 func (m *MemChecker) Handle(msg *network.Message) {
 	switch p := msg.Payload.(type) {
 	case *InformEpoch:
@@ -286,7 +279,6 @@ func (m *MemChecker) Handle(msg *network.Message) {
 	}
 }
 
-//dvmc:hotpath
 func (m *MemChecker) enqueue(p InformEpoch) {
 	m.enqSeq++
 	qi := queuedInform{inform: p, begin: p.Begin.Reconstruct(m.clock.LogicalNow()),
@@ -305,8 +297,6 @@ func (m *MemChecker) enqueue(p InformEpoch) {
 
 // Tick implements sim.Clockable: drain informs old enough to be safely
 // ordered, and force progress when the logical clock stalls.
-//
-//dvmc:hotpath
 func (m *MemChecker) Tick(now sim.Cycle) {
 	if len(m.pq) > 0 && now >= m.due {
 		m.settle(now)
@@ -316,8 +306,6 @@ func (m *MemChecker) Tick(now sim.Cycle) {
 
 // settle processes the informs old enough to be safely ordered, and
 // those the cycle window forces out.
-//
-//dvmc:hotpath
 func (m *MemChecker) settle(now sim.Cycle) {
 	lnow := m.clock.LogicalNow()
 	for len(m.pq) > 0 && m.pq[0].begin+m.window <= lnow {
@@ -338,8 +326,6 @@ func (m *MemChecker) settle(now sim.Cycle) {
 // the oldest inform outwaits cycleWindow (the first loop of settle cannot
 // pop before the clock moves or an inform arrives, and both wake the
 // MET); on any other clock, every cycle.
-//
-//dvmc:hotpath
 func (m *MemChecker) next() sim.Cycle {
 	switch {
 	case len(m.pq) == 0:
@@ -355,8 +341,6 @@ func (m *MemChecker) next() sim.Cycle {
 
 // oldestArrival returns the earliest arrival cycle among queued informs,
 // memoised so the steady-state Tick check is O(1).
-//
-//dvmc:hotpath
 func (m *MemChecker) oldestArrival() sim.Cycle {
 	if m.oldestValid {
 		return m.oldestCache
@@ -391,8 +375,6 @@ func (m *MemChecker) Drain() {
 }
 
 // foldOnly updates MET state from an inform without checking it.
-//
-//dvmc:hotpath
 func (m *MemChecker) foldOnly(qi queuedInform) {
 	p := qi.inform
 	m.stats.InformsProcessed++
@@ -415,14 +397,13 @@ func (m *MemChecker) foldOnly(qi queuedInform) {
 // entry returns the MET entry for a block, creating it conservatively
 // when the home controller's new-block hook has not seen it. The pointer
 // is valid until the next BlockRequested/entry call (slab growth).
-//
-//dvmc:hotpath
 func (m *MemChecker) entry(b mem.BlockAddr) *metEntry {
 	i, ok := m.met[b]
 	if !ok {
 		// Entry should exist via BlockRequested; create conservatively
 		// with an unknown data signature.
-		//dvmc:alloc-ok conservative entry creation happens once per block; steady state hits the index
+		// Conservative entry creation happens once per block; steady state
+		// hits the index.
 		m.slab = append(m.slab, metEntry{openRW: -1})
 		i = int32(len(m.slab) - 1)
 		m.met[b] = i
@@ -430,7 +411,6 @@ func (m *MemChecker) entry(b mem.BlockAddr) *metEntry {
 	return &m.slab[i]
 }
 
-//dvmc:hotpath
 func (m *MemChecker) processOne(qi queuedInform) {
 	p := qi.inform
 	m.stats.InformsProcessed++
@@ -453,8 +433,6 @@ func (m *MemChecker) processOne(qi queuedInform) {
 
 // checkBegin runs the overlap (rule 2) and data propagation (rule 3)
 // checks for an epoch beginning at begin.
-//
-//dvmc:hotpath
 func (m *MemChecker) checkBegin(b mem.BlockAddr, e *metEntry, kind coherence.EpochKind, begin uint64,
 	beginHash hash.Signature, from network.NodeID) {
 	// Rule 2: a Read-Only epoch may not start before the latest
@@ -462,32 +440,26 @@ func (m *MemChecker) checkBegin(b mem.BlockAddr, e *metEntry, kind coherence.Epo
 	// latest end of any epoch. Announced-open epochs conflict with any
 	// new Read-Write epoch (and an open RW with anything).
 	if begin < e.lastRWEnd {
-		//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 		m.overlap(b, fmt.Sprintf("%v epoch begins at %d before last RW end %d", kind, begin, e.lastRWEnd))
 	}
 	if kind == coherence.ReadWrite && begin < e.lastROEnd {
-		//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 		m.overlap(b, fmt.Sprintf("RW epoch begins at %d before last RO end %d", begin, e.lastROEnd))
 	}
 	if e.openRW >= 0 && e.openRW != from {
-		//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 		m.overlap(b, fmt.Sprintf("%v epoch begins while node %d holds an open RW epoch", kind, e.openRW))
 	}
 	if kind == coherence.ReadWrite && e.openRO&^(1<<uint(from)) != 0 {
-		//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 		m.overlap(b, fmt.Sprintf("RW epoch begins while RO epochs are open (mask %b)", e.openRO))
 	}
 	// Rule 3: data at the beginning of every epoch equals the data at the
 	// end of the most recent Read-Write epoch.
 	if e.hashKnown && beginHash != e.lastRWHash {
 		m.stats.DataMismatches++
-		//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 		m.sink.Violation(Violation{Kind: DataPropagation, Node: m.node, Block: b, Cycle: m.cycleNow(),
 			Detail: fmt.Sprintf("epoch begin signature %#04x != last RW end signature %#04x", beginHash, e.lastRWHash)})
 	}
 }
 
-//dvmc:hotpath
 func (m *MemChecker) processOpen(p InformOpenEpoch) {
 	m.stats.OpensProcessed++
 	e := m.entry(p.Block)
@@ -501,7 +473,6 @@ func (m *MemChecker) processOpen(p InformOpenEpoch) {
 	}
 }
 
-//dvmc:hotpath
 func (m *MemChecker) processClosed(p InformClosedEpoch) {
 	m.stats.ClosesProcessed++
 	e := m.entry(p.Block)
@@ -524,7 +495,6 @@ func (m *MemChecker) processClosed(p InformClosedEpoch) {
 	}
 }
 
-//dvmc:hotpath
 func (m *MemChecker) overlap(b mem.BlockAddr, detail string) {
 	m.stats.Overlaps++
 	m.sink.Violation(Violation{Kind: EpochOverlap, Node: m.node, Block: b, Cycle: m.cycleNow(), Detail: detail})

@@ -108,15 +108,14 @@ func NewUniprocChecker(node network.NodeID, capacity int, cacheLoadValues bool, 
 func (u *UniprocChecker) Stats() UniprocStats { return u.stats }
 
 // alloc returns a reset entry for addr, registering it in the index.
-//
-//dvmc:hotpath
 func (u *UniprocChecker) alloc(addr mem.Addr) int32 {
 	var i int32
 	if n := len(u.free); n > 0 {
 		i = u.free[n-1]
 		u.free = u.free[:n-1]
 	} else {
-		//dvmc:alloc-ok slab grows only until the VC capacity bound; steady state recycles freed entries
+		// The slab grows only until the VC capacity bound; steady state
+		// recycles freed entries.
 		u.slab = append(u.slab, vcEntry{})
 		i = int32(len(u.slab) - 1)
 	}
@@ -133,17 +132,14 @@ func (u *UniprocChecker) alloc(addr mem.Addr) int32 {
 
 // freeEntry unregisters and recycles an entry. Load-list links must
 // already be detached.
-//
-//dvmc:hotpath
 func (u *UniprocChecker) freeEntry(i int32) {
 	delete(u.idx, u.slab[i].addr)
-	//dvmc:alloc-ok free-list capacity tracks the slab, which is bounded by the VC capacity
+	// Free-list capacity tracks the slab, which is bounded by the VC
+	// capacity.
 	u.free = append(u.free, i)
 }
 
 // linkLoad appends entry i to the load-value eviction FIFO.
-//
-//dvmc:hotpath
 func (u *UniprocChecker) linkLoad(i int32) {
 	e := &u.slab[i]
 	e.prev = u.loadTail
@@ -157,8 +153,6 @@ func (u *UniprocChecker) linkLoad(i int32) {
 }
 
 // unlinkLoad removes entry i from the load-value eviction FIFO.
-//
-//dvmc:hotpath
 func (u *UniprocChecker) unlinkLoad(i int32) {
 	e := &u.slab[i]
 	if e.prev >= 0 {
@@ -187,8 +181,6 @@ func (u *UniprocChecker) CanAllocateStore(addr mem.Addr) bool {
 
 // StoreCommitted records a store entering the verification stage: the
 // replayed store writes the VC, not the cache.
-//
-//dvmc:hotpath
 func (u *UniprocChecker) StoreCommitted(addr mem.Addr, val mem.Word) {
 	u.stats.StoresTracked++
 	i, ok := u.idx[addr]
@@ -206,7 +198,7 @@ func (u *UniprocChecker) StoreCommitted(addr mem.Addr, val mem.Word) {
 		e.head = 0
 		u.storeEntries++
 	}
-	//dvmc:alloc-ok per-entry FIFO capacity is retained across reuse (vals[:0]); growth amortizes to zero
+	// Per-entry FIFO capacity is retained across reuse (vals[:0]).
 	e.vals = append(e.vals, val)
 }
 
@@ -215,15 +207,12 @@ func (u *UniprocChecker) StoreCommitted(addr mem.Addr, val mem.Word) {
 // value for the word and compares it (Section 4.1 / Proof 1): same-word
 // stores perform in commit order on a correct machine, so any corrupted,
 // dropped, or reordered store surfaces as a mismatch on the spot.
-//
-//dvmc:hotpath
 func (u *UniprocChecker) StorePerformed(addr mem.Addr, written mem.Word, now sim.Cycle) {
 	i, ok := u.idx[addr]
 	if !ok || u.slab[i].pending() == 0 {
 		// No outstanding committed store for this word: conservative
 		// violation (a perform the checker never saw commit).
 		u.stats.StoreMismatches++
-		//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 		u.sink.Violation(Violation{Kind: UOStoreMismatch, Node: u.node, Block: addr.Block(), Cycle: now,
 			Detail: fmt.Sprintf("store to %#x performed without a VC entry", addr)})
 		return
@@ -233,7 +222,6 @@ func (u *UniprocChecker) StorePerformed(addr mem.Addr, written mem.Word, now sim
 	e.head++
 	if written != expect {
 		u.stats.StoreMismatches++
-		//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 		u.sink.Violation(Violation{Kind: UOStoreMismatch, Node: u.node, Block: addr.Block(), Cycle: now,
 			Detail: fmt.Sprintf("store to %#x wrote %#x to the cache but VC holds %#x", addr, written, expect)})
 	}
@@ -311,8 +299,6 @@ func (u *UniprocChecker) LoadExecuted(addr mem.Addr, val mem.Word) {
 // comparison happens immediately and hit=true is returned. Otherwise the
 // caller must read the cache hierarchy (bypassing the write buffer) and
 // finish with CompareReplay.
-//
-//dvmc:hotpath
 func (u *UniprocChecker) ReplayLoad(addr mem.Addr, orig mem.Word, now sim.Cycle) (hit, match bool) {
 	u.stats.LoadsReplayed++
 	if i, ok := u.idx[addr]; ok {
@@ -334,13 +320,11 @@ func (u *UniprocChecker) CompareReplay(addr mem.Addr, orig, replay mem.Word, now
 	return u.compare(addr, orig, replay, now)
 }
 
-//dvmc:hotpath
 func (u *UniprocChecker) compare(addr mem.Addr, orig, replay mem.Word, now sim.Cycle) bool {
 	if orig == replay {
 		return true
 	}
 	u.stats.LoadMismatches++
-	//dvmc:alloc-ok violation reporting is cold: it fires at most once per detected error, never in steady state
 	u.sink.Violation(Violation{Kind: UOMismatch, Node: u.node, Block: addr.Block(), Cycle: now,
 		Detail: fmt.Sprintf("load %#x executed with %#x but replays as %#x", addr, orig, replay)})
 	return false

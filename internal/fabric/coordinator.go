@@ -52,17 +52,13 @@ type Coordinator struct {
 	spec   JobSpec             // immutable after construction
 	gens   fuzz.CampaignConfig // spec.generations(): what the lease gate walks
 	shards []Shard             // immutable after construction
-	//dvmc:guardedby mu
-	leases *LeaseTable
-	//dvmc:guardedby mu
+	// mu guards leases, results, pools, workers and ckpt.
+	leases  *LeaseTable
 	results map[int]*ShardResult
 	// pools caches the per-generation mutation seed pools, each distilled
 	// once: when its generation unlocks, or when Finalize first derives it.
-	//dvmc:guardedby mu
-	pools map[int]*seedPool
-	//dvmc:guardedby mu
-	workers map[string]*workerInfo
-	//dvmc:guardedby mu
+	pools         map[int]*seedPool
+	workers       map[string]*workerInfo
 	ckpt          *os.File
 	clock         func() uint64
 	ttl           uint64
@@ -71,8 +67,6 @@ type Coordinator struct {
 }
 
 // NewCoordinator starts a fresh job.
-//
-//dvmc:guardedby mu
 func NewCoordinator(spec JobSpec, opts CoordinatorOptions) (*Coordinator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -103,8 +97,6 @@ func NewCoordinator(spec JobSpec, opts CoordinatorOptions) (*Coordinator, error)
 // away; any other corruption — a record that does not decode, a spec
 // that does not validate, a result Complete would have refused —
 // refuses to resume with a *frame.PosError.
-//
-//dvmc:guardedby mu
 func ResumeCoordinator(path string, opts CoordinatorOptions) (*Coordinator, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -192,7 +184,7 @@ func newCoordinator(spec JobSpec, shards []Shard, opts CoordinatorOptions) *Coor
 // journal appends one entry and flushes it to disk before the state
 // change is acknowledged — an accepted result is never lost to a crash.
 //
-//dvmc:guardedby mu
+// The caller holds c.mu.
 func (c *Coordinator) journal(e CheckpointEntry) error {
 	if c.ckpt == nil {
 		return nil
@@ -221,7 +213,8 @@ func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 // Spec returns the job being coordinated (on resume, the journaled one).
 func (c *Coordinator) Spec() JobSpec { return c.spec }
 
-//dvmc:guardedby mu
+// touch records a heartbeat from worker, admitting it on first sight.
+// The caller holds c.mu.
 func (c *Coordinator) touch(worker string) *workerInfo {
 	if worker == "" {
 		return nil
@@ -285,7 +278,7 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 // the whole case space once only the last generation is left, which for
 // a job that breeds nothing is from the start.
 //
-//dvmc:guardedby mu
+// The caller holds c.mu.
 func (c *Coordinator) unlockedLimit() int {
 	for g := 0; g < c.gens.Generations; g++ {
 		from, to := c.gens.GenBounds(g)
@@ -298,7 +291,7 @@ func (c *Coordinator) unlockedLimit() int {
 
 // rangeDone reports whether every shard inside [from, to) completed.
 //
-//dvmc:guardedby mu
+// The caller holds c.mu.
 func (c *Coordinator) rangeDone(from, to int) bool {
 	for i, sh := range c.shards {
 		if sh.From >= from && sh.To <= to && c.leases.State(i) != LeaseDone {
@@ -319,7 +312,7 @@ type seedPool struct {
 // shardInput assembles the per-shard lease input: for a shard in
 // generation g >= 1, the generation's serialized mutation seed pool.
 //
-//dvmc:guardedby mu
+// The caller holds c.mu.
 func (c *Coordinator) shardInput(sh Shard) (json.RawMessage, error) {
 	g := c.gens.GenOf(sh.From)
 	if g == 0 {
@@ -344,7 +337,7 @@ func (c *Coordinator) shardInput(sh Shard) (json.RawMessage, error) {
 // distilled on first use with the same fuzz.CoveragePool walk the local
 // driver performs, from records that hold every earlier generation.
 //
-//dvmc:guardedby mu
+// The caller holds c.mu.
 func (c *Coordinator) pool(g int, records []fuzz.Record) (*seedPool, error) {
 	if g == 0 {
 		return &seedPool{}, nil
@@ -371,7 +364,7 @@ func (c *Coordinator) pool(g int, records []fuzz.Record) (*seedPool, error) {
 // result covers its shard exactly (checkResult), so the shards' records
 // in shard order are the table; a shard without a result is an error.
 //
-//dvmc:guardedby mu
+// The caller holds c.mu.
 func (c *Coordinator) records(upTo int) ([]fuzz.Record, error) {
 	records := make([]fuzz.Record, 0, upTo)
 	for id, sh := range c.shards {
@@ -547,7 +540,7 @@ func (c *Coordinator) MetricsSnapshot() (*telemetry.Snapshot, error) {
 // snapshots decodes the telemetry snapshots of the shards accepted so
 // far, in shard order.
 //
-//dvmc:guardedby mu
+// The caller holds c.mu.
 func (c *Coordinator) snapshots() ([]*telemetry.Snapshot, error) {
 	var snaps []*telemetry.Snapshot
 	for id := range c.shards {

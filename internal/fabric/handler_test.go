@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -303,7 +305,8 @@ func TestResumeRefusesForeignResult(t *testing.T) {
 // the record and offset of the spec line. The first is 205 bytes whose
 // Generations*PerGen overflows to 0: multiplied, it validated, and
 // Shards() then walked 2^40 generations. The second is the job kind the
-// generations fold removed.
+// generations fold removed. The last two ask for 2^40 cases, which
+// Shards() or the injection list would allocate.
 func TestResumeRefusesHostileSpec(t *testing.T) {
 	for name, tc := range map[string]struct{ payload, want string }{
 		"overflowing generations": {
@@ -313,6 +316,14 @@ func TestResumeRefusesHostileSpec(t *testing.T) {
 		"removed coverage kind": {
 			`{"spec":{"kind":"coverage","coverage":{"campaign":{"seed":1,"runs":0,"workers":0,"fault_frac":0,"budget":0,"minimize":false},"init_runs":4,"generations":1,"per_gen":2}}}`,
 			`unknown field "coverage"`,
+		},
+		"fuzz runs near 2^40": {
+			`{"spec":{"kind":"fuzz","fuzz":{"seed":1,"runs":1099511627776,"budget":2000}}}`,
+			"need <= 1048576 cases",
+		},
+		"experiment faults near 2^40": {
+			`{"spec":{"kind":"experiment","experiment":{"faults":137438953472,"budget":1000,"seed":3}}}`,
+			"need <= 1048576 cases",
 		},
 	} {
 		path := filepath.Join(t.TempDir(), "hostile.ckpt")
@@ -333,5 +344,68 @@ func TestResumeRefusesHostileSpec(t *testing.T) {
 		case <-time.After(time.Second):
 			t.Fatalf("%s: resume still running after 1 s", name)
 		}
+	}
+}
+
+// TestCoordinatorCallsInterleave runs a job with several worker
+// goroutines that call the coordinator's methods directly, executing
+// each leased shard between Lease and Complete as a worker does. There
+// is no HTTP in between, because socket reads and writes order
+// goroutines for the race detector: under -race, a field read or
+// written outside c.mu by one call races a write made under the lock by
+// another worker during the pause before it.
+func TestCoordinatorCallsInterleave(t *testing.T) {
+	spec := JobSpec{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 5, Runs: 16, Budget: 2000}, ShardSize: 1}
+	coord, err := NewCoordinator(spec, CoordinatorOptions{TTLSeconds: 10, Clock: func() uint64 { return 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pause := func() { time.Sleep(100 * time.Microsecond) }
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			for {
+				lease := coord.Lease(LeaseRequest{Worker: name})
+				if lease.Done {
+					return
+				}
+				pause()
+				coord.Status()
+				pause()
+				if _, err := coord.MetricsSnapshot(); err != nil {
+					errs <- err
+					return
+				}
+				if lease.Shard == nil {
+					pause()
+					continue
+				}
+				res, err := ExecuteShard(spec, *lease.Shard, lease.Input)
+				if err == nil {
+					coord.Renew(RenewRequest{Worker: name, Shard: lease.Shard.ID})
+					pause()
+					_, err = coord.Complete(CompleteRequest{Worker: name, Result: res})
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				pause()
+			}
+		}(fmt.Sprintf("w%d", w))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := coord.Status(); !st.Finished || st.Done != st.Total {
+		t.Fatalf("status after the workers returned: %+v", st)
+	}
+	if _, err := coord.Finalize(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -64,6 +64,12 @@ type JobSpec struct {
 	ShardSize int `json:"shard_size,omitempty"`
 }
 
+// maxCases bounds a job's case space. Validate refuses a larger one
+// before anything sized by the count (the shard partition, the
+// injection list) is allocated, so a damaged or hostile journal cannot
+// make resume allocate without limit.
+const maxCases = 1 << 20
+
 // Validate reports specification errors.
 func (s JobSpec) Validate() error {
 	switch s.Kind {
@@ -74,6 +80,9 @@ func (s JobSpec) Validate() error {
 		if err := s.Fuzz.Validate(); err != nil {
 			return err
 		}
+		if s.Fuzz.Runs > maxCases {
+			return fmt.Errorf("fabric: fuzz Runs = %d, need <= %d cases", s.Fuzz.Runs, maxCases)
+		}
 	case JobExperiment:
 		if s.Experiment == nil {
 			return fmt.Errorf("fabric: %s job without an experiment spec", s.Kind)
@@ -83,6 +92,9 @@ func (s JobSpec) Validate() error {
 		}
 		if s.Experiment.Budget == 0 {
 			return fmt.Errorf("fabric: experiment Budget = 0")
+		}
+		if rows := len(dvmc.ErrorDetectionRows()); s.Experiment.Faults > maxCases/rows {
+			return fmt.Errorf("fabric: experiment Faults = %d, need <= %d cases over %d rows", s.Experiment.Faults, maxCases, rows)
 		}
 	default:
 		return fmt.Errorf("fabric: unknown job kind %q", s.Kind)

@@ -61,8 +61,6 @@ func (e *PosError) Error() string {
 func (e *PosError) Unwrap() error { return e.Err }
 
 // AppendZigzag appends v as a zigzag-coded uvarint.
-//
-//dvmc:hotpath
 func AppendZigzag(b []byte, v int64) []byte {
 	return binary.AppendUvarint(b, uint64(v<<1)^uint64(v>>63))
 }
@@ -97,8 +95,6 @@ func NewWriter(w io.Writer, magic string, version uint8, h Header) (*Writer, err
 }
 
 // write sends b to the underlying writer, teeing it into the digest.
-//
-//dvmc:hotpath
 func (w *Writer) write(b []byte) error {
 	if w.err == nil {
 		w.d.Write(b)
@@ -109,14 +105,10 @@ func (w *Writer) write(b []byte) error {
 
 // Buf returns the empty scratch buffer to append a record to; Record
 // keeps its growth, so steady-state encoding does not allocate.
-//
-//dvmc:hotpath
 func (w *Writer) Buf() []byte { return w.scratch[:0] }
 
 // Record writes one record. b[0] is its tag and must not be 0x00, the
 // footer sentinel.
-//
-//dvmc:hotpath
 func (w *Writer) Record(b []byte) error {
 	if w.closed {
 		return errors.New("frame: Record after Close")
@@ -242,10 +234,7 @@ func (r *Reader) more() bool {
 }
 
 // Byte reads one byte, or 0 where the input has run out.
-//
-//dvmc:hotpath
 func (r *Reader) Byte() (b byte) {
-	//dvmc:alloc-ok the io.Reader refill and its positioned failure run once per buffer, not per byte
 	if r.start < r.end || r.more() {
 		b = r.buf[r.start]
 		r.start++
@@ -286,8 +275,6 @@ func uvarint(p []byte) (v uint64, n int, bad error) {
 // is buffered, is decoded in place; only the last few bytes of a buffer
 // go through Byte and its refill. Both paths consume the same bytes and
 // fail at the same offset, just past the byte that broke the rule.
-//
-//dvmc:hotpath
 func (r *Reader) Uvarint() uint64 {
 	if r.start < r.end && r.buf[r.start] < 0x80 {
 		r.start++
@@ -312,7 +299,6 @@ func (r *Reader) Uvarint() uint64 {
 		v, _, bad = uvarint(p[:n])
 	}
 	if bad != nil {
-		//dvmc:alloc-ok a rejected varint fails the stream once; legal streams never reach it
 		r.fail(bad) // a no-op where Byte already failed
 		return 0
 	}
@@ -320,8 +306,6 @@ func (r *Reader) Uvarint() uint64 {
 }
 
 // Zigzag reads one zigzag-coded signed varint.
-//
-//dvmc:hotpath
 func (r *Reader) Zigzag() int64 {
 	u := r.Uvarint()
 	return int64(u>>1) ^ -int64(u&1)
@@ -330,8 +314,6 @@ func (r *Reader) Zigzag() int64 {
 // Next begins the next record and returns its tag, or io.EOF once the
 // footer has been read and verified. Any other error is a *PosError, and
 // is what every later call returns too.
-//
-//dvmc:hotpath
 func (r *Reader) Next() (byte, error) {
 	if r.sealed {
 		return 0, io.EOF
@@ -342,14 +324,11 @@ func (r *Reader) Next() (byte, error) {
 	} else if tag != 0x00 {
 		return tag, nil
 	}
-	//dvmc:alloc-ok the footer is read once per stream
 	return 0, r.footer()
 }
 
 // End ends the current record: the failure that stuck while it was
 // read, or nil — and then the record counts.
-//
-//dvmc:hotpath
 func (r *Reader) End() error {
 	if r.err != nil {
 		return r.err

@@ -48,8 +48,6 @@ func init() {
 }
 
 // update8 absorbs one 8-byte word, taken in little-endian byte order.
-//
-//dvmc:hotpath
 func update8(crc uint16, w uint64) uint16 {
 	x := w ^ uint64(crc)
 	return tables[7][byte(x)] ^ tables[6][byte(x>>8)] ^
@@ -60,8 +58,6 @@ func update8(crc uint16, w uint64) uint16 {
 
 // update is the one CRC kernel: eight bytes per step, then the tail byte
 // by byte.
-//
-//dvmc:hotpath
 func update(crc uint16, p []byte) uint16 {
 	for ; len(p) >= 8; p = p[8:] {
 		crc = update8(crc, binary.LittleEndian.Uint64(p))

@@ -31,12 +31,11 @@ func NewECC() *ECC {
 
 // Protect records the current contents of the block as the code word. tag
 // identifies the physical line (block address, or cache set/way encoding).
-//
-//dvmc:hotpath
 func (e *ECC) Protect(tag uint64, data *Block) {
 	s, ok := e.shadow[tag]
 	if !ok {
-		//dvmc:alloc-ok a line's first code word; every later Protect rewrites it in place
+		// A line's first code word; every later Protect rewrites it in
+		// place.
 		s = new(Block)
 		e.shadow[tag] = s
 	}
@@ -48,8 +47,6 @@ func (e *ECC) Unprotect(tag uint64) { delete(e.shadow, tag) }
 
 // Check verifies the block against its code word, correcting a single
 // flipped bit in place. It returns true if the data was clean or corrected.
-//
-//dvmc:hotpath
 func (e *ECC) Check(tag uint64, data *Block) bool {
 	s, ok := e.shadow[tag]
 	if !ok {

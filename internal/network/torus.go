@@ -186,14 +186,13 @@ func (t *Torus) node(x, y int) NodeID { return NodeID(y*t.dimX + x) }
 // route returns the dimension-order (X then Y) shortest path, computing
 // and caching it on first use. Returned paths are shared: callers must
 // not mutate them.
-//
-//dvmc:hotpath
 func (t *Torus) route(src, dst NodeID) []*link {
 	idx := int(src)*len(t.handlers) + int(dst)
 	if p := t.routes[idx]; p != nil {
 		return p
 	}
-	//dvmc:alloc-ok route cache miss happens once per (src,dst) pair; the cache covers all pairs after warmup
+	// A route cache miss happens once per (src, dst) pair; the cache covers
+	// all pairs after warmup.
 	p := t.computeRoute(src, dst)
 	t.routes[idx] = p
 	return p
@@ -234,13 +233,10 @@ func (t *Torus) computeRoute(src, dst NodeID) []*link {
 
 // Send implements Network. Messages to self are delivered next cycle
 // without consuming link bandwidth.
-//
-//dvmc:hotpath
 func (t *Torus) Send(m *Message) {
 	t.sendAt(m, t.slot.LastTick()+1)
 }
 
-//dvmc:hotpath
 func (t *Torus) sendAt(m *Message, when sim.Cycle) {
 	t.sent++
 	if t.fault != nil {
@@ -254,7 +250,6 @@ func (t *Torus) sendAt(m *Message, when sim.Cycle) {
 		case FaultMisroute:
 			m.Dst = NodeID(t.rng.Intn(t.Nodes()))
 		case FaultDelay:
-			//dvmc:alloc-ok fault injection is cold: FaultDelay only fires under an installed fault hook
 			t.delayed = append(t.delayed, delayedSend{msg: m, at: when + 64})
 			t.slot.Wake()
 			return
@@ -263,14 +258,12 @@ func (t *Torus) sendAt(m *Message, when sim.Cycle) {
 			// re-enters the network a full fault window later, typically
 			// after the transaction it belonged to has completed.
 			dup := *m
-			//dvmc:alloc-ok fault injection is cold: FaultDupStale only fires under an installed fault hook
 			t.delayed = append(t.delayed, delayedSend{msg: &dup, at: when + t.window()})
 			t.slot.Wake()
 		case FaultHold:
 			// Capture into the held burst; Tick releases the burst in
 			// reverse order once the hook disarms or the window expires,
 			// so later traffic on the same links overtakes it.
-			//dvmc:alloc-ok fault injection is cold: FaultHold only fires under an installed fault hook
 			t.held = append(t.held, m)
 			if len(t.held) == 1 {
 				t.heldAt = when + t.window()
@@ -284,10 +277,10 @@ func (t *Torus) sendAt(m *Message, when sim.Cycle) {
 	t.enqueue(m, when)
 }
 
-//dvmc:hotpath
 func (t *Torus) enqueue(m *Message, when sim.Cycle) {
 	if m.Src == m.Dst {
-		//dvmc:alloc-ok loopback queue capacity amortizes; entries are compacted in place every Tick
+		// Loopback queue capacity amortizes; entries are compacted in place
+		// every Tick.
 		t.local = append(t.local, localDelivery{msg: m, at: when})
 		t.slot.Wake()
 		return
@@ -300,10 +293,9 @@ func (t *Torus) enqueue(m *Message, when sim.Cycle) {
 
 // queueOn appends a transit to a link's queue. An idle link is due: it
 // starts serialising the transit when Tick next reaches it.
-//
-//dvmc:hotpath
 func (t *Torus) queueOn(l *link, tr *transit) {
-	//dvmc:alloc-ok link queue capacity amortizes to the steady-state occupancy; Tick pops in place
+	// Link queue capacity amortizes to the steady-state occupancy; Tick
+	// pops in place.
 	l.queue = append(l.queue, tr)
 	if l.head == nil {
 		t.dueAt[l.index] = 0
@@ -313,8 +305,6 @@ func (t *Torus) queueOn(l *link, tr *transit) {
 }
 
 // recycleTransit returns a finished transit envelope to the freelist.
-//
-//dvmc:hotpath
 func (t *Torus) recycleTransit(tr *transit) {
 	*tr = transit{}
 	t.transits.Put(tr)
@@ -334,8 +324,6 @@ func (t *Torus) window() sim.Cycle {
 }
 
 // serialize returns the cycles a message occupies a link.
-//
-//dvmc:hotpath
 func (t *Torus) serialize(size int) sim.Cycle {
 	c := sim.Cycle(math.Ceil(float64(size) / t.bw))
 	if c < 1 {
@@ -348,8 +336,6 @@ var _ sim.Scheduled = (*Torus)(nil)
 
 // Tick implements sim.Clockable: advances link pipelines, moves messages
 // hop to hop, and fires delivery handlers.
-//
-//dvmc:hotpath
 func (t *Torus) Tick(now sim.Cycle) {
 	t.tick(now)
 	if len(t.held)+len(t.delayed)+len(t.local) > 0 {
@@ -359,7 +345,6 @@ func (t *Torus) Tick(now sim.Cycle) {
 	}
 }
 
-//dvmc:hotpath
 func (t *Torus) tick(now sim.Cycle) {
 	// Release a FaultHold burst in reverse order once the fault hook has
 	// disarmed (the burst is complete) or the window expired: the
@@ -454,7 +439,6 @@ func (t *Torus) tick(now sim.Cycle) {
 				}
 			}
 			tr := l.queue[idx]
-			//dvmc:alloc-ok in-place removal: the result never exceeds the existing capacity
 			l.queue = append(l.queue[:idx], l.queue[idx+1:]...)
 			l.head = tr
 			l.done = now + t.serialize(tr.msg.Size) + t.hopLatency
@@ -474,7 +458,6 @@ func (t *Torus) tick(now sim.Cycle) {
 	t.wakeAt = min(t.wakeAt, next)
 }
 
-//dvmc:hotpath
 func (t *Torus) deliver(m *Message) {
 	t.delivered++
 	if t.observer != nil {

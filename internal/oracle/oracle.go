@@ -447,10 +447,8 @@ func (c *checker) checkValue(ev trace.Event, v mem.Word) {
 // agree with the batch checker on the ordering relation itself — its
 // byte-identical-report contract is over everything downstream of this
 // function, so the two deliberately share it. Allocation-free: the RMW
-// expansion uses value arrays, keeping it callable from //dvmc:hotpath
+// expansion uses value arrays, keeping it callable from zero-allocation
 // per-event steps.
-//
-//dvmc:hotpath
 func OrderedPair(t *consistency.Table, first consistency.Op, firstRMW bool, second consistency.Op, secondRMW bool) bool {
 	if first.Class == consistency.Membar && second.Class == consistency.Membar {
 		return second.Mask != 0

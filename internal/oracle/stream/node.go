@@ -45,12 +45,9 @@ type nodeState struct {
 
 // node returns the state that judges ev. An event for an out-of-range
 // processor is flagged and judged against node 0, as the reference does.
-//
-//dvmc:hotpath
 func (c *Checker) node(idx uint64, ev *trace.Event) *nodeState {
 	n := int(ev.Node)
 	if n >= len(c.nodes) {
-		//dvmc:alloc-ok violation path
 		c.violate(idx, oracle.RuleStructural, ev, fmt.Sprintf("event for node %d but trace header declares %d nodes", n, len(c.nodes)))
 		n = 0
 	}
@@ -71,7 +68,6 @@ func (ns *nodeState) findCommitted(seq uint64) (int, bool) {
 	return lo, lo < len(ns.committed) && ns.committed[lo].seq == seq
 }
 
-//dvmc:hotpath
 func (c *Checker) commit(idx uint64, ev *trace.Event) {
 	ns := c.node(idx, ev)
 	switch ev.Class {
@@ -91,7 +87,8 @@ func (c *Checker) commit(idx uint64, ev *trace.Event) {
 		c.violate(idx, oracle.RuleStructural, ev, "double commit of sequence number")
 		return
 	}
-	//dvmc:alloc-ok frontier slice keeps its high-water capacity; grows only while the in-flight frontier does
+	// The frontier slice keeps its high-water capacity; it grows only while
+	// the in-flight frontier does.
 	ns.committed = append(ns.committed, commitEnt{})
 	copy(ns.committed[pos+1:], ns.committed[pos:])
 	ns.committed[pos] = commitEnt{
@@ -105,7 +102,6 @@ func (c *Checker) commit(idx uint64, ev *trace.Event) {
 	c.frontierAdd(1)
 }
 
-//dvmc:hotpath
 func (c *Checker) perform(idx uint64, ev *trace.Event) {
 	ns := c.node(idx, ev)
 	op := ev.Op()
@@ -114,7 +110,6 @@ func (c *Checker) perform(idx uint64, ev *trace.Event) {
 	switch {
 	case wasCommitted:
 		rec = ns.committed[pos]
-		//dvmc:alloc-ok deletes in place: the result is one shorter than the slice it aliases
 		ns.committed = append(ns.committed[:pos], ns.committed[pos+1:]...)
 		c.frontierAdd(-1)
 	case ns.performed.contains(ev.Seq):
@@ -122,12 +117,12 @@ func (c *Checker) perform(idx uint64, ev *trace.Event) {
 	default:
 		c.violate(idx, oracle.RuleStructural, ev, "perform without prior commit")
 	}
-	//dvmc:alloc-ok interval set is one run per recovery epoch on legal traces; grows by one per anomaly
+	// The interval set is one run per recovery epoch on legal traces; it
+	// grows by one per anomaly.
 	ns.performed.add(ev.Seq)
 
 	// R5: a plain store must perform with exactly the committed value.
 	if wasCommitted && rec.hasVal && ev.Class == consistency.Store && !ev.IsRMW && ev.Val != rec.val {
-		//dvmc:alloc-ok violation path
 		c.violate(idx, oracle.RuleStoreValue, ev,
 			fmt.Sprintf("store committed %#x but performed %#x at %#x", uint64(rec.val), uint64(ev.Val), uint64(ev.Addr)))
 	}
@@ -142,7 +137,6 @@ func (c *Checker) perform(idx uint64, ev *trace.Event) {
 		}
 		c.stats.PairChecks++
 		if oracle.OrderedPair(consistency.TableFor(old.model), old.op, old.isRMW, op, ev.IsRMW) {
-			//dvmc:alloc-ok violation path
 			c.violate(idx, oracle.RuleOvertaken, ev,
 				fmt.Sprintf("%v performed before older ordered %v seq %d (committed @%d, model %v)",
 					ev.Class, old.op.Class, old.seq, old.time, old.model))
@@ -158,7 +152,6 @@ func (c *Checker) perform(idx uint64, ev *trace.Event) {
 		}
 		c.stats.PairChecks++
 		if oracle.OrderedPair(table, op, ev.IsRMW, p.op, p.isRMW) {
-			//dvmc:alloc-ok violation path
 			c.violate(idx, oracle.RuleReorder, ev,
 				fmt.Sprintf("%v overtaken by younger performed %v seq %d (model %v)",
 					ev.Class, p.op.Class, p.seq, ev.Model))
@@ -171,7 +164,7 @@ func (c *Checker) perform(idx uint64, ev *trace.Event) {
 	// Window bookkeeping and frontier pruning, exactly the reference's rule:
 	// entries at or below the oldest committed-but-unperformed seq (or the
 	// newest committed seq when nothing is pending) can never pair again.
-	//dvmc:alloc-ok reorder window keeps its pruned high-water capacity
+	// The reorder window keeps its pruned high-water capacity.
 	ns.window = append(ns.window, perfRec{seq: ev.Seq, op: op, isRMW: ev.IsRMW})
 	if len(ns.window) > c.stats.MaxWindow {
 		c.stats.MaxWindow = len(ns.window)
@@ -183,7 +176,6 @@ func (c *Checker) perform(idx uint64, ev *trace.Event) {
 	kept := ns.window[:0]
 	for _, p := range ns.window {
 		if p.seq > frontier {
-			//dvmc:alloc-ok filters in place: kept never outgrows the window it aliases
 			kept = append(kept, p)
 		}
 	}
@@ -195,8 +187,6 @@ func (c *Checker) perform(idx uint64, ev *trace.Event) {
 // for later loads (a store may have drained just before the rollback with
 // its perform record lost), then the R2 pending sets and R1 windows clear.
 // performed and maxCommit survive, as in the reference.
-//
-//dvmc:hotpath
 func (c *Checker) recover() {
 	c.stats.Recoveries++
 	for i := range c.nodes {

@@ -59,8 +59,6 @@ func New(meta trace.Meta, _ Options) *Checker {
 // Feed judges one event: the owning node's ordering, structural and
 // store-value rules, then the value rule. Events after Finish are ignored.
 // Steady-state allocation-free on legal traces.
-//
-//dvmc:hotpath
 func (c *Checker) Feed(ev trace.Event) {
 	if c.report != nil {
 		return
@@ -82,10 +80,7 @@ func (c *Checker) Feed(ev trace.Event) {
 func (c *Checker) Emit(ev trace.Event) { c.Feed(ev) }
 
 // violate records a finding against the event at stream index idx.
-//
-//dvmc:hotpath
 func (c *Checker) violate(idx uint64, rule oracle.Rule, ev *trace.Event, detail string) {
-	//dvmc:alloc-ok findings exist only on violating traces
 	c.found = append(c.found, finding{idx: idx, v: oracle.Violation{
 		Rule: rule, Node: int(ev.Node), Seq: ev.Seq, Time: ev.Time, Detail: detail,
 	}})

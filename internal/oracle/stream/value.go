@@ -18,8 +18,6 @@ type wkey struct {
 // performValue is the value rule's share of a perform event: a store
 // extends the write history, a load (or an atomic's load half) is checked
 // against it.
-//
-//dvmc:hotpath
 func (c *Checker) performValue(idx uint64, ev *trace.Event) {
 	switch {
 	case ev.Class == consistency.Store:
@@ -41,8 +39,6 @@ func (c *Checker) performValue(idx uint64, ev *trace.Event) {
 
 // addWriter extends the write history and answers any queries waiting on
 // exactly this (word, value) point.
-//
-//dvmc:hotpath
 func (c *Checker) addWriter(k wkey) {
 	if c.writers.add(k) && len(c.pending) > 0 {
 		delete(c.pending, k)
@@ -55,8 +51,6 @@ func (c *Checker) addWriter(k wkey) {
 // performs that value to that word — it resolves silently — or the stream
 // ends, when it is exactly the violation the reference emits. A recovery
 // fold or the zero init value passes it at once.
-//
-//dvmc:hotpath
 func (c *Checker) checkValue(idx uint64, ev *trace.Event, v mem.Word) {
 	c.stats.ValueChecks++
 	k := wkey{addr: ev.Addr, val: v}
@@ -67,7 +61,8 @@ func (c *Checker) checkValue(idx uint64, ev *trace.Event, v mem.Word) {
 	if ev.IsRMW {
 		what = "rmw old value"
 	}
-	//dvmc:alloc-ok pending queries exist only for anomalous bindings; zero on legal traces
+	// Pending queries exist only for anomalous bindings; zero on legal
+	// traces.
 	c.pending[k] = append(c.pending[k], finding{idx: idx, v: oracle.Violation{
 		Rule: oracle.RuleLoadValue, Node: int(ev.Node), Seq: ev.Seq, Time: ev.Time,
 		Detail: fmt.Sprintf("%s bound %#x at %#x, which no processor wrote", what, uint64(v), uint64(ev.Addr)),

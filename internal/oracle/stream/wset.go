@@ -23,8 +23,6 @@ func (k wkey) hash() uint64 {
 
 // slot returns the index of k, or of the free slot where its probe ends.
 // The table must not be empty.
-//
-//dvmc:hotpath
 func (s *wset) slot(k wkey) int {
 	mask := len(s.slots) - 1
 	i := int(k.hash()) & mask
@@ -35,8 +33,6 @@ func (s *wset) slot(k wkey) int {
 }
 
 // has reports whether k is in the set.
-//
-//dvmc:hotpath
 func (s *wset) has(k wkey) bool {
 	if k == (wkey{}) {
 		return s.zero
@@ -45,8 +41,6 @@ func (s *wset) has(k wkey) bool {
 }
 
 // add inserts k and reports whether it was not already there.
-//
-//dvmc:hotpath
 func (s *wset) add(k wkey) bool {
 	if k == (wkey{}) {
 		added := !s.zero
@@ -54,7 +48,8 @@ func (s *wset) add(k wkey) bool {
 		return added
 	}
 	if len(s.slots) == 0 {
-		//dvmc:alloc-ok the first insert sizes the table; it then doubles only with the distinct points written
+		// The first insert sizes the table; it then doubles only with the
+		// distinct points written.
 		s.grow()
 	}
 	i := s.slot(k)
@@ -62,7 +57,8 @@ func (s *wset) add(k wkey) bool {
 		return false
 	}
 	if 2*(s.n+1) > len(s.slots) {
-		//dvmc:alloc-ok doubling: bounded by distinct (addr, value) pairs, not trace length
+		// Doubling is bounded by distinct (addr, value) pairs, not trace
+		// length.
 		s.grow()
 		i = s.slot(k)
 	}

@@ -316,18 +316,13 @@ func (c *CPU) Attach(s sim.Slot) { c.slot = s }
 
 // lastTick is the core's "now": the cycle of its last tick, whether or
 // not the kernel called it (sim.Slot.LastTick).
-//
-//dvmc:hotpath
 func (c *CPU) lastTick() sim.Cycle { return c.slot.LastTick() }
 
 // Tick implements sim.Clockable: one core cycle, unless the core sleeps.
 // It publishes the cycle the core is next due: the next one while awake,
 // wakeAt while asleep.
-//
-//dvmc:hotpath
 func (c *CPU) Tick(now sim.Cycle) {
 	if c.awake || now >= c.wakeAt {
-		//dvmc:alloc-ok the pipeline's own steady state is pinned by TestSteadyStateAllocBudget; the hot path proved here is the sleeping return above
 		c.cycle(now)
 	}
 	if c.awake {
@@ -372,8 +367,6 @@ func (c *CPU) cycle(now sim.Cycle) {
 // the core work from outside its own tick: the cache's completion
 // callbacks, the write buffer, squashes, Recover, and the Inject and
 // Attach hooks.
-//
-//dvmc:hotpath
 func (c *CPU) wake() {
 	c.awake = true
 	c.slot.Wake()

@@ -97,20 +97,17 @@ func NewInOrderWB(ctrl coherence.Controller, capacity int, perf performFn, wake 
 }
 
 // Push implements WriteBuffer.
-//
-//dvmc:hotpath
 func (w *InOrderWB) Push(seq uint64, addr mem.Addr, val mem.Word, ordered bool) bool {
 	if len(w.queue) >= w.cap {
 		return false
 	}
-	//dvmc:alloc-ok queue capacity amortizes to the configured bound; steady state reuses the backing array
+	// Queue capacity amortizes to the configured bound; steady state reuses
+	// the backing array.
 	w.queue = append(w.queue, wbStore{seq: seq, addr: addr, val: val, ordered: ordered})
 	return true
 }
 
 // Lookup implements WriteBuffer.
-//
-//dvmc:hotpath
 func (w *InOrderWB) Lookup(addr mem.Addr) (mem.Word, bool) {
 	for i := len(w.queue) - 1; i >= 0; i-- {
 		if w.queue[i].addr == addr {
@@ -127,8 +124,6 @@ func (w *InOrderWB) Empty() bool { return len(w.queue) == 0 && !w.busy }
 func (w *InOrderWB) Len() int { return len(w.queue) }
 
 // Tick implements WriteBuffer: drain the head store.
-//
-//dvmc:hotpath
 func (w *InOrderWB) Tick(now sim.Cycle) {
 	if w.busy || len(w.queue) == 0 {
 		return
@@ -141,7 +136,6 @@ func (w *InOrderWB) Tick(now sim.Cycle) {
 		w.fault.fired = true
 	}
 	st := w.queue[idx]
-	//dvmc:alloc-ok in-place removal into the existing backing array; never grows
 	w.queue = append(w.queue[:idx], w.queue[idx+1:]...)
 	if w.fault.dropNext || (w.fault.dropSeq != 0 && st.seq == w.fault.dropSeq) {
 		// Injected fault: the store vanishes; the buffer believes it
@@ -158,7 +152,6 @@ func (w *InOrderWB) Tick(now sim.Cycle) {
 		w.fault.fired = true
 	}
 	if w.drainCB == nil {
-		//dvmc:alloc-ok closure is hoisted on first drain only (guarded by the nil check); steady state reuses it
 		w.drainCB = func() {
 			st := w.draining
 			w.busy = false
@@ -280,8 +273,6 @@ func NewOOOWB(ctrl coherence.Controller, capacity, maxOutstanding int, perf perf
 // reordering same-word stores in violation of Uniprocessor Ordering
 // (a real write-buffer bug the VC checker caught; see the
 // false-alarm-wb-rmw-store fuzzer reproducer, which was no false alarm).
-//
-//dvmc:hotpath
 func (w *OOOWB) Push(seq uint64, addr mem.Addr, val mem.Word, ordered bool) bool {
 	if w.fault.dropNext {
 		w.fault.dropNext = false
@@ -299,7 +290,8 @@ func (w *OOOWB) Push(seq uint64, addr mem.Addr, val mem.Word, ordered bool) bool
 			}
 			e.words[addr.WordIndex()] = val
 			e.valid[addr.WordIndex()] = true
-			//dvmc:alloc-ok constituents is reset to [:0] on recycle; capacity amortizes to the per-entry store bound
+			// constituents is reset to [:0] on recycle; its capacity
+			// amortizes to the per-entry store bound.
 			e.constituents = append(e.constituents, wbStore{seq: seq, addr: addr, val: val})
 			w.stores++
 			return true
@@ -313,17 +305,17 @@ func (w *OOOWB) Push(seq uint64, addr mem.Addr, val mem.Word, ordered bool) bool
 	e.ordered = ordered
 	e.words[addr.WordIndex()] = val
 	e.valid[addr.WordIndex()] = true
-	//dvmc:alloc-ok constituents is reset to [:0] on recycle; capacity amortizes to the per-entry store bound
+	// constituents is reset to [:0] on recycle; its capacity amortizes to
+	// the per-entry store bound.
 	e.constituents = append(e.constituents, wbStore{seq: seq, addr: addr, val: val})
-	//dvmc:alloc-ok entries growth amortizes to the configured entry capacity; removal keeps the backing array
+	// entries grows to the configured entry capacity; removal keeps the
+	// backing array.
 	w.entries = append(w.entries, e)
 	w.stores++
 	return true
 }
 
 // Lookup implements WriteBuffer.
-//
-//dvmc:hotpath
 func (w *OOOWB) Lookup(addr mem.Addr) (mem.Word, bool) {
 	b := addr.Block()
 	for i := len(w.entries) - 1; i >= 0; i-- {
@@ -345,8 +337,6 @@ func (w *OOOWB) Len() int { return w.stores }
 // is a full barrier: it drains only once every older entry has finished
 // (entries leave the slice at finish), and no younger entry may start
 // while an ordered entry is pending or draining.
-//
-//dvmc:hotpath
 func (w *OOOWB) Tick(now sim.Cycle) {
 	for i := 0; i < len(w.entries) && w.outstanding < w.maxOut; i++ {
 		e := w.entries[i]
@@ -373,8 +363,6 @@ func (w *OOOWB) Tick(now sim.Cycle) {
 }
 
 // blockDraining reports whether an entry for the block is in flight.
-//
-//dvmc:hotpath
 func (w *OOOWB) blockDraining(b mem.BlockAddr) bool {
 	for _, e := range w.entries {
 		if e.draining && e.block == b {
@@ -384,7 +372,6 @@ func (w *OOOWB) blockDraining(b mem.BlockAddr) bool {
 	return false
 }
 
-//dvmc:hotpath
 func (w *OOOWB) hasOrdered() bool {
 	for _, e := range w.entries {
 		if e.ordered {
@@ -396,8 +383,6 @@ func (w *OOOWB) hasOrdered() bool {
 
 // olderOrderedBlocking reports whether an ordered entry (pending or
 // draining) precedes index idx.
-//
-//dvmc:hotpath
 func (w *OOOWB) olderOrderedBlocking(idx int) bool {
 	for i := 0; i < idx; i++ {
 		if w.entries[i].ordered {
@@ -411,8 +396,6 @@ func (w *OOOWB) olderOrderedBlocking(idx int) bool {
 // reports each constituent store performed in commit order. An armed
 // drop fault removes the victim store's word (unless a later store also
 // wrote it), modelling buffer-control corruption that loses the store.
-//
-//dvmc:hotpath
 func (w *OOOWB) drain(e *oooEntry) {
 	w.wake()
 	e.draining = true
@@ -438,14 +421,14 @@ func (w *OOOWB) drain(e *oooEntry) {
 	e.drainWords = e.drainWords[:0]
 	for i, v := range e.valid {
 		if v && i != skipWord {
-			//dvmc:alloc-ok drainWords is reset to [:0] on recycle; capacity amortizes to the block word count
+			// drainWords is reset to [:0] on recycle; its capacity
+			// amortizes to the block word count.
 			e.drainWords = append(e.drainWords, i)
 		}
 	}
 	e.cursor = 0
 	if e.cb == nil {
 		e.owner = w
-		//dvmc:alloc-ok drain callback is built once per entry (guarded by the nil check) and reused across recycles
 		e.cb = func() { e.owner.stepDrain(e) }
 	}
 	w.stepDrain(e)
@@ -455,8 +438,6 @@ func (w *OOOWB) drain(e *oooEntry) {
 // or finishes the drain once every word is written. It is both the drain
 // kick-off and the store-completion callback (e.cb), so each entry's
 // whole drain reuses one closure.
-//
-//dvmc:hotpath
 func (w *OOOWB) stepDrain(e *oooEntry) {
 	if e.cursor >= len(e.drainWords) {
 		w.finish(e)
@@ -467,7 +448,6 @@ func (w *OOOWB) stepDrain(e *oooEntry) {
 	w.ctrl.Store(e.block.WordAddr(i), e.words[i], e.cb)
 }
 
-//dvmc:hotpath
 func (w *OOOWB) finish(e *oooEntry) {
 	w.outstanding--
 	found := false
@@ -501,8 +481,6 @@ func (w *OOOWB) finish(e *oooEntry) {
 // capacity and its drain closure. Entries orphaned by Clear (SafetyNet
 // recovery flushed the buffer while their drain was in flight) are not
 // recycled: their completion callback may still fire.
-//
-//dvmc:hotpath
 func (w *OOOWB) recycle(e *oooEntry) {
 	*e = oooEntry{constituents: e.constituents[:0], drainWords: e.drainWords[:0], cb: e.cb, owner: e.owner}
 	w.free.Put(e)

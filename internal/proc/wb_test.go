@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dvmc/internal/coherence"
 	"dvmc/internal/consistency"
 	"dvmc/internal/mem"
 	"dvmc/internal/sim"
@@ -268,4 +269,80 @@ func TestOOOWBCoalesceTargetsNewestSameBlockEntry(t *testing.T) {
 	if ctrl.mem[addr] != 300 {
 		t.Fatalf("final cache value %d, want the newest store's 300", ctrl.mem[addr])
 	}
+}
+
+// heldStoreCtrl is a controller that only accepts stores: Store parks
+// the completion callback until the test fires it. Anything else the
+// write buffers called would panic on the nil embedded interface.
+type heldStoreCtrl struct {
+	coherence.Controller
+	parked []func()
+}
+
+func (h *heldStoreCtrl) Store(_ mem.Addr, _ mem.Word, done func()) {
+	h.parked = append(h.parked, done)
+}
+
+// complete fires parked store callbacks, oldest first, until none is
+// left (an OOOWB drain issues its next word's store from the previous
+// one's callback).
+func (h *heldStoreCtrl) complete() {
+	for len(h.parked) > 0 {
+		done := h.parked[0]
+		h.parked = append(h.parked[:0], h.parked[1:]...)
+		done()
+	}
+}
+
+// TestWriteBufferSteadyStateAllocFree pins both write buffers' warm
+// push → drain → perform cycle to zero allocations: the queue and entry
+// slices keep their capacity, the drain closures are built once, and
+// OOOWB's entries come back from its free list (recycle on finish, Get
+// on the next push).
+func TestWriteBufferSteadyStateAllocFree(t *testing.T) {
+	perf := func(uint64, mem.Addr, mem.Word) {}
+	t.Run("InOrderWB", func(t *testing.T) {
+		ctrl := &heldStoreCtrl{}
+		wb := NewInOrderWB(ctrl, 4, perf, func() {})
+		seq := uint64(0)
+		cycle := func() {
+			seq++
+			wb.Push(seq, 0x100, mem.Word(seq), false)
+			seq++
+			wb.Push(seq, 0x148, mem.Word(seq), false)
+			for !wb.Empty() {
+				wb.Tick(0)
+				ctrl.complete()
+			}
+		}
+		for i := 0; i < 8; i++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Errorf("InOrderWB push/drain/perform: %.2f allocs/op, want 0", allocs)
+		}
+	})
+	t.Run("OOOWB", func(t *testing.T) {
+		ctrl := &heldStoreCtrl{}
+		wb := NewOOOWB(ctrl, 8, 2, perf, func() {})
+		seq := uint64(0)
+		cycle := func() {
+			// Two stores coalesce into one entry of block 0x100; the
+			// third opens a second entry.
+			for _, addr := range []mem.Addr{0x100, 0x108, 0x140} {
+				seq++
+				wb.Push(seq, addr, mem.Word(seq), false)
+			}
+			for !wb.Empty() {
+				wb.Tick(0)
+				ctrl.complete()
+			}
+		}
+		for i := 0; i < 8; i++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Errorf("OOOWB push/drain/perform: %.2f allocs/op, want 0", allocs)
+		}
+	})
 }

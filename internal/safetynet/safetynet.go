@@ -147,14 +147,13 @@ func (m *Manager) SetReleaseFunc(f ReleaseFunc) { m.release = f }
 
 // Tick implements sim.Clockable: takes coordinated checkpoints at the
 // multiples of the interval.
-//
-//dvmc:hotpath
 func (m *Manager) Tick(now sim.Cycle) {
 	if now >= m.next {
 		into := now % m.cfg.Interval
 		m.next = now - into + m.cfg.Interval
 		if into == 0 {
-			//dvmc:alloc-ok a checkpoint copies architectural state; it runs once per interval, never on the idle path
+			// A checkpoint copies architectural state; it runs once per
+			// interval, never on the idle path.
 			m.checkpoint(now)
 		}
 	}
@@ -289,8 +288,6 @@ var _ sim.Scheduled = (*Logger)(nil)
 
 // Tick implements sim.Clockable: reset the logged set at interval
 // boundaries.
-//
-//dvmc:hotpath
 func (l *Logger) Tick(now sim.Cycle) {
 	if now >= l.next {
 		l.next = now - now%l.interval + l.interval

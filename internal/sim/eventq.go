@@ -21,8 +21,6 @@ type event struct {
 }
 
 // less orders events by cycle, then scheduling order.
-//
-//dvmc:hotpath
 func (q *EventQueue) less(i, j int) bool {
 	if q.h[i].at != q.h[j].at {
 		return q.h[i].at < q.h[j].at
@@ -30,7 +28,6 @@ func (q *EventQueue) less(i, j int) bool {
 	return q.h[i].seq < q.h[j].seq
 }
 
-//dvmc:hotpath
 func (q *EventQueue) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -42,7 +39,6 @@ func (q *EventQueue) siftUp(i int) {
 	}
 }
 
-//dvmc:hotpath
 func (q *EventQueue) siftDown(i int) {
 	n := len(q.h)
 	for {
@@ -63,24 +59,19 @@ func (q *EventQueue) siftDown(i int) {
 }
 
 // At schedules fn to run when the queue is ticked at cycle `at` or later.
-//
-//dvmc:hotpath
 func (q *EventQueue) At(at Cycle, fn func()) {
 	q.seq++
-	//dvmc:alloc-ok heap backing array amortizes to the peak outstanding-event count
+	// The heap's backing array amortizes to the peak outstanding-event
+	// count.
 	q.h = append(q.h, event{at: at, seq: q.seq, fn: fn})
 	q.siftUp(len(q.h) - 1)
 }
 
 // After schedules fn delay cycles after now.
-//
-//dvmc:hotpath
 func (q *EventQueue) After(now Cycle, delay Cycle, fn func()) { q.At(now+delay, fn) }
 
 // Tick runs every event due at or before now. Events scheduled during
 // Tick for the current cycle also run within the same Tick.
-//
-//dvmc:hotpath
 func (q *EventQueue) Tick(now Cycle) {
 	for len(q.h) > 0 && q.h[0].at <= now {
 		fn := q.h[0].fn
@@ -96,8 +87,6 @@ func (q *EventQueue) Tick(now Cycle) {
 }
 
 // Next returns the cycle of the earliest pending event, or Never.
-//
-//dvmc:hotpath
 func (q *EventQueue) Next() Cycle {
 	if len(q.h) == 0 {
 		return Never
@@ -106,6 +95,4 @@ func (q *EventQueue) Next() Cycle {
 }
 
 // Len returns the number of pending events.
-//
-//dvmc:hotpath
 func (q *EventQueue) Len() int { return len(q.h) }

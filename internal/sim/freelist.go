@@ -20,8 +20,6 @@ type FreeList[T any] struct {
 }
 
 // Get returns a recycled object, or a new zero one.
-//
-//dvmc:hotpath
 func (f *FreeList[T]) Get() *T {
 	if n := len(f.free); n > 0 {
 		p := f.free[n-1]
@@ -29,14 +27,13 @@ func (f *FreeList[T]) Get() *T {
 		f.free = f.free[:n-1]
 		return p
 	}
-	//dvmc:alloc-ok refill is cold; the list grows to its owner's peak demand and steady state recycles
+	// Refill is cold: the list grows to its owner's peak demand and steady
+	// state recycles.
 	return new(T)
 }
 
 // Put takes back an object nothing else points to any more.
-//
-//dvmc:hotpath
 func (f *FreeList[T]) Put(p *T) {
-	//dvmc:alloc-ok the list's capacity amortizes to the peak number of idle objects
+	// The list's capacity amortizes to the peak number of idle objects.
 	f.free = append(f.free, p)
 }

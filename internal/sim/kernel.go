@@ -78,8 +78,6 @@ func (k *Kernel) Now() Cycle { return k.now }
 // whose due cycle has come. Due cycles are read as the walk reaches them,
 // so a wake sent to a later component during the walk is seen this
 // cycle, one sent to an earlier component the next.
-//
-//dvmc:hotpath
 func (k *Kernel) Step() {
 	now := k.now
 	for i := range k.table {
@@ -138,8 +136,6 @@ type Slot struct {
 
 // Wake makes the component due at once: later this cycle if its index is
 // after the one being ticked, else at the next Step.
-//
-//dvmc:hotpath
 func (s Slot) Wake() {
 	if s.k != nil {
 		s.k.table[s.i].due = 0
@@ -147,8 +143,6 @@ func (s Slot) Wake() {
 }
 
 // WakeAt makes the component due at cycle c at the latest.
-//
-//dvmc:hotpath
 func (s Slot) WakeAt(c Cycle) {
 	if s.k != nil && c < s.k.table[s.i].due {
 		s.k.table[s.i].due = c
@@ -158,8 +152,6 @@ func (s Slot) WakeAt(c Cycle) {
 // SleepUntil publishes c as the component's due cycle, replacing any
 // earlier one: a Tick ends with it, naming the first cycle its guard
 // would let it act.
-//
-//dvmc:hotpath
 func (s Slot) SleepUntil(c Cycle) {
 	if s.k != nil {
 		s.k.table[s.i].due = c
@@ -167,8 +159,6 @@ func (s Slot) SleepUntil(c Cycle) {
 }
 
 // Ticks returns how many Steps have reached the component's index.
-//
-//dvmc:hotpath
 func (s Slot) Ticks() uint64 {
 	if s.k == nil {
 		return 0
@@ -182,8 +172,6 @@ func (s Slot) Ticks() uint64 {
 
 // LastTick returns the cycle of the last Step that reached the
 // component's index (0 before the first).
-//
-//dvmc:hotpath
 func (s Slot) LastTick() Cycle {
 	if n := s.Ticks(); n > 0 {
 		return Cycle(n - 1)

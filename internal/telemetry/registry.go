@@ -68,18 +68,12 @@ func (m *Metric) LabelValue(i int) string {
 func (m *Metric) Len() int { return len(m.vals) }
 
 // Set stores v in slot i.
-//
-//dvmc:hotpath
 func (m *Metric) Set(i int, v int64) { m.vals[i] = v }
 
 // Add adds v to slot i.
-//
-//dvmc:hotpath
 func (m *Metric) Add(i int, v int64) { m.vals[i] += v }
 
 // Inc increments slot i.
-//
-//dvmc:hotpath
 func (m *Metric) Inc(i int) { m.vals[i]++ }
 
 // Value returns slot i.
@@ -182,8 +176,6 @@ func (r *Registry) AddProbe(fn func()) { r.probes = append(r.probes, fn) }
 
 // Collect refreshes all probed values. Call before reading or encoding
 // the registry outside a sampler tick.
-//
-//dvmc:hotpath
 func (r *Registry) Collect() {
 	for _, p := range r.probes {
 		p()
@@ -203,8 +195,6 @@ func (r *Registry) Track(m *Metric) *Metric {
 
 // Sample appends every tracked metric's current values to its rings,
 // stamped with the given cycle. The sampler calls this after Collect.
-//
-//dvmc:hotpath
 func (r *Registry) Sample(cycle uint64) {
 	for _, s := range r.series {
 		s.push(cycle, s.metric.vals[s.slot])

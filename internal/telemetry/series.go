@@ -25,11 +25,8 @@ func newSeries(m *Metric, slot, capacity int) *Series {
 }
 
 // push appends a sample, evicting the oldest when full.
-//
-//dvmc:hotpath
 func (s *Series) push(cycle uint64, v int64) {
 	if s.vals == nil {
-		//dvmc:alloc-ok first sample
 		s.cycles, s.vals = make([]uint64, s.capacity), make([]int64, s.capacity)
 	}
 	if s.count < s.capacity {
@@ -88,8 +85,6 @@ func NewSampler(reg *Registry, every sim.Cycle) *Sampler {
 }
 
 // Tick implements sim.Clockable. Allocation-free in steady state.
-//
-//dvmc:hotpath
 func (sp *Sampler) Tick(now sim.Cycle) {
 	into := now % sp.every
 	if into == 0 {

@@ -57,7 +57,7 @@ func TestTraceWriteSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestTraceReadSteadyStateAllocFree pins Reader.Next's //dvmc:hotpath
+// TestTraceReadSteadyStateAllocFree pins Reader.Next's zero-allocation
 // claim over a trace several 64 KiB refills long: commits and performs
 // with multi-byte seq, addr and value varints and signed time deltas, so
 // both varint paths and the refill run inside the measured steps.

@@ -81,11 +81,8 @@ func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 }
 
 // Write appends one event.
-//
-//dvmc:hotpath
 func (w *Writer) Write(ev Event) error {
 	if ev.Kind < EvCommit || ev.Kind > EvRecover {
-		//dvmc:alloc-ok rejecting a malformed event is a cold error path, not steady-state encoding
 		return fmt.Errorf("trace: invalid event kind %d", ev.Kind)
 	}
 	tag := byte(ev.Kind) | byte(ev.Class)<<tagClassShift
@@ -95,17 +92,16 @@ func (w *Writer) Write(ev Event) error {
 	if ev.Fwd {
 		tag |= tagFwdBit
 	}
-	//dvmc:alloc-ok the frame's scratch buffer keeps its growth between records; amortizes to zero
+	// The frame's scratch buffer keeps its growth between records, so these
+	// appends amortize to zero.
 	b := append(w.f.Buf(), tag, ev.Node)
 	switch {
 	case ev.Kind == EvRecover:
 		// node only
 	case ev.Class == consistency.Membar:
-		//dvmc:alloc-ok appends into the retained scratch buffer; capacity amortizes to zero
 		b = append(b, byte(ev.Model), byte(ev.Mask))
 		b = binary.AppendUvarint(b, ev.Seq)
 	default:
-		//dvmc:alloc-ok appends into the retained scratch buffer; capacity amortizes to zero
 		b = append(b, byte(ev.Model))
 		b = binary.AppendUvarint(b, ev.Seq)
 		b = binary.AppendUvarint(b, uint64(ev.Addr))
@@ -160,8 +156,6 @@ func (r *Reader) Offset() int64 { return r.f.Offset() }
 // and verified. Any other error is positioned (*PosError). An event the
 // oracles could not take — a node the header does not declare, a model
 // with no ordering table — is a decode failure, not an event.
-//
-//dvmc:hotpath
 func (r *Reader) Next() (Event, error) {
 	f := r.f
 	tag, err := f.Next()
@@ -177,7 +171,6 @@ func (r *Reader) Next() (Event, error) {
 	}
 	switch {
 	case tag&^tagUsedBits != 0 || ev.Kind == 0 || ev.Class == 0 && ev.Kind != EvRecover:
-		//dvmc:alloc-ok rejecting a corrupt record is a cold error path
 		f.Failf("invalid tag %#02x (corrupt byte or mid-stream damage)", tag)
 	case ev.Kind == EvRecover:
 		// node only
@@ -195,11 +188,9 @@ func (r *Reader) Next() (Event, error) {
 	r.lastTime += f.Zigzag()
 	ev.Time = sim.Cycle(r.lastTime)
 	if int(ev.Node) >= r.meta.Nodes {
-		//dvmc:alloc-ok rejecting a corrupt record is a cold error path
 		f.Failf("event for node %d but the header declares %d nodes", ev.Node, r.meta.Nodes)
 	}
 	if ev.Kind != EvRecover && (ev.Model < consistency.SC || ev.Model > consistency.RMO) {
-		//dvmc:alloc-ok rejecting a corrupt record is a cold error path
 		f.Failf("model byte %d is none of SC, TSO, PSO, RMO", uint8(ev.Model))
 	}
 	if err := f.End(); err != nil {
