@@ -1,10 +1,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"sync"
 
 	"dvmc"
@@ -83,23 +84,26 @@ func (ls *lockedSystem) step(txns, maxCycles uint64) (done bool) {
 }
 
 // runWithHTTP drives the simulation in locked chunks while an HTTP
-// server exposes /metrics and pprof. Returns the whole-run results and
-// mirrors System.Run's budget-expiry error.
-func runWithHTTP(sys *dvmc.System, addr string, txns, maxCycles uint64) (dvmc.Results, error) {
+// server on ln exposes /metrics and pprof, then closes the server and
+// waits for it. Returns the whole-run results and mirrors System.Run's
+// budget-expiry error; a server that stopped serving early is an error
+// too.
+func runWithHTTP(sys *dvmc.System, ln net.Listener, txns, maxCycles uint64) (dvmc.Results, error) {
 	ls := &lockedSystem{sys: sys}
-	srv := &http.Server{Addr: addr, Handler: telemetryMux(ls)}
-	go func() {
-		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "dvmc-sim: http: %v\n", err)
-		}
-	}()
-	defer srv.Close()
+	srv := &http.Server{Handler: telemetryMux(ls)}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
 
 	for !ls.step(txns, maxCycles) {
 	}
+	srv.Close()
+	// Close does not wait for handlers still running: keep the lock.
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	res := ls.sys.ResultsSoFar()
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return res, fmt.Errorf("http: %w", err)
+	}
 	if ls.sys.Transactions() < txns {
 		return res, fmt.Errorf("dvmc: %d of %d transactions after %d cycles",
 			ls.sys.Transactions(), txns, maxCycles)

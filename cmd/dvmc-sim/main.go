@@ -20,8 +20,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"os"
 
 	"dvmc"
@@ -29,26 +32,43 @@ import (
 	"dvmc/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its process edges passed in; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvmc-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workloadName = flag.String("workload", "oltp", "workload: apache|oltp|jbb|slash|barnes|uniform")
-		modelName    = flag.String("model", "TSO", "consistency model: SC|TSO|PSO|RMO")
-		protoName    = flag.String("protocol", "directory", "coherence protocol: directory|snooping")
-		nodes        = flag.Int("nodes", 8, "processor count")
-		txns         = flag.Uint64("txns", 200, "transactions to complete")
-		maxCycles    = flag.Uint64("max-cycles", 100_000_000, "cycle budget")
-		seed         = flag.Uint64("seed", 1, "simulation seed")
-		linkGBps     = flag.Float64("link", 2.5, "link bandwidth in GB/s")
-		noDVMC       = flag.Bool("no-dvmc", false, "disable all DVMC checkers")
-		noSN         = flag.Bool("no-safetynet", false, "disable SafetyNet BER")
-		paperScale   = flag.Bool("paper-scale", false, "use the paper's full cache geometry (slower)")
-		verbose      = flag.Bool("v", false, "full telemetry report (per-node metrics, latency, events)")
-		metricsOut   = flag.String("metrics-out", "", "write the telemetry snapshot to this file (.json|.prom|.csv|.series.csv; '-' for stdout JSON)")
-		sampleEvery  = flag.Uint64("sample-every", 0, "telemetry sampling period in cycles (0 = default)")
-		httpAddr     = flag.String("http", "", "serve live /metrics, /metrics.json, and /debug/pprof/ on this address while running")
-		spansOut     = flag.String("spans-out", "", "record causal spans and write the binary dump to this file (render with dvmc-stat timeline)")
+		workloadName = fs.String("workload", "oltp", "workload: apache|oltp|jbb|slash|barnes|uniform")
+		modelName    = fs.String("model", "TSO", "consistency model: SC|TSO|PSO|RMO")
+		protoName    = fs.String("protocol", "directory", "coherence protocol: directory|snooping")
+		nodes        = fs.Int("nodes", 8, "processor count")
+		txns         = fs.Uint64("txns", 200, "transactions to complete")
+		maxCycles    = fs.Uint64("max-cycles", 100_000_000, "cycle budget")
+		seed         = fs.Uint64("seed", 1, "simulation seed")
+		linkGBps     = fs.Float64("link", 2.5, "link bandwidth in GB/s")
+		noDVMC       = fs.Bool("no-dvmc", false, "disable all DVMC checkers")
+		noSN         = fs.Bool("no-safetynet", false, "disable SafetyNet BER")
+		paperScale   = fs.Bool("paper-scale", false, "use the paper's full cache geometry (slower)")
+		verbose      = fs.Bool("v", false, "full telemetry report (per-node metrics, latency, events)")
+		metricsOut   = fs.String("metrics-out", "", "write the telemetry snapshot to this file (.json|.prom|.csv|.series.csv; '-' for stdout JSON)")
+		sampleEvery  = fs.Uint64("sample-every", 0, "telemetry sampling period in cycles (0 = default)")
+		httpAddr     = fs.String("http", "", "serve live /metrics, /metrics.json, and /debug/pprof/ on this address while running")
+		spansOut     = fs.String("spans-out", "", "record causal spans and write the binary dump to this file (render with dvmc-stat timeline)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 1
+	}
+	failf := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "dvmc-sim: "+format+"\n", args...)
+		return 1
+	}
+	if fs.NArg() > 0 {
+		return failf("unexpected argument %q", fs.Arg(0))
+	}
 
 	cfg := dvmc.ScaledConfig()
 	if *paperScale {
@@ -57,11 +77,11 @@ func main() {
 	cfg = cfg.WithNodes(*nodes).WithLinkGBps(*linkGBps).WithSeed(*seed)
 	model, err := dvmc.ParseModel(*modelName)
 	if err != nil {
-		fatalf("%v", err)
+		return failf("%v", err)
 	}
 	proto, err := dvmc.ParseProtocol(*protoName)
 	if err != nil {
-		fatalf("%v", err)
+		return failf("%v", err)
 	}
 	cfg = cfg.WithModel(model).WithProtocol(proto)
 	if *noDVMC {
@@ -81,54 +101,58 @@ func main() {
 
 	w, err := dvmc.WorkloadByName(*workloadName)
 	if err != nil {
-		fatalf("%v", err)
+		return failf("%v", err)
 	}
 
 	sys, err := dvmc.NewSystem(cfg, w)
 	if err != nil {
-		fatalf("assemble: %v", err)
+		return failf("assemble: %v", err)
 	}
-	fmt.Printf("dvmc-sim: %s on %d-node %v/%v system (dvmc=%v safetynet=%v link=%.1fGB/s)\n",
+	fmt.Fprintf(stdout, "dvmc-sim: %s on %d-node %v/%v system (dvmc=%v safetynet=%v link=%.1fGB/s)\n",
 		w.Name, cfg.Nodes, cfg.Protocol, cfg.Model, cfg.DVMC.Any(), cfg.SafetyNet, cfg.LinkGBps)
 
 	var res dvmc.Results
 	if *httpAddr != "" {
-		fmt.Printf("dvmc-sim: serving /metrics and /debug/pprof/ on %s\n", *httpAddr)
-		res, err = runWithHTTP(sys, *httpAddr, *txns, *maxCycles)
+		ln, err := net.Listen("tcp", *httpAddr)
+		if err != nil {
+			return failf("http: %v", err)
+		}
+		fmt.Fprintf(stdout, "dvmc-sim: serving /metrics and /debug/pprof/ on %s\n", ln.Addr())
+		res, err = runWithHTTP(sys, ln, *txns, *maxCycles)
 	} else {
 		res, err = sys.Run(*txns, *maxCycles)
 	}
 	if err != nil {
-		fatalf("run: %v", err)
+		return failf("run: %v", err)
 	}
 	sys.DrainCheckers()
 
-	fmt.Printf("\nruntime:        %d cycles for %d transactions (%.3f txn/kcycle)\n",
+	fmt.Fprintf(stdout, "\nruntime:        %d cycles for %d transactions (%.3f txn/kcycle)\n",
 		res.Cycles, res.Transactions, res.TPKC())
-	fmt.Printf("ops retired:    %d (loads executed %d, squashes spec=%d verify=%d)\n",
+	fmt.Fprintf(stdout, "ops retired:    %d (loads executed %d, squashes spec=%d verify=%d)\n",
 		res.OpsRetired, res.LoadsExecuted, res.SpecSquashes, res.VerifySquashes)
-	fmt.Printf("L1:             %d hits / %d misses   L2: %d hits / %d misses\n",
+	fmt.Fprintf(stdout, "L1:             %d hits / %d misses   L2: %d hits / %d misses\n",
 		res.L1Hits, res.L1Misses, res.L2Hits, res.L2Misses)
-	fmt.Printf("replay:         %d loads, %d L1 misses (ratio %.4f)\n",
+	fmt.Fprintf(stdout, "replay:         %d loads, %d L1 misses (ratio %.4f)\n",
 		res.ReplayLoads, res.ReplayL1Misses, res.ReplayMissRatio())
-	fmt.Printf("interconnect:   max link %.3f B/cycle, total %d bytes\n",
+	fmt.Fprintf(stdout, "interconnect:   max link %.3f B/cycle, total %d bytes\n",
 		res.MaxLinkBandwidth, res.TotalLinkBytes)
 	for _, cl := range network.Classes {
 		if bw := res.MaxLinkByClass[cl]; bw > 0 {
-			fmt.Printf("                  %-10v %.4f B/cycle on hottest link\n", cl, bw)
+			fmt.Fprintf(stdout, "                  %-10v %.4f B/cycle on hottest link\n", cl, bw)
 		}
 	}
 	if cfg.DVMC.CacheCoherence {
-		fmt.Printf("coherence chk:  %d informs (+%d open), %d processed at METs\n",
+		fmt.Fprintf(stdout, "coherence chk:  %d informs (+%d open), %d processed at METs\n",
 			res.Informs, res.OpenInforms, res.InformsProcessed)
 	}
 	if cfg.SafetyNet {
-		fmt.Printf("safetynet:      %d checkpoints, %d log msgs, %d recoveries\n",
+		fmt.Fprintf(stdout, "safetynet:      %d checkpoints, %d log msgs, %d recoveries\n",
 			res.Checkpoints, res.LogMessages, res.Recoveries)
 	}
-	fmt.Printf("violations:     %d\n", res.Violations)
+	fmt.Fprintf(stdout, "violations:     %d\n", res.Violations)
 	for _, v := range sys.Violations() {
-		fmt.Printf("  %v\n", v)
+		fmt.Fprintf(stdout, "  %v\n", v)
 	}
 
 	// The telemetry registry is the single source of truth for detailed
@@ -136,37 +160,38 @@ func main() {
 	// /metrics endpoint all render the same snapshot.
 	snap := sys.TelemetrySnapshot()
 	if *verbose {
-		fmt.Println()
-		if err := snap.Text(os.Stdout); err != nil {
-			fatalf("telemetry report: %v", err)
+		fmt.Fprintln(stdout)
+		if err := snap.Text(stdout); err != nil {
+			return failf("telemetry report: %v", err)
 		}
 	}
 	if *metricsOut != "" {
-		if err := telemetry.WriteSnapshotFile(snap, *metricsOut); err != nil {
-			fatalf("%v", err)
+		if *metricsOut == "-" {
+			err = snap.EncodeJSON(stdout)
+		} else {
+			err = telemetry.WriteSnapshotFile(snap, *metricsOut)
+		}
+		if err != nil {
+			return failf("%v", err)
 		}
 		if *metricsOut != "-" {
-			fmt.Printf("telemetry snapshot written to %s\n", *metricsOut)
+			fmt.Fprintf(stdout, "telemetry snapshot written to %s\n", *metricsOut)
 		}
 	}
 	if *spansOut != "" {
 		dump, err := sys.SpanBytes()
 		if err != nil {
-			fatalf("%v", err)
+			return failf("%v", err)
 		}
 		if err := os.WriteFile(*spansOut, dump, 0o644); err != nil {
-			fatalf("%v", err)
+			return failf("%v", err)
 		}
 		st := sys.SpanStats()
-		fmt.Printf("span dump written to %s (%d spans recorded, %d evicted, %d hops)\n",
+		fmt.Fprintf(stdout, "span dump written to %s (%d spans recorded, %d evicted, %d hops)\n",
 			*spansOut, st.Spans, st.SpansDropped, st.Events)
 	}
 	if res.Violations > 0 {
-		os.Exit(2)
+		return 2
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "dvmc-sim: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

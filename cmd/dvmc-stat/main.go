@@ -29,6 +29,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,28 +43,40 @@ import (
 	"dvmc/internal/telemetry"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is main's process edges, passed in so tests can drive it. A source
+// named '-' is read from the process's stdin.
+type cli struct {
+	stdout, stderr io.Writer
+}
+
+// run is main with its process edges passed in; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	c := &cli{stdout: stdout, stderr: stderr}
+	if len(args) < 1 {
+		c.usage()
+		return 1
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "dump":
-		dump(os.Args[2:])
+		return c.dump(args[1:])
 	case "series":
-		series(os.Args[2:])
+		return c.series(args[1:])
 	case "top":
-		top(os.Args[2:])
+		return c.top(args[1:])
 	case "timeline":
-		timeline(os.Args[2:])
+		return c.timeline(args[1:])
 	case "-h", "-help", "--help", "help":
-		usage()
+		c.usage()
+		return 0
 	default:
-		fatalf("unknown subcommand %q (want dump, series, top, or timeline)", os.Args[1])
+		return c.failf("unknown subcommand %q (want dump, series, top, or timeline)", args[0])
 	}
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
+func (c *cli) usage() {
+	fmt.Fprintf(c.stderr, `usage:
   dvmc-stat dump     [-format text|json|prom|csv|series-csv] <snapshot>
   dvmc-stat series   [-metric NAME] <snapshot>
   dvmc-stat top      [-n N] [-kind counter|gauge] <snapshot>
@@ -82,21 +95,26 @@ as Chrome trace-event JSON for Perfetto / chrome://tracing.
 exit codes: 0 clean, 1 usage or I/O error, 2 the snapshot records
 checker violations or the artifact failed to decode.
 `)
-	os.Exit(1)
 }
 
-// newFlagSet builds a flag set that exits 1 (usage), not 2, on parse
-// errors — exit 2 is reserved for snapshots with recorded violations.
-func newFlagSet(name string) *flag.FlagSet {
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
-	return fs
+// failf reports a usage or I/O error: exit 1 (2 is reserved for recorded
+// violations and artifacts that do not decode).
+func (c *cli) failf(format string, args ...any) int {
+	fmt.Fprintf(c.stderr, "dvmc-stat: "+format+"\n", args...)
+	return 1
 }
 
-func parseFlags(fs *flag.FlagSet, args []string) {
+// flags parses a subcommand's flags; ok false means return code now. A
+// parse error exits 1, not 2.
+func (c *cli) flags(fs *flag.FlagSet, args []string) (code int, ok bool) {
+	fs.SetOutput(c.stderr)
 	if err := fs.Parse(args); err != nil {
-		os.Exit(1)
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, false
+		}
+		return 1, false
 	}
+	return 0, true
 }
 
 // maxSnapshotBody bounds a snapshot read from a URL, so a server the tool
@@ -107,10 +125,10 @@ const maxSnapshotBody = 64 << 20
 // a file path, "-" for stdin, or an http(s):// URL — the live /metrics
 // endpoint of dvmc-sim -http or a dvmc-farm coordinator's
 // /metrics.json, so a running farm can be watched with the same tool
-// that reads recorded files.
-func load(fs *flag.FlagSet) *telemetry.Snapshot {
+// that reads recorded files. A nil snapshot comes with the exit code.
+func (c *cli) load(fs *flag.FlagSet) (*telemetry.Snapshot, int) {
 	if fs.NArg() != 1 {
-		fatalf("%s: need exactly one snapshot source (file, '-' for stdin, or http(s) URL)", fs.Name())
+		return nil, c.failf("%s: need exactly one snapshot source (file, '-' for stdin, or http(s) URL)", fs.Name())
 	}
 	path := fs.Arg(0)
 	var r io.Reader = os.Stdin
@@ -118,17 +136,17 @@ func load(fs *flag.FlagSet) *telemetry.Snapshot {
 	case strings.HasPrefix(path, "http://") || strings.HasPrefix(path, "https://"):
 		resp, err := http.Get(path)
 		if err != nil {
-			fatalf("%v", err)
+			return nil, c.failf("%v", err)
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			fatalf("%s: %s", path, resp.Status)
+			return nil, c.failf("%s: %s", path, resp.Status)
 		}
 		r = io.LimitReader(resp.Body, maxSnapshotBody)
 	case path != "-":
 		f, err := os.Open(path)
 		if err != nil {
-			fatalf("%v", err)
+			return nil, c.failf("%v", err)
 		}
 		defer f.Close()
 		r = f
@@ -138,53 +156,59 @@ func load(fs *flag.FlagSet) *telemetry.Snapshot {
 		// A snapshot that exists but does not decode is a failed artifact,
 		// not a usage error: exit 2, with the source named so a farm-wide
 		// sweep over many files points at the bad one.
-		fmt.Fprintf(os.Stderr, "dvmc-stat: %s: decoding snapshot: %v\n", path, err)
-		os.Exit(2)
+		fmt.Fprintf(c.stderr, "dvmc-stat: %s: decoding snapshot: %v\n", path, err)
+		return nil, 2
 	}
-	return snap
+	return snap, 0
 }
 
-// exitOn reports recorded violations with exit code 2 (after the
-// requested output was produced).
-func exitOn(snap *telemetry.Snapshot) {
+// verdict is the exit code once the requested output is produced: 2,
+// reported, if the snapshot records violations.
+func (c *cli) verdict(snap *telemetry.Snapshot) int {
 	if len(snap.Events) > 0 || snap.EventsDropped > 0 {
-		fmt.Fprintf(os.Stderr, "dvmc-stat: snapshot records %d violation event(s)\n",
+		fmt.Fprintf(c.stderr, "dvmc-stat: snapshot records %d violation event(s)\n",
 			uint64(len(snap.Events))+snap.EventsDropped)
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
-func dump(args []string) {
-	fs := newFlagSet("dump")
+func (c *cli) dump(args []string) int {
+	fs := flag.NewFlagSet("dump", flag.ContinueOnError)
 	format := fs.String("format", "text", "output format: text|json|prom|csv|series-csv")
-	parseFlags(fs, args)
-	snap := load(fs)
-	var err error
-	switch *format {
-	case "text":
-		err = snap.Text(os.Stdout)
-	case "json":
-		err = snap.EncodeJSON(os.Stdout)
-	case "prom":
-		err = snap.Prometheus(os.Stdout)
-	case "csv":
-		err = snap.CSV(os.Stdout)
-	case "series-csv":
-		err = snap.SeriesCSV(os.Stdout)
-	default:
-		fatalf("dump: unknown format %q", *format)
+	if code, ok := c.flags(fs, args); !ok {
+		return code
 	}
-	if err != nil {
-		fatalf("dump: %v", err)
+	render := map[string]func(*telemetry.Snapshot, io.Writer) error{
+		"text":       (*telemetry.Snapshot).Text,
+		"json":       (*telemetry.Snapshot).EncodeJSON,
+		"prom":       (*telemetry.Snapshot).Prometheus,
+		"csv":        (*telemetry.Snapshot).CSV,
+		"series-csv": (*telemetry.Snapshot).SeriesCSV,
+	}[*format]
+	if render == nil {
+		return c.failf("dump: unknown format %q", *format)
 	}
-	exitOn(snap)
+	snap, code := c.load(fs)
+	if snap == nil {
+		return code
+	}
+	if err := render(snap, c.stdout); err != nil {
+		return c.failf("dump: %v", err)
+	}
+	return c.verdict(snap)
 }
 
-func series(args []string) {
-	fs := newFlagSet("series")
+func (c *cli) series(args []string) int {
+	fs := flag.NewFlagSet("series", flag.ContinueOnError)
 	metric := fs.String("metric", "", "only this metric's series (default: all tracked)")
-	parseFlags(fs, args)
-	snap := load(fs)
+	if code, ok := c.flags(fs, args); !ok {
+		return code
+	}
+	snap, code := c.load(fs)
+	if snap == nil {
+		return code
+	}
 	if *metric != "" {
 		filtered := snap.Series[:0:0]
 		for _, s := range snap.Series {
@@ -193,25 +217,30 @@ func series(args []string) {
 			}
 		}
 		if len(filtered) == 0 {
-			fatalf("series: no tracked series named %q in snapshot", *metric)
+			return c.failf("series: no tracked series named %q in snapshot", *metric)
 		}
 		snap.Series = filtered
 	}
-	if err := snap.SeriesCSV(os.Stdout); err != nil {
-		fatalf("series: %v", err)
+	if err := snap.SeriesCSV(c.stdout); err != nil {
+		return c.failf("series: %v", err)
 	}
-	exitOn(snap)
+	return c.verdict(snap)
 }
 
-func top(args []string) {
-	fs := newFlagSet("top")
+func (c *cli) top(args []string) int {
+	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	n := fs.Int("n", 10, "how many metrics to show")
 	kind := fs.String("kind", "", "restrict to one kind: counter|gauge")
-	parseFlags(fs, args)
-	if *kind != "" && *kind != "counter" && *kind != "gauge" {
-		fatalf("top: unknown kind %q", *kind)
+	if code, ok := c.flags(fs, args); !ok {
+		return code
 	}
-	snap := load(fs)
+	if *kind != "" && *kind != "counter" && *kind != "gauge" {
+		return c.failf("top: unknown kind %q", *kind)
+	}
+	snap, code := c.load(fs)
+	if snap == nil {
+		return code
+	}
 	ms := make([]telemetry.MetricSnapshot, 0, len(snap.Metrics))
 	for _, m := range snap.Metrics {
 		if *kind == "" || m.Kind == *kind {
@@ -226,25 +255,27 @@ func top(args []string) {
 		return ms[i].Name < ms[j].Name
 	})
 	if *n < len(ms) {
-		ms = ms[:*n]
+		ms = ms[:max(*n, 0)]
 	}
-	fmt.Printf("top %d metrics @ cycle %d\n", len(ms), snap.Cycle)
+	fmt.Fprintf(c.stdout, "top %d metrics @ cycle %d\n", len(ms), snap.Cycle)
 	for _, m := range ms {
-		fmt.Printf("  %-36s %-8s %14d\n", m.Name, m.Kind, m.Total())
+		fmt.Fprintf(c.stdout, "  %-36s %-8s %14d\n", m.Name, m.Kind, m.Total())
 	}
-	exitOn(snap)
+	return c.verdict(snap)
 }
 
 // timeline renders a binary span dump as Chrome trace-event JSON: one
 // "X" slice per span (transaction, fault flight, or phase sample) and
 // one "i" instant per child event, ready for Perfetto or
 // chrome://tracing. Timestamps are simulated cycles, shown as µs.
-func timeline(args []string) {
-	fs := newFlagSet("timeline")
+func (c *cli) timeline(args []string) int {
+	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
 	out := fs.String("o", "", "write the JSON here instead of stdout")
-	parseFlags(fs, args)
+	if code, ok := c.flags(fs, args); !ok {
+		return code
+	}
 	if fs.NArg() != 1 {
-		fatalf("timeline: need exactly one span dump source (file or '-' for stdin)")
+		return c.failf("timeline: need exactly one span dump source (file or '-' for stdin)")
 	}
 	path := fs.Arg(0)
 	var data []byte
@@ -255,25 +286,31 @@ func timeline(args []string) {
 		data, err = os.ReadFile(path)
 	}
 	if err != nil {
-		fatalf("%v", err)
+		return c.failf("%v", err)
 	}
 	meta, spans, err := span.Decode(data)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dvmc-stat: %s: decoding span dump: %v\n", path, err)
-		os.Exit(2)
+		fmt.Fprintf(c.stderr, "dvmc-stat: %s: decoding span dump: %v\n", path, err)
+		return 2
 	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatalf("%v", err)
+	if *out == "" {
+		if err := span.WriteChrome(c.stdout, meta, spans, spanName); err != nil {
+			return c.failf("timeline: %v", err)
 		}
-		defer f.Close()
-		w = f
+		return 0
 	}
-	if err := span.WriteChrome(w, meta, spans, spanName); err != nil {
-		fatalf("timeline: %v", err)
+	f, err := os.Create(*out)
+	if err != nil {
+		return c.failf("%v", err)
 	}
+	err = span.WriteChrome(f, meta, spans, spanName)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return c.failf("timeline: %v", err)
+	}
+	return 0
 }
 
 // spanName renders span display names with the fault-kind vocabulary
@@ -284,9 +321,4 @@ func spanName(s *span.Span) string {
 		return "fault " + dvmc.FaultKind(s.Kind).String()
 	}
 	return s.Name()
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "dvmc-stat: "+format+"\n", args...)
-	os.Exit(1)
 }

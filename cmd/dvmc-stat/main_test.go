@@ -4,42 +4,87 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"dvmc"
+	"dvmc/internal/telemetry"
 )
 
-// TestMain lets tests re-exec this binary as dvmc-stat itself: with the
-// dispatch variable set, the process runs main() on its argv instead of
-// the test suite, so exit codes and stderr are observed exactly as a
-// shell would see them.
-func TestMain(m *testing.M) {
-	if os.Getenv("DVMC_STAT_RUN_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// runStat re-executes the test binary as dvmc-stat with the given
-// arguments, returning exit code, stdout, and stderr.
+// runStat runs dvmc-stat in process with the given arguments, returning
+// exit code, stdout, and stderr.
 func runStat(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "DVMC_STAT_RUN_MAIN=1")
 	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	code := 0
-	if ee, ok := err.(*exec.ExitError); ok {
-		code = ee.ExitCode()
-	} else if err != nil {
-		t.Fatalf("re-exec: %v", err)
-	}
+	code := run(args, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
+}
+
+// snapshotFile runs a 4-node system with telemetry on and writes its
+// snapshot; starved links make the checkers record violations.
+func snapshotFile(t *testing.T, linkGBps float64) string {
+	t.Helper()
+	cfg := dvmc.ScaledConfig().WithNodes(4).WithLinkGBps(linkGBps).WithTelemetry(dvmc.TelemetryOn())
+	sys, err := dvmc.NewSystem(cfg, dvmc.OLTP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(20, 1_000_000)
+	path := filepath.Join(t.TempDir(), "run.json")
+	if err := telemetry.WriteSnapshotFile(sys.TelemetrySnapshot(), path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestExitCodes pins the tool's contract on every subcommand: 0 for
+// help or a clean snapshot, 1 for a usage or I/O error, 2 for a
+// snapshot that records violations (after the output is written).
+func TestExitCodes(t *testing.T) {
+	clean, violated := snapshotFile(t, 2.5), snapshotFile(t, 0.05)
+	absent := filepath.Join(t.TempDir(), "absent.json")
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		code   int
+		stdout string
+		stderr string
+	}{
+		{"no subcommand", nil, 1, "", "usage:"},
+		{"help", []string{"-h"}, 0, "", "usage:"},
+		{"subcommand help", []string{"top", "-h"}, 0, "", "-kind"},
+		{"unknown subcommand", []string{"plot", clean}, 1, "", `unknown subcommand "plot"`},
+		{"unknown flag", []string{"dump", "-nope", clean}, 1, "", "flag provided but not defined"},
+		{"no source", []string{"dump"}, 1, "", "need exactly one snapshot source"},
+		{"two sources", []string{"top", clean, clean}, 1, "", "need exactly one snapshot source"},
+		{"missing file", []string{"series", absent}, 1, "", absent},
+		{"unknown format", []string{"dump", "-format", "xml", clean}, 1, "", `unknown format "xml"`},
+		{"unknown kind", []string{"top", "-kind", "histogram", clean}, 1, "", `unknown kind "histogram"`},
+		{"unknown series", []string{"series", "-metric", "no.such", clean}, 1, "", `no tracked series named "no.such"`},
+		{"timeline source", []string{"timeline"}, 1, "", "need exactly one span dump source"},
+		{"dump", []string{"dump", clean}, 0, "cycle", ""},
+		{"dump prom", []string{"dump", "-format", "prom", clean}, 0, "# TYPE", ""},
+		{"series", []string{"series", clean}, 0, "", ""},
+		{"top", []string{"top", "-n", "3", clean}, 0, "top 3 metrics", ""},
+		{"top negative", []string{"top", "-n", "-1", clean}, 0, "top 0 metrics", ""},
+		{"violations dump", []string{"dump", violated}, 2, "cycle", "violation event(s)"},
+		{"violations top", []string{"top", violated}, 2, "top 10 metrics", "violation event(s)"},
+	} {
+		code, stdout, stderr := runStat(t, tc.args...)
+		if code != tc.code {
+			t.Errorf("%s: exit %d, want %d; stderr: %s", tc.name, code, tc.code, stderr)
+		}
+		if !strings.Contains(stdout, tc.stdout) {
+			t.Errorf("%s: stdout lacks %q:\n%s", tc.name, tc.stdout, stdout)
+		}
+		if !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("%s: stderr lacks %q:\n%s", tc.name, tc.stderr, stderr)
+		}
+		if tc.code == 0 && tc.stderr == "" && stderr != "" {
+			t.Errorf("%s: clean run wrote to stderr: %s", tc.name, stderr)
+		}
+	}
 }
 
 // TestDumpMalformedSnapshotExitsTwo is the regression test for the

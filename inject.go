@@ -194,12 +194,18 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 		}
 	}
 	// Observe until detection, or — for finite programs — until every
-	// thread has finished and drained plus a settling grace (in-flight
-	// coherence messages and queued informs can still surface a late
-	// violation), or the budget expires. Statistical workloads never
-	// finish, so their observation window is the full budget as before.
-	grace := uint64(0)
-	s.kernel.RunUntil(func() bool {
+	// thread has finished and drained plus a settling grace of
+	// finishGraceCycles finished cycles (in-flight coherence messages and
+	// queued informs can still surface a late violation), or the budget
+	// expires. Statistical workloads never finish, so their observation
+	// window is the full budget as before. The loop judges one cycle
+	// boundary per pass; RunUntil, whose predicate reads state only, runs
+	// to the next boundary at which the judgement can change. Its two
+	// time conditions are deadlines bounding that run: the second
+	// rollback at recoverAgainAt, and the boundary at which the grace
+	// runs out if the system stays finished.
+	grace, left := uint64(0), budget
+	for {
 		if s.recoverAgainAt > 0 && s.Now() >= s.recoverAgainAt {
 			// The second rollback, issued before any post-recovery
 			// checkpoint: it re-restores the checkpoint the first recovery
@@ -208,14 +214,31 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 			s.Recover(s.Now())
 		}
 		if detected() {
-			return true
+			break
 		}
-		if s.Finished() {
+		finished := s.Finished()
+		if finished {
 			grace++
-			return grace > finishGraceCycles
 		}
-		return false
-	}, budget)
+		if grace > finishGraceCycles || left == 0 {
+			break
+		}
+		n := left
+		if s.recoverAgainAt > s.Now() {
+			n = min(n, uint64(s.recoverAgainAt-s.Now()))
+		}
+		if finished {
+			n = min(n, finishGraceCycles+1-grace)
+		}
+		from := s.Now()
+		s.kernel.RunUntil(func() bool { return detected() || s.Finished() != finished }, n)
+		ran := uint64(s.Now() - from)
+		left -= ran
+		if finished {
+			// The boundaries passed before the one this run stopped at.
+			grace += ran - 1
+		}
+	}
 	if !detected() {
 		// Give the MET a final ordered pass over settled informs.
 		s.DrainCheckers()

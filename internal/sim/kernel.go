@@ -1,8 +1,9 @@
 // Package sim provides the cycle-driven discrete-event simulation kernel on
 // which the multiprocessor substrate runs: a global clock, deterministic
 // pseudo-random streams for workload perturbation, and a component
-// registry walked in a fixed order each cycle, ticking the components
-// whose due cycle has come.
+// registry whose components are ticked, in a fixed order, on the cycles
+// their published due cycle has come — found through a due calendar, so
+// cycles in which nothing is due are skipped.
 //
 // The paper evaluates DVMC with cycle-accurate full-system simulation
 // (Simics + GEMS + TFSim); this kernel is the equivalent substrate built
@@ -10,6 +11,8 @@
 // pure function of its configuration and seed, which the test suite relies
 // on heavily.
 package sim
+
+import "math/bits"
 
 // Cycle is a point in simulated time, measured in processor clock cycles.
 type Cycle uint64
@@ -39,23 +42,49 @@ type entry struct {
 	due Cycle
 }
 
+// wheelSlots is the calendar's span in cycles: one bitset per cycle of
+// the window [limit-wheelSlots, limit).
+const wheelSlots = 64
+
 // Kernel owns the global clock and the registered components.
 // The zero value is a kernel at cycle 0 with no components.
+//
+// The table's due cycles are the truth; the calendar only says where to
+// look. It is a wheel of wheelSlots bitsets over component indices, one
+// per cycle of an aligned window that holds now: a component that can be
+// ticked first in a cycle of the window has its bit set in that cycle's
+// slot (publish keeps this). Step pops the current slot in
+// index order and ticks each component whose due cycle has come; a bit
+// whose due cycle has since moved later is stale and dropped. A due cycle
+// at or past the window's end waits for the refill that opens the next
+// window, which reads every due cycle once.
 type Kernel struct {
 	now   Cycle
 	table []entry
 	// ticking is 1 + the index of the component whose Tick is running,
 	// 0 outside one: the split LastTick and Ticks derive their answers
-	// from.
+	// from, and the first cycle a wake to an index can take effect.
 	ticking int
+
+	// wheel is the calendar, word-major: bit b of wheel[w*wheelSlots+s]
+	// marks component w*64+b for the window's cycle in slot s (cycle mod
+	// wheelSlots), so a word of slots is added per 64 components. occ
+	// has bit s set while slot s may hold a mark. limit is the window's
+	// end; now >= limit means a refill is due.
+	wheel []uint64
+	occ   uint64
+	limit Cycle
 
 	// stopped is set by Stop to end a Run early.
 	stopped bool
 }
 
-// NewKernel returns a kernel whose table holds n components without
-// growing.
-func NewKernel(n int) *Kernel { return &Kernel{table: make([]entry, 0, n)} }
+// NewKernel returns a kernel whose table and calendar hold n components
+// without growing.
+func NewKernel(n int) *Kernel {
+	words := (n + 63) / 64
+	return &Kernel{table: make([]entry, 0, n), wheel: make([]uint64, words*wheelSlots)}
+}
 
 // Register adds a component to the tick list, due at once. Components are
 // ticked in registration order, which the system assembler chooses
@@ -66,28 +95,122 @@ func NewKernel(n int) *Kernel { return &Kernel{table: make([]entry, 0, n)} }
 // cycle 0.
 func (k *Kernel) Register(c Clockable) {
 	k.table = append(k.table, entry{c: c})
+	if len(k.table) > len(k.wheel) {
+		// One more word per slot: 64 more components.
+		k.wheel = append(k.wheel, make([]uint64, wheelSlots)...)
+	}
+	i := len(k.table) - 1
+	k.mark(i, k.now)
 	if s, ok := c.(Scheduled); ok {
-		s.Attach(Slot{k: k, i: len(k.table) - 1})
+		s.Attach(Slot{k: k, i: i})
 	}
 }
 
 // Now returns the current cycle.
 func (k *Kernel) Now() Cycle { return k.now }
 
+// mark enters component i in the calendar for cycle c, a cycle a walk can
+// still reach. A cycle at or past the window's end is left to the refill.
+func (k *Kernel) mark(i int, c Cycle) {
+	if c < k.limit {
+		s := int(c % wheelSlots)
+		k.wheel[i/64*wheelSlots+s] |= 1 << (i % 64)
+		k.occ |= 1 << s
+	}
+}
+
+// publish makes c component i's due cycle. For every component but the
+// one ticking (Step marks that one after its Tick), the calendar holds a
+// mark for the first cycle a walk could tick it, max(due, first), when
+// that cycle is in the window; first is this cycle if the walk has not
+// passed i yet (or no Step is running), the next one otherwise. So
+// publish marks only when that cycle moves.
+func (k *Kernel) publish(i int, c Cycle) {
+	first := k.now
+	if i < k.ticking {
+		first++
+	}
+	e := &k.table[i]
+	was := max(e.due, first)
+	e.due = c
+	if c = max(c, first); c != was {
+		k.mark(i, c)
+	}
+}
+
+// refill opens the aligned window of wheelSlots cycles that holds now,
+// marks every component due in it, and returns the first cycle any
+// component is due.
+func (k *Kernel) refill() Cycle {
+	k.limit = k.now&^(wheelSlots-1) + wheelSlots
+	if k.limit < k.now {
+		k.limit = Never
+	}
+	next := Never
+	for i := range k.table {
+		c := max(k.table[i].due, k.now)
+		next = min(next, c)
+		k.mark(i, c)
+	}
+	return next
+}
+
 // Step advances simulated time by one cycle, ticking every component
-// whose due cycle has come. Due cycles are read as the walk reaches them,
-// so a wake sent to a later component during the walk is seen this
-// cycle, one sent to an earlier component the next.
+// whose due cycle has come, in index order. A wake sent during the Step
+// to a later component is seen this cycle, one sent to an earlier
+// component (or to the one ticking) the next.
 func (k *Kernel) Step() {
 	now := k.now
-	for i := range k.table {
-		if k.table[i].due <= now {
-			k.ticking = i + 1
-			k.table[i].c.Tick(now)
+	if now >= k.limit {
+		k.refill()
+	}
+	s := int(now % wheelSlots)
+	for base := 0; base < len(k.table); base += 64 {
+		// Re-read the word after every tick: a wake to a later index in
+		// it lands here this cycle.
+		word := &k.wheel[base/64*wheelSlots+s]
+		for *word != 0 {
+			b := bits.TrailingZeros64(*word)
+			*word &^= 1 << b
+			i := base + b
+			if e := &k.table[i]; e.due <= now {
+				k.ticking = i + 1
+				e.c.Tick(now)
+				if e.due <= now+1 {
+					// Due next cycle, or still due: it published no
+					// later cycle, and publish took the mark for
+					// granted.
+					k.mark(i, now+1)
+				}
+			}
 		}
 	}
+	k.occ &^= 1 << s
 	k.ticking = 0
 	k.now++
+}
+
+// idle advances now over the cycles in which no component is due,
+// stopping at the first one that may have work or at end.
+func (k *Kernel) idle(end Cycle) {
+	for k.now < end {
+		if k.now >= k.limit {
+			if next := k.refill(); next >= k.limit {
+				// Nothing due in the whole window: jump to the first
+				// due cycle and open the window there.
+				k.now = min(next, end)
+				k.limit = k.now
+				continue
+			}
+		}
+		// Bit j is the slot of cycle now+j: occ holds only slots of
+		// cycles in [now, limit), so no bit aliases an earlier cycle.
+		if ahead := bits.RotateLeft64(k.occ, -int(k.now%wheelSlots)); ahead != 0 {
+			k.now = min(k.now+Cycle(bits.TrailingZeros64(ahead)), end)
+			return
+		}
+		k.now = min(k.limit, end)
+	}
 }
 
 // Stop makes the innermost Run or RunUntil return after the current cycle.
@@ -96,21 +219,34 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Run advances the clock n cycles, or fewer if Stop is called.
 // It returns the number of cycles actually simulated.
 func (k *Kernel) Run(n uint64) uint64 {
-	k.stopped = false
-	var i uint64
-	for ; i < n && !k.stopped; i++ {
-		k.Step()
-	}
-	return i
+	start := k.now
+	k.RunUntil(func() bool { return false }, n)
+	return uint64(k.now - start)
 }
 
-// RunUntil steps the clock until done returns true or maxCycles elapse.
-// It reports whether done became true.
+// RunUntil steps the clock until done returns true, Stop is called or
+// maxCycles elapse (saturating at Never). It reports whether done became
+// true.
+//
+// Cycles in which no component is due are skipped, not stepped, so done
+// is evaluated after every Step and on the first cycle of each idle
+// stretch, not on every cycle. It must therefore depend on simulated
+// state only, which cannot change in an idle cycle: a condition on the
+// time itself is a deadline, passed as maxCycles of a RunUntil that ends
+// there.
 func (k *Kernel) RunUntil(done func() bool, maxCycles uint64) bool {
 	k.stopped = false
-	for i := uint64(0); i < maxCycles && !k.stopped; i++ {
+	end := k.now + Cycle(maxCycles)
+	if end < k.now {
+		end = Never
+	}
+	for k.now < end && !k.stopped {
 		if done() {
 			return true
+		}
+		// done was just false, and nothing changes until the next Step.
+		if k.idle(end); k.now == end {
+			return false
 		}
 		k.Step()
 	}
@@ -137,15 +273,16 @@ type Slot struct {
 // Wake makes the component due at once: later this cycle if its index is
 // after the one being ticked, else at the next Step.
 func (s Slot) Wake() {
-	if s.k != nil {
-		s.k.table[s.i].due = 0
+	// A component already due (due <= now) stays due as it is.
+	if s.k != nil && s.k.table[s.i].due > s.k.now {
+		s.k.publish(s.i, 0)
 	}
 }
 
 // WakeAt makes the component due at cycle c at the latest.
 func (s Slot) WakeAt(c Cycle) {
 	if s.k != nil && c < s.k.table[s.i].due {
-		s.k.table[s.i].due = c
+		s.k.publish(s.i, c)
 	}
 }
 
@@ -153,8 +290,8 @@ func (s Slot) WakeAt(c Cycle) {
 // earlier one: a Tick ends with it, naming the first cycle its guard
 // would let it act.
 func (s Slot) SleepUntil(c Cycle) {
-	if s.k != nil {
-		s.k.table[s.i].due = c
+	if s.k != nil && c != s.k.table[s.i].due {
+		s.k.publish(s.i, c)
 	}
 }
 

@@ -16,8 +16,10 @@ type stamp struct {
 // model is a random Scheduled component built like the simulator's: a
 // guard in front of its work (an own timer and a wake mark), and a Tick
 // that ends by publishing the cycle the guard next lets it act. When it
-// acts it draws, from its own stream, a new timer, maybe a self-wake and
-// wakes for random peers, earlier or later in the table.
+// acts it draws, from its own stream, a new timer (near, on or next to a
+// 64-cycle boundary, past the calendar's window, or Never), maybe a
+// self-wake, maybe a Stop, and maybe a wake for a random peer, earlier or
+// later in the table.
 type model struct {
 	id    int
 	k     *Kernel
@@ -51,15 +53,26 @@ func (m *model) Tick(now Cycle) {
 func (m *model) act(now Cycle) {
 	m.note(0)
 	m.woken = false
-	if m.rng.Intn(4) == 0 {
+	switch m.rng.Intn(8) {
+	case 0, 1, 2:
 		m.timer = Never
-	} else {
+	case 3:
+		// On a 64-cycle boundary, or next to one: the calendar's window
+		// edges.
+		m.timer = (now/wheelSlots+1)*wheelSlots + Cycle(m.rng.Intn(3)) - 1
+	case 4:
+		// Past the calendar's window.
+		m.timer = now + Cycle(wheelSlots+m.rng.Intn(300))
+	default:
 		m.timer = now + Cycle(1+m.rng.Intn(30))
 	}
 	if m.rng.Intn(6) == 0 {
 		m.woken = true
 	}
-	for n := m.rng.Intn(3); n > 0; n-- {
+	if m.rng.Intn(64) == 0 {
+		m.k.Stop()
+	}
+	if m.rng.Intn(3) == 0 {
 		m.peers[m.rng.Intn(len(m.peers))].poke()
 	}
 }
@@ -243,15 +256,231 @@ func TestKernelCountsWithSleepingComponents(t *testing.T) {
 	}
 }
 
-// TestKernelSteadyStateAllocFree: a Step over 50 sleeping components
-// allocates nothing.
-func TestKernelSteadyStateAllocFree(t *testing.T) {
-	k := NewKernel(50)
-	for i := 0; i < 50; i++ {
-		k.Register(&sleeper{})
+// alarm is a Scheduled component that rings when its cycle comes: state a
+// RunUntil predicate can wait on without naming the time.
+type alarm struct {
+	slot Slot
+	at   Cycle
+	rang bool
+}
+
+func (a *alarm) Attach(s Slot) { a.slot = s }
+
+func (a *alarm) Tick(now Cycle) {
+	if now >= a.at {
+		a.rang, a.at = true, Never
 	}
-	k.Step()
-	if allocs := testing.AllocsPerRun(1000, k.Step); allocs != 0 {
-		t.Errorf("Step over 50 sleeping components: %.2f allocs/op, want 0", allocs)
+	a.slot.SleepUntil(a.at)
+}
+
+func (a *alarm) set(c Cycle) {
+	a.at, a.rang = c, false
+	a.slot.SleepUntil(c)
+}
+
+// eval is one answer of a RunUntil predicate: in which call, on which
+// cycle.
+type eval struct {
+	Call int
+	At   Cycle
+	Done bool
+}
+
+// ending is what one Run (Ran) or RunUntil (Done) call returned and
+// where it left the clock.
+type ending struct {
+	Ran  uint64
+	Done bool
+	Now  Cycle
+}
+
+// everyCycle is RunUntil as the always-ticked reference runs it: the
+// predicate before every Step, on every cycle.
+func everyCycle(k *Kernel, step func(), done func() bool, maxCycles uint64) bool {
+	k.stopped = false
+	for i := uint64(0); i < maxCycles && !k.stopped; i++ {
+		if done() {
+			return true
+		}
+		step()
+	}
+	return done()
+}
+
+// driveModel runs n random components and an alarm through calls random
+// Run and RunUntil calls, poking a random component between calls. The
+// due-driven side uses the kernel's Run and RunUntil, which skip idle
+// cycles; the reference wakes every component before each Step and asks
+// the predicate on every cycle. It returns every stamp read, every
+// predicate answer and how each call ended.
+func driveModel(seed uint64, n, calls int, reference bool) (log []stamp, evals []eval, ends []ending) {
+	k := NewKernel(n + 1)
+	var wrapped []*alwaysDue
+	register := func(c Scheduled) {
+		if reference {
+			w := &alwaysDue{Scheduled: c}
+			wrapped = append(wrapped, w)
+			c = w
+		}
+		k.Register(c)
+	}
+	ms := make([]*model, n)
+	for i := range ms {
+		ms[i] = &model{id: i, k: k, rng: NewRand(seed).Fork(uint64(i)), log: &log}
+	}
+	for _, m := range ms {
+		m.peers = ms
+		register(m)
+	}
+	al := &alarm{at: Never}
+	register(al)
+	step := func() {
+		for _, w := range wrapped {
+			w.slot.Wake()
+		}
+		k.Step()
+	}
+	between := NewRand(seed ^ 0x5eed)
+	for c := 0; c < calls; c++ {
+		ms[between.Intn(n)].poke()
+		var done func() bool
+		var budget uint64
+		switch between.Intn(4) {
+		case 0:
+			budget = uint64(between.Intn(300))
+		case 1:
+			target := len(log) + 1 + between.Intn(40)
+			done = func() bool { return len(log) >= target }
+			budget = uint64(between.Intn(400))
+		case 2:
+			// A budget near 2^64 saturates: the run ends when the alarm
+			// rings (or at a Stop), as it would stepping every cycle.
+			al.set(k.Now() + Cycle(between.Intn(500)))
+			done = func() bool { return al.rang }
+			budget = ^uint64(0) - uint64(between.Intn(3))
+		case 3:
+			al.set(k.Now() + Cycle(between.Intn(200)))
+			done = func() bool { return al.rang }
+			budget = uint64(between.Intn(200))
+		}
+		start := k.Now()
+		if done == nil {
+			var ran uint64
+			if reference {
+				everyCycle(k, step, func() bool { return false }, budget)
+				ran = uint64(k.Now() - start)
+			} else {
+				ran = k.Run(budget)
+			}
+			ends = append(ends, ending{Ran: ran, Now: k.Now()})
+			continue
+		}
+		ask := func() bool {
+			d := done()
+			evals = append(evals, eval{c, k.Now(), d})
+			return d
+		}
+		var ok bool
+		if reference {
+			ok = everyCycle(k, step, ask, budget)
+		} else {
+			ok = k.RunUntil(ask, budget)
+		}
+		ends = append(ends, ending{Done: ok, Now: k.Now()})
+	}
+	return log, evals, ends
+}
+
+// TestKernelRunUntilMatchesAlwaysTicked: Run and RunUntil, which jump the
+// clock over cycles in which nothing is due, leave every stamp, every
+// predicate answer they ask for and every return value and end cycle as
+// an always-ticked kernel asking the predicate on every cycle — with one
+// and two words of components, dues on and next to the calendar's window
+// edges, past it and Never, Stop inside a tick, and budgets near 2^64.
+func TestKernelRunUntilMatchesAlwaysTicked(t *testing.T) {
+	for _, n := range []int{12, 100} {
+		asked, refAsked := 0, 0
+		for seed := uint64(1); seed <= 6; seed++ {
+			log, evals, ends := driveModel(seed, n, 400, false)
+			refLog, refEvals, refEnds := driveModel(seed, n, 400, true)
+			for i := range min(len(log), len(refLog)) {
+				if log[i] != refLog[i] {
+					t.Fatalf("n=%d seed %d: stamp %d is %+v, the always-ticked run read %+v", n, seed, i, log[i], refLog[i])
+				}
+			}
+			if len(log) != len(refLog) {
+				t.Fatalf("n=%d seed %d: %d stamps, the always-ticked run read %d", n, seed, len(log), len(refLog))
+			}
+			if !reflect.DeepEqual(ends, refEnds) {
+				t.Fatalf("n=%d seed %d: calls ended %v, the always-ticked run %v", n, seed, ends, refEnds)
+			}
+			ref := map[[2]uint64]bool{}
+			for _, e := range refEvals {
+				ref[[2]uint64{uint64(e.Call), uint64(e.At)}] = e.Done
+			}
+			for _, e := range evals {
+				if want, ok := ref[[2]uint64{uint64(e.Call), uint64(e.At)}]; !ok || want != e.Done {
+					t.Fatalf("n=%d seed %d: call %d asked at cycle %d got %v; the always-ticked run answered %v (asked: %v)", n, seed, e.Call, e.At, e.Done, want, ok)
+				}
+			}
+			asked += len(evals)
+			refAsked += len(refEvals)
+		}
+		if asked*2 > refAsked {
+			t.Errorf("n=%d: RunUntil asked its predicate %d times, the reference %d: it skipped too little to test anything", n, asked, refAsked)
+		}
+	}
+}
+
+// pulse is a Scheduled component that acts once per period at its phase
+// and wakes a peer when it does: with phases bunched at the start of the
+// period, a run has bursts of wakes and sleeps and, between them, idle
+// stretches longer than the calendar's window.
+type pulse struct {
+	slot   Slot
+	next   Cycle
+	period Cycle
+	peer   *pulse
+}
+
+func (p *pulse) Attach(s Slot) { p.slot = s }
+
+func (p *pulse) Tick(now Cycle) {
+	if now >= p.next {
+		p.next += p.period
+		p.peer.slot.Wake()
+	}
+	p.slot.SleepUntil(p.next)
+}
+
+// TestKernelSteadyStateAllocFree: a kernel sized by NewKernel allocates
+// its calendar once, and a RunUntil over two pulse periods (eight turns
+// of the calendar, with refills, wakes, sleeps and idle skips) over two
+// words of components allocates nothing.
+func TestKernelSteadyStateAllocFree(t *testing.T) {
+	const n, period = 101, 4 * wheelSlots
+	ps := make([]*pulse, n)
+	for i := range ps {
+		ps[i] = &pulse{next: Cycle(i % 50), period: period}
+	}
+	for i, p := range ps {
+		p.peer = ps[(i*7+3)%n]
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		k := NewKernel(n)
+		for _, p := range ps {
+			k.Register(p)
+		}
+	}); allocs > 3 {
+		t.Errorf("NewKernel(%d) and %d Registers: %.0f allocations, want 3 (kernel, table, calendar)", n, n, allocs)
+	}
+	k := NewKernel(n)
+	for _, p := range ps {
+		k.Register(p)
+	}
+	never := func() bool { return false }
+	k.RunUntil(never, 2*period)
+	if allocs := testing.AllocsPerRun(100, func() { k.RunUntil(never, 2*period) }); allocs != 0 {
+		t.Errorf("RunUntil over %d cycles of %d components: %.2f allocs/op, want 0", 2*period, n, allocs)
 	}
 }

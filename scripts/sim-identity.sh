@@ -8,8 +8,10 @@
 #
 #   - dvmc-trace record over {directory,snooping} x {SC,TSO,PSO,RMO} x
 #     {oltp,slash} x seeds {1,2} at -txns 300 (32 traces a side)
-#   - dvmc-sim -txns 300 with -spans-out and -metrics-out, both protocols
-#     (span dump, telemetry snapshot, stdout)
+#   - dvmc-sim -txns 300 with -spans-out and -metrics-out, both protocols,
+#     at 8 and at 16 nodes (span dump, telemetry snapshot, stdout; 16
+#     nodes is 101 kernel components, more than one 64-bit word of the
+#     kernel's calendar)
 #   - stdout of CI's two fuzz-smoke campaigns
 #   - per fault kind (all 19): dvmc-fuzz run -seed 7 -n 40 -fault-frac 1
 #     -kinds <kind> -v, stdout and exit code
@@ -84,6 +86,8 @@ artifacts() {
 		done
 		"$bin/dvmc-sim" -protocol $p -workload oltp -model TSO -txns 300 \
 			-spans-out "sim-$p.spans" -metrics-out "sim-$p.metrics.json" >"sim-$p.stdout"
+		"$bin/dvmc-sim" -protocol $p -nodes 16 -txns 300 \
+			-spans-out "sim16-$p.spans" -metrics-out "sim16-$p.metrics.json" >"sim16-$p.stdout"
 	done
 	"$bin/dvmc-fuzz" run -seed 1 -n 60 -fault-frac 0.5 -v >fuzz-smoke-1.stdout
 	"$bin/dvmc-fuzz" run -seed 23 -n 80 -fault-frac 0.8 -v \
