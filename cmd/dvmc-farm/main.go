@@ -23,7 +23,8 @@
 // undetected faults) or, on resume, a checkpoint that does not decode —
 // torn mid-file, a CRC mismatch, a DVMC1 journal from before shard
 // results became verdicts, an experiment journal whose results carry
-// per-row "rows" — or that holds a result the job would refuse.
+// per-row "rows", a fuzz journal whose spec names breeding "generations"
+// — or that holds a result the job would refuse.
 //
 // Example (two terminals):
 //
@@ -138,16 +139,14 @@ func (c *cli) serve(args []string, resume bool) int {
 		// Job flags (serve only; resume reads the spec from the journal).
 		kind      = fs.String("job", "fuzz", "job kind: fuzz | experiment")
 		seed      = fs.Uint64("seed", 1, "campaign master seed")
-		n         = fs.Int("n", 200, "fuzz: number of runs, all generations together")
+		n         = fs.Int("n", 200, "fuzz: number of runs")
 		faultFrac = fs.Float64("fault-frac", 0.5, "fuzz: fraction of runs that inject a fault")
 		budget    = fs.Uint64("budget", fuzz.DefaultBudget, "per-run cycle budget")
-		corpus    = fs.String("corpus", "", "fuzz: directory for minimized failure reproducers (and, with -gens, the distilled seed pool)")
+		corpus    = fs.String("corpus", "", "fuzz: directory for minimized failure reproducers")
 		minimize  = fs.Bool("minimize", true, "fuzz: delta-debug failures before writing them")
 		minBudget = fs.Int("minimize-budget", fuzz.DefaultMinimizeBudget, "fuzz: max re-runs per minimized failure")
 		metrics   = fs.Bool("metrics", false, "fuzz: instrument every case and merge telemetry farm-wide")
 		kinds     = fs.String("kinds", "", "fuzz: comma-separated fault kinds to inject (default all)")
-		gens      = fs.Int("gens", 0, "fuzz: breeding generations after the random prefix (0 = plain random fuzzing)")
-		genSize   = fs.Int("gen-size", 0, "fuzz: mutants per generation (0 = n/8, min 1)")
 		faults    = fs.Int("faults", 100, "experiment: injections per protocol x model row")
 	)
 	if code, ok := c.flags(fs, args); !ok {
@@ -181,8 +180,7 @@ func (c *cli) serve(args []string, resume bool) int {
 		switch spec.Kind {
 		case fabric.JobFuzz:
 			spec.Fuzz = &fuzz.CampaignConfig{
-				Seed: *seed, Runs: *n, Generations: *gens, PerGen: *genSize,
-				FaultFrac: *faultFrac, Budget: *budget,
+				Seed: *seed, Runs: *n, FaultFrac: *faultFrac, Budget: *budget,
 				CorpusDir: *corpus, Minimize: *minimize, MinimizeBudget: *minBudget,
 				Metrics: *metrics, Kinds: fuzz.ParseKinds(*kinds),
 			}
@@ -381,9 +379,6 @@ func (c *cli) status(args []string) int {
 		shard := "idle"
 		if w.ActiveShard >= 0 {
 			shard = fmt.Sprintf("shard %d", w.ActiveShard)
-			if w.Generation >= 0 {
-				shard += fmt.Sprintf(" (gen %d)", w.Generation)
-			}
 		}
 		fmt.Fprintf(c.stdout, "  worker %-20s %3d shards (%.2f/s), %-16s seen %ds ago, renewed %ds ago\n",
 			w.Name, w.Shards, w.ShardsPerSec, shard+",", w.LastSeenSeconds, w.LastRenewSeconds)

@@ -41,7 +41,7 @@ func TestExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sh := range spec.Shards() {
-		res, err := fabric.ExecuteShard(spec, sh, nil)
+		res, err := fabric.ExecuteShard(spec, sh)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,6 +69,8 @@ func TestExitCodes(t *testing.T) {
 	// Specs whose case space would size the shard partition or the
 	// injection list near 2^40 entries.
 	hugeRuns := file("huge-runs.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"fuzz","fuzz":{"seed":5,"runs":1099511627776,"budget":2000}}}`)))
+	// A journal from when a campaign could breed generations.
+	gens := file("gens.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"fuzz","fuzz":{"seed":5,"runs":4,"generations":2,"workers":0,"fault_frac":0,"budget":2000,"minimize":false},"shard_size":2}}`)))
 	hugeFaults := file("huge-faults.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"experiment","experiment":{"faults":137438953472,"budget":1000,"seed":3}}}`)))
 
 	for _, tc := range []struct {
@@ -91,6 +93,7 @@ func TestExitCodes(t *testing.T) {
 		{"DVMC1 journal", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", v1}, 2, "journal version DVMC1"},
 		{"a short result", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", short}, 2, fmt.Sprintf("record 1, offset %d", len(lines[0]))},
 		{"experiment rows", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", rows}, 2, `unknown field "rows"`},
+		{"breeding generations", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", gens}, 2, `unknown field "generations"`},
 		{"fuzz runs near 2^40", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", hugeRuns}, 2, "record 0, offset 0: fabric: fuzz Runs = 1099511627776, need <= 1048576 cases"},
 		{"experiment faults near 2^40", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", hugeFaults}, 2, "record 0, offset 0: fabric: experiment Faults = 137438953472, need <= 1048576 cases"},
 	} {

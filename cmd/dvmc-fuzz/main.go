@@ -12,12 +12,9 @@
 //	shrink  delta-debug one failing case to a minimal reproducer
 //	replay  re-run corpus reproducers and check their classifications
 //
-// A campaign has -gens >= 0 breeding generations: 0 (the default) is
-// plain random fuzzing; with more, the cases a random prefix leaves of
-// the -n budget are bred, generation by generation, from the runs that
-// reached new coverage. Campaigns are deterministic: the same flags
-// produce byte-identical classification tables and corpus artifacts
-// regardless of -workers.
+// A campaign's run i is derived from -seed and i alone, so campaigns are
+// deterministic: the same flags produce byte-identical classification
+// tables and corpus artifacts regardless of -workers.
 //
 // Exit codes (all subcommands): 0 clean, 1 usage or I/O error, 2 a
 // failure was found (escape, false alarm, crash, or replay mismatch —
@@ -26,7 +23,6 @@
 // Examples:
 //
 //	dvmc-fuzz run -seed 1 -n 500 -fault-frac 0.5 -workers 8 -corpus corpus/
-//	dvmc-fuzz run -seed 1 -n 500 -gens 4 -corpus corpus/
 //	dvmc-fuzz gen -seed 7 -threads 4 -ops 32 > case.json
 //	dvmc-fuzz shrink case.json > min.json
 //	dvmc-fuzz replay internal/fuzz/testdata/corpus
@@ -207,19 +203,17 @@ func (c *cli) campaign(args []string) int {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	var (
 		seed       = fs.Uint64("seed", 1, "campaign master seed")
-		n          = fs.Int("n", 200, "number of runs, all generations together")
+		n          = fs.Int("n", 200, "number of runs")
 		workers    = fs.Int("workers", 0, "worker pool size (0 = min(GOMAXPROCS, runs), 1 = serial)")
 		faultFrac  = fs.Float64("fault-frac", 0.5, "fraction of runs that inject a fault")
 		budget     = fs.Uint64("budget", fuzz.DefaultBudget, "per-run cycle budget")
-		corpus     = fs.String("corpus", "", "directory for minimized failure reproducers (and, with -gens, the distilled seed pool)")
+		corpus     = fs.String("corpus", "", "directory for minimized failure reproducers")
 		minimize   = fs.Bool("minimize", true, "delta-debug failures before writing them")
 		minBudget  = fs.Int("minimize-budget", fuzz.DefaultMinimizeBudget, "max re-runs per minimized failure")
 		jsonOut    = fs.Bool("json", false, "print the summary as JSON")
 		verbose    = fs.Bool("v", false, "print one line per non-clean run")
 		metricsOut = fs.String("metrics-out", "", "re-run the first failing case (else the first case) with telemetry and write the snapshot to this file")
 		spansOut   = fs.String("spans-out", "", "re-run the first failing case (else the first case) with span recording and write the binary dump to this file (render with dvmc-stat timeline)")
-		gens       = fs.Int("gens", 0, "breeding generations after the random prefix: each breeds -gen-size mutants from the runs that reached new coverage (0 = plain random fuzzing)")
-		genSize    = fs.Int("gen-size", 0, "mutants per generation (0 = n/8, min 1)")
 		kindsStr   = fs.String("kinds", "", "comma-separated fault-kind pool (empty = every kind); known: "+strings.Join(fuzz.FaultKindNames(), ", "))
 	)
 	if code, ok := c.flags(fs, args); !ok {
@@ -229,8 +223,7 @@ func (c *cli) campaign(args []string) int {
 		return c.failf("run: unexpected arguments %v", fs.Args())
 	}
 	cfg := fuzz.CampaignConfig{
-		Seed: *seed, Runs: *n, Generations: *gens, PerGen: *genSize,
-		Workers: *workers, FaultFrac: *faultFrac,
+		Seed: *seed, Runs: *n, Workers: *workers, FaultFrac: *faultFrac,
 		Budget: *budget, CorpusDir: *corpus,
 		Minimize: *minimize, MinimizeBudget: *minBudget,
 		Kinds: fuzz.ParseKinds(*kindsStr),

@@ -17,9 +17,10 @@ func runFuzz(args ...string) (code int, stdout, stderr string) {
 }
 
 // TestExitCodes pins the tool's contract: 0 for a clean campaign or
-// replay, 1 for usage errors — the removed -coverage flag among them —
-// and 2 for a found failure, which includes a replayed case that no
-// longer shows its classification and a case file that does not decode.
+// replay, 1 for usage errors — the removed -coverage and -gens flags
+// among them — and 2 for a found failure, which includes a replayed case
+// that no longer shows its classification and a case file that does not
+// decode.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string, data []byte) string {
@@ -56,7 +57,6 @@ func TestExitCodes(t *testing.T) {
 		stderr string
 	}{
 		{"clean run", []string{"run", "-seed", "42", "-n", "6", "-workers", "1"}, 0, "campaign seed=42 runs=6", ""},
-		{"clean run with generations", []string{"run", "-seed", "42", "-n", "6", "-gens", "2", "-gen-size", "1", "-workers", "1"}, 0, "coverage features=", ""},
 		{"clean replay", []string{"replay", clean}, 0, "replayed 1 cases, 0 mismatches", ""},
 		{"failing replay", []string{"replay", failing}, 2, "MISMATCH", ""},
 		{"torn case", []string{"replay", torn}, 2, "decode case: offset", ""},
@@ -66,8 +66,7 @@ func TestExitCodes(t *testing.T) {
 		{"no replay argument", []string{"replay"}, 1, "", "need at least one"},
 		{"unknown -kinds", []string{"run", "-n", "4", "-kinds", "bogus"}, 1, "", `unknown fault kind "bogus"`},
 		{"removed -coverage", []string{"run", "-n", "4", "-coverage"}, 1, "", "flag provided but not defined: -coverage"},
-		{"negative -gen-size", []string{"run", "-n", "8", "-gens", "2", "-gen-size", "-1"}, 1, "", "PerGen = -1"},
-		{"no random prefix left", []string{"run", "-n", "8", "-gens", "4", "-gen-size", "2"}, 1, "", "leaves no random prefix"},
+		{"removed -gens", []string{"run", "-n", "4", "-gens", "2"}, 1, "", "flag provided but not defined: -gens"},
 		{"unknown subcommand", []string{"fuzz"}, 1, "", "unknown subcommand"},
 		{"no subcommand", nil, 1, "", "usage:"},
 	} {

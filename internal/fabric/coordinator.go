@@ -39,7 +39,6 @@ type workerInfo struct {
 	lastSeen    uint64
 	lastRenew   uint64 // last renewal/completion — the mid-shard heartbeat
 	activeShard int    // currently leased shard, -1 when idle
-	activeGen   int    // generation of the active shard, -1 when idle
 }
 
 // Coordinator owns a job's lease table and accumulates shard results.
@@ -49,15 +48,11 @@ type workerInfo struct {
 // shape reproduces a serial run's bytes.
 type Coordinator struct {
 	mu     sync.Mutex
-	spec   JobSpec             // immutable after construction
-	gens   fuzz.CampaignConfig // spec.generations(): what the lease gate walks
-	shards []Shard             // immutable after construction
-	// mu guards leases, results, pools, workers and ckpt.
-	leases  *LeaseTable
-	results map[int]*ShardResult
-	// pools caches the per-generation mutation seed pools, each distilled
-	// once: when its generation unlocks, or when Finalize first derives it.
-	pools         map[int]*seedPool
+	spec   JobSpec // immutable after construction
+	shards []Shard // immutable after construction
+	// mu guards leases, results, workers and ckpt.
+	leases        *LeaseTable
+	results       map[int]*ShardResult
 	workers       map[string]*workerInfo
 	ckpt          *os.File
 	clock         func() uint64
@@ -168,11 +163,9 @@ func newCoordinator(spec JobSpec, shards []Shard, opts CoordinatorOptions) *Coor
 	}
 	return &Coordinator{
 		spec:          spec,
-		gens:          spec.generations(),
 		shards:        append([]Shard(nil), shards...),
 		leases:        NewLeaseTable(shards, ttl),
 		results:       make(map[int]*ShardResult),
-		pools:         make(map[int]*seedPool),
 		workers:       make(map[string]*workerInfo),
 		clock:         clock,
 		ttl:           ttl,
@@ -224,7 +217,7 @@ func (c *Coordinator) touch(worker string) *workerInfo {
 	if info == nil {
 		// Admission counts as the first heartbeat so renew age is always
 		// well-defined.
-		info = &workerInfo{firstSeen: now, lastRenew: now, activeShard: -1, activeGen: -1}
+		info = &workerInfo{firstSeen: now, lastRenew: now, activeShard: -1}
 		c.workers[worker] = info
 	}
 	info.lastSeen = now
@@ -247,20 +240,11 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 	if c.leases.Done() {
 		return LeaseResponse{Done: true}
 	}
-	if sh, ok := c.leases.AcquireBelow(req.Worker, c.clock(), c.unlockedLimit()); ok {
-		input, err := c.shardInput(sh)
-		if err != nil {
-			// Pool assembly failed (it should not: the generation gate
-			// guarantees the inputs exist). Surface as "poll again" rather
-			// than handing out a shard that would breed from nothing.
-			c.leases.Release(sh.ID)
-			return LeaseResponse{WaitSeconds: 1}
-		}
+	if sh, ok := c.leases.Acquire(req.Worker, c.clock()); ok {
 		if info := c.workers[req.Worker]; info != nil {
 			info.activeShard = sh.ID
-			info.activeGen = c.gens.GenOf(sh.From)
 		}
-		return LeaseResponse{Shard: &sh, Input: input}
+		return LeaseResponse{Shard: &sh}
 	}
 	// Everything is either done or actively leased; poll back soon —
 	// both to steal expired leases promptly and to observe Done before
@@ -270,127 +254,6 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 		wait = 2
 	}
 	return LeaseResponse{WaitSeconds: wait}
-}
-
-// unlockedLimit is the lease gate: the end index of the lowest
-// incomplete generation (shards past it stay locked until every earlier
-// case has completed, because their mutants breed from those cases) —
-// the whole case space once only the last generation is left, which for
-// a job that breeds nothing is from the start.
-//
-// The caller holds c.mu.
-func (c *Coordinator) unlockedLimit() int {
-	for g := 0; g < c.gens.Generations; g++ {
-		from, to := c.gens.GenBounds(g)
-		if !c.rangeDone(from, to) {
-			return to
-		}
-	}
-	return c.gens.Runs
-}
-
-// rangeDone reports whether every shard inside [from, to) completed.
-//
-// The caller holds c.mu.
-func (c *Coordinator) rangeDone(from, to int) bool {
-	for i, sh := range c.shards {
-		if sh.From >= from && sh.To <= to && c.leases.State(i) != LeaseDone {
-			return false
-		}
-	}
-	return true
-}
-
-// seedPool is one generation's mutation seed pool: the cases the
-// coordinator breeds the generation's cases from, and their JSON, which
-// rides in the generation's leases.
-type seedPool struct {
-	cases []*fuzz.Case
-	data  json.RawMessage
-}
-
-// shardInput assembles the per-shard lease input: for a shard in
-// generation g >= 1, the generation's serialized mutation seed pool.
-//
-// The caller holds c.mu.
-func (c *Coordinator) shardInput(sh Shard) (json.RawMessage, error) {
-	g := c.gens.GenOf(sh.From)
-	if g == 0 {
-		return nil, nil
-	}
-	if p := c.pools[g]; p != nil {
-		return p.data, nil
-	}
-	from, _ := c.gens.GenBounds(g)
-	records, err := c.records(from)
-	if err != nil {
-		return nil, err
-	}
-	p, err := c.pool(g, records)
-	if err != nil {
-		return nil, err
-	}
-	return p.data, nil
-}
-
-// pool returns generation g's seed pool (empty for the random prefix),
-// distilled on first use with the same fuzz.CoveragePool walk the local
-// driver performs, from records that hold every earlier generation.
-//
-// The caller holds c.mu.
-func (c *Coordinator) pool(g int, records []fuzz.Record) (*seedPool, error) {
-	if g == 0 {
-		return &seedPool{}, nil
-	}
-	if p := c.pools[g]; p != nil {
-		return p, nil
-	}
-	cases := fuzz.CoveragePool(c.gens, records, g)
-	data, err := json.Marshal(cases)
-	if err != nil {
-		return nil, err
-	}
-	p := &seedPool{cases: cases, data: data}
-	c.pools[g] = p
-	return p, nil
-}
-
-// records is the one place verdicts become records: the dense table of
-// runs [0, upTo), upTo a generation boundary, with every case
-// re-derived by fuzz.CaseAt — generation by generation in index order,
-// each against the pool distilled from the generations before it. The
-// table depends only on which shards were accepted, not on the order
-// (live or replayed from the journal) in which they were. Every accepted
-// result covers its shard exactly (checkResult), so the shards' records
-// in shard order are the table; a shard without a result is an error.
-//
-// The caller holds c.mu.
-func (c *Coordinator) records(upTo int) ([]fuzz.Record, error) {
-	records := make([]fuzz.Record, 0, upTo)
-	for id, sh := range c.shards {
-		if sh.From >= upTo {
-			break
-		}
-		r := c.results[id]
-		if r == nil {
-			return nil, fmt.Errorf("fabric: shard %d has no result", id)
-		}
-		records = append(records, r.Records...)
-	}
-	for g := 0; g <= c.gens.Generations; g++ {
-		from, to := c.gens.GenBounds(g)
-		if from >= upTo {
-			break
-		}
-		p, err := c.pool(g, records)
-		if err != nil {
-			return nil, err
-		}
-		for i := from; i < min(to, upTo); i++ {
-			records[i].Case = fuzz.CaseAt(c.gens, i, p.cases)
-		}
-	}
-	return records, nil
 }
 
 // Renew extends a worker's lease.
@@ -461,7 +324,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		info.lastRenew = c.clock()
 		if info.activeShard == req.Result.Shard.ID {
 			info.activeShard = -1
-			info.activeGen = -1
 		}
 	}
 	id := req.Result.Shard.ID
@@ -516,7 +378,6 @@ func (c *Coordinator) Status() StatusResponse {
 			LastSeenSeconds:  now - info.lastSeen,
 			LastRenewSeconds: now - info.lastRenew,
 			ActiveShard:      info.activeShard,
-			Generation:       info.activeGen,
 			ShardsPerSec:     float64(info.shards) / float64(elapsed),
 		})
 	}
@@ -584,15 +445,23 @@ func (c *Coordinator) Finalize() (*Output, error) {
 	out := &Output{}
 	switch c.spec.Kind {
 	case JobFuzz:
-		records, err := c.records(c.gens.Runs)
-		if err != nil {
+		// This is the one place verdicts become records. Each accepted
+		// result covers its shard exactly, so the shards' records in shard
+		// order are the table, whatever order they were accepted in (live
+		// or replayed from the journal); every case is re-derived by index.
+		cfg := *c.spec.Fuzz
+		out.Records = make([]fuzz.Record, 0, cfg.Runs)
+		for id := range c.shards {
+			for _, rec := range c.results[id].Records {
+				rec.Case = fuzz.CaseAt(cfg, rec.Index)
+				out.Records = append(out.Records, rec)
+			}
+		}
+		var err error
+		if out.Summary, err = fuzz.Finalize(cfg, out.Records); err != nil {
 			return nil, err
 		}
-		out.Records = records
-		if out.Summary, err = fuzz.Finalize(*c.spec.Fuzz, records); err != nil {
-			return nil, err
-		}
-		if c.spec.Fuzz.Metrics {
+		if cfg.Metrics {
 			snaps, err := c.snapshots()
 			if err != nil {
 				return nil, err

@@ -6,21 +6,16 @@
 // The determinism argument has three legs, each proved at a lower
 // layer and composed here:
 //
-//  1. Every case is a pure function of (campaign seed, case index) —
-//     fuzz.DeriveCase, and for the Section 6.1 matrix the Inject(i) of
+//  1. Every case is a pure function of (job spec, case index) —
+//     fuzz.CaseAt, and for the Section 6.1 matrix the Inject(i) of
 //     dvmc.ErrorDetection's figure, the per-index function dvmc.Evaluate
-//     runs too — or, for a fuzz campaign's breeding generations (it has
-//     Generations >= 0), of those and the records of the generations
-//     before it, which is why shards never straddle a generation, a
-//     generation is leased only once the earlier ones are complete, and
-//     its seed pool rides in the lease. A shard's result therefore does
-//     not depend on which worker ran it, when, or how many times
+//     runs too. A lease is therefore only a shard, and a shard's result
+//     does not depend on which worker ran it, when, or how many times
 //     (re-running a stolen lease reproduces the same bytes). Because a
 //     case is derivable, a result carries outcomes, not cases: a fuzz
-//     shard's verdicts (Verdicts: the index, result, minimized
-//     reproducer and coverage features), which the coordinator turns
-//     back into records by re-deriving every case with fuzz.CaseAt
-//     against the seed pools it distils itself, and an experiment
+//     shard's verdicts (Verdicts: the index, result and minimized
+//     reproducer), which the coordinator turns back into records by
+//     re-deriving every case with fuzz.CaseAt, and an experiment
 //     shard's injection results, each of which must report the
 //     injection the coordinator derives for its index.
 //  2. Shards partition the index space into contiguous ranges, and the

@@ -107,23 +107,12 @@ func TestJobSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []fuzz.CampaignConfig{
-		{Seed: 1, Runs: 6, Generations: 1, PerGen: 2},
-		{Seed: 1, Runs: 12, Generations: 2}, // PerGen defaults to Runs/8, min 1
-	} {
-		if err := (JobSpec{Kind: JobFuzz, Fuzz: &cfg}).Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	bad := []JobSpec{
 		{},
 		{Kind: JobFuzz},
 		{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Runs: 0}},
-		{Kind: "coverage", Fuzz: &fuzz.CampaignConfig{Seed: 1, Runs: 6, Generations: 1, PerGen: 2}},
-		{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 1, Runs: 4, Generations: 2, PerGen: 2}}, // no prefix left
-		{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 1, Runs: 4, Generations: 1, PerGen: -1}},
-		// Generations*PerGen overflows to 0: refused without multiplying.
-		{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 1, Runs: 1, Generations: 1 << 40, PerGen: 1 << 40}},
+		{Kind: "coverage", Fuzz: &fuzz.CampaignConfig{Seed: 1, Runs: 6}},
+		{Kind: JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 1, Runs: 4, FaultFrac: 2}},
 		{Kind: JobExperiment},
 		{Kind: JobExperiment, Experiment: &ExperimentSpec{Faults: 0, Budget: 1}},
 		{Kind: JobExperiment, Experiment: &ExperimentSpec{Faults: 1, Budget: 0}},
@@ -434,130 +423,35 @@ func TestFarmExperimentMatchesSerial(t *testing.T) {
 	}
 }
 
-// coverageSpec is the farm fixture with generations: three of them, with
-// shard boundaries ragged inside each.
-func coverageSpec(corpusDir string) JobSpec {
-	return JobSpec{
-		Kind: JobFuzz,
-		Fuzz: &fuzz.CampaignConfig{
-			Seed: 77, FaultFrac: 0.5,
-			Minimize: true, MinimizeBudget: 100, Metrics: true,
-			CorpusDir: corpusDir,
-			Runs:      16, Generations: 2, PerGen: 4,
-		},
-		ShardSize: 3,
-	}
-}
-
-// TestCoverageShardsGenerationAligned: the partition never crosses a
-// generation boundary, at any shard size.
-func TestCoverageShardsGenerationAligned(t *testing.T) {
-	spec := coverageSpec("")
-	cc := spec.Fuzz
-	for _, size := range []int{1, 3, 5, 8, 100} {
-		spec.ShardSize = size
-		covered := 0
-		for _, sh := range spec.Shards() {
-			if g, h := cc.GenOf(sh.From), cc.GenOf(sh.To-1); g != h {
-				t.Fatalf("size %d: shard %+v spans generations %d..%d", size, sh, g, h)
-			}
-			covered += sh.To - sh.From
-		}
-		if covered != cc.Runs {
-			t.Fatalf("size %d: shards cover %d of %d cases", size, covered, cc.Runs)
-		}
-	}
-}
-
-// TestFarmCoverageMatchesSerial is the headline property for a campaign
-// with generations: a coordinator gating leases by generation and
-// shipping each generation's distilled seed pool with the lease
-// reproduces the local fuzz.Run byte-for-byte — records, summary with
-// its coverage block, merged telemetry, and corpus tree (failure
-// reproducers and distilled seeds).
-func TestFarmCoverageMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("farm test in -short mode")
-	}
-	farmCorpus := t.TempDir()
-	spec := coverageSpec(farmCorpus)
-	wantRecords, wantSummary, wantSnap, serialCorpus := serialBaseline(t, spec)
-	if wantSummary.Features == 0 || wantSummary.PoolSize == 0 {
-		t.Fatalf("local driver summarized no coverage: %+v", wantSummary)
-	}
-
-	coord, err := NewCoordinator(spec, CoordinatorOptions{TTLSeconds: testTTL()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord)
-	defer srv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	errs := make(chan error, 2)
-	for _, name := range []string{"w1", "w2"} {
-		go func(name string) {
-			_, err := RunWorker(ctx, WorkerOptions{Name: name, Coordinator: srv.URL})
-			errs <- err
-		}(name)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	out, err := coord.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(out.Records); n == 0 || spec.Fuzz.GenOf(out.Records[n-1].Index) < 1 {
-		t.Fatal("no record from a generation >= 1: nothing was re-derived through a seed pool")
-	}
-	assertFarmMatchesSerial(t, out, farmCorpus, wantRecords, wantSummary, wantSnap, serialCorpus)
-}
-
 // TestResumeOutOfOrderJournalMatchesSerial: cases are re-derived by
-// index, not in the order results were accepted. The journal holds a
-// generation-1 shard before the generation-0 shards it breeds from;
-// resumed, the coordinator distils generation 1's pool from the replayed
-// results, leases the rest, and finalizes to the serial bytes.
+// index, not in the order results were accepted. The journal holds the
+// last shard before the middle one, which carries the campaign's failure
+// and its minimized reproducer; resumed, the coordinator leases the
+// first shard and finalizes to the serial bytes.
 func TestResumeOutOfOrderJournalMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("farm test in -short mode")
 	}
 	farmCorpus := t.TempDir()
-	spec := coverageSpec(farmCorpus)
+	spec := farmSpec(farmCorpus)
 	wantRecords, wantSummary, wantSnap, serialCorpus := serialBaseline(t, spec)
-	var serial []fuzz.Record
-	if err := json.Unmarshal(wantRecords, &serial); err != nil {
-		t.Fatal(err)
-	}
 
-	// Shards 0-2 are generation 0 ([0, 8)), shard 3 opens generation 1.
 	shards := spec.Shards()
-	if g := spec.Fuzz.GenOf(shards[3].From); g != 1 || spec.Fuzz.GenOf(shards[2].From) != 0 {
-		t.Fatalf("shard 3 %+v is in generation %d, want the first of generation 1", shards[3], g)
-	}
-	pool, err := json.Marshal(fuzz.CoveragePool(*spec.Fuzz, serial, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var journal bytes.Buffer
 	if err := AppendEntry(&journal, CheckpointEntry{Spec: &spec}); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []int{3, 1, 0, 2} {
-		var input json.RawMessage
-		if id == 3 {
-			input = pool
-		}
-		res, err := ExecuteShard(spec, shards[id], input)
+	for _, id := range []int{2, 1} {
+		res, err := ExecuteShard(spec, shards[id])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := AppendEntry(&journal, CheckpointEntry{Result: &res}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if n := bytes.Count(journal.Bytes(), []byte(`"minimized"`)); n == 0 {
+		t.Fatal("no journaled result carries a minimized reproducer")
 	}
 	ckpt := filepath.Join(t.TempDir(), "farm.ckpt")
 	if err := os.WriteFile(ckpt, journal.Bytes(), 0o644); err != nil {
@@ -569,15 +463,15 @@ func TestResumeOutOfOrderJournalMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	if st := coord.Status(); st.Done != 4 {
-		t.Fatalf("resumed status = %+v, want the 4 journaled shards done", st)
+	if st := coord.Status(); st.Done != 2 || st.Pending != 1 {
+		t.Fatalf("resumed status = %+v, want the 2 journaled shards done and 1 pending", st)
 	}
 	srv := httptest.NewServer(coord)
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if _, err := RunWorker(ctx, WorkerOptions{Name: "w1", Coordinator: srv.URL}); err != nil {
-		t.Fatal(err)
+	if n, err := RunWorker(ctx, WorkerOptions{Name: "w1", Coordinator: srv.URL}); err != nil || n != 1 {
+		t.Fatalf("worker completed %d shards, err %v; want shard 0 alone", n, err)
 	}
 	out, err := coord.Finalize()
 	if err != nil {
@@ -586,8 +480,8 @@ func TestResumeOutOfOrderJournalMatchesSerial(t *testing.T) {
 	assertFarmMatchesSerial(t, out, farmCorpus, wantRecords, wantSummary, wantSnap, serialCorpus)
 }
 
-// corpusTree snapshots a corpus directory recursively (a campaign with
-// generations writes a distilled/ subdirectory) as relative path -> bytes.
+// corpusTree snapshots a corpus directory recursively as relative path ->
+// bytes.
 func corpusTree(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	out := map[string]string{}
@@ -620,11 +514,11 @@ func TestExecuteShardDeterministic(t *testing.T) {
 	}
 	spec := farmSpec("")
 	sh := spec.Shards()[1]
-	a, err := ExecuteShard(spec, sh, nil)
+	a, err := ExecuteShard(spec, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ExecuteShard(spec, sh, nil)
+	b, err := ExecuteShard(spec, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +542,7 @@ func TestMetricsSnapshotPartial(t *testing.T) {
 	}
 	// Complete shard 0 by hand.
 	sh := spec.Shards()[0]
-	res, err := ExecuteShard(spec, sh, nil)
+	res, err := ExecuteShard(spec, sh)
 	if err != nil {
 		t.Fatal(err)
 	}

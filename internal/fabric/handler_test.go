@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,7 +78,7 @@ func (f *handlerFixture) postJSON(path string, req any) (int, string) {
 // finalize could use.
 func (f *handlerFixture) result(id int) ShardResult {
 	f.t.Helper()
-	res, err := ExecuteShard(f.coord.spec, f.coord.shards[id], nil)
+	res, err := ExecuteShard(f.coord.spec, f.coord.shards[id])
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -89,8 +90,8 @@ func (f *handlerFixture) result(id int) ShardResult {
 // admitted, no lease handed out, no result taken.
 func TestOversizedBodyIs413(t *testing.T) {
 	f := newHandlerFixture(t, twoShardFuzz())
-	if got, want := f.coord.completeLimit, int64(MaxControlBody+2*maxCaseBody); got != want {
-		t.Fatalf("completion bound = %d, want %d (the largest shard holds 2 cases)", got, want)
+	if got, want := f.coord.completeLimit, int64(96<<10); got != want {
+		t.Fatalf("completion bound = %d, want %d (64 KiB, and 16 KiB for each of the largest shard's 2 cases)", got, want)
 	}
 	before := f.coord.Status()
 	for path, limit := range map[string]int64{
@@ -112,6 +113,38 @@ func TestOversizedBodyIs413(t *testing.T) {
 	err := postJSON(context.Background(), f.srv.Client(), f.srv.URL+PathRegister, RegisterRequest{Worker: "w"}, &reg, 16)
 	if err == nil || !strings.Contains(err.Error(), "16-byte bound") {
 		t.Errorf("postJSON with a 16-byte reply bound: %v", err)
+	}
+}
+
+// TestOversizedLeaseReplyIsRefused: a worker reads a lease reply under
+// MaxControlBody. A coordinator that answers with one byte more — a
+// well-formed shard behind whitespace, so only the length is wrong —
+// fails the worker with the bound named, before it runs or reports any
+// shard.
+func TestOversizedLeaseReplyIsRefused(t *testing.T) {
+	spec := twoShardFuzz()
+	lease := `{"shard":{"id":0,"from":0,"to":2}}`
+	var other atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case PathRegister:
+			writeJSON(w, RegisterResponse{Spec: spec, TTLSeconds: 10})
+		case PathLease:
+			fmt.Fprint(w, strings.Repeat(" ", MaxControlBody+1-len(lease))+lease)
+		default:
+			other.Add(1)
+			http.NotFound(w, r)
+		}
+	}))
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	n, err := RunWorker(ctx, WorkerOptions{Name: "w", Coordinator: srv.URL})
+	if want := fmt.Sprintf("%d-byte bound", MaxControlBody); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("worker against an oversized lease reply: %v, want an error naming the %s", err, want)
+	}
+	if n != 0 || other.Load() != 0 {
+		t.Errorf("worker completed %d shards and made %d other requests after the refused lease", n, other.Load())
 	}
 }
 
@@ -303,15 +336,17 @@ func TestResumeRefusesForeignResult(t *testing.T) {
 // TestResumeRefusesHostileSpec: a journal whose framing and CRC hold but
 // whose spec no coordinator would have written is refused at once, with
 // the record and offset of the spec line. The first is 205 bytes whose
-// Generations*PerGen overflows to 0: multiplied, it validated, and
-// Shards() then walked 2^40 generations. The second is the job kind the
-// generations fold removed. The last two ask for 2^40 cases, which
-// Shards() or the injection list would allocate.
+// generations*per_gen overflowed to 0 when a campaign had breeding
+// generations: multiplied, it validated, and Shards() then walked 2^40
+// generations; the fields are gone, and strict decoding refuses them.
+// The second is the job kind the generations fold removed. The last two
+// ask for 2^40 cases, which Shards() or the injection list would
+// allocate.
 func TestResumeRefusesHostileSpec(t *testing.T) {
 	for name, tc := range map[string]struct{ payload, want string }{
 		"overflowing generations": {
 			`{"spec":{"kind":"fuzz","fuzz":{"seed":1,"runs":1,"generations":1099511627776,"per_gen":1099511627776,"workers":0,"fault_frac":0,"budget":0,"minimize":false}}}`,
-			"leaves no random prefix",
+			`unknown field "generations"`,
 		},
 		"removed coverage kind": {
 			`{"spec":{"kind":"coverage","coverage":{"campaign":{"seed":1,"runs":0,"workers":0,"fault_frac":0,"budget":0,"minimize":false},"init_runs":4,"generations":1,"per_gen":2}}}`,
@@ -383,7 +418,7 @@ func TestCoordinatorCallsInterleave(t *testing.T) {
 					pause()
 					continue
 				}
-				res, err := ExecuteShard(spec, *lease.Shard, lease.Input)
+				res, err := ExecuteShard(spec, *lease.Shard)
 				if err == nil {
 					coord.Renew(RenewRequest{Worker: name, Shard: lease.Shard.ID})
 					pause()

@@ -75,20 +75,8 @@ func NewLeaseTable(shards []Shard, ttl uint64) *LeaseTable {
 // stealable expired ones, lowest ID first. ok is false when nothing is
 // assignable (all remaining shards are done or actively leased).
 func (t *LeaseTable) Acquire(worker string, now uint64) (s Shard, ok bool) {
-	return t.AcquireBelow(worker, now, int(^uint(0)>>1))
-}
-
-// AcquireBelow is Acquire restricted to shards whose index range ends
-// at or before limit — the coordinator's generation gate for coverage
-// jobs, where a shard must not run until every case it may breed from
-// has completed. ok is false when nothing below the limit is
-// assignable (the caller answers "poll again", not "done").
-func (t *LeaseTable) AcquireBelow(worker string, now uint64, limit int) (s Shard, ok bool) {
 	steal := -1
 	for i := range t.shards {
-		if t.shards[i].To > limit {
-			continue
-		}
 		switch t.state[i] {
 		case LeasePending:
 			t.lease(i, worker, now)
@@ -130,9 +118,8 @@ func (t *LeaseTable) Renew(worker string, id int, now uint64) bool {
 	return true
 }
 
-// Release returns an active shard to pending — the assignment is
-// abandoned before the worker learns of it (the coordinator failed to
-// assemble the shard's input).
+// Release returns an active shard to pending: its assignment is
+// abandoned, and the next Acquire may hand it out again.
 func (t *LeaseTable) Release(id int) {
 	if id < 0 || id >= len(t.shards) || t.state[id] != LeaseActive {
 		return

@@ -23,21 +23,23 @@ const (
 // Every body read off the wire is bounded, so one POST (or one reply)
 // cannot make its reader allocate without limit.
 const (
-	// MaxControlBody bounds bodies that carry no per-case payload:
-	// register, lease and renew requests, every reply but a lease, status.
+	// MaxControlBody bounds every body but a completion: register, lease
+	// and renew requests, their replies, status.
 	MaxControlBody = 64 << 10
-	// maxCaseBody is what each case may add to one that does. The
-	// largest completion the fabric's tests produce is 12,073 bytes for a
-	// 3-case shard, and the largest share a case takes is 7,392 bytes,
-	// almost all of it the shard's telemetry snapshot. The bound is
-	// 8.9x that share because lease replies share it, and their seed
-	// pools carry whole cases.
-	maxCaseBody = 64 << 10
+	// maxCaseBody is what each case may add to a completion, the one
+	// body that carries per-case payload. The largest completion the
+	// fabric's tests produce is 8,021 bytes for a 5-case shard, and the
+	// largest share a case takes is 3,476 bytes, a 2-case shard with its
+	// telemetry snapshot; the bound is 4.7x that share. It also holds
+	// the largest case the deriver makes (11,907 bytes over 5,000
+	// indices), which a failing record carries whole when minimization
+	// is off, while a shard's one snapshot fits in the MaxControlBody
+	// every completion starts from: a 1-case shard's whole completion,
+	// snapshot included, is at most 7,762 bytes over 400 such shards.
+	maxCaseBody = 16 << 10
 )
 
-// caseBodyLimit bounds a body carrying per-case payload for n cases: a
-// completion (n = the job's largest shard) or a lease with its seed pool
-// (n = the whole job: a pool is bred from every earlier case).
+// caseBodyLimit bounds a completion of a shard of n cases.
 func caseBodyLimit(n int) int64 { return MaxControlBody + int64(n)*maxCaseBody }
 
 // RegisterRequest announces a worker to the coordinator.
@@ -60,16 +62,12 @@ type LeaseRequest struct {
 
 // LeaseResponse carries an assignment, or tells the worker the job is
 // finished (Done) or temporarily out of assignable shards (neither —
-// poll again after WaitSeconds).
+// poll again after WaitSeconds). A shard is all a worker needs: its
+// cases derive from the spec and their indices.
 type LeaseResponse struct {
 	Shard       *Shard `json:"shard,omitempty"`
 	Done        bool   `json:"done,omitempty"`
 	WaitSeconds uint64 `json:"wait_seconds,omitempty"`
-	// Input is per-shard input state the worker cannot derive from the
-	// spec alone: for a fuzz shard in generation g >= 1, the generation's
-	// mutation seed pool (a JSON []*fuzz.Case), distilled coordinator-side
-	// from the completed earlier generations.
-	Input json.RawMessage `json:"input,omitempty"`
 }
 
 // RenewRequest extends a lease mid-shard (the worker's heartbeat).
@@ -116,10 +114,6 @@ type WorkerStatus struct {
 	// -1 when idle. A stolen lease leaves the victim's row pointing at
 	// the stale shard until its next request — itself a staleness tell.
 	ActiveShard int `json:"active_shard"`
-	// Generation is the generation of the active shard: 0 in the random
-	// prefix (all of an experiment, or of a campaign that breeds nothing),
-	// -1 when idle.
-	Generation int `json:"generation"`
 	// ShardsPerSec is the worker's delivery rate since admission.
 	ShardsPerSec float64 `json:"shards_per_sec"`
 }
@@ -154,8 +148,8 @@ type ShardResult struct {
 }
 
 // Verdicts are a fuzz shard's records as they cross the wire and enter
-// the journal: each record's index, result, minimized reproducer and
-// coverage features, never its case. The coordinator re-derives every
+// the journal: each record's index, result and minimized reproducer,
+// never its case. The coordinator re-derives every
 // case with fuzz.CaseAt, so a worker reports the outcome of the indices
 // it was leased and cannot put a case into the merged output. In memory
 // they stay fuzz.Records, so fuzz.RunRange's table is a result as it is;
@@ -170,14 +164,13 @@ type verdict struct {
 	// Minimized travels because the coordinator cannot rebuild it: it is
 	// the outcome of a ddmin search, present only on failures.
 	Minimized *fuzz.Case `json:"minimized,omitempty"`
-	Features  []string   `json:"features,omitempty"`
 }
 
 // MarshalJSON encodes the records without their cases.
 func (v Verdicts) MarshalJSON() ([]byte, error) {
 	wire := make([]verdict, len(v))
 	for i, r := range v {
-		wire[i] = verdict{Index: r.Index, Result: r.Result, Minimized: r.Minimized, Features: r.Features}
+		wire[i] = verdict{Index: r.Index, Result: r.Result, Minimized: r.Minimized}
 	}
 	return json.Marshal(wire)
 }
@@ -194,7 +187,7 @@ func (v *Verdicts) UnmarshalJSON(data []byte) error {
 	}
 	*v = make(Verdicts, len(wire))
 	for i, w := range wire {
-		(*v)[i] = fuzz.Record{Index: w.Index, Result: w.Result, Minimized: w.Minimized, Features: w.Features}
+		(*v)[i] = fuzz.Record{Index: w.Index, Result: w.Result, Minimized: w.Minimized}
 	}
 	return nil
 }

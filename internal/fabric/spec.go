@@ -12,13 +12,7 @@ type JobKind string
 
 const (
 	// JobFuzz shards a litmus-program fuzzing campaign (internal/fuzz,
-	// fuzz.Run): case i of the random prefix is fuzz.DeriveCase(seed, i).
-	// Shards are generation-aligned, and a shard in generation g >= 1
-	// receives the generation's mutation seed pool with its lease. The
-	// coordinator only leases a generation once every earlier one has
-	// completed, which is what keeps the farm byte-identical to the local
-	// driver; a campaign with Generations == 0 is one generation, all of
-	// it leasable at once.
+	// fuzz.Run): case i is fuzz.CaseAt(cfg, i).
 	JobFuzz JobKind = "fuzz"
 	// JobExperiment shards the Section 6.1 error-detection matrix: the
 	// case space is the injection index space of dvmc.ErrorDetection's
@@ -123,33 +117,17 @@ func (s JobSpec) TotalCases() int {
 	}
 }
 
-// generations is the job's case space as a campaign shape — what the
-// partition and the lease gate walk. An experiment is one generation
-// over its matrix, like a campaign that breeds nothing.
-func (s JobSpec) generations() fuzz.CampaignConfig {
-	if s.Kind == JobFuzz && s.Fuzz != nil {
-		return *s.Fuzz
-	}
-	return fuzz.CampaignConfig{Runs: s.TotalCases()}
-}
-
 // Shards partitions the case space into contiguous leases of ShardSize
-// cases (the last of each generation ragged). Shard IDs are their
-// position, so the partition is a pure function of the spec. A shard
-// never straddles a generation boundary, because the mutation seed pool
-// a shard runs against is per-generation state.
+// cases, the last one ragged. Shard IDs are their position, so the
+// partition is a pure function of the spec.
 func (s JobSpec) Shards() []Shard {
 	size := s.ShardSize
 	if size <= 0 {
 		size = DefaultShardSize
 	}
 	var out []Shard
-	cc := s.generations()
-	for g := 0; g <= cc.Generations; g++ {
-		from, to := cc.GenBounds(g)
-		for f := from; f < to; f += size {
-			out = append(out, Shard{ID: len(out), From: f, To: min(f+size, to)})
-		}
+	for n, f := s.TotalCases(), 0; f < n; f += size {
+		out = append(out, Shard{ID: len(out), From: f, To: min(f+size, n)})
 	}
 	return out
 }

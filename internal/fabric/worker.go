@@ -16,13 +16,13 @@ import (
 )
 
 // ExecuteShard runs one shard of a job — the worker's entire
-// computational duty. It is a pure function of (spec, shard, input): no
+// computational duty. It is a pure function of (spec, shard): no
 // coordinator state, clock, or worker identity reaches the simulation,
 // which is what makes shard results interchangeable across workers,
-// retries, and steals. input is the lease's Input payload — the
-// generation's seed pool for a fuzz shard past the random prefix, nil
-// otherwise.
-func ExecuteShard(spec JobSpec, sh Shard, input json.RawMessage) (ShardResult, error) {
+// retries, and steals. The variadic tail is ignored: it keeps
+// three-argument calls, ExecuteShard(spec, sh, nil) from when a lease
+// also carried a seed pool, compiling.
+func ExecuteShard(spec JobSpec, sh Shard, _ ...json.RawMessage) (ShardResult, error) {
 	out := ShardResult{Shard: sh}
 	switch spec.Kind {
 	case JobFuzz:
@@ -30,13 +30,7 @@ func ExecuteShard(spec JobSpec, sh Shard, input json.RawMessage) (ShardResult, e
 		// Corpus writing is the coordinator's finalize step; worker-side
 		// config must not touch the (possibly nonexistent) directory.
 		cfg.CorpusDir = ""
-		var pool []*fuzz.Case
-		if len(input) > 0 {
-			if err := json.Unmarshal(input, &pool); err != nil {
-				return out, fmt.Errorf("fabric: shard %d seed pool: %w", sh.ID, err)
-			}
-		}
-		records, snap, err := fuzz.RunRange(cfg, sh.From, sh.To, pool...)
+		records, snap, err := fuzz.RunRange(cfg, sh.From, sh.To)
 		if err != nil {
 			return out, err
 		}
@@ -130,14 +124,13 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 	logf("registered with %s: %s job, %d cases, lease ttl %ds",
 		opts.Coordinator, reg.Spec.Kind, reg.Spec.TotalCases(), reg.TTLSeconds)
 
-	leaseLimit := caseBodyLimit(reg.Spec.TotalCases())
 	completed := 0
 	for {
 		if ctx.Err() != nil {
 			return completed, ctx.Err()
 		}
 		var lease LeaseResponse
-		if err := postJSONRetry(ctx, client, opts.Coordinator+PathLease, LeaseRequest{Worker: opts.Name}, &lease, leaseLimit); err != nil {
+		if err := postJSONRetry(ctx, client, opts.Coordinator+PathLease, LeaseRequest{Worker: opts.Name}, &lease, MaxControlBody); err != nil {
 			return completed, err
 		}
 		switch {
@@ -158,7 +151,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 
 		sh := *lease.Shard
 		logf("leased shard %d: cases [%d, %d)", sh.ID, sh.From, sh.To)
-		result, err := executeWithHeartbeat(ctx, client, opts, reg, sh, lease.Input)
+		result, err := executeWithHeartbeat(ctx, client, opts, reg, sh)
 		if err != nil {
 			return completed, fmt.Errorf("fabric: shard %d: %w", sh.ID, err)
 		}
@@ -186,7 +179,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 // background so long shards survive the TTL. A failed renewal (lease
 // stolen) does not abort the computation — the result is still correct,
 // and Complete resolves the race.
-func executeWithHeartbeat(ctx context.Context, client *http.Client, opts WorkerOptions, reg RegisterResponse, sh Shard, input json.RawMessage) (ShardResult, error) {
+func executeWithHeartbeat(ctx context.Context, client *http.Client, opts WorkerOptions, reg RegisterResponse, sh Shard) (ShardResult, error) {
 	hbCtx, stop := context.WithCancel(ctx)
 	defer stop()
 	interval := time.Duration(reg.TTLSeconds) * time.Second / 3
@@ -206,7 +199,7 @@ func executeWithHeartbeat(ctx context.Context, client *http.Client, opts WorkerO
 			}
 		}
 	}()
-	return ExecuteShard(reg.Spec, sh, input)
+	return ExecuteShard(reg.Spec, sh)
 }
 
 // postJSONRetry rides out transient transport failures (a coordinator

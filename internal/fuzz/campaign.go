@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -19,28 +18,15 @@ func newCaseRand(seed uint64, index int) *sim.Rand {
 	return sim.NewRand(seed).Fork(uint64(index))
 }
 
-// CampaignConfig shapes a campaign: Runs cases, of which a random prefix
-// (generation 0) derives each case purely from (Seed, run index) and
-// Generations later rounds of PerGen cases each breed mutants from the
-// runs that reached new coverage. Generations == 0 is plain random
-// fuzzing — the whole campaign is its prefix. Each round's mutants come
-// from the seed pool distilled, in ascending run-index order, from every
-// earlier run's coverage features, so the whole campaign is a pure
-// function of the configuration: byte-identical across worker counts and
-// across the local driver and the fabric.
+// CampaignConfig shapes a campaign: Runs cases, each derived purely from
+// (Seed, run index) by CaseAt, so the whole campaign is a pure function
+// of the configuration: byte-identical across worker counts and across
+// the local driver and the fabric.
 type CampaignConfig struct {
 	// Seed is the campaign master seed.
 	Seed uint64 `json:"seed"`
-	// Runs is the total case budget, all generations together.
+	// Runs is the case budget.
 	Runs int `json:"runs"`
-	// Generations is the number of breeding rounds after the random
-	// prefix. A campaign with generations runs every case instrumented
-	// and records its coverage features; one without does neither.
-	Generations int `json:"generations,omitempty"`
-	// PerGen is the number of mutants per breeding round; zero picks
-	// Runs/8 (at least 1). The prefix is what the rounds leave of Runs,
-	// InitRuns, and must hold at least one case.
-	PerGen int `json:"per_gen,omitempty"`
 	// Workers bounds the worker pool; <=0 picks min(GOMAXPROCS, Runs)
 	// so small hosts never oversubscribe (1 runs serially).
 	Workers int `json:"workers"`
@@ -51,8 +37,7 @@ type CampaignConfig struct {
 	// default.
 	Budget uint64 `json:"budget"`
 	// CorpusDir, when nonempty, receives minimized reproducers for
-	// every failing run and, under distilled/, the final seed pool of a
-	// campaign with generations.
+	// every failing run.
 	CorpusDir string `json:"corpus_dir,omitempty"`
 	// Minimize enables delta-debugging of failures before they are
 	// written to the corpus.
@@ -84,16 +69,6 @@ func (cc CampaignConfig) Validate() error {
 		return fmt.Errorf("fuzz: Runs = %d, need >= 1", cc.Runs)
 	case cc.FaultFrac < 0 || cc.FaultFrac > 1:
 		return fmt.Errorf("fuzz: FaultFrac = %v, need 0..1", cc.FaultFrac)
-	case cc.Generations < 0:
-		return fmt.Errorf("fuzz: Generations = %d, need >= 0", cc.Generations)
-	case cc.PerGen < 0:
-		return fmt.Errorf("fuzz: PerGen = %d, need >= 0", cc.PerGen)
-	}
-	// Generations*PerGen < Runs, decided without the product (it
-	// overflows on hostile input); it also bounds Generations by Runs.
-	if per := cc.withDefaults().PerGen; cc.Generations > 0 && per > (cc.Runs-1)/cc.Generations {
-		return fmt.Errorf("fuzz: Runs = %d leaves no random prefix for %d generations of %d mutants",
-			cc.Runs, cc.Generations, per)
 	}
 	for _, k := range cc.Kinds {
 		if _, err := dvmc.ParseFaultKind(k); err != nil {
@@ -113,37 +88,7 @@ func (cc CampaignConfig) withDefaults() CampaignConfig {
 	if cc.MinimizeBudget <= 0 {
 		cc.MinimizeBudget = DefaultMinimizeBudget
 	}
-	if cc.Generations > 0 && cc.PerGen == 0 {
-		cc.PerGen = max(cc.Runs/8, 1)
-	}
 	return cc
-}
-
-// InitRuns is the size of the random prefix, generation 0.
-func (cc CampaignConfig) InitRuns() int {
-	cc = cc.withDefaults()
-	return cc.Runs - cc.Generations*cc.PerGen
-}
-
-// GenBounds returns generation g's run-index range [from, to):
-// generation 0 is the random prefix, generation g >= 1 the g-th breeding
-// round.
-func (cc CampaignConfig) GenBounds(g int) (from, to int) {
-	cc = cc.withDefaults()
-	if g <= 0 {
-		return 0, cc.InitRuns()
-	}
-	from = cc.InitRuns() + (g-1)*cc.PerGen
-	return from, from + cc.PerGen
-}
-
-// GenOf maps a run index to its generation.
-func (cc CampaignConfig) GenOf(index int) int {
-	cc = cc.withDefaults()
-	if init := cc.InitRuns(); cc.Generations > 0 && index >= init {
-		return 1 + (index-init)/cc.PerGen
-	}
-	return 0
 }
 
 // ParseKinds splits a comma-separated fault-kind pool ("" = every kind).
@@ -167,12 +112,6 @@ type Record struct {
 	Minimized *Case `json:"minimized,omitempty"`
 	// CorpusFile is the corpus path the reproducer was written to.
 	CorpusFile string `json:"corpus_file,omitempty"`
-	// Features is the run's distilled coverage signature (sorted,
-	// deduplicated), present only in campaigns with generations. It is
-	// what the coordinator-side distillation consumes, so a shard result
-	// carries everything the seed scheduler needs without shipping
-	// telemetry snapshots.
-	Features []string `json:"features,omitempty"`
 }
 
 // Summary aggregates a campaign.
@@ -187,25 +126,12 @@ type Summary struct {
 	LatencyP99  float64 `json:"latency_p99,omitempty"`
 	LatencyMax  float64 `json:"latency_max,omitempty"`
 	LatencyHist string  `json:"latency_hist,omitempty"`
-	// The coverage block, empty for a campaign without generations.
-	// InitRuns/Generations/PerGen echo the campaign shape.
-	InitRuns    int `json:"init_runs,omitempty"`
-	Generations int `json:"generations,omitempty"`
-	PerGen      int `json:"per_gen,omitempty"`
-	// Features is the number of distinct coverage features reached.
-	Features int `json:"features,omitempty"`
-	// NewByGen is the count of first-seen features per generation
-	// (index 0 = the random prefix).
-	NewByGen []int `json:"new_by_gen,omitempty"`
-	// PoolSize is the final seed-pool size: runs that added coverage.
-	PoolSize int `json:"pool_size,omitempty"`
 }
 
 // Failed reports whether the campaign found any failure.
 func (s Summary) Failed() bool { return s.Failures > 0 }
 
-// String renders the classification table in reporting order and, for a
-// campaign with generations, its coverage shape.
+// String renders the classification table in reporting order.
 func (s Summary) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "campaign seed=%d runs=%d\n", s.Seed, s.Runs)
@@ -217,10 +143,6 @@ func (s Summary) String() string {
 	if s.LatencyMax > 0 {
 		fmt.Fprintf(&b, "  detection latency p50=%.0f p99=%.0f max=%.0f cycles\n",
 			s.LatencyP50, s.LatencyP99, s.LatencyMax)
-	}
-	if s.Generations > 0 {
-		fmt.Fprintf(&b, "  coverage features=%d pool=%d new-by-gen=%v\n",
-			s.Features, s.PoolSize, s.NewByGen)
 	}
 	return b.String()
 }
@@ -305,59 +227,30 @@ func deriveFaultExtras(rng *sim.Rand, c *Case) {
 	c.SafetyNet = c.SafetyNet || k.NeedsSafetyNet()
 }
 
-// covSalt separates the mutation random streams from the derivation
-// streams: generation-g mutants fork from Seed^covSalt by run index, so
-// a mutant's randomness never collides with the random prefix's, and
-// every case remains a pure function of (config, index, earlier
-// records).
-const covSalt = 0x636f76 // "cov"
-
-// CaseAt builds run index i's case. An index in the random prefix
-// derives from (Seed, i) alone; a later one breeds a mutant from pool —
-// the distilled cases of every earlier generation, which the caller
-// supplies (the local driver accumulates it; fabric workers receive it
-// with their lease; the fabric coordinator distils it itself).
+// CaseAt builds run index i's case: a pure function of the campaign
+// configuration and the index, independent of every other run. Every
+// record a campaign produces satisfies
 //
-// Every record a campaign produces satisfies
+//	Record.Case == CaseAt(cfg, Record.Index)
 //
-//	Record.Case == CaseAt(cfg, Record.Index, CoveragePool(cfg, records, cfg.GenOf(Record.Index)))
-//
-// with a nil pool in generation 0. The fabric depends on it: shard
-// results carry verdicts only, and the coordinator re-derives each case.
-func CaseAt(cfg CampaignConfig, i int, pool []*Case) *Case {
+// and the fabric depends on it: shard results carry verdicts only, and
+// the coordinator re-derives each case.
+func CaseAt(cfg CampaignConfig, i int) *Case {
 	cfg = cfg.withDefaults()
-	// An empty pool past the prefix is only reachable if every prior run
-	// produced zero features — impossible in practice (the first record
-	// always has novel features) but kept total.
-	if i >= cfg.InitRuns() && len(pool) > 0 {
-		rng := sim.NewRand(cfg.Seed ^ covSalt).Fork(uint64(i))
-		c := mutateCase(rng, pool[rng.Intn(len(pool))], cfg.Kinds)
-		c.Name = fmt.Sprintf("cov-%06d", i)
-		// Mutators preserve validity by construction; if one ever
-		// regresses, fall back to a fresh random case rather than crash
-		// the campaign.
-		if c.Validate() == nil {
-			return c
-		}
-	}
 	return deriveCase(cfg.Seed, i, cfg.FaultFrac, cfg.Budget, cfg.Kinds)
 }
 
 // runOne executes run index i of the campaign: build the case, run it
-// and — for failures — attach the minimized reproducer. A campaign with
-// generations instruments every run, because the telemetry snapshot is
-// the raw material of the coverage signature, and records the features;
-// Metrics alone instruments without recording them. Every step is a pure
-// function of (cfg, i, pool), so the record (and snapshot) are identical
+// and — for failures — attach the minimized reproducer. Every step is a
+// pure function of (cfg, i), so the record (and snapshot) are identical
 // wherever the run executes: a local goroutine pool or a fabric worker
 // on another machine.
-func runOne(cfg CampaignConfig, i int, pool []*Case) (Record, *telemetry.Snapshot) {
-	c := CaseAt(cfg, i, pool)
-	guided := cfg.Generations > 0
+func runOne(cfg CampaignConfig, i int) (Record, *telemetry.Snapshot) {
+	c := CaseAt(cfg, i)
 	// Streamed: campaign workers never materialize a trace — the oracle
 	// rides the run as a sink and only failure reproduction (Finalize)
 	// re-runs with byte capture.
-	res, snap, err := RunCaseStreamed(c, cfg.Metrics || guided)
+	res, snap, err := RunCaseStreamed(c, cfg.Metrics)
 	if err != nil {
 		// Structural errors cannot occur for derived cases; record them
 		// as crashes so the campaign survives.
@@ -375,19 +268,13 @@ func runOne(cfg CampaignConfig, i int, pool []*Case) (Record, *telemetry.Snapsho
 		}
 		rec.Minimized = repro
 	}
-	if guided {
-		rec.Features = CaseFeatures(c, rec.Result, snap)
-	}
-	if !cfg.Metrics {
-		snap = nil
-	}
 	return rec, snap
 }
 
-// runRange is the shard primitive under both drivers: runs [from, to) of
-// one generation against its seed pool on a bounded worker pool, each
-// run writing its own slot. The snapshots are empty unless cfg.Metrics.
-func runRange(cfg CampaignConfig, pool []*Case, from, to, workers int) ([]Record, []*telemetry.Snapshot) {
+// runRange is the shard primitive under both drivers: runs [from, to) on
+// a bounded worker pool, each run writing its own slot. The snapshots
+// are empty unless cfg.Metrics.
+func runRange(cfg CampaignConfig, from, to, workers int) ([]Record, []*telemetry.Snapshot) {
 	sampled := 0
 	if cfg.Metrics {
 		sampled = to - from
@@ -395,7 +282,7 @@ func runRange(cfg CampaignConfig, pool []*Case, from, to, workers int) ([]Record
 	// Each assigned once, so the closure holds them by value.
 	records, snaps := make([]Record, to-from), make([]*telemetry.Snapshot, sampled)
 	par.For(to-from, workers, func(k int) {
-		rec, snap := runOne(cfg, from+k, pool)
+		rec, snap := runOne(cfg, from+k)
 		records[k] = rec
 		if sampled > 0 {
 			snaps[k] = snap
@@ -415,12 +302,8 @@ func mergeMetrics(cfg CampaignConfig, snaps []*telemetry.Snapshot) (*telemetry.S
 // RunRange executes runs [from, to) serially and returns their records
 // in index order plus, when cfg.Metrics, the canonical merge of their
 // telemetry snapshots — the shard unit the fabric's workers execute.
-// The range must lie within one generation (the coordinator's shards are
-// generation-aligned), because the seed pool — needed past the random
-// prefix, and handed over by whoever distilled it with CoveragePool — is
-// per-generation state. Corpus writing is the merge side's job
-// (Finalize), not the shard's.
-func RunRange(cfg CampaignConfig, from, to int, pool ...*Case) ([]Record, *telemetry.Snapshot, error) {
+// Corpus writing is the merge side's job (Finalize), not the shard's.
+func RunRange(cfg CampaignConfig, from, to int) ([]Record, *telemetry.Snapshot, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -428,27 +311,9 @@ func RunRange(cfg CampaignConfig, from, to int, pool ...*Case) ([]Record, *telem
 	if from < 0 || to > cfg.Runs || from > to {
 		return nil, nil, fmt.Errorf("fuzz: RunRange: range [%d, %d) outside 0..%d", from, to, cfg.Runs)
 	}
-	if from < to && cfg.GenOf(from) != cfg.GenOf(to-1) {
-		return nil, nil, fmt.Errorf("fuzz: RunRange: range [%d, %d) spans generations %d..%d",
-			from, to, cfg.GenOf(from), cfg.GenOf(to-1))
-	}
-	records, snaps := runRange(cfg, pool, from, to, 1)
+	records, snaps := runRange(cfg, from, to, 1)
 	merged, err := mergeMetrics(cfg, snaps)
 	return records, merged, err
-}
-
-// CoveragePool distills the mutation seed pool available to generation
-// gen from a record table whose generations < gen are complete: the
-// ascending-index walk over their features that both the local driver
-// and the fabric coordinator perform, so the pool — and everything bred
-// from it — is identical wherever the campaign runs.
-func CoveragePool(cfg CampaignConfig, records []Record, gen int) []*Case {
-	cm := newCoverageMap()
-	from, _ := cfg.GenBounds(gen)
-	for i := 0; i < from && i < len(records); i++ {
-		cm.add(&records[i])
-	}
-	return cm.pool
 }
 
 // Finalize is the campaign's merge step, shared by the local driver and
@@ -457,9 +322,7 @@ func CoveragePool(cfg CampaignConfig, records []Record, gen int) []*Case {
 // cfg.CorpusDir in ascending index order, filling in each record's
 // CorpusFile (records already carry their Minimized reproducers; each is
 // re-run once to capture its trace next to the case, for offline
-// inspection with dvmc-trace), and assembles the summary. For a campaign
-// with generations it also re-distills the table in ascending index
-// order and writes the seed pool under CorpusDir/distilled. An empty
+// inspection with dvmc-trace), and assembles the summary. An empty
 // CorpusDir writes nothing.
 func Finalize(cfg CampaignConfig, records []Record) (Summary, error) {
 	cfg = cfg.withDefaults()
@@ -481,59 +344,21 @@ func Finalize(cfg CampaignConfig, records []Record) (Summary, error) {
 			}
 		}
 	}
-	sum := summarize(cfg.Seed, records)
-	if cfg.Generations == 0 {
-		return sum, nil
-	}
-	cm := newCoverageMap()
-	sum.NewByGen = make([]int, cfg.Generations+1)
-	for i := range records {
-		rec := &records[i]
-		novel := cm.add(rec)
-		if novel == 0 {
-			continue
-		}
-		sum.NewByGen[cfg.GenOf(rec.Index)] += novel
-		if dir != "" {
-			name := fmt.Sprintf("seed-%06d", rec.Index)
-			if _, err := WriteCase(filepath.Join(dir, "distilled"), name, rec.Case); err != nil {
-				return Summary{}, err
-			}
-		}
-	}
-	sum.InitRuns, sum.Generations, sum.PerGen = cfg.InitRuns(), cfg.Generations, cfg.PerGen
-	sum.Features, sum.PoolSize = len(cm.features), len(cm.pool)
-	return sum, nil
+	return summarize(cfg.Seed, records), nil
 }
 
-// Run is the local campaign driver. Each generation runs on a bounded
-// worker pool writing disjoint slots of the record table, with a barrier
-// and an ascending-index distillation between generations (a mutant may
-// only see seeds from completed generations — the property that makes
-// the campaign worker-count independent); a campaign without generations
-// is the one pass over its prefix. Artifacts are produced after the last
-// barrier, by Finalize, so the campaign's entire output is byte-identical
-// across invocations and worker counts. Returns the records in index
-// order, the summary, and the merged telemetry snapshot when cfg.Metrics
-// is on (nil otherwise).
+// Run is the local campaign driver: every run on a bounded worker pool
+// writing disjoint slots of the record table, then the artifacts, by
+// Finalize, so the campaign's entire output is byte-identical across
+// invocations and worker counts. Returns the records in index order, the
+// summary, and the merged telemetry snapshot when cfg.Metrics is on (nil
+// otherwise).
 func Run(cfg CampaignConfig) ([]Record, Summary, *telemetry.Snapshot, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, Summary{}, nil, err
 	}
 	cfg = cfg.withDefaults()
-	records := make([]Record, 0, cfg.Runs)
-	var snaps []*telemetry.Snapshot
-	cm := newCoverageMap()
-	for g := 0; g <= cfg.Generations; g++ {
-		from, to := cfg.GenBounds(g)
-		recs, sn := runRange(cfg, cm.pool, from, to, cfg.Workers)
-		records = append(records, recs...)
-		snaps = append(snaps, sn...)
-		// Barrier passed; fold the generation in ascending index order.
-		for i := from; i < to; i++ {
-			cm.add(&records[i])
-		}
-	}
+	records, snaps := runRange(cfg, 0, cfg.Runs, cfg.Workers)
 	sum, err := Finalize(cfg, records)
 	if err != nil {
 		return records, Summary{}, nil, err

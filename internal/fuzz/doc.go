@@ -21,23 +21,17 @@
 //     paths via workload.Custom, classified as agree-clean /
 //     agree-detect / escape / false-alarm (plus not-applied, hang, and
 //     crash for campaign bookkeeping).
-//   - CampaignConfig / Run — the one campaign driver. A campaign has
-//     Generations >= 0: its Runs cases are a random prefix (generation
-//     0) followed by that many breeding rounds of PerGen mutants each,
-//     bred from the runs that reached new coverage (coverage.go: the
-//     feature map and the mutation engine). Random fuzzing is the
-//     campaign with no generations — the same loop, run once — and
-//     then runs uninstrumented and records no features. A bounded
-//     worker pool spreads each generation's independent simulations
-//     across host cores; each run is a pure function of (config, run
-//     index, earlier generations' records), so the classification
-//     table and corpus artifacts are byte-identical across invocations
-//     and worker counts, and a per-run recover wrapper turns a
-//     panicking simulation into a "crash" classification instead of
-//     killing the campaign. RunRange is the same step for one index
-//     range — the shard a fabric worker executes — and Finalize the
-//     merge both callers share: reproducers, the distilled seed pool,
-//     the Summary.
+//   - CampaignConfig / Run — the campaign driver. Run i's case is
+//     CaseAt(cfg, i), a pure function of the configuration and the
+//     index. A bounded worker pool spreads the independent simulations
+//     across host cores; because every run depends on nothing but its
+//     index, the classification table and corpus artifacts are
+//     byte-identical across invocations and worker counts, and a
+//     per-run recover wrapper turns a panicking simulation into a
+//     "crash" classification instead of killing the campaign. RunRange
+//     is the same step for one index range — the shard a fabric worker
+//     executes — and Finalize the merge both callers share: reproducers
+//     and the Summary.
 //   - Minimize — delta debugging: drop threads, ddmin each thread's op
 //     list, weaken membar masks, simplify ops, and canonicalize the
 //     address set, re-running deterministically after every candidate

@@ -477,6 +477,63 @@ func TestCampaignReproducibleAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestCoverageDeterministic is the reproducibility contract over several
+// seeds: 1 worker and 4 workers produce the same record table, the same
+// summary and byte-identical corpus trees. Seed 77's 64 runs hold an
+// escape, so one tree holds a minimized reproducer and its trace.
+func TestCoverageDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	files := 0
+	for _, seed := range []uint64{3, 11, 77} {
+		cfg := CampaignConfig{Seed: seed, Runs: 64, FaultFrac: 0.5, Minimize: true, MinimizeBudget: 100}
+		cfg.Workers, cfg.CorpusDir = 1, t.TempDir()
+		d1, s1 := campaignRecordsJSON(t, cfg)
+		c1 := dirContents(t, cfg.CorpusDir)
+		cfg.Workers, cfg.CorpusDir = 4, t.TempDir()
+		d4, s4 := campaignRecordsJSON(t, cfg)
+		if !bytes.Equal(d1, d4) {
+			t.Fatalf("seed %d: records differ between workers=1 and workers=4", seed)
+		}
+		if !reflect.DeepEqual(s1, s4) {
+			t.Fatalf("seed %d: summaries differ: %+v vs %+v", seed, s1, s4)
+		}
+		if !reflect.DeepEqual(c1, dirContents(t, cfg.CorpusDir)) {
+			t.Fatalf("seed %d: corpus artifacts differ between worker counts", seed)
+		}
+		files += len(c1)
+	}
+	if files == 0 {
+		t.Fatal("no seed wrote a reproducer: the corpus comparison compared nothing")
+	}
+}
+
+// dirContents flattens a directory tree into relative-path -> bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		out[rel] = string(data)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestRunRangeShardsMatchCampaign is the fabric's sharding contract:
 // executing index ranges on independent "workers" (RunRange calls) and
 // concatenating the records reproduces Run exactly, and the shared
@@ -511,6 +568,84 @@ func TestRunRangeShardsMatchCampaign(t *testing.T) {
 	}
 	if got, err := Finalize(cfg, sharded); err != nil || !reflect.DeepEqual(sum, got) {
 		t.Fatalf("Finalize over sharded records = %+v, %v; campaign summary %+v", got, err, sum)
+	}
+}
+
+// TestCoverageRangeMatchesRun is the fabric's sharding contract on a
+// kind-restricted campaign: ragged RunRange shards, an empty one among
+// them, reproduce Run's records exactly, and every record's case is
+// CaseAt of its index — what the coordinator re-derives instead of
+// shipping cases.
+func TestCoverageRangeMatchesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	cc := CampaignConfig{Seed: 42, Workers: 2, FaultFrac: 0.5, Runs: 14, Kinds: []string{"msg-drop", "lsq-bad-forward"}}
+	serial, _, _, err := Run(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sharded []Record
+	for _, r := range [][2]int{{0, 0}, {0, 3}, {3, 4}, {4, 14}} {
+		recs, _, err := RunRange(cc, r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded = append(sharded, recs...)
+	}
+	a, _ := json.Marshal(serial)
+	b, _ := json.Marshal(sharded)
+	if !bytes.Equal(a, b) {
+		t.Fatal("sharded RunRange records differ from Run")
+	}
+	for _, rec := range serial {
+		got, _ := rec.Case.Encode()
+		want, _ := CaseAt(cc, rec.Index).Encode()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("record %d's case is not CaseAt(cfg, %d)", rec.Index, rec.Index)
+		}
+	}
+}
+
+// TestCoverageRangeBounds: any range inside the case space is a shard,
+// wherever it starts and however short (TestRunRangeBounds refuses the
+// ones outside it).
+func TestCoverageRangeBounds(t *testing.T) {
+	cc := CampaignConfig{Seed: 1, Runs: 8, Budget: 2000}
+	for _, r := range [][2]int{{2, 6}, {8, 8}, {7, 8}} {
+		recs, _, err := RunRange(cc, r[0], r[1])
+		if err != nil || len(recs) != r[1]-r[0] {
+			t.Errorf("RunRange(%d, %d) = %d records, %v", r[0], r[1], len(recs), err)
+		}
+	}
+}
+
+// TestCampaignShape: a campaign is Runs cases and nothing else. Validate
+// refuses what cannot shape one, and the zero budgets resolve to their
+// defaults in one place.
+func TestCampaignShape(t *testing.T) {
+	cc := CampaignConfig{Runs: 64}.withDefaults()
+	if cc.Budget != DefaultBudget || cc.MinimizeBudget != DefaultMinimizeBudget {
+		t.Errorf("defaults: budget %d, minimize budget %d", cc.Budget, cc.MinimizeBudget)
+	}
+	for _, cfg := range []CampaignConfig{
+		{Runs: 1},
+		{Runs: 64, FaultFrac: 1, Kinds: []string{"msg-drop"}},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
+	}
+	for _, cfg := range []CampaignConfig{
+		{Runs: 0},
+		{Runs: -1},
+		{Runs: 4, FaultFrac: -0.1},
+		{Runs: 4, FaultFrac: 1.5},
+		{Runs: 4, Kinds: []string{"bogus"}},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%+v validated", cfg)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@
 #   - dvmc-fuzz replay of the committed corpus (re-records all 13 .trc)
 #   - dvmc-trace check and check -json of two of the traces above, stdout
 #     and exit code (the oracle's report, byte for byte)
-#   - the guided campaign dvmc-fuzz run -seed 5 -n 64 -gens 2 -gen-size 8
+#   - CI's campaign-determinism campaign dvmc-fuzz run -seed 5 -n 64
 #     -fault-frac 0.5 -json, stdout, exit code and a cksum listing of its
 #     -corpus tree
 #   - the directory soak, seeds 1..8, which must also exit 0
@@ -102,11 +102,11 @@ artifacts() {
 		verdict "check-$t.stdout" "$bin/dvmc-trace" check "$t.trc"
 		verdict "check-json-$t.stdout" "$bin/dvmc-trace" check -json "$t.trc"
 	done
-	mkdir guided-corpus
-	verdict fuzz-guided-5.stdout "$bin/dvmc-fuzz" run -seed 5 -n 64 -gens 2 -gen-size 8 -fault-frac 0.5 \
-		-corpus guided-corpus -json
-	(cd guided-corpus && find . -type f | LC_ALL=C sort | xargs -r cksum) >fuzz-guided-5.corpus.cksum
-	rm -r guided-corpus # listed above; the comparison below is over files
+	mkdir campaign-corpus
+	verdict fuzz-campaign-5.stdout "$bin/dvmc-fuzz" run -seed 5 -n 64 -fault-frac 0.5 \
+		-corpus campaign-corpus -json
+	(cd campaign-corpus && find . -type f | LC_ALL=C sort | xargs -r cksum) >fuzz-campaign-5.corpus.cksum
+	rm -r campaign-corpus # listed above; the comparison below is over files
 	for s in 1 2 3 4 5 6 7 8; do
 		"$bin/dvmc-sim" -workload oltp -protocol directory -model TSO -seed $s -txns 4500 >"soak-$s.stdout"
 	done
