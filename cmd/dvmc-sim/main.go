@@ -3,12 +3,15 @@
 // workload, and (optionally) DVMC verification plus SafetyNet recovery.
 // It prints runtime, memory-system, interconnect, and checker statistics.
 //
-// Telemetry: -metrics-out records a cycle-sampled telemetry snapshot
+// Artifacts: -metrics-out records a cycle-sampled telemetry snapshot
 // (inspect it with dvmc-stat); -http serves live /metrics (Prometheus
 // text), /metrics.json, and /debug/pprof/ while the simulation runs.
 // Both enable the deterministic cycle sampler. -spans-out records the
 // causal span dump (coherence transactions, phase profile) — render it
-// with dvmc-stat timeline and open in Perfetto.
+// with dvmc-stat timeline and open in Perfetto. -trace-out records the
+// execution trace, every commit and perform event — check it with
+// dvmc-trace check. Any one of the three may be '-': that artifact is
+// then all of stdout and the report goes to stderr.
 //
 // Exit codes: 0 clean, 1 usage or I/O error, 2 violations detected.
 //
@@ -17,6 +20,7 @@
 //	dvmc-sim -workload oltp -model TSO -protocol directory -txns 200
 //	dvmc-sim -workload apache -txns 500 -metrics-out run.json
 //	dvmc-sim -workload oltp -txns 100000 -http :8080
+//	dvmc-sim -nodes 4 -model RMO -trace-out - | dvmc-trace check -
 package main
 
 import (
@@ -54,7 +58,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsOut   = fs.String("metrics-out", "", "write the telemetry snapshot to this file (.json|.prom|.csv|.series.csv; '-' for stdout JSON)")
 		sampleEvery  = fs.Uint64("sample-every", 0, "telemetry sampling period in cycles (0 = default)")
 		httpAddr     = fs.String("http", "", "serve live /metrics, /metrics.json, and /debug/pprof/ on this address while running")
-		spansOut     = fs.String("spans-out", "", "record causal spans and write the binary dump to this file (render with dvmc-stat timeline)")
+		spansOut     = fs.String("spans-out", "", "record causal spans and write the binary dump to this file ('-' for stdout; render with dvmc-stat timeline)")
+		traceOut     = fs.String("trace-out", "", "record the execution trace and write it to this file ('-' for stdout; check with dvmc-trace check)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -68,6 +73,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() > 0 {
 		return failf("unexpected argument %q", fs.Arg(0))
+	}
+	// An artifact written to stdout is all of stdout; the report moves
+	// to stderr so a pipe reads the artifact from its first byte.
+	report := stdout
+	for _, out := range []string{*metricsOut, *spansOut, *traceOut} {
+		if out != "-" {
+			continue
+		}
+		if report == stderr {
+			return failf("only one of -metrics-out, -spans-out and -trace-out can be '-' (stdout)")
+		}
+		report = stderr
 	}
 
 	cfg := dvmc.ScaledConfig()
@@ -98,6 +115,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *spansOut != "" {
 		cfg = cfg.WithSpans(dvmc.SpansOn())
 	}
+	if *traceOut != "" {
+		cfg = cfg.WithTrace(dvmc.TraceOn())
+	}
 
 	w, err := dvmc.WorkloadByName(*workloadName)
 	if err != nil {
@@ -108,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return failf("assemble: %v", err)
 	}
-	fmt.Fprintf(stdout, "dvmc-sim: %s on %d-node %v/%v system (dvmc=%v safetynet=%v link=%.1fGB/s)\n",
+	fmt.Fprintf(report, "dvmc-sim: %s on %d-node %v/%v system (dvmc=%v safetynet=%v link=%.1fGB/s)\n",
 		w.Name, cfg.Nodes, cfg.Protocol, cfg.Model, cfg.DVMC.Any(), cfg.SafetyNet, cfg.LinkGBps)
 
 	var res dvmc.Results
@@ -117,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return failf("http: %v", err)
 		}
-		fmt.Fprintf(stdout, "dvmc-sim: serving /metrics and /debug/pprof/ on %s\n", ln.Addr())
+		fmt.Fprintf(report, "dvmc-sim: serving /metrics and /debug/pprof/ on %s\n", ln.Addr())
 		res, err = runWithHTTP(sys, ln, *txns, *maxCycles)
 	} else {
 		res, err = sys.Run(*txns, *maxCycles)
@@ -126,33 +146,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return failf("run: %v", err)
 	}
 	sys.DrainCheckers()
+	var traceData []byte
+	if *traceOut != "" {
+		if traceData, err = sys.TraceBytes(); err != nil {
+			return failf("%v", err)
+		}
+	}
 
-	fmt.Fprintf(stdout, "\nruntime:        %d cycles for %d transactions (%.3f txn/kcycle)\n",
+	fmt.Fprintf(report, "\nruntime:        %d cycles for %d transactions (%.3f txn/kcycle)\n",
 		res.Cycles, res.Transactions, res.TPKC())
-	fmt.Fprintf(stdout, "ops retired:    %d (loads executed %d, squashes spec=%d verify=%d)\n",
+	fmt.Fprintf(report, "ops retired:    %d (loads executed %d, squashes spec=%d verify=%d)\n",
 		res.OpsRetired, res.LoadsExecuted, res.SpecSquashes, res.VerifySquashes)
-	fmt.Fprintf(stdout, "L1:             %d hits / %d misses   L2: %d hits / %d misses\n",
+	fmt.Fprintf(report, "L1:             %d hits / %d misses   L2: %d hits / %d misses\n",
 		res.L1Hits, res.L1Misses, res.L2Hits, res.L2Misses)
-	fmt.Fprintf(stdout, "replay:         %d loads, %d L1 misses (ratio %.4f)\n",
+	fmt.Fprintf(report, "replay:         %d loads, %d L1 misses (ratio %.4f)\n",
 		res.ReplayLoads, res.ReplayL1Misses, res.ReplayMissRatio())
-	fmt.Fprintf(stdout, "interconnect:   max link %.3f B/cycle, total %d bytes\n",
+	fmt.Fprintf(report, "interconnect:   max link %.3f B/cycle, total %d bytes\n",
 		res.MaxLinkBandwidth, res.TotalLinkBytes)
 	for _, cl := range network.Classes {
 		if bw := res.MaxLinkByClass[cl]; bw > 0 {
-			fmt.Fprintf(stdout, "                  %-10v %.4f B/cycle on hottest link\n", cl, bw)
+			fmt.Fprintf(report, "                  %-10v %.4f B/cycle on hottest link\n", cl, bw)
 		}
 	}
 	if cfg.DVMC.CacheCoherence {
-		fmt.Fprintf(stdout, "coherence chk:  %d informs (+%d open), %d processed at METs\n",
+		fmt.Fprintf(report, "coherence chk:  %d informs (+%d open), %d processed at METs\n",
 			res.Informs, res.OpenInforms, res.InformsProcessed)
 	}
 	if cfg.SafetyNet {
-		fmt.Fprintf(stdout, "safetynet:      %d checkpoints, %d log msgs, %d recoveries\n",
+		fmt.Fprintf(report, "safetynet:      %d checkpoints, %d log msgs, %d recoveries\n",
 			res.Checkpoints, res.LogMessages, res.Recoveries)
 	}
-	fmt.Fprintf(stdout, "violations:     %d\n", res.Violations)
+	fmt.Fprintf(report, "violations:     %d\n", res.Violations)
 	for _, v := range sys.Violations() {
-		fmt.Fprintf(stdout, "  %v\n", v)
+		fmt.Fprintf(report, "  %v\n", v)
 	}
 
 	// The telemetry registry is the single source of truth for detailed
@@ -160,8 +186,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// /metrics endpoint all render the same snapshot.
 	snap := sys.TelemetrySnapshot()
 	if *verbose {
-		fmt.Fprintln(stdout)
-		if err := snap.Text(stdout); err != nil {
+		fmt.Fprintln(report)
+		if err := snap.Text(report); err != nil {
 			return failf("telemetry report: %v", err)
 		}
 	}
@@ -174,24 +200,46 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return failf("%v", err)
 		}
-		if *metricsOut != "-" {
-			fmt.Fprintf(stdout, "telemetry snapshot written to %s\n", *metricsOut)
-		}
+		fmt.Fprintf(report, "telemetry snapshot written to %s\n", outName(*metricsOut))
 	}
 	if *spansOut != "" {
 		dump, err := sys.SpanBytes()
 		if err != nil {
 			return failf("%v", err)
 		}
-		if err := os.WriteFile(*spansOut, dump, 0o644); err != nil {
+		if err := writeOut(*spansOut, dump, stdout); err != nil {
 			return failf("%v", err)
 		}
 		st := sys.SpanStats()
-		fmt.Fprintf(stdout, "span dump written to %s (%d spans recorded, %d evicted, %d hops)\n",
-			*spansOut, st.Spans, st.SpansDropped, st.Events)
+		fmt.Fprintf(report, "span dump written to %s (%d spans recorded, %d evicted, %d hops)\n",
+			outName(*spansOut), st.Spans, st.SpansDropped, st.Events)
+	}
+	if *traceOut != "" {
+		if err := writeOut(*traceOut, traceData, stdout); err != nil {
+			return failf("%v", err)
+		}
+		fmt.Fprintf(report, "trace written to %s (%d events, %d bytes)\n",
+			outName(*traceOut), sys.TraceStats().Events, len(traceData))
 	}
 	if res.Violations > 0 {
 		return 2
 	}
 	return 0
+}
+
+// writeOut writes an artifact to the named file, or to stdout for "-".
+func writeOut(path string, data []byte, stdout io.Writer) error {
+	if path == "-" {
+		_, err := stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+// outName is how the report names an artifact's destination.
+func outName(path string) string {
+	if path == "-" {
+		return "stdout"
+	}
+	return path
 }

@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dvmc"
+	"dvmc/internal/span"
+	"dvmc/internal/telemetry"
 )
 
 func runSim(args ...string) (code int, stdout, stderr string) {
@@ -75,6 +80,8 @@ func TestExitCodes(t *testing.T) {
 		{"budget", []string{"-nodes", "4", "-txns", "20", "-max-cycles", "100"}, 1, "", "dvmc-sim: run: "},
 		{"metrics-out", append([]string{"-metrics-out", filepath.Join(dir, "no", "such", "dir.json")}, small...), 1, "", "dvmc-sim: telemetry: "},
 		{"spans-out", append([]string{"-spans-out", filepath.Join(dir, "no", "such", "dir.spans")}, small...), 1, "", "dvmc-sim: "},
+		{"trace-out", append([]string{"-trace-out", filepath.Join(dir, "no", "such", "dir.trc")}, small...), 1, "", "dvmc-sim: "},
+		{"two stdout outputs", append([]string{"-metrics-out", "-", "-trace-out", "-"}, small...), 1, "", "only one of -metrics-out, -spans-out and -trace-out can be '-'"},
 		{"http", append([]string{"-http", "127.0.0.1:0"}, small...), 0, "dvmc-sim: serving /metrics and /debug/pprof/ on 127.0.0.1:", ""},
 		{"http bind", append([]string{"-http", busy.Addr().String()}, small...), 1, "", "dvmc-sim: http: "},
 		{"violations", []string{"-nodes", "4", "-txns", "20", "-link", "0.05"}, 2, "operation-timeout", ""},
@@ -95,20 +102,73 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestMetricsToStdout: -metrics-out - writes the JSON snapshot to the
-// run's stdout after the report.
+// TestMetricsToStdout: -metrics-out - makes the JSON snapshot all of
+// stdout, so dvmc-stat can read it from a pipe; the report goes to
+// stderr.
 func TestMetricsToStdout(t *testing.T) {
 	code, stdout, stderr := runSim("-nodes", "4", "-txns", "20", "-metrics-out", "-")
 	if code != 0 {
 		t.Fatalf("exit %d; stderr: %s", code, stderr)
 	}
-	if i := strings.Index(stdout, "\n{"); i < 0 || !strings.Contains(stdout[i:], `"metrics"`) {
-		t.Fatalf("no JSON snapshot after the report:\n%s", stdout)
+	snap, err := telemetry.DecodeSnapshot(strings.NewReader(stdout))
+	if err != nil || len(snap.Metrics) == 0 {
+		t.Fatalf("stdout is not a snapshot from byte 0 (%v):\n%.200s", err, stdout)
 	}
-	if strings.Contains(stdout, "telemetry snapshot written to") {
-		t.Errorf("stdout names a snapshot file for -metrics-out -")
+	if !strings.Contains(stderr, "violations:     0") || !strings.Contains(stderr, "telemetry snapshot written to stdout") {
+		t.Errorf("report missing from stderr:\n%s", stderr)
 	}
 	if _, err := os.Stat("-"); err == nil {
 		t.Errorf("-metrics-out - created a file named -")
+	}
+}
+
+// TestArtifactsToStdout: -trace-out - writes exactly the trace an
+// in-process run records (Run, DrainCheckers, then TraceBytes), and
+// -spans-out - writes a span dump; either way stdout holds the artifact
+// alone and the report, with the artifact's line, goes to stderr.
+func TestArtifactsToStdout(t *testing.T) {
+	cfg := dvmc.ScaledConfig().WithNodes(4).WithModel(dvmc.RMO).WithTrace(dvmc.TraceOn())
+	sys, err := dvmc.NewSystem(cfg, dvmc.OLTP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(20, 100_000_000); err != nil {
+		t.Fatal(err)
+	}
+	sys.DrainCheckers()
+	want, err := sys.TraceBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runSim("-nodes", "4", "-model", "RMO", "-txns", "20", "-trace-out", "-")
+	if code != 0 || stdout != string(want) {
+		t.Fatalf("-trace-out -: exit %d, %d bytes on stdout, want the %d-byte in-process trace; stderr: %s", code, len(stdout), len(want), stderr)
+	}
+	line := fmt.Sprintf("trace written to stdout (%d events, %d bytes)", sys.TraceStats().Events, len(want))
+	if !strings.Contains(stderr, line) || !strings.Contains(stderr, "violations:     0") {
+		t.Errorf("stderr lacks the report or %q:\n%s", line, stderr)
+	}
+
+	path := filepath.Join(t.TempDir(), "run.trc")
+	code, stdout, _ = runSim("-nodes", "4", "-model", "RMO", "-txns", "20", "-trace-out", path)
+	if got, err := os.ReadFile(path); code != 0 || err != nil || !bytes.Equal(got, want) {
+		t.Errorf("-trace-out %s: exit %d, %v; file differs from the in-process trace", path, code, err)
+	}
+	if !strings.Contains(stdout, "trace written to "+path) {
+		t.Errorf("report does not name the trace file:\n%s", stdout)
+	}
+
+	code, stdout, stderr = runSim("-nodes", "4", "-txns", "20", "-spans-out", "-")
+	if code != 0 {
+		t.Fatalf("-spans-out -: exit %d; stderr: %s", code, stderr)
+	}
+	if _, spans, err := span.Decode([]byte(stdout)); err != nil || len(spans) == 0 {
+		t.Errorf("-spans-out -: stdout is not a span dump (%d spans, %v)", len(spans), err)
+	}
+	if !strings.Contains(stderr, "span dump written to stdout") {
+		t.Errorf("stderr lacks the span line:\n%s", stderr)
+	}
+	if _, err := os.Stat("-"); err == nil {
+		t.Errorf("-spans-out - created a file named -")
 	}
 }

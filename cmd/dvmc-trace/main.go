@@ -1,22 +1,21 @@
-// Command dvmc-trace records and re-verifies execution traces.
+// Command dvmc-trace re-verifies execution traces.
 //
 // The simulator's online DVMC checkers run inside the machine they
-// verify. dvmc-trace closes the loop from the outside: `record` runs a
-// full-system simulation with the trace recorder attached and writes the
-// captured per-processor commit/perform stream to disk; `check` runs a
-// trace through the offline consistency oracle (internal/oracle/stream),
-// which re-derives the uniprocessor-ordering and allowable-reordering
-// verdicts from nothing but the trace and the consistency model's
-// ordering table, judging each event as its bytes arrive — so it holds
-// neither the file nor the events, and can sit on the end of a pipe while
-// `record` is still running; `info` summarises a trace without checking
-// it.
+// verify. dvmc-trace closes the loop from the outside: `dvmc-sim
+// -trace-out` writes a run's per-processor commit/perform stream, and
+// `check` runs that trace through the offline consistency oracle
+// (internal/oracle/stream), which re-derives the uniprocessor-ordering
+// and allowable-reordering verdicts from nothing but the trace and the
+// consistency model's ordering table, judging each event as its bytes
+// arrive — so it holds neither the file nor the events, and can sit on
+// the end of a pipe while the simulation is still running; `info`
+// summarises a trace without checking it.
 //
 // Examples:
 //
-//	dvmc-trace record -workload oltp -model TSO -txns 200 trace.trc
+//	dvmc-sim -nodes 4 -workload oltp -model TSO -txns 200 -trace-out trace.trc
 //	dvmc-trace check trace.trc
-//	dvmc-trace record -model RMO - | dvmc-trace check -
+//	dvmc-sim -nodes 4 -model RMO -trace-out - | dvmc-trace check -
 //
 // Exit codes: 0 clean, 1 usage or I/O error (a missing file, a trace the
 // oracle refuses as a truncated window), 2 the oracle found violations or
@@ -34,7 +33,6 @@ import (
 	"os"
 	"time"
 
-	"dvmc"
 	"dvmc/internal/oracle"
 	"dvmc/internal/oracle/stream"
 	"dvmc/internal/telemetry"
@@ -57,8 +55,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	switch args[0] {
-	case "record":
-		return c.record(args[1:])
 	case "check":
 		return c.check(args[1:])
 	case "info":
@@ -67,19 +63,20 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		c.usage()
 		return 0
 	default:
-		return c.failf("unknown subcommand %q (want record, check, or info)", args[0])
+		return c.failf("unknown subcommand %q (want check or info)", args[0])
 	}
 }
 
 func (c *cli) usage() {
 	fmt.Fprintf(c.stderr, `usage:
-  dvmc-trace record [flags] <out.trc | ->   run a simulation, write its trace
-  dvmc-trace check [flags] <in.trc | ->     verify a trace with the offline oracle
-  dvmc-trace info [-json] <in.trc | ->      summarise a trace
+  dvmc-trace check [flags] <in.trc | ->   verify a trace with the offline oracle
+  dvmc-trace info [-json] <in.trc | ->    summarise a trace
 
-'-' reads from stdin / writes to stdout. 'record -h' / 'check -h' list
-flags. 'check' judges each event as it is decoded, in bounded memory, so
-it can sit on the end of a pipe while 'record' is still running.
+'-' reads from stdin. 'check -h' lists flags. 'check' judges each event
+as it is decoded, in bounded memory, so it can sit on the end of a pipe
+while the simulation that writes the trace is still running:
+
+  dvmc-sim -nodes 4 -trace-out - | dvmc-trace check -
 
 exit codes: 0 clean, 1 usage or I/O error, 2 the oracle found
 violations or the input is not a decodable trace (the record and byte
@@ -126,81 +123,6 @@ func (c *cli) open(args []string) (io.ReadCloser, error) {
 		return io.NopCloser(c.stdin), nil
 	}
 	return os.Open(args[0])
-}
-
-func (c *cli) record(args []string) int {
-	fs := flag.NewFlagSet("record", flag.ContinueOnError)
-	var (
-		workloadName = fs.String("workload", "oltp", "workload: apache|oltp|jbb|slash|barnes|uniform")
-		modelName    = fs.String("model", "TSO", "consistency model: SC|TSO|PSO|RMO")
-		protoName    = fs.String("protocol", "directory", "coherence protocol: directory|snooping")
-		nodes        = fs.Int("nodes", 4, "processor count")
-		txns         = fs.Uint64("txns", 200, "transactions to complete")
-		maxCycles    = fs.Uint64("max-cycles", 100_000_000, "cycle budget")
-		seed         = fs.Uint64("seed", 1, "simulation seed")
-		flight       = fs.Int("flight", 0, "flight-recorder mode: keep only the last N events (0 = full capture)")
-	)
-	if code, ok := c.flags(fs, args); !ok {
-		return code
-	}
-	if fs.NArg() != 1 {
-		return c.failf("record: need exactly one output path (or '-' for stdout)")
-	}
-	out := fs.Arg(0)
-
-	model, err := dvmc.ParseModel(*modelName)
-	if err != nil {
-		return c.failf("%v", err)
-	}
-	proto, err := dvmc.ParseProtocol(*protoName)
-	if err != nil {
-		return c.failf("%v", err)
-	}
-	cfg := dvmc.ScaledConfig().WithNodes(*nodes).WithSeed(*seed).WithModel(model).WithProtocol(proto)
-	tc := dvmc.TraceOn()
-	if *flight > 0 {
-		tc.FlightRecorder = true
-		tc.RingEvents = *flight
-	}
-	cfg = cfg.WithTrace(tc)
-
-	w, err := dvmc.WorkloadByName(*workloadName)
-	if err != nil {
-		return c.failf("%v", err)
-	}
-	sys, err := dvmc.NewSystem(cfg, w)
-	if err != nil {
-		return c.failf("assemble: %v", err)
-	}
-	res, err := sys.Run(*txns, *maxCycles)
-	if err != nil {
-		return c.failf("run: %v", err)
-	}
-	sys.DrainCheckers()
-
-	data, err := sys.TraceBytes()
-	if err != nil {
-		return c.failf("trace: %v", err)
-	}
-	if out == "-" {
-		if _, err := c.stdout.Write(data); err != nil {
-			return c.failf("write stdout: %v", err)
-		}
-	} else if err := os.WriteFile(out, data, 0o644); err != nil {
-		return c.failf("write %s: %v", out, err)
-	}
-	ts := sys.TraceStats()
-	fmt.Fprintf(c.stderr,
-		"dvmc-trace: %s %v/%v ran %d txns in %d cycles; %d events (%d dropped), %d bytes\n",
-		w.Name, cfg.Protocol, cfg.Model, res.Transactions, res.Cycles,
-		ts.Events, ts.Dropped, len(data))
-	if onv := sys.Violations(); len(onv) > 0 {
-		fmt.Fprintf(c.stderr, "dvmc-trace: online checkers reported %d violations during recording:\n", len(onv))
-		for _, v := range onv {
-			fmt.Fprintf(c.stderr, "  %v\n", v)
-		}
-	}
-	return 0
 }
 
 // checkJSON is the machine-readable verdict of `check -json`.
@@ -296,7 +218,7 @@ func (c *cli) check(args []string) int {
 // frontier depth and high-water, pending value queries) and its
 // throughput, decode included, for dvmc-stat.
 func writeMetrics(chk *stream.Checker, elapsed time.Duration, path string) error {
-	reg := telemetry.NewRegistry(telemetry.Config{})
+	reg := telemetry.NewRegistry()
 	chk.RegisterMetrics(reg)
 	if el := elapsed.Seconds(); el > 0 {
 		reg.Gauge("stream_events_per_sec", "check throughput since start").

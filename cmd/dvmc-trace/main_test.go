@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dvmc"
 	"dvmc/internal/consistency"
 	"dvmc/internal/hash"
 	"dvmc/internal/telemetry"
@@ -19,10 +20,30 @@ func runTrace(stdin []byte, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errOut.String()
 }
 
+// recordTrace runs a 20-transaction simulation in process and returns its
+// trace, the bytes `dvmc-sim -txns 20 -trace-out` writes for cfg.
+func recordTrace(t *testing.T, cfg dvmc.Config) []byte {
+	t.Helper()
+	sys, err := dvmc.NewSystem(cfg.WithTrace(dvmc.TraceOn()), dvmc.OLTP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(20, 100_000_000); err != nil {
+		t.Fatal(err)
+	}
+	sys.DrainCheckers()
+	data, err := sys.TraceBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestExitCodes pins the tool's contract for every way of reading a
-// trace: 0 for a clean one, 1 for usage and I/O errors, 2 for an oracle
-// violation and — with the position of the damage on stderr — for bytes
-// that are not a decodable trace.
+// trace: 0 for a clean one, 1 for usage and I/O errors and for a
+// truncated window the oracle refuses, 2 for an oracle violation and —
+// with the position of the damage on stderr — for bytes that are not a
+// decodable trace.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string, data []byte) string {
@@ -33,14 +54,8 @@ func TestExitCodes(t *testing.T) {
 		return path
 	}
 
-	cleanPath := filepath.Join(dir, "clean.trc")
-	if code, _, stderr := runTrace(nil, "record", "-txns", "20", "-nodes", "2", cleanPath); code != 0 {
-		t.Fatalf("record: exit %d, stderr:\n%s", code, stderr)
-	}
-	clean, err := os.ReadFile(cleanPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := recordTrace(t, dvmc.ScaledConfig().WithNodes(2))
+	cleanPath := file("clean.trc", clean)
 	// A store that performs without ever committing: the oracle's R4.
 	meta := trace.Meta{Version: trace.Version, Nodes: 1, Model: consistency.TSO}
 	bad, err := trace.Encode(meta, []trace.Event{{
@@ -50,6 +65,14 @@ func TestExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	violating := file("violating.trc", bad)
+	// A window from the flight-recorder mode of earlier versions: it
+	// decodes, and the oracle refuses it.
+	meta.Truncated = true
+	window, err := trace.Encode(meta, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := file("truncated.trc", window)
 	torn := file("torn.trc", clean[:len(clean)/2])
 	flipped := append([]byte(nil), clean...)
 	flipped[len(flipped)/2] ^= 0x41
@@ -72,6 +95,8 @@ func TestExitCodes(t *testing.T) {
 			{"no path", nil, "", 1, "exactly one trace path"},
 			{"missing file", nil, filepath.Join(dir, "absent.trc"), 1, "no such file"},
 			{"violation", nil, violating, map[bool]int{true: 2, false: 0}[checks], ""},
+			{"truncated window", nil, truncated, map[bool]int{true: 1, false: 0}[checks],
+				map[bool]string{true: "truncated flight-recorder window", false: ""}[checks]},
 			{"torn tail", nil, torn, 2, "offset "},
 			{"flipped byte on stdin", flipped, "-", 2, "offset "},
 			{"hostile node count", nil, hostile, 2, "offset 8: node count 300"},
@@ -93,6 +118,9 @@ func TestExitCodes(t *testing.T) {
 			if checks && tc.name == "violation" && !strings.Contains(stdout, "verdict: 1 violations") {
 				t.Errorf("%s, violation: stdout %q names no verdict", strings.Join(sub, " "), stdout)
 			}
+			if !checks && tc.name == "truncated window" && !strings.Contains(stdout, "note:   truncated") {
+				t.Errorf("info, truncated window: stdout %q carries no note", stdout)
+			}
 		}
 	}
 }
@@ -100,7 +128,8 @@ func TestExitCodes(t *testing.T) {
 // TestUsage pins the outer shell: no subcommand and an unknown one are
 // usage errors, help is not, and flag errors are exit 1 like every other
 // usage error of this tool — the flags of the deleted second engine
-// included.
+// included. `record` is not a subcommand: dvmc-sim -trace-out writes
+// traces.
 func TestUsage(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
@@ -115,9 +144,7 @@ func TestUsage(t *testing.T) {
 		{[]string{"check", "-stream", "x.trc"}, 1, "flag provided but not defined: -stream"},
 		{[]string{"check", "-shards", "2", "x.trc"}, 1, "flag provided but not defined: -shards"},
 		{[]string{"check", "-window", "8", "x.trc"}, 1, "flag provided but not defined: -window"},
-		{[]string{"record", "-model", "XC", "-"}, 1, `unknown model "XC" (known: SC, TSO, PSO, RMO)`},
-		{[]string{"record", "-protocol", "bus", "-"}, 1, `unknown protocol "bus" (known: directory, snooping)`},
-		{[]string{"record"}, 1, "exactly one output path"},
+		{[]string{"record", "-txns", "20", "-"}, 1, `unknown subcommand "record" (want check or info)`},
 	} {
 		code, _, stderr := runTrace(nil, tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.stderr) {
@@ -126,14 +153,12 @@ func TestUsage(t *testing.T) {
 	}
 }
 
-// TestRecordToStdoutPipesIntoCheck is the README's pipeline, in process,
+// TestRecordToStdoutPipesIntoCheck is the README's pipeline — a
+// snooping/RMO run's trace, made in process and checked from stdin —
 // with the gauges the check leaves behind for dvmc-stat.
 func TestRecordToStdoutPipesIntoCheck(t *testing.T) {
-	code, recorded, stderr := runTrace(nil, "record", "-model", "rmo", "-protocol", "Snooping", "-txns", "20", "-")
-	if code != 0 {
-		t.Fatalf("record -: exit %d, stderr:\n%s", code, stderr)
-	}
-	code, stdout, stderr := runTrace([]byte(recorded), "check", "-json", "-")
+	recorded := recordTrace(t, dvmc.ScaledConfig().WithNodes(4).WithModel(dvmc.RMO).WithProtocol(dvmc.Snooping))
+	code, stdout, stderr := runTrace(recorded, "check", "-json", "-")
 	if code != 0 || !strings.Contains(stdout, `"violations": []`) {
 		t.Fatalf("check -json -: exit %d, stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -142,7 +167,7 @@ func TestRecordToStdoutPipesIntoCheck(t *testing.T) {
 	}
 
 	metrics := filepath.Join(t.TempDir(), "check.metrics.json")
-	code, withMetrics, stderr := runTrace([]byte(recorded), "check", "-json", "-metrics-out", metrics, "-")
+	code, withMetrics, stderr := runTrace(recorded, "check", "-json", "-metrics-out", metrics, "-")
 	if code != 0 || withMetrics != stdout {
 		t.Fatalf("check -json -metrics-out F -: exit %d, stdout differs from plain -json: %v\nstderr:\n%s", code, withMetrics != stdout, stderr)
 	}

@@ -145,8 +145,8 @@ type Config struct {
 	// (differential verification of the online checkers).
 	Trace TraceConfig
 
-	// Telemetry sizes the metric registry and, when Enabled, schedules
-	// the cycle-driven sampler that captures occupancy time series.
+	// Telemetry, when Enabled, schedules the cycle-driven sampler that
+	// captures occupancy time series.
 	Telemetry TelemetryConfig
 
 	// Spans enables the causal span recorder: ring-buffered coherence-
@@ -157,10 +157,6 @@ type Config struct {
 	// Seed drives every pseudo-random choice; perturbing it provides the
 	// paper's "small pseudo-random perturbations" across repeated runs.
 	Seed uint64
-
-	// StopOnViolation ends Run when a checker reports a violation
-	// (injection campaigns).
-	StopOnViolation bool
 }
 
 // DefaultConfig returns the paper's system configuration: 8 nodes,
@@ -230,16 +226,7 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if err := c.Trace.Validate(); err != nil {
-		return err
-	}
-	if err := c.Telemetry.Validate(); err != nil {
-		return err
-	}
-	if err := c.Spans.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return c.Trace.Validate()
 }
 
 // WithNodes returns a copy for a different node count (Figure 9 sweep).

@@ -6,8 +6,8 @@ import (
 	"dvmc/internal/sim"
 )
 
-// TestPriorityProtocolOvertakesInform: with arbitration enabled, a
-// coherence message queued behind inform traffic is served first.
+// TestPriorityProtocolOvertakesInform: a coherence message queued behind
+// inform traffic is served first.
 func TestPriorityProtocolOvertakesInform(t *testing.T) {
 	var k sim.Kernel
 	tor := NewTorus(2, 1.0, 0, sim.NewRand(1)) // slow link: 1 B/cycle
@@ -56,25 +56,6 @@ func TestPriorityBoundedStarvation(t *testing.T) {
 	}
 	if informAt > maxDefer+200 {
 		t.Errorf("inform starved until cycle %d (maxDefer %d)", informAt, maxDefer)
-	}
-}
-
-// TestPriorityDisabled: without arbitration the queue is pure FIFO.
-func TestPriorityDisabled(t *testing.T) {
-	var k sim.Kernel
-	tor := NewTorus(2, 1.0, 0, sim.NewRand(1))
-	tor.SetPrioritize(false)
-	k.Register(tor)
-	var order []Class
-	tor.SetHandler(1, func(m *Message) { order = append(order, m.Class) })
-	tor.SetHandler(0, func(*Message) {})
-	tor.Send(&Message{Src: 0, Dst: 1, Size: 64, Class: ClassCoherence})
-	k.Run(2)
-	tor.Send(&Message{Src: 0, Dst: 1, Size: 16, Class: ClassInform})
-	tor.Send(&Message{Src: 0, Dst: 1, Size: 8, Class: ClassCoherence})
-	k.RunUntil(func() bool { return len(order) == 3 }, 10000)
-	if len(order) != 3 || order[1] != ClassInform {
-		t.Errorf("order %v: FIFO expected with arbitration disabled", order)
 	}
 }
 

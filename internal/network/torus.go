@@ -56,10 +56,6 @@ type Torus struct {
 	held        []*Message // FaultHold burst awaiting reversed release
 	heldAt      sim.Cycle  // release deadline for the held burst
 
-	// prioritize lets protocol traffic overtake verification/log traffic
-	// at link arbitration (default on).
-	prioritize bool
-
 	fault    FaultHook
 	observer Observer
 
@@ -118,7 +114,6 @@ func NewTorus(n int, bytesPerCycle float64, hopLatency sim.Cycle, rng *sim.Rand)
 		handlers:   make([]Handler, n),
 		routes:     make([][]*link, n*n),
 		rng:        rng,
-		prioritize: true,
 		wakeAt:     sim.Never,
 	}
 	addLink := func(node int, dir int, label string) {
@@ -426,7 +421,7 @@ func (t *Torus) tick(now sim.Cycle) {
 			// The deferral is bounded (maxDefer) so informs cannot starve
 			// past the MET's begin-order sorting window.
 			idx := 0
-			if t.prioritize && len(l.queue) > 1 {
+			if len(l.queue) > 1 {
 				head := l.queue[0]
 				lowPri := head.msg.Class != ClassCoherence && head.msg.Class != ClassReplay
 				if lowPri && now-head.queuedAt <= maxDefer {
@@ -511,9 +506,6 @@ func (t *Torus) TotalBytes() uint64 {
 // maxDefer bounds how long a low-priority message may be overtaken at
 // one link; it keeps total inform delay within the MET's sorting window.
 const maxDefer sim.Cycle = 192
-
-// SetPrioritize toggles protocol-over-verification link arbitration.
-func (t *Torus) SetPrioritize(p bool) { t.prioritize = p }
 
 // Reset drops every in-flight message (SafetyNet recovery: pre-error
 // traffic must not leak into the restored state). Link statistics are

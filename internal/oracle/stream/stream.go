@@ -159,7 +159,7 @@ func (c *Checker) RegisterMetrics(reg *telemetry.Registry) {
 }
 
 // CheckReader checks a binary trace from src — a file, a pipe from a
-// live `dvmc-trace record`, anything — as its bytes arrive, without ever
+// live `dvmc-sim -trace-out -`, anything — as its bytes arrive, without ever
 // holding the byte stream or the event slice. Returns the decoder's
 // positioned error if the trace is damaged.
 func CheckReader(src io.Reader, opts Options) (*oracle.Report, error) {

@@ -47,7 +47,6 @@ type Stats struct {
 // dedicated slot: it stays open for most of a fault run and must never
 // block ring eviction or be evicted itself.
 type Recorder struct {
-	cfg    Config
 	slots  []Span
 	ring   []int32 // retained slot indices, oldest at head
 	head   int
@@ -62,21 +61,21 @@ type Recorder struct {
 	faultUsed bool // a fault span was opened at some point
 }
 
-// NewRecorder builds a recorder sized by cfg (zero fields defaulted).
-func NewRecorder(cfg Config) *Recorder {
-	cfg = cfg.WithDefaults()
+// NewRecorder builds a recorder of DefaultCap spans with DefaultEventCap
+// events each. The caller decides whether to record (Config.Enabled);
+// the sizes are the package's.
+func NewRecorder(Config) *Recorder {
 	r := &Recorder{
-		cfg:   cfg,
-		slots: make([]Span, cfg.Cap),
-		ring:  make([]int32, cfg.Cap),
-		free:  make([]int32, 0, cfg.Cap),
-		open:  make(map[openKey]int32, cfg.Cap),
+		slots: make([]Span, DefaultCap),
+		ring:  make([]int32, DefaultCap),
+		free:  make([]int32, 0, DefaultCap),
+		open:  make(map[openKey]int32, DefaultCap),
 	}
-	for i := cfg.Cap - 1; i >= 0; i-- {
-		r.slots[i].Events = make([]Event, 0, cfg.EventCap)
+	for i := DefaultCap - 1; i >= 0; i-- {
+		r.slots[i].Events = make([]Event, 0, DefaultEventCap)
 		r.free = append(r.free, int32(i))
 	}
-	r.faultSpan.Events = make([]Event, 0, cfg.EventCap)
+	r.faultSpan.Events = make([]Event, 0, DefaultEventCap)
 	return r
 }
 

@@ -281,14 +281,16 @@ func (s *Span) Name() string {
 	}
 }
 
-// Defaults for Config.WithDefaults.
+// The recorder's sizes.
 const (
-	// DefaultCap is the default retained-span capacity: a flight
-	// recorder that keeps the newest spans once full.
+	// DefaultCap is the retained-span capacity: a flight recorder that
+	// keeps the newest spans once full, evicting the oldest closed span
+	// to admit a new one; evictions are counted.
 	DefaultCap = 4096
-	// DefaultEventCap bounds child events per span. The deepest normal
-	// directory chain (GetM with a recall plus invalidations on every
-	// other node of an 8-node system) stays well under it.
+	// DefaultEventCap bounds child events per span; further events are
+	// counted on the span but not stored. The deepest normal directory
+	// chain (GetM with a recall plus invalidations on every other node
+	// of an 8-node system) stays well under it.
 	DefaultEventCap = 24
 	// DefaultPhaseEvery is the phase-profiling sample period in cycles
 	// (a power of two, like telemetry.DefaultEvery, so the per-cycle
@@ -296,51 +298,13 @@ const (
 	DefaultPhaseEvery sim.Cycle = 1024
 )
 
-// Config enables and sizes the span recorder for one System.
+// Config enables the span recorder for one System.
 type Config struct {
 	// Enabled turns on span recording. Off, the system installs no
 	// taps at all: the only residual cost is a nil-check on the network
 	// delivery path.
 	Enabled bool
-	// Cap is the retained-span capacity (default DefaultCap). Once full
-	// the recorder evicts the oldest closed span to admit a new one
-	// (flight-recorder semantics); evictions are counted.
-	Cap int
-	// EventCap bounds child events per span (default DefaultEventCap);
-	// further events are counted on the span but not stored.
-	EventCap int
-	// PhaseEvery is the phase-profiling sample period in cycles
-	// (default DefaultPhaseEvery).
-	PhaseEvery sim.Cycle
 }
 
-// On returns an enabled configuration with defaults.
+// On returns an enabled configuration.
 func On() Config { return Config{Enabled: true} }
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Cap < 0 {
-		return fmt.Errorf("span: negative span capacity %d", c.Cap)
-	}
-	if c.EventCap < 0 {
-		return fmt.Errorf("span: negative event capacity %d", c.EventCap)
-	}
-	if c.PhaseEvery < 0 {
-		return fmt.Errorf("span: negative phase period %d", c.PhaseEvery)
-	}
-	return nil
-}
-
-// WithDefaults fills zero fields with the package defaults.
-func (c Config) WithDefaults() Config {
-	if c.Cap == 0 {
-		c.Cap = DefaultCap
-	}
-	if c.EventCap == 0 {
-		c.EventCap = DefaultEventCap
-	}
-	if c.PhaseEvery == 0 {
-		c.PhaseEvery = DefaultPhaseEvery
-	}
-	return c
-}

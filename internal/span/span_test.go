@@ -128,38 +128,47 @@ func TestCRCDetectsCorruption(t *testing.T) {
 }
 
 func TestRingEvictsOldestClosed(t *testing.T) {
-	r := NewRecorder(Config{Enabled: true, Cap: 4})
-	for i := 0; i < 6; i++ {
+	r := NewRecorder(Config{Enabled: true})
+	const n = DefaultCap + 2
+	for i := 0; i < n; i++ {
 		r.TxnBegin(int32(i%2), uint64(0x40*(i+1)), TxnRead, sim.Cycle(10*i))
 		r.TxnEnd(int32(i%2), uint64(0x40*(i+1)), OutcomeDone, sim.Cycle(10*i+5))
 	}
-	spans := r.Drain(100)
-	if len(spans) != 4 {
-		t.Fatalf("retained %d spans, want 4", len(spans))
+	spans := r.Drain(10 * n)
+	if len(spans) != DefaultCap {
+		t.Fatalf("retained %d spans, want %d", len(spans), DefaultCap)
 	}
-	// The newest 4 survive: IDs 2..5.
-	if spans[0].ID != 2 || spans[3].ID != 5 {
-		t.Fatalf("retained IDs %d..%d, want 2..5", spans[0].ID, spans[3].ID)
+	// The newest DefaultCap survive: IDs 2..n-1.
+	if spans[0].ID != 2 || spans[DefaultCap-1].ID != n-1 {
+		t.Fatalf("retained IDs %d..%d, want 2..%d", spans[0].ID, spans[DefaultCap-1].ID, n-1)
 	}
-	if st := r.Stats(); st.Spans != 6 || st.SpansDropped != 2 {
-		t.Fatalf("stats = %+v, want 6 spans / 2 dropped", st)
+	if st := r.Stats(); st.Spans != n || st.SpansDropped != 2 {
+		t.Fatalf("stats = %+v, want %d spans / 2 dropped", st, n)
+	}
+}
+
+// openAll opens DefaultCap transactions on node 0, filling the ring with
+// spans that cannot be evicted.
+func openAll(r *Recorder) {
+	for i := 0; i < DefaultCap; i++ {
+		r.TxnBegin(0, uint64(0x40*(i+1)), TxnRead, sim.Cycle(i))
 	}
 }
 
 func TestRingRefusesWhenAllOpen(t *testing.T) {
-	r := NewRecorder(Config{Enabled: true, Cap: 2})
-	r.TxnBegin(0, 0x40, TxnRead, 1)
-	r.TxnBegin(0, 0x80, TxnRead, 2)
-	r.TxnBegin(0, 0xc0, TxnRead, 3) // no closed span to evict: dropped
+	r := NewRecorder(Config{Enabled: true})
+	openAll(r)
+	const refused = 0x40 * (DefaultCap + 1)
+	r.TxnBegin(0, refused, TxnRead, DefaultCap) // no closed span to evict: dropped
 	if st := r.Stats(); st.SpansDropped != 1 {
 		t.Fatalf("SpansDropped = %d, want 1", st.SpansDropped)
 	}
-	spans := r.Drain(10)
-	if len(spans) != 2 {
-		t.Fatalf("retained %d spans, want 2", len(spans))
+	spans := r.Drain(2 * DefaultCap)
+	if len(spans) != DefaultCap {
+		t.Fatalf("retained %d spans, want %d", len(spans), DefaultCap)
 	}
 	// The refused span has no open entry: its events must not attach.
-	if r.TxnEvent(0, 0xc0, LabelGetS, 4, 0, 0) {
+	if r.TxnEvent(0, refused, LabelGetS, DefaultCap+1, 0, 0) {
 		t.Fatal("event attached to a span that was never admitted")
 	}
 }
@@ -182,33 +191,33 @@ func TestTxnCollisionAbortsPrior(t *testing.T) {
 }
 
 func TestEventCapDrops(t *testing.T) {
-	r := NewRecorder(Config{Enabled: true, EventCap: 2})
+	r := NewRecorder(Config{Enabled: true})
 	r.TxnBegin(0, 0x40, TxnRead, 1)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < DefaultEventCap+3; i++ {
 		r.TxnEvent(0, 0x40, LabelGetS, sim.Cycle(2+i), 0, 0)
 	}
-	r.TxnEnd(0, 0x40, OutcomeDone, 10)
-	spans := r.Drain(20)
-	if len(spans[0].Events) != 2 || spans[0].Dropped != 3 {
-		t.Fatalf("span = %+v, want 2 events / 3 dropped", spans[0])
+	r.TxnEnd(0, 0x40, OutcomeDone, DefaultEventCap+10)
+	spans := r.Drain(2 * DefaultEventCap)
+	if len(spans[0].Events) != DefaultEventCap || spans[0].Dropped != 3 {
+		t.Fatalf("span has %d events / %d dropped, want %d / 3", len(spans[0].Events), spans[0].Dropped, DefaultEventCap)
 	}
-	if st := r.Stats(); st.Events != 2 || st.EventsDropped != 3 {
+	if st := r.Stats(); st.Events != DefaultEventCap || st.EventsDropped != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestFaultFlightOutsideRing(t *testing.T) {
-	// Cap 1, with the single ring slot held open: the fault span must
-	// still record, because it lives outside the ring.
-	r := NewRecorder(Config{Enabled: true, Cap: 1})
-	r.TxnBegin(0, 0x40, TxnRead, 1)
+	// Every ring slot held open: the fault span must still record,
+	// because it lives outside the ring.
+	r := NewRecorder(Config{Enabled: true})
+	openAll(r)
 	r.FaultOpen(3, 1, 5)
 	r.FaultEvent(LabelFired, 8, 0, 0)
 	r.FaultClose(OutcomeMasked, 12)
 	r.FaultEvent(LabelViolation, 13, 0, 0) // after close: ignored
-	spans := r.Drain(20)
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
+	spans := r.Drain(2 * DefaultCap)
+	if len(spans) != DefaultCap+1 {
+		t.Fatalf("got %d spans, want %d", len(spans), DefaultCap+1)
 	}
 	var fault *Span
 	for i := range spans {
@@ -303,16 +312,18 @@ func TestChromeExportStrictJSON(t *testing.T) {
 // TestRecorderSteadyStateAllocFree pins the recording hot paths at zero
 // allocations once warm: span open/close, hop events, the fault flight,
 // and phase slices all run out of preallocated storage (CI runs this by
-// name alongside the other packages' AllocsPerRun assertions).
+// name alongside the other packages' AllocsPerRun assertions). The warm-up
+// fills every slot, so each measured span evicts the oldest one.
 func TestRecorderSteadyStateAllocFree(t *testing.T) {
-	r := NewRecorder(Config{Enabled: true, Cap: 64})
+	r := NewRecorder(Config{Enabled: true})
 	// Warm: touch every slot and the open map's buckets.
-	for i := 0; i < 256; i++ {
+	for i := 0; i < 2*DefaultCap; i++ {
 		r.TxnBegin(int32(i%4), uint64(0x40*(i%64)), TxnRead, sim.Cycle(i))
 		r.TxnEvent(int32(i%4), uint64(0x40*(i%64)), LabelGetS, sim.Cycle(i), 0, 1)
 		r.TxnEnd(int32(i%4), uint64(0x40*(i%64)), OutcomeDone, sim.Cycle(i+1))
 	}
 	var now sim.Cycle = 1000
+	evicted := r.Stats().SpansDropped
 	allocs := testing.AllocsPerRun(200, func() {
 		node := int32(uint64(now) % 4)
 		addr := uint64(0x40 * (uint64(now) % 64))
@@ -326,5 +337,9 @@ func TestRecorderSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state recording allocates %.1f allocs/op, want 0", allocs)
+	}
+	// Each of the 201 runs opens a transaction and a phase span.
+	if got := r.Stats().SpansDropped - evicted; got != 2*201 {
+		t.Fatalf("%d evictions in 201 runs, want %d", got, 2*201)
 	}
 }

@@ -102,27 +102,19 @@ type Registry struct {
 
 	// tracked metrics get one time-series ring per slot, appended by
 	// Sample.
-	tracked   []*Metric
-	series    []*Series
-	seriesCap int
+	tracked []*Metric
+	series  []*Series
 
 	// Structured violation log and per-invariant latency distributions.
 	events        []ViolationEvent
-	maxEvents     int
 	eventsDropped uint64
 	latNames      []string
 	latSamples    []*stats.Sample
 }
 
-// NewRegistry builds an empty registry sized by cfg (zero-value Config
-// gets the package defaults).
-func NewRegistry(cfg Config) *Registry {
-	cfg = cfg.WithDefaults()
-	return &Registry{
-		byName:    make(map[string]*Metric),
-		seriesCap: cfg.SeriesCap,
-		maxEvents: cfg.MaxEvents,
-	}
+// NewRegistry builds an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{byName: make(map[string]*Metric)}
 }
 
 // register adds a metric, panicking on duplicate names (a wiring bug).
@@ -188,7 +180,7 @@ func (r *Registry) Collect() {
 func (r *Registry) Track(m *Metric) *Metric {
 	r.tracked = append(r.tracked, m)
 	for i := 0; i < m.Len(); i++ {
-		r.series = append(r.series, newSeries(m, i, r.seriesCap))
+		r.series = append(r.series, newSeries(m, i))
 	}
 	return m
 }

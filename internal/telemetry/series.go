@@ -4,15 +4,14 @@ import (
 	"dvmc/internal/sim"
 )
 
-// Series is one fixed-capacity time-series ring: (cycle, value) pairs
-// for one slot of one tracked metric. Once full, the oldest sample is
-// overwritten (flight-recorder semantics). The ring is allocated at the
+// Series is one time-series ring of DefaultSeriesCap (cycle, value)
+// pairs for one slot of one tracked metric. Once full, the oldest sample
+// is overwritten (flight-recorder semantics). The ring is allocated at the
 // first sample, so a system whose sampler never runs holds none; push is
 // allocation-free after that.
 type Series struct {
-	metric   *Metric
-	slot     int
-	capacity int
+	metric *Metric
+	slot   int
 
 	cycles []uint64 // nil until the first push
 	vals   []int64
@@ -20,17 +19,17 @@ type Series struct {
 	count  int
 }
 
-func newSeries(m *Metric, slot, capacity int) *Series {
-	return &Series{metric: m, slot: slot, capacity: capacity}
+func newSeries(m *Metric, slot int) *Series {
+	return &Series{metric: m, slot: slot}
 }
 
 // push appends a sample, evicting the oldest when full.
 func (s *Series) push(cycle uint64, v int64) {
 	if s.vals == nil {
-		s.cycles, s.vals = make([]uint64, s.capacity), make([]int64, s.capacity)
+		s.cycles, s.vals = make([]uint64, DefaultSeriesCap), make([]int64, DefaultSeriesCap)
 	}
-	if s.count < s.capacity {
-		i := (s.head + s.count) % s.capacity
+	if s.count < DefaultSeriesCap {
+		i := (s.head + s.count) % DefaultSeriesCap
 		s.cycles[i] = cycle
 		s.vals[i] = v
 		s.count++
@@ -38,7 +37,7 @@ func (s *Series) push(cycle uint64, v int64) {
 	}
 	s.cycles[s.head] = cycle
 	s.vals[s.head] = v
-	s.head = (s.head + 1) % s.capacity
+	s.head = (s.head + 1) % DefaultSeriesCap
 }
 
 // Metric returns the tracked metric.
@@ -55,11 +54,11 @@ func (s *Series) LabelValue() string { return s.metric.LabelValue(s.slot) }
 func (s *Series) Len() int { return s.count }
 
 // Cap returns the ring capacity.
-func (s *Series) Cap() int { return s.capacity }
+func (s *Series) Cap() int { return DefaultSeriesCap }
 
 // At returns sample i in oldest-first order.
 func (s *Series) At(i int) (cycle uint64, v int64) {
-	j := (s.head + i) % s.capacity
+	j := (s.head + i) % DefaultSeriesCap
 	return s.cycles[j], s.vals[j]
 }
 

@@ -32,9 +32,10 @@ func (c *counting) Tick(now sim.Cycle) {
 
 // TestSamplerTwins: a sampler called only on the multiples of its period
 // records the series one called every cycle does, from a gauge that
-// changes every cycle.
+// changes every cycle, past the point where its ring wraps.
 func TestSamplerTwins(t *testing.T) {
-	const every, cycles = 7, 500
+	const every = 7
+	const cycles = every * (DefaultSeriesCap + 16)
 	var (
 		ks     [2]*sim.Kernel
 		regs   [2]*Registry
@@ -45,7 +46,7 @@ func TestSamplerTwins(t *testing.T) {
 	)
 	for i := range ks {
 		ks[i] = sim.NewKernel(1)
-		regs[i] = NewRegistry(Config{SeriesCap: 16})
+		regs[i] = NewRegistry()
 		gauges[i] = regs[i].Track(regs[i].Gauge("g", "a gauge set every cycle"))
 		k := ks[i]
 		g := gauges[i]

@@ -26,67 +26,30 @@
 // the allowlist.
 package telemetry
 
-import (
-	"fmt"
-
-	"dvmc/internal/sim"
-)
+import "dvmc/internal/sim"
 
 // DefaultEvery is the default sampling period in cycles. It is a power
 // of two so the modulo on the sampler's per-cycle check is cheap.
 const DefaultEvery sim.Cycle = 1024
 
-// DefaultSeriesCap is the default per-series ring capacity. Rings keep
-// the newest samples (flight-recorder semantics) once full.
+// DefaultSeriesCap is the per-series ring capacity in samples. Rings
+// keep the newest samples (flight-recorder semantics) once full.
 const DefaultSeriesCap = 512
 
-// DefaultMaxEvents bounds the recorded ViolationEvent log.
+// DefaultMaxEvents bounds the recorded ViolationEvent log; further events
+// are counted but not stored.
 const DefaultMaxEvents = 1024
 
-// Config enables and sizes the telemetry subsystem for one System.
+// Config enables the telemetry sampler for one System.
 type Config struct {
 	// Enabled turns on cycle sampling. The registry itself always
 	// exists (end-of-run counters cost nothing); Enabled additionally
 	// schedules the Sampler on the simulation kernel so time series are
 	// captured while the system runs.
 	Enabled bool
-	// Every is the sampling period in cycles (default DefaultEvery).
+	// Every is the sampling period in cycles (0 means DefaultEvery).
 	Every sim.Cycle
-	// SeriesCap is the per-series ring capacity in samples (default
-	// DefaultSeriesCap). Once full the ring keeps the newest samples.
-	SeriesCap int
-	// MaxEvents bounds the structured violation-event log (default
-	// DefaultMaxEvents); further events are counted but not stored.
-	MaxEvents int
 }
 
 // On returns an enabled configuration with defaults.
 func On() Config { return Config{Enabled: true} }
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Every < 0 {
-		return fmt.Errorf("telemetry: negative sampling period %d", c.Every)
-	}
-	if c.SeriesCap < 0 {
-		return fmt.Errorf("telemetry: negative series capacity %d", c.SeriesCap)
-	}
-	if c.MaxEvents < 0 {
-		return fmt.Errorf("telemetry: negative event capacity %d", c.MaxEvents)
-	}
-	return nil
-}
-
-// WithDefaults fills zero fields with the package defaults.
-func (c Config) WithDefaults() Config {
-	if c.Every == 0 {
-		c.Every = DefaultEvery
-	}
-	if c.SeriesCap == 0 {
-		c.SeriesCap = DefaultSeriesCap
-	}
-	if c.MaxEvents == 0 {
-		c.MaxEvents = DefaultMaxEvents
-	}
-	return c
-}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRegistryRegisterAndUpdate(t *testing.T) {
-	r := NewRegistry(Config{})
+	r := NewRegistry()
 	c := r.Counter("a.total", "a total")
 	g := r.GaugeVec("b.depth", "b depth", "node", NodeLabels(3))
 
@@ -38,7 +38,7 @@ func TestRegistryRegisterAndUpdate(t *testing.T) {
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
-	r := NewRegistry(Config{})
+	r := NewRegistry()
 	r.Counter("x", "")
 	defer func() {
 		if recover() == nil {
@@ -49,15 +49,15 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 }
 
 func TestSeriesRingEviction(t *testing.T) {
-	r := NewRegistry(Config{SeriesCap: 4})
+	r := NewRegistry()
 	g := r.Track(r.Gauge("q", "queue depth"))
-	for i := 1; i <= 6; i++ {
+	for i := 1; i <= DefaultSeriesCap+2; i++ {
 		g.Set(0, int64(10*i))
 		r.Sample(uint64(i))
 	}
 	s := r.Series()[0]
-	if s.Cap() != 4 || s.Len() != 4 {
-		t.Fatalf("ring len/cap = %d/%d, want 4/4", s.Len(), s.Cap())
+	if s.Cap() != DefaultSeriesCap || s.Len() != DefaultSeriesCap {
+		t.Fatalf("ring len/cap = %d/%d, want %d/%d", s.Len(), s.Cap(), DefaultSeriesCap, DefaultSeriesCap)
 	}
 	// Oldest two samples (cycles 1, 2) were evicted.
 	for i := 0; i < s.Len(); i++ {
@@ -70,7 +70,7 @@ func TestSeriesRingEviction(t *testing.T) {
 }
 
 func TestSamplerPeriodGating(t *testing.T) {
-	r := NewRegistry(Config{})
+	r := NewRegistry()
 	probes := 0
 	r.AddProbe(func() { probes++ })
 	sp := NewSampler(r, 8)
@@ -87,13 +87,18 @@ func TestSamplerPeriodGating(t *testing.T) {
 }
 
 func TestViolationLogBoundedAndAttributed(t *testing.T) {
-	r := NewRegistry(Config{MaxEvents: 2})
+	r := NewRegistry()
 	r.RecordViolation(ViolationEvent{Invariant: "uo", Node: 1, DetectCycle: 100})
 	r.RecordViolation(ViolationEvent{Invariant: "cc", Node: 2, DetectCycle: 300, InjectCycle: 250})
+	// Fill the log with events detected before the injection below, so
+	// the back-fill leaves them alone.
+	for len(r.Events()) < DefaultMaxEvents {
+		r.RecordViolation(ViolationEvent{Invariant: "uo", Node: 0, DetectCycle: 10})
+	}
 	r.RecordViolation(ViolationEvent{Invariant: "uo", Node: 3, DetectCycle: 400}) // over cap
 
-	if len(r.Events()) != 2 || r.EventsDropped() != 1 {
-		t.Fatalf("events = %d dropped = %d, want 2, 1", len(r.Events()), r.EventsDropped())
+	if len(r.Events()) != DefaultMaxEvents || r.EventsDropped() != 1 {
+		t.Fatalf("events = %d dropped = %d, want %d, 1", len(r.Events()), r.EventsDropped(), DefaultMaxEvents)
 	}
 	if got := r.Events()[1].Latency; got != 50 {
 		t.Errorf("pre-attributed latency = %d, want 50", got)
@@ -121,7 +126,7 @@ func TestViolationLogBoundedAndAttributed(t *testing.T) {
 // buildSnapshotRegistry assembles a registry with every feature in play:
 // scalars, vectors, tracked series, events, and latency samples.
 func buildSnapshotRegistry() *Registry {
-	r := NewRegistry(Config{SeriesCap: 8})
+	r := NewRegistry()
 	c := r.CounterVec("proc.ops", "ops retired", "node", NodeLabels(2))
 	q := r.Track(r.Gauge("checker.queue", "inform queue depth"))
 	c.Add(0, 10)
@@ -222,7 +227,7 @@ func TestPrometheusExposition(t *testing.T) {
 // TestRegistryUpdateSteadyStateAllocFree pins the metric update path —
 // the only telemetry code on simulator hot paths — to zero allocations.
 func TestRegistryUpdateSteadyStateAllocFree(t *testing.T) {
-	r := NewRegistry(Config{})
+	r := NewRegistry()
 	c := r.CounterVec("c", "", "node", NodeLabels(8))
 	g := r.Gauge("g", "")
 	i := 0
@@ -241,7 +246,7 @@ func TestRegistryUpdateSteadyStateAllocFree(t *testing.T) {
 // probed vectors, tracked rings, and a sampler — the steady-state
 // configuration whose tick must not allocate.
 func newLoadedRegistry() (*Registry, *Sampler) {
-	r := NewRegistry(Config{})
+	r := NewRegistry()
 	var shadow [8]uint64 // stands in for live Stats() structs
 	for _, name := range []string{"proc.ops", "cache.l1_misses", "checker.informs"} {
 		m := r.Track(r.CounterVec(name, "", "node", NodeLabels(8)))
@@ -284,7 +289,7 @@ func TestSamplerTickSteadyStateAllocFree(t *testing.T) {
 }
 
 func BenchmarkRegistryUpdate(b *testing.B) {
-	r := NewRegistry(Config{})
+	r := NewRegistry()
 	c := r.CounterVec("c", "", "node", NodeLabels(8))
 	b.ReportAllocs()
 	b.ResetTimer()

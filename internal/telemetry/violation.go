@@ -32,16 +32,16 @@ type ViolationEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// RecordViolation appends ev to the bounded event log. Beyond MaxEvents
-// further events are counted (EventsDropped) but not stored, keeping
-// memory bounded on pathological runs. When the event carries a known
+// RecordViolation appends ev to the bounded event log. Beyond
+// DefaultMaxEvents further events are counted (EventsDropped) but not
+// stored, keeping memory bounded on pathological runs. When the event carries a known
 // inject cycle, its latency also feeds the per-invariant distribution.
 func (r *Registry) RecordViolation(ev ViolationEvent) {
 	if ev.InjectCycle != 0 && ev.DetectCycle >= ev.InjectCycle {
 		ev.Latency = ev.DetectCycle - ev.InjectCycle
 		r.ObserveLatency(ev.Invariant, ev.Latency)
 	}
-	if len(r.events) >= r.maxEvents {
+	if len(r.events) >= DefaultMaxEvents {
 		r.eventsDropped++
 		return
 	}

@@ -57,6 +57,36 @@ func TestTraceWriteSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestRecorderSteadyStateAllocFree pins Recorder.Emit's zero-allocation
+// claim across spills: each measured run emits one ring's worth of
+// events, so every run encodes and drains the ring once. The encoded
+// bytes are discarded between runs, which keeps the output buffer's
+// amortized growth — the one allocation the recorder makes by design —
+// outside the measurement.
+func TestRecorderSteadyStateAllocFree(t *testing.T) {
+	rec, err := NewRecorder(Meta{Nodes: 4, Model: consistency.TSO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	run := func() {
+		for j := 0; j < DefaultRingEvents; j++ {
+			rec.Emit(benchEvent(i))
+			i++
+		}
+		rec.buf.Reset()
+	}
+	run()
+	run()
+	spills := rec.Stats().Spills
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Errorf("recorder steady state: %.2f allocs per %d events, want 0", allocs, DefaultRingEvents)
+	}
+	if got := rec.Stats().Spills - spills; got != 51 {
+		t.Errorf("%d spills in 51 runs, want one per run", got)
+	}
+}
+
 // TestTraceReadSteadyStateAllocFree pins Reader.Next's zero-allocation
 // claim over a trace several 64 KiB refills long: commits and performs
 // with multi-byte seq, addr and value varints and signed time deltas, so

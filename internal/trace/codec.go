@@ -29,7 +29,9 @@ import (
 // Time is delta-encoded against the previous event's time with zigzag
 // signed varints: callback timestamps across CPUs can be up to one cycle
 // stale, so deltas may be slightly negative. Header flags bit 0 marks a
-// truncated flight-recorder window.
+// truncated window: the flight-recorder mode of earlier versions kept only
+// a run's most recent events. Nothing writes such a trace now; readers
+// still decode the flag so the oracle can refuse one.
 
 // Magic is the 6-byte file signature of a trace.
 const Magic = "DVMCTR"
@@ -119,7 +121,7 @@ func (w *Writer) Write(ev Event) error {
 func (w *Writer) Close() error { return w.f.Close() }
 
 // Reader decodes a trace incrementally from an io.Reader — a file, a
-// pipe from a concurrently-running `dvmc-trace record`, or an in-memory
+// pipe from a concurrently-running `dvmc-sim -trace-out -`, or an in-memory
 // slice via bytes.NewReader — without materializing the stream. Create
 // with NewReader (which reads and validates the header) and iterate with
 // Next until io.EOF, which vouches for the footer count and CRC. Decode

@@ -9,22 +9,16 @@ import (
 type RecorderStats struct {
 	// Events is the number of events emitted to the recorder.
 	Events uint64
-	// Dropped is the number of events evicted in flight-recorder mode
-	// (always 0 in spill mode).
-	Dropped uint64
-	// Spills is the number of times the ring was encoded and drained in
-	// spill mode.
+	// Spills is the number of times the ring was encoded and drained.
 	Spills uint64
 }
 
 // Recorder buffers events in a ring and encodes them into the binary trace
-// format. In spill mode (default) the ring is drained into the encoder
-// whenever it fills, so the complete run is captured; in flight-recorder
-// mode only the most recent window survives. A Recorder is a Sink.
+// format. The ring is drained into the encoder whenever it fills, so the
+// complete run is captured. A Recorder is a Sink.
 //
 // Not safe for concurrent use; the simulator is single-goroutine.
 type Recorder struct {
-	cfg      Config
 	meta     Meta
 	ring     *ring
 	buf      bytes.Buffer
@@ -36,18 +30,13 @@ type Recorder struct {
 }
 
 // NewRecorder returns a recorder for a run described by meta.
-func NewRecorder(cfg Config, meta Meta) (*Recorder, error) {
-	if err := cfg.Validate(); err != nil {
+func NewRecorder(meta Meta) (*Recorder, error) {
+	r := &Recorder{meta: meta, ring: newRing(DefaultRingEvents)}
+	w, err := NewWriter(&r.buf, meta)
+	if err != nil {
 		return nil, err
 	}
-	r := &Recorder{cfg: cfg, meta: meta, ring: newRing(cfg.ringEvents())}
-	if !cfg.FlightRecorder {
-		w, err := NewWriter(&r.buf, meta)
-		if err != nil {
-			return nil, err
-		}
-		r.w = w
-	}
+	r.w = w
 	return r, nil
 }
 
@@ -61,19 +50,13 @@ func (r *Recorder) Emit(ev Event) {
 		return
 	}
 	r.stats.Events++
-	if r.cfg.FlightRecorder {
-		if r.ring.push(ev) {
-			r.stats.Dropped++
-		}
-		return
-	}
 	if r.ring.full() {
 		r.spill()
 	}
 	r.ring.push(ev)
 }
 
-// spill encodes and drains the ring (spill mode only).
+// spill encodes and drains the ring.
 func (r *Recorder) spill() {
 	if r.ring.len() == 0 {
 		return
@@ -94,21 +77,6 @@ func (r *Recorder) Finish() ([]byte, error) {
 		return r.out, r.err
 	}
 	r.finished = true
-	if r.cfg.FlightRecorder {
-		// Flight mode encodes the surviving window in one pass. Time
-		// deltas restart from the window's first event, which is fine:
-		// deltas are relative within the stream. If the ring evicted
-		// anything, the header carries the truncation flag so readers
-		// know completeness checks do not apply.
-		meta := r.meta
-		meta.Truncated = r.stats.Dropped > 0
-		w, err := NewWriter(&r.buf, meta)
-		if err != nil {
-			r.err = err
-			return nil, err
-		}
-		r.w = w
-	}
 	r.spill()
 	if r.err == nil {
 		r.err = r.w.Close()
@@ -122,6 +90,3 @@ func (r *Recorder) Finish() ([]byte, error) {
 
 // Stats returns capture accounting.
 func (r *Recorder) Stats() RecorderStats { return r.stats }
-
-// Complete reports whether the recorder captured every emitted event.
-func (r *Recorder) Complete() bool { return r.stats.Dropped == 0 }

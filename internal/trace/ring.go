@@ -1,45 +1,34 @@
 package trace
 
-// ring is a fixed-capacity circular event buffer. In spill mode the
-// recorder fills it and drains it wholesale; in flight-recorder mode push
-// evicts the oldest event once full. Not safe for concurrent use (the
-// simulator is single-goroutine).
+// ring is a fixed-capacity event buffer the recorder fills and drains
+// wholesale. Not safe for concurrent use (the simulator is
+// single-goroutine).
 type ring struct {
-	buf  []Event
-	head int // index of the oldest event
-	n    int // number of live events
+	buf []Event
+	n   int // number of buffered events
 }
 
 func newRing(capacity int) *ring {
 	return &ring{buf: make([]Event, capacity)}
 }
 
-// full reports whether the next push would evict or spill.
+// full reports whether the next push needs a drain first.
 func (r *ring) full() bool { return r.n == len(r.buf) }
 
 // len returns the number of buffered events.
 func (r *ring) len() int { return r.n }
 
-// push appends ev. If the ring is full it overwrites the oldest event and
-// reports the eviction (flight-recorder mode; spill mode drains before
-// pushing and never sees evicted=true).
-func (r *ring) push(ev Event) (evicted bool) {
-	if r.n == len(r.buf) {
-		r.buf[r.head] = ev
-		r.head = (r.head + 1) % len(r.buf)
-		return true
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = ev
+// push appends ev; the ring must not be full.
+func (r *ring) push(ev Event) {
+	r.buf[r.n] = ev
 	r.n++
-	return false
 }
 
 // drain calls fn on every buffered event in arrival order and empties the
 // ring.
 func (r *ring) drain(fn func(Event)) {
-	for i := 0; i < r.n; i++ {
-		fn(r.buf[(r.head+i)%len(r.buf)])
+	for _, ev := range r.buf[:r.n] {
+		fn(ev)
 	}
-	r.head = 0
 	r.n = 0
 }

@@ -122,10 +122,11 @@ type Meta struct {
 	Model    consistency.Model // the system's configured (initial) model
 	Protocol uint8             // coherence protocol tag (0 directory, 1 snooping)
 	Seed     uint64
-	// Truncated marks a flight-recorder trace that evicted events: only
-	// the most recent window survives. Header flags bit 0 on disk. The
-	// oracle refuses truncated traces — completeness checks (commit
-	// pairing, lost operations) are meaningless on a window.
+	// Truncated marks a window trace, written by the flight-recorder
+	// mode of earlier versions: only the run's most recent events
+	// survive. Header flags bit 0 on disk. The oracle refuses truncated
+	// traces — completeness checks (commit pairing, lost operations) are
+	// meaningless on a window.
 	Truncated bool
 }
 
@@ -133,18 +134,6 @@ type Meta struct {
 type Config struct {
 	// Enabled turns event capture on.
 	Enabled bool
-	// RingEvents is the event-ring capacity. In spill mode (the default)
-	// the ring is a batching buffer: when full it is encoded and drained,
-	// so the full run is captured. In flight-recorder mode it bounds the
-	// retained window. 0 means DefaultRingEvents.
-	RingEvents int
-	// FlightRecorder keeps only the most recent RingEvents events,
-	// overwriting the oldest — bounded memory for long runs, at the cost
-	// of a truncated trace. Truncation is flagged in the header and the
-	// oracle refuses such traces (completeness checks are meaningless on
-	// a window), so flight traces are for debugging, not differential
-	// verification.
-	FlightRecorder bool
 	// Sink, when non-nil, receives every captured event as it is emitted,
 	// in addition to the byte recorder. This is how a streaming consistency
 	// checker (internal/oracle/stream) rides along with the simulation
@@ -160,30 +149,18 @@ type Config struct {
 	SinkOnly bool
 }
 
-// DefaultRingEvents is the ring capacity when Config.RingEvents is zero.
+// DefaultRingEvents is the recorder's ring capacity. The ring is a
+// batching buffer: when full it is encoded and drained, so the whole run
+// is captured.
 const DefaultRingEvents = 4096
 
-// On returns a Config with capture enabled and default buffering.
+// On returns a Config with capture enabled.
 func On() Config { return Config{Enabled: true} }
-
-// ringEvents resolves the configured capacity.
-func (c Config) ringEvents() int {
-	if c.RingEvents > 0 {
-		return c.RingEvents
-	}
-	return DefaultRingEvents
-}
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.RingEvents < 0 {
-		return fmt.Errorf("trace: RingEvents must be >= 0, got %d", c.RingEvents)
-	}
 	if c.SinkOnly && c.Sink == nil {
 		return fmt.Errorf("trace: SinkOnly requires a Sink")
-	}
-	if c.SinkOnly && c.FlightRecorder {
-		return fmt.Errorf("trace: SinkOnly and FlightRecorder are mutually exclusive")
 	}
 	return nil
 }

@@ -102,9 +102,16 @@ func TestCodecDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestRecorderSpillCapturesAll emits more than a ring's worth of events,
+// so the ring spills several times mid-run, and checks that the trace
+// holds every event in emission order.
 func TestRecorderSpillCapturesAll(t *testing.T) {
-	meta, events := sampleMeta(), sampleEvents()
-	rec, err := NewRecorder(Config{Enabled: true, RingEvents: 3}, meta)
+	meta, sample := sampleMeta(), sampleEvents()
+	var events []Event
+	for len(events) < 2*DefaultRingEvents+3 {
+		events = append(events, sample...)
+	}
+	rec, err := NewRecorder(meta)
 	if err != nil {
 		t.Fatalf("new recorder: %v", err)
 	}
@@ -120,14 +127,11 @@ func TestRecorderSpillCapturesAll(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(got, events) {
-		t.Errorf("spill recorder lost or reordered events:\n got %v\nwant %v", got, events)
+		t.Errorf("spill recorder lost or reordered events: got %d, want %d", len(got), len(events))
 	}
 	st := rec.Stats()
-	if st.Events != uint64(len(events)) || st.Dropped != 0 || st.Spills == 0 {
-		t.Errorf("stats: %+v", st)
-	}
-	if !rec.Complete() {
-		t.Error("spill recorder reported incomplete")
+	if st.Events != uint64(len(events)) || st.Spills != 3 {
+		t.Errorf("stats: %+v, want %d events in 3 spills", st, len(events))
 	}
 	// Idempotent Finish.
 	again, err := rec.Finish()
@@ -141,44 +145,11 @@ func TestRecorderSpillCapturesAll(t *testing.T) {
 	}
 }
 
-func TestRecorderFlightWindow(t *testing.T) {
-	meta, events := sampleMeta(), sampleEvents()
-	const window = 4
-	rec, err := NewRecorder(Config{Enabled: true, RingEvents: window, FlightRecorder: true}, meta)
-	if err != nil {
-		t.Fatalf("new recorder: %v", err)
-	}
-	for _, ev := range events {
-		rec.Emit(ev)
-	}
-	data, err := rec.Finish()
-	if err != nil {
-		t.Fatalf("finish: %v", err)
-	}
-	_, got, err := Decode(data)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	want := events[len(events)-window:]
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("flight window:\n got %v\nwant %v", got, want)
-	}
-	if rec.Complete() {
-		t.Error("flight recorder with drops reported complete")
-	}
-	if d := rec.Stats().Dropped; d != uint64(len(events)-window) {
-		t.Errorf("dropped = %d, want %d", d, len(events)-window)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{RingEvents: -1}).Validate(); err == nil {
-		t.Error("negative RingEvents accepted")
+	if err := (Config{Enabled: true, SinkOnly: true}).Validate(); err == nil {
+		t.Error("SinkOnly without a Sink accepted")
 	}
 	if err := On().Validate(); err != nil {
 		t.Errorf("On(): %v", err)
-	}
-	if (Config{}).ringEvents() != DefaultRingEvents {
-		t.Error("default ring size not applied")
 	}
 }

@@ -13,9 +13,8 @@ import (
 // SpanConfig re-exports the span recorder configuration.
 type SpanConfig = span.Config
 
-// SpansOn returns an enabled span configuration with defaults (ring
-// capacity span.DefaultCap, phase sampling every span.DefaultPhaseEvery
-// cycles).
+// SpansOn returns an enabled span configuration (ring capacity
+// span.DefaultCap, phase sampling every span.DefaultPhaseEvery cycles).
 func SpansOn() SpanConfig { return span.On() }
 
 // SpanMeta returns the header a system built from this configuration
@@ -136,16 +135,15 @@ func (s *System) spanHop(m *network.Message, at sim.Cycle) {
 }
 
 // phaseSampler emits the per-component cycle-attribution slices: every
-// PhaseEvery cycles it reads each subsystem's monotonic work counter
+// span.DefaultPhaseEvery cycles it reads each subsystem's monotonic work counter
 // and records the delta as one FamilyPhase span per component. It is
 // registered on the kernel after every other component, so a slice
 // observes the state after all components ticked its final cycle.
 type phaseSampler struct {
-	s     *System
-	every sim.Cycle
-	last  sim.Cycle
-	prev  [4]uint64
-	slot  sim.Slot // due at the next multiple of every
+	s    *System
+	last sim.Cycle
+	prev [4]uint64
+	slot sim.Slot // due at the next multiple of span.DefaultPhaseEvery
 }
 
 var _ sim.Scheduled = (*phaseSampler)(nil)
@@ -153,8 +151,8 @@ var _ sim.Scheduled = (*phaseSampler)(nil)
 func (p *phaseSampler) Attach(s sim.Slot) { p.slot = s }
 
 func (p *phaseSampler) Tick(now sim.Cycle) {
-	into := now % p.every
-	p.slot.SleepUntil(now - into + p.every)
+	into := now % span.DefaultPhaseEvery
+	p.slot.SleepUntil(now - into + span.DefaultPhaseEvery)
 	if now == 0 || into != 0 {
 		return
 	}
@@ -213,7 +211,7 @@ func (s *System) buildSpans(cfg Config) {
 	if !cfg.Spans.Enabled {
 		return
 	}
-	s.spanRec = span.NewRecorder(cfg.Spans.WithDefaults())
+	s.spanRec = span.NewRecorder(cfg.Spans)
 	for n, ctrl := range s.ctrls {
 		ctrl.SetTxnListener(txnTap{s: s, node: int32(n)})
 	}
@@ -229,7 +227,7 @@ func (s *System) buildSpans(cfg Config) {
 			s.spanRec.FaultEvent(span.LabelRecovery, errorCycle, seq, uint64(cpCycle))
 		})
 	}
-	s.kernel.Register(&phaseSampler{s: s, every: cfg.Spans.WithDefaults().PhaseEvery})
+	s.kernel.Register(&phaseSampler{s: s})
 }
 
 // SpanStats returns recorder accounting (zero value when spans are

@@ -97,7 +97,6 @@ type System struct {
 	spanRec *span.Recorder
 
 	violations core.CollectorSink
-	stop       bool
 	// reported is the whole-run Results the last Run* call ended with;
 	// the next call's interval is counted from it.
 	reported Results
@@ -186,7 +185,7 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 
 	if cfg.Trace.Enabled {
 		if !cfg.Trace.SinkOnly {
-			rec, err := trace.NewRecorder(cfg.Trace, cfg.TraceMeta())
+			rec, err := trace.NewRecorder(cfg.TraceMeta())
 			if err != nil {
 				return nil, err
 			}
@@ -360,9 +359,6 @@ func (s *System) sink() core.Sink {
 		if s.spanRec != nil {
 			s.spanRec.FaultEvent(span.LabelViolation, v.Cycle, uint64(v.Kind), uint64(v.Block))
 		}
-		if s.cfg.StopOnViolation {
-			s.stop = true
-		}
 	})
 }
 
@@ -382,13 +378,12 @@ func (s *System) Transactions() uint64 {
 func (s *System) Step() { s.kernel.Step() }
 
 // Run simulates until the system commits the given number of
-// transactions (across all nodes), a violation stops it (with
-// StopOnViolation), or the cycle budget expires. It returns the results
+// transactions (across all nodes) or the cycle budget expires. It returns the results
 // and an error if the budget expired first.
 func (s *System) Run(transactions uint64, maxCycles uint64) (Results, error) {
 	startTxns := s.Transactions()
 	done := func() bool {
-		return s.stop || s.Transactions()-startTxns >= transactions
+		return s.Transactions()-startTxns >= transactions
 	}
 	finished := s.kernel.RunUntil(done, maxCycles)
 	res := s.interval()
@@ -401,7 +396,7 @@ func (s *System) Run(transactions uint64, maxCycles uint64) (Results, error) {
 
 // RunCycles simulates a fixed number of cycles.
 func (s *System) RunCycles(n uint64) Results {
-	s.kernel.RunUntil(func() bool { return s.stop }, n)
+	s.kernel.Run(n)
 	return s.interval()
 }
 
@@ -417,12 +412,11 @@ func (s *System) Finished() bool {
 	return true
 }
 
-// RunToCompletion simulates until every program finishes and drains, a
-// violation stops the run (with StopOnViolation), or the cycle budget
-// expires. It reports whether the programs completed within the budget.
+// RunToCompletion simulates until every program finishes and drains or
+// the cycle budget expires. It reports whether the programs completed within the budget.
 // Only meaningful for finite programs (workload.Custom specs).
 func (s *System) RunToCompletion(maxCycles uint64) (Results, bool) {
-	s.kernel.RunUntil(func() bool { return s.stop || s.Finished() }, maxCycles)
+	s.kernel.RunUntil(s.Finished, maxCycles)
 	return s.interval(), s.Finished()
 }
 
@@ -596,9 +590,6 @@ func (s *System) Recover(errorCycle sim.Cycle) bool {
 		return false
 	}
 	_, ok := s.snMgr.Recover(errorCycle)
-	if ok {
-		s.stop = false
-	}
 	return ok
 }
 

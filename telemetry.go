@@ -44,7 +44,7 @@ var classOf = []network.Class{network.ClassCoherence, network.ClassInform,
 // plain slice writes into the registry (enforced by the
 // SteadyStateAllocFree assertions in telemetry_test.go).
 func (s *System) buildTelemetry(cfg Config) {
-	s.reg = telemetry.NewRegistry(cfg.Telemetry)
+	s.reg = telemetry.NewRegistry()
 	reg := s.reg
 	nodes := telemetry.NodeLabels(cfg.Nodes)
 
@@ -178,12 +178,10 @@ func (s *System) buildTelemetry(cfg Config) {
 	// Execution-trace recorder accounting.
 	if s.rec != nil {
 		trEvents := reg.Counter("trace.events", "execution-trace events recorded")
-		trDropped := reg.Counter("trace.dropped", "trace events evicted in flight-recorder mode")
 		trSpills := reg.Counter("trace.spills", "trace ring drains into the encoder")
 		reg.AddProbe(func() {
 			st := s.rec.Stats()
 			trEvents.Set(0, int64(st.Events))
-			trDropped.Set(0, int64(st.Dropped))
 			trSpills.Set(0, int64(st.Spills))
 		})
 	}
