@@ -1,7 +1,8 @@
 package dvmc
 
-// The paper ablations: the four design choices DESIGN.md calls out,
-// each reported as one number EXPERIMENTS.md quotes. The figures and
+// The paper ablations: the three design choices DESIGN.md calls out
+// with a measured alternative, each reported as one number
+// EXPERIMENTS.md quotes. The figures and
 // tables of Section 6 are regenerated by cmd/dvmc-bench and asserted by
 // shapes_test.go; how fast anything runs is measured by ./benchmark.
 
@@ -35,21 +36,6 @@ func BenchmarkAblationVerifyWindow(b *testing.B) {
 		narrow := run(2)
 		b.ReportMetric(narrow/wide, "narrow-vc-slowdown")
 	}
-}
-
-// BenchmarkAblationHashWidth measures CRC-16 signature throughput (the
-// hashing is on the inform path; the paper trades coverage vs storage).
-func BenchmarkAblationHashWidth(b *testing.B) {
-	sys, err := NewSystem(smallConfig(), Uniform(256, 0.5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	res := sys.RunCycles(20_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = res.Informs
-	}
-	b.ReportMetric(float64(res.Informs), "informs-per-20k-cycles")
 }
 
 // BenchmarkAblationMembarInjection sweeps the artificial-membar period

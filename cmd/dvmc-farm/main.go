@@ -18,6 +18,11 @@
 // expire and are stolen, and re-executed shards reproduce identical
 // bytes, so the merged output never depends on the schedule.
 //
+// -metrics-out has one meaning: the campaign's merged telemetry snapshot
+// (a fuzz job started with -metrics). No case is re-run to observe it;
+// to see one case's spans or telemetry, replay its corpus file with
+// dvmc-fuzz replay -spans-out / -metrics-out.
+//
 // Exit codes: 0 clean (and for -h), 1 usage or I/O error, 2 campaign
 // failure found (fuzz: escape, false alarm, or crash; experiment:
 // undetected faults) or, on resume, a checkpoint that does not decode —
@@ -134,7 +139,6 @@ func (c *cli) serve(args []string, resume bool) int {
 		jsonOut    = fs.Bool("json", false, "print the fuzz summary as JSON")
 		recordsOut = fs.String("records-out", "", "write the full fuzz record table (JSON) to this file")
 		metricsOut = fs.String("metrics-out", "", "write the merged telemetry snapshot to this file ('-' for stdout; needs a fuzz job with -metrics)")
-		spansOut   = fs.String("spans-out", "", "fuzz: re-run the first failing case (else the first case) with span recording and write its dump to this file")
 
 		// Job flags (serve only; resume reads the spec from the journal).
 		kind      = fs.String("job", "fuzz", "job kind: fuzz | experiment")
@@ -156,13 +160,10 @@ func (c *cli) serve(args []string, resume bool) int {
 		return c.failf("%s: unexpected arguments %v", name, fs.Args())
 	}
 
-	// checkOutputs refuses, before anything is bound or run, an output
-	// flag the job cannot honour.
+	// checkOutputs refuses, before anything is bound or run, a merged
+	// snapshot the job does not collect.
 	checkOutputs := func(spec fabric.JobSpec) error {
-		switch {
-		case *spansOut != "" && spec.Kind != fabric.JobFuzz:
-			return fmt.Errorf("-spans-out needs a fuzz job, this is an %s job", spec.Kind)
-		case *metricsOut != "" && (spec.Kind != fabric.JobFuzz || !spec.Fuzz.Metrics):
+		if *metricsOut != "" && (spec.Kind != fabric.JobFuzz || !spec.Fuzz.Metrics) {
 			return fmt.Errorf("-metrics-out needs a fuzz job started with -metrics")
 		}
 		return nil
@@ -233,14 +234,6 @@ func (c *cli) serve(args []string, resume bool) int {
 	failed, err := c.writeOutputs(out, *jsonOut, *recordsOut, *metricsOut)
 	if err != nil {
 		return c.failf("%s: %v", name, err)
-	}
-	if *spansOut != "" {
-		rec, err := fuzz.WriteSpans(out.Records, *spansOut)
-		if err != nil {
-			return c.failf("%s: %v", name, err)
-		}
-		fmt.Fprintf(c.stderr, "dvmc-farm: span dump for run %d (%s) written to %s\n",
-			rec.Index, rec.Result.Class, *spansOut)
 	}
 	// Linger past the workers' poll interval so they observe the job's
 	// Done state instead of a vanished coordinator.

@@ -85,6 +85,7 @@ func TestExitCodes(t *testing.T) {
 		{"unknown subcommand", []string{"farm"}, 1, "unknown subcommand"},
 		{"unknown flag", []string{"work", "-bogus"}, 1, "flag provided but not defined"},
 		{"unknown job", []string{"serve", "-addr", "127.0.0.1:0", "-job", "coverage"}, 1, `unknown -job "coverage"`},
+		{"removed serve -spans-out", []string{"serve", "-addr", "127.0.0.1:0", "-spans-out", filepath.Join(dir, "s.spans")}, 1, "flag provided but not defined: -spans-out"},
 		{"-metrics-out on an experiment job", []string{"serve", "-addr", "127.0.0.1:0", "-job", "experiment", "-metrics-out", filepath.Join(dir, "m.json")}, 1, "-metrics-out needs a fuzz job"},
 		{"resume without a checkpoint", []string{"resume", "-addr", "127.0.0.1:0"}, 1, "-checkpoint is required"},
 		{"missing checkpoint", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", filepath.Join(dir, "absent.ckpt")}, 1, "no such file"},

@@ -14,7 +14,10 @@
 //
 // A campaign's run i is derived from -seed and i alone, so campaigns are
 // deterministic: the same flags produce byte-identical classification
-// tables and corpus artifacts regardless of -workers.
+// tables and corpus artifacts regardless of -workers. A campaign runs
+// unobserved; replay is the one place a case runs with observers, and
+// its -spans-out / -metrics-out artifacts come from the execution it
+// checks, not from a second run.
 //
 // Exit codes (all subcommands): 0 clean, 1 usage or I/O error, 2 a
 // failure was found (escape, false alarm, crash, or replay mismatch —
@@ -26,6 +29,7 @@
 //	dvmc-fuzz gen -seed 7 -threads 4 -ops 32 > case.json
 //	dvmc-fuzz shrink case.json > min.json
 //	dvmc-fuzz replay internal/fuzz/testdata/corpus
+//	dvmc-fuzz replay -spans-out case.spans -metrics-out case.metrics.json min.json
 package main
 
 import (
@@ -37,6 +41,7 @@ import (
 	"os"
 	"strings"
 
+	"dvmc"
 	"dvmc/internal/fuzz"
 )
 
@@ -76,10 +81,14 @@ func (c *cli) usage() {
   dvmc-fuzz gen    [flags]                 generate one case as JSON on stdout
   dvmc-fuzz run    [flags]                 run a fuzzing campaign
   dvmc-fuzz shrink [flags] <case.json>     minimize a failing case to stdout
-  dvmc-fuzz replay <dir | case.json>...    re-run corpus reproducers
+  dvmc-fuzz replay [flags] <dir | case.json>...
+                                          re-run corpus reproducers
+                                          (-spans-out / -metrics-out: one
+                                          case file, observed as it runs)
 
 Campaigns are deterministic: the same flags give byte-identical results
-regardless of -workers. '<sub> -h' lists each subcommand's flags.
+regardless of -workers. '<sub> -h' lists each subcommand's flags. A
+replay artifact named '-' is all of stdout; the report goes to stderr.
 
 exit codes: 0 clean, 1 usage or I/O error, 2 failure found
 (escape, false alarm, crash, or replay mismatch, an undecodable
@@ -202,19 +211,17 @@ func parseFault(s string) (*fuzz.FaultSpec, error) {
 func (c *cli) campaign(args []string) int {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	var (
-		seed       = fs.Uint64("seed", 1, "campaign master seed")
-		n          = fs.Int("n", 200, "number of runs")
-		workers    = fs.Int("workers", 0, "worker pool size (0 = min(GOMAXPROCS, runs), 1 = serial)")
-		faultFrac  = fs.Float64("fault-frac", 0.5, "fraction of runs that inject a fault")
-		budget     = fs.Uint64("budget", fuzz.DefaultBudget, "per-run cycle budget")
-		corpus     = fs.String("corpus", "", "directory for minimized failure reproducers")
-		minimize   = fs.Bool("minimize", true, "delta-debug failures before writing them")
-		minBudget  = fs.Int("minimize-budget", fuzz.DefaultMinimizeBudget, "max re-runs per minimized failure")
-		jsonOut    = fs.Bool("json", false, "print the summary as JSON")
-		verbose    = fs.Bool("v", false, "print one line per non-clean run")
-		metricsOut = fs.String("metrics-out", "", "re-run the first failing case (else the first case) with telemetry and write the snapshot to this file")
-		spansOut   = fs.String("spans-out", "", "re-run the first failing case (else the first case) with span recording and write the binary dump to this file (render with dvmc-stat timeline)")
-		kindsStr   = fs.String("kinds", "", "comma-separated fault-kind pool (empty = every kind); known: "+strings.Join(fuzz.FaultKindNames(), ", "))
+		seed      = fs.Uint64("seed", 1, "campaign master seed")
+		n         = fs.Int("n", 200, "number of runs")
+		workers   = fs.Int("workers", 0, "worker pool size (0 = min(GOMAXPROCS, runs), 1 = serial)")
+		faultFrac = fs.Float64("fault-frac", 0.5, "fraction of runs that inject a fault")
+		budget    = fs.Uint64("budget", fuzz.DefaultBudget, "per-run cycle budget")
+		corpus    = fs.String("corpus", "", "directory for minimized failure reproducers")
+		minimize  = fs.Bool("minimize", true, "delta-debug failures before writing them")
+		minBudget = fs.Int("minimize-budget", fuzz.DefaultMinimizeBudget, "max re-runs per minimized failure")
+		jsonOut   = fs.Bool("json", false, "print the summary as JSON")
+		verbose   = fs.Bool("v", false, "print one line per non-clean run")
+		kindsStr  = fs.String("kinds", "", "comma-separated fault-kind pool (empty = every kind); known: "+strings.Join(fuzz.FaultKindNames(), ", "))
 	)
 	if code, ok := c.flags(fs, args); !ok {
 		return code
@@ -258,23 +265,6 @@ func (c *cli) campaign(args []string) int {
 			}
 			fmt.Fprintln(c.stdout)
 		}
-	}
-	if *metricsOut != "" {
-		if _, err := fuzz.WriteTelemetry(records, *metricsOut); err != nil {
-			return c.failf("run: metrics: %v", err)
-		}
-		if *metricsOut != "-" {
-			fmt.Fprintf(c.stdout, "telemetry snapshot written to %s\n", *metricsOut)
-		}
-	}
-	if *spansOut != "" {
-		rec, err := fuzz.WriteSpans(records, *spansOut)
-		if err != nil {
-			return c.failf("run: spans: %v", err)
-		}
-		// stderr, so -json stdout stays machine-readable (and cmp-equal
-		// to a farm run's summary).
-		fmt.Fprintf(c.stderr, "span dump for run %d (%s) written to %s\n", rec.Index, rec.Result.Class, *spansOut)
 	}
 	if summary.Failed() {
 		fmt.Fprintf(c.stderr, "dvmc-fuzz: %d failing runs\n", summary.Failures)
@@ -320,12 +310,35 @@ func (c *cli) shrink(args []string) int {
 // replay re-runs reproducers: every case of a directory argument, the
 // one case of a file argument, both through fuzz.ReplayFile. A case that
 // does not load is a mismatch like any other — the artifact failed.
+// -spans-out and -metrics-out observe the one execution of a single case
+// file, the same run whose classification and trace replay checks.
 func (c *cli) replay(args []string) int {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	var outs dvmc.Outputs
+	fs.StringVar(&outs.Spans, "spans-out", "", "record the case's causal spans and write the binary dump to this file ('-' for stdout; render with dvmc-stat timeline)")
+	fs.StringVar(&outs.Metrics, "metrics-out", "", "record the case's telemetry and write the snapshot to this file ('-' for stdout JSON)")
+	if code, ok := c.flags(fs, args); !ok {
+		return code
+	}
+	args = fs.Args()
 	if len(args) == 0 {
 		return c.failf("replay: need at least one corpus directory or case file")
 	}
+	report, err := outs.Report(c.stdout, c.stderr)
+	if err != nil {
+		return c.failf("replay: %v", err)
+	}
+	const oneCase = "replay: -spans-out and -metrics-out need exactly one case file"
+	var observe func(dvmc.Config) dvmc.Config
+	if outs != (dvmc.Outputs{}) {
+		if len(args) != 1 {
+			return c.failf(oneCase)
+		}
+		observe = outs.Observe
+	}
 	bad := 0
 	total := 0
+	var sys *dvmc.System
 	for _, arg := range args {
 		info, err := os.Stat(arg)
 		if err != nil {
@@ -333,7 +346,11 @@ func (c *cli) replay(args []string) int {
 		}
 		var results []fuzz.ReplayResult
 		if !info.IsDir() {
-			results = append(results, fuzz.ReplayFile(arg))
+			var r fuzz.ReplayResult
+			r, sys = fuzz.ReplayFile(arg, observe)
+			results = append(results, r)
+		} else if observe != nil {
+			return c.failf(oneCase)
 		} else if results, err = fuzz.ReplayDir(arg); err != nil {
 			return c.failf("replay: %v", err)
 		}
@@ -344,16 +361,26 @@ func (c *cli) replay(args []string) int {
 				status = "MISMATCH"
 				bad++
 			}
-			fmt.Fprintf(c.stdout, "%-8s %s: expect %s, got %s\n", status, r.Path, orDash(string(r.Expect)), orDash(string(r.Got)))
+			fmt.Fprintf(report, "%-8s %s: expect %s, got %s\n", status, r.Path, orDash(string(r.Expect)), orDash(string(r.Got)))
 			if r.Result.Panic != "" {
-				fmt.Fprintf(c.stdout, "         %s\n", r.Result.Panic)
+				fmt.Fprintf(report, "         %s\n", r.Result.Panic)
 			}
 			if r.TraceDiff != "" {
-				fmt.Fprintf(c.stdout, "         %s\n", r.TraceDiff)
+				fmt.Fprintf(report, "         %s\n", r.TraceDiff)
 			}
 		}
 	}
-	fmt.Fprintf(c.stdout, "replayed %d cases, %d mismatches\n", total, bad)
+	fmt.Fprintf(report, "replayed %d cases, %d mismatches\n", total, bad)
+	if observe != nil {
+		switch {
+		case sys != nil:
+			if err := outs.Write(sys, c.stdout, report); err != nil {
+				return c.failf("replay: %v", err)
+			}
+		case bad == 0:
+			return c.failf("replay: %s crashed: no run to observe", args[0])
+		}
+	}
 	if bad > 0 {
 		return 2
 	}

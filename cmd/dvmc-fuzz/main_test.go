@@ -17,10 +17,11 @@ func runFuzz(args ...string) (code int, stdout, stderr string) {
 }
 
 // TestExitCodes pins the tool's contract: 0 for a clean campaign or
-// replay, 1 for usage errors — the removed -coverage and -gens flags
-// among them — and 2 for a found failure, which includes a replayed case
-// that no longer shows its classification and a case file that does not
-// decode.
+// replay, 1 for usage errors — the removed -coverage, -gens, and run's
+// -spans-out and -metrics-out flags among them, and replay observers
+// asked of anything but one case file — and 2 for a found failure, which
+// includes a replayed case that no longer shows its classification and a
+// case file that does not decode.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string, data []byte) string {
@@ -67,6 +68,15 @@ func TestExitCodes(t *testing.T) {
 		{"unknown -kinds", []string{"run", "-n", "4", "-kinds", "bogus"}, 1, "", `unknown fault kind "bogus"`},
 		{"removed -coverage", []string{"run", "-n", "4", "-coverage"}, 1, "", "flag provided but not defined: -coverage"},
 		{"removed -gens", []string{"run", "-n", "4", "-gens", "2"}, 1, "", "flag provided but not defined: -gens"},
+		{"removed run -spans-out", []string{"run", "-n", "4", "-spans-out", filepath.Join(dir, "x.spans")}, 1, "", "flag provided but not defined: -spans-out"},
+		{"removed run -metrics-out", []string{"run", "-n", "4", "-metrics-out", filepath.Join(dir, "x.json")}, 1, "", "flag provided but not defined: -metrics-out"},
+		{"observed replay", []string{"replay", "-spans-out", filepath.Join(dir, "clean.spans"), "-metrics-out", filepath.Join(dir, "clean.metrics"), clean}, 0, "span dump written to", ""},
+		{"observed replay to stdout", []string{"replay", "-spans-out", "-", clean}, 0, "DVMCSP", "replayed 1 cases, 0 mismatches"},
+		{"observed failing replay", []string{"replay", "-spans-out", filepath.Join(dir, "failing.spans"), failing}, 2, "span dump written to", ""},
+		{"observed replay of a directory", []string{"replay", "-spans-out", filepath.Join(dir, "d.spans"), dir}, 1, "", "need exactly one case file"},
+		{"observed replay of two files", []string{"replay", "-metrics-out", filepath.Join(dir, "m.json"), clean, failing}, 1, "", "need exactly one case file"},
+		{"two stdout artifacts", []string{"replay", "-spans-out", "-", "-metrics-out", "-", clean}, 1, "", "can be '-' (stdout)"},
+		{"observed torn case", []string{"replay", "-spans-out", filepath.Join(dir, "torn.spans"), torn}, 2, "decode case: offset", ""},
 		{"unknown subcommand", []string{"fuzz"}, 1, "", "unknown subcommand"},
 		{"no subcommand", nil, 1, "", "usage:"},
 	} {

@@ -7,11 +7,12 @@
 // (inspect it with dvmc-stat); -http serves live /metrics (Prometheus
 // text), /metrics.json, and /debug/pprof/ while the simulation runs.
 // Both enable the deterministic cycle sampler. -spans-out records the
-// causal span dump (coherence transactions, phase profile) — render it
-// with dvmc-stat timeline and open in Perfetto. -trace-out records the
-// execution trace, every commit and perform event — check it with
-// dvmc-trace check. Any one of the three may be '-': that artifact is
-// then all of stdout and the report goes to stderr.
+// causal span dump (coherence transactions, the fault flight) — render
+// it with dvmc-stat timeline, together with the snapshot's work series,
+// and open in Perfetto. -trace-out records the execution trace, every
+// commit and perform event — check it with dvmc-trace check. Any one of
+// the three may be '-': that artifact is then all of stdout and the
+// report goes to stderr.
 //
 // Exit codes: 0 clean, 1 usage or I/O error, 2 violations detected.
 //
@@ -33,7 +34,6 @@ import (
 
 	"dvmc"
 	"dvmc/internal/network"
-	"dvmc/internal/telemetry"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -55,12 +55,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noSN         = fs.Bool("no-safetynet", false, "disable SafetyNet BER")
 		paperScale   = fs.Bool("paper-scale", false, "use the paper's full cache geometry (slower)")
 		verbose      = fs.Bool("v", false, "full telemetry report (per-node metrics, latency, events)")
-		metricsOut   = fs.String("metrics-out", "", "write the telemetry snapshot to this file (.json|.prom|.csv|.series.csv; '-' for stdout JSON)")
 		sampleEvery  = fs.Uint64("sample-every", 0, "telemetry sampling period in cycles (0 = default)")
 		httpAddr     = fs.String("http", "", "serve live /metrics, /metrics.json, and /debug/pprof/ on this address while running")
-		spansOut     = fs.String("spans-out", "", "record causal spans and write the binary dump to this file ('-' for stdout; render with dvmc-stat timeline)")
-		traceOut     = fs.String("trace-out", "", "record the execution trace and write it to this file ('-' for stdout; check with dvmc-trace check)")
+		outs         dvmc.Outputs
 	)
+	fs.StringVar(&outs.Metrics, "metrics-out", "", "write the telemetry snapshot to this file (.json|.prom|.csv|.series.csv; '-' for stdout JSON)")
+	fs.StringVar(&outs.Spans, "spans-out", "", "record causal spans and write the binary dump to this file ('-' for stdout; render with dvmc-stat timeline)")
+	fs.StringVar(&outs.Trace, "trace-out", "", "record the execution trace and write it to this file ('-' for stdout; check with dvmc-trace check)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -74,17 +75,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		return failf("unexpected argument %q", fs.Arg(0))
 	}
-	// An artifact written to stdout is all of stdout; the report moves
-	// to stderr so a pipe reads the artifact from its first byte.
-	report := stdout
-	for _, out := range []string{*metricsOut, *spansOut, *traceOut} {
-		if out != "-" {
-			continue
-		}
-		if report == stderr {
-			return failf("only one of -metrics-out, -spans-out and -trace-out can be '-' (stdout)")
-		}
-		report = stderr
+	report, err := outs.Report(stdout, stderr)
+	if err != nil {
+		return failf("%v", err)
 	}
 
 	cfg := dvmc.ScaledConfig()
@@ -107,16 +100,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *noSN {
 		cfg.SafetyNet = false
 	}
-	if *metricsOut != "" || *httpAddr != "" || *sampleEvery > 0 {
+	cfg = outs.Observe(cfg)
+	if cfg.Telemetry.Enabled || *httpAddr != "" || *sampleEvery > 0 {
 		t := dvmc.TelemetryOn()
 		t.Every = dvmc.Cycle(*sampleEvery)
 		cfg = cfg.WithTelemetry(t)
-	}
-	if *spansOut != "" {
-		cfg = cfg.WithSpans(dvmc.SpansOn())
-	}
-	if *traceOut != "" {
-		cfg = cfg.WithTrace(dvmc.TraceOn())
 	}
 
 	w, err := dvmc.WorkloadByName(*workloadName)
@@ -145,12 +133,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return failf("run: %v", err)
 	}
-	sys.DrainCheckers()
-	var traceData []byte
-	if *traceOut != "" {
-		if traceData, err = sys.TraceBytes(); err != nil {
-			return failf("%v", err)
-		}
+	if err := outs.Finish(sys); err != nil {
+		return failf("%v", err)
 	}
 
 	fmt.Fprintf(report, "\nruntime:        %d cycles for %d transactions (%.3f txn/kcycle)\n",
@@ -183,63 +167,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The telemetry registry is the single source of truth for detailed
 	// statistics: the -v report, the -metrics-out file, and the live
-	// /metrics endpoint all render the same snapshot.
-	snap := sys.TelemetrySnapshot()
+	// /metrics endpoint all render a snapshot of it.
 	if *verbose {
 		fmt.Fprintln(report)
-		if err := snap.Text(report); err != nil {
+		if err := sys.TelemetrySnapshot().Text(report); err != nil {
 			return failf("telemetry report: %v", err)
 		}
 	}
-	if *metricsOut != "" {
-		if *metricsOut == "-" {
-			err = snap.EncodeJSON(stdout)
-		} else {
-			err = telemetry.WriteSnapshotFile(snap, *metricsOut)
-		}
-		if err != nil {
-			return failf("%v", err)
-		}
-		fmt.Fprintf(report, "telemetry snapshot written to %s\n", outName(*metricsOut))
-	}
-	if *spansOut != "" {
-		dump, err := sys.SpanBytes()
-		if err != nil {
-			return failf("%v", err)
-		}
-		if err := writeOut(*spansOut, dump, stdout); err != nil {
-			return failf("%v", err)
-		}
-		st := sys.SpanStats()
-		fmt.Fprintf(report, "span dump written to %s (%d spans recorded, %d evicted, %d hops)\n",
-			outName(*spansOut), st.Spans, st.SpansDropped, st.Events)
-	}
-	if *traceOut != "" {
-		if err := writeOut(*traceOut, traceData, stdout); err != nil {
-			return failf("%v", err)
-		}
-		fmt.Fprintf(report, "trace written to %s (%d events, %d bytes)\n",
-			outName(*traceOut), sys.TraceStats().Events, len(traceData))
+	if err := outs.Write(sys, stdout, report); err != nil {
+		return failf("%v", err)
 	}
 	if res.Violations > 0 {
 		return 2
 	}
 	return 0
-}
-
-// writeOut writes an artifact to the named file, or to stdout for "-".
-func writeOut(path string, data []byte, stdout io.Writer) error {
-	if path == "-" {
-		_, err := stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// outName is how the report names an artifact's destination.
-func outName(path string) string {
-	if path == "-" {
-		return "stdout"
-	}
-	return path
 }

@@ -1,17 +1,18 @@
 // Command dvmc-stat inspects telemetry snapshots: the JSON files
-// written by the -metrics-out flags of dvmc-sim, dvmc-fuzz and
-// dvmc-farm, or fetched live from an http(s) URL (dvmc-sim -http's
-// /metrics, a dvmc-farm coordinator's /metrics.json). The JSON snapshot
-// is the interchange format; every other rendering (Prometheus text,
-// CSV, human-readable) is re-encoded from it, so all views agree by
-// construction.
+// written by the -metrics-out flags of dvmc-sim, dvmc-fuzz replay,
+// dvmc-trace check and dvmc-farm, or fetched live from an http(s) URL
+// (dvmc-sim -http's /metrics, a dvmc-farm coordinator's /metrics.json).
+// The JSON snapshot is the interchange format; every other rendering
+// (Prometheus text, CSV, human-readable) is re-encoded from it, so all
+// views agree by construction.
 //
 // Subcommands:
 //
 //	dump      re-encode a snapshot (text, json, prom, csv, series-csv)
 //	series    print tracked time series as CSV, optionally filtered
 //	top       rank metrics by value
-//	timeline  render a binary span dump (-spans-out) as Chrome
+//	timeline  render a binary span dump (-spans-out), and optionally the
+//	          same run's snapshot as counter tracks, as Chrome
 //	          trace-event JSON, loadable in Perfetto / chrome://tracing
 //
 // Exit codes (all subcommands): 0 clean, 1 usage or I/O error, 2 the
@@ -26,6 +27,8 @@
 //	dvmc-stat dump -format prom run.json
 //	dvmc-stat series -metric checker.met_queue_depth run.json
 //	dvmc-stat top -n 10 run.json
+//	dvmc-sim -spans-out run.spans -metrics-out run.json
+//	dvmc-stat timeline -o run.trace.json run.spans run.json
 package main
 
 import (
@@ -80,17 +83,21 @@ func (c *cli) usage() {
   dvmc-stat dump     [-format text|json|prom|csv|series-csv] <snapshot>
   dvmc-stat series   [-metric NAME] <snapshot>
   dvmc-stat top      [-n N] [-kind counter|gauge] <snapshot>
-  dvmc-stat timeline [-o FILE] <spans>
+  dvmc-stat timeline [-o FILE] <spans> [<snapshot>]
 
-<snapshot> is a JSON snapshot file written by the -metrics-out flags of
-dvmc-sim, dvmc-fuzz, or dvmc-farm; '-' for stdin; or an
-http(s):// URL — dvmc-sim -http's /metrics or a dvmc-farm coordinator's
-/metrics.json for a live farm-wide view. All renderings are derived
-from the JSON, so text, Prometheus, and CSV views always agree.
+<snapshot> is a JSON snapshot file written by -metrics-out (dvmc-sim,
+dvmc-fuzz replay, dvmc-trace check, or dvmc-farm's merged campaign
+snapshot); '-' for stdin; or an http(s):// URL — dvmc-sim -http's
+/metrics or a dvmc-farm coordinator's /metrics.json for a live
+farm-wide view. All renderings are derived from the JSON, so text,
+Prometheus, and CSV views always agree.
 
-<spans> is a binary span dump written by the -spans-out flags of
-dvmc-sim, dvmc-fuzz, or dvmc-farm ('-' for stdin); timeline renders it
-as Chrome trace-event JSON for Perfetto / chrome://tracing.
+<spans> is a binary span dump written by -spans-out (dvmc-sim or
+dvmc-fuzz replay; '-' for stdin); timeline renders it as Chrome
+trace-event JSON for Perfetto / chrome://tracing. Given the same run's
+snapshot too, it draws every tracked series as a counter track: the
+work per sampling window for counters (ops retired, transactions
+issued, link bytes, informs processed, ...), the level for gauges.
 
 exit codes: 0 clean, 1 usage or I/O error, 2 the snapshot records
 checker violations or the artifact failed to decode.
@@ -121,16 +128,20 @@ func (c *cli) flags(fs *flag.FlagSet, args []string) (code int, ok bool) {
 // was pointed at by mistake cannot make it allocate without limit.
 const maxSnapshotBody = 64 << 20
 
-// load decodes the snapshot named by the single positional argument:
-// a file path, "-" for stdin, or an http(s):// URL — the live /metrics
-// endpoint of dvmc-sim -http or a dvmc-farm coordinator's
-// /metrics.json, so a running farm can be watched with the same tool
-// that reads recorded files. A nil snapshot comes with the exit code.
+// load decodes the snapshot named by the single positional argument.
 func (c *cli) load(fs *flag.FlagSet) (*telemetry.Snapshot, int) {
 	if fs.NArg() != 1 {
 		return nil, c.failf("%s: need exactly one snapshot source (file, '-' for stdin, or http(s) URL)", fs.Name())
 	}
-	path := fs.Arg(0)
+	return c.loadSnapshot(fs.Arg(0))
+}
+
+// loadSnapshot decodes a snapshot from a file path, "-" for stdin, or an
+// http(s):// URL — the live /metrics endpoint of dvmc-sim -http or a
+// dvmc-farm coordinator's /metrics.json, so a running farm can be
+// watched with the same tool that reads recorded files. A nil snapshot
+// comes with the exit code.
+func (c *cli) loadSnapshot(path string) (*telemetry.Snapshot, int) {
 	var r io.Reader = os.Stdin
 	switch {
 	case strings.HasPrefix(path, "http://") || strings.HasPrefix(path, "https://"):
@@ -265,17 +276,21 @@ func (c *cli) top(args []string) int {
 }
 
 // timeline renders a binary span dump as Chrome trace-event JSON: one
-// "X" slice per span (transaction, fault flight, or phase sample) and
-// one "i" instant per child event, ready for Perfetto or
-// chrome://tracing. Timestamps are simulated cycles, shown as µs.
+// "X" slice per span (transaction or fault flight) and one "i" instant
+// per child event, ready for Perfetto or chrome://tracing. With a
+// snapshot of the same run, every tracked series becomes a counter track
+// beside them. Timestamps are simulated cycles, shown as µs.
 func (c *cli) timeline(args []string) int {
 	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
 	out := fs.String("o", "", "write the JSON here instead of stdout")
 	if code, ok := c.flags(fs, args); !ok {
 		return code
 	}
-	if fs.NArg() != 1 {
-		return c.failf("timeline: need exactly one span dump source (file or '-' for stdin)")
+	if fs.NArg() < 1 || fs.NArg() > 2 {
+		return c.failf("timeline: need exactly one span dump source (file or '-' for stdin) and at most one snapshot source")
+	}
+	if fs.NArg() == 2 && fs.Arg(0) == "-" && fs.Arg(1) == "-" {
+		return c.failf("timeline: only one source can be '-' (stdin)")
 	}
 	path := fs.Arg(0)
 	var data []byte
@@ -293,24 +308,64 @@ func (c *cli) timeline(args []string) int {
 		fmt.Fprintf(c.stderr, "dvmc-stat: %s: decoding span dump: %v\n", path, err)
 		return 2
 	}
-	if *out == "" {
-		if err := span.WriteChrome(c.stdout, meta, spans, spanName); err != nil {
-			return c.failf("timeline: %v", err)
+	var snap *telemetry.Snapshot
+	if fs.NArg() == 2 {
+		var code int
+		if snap, code = c.loadSnapshot(fs.Arg(1)); snap == nil {
+			return code
 		}
-		return 0
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return c.failf("%v", err)
-	}
-	err = span.WriteChrome(f, meta, spans, spanName)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	counters := counterTracks(snap)
+	if *out == "" {
+		err = span.WriteChrome(c.stdout, meta, spans, spanName, counters)
+	} else {
+		f, cerr := os.Create(*out)
+		if cerr != nil {
+			return c.failf("%v", cerr)
+		}
+		err = span.WriteChrome(f, meta, spans, spanName, counters)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if err != nil {
 		return c.failf("timeline: %v", err)
 	}
-	return 0
+	if snap == nil {
+		return 0
+	}
+	return c.verdict(snap)
+}
+
+// counterTracks turns a snapshot's tracked series into counter samples
+// (none for a nil snapshot). A counter series shows the work done in
+// each sampling window, stamped at the window's start; a gauge series
+// shows its sampled level.
+func counterTracks(snap *telemetry.Snapshot) []span.Counter {
+	if snap == nil {
+		return nil
+	}
+	kind := make(map[string]string, len(snap.Metrics))
+	for _, m := range snap.Metrics {
+		kind[m.Name] = m.Kind
+	}
+	var out []span.Counter
+	for _, s := range snap.Series {
+		key := "value"
+		if s.Label != "" {
+			key = s.Label + "=" + s.LabelValue
+		}
+		if kind[s.Name] != telemetry.KindCounter.String() {
+			for i, v := range s.Values {
+				out = append(out, span.Counter{Name: s.Name, Key: key, Ts: s.Cycles[i], Value: v})
+			}
+			continue
+		}
+		for i := 1; i < len(s.Values); i++ {
+			out = append(out, span.Counter{Name: s.Name, Key: key, Ts: s.Cycles[i-1], Value: s.Values[i] - s.Values[i-1]})
+		}
+	}
+	return out
 }
 
 // spanName renders span display names with the fault-kind vocabulary

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"dvmc"
+	"dvmc/internal/span"
 	"dvmc/internal/telemetry"
 )
 
@@ -63,6 +65,8 @@ func TestExitCodes(t *testing.T) {
 		{"unknown kind", []string{"top", "-kind", "histogram", clean}, 1, "", `unknown kind "histogram"`},
 		{"unknown series", []string{"series", "-metric", "no.such", clean}, 1, "", `no tracked series named "no.such"`},
 		{"timeline source", []string{"timeline"}, 1, "", "need exactly one span dump source"},
+		{"timeline three sources", []string{"timeline", clean, clean, clean}, 1, "", "at most one snapshot source"},
+		{"timeline two stdin", []string{"timeline", "-", "-"}, 1, "", "only one source can be '-'"},
 		{"dump", []string{"dump", clean}, 0, "cycle", ""},
 		{"dump prom", []string{"dump", "-format", "prom", clean}, 0, "# TYPE", ""},
 		{"series", []string{"series", clean}, 0, "", ""},
@@ -193,5 +197,82 @@ func TestTimelineCorruptDumpExitsTwo(t *testing.T) {
 	}
 	if !strings.Contains(stderr, path) {
 		t.Fatalf("stderr does not name the source: %s", stderr)
+	}
+}
+
+// TestTimelineDrawsWorkSeries renders one run's spans together with its
+// snapshot: each of the four work counters becomes a "C" counter track
+// whose samples are the work done per sampling window, so they add up to
+// the counter's growth over the sampled span of the run.
+func TestTimelineDrawsWorkSeries(t *testing.T) {
+	cfg := dvmc.ScaledConfig().WithNodes(4).WithSpans(dvmc.SpansOn()).WithTelemetry(dvmc.TelemetryOn())
+	sys, err := dvmc.NewSystem(cfg, dvmc.OLTP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.RunCycles(8192)
+	dir := t.TempDir()
+	spans, metrics := filepath.Join(dir, "run.spans"), filepath.Join(dir, "run.json")
+	if err := (dvmc.Outputs{Spans: spans, Metrics: metrics}).Write(sys, nil, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runStat(t, "timeline", spans, metrics)
+	if code != 0 {
+		t.Fatalf("timeline: exit %d; stderr: %s", code, stderr)
+	}
+	var out struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Ts   uint64         `json:"ts"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &out); err != nil {
+		t.Fatal(err)
+	}
+	drawn := map[string]int64{}
+	for _, e := range out.TraceEvents {
+		if e.Ph != "C" {
+			continue
+		}
+		for _, v := range e.Args {
+			drawn[e.Name] += int64(v.(float64))
+		}
+	}
+	snap := sys.TelemetrySnapshot()
+	for _, name := range []string{"proc.ops_retired", "cache.transactions_issued", "net.bytes_total", "checker.informs_processed"} {
+		var grew int64
+		for _, sr := range snap.Series {
+			if sr.Name == name {
+				grew += sr.Values[len(sr.Values)-1] - sr.Values[0]
+			}
+		}
+		if grew == 0 || drawn[name] != grew {
+			t.Errorf("%s: counter track adds up to %d, the series grew %d", name, drawn[name], grew)
+		}
+	}
+}
+
+// TestTimelineRefusesPhaseDump: a dump holding a span of a family this
+// build does not define — the per-component phase slices older builds
+// recorded — exits 2 naming the source, instead of rendering nameless
+// spans.
+func TestTimelineRefusesPhaseDump(t *testing.T) {
+	dump, err := span.Encode(span.Meta{Nodes: 4}, []span.Span{
+		{ID: 0, Family: span.FamilyTxn, Node: 1, Addr: 0x40, Start: 10, End: 20, Outcome: span.OutcomeDone},
+		{ID: 1, Family: 3, Node: -1, Start: 0, End: 1024, Outcome: 8,
+			Events: []span.Event{{Label: span.LabelWork, Time: 1024, A: 900}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "phase.spans")
+	if err := os.WriteFile(path, dump, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runStat(t, "timeline", path)
+	if code != 2 || stdout != "" || !strings.Contains(stderr, path) || !strings.Contains(stderr, "unknown span family 3") {
+		t.Fatalf("exit %d, want 2 naming %s and the family; stdout %q, stderr: %s", code, path, stdout, stderr)
 	}
 }

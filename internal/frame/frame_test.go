@@ -149,7 +149,7 @@ func spanDump(t testing.TB) []byte {
 			Events: []span.Event{{Label: span.LabelGetM, Time: 12, A: 2, B: 0}, {Label: span.LabelData, Time: 50, A: 0, B: 2}}},
 		{ID: 2, Family: span.FamilyFault, Kind: 5, Node: 1, Start: 10, End: 9000, Outcome: span.OutcomeDetected, Dropped: 3,
 			Events: []span.Event{{Label: span.LabelArmed, Time: 10}, {Label: span.LabelFired, Time: 8, A: 1 << 40}}},
-		{ID: 7, Family: span.FamilyPhase, Kind: span.CompNetwork, Node: -1, Start: 1024, End: 2048, Outcome: span.OutcomeSlice},
+		{ID: 7, Family: span.FamilyFault, Kind: 2, Node: -1, Start: 1024, End: 2048, Outcome: span.OutcomeMasked},
 	})
 	if err != nil {
 		t.Fatal(err)

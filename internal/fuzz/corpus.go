@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"dvmc"
 )
 
 // WriteCase persists a reproducer as <dir>/<name>.json (stable,
@@ -99,7 +101,8 @@ func ReplayDir(dir string) ([]ReplayResult, error) {
 	}
 	var out []ReplayResult
 	for _, path := range files {
-		out = append(out, ReplayFile(path))
+		rr, _ := ReplayFile(path, nil)
+		out = append(out, rr)
 	}
 	return out, nil
 }
@@ -110,18 +113,23 @@ func ReplayDir(dir string) ([]ReplayResult, error) {
 // across commits far tighter than the classification does (a case
 // without a .trc is held to its classification only). A file that does
 // not load or run is a non-OK result with the error in Result.Panic.
-func ReplayFile(path string) ReplayResult {
+//
+// observe (nil for none) switches observers on for this one execution,
+// and the finished system is returned so the caller can read them: the
+// artifacts come from the very run whose classification and trace were
+// checked (the system is nil when the case did not load or crashed).
+func ReplayFile(path string, observe func(dvmc.Config) dvmc.Config) (ReplayResult, *dvmc.System) {
 	rr := ReplayResult{Path: path}
 	c, err := LoadCase(path)
 	if err != nil {
 		rr.Result.Panic = err.Error()
-		return rr
+		return rr, nil
 	}
 	rr.Expect = c.Expect
-	res, got, err := RunCase(c)
+	res, got, sys, err := runCase(c, observe, true)
 	if err != nil {
 		rr.Result.Panic = err.Error()
-		return rr
+		return rr, nil
 	}
 	rr.Result = res
 	rr.Got = res.Class
@@ -134,7 +142,7 @@ func ReplayFile(path string) ReplayResult {
 	// A corpus case without a recorded expectation just has to run; one
 	// with an expectation has to reproduce it.
 	rr.OK = (c.Expect == "" || res.Class == c.Expect) && rr.TraceDiff == ""
-	return rr
+	return rr, sys
 }
 
 // traceDiff describes where got departs from the committed trace want

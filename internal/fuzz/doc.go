@@ -38,10 +38,9 @@
 //     until the reproducer is 1-minimal.
 //   - corpus.go — stable JSON serialization of cases, plus ReplayFile /
 //     ReplayDir, which the regression test over testdata/corpus/ and
-//     dvmc-fuzz replay share.
-//   - observe.go — -spans-out / -metrics-out: one exemplar case re-run
-//     with an observer on, through the same execute step as every
-//     other run.
+//     dvmc-fuzz replay share. ReplayFile takes the caller's observers
+//     and returns the system it ran, so dvmc-fuzz replay -spans-out /
+//     -metrics-out read the very execution replay checked.
 //
 // This package deliberately lives outside the dvmc-lint determinism
 // allowlist: it drives the shared worker pool (internal/par), whose

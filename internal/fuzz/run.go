@@ -37,7 +37,7 @@ type RunResult struct {
 // hostile generated programs. The returned trace is the run's captured
 // execution trace (nil for crashes), written next to corpus reproducers.
 func RunCase(c *Case) (RunResult, []byte, error) {
-	res, trace, _, err := runCase(c, false, true)
+	res, trace, _, err := runCase(c, nil, true)
 	return res, trace, err
 }
 
@@ -48,8 +48,15 @@ func RunCase(c *Case) (RunResult, []byte, error) {
 // trace). Classification is identical to RunCase's: the streaming
 // checker's report is byte-identical to the batch oracle's.
 func RunCaseStreamed(c *Case, instrument bool) (RunResult, *telemetry.Snapshot, error) {
-	res, _, snap, err := runCase(c, instrument, false)
-	return res, snap, err
+	var observe func(dvmc.Config) dvmc.Config
+	if instrument {
+		observe = func(cfg dvmc.Config) dvmc.Config { return cfg.WithTelemetry(dvmc.TelemetryOn()) }
+	}
+	res, _, sys, err := runCase(c, observe, false)
+	if !instrument || sys == nil {
+		return res, nil, err
+	}
+	return res, sys.TelemetrySnapshot(), err
 }
 
 // execute is the one place a case becomes a system: run c's program on
@@ -74,12 +81,16 @@ func execute(c *Case, cfg dvmc.Config) (*dvmc.System, dvmc.InjectionResult, erro
 	return sys, ir, err
 }
 
-func runCase(c *Case, instrument, record bool) (res RunResult, traceBytes []byte, snap *telemetry.Snapshot, err error) {
+// runCase is RunCase and RunCaseStreamed: observe (nil for none)
+// switches on the caller's observers, record keeps the trace bytes, and
+// the finished system is returned for the observers to be read (nil for
+// a crash).
+func runCase(c *Case, observe func(dvmc.Config) dvmc.Config, record bool) (res RunResult, traceBytes []byte, sys *dvmc.System, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = RunResult{Class: ClassCrash, Panic: fmt.Sprint(r)}
 			traceBytes = nil
-			snap = nil
+			sys = nil
 			err = nil
 		}
 	}()
@@ -90,8 +101,8 @@ func runCase(c *Case, instrument, record bool) (res RunResult, traceBytes []byte
 	if err != nil {
 		return RunResult{}, nil, nil, err
 	}
-	if instrument {
-		cfg = cfg.WithTelemetry(dvmc.TelemetryOn())
+	if observe != nil {
+		cfg = observe(cfg)
 	}
 	// The oracle checks the run live: the checker rides along as the
 	// trace sink and judges each event as the simulation emits it. Byte
@@ -100,7 +111,8 @@ func runCase(c *Case, instrument, record bool) (res RunResult, traceBytes []byte
 	cfg.Trace.Sink = chk
 	cfg.Trace.SinkOnly = !record
 
-	sys, ir, err := execute(c, cfg)
+	var ir dvmc.InjectionResult
+	sys, ir, err = execute(c, cfg)
 	if err != nil {
 		return RunResult{}, nil, nil, err
 	}
@@ -120,13 +132,10 @@ func runCase(c *Case, instrument, record bool) (res RunResult, traceBytes []byte
 	} else {
 		res.Class, res.Detail = classifyFault(ir, verdict)
 	}
-	if instrument {
-		snap = sys.TelemetrySnapshot()
-	}
 	if record {
 		traceBytes, err = sys.TraceBytes()
 	}
-	return res, traceBytes, snap, err
+	return res, traceBytes, sys, err
 }
 
 // streamVerdict assembles both referees' conclusions from a finished

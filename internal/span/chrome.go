@@ -17,8 +17,21 @@ import (
 // an empty result falls back to Span.Name.
 type NameFunc func(*Span) string
 
+// Counter is one sample of a counter track: from cycle Ts on, series Key
+// of track Name reads Value. WriteChrome renders each as a "C" counter
+// event, so a timeline can carry the telemetry series beside the spans.
+type Counter struct {
+	Name, Key string
+	Ts        uint64
+	Value     int64
+}
+
+// counterPid is the row group of counter tracks; span families start at 1.
+const counterPid = 0
+
 // chromeEvent is one trace event in Chrome's JSON format: "X" complete
-// events carry dur; "i" instant events carry scope s.
+// events carry dur; "i" instant events carry scope s; "C" counter events
+// carry their series values in args.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
@@ -35,17 +48,18 @@ type chromeTrace struct {
 	OtherData   map[string]any `json:"otherData,omitempty"`
 }
 
-// WriteChrome renders spans (any order; re-sorted canonically) as
-// Chrome trace-event JSON. Rows: pid groups by family, tid is the
-// owning node (phase spans: the component). One "X" complete event per
-// span; one "i" instant event per child event.
-func WriteChrome(w io.Writer, meta Meta, spans []Span, name NameFunc) error {
+// WriteChrome renders spans (any order; re-sorted canonically) and
+// counter samples (in the order given) as Chrome trace-event JSON. Rows:
+// pid groups spans by family, tid is the owning node; counters sit in
+// pid 0. One "X" complete event per span; one "i" instant event per
+// child event; one "C" event per counter sample.
+func WriteChrome(w io.Writer, meta Meta, spans []Span, name NameFunc, counters []Counter) error {
 	sorted := make([]Span, len(spans))
 	copy(sorted, spans)
 	sortSpans(sorted)
 
 	out := chromeTrace{
-		TraceEvents: make([]chromeEvent, 0, 2*len(sorted)),
+		TraceEvents: make([]chromeEvent, 0, 2*len(sorted)+len(counters)),
 		OtherData: map[string]any{
 			"nodes":    meta.Nodes,
 			"model":    meta.Model,
@@ -63,10 +77,6 @@ func WriteChrome(w io.Writer, meta Meta, spans []Span, name NameFunc) error {
 		if n == "" {
 			n = s.Name()
 		}
-		tid := int(s.Node)
-		if s.Family == FamilyPhase {
-			tid = int(s.Kind)
-		}
 		dur := uint64(s.End - s.Start)
 		if dur == 0 {
 			dur = 1 // zero-width slices are invisible in Perfetto
@@ -82,16 +92,22 @@ func WriteChrome(w io.Writer, meta Meta, spans []Span, name NameFunc) error {
 			args["events_dropped"] = s.Dropped
 		}
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: n, Ph: "X", Pid: int(s.Family), Tid: tid,
+			Name: n, Ph: "X", Pid: int(s.Family), Tid: int(s.Node),
 			Ts: uint64(s.Start), Dur: dur, Args: args,
 		})
 		for _, e := range s.Events {
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: e.Label.String(), Ph: "i", Pid: int(s.Family), Tid: tid,
+				Name: e.Label.String(), Ph: "i", Pid: int(s.Family), Tid: int(s.Node),
 				Ts: uint64(e.Time), S: "t",
 				Args: map[string]any{"a": e.A, "b": e.B, "span": s.ID},
 			})
 		}
+	}
+	for _, c := range counters {
+		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+			Name: c.Name, Ph: "C", Pid: counterPid, Ts: c.Ts,
+			Args: map[string]any{c.Key: c.Value},
+		})
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)

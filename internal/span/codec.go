@@ -94,8 +94,10 @@ func Encode(meta Meta, spans []Span) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// Decode parses a span dump. Failures carry their position as a
-// *frame.PosError; a dump that decodes re-encodes to the same bytes.
+// Decode parses a span dump. It fails closed: a family, outcome or
+// event label outside the sets this package defines is refused like a
+// torn record. Failures carry their position as a *frame.PosError; a
+// dump that decodes re-encodes to the same bytes.
 func Decode(data []byte) (Meta, []Span, error) {
 	f, h, err := frame.NewReader(bytes.NewReader(data), Magic, Version, 0)
 	if err != nil {
@@ -124,6 +126,10 @@ func Decode(data []byte) (Meta, []Span, error) {
 		n := f.Uvarint()
 		switch {
 		case f.Failed():
+		case s.Family != FamilyTxn && s.Family != FamilyFault:
+			f.Failf("unknown span family %d", fam)
+		case s.Outcome > OutcomeNotApplied:
+			f.Failf("unknown span outcome %d", uint8(s.Outcome))
 		case int64(s.Node) != node || uint64(s.Dropped) != dropped:
 			f.Failf("node %d or dropped count %d out of range", node, dropped)
 		case s.End < s.Start:
@@ -138,6 +144,9 @@ func Decode(data []byte) (Meta, []Span, error) {
 		prevT := int64(s.Start)
 		for ; n > 0 && !f.Failed(); n-- {
 			e := Event{Label: Label(f.Byte())}
+			if e.Label < LabelGetS || e.Label > LabelRecovery {
+				f.Failf("span %d: unknown event label %d", s.ID, uint8(e.Label))
+			}
 			prevT += f.Zigzag()
 			e.Time = sim.Cycle(prevT)
 			e.A, e.B = f.Uvarint(), f.Uvarint()

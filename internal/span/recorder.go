@@ -219,19 +219,6 @@ func (r *Recorder) FaultClose(outcome Outcome, now sim.Cycle) {
 	r.faultOpen = false
 }
 
-// Phase records one already-closed per-component work slice
-// [start, end) with its work amount as a single child event.
-func (r *Recorder) Phase(comp uint8, start, end sim.Cycle, work uint64) {
-	idx := r.acquire()
-	if idx < 0 {
-		return
-	}
-	s := r.openAt(idx, FamilyPhase, comp, -1, 0, start)
-	s.End = end
-	s.Outcome = OutcomeSlice
-	r.addEvent(s, LabelWork, end, work, 0)
-}
-
 // AbortOpen closes every open transaction span as aborted — the
 // system-recovery hook: a rollback discards the in-flight transactions
 // whose spans would otherwise dangle open across the restored state.

@@ -1,6 +1,6 @@
 // Package span is the simulator's deterministic causal flight recorder:
 // an allocation-free, ring-buffered span store clocked by the event
-// kernel. Three span families connect cause to effect across the system:
+// kernel. Two span families connect cause to effect across the system:
 //
 //   - FamilyTxn: one span per coherence transaction, keyed by
 //     (requestor node, block address), with a child event for every
@@ -11,9 +11,10 @@
 //     at arming and annotated with fire, checkpoint, recovery, and
 //     violation transitions until the run's verdict closes it — the
 //     inject→detect chain, hop by hop.
-//   - FamilyPhase: per-component cycle attribution (processor,
-//     coherence, network, checker) sampled on a fixed period, so a
-//     timeline shows where simulated work actually went.
+//
+// Where simulated work went over time is not a span family: it is the
+// telemetry snapshot's tracked series, which dvmc-stat timeline draws as
+// counter tracks beside the spans.
 //
 // Determinism is a first-class property, exactly as in internal/trace:
 // spans are stamped with kernel cycles (never wall clocks), the dump is
@@ -32,18 +33,17 @@ import (
 	"dvmc/internal/sim"
 )
 
-// Family partitions spans into the three instrumented subsystem views.
+// Family partitions spans into the instrumented subsystem views.
 type Family uint8
 
 // The span families. Values start at 1: 0x00 is the codec's footer
-// sentinel, so a family byte is never zero.
+// sentinel, so a family byte is never zero. 3 is reserved: older dumps
+// used it for per-component phase slices, and the decoder refuses it.
 const (
 	// FamilyTxn spans one coherence transaction (directory or snooping).
 	FamilyTxn Family = 1
 	// FamilyFault spans an injected fault from arming to verdict.
 	FamilyFault Family = 2
-	// FamilyPhase spans a fixed-period per-component work slice.
-	FamilyPhase Family = 3
 )
 
 // String implements fmt.Stringer.
@@ -53,8 +53,6 @@ func (f Family) String() string {
 		return "txn"
 	case FamilyFault:
 		return "fault"
-	case FamilyPhase:
-		return "phase"
 	default:
 		return fmt.Sprintf("Family(%d)", uint8(f))
 	}
@@ -84,8 +82,6 @@ const (
 	OutcomeEscape
 	// OutcomeNotApplied: the fault found no target.
 	OutcomeNotApplied
-	// OutcomeSlice: a phase-profiling sample slice (always closed).
-	OutcomeSlice
 )
 
 // String implements fmt.Stringer.
@@ -107,15 +103,13 @@ func (o Outcome) String() string {
 		return "escape"
 	case OutcomeNotApplied:
 		return "not-applied"
-	case OutcomeSlice:
-		return "slice"
 	default:
 		return fmt.Sprintf("Outcome(%d)", uint8(o))
 	}
 }
 
-// Label names a child event within a span: a protocol message hop, a
-// fault lifecycle transition, or a phase work sample.
+// Label names a child event within a span: a protocol message hop or a
+// fault lifecycle transition.
 type Label uint8
 
 // Child-event labels.
@@ -148,7 +142,9 @@ const (
 	LabelCheckpoint
 	LabelRecovery
 
-	// Phase work sample (A = work units in the slice).
+	// LabelWork is written by no product recorder and refused by
+	// Decode. It stays defined only because benchmark/layers.go drives
+	// the recorder with it.
 	LabelWork
 )
 
@@ -218,30 +214,6 @@ func TxnKindName(kind uint8) string {
 	return "GetS"
 }
 
-// Phase components (Span.Kind for FamilyPhase).
-const (
-	CompProc      uint8 = 0
-	CompCoherence uint8 = 1
-	CompNetwork   uint8 = 2
-	CompChecker   uint8 = 3
-)
-
-// CompName names a FamilyPhase span kind.
-func CompName(comp uint8) string {
-	switch comp {
-	case CompProc:
-		return "proc"
-	case CompCoherence:
-		return "coherence"
-	case CompNetwork:
-		return "network"
-	case CompChecker:
-		return "checker"
-	default:
-		return fmt.Sprintf("comp%d", comp)
-	}
-}
-
 // Event is one child event inside a span. The payload words A and B are
 // label-defined: for protocol hops, source and destination node; for
 // fault transitions, kind-specific detail (e.g. checkpoint sequence).
@@ -252,8 +224,8 @@ type Event struct {
 }
 
 // Span is one causal interval. Node is -1 for spans not owned by a
-// node (phase slices). Dropped counts child events that arrived after
-// the span's event storage filled.
+// node. Dropped counts child events that arrived after the span's event
+// storage filled.
 type Span struct {
 	ID      uint64
 	Family  Family
@@ -274,8 +246,6 @@ func (s *Span) Name() string {
 		return fmt.Sprintf("%s 0x%x", TxnKindName(s.Kind), s.Addr)
 	case FamilyFault:
 		return fmt.Sprintf("fault kind=%d", s.Kind)
-	case FamilyPhase:
-		return CompName(s.Kind)
 	default:
 		return s.Family.String()
 	}
@@ -292,10 +262,6 @@ const (
 	// chain (GetM with a recall plus invalidations on every other node
 	// of an 8-node system) stays well under it.
 	DefaultEventCap = 24
-	// DefaultPhaseEvery is the phase-profiling sample period in cycles
-	// (a power of two, like telemetry.DefaultEvery, so the per-cycle
-	// modulo is cheap).
-	DefaultPhaseEvery sim.Cycle = 1024
 )
 
 // Config enables the span recorder for one System.

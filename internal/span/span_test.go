@@ -3,8 +3,11 @@ package span
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 
+	"dvmc/internal/frame"
 	"dvmc/internal/sim"
 )
 
@@ -12,8 +15,8 @@ func testMeta() Meta {
 	return Meta{Nodes: 4, Model: 1, Protocol: 0, Seed: 42}
 }
 
-// fillRecorder records a representative mix: transactions with hops,
-// a fault flight, and phase slices.
+// fillRecorder records a representative mix: transactions with hops
+// and a fault flight.
 func fillRecorder(r *Recorder) {
 	r.TxnBegin(0, 0x40, TxnRead, 10)
 	r.TxnEvent(0, 0x40, LabelGetS, 11, 0, 2)
@@ -31,9 +34,6 @@ func fillRecorder(r *Recorder) {
 	r.FaultEvent(LabelFired, 30, 1, 0)
 	r.FaultEvent(LabelViolation, 40, 2, 0)
 	r.FaultClose(OutcomeDetected, 41)
-
-	r.Phase(CompProc, 0, 1024, 900)
-	r.Phase(CompNetwork, 0, 1024, 1300)
 }
 
 func sameSpans(t *testing.T, got, want []Span) {
@@ -124,6 +124,38 @@ func TestCRCDetectsCorruption(t *testing.T) {
 	}
 	if _, _, err := Decode(data[:len(data)-5]); err == nil {
 		t.Fatal("truncation went undetected")
+	}
+}
+
+// TestDecodeRefusesUnknownBytes: the decoder fails closed. A family,
+// outcome or event label outside the defined sets — a dump from a build
+// that recorded phase slices, say — is refused at its record's offset
+// instead of decoding into nameless spans.
+func TestDecodeRefusesUnknownBytes(t *testing.T) {
+	txn := func(id uint64, start sim.Cycle) Span {
+		return Span{ID: id, Family: FamilyTxn, Kind: TxnRead, Node: 0, Addr: 0x40, Start: start, End: start + 10,
+			Outcome: OutcomeDone, Events: []Event{{Label: LabelGetS, Time: start + 1, A: 0, B: 1}}}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Span)
+		want string
+	}{
+		{"family", func(s *Span) { s.Family, s.Kind, s.Node, s.Outcome = 3, 2, -1, 8 }, "unknown span family 3"},
+		{"outcome", func(s *Span) { s.Outcome = OutcomeNotApplied + 1 }, "unknown span outcome 8"},
+		{"label", func(s *Span) { s.Events[0].Label = LabelWork }, "span 3: unknown event label 21"},
+	} {
+		bad := txn(3, 40)
+		tc.edit(&bad)
+		data, err := Encode(testMeta(), []Span{txn(1, 10), txn(2, 20), bad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Decode(data)
+		var pe *frame.PosError
+		if !errors.As(err, &pe) || pe.Record != 2 || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Decode = %v, want a record-2 refusal naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -270,8 +302,12 @@ func TestChromeExportStrictJSON(t *testing.T) {
 	r := NewRecorder(Config{Enabled: true})
 	fillRecorder(r)
 	spans := r.Drain(2000)
+	counters := []Counter{
+		{Name: "proc.ops_retired", Key: "node=0", Ts: 0, Value: 900},
+		{Name: "net.bytes_total", Key: "value", Ts: 0, Value: 1300},
+	}
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, testMeta(), spans, nil); err != nil {
+	if err := WriteChrome(&buf, testMeta(), spans, nil, counters); err != nil {
 		t.Fatal(err)
 	}
 	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
@@ -292,7 +328,7 @@ func TestChromeExportStrictJSON(t *testing.T) {
 	if err := dec.Decode(&out); err != nil {
 		t.Fatalf("chrome export is not strict JSON: %v", err)
 	}
-	wantEvents := 0
+	wantEvents := len(counters)
 	for i := range spans {
 		wantEvents += 1 + len(spans[i].Events)
 	}
@@ -301,7 +337,7 @@ func TestChromeExportStrictJSON(t *testing.T) {
 	}
 	// Deterministic bytes: a second export is identical.
 	var buf2 bytes.Buffer
-	if err := WriteChrome(&buf2, testMeta(), spans, nil); err != nil {
+	if err := WriteChrome(&buf2, testMeta(), spans, nil, counters); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -310,8 +346,8 @@ func TestChromeExportStrictJSON(t *testing.T) {
 }
 
 // TestRecorderSteadyStateAllocFree pins the recording hot paths at zero
-// allocations once warm: span open/close, hop events, the fault flight,
-// and phase slices all run out of preallocated storage (CI runs this by
+// allocations once warm: span open/close, hop events and the fault
+// flight all run out of preallocated storage (CI runs this by
 // name alongside the other packages' AllocsPerRun assertions). The warm-up
 // fills every slot, so each measured span evicts the oldest one.
 func TestRecorderSteadyStateAllocFree(t *testing.T) {
@@ -332,14 +368,13 @@ func TestRecorderSteadyStateAllocFree(t *testing.T) {
 		r.TxnEvent(node, addr, LabelData, now+3, 1, 0)
 		r.TxnEnd(node, addr, OutcomeDone, now+4)
 		r.FaultEvent(LabelCheckpoint, now, 1, 0)
-		r.Phase(CompProc, now, now+16, 12)
 		now += 16
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state recording allocates %.1f allocs/op, want 0", allocs)
 	}
-	// Each of the 201 runs opens a transaction and a phase span.
-	if got := r.Stats().SpansDropped - evicted; got != 2*201 {
-		t.Fatalf("%d evictions in 201 runs, want %d", got, 2*201)
+	// Each of the 201 runs opens one transaction span.
+	if got := r.Stats().SpansDropped - evicted; got != 201 {
+		t.Fatalf("%d evictions in 201 runs, want %d", got, 201)
 	}
 }

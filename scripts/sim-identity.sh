@@ -8,8 +8,7 @@
 #
 #   - dvmc-sim -nodes 4 -trace-out over {directory,snooping} x
 #     {SC,TSO,PSO,RMO} x {oltp,slash} x seeds {1,2} at -txns 300 (32
-#     traces a side; a base whose dvmc-sim has no -trace-out records them
-#     with `dvmc-trace record`, which ran the same simulation)
+#     traces a side)
 #   - dvmc-sim -txns 300 with -spans-out and -metrics-out, both protocols,
 #     at 8 and at 16 nodes (span dump, telemetry snapshot, stdout; 16
 #     nodes is 101 kernel components, more than one 64-bit word of the
@@ -71,19 +70,6 @@ verdict() {
 	[ $code -eq 0 ] || [ $code -eq 2 ]
 }
 
-# record BIN OUT ARGS...: write the trace of a 4-node dvmc-sim run with
-# ARGS to OUT. Transitional: a base from before -trace-out records with
-# the `dvmc-trace record` subcommand it replaced.
-record() {
-	local bin=$1 out=$2
-	shift 2
-	if [[ $("$bin/dvmc-sim" -h 2>&1) == *-trace-out* ]]; then
-		"$bin/dvmc-sim" -nodes 4 "$@" -trace-out "$out" >/dev/null
-	else
-		"$bin/dvmc-trace" record "$@" "$out" >/dev/null
-	fi
-}
-
 # artifacts BIN SRC OUT: run the matrix with BIN's binaries, writing into
 # OUT. File arguments are relative so stdout that names them compares
 # equal; SRC supplies the committed fuzz corpus.
@@ -94,8 +80,8 @@ artifacts() {
 		for m in SC TSO PSO RMO; do
 			for w in oltp slash; do
 				for s in 1 2; do
-					record "$bin" "trace-$p-$m-$w-$s.trc" \
-						-protocol $p -model $m -workload $w -seed $s -txns 300 2>>"$out.log"
+					"$bin/dvmc-sim" -nodes 4 -protocol $p -model $m -workload $w -seed $s -txns 300 \
+						-trace-out "trace-$p-$m-$w-$s.trc" >/dev/null 2>>"$out.log"
 				done
 			done
 		done

@@ -14,7 +14,7 @@ import (
 type SpanConfig = span.Config
 
 // SpansOn returns an enabled span configuration (ring capacity
-// span.DefaultCap, phase sampling every span.DefaultPhaseEvery cycles).
+// span.DefaultCap).
 func SpansOn() SpanConfig { return span.On() }
 
 // SpanMeta returns the header a system built from this configuration
@@ -134,79 +134,13 @@ func (s *System) spanHop(m *network.Message, at sim.Cycle) {
 	rec.Orphan()
 }
 
-// phaseSampler emits the per-component cycle-attribution slices: every
-// span.DefaultPhaseEvery cycles it reads each subsystem's monotonic work counter
-// and records the delta as one FamilyPhase span per component. It is
-// registered on the kernel after every other component, so a slice
-// observes the state after all components ticked its final cycle.
-type phaseSampler struct {
-	s    *System
-	last sim.Cycle
-	prev [4]uint64
-	slot sim.Slot // due at the next multiple of span.DefaultPhaseEvery
-}
-
-var _ sim.Scheduled = (*phaseSampler)(nil)
-
-func (p *phaseSampler) Attach(s sim.Slot) { p.slot = s }
-
-func (p *phaseSampler) Tick(now sim.Cycle) {
-	into := now % span.DefaultPhaseEvery
-	p.slot.SleepUntil(now - into + span.DefaultPhaseEvery)
-	if now == 0 || into != 0 {
-		return
-	}
-	cur := [4]uint64{p.s.procWork(), p.s.coherenceWork(), p.s.networkWork(), p.s.checkerWork()}
-	for comp := uint8(0); comp < 4; comp++ {
-		p.s.spanRec.Phase(comp, p.last, now, cur[comp]-p.prev[comp])
-	}
-	p.prev = cur
-	p.last = now
-}
-
-// procWork returns total operations retired across cores.
-func (s *System) procWork() uint64 {
-	var n uint64
-	for _, c := range s.cpus {
-		n += c.Stats().OpsRetired
-	}
-	return n
-}
-
-// coherenceWork returns total coherence transactions issued.
-func (s *System) coherenceWork() uint64 {
-	var n uint64
-	for _, c := range s.ctrls {
-		n += c.Stats().TransactionsIssued
-	}
-	return n
-}
-
-// networkWork returns total bytes carried on all links.
-func (s *System) networkWork() uint64 {
-	n := s.torus.TotalBytes()
-	if s.bcast != nil {
-		n += s.bcast.TotalBytes()
-	}
-	return n
-}
-
-// checkerWork returns total informs folded into the memory epoch
-// tables (0 when the coherence checker is off).
-func (s *System) checkerWork() uint64 {
-	var n uint64
-	for _, m := range s.met {
-		n += m.Stats().InformsProcessed
-	}
-	return n
-}
-
 // buildSpans installs the span recorder and its taps: per-controller
-// transaction listeners, the network delivery observer, the SafetyNet
-// checkpoint/recovery annotations, and the phase sampler. Called at the
-// end of NewSystem, after buildTelemetry; with Config.Spans disabled it
-// installs nothing and the only residual cost is a nil observer check
-// on the network delivery path.
+// transaction listeners, the network delivery observer, and the
+// SafetyNet checkpoint/recovery annotations. It registers no kernel
+// component: the work profile over time is telemetry's tracked series.
+// Called at the end of NewSystem, after buildTelemetry; with
+// Config.Spans disabled it installs nothing and the only residual cost
+// is a nil observer check on the network delivery path.
 func (s *System) buildSpans(cfg Config) {
 	if !cfg.Spans.Enabled {
 		return
@@ -227,7 +161,6 @@ func (s *System) buildSpans(cfg Config) {
 			s.spanRec.FaultEvent(span.LabelRecovery, errorCycle, seq, uint64(cpCycle))
 		})
 	}
-	s.kernel.Register(&phaseSampler{s: s})
 }
 
 // SpanStats returns recorder accounting (zero value when spans are

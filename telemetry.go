@@ -48,8 +48,11 @@ func (s *System) buildTelemetry(cfg Config) {
 	reg := s.reg
 	nodes := telemetry.NodeLabels(cfg.Nodes)
 
-	// Core pipeline counters and occupancy gauges.
-	ops := reg.CounterVec("proc.ops_retired", "operations retired", "node", nodes)
+	// Core pipeline counters and occupancy gauges. Four counters are
+	// tracked as the run's work profile — ops retired, coherence
+	// transactions issued, link bytes and informs processed, one per
+	// layer — which dvmc-stat timeline draws as counter tracks.
+	ops := reg.Track(reg.CounterVec("proc.ops_retired", "operations retired", "node", nodes))
 	txns := reg.CounterVec("proc.transactions", "workload transactions committed", "node", nodes)
 	spec := reg.CounterVec("proc.spec_squashes", "load-order mis-speculation flushes", "node", nodes)
 	verify := reg.CounterVec("proc.verify_squashes", "UO replay mismatch flushes", "node", nodes)
@@ -81,9 +84,11 @@ func (s *System) buildTelemetry(cfg Config) {
 	rply := reg.CounterVec("cache.replay_loads", "loads issued by VC replay", "node", nodes)
 	rplyMiss := reg.CounterVec("cache.replay_l1_misses", "L1 misses on replay loads", "node", nodes)
 	wbacks := reg.CounterVec("cache.writebacks", "dirty writebacks", "node", nodes)
+	issued := reg.Track(reg.CounterVec("cache.transactions_issued", "coherence transactions issued onto the interconnect", "node", nodes))
 	reg.AddProbe(func() {
 		for i, c := range s.ctrls {
 			st := c.Stats()
+			issued.Set(i, int64(st.TransactionsIssued))
 			l1h.Set(i, int64(st.L1Hits))
 			l1m.Set(i, int64(st.L1Misses))
 			l2h.Set(i, int64(st.L2Hits))
@@ -118,7 +123,7 @@ func (s *System) buildTelemetry(cfg Config) {
 		cetScrub := reg.Track(reg.GaugeVec("checker.cet_scrub_queue", "delayed informs queued for scrub", "node", nodes))
 		metQ := reg.Track(reg.GaugeVec("checker.met_queue_depth", "informs waiting in the MET priority queue", "node", nodes))
 		metEnt := reg.GaugeVec("checker.met_entries", "memory epoch table entries", "node", nodes)
-		metProc := reg.CounterVec("checker.informs_processed", "informs folded into the MET", "node", nodes)
+		metProc := reg.Track(reg.CounterVec("checker.informs_processed", "informs folded into the MET", "node", nodes))
 		metOver := reg.CounterVec("checker.met_queue_overflows", "MET queue overflows forcing early processing", "node", nodes)
 		reg.AddProbe(func() {
 			for i, c := range s.cet {
@@ -142,7 +147,7 @@ func (s *System) buildTelemetry(cfg Config) {
 	// Interconnect byte counters, per traffic class (Figure 7's
 	// breakdown, as a time series).
 	netBytes := reg.Track(reg.CounterVec("net.bytes", "bytes carried, by traffic class", "class", classLabels))
-	netTotal := reg.Counter("net.bytes_total", "total bytes carried on all links")
+	netTotal := reg.Track(reg.Counter("net.bytes_total", "total bytes carried on all links"))
 	reg.AddProbe(func() {
 		for i, cl := range classOf {
 			b := s.torus.ClassBytes(cl)

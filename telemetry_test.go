@@ -155,7 +155,8 @@ func TestTelemetrySnapshotShape(t *testing.T) {
 // runs, so no series ring is ever allocated. Every series still reports
 // its configured capacity and no samples, and the snapshot encodes to the
 // bytes the eagerly allocated rings gave (testdata/golden_telemetry_off.json
-// was written by the commit before rings became lazy).
+// was written by the commit before rings became lazy; since then it has
+// only gained entries, for newly registered metrics and series).
 func TestTelemetryOffBuildsNoRing(t *testing.T) {
 	sys, err := NewSystem(smallConfig(), smallWorkload())
 	if err != nil {
