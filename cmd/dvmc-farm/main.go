@@ -53,7 +53,7 @@ import (
 	"dvmc/internal/fabric"
 	"dvmc/internal/frame"
 	"dvmc/internal/fuzz"
-	"dvmc/internal/telemetry"
+	"dvmc/internal/strictjson"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -137,7 +137,7 @@ func (c *cli) serve(args []string, resume bool) int {
 		ttl        = fs.Uint64("ttl", 60, "lease TTL in seconds before a shard is stealable")
 		shard      = fs.Int("shard", fabric.DefaultShardSize, "cases per lease")
 		jsonOut    = fs.Bool("json", false, "print the fuzz summary as JSON")
-		recordsOut = fs.String("records-out", "", "write the full fuzz record table (JSON) to this file")
+		recordsOut = fs.String("records-out", "", "write the full fuzz record table (JSON) to this file ('-' for stdout)")
 		metricsOut = fs.String("metrics-out", "", "write the merged telemetry snapshot to this file ('-' for stdout; needs a fuzz job with -metrics)")
 
 		// Job flags (serve only; resume reads the spec from the journal).
@@ -159,6 +159,15 @@ func (c *cli) serve(args []string, resume bool) int {
 	if fs.NArg() != 0 {
 		return c.failf("%s: unexpected arguments %v", name, fs.Args())
 	}
+	summaryJSON := dvmc.Artifact{Flag: "-json"}
+	if *jsonOut {
+		summaryJSON.Path = "-"
+	}
+	report, err := dvmc.ReportTo(c.stdout, c.stderr, summaryJSON,
+		dvmc.Artifact{Flag: "-records-out", Path: *recordsOut}, dvmc.Artifact{Flag: "-metrics-out", Path: *metricsOut})
+	if err != nil {
+		return c.failf("%s: %v", name, err)
+	}
 
 	// checkOutputs refuses, before anything is bound or run, a merged
 	// snapshot the job does not collect.
@@ -170,7 +179,6 @@ func (c *cli) serve(args []string, resume bool) int {
 	}
 	opts := fabric.CoordinatorOptions{CheckpointPath: *checkpoint, TTLSeconds: *ttl}
 	var coord *fabric.Coordinator
-	var err error
 	if resume {
 		if *checkpoint == "" {
 			return c.failf("resume: -checkpoint is required")
@@ -231,7 +239,7 @@ func (c *cli) serve(args []string, resume bool) int {
 	if err != nil {
 		return c.failf("%s: %v", name, err)
 	}
-	failed, err := c.writeOutputs(out, *jsonOut, *recordsOut, *metricsOut)
+	failed, err := c.writeOutputs(out, report, *jsonOut, *recordsOut, *metricsOut)
 	if err != nil {
 		return c.failf("%s: %v", name, err)
 	}
@@ -248,35 +256,25 @@ func (c *cli) serve(args []string, resume bool) int {
 // writeOutputs renders a finished job's artifacts exactly as the serial
 // CLIs do (dvmc-fuzz's summary encoding, the experiments' table text),
 // so farm output files can be compared byte-for-byte against serial
-// baselines.
-func (c *cli) writeOutputs(out *fabric.Output, jsonOut bool, recordsOut, metricsOut string) (failed bool, err error) {
+// baselines. The text summary or table goes to report; -json's summary
+// and an artifact on "-" are all of stdout.
+func (c *cli) writeOutputs(out *fabric.Output, report io.Writer, jsonOut bool, recordsOut, metricsOut string) (failed bool, err error) {
 	if out.Records != nil {
 		if jsonOut {
-			enc := json.NewEncoder(c.stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(out.Summary); err != nil {
+			if err := encodeIndented(c.stdout, out.Summary); err != nil {
 				return false, err
 			}
 		} else {
-			fmt.Fprint(c.stdout, out.Summary)
+			fmt.Fprint(report, out.Summary)
 		}
 		if recordsOut != "" {
-			data, err := json.MarshalIndent(out.Records, "", "  ")
-			if err != nil {
-				return false, err
-			}
-			if err := os.WriteFile(recordsOut, append(data, '\n'), 0o644); err != nil {
+			records := func(w io.Writer) error { return encodeIndented(w, out.Records) }
+			if err := dvmc.WriteArtifact(recordsOut, c.stdout, records); err != nil {
 				return false, err
 			}
 		}
-		switch {
-		case metricsOut == "" || out.Snapshot == nil:
-		case metricsOut == "-":
-			if err := out.Snapshot.EncodeJSON(c.stdout); err != nil {
-				return false, err
-			}
-		default:
-			if err := telemetry.WriteSnapshotFile(out.Snapshot, metricsOut); err != nil {
+		if metricsOut != "" && out.Snapshot != nil {
+			if err := dvmc.WriteArtifact(metricsOut, c.stdout, out.Snapshot.EncodeJSON); err != nil {
 				return false, err
 			}
 		}
@@ -288,12 +286,19 @@ func (c *cli) writeOutputs(out *fabric.Output, jsonOut bool, recordsOut, metrics
 	}
 
 	// Experiment job: print the table; fail on undetected faults.
-	fmt.Fprint(c.stdout, out.Table)
+	fmt.Fprint(report, out.Table)
 	if _, _, _, undetected := (dvmc.CampaignResult{Results: out.Injections}).Counts(); undetected > 0 {
 		fmt.Fprintf(c.stderr, "dvmc-farm: %d undetected faults\n", undetected)
 		return true, nil
 	}
 	return false, nil
+}
+
+// encodeIndented writes v as the indented JSON the serial CLIs print.
+func encodeIndented(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 func (c *cli) work(args []string) int {
@@ -351,13 +356,11 @@ func (c *cli) status(args []string) int {
 	}
 	defer resp.Body.Close()
 	var st fabric.StatusResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, fabric.MaxControlBody)).Decode(&st); err != nil {
+	if err := strictjson.Decode(io.LimitReader(resp.Body, fabric.MaxControlBody), &st); err != nil {
 		return c.failf("status: %v", err)
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(c.stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(st); err != nil {
+		if err := encodeIndented(c.stdout, st); err != nil {
 			return c.failf("status: %v", err)
 		}
 		return 0

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"dvmc/internal/fabric"
 	"dvmc/internal/fuzz"
 	"dvmc/internal/hash"
+	"dvmc/internal/telemetry"
 )
 
 func runFarm(args ...string) (code int, stdout, stderr string) {
@@ -72,6 +75,11 @@ func TestExitCodes(t *testing.T) {
 	// A journal from when a campaign could breed generations.
 	gens := file("gens.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"fuzz","fuzz":{"seed":5,"runs":4,"generations":2,"workers":0,"fault_frac":0,"budget":2000,"minimize":false},"shard_size":2}}`)))
 	hugeFaults := file("huge-faults.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"experiment","experiment":{"faults":137438953472,"budget":1000,"seed":3}}}`)))
+	// A coordinator whose status reply carries a second value.
+	twoStatuses := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"kind":"fuzz"}{"kind":"fuzz"}`)
+	}))
+	defer twoStatuses.Close()
 
 	for _, tc := range []struct {
 		name   string
@@ -86,6 +94,8 @@ func TestExitCodes(t *testing.T) {
 		{"unknown flag", []string{"work", "-bogus"}, 1, "flag provided but not defined"},
 		{"unknown job", []string{"serve", "-addr", "127.0.0.1:0", "-job", "coverage"}, 1, `unknown -job "coverage"`},
 		{"removed serve -spans-out", []string{"serve", "-addr", "127.0.0.1:0", "-spans-out", filepath.Join(dir, "s.spans")}, 1, "flag provided but not defined: -spans-out"},
+		{"two stdout artifacts", []string{"serve", "-addr", "127.0.0.1:0", "-json", "-metrics-out", "-", "-metrics"}, 1, "only one of -json, -records-out and -metrics-out can be '-' (stdout)"},
+		{"status reply with trailing bytes", []string{"status", "-coordinator", twoStatuses.URL}, 1, "trailing data"},
 		{"-metrics-out on an experiment job", []string{"serve", "-addr", "127.0.0.1:0", "-job", "experiment", "-metrics-out", filepath.Join(dir, "m.json")}, 1, "-metrics-out needs a fuzz job"},
 		{"resume without a checkpoint", []string{"resume", "-addr", "127.0.0.1:0"}, 1, "-checkpoint is required"},
 		{"missing checkpoint", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", filepath.Join(dir, "absent.ckpt")}, 1, "no such file"},
@@ -102,5 +112,41 @@ func TestExitCodes(t *testing.T) {
 		if code != tc.code || !strings.Contains(stderr, tc.stderr) {
 			t.Errorf("%s: exit %d, want %d with stderr %q; got\n%s", tc.name, code, tc.code, tc.stderr, stderr)
 		}
+	}
+}
+
+// TestMetricsToStdout: `-metrics-out -` makes the merged snapshot all of
+// stdout, decodable from byte 0, and moves the summary to stderr. A
+// journal that already holds every shard's result resumes straight to
+// its artifacts, so no worker is needed.
+func TestMetricsToStdout(t *testing.T) {
+	spec := fabric.JobSpec{Kind: fabric.JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 5, Runs: 4, Budget: 2000, Metrics: true}, ShardSize: 2}
+	var journal bytes.Buffer
+	if err := fabric.AppendEntry(&journal, fabric.CheckpointEntry{Spec: &spec}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range spec.Shards() {
+		res, err := fabric.ExecuteShard(spec, sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fabric.AppendEntry(&journal, fabric.CheckpointEntry{Result: &res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "done.ckpt")
+	if err := os.WriteFile(path, journal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runFarm("resume", "-addr", "127.0.0.1:0", "-checkpoint", path, "-metrics-out", "-")
+	if code != 0 || !strings.Contains(stderr, "campaign seed=5 runs=4") {
+		t.Fatalf("resume -metrics-out -: exit %d, stderr lacks the summary:\n%s", code, stderr)
+	}
+	snap, err := telemetry.DecodeSnapshot(strings.NewReader(stdout))
+	if err != nil {
+		t.Fatalf("stdout is not a snapshot from byte 0 (%v):\n%.200s", err, stdout)
+	}
+	if len(snap.Metrics) == 0 {
+		t.Error("the merged snapshot holds no metrics")
 	}
 }

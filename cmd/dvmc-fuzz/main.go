@@ -297,9 +297,11 @@ func (c *cli) shrink(args []string) int {
 	if err != nil {
 		return c.failf("shrink: %v", err)
 	}
-	if *out == "-" {
-		c.stdout.Write(data)
-	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
+	write := func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
+	if err := dvmc.WriteArtifact(*out, c.stdout, write); err != nil {
 		return c.failf("shrink: %v", err)
 	}
 	fmt.Fprintf(c.stderr, "dvmc-fuzz: shrunk to %d threads, %d ops (%s)\n",
@@ -316,7 +318,7 @@ func (c *cli) replay(args []string) int {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	var outs dvmc.Outputs
 	fs.StringVar(&outs.Spans, "spans-out", "", "record the case's causal spans and write the binary dump to this file ('-' for stdout; render with dvmc-stat timeline)")
-	fs.StringVar(&outs.Metrics, "metrics-out", "", "record the case's telemetry and write the snapshot to this file ('-' for stdout JSON)")
+	fs.StringVar(&outs.Metrics, "metrics-out", "", "record the case's telemetry and write the JSON snapshot to this file ('-' for stdout; render with dvmc-stat dump)")
 	if code, ok := c.flags(fs, args); !ok {
 		return code
 	}

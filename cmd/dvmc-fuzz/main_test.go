@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,7 +22,8 @@ func runFuzz(args ...string) (code int, stdout, stderr string) {
 // -spans-out and -metrics-out flags among them, and replay observers
 // asked of anything but one case file — and 2 for a found failure, which
 // includes a replayed case that no longer shows its classification and a
-// case file that does not decode.
+// case file that does not decode (a whole case with bytes after it among
+// them).
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string, data []byte) string {
@@ -49,6 +51,11 @@ func TestExitCodes(t *testing.T) {
 	failing := file("failing.json", wrong)
 	torn := file("torn.json", []byte(generated[:len(generated)/2]))
 	empty := file("empty.json", nil)
+	// Outside dir, which the directory row counts.
+	tail := filepath.Join(t.TempDir(), "tail.json")
+	if err := os.WriteFile(tail, []byte(generated+"garbage{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name   string
@@ -62,6 +69,7 @@ func TestExitCodes(t *testing.T) {
 		{"failing replay", []string{"replay", failing}, 2, "MISMATCH", ""},
 		{"torn case", []string{"replay", torn}, 2, "decode case: offset", ""},
 		{"empty case", []string{"replay", empty}, 2, "decode case: offset 0", ""},
+		{"case with trailing bytes", []string{"replay", tail}, 2, fmt.Sprintf("decode case: offset %d: trailing data", len(strings.TrimSpace(generated))), ""},
 		{"a directory holding them", []string{"replay", dir}, 2, "replayed 4 cases, 3 mismatches", ""},
 		{"missing case", []string{"replay", filepath.Join(dir, "absent.json")}, 1, "", "no such file"},
 		{"no replay argument", []string{"replay"}, 1, "", "need at least one"},

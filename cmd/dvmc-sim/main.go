@@ -3,14 +3,14 @@
 // workload, and (optionally) DVMC verification plus SafetyNet recovery.
 // It prints runtime, memory-system, interconnect, and checker statistics.
 //
-// Artifacts: -metrics-out records a cycle-sampled telemetry snapshot
-// (inspect it with dvmc-stat); -http serves live /metrics (Prometheus
+// Artifacts: -metrics-out records a cycle-sampled telemetry snapshot as
+// JSON (inspect and render it with dvmc-stat); -http serves live /metrics (Prometheus
 // text), /metrics.json, and /debug/pprof/ while the simulation runs.
 // Both enable the deterministic cycle sampler. -spans-out records the
 // causal span dump (coherence transactions, the fault flight) — render
 // it with dvmc-stat timeline, together with the snapshot's work series,
 // and open in Perfetto. -trace-out records the execution trace, every
-// commit and perform event — check it with dvmc-trace check. Any one of
+// commit and perform event — check it with dvmc-stat check. Any one of
 // the three may be '-': that artifact is then all of stdout and the
 // report goes to stderr.
 //
@@ -21,7 +21,7 @@
 //	dvmc-sim -workload oltp -model TSO -protocol directory -txns 200
 //	dvmc-sim -workload apache -txns 500 -metrics-out run.json
 //	dvmc-sim -workload oltp -txns 100000 -http :8080
-//	dvmc-sim -nodes 4 -model RMO -trace-out - | dvmc-trace check -
+//	dvmc-sim -nodes 4 -model RMO -trace-out - | dvmc-stat check -
 package main
 
 import (
@@ -59,9 +59,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		httpAddr     = fs.String("http", "", "serve live /metrics, /metrics.json, and /debug/pprof/ on this address while running")
 		outs         dvmc.Outputs
 	)
-	fs.StringVar(&outs.Metrics, "metrics-out", "", "write the telemetry snapshot to this file (.json|.prom|.csv|.series.csv; '-' for stdout JSON)")
+	fs.StringVar(&outs.Metrics, "metrics-out", "", "write the telemetry snapshot to this file as JSON, whatever its extension ('-' for stdout; render with dvmc-stat dump -format)")
 	fs.StringVar(&outs.Spans, "spans-out", "", "record causal spans and write the binary dump to this file ('-' for stdout; render with dvmc-stat timeline)")
-	fs.StringVar(&outs.Trace, "trace-out", "", "record the execution trace and write it to this file ('-' for stdout; check with dvmc-trace check)")
+	fs.StringVar(&outs.Trace, "trace-out", "", "record the execution trace and write it to this file ('-' for stdout; check with dvmc-stat check)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

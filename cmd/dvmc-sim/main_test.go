@@ -78,7 +78,7 @@ func TestExitCodes(t *testing.T) {
 		{"workload", []string{"-workload", "nope"}, 1, "", "dvmc-sim: "},
 		{"nodes", []string{"-nodes", "0"}, 1, "", "dvmc-sim: assemble: "},
 		{"budget", []string{"-nodes", "4", "-txns", "20", "-max-cycles", "100"}, 1, "", "dvmc-sim: run: "},
-		{"metrics-out", append([]string{"-metrics-out", filepath.Join(dir, "no", "such", "dir.json")}, small...), 1, "", "dvmc-sim: telemetry: "},
+		{"metrics-out", append([]string{"-metrics-out", filepath.Join(dir, "no", "such", "dir.json")}, small...), 1, "", "dvmc-sim: open " + filepath.Join(dir, "no", "such", "dir.json")},
 		{"spans-out", append([]string{"-spans-out", filepath.Join(dir, "no", "such", "dir.spans")}, small...), 1, "", "dvmc-sim: "},
 		{"trace-out", append([]string{"-trace-out", filepath.Join(dir, "no", "such", "dir.trc")}, small...), 1, "", "dvmc-sim: "},
 		{"two stdout outputs", append([]string{"-metrics-out", "-", "-trace-out", "-"}, small...), 1, "", "only one of -metrics-out, -spans-out and -trace-out can be '-'"},
@@ -119,6 +119,27 @@ func TestMetricsToStdout(t *testing.T) {
 	}
 	if _, err := os.Stat("-"); err == nil {
 		t.Errorf("-metrics-out - created a file named -")
+	}
+}
+
+// TestMetricsOutIsJSON: the snapshot file is JSON whatever its name
+// says; dvmc-stat dump -format renders the other forms.
+func TestMetricsOutIsJSON(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"run.prom", "run.csv", "run.series.csv"} {
+		path := filepath.Join(dir, name)
+		if code, _, stderr := runSim("-nodes", "4", "-txns", "20", "-metrics-out", path); code != 0 {
+			t.Fatalf("-metrics-out %s: exit %d; stderr: %s", name, code, stderr)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = telemetry.DecodeSnapshot(f)
+		f.Close()
+		if err != nil {
+			t.Errorf("-metrics-out %s wrote no JSON snapshot: %v", name, err)
+		}
 	}
 }
 

@@ -1,31 +1,33 @@
-// Command dvmc-stat inspects telemetry snapshots: the JSON files
-// written by the -metrics-out flags of dvmc-sim, dvmc-fuzz replay,
-// dvmc-trace check and dvmc-farm, or fetched live from an http(s) URL
-// (dvmc-sim -http's /metrics, a dvmc-farm coordinator's /metrics.json).
-// The JSON snapshot is the interchange format; every other rendering
-// (Prometheus text, CSV, human-readable) is re-encoded from it, so all
-// views agree by construction.
+// Command dvmc-stat reads every artifact a run leaves behind: execution
+// traces (-trace-out), telemetry snapshots (-metrics-out, or live from an
+// http(s) URL such as a dvmc-farm coordinator's /metrics.json) and span
+// dumps (-spans-out).
 //
 // Subcommands:
 //
+//	check     verify a trace with the offline oracle, one event at a time
+//	          as its bytes arrive (it can sit on the end of a pipe)
+//	info      summarise a trace without checking it
 //	dump      re-encode a snapshot (text, json, prom, csv, series-csv)
 //	series    print tracked time series as CSV, optionally filtered
 //	top       rank metrics by value
-//	timeline  render a binary span dump (-spans-out), and optionally the
-//	          same run's snapshot as counter tracks, as Chrome
-//	          trace-event JSON, loadable in Perfetto / chrome://tracing
+//	timeline  render a span dump, and optionally the same run's snapshot
+//	          as counter tracks, as Chrome trace-event JSON (Perfetto)
 //
-// Exit codes (all subcommands): 0 clean, 1 usage or I/O error, 2 the
-// snapshot records checker violations or the artifact is malformed —
-// the same convention as dvmc-trace and dvmc-fuzz (a corrupt artifact
-// is a failed verification of the artifact, not a tool usage error).
+// A snapshot is always JSON; every other view is re-encoded from it, so
+// all views agree by construction.
+//
+// Exit codes (all subcommands): 0 clean, 1 usage or I/O error (a trace
+// the oracle refuses as a truncated window included), 2 the oracle found
+// violations, the snapshot records checker violations, or the artifact
+// does not decode — with the position of the damage on stderr — so a
+// corrupt artifact can never read as "checked, clean".
 //
 // Examples:
 //
+//	dvmc-sim -nodes 4 -model RMO -trace-out - | dvmc-stat check -
 //	dvmc-sim -workload oltp -txns 200 -metrics-out run.json
-//	dvmc-stat dump run.json
 //	dvmc-stat dump -format prom run.json
-//	dvmc-stat series -metric checker.met_queue_depth run.json
 //	dvmc-stat top -n 10 run.json
 //	dvmc-sim -spans-out run.spans -metrics-out run.json
 //	dvmc-stat timeline -o run.trace.json run.spans run.json
@@ -46,22 +48,27 @@ import (
 	"dvmc/internal/telemetry"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
 // cli is main's process edges, passed in so tests can drive it. A source
-// named '-' is read from the process's stdin.
+// named '-' is read from stdin.
 type cli struct {
+	stdin          io.Reader
 	stdout, stderr io.Writer
 }
 
 // run is main with its process edges passed in; it returns the exit code.
-func run(args []string, stdout, stderr io.Writer) int {
-	c := &cli{stdout: stdout, stderr: stderr}
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	c := &cli{stdin: stdin, stdout: stdout, stderr: stderr}
 	if len(args) < 1 {
 		c.usage()
 		return 1
 	}
 	switch args[0] {
+	case "check":
+		return c.check(args[1:])
+	case "info":
+		return c.info(args[1:])
 	case "dump":
 		return c.dump(args[1:])
 	case "series":
@@ -74,37 +81,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 		c.usage()
 		return 0
 	default:
-		return c.failf("unknown subcommand %q (want dump, series, top, or timeline)", args[0])
+		return c.failf("unknown subcommand %q (want check, info, dump, series, top, or timeline)", args[0])
 	}
 }
 
 func (c *cli) usage() {
 	fmt.Fprintf(c.stderr, `usage:
+  dvmc-stat check    [-json] [-metrics-out F] <trace>
+  dvmc-stat info     [-json] <trace>
   dvmc-stat dump     [-format text|json|prom|csv|series-csv] <snapshot>
   dvmc-stat series   [-metric NAME] <snapshot>
   dvmc-stat top      [-n N] [-kind counter|gauge] <snapshot>
   dvmc-stat timeline [-o FILE] <spans> [<snapshot>]
 
-<snapshot> is a JSON snapshot file written by -metrics-out (dvmc-sim,
-dvmc-fuzz replay, dvmc-trace check, or dvmc-farm's merged campaign
-snapshot); '-' for stdin; or an http(s):// URL — dvmc-sim -http's
-/metrics or a dvmc-farm coordinator's /metrics.json for a live
-farm-wide view. All renderings are derived from the JSON, so text,
-Prometheus, and CSV views always agree.
+<trace> is written by dvmc-sim -trace-out. 'check' verifies it with the
+offline oracle as it is decoded, in bounded memory, so it can sit on the
+end of a pipe while the simulation that writes it is still running:
 
-<spans> is a binary span dump written by -spans-out (dvmc-sim or
-dvmc-fuzz replay; '-' for stdin); timeline renders it as Chrome
-trace-event JSON for Perfetto / chrome://tracing. Given the same run's
-snapshot too, it draws every tracked series as a counter track: the
-work per sampling window for counters (ops retired, transactions
-issued, link bytes, informs processed, ...), the level for gauges.
+  dvmc-sim -nodes 4 -trace-out - | dvmc-stat check -
 
-exit codes: 0 clean, 1 usage or I/O error, 2 the snapshot records
-checker violations or the artifact failed to decode.
+<snapshot> is the JSON written by -metrics-out (dvmc-sim, dvmc-fuzz
+replay, dvmc-stat check, dvmc-farm), or an http(s):// URL of a live
+/metrics.json (dvmc-sim -http, a dvmc-farm coordinator). Every view is
+re-encoded from the JSON, so text, Prometheus and CSV always agree.
+
+<spans> is a span dump written by -spans-out; timeline renders it as
+Chrome trace-event JSON for Perfetto, with the same run's snapshot's
+tracked series as counter tracks (work per window for counters).
+
+Any source may be '-' for stdin. An artifact flag (check -metrics-out,
+timeline -o) named '-' makes that artifact all of stdout; the report
+then goes to stderr. '<sub> -h' lists each subcommand's flags.
+
+exit codes: 0 clean, 1 usage or I/O error, 2 the oracle found
+violations, the snapshot records checker violations, or the artifact
+failed to decode (the record and byte offset of the damage are printed).
 `)
 }
 
-// failf reports a usage or I/O error: exit 1 (2 is reserved for recorded
+// failf reports a usage or I/O error: exit 1 (2 is reserved for found
 // violations and artifacts that do not decode).
 func (c *cli) failf(format string, args ...any) int {
 	fmt.Fprintf(c.stderr, "dvmc-stat: "+format+"\n", args...)
@@ -128,6 +143,32 @@ func (c *cli) flags(fs *flag.FlagSet, args []string) (code int, ok bool) {
 // was pointed at by mistake cannot make it allocate without limit.
 const maxSnapshotBody = 64 << 20
 
+// open is the one source opener: a file path, or "-" for stdin, and,
+// when urls is set (snapshots only), an http(s):// URL — the live
+// /metrics.json endpoint of dvmc-sim -http or a dvmc-farm coordinator,
+// so a running farm can be watched with the same tool that reads
+// recorded files. Its errors are I/O errors, exit 1.
+func (c *cli) open(path string, urls bool) (io.ReadCloser, error) {
+	switch {
+	case path == "-":
+		return io.NopCloser(c.stdin), nil
+	case urls && (strings.HasPrefix(path, "http://") || strings.HasPrefix(path, "https://")):
+		resp, err := http.Get(path)
+		if err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			return nil, fmt.Errorf("%s: %s", path, resp.Status)
+		}
+		return struct {
+			io.Reader
+			io.Closer
+		}{io.LimitReader(resp.Body, maxSnapshotBody), resp.Body}, nil
+	}
+	return os.Open(path)
+}
+
 // load decodes the snapshot named by the single positional argument.
 func (c *cli) load(fs *flag.FlagSet) (*telemetry.Snapshot, int) {
 	if fs.NArg() != 1 {
@@ -136,33 +177,15 @@ func (c *cli) load(fs *flag.FlagSet) (*telemetry.Snapshot, int) {
 	return c.loadSnapshot(fs.Arg(0))
 }
 
-// loadSnapshot decodes a snapshot from a file path, "-" for stdin, or an
-// http(s):// URL — the live /metrics endpoint of dvmc-sim -http or a
-// dvmc-farm coordinator's /metrics.json, so a running farm can be
-// watched with the same tool that reads recorded files. A nil snapshot
-// comes with the exit code.
+// loadSnapshot decodes a snapshot from any source open accepts. A nil
+// snapshot comes with the exit code.
 func (c *cli) loadSnapshot(path string) (*telemetry.Snapshot, int) {
-	var r io.Reader = os.Stdin
-	switch {
-	case strings.HasPrefix(path, "http://") || strings.HasPrefix(path, "https://"):
-		resp, err := http.Get(path)
-		if err != nil {
-			return nil, c.failf("%v", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, c.failf("%s: %s", path, resp.Status)
-		}
-		r = io.LimitReader(resp.Body, maxSnapshotBody)
-	case path != "-":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, c.failf("%v", err)
-		}
-		defer f.Close()
-		r = f
+	src, err := c.open(path, true)
+	if err != nil {
+		return nil, c.failf("%v", err)
 	}
-	snap, err := telemetry.DecodeSnapshot(r)
+	defer src.Close()
+	snap, err := telemetry.DecodeSnapshot(src)
 	if err != nil {
 		// A snapshot that exists but does not decode is a failed artifact,
 		// not a usage error: exit 2, with the source named so a farm-wide
@@ -282,7 +305,7 @@ func (c *cli) top(args []string) int {
 // beside them. Timestamps are simulated cycles, shown as µs.
 func (c *cli) timeline(args []string) int {
 	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
-	out := fs.String("o", "", "write the JSON here instead of stdout")
+	out := fs.String("o", "-", "write the JSON to this file ('-' for stdout)")
 	if code, ok := c.flags(fs, args); !ok {
 		return code
 	}
@@ -293,13 +316,12 @@ func (c *cli) timeline(args []string) int {
 		return c.failf("timeline: only one source can be '-' (stdin)")
 	}
 	path := fs.Arg(0)
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
+	src, err := c.open(path, false)
+	if err != nil {
+		return c.failf("%v", err)
 	}
+	data, err := io.ReadAll(src)
+	src.Close()
 	if err != nil {
 		return c.failf("%v", err)
 	}
@@ -316,19 +338,8 @@ func (c *cli) timeline(args []string) int {
 		}
 	}
 	counters := counterTracks(snap)
-	if *out == "" {
-		err = span.WriteChrome(c.stdout, meta, spans, spanName, counters)
-	} else {
-		f, cerr := os.Create(*out)
-		if cerr != nil {
-			return c.failf("%v", cerr)
-		}
-		err = span.WriteChrome(f, meta, spans, spanName, counters)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
+	render := func(w io.Writer) error { return span.WriteChrome(w, meta, spans, spanName, counters) }
+	if err := dvmc.WriteArtifact(*out, c.stdout, render); err != nil {
 		return c.failf("timeline: %v", err)
 	}
 	if snap == nil {

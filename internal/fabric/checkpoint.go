@@ -8,6 +8,7 @@ import (
 
 	"dvmc/internal/frame"
 	"dvmc/internal/hash"
+	"dvmc/internal/strictjson"
 )
 
 // The checkpoint is an append-only journal of coordinator progress: one
@@ -77,9 +78,7 @@ func decodeEntryLine(line []byte) (CheckpointEntry, error) {
 	if got := uint16(hash.Sum(payload)); got != want {
 		return e, fmt.Errorf("crc mismatch: line says %04x, payload sums to %04x", want, got)
 	}
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&e); err != nil {
+	if err := strictjson.Decode(bytes.NewReader(payload), &e); err != nil {
 		return e, fmt.Errorf("payload: %w", err)
 	}
 	if (e.Spec == nil) == (e.Result == nil) {

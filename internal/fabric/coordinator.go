@@ -14,6 +14,7 @@ import (
 	"dvmc"
 	"dvmc/internal/frame"
 	"dvmc/internal/fuzz"
+	"dvmc/internal/strictjson"
 	"dvmc/internal/telemetry"
 )
 
@@ -538,15 +539,13 @@ func answer[Req, Resp any](w http.ResponseWriter, r *http.Request, f func(Req) R
 
 // decodeBody reads a POSTed JSON body of at most limit bytes, answering
 // 413 to a longer one before it is held in memory and 400 to one with a
-// field the protocol does not have.
+// field the protocol does not have or bytes after its value.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, into any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	if err := strictjson.Decode(http.MaxBytesReader(w, r.Body, limit), into); err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -444,3 +444,41 @@ func TestCoordinatorCallsInterleave(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestJSONInputsRefuseTrailingBytes: every JSON the fabric reads is one
+// value and nothing after it. A POST body with bytes after its value is a
+// 400 that changes nothing, a reply with bytes after its value fails the
+// worker's call, a journal payload with bytes after its value is a
+// positioned ReadCheckpoint error, and verdicts decode the same way.
+func TestJSONInputsRefuseTrailingBytes(t *testing.T) {
+	f := newHandlerFixture(t, twoShardFuzz())
+	before := f.coord.Status()
+	if code, reply := f.post(PathRegister, []byte(`{"worker":"w"}garbage{`)); code != http.StatusBadRequest || !strings.Contains(reply, "trailing data") {
+		t.Errorf("register body with a tail: %d %s, want 400 naming the trailing data", code, strings.TrimSpace(reply))
+	}
+	if after := f.coord.Status(); !reflect.DeepEqual(before, after) {
+		t.Errorf("a refused body changed the coordinator:\nbefore %+v\nafter  %+v", before, after)
+	}
+
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"ttl_seconds":10} {"ttl_seconds":20}`)
+	}))
+	defer srv.Close()
+	var reg RegisterResponse
+	if err := postJSON(context.Background(), srv.Client(), srv.URL+PathRegister, RegisterRequest{Worker: "w"}, &reg, MaxControlBody); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Errorf("reply with a second value: %v, want an error naming the trailing data", err)
+	}
+
+	spec := journalLine(checkpointMagic, `{"spec":{"kind":"fuzz","fuzz":{"seed":5,"runs":4,"budget":2000},"shard_size":2}}`)
+	tail := journalLine(checkpointMagic, `{"spec":{"kind":"fuzz","fuzz":{"seed":5,"runs":4,"budget":2000},"shard_size":2}} garbage{`)
+	_, _, err := ReadCheckpoint([]byte(spec + tail))
+	var pe *frame.PosError
+	if !errors.As(err, &pe) || pe.Record != 1 || pe.Offset != int64(len(spec)) || !strings.Contains(err.Error(), "trailing data") {
+		t.Errorf("journal payload with a tail: %v, want a record 1, offset %d refusal naming the trailing data", err, len(spec))
+	}
+
+	var v Verdicts
+	if err := v.UnmarshalJSON([]byte(`[] []`)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Errorf("verdicts with a second value: %v, want an error naming the trailing data", err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"dvmc"
 	"dvmc/internal/fuzz"
+	"dvmc/internal/strictjson"
 )
 
 // The HTTP+JSON wire protocol. All campaign-affecting state lives in
@@ -180,9 +181,7 @@ func (v Verdicts) MarshalJSON() ([]byte, error) {
 // here.
 func (v *Verdicts) UnmarshalJSON(data []byte) error {
 	var wire []verdict
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wire); err != nil {
+	if err := strictjson.Decode(bytes.NewReader(data), &wire); err != nil {
 		return err
 	}
 	*v = make(Verdicts, len(wire))

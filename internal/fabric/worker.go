@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dvmc/internal/fuzz"
+	"dvmc/internal/strictjson"
 	"dvmc/internal/telemetry"
 )
 
@@ -246,7 +247,7 @@ func postJSON(ctx context.Context, client *http.Client, url string, req, resp an
 		_, _ = msg.ReadFrom(reply) // best effort: the status is the error
 		return fmt.Errorf("%s: %s: %s", url, hresp.Status, bytes.TrimSpace(msg.Bytes()))
 	}
-	if err := json.NewDecoder(reply).Decode(resp); err != nil {
+	if err := strictjson.Decode(reply, resp); err != nil {
 		return fmt.Errorf("%s: reply (read up to its %d-byte bound): %w", url, limit, err)
 	}
 	return nil

@@ -119,6 +119,9 @@ type Summary struct {
 	Seed   uint64        `json:"seed"`
 	Runs   int           `json:"runs"`
 	Counts map[Class]int `json:"counts"`
+	// ByKind breaks Counts down by the injected fault kind ("none" for a
+	// fault-free run). It is in the JSON only; String prints Counts.
+	ByKind map[string]map[Class]int `json:"by_kind"`
 	// Failures counts escape + false-alarm + crash runs.
 	Failures int `json:"failures"`
 	// Latency statistics over agree-detect runs, in cycles.
@@ -322,7 +325,7 @@ func RunRange(cfg CampaignConfig, from, to int) ([]Record, *telemetry.Snapshot, 
 // cfg.CorpusDir in ascending index order, filling in each record's
 // CorpusFile (records already carry their Minimized reproducers; each is
 // re-run once to capture its trace next to the case, for offline
-// inspection with dvmc-trace), and assembles the summary. An empty
+// inspection with dvmc-stat check), and assembles the summary. An empty
 // CorpusDir writes nothing.
 func Finalize(cfg CampaignConfig, records []Record) (Summary, error) {
 	cfg = cfg.withDefaults()
@@ -386,11 +389,20 @@ func summarize(seed uint64, records []Record) Summary {
 		Seed:   seed,
 		Runs:   len(records),
 		Counts: make(map[Class]int),
+		ByKind: make(map[string]map[Class]int),
 	}
 	var lat stats.Sample
 	for i := range records {
 		r := &records[i]
 		s.Counts[r.Result.Class]++
+		kind := "none"
+		if r.Case != nil && r.Case.Fault != nil {
+			kind = r.Case.Fault.Kind
+		}
+		if s.ByKind[kind] == nil {
+			s.ByKind[kind] = make(map[Class]int)
+		}
+		s.ByKind[kind][r.Result.Class]++
 		if r.Result.Class.Failure() {
 			s.Failures++
 		}

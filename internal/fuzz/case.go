@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"dvmc"
+	"dvmc/internal/strictjson"
 )
 
 // Class is the differential classification of one run: what the online
@@ -197,11 +198,9 @@ func (c *Case) Encode() ([]byte, error) {
 
 // DecodeCase parses and validates a serialized case.
 func DecodeCase(data []byte) (*Case, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var c Case
-	if err := dec.Decode(&c); err != nil {
-		return nil, fmt.Errorf("fuzz: decode case: offset %d: %w", dec.InputOffset(), err)
+	if err := strictjson.Decode(bytes.NewReader(data), &c); err != nil {
+		return nil, fmt.Errorf("fuzz: decode case: %w", err)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err

@@ -30,7 +30,7 @@ func WriteCase(dir, name string, c *Case) (string, error) {
 }
 
 // WriteTrace persists a run's execution trace as <dir>/<name>.trc next
-// to its reproducer, for offline oracle inspection with dvmc-trace.
+// to its reproducer, for offline oracle inspection with dvmc-stat check.
 func WriteTrace(dir, name string, data []byte) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err

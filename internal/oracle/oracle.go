@@ -2,7 +2,7 @@
 // consistency referee: an independent, polynomial-time checker that replays
 // a captured execution trace against the internal/consistency ordering
 // tables and re-derives the verdict the online DVMC checkers reached during
-// the run. The product does not run it: dvmc-trace, the fuzzer and the farm
+// the run. The product does not run it: dvmc-stat, the fuzzer and the farm
 // get their verdicts from internal/oracle/stream, which applies the same
 // rules one event at a time and is held byte for byte to this package's
 // reports. Check and CheckBytes have no callers outside test files and

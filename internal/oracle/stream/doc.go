@@ -1,5 +1,5 @@
 // Package stream is the offline consistency oracle the product runs:
-// `dvmc-trace check`, every fuzz case and every farm worker get their
+// `dvmc-stat check`, every fuzz case and every farm worker get their
 // verdict from it. It judges a trace one event at a time — from a live
 // simulation's sink, a pipe, or a file — on the feeding goroutine, keeps
 // state that does not grow with trace length, and reports byte for byte

@@ -298,7 +298,7 @@ func TestUnansweredLoadReportsAtItsEvent(t *testing.T) {
 }
 
 // TestStreamPipeSoak drives the checker from a live pipe — the
-// dvmc-sim -trace-out - | dvmc-trace check - topology — with far more
+// dvmc-sim -trace-out - | dvmc-stat check - topology — with far more
 // events than the frontier retains, and asserts the frontier (the
 // retained state) stayed bounded while the verdict stayed clean.
 func TestStreamPipeSoak(t *testing.T) {

@@ -4,12 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
 	"dvmc/internal/stats"
+	"dvmc/internal/strictjson"
 )
 
 // Snapshot is the serialisable view of a registry at one instant: the
@@ -154,15 +153,15 @@ func (s *Snapshot) EncodeJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// DecodeSnapshot reads a JSON snapshot, rejecting unknown fields so
-// format drift is caught loudly, and the two shapes the renderers index
-// into unchecked: a valueless scalar, a series of unequal lengths.
+// DecodeSnapshot reads a JSON snapshot strictly (unknown fields and
+// trailing bytes are refused, so format drift and a report printed into
+// the same stream are caught loudly), and refuses the two shapes the
+// renderers index into unchecked: a valueless scalar, a series of
+// unequal lengths.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s Snapshot
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("telemetry: decode snapshot: offset %d: %w", dec.InputOffset(), err)
+	if err := strictjson.Decode(r, &s); err != nil {
+		return nil, fmt.Errorf("telemetry: decode snapshot: %w", err)
 	}
 	for i := range s.Metrics {
 		if m := &s.Metrics[i]; m.Label == "" && len(m.Values) == 0 {
@@ -317,37 +316,6 @@ func (s *Snapshot) Text(w io.Writer) error {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// WriteSnapshotFile writes the snapshot to path, picking the format by
-// extension: .prom (Prometheus text), .csv (metric values), .series.csv
-// (time series), anything else JSON. "-" writes JSON to stdout.
-func WriteSnapshotFile(s *Snapshot, path string) error {
-	if path == "-" {
-		return s.EncodeJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("telemetry: %w", err)
-	}
-	var werr error
-	switch {
-	case strings.HasSuffix(path, ".series.csv"):
-		werr = s.SeriesCSV(f)
-	case filepath.Ext(path) == ".csv":
-		werr = s.CSV(f)
-	case filepath.Ext(path) == ".prom":
-		werr = s.Prometheus(f)
-	default:
-		werr = s.EncodeJSON(f)
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("telemetry: write %s: %w", path, werr)
 	}
 	return nil
 }

@@ -91,7 +91,7 @@ func (e Event) Op() consistency.Op {
 	return consistency.Op{Class: e.Class, Mask: e.Mask}
 }
 
-// String implements fmt.Stringer for debugging and `dvmc-trace info -v`.
+// String implements fmt.Stringer for debugging.
 func (e Event) String() string {
 	switch {
 	case e.Kind == EvRecover:

@@ -1,12 +1,10 @@
 package dvmc
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
-
-	"dvmc/internal/telemetry"
+	"strings"
 )
 
 // Outputs names where one run's observer artifacts go, as the CLIs'
@@ -18,24 +16,61 @@ type Outputs struct {
 	Metrics, Spans, Trace string
 }
 
-// Report returns where a CLI prints its human-readable report: stdout,
-// unless one artifact is "-" and so is all of stdout, which moves the
-// report to stderr so a pipe reads the artifact from its first byte.
-func (o Outputs) Report(stdout, stderr io.Writer) (io.Writer, error) {
+// Artifact is one artifact flag of a CLI, by its name, and where its
+// value sends the artifact: a file path, "-" for all of stdout, or "" for
+// not written. A -json flag that prints the report as JSON is an artifact
+// on "-" when set: the JSON is then all of stdout.
+type Artifact struct {
+	Flag, Path string
+}
+
+// ReportTo returns where a CLI prints its human-readable report, given
+// every artifact its flags name: stdout, unless one artifact is "-" and
+// so is all of stdout, which moves the report to stderr so a pipe reads
+// the artifact from its first byte. Two artifacts on "-" are an error
+// naming the flags.
+func ReportTo(stdout, stderr io.Writer, arts ...Artifact) (io.Writer, error) {
 	dashes := 0
-	for _, out := range []string{o.Metrics, o.Spans, o.Trace} {
-		if out == "-" {
+	flags := make([]string, len(arts))
+	for i, a := range arts {
+		if a.Path == "-" {
 			dashes++
 		}
+		flags[i] = a.Flag
 	}
 	switch dashes {
 	case 0:
 		return stdout, nil
 	case 1:
 		return stderr, nil
-	default:
-		return nil, errors.New("only one of -metrics-out, -spans-out and -trace-out can be '-' (stdout)")
 	}
+	last := len(flags) - 1
+	return nil, fmt.Errorf("only one of %s and %s can be '-' (stdout)", strings.Join(flags[:last], ", "), flags[last])
+}
+
+// WriteArtifact is the one writer behind every artifact flag: it renders
+// the artifact into path, a file it creates or truncates, or onto stdout
+// for "-".
+func WriteArtifact(path string, stdout io.Writer, render func(io.Writer) error) error {
+	if path == "-" {
+		return render(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = render(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Report returns where a CLI prints its report: ReportTo over the three
+// observer artifacts.
+func (o Outputs) Report(stdout, stderr io.Writer) (io.Writer, error) {
+	return ReportTo(stdout, stderr,
+		Artifact{"-metrics-out", o.Metrics}, Artifact{"-spans-out", o.Spans}, Artifact{"-trace-out", o.Trace})
 }
 
 // Observe returns cfg with the observers these outputs read switched on.
@@ -66,17 +101,11 @@ func (o Outputs) Finish(sys *System) error {
 }
 
 // Write writes each artifact asked for from the finished run sys, "-"
-// to stdout, and names each on report.
+// to stdout, and names each on report. The snapshot is JSON whatever the
+// file is called; dvmc-stat dump -format renders it.
 func (o Outputs) Write(sys *System, stdout, report io.Writer) error {
 	if o.Metrics != "" {
-		snap := sys.TelemetrySnapshot()
-		var err error
-		if o.Metrics == "-" {
-			err = snap.EncodeJSON(stdout)
-		} else {
-			err = telemetry.WriteSnapshotFile(snap, o.Metrics)
-		}
-		if err != nil {
+		if err := WriteArtifact(o.Metrics, stdout, sys.TelemetrySnapshot().EncodeJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(report, "telemetry snapshot written to %s\n", outName(o.Metrics))
@@ -86,7 +115,7 @@ func (o Outputs) Write(sys *System, stdout, report io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := writeOut(o.Spans, dump, stdout); err != nil {
+		if err := WriteArtifact(o.Spans, stdout, raw(dump)); err != nil {
 			return err
 		}
 		st := sys.SpanStats()
@@ -98,7 +127,7 @@ func (o Outputs) Write(sys *System, stdout, report io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := writeOut(o.Trace, data, stdout); err != nil {
+		if err := WriteArtifact(o.Trace, stdout, raw(data)); err != nil {
 			return err
 		}
 		fmt.Fprintf(report, "trace written to %s (%d events, %d bytes)\n",
@@ -107,13 +136,12 @@ func (o Outputs) Write(sys *System, stdout, report io.Writer) error {
 	return nil
 }
 
-// writeOut writes an artifact to the named file, or to stdout for "-".
-func writeOut(path string, data []byte, stdout io.Writer) error {
-	if path == "-" {
-		_, err := stdout.Write(data)
+// raw renders an artifact that is already bytes.
+func raw(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 // outName is how a report names an artifact's destination.

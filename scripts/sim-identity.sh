@@ -19,7 +19,7 @@
 #   - dvmc-errors -n 40 -each on directory/TSO and snooping/RMO, stdout
 #     and exit code
 #   - dvmc-fuzz replay of the committed corpus (re-records all 13 .trc)
-#   - dvmc-trace check and check -json of two of the traces above, stdout
+#   - dvmc-stat check and check -json of two of the traces above, stdout
 #     and exit code (the oracle's report, byte for byte)
 #   - CI's campaign-determinism campaign dvmc-fuzz run -seed 5 -n 64
 #     -fault-frac 0.5 -json, stdout, exit code and a cksum listing of its
@@ -50,8 +50,15 @@ mkdir -p "$tmp/base/src" "$tmp/base/bin" "$tmp/base/out" "$tmp/head/bin" "$tmp/h
 git -C "$root" archive "$base" | tar -x -C "$tmp/base/src"
 
 echo "sim-identity: building $(git -C "$root" rev-parse --short "$base") and the checkout"
-(cd "$tmp/base/src" && go build -o "$tmp/base/bin/" ./cmd/dvmc-trace ./cmd/dvmc-sim ./cmd/dvmc-fuzz ./cmd/dvmc-errors)
-(cd "$root" && go build -o "$tmp/head/bin/" ./cmd/dvmc-trace ./cmd/dvmc-sim ./cmd/dvmc-fuzz ./cmd/dvmc-errors)
+# A base from before `dvmc-trace check` became `dvmc-stat check` also
+# needs dvmc-trace; see check below.
+for side in base head; do
+	src=$tmp/base/src
+	[ $side = head ] && src=$root
+	pkgs="./cmd/dvmc-stat ./cmd/dvmc-sim ./cmd/dvmc-fuzz ./cmd/dvmc-errors"
+	[ -d "$src/cmd/dvmc-trace" ] && pkgs="$pkgs ./cmd/dvmc-trace"
+	(cd "$src" && go build -o "$tmp/$side/bin/" $pkgs)
+done
 
 # The fault-kind vocabulary, in kind order (TestFaultKindStrings pins it).
 kinds="msg-drop msg-duplicate msg-misroute msg-reorder msg-data-flip msg-stale-dup
@@ -68,6 +75,20 @@ verdict() {
 	"$@" >"$outfile" || code=$?
 	echo "exit $code" >>"$outfile"
 	[ $code -eq 0 ] || [ $code -eq 2 ]
+}
+
+# check BIN ARGS...: the trace oracle of BIN's side: dvmc-stat check where
+# that side's dvmc-stat lists it, else dvmc-trace check. The fallback is
+# for a base from before dvmc-trace was folded into dvmc-stat; delete it
+# once every base has dvmc-stat check.
+check() {
+	local bin=$1 usage
+	shift
+	usage=$("$bin/dvmc-stat" -h 2>&1)
+	case $usage in
+	*"dvmc-stat check"*) "$bin/dvmc-stat" check "$@" ;;
+	*) "$bin/dvmc-trace" check "$@" ;;
+	esac
 }
 
 # artifacts BIN SRC OUT: run the matrix with BIN's binaries, writing into
@@ -100,8 +121,8 @@ artifacts() {
 	verdict errors-snooping-RMO.stdout "$bin/dvmc-errors" -n 40 -each -protocol snooping -model RMO
 	(cd "$src" && "$bin/dvmc-fuzz" replay internal/fuzz/testdata/corpus) >fuzz-replay.stdout
 	for t in trace-directory-TSO-oltp-1 trace-snooping-RMO-slash-2; do
-		verdict "check-$t.stdout" "$bin/dvmc-trace" check "$t.trc"
-		verdict "check-json-$t.stdout" "$bin/dvmc-trace" check -json "$t.trc"
+		verdict "check-$t.stdout" check "$bin" "$t.trc"
+		verdict "check-json-$t.stdout" check "$bin" -json "$t.trc"
 	done
 	mkdir campaign-corpus
 	verdict fuzz-campaign-5.stdout "$bin/dvmc-fuzz" run -seed 5 -n 64 -fault-frac 0.5 \

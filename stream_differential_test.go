@@ -5,7 +5,7 @@ package dvmc
 // batch reference (internal/oracle) on every trace the differential
 // harness produces — litmus streams, full-system fault-free runs,
 // SafetyNet-recovery runs, and injected-fault runs. This is the contract
-// that lets fuzz verdicts and `dvmc-trace check` run the per-event engine
+// that lets fuzz verdicts and `dvmc-stat check` run the per-event engine
 // alone.
 
 import (

@@ -437,7 +437,7 @@ func (s *System) Violations() []Violation { return s.violations.Violations }
 func (s *System) Tracing() bool { return s.rec != nil }
 
 // TraceBytes finalises the execution trace and returns its binary
-// encoding (feed it to internal/oracle or write it for dvmc-trace).
+// encoding (feed it to internal/oracle or write it for dvmc-stat check).
 // Returns an error if tracing was not enabled. Idempotent; call after the
 // run completes — events emitted afterwards are discarded.
 func (s *System) TraceBytes() ([]byte, error) {
