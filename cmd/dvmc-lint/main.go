@@ -1,6 +1,6 @@
 // Command dvmc-lint runs the dvmc static-analysis suite (internal/analysis)
-// over the module containing the working directory: maprange, detsource,
-// time16cmp, and exhaustive. It prints findings as
+// over the module containing the working directory: maprange, detsource
+// and exhaustive. It prints findings as
 //
 //	file:line:col: [analyzer] message
 //

@@ -17,11 +17,11 @@
 // A snapshot is always JSON; every other view is re-encoded from it, so
 // all views agree by construction.
 //
-// Exit codes (all subcommands): 0 clean, 1 usage or I/O error (a trace
-// the oracle refuses as a truncated window included), 2 the oracle found
-// violations, the snapshot records checker violations, or the artifact
-// does not decode — with the position of the damage on stderr — so a
-// corrupt artifact can never read as "checked, clean".
+// Exit codes (all subcommands): 0 clean, 1 usage or I/O error, 2 the
+// oracle found violations, the snapshot records checker violations, or
+// the artifact does not decode (a trace header with an unknown flag
+// included) — with the position of the damage on stderr — so a corrupt
+// artifact can never read as "checked, clean".
 //
 // Examples:
 //

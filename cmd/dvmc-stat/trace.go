@@ -16,8 +16,8 @@ import (
 )
 
 // traceErr reports a failure to read a trace. Bytes that were there but
-// are not a trace are a failed artifact, exit 2; anything else (no such
-// file, a truncated window the oracle refuses) is exit 1.
+// are not a trace (an unknown header flag included) are a failed
+// artifact, exit 2; anything else (no such file) is exit 1.
 func (c *cli) traceErr(sub string, err error) int {
 	code := c.failf("%s: %v", sub, err)
 	var pe *trace.PosError
@@ -40,9 +40,17 @@ func (c *cli) openTrace(fs *flag.FlagSet) (io.ReadCloser, int) {
 	return src, 0
 }
 
+// metaJSON is a trace header as check -json and info -json print it.
+// The key of the retired truncated-window header flag stays, always
+// false, so their output keeps its shape.
+type metaJSON struct {
+	trace.Meta
+	Truncated bool
+}
+
 // checkJSON is the machine-readable verdict of `check -json`.
 type checkJSON struct {
-	Meta       trace.Meta         `json:"meta"`
+	Meta       metaJSON           `json:"meta"`
 	Violations []oracle.Violation `json:"violations"`
 	Stats      oracle.Stats       `json:"stats"`
 }
@@ -77,9 +85,6 @@ func (c *cli) check(args []string) int {
 	if err != nil {
 		return c.traceErr("check", err)
 	}
-	if r.Meta().Truncated {
-		return c.traceErr("check", oracle.ErrTruncatedTrace)
-	}
 	chk := stream.New(r.Meta(), stream.Options{})
 	start := time.Now()
 	for {
@@ -105,7 +110,7 @@ func (c *cli) check(args []string) int {
 		verdict = 2
 	}
 	if *jsonOut {
-		out := checkJSON{Meta: rep.Meta, Violations: rep.Violations, Stats: rep.Stats}
+		out := checkJSON{Meta: metaJSON{Meta: rep.Meta}, Violations: rep.Violations, Stats: rep.Stats}
 		if out.Violations == nil {
 			out.Violations = []oracle.Violation{}
 		}
@@ -151,15 +156,15 @@ func checkerSnapshot(chk *stream.Checker, elapsed time.Duration) *telemetry.Snap
 
 // infoJSON is the machine-readable summary of `info -json`.
 type infoJSON struct {
-	Meta     trace.Meta `json:"meta"`
-	Bytes    int64      `json:"bytes"`
-	Events   uint64     `json:"events"`
-	Commits  uint64     `json:"commits"`
-	Performs uint64     `json:"performs"`
-	Recovers uint64     `json:"recovers"`
-	SpanLo   uint64     `json:"span_lo"`
-	SpanHi   uint64     `json:"span_hi"`
-	PerNode  []uint64   `json:"per_node"`
+	Meta     metaJSON `json:"meta"`
+	Bytes    int64    `json:"bytes"`
+	Events   uint64   `json:"events"`
+	Commits  uint64   `json:"commits"`
+	Performs uint64   `json:"performs"`
+	Recovers uint64   `json:"recovers"`
+	SpanLo   uint64   `json:"span_lo"`
+	SpanHi   uint64   `json:"span_hi"`
+	PerNode  []uint64 `json:"per_node"`
 }
 
 func (c *cli) info(args []string) int {
@@ -181,7 +186,7 @@ func (c *cli) info(args []string) int {
 	}
 	meta := r.Meta()
 	// The reader vouches for every event's node being below meta.Nodes.
-	sum := infoJSON{Meta: meta, PerNode: make([]uint64, meta.Nodes)}
+	sum := infoJSON{Meta: metaJSON{Meta: meta}, PerNode: make([]uint64, meta.Nodes)}
 	for {
 		ev, err := r.Next()
 		if err == io.EOF {
@@ -215,9 +220,6 @@ func (c *cli) info(args []string) int {
 	}
 	fmt.Fprintf(c.stdout, "trace:  v%d, %d nodes, %v, %s protocol, seed %d\n",
 		meta.Version, meta.Nodes, meta.Model, protoName(meta.Protocol), meta.Seed)
-	if meta.Truncated {
-		fmt.Fprintln(c.stdout, "note:   truncated flight-recorder window (oracle will refuse it)")
-	}
 	fmt.Fprintf(c.stdout, "size:   %d bytes, %d events (%.2f bytes/event)\n",
 		sum.Bytes, sum.Events, float64(sum.Bytes)/float64(max(1, sum.Events)))
 	fmt.Fprintf(c.stdout, "events: %d commits, %d performs, %d recovery markers\n", sum.Commits, sum.Performs, sum.Recovers)

@@ -254,10 +254,10 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 	}
 	if detected() {
 		res.Detected = true
-		// Attribute detection latency: back-fill the activation time onto
-		// the recorded violation events, populating the per-invariant
-		// latency distributions in the telemetry registry.
-		s.Telemetry().AttributeInjection(uint64(res.ActivatedAt))
+		// The facts the telemetry snapshot folds per-invariant latency
+		// from: the activation cycle, taken before the ECC path below
+		// resets it, and the violations that existed at detection.
+		s.attributedFrom, s.attributedViolations = res.ActivatedAt, len(s.Violations())
 		switch {
 		case s.eccCorrections() > baseECC:
 			// The flip was corrected in place on first use: detection and
@@ -281,9 +281,8 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 			}
 			res.DetectionKind = core.UOMismatch
 			res.Latency = s.Now() - res.ActivatedAt
-			// Inline UO-replay detections never reach the violation sink;
-			// record their latency directly.
-			s.Telemetry().ObserveLatency(core.UOMismatch.String(), uint64(res.Latency))
+			// Inline UO-replay detections never reach the violation sink.
+			s.replayCaughtAt = s.Now()
 		}
 		if s.snMgr != nil {
 			if res.DetectionKind == core.OperationTimeout {
@@ -336,9 +335,9 @@ type KindLatency struct {
 }
 
 // LatencyByKind aggregates detection latencies per detecting invariant,
-// sorted by invariant name — the campaign-level counterpart of the
-// per-run telemetry registry's LatencyByInvariant (each injection runs
-// in a fresh System, so per-run registries see one detection each).
+// sorted by invariant name — the campaign-level counterpart of a run's
+// telemetry snapshot latency section (each injection runs in a fresh
+// System, so a run's snapshot sees one detection).
 func (c CampaignResult) LatencyByKind() []KindLatency {
 	byKind := map[core.ViolationKind]*stats.Sample{}
 	for _, r := range c.Results {

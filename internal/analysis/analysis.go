@@ -22,7 +22,7 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MapRange, DetSource, Time16Cmp, Exhaustive}
+	return []*Analyzer{MapRange, DetSource, Exhaustive}
 }
 
 // ByName resolves a comma-separated analyzer list ("maprange,detsource").
@@ -40,7 +40,7 @@ func ByName(list string) ([]*Analyzer, error) {
 		name = strings.TrimSpace(name)
 		a, ok := byName[name]
 		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have maprange, detsource, time16cmp, exhaustive)", name)
+			return nil, fmt.Errorf("unknown analyzer %q (have maprange, detsource, exhaustive)", name)
 		}
 		out = append(out, a)
 	}

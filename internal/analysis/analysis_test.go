@@ -8,11 +8,11 @@ import (
 
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 4 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 4, nil", len(all), err)
+	if err != nil || len(all) != 3 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 3, nil", len(all), err)
 	}
-	two, err := ByName("maprange, time16cmp")
-	if err != nil || len(two) != 2 || two[0].Name != "maprange" || two[1].Name != "time16cmp" {
+	two, err := ByName("maprange, exhaustive")
+	if err != nil || len(two) != 2 || two[0].Name != "maprange" || two[1].Name != "exhaustive" {
 		t.Fatalf("ByName subset = %v, err %v", two, err)
 	}
 	if _, err := ByName("nosuch"); err == nil {

@@ -36,9 +36,11 @@
 // Code outside the allowlist is exempt from maprange and detsource:
 // cmd/dvmc-bench legitimately calls time.Now to measure host throughput,
 // the CLIs read flags and files, and the top-level experiment harness
-// aggregates results. The time16cmp and exhaustive analyzers apply
-// module-wide, because a wraparound-unsafe timestamp comparison or a
-// silently non-exhaustive payload switch is a bug wherever it lives.
+// aggregates results. The exhaustive analyzer applies module-wide,
+// because a silently non-exhaustive payload switch is a bug wherever it
+// lives. A wraparound-unsafe comparison of 16-bit logical timestamps
+// needs no analyzer: core.Time16 is a struct, so a raw </>/<=/>= on one
+// does not compile.
 //
 // # Analyzers
 //
@@ -50,10 +52,6 @@
 //     sync/atomic imports in deterministic packages, pointing offenders
 //     at sim.Rand and the event kernel. Channels are allowed: with no
 //     goroutine on the other end they cannot reorder anything.
-//   - time16cmp: forbids raw </>/<=/>= on core.Time16 outside
-//     internal/core/ltime.go; 16-bit logical timestamps wrap, so ordering
-//     them requires Reconstruct against a local reference (or
-//     core.Before).
 //   - exhaustive: requires value switches over enum-like constant sets
 //     and type switches over the coherence Msg* payload family to cover
 //     every declared variant or carry an explicit default clause (which

@@ -241,3 +241,10 @@ func caseClauses(body *ast.BlockStmt) []*ast.CaseClause {
 func typeName(p *Pass, t types.Type) string {
 	return fmt.Sprint(types.TypeString(t, types.RelativeTo(p.Pkg.Types)))
 }
+
+func typeOf(info *types.Info, e ast.Expr) types.Type {
+	if tv, ok := info.Types[e]; ok {
+		return tv.Type
+	}
+	return nil
+}

@@ -96,13 +96,11 @@ func checkFixture(t *testing.T, name string, a *Analyzer) {
 
 func TestMapRangeFixture(t *testing.T)   { checkFixture(t, "maprange", MapRange) }
 func TestDetSourceFixture(t *testing.T)  { checkFixture(t, "detsource", DetSource) }
-func TestTime16CmpFixture(t *testing.T)  { checkFixture(t, "time16cmp", Time16Cmp) }
 func TestExhaustiveFixture(t *testing.T) { checkFixture(t, "exhaustive", Exhaustive) }
 
 // TestRepoClean pins the satellite fixes: the real module must be
 // diagnostic-free under the full suite, so any PR that reintroduces an
-// unordered map walk, a wall-clock read, a raw Time16 comparison, or a
-// silently partial switch fails `go test ./...` as well as dvmc-lint.
+// unordered map walk, a wall-clock read, or a silently partial switch fails `go test ./...` as well as dvmc-lint.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is slow; skipped with -short")

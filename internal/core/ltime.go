@@ -23,8 +23,10 @@ package core
 // and carried in Inform-Epoch messages. The paper keeps logical times
 // small (16 bits) to bound storage and error-detection latency, and
 // scrubs long-lived epochs before wraparound can make old stamps
-// ambiguous.
-type Time16 uint16
+// ambiguous. It is a struct so that a raw relational comparison, which
+// is wrong across the wraparound, does not compile: widen with
+// Reconstruct, or order two stamps with Before.
+type Time16 struct{ v uint16 }
 
 // halfRange is the reconstruction window: a Time16 is unambiguous as long
 // as the true value lies within half the 16-bit range of a known
@@ -32,7 +34,7 @@ type Time16 uint16
 const halfRange = 1 << 15
 
 // Wrap truncates a full logical time to its 16-bit wire representation.
-func Wrap(t uint64) Time16 { return Time16(t & 0xffff) }
+func Wrap(t uint64) Time16 { return Time16{uint16(t)} }
 
 // Reconstruct returns the full logical time congruent to t (mod 2^16)
 // that is closest to the reference near. The scrubbing protocol
@@ -40,7 +42,7 @@ func Wrap(t uint64) Time16 { return Time16(t & 0xffff) }
 // receiving controller's clock, making this exact.
 func (t Time16) Reconstruct(near uint64) uint64 {
 	base := near &^ 0xffff
-	cand := base | uint64(t)
+	cand := base | uint64(t.v)
 	// Choose among cand-2^16, cand, cand+2^16 whichever is closest to near.
 	best := cand
 	bestDist := dist(cand, near)
@@ -64,4 +66,4 @@ func dist(a, b uint64) uint64 {
 
 // Before reports whether a precedes b under modular 16-bit comparison,
 // valid while both stamps are within half the range of each other.
-func Before(a, b Time16) bool { return int16(a-b) < 0 }
+func Before(a, b Time16) bool { return int16(a.v-b.v) < 0 }

@@ -8,7 +8,7 @@ import (
 func TestWrapTruncates(t *testing.T) {
 	tests := []struct {
 		in   uint64
-		want Time16
+		want uint16
 	}{
 		{0, 0},
 		{0xffff, 0xffff},
@@ -16,8 +16,8 @@ func TestWrapTruncates(t *testing.T) {
 		{0x12345, 0x2345},
 	}
 	for _, tt := range tests {
-		if got := Wrap(tt.in); got != tt.want {
-			t.Errorf("Wrap(%#x) = %#x, want %#x", tt.in, got, tt.want)
+		if got := Wrap(tt.in); got.v != tt.want {
+			t.Errorf("Wrap(%#x) = %#x, want %#x", tt.in, got.v, tt.want)
 		}
 	}
 }
@@ -57,7 +57,7 @@ func TestReconstructAcrossWraparound(t *testing.T) {
 	}
 }
 
-// TestReconstructNearWrapBoundary pins the cases the time16cmp analyzer
+// TestReconstructNearWrapBoundary pins the cases Time16's struct type
 // exists to protect: references exactly at (or next to) a multiple of
 // 2^16, where the truncated stamp and the reference clock live on
 // opposite sides of a wraparound and raw 16-bit comparison would order
@@ -107,7 +107,7 @@ func TestReconstructAtRangeEnds(t *testing.T) {
 // mod 2^16 and is the congruent value closest to the reference.
 func TestReconstructPicksClosestCongruent(t *testing.T) {
 	f := func(stampRaw uint16, nearRaw uint64) bool {
-		stamp := Time16(stampRaw)
+		stamp := Wrap(uint64(stampRaw))
 		near := nearRaw
 		got := stamp.Reconstruct(near)
 		if Wrap(got) != stamp {
@@ -131,7 +131,7 @@ func TestReconstructPicksClosestCongruent(t *testing.T) {
 
 func TestBefore16Modular(t *testing.T) {
 	tests := []struct {
-		a, b Time16
+		a, b uint64
 		want bool
 	}{
 		{1, 2, true},
@@ -141,7 +141,7 @@ func TestBefore16Modular(t *testing.T) {
 		{0x0002, 0xfffe, false},
 	}
 	for _, tt := range tests {
-		if got := Before(tt.a, tt.b); got != tt.want {
+		if got := Before(Wrap(tt.a), Wrap(tt.b)); got != tt.want {
 			t.Errorf("Before(%#x, %#x) = %v, want %v", tt.a, tt.b, got, tt.want)
 		}
 	}

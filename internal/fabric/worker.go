@@ -75,12 +75,6 @@ type WorkerOptions struct {
 	Name string
 	// Coordinator is the coordinator's base URL, e.g. http://host:8700.
 	Coordinator string
-	// Client overrides the HTTP client (nil picks a default with sane
-	// timeouts).
-	Client *http.Client
-	// PollInterval caps how long the worker sleeps when the coordinator
-	// has no assignable shard; 0 picks the coordinator's suggestion.
-	PollInterval time.Duration
 	// MaxShards stops the worker after completing that many shards
 	// (0 = run until the job finishes). Lets tests and canary workers
 	// leave mid-job; the fabric reassigns whatever they abandoned.
@@ -92,14 +86,13 @@ type WorkerOptions struct {
 // RunWorker registers with the coordinator and executes leases until
 // the job finishes, the context is cancelled, or MaxShards is reached.
 // Returns the number of shards this worker completed (had accepted).
+// When the coordinator has no assignable shard the worker sleeps for its
+// suggested WaitSeconds (1 s when that is zero).
 func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 	if opts.Name == "" {
 		return 0, fmt.Errorf("fabric: worker needs a name")
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
+	client := &http.Client{Timeout: 30 * time.Second}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -139,12 +132,9 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 			logf("job finished; %d shards completed here", completed)
 			return completed, nil
 		case lease.Shard == nil:
-			wait := opts.PollInterval
+			wait := time.Duration(lease.WaitSeconds) * time.Second
 			if wait == 0 {
-				wait = time.Duration(lease.WaitSeconds) * time.Second
-				if wait == 0 {
-					wait = time.Second
-				}
+				wait = time.Second
 			}
 			sleep(ctx, wait)
 			continue

@@ -7,7 +7,7 @@
 // rules one event at a time and is held byte for byte to this package's
 // reports. Check and CheckBytes have no callers outside test files and
 // benchmark/; what both engines share is the vocabulary (Rule, Violation,
-// Stats, Report, ErrTruncatedTrace) and the ordering relation OrderedPair.
+// Stats, Report) and the ordering relation OrderedPair.
 //
 // It exists for differential verification (cf. Roy et al., "Fast and
 // Generalized Polynomial Time Memory Consistency Verification", and Ravi
@@ -39,7 +39,6 @@
 package oracle
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -136,20 +135,11 @@ type checker struct {
 	stats      Stats
 }
 
-// ErrTruncatedTrace is returned for flight-recorder traces that evicted
-// events: the oracle's completeness checks (commit/perform pairing, lost
-// operations) are meaningless on a window, so such traces are refused
-// rather than mis-judged.
-var ErrTruncatedTrace = errors.New("oracle: trace is a truncated flight-recorder window; record a full trace to check it")
-
 // CheckBytes decodes and checks a binary trace.
 func CheckBytes(data []byte) (*Report, error) {
 	meta, events, err := trace.Decode(data)
 	if err != nil {
 		return nil, err
-	}
-	if meta.Truncated {
-		return nil, ErrTruncatedTrace
 	}
 	return Check(meta, events), nil
 }

@@ -167,9 +167,6 @@ func CheckReader(src io.Reader, opts Options) (*oracle.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.Meta().Truncated {
-		return nil, oracle.ErrTruncatedTrace
-	}
 	c := New(r.Meta(), opts)
 	for {
 		ev, err := r.Next()

@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dvmc/internal/consistency"
@@ -247,16 +249,20 @@ func TestEquivalenceCheckBytes(t *testing.T) {
 	}
 }
 
-// TestCheckReaderRefusesTruncated mirrors the batch refusal.
+// TestCheckReaderRefusesTruncated: a window from the flight-recorder mode
+// of earlier versions sets header flag bit 0, which the decoder now
+// refuses as an unknown flag, at its offset.
 func TestCheckReaderRefusesTruncated(t *testing.T) {
 	meta, events := synth(synthCfg{nodes: 2, events: 100, seed: 8, fifo: true})
-	meta.Truncated = true
 	data, err := trace.Encode(meta, events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CheckBytes(data, Options{}); err != oracle.ErrTruncatedTrace {
-		t.Fatalf("got %v, want ErrTruncatedTrace", err)
+	data[len(trace.Magic)+1] = 1 // the flags byte, after magic and version
+	_, err = CheckBytes(data, Options{})
+	var pe *trace.PosError
+	if !errors.As(err, &pe) || pe.Offset != 7 || !strings.Contains(err.Error(), "unknown header flags 0x01") {
+		t.Fatalf("got %v, want an unknown-flag refusal at offset 7", err)
 	}
 }
 

@@ -58,6 +58,31 @@ func (m *MetricSnapshot) Total() int64 {
 	return t
 }
 
+// ViolationEvent is one checker firing as a snapshot records it: which
+// invariant, on which node, at which address/epoch, when the underlying
+// fault was activated versus when the checker caught it, and which
+// comparison caught it.
+type ViolationEvent struct {
+	// Invariant is the violation-kind name (core.ViolationKind.String()).
+	Invariant string `json:"invariant"`
+	// Node is the detecting node.
+	Node int `json:"node"`
+	// Addr is the implicated address (0 if not address-attributed).
+	Addr uint64 `json:"addr"`
+	// Epoch is the implicated epoch (0 if not epoch-attributed).
+	Epoch uint64 `json:"epoch,omitempty"`
+	// InjectCycle is the cycle the fault activated (0 when unknown, e.g.
+	// fault-free runs or faults detected before attribution).
+	InjectCycle uint64 `json:"inject_cycle,omitempty"`
+	// DetectCycle is the cycle the checker fired.
+	DetectCycle uint64 `json:"detect_cycle"`
+	// Latency is DetectCycle-InjectCycle when InjectCycle is known.
+	Latency uint64 `json:"latency,omitempty"`
+	// Detail names the comparison that caught it (e.g. "vc store value",
+	// "met inform order", "cet epoch overlap").
+	Detail string `json:"detail,omitempty"`
+}
+
 // SeriesSnapshot is one time-series ring, oldest sample first.
 type SeriesSnapshot struct {
 	Name       string   `json:"name"`
@@ -91,11 +116,12 @@ func (l *LatencySnapshot) Sample() *stats.Sample {
 }
 
 // Snapshot captures the registry (after refreshing all probes) as of
-// the given cycle. The result is deterministic: metrics and latency
-// entries are sorted by name, series by (name, slot).
+// the given cycle. The result is deterministic: metrics are sorted by
+// name, series by (name, slot). The registry records no violation, so
+// the events and latency sections are left to FoldViolations.
 func (r *Registry) Snapshot(cycle uint64) *Snapshot {
 	r.Collect()
-	snap := &Snapshot{Cycle: cycle, EventsDropped: r.eventsDropped}
+	snap := &Snapshot{Cycle: cycle}
 	for _, m := range r.Metrics() {
 		ms := MetricSnapshot{
 			Name:  m.Name(),
@@ -128,20 +154,73 @@ func (r *Registry) Snapshot(cycle uint64) *Snapshot {
 		}
 		snap.Series = append(snap.Series, ss)
 	}
-	snap.Events = append(snap.Events, r.events...)
-	for _, il := range r.LatencyByInvariant() {
-		snap.Latency = append(snap.Latency, LatencySnapshot{
-			Invariant: il.Invariant,
-			N:         il.Sample.N(),
-			MeanCyc:   il.Sample.Mean(),
-			MinCyc:    il.Sample.Min(),
-			MaxCyc:    il.Sample.Max(),
-			P50Cyc:    il.Sample.Quantile(0.5),
-			P99Cyc:    il.Sample.Quantile(0.99),
-			Values:    il.Sample.Values(),
-		})
-	}
 	return snap
+}
+
+// Attribution is what an injection run attributed when its fault was
+// detected: the facts FoldViolations derives detection latency from.
+type Attribution struct {
+	// InjectCycle is the activation cycle attributed at detection; 0
+	// attributes nothing.
+	InjectCycle uint64
+	// Violations is how many violations existed at detection.
+	Violations int
+	// Inline names the invariant of a detection that never reached the
+	// violation list ("" for none); InlineLatency is its latency.
+	Inline        string
+	InlineLatency uint64
+}
+
+// FoldViolations sets snap's events, events_dropped and latency sections
+// from a run's violation list, which is the one record of its checker
+// firings: n is the list's length and event(i) its i-th entry without
+// inject cycle or latency. Events holds the first DefaultMaxEvents in
+// list order and EventsDropped counts the rest. An event is attributed
+// when its index is below at.Violations and it was detected at or after
+// at.InjectCycle: it gets the inject cycle and its latency, which feeds
+// its invariant's sample in event order. An inline detection's latency
+// follows under its invariant. Latency entries are sorted by invariant.
+func (snap *Snapshot) FoldViolations(n int, event func(i int) ViolationEvent, at Attribution) {
+	kept := min(n, DefaultMaxEvents)
+	snap.Events, snap.EventsDropped = nil, uint64(n-kept)
+	latVals := map[string][]float64{}
+	for i := 0; i < kept; i++ {
+		ev := event(i)
+		if at.InjectCycle != 0 && i < at.Violations && ev.DetectCycle >= at.InjectCycle {
+			ev.InjectCycle = at.InjectCycle
+			ev.Latency = ev.DetectCycle - at.InjectCycle
+			latVals[ev.Invariant] = append(latVals[ev.Invariant], float64(ev.Latency))
+		}
+		snap.Events = append(snap.Events, ev)
+	}
+	if at.Inline != "" {
+		latVals[at.Inline] = append(latVals[at.Inline], float64(at.InlineLatency))
+	}
+	snap.Latency = latencySections(latVals)
+}
+
+// latencySections summarises each invariant's observations, kept in the
+// order given, into latency entries sorted by invariant (nil for none).
+func latencySections(latVals map[string][]float64) []LatencySnapshot {
+	invariants := make([]string, 0, len(latVals))
+	//dvmc:orderinsensitive keys are collected and sorted before use
+	for inv := range latVals {
+		invariants = append(invariants, inv)
+	}
+	sort.Strings(invariants)
+	var out []LatencySnapshot
+	for _, inv := range invariants {
+		ls := LatencySnapshot{Invariant: inv, Values: latVals[inv]}
+		sample := ls.Sample()
+		ls.N = sample.N()
+		ls.MeanCyc = sample.Mean()
+		ls.MinCyc = sample.Min()
+		ls.MaxCyc = sample.Max()
+		ls.P50Cyc = sample.Quantile(0.5)
+		ls.P99Cyc = sample.Quantile(0.99)
+		out = append(out, ls)
+	}
+	return out
 }
 
 // EncodeJSON writes the snapshot as indented JSON (the stable

@@ -13,7 +13,7 @@ import (
 // panic, and never more elements than the input has bytes.
 func FuzzDecodeSnapshot(f *testing.F) {
 	var seed bytes.Buffer
-	if err := buildSnapshotRegistry().Snapshot(5000).EncodeJSON(&seed); err != nil {
+	if err := buildSnapshot(5000).EncodeJSON(&seed); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())

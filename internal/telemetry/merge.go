@@ -91,25 +91,11 @@ func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
 		out.Metrics = append(out.Metrics, ms)
 	}
 
-	invariants := make([]string, 0, len(latVals))
-	//dvmc:orderinsensitive keys are collected and sorted before use
-	for inv := range latVals {
-		invariants = append(invariants, inv)
-	}
-	sort.Strings(invariants)
-	for _, inv := range invariants {
-		vals := latVals[inv]
+	//dvmc:orderinsensitive each pool is sorted on its own
+	for _, vals := range latVals {
 		sort.Float64s(vals)
-		ls := LatencySnapshot{Invariant: inv, Values: vals}
-		sample := ls.Sample()
-		ls.N = sample.N()
-		ls.MeanCyc = sample.Mean()
-		ls.MinCyc = sample.Min()
-		ls.MaxCyc = sample.Max()
-		ls.P50Cyc = sample.Quantile(0.5)
-		ls.P99Cyc = sample.Quantile(0.99)
-		out.Latency = append(out.Latency, ls)
 	}
+	out.Latency = latencySections(latVals)
 
 	sort.SliceStable(out.Events, func(i, j int) bool { return eventLess(&out.Events[i], &out.Events[j]) })
 	return out, nil

@@ -3,8 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"sort"
-
-	"dvmc/internal/stats"
 )
 
 // Kind classifies a metric.
@@ -104,12 +102,6 @@ type Registry struct {
 	// Sample.
 	tracked []*Metric
 	series  []*Series
-
-	// Structured violation log and per-invariant latency distributions.
-	events        []ViolationEvent
-	eventsDropped uint64
-	latNames      []string
-	latSamples    []*stats.Sample
 }
 
 // NewRegistry builds an empty registry.

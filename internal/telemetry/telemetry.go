@@ -1,8 +1,14 @@
 // Package telemetry is the simulator's deterministic observability
 // layer: a central registry of named counters and gauges with per-node,
 // per-class, and per-invariant labels, fixed-capacity time-series rings
-// fed by a cycle-driven Sampler, and structured detection-latency
-// attribution for checker violations.
+// fed by a cycle-driven Sampler, and snapshots that fold a run's checker
+// violations into structured events and per-invariant detection latency.
+//
+// A registry holds no fact of its own: its probes read the live
+// components, and the violation sections of a snapshot are folded from
+// the system's violation list when the snapshot is taken
+// (Snapshot.FoldViolations). A system therefore builds its registry when
+// it is first read, or at construction when the sampler is scheduled.
 //
 // The paper evaluates DVMC through end-of-run aggregates (runtime
 // overhead, replay bandwidth, link utilisation, detection latency); this
@@ -36,16 +42,16 @@ const DefaultEvery sim.Cycle = 1024
 // keep the newest samples (flight-recorder semantics) once full.
 const DefaultSeriesCap = 512
 
-// DefaultMaxEvents bounds the recorded ViolationEvent log; further events
-// are counted but not stored.
+// DefaultMaxEvents bounds a snapshot's events section; further
+// violations are counted but not listed.
 const DefaultMaxEvents = 1024
 
 // Config enables the telemetry sampler for one System.
 type Config struct {
-	// Enabled turns on cycle sampling. The registry itself always
-	// exists (end-of-run counters cost nothing); Enabled additionally
-	// schedules the Sampler on the simulation kernel so time series are
-	// captured while the system runs.
+	// Enabled turns on cycle sampling: it schedules the Sampler on the
+	// simulation kernel so time series are captured while the system
+	// runs. Without it the registry is built when first read; its
+	// end-of-run counters read the live components either way.
 	Enabled bool
 	// Every is the sampling period in cycles (0 means DefaultEvery).
 	Every sim.Cycle

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -86,46 +87,65 @@ func TestSamplerPeriodGating(t *testing.T) {
 	}
 }
 
-func TestViolationLogBoundedAndAttributed(t *testing.T) {
-	r := NewRegistry()
-	r.RecordViolation(ViolationEvent{Invariant: "uo", Node: 1, DetectCycle: 100})
-	r.RecordViolation(ViolationEvent{Invariant: "cc", Node: 2, DetectCycle: 300, InjectCycle: 250})
-	// Fill the log with events detected before the injection below, so
-	// the back-fill leaves them alone.
-	for len(r.Events()) < DefaultMaxEvents {
-		r.RecordViolation(ViolationEvent{Invariant: "uo", Node: 0, DetectCycle: 10})
+// TestFoldViolations pins the one rule a snapshot's events,
+// events_dropped and latency sections are folded by: the bound and drop
+// count, which events are attributed (index below the count at
+// detection, detected at or after the activation cycle), the untouched
+// pre-activation events, the inline latency after the events, and the
+// sorted invariants.
+func TestFoldViolations(t *testing.T) {
+	list := []ViolationEvent{
+		{Invariant: "uo", Node: 1, DetectCycle: 100},
+		{Invariant: "cc", Node: 2, DetectCycle: 300, Detail: "cet epoch overlap"},
 	}
-	r.RecordViolation(ViolationEvent{Invariant: "uo", Node: 3, DetectCycle: 400}) // over cap
+	// Fill the list past the bound with events detected before the
+	// activation below, so attribution leaves them alone; the last one
+	// lands beyond the bound.
+	for len(list) <= DefaultMaxEvents {
+		list = append(list, ViolationEvent{Invariant: "uo", Node: 0, DetectCycle: 10})
+	}
+	list[DefaultMaxEvents-1].DetectCycle = 500 // at or after activation, but found after detection
+	event := func(i int) ViolationEvent { return list[i] }
 
-	if len(r.Events()) != DefaultMaxEvents || r.EventsDropped() != 1 {
-		t.Fatalf("events = %d dropped = %d, want %d, 1", len(r.Events()), r.EventsDropped(), DefaultMaxEvents)
+	var snap Snapshot
+	snap.FoldViolations(len(list), event, Attribution{InjectCycle: 40, Violations: DefaultMaxEvents - 1, Inline: "uo", InlineLatency: 7})
+	if len(snap.Events) != DefaultMaxEvents || snap.EventsDropped != 1 {
+		t.Fatalf("events = %d dropped = %d, want %d, 1", len(snap.Events), snap.EventsDropped, DefaultMaxEvents)
 	}
-	if got := r.Events()[1].Latency; got != 50 {
-		t.Errorf("pre-attributed latency = %d, want 50", got)
+	if got := snap.Events[0]; got.InjectCycle != 40 || got.Latency != 60 {
+		t.Errorf("event 0 = %+v, want inject 40 latency 60", got)
+	}
+	if got := snap.Events[1]; got.InjectCycle != 40 || got.Latency != 260 || got.Detail != "cet epoch overlap" {
+		t.Errorf("event 1 = %+v, want inject 40 latency 260 via its detail", got)
+	}
+	if got := snap.Events[2]; got.InjectCycle != 0 || got.Latency != 0 {
+		t.Errorf("pre-activation event = %+v, want unattributed", got)
+	}
+	if got := snap.Events[DefaultMaxEvents-1]; got.InjectCycle != 0 || got.Latency != 0 {
+		t.Errorf("event found after detection = %+v, want unattributed", got)
+	}
+	if len(snap.Latency) != 2 || snap.Latency[0].Invariant != "cc" || snap.Latency[1].Invariant != "uo" {
+		t.Fatalf("latency invariants = %+v, want [cc uo]", snap.Latency)
+	}
+	if got := snap.Latency[1]; !reflect.DeepEqual(got.Values, []float64{60, 7}) || got.N != 2 || got.MaxCyc != 60 {
+		t.Errorf("uo latency = %+v, want values [60 7] (events first, then the inline one)", got)
 	}
 
-	// Back-fill: event 0 detected at cycle 100 >= inject 40 gets latency 60.
-	r.AttributeInjection(40)
-	if got := r.Events()[0]; got.InjectCycle != 40 || got.Latency != 60 {
-		t.Errorf("attributed event = %+v, want inject 40 latency 60", got)
+	// Without an activation cycle nothing is attributed, and a clean
+	// run folds to empty sections.
+	snap.FoldViolations(2, event, Attribution{Violations: 2})
+	if len(snap.Events) != 2 || snap.EventsDropped != 0 || snap.Latency != nil || snap.Events[0].Latency != 0 {
+		t.Errorf("unattributed fold = %+v", snap)
 	}
-	// Already-attributed events are left alone.
-	if got := r.Events()[1].Latency; got != 50 {
-		t.Errorf("re-attribution clobbered latency: %d, want 50", got)
-	}
-
-	lat := r.LatencyByInvariant()
-	if len(lat) != 2 || lat[0].Invariant != "cc" || lat[1].Invariant != "uo" {
-		t.Fatalf("latency invariants = %+v, want [cc uo]", lat)
-	}
-	if lat[1].Sample.N() != 1 || lat[1].Sample.Mean() != 60 {
-		t.Errorf("uo sample n=%d mean=%v, want 1, 60", lat[1].Sample.N(), lat[1].Sample.Mean())
+	snap.FoldViolations(0, event, Attribution{})
+	if snap.Events != nil || snap.EventsDropped != 0 || snap.Latency != nil {
+		t.Errorf("clean fold = %+v, want empty sections", snap)
 	}
 }
 
-// buildSnapshotRegistry assembles a registry with every feature in play:
+// buildSnapshot assembles a snapshot with every feature in play:
 // scalars, vectors, tracked series, events, and latency samples.
-func buildSnapshotRegistry() *Registry {
+func buildSnapshot(cycle uint64) *Snapshot {
 	r := NewRegistry()
 	c := r.CounterVec("proc.ops", "ops retired", "node", NodeLabels(2))
 	q := r.Track(r.Gauge("checker.queue", "inform queue depth"))
@@ -135,16 +155,16 @@ func buildSnapshotRegistry() *Registry {
 		q.Set(0, int64(i))
 		r.Sample(uint64(100 * i))
 	}
-	r.RecordViolation(ViolationEvent{
-		Invariant: "coherence-epoch-overlap", Node: 1, Addr: 0x80,
-		InjectCycle: 120, DetectCycle: 150, Detail: "cet epoch overlap",
-	})
-	return r
+	snap := r.Snapshot(cycle)
+	snap.FoldViolations(1, func(int) ViolationEvent {
+		return ViolationEvent{Invariant: "coherence-epoch-overlap", Node: 1, Addr: 0x80,
+			DetectCycle: 150, Detail: "cet epoch overlap"}
+	}, Attribution{InjectCycle: 120, Violations: 1})
+	return snap
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
-	r := buildSnapshotRegistry()
-	snap := r.Snapshot(300)
+	snap := buildSnapshot(300)
 
 	var buf bytes.Buffer
 	if err := snap.EncodeJSON(&buf); err != nil {
@@ -176,7 +196,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestSnapshotEncodersDeterministic(t *testing.T) {
 	// Two independently built but identical registries must encode
 	// byte-identically in every format.
-	a, b := buildSnapshotRegistry().Snapshot(300), buildSnapshotRegistry().Snapshot(300)
+	a, b := buildSnapshot(300), buildSnapshot(300)
 	encoders := map[string]func(*Snapshot, *bytes.Buffer) error{
 		"json":       func(s *Snapshot, w *bytes.Buffer) error { return s.EncodeJSON(w) },
 		"prom":       func(s *Snapshot, w *bytes.Buffer) error { return s.Prometheus(w) },
@@ -202,7 +222,7 @@ func TestSnapshotEncodersDeterministic(t *testing.T) {
 }
 
 func TestPrometheusExposition(t *testing.T) {
-	snap := buildSnapshotRegistry().Snapshot(300)
+	snap := buildSnapshot(300)
 	var buf bytes.Buffer
 	if err := snap.Prometheus(&buf); err != nil {
 		t.Fatalf("prometheus: %v", err)
@@ -237,8 +257,16 @@ func TestRegistryUpdateSteadyStateAllocFree(t *testing.T) {
 		g.Set(0, int64(i))
 		i++
 	}
-	if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
-		t.Errorf("registry update steady state: %.2f allocs/op, want 0", allocs)
+	// One measured run of 2000 steps: AllocsPerRun truncates the mean
+	// per run to an integer, so only a single run counts an allocation
+	// that happens once in the 2000.
+	batch := func() {
+		for k := 0; k < 2000; k++ {
+			step()
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, batch); allocs != 0 {
+		t.Errorf("registry update steady state: %.0f allocs in 2000 steps, want 0", allocs)
 	}
 }
 
@@ -280,8 +308,16 @@ func TestSamplerTickSteadyStateAllocFree(t *testing.T) {
 	for i := 0; i < DefaultSeriesCap+16; i++ {
 		step()
 	}
-	if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
-		t.Errorf("sampler tick steady state: %.2f allocs/op, want 0", allocs)
+	// One measured run of 2000 steps: AllocsPerRun truncates the mean
+	// per run to an integer, so only a single run counts an allocation
+	// that happens once in the 2000.
+	batch := func() {
+		for k := 0; k < 2000; k++ {
+			step()
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, batch); allocs != 0 {
+		t.Errorf("sampler tick steady state: %.0f allocs in 2000 ticks, want 0", allocs)
 	}
 	if got := r.Series()[0].Len(); got != DefaultSeriesCap {
 		t.Fatalf("ring not saturated: len %d, want %d", got, DefaultSeriesCap)

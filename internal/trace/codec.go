@@ -28,10 +28,9 @@ import (
 //
 // Time is delta-encoded against the previous event's time with zigzag
 // signed varints: callback timestamps across CPUs can be up to one cycle
-// stale, so deltas may be slightly negative. Header flags bit 0 marks a
-// truncated window: the flight-recorder mode of earlier versions kept only
-// a run's most recent events. Nothing writes such a trace now; readers
-// still decode the flag so the oracle can refuse one.
+// stale, so deltas may be slightly negative. A trace sets no header
+// flag: bit 0 once marked a flight-recorder window, and a reader refuses
+// it like any other unknown flag.
 
 // Magic is the 6-byte file signature of a trace.
 const Magic = "DVMCTR"
@@ -47,9 +46,6 @@ const (
 	tagRMWBit     = 1 << 4
 	tagFwdBit     = 1 << 5
 	tagUsedBits   = tagKindBits | tagClassBits<<tagClassShift | tagRMWBit | tagFwdBit
-
-	// header flags byte
-	flagTruncated = 1 << 0
 )
 
 // The container's failures, under the names trace's callers match on.
@@ -72,9 +68,6 @@ type Writer struct {
 // is forced to Version.
 func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 	h := frame.Header{Nodes: meta.Nodes, Model: byte(meta.Model), Protocol: meta.Protocol, Seed: meta.Seed}
-	if meta.Truncated {
-		h.Flags = flagTruncated
-	}
 	f, err := frame.NewWriter(w, Magic, Version, h)
 	if err != nil {
 		return nil, err
@@ -135,13 +128,13 @@ type Reader struct {
 // NewReader reads and parses the trace header from src and returns a
 // Reader positioned at the first event.
 func NewReader(src io.Reader) (*Reader, error) {
-	f, h, err := frame.NewReader(src, Magic, Version, flagTruncated)
+	f, h, err := frame.NewReader(src, Magic, Version, 0)
 	if err != nil {
 		return nil, err
 	}
 	return &Reader{f: f, meta: Meta{
 		Version: Version, Nodes: h.Nodes, Model: consistency.Model(h.Model),
-		Protocol: h.Protocol, Seed: h.Seed, Truncated: h.Flags&flagTruncated != 0,
+		Protocol: h.Protocol, Seed: h.Seed,
 	}}, nil
 }
 

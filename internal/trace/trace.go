@@ -122,12 +122,6 @@ type Meta struct {
 	Model    consistency.Model // the system's configured (initial) model
 	Protocol uint8             // coherence protocol tag (0 directory, 1 snooping)
 	Seed     uint64
-	// Truncated marks a window trace, written by the flight-recorder
-	// mode of earlier versions: only the run's most recent events
-	// survive. Header flags bit 0 on disk. The oracle refuses truncated
-	// traces — completeness checks (commit pairing, lost operations) are
-	// meaningless on a window.
-	Truncated bool
 }
 
 // Config controls trace capture on a System.

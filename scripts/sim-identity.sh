@@ -50,14 +50,10 @@ mkdir -p "$tmp/base/src" "$tmp/base/bin" "$tmp/base/out" "$tmp/head/bin" "$tmp/h
 git -C "$root" archive "$base" | tar -x -C "$tmp/base/src"
 
 echo "sim-identity: building $(git -C "$root" rev-parse --short "$base") and the checkout"
-# A base from before `dvmc-trace check` became `dvmc-stat check` also
-# needs dvmc-trace; see check below.
 for side in base head; do
 	src=$tmp/base/src
 	[ $side = head ] && src=$root
-	pkgs="./cmd/dvmc-stat ./cmd/dvmc-sim ./cmd/dvmc-fuzz ./cmd/dvmc-errors"
-	[ -d "$src/cmd/dvmc-trace" ] && pkgs="$pkgs ./cmd/dvmc-trace"
-	(cd "$src" && go build -o "$tmp/$side/bin/" $pkgs)
+	(cd "$src" && go build -o "$tmp/$side/bin/" ./cmd/dvmc-stat ./cmd/dvmc-sim ./cmd/dvmc-fuzz ./cmd/dvmc-errors)
 done
 
 # The fault-kind vocabulary, in kind order (TestFaultKindStrings pins it).
@@ -75,20 +71,6 @@ verdict() {
 	"$@" >"$outfile" || code=$?
 	echo "exit $code" >>"$outfile"
 	[ $code -eq 0 ] || [ $code -eq 2 ]
-}
-
-# check BIN ARGS...: the trace oracle of BIN's side: dvmc-stat check where
-# that side's dvmc-stat lists it, else dvmc-trace check. The fallback is
-# for a base from before dvmc-trace was folded into dvmc-stat; delete it
-# once every base has dvmc-stat check.
-check() {
-	local bin=$1 usage
-	shift
-	usage=$("$bin/dvmc-stat" -h 2>&1)
-	case $usage in
-	*"dvmc-stat check"*) "$bin/dvmc-stat" check "$@" ;;
-	*) "$bin/dvmc-trace" check "$@" ;;
-	esac
 }
 
 # artifacts BIN SRC OUT: run the matrix with BIN's binaries, writing into
@@ -121,8 +103,8 @@ artifacts() {
 	verdict errors-snooping-RMO.stdout "$bin/dvmc-errors" -n 40 -each -protocol snooping -model RMO
 	(cd "$src" && "$bin/dvmc-fuzz" replay internal/fuzz/testdata/corpus) >fuzz-replay.stdout
 	for t in trace-directory-TSO-oltp-1 trace-snooping-RMO-slash-2; do
-		verdict "check-$t.stdout" check "$bin" "$t.trc"
-		verdict "check-json-$t.stdout" check "$bin" -json "$t.trc"
+		verdict "check-$t.stdout" "$bin/dvmc-stat" check "$t.trc"
+		verdict "check-json-$t.stdout" "$bin/dvmc-stat" check -json "$t.trc"
 	done
 	mkdir campaign-corpus
 	verdict fuzz-campaign-5.stdout "$bin/dvmc-fuzz" run -seed 5 -n 64 -fault-frac 0.5 \
@@ -151,16 +133,6 @@ for f in "$tmp/base/out"/*; do
 	if cmp -s "$f" "$tmp/head/out/$name"; then
 		continue
 	fi
-	# dvmc-sim printed its per-class bandwidth lines in map order before
-	# the class-order fix; against such a base only the line order differs.
-	case $name in
-	*.stdout)
-		if cmp -s <(sort "$f") <(sort "$tmp/head/out/$name"); then
-			echo "sim-identity: note: $name differs only in line order"
-			continue
-		fi
-		;;
-	esac
 	echo "sim-identity: FIRST DIFFERING ARTIFACT: $name" >&2
 	cmp "$f" "$tmp/head/out/$name" >&2 || true
 	exit 1

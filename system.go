@@ -86,11 +86,9 @@ type System struct {
 	rec    *trace.Recorder
 	tracer trace.Sink
 
-	// reg is the telemetry registry (always built; see telemetry.go);
-	// sampler is scheduled on the kernel only when Config.Telemetry is
-	// enabled.
-	reg     *telemetry.Registry
-	sampler *telemetry.Sampler
+	// reg is the telemetry registry; nil until first read unless
+	// Config.Telemetry scheduled the sampler (see telemetry.go).
+	reg *telemetry.Registry
 
 	// spanRec is the causal span recorder; nil unless Config.Spans is
 	// enabled (see spans.go).
@@ -106,6 +104,15 @@ type System struct {
 	// recoverAgainAt, set by the nested-recovery fault, is when its
 	// injection run issues the second rollback.
 	recoverAgainAt sim.Cycle
+
+	// What RunInjectionSystem attributed when its fault was detected,
+	// which TelemetrySnapshot folds into detection latency: the
+	// activation cycle (0 attributes nothing), how many violations
+	// existed then, and the cycle an inline UO-replay detection caught
+	// the fault (0 for none), which never reaches the violation list.
+	attributedFrom       sim.Cycle
+	attributedViolations int
+	replayCaughtAt       sim.Cycle
 }
 
 // snoopClock adapts the broadcast sequence number as the snooping
@@ -318,10 +325,12 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 		s.kernel.Register(cpu)
 	}
 
-	// Telemetry last: the sampler (if enabled) must tick after every
-	// component so each sample observes the cycle's final state. The
-	// span phase sampler follows for the same reason.
-	s.buildTelemetry(cfg)
+	// The telemetry sampler (if enabled) ticks after every component so
+	// each sample observes the cycle's final state. The span phase
+	// sampler follows for the same reason.
+	if cfg.Telemetry.Enabled {
+		s.kernel.Register(telemetry.NewSampler(s.Telemetry(), cfg.Telemetry.Every))
+	}
 	s.buildSpans(cfg)
 	return s, nil
 }
@@ -355,7 +364,6 @@ func (s *System) sink() core.Sink {
 			return
 		}
 		s.violations.Violation(v)
-		s.recordViolation(v)
 		if s.spanRec != nil {
 			s.spanRec.FaultEvent(span.LabelViolation, v.Cycle, uint64(v.Kind), uint64(v.Block))
 		}

@@ -1,6 +1,7 @@
 package dvmc
 
 import (
+	"dvmc/internal/core"
 	"dvmc/internal/network"
 	"dvmc/internal/telemetry"
 )
@@ -12,17 +13,41 @@ type TelemetryConfig = telemetry.Config
 // (cycle sampling every telemetry.DefaultEvery cycles).
 func TelemetryOn() TelemetryConfig { return telemetry.On() }
 
-// Telemetry returns the system's metric registry. It always exists —
-// end-of-run counters and gauges cost nothing while the system runs —
-// but time series are only captured when Config.Telemetry.Enabled
-// scheduled the cycle sampler.
-func (s *System) Telemetry() *telemetry.Registry { return s.reg }
+// Telemetry returns the system's metric registry. NewSystem builds it
+// when Config.Telemetry.Enabled schedules the cycle sampler; otherwise
+// the first call does. It holds no fact of its own — its probes read the
+// live components — so a registry built late reads what an early one
+// would have.
+func (s *System) Telemetry() *telemetry.Registry {
+	if s.reg == nil {
+		s.buildTelemetry()
+	}
+	return s.reg
+}
 
 // TelemetrySnapshot refreshes all probes and captures the registry as
 // of the current cycle (the -metrics-out flags and the live /metrics
-// endpoint serialise this).
+// endpoint serialise this). Its events and latency sections are folded
+// from the violation list and what RunInjectionSystem attributed at
+// detection.
 func (s *System) TelemetrySnapshot() *telemetry.Snapshot {
-	return s.reg.Snapshot(uint64(s.Now()))
+	snap := s.Telemetry().Snapshot(uint64(s.Now()))
+	vs := s.Violations()
+	at := telemetry.Attribution{InjectCycle: uint64(s.attributedFrom), Violations: s.attributedViolations}
+	if s.replayCaughtAt != 0 {
+		at.Inline, at.InlineLatency = core.UOMismatch.String(), uint64(s.replayCaughtAt-s.attributedFrom)
+	}
+	snap.FoldViolations(len(vs), func(i int) telemetry.ViolationEvent {
+		v := &vs[i]
+		return telemetry.ViolationEvent{
+			Invariant:   v.Kind.String(),
+			Node:        int(v.Node),
+			Addr:        uint64(v.Block),
+			DetectCycle: uint64(v.Cycle),
+			Detail:      v.Detail,
+		}
+	}, at)
+	return snap
 }
 
 // classLabels are the label values for per-traffic-class vectors, in
@@ -35,15 +60,15 @@ var classOf = []network.Class{network.ClassCoherence, network.ClassInform,
 
 // buildTelemetry registers the system's metrics, the probes that
 // refresh them from the live structures, and the tracked time series.
-// Called at the end of NewSystem, after every component exists; the
-// sampler itself is registered on the kernel last, so each sampling
-// tick observes the state after all components ticked that cycle.
+// It runs once every component exists: at the end of NewSystem when the
+// sampler is scheduled, else at the first Telemetry call.
 //
 // Probe discipline: probes run on every sampling tick and must not
 // allocate — they read existing counters/depth accessors and perform
 // plain slice writes into the registry (enforced by the
 // SteadyStateAllocFree assertions in telemetry_test.go).
-func (s *System) buildTelemetry(cfg Config) {
+func (s *System) buildTelemetry() {
+	cfg := s.cfg
 	s.reg = telemetry.NewRegistry()
 	reg := s.reg
 	nodes := telemetry.NodeLabels(cfg.Nodes)
@@ -190,23 +215,4 @@ func (s *System) buildTelemetry(cfg Config) {
 			trSpills.Set(0, int64(st.Spills))
 		})
 	}
-
-	if cfg.Telemetry.Enabled {
-		s.sampler = telemetry.NewSampler(reg, cfg.Telemetry.Every)
-		s.kernel.Register(s.sampler)
-	}
-}
-
-// recordViolation feeds the violation sink's structured event into the
-// telemetry registry. Injection harnesses later back-fill activation
-// times via Registry.AttributeInjection, which populates the
-// per-invariant detection-latency distributions.
-func (s *System) recordViolation(v Violation) {
-	s.reg.RecordViolation(telemetry.ViolationEvent{
-		Invariant:   v.Kind.String(),
-		Node:        int(v.Node),
-		Addr:        uint64(v.Block),
-		DetectCycle: uint64(v.Cycle),
-		Detail:      v.Detail,
-	})
 }
