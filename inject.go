@@ -240,7 +240,7 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 		}
 	}
 	if !detected() {
-		// Give the MET a final ordered pass over settled informs.
+		// A finished run ends once the MET has judged every inform.
 		s.DrainCheckers()
 	}
 	// Dormant-fault activation, where the system can report it; the

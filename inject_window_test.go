@@ -33,12 +33,16 @@ func windowWorkload() Workload {
 
 // TestInjectionWindowEndsAfterFinishGrace: a finite program's observation
 // window closes at the finishGraceCycles-th cycle boundary after the first
-// one at which every thread has finished and drained. The grace counts
-// cycles, not predicate calls.
+// one at which every thread has finished and drained, and the settle
+// (DrainCheckers) follows it. The grace counts cycles, not predicate
+// calls.
 func TestInjectionWindowEndsAfterFinishGrace(t *testing.T) {
 	const (
 		armAt      = 300
 		finishedAt = 6147 // the first boundary at which every thread has finished
+		// settledAt is where the settle ends a window cut at finishedAt:
+		// the last inform the threads sent has been judged.
+		settledAt = 6958
 	)
 	run := func(budget uint64) (InjectionResult, *System) {
 		t.Helper()
@@ -53,19 +57,61 @@ func TestInjectionWindowEndsAfterFinishGrace(t *testing.T) {
 	if !res.Applied || res.Detected || !res.Masked {
 		t.Fatalf("%v: want an applied, undetected, masked fault", res)
 	}
+	// The grace outlasts the settle: the METs have judged everything by
+	// the time it closes, and the settle adds no cycle.
 	if got, want := s.Now(), Cycle(finishedAt+finishGraceCycles); got != want {
-		t.Errorf("the window closed at cycle %d, want %d (finishedAt + finishGraceCycles)", got, want)
+		t.Errorf("the run ended at cycle %d, want %d (finishedAt + finishGraceCycles)", got, want)
 	}
 	if got := s.ResultsSoFar().OpsRetired; got != 124 {
 		t.Errorf("%d ops retired, want 124", got)
 	}
 	// A window cut one boundary short of finishedAt still sees the
-	// threads running; one cut at it sees them finished.
+	// threads running, so nothing settles; one cut at it sees them
+	// finished, and the settle runs on to settledAt.
 	if _, s := run(finishedAt - 1 - armAt); s.Now() != finishedAt-1 || s.Finished() {
 		t.Errorf("at cycle %d: finished %v, want a window ending at %d with threads running", s.Now(), s.Finished(), finishedAt-1)
 	}
-	if _, s := run(finishedAt - armAt); s.Now() != finishedAt || !s.Finished() {
-		t.Errorf("at cycle %d: finished %v, want a window ending at %d with every thread finished", s.Now(), s.Finished(), finishedAt)
+	if _, s := run(finishedAt - armAt); s.Now() != settledAt || !s.Finished() || !s.checkersSettled() {
+		t.Errorf("at cycle %d: finished %v, settled %v; want a settle ending at %d with every thread finished and every inform judged",
+			s.Now(), s.Finished(), s.checkersSettled(), settledAt)
+	}
+}
+
+// TestDrainCheckersSettlesFinishedRuns: a finished run ends with every MET
+// queue empty, on both protocols, and the settle is not vacuous — each run
+// finishes with informs still queued. A run that has not finished is left
+// as it is.
+func TestDrainCheckersSettlesFinishedRuns(t *testing.T) {
+	for _, p := range []Protocol{Directory, Snooping} {
+		s, err := NewSystem(smallConfig().WithProtocol(p), windowWorkload())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, finished := s.RunToCompletion(1_000_000); !finished {
+			t.Fatalf("%v: the programs did not finish", p)
+		}
+		if s.checkersSettled() {
+			t.Fatalf("%v: no inform queued when the programs finished; the settle is untested", p)
+		}
+		s.DrainCheckers()
+		for n, m := range s.met {
+			if m.QueueDepth() != 0 {
+				t.Errorf("%v: MET %d ends the run with %d informs unjudged", p, n, m.QueueDepth())
+			}
+		}
+		if v := s.Violations(); len(v) != 0 {
+			t.Errorf("%v: clean run flagged: %v", p, v[0])
+		}
+
+		s, err = NewSystem(smallConfig().WithProtocol(p), smallWorkload())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.RunCycles(20_000)
+		s.DrainCheckers()
+		if s.Now() != 20_000 || s.checkersSettled() {
+			t.Errorf("%v: unfinished run: cycle %d, settled %v; want it left at 20000 with informs queued", p, s.Now(), s.checkersSettled())
+		}
 	}
 }
 

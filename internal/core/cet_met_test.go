@@ -34,6 +34,18 @@ type manualClock struct{ t uint64 }
 
 func (c *manualClock) LogicalNow() uint64 { return c.t }
 
+// tickPast sets clock to lnow, which must lie past the settle window of
+// every inform queued at met, and ticks met: the MET judges them all, so
+// what a test asserts about its verdict covers every inform it was sent.
+func tickPast(t *testing.T, met *MemChecker, clock *manualClock, lnow uint64) {
+	t.Helper()
+	clock.t = lnow
+	met.Tick(0)
+	if n := met.QueueDepth(); n != 0 {
+		t.Fatalf("%d informs still queued at logical time %d", n, lnow)
+	}
+}
+
 func testCfg() coherence.Config {
 	return coherence.Config{Nodes: 8, L1Sets: 2, L1Ways: 1, L2Sets: 4, L2Ways: 2,
 		L1Latency: 1, L2Latency: 2, MemLatency: 10, MSHRs: 4}
@@ -67,7 +79,8 @@ func TestCETCleanEpochLifecycle(t *testing.T) {
 	cet.Access(b, true)
 	clock.t = 120
 	cet.EpochEnd(b, coherence.ReadWrite, 120, blockData(7))
-	met.Drain()
+	// Judge the inform at the first logical time its settle window allows.
+	tickPast(t, met, clock, 110+met.window)
 	if sink.Count() != 0 {
 		t.Fatalf("clean epoch produced violations: %v", sink.Violations)
 	}
@@ -110,11 +123,10 @@ func TestMETOverlapDetected(t *testing.T) {
 	cet.EpochBegin(b, coherence.ReadWrite, 110, true, blockData(0))
 	cet.EpochEnd(b, coherence.ReadWrite, 130, blockData(1))
 	// Second epoch reported by another CET (simulate directly).
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b, Kind: coherence.ReadWrite, Begin: Wrap(120), End: Wrap(140),
 		BeginHash: BlockHash(blockData(1)), EndHash: BlockHash(blockData(2)), From: 2}})
-	clock.t = 500
-	met.Drain()
+	tickPast(t, met, clock, 500)
 	found := false
 	for _, v := range sink.Violations {
 		if v.Kind == EpochOverlap {
@@ -131,12 +143,11 @@ func TestMETReadOnlyEpochsMayOverlap(t *testing.T) {
 	b := mem.BlockAddr(0x80)
 	met.BlockRequested(b, blockData(0))
 	h := BlockHash(blockData(0))
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b, Kind: coherence.ReadOnly, Begin: Wrap(110), End: Wrap(150), BeginHash: h, EndHash: h, From: 1}})
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b, Kind: coherence.ReadOnly, Begin: Wrap(120), End: Wrap(140), BeginHash: h, EndHash: h, From: 2}})
-	clock.t = 500
-	met.Drain()
+	tickPast(t, met, clock, 500)
 	if sink.Count() != 0 {
 		t.Errorf("overlapping RO epochs flagged: %v", sink.Violations)
 	}
@@ -147,12 +158,11 @@ func TestMETRWCannotOverlapRO(t *testing.T) {
 	b := mem.BlockAddr(0x80)
 	met.BlockRequested(b, blockData(0))
 	h := BlockHash(blockData(0))
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b, Kind: coherence.ReadOnly, Begin: Wrap(110), End: Wrap(150), BeginHash: h, EndHash: h, From: 1}})
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b, Kind: coherence.ReadWrite, Begin: Wrap(130), End: Wrap(160), BeginHash: h, EndHash: h, From: 2}})
-	clock.t = 500
-	met.Drain()
+	tickPast(t, met, clock, 500)
 	found := false
 	for _, v := range sink.Violations {
 		if v.Kind == EpochOverlap {
@@ -169,14 +179,13 @@ func TestMETDataPropagationMismatchDetected(t *testing.T) {
 	b := mem.BlockAddr(0x80)
 	met.BlockRequested(b, blockData(0))
 	// Epoch 1 ends with data 7; epoch 2 begins with data 8: corruption.
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b, Kind: coherence.ReadWrite, Begin: Wrap(110), End: Wrap(120),
 		BeginHash: BlockHash(blockData(0)), EndHash: BlockHash(blockData(7)), From: 1}})
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b, Kind: coherence.ReadWrite, Begin: Wrap(130), End: Wrap(140),
 		BeginHash: BlockHash(blockData(8)), EndHash: BlockHash(blockData(8)), From: 2}})
-	clock.t = 500
-	met.Drain()
+	tickPast(t, met, clock, 500)
 	found := false
 	for _, v := range sink.Violations {
 		if v.Kind == DataPropagation {
@@ -193,22 +202,20 @@ func TestMETInitialEntryFromMemoryData(t *testing.T) {
 	b := mem.BlockAddr(0x80)
 	met.BlockRequested(b, blockData(42))
 	// First epoch begins with the memory's data: clean.
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b, Kind: coherence.ReadOnly, Begin: Wrap(110), End: Wrap(120),
 		BeginHash: BlockHash(blockData(42)), EndHash: BlockHash(blockData(42)), From: 1}})
-	clock.t = 500
-	met.Drain()
+	tickPast(t, met, clock, 500)
 	if sink.Count() != 0 {
 		t.Fatalf("clean first epoch flagged: %v", sink.Violations)
 	}
 	// A different first-begin hash is a propagation error.
 	b2 := mem.BlockAddr(0x88)
 	met.BlockRequested(b2, blockData(42))
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b2, Kind: coherence.ReadOnly, Begin: Wrap(110), End: Wrap(120),
 		BeginHash: BlockHash(blockData(43)), EndHash: BlockHash(blockData(43)), From: 1}})
-	clock.t = 900
-	met.Drain()
+	tickPast(t, met, clock, 900)
 	if sink.Count() == 0 {
 		t.Error("first-epoch corruption vs memory not detected")
 	}
@@ -225,14 +232,13 @@ func TestMETProcessesInBeginOrder(t *testing.T) {
 	h1 := BlockHash(blockData(1))
 	h2 := BlockHash(blockData(2))
 	// Later epoch arrives first.
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b, Kind: coherence.ReadWrite, Begin: Wrap(130), End: Wrap(140),
 		BeginHash: h1, EndHash: h2, From: 2}})
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b, Kind: coherence.ReadWrite, Begin: Wrap(110), End: Wrap(120),
 		BeginHash: h0, EndHash: h1, From: 1}})
-	clock.t = 1000
-	met.Drain()
+	tickPast(t, met, clock, 1000)
 	if sink.Count() != 0 {
 		t.Fatalf("out-of-order arrival caused false positive: %v", sink.Violations)
 	}
@@ -245,7 +251,7 @@ func TestMETQueueOverflowStillProcesses(t *testing.T) {
 	for i := 0; i < metQueueSize+10; i++ {
 		b := mem.BlockAddr(i * 8)
 		met.BlockRequested(b, blockData(0))
-		met.Handle(&network.Message{Payload: InformEpoch{
+		met.Handle(&network.Message{Payload: &InformEpoch{
 			Block: b, Kind: coherence.ReadOnly, Begin: Wrap(uint64(100 + i)), End: Wrap(uint64(101 + i)),
 			BeginHash: h, EndHash: h, From: 1}})
 	}
@@ -263,7 +269,7 @@ func TestMETTickDrainsByWindow(t *testing.T) {
 	b := mem.BlockAddr(0x80)
 	met.BlockRequested(b, blockData(0))
 	h := BlockHash(blockData(0))
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b, Kind: coherence.ReadOnly, Begin: Wrap(110), End: Wrap(111),
 		BeginHash: h, EndHash: h, From: 1}})
 	met.Tick(1)
@@ -284,7 +290,7 @@ func TestMETCycleWindowForcesProgress(t *testing.T) {
 	b := mem.BlockAddr(0x80)
 	met.BlockRequested(b, blockData(0))
 	h := BlockHash(blockData(0))
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b, Kind: coherence.ReadOnly, Begin: Wrap(110), End: Wrap(111),
 		BeginHash: h, EndHash: h, From: 1}})
 	met.Tick(10000)
@@ -327,14 +333,13 @@ func TestMETOpenRWConflictsWithNewEpoch(t *testing.T) {
 	b := mem.BlockAddr(0x80)
 	met.BlockRequested(b, blockData(0))
 	h := BlockHash(blockData(0))
-	met.Handle(&network.Message{Payload: InformOpenEpoch{
+	met.Handle(&network.Message{Payload: &InformOpenEpoch{
 		Block: b, Kind: coherence.ReadWrite, Begin: Wrap(110), BeginHash: h, From: 1}})
 	// Another node reports an epoch while node 1's RW epoch is open.
-	met.Handle(&network.Message{Payload: InformEpoch{
+	met.Handle(&network.Message{Payload: &InformEpoch{
 		Block: b, Kind: coherence.ReadOnly, Begin: Wrap(150), End: Wrap(160),
 		BeginHash: h, EndHash: h, From: 2}})
-	clock.t = 1000
-	met.Drain()
+	tickPast(t, met, clock, 1000)
 	found := false
 	for _, v := range sink.Violations {
 		if v.Kind == EpochOverlap {
@@ -360,8 +365,7 @@ func TestCETWraparoundTimestampsSurvive(t *testing.T) {
 	cet.EpochBegin(b, coherence.ReadOnly, 0x10020, true, blockData(1))
 	clock.t = 0x10030
 	cet.EpochEnd(b, coherence.ReadOnly, 0x10030, blockData(1))
-	clock.t = 0x10400
-	met.Drain()
+	tickPast(t, met, clock, 0x10400)
 	if sink.Count() != 0 {
 		t.Fatalf("wraparound caused violations: %v", sink.Violations)
 	}
@@ -387,8 +391,7 @@ func TestCETDataReadyBit(t *testing.T) {
 	cet.EpochData(b, blockData(5))
 	clock.t = 120
 	cet.EpochEnd(b, coherence.ReadOnly, 120, blockData(5))
-	clock.t = 1000
-	met.Drain()
+	tickPast(t, met, clock, 1000)
 	if sink.Count() != 0 {
 		t.Fatalf("DataReady lifecycle flagged: %v", sink.Violations)
 	}

@@ -22,9 +22,11 @@ const metQueueSize = 256
 //
 // Incoming Inform-Epochs are sorted by epoch begin time in a fixed-size
 // priority queue and processed in begin-time order once they are older
-// than a settle window (or when the queue overflows). Each one is checked
-// for illegal overlap (rule 2 / SWMR) and correct data propagation (rule
-// 3) and then folded into the entry.
+// than a settle window, once they have waited cycleWindow cycles, or when
+// the queue overflows. Each one is checked for illegal overlap (rule 2 /
+// SWMR) and correct data propagation (rule 3) and then folded into the
+// entry. No inform leaves the queue any other way: one the run ends
+// before judging stays queued, and QueueDepth shows it.
 //
 // Hot-path layout: MET entries live in a slab indexed through a map, and
 // the inform priority queue is a hand-rolled slice heap — container/heap
@@ -223,8 +225,9 @@ func (m *MemChecker) Stats() METStats {
 	return s
 }
 
-// QueueDepth returns the current inform priority-queue occupancy
-// (telemetry: backpressure at the MET).
+// QueueDepth returns the current inform priority-queue occupancy: the
+// informs received and not yet judged (telemetry: backpressure at the
+// MET).
 func (m *MemChecker) QueueDepth() int { return len(m.pq) }
 
 // Entries returns the current MET entry count, without copying stats
@@ -268,12 +271,6 @@ func (m *MemChecker) Handle(msg *network.Message) {
 		m.processOpen(*p)
 	case *InformClosedEpoch:
 		m.processClosed(*p)
-	case InformEpoch:
-		m.enqueue(p)
-	case InformOpenEpoch:
-		m.processOpen(p)
-	case InformClosedEpoch:
-		m.processClosed(p)
 	default:
 		// Not a verification message; ignore (the dispatcher routes).
 	}
@@ -354,44 +351,6 @@ func (m *MemChecker) oldestArrival() sim.Cycle {
 	m.oldestCache = oldest
 	m.oldestValid = true
 	return oldest
-}
-
-// Drain folds every queued inform into the MET immediately (end of
-// simulation). Informs younger than the settle window are folded without
-// running the overlap and data-propagation checks: their causal
-// predecessors may still be in flight in the network, so checking them
-// now would manufacture false positives. Mid-run detection is unaffected
-// — Tick always checks.
-func (m *MemChecker) Drain() {
-	lnow := m.clock.LogicalNow()
-	for len(m.pq) > 0 {
-		qi := m.pqPop()
-		if qi.begin+m.window <= lnow {
-			m.processOne(qi)
-		} else {
-			m.foldOnly(qi)
-		}
-	}
-}
-
-// foldOnly updates MET state from an inform without checking it.
-func (m *MemChecker) foldOnly(qi queuedInform) {
-	p := qi.inform
-	m.stats.InformsProcessed++
-	e := m.entry(p.Block)
-	end := p.End.Reconstruct(qi.begin)
-	switch p.Kind {
-	case coherence.ReadOnly:
-		if end > e.lastROEnd {
-			e.lastROEnd = end
-		}
-	case coherence.ReadWrite:
-		if end > e.lastRWEnd {
-			e.lastRWEnd = end
-		}
-		e.lastRWHash = p.EndHash
-		e.hashKnown = true
-	}
 }
 
 // entry returns the MET entry for a block, creating it conservatively

@@ -69,7 +69,7 @@ func TestMETAcceptsLegalSchedules(t *testing.T) {
 		b := mem.BlockAddr(0x80)
 		met.BlockRequested(b, blockData(0))
 		for _, r := range recs {
-			met.Handle(&network.Message{Payload: InformEpoch{
+			met.Handle(&network.Message{Payload: &InformEpoch{
 				Block: b, Kind: r.kind,
 				Begin: Wrap(r.begin), End: Wrap(r.end),
 				BeginHash: BlockHash(blockData(r.beginData)),
@@ -80,8 +80,7 @@ func TestMETAcceptsLegalSchedules(t *testing.T) {
 				clock.t = r.end
 			}
 		}
-		clock.t += 100000
-		met.Drain()
+		tickPast(t, met, clock, clock.t+100000)
 		return sink.Count() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -107,7 +106,7 @@ func TestMETRejectsInjectedOverlap(t *testing.T) {
 		b := mem.BlockAddr(0x80)
 		met.BlockRequested(b, blockData(0))
 		send := func(r epochRec) {
-			met.Handle(&network.Message{Payload: InformEpoch{
+			met.Handle(&network.Message{Payload: &InformEpoch{
 				Block: b, Kind: r.kind,
 				Begin: Wrap(r.begin), End: Wrap(r.end),
 				BeginHash: BlockHash(blockData(r.beginData)),
@@ -129,8 +128,7 @@ func TestMETRejectsInjectedOverlap(t *testing.T) {
 			beginData: victim.beginData, endData: victim.endData,
 		}
 		send(intruder)
-		clock.t += 100000
-		met.Drain()
+		tickPast(t, met, clock, clock.t+100000)
 		return sink.Count() != 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -157,7 +155,7 @@ func TestMETRejectsDataBreaks(t *testing.T) {
 			if i == corrupt {
 				beginData ^= 0xdead
 			}
-			met.Handle(&network.Message{Payload: InformEpoch{
+			met.Handle(&network.Message{Payload: &InformEpoch{
 				Block: b, Kind: r.kind,
 				Begin: Wrap(r.begin), End: Wrap(r.end),
 				BeginHash: BlockHash(blockData(beginData)),
@@ -168,8 +166,7 @@ func TestMETRejectsDataBreaks(t *testing.T) {
 				clock.t = r.end
 			}
 		}
-		clock.t += 100000
-		met.Drain()
+		tickPast(t, met, clock, clock.t+100000)
 		for _, v := range sink.Violations {
 			if v.Kind == DataPropagation {
 				return true

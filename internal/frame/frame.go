@@ -1,7 +1,7 @@
 // Package frame is the sealed-stream container under the trace and span
 // codecs, little-endian varints throughout:
 //
-//	header:  magic [6] | version u8 | flags u8 | nodes uvarint |
+//	header:  magic [6] | version u8 | flags u8 (always 0) | nodes uvarint |
 //	         model u8 | protocol u8 | seed uvarint
 //	record:  tag u8 (never 0x00) | payload (the codec's business)
 //	footer:  0x00 sentinel | count uvarint | crc16 u16le
@@ -30,10 +30,9 @@ var ErrBadMagic = errors.New("bad magic (not a DVMC stream of this kind)")
 // ErrChecksum is returned when the footer CRC does not match the stream.
 var ErrChecksum = errors.New("checksum mismatch (corrupt stream)")
 
-// Header is the run identity every sealed stream starts with. Flags,
-// Model and Protocol are opaque bytes here; the codec gives them meaning.
+// Header is the run identity every sealed stream starts with. Model and
+// Protocol are opaque bytes here; the codec gives them meaning.
 type Header struct {
-	Flags    uint8
 	Nodes    int
 	Model    uint8
 	Protocol uint8
@@ -84,7 +83,7 @@ func NewWriter(w io.Writer, magic string, version uint8, h Header) (*Writer, err
 	}
 	fw := &Writer{w: w, d: hash.NewDigest(), scratch: make([]byte, 0, 64)}
 	b := append(fw.scratch, magic...)
-	b = append(b, version, h.Flags)
+	b = append(b, version, 0) // no flag is defined
 	b = binary.AppendUvarint(b, uint64(h.Nodes))
 	b = append(b, h.Model, h.Protocol)
 	b = binary.AppendUvarint(b, h.Seed)
@@ -149,10 +148,10 @@ type Reader struct {
 }
 
 // NewReader reads the header of a stream that must start with magic,
-// carry the given version and set no flag outside flags. A source too
+// carry the given version and set no flag (none is defined). A source too
 // short to hold the magic, or holding another, is ErrBadMagic; every
 // other failure is a *PosError.
-func NewReader(src io.Reader, magic string, version, flags uint8) (*Reader, Header, error) {
+func NewReader(src io.Reader, magic string, version uint8) (*Reader, Header, error) {
 	// 64 KiB: syscalls vanish on pipes; nothing against a bounded-memory check.
 	r := &Reader{src: src, d: hash.NewDigest(), buf: make([]byte, 64<<10)}
 	for i := 0; i < len(magic); i++ {
@@ -163,10 +162,10 @@ func NewReader(src io.Reader, magic string, version, flags uint8) (*Reader, Head
 	if v := r.Byte(); r.err == nil && v != version {
 		r.failAt(r.Offset()-1, fmt.Errorf("unsupported version %d (want %d)", v, version))
 	}
-	var h Header
-	if h.Flags = r.Byte(); h.Flags&^flags != 0 {
-		r.failAt(r.Offset()-1, fmt.Errorf("unknown header flags %#02x", h.Flags))
+	if f := r.Byte(); f != 0 {
+		r.failAt(r.Offset()-1, fmt.Errorf("unknown header flags %#02x", f))
 	}
+	var h Header
 	nodesOff := r.Offset()
 	nodes := r.Uvarint()
 	if nodes > MaxNodes {

@@ -299,7 +299,7 @@ func TestVarintAcrossRefill(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r, _, err := frame.NewReader(bytes.NewReader(buf.Bytes()), "DVMCXX", 1, 0)
+		r, _, err := frame.NewReader(bytes.NewReader(buf.Bytes()), "DVMCXX", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func TestVarintAcrossRefill(t *testing.T) {
 // a source that hands out one byte at a time.
 func TestWriterReaderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	h := frame.Header{Flags: 1, Nodes: 255, Model: 3, Protocol: 1, Seed: 1<<64 - 1}
+	h := frame.Header{Nodes: 255, Model: 3, Protocol: 1, Seed: 1<<64 - 1}
 	w, err := frame.NewWriter(&buf, "DVMCXX", 9, h)
 	if err != nil {
 		t.Fatal(err)
@@ -355,11 +355,14 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil || buf.Len() == 0 {
 		t.Errorf("second Close = %v", err)
 	}
+	if f := buf.Bytes()[7]; f != 0 {
+		t.Errorf("header flags byte = %#02x, want 0", f)
+	}
 	if _, err := frame.NewWriter(io.Discard, "DVMCXX", 9, frame.Header{Nodes: 256}); err == nil {
 		t.Error("NewWriter took 256 nodes")
 	}
 
-	r, got, err := frame.NewReader(iotest.OneByteReader(bytes.NewReader(buf.Bytes())), "DVMCXX", 9, 1)
+	r, got, err := frame.NewReader(iotest.OneByteReader(bytes.NewReader(buf.Bytes())), "DVMCXX", 9)
 	if err != nil {
 		t.Fatal(err)
 	}

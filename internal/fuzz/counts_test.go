@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -44,5 +45,38 @@ func TestCampaignCounts(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("per-kind × per-class counts differ from %s; if the change is meant, regenerate with -update-golden and record why.\ngot:\n%s", path, got)
+	}
+}
+
+// TestSettledInformsCatchDataFlips pins three seed-7 all-kinds cases
+// (snooping, every one) whose flipped block reached a load that the
+// oracle saw bind a value no processor wrote, while the online checkers
+// stayed silent: the MET's data-propagation check on the corrupted epoch
+// never ran, because that epoch's Inform-Epoch was still young when the
+// run ended and was folded in unchecked. A finished run now ends only
+// once every inform has been judged, and all three are detected.
+func TestSettledInformsCatchDataFlips(t *testing.T) {
+	cfg := CampaignConfig{Seed: 7, Runs: 3800, FaultFrac: 1}
+	for _, tc := range []struct {
+		index    int
+		kind     string
+		model    string
+		protocol string
+	}{
+		{547, "msg-data-flip", "TSO", "snooping"},
+		{637, "msg-data-flip", "SC", "snooping"},
+		{3112, "cache-data-flip", "PSO", "snooping"},
+	} {
+		c := CaseAt(cfg, tc.index)
+		if c.Fault == nil || c.Fault.Kind != tc.kind || c.Model != tc.model || c.Protocol != tc.protocol {
+			t.Fatalf("run %d derives %s/%s fault %+v, want %s/%s %s", tc.index, c.Model, c.Protocol, c.Fault, tc.model, tc.protocol, tc.kind)
+		}
+		res, _, err := RunCaseStreamed(c, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Class != ClassAgreeDetect || !strings.Contains(res.Detail, "data-propagation-mismatch") {
+			t.Errorf("run %d (%s): %s (%s), want agree-detect as data-propagation-mismatch", tc.index, tc.kind, res.Class, res.Detail)
+		}
 	}
 }

@@ -61,8 +61,9 @@ func RunCaseStreamed(c *Case, instrument bool) (RunResult, *telemetry.Snapshot, 
 
 // execute is the one place a case becomes a system: run c's program on
 // cfg — c.Config() with whatever observers the caller switched on — to
-// completion or budget, through RunInjectionSystem when c carries a
-// fault (whose ground truth is the second result; zero otherwise).
+// completion or budget and through DrainCheckers, the end of every run;
+// through RunInjectionSystem when c carries a fault (whose ground truth
+// is the second result; zero otherwise).
 func execute(c *Case, cfg dvmc.Config) (*dvmc.System, dvmc.InjectionResult, error) {
 	w := c.Program.Spec(caseName(c))
 	if c.Fault == nil {
@@ -71,6 +72,7 @@ func execute(c *Case, cfg dvmc.Config) (*dvmc.System, dvmc.InjectionResult, erro
 			return nil, dvmc.InjectionResult{}, err
 		}
 		sys.RunToCompletion(c.Budget)
+		sys.DrainCheckers()
 		return sys, dvmc.InjectionResult{}, nil
 	}
 	inj, err := c.Fault.Injection()
@@ -139,10 +141,9 @@ func runCase(c *Case, observe func(dvmc.Config) dvmc.Config, record bool) (res R
 }
 
 // streamVerdict assembles both referees' conclusions from a finished
-// run whose oracle checked it live: drain the online checkers, then
-// close the checker for its report.
+// run whose oracle checked it live: the online checkers' violations, and
+// the stream checker's report once it is closed.
 func streamVerdict(sys *dvmc.System, chk *stream.Checker) dvmc.RunVerdict {
-	sys.DrainCheckers()
 	return dvmc.RunVerdict{
 		Online: append([]dvmc.Violation(nil), sys.Violations()...),
 		Oracle: chk.Finish(),

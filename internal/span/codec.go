@@ -99,7 +99,7 @@ func Encode(meta Meta, spans []Span) ([]byte, error) {
 // torn record. Failures carry their position as a *frame.PosError; a
 // dump that decodes re-encodes to the same bytes.
 func Decode(data []byte) (Meta, []Span, error) {
-	f, h, err := frame.NewReader(bytes.NewReader(data), Magic, Version, 0)
+	f, h, err := frame.NewReader(bytes.NewReader(data), Magic, Version)
 	if err != nil {
 		return Meta{}, nil, err
 	}

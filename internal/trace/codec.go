@@ -128,7 +128,7 @@ type Reader struct {
 // NewReader reads and parses the trace header from src and returns a
 // Reader positioned at the first event.
 func NewReader(src io.Reader) (*Reader, error) {
-	f, h, err := frame.NewReader(src, Magic, Version, 0)
+	f, h, err := frame.NewReader(src, Magic, Version)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,8 @@
 #
 # Builds the base revision (default HEAD^, extracted with `git archive`
 # into a temporary directory, so nothing is registered in .git) and the
-# checkout, produces the same artifacts from both, and cmp's every one:
+# checkout, produces the same artifacts from both, and cmp's every one
+# (each differing artifact is named; any difference exits 1):
 #
 #   - dvmc-sim -nodes 4 -trace-out over {directory,snooping} x
 #     {SC,TSO,PSO,RMO} x {oltp,slash} x seeds {1,2} at -txns 300 (32
@@ -126,15 +127,19 @@ wait $head_pid || { echo "sim-identity: a command failed on the head side" >&2; 
 [ $status -eq 0 ] || tail -n 5 "$tmp"/*/out.log >&2
 [ $status -eq 0 ] || exit $status
 
-n=0
+n=0 differ=0
 for f in "$tmp/base/out"/*; do
 	name=$(basename "$f")
 	n=$((n + 1))
 	if cmp -s "$f" "$tmp/head/out/$name"; then
 		continue
 	fi
-	echo "sim-identity: FIRST DIFFERING ARTIFACT: $name" >&2
+	differ=$((differ + 1))
+	echo "sim-identity: DIFFERING ARTIFACT: $name" >&2
 	cmp "$f" "$tmp/head/out/$name" >&2 || true
-	exit 1
 done
+if [ $differ -gt 0 ]; then
+	echo "sim-identity: $differ of $n artifacts differ" >&2
+	exit 1
+fi
 echo "sim-identity: $n artifacts identical between $(git -C "$root" rev-parse --short "$base") and the checkout"

@@ -428,14 +428,28 @@ func (s *System) RunToCompletion(maxCycles uint64) (Results, bool) {
 	return s.interval(), s.Finished()
 }
 
-// DrainCheckers forces the MET priority queues to process every queued
-// inform (end-of-run flush so late violations are not lost).
+// DrainCheckers ends a run. Once every program has finished, it runs the
+// kernel until every MET has judged every Inform-Epoch queued at it, each
+// under the MET's own rule: the inform is older than the logical settle
+// window, or it has waited the MET's cycle window. A finished system sends
+// informs only for the coherence traffic still in flight, so the settle
+// ends within a cycle window of the last one. A run that has not finished
+// (a statistical workload, or a hang at the budget) is left as it is: its
+// young informs stay queued and unjudged, and show in QueueDepth.
 func (s *System) DrainCheckers() {
+	if s.Finished() {
+		s.kernel.RunUntil(s.checkersSettled, uint64(sim.Never))
+	}
+}
+
+// checkersSettled reports whether no MET holds an unjudged inform.
+func (s *System) checkersSettled() bool {
 	for _, m := range s.met {
-		if m != nil {
-			m.Drain()
+		if m != nil && m.QueueDepth() > 0 {
+			return false
 		}
 	}
+	return true
 }
 
 // Violations returns all detected violations so far.

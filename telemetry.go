@@ -148,7 +148,7 @@ func (s *System) buildTelemetry() {
 		cetScrub := reg.Track(reg.GaugeVec("checker.cet_scrub_queue", "delayed informs queued for scrub", "node", nodes))
 		metQ := reg.Track(reg.GaugeVec("checker.met_queue_depth", "informs waiting in the MET priority queue", "node", nodes))
 		metEnt := reg.GaugeVec("checker.met_entries", "memory epoch table entries", "node", nodes)
-		metProc := reg.Track(reg.CounterVec("checker.informs_processed", "informs folded into the MET", "node", nodes))
+		metProc := reg.Track(reg.CounterVec("checker.informs_processed", "informs the MET has checked and folded in", "node", nodes))
 		metOver := reg.CounterVec("checker.met_queue_overflows", "MET queue overflows forcing early processing", "node", nodes)
 		reg.AddProbe(func() {
 			for i, c := range s.cet {

@@ -173,7 +173,10 @@ func TestTelemetryBuiltWhenRead(t *testing.T) {
 // its configured capacity and no samples, and the snapshot encodes to the
 // bytes the eagerly allocated rings gave (testdata/golden_telemetry_off.json
 // was written by the commit before rings became lazy; since then it has
-// only gained entries, for newly registered metrics and series).
+// gained entries, for newly registered metrics and series, and one MET
+// inform moved from informs_processed to met_queue_depth, with
+// informs_processed's help reworded, when the end of a run stopped
+// folding unjudged informs).
 func TestTelemetryOffBuildsNoRing(t *testing.T) {
 	sys, err := NewSystem(smallConfig(), smallWorkload())
 	if err != nil {
