@@ -58,10 +58,9 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 // sample. Before that rule the fuzz shape cost 1.20 MB and the 8-node
 // shape 2.34 MB, nearly all of it L2 lines and rings no run had touched.
 func TestConstructionAllocBudget(t *testing.T) {
-	fuzzShape := smallConfig().WithProtocol(Snooping).WithModel(TSO).WithTrace(TraceOn())
+	fuzzShape := smallConfig().WithProtocol(Snooping).WithModel(TSO)
 	fuzzShape.SafetyNet = true
 	fuzzShape.Trace.Sink = stream.New(fuzzShape.TraceMeta(), stream.Options{})
-	fuzzShape.Trace.SinkOnly = true
 	for _, tc := range []struct {
 		name   string
 		cfg    Config

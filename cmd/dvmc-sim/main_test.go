@@ -144,7 +144,7 @@ func TestMetricsOutIsJSON(t *testing.T) {
 }
 
 // TestArtifactsToStdout: -trace-out - writes exactly the trace an
-// in-process run records (Run, DrainCheckers, then TraceBytes), and
+// in-process run records (Run, then TraceBytes), and
 // -spans-out - writes a span dump; either way stdout holds the artifact
 // alone and the report, with the artifact's line, goes to stderr.
 func TestArtifactsToStdout(t *testing.T) {
@@ -156,7 +156,6 @@ func TestArtifactsToStdout(t *testing.T) {
 	if _, err := sys.Run(20, 100_000_000); err != nil {
 		t.Fatal(err)
 	}
-	sys.DrainCheckers()
 	want, err := sys.TraceBytes()
 	if err != nil {
 		t.Fatal(err)

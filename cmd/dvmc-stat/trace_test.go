@@ -24,7 +24,6 @@ func recordTrace(t *testing.T, cfg dvmc.Config) []byte {
 	if _, err := sys.Run(20, 100_000_000); err != nil {
 		t.Fatal(err)
 	}
-	sys.DrainCheckers()
 	data, err := sys.TraceBytes()
 	if err != nil {
 		t.Fatal(err)

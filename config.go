@@ -222,11 +222,9 @@ func (c Config) Validate() error {
 		return err
 	}
 	if c.SafetyNet {
-		if err := c.SNConfig.Validate(); err != nil {
-			return err
-		}
+		return c.SNConfig.Validate()
 	}
-	return c.Trace.Validate()
+	return nil
 }
 
 // WithNodes returns a copy for a different node count (Figure 9 sweep).

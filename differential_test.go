@@ -163,7 +163,6 @@ func runTraced(t *testing.T, cfg Config, w Workload, txns uint64) (*System, Resu
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.DrainCheckers()
 	return s, res
 }
 
@@ -230,7 +229,6 @@ func TestDifferentialAfterRecovery(t *testing.T) {
 			t.Fatalf("%v: no live checkpoint to recover to", model)
 		}
 		s.RunCycles(60_000)
-		s.DrainCheckers()
 		if v := s.Violations(); len(v) > 0 {
 			t.Errorf("%v: online checker flagged the recovery run: %v", model, v[0])
 			continue
@@ -283,7 +281,6 @@ func injectWBFault(t *testing.T, arm func(*proc.InOrderWB)) *System {
 	}
 	arm(wb)
 	s.RunCycles(60_000)
-	s.DrainCheckers()
 	return s
 }
 
@@ -351,7 +348,6 @@ func TestDifferentialInjectedFaults(t *testing.T) {
 		s.RunCycles(5_000)
 		s.cpus[0].InjectLoadValueFault()
 		s.RunCycles(60_000)
-		s.DrainCheckers()
 		if _, activated := s.cpus[0].FaultActivatedAt(); !activated {
 			t.Skip("LSQ fault never activated in this window")
 		}
@@ -380,7 +376,6 @@ func TestDifferentialInjectedFaults(t *testing.T) {
 		s.RunCycles(5_000)
 		s.cpus[0].InjectLoadValueFault()
 		s.RunCycles(60_000)
-		s.DrainCheckers()
 		if _, activated := s.cpus[0].FaultActivatedAt(); !activated {
 			t.Skip("LSQ fault never activated in this window")
 		}

@@ -22,7 +22,6 @@ func run(cfg dvmc.Config, w dvmc.Workload) dvmc.Results {
 	if err != nil {
 		log.Fatalf("run: %v", err)
 	}
-	sys.DrainCheckers()
 	if len(sys.Violations()) != 0 {
 		log.Fatalf("clean run flagged: %v", sys.Violations()[0])
 	}

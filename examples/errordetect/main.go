@@ -65,7 +65,6 @@ applied:
 	if err != nil {
 		log.Fatalf("post-recovery run: %v", err)
 	}
-	sys.DrainCheckers()
 	fmt.Printf("post-recovery: %d more transactions completed, %d violations\n",
 		post.Transactions, len(sys.Violations()))
 	if len(sys.Violations()) != 0 {

@@ -25,7 +25,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("run: %v", err)
 	}
-	sys.DrainCheckers()
 
 	fmt.Printf("ran %d transactions in %d cycles on %d %v cores (%v protocol)\n",
 		res.Transactions, res.Cycles, cfg.Nodes, cfg.Model, cfg.Protocol)

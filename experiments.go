@@ -342,7 +342,6 @@ func runtimeSample(cfg Config, w Workload, opts ExperimentOpts) ([]Results, erro
 		if err != nil {
 			return nil, fmt.Errorf("%s/%v/%v rep %d: %w", w.Name, cfg.Protocol, cfg.Model, rep, err)
 		}
-		s.DrainCheckers()
 		if v := s.Violations(); len(v) != 0 {
 			return nil, fmt.Errorf("%s/%v/%v rep %d: unexpected violation %v", w.Name, cfg.Protocol, cfg.Model, rep, v[0])
 		}

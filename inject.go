@@ -10,13 +10,6 @@ import (
 	"dvmc/internal/stats"
 )
 
-// finishGraceCycles is how long an injection run keeps observing after
-// every finite program has finished and drained: long enough for
-// in-flight coherence messages and queued checker informs to settle so a
-// late violation still lands inside the observation window, short enough
-// that fuzz campaigns do not burn the whole budget on finished systems.
-const finishGraceCycles = 2000
-
 // Injection describes one fault to inject.
 type Injection struct {
 	Kind  FaultKind
@@ -110,9 +103,9 @@ func RunInjection(cfg Config, w Workload, inj Injection, budget uint64) (Injecti
 // execution trace and the online violations alongside the injection
 // ground truth, which RunInjection's summary result discards. Finite
 // programs (workload.Custom specs) additionally end the observation
-// window early once every thread finishes and drains; the statistical
-// workload generators never finish, so RunInjection's behaviour is
-// unchanged for them.
+// window early once the system is settled; the statistical workload
+// generators never finish, so RunInjection's behaviour is unchanged for
+// them.
 func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (InjectionResult, *System, error) {
 	res := InjectionResult{Injection: inj}
 	// Injections arrive from case files and the command line: refuse what
@@ -193,19 +186,15 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 			return len(s.Violations()) > baseViolations || s.eccCorrections() > baseECC
 		}
 	}
-	// Observe until detection, or — for finite programs — until every
-	// thread has finished and drained plus a settling grace of
-	// finishGraceCycles finished cycles (in-flight coherence messages and
-	// queued informs can still surface a late violation), or the budget
-	// expires. Statistical workloads never finish, so their observation
-	// window is the full budget as before. The loop judges one cycle
-	// boundary per pass; RunUntil, whose predicate reads state only, runs
-	// to the next boundary at which the judgement can change. Its two
-	// time conditions are deadlines bounding that run: the second
-	// rollback at recoverAgainAt, and the boundary at which the grace
-	// runs out if the system stays finished.
-	grace, left := uint64(0), budget
-	for {
+	// Observe until detection, or until the system is settled with no
+	// second rollback pending, or the budget expires. Statistical
+	// workloads never settle, so their observation window is the full
+	// budget. The loop judges one cycle boundary per pass; RunUntil, whose
+	// predicate reads state only, runs to the next boundary at which the
+	// judgement can change. Its one time condition is a deadline bounding
+	// that run: the second rollback at recoverAgainAt.
+	ended := func() bool { return detected() || s.recoverAgainAt == 0 && s.settled() }
+	for left := budget; ; {
 		if s.recoverAgainAt > 0 && s.Now() >= s.recoverAgainAt {
 			// The second rollback, issued before any post-recovery
 			// checkpoint: it re-restores the checkpoint the first recovery
@@ -213,35 +202,16 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 			s.recoverAgainAt = 0
 			s.Recover(s.Now())
 		}
-		if detected() {
-			break
-		}
-		finished := s.Finished()
-		if finished {
-			grace++
-		}
-		if grace > finishGraceCycles || left == 0 {
+		if ended() || left == 0 {
 			break
 		}
 		n := left
 		if s.recoverAgainAt > s.Now() {
 			n = min(n, uint64(s.recoverAgainAt-s.Now()))
 		}
-		if finished {
-			n = min(n, finishGraceCycles+1-grace)
-		}
 		from := s.Now()
-		s.kernel.RunUntil(func() bool { return detected() || s.Finished() != finished }, n)
-		ran := uint64(s.Now() - from)
-		left -= ran
-		if finished {
-			// The boundaries passed before the one this run stopped at.
-			grace += ran - 1
-		}
-	}
-	if !detected() {
-		// A finished run ends once the MET has judged every inform.
-		s.DrainCheckers()
+		s.kernel.RunUntil(ended, n)
+		left -= uint64(s.Now() - from)
 	}
 	// Dormant-fault activation, where the system can report it; the
 	// other kinds activated where they were armed.

@@ -10,10 +10,10 @@ import (
 )
 
 // The kernel skips cycles in which no component is due, so RunUntil's
-// predicate is not called on every cycle. The injection engine's
-// observation window has two conditions on time rather than state: the
-// finish grace and the nested-recovery second rollback. The tests below
-// pin both at values generated before the kernel skipped anything.
+// predicate is not called on every cycle. A finite run ends on a state
+// predicate, System.settled; the injection engine's observation window
+// has one condition on time rather than state, the nested-recovery second
+// rollback. The tests below pin where both end.
 
 // windowWorkload is a finite program: each thread stores to and loads from
 // a few blocks the other threads share, then ends.
@@ -31,18 +31,25 @@ func windowWorkload() Workload {
 	})
 }
 
-// TestInjectionWindowEndsAfterFinishGrace: a finite program's observation
-// window closes at the finishGraceCycles-th cycle boundary after the first
-// one at which every thread has finished and drained, and the settle
-// (DrainCheckers) follows it. The grace counts cycles, not predicate
-// calls.
-func TestInjectionWindowEndsAfterFinishGrace(t *testing.T) {
+// queuedInforms counts the Inform-Epochs the METs hold unjudged.
+func queuedInforms(s *System) int {
+	n := 0
+	for _, m := range s.met {
+		n += m.QueueDepth()
+	}
+	return n
+}
+
+// TestInjectionWindowEndsSettled: a finite program's observation window
+// closes at the first cycle boundary at which the system is settled:
+// every thread finished, both networks quiet, every inform judged. A
+// budget that runs out first ends the window where it runs out, settled
+// or not.
+func TestInjectionWindowEndsSettled(t *testing.T) {
 	const (
 		armAt      = 300
 		finishedAt = 6147 // the first boundary at which every thread has finished
-		// settledAt is where the settle ends a window cut at finishedAt:
-		// the last inform the threads sent has been judged.
-		settledAt = 6958
+		settledAt  = 6958 // the first at which the last inform has been judged
 	)
 	run := func(budget uint64) (InjectionResult, *System) {
 		t.Helper()
@@ -57,47 +64,38 @@ func TestInjectionWindowEndsAfterFinishGrace(t *testing.T) {
 	if !res.Applied || res.Detected || !res.Masked {
 		t.Fatalf("%v: want an applied, undetected, masked fault", res)
 	}
-	// The grace outlasts the settle: the METs have judged everything by
-	// the time it closes, and the settle adds no cycle.
-	if got, want := s.Now(), Cycle(finishedAt+finishGraceCycles); got != want {
-		t.Errorf("the run ended at cycle %d, want %d (finishedAt + finishGraceCycles)", got, want)
+	if s.Now() != settledAt || !s.settled() {
+		t.Errorf("the run ended at cycle %d, settled %v; want it settled at %d", s.Now(), s.settled(), settledAt)
 	}
 	if got := s.ResultsSoFar().OpsRetired; got != 124 {
 		t.Errorf("%d ops retired, want 124", got)
 	}
-	// A window cut one boundary short of finishedAt still sees the
-	// threads running, so nothing settles; one cut at it sees them
-	// finished, and the settle runs on to settledAt.
-	if _, s := run(finishedAt - 1 - armAt); s.Now() != finishedAt-1 || s.Finished() {
-		t.Errorf("at cycle %d: finished %v, want a window ending at %d with threads running", s.Now(), s.Finished(), finishedAt-1)
-	}
-	if _, s := run(finishedAt - armAt); s.Now() != settledAt || !s.Finished() || !s.checkersSettled() {
-		t.Errorf("at cycle %d: finished %v, settled %v; want a settle ending at %d with every thread finished and every inform judged",
-			s.Now(), s.Finished(), s.checkersSettled(), settledAt)
+	// A window cut at finishedAt sees the threads finished, but informs
+	// are still queued there: it ends unsettled, like any budget-cut run.
+	if _, s := run(finishedAt - armAt); s.Now() != finishedAt || !s.Finished() || s.settled() || queuedInforms(s) == 0 {
+		t.Errorf("at cycle %d: finished %v, settled %v, %d informs queued; want a window ending unsettled at %d with informs queued",
+			s.Now(), s.Finished(), s.settled(), queuedInforms(s), finishedAt)
 	}
 }
 
-// TestDrainCheckersSettlesFinishedRuns: a finished run ends with every MET
-// queue empty, on both protocols, and the settle is not vacuous — each run
-// finishes with informs still queued. A run that has not finished is left
-// as it is.
-func TestDrainCheckersSettlesFinishedRuns(t *testing.T) {
+// TestRunToCompletionEndsSettled: a finished run ends settled, with every
+// MET queue empty, on both protocols, and the settle is not vacuous: at
+// the first boundary at which the programs have finished, informs are
+// still queued. A statistical workload never settles and runs the whole
+// budget.
+func TestRunToCompletionEndsSettled(t *testing.T) {
 	for _, p := range []Protocol{Directory, Snooping} {
 		s, err := NewSystem(smallConfig().WithProtocol(p), windowWorkload())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, finished := s.RunToCompletion(1_000_000); !finished {
-			t.Fatalf("%v: the programs did not finish", p)
+		s.kernel.RunUntil(s.Finished, 1_000_000)
+		if !s.Finished() || queuedInforms(s) == 0 {
+			t.Fatalf("%v: finished %v with %d informs queued; want finished programs with informs queued, or the settle is untested",
+				p, s.Finished(), queuedInforms(s))
 		}
-		if s.checkersSettled() {
-			t.Fatalf("%v: no inform queued when the programs finished; the settle is untested", p)
-		}
-		s.DrainCheckers()
-		for n, m := range s.met {
-			if m.QueueDepth() != 0 {
-				t.Errorf("%v: MET %d ends the run with %d informs unjudged", p, n, m.QueueDepth())
-			}
+		if _, finished := s.RunToCompletion(1_000_000); !finished || !s.settled() {
+			t.Fatalf("%v: finished %v, settled %v; want a settled run", p, finished, s.settled())
 		}
 		if v := s.Violations(); len(v) != 0 {
 			t.Errorf("%v: clean run flagged: %v", p, v[0])
@@ -107,10 +105,8 @@ func TestDrainCheckersSettlesFinishedRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.RunCycles(20_000)
-		s.DrainCheckers()
-		if s.Now() != 20_000 || s.checkersSettled() {
-			t.Errorf("%v: unfinished run: cycle %d, settled %v; want it left at 20000 with informs queued", p, s.Now(), s.checkersSettled())
+		if _, finished := s.RunToCompletion(20_000); finished || s.Now() != 20_000 || s.settled() {
+			t.Errorf("%v: statistical run: cycle %d, finished %v, settled %v; want it unsettled at 20000", p, s.Now(), finished, s.settled())
 		}
 	}
 }

@@ -60,10 +60,10 @@ func RunCaseStreamed(c *Case, instrument bool) (RunResult, *telemetry.Snapshot, 
 }
 
 // execute is the one place a case becomes a system: run c's program on
-// cfg — c.Config() with whatever observers the caller switched on — to
-// completion or budget and through DrainCheckers, the end of every run;
-// through RunInjectionSystem when c carries a fault (whose ground truth
-// is the second result; zero otherwise).
+// cfg — c.Config() with whatever observers the caller switched on — until
+// it settles or the budget runs out (RunToCompletion), or through
+// RunInjectionSystem when c carries a fault (whose ground truth is the
+// second result; zero otherwise).
 func execute(c *Case, cfg dvmc.Config) (*dvmc.System, dvmc.InjectionResult, error) {
 	w := c.Program.Spec(caseName(c))
 	if c.Fault == nil {
@@ -72,7 +72,6 @@ func execute(c *Case, cfg dvmc.Config) (*dvmc.System, dvmc.InjectionResult, erro
 			return nil, dvmc.InjectionResult{}, err
 		}
 		sys.RunToCompletion(c.Budget)
-		sys.DrainCheckers()
 		return sys, dvmc.InjectionResult{}, nil
 	}
 	inj, err := c.Fault.Injection()
@@ -111,7 +110,7 @@ func runCase(c *Case, observe func(dvmc.Config) dvmc.Config, record bool) (res R
 	// capture stays on only when the caller wants reproducer bytes.
 	chk := stream.New(cfg.TraceMeta(), stream.Options{})
 	cfg.Trace.Sink = chk
-	cfg.Trace.SinkOnly = !record
+	cfg.Trace.Enabled = record
 
 	var ir dvmc.InjectionResult
 	sys, ir, err = execute(c, cfg)

@@ -179,6 +179,12 @@ func (b *BroadcastTree) Tick(now sim.Cycle) {
 	}
 }
 
+// Quiet reports whether the tree holds no broadcast: none queued, in
+// flight or delayed.
+func (b *BroadcastTree) Quiet() bool {
+	return len(b.queue) == 0 && b.inFlight == nil && len(b.delayed) == 0
+}
+
 // LinkStats returns the root link's utilisation (the tree's bottleneck);
 // one link, so its observation time is the tick count.
 func (b *BroadcastTree) LinkStats() []LinkStat {

@@ -248,6 +248,64 @@ func TestTorusFaultDelayReorders(t *testing.T) {
 	}
 }
 
+// TestTorusQuiet: the torus is quiet exactly when it holds no message —
+// none on a link or the loopback list, none delayed, none held — whatever
+// the fault hook did to the traffic, and again after a Reset drops it.
+func TestTorusQuiet(t *testing.T) {
+	for _, tc := range []struct {
+		action FaultAction
+		want   int // deliveries
+	}{
+		{FaultNone, 1}, {FaultDuplicate, 2}, {FaultDelay, 1}, {FaultDupStale, 2}, {FaultHold, 1}, {FaultDrop, 0},
+	} {
+		for _, dst := range []NodeID{0, 3} { // loopback, then over links
+			tor, k := newTestTorus(4)
+			var s sink
+			tor.SetHandler(dst, s.handler())
+			tor.SetFaultHook(func(*Message) FaultAction { return tc.action })
+			tor.Send(&Message{Src: 0, Dst: dst, Size: 8, Class: ClassCoherence})
+			if tor.Quiet() != (tc.want == 0) {
+				t.Errorf("action %d to node %d: quiet %v right after the send", tc.action, dst, tor.Quiet())
+			}
+			if !k.RunUntil(tor.Quiet, 10_000) || len(s.got) != tc.want {
+				t.Errorf("action %d to node %d: quiet %v after %d deliveries, want quiet after %d", tc.action, dst, tor.Quiet(), len(s.got), tc.want)
+			}
+			tor.Send(&Message{Src: 0, Dst: dst, Size: 8, Class: ClassCoherence})
+			k.Step()
+			tor.Reset()
+			if !tor.Quiet() {
+				t.Errorf("action %d to node %d: not quiet after Reset", tc.action, dst)
+			}
+		}
+	}
+}
+
+// TestBroadcastTreeQuiet: the tree is quiet exactly when no broadcast is
+// queued, in flight or delayed.
+func TestBroadcastTreeQuiet(t *testing.T) {
+	var k sim.Kernel
+	bt := NewBroadcastTree(2, 8.0, 3, sim.NewRand(1))
+	k.Register(bt)
+	n := 0
+	bt.SetHandler(0, func(*Message) { n++ })
+	first := true
+	bt.SetFaultHook(func(*Message) FaultAction {
+		if first {
+			first = false
+			return FaultDelay
+		}
+		return FaultNone
+	})
+	bt.Send(&Message{Src: 0, Size: 8, Class: ClassCoherence})
+	bt.Send(&Message{Src: 0, Size: 8, Class: ClassCoherence})
+	if bt.Quiet() {
+		t.Fatal("quiet with broadcasts sent")
+	}
+	if !k.RunUntil(bt.Quiet, 10_000) || n != 2 {
+		t.Errorf("quiet %v after %d deliveries, want quiet after 2", bt.Quiet(), n)
+	}
+}
+
 func TestBroadcastTreeTotalOrder(t *testing.T) {
 	var k sim.Kernel
 	bt := NewBroadcastTree(4, 2.0, 3, sim.NewRand(1))

@@ -59,6 +59,10 @@ type Torus struct {
 	fault    FaultHook
 	observer Observer
 
+	// inFlight counts the messages enqueued and not yet delivered, on the
+	// links and on the loopback list alike.
+	inFlight int
+
 	sent, delivered, dropped uint64
 }
 
@@ -273,6 +277,7 @@ func (t *Torus) sendAt(m *Message, when sim.Cycle) {
 }
 
 func (t *Torus) enqueue(m *Message, when sim.Cycle) {
+	t.inFlight++
 	if m.Src == m.Dst {
 		// Loopback queue capacity amortizes; entries are compacted in place
 		// every Tick.
@@ -455,6 +460,7 @@ func (t *Torus) tick(now sim.Cycle) {
 
 func (t *Torus) deliver(m *Message) {
 	t.delivered++
+	t.inFlight--
 	if t.observer != nil {
 		t.observer(m, t.slot.LastTick())
 	}
@@ -476,6 +482,10 @@ func (t *Torus) LinkStats() []LinkStat {
 	}
 	return out
 }
+
+// Quiet reports whether the torus holds no message: none queued or in
+// flight on a link or the loopback list, none delayed, none held.
+func (t *Torus) Quiet() bool { return t.inFlight+len(t.delayed)+len(t.held) == 0 }
 
 // Counters returns (sent, delivered, dropped) message counts.
 func (t *Torus) Counters() (sent, delivered, dropped uint64) {
@@ -511,6 +521,7 @@ const maxDefer sim.Cycle = 192
 // traffic must not leak into the restored state). Link statistics are
 // preserved.
 func (t *Torus) Reset() {
+	t.inFlight = 0
 	t.local = t.local[:0]
 	t.delayed = t.delayed[:0]
 	for i := range t.held {

@@ -126,21 +126,18 @@ type Meta struct {
 
 // Config controls trace capture on a System.
 type Config struct {
-	// Enabled turns event capture on.
+	// Enabled keeps the trace bytes: the system records every event for
+	// TraceBytes.
 	Enabled bool
-	// Sink, when non-nil, receives every captured event as it is emitted,
-	// in addition to the byte recorder. This is how a streaming consistency
+	// Sink, when non-nil, receives every event as it is emitted, whether
+	// or not Enabled keeps the bytes. This is how a streaming consistency
 	// checker (internal/oracle/stream) rides along with the simulation
-	// instead of replaying encoded bytes afterwards. The sink is called
-	// from the simulation goroutine in event order; implementations that
-	// hand events to other goroutines must not let anything flow back into
-	// the simulation.
+	// instead of replaying encoded bytes afterwards; with Enabled off it
+	// is the bounded-memory mode fuzz campaigns use, a verdict without
+	// ever materializing the trace. The sink is called from the simulation
+	// goroutine in event order; implementations that hand events to other
+	// goroutines must not let anything flow back into the simulation.
 	Sink Sink
-	// SinkOnly disables byte capture entirely: events go to Sink and the
-	// run has no TraceBytes. This is the bounded-memory mode fuzz
-	// campaigns use — a verdict without ever materializing the trace.
-	// Requires Sink.
-	SinkOnly bool
 }
 
 // DefaultRingEvents is the recorder's ring capacity. The ring is a
@@ -150,14 +147,6 @@ const DefaultRingEvents = 4096
 
 // On returns a Config with capture enabled.
 func On() Config { return Config{Enabled: true} }
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.SinkOnly && c.Sink == nil {
-		return fmt.Errorf("trace: SinkOnly requires a Sink")
-	}
-	return nil
-}
 
 // Sink receives events as the processors emit them. A nil Sink check is the
 // only per-event cost when tracing is off.

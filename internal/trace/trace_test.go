@@ -144,12 +144,3 @@ func TestRecorderSpillCapturesAll(t *testing.T) {
 		t.Error("Emit after Finish was counted")
 	}
 }
-
-func TestConfigValidate(t *testing.T) {
-	if err := (Config{Enabled: true, SinkOnly: true}).Validate(); err == nil {
-		t.Error("SinkOnly without a Sink accepted")
-	}
-	if err := On().Validate(); err != nil {
-		t.Errorf("On(): %v", err)
-	}
-}

@@ -87,12 +87,10 @@ func (o Outputs) Observe(cfg Config) Config {
 	return cfg
 }
 
-// Finish ends a run for observation: DrainCheckers (a finished run
-// settles its checkers), then, when a trace is asked for, the seal.
-// Every later reader — the report, the snapshot, each artifact — then
+// Finish ends a run for observation: when a trace is asked for, it seals
+// it. Every later reader — the report, the snapshot, each artifact — then
 // sees one final state, the trace recorder's last spill included.
 func (o Outputs) Finish(sys *System) error {
-	sys.DrainCheckers()
 	if o.Trace == "" {
 		return nil
 	}

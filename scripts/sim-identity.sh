@@ -20,6 +20,9 @@
 #   - dvmc-errors -n 40 -each on directory/TSO and snooping/RMO, stdout
 #     and exit code
 #   - dvmc-fuzz replay of the committed corpus (re-records all 13 .trc)
+#   - dvmc-fuzz replay -metrics-out of each corpus case, one telemetry
+#     snapshot a case (its end cycle and recovery count show where the
+#     run ended, which neither the verdict nor the trace pins)
 #   - dvmc-stat check and check -json of two of the traces above, stdout
 #     and exit code (the oracle's report, byte for byte)
 #   - CI's campaign-determinism campaign dvmc-fuzz run -seed 5 -n 64
@@ -103,6 +106,11 @@ artifacts() {
 	verdict errors-directory-TSO.stdout "$bin/dvmc-errors" -n 40 -each
 	verdict errors-snooping-RMO.stdout "$bin/dvmc-errors" -n 40 -each -protocol snooping -model RMO
 	(cd "$src" && "$bin/dvmc-fuzz" replay internal/fuzz/testdata/corpus) >fuzz-replay.stdout
+	for c in "$src"/internal/fuzz/testdata/corpus/*.json; do
+		c=$(basename "$c" .json)
+		"$bin/dvmc-fuzz" replay -metrics-out "replay-$c.metrics.json" \
+			"$src/internal/fuzz/testdata/corpus/$c.json" >/dev/null
+	done
 	for t in trace-directory-TSO-oltp-1 trace-snooping-RMO-slash-2; do
 		verdict "check-$t.stdout" "$bin/dvmc-stat" check "$t.trc"
 		verdict "check-json-$t.stdout" "$bin/dvmc-stat" check -json "$t.trc"

@@ -18,7 +18,6 @@ func measure(t *testing.T, cfg Config, w Workload, txns uint64) Results {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.DrainCheckers()
 	if v := s.Violations(); len(v) != 0 {
 		t.Fatalf("clean run flagged: %v", v[0])
 	}

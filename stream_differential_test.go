@@ -120,7 +120,6 @@ func TestStreamEquivalenceAfterRecovery(t *testing.T) {
 			t.Fatalf("%v: no live checkpoint to recover to", model)
 		}
 		s.RunCycles(60_000)
-		s.DrainCheckers()
 		data, err := s.TraceBytes()
 		if err != nil {
 			t.Fatal(err)
@@ -171,15 +170,13 @@ func TestStreamedFuzzVerdictMatchesBatch(t *testing.T) {
 	run := func(sink *stream.Checker) *System {
 		cfg := tracedConfig()
 		if sink != nil {
-			cfg.Trace.Sink = sink
-			cfg.Trace.SinkOnly = true
+			cfg.Trace = TraceConfig{Sink: sink}
 		}
 		s, err := NewSystem(cfg, smallWorkload())
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.RunCycles(100_000)
-		s.DrainCheckers()
 		return s
 	}
 	chk := stream.New(tracedConfig().TraceMeta(), stream.Options{})

@@ -42,7 +42,8 @@ func WorkloadByName(name string) (Workload, error) { return workload.ByName(name
 type Violation = core.Violation
 
 // System is one assembled multiprocessor with optional DVMC and
-// SafetyNet. Build with NewSystem; drive with Run or Step.
+// SafetyNet. Build with NewSystem; drive with Run, RunCycles or
+// RunToCompletion.
 type System struct {
 	cfg Config
 
@@ -82,7 +83,7 @@ type System struct {
 	// across processors, which the offline oracle's value checks rely on.
 	// tracer is the sink the processors actually emit into: the recorder,
 	// an extra Config.Trace.Sink (a live streaming checker), or a tee of
-	// both. rec is nil in SinkOnly mode.
+	// both. rec is nil unless Config.Trace.Enabled.
 	rec    *trace.Recorder
 	tracer trace.Sink
 
@@ -191,20 +192,18 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	now := s.kernel.Now
 
 	if cfg.Trace.Enabled {
-		if !cfg.Trace.SinkOnly {
-			rec, err := trace.NewRecorder(cfg.TraceMeta())
-			if err != nil {
-				return nil, err
-			}
-			s.rec = rec
-			s.tracer = rec
+		rec, err := trace.NewRecorder(cfg.TraceMeta())
+		if err != nil {
+			return nil, err
 		}
-		if extra := cfg.Trace.Sink; extra != nil {
-			if s.tracer != nil {
-				s.tracer = trace.TeeSink{A: s.tracer, B: extra}
-			} else {
-				s.tracer = extra
-			}
+		s.rec = rec
+		s.tracer = rec
+	}
+	if extra := cfg.Trace.Sink; extra != nil {
+		if s.tracer != nil {
+			s.tracer = trace.TeeSink{A: s.tracer, B: extra}
+		} else {
+			s.tracer = extra
 		}
 	}
 
@@ -382,9 +381,6 @@ func (s *System) Transactions() uint64 {
 	return t
 }
 
-// Step advances one cycle.
-func (s *System) Step() { s.kernel.Step() }
-
 // Run simulates until the system commits the given number of
 // transactions (across all nodes) or the cycle budget expires. It returns the results
 // and an error if the budget expired first.
@@ -420,32 +416,34 @@ func (s *System) Finished() bool {
 	return true
 }
 
-// RunToCompletion simulates until every program finishes and drains or
-// the cycle budget expires. It reports whether the programs completed within the budget.
-// Only meaningful for finite programs (workload.Custom specs).
+// RunToCompletion simulates until the system is settled or the cycle
+// budget expires, and reports whether the programs finished within the
+// budget. Only finite programs (workload.Custom specs) settle; a
+// statistical workload runs the whole budget.
 func (s *System) RunToCompletion(maxCycles uint64) (Results, bool) {
-	s.kernel.RunUntil(s.Finished, maxCycles)
+	s.kernel.RunUntil(s.settled, maxCycles)
 	return s.interval(), s.Finished()
 }
 
-// DrainCheckers ends a run. Once every program has finished, it runs the
-// kernel until every MET has judged every Inform-Epoch queued at it, each
-// under the MET's own rule: the inform is older than the logical settle
-// window, or it has waited the MET's cycle window. A finished system sends
-// informs only for the coherence traffic still in flight, so the settle
-// ends within a cycle window of the last one. A run that has not finished
-// (a statistical workload, or a hang at the budget) is left as it is: its
-// young informs stay queued and unjudged, and show in QueueDepth.
+// DrainCheckers settles a finished run that was driven by Run or
+// RunCycles, and leaves an unfinished one as it is.
 func (s *System) DrainCheckers() {
 	if s.Finished() {
-		s.kernel.RunUntil(s.checkersSettled, uint64(sim.Never))
+		s.kernel.RunUntil(s.settled, uint64(sim.Never))
 	}
 }
 
-// checkersSettled reports whether no MET holds an unjudged inform.
-func (s *System) checkersSettled() bool {
+// settled reports whether a run has nothing left to do or to judge: every
+// program has finished, no message is on the torus or the broadcast tree,
+// and no MET holds an Inform-Epoch it has not judged. Every finite run
+// ends here, within its caller's budget; a run cut short of it keeps its
+// young informs queued, visible in the checker.met_queue_depth gauge.
+func (s *System) settled() bool {
+	if !s.Finished() || !s.torus.Quiet() || s.bcast != nil && !s.bcast.Quiet() {
+		return false
+	}
 	for _, m := range s.met {
-		if m != nil && m.QueueDepth() > 0 {
+		if m.QueueDepth() > 0 {
 			return false
 		}
 	}

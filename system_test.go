@@ -101,7 +101,6 @@ func TestCleanRunsNoViolations(t *testing.T) {
 					if _, err := s.Run(60, 8_000_000); err != nil {
 						t.Fatalf("run: %v", err)
 					}
-					s.DrainCheckers()
 					if vs := s.Violations(); len(vs) != 0 {
 						t.Fatalf("clean run produced %d violations; first: %v", len(vs), vs[0])
 					}
@@ -173,7 +172,6 @@ func TestSafetyNetRecoveryResumesCorrectly(t *testing.T) {
 	if _, err := s.Run(60, 8_000_000); err != nil {
 		t.Fatalf("post-recovery run: %v", err)
 	}
-	s.DrainCheckers()
 	if vs := s.Violations(); len(vs) != 0 {
 		t.Fatalf("post-recovery violations: %v", vs[0])
 	}
@@ -198,7 +196,6 @@ func TestRecoveryAcrossModelsAndProtocols(t *testing.T) {
 				if _, err := s.Run(40, 8_000_000); err != nil {
 					t.Fatalf("post-recovery: %v", err)
 				}
-				s.DrainCheckers()
 				if vs := s.Violations(); len(vs) != 0 {
 					t.Fatalf("violations after recovery: %v", vs[0])
 				}

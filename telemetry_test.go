@@ -28,7 +28,6 @@ func telemetryDump(t *testing.T, seed uint64, proto Protocol) []byte {
 	if _, err := sys.Run(50, 2_000_000); err != nil {
 		t.Fatalf("seed %d %v: %v", seed, proto, err)
 	}
-	sys.DrainCheckers()
 	snap := sys.TelemetrySnapshot()
 	var buf bytes.Buffer
 	for _, enc := range []func() error{
@@ -117,7 +116,6 @@ func TestTelemetrySnapshotShape(t *testing.T) {
 	if _, err := sys.Run(50, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	sys.DrainCheckers()
 	reg := sys.Telemetry()
 	for _, name := range []string{
 		"proc.ops_retired", "cache.l1_misses", "checker.informs",
@@ -185,7 +183,6 @@ func TestTelemetryOffBuildsNoRing(t *testing.T) {
 	if _, err := sys.Run(20, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	sys.DrainCheckers()
 	series := sys.Telemetry().Series()
 	if len(series) == 0 {
 		t.Fatal("no tracked series")
