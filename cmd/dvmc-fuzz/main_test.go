@@ -18,12 +18,13 @@ func runFuzz(args ...string) (code int, stdout, stderr string) {
 }
 
 // TestExitCodes pins the tool's contract: 0 for a clean campaign or
-// replay, 1 for usage errors — the removed -coverage, -gens, and run's
-// -spans-out and -metrics-out flags among them, and replay observers
-// asked of anything but one case file — and 2 for a found failure, which
-// includes a replayed case that no longer shows its classification and a
-// case file that does not decode (a whole case with bytes after it among
-// them).
+// replay, a generated case and a shrunk one, 1 for usage errors — the
+// removed -coverage, -gens, and run's -spans-out and -metrics-out flags
+// among them, replay observers asked of anything but one case file, a
+// malformed -fault spec, and a case shrink cannot load — and 2 for a
+// found failure, which includes a replayed case that no longer shows its
+// classification and a case file that does not decode (a whole case with
+// bytes after it among them).
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string, data []byte) string {
@@ -56,6 +57,8 @@ func TestExitCodes(t *testing.T) {
 	if err := os.WriteFile(tail, []byte(generated+"garbage{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	corpusCase := filepath.Join("..", "..", "internal", "fuzz", "testdata", "corpus", "detect-wb-corrupt-tso.json")
+	shrunk := filepath.Join(t.TempDir(), "shrunk.json")
 
 	for _, tc := range []struct {
 		name   string
@@ -85,6 +88,12 @@ func TestExitCodes(t *testing.T) {
 		{"observed replay of two files", []string{"replay", "-metrics-out", filepath.Join(dir, "m.json"), clean, failing}, 1, "", "need exactly one case file"},
 		{"two stdout artifacts", []string{"replay", "-spans-out", "-", "-metrics-out", "-", clean}, 1, "", "can be '-' (stdout)"},
 		{"observed torn case", []string{"replay", "-spans-out", filepath.Join(dir, "torn.spans"), torn}, 2, "decode case: offset", ""},
+		{"no shrink argument", []string{"shrink"}, 1, "", "need exactly one case file"},
+		{"missing shrink case", []string{"shrink", filepath.Join(dir, "absent.json")}, 1, "", "no such file"},
+		{"torn shrink case", []string{"shrink", torn}, 1, "", "decode case: offset"},
+		{"shrink to a file", []string{"shrink", "-budget", "3", "-o", shrunk, corpusCase}, 0, "", "shrunk to"},
+		{"malformed -fault", []string{"gen", "-fault", "msg-reorder:0"}, 1, "", "want kind:node:cycle[:window[:magnitude]]"},
+		{"-fault with a window", []string{"gen", "-fault", "msg-reorder:0:500:200"}, 0, `"window": 200`, ""},
 		{"unknown subcommand", []string{"fuzz"}, 1, "", "unknown subcommand"},
 		{"no subcommand", nil, 1, "", "usage:"},
 	} {
@@ -93,5 +102,21 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("%s: exit %d, want %d with stdout %q and stderr %q; got\nstdout: %s\nstderr: %s",
 				tc.name, code, tc.code, tc.stdout, tc.stderr, stdout, stderr)
 		}
+	}
+
+	// The shrunk case decodes and replays to the class it was shrunk from.
+	want, err := fuzz.LoadCase(corpusCase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fuzz.LoadCase(shrunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Expect != want.Expect {
+		t.Errorf("shrunk case expects %s, the corpus case %s", got.Expect, want.Expect)
+	}
+	if code, stdout, stderr := runFuzz("replay", shrunk); code != 0 || !strings.Contains(stdout, "0 mismatches") {
+		t.Errorf("replay of the shrunk case: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
 }

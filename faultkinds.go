@@ -168,6 +168,7 @@ var faultKinds = [numFaultKinds]faultKind{
 	},
 	FaultMsgReorder: {
 		name:       "msg-reorder",
+		window:     param{def: 64}, // how long the victim is held back
 		arm:        armMsg(network.FaultDelay, true),
 		fired:      msgFaultFired,
 		undetected: masked, // absorbed idempotently, as msg-duplicate
@@ -495,8 +496,9 @@ func msgFaultFired(s *System, _ int) (sim.Cycle, bool) {
 
 // armMsg arms a one-shot network fault: the hook waits for the first
 // eligible message (coherence traffic only, or for FaultCorrupt one that
-// bears a block), applies action to it and removes itself. A zero Window
-// leaves the torus its own default of 64 cycles.
+// bears a block), applies action to it and removes itself. The torus
+// holds a FaultDelay or FaultDupStale victim back for inj.Window, the
+// row's default when the injection names none.
 func armMsg(action network.FaultAction, coherenceOnly bool) func(*System, int, Injection, *sim.Rand) bool {
 	return func(s *System, _ int, inj Injection, rng *sim.Rand) bool {
 		s.torus.SetFaultWindow(inj.Window)

@@ -28,11 +28,6 @@ func (n *releaseNet) Send(m *network.Message) {
 	}
 	n.pool.Release(m)
 }
-func (n *releaseNet) SetHandler(network.NodeID, network.Handler) {}
-func (n *releaseNet) Nodes() int                                 { return 8 }
-func (n *releaseNet) LinkStats() []network.LinkStat              { return nil }
-func (n *releaseNet) SetFaultHook(network.FaultHook)             {}
-func (n *releaseNet) Tick(sim.Cycle)                             {}
 
 // vcStep runs one steady-state commit→perform→replay round against a
 // working set of 16 words.

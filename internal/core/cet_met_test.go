@@ -21,11 +21,6 @@ func (f *fakeNet) Send(m *network.Message) {
 		f.to.Handle(m)
 	}
 }
-func (f *fakeNet) SetHandler(network.NodeID, network.Handler) {}
-func (f *fakeNet) Nodes() int                                 { return 8 }
-func (f *fakeNet) LinkStats() []network.LinkStat              { return nil }
-func (f *fakeNet) SetFaultHook(network.FaultHook)             {}
-func (f *fakeNet) Tick(sim.Cycle)                             {}
 
 var _ network.Network = (*fakeNet)(nil)
 

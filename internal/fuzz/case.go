@@ -60,9 +60,9 @@ type FaultSpec struct {
 	Kind  string `json:"kind"` // dvmc.FaultKind string name, e.g. "wb-reorder"
 	Node  int    `json:"node"`
 	Cycle uint64 `json:"cycle"`
-	// Window parameterizes time-windowed kinds (stale-dup replay delay,
-	// reorder-burst hold, nested-recovery spacing), in cycles. Zero
-	// picks the kind's default.
+	// Window parameterizes time-windowed kinds (msg-reorder's delay,
+	// stale-dup replay delay, reorder-burst hold, nested-recovery
+	// spacing), in cycles. Zero picks the kind's default.
 	Window uint64 `json:"window,omitempty"`
 	// Magnitude parameterizes sized kinds (reorder-burst length, lt-skew
 	// in logical ticks). Zero picks the kind's default.

@@ -42,9 +42,6 @@ func (a Addr) WordIndex() int { return int(a>>3) & (WordsPerBlock - 1) }
 // WordAligned reports whether the address is word aligned.
 func (a Addr) WordAligned() bool { return a&(WordBytes-1) == 0 }
 
-// Addr returns the byte address of the first word of the block.
-func (b BlockAddr) Addr() Addr { return Addr(b) << blockShift }
-
 // WordAddr returns the byte address of word i of the block.
 func (b BlockAddr) WordAddr(i int) Addr { return Addr(b)<<blockShift + Addr(i)*WordBytes }
 

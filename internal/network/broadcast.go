@@ -13,7 +13,6 @@ import (
 // as the snooping system's logical time base ("the number of cache
 // coherence requests that it has processed thus far").
 type BroadcastTree struct {
-	nodes     int
 	bw        float64
 	latency   sim.Cycle // root-to-leaf propagation
 	handlers  []Handler
@@ -22,15 +21,12 @@ type BroadcastTree struct {
 	inFlight  *Message
 	deliverAt sim.Cycle
 	seq       uint64
-	fault     FaultHook
 	observer  Observer
-	rng       *sim.Rand
 	stat      LinkStat
-	delayed   []*delayedSend
 
 	// slot is the tree's place in the kernel: it is due while anything
-	// is queued, delayed or in flight, stamps delays with its LastTick
-	// and reports its Ticks as the root link's observation time.
+	// is queued or in flight, and reports its Ticks as the root link's
+	// observation time.
 	slot sim.Slot
 	// advance are the slots of the components whose logical clock is
 	// Sequence: each delivery wakes them (WakeOnAdvance).
@@ -39,8 +35,9 @@ type BroadcastTree struct {
 
 var _ sim.Scheduled = (*BroadcastTree)(nil)
 
-// NewBroadcastTree builds the ordered address network for n nodes.
-func NewBroadcastTree(n int, bytesPerCycle float64, latency sim.Cycle, rng *sim.Rand) *BroadcastTree {
+// NewBroadcastTree builds the ordered address network for n nodes. The
+// tree draws nothing at random: its *sim.Rand argument is not read.
+func NewBroadcastTree(n int, bytesPerCycle float64, latency sim.Cycle, _ *sim.Rand) *BroadcastTree {
 	if n < 1 {
 		panic("network: broadcast tree needs at least one node")
 	}
@@ -48,11 +45,9 @@ func NewBroadcastTree(n int, bytesPerCycle float64, latency sim.Cycle, rng *sim.
 		panic("network: non-positive link bandwidth")
 	}
 	return &BroadcastTree{
-		nodes:    n,
 		bw:       bytesPerCycle,
 		latency:  latency,
 		handlers: make([]Handler, n),
-		rng:      rng,
 		stat:     LinkStat{Name: "bcast-root"},
 		// Each node's two coherence checkers run on the sequence clock.
 		advance: make([]sim.Slot, 0, 2*n),
@@ -70,15 +65,9 @@ func (b *BroadcastTree) WakeOnAdvance(s sim.Slot) { b.advance = append(b.advance
 // the sender, observes every broadcast.
 func (b *BroadcastTree) SetHandler(n NodeID, h Handler) { b.handlers[n] = h }
 
-// SetFaultHook installs a message-fault injector; nil clears it.
-func (b *BroadcastTree) SetFaultHook(h FaultHook) { b.fault = h }
-
 // SetObserver installs a delivery observer; nil clears it. The observer
 // fires once per delivered broadcast, before the snoop handlers run.
 func (b *BroadcastTree) SetObserver(o Observer) { b.observer = o }
-
-// Nodes returns the endpoint count.
-func (b *BroadcastTree) Nodes() int { return b.nodes }
 
 // Sequence returns the number of broadcasts delivered so far — the
 // snooping logical time base.
@@ -88,51 +77,12 @@ func (b *BroadcastTree) Sequence() uint64 { return b.seq }
 // (arbitration is FIFO).
 func (b *BroadcastTree) Send(m *Message) {
 	b.slot.Wake()
-	if b.fault != nil {
-		switch b.fault(m) {
-		case FaultDrop:
-			return
-		case FaultDuplicate:
-			dup := *m
-			b.queue = append(b.queue, &dup)
-		case FaultDelay:
-			// A faulty arbiter holds the request back so that requests
-			// issued later overtake it — an ordering violation on a
-			// network that is supposed to be totally ordered.
-			b.delayed = append(b.delayed, &delayedSend{msg: m, at: b.slot.LastTick() + 64})
-			return
-		case FaultDupStale:
-			// A faulty arbiter replays an already-arbitrated request much
-			// later; the original proceeds normally.
-			dup := *m
-			b.delayed = append(b.delayed, &delayedSend{msg: &dup, at: b.slot.LastTick() + 64})
-		case FaultHold:
-			// On a totally ordered network a held burst degenerates to a
-			// single held request (FaultDelay semantics).
-			b.delayed = append(b.delayed, &delayedSend{msg: m, at: b.slot.LastTick() + 64})
-			return
-		case FaultMisroute, FaultCorrupt, FaultNone:
-			// Misroute is meaningless on a broadcast; corrupt already
-			// mutated the payload.
-		}
-	}
 	b.queue = append(b.queue, m)
 }
 
 // Tick implements sim.Clockable: arbitrates one broadcast at a time,
 // delivering to all nodes after the serialisation plus tree latency.
 func (b *BroadcastTree) Tick(now sim.Cycle) {
-	if len(b.delayed) > 0 {
-		var keep []*delayedSend
-		for _, d := range b.delayed {
-			if now >= d.at {
-				b.queue = append(b.queue, d.msg)
-			} else {
-				keep = append(keep, d)
-			}
-		}
-		b.delayed = keep
-	}
 	if b.inFlight != nil {
 		if now >= b.deliverAt {
 			m := b.inFlight
@@ -168,8 +118,6 @@ func (b *BroadcastTree) Tick(now sim.Cycle) {
 		}
 	}
 	switch {
-	case len(b.delayed) > 0:
-		b.slot.SleepUntil(now)
 	case b.inFlight != nil:
 		b.slot.SleepUntil(b.deliverAt)
 	case len(b.queue) > 0:
@@ -179,11 +127,9 @@ func (b *BroadcastTree) Tick(now sim.Cycle) {
 	}
 }
 
-// Quiet reports whether the tree holds no broadcast: none queued, in
-// flight or delayed.
-func (b *BroadcastTree) Quiet() bool {
-	return len(b.queue) == 0 && b.inFlight == nil && len(b.delayed) == 0
-}
+// Quiet reports whether the tree holds no broadcast: none queued or in
+// flight.
+func (b *BroadcastTree) Quiet() bool { return len(b.queue) == 0 && b.inFlight == nil }
 
 // LinkStats returns the root link's utilisation (the tree's bottleneck);
 // one link, so its observation time is the tick count.
@@ -207,6 +153,5 @@ func (b *BroadcastTree) TotalBytes() uint64 { return b.stat.Bytes }
 func (b *BroadcastTree) Reset() {
 	b.queue = nil
 	b.inFlight = nil
-	b.delayed = nil
 	b.busyUntil = 0
 }

@@ -5,9 +5,9 @@
 // feeds the paper's Figure 7 (bandwidth on the highest-loaded link) and
 // Figure 8 (sensitivity to link bandwidth).
 //
-// The package also hosts the message-level fault-injection hooks used by
-// the error-detection experiments of Section 6.1: dropped, reordered,
-// mis-routed, and duplicated messages, and payload/address bit flips.
+// The torus also hosts the message-level fault hook used by the
+// error-detection experiments of Section 6.1: dropped, reordered,
+// mis-routed, and duplicated messages, and payload bit flips.
 package network
 
 import (
@@ -72,21 +72,14 @@ type Handler func(*Message)
 // transaction spans. Observers must not mutate the message.
 type Observer func(m *Message, at sim.Cycle)
 
-// Network is the point-to-point interconnect interface used by the
-// coherence protocols and DVMC checkers.
+// Network is what the coherence protocols and DVMC checkers use of the
+// point-to-point interconnect: they only send. Delivery handlers, link
+// statistics and the fault hook are methods of the concrete *Torus,
+// which the assembling System holds.
 type Network interface {
-	sim.Clockable
 	// Send enqueues a message for delivery. Delivery is asynchronous and,
 	// for the torus, unordered across source-destination pairs.
 	Send(m *Message)
-	// SetHandler installs the delivery callback for a node.
-	SetHandler(n NodeID, h Handler)
-	// Nodes returns the number of endpoints.
-	Nodes() int
-	// LinkStats returns per-link utilisation for bandwidth analysis.
-	LinkStats() []LinkStat
-	// SetFaultHook installs a message-fault injector; nil clears it.
-	SetFaultHook(h FaultHook)
 }
 
 // LinkStat describes the observed utilisation of one directed link.
@@ -135,7 +128,7 @@ const (
 	FaultDuplicate                    // deliver twice
 	FaultMisroute                     // deliver to the wrong node
 	FaultCorrupt                      // payload bit flip (hook mutates payload)
-	FaultDelay                        // hold back so later traffic overtakes it (reorder)
+	FaultDelay                        // hold back for the fault window so later traffic overtakes it (reorder)
 	FaultDupStale                     // deliver normally plus a stale replay after the fault window
 	FaultHold                         // capture into a burst released in reverse order (bounded reorder)
 )

@@ -30,6 +30,15 @@ func (c *counting) Tick(now sim.Cycle) {
 	c.Scheduled.Tick(now)
 }
 
+// twinNet is what a twin test drives of a network; the torus and the
+// broadcast tree both offer it.
+type twinNet interface {
+	sim.Scheduled
+	Send(m *Message)
+	SetHandler(n NodeID, h Handler)
+	LinkStats() []LinkStat
+}
+
 // delivery is one handler invocation as a network twin test records it.
 type delivery struct {
 	At  sim.Cycle
@@ -47,7 +56,7 @@ type delivery struct {
 type netTwins struct {
 	t      *testing.T
 	ks     [2]*sim.Kernel
-	nets   [2]Network
+	nets   [2]twinNet
 	logs   [2][]delivery
 	sleepy *counting
 	always *alwaysDue
@@ -55,7 +64,7 @@ type netTwins struct {
 	reply func(m *Message) *Message
 }
 
-func newNetTwins(t *testing.T, nodes int, build func() Network) *netTwins {
+func newNetTwins(t *testing.T, nodes int, build func() twinNet) *netTwins {
 	tw := &netTwins{t: t}
 	for i := range tw.nets {
 		i := i
@@ -72,10 +81,10 @@ func newNetTwins(t *testing.T, nodes int, build func() Network) *netTwins {
 			})
 		}
 		if i == 0 {
-			tw.sleepy = &counting{Scheduled: net.(sim.Scheduled)}
+			tw.sleepy = &counting{Scheduled: net}
 			k.Register(tw.sleepy)
 		} else {
-			tw.always = &alwaysDue{Scheduled: net.(sim.Scheduled)}
+			tw.always = &alwaysDue{Scheduled: net}
 			k.Register(tw.always)
 		}
 		tw.ks[i], tw.nets[i] = k, net
@@ -84,10 +93,10 @@ func newNetTwins(t *testing.T, nodes int, build func() Network) *netTwins {
 }
 
 func newTorusTwins(t *testing.T, nodes int) *netTwins {
-	return newNetTwins(t, nodes, func() Network { return NewTorus(nodes, 1.25, 15, sim.NewRand(3)) })
+	return newNetTwins(t, nodes, func() twinNet { return NewTorus(nodes, 1.25, 15, sim.NewRand(3)) })
 }
 
-func (tw *netTwins) both(fn func(net Network)) {
+func (tw *netTwins) both(fn func(net twinNet)) {
 	for _, net := range tw.nets {
 		fn(net)
 	}
@@ -96,7 +105,7 @@ func (tw *netTwins) both(fn func(net Network)) {
 func (tw *netTwins) tor(i int) *Torus { return tw.nets[i].(*Torus) }
 
 func (tw *netTwins) send(src, dst NodeID, size int, class Class, id int) {
-	tw.both(func(net Network) {
+	tw.both(func(net twinNet) {
 		net.Send(&Message{Src: src, Dst: dst, Size: size, Class: class, Payload: id})
 	})
 }
@@ -190,7 +199,8 @@ func TestTorusFaultHoldBurstRelease(t *testing.T) {
 			tw.run(3)
 		}
 		tw.run(400)
-		tw.both(func(net Network) { net.SetFaultHook(nil) })
+		tw.tor(0).SetFaultHook(nil)
+		tw.tor(1).SetFaultHook(nil)
 	}
 	var order []int
 	for _, d := range tw.logs[0] {
@@ -214,7 +224,7 @@ func TestTorusResetMidFlight(t *testing.T) {
 		tw.send(NodeID(i%8), NodeID((i+3)%8), 72, ClassCoherence, i)
 	}
 	tw.run(40) // first hops serialising, queues behind them
-	tw.both(func(net Network) { net.(*Torus).Reset() })
+	tw.both(func(net twinNet) { net.(*Torus).Reset() })
 	tw.run(300)
 	if len(tw.logs[0]) != 0 {
 		t.Fatalf("%d messages survived Reset", len(tw.logs[0]))
@@ -266,18 +276,18 @@ func TestTorusTwinsUnderRandomTraffic(t *testing.T) {
 }
 
 // TestBroadcastTreeObservedIsTickCount: a tree called only on its due
-// cycles delivers what one called every cycle does, idle, busy, under a
-// delay fault and across a Reset; the root link's observation time is
+// cycles delivers what one called every cycle does, idle, busy with a
+// queued burst and across a Reset; the root link's observation time is
 // the cycle count either way, and a broadcast into an idle tree takes
 // what the first one took.
 func TestBroadcastTreeObservedIsTickCount(t *testing.T) {
-	tw := newNetTwins(t, 4, func() Network { return NewBroadcastTree(4, 1.25, 6, sim.NewRand(1)) })
+	tw := newNetTwins(t, 4, func() twinNet { return NewBroadcastTree(4, 1.25, 6, sim.NewRand(1)) })
 	tw.run(1)
 	tw.send(0, 0, 8, ClassCoherence, 1)
 	tw.run(300)
 	tw.send(1, 1, 8, ClassCoherence, 2)
 	tw.run(2) // arbitrated and in flight
-	tw.both(func(net Network) { net.(*BroadcastTree).Reset() })
+	tw.both(func(net twinNet) { net.(*BroadcastTree).Reset() })
 	tw.run(300)
 	tw.send(2, 2, 8, ClassCoherence, 3)
 	tw.run(300)
@@ -291,17 +301,7 @@ func TestBroadcastTreeObservedIsTickCount(t *testing.T) {
 	if obs := tw.nets[0].LinkStats()[0].Observed; obs != 903 {
 		t.Fatalf("Observed = %d after 903 cycles", obs)
 	}
-	// A burst queues behind the arbiter; a delayed one is overtaken.
-	tw.both(func(net Network) {
-		delayed := false
-		net.SetFaultHook(func(*Message) FaultAction {
-			if delayed {
-				return FaultNone
-			}
-			delayed = true
-			return FaultDelay
-		})
-	})
+	// A burst queues behind the arbiter and is snooped in send order.
 	for id := 10; id < 16; id++ {
 		tw.send(NodeID(id%4), NodeID(id%4), 8+8*(id%3), ClassCoherence, id)
 	}
@@ -309,8 +309,10 @@ func TestBroadcastTreeObservedIsTickCount(t *testing.T) {
 	if got := len(tw.logs[0]); got != 8+6*4 {
 		t.Fatalf("%d snoops after the burst, want %d", got, 8+6*4)
 	}
-	if first := tw.logs[0][8].ID; first != 11 {
-		t.Fatalf("the delayed broadcast was not overtaken: first of the burst is %d", first)
+	for i, d := range tw.logs[0][8:] {
+		if want := 10 + i/4; d.ID != want {
+			t.Fatalf("snoop %d of the burst is broadcast %d, want %d", i, d.ID, want)
+		}
 	}
 	if s := tw.skipped(); s < 1000 {
 		t.Fatalf("the tree was skipped on only %d of %d cycles", s, tw.ks[0].Now())

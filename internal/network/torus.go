@@ -49,9 +49,10 @@ type Torus struct {
 	delayed []delayedSend   // FaultDelay / FaultDupStale victims
 	rng     *sim.Rand
 
-	// faultWindow parameterises the stateful fault actions: the delay
-	// before a FaultDupStale replay re-enters the network and the
-	// deadline for releasing a FaultHold burst. Zero means the default.
+	// faultWindow parameterises the stateful fault actions: how long a
+	// FaultDelay victim is held back, the delay before a FaultDupStale
+	// replay re-enters the network and the deadline for releasing a
+	// FaultHold burst.
 	faultWindow sim.Cycle
 	held        []*Message // FaultHold burst awaiting reversed release
 	heldAt      sim.Cycle  // release deadline for the held burst
@@ -62,8 +63,6 @@ type Torus struct {
 	// inFlight counts the messages enqueued and not yet delivered, on the
 	// links and on the loopback list alike.
 	inFlight int
-
-	sent, delivered, dropped uint64
 }
 
 var _ Network = (*Torus)(nil)
@@ -160,13 +159,11 @@ func factor(n int) (int, int) {
 	return best[0], best[1]
 }
 
-// Nodes implements Network.
-func (t *Torus) Nodes() int { return len(t.handlers) }
-
-// SetHandler implements Network.
+// SetHandler installs the delivery callback for a node.
 func (t *Torus) SetHandler(n NodeID, h Handler) { t.handlers[n] = h }
 
-// SetFaultHook implements Network.
+// SetFaultHook installs a message-fault injector; nil clears it. A
+// faultKinds row arms it.
 func (t *Torus) SetFaultHook(h FaultHook) { t.fault = h }
 
 // Attach implements sim.Scheduled.
@@ -237,19 +234,19 @@ func (t *Torus) Send(m *Message) {
 }
 
 func (t *Torus) sendAt(m *Message, when sim.Cycle) {
-	t.sent++
 	if t.fault != nil {
 		switch t.fault(m) {
 		case FaultDrop:
-			t.dropped++
 			return
 		case FaultDuplicate:
 			dup := *m
 			t.enqueue(&dup, when)
 		case FaultMisroute:
-			m.Dst = NodeID(t.rng.Intn(t.Nodes()))
+			m.Dst = NodeID(t.rng.Intn(len(t.handlers)))
 		case FaultDelay:
-			t.delayed = append(t.delayed, delayedSend{msg: m, at: when + 64})
+			// Later traffic overtakes the victim while it waits out the
+			// fault window.
+			t.delayed = append(t.delayed, delayedSend{msg: m, at: when + t.faultWindow})
 			t.slot.Wake()
 			return
 		case FaultDupStale:
@@ -257,7 +254,7 @@ func (t *Torus) sendAt(m *Message, when sim.Cycle) {
 			// re-enters the network a full fault window later, typically
 			// after the transaction it belonged to has completed.
 			dup := *m
-			t.delayed = append(t.delayed, delayedSend{msg: &dup, at: when + t.window()})
+			t.delayed = append(t.delayed, delayedSend{msg: &dup, at: when + t.faultWindow})
 			t.slot.Wake()
 		case FaultHold:
 			// Capture into the held burst; Tick releases the burst in
@@ -265,7 +262,7 @@ func (t *Torus) sendAt(m *Message, when sim.Cycle) {
 			// so later traffic on the same links overtakes it.
 			t.held = append(t.held, m)
 			if len(t.held) == 1 {
-				t.heldAt = when + t.window()
+				t.heldAt = when + t.faultWindow
 			}
 			t.slot.Wake()
 			return
@@ -311,17 +308,11 @@ func (t *Torus) recycleTransit(tr *transit) {
 }
 
 // SetFaultWindow configures the stateful fault actions: how long a
-// FaultDupStale replay is held back, and the release deadline of a
-// FaultHold burst. Zero restores the default (64 cycles, matching
-// FaultDelay).
+// FaultDelay victim (msg-reorder's delay) or a FaultDupStale replay is
+// held back, and the release deadline of a FaultHold burst. The arming
+// faultKinds row passes its injection's window, the row's default
+// standing in for zero.
 func (t *Torus) SetFaultWindow(w sim.Cycle) { t.faultWindow = w }
-
-func (t *Torus) window() sim.Cycle {
-	if t.faultWindow > 0 {
-		return t.faultWindow
-	}
-	return 64
-}
 
 // serialize returns the cycles a message occupies a link.
 func (t *Torus) serialize(size int) sim.Cycle {
@@ -459,7 +450,6 @@ func (t *Torus) tick(now sim.Cycle) {
 }
 
 func (t *Torus) deliver(m *Message) {
-	t.delivered++
 	t.inFlight--
 	if t.observer != nil {
 		t.observer(m, t.slot.LastTick())
@@ -471,7 +461,7 @@ func (t *Torus) deliver(m *Message) {
 	h(m)
 }
 
-// LinkStats implements Network.
+// LinkStats returns per-link utilisation for bandwidth analysis.
 func (t *Torus) LinkStats() []LinkStat {
 	out := make([]LinkStat, 0, len(t.links))
 	for _, l := range t.links {
@@ -486,11 +476,6 @@ func (t *Torus) LinkStats() []LinkStat {
 // Quiet reports whether the torus holds no message: none queued or in
 // flight on a link or the loopback list, none delayed, none held.
 func (t *Torus) Quiet() bool { return t.inFlight+len(t.delayed)+len(t.held) == 0 }
-
-// Counters returns (sent, delivered, dropped) message counts.
-func (t *Torus) Counters() (sent, delivered, dropped uint64) {
-	return t.sent, t.delivered, t.dropped
-}
 
 // ClassBytes returns the total bytes carried for one traffic class
 // summed over all links. Allocation-free (telemetry probes call it

@@ -66,3 +66,45 @@ func TestTorusSteadyStateAllocFree(t *testing.T) {
 		t.Fatal("no messages delivered")
 	}
 }
+
+// TestBroadcastTreeSteadyStateAllocFree: a busy tree (Send, arbitrate,
+// deliver to every node) allocates nothing once its queue has grown.
+func TestBroadcastTreeSteadyStateAllocFree(t *testing.T) {
+	const nodes = 4
+	bt := NewBroadcastTree(nodes, 1.25, 6, sim.NewRand(1))
+	delivered := 0
+	for n := 0; n < nodes; n++ {
+		bt.SetHandler(NodeID(n), func(*Message) { delivered++ })
+	}
+	msgs := [4]Message{}
+	now := sim.Cycle(0)
+	i := 0
+	step := func() {
+		// Two broadcasts per step: the second queues behind the first.
+		for j := 0; j < 2; j++ {
+			m := &msgs[(2*i+j)&3]
+			*m = Message{Src: NodeID(i % nodes), Size: 8 + 64*j, Class: ClassCoherence}
+			bt.Send(m)
+		}
+		for want := delivered + 2*nodes; delivered < want; {
+			now++
+			bt.Tick(now)
+		}
+		i++
+	}
+	for j := 0; j < 64; j++ {
+		step() // grow the queue's backing array
+	}
+	// One measured run of 2000 steps, as for the torus.
+	batch := func() {
+		for k := 0; k < 2000; k++ {
+			step()
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, batch); allocs != 0 {
+		t.Errorf("broadcast send/deliver steady state: %.0f allocs in 2000 steps, want 0", allocs)
+	}
+	if bt.Sequence() != 2*(64+2000+2000) {
+		t.Fatalf("Sequence() = %d, want every broadcast delivered", bt.Sequence())
+	}
+}

@@ -275,9 +275,6 @@ func (c *CPU) Stats() Stats {
 	return c.stats
 }
 
-// Model returns the core's configured consistency model.
-func (c *CPU) Model() consistency.Model { return c.model }
-
 // Finished reports whether the program ended and the pipeline drained.
 func (c *CPU) Finished() bool { return c.finished && len(c.rob) == 0 && c.wbEmpty() }
 

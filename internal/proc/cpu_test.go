@@ -386,7 +386,7 @@ func TestCPUDVMCDetectsWBCorruption(t *testing.T) {
 	var sink core.CollectorSink
 	c := NewCPU(0, testProcCfg(), consistency.TSO, f, NewScript(ops))
 	c.AttachDVMC(core.NewUniprocChecker(0, 64, false, &sink), core.NewReorderChecker(0, &sink))
-	c.WriteBuffer().(*InOrderWB).InjectCorrupt(1) // first op has seq 1
+	c.WriteBuffer().(*InOrderWB).InjectCorruptNext() // the first store drains next
 	runCPU(t, c, f, 100000)
 	found := false
 	for _, v := range sink.Violations {
@@ -415,8 +415,16 @@ func TestCPUDVMCDetectsDroppedStore(t *testing.T) {
 	var sink core.CollectorSink
 	c := NewCPU(0, cfg, consistency.TSO, f, NewScript(ops))
 	c.AttachDVMC(core.NewUniprocChecker(0, 64, false, &sink), core.NewReorderChecker(0, &sink))
-	c.WriteBuffer().(*InOrderWB).InjectDrop(2) // second store (seq 2)
-	runCPU(t, c, f, 100000)
+	var k sim.Kernel
+	k.Register(f)
+	k.Register(c)
+	if !k.RunUntil(func() bool { return f.stores == 1 }, 100000) {
+		t.Fatal("the first store never started draining")
+	}
+	c.WriteBuffer().(*InOrderWB).InjectDropNext() // the second store drains next
+	if !k.RunUntil(c.Finished, 100000) {
+		t.Fatalf("CPU did not finish: %v", c)
+	}
 	found := false
 	for _, v := range sink.Violations {
 		if v.Kind == core.LostOperation {

@@ -49,8 +49,7 @@ type PendingStore struct {
 // wbFault models injected write-buffer errors (Section 6.1: reorderings
 // and incorrect forwarding in the write buffer, dropped stores).
 type wbFault struct {
-	corruptSeq  uint64 // flip a data bit of this store when draining
-	dropSeq     uint64 // silently discard this store
+	dropSeq     uint64 // OOOWB: the store InjectDropNext picked at its push
 	swapNext    bool   // drain the second-oldest entry before the oldest
 	dropNext    bool   // discard the next store drained
 	corruptNext bool   // corrupt the next store drained
@@ -137,17 +136,15 @@ func (w *InOrderWB) Tick(now sim.Cycle) {
 	}
 	st := w.queue[idx]
 	w.queue = append(w.queue[:idx], w.queue[idx+1:]...)
-	if w.fault.dropNext || (w.fault.dropSeq != 0 && st.seq == w.fault.dropSeq) {
+	if w.fault.dropNext {
 		// Injected fault: the store vanishes; the buffer believes it
 		// performed.
-		w.fault.dropSeq = 0
 		w.fault.dropNext = false
 		w.fault.fired = true
 		return
 	}
-	if w.fault.corruptNext || (w.fault.corruptSeq != 0 && st.seq == w.fault.corruptSeq) {
+	if w.fault.corruptNext {
 		st.val ^= 1 << 7
-		w.fault.corruptSeq = 0
 		w.fault.corruptNext = false
 		w.fault.fired = true
 	}
@@ -182,18 +179,6 @@ func (w *InOrderWB) Clear() {
 // InjectReorder arms a one-shot illegal drain order fault.
 func (w *InOrderWB) InjectReorder() {
 	w.fault.swapNext = true
-	w.wake()
-}
-
-// InjectDrop arms a one-shot dropped-store fault for the given store.
-func (w *InOrderWB) InjectDrop(seq uint64) {
-	w.fault.dropSeq = seq
-	w.wake()
-}
-
-// InjectCorrupt arms a one-shot data-corruption fault for the given store.
-func (w *InOrderWB) InjectCorrupt(seq uint64) {
-	w.fault.corruptSeq = seq
 	w.wake()
 }
 
@@ -510,14 +495,9 @@ func (w *OOOWB) Clear() {
 	w.outstanding = 0
 }
 
-// InjectDrop arms a one-shot lost-store fault (the perform notification
-// for the store vanishes, modelling buffer-control corruption).
-func (w *OOOWB) InjectDrop(seq uint64) {
-	w.fault.dropSeq = seq
-	w.wake()
-}
-
-// InjectDropNext arms a one-shot lost-store fault for the next push.
+// InjectDropNext arms a one-shot lost-store fault for the next push:
+// that store's perform notification vanishes, modelling buffer-control
+// corruption.
 func (w *OOOWB) InjectDropNext() {
 	w.fault.dropNext = true
 	w.wake()

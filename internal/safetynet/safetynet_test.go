@@ -106,12 +106,7 @@ type captureNet struct {
 	msgs []*network.Message
 }
 
-func (c *captureNet) Send(m *network.Message)                    { c.msgs = append(c.msgs, m) }
-func (c *captureNet) SetHandler(network.NodeID, network.Handler) {}
-func (c *captureNet) Nodes() int                                 { return 4 }
-func (c *captureNet) LinkStats() []network.LinkStat              { return nil }
-func (c *captureNet) SetFaultHook(network.FaultHook)             {}
-func (c *captureNet) Tick(sim.Cycle)                             {}
+func (c *captureNet) Send(m *network.Message) { c.msgs = append(c.msgs, m) }
 
 func TestLoggerEmitsOncePerIntervalPerBlock(t *testing.T) {
 	m, _, _ := newTestManager(100, 2)

@@ -43,9 +43,6 @@ func (s *Series) push(cycle uint64, v int64) {
 // Metric returns the tracked metric.
 func (s *Series) Metric() *Metric { return s.metric }
 
-// Slot returns the tracked slot index within the metric.
-func (s *Series) Slot() int { return s.slot }
-
 // LabelValue returns the label value of the tracked slot ("" for
 // scalars).
 func (s *Series) LabelValue() string { return s.metric.LabelValue(s.slot) }

@@ -19,7 +19,6 @@ type RecorderStats struct {
 //
 // Not safe for concurrent use; the simulator is single-goroutine.
 type Recorder struct {
-	meta     Meta
 	ring     *ring
 	buf      bytes.Buffer
 	w        *Writer
@@ -31,7 +30,7 @@ type Recorder struct {
 
 // NewRecorder returns a recorder for a run described by meta.
 func NewRecorder(meta Meta) (*Recorder, error) {
-	r := &Recorder{meta: meta, ring: newRing(DefaultRingEvents)}
+	r := &Recorder{ring: newRing(DefaultRingEvents)}
 	w, err := NewWriter(&r.buf, meta)
 	if err != nil {
 		return nil, err
@@ -39,9 +38,6 @@ func NewRecorder(meta Meta) (*Recorder, error) {
 	r.w = w
 	return r, nil
 }
-
-// Meta returns the header the recorder was created with.
-func (r *Recorder) Meta() Meta { return r.meta }
 
 // Emit implements Sink. The hot path is one ring store; encoding happens in
 // batches when the ring fills.

@@ -152,6 +152,10 @@ func TestSafetyNetCheckpointsTaken(t *testing.T) {
 	if res.LogMessages == 0 {
 		t.Error("no SafetyNet log traffic")
 	}
+	sn := smallConfig().SNConfig
+	if got, want := s.RecoveryWindow(), sn.Interval*Cycle(sn.Keep); got != want {
+		t.Errorf("RecoveryWindow() = %d, want Interval×Keep = %d", got, want)
+	}
 }
 
 func TestSafetyNetRecoveryResumesCorrectly(t *testing.T) {
@@ -218,6 +222,9 @@ func TestBaseSystemWithoutDVMCRuns(t *testing.T) {
 	}
 	if res.Informs != 0 || res.Checkpoints != 0 {
 		t.Errorf("base system generated verification state: %v", res)
+	}
+	if w := s.RecoveryWindow(); w != 0 {
+		t.Errorf("RecoveryWindow() = %d without SafetyNet, want 0", w)
 	}
 }
 
