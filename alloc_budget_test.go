@@ -56,7 +56,10 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 // system allocates what its run touches (DESIGN.md, "Object lifetimes"):
 // an L2 set chunk at its first fill, a telemetry ring at its first
 // sample. Before that rule the fuzz shape cost 1.20 MB and the 8-node
-// shape 2.34 MB, nearly all of it L2 lines and rings no run had touched.
+// shape 2.34 MB, nearly all of it L2 lines and rings no run had touched;
+// with 64-set L2 chunks 55 KB and 111 KB. Now the L1 tag filter is
+// chunked too, the reorder buffer and the VC index start empty, and the
+// two read 25.6 KB and 51 KB.
 func TestConstructionAllocBudget(t *testing.T) {
 	fuzzShape := smallConfig().WithProtocol(Snooping).WithModel(TSO)
 	fuzzShape.SafetyNet = true
@@ -67,8 +70,8 @@ func TestConstructionAllocBudget(t *testing.T) {
 		w      Workload
 		budget uint64
 	}{
-		{"fuzz shape: 4-node snooping/TSO/SafetyNet, sink-only trace", fuzzShape, smallWorkload(), 128 << 10},
-		{"8-node ScaledConfig/OLTP", ScaledConfig(), OLTP(), 256 << 10},
+		{"fuzz shape: 4-node snooping/TSO/SafetyNet, sink-only trace", fuzzShape, smallWorkload(), 32 << 10},
+		{"8-node ScaledConfig/OLTP", ScaledConfig(), OLTP(), 64 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const builds = 8

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"dvmc/internal/fabric"
 	"dvmc/internal/fuzz"
 	"dvmc/internal/hash"
+	"dvmc/internal/strictjson"
 	"dvmc/internal/telemetry"
 )
 
@@ -148,5 +150,72 @@ func TestMetricsToStdout(t *testing.T) {
 	}
 	if len(snap.Metrics) == 0 {
 		t.Error("the merged snapshot holds no metrics")
+	}
+}
+
+// TestJSONOutputsMatchSerial runs a finished fuzz job through resume twice,
+// with -json and with -records-out -, and holds both to the serial
+// campaign of the same seed, count and kinds: the summary is byte for byte
+// what dvmc-fuzz run -json prints (its encoder: two-space indent), and the
+// record table decodes strictly and re-encodes to the serial records.
+func TestJSONOutputsMatchSerial(t *testing.T) {
+	cfg := fuzz.CampaignConfig{Seed: 42, Runs: 6, FaultFrac: 0.5, Budget: fuzz.DefaultBudget,
+		Minimize: true, MinimizeBudget: fuzz.DefaultMinimizeBudget, Kinds: []string{"msg-duplicate", "wb-drop"}}
+	spec := fabric.JobSpec{Kind: fabric.JobFuzz, Fuzz: &cfg, ShardSize: 4}
+	var journal bytes.Buffer
+	if err := fabric.AppendEntry(&journal, fabric.CheckpointEntry{Spec: &spec}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range spec.Shards() {
+		res, err := fabric.ExecuteShard(spec, sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fabric.AppendEntry(&journal, fabric.CheckpointEntry{Result: &res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "done.ckpt")
+	if err := os.WriteFile(path, journal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	serial := cfg
+	serial.Workers = 1
+	records, summary, _, err := fuzz.Run(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented := func(v any) string {
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	code, stdout, stderr := runFarm("resume", "-addr", "127.0.0.1:0", "-checkpoint", path, "-json")
+	if code != 0 {
+		t.Fatalf("resume -json: exit %d\n%s", code, stderr)
+	}
+	if want := indented(summary); stdout != want {
+		t.Errorf("resume -json prints\n%s\nthe serial campaign's summary is\n%s", stdout, want)
+	}
+
+	code, stdout, stderr = runFarm("resume", "-addr", "127.0.0.1:0", "-checkpoint", path, "-records-out", "-")
+	if code != 0 || !strings.Contains(stderr, "campaign seed=42 runs=6") {
+		t.Fatalf("resume -records-out -: exit %d, stderr lacks the summary:\n%s", code, stderr)
+	}
+	var got []fuzz.Record
+	if err := strictjson.Decode(strings.NewReader(stdout), &got); err != nil {
+		t.Fatalf("the record table does not decode strictly: %v\n%.200s", err, stdout)
+	}
+	if len(got) != cfg.Runs {
+		t.Fatalf("%d records, want %d", len(got), cfg.Runs)
+	}
+	if want := indented(records); stdout != want || indented(got) != want {
+		t.Error("the record table differs from the serial campaign's records")
 	}
 }

@@ -8,52 +8,52 @@ import (
 // the L1 in front of it is a tag filter (an inclusive subset of L2 tags
 // that models L1 hit latency without duplicating storage, which keeps the
 // Cache Correctness property — data changes only via stores — trivially
-// auditable).
+// auditable). The word-sized fields come first and the three one-byte
+// ones share the last word, so a line is 88 B (TestLineSize).
 type line struct {
-	valid bool
 	block mem.BlockAddr
-	state State
 	data  mem.Block
+	lru   uint64
+	state State
+	valid bool
 	// dataValid is false between the ordering point of an epoch and the
 	// arrival of the block's data (snooping systems; the CET's
 	// DataReadyBit mirrors this).
 	dataValid bool
-	lru       uint64
 }
 
-// chunkSets is how many consecutive sets share one allocation of lines.
-// A system allocates what its run touches (DESIGN.md, "Object
-// lifetimes"): a short run fills a handful of the L2's sets, so the
-// array holds chunks, each allocated at the first fill of one of its
-// sets. Each chunk is one more heap object on runs that touch many sets:
-// 64 is the smallest power of two at which paper-eval allocates no more
-// objects than the flat array did (allocs_per_work at seed 1: 32 sets
-// 11,315, flat 11,292, 64 sets 11,264).
-const chunkSets = 64
+// chunkSets is how many consecutive sets share one allocation of
+// entries. A system allocates what its run touches (DESIGN.md, "Object
+// lifetimes"): a fuzz program touches four blocks, so an array holds
+// chunks, each allocated at the first fill of one of its sets. A smaller
+// chunk costs a short run fewer bytes and a run that touches many sets
+// more heap objects. 16 is the smallest power of two at which paper-eval
+// allocates at most 2 % more objects per run than 64-set chunks of the
+// 104-B line did (11,124 at seed 1). At seed 1, bytes per fuzz case
+// (fuzz.TestCaseAllocBudget) and paper-eval allocs_per_work by chunk:
+// 4 sets 107,036 and 11,645; 8 sets 107,590 and 11,441; 16 sets 114,618
+// and 11,289; 32 sets 132,971 and 11,190; 64 sets 172,410 and 11,131.
+const chunkSets = 16
 
-// cacheArray is a set-associative array with LRU replacement.
-type cacheArray struct {
+// setArray holds a set-associative array's entries, ways per set, in
+// chunks of chunkSets sets. The L2 array and the L1 tag filter are both
+// one.
+type setArray[E any] struct {
 	sets, ways int
 	// chunks[k] holds sets k*chunkSets onwards (fewer in the last chunk),
-	// ways lines each, row-major by set; nil until fillSet first needs
-	// one of them. Walking chunks in order and each chunk's lines in
-	// order visits allocated lines in set order, as a flat array would.
-	chunks [][]line
-	tick   uint64
-	ecc    *mem.ECC
+	// ways entries each, row-major by set; nil until fillSet first needs
+	// one of them. Walking chunks in order and each chunk's entries in
+	// order visits allocated entries in set order, as a flat array would.
+	chunks [][]E
 }
 
-func newCacheArray(sets, ways int, withECC bool) *cacheArray {
-	a := &cacheArray{sets: sets, ways: ways, chunks: make([][]line, (sets+chunkSets-1)/chunkSets)}
-	if withECC {
-		a.ecc = mem.NewECC()
-	}
-	return a
+func newSetArray[E any](sets, ways int) setArray[E] {
+	return setArray[E]{sets: sets, ways: ways, chunks: make([][]E, (sets+chunkSets-1)/chunkSets)}
 }
 
 // setOf returns block b's set: empty while its chunk has never been
 // filled, so a lookup there misses.
-func (a *cacheArray) setOf(b mem.BlockAddr) []line {
+func (a *setArray[E]) setOf(b mem.BlockAddr) []E {
 	s := int(uint64(b) % uint64(a.sets))
 	chunk := a.chunks[s/chunkSets]
 	if chunk == nil {
@@ -64,13 +64,28 @@ func (a *cacheArray) setOf(b mem.BlockAddr) []line {
 }
 
 // fillSet is setOf for a fill: it allocates b's chunk on first use.
-func (a *cacheArray) fillSet(b mem.BlockAddr) []line {
+func (a *setArray[E]) fillSet(b mem.BlockAddr) []E {
 	k := int(uint64(b)%uint64(a.sets)) / chunkSets
 	if a.chunks[k] == nil {
 		n := min(chunkSets, a.sets-k*chunkSets)
-		a.chunks[k] = make([]line, n*a.ways)
+		a.chunks[k] = make([]E, n*a.ways)
 	}
 	return a.setOf(b)
+}
+
+// cacheArray is a set-associative array with LRU replacement.
+type cacheArray struct {
+	setArray[line]
+	tick uint64
+	ecc  *mem.ECC
+}
+
+func newCacheArray(sets, ways int, withECC bool) *cacheArray {
+	a := &cacheArray{setArray: newSetArray[line](sets, ways)}
+	if withECC {
+		a.ecc = mem.NewECC()
+	}
+	return a
 }
 
 // lookup returns the line holding b, or nil.
@@ -166,30 +181,28 @@ func (a *cacheArray) occupancy() int {
 // the L2 array. Inclusion is maintained by invalidating L1 tags whenever
 // the L2 loses a block.
 type tagFilter struct {
-	sets, ways int
-	tags       []mem.BlockAddr
-	valid      []bool
-	lru        []uint64
-	tick       uint64
+	setArray[tag]
+	tick uint64
+}
+
+// tag is one L1 way. lru 0 marks it invalid: every fill stamps a tick,
+// and the first tick is 1.
+type tag struct {
+	block mem.BlockAddr
+	lru   uint64
 }
 
 func newTagFilter(sets, ways int) *tagFilter {
-	n := sets * ways
-	return &tagFilter{sets: sets, ways: ways, tags: make([]mem.BlockAddr, n), valid: make([]bool, n), lru: make([]uint64, n)}
-}
-
-func (f *tagFilter) index(b mem.BlockAddr) (lo, hi int) {
-	s := int(uint64(b) % uint64(f.sets))
-	return s * f.ways, (s + 1) * f.ways
+	return &tagFilter{setArray: newSetArray[tag](sets, ways)}
 }
 
 // present reports an L1 tag hit and refreshes LRU.
 func (f *tagFilter) present(b mem.BlockAddr) bool {
-	lo, hi := f.index(b)
-	for i := lo; i < hi; i++ {
-		if f.valid[i] && f.tags[i] == b {
+	set := f.setOf(b)
+	for i := range set {
+		if set[i].lru != 0 && set[i].block == b {
 			f.tick++
-			f.lru[i] = f.tick
+			set[i].lru = f.tick
 			return true
 		}
 	}
@@ -198,34 +211,32 @@ func (f *tagFilter) present(b mem.BlockAddr) bool {
 
 // insert fills b into the filter, evicting the LRU way silently.
 func (f *tagFilter) insert(b mem.BlockAddr) {
-	lo, hi := f.index(b)
-	vic := lo
-	for i := lo; i < hi; i++ {
-		if f.valid[i] && f.tags[i] == b {
+	set := f.fillSet(b)
+	vic := 0
+	for i := range set {
+		if set[i].lru != 0 && set[i].block == b {
 			f.tick++
-			f.lru[i] = f.tick
+			set[i].lru = f.tick
 			return
 		}
-		if !f.valid[i] {
+		if set[i].lru == 0 {
 			vic = i
 			break
 		}
-		if f.lru[i] < f.lru[vic] {
+		if set[i].lru < set[vic].lru {
 			vic = i
 		}
 	}
 	f.tick++
-	f.tags[vic] = b
-	f.valid[vic] = true
-	f.lru[vic] = f.tick
+	set[vic] = tag{block: b, lru: f.tick}
 }
 
 // invalidate removes b if present (L2 inclusion enforcement).
 func (f *tagFilter) invalidate(b mem.BlockAddr) {
-	lo, hi := f.index(b)
-	for i := lo; i < hi; i++ {
-		if f.valid[i] && f.tags[i] == b {
-			f.valid[i] = false
+	set := f.setOf(b)
+	for i := range set {
+		if set[i].lru != 0 && set[i].block == b {
+			set[i].lru = 0
 			return
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"dvmc/internal/mem"
 	"dvmc/internal/network"
@@ -175,6 +176,15 @@ func wayOf(t *testing.T, set []line, l *line) int {
 	return -1
 }
 
+// TestLineSize pins the L2 line at 88 B: the block address, the data and
+// the LRU tick, then the three one-byte fields in one word. A field added
+// in the wrong place grows every chunk a run allocates.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 88 {
+		t.Errorf("line is %d B, want 88", got)
+	}
+}
+
 // TestChunkedArrayMatchesFlat drives the chunked L2 array, through the
 // real ctrlCore.allocate, and the flat reference with the same random
 // fills, lookups, peeks, word reads and writes, invalidations and busy
@@ -312,6 +322,125 @@ func TestChunkedArrayMatchesFlat(t *testing.T) {
 				}
 			}
 			compare(ops + 1)
+		})
+	}
+}
+
+// flatTagFilter is the L1 tag filter as it was before set chunks: three
+// parallel slices allocated up front, with an explicit valid bit. It
+// survives only as the reference the chunked tagFilter is checked against.
+type flatTagFilter struct {
+	sets, ways int
+	tags       []mem.BlockAddr
+	valid      []bool
+	lru        []uint64
+	tick       uint64
+}
+
+func newFlatTagFilter(sets, ways int) *flatTagFilter {
+	n := sets * ways
+	return &flatTagFilter{sets: sets, ways: ways, tags: make([]mem.BlockAddr, n), valid: make([]bool, n), lru: make([]uint64, n)}
+}
+
+func (f *flatTagFilter) index(b mem.BlockAddr) (lo, hi int) {
+	s := int(uint64(b) % uint64(f.sets))
+	return s * f.ways, (s + 1) * f.ways
+}
+
+func (f *flatTagFilter) present(b mem.BlockAddr) bool {
+	lo, hi := f.index(b)
+	for i := lo; i < hi; i++ {
+		if f.valid[i] && f.tags[i] == b {
+			f.tick++
+			f.lru[i] = f.tick
+			return true
+		}
+	}
+	return false
+}
+
+func (f *flatTagFilter) insert(b mem.BlockAddr) {
+	lo, hi := f.index(b)
+	vic := lo
+	for i := lo; i < hi; i++ {
+		if f.valid[i] && f.tags[i] == b {
+			f.tick++
+			f.lru[i] = f.tick
+			return
+		}
+		if !f.valid[i] {
+			vic = i
+			break
+		}
+		if f.lru[i] < f.lru[vic] {
+			vic = i
+		}
+	}
+	f.tick++
+	f.tags[vic] = b
+	f.valid[vic] = true
+	f.lru[vic] = f.tick
+}
+
+func (f *flatTagFilter) invalidate(b mem.BlockAddr) {
+	lo, hi := f.index(b)
+	for i := lo; i < hi; i++ {
+		if f.valid[i] && f.tags[i] == b {
+			f.valid[i] = false
+			return
+		}
+	}
+}
+
+// TestTagFilterMatchesFlat drives the chunked L1 tag filter and the flat
+// reference with the same random presence checks, fills and
+// invalidations. Every answer, and after each step every way's tag and
+// LRU stamp (lru 0 standing for the reference's cleared valid bit), must
+// agree; only a fill may allocate a chunk.
+func TestTagFilterMatchesFlat(t *testing.T) {
+	for _, g := range []struct{ sets, ways int }{{1, 2}, {3, 1}, {17, 2}, {64, 2}, {256, 4}} {
+		t.Run(fmt.Sprintf("%dx%d", g.sets, g.ways), func(t *testing.T) {
+			f, flat := newTagFilter(g.sets, g.ways), newFlatTagFilter(g.sets, g.ways)
+			rng := sim.NewRand(uint64(g.sets)<<8 | uint64(g.ways))
+			span := 3 * g.sets * g.ways
+			filled := make(map[int]bool) // chunks an insert has landed in
+			for op := 0; op < 50_000; op++ {
+				b := mem.BlockAddr(rng.Intn(span))
+				switch k := rng.Intn(4); {
+				case k < 2:
+					if got, want := f.present(b), flat.present(b); got != want {
+						t.Fatalf("op %d: present(%#x) = %v, flat %v", op, b, got, want)
+					}
+				case k < 3:
+					f.insert(b)
+					flat.insert(b)
+					filled[int(uint64(b)%uint64(g.sets))/chunkSets] = true
+				default:
+					f.invalidate(b)
+					flat.invalidate(b)
+				}
+				if f.tick != flat.tick {
+					t.Fatalf("op %d: tick %d, flat %d", op, f.tick, flat.tick)
+				}
+				for k, chunk := range f.chunks {
+					if (chunk != nil) != filled[k] {
+						t.Fatalf("op %d: chunk %d allocated=%v, filled=%v", op, k, chunk != nil, filled[k])
+					}
+				}
+				for s := 0; s < g.sets; s++ {
+					chunk := f.chunks[s/chunkSets]
+					for w := 0; w < g.ways; w++ {
+						i := s*g.ways + w
+						var got tag
+						if chunk != nil {
+							got = chunk[s%chunkSets*g.ways+w]
+						}
+						if (got.lru != 0) != flat.valid[i] || flat.valid[i] && (got.block != flat.tags[i] || got.lru != flat.lru[i]) {
+							t.Fatalf("op %d: set %d way %d = %+v, flat valid %v tag %#x lru %d", op, s, w, got, flat.valid[i], flat.tags[i], flat.lru[i])
+						}
+					}
+				}
+			}
 		})
 	}
 }

@@ -29,8 +29,8 @@ const scrubFIFOSize = 128
 //
 // Entries live in a slab indexed by a map so the steady-state
 // begin/end cycle recycles slots instead of allocating, and the scrub
-// FIFO is a head-indexed ring so popping does not reslice away backing
-// capacity. Inform messages draw from an optional InformPool.
+// FIFO is a segDeque, which reuses the segments popping empties. Inform
+// messages draw from an optional InformPool.
 type CacheChecker struct {
 	node  network.NodeID
 	cfg   coherence.Config
@@ -43,8 +43,7 @@ type CacheChecker struct {
 	slab []cetEntry
 	free []int32
 
-	scrub     []scrubEntry
-	scrubHead int
+	scrub segDeque[scrubEntry]
 
 	// due is the first cycle at which the scrub FIFO's head can be old
 	// enough to announce; see MemChecker.due.
@@ -141,8 +140,8 @@ func (c *CacheChecker) OpenEpochs() int { return len(c.cet) }
 func (c *CacheChecker) SlabInUse() int { return len(c.slab) - len(c.free) }
 
 // ScrubQueueLen returns the current depth of the delayed-inform scrub
-// ring (telemetry).
-func (c *CacheChecker) ScrubQueueLen() int { return c.scrubLen() }
+// FIFO (telemetry).
+func (c *CacheChecker) ScrubQueueLen() int { return c.scrub.len() }
 
 // Reset drops all epoch state (SafetyNet recovery: the caches were
 // invalidated, so no epochs are open). Slab and FIFO capacity is kept.
@@ -150,8 +149,7 @@ func (c *CacheChecker) Reset() {
 	clear(c.cet)
 	c.slab = c.slab[:0]
 	c.free = c.free[:0]
-	c.scrub = c.scrub[:0]
-	c.scrubHead = 0
+	c.scrub.reset()
 	c.wake()
 }
 
@@ -269,25 +267,9 @@ func accessName(write bool) string {
 	return "load"
 }
 
-// scrubLen returns the number of queued scrub entries.
-func (c *CacheChecker) scrubLen() int { return len(c.scrub) - c.scrubHead }
-
-// popScrub removes and returns the oldest scrub entry, compacting the
-// ring's dead prefix once it dominates the backing array.
-func (c *CacheChecker) popScrub() scrubEntry {
-	head := c.scrub[c.scrubHead]
-	c.scrubHead++
-	if c.scrubHead >= 64 && c.scrubHead*2 >= len(c.scrub) {
-		n := copy(c.scrub, c.scrub[c.scrubHead:])
-		c.scrub = c.scrub[:n]
-		c.scrubHead = 0
-	}
-	return head
-}
-
 // Tick implements sim.Clockable: the wraparound scrubbing walk.
 func (c *CacheChecker) Tick(now sim.Cycle) {
-	if c.scrubLen() > 0 && now >= c.due {
+	if c.scrub.len() > 0 && now >= c.due {
 		c.scrubAged()
 	}
 	c.slot.SleepUntil(c.next())
@@ -299,7 +281,7 @@ func (c *CacheChecker) Tick(now sim.Cycle) {
 // which wakes the CET); on any other clock, every cycle.
 func (c *CacheChecker) next() sim.Cycle {
 	switch {
-	case c.scrubLen() == 0:
+	case c.scrub.len() == 0:
 		return sim.Never
 	case c.sched != nil:
 		return c.due
@@ -313,29 +295,27 @@ func (c *CacheChecker) next() sim.Cycle {
 // scrubAged announces every FIFO head past the scrub threshold.
 func (c *CacheChecker) scrubAged() {
 	lnow := c.clock.LogicalNow()
-	for c.scrubLen() > 0 {
-		head := c.scrub[c.scrubHead]
+	for c.scrub.len() > 0 {
+		head := c.scrub.at(0)
 		if lnow-head.begin <= scrubThreshold {
 			if c.sched != nil {
 				c.due = c.sched.CycleAt(head.begin + scrubThreshold + 1)
 			}
 			break
 		}
-		c.scrubOne(c.popScrub())
+		c.scrubOne(c.scrub.popFront())
 	}
 }
 
 func (c *CacheChecker) pushScrub(b mem.BlockAddr, begin uint64) {
-	switch n := c.scrubLen(); {
+	switch n := c.scrub.len(); {
 	case n >= scrubFIFOSize:
-		c.scrubOne(c.popScrub())
+		c.scrubOne(c.scrub.popFront())
 		c.wake()
 	case n == 0:
 		c.slot.Wake() // a new head, however old its begin
 	}
-	// The scrub ring is compacted by popScrub; its capacity amortizes to
-	// the FIFO bound.
-	c.scrub = append(c.scrub, scrubEntry{block: b, begin: begin})
+	c.scrub.push(scrubEntry{block: b, begin: begin})
 }
 
 // scrubOne announces a still-open old epoch to the home MET so its begin
@@ -351,8 +331,7 @@ func (c *CacheChecker) scrubOne(s scrubEntry) {
 	}
 	if !e.dataReady {
 		// Cannot announce without the begin signature; re-queue.
-		// Re-queueing reuses ring capacity freed by popScrub.
-		c.scrub = append(c.scrub, s)
+		c.scrub.push(s)
 		return
 	}
 	e.informedOpen = true

@@ -41,7 +41,7 @@ type MemChecker struct {
 
 	met  map[mem.BlockAddr]int32
 	slab []metEntry
-	pq   []queuedInform
+	pq   segDeque[queuedInform]
 
 	// oldestCache memoises the minimum arrivedAt over pq. Arrival times
 	// are monotonic in enqueue order, so an enqueue never lowers the
@@ -137,33 +137,40 @@ type queuedInform struct {
 // pqLess orders informs by epoch begin time, ties broken by arrival
 // order (paper).
 func (m *MemChecker) pqLess(i, j int) bool {
-	if m.pq[i].begin != m.pq[j].begin {
-		return m.pq[i].begin < m.pq[j].begin
+	a, b := m.pq.at(i), m.pq.at(j)
+	if a.begin != b.begin {
+		return a.begin < b.begin
 	}
-	return m.pq[i].seq < m.pq[j].seq
+	return a.seq < b.seq
+}
+
+// pqSwap exchanges two heap positions.
+func (m *MemChecker) pqSwap(i, j int) {
+	a, b := m.pq.at(i), m.pq.at(j)
+	*a, *b = *b, *a
 }
 
 func (m *MemChecker) pqPush(qi queuedInform) {
-	// Queue capacity is bounded by metQueueSize and amortizes during
-	// warmup.
-	m.pq = append(m.pq, qi)
-	i := len(m.pq) - 1
+	// The queue is bounded by metQueueSize and grows a segment at a time.
+	m.pq.push(qi)
+	i := m.pq.len() - 1
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !m.pqLess(i, parent) {
 			break
 		}
-		m.pq[i], m.pq[parent] = m.pq[parent], m.pq[i]
+		m.pqSwap(i, parent)
 		i = parent
 	}
 }
 
 func (m *MemChecker) pqPop() queuedInform {
-	top := m.pq[0]
-	n := len(m.pq) - 1
-	m.pq[0] = m.pq[n]
-	m.pq[n] = queuedInform{}
-	m.pq = m.pq[:n]
+	top := *m.pq.at(0)
+	last := m.pq.popBack()
+	n := m.pq.len()
+	if n > 0 {
+		*m.pq.at(0) = last
+	}
 	i := 0
 	for {
 		l := 2*i + 1
@@ -177,7 +184,7 @@ func (m *MemChecker) pqPop() queuedInform {
 		if !m.pqLess(least, i) {
 			break
 		}
-		m.pq[i], m.pq[least] = m.pq[least], m.pq[i]
+		m.pqSwap(i, least)
 		i = least
 	}
 	m.oldestValid = false // the popped element may have been the oldest
@@ -228,7 +235,7 @@ func (m *MemChecker) Stats() METStats {
 // QueueDepth returns the current inform priority-queue occupancy: the
 // informs received and not yet judged (telemetry: backpressure at the
 // MET).
-func (m *MemChecker) QueueDepth() int { return len(m.pq) }
+func (m *MemChecker) QueueDepth() int { return m.pq.len() }
 
 // Entries returns the current MET entry count, without copying stats
 // (telemetry).
@@ -240,7 +247,7 @@ func (m *MemChecker) Entries() int { return len(m.met) }
 func (m *MemChecker) Reset() {
 	clear(m.met)
 	m.slab = m.slab[:0]
-	m.pq = m.pq[:0]
+	m.pq.reset()
 	m.oldestValid = false
 	m.wake()
 }
@@ -280,13 +287,13 @@ func (m *MemChecker) enqueue(p InformEpoch) {
 	m.enqSeq++
 	qi := queuedInform{inform: p, begin: p.Begin.Reconstruct(m.clock.LogicalNow()),
 		seq: m.enqSeq, arrivedAt: m.cycleNow()}
-	if len(m.pq) == 0 && !m.oldestValid {
+	if m.pq.len() == 0 && !m.oldestValid {
 		m.oldestCache = qi.arrivedAt
 		m.oldestValid = true
 	}
 	m.pqPush(qi)
 	m.wake()
-	if len(m.pq) > metQueueSize {
+	if m.pq.len() > metQueueSize {
 		m.stats.QueueOverflows++
 		m.processOne(m.pqPop())
 	}
@@ -295,7 +302,7 @@ func (m *MemChecker) enqueue(p InformEpoch) {
 // Tick implements sim.Clockable: drain informs old enough to be safely
 // ordered, and force progress when the logical clock stalls.
 func (m *MemChecker) Tick(now sim.Cycle) {
-	if len(m.pq) > 0 && now >= m.due {
+	if m.pq.len() > 0 && now >= m.due {
 		m.settle(now)
 	}
 	m.slot.SleepUntil(m.next())
@@ -305,16 +312,16 @@ func (m *MemChecker) Tick(now sim.Cycle) {
 // those the cycle window forces out.
 func (m *MemChecker) settle(now sim.Cycle) {
 	lnow := m.clock.LogicalNow()
-	for len(m.pq) > 0 && m.pq[0].begin+m.window <= lnow {
+	for m.pq.len() > 0 && m.pq.at(0).begin+m.window <= lnow {
 		m.processOne(m.pqPop())
 	}
-	for len(m.pq) > 0 && now > m.oldestArrival()+m.cycleWindow {
+	for m.pq.len() > 0 && now > m.oldestArrival()+m.cycleWindow {
 		m.processOne(m.pqPop())
 	}
-	if m.sched != nil && len(m.pq) > 0 {
+	if m.sched != nil && m.pq.len() > 0 {
 		// Neither loop pops before the clock passes the head's settle
 		// window or the oldest inform outwaits cycleWindow.
-		m.due = min(m.sched.CycleAt(m.pq[0].begin+m.window), m.oldestArrival()+m.cycleWindow+1)
+		m.due = min(m.sched.CycleAt(m.pq.at(0).begin+m.window), m.oldestArrival()+m.cycleWindow+1)
 	}
 }
 
@@ -325,7 +332,7 @@ func (m *MemChecker) settle(now sim.Cycle) {
 // MET); on any other clock, every cycle.
 func (m *MemChecker) next() sim.Cycle {
 	switch {
-	case len(m.pq) == 0:
+	case m.pq.len() == 0:
 		return sim.Never
 	case m.sched != nil:
 		return m.due
@@ -342,11 +349,9 @@ func (m *MemChecker) oldestArrival() sim.Cycle {
 	if m.oldestValid {
 		return m.oldestCache
 	}
-	oldest := m.pq[0].arrivedAt
-	for _, qi := range m.pq[1:] {
-		if qi.arrivedAt < oldest {
-			oldest = qi.arrivedAt
-		}
+	oldest := m.pq.at(0).arrivedAt
+	for i := 1; i < m.pq.len(); i++ {
+		oldest = min(oldest, m.pq.at(i).arrivedAt)
 	}
 	m.oldestCache = oldest
 	m.oldestValid = true

@@ -93,10 +93,12 @@ func NewUniprocChecker(node network.NodeID, capacity int, cacheLoadValues bool, 
 	if capacity < 1 {
 		panic("core: UniprocChecker capacity must be positive")
 	}
+	// The index is unsized: a short run indexes a few words, and a map
+	// sized for the VC's capacity would cost every node its table up front.
 	return &UniprocChecker{
 		node:            node,
 		sink:            sink,
-		idx:             make(map[mem.Addr]int32, capacity*2),
+		idx:             make(map[mem.Addr]int32),
 		loadHead:        -1,
 		loadTail:        -1,
 		capacity:        capacity,

@@ -1,0 +1,48 @@
+package fuzz
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestCaseAllocBudget pins what one campaign case allocates while it runs:
+// bytes and heap objects per RunCaseStreamed over the first 200 cases of
+// a seed-1 campaign at fault-frac 0.5 with every kind. A system allocates
+// what its run touches (DESIGN.md, "Object lifetimes"), and a fuzz
+// program touches four blocks, so a structure sized by the cache geometry
+// or the pipeline rather than by the run, or grown by doubling, fails
+// here. A campaign's collector work scales with these bytes. Before the
+// L2 and L1 arrays came in 16-set chunks, the uop and the L2 line were
+// packed and the MET and CET queues grew by segments, a case cost 210,487
+// bytes and 1,302 heap objects; now 114,625 and 1,287. The byte budget is
+// that plus 10 %; the object budget is the older count, which a change
+// must not exceed.
+func TestCaseAllocBudget(t *testing.T) {
+	const (
+		cases       = 200
+		bytesBudget = 126_000
+		objsBudget  = 1_302
+	)
+	cfg := CampaignConfig{Seed: 1, Runs: cases, FaultFrac: 0.5}
+	cs := make([]*Case, cases)
+	for i := range cs {
+		cs[i] = CaseAt(cfg, i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, c := range cs {
+		if _, _, err := RunCaseStreamed(c, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCase := (after.TotalAlloc - before.TotalAlloc) / cases
+	objs := (after.Mallocs - before.Mallocs) / cases
+	t.Logf("%d bytes and %d heap objects per case", perCase, objs)
+	if perCase > bytesBudget {
+		t.Errorf("a case allocates %d bytes, budget %d", perCase, bytesBudget)
+	}
+	if objs > objsBudget {
+		t.Errorf("a case allocates %d heap objects, budget %d", objs, objsBudget)
+	}
+}

@@ -39,26 +39,38 @@ type uop struct {
 	snapBuf  any
 
 	// inflight counts cache completions issued for this uop and not yet
-	// delivered; dropped says the pipeline is done with it.
-	inflight int
-	dropped  bool
+	// delivered; dropped (below) says the pipeline is done with it.
+	inflight  int32
+	instrCost int32 // 1 + gap instructions
 
-	op        Op
-	seq       uint64
-	model     consistency.Model // effective model (Bits32 forces TSO)
-	state     uopState
-	instrCost int // 1 + gap instructions
-	// genSnap is the program state before this op was generated (snapBuf,
-	// or nil for an injected membar, which the program never produced).
-	genSnap    any
-	prevResult Result
+	op  Op
+	seq uint64
+	// prevValue and prevValid are the Result that Program.Next was handed
+	// for this op (prev).
+	prevValue mem.Word
 
-	loadVal   mem.Word
+	loadVal     mem.Word
+	execReadyAt sim.Cycle
+	replayVal   mem.Word
+
+	// The one-byte fields come last, so they share two words and a uop
+	// fills a 160-B size class (TestUopSize).
+	model   consistency.Model // effective model (Bits32 forces TSO)
+	state   uopState
+	dropped bool
+	// snapped says snapBuf holds the program state before this op was
+	// generated (an injected membar, which the program never produced,
+	// has none); snapKept that a checkpoint took that buffer
+	// (keepSnapshot), so the uop's next life takes its snapshot into a
+	// fresh one.
+	snapped   bool
+	snapKept  bool
+	prevValid bool
+
 	forwarded bool
 	// speculative marks an executed load whose value may still change
 	// (ordered-load models before the perform point).
 	speculative bool
-	execReadyAt sim.Cycle
 	squashed    bool
 
 	committed   bool
@@ -68,7 +80,6 @@ type uop struct {
 	replayStarted bool
 	replayDone    bool
 	replayMatch   bool
-	replayVal     mem.Word
 
 	injected bool // artificial membar for lost-op detection
 }
@@ -85,13 +96,21 @@ type CPU struct {
 
 	// rob is the reorder buffer, oldest first: a window of robBuf that
 	// slides right as ops retire and moves back to the front when it
-	// reaches the end, so fetch never grows it.
+	// reaches the end. robBuf starts empty and doubles, up to ROBInstrs,
+	// when the window fills half of it, so a short program pays for the
+	// ops it keeps in flight and a long one stops growing it once full.
 	rob      []*uop
 	robBuf   []*uop
 	uops     sim.FreeList[uop]
 	instrs   int // instructions in flight (ops + gaps)
 	seqNext  uint64
 	finished bool
+
+	// verifyDue says a load may have become free to replay early since
+	// verifyStage last looked: one executed, or the head retired, which
+	// can take a same-word store out of a load's way or bring a load
+	// into the verify window. Nothing else makes one free.
+	verifyDue bool
 
 	// Front end.
 	pendingOp       *uop
@@ -179,10 +198,7 @@ func NewCPU(node network.NodeID, cfg Config, model consistency.Model, ctrl coher
 		ctrl:  ctrl,
 		prog:  prog,
 		awake: true,
-		// Every op in flight costs at least one of the ROBInstrs.
-		robBuf: make([]*uop, cfg.ROBInstrs),
 	}
-	c.rob = c.robBuf[:0]
 	c.wb = NewWriteBufferFor(model, cfg, ctrl, c.storePerformed, c.wake)
 	c.watchdogCycles = 30000
 	return c
@@ -440,7 +456,7 @@ func (c *CPU) fetchStage(now sim.Cycle) {
 			return
 		}
 		// Reserve the whole footprint (op + its gap instructions).
-		if c.instrs+c.pendingOp.instrCost > c.cfg.ROBInstrs {
+		if c.instrs+int(c.pendingOp.instrCost) > c.cfg.ROBInstrs {
 			return
 		}
 		if c.pendingGap > 0 {
@@ -461,7 +477,7 @@ func (c *CPU) fetchStage(now sim.Cycle) {
 		budget--
 		u := c.pendingOp
 		c.pendingOp = nil
-		c.instrs += u.instrCost
+		c.instrs += int(u.instrCost)
 		c.pushROB(u)
 		c.wake()
 		if u.op.Blocking {
@@ -521,21 +537,32 @@ func (c *CPU) nextFromProgram(now sim.Cycle) bool {
 	u.seq = c.nextSeq()
 	u.model = c.effectiveModel(op)
 	u.state = uFetched
-	u.instrCost = cost
-	u.genSnap = u.snapBuf
-	u.prevResult = prev
+	u.instrCost = int32(cost)
+	u.snapped = true
+	u.prevValue, u.prevValid = prev.Value, prev.Valid
 	c.pendingOp = u
 	c.pendingGap = op.Gap
 	return true
 }
 
+// robBufMin is the reorder buffer's first allocation: the ops a short
+// fuzz thread keeps in flight.
+const robBufMin = 32
+
 // pushROB appends a fetched op to the reorder buffer.
 func (c *CPU) pushROB(u *uop) {
 	if len(c.rob) == cap(c.rob) {
-		// The window reached the end of the buffer: move it to the front.
-		n := copy(c.robBuf, c.rob)
-		clear(c.robBuf[n:])
-		c.rob = c.robBuf[:n]
+		// The window reached the end of the buffer: move it to the front,
+		// of a buffer twice the size if it fills half of this one. Every
+		// op in flight costs at least one of the ROBInstrs, so that bounds
+		// the buffer.
+		buf := c.robBuf
+		if 2*len(c.rob) >= len(buf) && len(buf) < c.cfg.ROBInstrs {
+			buf = make([]*uop, min(max(2*len(buf), robBufMin), c.cfg.ROBInstrs))
+		}
+		n := copy(buf, c.rob)
+		clear(buf[n:])
+		c.robBuf, c.rob = buf, buf[:n]
 	}
 	c.rob = append(c.rob, u)
 }
@@ -577,7 +604,11 @@ func (c *CPU) reclaim(u *uop) {
 	if !u.dropped || u.inflight > 0 || u == c.blockingOp {
 		return
 	}
-	*u = uop{cpu: c, onLoad: u.onLoad, onReplay: u.onReplay, onStore: u.onStore, onRMW: u.onRMW, snapBuf: u.snapBuf}
+	buf := u.snapBuf
+	if u.snapKept {
+		buf = nil
+	}
+	*u = uop{cpu: c, onLoad: u.onLoad, onReplay: u.onReplay, onStore: u.onStore, onRMW: u.onRMW, snapBuf: buf}
 	c.uops.Put(u)
 }
 
@@ -604,7 +635,26 @@ func (c *CPU) blockingValueReady(u *uop) bool {
 func (c *CPU) executeStage(now sim.Cycle) {
 	issued := 0
 	considered := 0
+	// What the ops older than u impose on a load's issue, gathered in the
+	// same pass (canIssueLoad): the union of the masks of unperformed
+	// membars, and whether an unperformed RMW is among them.
+	var older *uop
+	var fence consistency.MembarMask
+	rmw := false
 	for _, u := range c.rob {
+		if older != nil && !older.performed {
+			switch older.op.Kind {
+			case OpMembar:
+				fence |= older.op.Mask
+			case OpRMW:
+				rmw = true
+			default:
+				// Older loads and stores impose no issue-order constraint
+				// on a younger load (store-to-load forwarding is modelled
+				// at perform time).
+			}
+		}
+		older = u
 		if issued >= c.cfg.Width {
 			break
 		}
@@ -624,7 +674,7 @@ func (c *CPU) executeStage(now sim.Cycle) {
 		}
 		switch u.op.Kind {
 		case OpLoad:
-			if !c.canIssueLoad(u) {
+			if !c.canIssueLoad(u, fence, rmw) {
 				continue
 			}
 			issued++
@@ -647,29 +697,27 @@ func (c *CPU) executeStage(now sim.Cycle) {
 	}
 }
 
-// canIssueLoad enforces membar→load ordering and same-word dependences.
-func (c *CPU) canIssueLoad(u *uop) bool {
-	table := consistency.TableFor(u.model)
-	loadOp := consistency.Op{Class: consistency.Load}
+// canIssueLoad enforces membar→load ordering and same-word dependences,
+// given fence, the union of the masks of the unperformed membars older
+// than u, and rmw, whether an unperformed RMW is older than u. A table
+// orders a load after a membar when its entry shares a bit with the
+// membar's mask, so the union orders the load exactly when one of the
+// membars does. An unperformed same-word RMW cannot forward; the load
+// waits. RMWs are rare, so only then are the older ops walked.
+func (c *CPU) canIssueLoad(u *uop, fence consistency.MembarMask, rmw bool) bool {
+	if fence != 0 && consistency.TableFor(u.model).Ordered(
+		consistency.Op{Class: consistency.Membar, Mask: fence}, consistency.Op{Class: consistency.Load}) {
+		return false
+	}
+	if !rmw {
+		return true
+	}
 	for _, older := range c.rob {
-		if older.seq >= u.seq {
+		if older == u {
 			break
 		}
-		switch older.op.Kind {
-		case OpMembar:
-			if !older.performed &&
-				table.Ordered(consistency.Op{Class: consistency.Membar, Mask: older.op.Mask}, loadOp) {
-				return false
-			}
-		default:
-			// Older loads and stores impose no issue-order constraint on
-			// a younger load (store-to-load forwarding is modelled at
-			// perform time).
-		case OpRMW:
-			// An unperformed same-word RMW cannot forward; the load waits.
-			if !older.performed && older.op.Addr == u.op.Addr {
-				return false
-			}
+		if older.op.Kind == OpRMW && !older.performed && older.op.Addr == u.op.Addr {
+			return false
 		}
 	}
 	return true
@@ -741,6 +789,7 @@ func (c *CPU) loadExecuted(u *uop) {
 		return
 	}
 	u.state = uExecuted
+	c.verifyDue = true
 	c.stats.LoadsExecuted++
 	// cacheVal is the value as delivered by the cache port (or the
 	// forwarding network), captured before any injected LSQ data-path
@@ -821,9 +870,10 @@ const verifyWindow = 24
 // touches the same word (its replay would otherwise need the older op's
 // VC entry, which is written in program order at the retire head).
 func (c *CPU) verifyStage(now sim.Cycle) {
-	if c.uo == nil {
+	if c.uo == nil || !c.verifyDue {
 		return
 	}
+	c.verifyDue = false
 	limit := verifyWindow
 	if limit > len(c.rob) {
 		limit = len(c.rob)
@@ -930,9 +980,10 @@ func (c *CPU) retireStage(now sim.Cycle) {
 
 func (c *CPU) popHead(u *uop) {
 	c.wake()
+	c.verifyDue = true
 	c.rob[0] = nil
 	c.rob = c.rob[1:]
-	c.instrs -= u.instrCost
+	c.instrs -= int(u.instrCost)
 	c.stats.OpsRetired++
 	c.stats.InstrsRetired += uint64(u.instrCost)
 	switch u.op.Kind {
@@ -1295,9 +1346,9 @@ func (c *CPU) squashFrom(u *uop, spec bool) {
 		c.stats.VerifySquashes++
 	}
 	// Rewind the generator to just before the squashed op was fetched.
-	if u.genSnap != nil {
-		c.prog.Restore(u.genSnap)
-		c.nextResult = u.prevResult
+	if u.snapped {
+		c.prog.Restore(u.snapBuf)
+		c.nextResult = u.prev()
 		c.finished = false
 	}
 	c.flushFrom(idx)
@@ -1316,7 +1367,7 @@ func (c *CPU) flushFrom(idx int) {
 	c.setBlocking(nil)
 	for _, r := range c.rob[idx:] {
 		c.squash(r)
-		c.instrs -= r.instrCost
+		c.instrs -= int(r.instrCost)
 		c.drop(r)
 	}
 	clear(c.rob[idx:])
@@ -1360,11 +1411,11 @@ func (c *CPU) ArchSnapshot() ArchState {
 	// The position is the snapshot of the first remaining op that carries
 	// one (injected membars do not).
 	for j := i; j < len(c.rob); j++ {
-		if c.rob[j].genSnap != nil {
+		if c.rob[j].snapped {
 			return c.rob[j].keepSnapshot(st)
 		}
 	}
-	if c.pendingOp != nil && c.pendingOp.genSnap != nil {
+	if c.pendingOp != nil && c.pendingOp.snapped {
 		return c.pendingOp.keepSnapshot(st)
 	}
 	// Nothing speculative in flight: the generator's current state is the
@@ -1386,11 +1437,14 @@ func (c *CPU) ArchSnapshot() ArchState {
 // being shared: u still reads it for a squash in this life, but gives up
 // the buffer, and its next life takes its snapshot into a fresh one.
 func (u *uop) keepSnapshot(st ArchState) ArchState {
-	st.ProgSnap = u.genSnap
-	st.Prev = u.prevResult
-	u.snapBuf = nil
+	st.ProgSnap = u.snapBuf
+	st.Prev = u.prev()
+	u.snapKept = true
 	return st
 }
+
+// prev is the Result Program.Next was handed for u's op.
+func (u *uop) prev() Result { return Result{Valid: u.prevValid, Value: u.prevValue} }
 
 // Recover rewinds the core to a checkpointed architectural state
 // (SafetyNet recovery): the pipeline and write buffer flush, the program
@@ -1427,16 +1481,16 @@ func (c *CPU) squashYounger(u *uop) {
 	// Rewind the generator to the first younger op carrying a snapshot.
 	restored := false
 	for j := idx + 1; j < len(c.rob); j++ {
-		if c.rob[j].genSnap != nil {
-			c.prog.Restore(c.rob[j].genSnap)
-			c.nextResult = c.rob[j].prevResult
+		if c.rob[j].snapped {
+			c.prog.Restore(c.rob[j].snapBuf)
+			c.nextResult = c.rob[j].prev()
 			restored = true
 			break
 		}
 	}
-	if !restored && c.pendingOp != nil && c.pendingOp.genSnap != nil {
-		c.prog.Restore(c.pendingOp.genSnap)
-		c.nextResult = c.pendingOp.prevResult
+	if !restored && c.pendingOp != nil && c.pendingOp.snapped {
+		c.prog.Restore(c.pendingOp.snapBuf)
+		c.nextResult = c.pendingOp.prev()
 		restored = true
 	}
 	// If nothing younger was fetched, the generator already sits after u.

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"strings"
 	"testing"
 
 	"dvmc/internal/coherence"
@@ -506,12 +507,56 @@ func TestCPUScriptSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestCPUConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
+// TestFenceUnionOrdersLoads pins what executeStage relies on when it
+// ORs the masks of every older unperformed membar into one fence: under
+// every model, a membar carrying the union of two masks orders a later
+// load exactly when a membar carrying either mask does.
+func TestFenceUnionOrdersLoads(t *testing.T) {
+	load := consistency.Op{Class: consistency.Load}
+	fence := func(m consistency.MembarMask) consistency.Op {
+		return consistency.Op{Class: consistency.Membar, Mask: m}
 	}
-	bad := Config{}
-	if err := bad.Validate(); err == nil {
+	for _, model := range []consistency.Model{consistency.SC, consistency.TSO, consistency.PSO, consistency.RMO, consistency.PC} {
+		table := consistency.TableFor(model)
+		for a := consistency.MembarMask(0); a <= consistency.FullMask; a++ {
+			for b := consistency.MembarMask(0); b <= consistency.FullMask; b++ {
+				if got, want := table.Ordered(fence(a|b), load), table.Ordered(fence(a), load) || table.Ordered(fence(b), load); got != want {
+					t.Errorf("%v: membar %#x|%#x orders a load = %v, either alone = %v", model, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCPUConfigValidate rejects each out-of-range field of an otherwise
+// default config with an error that names the field, and accepts the
+// default.
+func TestCPUConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		field string // named by the error; "" for a valid config
+		edit  func(*Config)
+	}{
+		{"", func(*Config) {}},
+		{"Width", func(c *Config) { c.Width = 0 }},
+		{"ROBInstrs", func(c *Config) { c.ROBInstrs = 0 }},
+		{"Window", func(c *Config) { c.Window = 0 }},
+		{"WBEntries", func(c *Config) { c.WBEntries = -1 }},
+		{"VCWords", func(c *Config) { c.VCWords = 0 }},
+		{"WBOutstand", func(c *Config) { c.WBOutstand = 0 }},
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		err := cfg.Validate()
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("default config rejected: %v", err)
+		case tc.field != "" && err == nil:
+			t.Errorf("%s out of range accepted", tc.field)
+		case tc.field != "" && !strings.Contains(err.Error(), tc.field):
+			t.Errorf("%s out of range: error %q does not name it", tc.field, err)
+		}
+	}
+	if err := (Config{}).Validate(); err == nil {
 		t.Error("zero config accepted")
 	}
 }

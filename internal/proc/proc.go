@@ -65,15 +65,16 @@ func (k OpKind) Class() consistency.OpClass {
 
 // Op is one memory operation of a program, in program order.
 type Op struct {
-	Kind OpKind
 	Addr mem.Addr
 	Data mem.Word                // store value
 	RMW  func(mem.Word) mem.Word // RMW transform (nil for plain ops)
-	Mask consistency.MembarMask  // membars only
 
 	// Gap is the number of non-memory instructions preceding this op;
 	// they consume front-end and reorder-buffer bandwidth.
 	Gap int
+
+	Kind OpKind
+	Mask consistency.MembarMask // membars only
 
 	// Bits32 marks 32-bit SPARC v8 code, which was written for TSO: a
 	// system configured for PSO or RMO must treat the op under TSO
@@ -158,8 +159,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("proc: ROBInstrs = %d", c.ROBInstrs)
 	case c.Window < 1:
 		return fmt.Errorf("proc: Window = %d", c.Window)
-	case c.WBEntries < 0 || c.VCWords < 1:
-		return fmt.Errorf("proc: bad WBEntries/VCWords %d/%d", c.WBEntries, c.VCWords)
+	case c.WBEntries < 0:
+		return fmt.Errorf("proc: WBEntries = %d", c.WBEntries)
+	case c.VCWords < 1:
+		return fmt.Errorf("proc: VCWords = %d", c.VCWords)
 	case c.WBOutstand < 1:
 		return fmt.Errorf("proc: WBOutstand = %d", c.WBOutstand)
 	}

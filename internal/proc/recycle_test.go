@@ -2,6 +2,7 @@ package proc
 
 import (
 	"testing"
+	"unsafe"
 
 	"dvmc/internal/consistency"
 	"dvmc/internal/mem"
@@ -154,7 +155,7 @@ func TestCheckpointOutlivesTheUopItsSnapshotCameFrom(t *testing.T) {
 	tw.fresh = true
 	tw.run(30)
 	c := tw.cores[0]
-	if len(c.rob) != cfg.ROBInstrs || c.rob[0].genSnap == nil {
+	if len(c.rob) != cfg.ROBInstrs || !c.rob[0].snapped {
 		t.Fatalf("%d ops in flight, want a full ROB to take the checkpoint's position from", len(c.rob))
 	}
 	source, seqThen := c.rob[0], c.rob[0].seq
@@ -181,5 +182,14 @@ func TestCheckpointOutlivesTheUopItsSnapshotCameFrom(t *testing.T) {
 	// program runs again.
 	if got := c.Stats().OpsRetired - retiredThen; got != uint64(len(ops)) {
 		t.Errorf("%d ops retired after recovery, want all %d: the run did not resume where the checkpoint was taken", got, len(ops))
+	}
+}
+
+// TestUopSize pins the micro-op at 160 B, a size class: a fuzz case draws
+// about a hundred of them, and a field added among the words instead of
+// among the one-byte flags at the end moves it to the next class.
+func TestUopSize(t *testing.T) {
+	if got := unsafe.Sizeof(uop{}); got != 160 {
+		t.Errorf("uop is %d B, want 160", got)
 	}
 }

@@ -176,7 +176,7 @@ func (tw *twins) view(i int) cpuView {
 	}
 	for _, u := range c.rob {
 		cp := *u
-		cp.genSnap, cp.op.RMW = nil, nil // not comparable; the program position shows in SeqNext
+		cp.op.RMW = nil // not comparable
 		// Nor is what a uop keeps across lives: its owner, callbacks, buffer.
 		cp.cpu, cp.snapBuf, cp.onLoad, cp.onReplay, cp.onStore, cp.onRMW = nil, nil, nil, nil, nil, nil
 		cp.inflight %= pinned

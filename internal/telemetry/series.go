@@ -40,9 +40,6 @@ func (s *Series) push(cycle uint64, v int64) {
 	s.head = (s.head + 1) % DefaultSeriesCap
 }
 
-// Metric returns the tracked metric.
-func (s *Series) Metric() *Metric { return s.metric }
-
 // LabelValue returns the label value of the tracked slot ("" for
 // scalars).
 func (s *Series) LabelValue() string { return s.metric.LabelValue(s.slot) }

@@ -137,9 +137,9 @@ func TestTelemetrySnapshotShape(t *testing.T) {
 	if len(series) == 0 {
 		t.Fatal("no tracked series")
 	}
-	for _, s := range series[:1] {
+	for i, s := range series[:1] {
 		if s.Len() < 2 {
-			t.Errorf("series %s has %d samples, want several", s.Metric().Name(), s.Len())
+			t.Errorf("series %d[%s] has %d samples, want several", i, s.LabelValue(), s.Len())
 		}
 		c0, _ := s.At(0)
 		c1, _ := s.At(1)
@@ -187,12 +187,12 @@ func TestTelemetryOffBuildsNoRing(t *testing.T) {
 	if len(series) == 0 {
 		t.Fatal("no tracked series")
 	}
-	for _, s := range series {
+	for i, s := range series {
 		if s.Len() != 0 || s.Cap() != telemetry.DefaultSeriesCap {
-			t.Errorf("%s[%s]: len/cap %d/%d, want 0/%d", s.Metric().Name(), s.LabelValue(), s.Len(), s.Cap(), telemetry.DefaultSeriesCap)
+			t.Errorf("series %d[%s]: len/cap %d/%d, want 0/%d", i, s.LabelValue(), s.Len(), s.Cap(), telemetry.DefaultSeriesCap)
 		}
 		if ring := reflect.ValueOf(s).Elem(); !ring.FieldByName("cycles").IsNil() || !ring.FieldByName("vals").IsNil() {
-			t.Errorf("%s[%s]: ring allocated with telemetry off", s.Metric().Name(), s.LabelValue())
+			t.Errorf("series %d[%s]: ring allocated with telemetry off", i, s.LabelValue())
 		}
 	}
 	var got bytes.Buffer
