@@ -51,7 +51,6 @@ func TestConfigIsTheTableRow(t *testing.T) {
 				t.Errorf("%v/%v seed %d: config differs from ErrorDetectionConfig", row.Protocol, row.Model, seed)
 			}
 			old := dvmc.ScaledConfig().WithSeed(seed)
-			old.Memory.CacheECC = true
 			old.SNConfig.Interval = 10000
 			old.SNConfig.Keep = 10
 			old.Proc.MembarInjectionInterval = 5000

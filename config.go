@@ -177,7 +177,6 @@ func DefaultConfig() Config {
 			L2Latency:  13,
 			MemLatency: 160,
 			MSHRs:      16,
-			CacheECC:   true,
 		},
 		Proc:      proc.DefaultConfig(),
 		DVMC:      Full(),
@@ -195,7 +194,6 @@ func ScaledConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Memory.L1Sets, cfg.Memory.L1Ways = 64, 2  // 8 KB
 	cfg.Memory.L2Sets, cfg.Memory.L2Ways = 512, 4 // 128 KB
-	cfg.Memory.CacheECC = false                   // faster; ECC covered by unit tests
 	cfg.SNConfig = safetynet.Config{Interval: 10000, Keep: 4}
 	return cfg
 }

@@ -491,12 +491,11 @@ func ErrorDetectionRows() []ErrorDetectionRow {
 }
 
 // ErrorDetectionConfig builds one row's fully-protected system
-// configuration (ECC on, tight SafetyNet interval, periodic membar
+// configuration (tight SafetyNet interval, periodic membar
 // injection) — the exact knobs the Section 6.1 campaign has always
 // used, exported so dvmc-errors runs the same rows.
 func ErrorDetectionConfig(r ErrorDetectionRow, seed uint64) Config {
 	cfg := protectConfig(r.Protocol, r.Model).WithSeed(seed)
-	cfg.Memory.CacheECC = true
 	cfg.SNConfig.Interval = 10000
 	cfg.SNConfig.Keep = 10
 	cfg.Proc.MembarInjectionInterval = 5000

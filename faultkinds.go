@@ -209,8 +209,10 @@ var faultKinds = [numFaultKinds]faultKind{
 			b, ok := pickBlock(s.ctrls[n].ResidentBlocks(64), rng)
 			return ok && s.ctrls[n].CorruptCacheBit(b, rng.Intn(mem.BlockBytes*8))
 		},
-		// The corrupted line was never consumed within the budget; under
-		// ECC it will be corrected on first use.
+		// Line ECC is always on and corrects the flip at the line's first
+		// access (a read, a partial write or a writeback), which ends the
+		// run as detected; undetected means the line was never accessed
+		// within the budget, and that access will correct it.
 		undetected: masked,
 	},
 	FaultMemoryDataFlip: {

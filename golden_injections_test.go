@@ -56,7 +56,9 @@ func goldenInjectionRuns(t *testing.T) []goldenVerdict {
 // testdata/golden_injections.json. The file was generated at commit
 // 8852db8 (the parent of the faultKinds table, when each kind's
 // behaviour still lived in the switches of inject.go) with
-// `go test -run TestGoldenInjections -update-golden .`.
+// `go test -run TestGoldenInjections -update-golden .`, and regenerated
+// once since, when the label of an ECC correction became "ecc-corrected"
+// (four cache-data-flip rows; no verdict moved).
 func TestGoldenInjections(t *testing.T) {
 	got := goldenInjectionRuns(t)
 	var want []goldenVerdict

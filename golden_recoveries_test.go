@@ -39,16 +39,14 @@ func goldenRecoveryRuns(t *testing.T) []goldenRecovery {
 	t.Helper()
 	var out []goldenRecovery
 	for _, sys := range []struct {
-		p   Protocol
-		m   Model
-		ecc bool
-	}{{Directory, TSO, true}, {Snooping, RMO, false}} {
+		p Protocol
+		m Model
+	}{{Directory, TSO}, {Snooping, RMO}} {
 		for _, kind := range []FaultKind{FaultMemoryDataFlip, FaultCacheDataFlip, FaultMsgDataFlip,
 			FaultSilentWrite, FaultWBCorrupt, FaultNestedRecovery} {
 			for _, plan := range []string{"before", "after", "after-then-before"} {
-				name := fmt.Sprintf("%v/%v/ecc=%v/%v/%s", sys.p, sys.m, sys.ecc, kind, plan)
+				name := fmt.Sprintf("%v/%v/%v/%s", sys.p, sys.m, kind, plan)
 				cfg := ScaledConfig().WithProtocol(sys.p).WithModel(sys.m).WithTrace(TraceOn())
-				cfg.Memory.CacheECC = sys.ecc
 				cfg.SNConfig.Keep = 3
 				// ScaledConfig's 128 KB L2 holds OLTP's working set: by cycle
 				// 61k no home has a written block, so a memory flip has no
@@ -107,7 +105,10 @@ func goldenRecoveryRuns(t *testing.T) []goldenRecovery {
 // a corruption, and nested. testdata/golden_recoveries.json was generated
 // at commit 27032bd (the parent of the undo log, when every checkpoint
 // was a whole-memory snapshot) with
-// `go test -run TestGoldenRecoveries -update-golden .`.
+// `go test -run TestGoldenRecoveries -update-golden .`, and regenerated
+// once since, when line ECC became always on: the names lost their ecc=
+// part, and only the three snooping cache-data-flip rows changed, their
+// flip now corrected at first use.
 func TestGoldenRecoveries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 36 runs of 100k cycles")

@@ -232,7 +232,7 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 		case s.eccCorrections() > baseECC:
 			// The flip was corrected in place on first use: detection and
 			// recovery coincide; no rollback is needed.
-			res.DetectionKind = core.ECCUncorrectable
+			res.DetectionKind = core.ECCCorrected
 			res.ActivatedAt = s.Now()
 			res.Latency = 0
 			res.Recoverable = true

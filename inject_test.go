@@ -14,7 +14,6 @@ import (
 func injCfg() Config {
 	cfg := smallConfig()
 	cfg.Proc.MembarInjectionInterval = 5000
-	cfg.Memory.CacheECC = true // cache flips are ECC's job (Section 4.3)
 	// Match the paper's ~100k-cycle recovery window.
 	cfg.SNConfig.Interval = 10000
 	cfg.SNConfig.Keep = 10

@@ -10,15 +10,13 @@ import (
 
 // TestAccessPathSteadyStateAllocFree pins the processor-facing access
 // path and the input latch at zero heap allocations once warm: an L1-hit
-// load, an L1-hit store (ECC on, so the code words are rewritten too) and
+// load, an L1-hit store (through the line ECC's access checks) and
 // a delivered WBAck each travel through recycled records and bound step
 // functions, never a closure. The callbacks are hoisted, as the write
 // buffers and the cores hoist theirs.
 func TestAccessPathSteadyStateAllocFree(t *testing.T) {
 	bothProtocols(t, func(t *testing.T, proto protocolKind) {
-		cfg := testConfig(2)
-		cfg.CacheECC = true
-		h := newHarnessWithCfg(t, proto, cfg)
+		h := newHarness(t, proto, 2)
 		const addr = mem.Addr(0x1000)
 		h.store(t, 0, addr, 7) // the line is now Modified and its L1 tag hot
 		c := h.ctrl(0)

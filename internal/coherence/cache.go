@@ -73,19 +73,17 @@ func (a *setArray[E]) fillSet(b mem.BlockAddr) []E {
 	return a.setOf(b)
 }
 
-// cacheArray is a set-associative array with LRU replacement.
+// cacheArray is a set-associative array with LRU replacement, its lines
+// under SEC-DED ECC (the paper's Cache Correctness assumes ECC on every
+// cache line).
 type cacheArray struct {
 	setArray[line]
 	tick uint64
-	ecc  *mem.ECC
+	ecc  mem.ECC
 }
 
-func newCacheArray(sets, ways int, withECC bool) *cacheArray {
-	a := &cacheArray{setArray: newSetArray[line](sets, ways)}
-	if withECC {
-		a.ecc = mem.NewECC()
-	}
-	return a
+func newCacheArray(sets, ways int) *cacheArray {
+	return &cacheArray{setArray: newSetArray[line](sets, ways)}
 }
 
 // lookup returns the line holding b, or nil.
@@ -116,49 +114,43 @@ func (a *cacheArray) peek(b mem.BlockAddr) *line {
 func (a *cacheArray) install(l *line, b mem.BlockAddr, s State, data mem.Block, dataValid bool) {
 	a.tick++
 	*l = line{valid: true, block: b, state: s, data: data, dataValid: dataValid, lru: a.tick}
-	if a.ecc != nil && dataValid {
-		a.ecc.Protect(uint64(b), &l.data)
-	}
+	a.ecc.Forget(uint64(b))
 }
 
-// writeWord performs a store into a resident line, refreshing ECC.
+// writeWord performs a store into a resident line. ECC corrects the line
+// before the store re-encodes it, so an upset in another word is
+// repaired, not written into the code.
 func (a *cacheArray) writeWord(l *line, addr mem.Addr, w mem.Word) {
+	a.ecc.Correct(uint64(l.block), &l.data)
 	l.data[addr.WordIndex()] = w
-	if a.ecc != nil {
-		a.ecc.Protect(uint64(l.block), &l.data)
-	}
+	a.ecc.Forget(uint64(l.block))
 }
 
 // writeBlock replaces a resident line's data (snooping data arrival).
 func (a *cacheArray) writeBlock(l *line, data mem.Block) {
 	l.data = data
 	l.dataValid = true
-	if a.ecc != nil {
-		a.ecc.Protect(uint64(l.block), &l.data)
-	}
+	a.ecc.Forget(uint64(l.block))
 }
 
-// readWord reads a word, letting ECC scrub single-bit upsets first.
+// readWord reads a word, letting ECC correct a single-bit upset first.
 func (a *cacheArray) readWord(l *line, addr mem.Addr) mem.Word {
-	if a.ecc != nil {
-		a.ecc.Check(uint64(l.block), &l.data)
-	}
+	a.ecc.Correct(uint64(l.block), &l.data)
 	return l.data[addr.WordIndex()]
 }
 
-// readBlock reads the whole block with ECC scrubbing.
+// readBlock reads the whole block, letting ECC correct it first.
 func (a *cacheArray) readBlock(l *line) mem.Block {
-	if a.ecc != nil {
-		a.ecc.Check(uint64(l.block), &l.data)
-	}
+	a.ecc.Correct(uint64(l.block), &l.data)
 	return l.data
 }
 
-// invalidate frees a line, dropping its ECC protection.
+// flip upsets one bit of a resident line behind the code.
+func (a *cacheArray) flip(l *line, bit int) { a.ecc.Flip(uint64(l.block), &l.data, bit) }
+
+// invalidate frees a line, and ECC forgets its upsets.
 func (a *cacheArray) invalidate(l *line) {
-	if a.ecc != nil {
-		a.ecc.Unprotect(uint64(l.block))
-	}
+	a.ecc.Forget(uint64(l.block))
 	l.valid = false
 	l.state = Invalid
 }

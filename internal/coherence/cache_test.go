@@ -19,15 +19,11 @@ type flatArray struct {
 	sets, ways int
 	lines      []line
 	tick       uint64
-	ecc        *mem.ECC
+	ecc        mem.ECC
 }
 
-func newFlatArray(sets, ways int, withECC bool) *flatArray {
-	a := &flatArray{sets: sets, ways: ways, lines: make([]line, sets*ways)}
-	if withECC {
-		a.ecc = mem.NewECC()
-	}
-	return a
+func newFlatArray(sets, ways int) *flatArray {
+	return &flatArray{sets: sets, ways: ways, lines: make([]line, sets*ways)}
 }
 
 func (a *flatArray) setOf(b mem.BlockAddr) []line {
@@ -60,29 +56,22 @@ func (a *flatArray) peek(b mem.BlockAddr) *line {
 func (a *flatArray) install(l *line, b mem.BlockAddr, s State, data mem.Block, dataValid bool) {
 	a.tick++
 	*l = line{valid: true, block: b, state: s, data: data, dataValid: dataValid, lru: a.tick}
-	if a.ecc != nil && dataValid {
-		a.ecc.Protect(uint64(b), &l.data)
-	}
+	a.ecc.Forget(uint64(b))
 }
 
 func (a *flatArray) writeWord(l *line, addr mem.Addr, w mem.Word) {
+	a.ecc.Correct(uint64(l.block), &l.data)
 	l.data[addr.WordIndex()] = w
-	if a.ecc != nil {
-		a.ecc.Protect(uint64(l.block), &l.data)
-	}
+	a.ecc.Forget(uint64(l.block))
 }
 
 func (a *flatArray) readWord(l *line, addr mem.Addr) mem.Word {
-	if a.ecc != nil {
-		a.ecc.Check(uint64(l.block), &l.data)
-	}
+	a.ecc.Correct(uint64(l.block), &l.data)
 	return l.data[addr.WordIndex()]
 }
 
 func (a *flatArray) invalidate(l *line) {
-	if a.ecc != nil {
-		a.ecc.Unprotect(uint64(l.block))
-	}
+	a.ecc.Forget(uint64(l.block))
 	l.valid = false
 	l.state = Invalid
 }
@@ -176,6 +165,43 @@ func wayOf(t *testing.T, set []line, l *line) int {
 	return -1
 }
 
+// TestCacheArraySteadyStateAllocFree: once its chunk exists, a set that
+// churns through more blocks than it has ways — fills, evictions, reads,
+// partial writes and a corrected upset per round — allocates nothing. The
+// line ECC holds upsets, never a copy of a line.
+func TestCacheArraySteadyStateAllocFree(t *testing.T) {
+	const ways = 2
+	c := &ctrlCore{l2: newCacheArray(4, ways), mshrs: make(map[mem.BlockAddr]*mshr)}
+	c.proto = modelEvict{c}
+	n := 0
+	churn := func() {
+		for i := 0; i < 3*ways; i++ {
+			n++
+			b := mem.BlockAddr(4 * (n % (3 * ways))) // one set
+			l := c.l2.lookup(b)
+			if l == nil {
+				l = c.allocate(b)
+				c.l2.install(l, b, Modified, mem.Block{mem.Word(n)}, true)
+			}
+			addr := b.WordAddr(n % mem.WordsPerBlock)
+			c.l2.writeWord(l, addr, mem.Word(n))
+			if n%5 == 0 {
+				c.l2.flip(l, n%(mem.BlockBytes*8))
+			}
+			if c.l2.readWord(l, addr) != mem.Word(n) {
+				t.Fatalf("block %#x: read back a corrupted word", b)
+			}
+		}
+	}
+	churn()
+	if allocs := testing.AllocsPerRun(200, churn); allocs != 0 {
+		t.Errorf("%v allocs per churn round, want 0", allocs)
+	}
+	if c.l2.ecc.Corrected() == 0 {
+		t.Error("no upset was corrected: the round never reached the fault path")
+	}
+}
+
 // TestLineSize pins the L2 line at 88 B: the block address, the data and
 // the LRU tick, then the three one-byte fields in one word. A field added
 // in the wrong place grows every chunk a run allocates.
@@ -193,15 +219,12 @@ func TestLineSize(t *testing.T) {
 // including on geometries whose set count is not a multiple of the chunk;
 // and only a fill may allocate a chunk.
 func TestChunkedArrayMatchesFlat(t *testing.T) {
-	for _, g := range []struct {
-		sets, ways int
-		ecc        bool
-	}{
-		{1, 4, false}, {3, 2, true}, {65, 4, false}, {65, 16, true}, {512, 4, false}, {4096, 4, true},
+	for _, g := range []struct{ sets, ways int }{
+		{1, 4}, {3, 2}, {65, 4}, {65, 16}, {512, 4}, {4096, 4},
 	} {
 		t.Run(fmt.Sprintf("%dx%d", g.sets, g.ways), func(t *testing.T) {
-			flat := newFlatArray(g.sets, g.ways, g.ecc)
-			c := &ctrlCore{l2: newCacheArray(g.sets, g.ways, g.ecc), mshrs: make(map[mem.BlockAddr]*mshr)}
+			flat := newFlatArray(g.sets, g.ways)
+			c := &ctrlCore{l2: newCacheArray(g.sets, g.ways), mshrs: make(map[mem.BlockAddr]*mshr)}
 			c.proto = modelEvict{c}
 			filled := make(map[int]bool) // chunks a fill has landed in
 			rng := sim.NewRand(uint64(g.sets)<<8 | uint64(g.ways))
@@ -214,6 +237,9 @@ func TestChunkedArrayMatchesFlat(t *testing.T) {
 				}
 				if c.l2.tick != flat.tick {
 					t.Fatalf("op %d: LRU tick %d, flat %d", op, c.l2.tick, flat.tick)
+				}
+				if got, want := c.l2.ecc.Corrected(), flat.ecc.Corrected(); got != want {
+					t.Fatalf("op %d: %d ECC corrections, flat %d", op, got, want)
 				}
 				var got, want []line
 				for _, chunk := range c.l2.chunks {
@@ -293,6 +319,11 @@ func TestChunkedArrayMatchesFlat(t *testing.T) {
 					}
 				case k < 8:
 					if got, want := c.l2.peek(b), flat.peek(b); got != nil && want != nil {
+						if rng.Intn(4) == 0 { // an upset for the read to correct
+							bit := rng.Intn(mem.BlockBytes * 8)
+							c.l2.flip(got, bit)
+							flat.ecc.Flip(uint64(b), &want.data, bit)
+						}
 						if c.l2.readWord(got, addr) != flat.readWord(want, addr) {
 							t.Fatalf("op %d: readWord(%#x) differs", op, addr)
 						}

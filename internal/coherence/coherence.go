@@ -214,8 +214,6 @@ type Config struct {
 	MemLatency sim.Cycle // DRAM access latency at the home controller
 
 	MSHRs int // maximum outstanding transactions per cache controller
-
-	CacheECC bool // SEC-DED on cache lines (required by SafetyNet)
 }
 
 // Validate reports configuration errors.
@@ -288,7 +286,8 @@ type Controller interface {
 	SetStrict(strict bool)
 
 	// CorruptCacheBit flips one bit of a resident block's data, modelling
-	// a fault in the SRAM array. Returns false if the block is absent.
+	// a fault in the SRAM array; the line's ECC corrects it on the next
+	// access. Returns false if the block is absent.
 	CorruptCacheBit(b mem.BlockAddr, bit int) bool
 
 	// DropPermissionFault silently discards the controller's permission

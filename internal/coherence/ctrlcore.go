@@ -135,7 +135,7 @@ func (c *ctrlCore) init(node network.NodeID, cfg Config, proto protocol, hitUnde
 	c.cfg = cfg
 	c.proto = proto
 	c.hitUnderMiss = hitUnderMiss
-	c.l2 = newCacheArray(cfg.L2Sets, cfg.L2Ways, cfg.CacheECC)
+	c.l2 = newCacheArray(cfg.L2Sets, cfg.L2Ways)
 	c.l1 = newTagFilter(cfg.L1Sets, cfg.L1Ways)
 	c.mshrs = make(map[mem.BlockAddr]*mshr)
 	c.wb = make(map[mem.BlockAddr]*wbEntry)
@@ -492,9 +492,11 @@ func (c *ctrlCore) dropLine(l *line) {
 }
 
 // serveWaiters completes the MSHR's waiters on a granted line: loads
-// always, stores and RMWs only under an exclusive grant. It returns the
-// store waiters a Shared grant could not satisfy.
-func (c *ctrlCore) serveWaiters(ms *mshr, l *line, exclusive bool) (remaining []waiter) {
+// always, stores and RMWs only under an exclusive grant. The store
+// waiters a Shared grant could not satisfy stay in ms.waiters, filtered
+// in place so the slice keeps its capacity.
+func (c *ctrlCore) serveWaiters(ms *mshr, l *line, exclusive bool) {
+	remaining := ms.waiters[:0]
 	for _, w := range ms.waiters {
 		switch w.kind {
 		case waitLoad:
@@ -518,14 +520,14 @@ func (c *ctrlCore) serveWaiters(ms *mshr, l *line, exclusive bool) (remaining []
 			}
 		}
 	}
-	return remaining
+	ms.waiters = remaining
 }
 
 // retire ends the MSHR's transaction. With store waiters left over from a
 // Shared grant the MSHR stays, now wanting M, and retire reports true:
 // the caller re-issues it as a fresh transaction.
-func (c *ctrlCore) retire(ms *mshr, remaining []waiter) (upgrade bool) {
-	upgrade = len(remaining) > 0
+func (c *ctrlCore) retire(ms *mshr) (upgrade bool) {
+	upgrade = len(ms.waiters) > 0
 	if c.txnL != nil {
 		c.txnL.TxnEnd(ms.block, upgrade)
 	}
@@ -537,7 +539,6 @@ func (c *ctrlCore) retire(ms *mshr, remaining []waiter) (upgrade bool) {
 		c.mshrFree.Put(ms)
 		return false
 	}
-	ms.waiters = remaining
 	ms.wantM = true
 	return true
 }
@@ -633,12 +634,7 @@ func (c *ctrlCore) ForEachDirty(fn func(b mem.BlockAddr, data mem.Block)) {
 }
 
 // ECCCorrected implements Controller.
-func (c *ctrlCore) ECCCorrected() uint64 {
-	if c.l2.ecc == nil {
-		return 0
-	}
-	return c.l2.ecc.Corrected()
-}
+func (c *ctrlCore) ECCCorrected() uint64 { return c.l2.ecc.Corrected() }
 
 // Reset implements Controller.
 func (c *ctrlCore) Reset() {
@@ -662,7 +658,7 @@ func (c *ctrlCore) CorruptCacheBit(b mem.BlockAddr, bit int) bool {
 	if l == nil || !l.valid || !l.dataValid {
 		return false
 	}
-	l.data[bit/64] ^= mem.Word(1) << (bit % 64)
+	c.l2.flip(l, bit)
 	return true
 }
 

@@ -170,9 +170,9 @@ func (c *DirCache) onPermM(p MsgPermM) {
 // serve completes waiters after a grant and unblocks the home. If Shared
 // was granted but store waiters remain, the MSHR re-issues as GetM.
 func (c *DirCache) serve(ms *mshr, l *line, exclusive bool) {
-	remaining := c.serveWaiters(ms, l, exclusive)
+	c.serveWaiters(ms, l, exclusive)
 	c.toHome(ms.block, CtrlBytes, MsgUnblock{Block: ms.block, From: c.node})
-	if c.retire(ms, remaining) {
+	if c.retire(ms) {
 		// Shared was not enough; upgrade. The home has been unblocked, so
 		// this is a fresh transaction — demand traffic on behalf of the
 		// stores, even if a replay load opened the MSHR.

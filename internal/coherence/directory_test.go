@@ -187,7 +187,7 @@ func TestDirHomeQueueSurvivesPutS(t *testing.T) {
 			cfg := testConfig(4)
 			var k sim.Kernel
 			tor := network.NewTorus(4, 8.0, 2, sim.NewRand(7))
-			home := NewDirHome(3, cfg, tor, mem.NewMemory(false))
+			home := NewDirHome(3, cfg, tor, mem.NewMemory())
 			k.Register(tor)
 			k.Register(home)
 			got := make([][]any, 4) // payloads delivered per node

@@ -18,7 +18,6 @@ func testConfig(nodes int) Config {
 		L2Latency:  4,
 		MemLatency: 20,
 		MSHRs:      8,
-		CacheECC:   false,
 	}
 }
 
@@ -81,7 +80,7 @@ func newHarnessWithCfg(t *testing.T, proto protocolKind, cfg Config) *harness {
 	h.k.Register(h.torus)
 	for n := 0; n < nodes; n++ {
 		nid := network.NodeID(n)
-		memory := mem.NewMemory(false)
+		memory := mem.NewMemory()
 		var cache Controller
 		var home Home
 		if proto == snooping {

@@ -407,11 +407,11 @@ func TestResidentReadOnlyBlocks(t *testing.T) {
 	})
 }
 
-func TestCacheECCStatsExposed(t *testing.T) {
+// TestLineECCStatsExposed: a flip in a resident line is corrected at the
+// next load and counted by ECCCorrected.
+func TestLineECCStatsExposed(t *testing.T) {
 	bothProtocols(t, func(t *testing.T, proto protocolKind) {
-		cfg := testConfig(2)
-		cfg.CacheECC = true
-		s := newHarnessWithCfg(t, proto, cfg)
+		s := newHarness(t, proto, 2)
 		s.store(t, 0, 0x1000, 5)
 		if !s.ctrl(0).CorruptCacheBit(mem.Addr(0x1000).Block(), 3) {
 			t.Fatal("no resident block to corrupt")
@@ -421,6 +421,30 @@ func TestCacheECCStatsExposed(t *testing.T) {
 		}
 		if s.ctrl(0).ECCCorrected() != 1 {
 			t.Errorf("ECCCorrected = %d, want 1", s.ctrl(0).ECCCorrected())
+		}
+	})
+}
+
+// TestStoreDoesNotLaunderUpset: a store to one word of a line whose
+// other word holds an upset bit corrects the line before it writes, so
+// the upset word still reads back as stored, with exactly one correction.
+// Re-encoding the line from its current data would make the flip part of
+// the code.
+func TestStoreDoesNotLaunderUpset(t *testing.T) {
+	bothProtocols(t, func(t *testing.T, proto protocolKind) {
+		s := newHarness(t, proto, 2)
+		const line = mem.Addr(0x1000)
+		word3, word5 := line+3*mem.WordBytes, line+5*mem.WordBytes
+		s.store(t, 0, word3, 0x33)
+		if !s.ctrl(0).CorruptCacheBit(line.Block(), 3*64+1) {
+			t.Fatal("no resident block to corrupt")
+		}
+		s.store(t, 0, word5, 0x55)
+		if got := s.load(t, 0, word3); got != 0x33 {
+			t.Errorf("word 3 = %#x after a store to word 5, want 0x33", got)
+		}
+		if got := s.ctrl(0).ECCCorrected(); got != 1 {
+			t.Errorf("ECCCorrected = %d, want 1", got)
 		}
 	})
 }

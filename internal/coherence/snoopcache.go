@@ -335,7 +335,7 @@ func (c *SnoopCache) onSnoopData(p MsgSnoopData) {
 // complete serves waiters inside the granted epoch, replays deferred
 // transitions, and retires or re-issues the MSHR.
 func (c *SnoopCache) complete(ms *mshr, l *line) {
-	remaining := c.serveWaiters(ms, l, ms.grantKind == ReadWrite)
+	c.serveWaiters(ms, l, ms.grantKind == ReadWrite)
 	c.l1.insert(l.block)
 	// Replay deferred transitions with their recorded logical times; the
 	// data now includes any stores performed above, which is exactly the
@@ -356,10 +356,10 @@ func (c *SnoopCache) complete(ms *mshr, l *line) {
 	if l.state == Invalid {
 		c.dropLine(l)
 	}
-	if c.retire(ms, remaining) {
+	if c.retire(ms) {
 		// Shared grant with store waiters (or we lost the line before the
 		// stores could perform): upgrade with a fresh transaction.
-		ms.transitions = nil
+		ms.transitions = ms.transitions[:0]
 		ms.ordered = false
 		ms.dataArrived = false
 		ms.grantKind = 0

@@ -150,7 +150,7 @@ func TestBefore16Modular(t *testing.T) {
 func TestViolationStrings(t *testing.T) {
 	kinds := []ViolationKind{UOMismatch, UOStoreMismatch, ReorderViolation, LostOperation,
 		OperationTimeout, EpochAccessViolation, EpochOverlap, DataPropagation,
-		CETStateViolation, ECCUncorrectable}
+		CETStateViolation, ECCCorrected}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

@@ -46,8 +46,9 @@ const (
 	// CETStateViolation: the cache epoch table saw an inconsistent
 	// transition (epoch ends with none open, double begin, ...).
 	CETStateViolation
-	// ECCUncorrectable: a storage structure reported multi-bit damage.
-	ECCUncorrectable
+	// ECCCorrected: line ECC corrected an upset bit on first use. No
+	// checker raises it; an injection run reports it as its detection.
+	ECCCorrected
 )
 
 // String implements fmt.Stringer.
@@ -71,8 +72,8 @@ func (k ViolationKind) String() string {
 		return "data-propagation-mismatch"
 	case CETStateViolation:
 		return "cet-state-violation"
-	case ECCUncorrectable:
-		return "ecc-uncorrectable"
+	case ECCCorrected:
+		return "ecc-corrected"
 	default:
 		return fmt.Sprintf("ViolationKind(%d)", uint8(k))
 	}

@@ -54,7 +54,10 @@ func TestCampaignCounts(t *testing.T) {
 // stayed silent: the MET's data-propagation check on the corrupted epoch
 // never ran, because that epoch's Inform-Epoch was still young when the
 // run ended and was folded in unchecked. A finished run now ends only
-// once every inform has been judged, and all three are detected.
+// once every inform has been judged, and all three are detected: the two
+// message flips by the MET, and the cache flip, now that line ECC is
+// always on, by ECC, which corrects it at that load before any checker
+// could see it.
 func TestSettledInformsCatchDataFlips(t *testing.T) {
 	cfg := CampaignConfig{Seed: 7, Runs: 3800, FaultFrac: 1}
 	for _, tc := range []struct {
@@ -62,10 +65,11 @@ func TestSettledInformsCatchDataFlips(t *testing.T) {
 		kind     string
 		model    string
 		protocol string
+		by       string
 	}{
-		{547, "msg-data-flip", "TSO", "snooping"},
-		{637, "msg-data-flip", "SC", "snooping"},
-		{3112, "cache-data-flip", "PSO", "snooping"},
+		{547, "msg-data-flip", "TSO", "snooping", "data-propagation-mismatch"},
+		{637, "msg-data-flip", "SC", "snooping", "data-propagation-mismatch"},
+		{3112, "cache-data-flip", "PSO", "snooping", "ecc-corrected"},
 	} {
 		c := CaseAt(cfg, tc.index)
 		if c.Fault == nil || c.Fault.Kind != tc.kind || c.Model != tc.model || c.Protocol != tc.protocol {
@@ -75,8 +79,8 @@ func TestSettledInformsCatchDataFlips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Class != ClassAgreeDetect || !strings.Contains(res.Detail, "data-propagation-mismatch") {
-			t.Errorf("run %d (%s): %s (%s), want agree-detect as data-propagation-mismatch", tc.index, tc.kind, res.Class, res.Detail)
+		if res.Class != ClassAgreeDetect || !strings.Contains(res.Detail, "detected as "+tc.by) {
+			t.Errorf("run %d (%s): %s (%s), want agree-detect as %s", tc.index, tc.kind, res.Class, res.Detail, tc.by)
 		}
 	}
 }

@@ -6,84 +6,88 @@ package mem
 // store" (Cache Correctness, Definition 2); without it, silent corruptions
 // of cache or memory state would be unrecoverable.
 //
-// Rather than computing Hamming syndromes bit-for-bit, the model keeps a
-// shadow copy of each protected block, which yields exactly the
-// architectural behaviour of SEC-DED: a single flipped bit is corrected in
-// place on the next access, and multi-bit damage is reported as an
-// uncorrectable error. Protect must be called on every legitimate write
-// (stores, fills, writebacks); Check on every read.
+// A code is judged by its interface: a single upset bit is corrected on
+// the line's next access, and multi-bit damage is detected but left in
+// place. In this simulator bits are upset only by fault injection, so the
+// model is a ledger of upsets (Flip) rather than a code word per line:
+// an access (a read, or a partial write before it writes) corrects its
+// line (Correct), a full write or a deallocation forgets the line's
+// upsets (Forget), and a fault-free run pays only a length check per call.
+// The zero value is ready to use.
 type ECC struct {
-	shadow map[uint64]*Block
-
-	corrected     uint64
-	uncorrectable uint64
-
-	// OnUncorrectable, if non-nil, is invoked when Check finds multi-bit
-	// damage. The block is left corrupted (the code can detect but not
-	// repair it).
-	OnUncorrectable func(tag uint64)
+	// upsets are the bits that differ from what the line's code word
+	// vouches for, in injection order. A bit upset twice is restored and
+	// leaves the ledger.
+	upsets    []upset
+	corrected uint64
 }
 
-// NewECC returns an ECC model with no protected blocks.
-func NewECC() *ECC {
-	return &ECC{shadow: make(map[uint64]*Block)}
+// upset is one flipped bit of a protected line; tag identifies the line
+// (its block address).
+type upset struct {
+	tag uint64
+	bit int
 }
 
-// Protect records the current contents of the block as the code word. tag
-// identifies the physical line (block address, or cache set/way encoding).
-func (e *ECC) Protect(tag uint64, data *Block) {
-	s, ok := e.shadow[tag]
-	if !ok {
-		// A line's first code word; every later Protect rewrites it in
-		// place.
-		s = new(Block)
-		e.shadow[tag] = s
+// Flip upsets one bit of line tag's data, bypassing the code, as a
+// particle strike does. bit is in [0, 512).
+func (e *ECC) Flip(tag uint64, data *Block, bit int) {
+	data[bit/64] ^= Word(1) << (bit % 64)
+	for i, u := range e.upsets {
+		if u == (upset{tag, bit}) {
+			e.upsets = append(e.upsets[:i], e.upsets[i+1:]...)
+			return
+		}
 	}
-	*s = *data
+	e.upsets = append(e.upsets, upset{tag, bit})
 }
 
-// Unprotect drops the code word for a line (line deallocated).
-func (e *ECC) Unprotect(tag uint64) { delete(e.shadow, tag) }
-
-// Check verifies the block against its code word, correcting a single
-// flipped bit in place. It returns true if the data was clean or corrected.
-func (e *ECC) Check(tag uint64, data *Block) bool {
-	s, ok := e.shadow[tag]
-	if !ok {
-		return true
-	}
-	diffBits := 0
-	for i := range data {
-		d := data[i] ^ s[i]
-		for d != 0 {
-			d &= d - 1
-			diffBits++
-			if diffBits > 1 {
-				break
-			}
-		}
-		if diffBits > 1 {
-			break
-		}
-	}
-	switch diffBits {
-	case 0:
-		return true
-	case 1:
-		*data = *s
-		e.corrected++
-		return true
-	default:
-		e.uncorrectable++
-		if e.OnUncorrectable != nil {
-			e.OnUncorrectable(tag)
-		}
+// Correct is an access to line tag: a single upset is corrected in data
+// and counted. It reports whether it corrected one.
+func (e *ECC) Correct(tag uint64, data *Block) bool {
+	if len(e.upsets) == 0 {
 		return false
 	}
+	return e.correct(tag, data)
 }
+
+func (e *ECC) correct(tag uint64, data *Block) bool {
+	at, n := 0, 0
+	for i, u := range e.upsets {
+		if u.tag == tag {
+			at, n = i, n+1
+		}
+	}
+	if n != 1 {
+		return false // clean, or beyond SEC-DED's repair
+	}
+	bit := e.upsets[at].bit
+	data[bit/64] ^= Word(1) << (bit % 64)
+	e.upsets = append(e.upsets[:at], e.upsets[at+1:]...)
+	e.corrected++
+	return true
+}
+
+// Forget drops line tag's upsets: its data was replaced whole, or the
+// line was deallocated, and the code word now vouches for what it holds.
+func (e *ECC) Forget(tag uint64) {
+	if len(e.upsets) == 0 {
+		return
+	}
+	kept := e.upsets[:0]
+	for _, u := range e.upsets {
+		if u.tag != tag {
+			kept = append(kept, u)
+		}
+	}
+	e.upsets = kept
+}
+
+// Reset drops every upset, as a bulk rewrite of every line does.
+func (e *ECC) Reset() { e.upsets = e.upsets[:0] }
+
+// Clean reports that no line holds an upset.
+func (e *ECC) Clean() bool { return len(e.upsets) == 0 }
 
 // Corrected returns the number of single-bit errors corrected so far.
 func (e *ECC) Corrected() uint64 { return e.corrected }
-
-// Uncorrectable returns the number of multi-bit errors detected so far.
-func (e *ECC) Uncorrectable() uint64 { return e.uncorrectable }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -46,7 +47,7 @@ func TestBlockAddrRoundTrip(t *testing.T) {
 }
 
 func TestMemoryReadWriteWord(t *testing.T) {
-	m := NewMemory(false)
+	m := NewMemory()
 	if got := m.ReadWord(0x100); got != 0 {
 		t.Errorf("unwritten word = %#x, want 0", got)
 	}
@@ -65,7 +66,7 @@ func TestMemoryReadWriteWord(t *testing.T) {
 }
 
 func TestMemoryWriteBlockOverwrites(t *testing.T) {
-	m := NewMemory(false)
+	m := NewMemory()
 	m.WriteWord(0x40, 1)
 	m.WriteBlock(1, Block{9, 8, 7})
 	if got := m.ReadWord(0x40); got != 9 {
@@ -74,7 +75,7 @@ func TestMemoryWriteBlockOverwrites(t *testing.T) {
 }
 
 func TestMemoryECCCorrectsSingleBitFlip(t *testing.T) {
-	m := NewMemory(true)
+	m := NewMemory()
 	m.WriteWord(0x200, 0xabcd)
 	if !m.CorruptBit(Addr(0x200).Block(), 3) {
 		t.Fatal("CorruptBit found no block")
@@ -82,87 +83,197 @@ func TestMemoryECCCorrectsSingleBitFlip(t *testing.T) {
 	if got := m.ReadWord(0x200); got != 0xabcd {
 		t.Errorf("ECC failed to correct: got %#x, want 0xabcd", got)
 	}
-}
-
-func TestMemoryWithoutECCKeepsCorruption(t *testing.T) {
-	m := NewMemory(false)
-	m.WriteWord(0x200, 0xabcd)
-	m.CorruptBit(Addr(0x200).Block(), 0)
-	if got := m.ReadWord(0x200); got == 0xabcd {
-		t.Error("corruption vanished without ECC")
+	if m.ecc.Corrected() != 1 {
+		t.Errorf("Corrected() = %d, want 1", m.ecc.Corrected())
 	}
 }
 
 func TestECCUncorrectableMultiBit(t *testing.T) {
-	e := NewECC()
-	var fired uint64
-	e.OnUncorrectable = func(tag uint64) { fired = tag }
+	var e ECC
 	b := Block{1, 2, 3}
-	e.Protect(42, &b)
-	b[0] ^= 0b11 // two-bit damage
-	if e.Check(42, &b) {
-		t.Error("Check corrected multi-bit damage")
+	e.Flip(42, &b, 0)
+	e.Flip(42, &b, 1) // two-bit damage
+	if e.Correct(42, &b) {
+		t.Error("Correct repaired multi-bit damage")
 	}
-	if fired != 42 {
-		t.Errorf("OnUncorrectable tag = %d, want 42", fired)
+	if b != (Block{1 ^ 0b11, 2, 3}) || e.Corrected() != 0 {
+		t.Errorf("multi-bit damage touched: %v, %d corrections", b, e.Corrected())
 	}
-	if e.Uncorrectable() != 1 {
-		t.Errorf("Uncorrectable() = %d, want 1", e.Uncorrectable())
+	e.Flip(42, &b, 1) // a second strike on the same bit restores it
+	if !e.Correct(42, &b) || b != (Block{1, 2, 3}) {
+		t.Errorf("the remaining single upset was not corrected: %v", b)
 	}
 }
 
 func TestECCCorrectionCount(t *testing.T) {
-	e := NewECC()
+	var e ECC
 	b := Block{0xff}
-	e.Protect(1, &b)
-	b[5] ^= 1 << 9
-	if !e.Check(1, &b) {
+	e.Flip(1, &b, 5*64+9)
+	other := Block{0xee}
+	if e.Correct(2, &other) || other != (Block{0xee}) {
+		t.Fatal("an upset of line 1 was corrected in line 2")
+	}
+	if !e.Correct(1, &b) {
 		t.Fatal("single-bit flip not corrected")
 	}
-	if b[5] != 0 {
-		t.Errorf("data not restored: %#x", b[5])
+	if b != (Block{0xff}) {
+		t.Errorf("data not restored: %v", b)
 	}
-	if e.Corrected() != 1 {
-		t.Errorf("Corrected() = %d, want 1", e.Corrected())
+	if e.Correct(1, &b) || e.Corrected() != 1 {
+		t.Errorf("Corrected() = %d after a second access, want 1", e.Corrected())
 	}
 }
 
 func TestECCUnprotectedLineIsClean(t *testing.T) {
-	e := NewECC()
+	var e ECC
 	b := Block{7}
-	if !e.Check(99, &b) {
-		t.Error("unprotected line reported dirty")
+	if e.Correct(99, &b) || b != (Block{7}) {
+		t.Error("a line with no upset was changed")
 	}
-	e.Protect(99, &b)
-	e.Unprotect(99)
-	b[0] ^= 1
-	if !e.Check(99, &b) {
-		t.Error("deallocated line reported dirty")
+	e.Flip(99, &b, 0)
+	e.Forget(99) // deallocated: its contents are no longer protected data
+	if e.Correct(99, &b) || b != (Block{6}) {
+		t.Errorf("deallocated line corrected: %v", b)
 	}
 }
 
+// TestECCProtectIdempotent: a legitimate full rewrite re-protects the
+// line, so nothing it wrote is corrected afterwards.
 func TestECCProtectIdempotent(t *testing.T) {
-	e := NewECC()
+	var e ECC
 	b := Block{1}
-	e.Protect(7, &b)
-	b[0] = 2
-	e.Protect(7, &b) // legitimate rewrite
-	if !e.Check(7, &b) {
-		t.Error("rewritten block reported corrupt")
+	e.Flip(7, &b, 64)
+	b = Block{2} // a legitimate full rewrite
+	e.Forget(7)
+	if e.Correct(7, &b) || b != (Block{2}) {
+		t.Errorf("rewritten block corrected: %v", b)
+	}
+	e.Flip(7, &b, 0)
+	e.Flip(8, &b, 1)
+	e.Reset()
+	if !e.Clean() {
+		t.Error("Reset left upsets")
+	}
+}
+
+// shadowECC is the SEC-DED model as it was before the upset ledger: a
+// shadow copy of every protected line, compared bit for bit on access.
+// It survives only as the reference ECC is checked against. Protect must
+// run on every legitimate write, Check on every access, a partial write
+// included (before it writes).
+type shadowECC struct {
+	shadow        map[uint64]*Block
+	corrected     uint64
+	uncorrectable uint64
+}
+
+func newShadowECC() *shadowECC { return &shadowECC{shadow: make(map[uint64]*Block)} }
+
+func (e *shadowECC) Protect(tag uint64, data *Block) {
+	s, ok := e.shadow[tag]
+	if !ok {
+		s = new(Block)
+		e.shadow[tag] = s
+	}
+	*s = *data
+}
+
+func (e *shadowECC) Unprotect(tag uint64) { delete(e.shadow, tag) }
+
+func (e *shadowECC) Check(tag uint64, data *Block) {
+	s, ok := e.shadow[tag]
+	if !ok {
+		return
+	}
+	diffBits := 0
+	for i := range data {
+		diffBits += bits.OnesCount64(uint64(data[i] ^ s[i]))
+	}
+	switch {
+	case diffBits == 1:
+		*data = *s
+		e.corrected++
+	case diffBits > 1:
+		e.uncorrectable++
+	}
+}
+
+// TestECCMatchesShadow drives the ledger and the shadow reference over a
+// few lines with the same seeded installs, reads, partial and full
+// writes, invalidations and flips (single, and two at once, beyond
+// repair). The data and the correction counts must agree after every
+// step. TestUndoLogMatchesSnapshots does the same for Memory's Mark,
+// Rewind and Reprotect.
+func TestECCMatchesShadow(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var e ECC
+		ref := newShadowECC()
+		var got, want [6]Block
+		var live [6]bool
+		randBlock := func() (d Block) {
+			for i := range d {
+				d[i] = Word(rng.Uint64())
+			}
+			return d
+		}
+		flip := func(tag int, bit int) {
+			e.Flip(uint64(tag), &got[tag], bit)
+			want[tag][bit/64] ^= Word(1) << (bit % 64)
+		}
+		for step := 0; step < 20000; step++ {
+			tag := rng.Intn(len(got))
+			switch op := rng.Intn(100); {
+			case !live[tag] || op < 10: // install, or a full write
+				d := randBlock()
+				got[tag], want[tag], live[tag] = d, d, true
+				e.Forget(uint64(tag))
+				ref.Protect(uint64(tag), &want[tag])
+			case op < 45: // read
+				e.Correct(uint64(tag), &got[tag])
+				ref.Check(uint64(tag), &want[tag])
+			case op < 70: // partial write
+				w, v := rng.Intn(WordsPerBlock), Word(rng.Uint64())
+				e.Correct(uint64(tag), &got[tag])
+				got[tag][w] = v
+				e.Forget(uint64(tag))
+				ref.Check(uint64(tag), &want[tag])
+				want[tag][w] = v
+				ref.Protect(uint64(tag), &want[tag])
+			case op < 80: // invalidate
+				live[tag] = false
+				e.Forget(uint64(tag))
+				ref.Unprotect(uint64(tag))
+			case op < 95:
+				flip(tag, rng.Intn(512))
+			default:
+				flip(tag, rng.Intn(512))
+				flip(tag, rng.Intn(512))
+			}
+			if got != want || e.Corrected() != ref.corrected {
+				t.Fatalf("seed %d step %d: ledger %v (%d corrections), reference %v (%d)",
+					seed, step, got, e.Corrected(), want, ref.corrected)
+			}
+		}
+		if ref.corrected == 0 || ref.uncorrectable == 0 {
+			t.Errorf("seed %d: %d corrections, %d uncorrectable accesses: the mix misses a path",
+				seed, ref.corrected, ref.uncorrectable)
+		}
 	}
 }
 
 // refMemory is the memory as it was before the undo log, whole-memory
 // Snapshot and Restore included: the reference the log is tested against.
+// Its ECC, when it has one, is the shadow model.
 type refMemory struct {
 	blocks map[BlockAddr]*Block
-	ecc    *ECC
+	ecc    *shadowECC
 }
 
-func newRefMemory(withECC bool) *refMemory {
+func newRefMemory(ecc bool) *refMemory {
 	m := &refMemory{blocks: make(map[BlockAddr]*Block)}
-	if withECC {
-		m.ecc = NewECC()
+	if ecc {
+		m.ecc = newShadowECC()
 	}
 	return m
 }
@@ -255,8 +366,11 @@ type undoTwins struct {
 	touched map[BlockAddr]bool
 }
 
+// newUndoTwins pairs a Memory, whose ECC is always on, with a reference
+// with or without the shadow ECC. Without it no bit is ever upset (corrupt
+// does nothing), which checks that ECC is invisible to a fault-free run.
 func newUndoTwins(t *testing.T, ecc bool) *undoTwins {
-	return &undoTwins{t: t, m: NewMemory(ecc), ref: newRefMemory(ecc),
+	return &undoTwins{t: t, m: NewMemory(), ref: newRefMemory(ecc),
 		snaps: map[uint64]map[BlockAddr]Block{}, touched: map[BlockAddr]bool{}}
 }
 
@@ -281,6 +395,9 @@ func (u *undoTwins) readBlock(b BlockAddr) {
 
 func (u *undoTwins) corrupt(b BlockAddr, bits ...int) {
 	u.t.Helper()
+	if u.ref.ecc == nil {
+		return
+	}
 	for _, bit := range bits {
 		if got, want := u.m.CorruptBit(b, bit), u.ref.CorruptBit(b, bit); got != want {
 			u.t.Fatalf("CorruptBit(%#x, %d) = %v, reference %v", b, bit, got, want)
@@ -343,19 +460,20 @@ func (u *undoTwins) compare() {
 
 func (u *undoTwins) counters() {
 	u.t.Helper()
-	if u.m.ecc == nil {
-		return
+	var want uint64
+	if u.ref.ecc != nil {
+		want = u.ref.ecc.corrected
 	}
-	if got, want := u.m.ecc.Corrected(), u.ref.ecc.Corrected(); got != want {
+	if got := u.m.ecc.Corrected(); got != want {
 		u.t.Fatalf("Corrected() = %d, reference %d", got, want)
-	}
-	if got, want := u.m.ecc.Uncorrectable(), u.ref.ecc.Uncorrectable(); got != want {
-		u.t.Fatalf("Uncorrectable() = %d, reference %d", got, want)
 	}
 }
 
 // TestUndoLogMatchesSnapshots drives the undo log and the whole-memory
-// snapshots it replaced with the same seeded random operations.
+// snapshots it replaced with the same seeded random operations. With
+// ecc=true the reference's ECC is the shadow model, and flips, rewinds
+// and Reprotect must leave both with the same data and corrections; with
+// ecc=false the reference has no ECC and no bit is upset.
 func TestUndoLogMatchesSnapshots(t *testing.T) {
 	for _, ecc := range []bool{false, true} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -455,7 +573,7 @@ func TestUndoLogBlocksCreatedAfterMarkVanish(t *testing.T) {
 func TestUndoLogStaysBounded(t *testing.T) {
 	const keep, blocks, writes = 4, 64, 40
 	rng := rand.New(rand.NewSource(9))
-	m := NewMemory(true)
+	m := NewMemory()
 	var live []uint64
 	var firstWrites []int // per live interval
 	peak := 0
@@ -492,7 +610,7 @@ func TestUndoLogStaysBounded(t *testing.T) {
 }
 
 func TestUndoLogRewindToTrimmedMarkPanics(t *testing.T) {
-	m := NewMemory(false)
+	m := NewMemory()
 	old := m.Mark()
 	m.WriteWord(0x40, 1)
 	m.Mark()
@@ -532,7 +650,7 @@ func TestUndoLogTrimOfNewestKeepsOlderRewindExact(t *testing.T) {
 // intervals' first writes, a checkpoint interval — mark, rewrite stored
 // blocks, trim the oldest mark — allocates nothing.
 func TestUndoLogSteadyStateAllocFree(t *testing.T) {
-	m := NewMemory(true)
+	m := NewMemory()
 	for b := BlockAddr(0); b < 32; b++ {
 		m.WriteBlock(b, Block{Word(b)})
 	}

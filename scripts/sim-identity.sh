@@ -30,9 +30,12 @@
 #     -corpus tree
 #   - the directory soak, seeds 1..8, which must also exit 0
 #
-# A commit that means to change simulated behaviour opts out with a
+# A commit that means to change simulated behaviour declares it with a
 # trailer in its message:   Identity-Change: <reason>
-# (on its own line; any commit between the base and HEAD counts).
+# (on its own line; any commit between the base and HEAD counts). The
+# script then still builds and runs both sides and names every differing
+# artifact, but exits 0: the list is the change's evidence, for its
+# author to trace each difference to the declared reason.
 #
 # usage: scripts/sim-identity.sh [base-rev]
 set -euo pipefail
@@ -44,8 +47,7 @@ base=${1:-HEAD^}
 # commit and the trailer sits on the commit merged in.
 reason=$(git -C "$root" log --format=%B "$base"..HEAD | sed -n 's/^Identity-Change:[[:space:]]*//p' | head -n 1)
 if [ -n "$reason" ]; then
-	echo "sim-identity: skipped, a commit since $base declares Identity-Change: $reason"
-	exit 0
+	echo "sim-identity: listing mode, a commit since $base declares Identity-Change: $reason"
 fi
 
 tmp=$(mktemp -d)
@@ -148,6 +150,10 @@ for f in "$tmp/base/out"/*; do
 done
 if [ $differ -gt 0 ]; then
 	echo "sim-identity: $differ of $n artifacts differ" >&2
+	if [ -n "$reason" ]; then
+		echo "sim-identity: declared by Identity-Change: $reason"
+		exit 0
+	fi
 	exit 1
 fi
 echo "sim-identity: $n artifacts identical between $(git -C "$root" rev-parse --short "$base") and the checkout"

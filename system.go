@@ -245,7 +245,7 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 		// Coherence substrate.
 		var ctrl coherence.Controller
 		var home coherence.Home
-		memory := mem.NewMemory(cfg.Memory.CacheECC)
+		memory := mem.NewMemory()
 		var met *core.MemChecker
 		if cfg.DVMC.CacheCoherence {
 			met = core.NewMemChecker(nid, cfg.Memory, clock, now, s.sink())
