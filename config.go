@@ -130,10 +130,8 @@ type Config struct {
 	// LinkGBps is the interconnect link bandwidth (paper sweeps 1–3 GB/s
 	// in Figure 8; 2.5 GB/s is the default).
 	LinkGBps float64
-	// HopLatency is the per-hop pipeline latency of the torus.
-	HopLatency sim.Cycle
 
-	Memory coherence.Config // cache geometry and latencies (Table 6)
+	Memory coherence.Config // cache geometry (Table 6)
 	Proc   proc.Config      // core parameters (Table 7)
 
 	DVMC      DVMCConfig
@@ -164,19 +162,14 @@ type Config struct {
 // full DVMC and SafetyNet.
 func DefaultConfig() Config {
 	return Config{
-		Nodes:      8,
-		Protocol:   Directory,
-		Model:      TSO,
-		LinkGBps:   2.5,
-		HopLatency: 15,
+		Nodes:    8,
+		Protocol: Directory,
+		Model:    TSO,
+		LinkGBps: 2.5,
 		Memory: coherence.Config{
 			Nodes:  8,
 			L1Sets: 256, L1Ways: 4, // 64 KB / 64 B
 			L2Sets: 4096, L2Ways: 16, // 4 MB
-			L1Latency:  2,
-			L2Latency:  13,
-			MemLatency: 160,
-			MSHRs:      16,
 		},
 		Proc:      proc.DefaultConfig(),
 		DVMC:      Full(),

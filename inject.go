@@ -2,12 +2,10 @@ package dvmc
 
 import (
 	"fmt"
-	"sort"
 
 	"dvmc/internal/core"
 	"dvmc/internal/sim"
 	"dvmc/internal/span"
-	"dvmc/internal/stats"
 )
 
 // Injection describes one fault to inject.
@@ -295,38 +293,6 @@ func (c CampaignResult) Counts() (applied, detected, masked, undetected int) {
 		}
 	}
 	return
-}
-
-// KindLatency is one invariant's detection-latency sample across a
-// campaign.
-type KindLatency struct {
-	Kind   core.ViolationKind
-	Sample *stats.Sample
-}
-
-// LatencyByKind aggregates detection latencies per detecting invariant,
-// sorted by invariant name — the campaign-level counterpart of a run's
-// telemetry snapshot latency section (each injection runs in a fresh
-// System, so a run's snapshot sees one detection).
-func (c CampaignResult) LatencyByKind() []KindLatency {
-	byKind := map[core.ViolationKind]*stats.Sample{}
-	for _, r := range c.Results {
-		if !r.Detected {
-			continue
-		}
-		s := byKind[r.DetectionKind]
-		if s == nil {
-			s = &stats.Sample{}
-			byKind[r.DetectionKind] = s
-		}
-		s.Add(float64(r.Latency))
-	}
-	out := make([]KindLatency, 0, len(byKind))
-	for k, s := range byKind {
-		out = append(out, KindLatency{Kind: k, Sample: s})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind.String() < out[j].Kind.String() })
-	return out
 }
 
 // MaxLatency returns the worst detection latency among detected faults.

@@ -139,10 +139,9 @@ type LogicalClock interface {
 type SkewedClock struct {
 	now  func() sim.Cycle
 	skew uint64
-	div  uint64
-	// shift is log2(div) when div is a power of two (the system's is 8),
-	// sparing every read a 64-bit divide; -1 otherwise.
-	shift int
+	// shift is log2 of the clock divisor, so a read shifts instead of
+	// dividing.
+	shift uint
 
 	onSkew []func()
 }
@@ -150,27 +149,19 @@ type SkewedClock struct {
 var _ LogicalClock = (*SkewedClock)(nil)
 
 // NewSkewedClock builds a node clock reading the global cycle counter
-// through now. div slows the clock (one logical tick per div cycles);
-// skew models loose synchronisation and must stay below the minimum
-// network latency.
+// through now. div slows the clock (one logical tick per div cycles)
+// and must be a power of two; skew models loose synchronisation and must
+// stay below the minimum network latency.
 func NewSkewedClock(now func() sim.Cycle, skew, div uint64) *SkewedClock {
-	if div == 0 {
-		panic("coherence: SkewedClock div must be positive")
+	if div == 0 || div&(div-1) != 0 {
+		panic("coherence: SkewedClock div must be a power of two")
 	}
-	c := &SkewedClock{now: now, skew: skew, div: div, shift: -1}
-	if div&(div-1) == 0 {
-		c.shift = bits.TrailingZeros64(div)
-	}
-	return c
+	return &SkewedClock{now: now, skew: skew, shift: uint(bits.TrailingZeros64(div))}
 }
 
 // LogicalNow implements LogicalClock.
 func (c *SkewedClock) LogicalNow() uint64 {
-	raw := uint64(c.now()) + c.skew
-	if c.shift >= 0 {
-		return raw >> uint(c.shift)
-	}
-	return raw / c.div
+	return (uint64(c.now()) + c.skew) >> c.shift
 }
 
 // CycleAt returns the first cycle at which LogicalNow reads t or later.
@@ -178,7 +169,7 @@ func (c *SkewedClock) LogicalNow() uint64 {
 // instead of reading the clock every tick; InjectSkew moves the answer,
 // so such a checker also registers with OnSkew.
 func (c *SkewedClock) CycleAt(t uint64) sim.Cycle {
-	raw := t * c.div
+	raw := t << c.shift
 	if raw <= c.skew {
 		return 0
 	}
@@ -208,13 +199,17 @@ type Config struct {
 	L1Sets, L1Ways int
 	// L2 geometry (the coherence point).
 	L2Sets, L2Ways int
-
-	L1Latency  sim.Cycle // hit latency of the L1
-	L2Latency  sim.Cycle // additional latency of an L2 access
-	MemLatency sim.Cycle // DRAM access latency at the home controller
-
-	MSHRs int // maximum outstanding transactions per cache controller
 }
+
+// The memory-system parameters of paper Table 6 that no evaluation
+// varies, in cycles except maxMSHRs.
+const (
+	l1Latency  = 2   // hit latency of the L1
+	l2Latency  = 13  // additional latency of an L2 access
+	memLatency = 160 // DRAM access latency at the home controller
+	dirLatency = 2   // directory lookup at the home controller
+	maxMSHRs   = 16  // maximum outstanding transactions per cache controller
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -225,8 +220,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("coherence: bad L1 geometry %dx%d", c.L1Sets, c.L1Ways)
 	case c.L2Sets < 1 || c.L2Ways < 1:
 		return fmt.Errorf("coherence: bad L2 geometry %dx%d", c.L2Sets, c.L2Ways)
-	case c.MSHRs < 1:
-		return fmt.Errorf("coherence: MSHRs = %d, need >= 1", c.MSHRs)
 	}
 	return nil
 }

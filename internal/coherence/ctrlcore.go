@@ -252,7 +252,7 @@ func (c *ctrlCore) Load(addr mem.Addr, class network.Class, done func(mem.Word, 
 	} else {
 		c.stats.Loads++
 	}
-	c.launch(waiter{kind: waitLoad, addr: addr, loadDone: done}, class, c.cfg.L1Latency)
+	c.launch(waiter{kind: waitLoad, addr: addr, loadDone: done}, class, l1Latency)
 }
 
 func (c *ctrlCore) loadStage(a *access, b mem.BlockAddr) {
@@ -272,7 +272,7 @@ func (c *ctrlCore) loadStage(a *access, b mem.BlockAddr) {
 			c.stats.ReplayL1Misses++
 		}
 		a.atL2 = true
-		c.schedule(a, c.cfg.L2Latency)
+		c.schedule(a, l2Latency)
 		return
 	}
 	if readable {
@@ -292,7 +292,7 @@ func (c *ctrlCore) loadStage(a *access, b mem.BlockAddr) {
 // Store implements Controller.
 func (c *ctrlCore) Store(addr mem.Addr, val mem.Word, done func()) {
 	c.stats.Stores++
-	c.launch(waiter{kind: waitStore, addr: addr, val: val, perfDone: done}, network.ClassCoherence, c.cfg.L1Latency)
+	c.launch(waiter{kind: waitStore, addr: addr, val: val, perfDone: done}, network.ClassCoherence, l1Latency)
 }
 
 func (c *ctrlCore) storeStage(a *access, b mem.BlockAddr) {
@@ -310,7 +310,7 @@ func (c *ctrlCore) storeStage(a *access, b mem.BlockAddr) {
 	}
 	if !a.atL2 {
 		a.atL2 = true
-		c.schedule(a, c.cfg.L2Latency)
+		c.schedule(a, l2Latency)
 		return
 	}
 	c.stats.L2Misses++
@@ -323,7 +323,7 @@ func (c *ctrlCore) RMW(addr mem.Addr, f func(mem.Word) mem.Word, done func(mem.W
 	c.stats.Loads++
 	c.stats.Stores++
 	c.launch(waiter{kind: waitRMW, addr: addr, rmwFn: f, rmwDone: done}, network.ClassCoherence,
-		c.cfg.L1Latency+c.cfg.L2Latency)
+		l1Latency+l2Latency)
 }
 
 func (c *ctrlCore) rmwStage(a *access, b mem.BlockAddr) {
@@ -341,7 +341,7 @@ func (c *ctrlCore) rmwStage(a *access, b mem.BlockAddr) {
 
 // PrefetchExclusive implements Controller.
 func (c *ctrlCore) PrefetchExclusive(addr mem.Addr) {
-	c.launch(waiter{addr: addr}, network.ClassCoherence, c.cfg.L1Latency)
+	c.launch(waiter{addr: addr}, network.ClassCoherence, l1Latency)
 }
 
 func (c *ctrlCore) prefetchStage(a *access, b mem.BlockAddr) {
@@ -356,7 +356,7 @@ func (c *ctrlCore) prefetchStage(a *access, b mem.BlockAddr) {
 		}
 		return
 	}
-	if len(c.mshrs) >= c.cfg.MSHRs {
+	if len(c.mshrs) >= maxMSHRs {
 		return // drop the hint; prefetches are best-effort
 	}
 	c.join(b, true, class, w)
@@ -418,7 +418,7 @@ func (c *ctrlCore) performStore(l *line, addr mem.Addr, val mem.Word) {
 func (c *ctrlCore) join(b mem.BlockAddr, needM bool, class network.Class, w waiter) {
 	ms := c.mshrs[b]
 	if ms == nil {
-		if len(c.mshrs) >= c.cfg.MSHRs {
+		if len(c.mshrs) >= maxMSHRs {
 			// Structural stall: retry when an MSHR frees up.
 			c.later(4, func() { c.join(b, needM, class, w) })
 			return

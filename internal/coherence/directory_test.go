@@ -131,7 +131,6 @@ func TestDirConfigValidate(t *testing.T) {
 		{},
 		{Nodes: 1},
 		{Nodes: 1, L1Sets: 1, L1Ways: 1},
-		{Nodes: 1, L1Sets: 1, L1Ways: 1, L2Sets: 1, L2Ways: 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -222,5 +221,37 @@ func TestDirHomeQueueSurvivesPutS(t *testing.T) {
 				t.Fatalf("node 2's GetS stranded in the block's queue after the %s ahead of it completed (node 1 got %v)", tc.name, got[1])
 			}
 		})
+	}
+}
+
+// TestSkewedClock checks the shift against a plain divide, CycleAt
+// against a scan, and that a divisor which is not a power of two is
+// refused as zero is.
+func TestSkewedClock(t *testing.T) {
+	for _, div := range []uint64{1, 2, 8, 64} {
+		var now sim.Cycle
+		c := NewSkewedClock(func() sim.Cycle { return now }, 3, div)
+		for ; now < 300; now++ {
+			if got, want := c.LogicalNow(), (uint64(now)+3)/div; got != want {
+				t.Fatalf("div %d cycle %d: LogicalNow = %d, want %d", div, now, got, want)
+			}
+		}
+		for lt := uint64(0); lt < 20; lt++ {
+			at := c.CycleAt(lt)
+			now = at
+			if c.LogicalNow() < lt || (at > 0 && (uint64(at-1)+3)/div >= lt) {
+				t.Errorf("div %d: CycleAt(%d) = %d is not the first cycle reading it", div, lt, at)
+			}
+		}
+	}
+	for _, div := range []uint64{0, 3, 6, 12} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("div %d accepted", div)
+				}
+			}()
+			NewSkewedClock(func() sim.Cycle { return 0 }, 0, div)
+		}()
 	}
 }

@@ -31,9 +31,6 @@ type DirHome struct {
 	// waits recycles the records of work waiting out a latency in events.
 	waits sim.FreeList[dirWait]
 
-	// dirLatency models the directory SRAM/DRAM lookup.
-	dirLatency sim.Cycle
-
 	newBlock func(b mem.BlockAddr, data mem.Block)
 
 	stats  HomeStats
@@ -68,16 +65,15 @@ type dirEntry struct {
 }
 
 // NewDirHome builds the home controller for a node. The memory is the
-// slice of global memory this node is home for (ECC per config).
+// slice of global memory this node is home for.
 func NewDirHome(node network.NodeID, cfg Config, net network.Network, memory *mem.Memory) *DirHome {
 	return &DirHome{
-		node:       node,
-		cfg:        cfg,
-		net:        net,
-		memory:     memory,
-		entries:    make(map[mem.BlockAddr]*dirEntry),
-		dirLatency: 2,
-		strict:     true,
+		node:    node,
+		cfg:     cfg,
+		net:     net,
+		memory:  memory,
+		entries: make(map[mem.BlockAddr]*dirEntry),
+		strict:  true,
 	}
 }
 
@@ -228,7 +224,7 @@ func (h *DirHome) request(m *network.Message) {
 	}
 	w := h.waits.Get()
 	w.what, w.e, w.m = workStart, e, m
-	h.after(h.dirLatency, w)
+	h.after(dirLatency, w)
 }
 
 func (h *DirHome) start(e *dirEntry, m *network.Message) {
@@ -266,7 +262,7 @@ func (h *DirHome) startGetS(e *dirEntry, p MsgGetS) {
 	h.stats.MemoryReads++
 	w := h.waits.Get()
 	w.what, w.e, w.block = workGetSData, e, p.Block
-	h.after(h.cfg.MemLatency, w)
+	h.after(memLatency, w)
 }
 
 func (h *DirHome) startGetM(e *dirEntry, p MsgGetM) {
@@ -296,7 +292,7 @@ func (h *DirHome) startGetM(e *dirEntry, p MsgGetM) {
 		h.stats.MemoryReads++
 		w := h.waits.Get()
 		w.what, w.e, w.t, w.block = workGetMData, e, t, p.Block
-		h.after(h.cfg.MemLatency, w)
+		h.after(memLatency, w)
 	}
 	h.maybeGrant(p.Block, e)
 }
@@ -326,7 +322,7 @@ func (h *DirHome) startPutM(e *dirEntry, p MsgPutM) {
 	e.busy = true // hold conflicting requests until memory is written
 	w := h.waits.Get()
 	w.what, w.e, w.block, w.from, w.data = workPutM, e, p.Block, p.Requestor, p.Data
-	h.after(h.cfg.MemLatency, w)
+	h.after(memLatency, w)
 }
 
 func (h *DirHome) onRecallAck(p MsgRecallAck) {
@@ -401,7 +397,7 @@ func (h *DirHome) next(b mem.BlockAddr, e *dirEntry) {
 	}
 	m := e.queue[0]
 	e.queue = e.queue[1:]
-	h.later(h.dirLatency, func() {
+	h.later(dirLatency, func() {
 		if e.busy {
 			// A fresh request slipped in; requeue at the front.
 			e.queue = append([]*network.Message{m}, e.queue...)

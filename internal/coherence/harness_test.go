@@ -14,10 +14,6 @@ func testConfig(nodes int) Config {
 		Nodes:  nodes,
 		L1Sets: 4, L1Ways: 2,
 		L2Sets: 8, L2Ways: 4,
-		L1Latency:  1,
-		L2Latency:  4,
-		MemLatency: 20,
-		MSHRs:      8,
 	}
 }
 

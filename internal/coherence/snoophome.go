@@ -140,7 +140,7 @@ func (h *SnoopHome) supplyFromMemory(b mem.BlockAddr, req network.NodeID) {
 	h.stats.MemoryReads++
 	w := h.waits.Get()
 	w.what, w.block, w.node = workSupply, b, req
-	h.after(h.cfg.MemLatency, w)
+	h.after(memLatency, w)
 }
 
 // snoopWait is one piece of work waiting out a latency in the home's
@@ -227,5 +227,5 @@ func (h *SnoopHome) onWBData(p MsgSnoopWB) {
 	h.stats.MemoryWrites++
 	w := h.waits.Get()
 	w.what, w.block, w.data = workWBWrite, p.Block, p.Data
-	h.after(h.cfg.MemLatency, w)
+	h.after(memLatency, w)
 }

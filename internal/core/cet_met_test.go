@@ -42,8 +42,7 @@ func tickPast(t *testing.T, met *MemChecker, clock *manualClock, lnow uint64) {
 }
 
 func testCfg() coherence.Config {
-	return coherence.Config{Nodes: 8, L1Sets: 2, L1Ways: 1, L2Sets: 4, L2Ways: 2,
-		L1Latency: 1, L2Latency: 2, MemLatency: 10, MSHRs: 4}
+	return coherence.Config{Nodes: 8, L1Sets: 2, L1Ways: 1, L2Sets: 4, L2Ways: 2}
 }
 
 func newCETMET(t *testing.T) (*CacheChecker, *MemChecker, *manualClock, *CollectorSink, *fakeNet) {
@@ -75,7 +74,7 @@ func TestCETCleanEpochLifecycle(t *testing.T) {
 	clock.t = 120
 	cet.EpochEnd(b, coherence.ReadWrite, 120, blockData(7))
 	// Judge the inform at the first logical time its settle window allows.
-	tickPast(t, met, clock, 110+met.window)
+	tickPast(t, met, clock, 110+settleWindow)
 	if sink.Count() != 0 {
 		t.Fatalf("clean epoch produced violations: %v", sink.Violations)
 	}

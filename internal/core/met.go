@@ -22,8 +22,8 @@ const metQueueSize = 256
 //
 // Incoming Inform-Epochs are sorted by epoch begin time in a fixed-size
 // priority queue and processed in begin-time order once they are older
-// than a settle window, once they have waited cycleWindow cycles, or when
-// the queue overflows. Each one is checked for illegal overlap (rule 2 /
+// than settleWindow logical ticks, once they have waited cycleWindow
+// cycles, or when the queue overflows. Each one is checked for illegal overlap (rule 2 /
 // SWMR) and correct data propagation (rule 3) and then folded into the
 // entry. No inform leaves the queue any other way: one the run ends
 // before judging stays queued, and QueueDepth shows it.
@@ -48,16 +48,6 @@ type MemChecker struct {
 	// minimum; only pops invalidate it.
 	oldestCache sim.Cycle
 	oldestValid bool
-
-	// window is how many logical ticks an inform rests in the queue
-	// before processing, giving stragglers time to sort in. It must cover
-	// the maximum inform network delay (in logical ticks) so that
-	// causally ordered informs are processed in begin-time order.
-	window uint64
-	// cycleWindow bounds how long (in cycles) an inform may wait when the
-	// logical clock stalls (idle snooping bus), keeping detection latency
-	// bounded.
-	cycleWindow sim.Cycle
 
 	cycleNow func() sim.Cycle
 	enqSeq   uint64
@@ -191,18 +181,28 @@ func (m *MemChecker) pqPop() queuedInform {
 	return top
 }
 
+const (
+	// settleWindow is how many logical ticks an inform rests in the queue
+	// before processing, giving stragglers time to sort in. It must cover
+	// the maximum inform network delay (in logical ticks) so that
+	// causally ordered informs are processed in begin-time order.
+	settleWindow = 128
+	// cycleWindow bounds how long (in cycles) an inform may wait when the
+	// logical clock stalls (idle snooping bus), keeping detection latency
+	// bounded.
+	cycleWindow = 4096
+)
+
 // NewMemChecker builds the MET checker for one home node.
 func NewMemChecker(node network.NodeID, cfg coherence.Config, clock coherence.LogicalClock,
 	cycleNow func() sim.Cycle, sink Sink) *MemChecker {
 	m := &MemChecker{
-		node:        node,
-		cfg:         cfg,
-		clock:       clock,
-		sink:        sink,
-		met:         make(map[mem.BlockAddr]int32),
-		window:      128,
-		cycleWindow: 4096,
-		cycleNow:    cycleNow,
+		node:     node,
+		cfg:      cfg,
+		clock:    clock,
+		sink:     sink,
+		met:      make(map[mem.BlockAddr]int32),
+		cycleNow: cycleNow,
 	}
 	if cc, ok := clock.(cycleClock); ok {
 		m.sched = cc
@@ -312,16 +312,16 @@ func (m *MemChecker) Tick(now sim.Cycle) {
 // those the cycle window forces out.
 func (m *MemChecker) settle(now sim.Cycle) {
 	lnow := m.clock.LogicalNow()
-	for m.pq.len() > 0 && m.pq.at(0).begin+m.window <= lnow {
+	for m.pq.len() > 0 && m.pq.at(0).begin+settleWindow <= lnow {
 		m.processOne(m.pqPop())
 	}
-	for m.pq.len() > 0 && now > m.oldestArrival()+m.cycleWindow {
+	for m.pq.len() > 0 && now > m.oldestArrival()+cycleWindow {
 		m.processOne(m.pqPop())
 	}
 	if m.sched != nil && m.pq.len() > 0 {
 		// Neither loop pops before the clock passes the head's settle
 		// window or the oldest inform outwaits cycleWindow.
-		m.due = min(m.sched.CycleAt(m.pq.at(0).begin+m.window), m.oldestArrival()+m.cycleWindow+1)
+		m.due = min(m.sched.CycleAt(m.pq.at(0).begin+settleWindow), m.oldestArrival()+cycleWindow+1)
 	}
 }
 
@@ -337,7 +337,7 @@ func (m *MemChecker) next() sim.Cycle {
 	case m.sched != nil:
 		return m.due
 	case m.advancing:
-		return m.oldestArrival() + m.cycleWindow + 1
+		return m.oldestArrival() + cycleWindow + 1
 	default:
 		return 0
 	}

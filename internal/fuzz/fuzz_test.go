@@ -477,11 +477,11 @@ func TestCampaignReproducibleAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCoverageDeterministic is the reproducibility contract over several
-// seeds: 1 worker and 4 workers produce the same record table, the same
-// summary and byte-identical corpus trees. Seed 77's 64 runs hold an
+// TestCampaignWorkerCountDeterministic is the reproducibility contract
+// over several seeds: 1 worker and 4 workers produce the same record
+// table, the same summary and byte-identical corpus trees. Seed 77's 64 runs hold an
 // escape, so one tree holds a minimized reproducer and its trace.
-func TestCoverageDeterministic(t *testing.T) {
+func TestCampaignWorkerCountDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
@@ -571,12 +571,12 @@ func TestRunRangeShardsMatchCampaign(t *testing.T) {
 	}
 }
 
-// TestCoverageRangeMatchesRun is the fabric's sharding contract on a
+// TestRunRangeRaggedShardsMatchRun is the fabric's sharding contract on a
 // kind-restricted campaign: ragged RunRange shards, an empty one among
 // them, reproduce Run's records exactly, and every record's case is
 // CaseAt of its index — what the coordinator re-derives instead of
 // shipping cases.
-func TestCoverageRangeMatchesRun(t *testing.T) {
+func TestRunRangeRaggedShardsMatchRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
@@ -607,10 +607,10 @@ func TestCoverageRangeMatchesRun(t *testing.T) {
 	}
 }
 
-// TestCoverageRangeBounds: any range inside the case space is a shard,
+// TestRunRangeInsideBounds: any range inside the case space is a shard,
 // wherever it starts and however short (TestRunRangeBounds refuses the
 // ones outside it).
-func TestCoverageRangeBounds(t *testing.T) {
+func TestRunRangeInsideBounds(t *testing.T) {
 	cc := CampaignConfig{Seed: 1, Runs: 8, Budget: 2000}
 	for _, r := range [][2]int{{2, 6}, {8, 8}, {7, 8}} {
 		recs, _, err := RunRange(cc, r[0], r[1])

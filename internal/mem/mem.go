@@ -39,9 +39,6 @@ func (a Addr) Block() BlockAddr { return BlockAddr(a >> blockShift) }
 // WordIndex returns the index of the word within its block, in [0, 8).
 func (a Addr) WordIndex() int { return int(a>>3) & (WordsPerBlock - 1) }
 
-// WordAligned reports whether the address is word aligned.
-func (a Addr) WordAligned() bool { return a&(WordBytes-1) == 0 }
-
 // WordAddr returns the byte address of word i of the block.
 func (b BlockAddr) WordAddr(i int) Addr { return Addr(b)<<blockShift + Addr(i)*WordBytes }
 

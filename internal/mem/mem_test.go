@@ -39,7 +39,7 @@ func TestBlockAddrRoundTrip(t *testing.T) {
 		ba := BlockAddr(b)
 		idx := int(i) % WordsPerBlock
 		wa := ba.WordAddr(idx)
-		return wa.Block() == ba && wa.WordIndex() == idx && wa.WordAligned()
+		return wa.Block() == ba && wa.WordIndex() == idx && wa%WordBytes == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -2,7 +2,8 @@
 // `dvmc-stat check`, every fuzz case and every farm worker get their
 // verdict from it. It judges a trace one event at a time — from a live
 // simulation's sink, a pipe, or a file — on the feeding goroutine, keeps
-// state that does not grow with trace length, and reports byte for byte
+// per-processor state bounded by what is in flight and R3's history of
+// the distinct (word, value) pairs written, and reports byte for byte
 // what internal/oracle's batch Check reports over the same events. That
 // batch checker is the reference the tests compare against; see its
 // package comment for the rules R1–R5 and the tolerances each one needs.
@@ -27,9 +28,13 @@
 // (writers), whether a recovery marker legitimized it (recovered), and
 // the loads that bound it before either happened (pending).
 //
-// None of it grows with trace length on legal traces. A faulty trace
-// grows it by its anomaly count: a lost store pins one frontier entry, an
-// unwritten load value pins one pending query.
+// On a legal trace the per-processor state and pending do not grow with
+// trace length, but writers and recovered do: each holds one entry per
+// distinct (word, value) pair a store performed or a recovery folded, so
+// a workload that keeps writing new values grows them with every store.
+// A faulty trace also grows the rest by its anomaly count: a lost store
+// pins one frontier entry, an unwritten load value pins one pending
+// query.
 //
 // # Why R3 defers
 //

@@ -445,7 +445,7 @@ func (c *CPU) fetchStage(now sim.Cycle) {
 	if now < c.fetchStallUntil {
 		return
 	}
-	budget := c.cfg.Width
+	budget := width
 	for budget > 0 {
 		if c.pendingOp == nil {
 			if !c.nextFromProgram(now) {
@@ -655,7 +655,7 @@ func (c *CPU) executeStage(now sim.Cycle) {
 			}
 		}
 		older = u
-		if issued >= c.cfg.Width {
+		if issued >= width {
 			break
 		}
 		if u.state == uExecuted {
@@ -669,7 +669,7 @@ func (c *CPU) executeStage(now sim.Cycle) {
 			continue
 		}
 		considered++
-		if considered > c.cfg.Window {
+		if considered > window {
 			break
 		}
 		switch u.op.Kind {
@@ -934,7 +934,7 @@ func (u *uop) replayLoadDone(v mem.Word, _ bool) {
 func (c *CPU) retireStage(now sim.Cycle) {
 	c.verifyStage(now)
 	c.watchdog(now)
-	budget := c.cfg.Width
+	budget := width
 	for budget > 0 && len(c.rob) > 0 {
 		u := c.rob[0]
 		if u.state != uExecuted {
@@ -1357,7 +1357,7 @@ func (c *CPU) squashFrom(u *uop, spec bool) {
 			c.setBlocking(r)
 		}
 	}
-	c.fetchStallUntil = c.lastTick() + c.cfg.SquashPenalty
+	c.fetchStallUntil = c.lastTick() + squashPenalty
 }
 
 // flushFrom squashes rob[idx:] and the pending (not yet inserted) op,
@@ -1459,7 +1459,7 @@ func (c *CPU) Recover(st ArchState) {
 	c.prog.Restore(st.ProgSnap)
 	c.nextResult = st.Prev
 	c.finished = false
-	c.fetchStallUntil = c.lastTick() + c.cfg.SquashPenalty
+	c.fetchStallUntil = c.lastTick() + squashPenalty
 }
 
 // squashYounger flushes everything younger than u (u itself survives,
@@ -1503,7 +1503,7 @@ func (c *CPU) squashYounger(u *uop) {
 	if u.op.Blocking && !c.blockingValueReady(u) {
 		c.setBlocking(u)
 	}
-	c.fetchStallUntil = c.lastTick() + c.cfg.SquashPenalty
+	c.fetchStallUntil = c.lastTick() + squashPenalty
 }
 
 // EpochEnd implements load-order mis-speculation detection: when another

@@ -537,12 +537,9 @@ func TestCPUConfigValidate(t *testing.T) {
 		edit  func(*Config)
 	}{
 		{"", func(*Config) {}},
-		{"Width", func(c *Config) { c.Width = 0 }},
 		{"ROBInstrs", func(c *Config) { c.ROBInstrs = 0 }},
-		{"Window", func(c *Config) { c.Window = 0 }},
 		{"WBEntries", func(c *Config) { c.WBEntries = -1 }},
 		{"VCWords", func(c *Config) { c.VCWords = 0 }},
-		{"WBOutstand", func(c *Config) { c.WBOutstand = 0 }},
 	} {
 		cfg := DefaultConfig()
 		tc.edit(&cfg)

@@ -118,53 +118,45 @@ type Program interface {
 	Restore(s any)
 }
 
+// The core parameters of paper Table 7 that no evaluation varies.
+const (
+	width         = 4  // fetch/commit/verify width
+	window        = 64 // scheduling window: oldest unexecuted ops considered
+	wbOutstand    = 8  // out-of-order write buffer: concurrent drains
+	squashPenalty = 10 // front-end refill delay (cycles) after a pipeline flush
+)
+
 // Config sizes the core (defaults mirror paper Table 7).
 type Config struct {
-	Width      int // fetch/commit/verify width (4)
-	ROBInstrs  int // reorder buffer capacity in instructions (128)
-	Window     int // scheduling window: oldest unexecuted ops considered (64)
-	WBEntries  int // write buffer capacity in stores (32)
-	VCWords    int // verification cache capacity in words
-	WBOutstand int // out-of-order write buffer: concurrent drains
+	ROBInstrs int // reorder buffer capacity in instructions (128)
+	WBEntries int // write buffer capacity in stores (32)
+	VCWords   int // verification cache capacity in words
 
 	// MembarInjectionInterval is the period (cycles) of artificial full
 	// membars for lost-operation detection (about one per 100k cycles).
 	// Zero disables injection.
 	MembarInjectionInterval sim.Cycle
-
-	// SquashPenalty is the front-end refill delay after a pipeline flush.
-	SquashPenalty sim.Cycle
 }
 
 // DefaultConfig returns the paper's processor parameters.
 func DefaultConfig() Config {
 	return Config{
-		Width:                   4,
 		ROBInstrs:               128,
-		Window:                  64,
 		WBEntries:               32,
 		VCWords:                 64,
-		WBOutstand:              8,
 		MembarInjectionInterval: 100000,
-		SquashPenalty:           10,
 	}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.Width < 1:
-		return fmt.Errorf("proc: Width = %d", c.Width)
 	case c.ROBInstrs < 1:
 		return fmt.Errorf("proc: ROBInstrs = %d", c.ROBInstrs)
-	case c.Window < 1:
-		return fmt.Errorf("proc: Window = %d", c.Window)
 	case c.WBEntries < 0:
 		return fmt.Errorf("proc: WBEntries = %d", c.WBEntries)
 	case c.VCWords < 1:
 		return fmt.Errorf("proc: VCWords = %d", c.VCWords)
-	case c.WBOutstand < 1:
-		return fmt.Errorf("proc: WBOutstand = %d", c.WBOutstand)
 	}
 	return nil
 }

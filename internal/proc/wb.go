@@ -515,7 +515,7 @@ func NewWriteBufferFor(model consistency.Model, cfg Config, ctrl coherence.Contr
 	case consistency.TSO, consistency.PC:
 		return NewInOrderWB(ctrl, cfg.WBEntries, perf, wake)
 	case consistency.PSO, consistency.RMO:
-		return NewOOOWB(ctrl, cfg.WBEntries, cfg.WBOutstand, perf, wake)
+		return NewOOOWB(ctrl, cfg.WBEntries, wbOutstand, perf, wake)
 	default:
 		panic("proc: unknown model")
 	}

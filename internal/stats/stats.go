@@ -171,24 +171,6 @@ func FormatHistogram(bins []Bin) string {
 	return b.String()
 }
 
-// Ratio divides two samples element-wise and returns the resulting
-// sample (normalised runtimes). Panics on length mismatch or zero
-// denominators.
-func Ratio(num, den *Sample) *Sample {
-	if num.N() != den.N() {
-		panic(fmt.Sprintf("stats: ratio of samples with %d vs %d observations", num.N(), den.N()))
-	}
-	out := &Sample{}
-	for i, n := range num.values {
-		d := den.values[i]
-		if d == 0 {
-			panic("stats: ratio with zero denominator")
-		}
-		out.Add(n / d)
-	}
-	return out
-}
-
 // NormalizeBy divides every observation by a scalar.
 func NormalizeBy(s *Sample, by float64) *Sample {
 	if by == 0 {

@@ -12,8 +12,11 @@
 #     traces a side)
 #   - dvmc-sim -txns 300 with -spans-out and -metrics-out, both protocols,
 #     at 8 and at 16 nodes (span dump, telemetry snapshot, stdout; 16
-#     nodes is 101 kernel components, more than one 64-bit word of the
+#     nodes is up to 100 kernel components, more than one 64-bit word of the
 #     kernel's calendar)
+#   - dvmc-sim -paper-scale -txns 300 with -trace-out and -metrics-out,
+#     both protocols (trace, telemetry snapshot, stdout): the only leg
+#     on DefaultConfig's full Table 6 geometry rather than ScaledConfig
 #   - stdout of CI's two fuzz-smoke campaigns
 #   - per fault kind (all 19): dvmc-fuzz run -seed 7 -n 40 -fault-frac 1
 #     -kinds <kind> -v, stdout and exit code
@@ -29,6 +32,8 @@
 #     -fault-frac 0.5 -json, stdout, exit code and a cksum listing of its
 #     -corpus tree
 #   - the directory soak, seeds 1..8, which must also exit 0
+#
+# That is 101 artifacts a side.
 #
 # A commit that means to change simulated behaviour declares it with a
 # trailer in its message:   Identity-Change: <reason>
@@ -98,6 +103,8 @@ artifacts() {
 			-spans-out "sim-$p.spans" -metrics-out "sim-$p.metrics.json" >"sim-$p.stdout"
 		"$bin/dvmc-sim" -protocol $p -nodes 16 -txns 300 \
 			-spans-out "sim16-$p.spans" -metrics-out "sim16-$p.metrics.json" >"sim16-$p.stdout"
+		"$bin/dvmc-sim" -paper-scale -protocol $p -txns 300 \
+			-trace-out "paper-$p.trc" -metrics-out "paper-$p.metrics.json" >"paper-$p.stdout"
 	done
 	"$bin/dvmc-fuzz" run -seed 1 -n 60 -fault-frac 0.5 -v >fuzz-smoke-1.stdout
 	"$bin/dvmc-fuzz" run -seed 23 -n 80 -fault-frac 0.8 -v \

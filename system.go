@@ -173,6 +173,14 @@ func (f fanAccess) Access(b mem.BlockAddr, write bool) {
 // as DVMC's logical-time base requires.
 const skewDiv = uint64(8)
 
+// hopLatency is the torus's per-hop pipeline latency in cycles; the
+// broadcast tree's per-level latency, treeHopLatency, is a third of it
+// plus one.
+const (
+	hopLatency     = 15
+	treeHopLatency = hopLatency/3 + 1
+)
+
 // NewSystem assembles a multiprocessor running the given workload: one
 // thread per node.
 func NewSystem(cfg Config, w Workload) (*System, error) {
@@ -184,10 +192,10 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	}
 	w = w.WithThreads(cfg.Nodes).WithModel(cfg.Model)
 
-	// At most five system-wide components (torus, tree, SafetyNet manager,
-	// two samplers) and six per node (home, controller, MET, CET, logger,
-	// core).
-	s := &System{cfg: cfg, kernel: sim.NewKernel(5 + 6*cfg.Nodes)}
+	// At most four system-wide components (torus, tree, SafetyNet manager,
+	// telemetry sampler) and six per node (home, controller, MET, CET,
+	// logger, core).
+	s := &System{cfg: cfg, kernel: sim.NewKernel(4 + 6*cfg.Nodes)}
 	rng := sim.NewRand(cfg.Seed)
 	now := s.kernel.Now
 
@@ -207,10 +215,10 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 		}
 	}
 
-	s.torus = network.NewTorus(cfg.Nodes, cfg.bytesPerCycle(), cfg.HopLatency, rng.Fork(1000))
+	s.torus = network.NewTorus(cfg.Nodes, cfg.bytesPerCycle(), hopLatency, rng.Fork(1000))
 	s.kernel.Register(s.torus)
 	if cfg.Protocol == Snooping {
-		s.bcast = network.NewBroadcastTree(cfg.Nodes, cfg.bytesPerCycle(), cfg.HopLatency/3+1, rng.Fork(1001))
+		s.bcast = network.NewBroadcastTree(cfg.Nodes, cfg.bytesPerCycle(), treeHopLatency, rng.Fork(1001))
 		s.kernel.Register(s.bcast)
 	}
 
@@ -325,8 +333,7 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	}
 
 	// The telemetry sampler (if enabled) ticks after every component so
-	// each sample observes the cycle's final state. The span phase
-	// sampler follows for the same reason.
+	// each sample observes the cycle's final state.
 	if cfg.Telemetry.Enabled {
 		s.kernel.Register(telemetry.NewSampler(s.Telemetry(), cfg.Telemetry.Every))
 	}

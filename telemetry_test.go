@@ -215,46 +215,6 @@ func TestTelemetryOffBuildsNoRing(t *testing.T) {
 	}
 }
 
-// TestCampaignLatencyByKind runs a small injection campaign and checks
-// the per-invariant detection-latency aggregation: every detected fault
-// lands in exactly one invariant's sample, and the samples render as
-// histograms.
-func TestCampaignLatencyByKind(t *testing.T) {
-	cfg := smallConfig()
-	camp, err := RunCampaign(cfg, Slashcode(), 30, 400_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, detected, _, _ := camp.Counts()
-	if detected == 0 {
-		t.Skip("campaign detected nothing at this geometry")
-	}
-	lat := camp.LatencyByKind()
-	if len(lat) == 0 {
-		t.Fatalf("%d detections but no per-invariant latency samples", detected)
-	}
-	total := 0
-	for _, l := range lat {
-		if l.Sample.N() == 0 {
-			t.Errorf("%v: empty sample", l.Kind)
-		}
-		total += l.Sample.N()
-		if h := l.Sample.Histogram(8); len(h) == 0 {
-			t.Errorf("%v: no histogram bins", l.Kind)
-		}
-		t.Logf("%-40v n=%d p50=%.0f p99=%.0f max=%.0f cycles",
-			l.Kind, l.Sample.N(), l.Sample.Quantile(0.5), l.Sample.Quantile(0.99), l.Sample.Max())
-	}
-	if total != detected {
-		t.Errorf("latency samples cover %d detections, campaign counted %d", total, detected)
-	}
-	for i := 1; i < len(lat); i++ {
-		if lat[i-1].Kind.String() >= lat[i].Kind.String() {
-			t.Errorf("LatencyByKind not sorted: %v before %v", lat[i-1].Kind, lat[i].Kind)
-		}
-	}
-}
-
 // TestInjectionPopulatesLatencyHistogram drives detectable faults
 // through the injection harness and requires the snapshot's
 // per-invariant detection-latency section, folded from the violation
