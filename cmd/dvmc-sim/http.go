@@ -14,7 +14,7 @@ import (
 
 // telemetryMux serves live introspection for a running simulation:
 //
-//	/metrics        Prometheus text exposition of the telemetry registry
+//	/metrics        Prometheus text exposition of the telemetry snapshot
 //	/metrics.json   the full JSON snapshot (series, events, latency)
 //	/debug/pprof/   the standard Go profiling endpoints
 //

@@ -165,9 +165,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(report, "  %v\n", v)
 	}
 
-	// The telemetry registry is the single source of truth for detailed
+	// The telemetry snapshot is the one rendering of detailed
 	// statistics: the -v report, the -metrics-out file, and the live
-	// /metrics endpoint all render a snapshot of it.
+	// /metrics endpoint all render a snapshot of the system.
 	if *verbose {
 		fmt.Fprintln(report)
 		if err := sys.TelemetrySnapshot().Text(report); err != nil {

@@ -142,16 +142,22 @@ func (c *cli) check(args []string) int {
 }
 
 // checkerSnapshot snapshots the finished checker's gauges (events fed,
-// frontier depth and high-water, pending value queries) and its
-// throughput, decode included.
+// frontier depth and high-water, pending value queries), read from its
+// accessors, and its throughput, decode included.
 func checkerSnapshot(chk *stream.Checker, elapsed time.Duration) *telemetry.Snapshot {
-	reg := telemetry.NewRegistry()
-	chk.RegisterMetrics(reg)
-	if el := elapsed.Seconds(); el > 0 {
-		reg.Gauge("stream_events_per_sec", "check throughput since start").
-			Set(0, int64(float64(chk.EventsFed())/el))
+	scalar := func(name, help string, kind telemetry.Kind, v int64) telemetry.Metric {
+		return telemetry.Metric{Name: name, Help: help, Kind: kind, Read: func(int) int64 { return v }}
 	}
-	return reg.Snapshot(0)
+	ms := []telemetry.Metric{
+		scalar("stream_events_total", "events fed to the streaming oracle", telemetry.KindCounter, int64(chk.EventsFed())),
+		scalar("stream_frontier_depth", "committed-but-unperformed operations retained", telemetry.KindGauge, chk.FrontierDepth()),
+		scalar("stream_frontier_max", "high-water frontier depth (bounded-memory gauge)", telemetry.KindGauge, chk.MaxFrontier()),
+		scalar("stream_pending_value_queries", "deferred R3 value queries awaiting a writer", telemetry.KindGauge, chk.PendingValueQueries()),
+	}
+	if el := elapsed.Seconds(); el > 0 {
+		ms = append(ms, scalar("stream_events_per_sec", "check throughput since start", telemetry.KindGauge, int64(float64(chk.EventsFed())/el)))
+	}
+	return telemetry.TakeSnapshot(0, ms, nil)
 }
 
 // infoJSON is the machine-readable summary of `info -json`.

@@ -54,13 +54,13 @@ type goldenInjection struct {
 func collectGolden(name string, s *System) goldenCounts {
 	g := goldenCounts{Name: name, Results: s.ResultsSoFar(), Violations: []goldenViolation{}}
 	for n := range s.cpus {
-		g.Proc = append(g.Proc, s.CPUStats(n))
-		g.Ctrl = append(g.Ctrl, s.ControllerStats(n))
+		g.Proc = append(g.Proc, s.cpus[n].Stats())
+		g.Ctrl = append(g.Ctrl, s.ctrls[n].Stats())
 		g.Home = append(g.Home, s.homes[n].Stats())
-		g.UO = append(g.UO, s.UOStats(n))
-		g.Reorder = append(g.Reorder, s.ReorderStats(n))
-		g.CET = append(g.CET, s.CETStats(n))
-		g.MET = append(g.MET, s.METStats(n))
+		g.UO = append(g.UO, checkerStats(s.uo, n, (*core.UniprocChecker).Stats))
+		g.Reorder = append(g.Reorder, checkerStats(s.reorder, n, (*core.ReorderChecker).Stats))
+		g.CET = append(g.CET, checkerStats(s.cet, n, (*core.CacheChecker).Stats))
+		g.MET = append(g.MET, checkerStats(s.met, n, (*core.MemChecker).Stats))
 	}
 	g.Links = s.torus.LinkStats()
 	if s.bcast != nil {
@@ -70,6 +70,16 @@ func collectGolden(name string, s *System) goldenCounts {
 		g.Violations = append(g.Violations, goldenViolation{Kind: v.Kind.String(), Node: int(v.Node), Cycle: uint64(v.Cycle)})
 	}
 	return g
+}
+
+// checkerStats reads node n's counters from one kind of checker: the
+// zero value when that checker is off (cs empty, or its entry nil).
+func checkerStats[C, S any](cs []*C, n int, stats func(*C) S) S {
+	if n >= len(cs) || cs[n] == nil {
+		var zero S
+		return zero
+	}
+	return stats(cs[n])
 }
 
 const goldenCycles = 110_000

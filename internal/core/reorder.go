@@ -39,7 +39,14 @@ type ReorderChecker struct {
 	committedLoads, committedStores uint64
 	performedLoads, performedStores uint64
 
-	snapshots map[uint64]counterSnapshot // membar seq -> counters at commit
+	// pending is the committed counters of the one membar committed and
+	// not yet performed: a membar commits and performs at the ROB head,
+	// so no second one can commit before it performs.
+	pending struct {
+		seq           uint64
+		loads, stores uint64
+		valid         bool
+	}
 
 	stats ReorderStats
 }
@@ -53,10 +60,6 @@ type ReorderStats struct {
 	InjectedMembars uint64
 }
 
-type counterSnapshot struct {
-	loads, stores uint64
-}
-
 // PerformedOp describes one operation at its perform point.
 type PerformedOp struct {
 	Seq   uint64
@@ -68,20 +71,20 @@ type PerformedOp struct {
 
 // NewReorderChecker builds the checker for one processor.
 func NewReorderChecker(node network.NodeID, sink Sink) *ReorderChecker {
-	return &ReorderChecker{node: node, sink: sink, snapshots: make(map[uint64]counterSnapshot)}
+	return &ReorderChecker{node: node, sink: sink}
 }
 
 // Stats returns checker counters.
 func (r *ReorderChecker) Stats() ReorderStats { return r.stats }
 
-// Reset clears commit/perform accounting and membar snapshots (SafetyNet
+// Reset clears commit/perform accounting and the pending membar (SafetyNet
 // recovery). The max{OP} registers are preserved: sequence numbers stay
 // monotonic across recoveries, so stale maxima can never flag the
 // re-executed stream.
 func (r *ReorderChecker) Reset() {
 	r.committedLoads, r.committedStores = 0, 0
 	r.performedLoads, r.performedStores = 0, 0
-	r.snapshots = make(map[uint64]counterSnapshot)
+	r.pending.valid = false
 }
 
 // OpCommitted records an operation's commit for lost-op accounting.
@@ -97,10 +100,10 @@ func (r *ReorderChecker) OpCommitted(class consistency.OpClass, isRMW bool) {
 	}
 }
 
-// MembarCommitted snapshots the committed counters for a membar; the
-// snapshot is consumed when the membar performs.
+// MembarCommitted records the committed counters for a membar; the
+// record is consumed when the membar performs.
 func (r *ReorderChecker) MembarCommitted(seq uint64, injected bool) {
-	r.snapshots[seq] = counterSnapshot{loads: r.committedLoads, stores: r.committedStores}
+	r.pending.seq, r.pending.loads, r.pending.stores, r.pending.valid = seq, r.committedLoads, r.committedStores, true
 	if injected {
 		r.stats.InjectedMembars++
 	}
@@ -194,11 +197,11 @@ func (r *ReorderChecker) checkClass(op PerformedOp, cl consistency.OpClass, tabl
 // checkLostOps compares committed and performed counters at a membar.
 func (r *ReorderChecker) checkLostOps(op PerformedOp, now sim.Cycle) {
 	r.stats.MembarsChecked++
-	snap, ok := r.snapshots[op.Seq]
-	if !ok {
+	snap := &r.pending
+	if !snap.valid || snap.seq != op.Seq {
 		return
 	}
-	delete(r.snapshots, op.Seq)
+	snap.valid = false
 	if op.Mask&(consistency.LL|consistency.LS) != 0 && r.performedLoads < snap.loads {
 		r.stats.LostOps++
 		r.sink.Violation(Violation{Kind: LostOperation, Node: r.node, Cycle: now,

@@ -25,11 +25,8 @@ func TestSettledRunJudgesEveryInform(t *testing.T) {
 	if res.Class != ClassAgreeClean {
 		t.Fatalf("%s (%s), want agree-clean", res.Class, res.Detail)
 	}
-	var sent, judged uint64
-	for n := 0; n < c.Program.NumThreads(); n++ {
-		sent += sys.CETStats(n).Informs
-		judged += sys.METStats(n).InformsProcessed
-	}
+	r := sys.ResultsSoFar()
+	sent, judged := r.Informs, r.InformsProcessed
 	if sent == 0 || judged != sent {
 		t.Errorf("%d Inform-Epochs sent, %d judged; want every one judged", sent, judged)
 	}

@@ -478,8 +478,8 @@ func (t *Torus) LinkStats() []LinkStat {
 func (t *Torus) Quiet() bool { return t.inFlight+len(t.delayed)+len(t.held) == 0 }
 
 // ClassBytes returns the total bytes carried for one traffic class
-// summed over all links. Allocation-free (telemetry probes call it
-// every sampling tick).
+// summed over all links. Allocation-free (the telemetry sampler reads
+// it every sampling tick).
 func (t *Torus) ClassBytes(c Class) uint64 {
 	var n uint64
 	for _, l := range t.links {

@@ -70,5 +70,9 @@
 // The package is on the dvmc-lint determinism allowlist: no goroutine,
 // channel, lock, atomic, wall clock or unordered map walk, so the report
 // is a pure function of the event stream. A Checker is not safe for
-// concurrent use; its gauges are read by the goroutine that feeds it.
+// concurrent use; its accessors (EventsFed, FrontierDepth, MaxFrontier,
+// PendingValueQueries) are read by the goroutine that feeds it. The
+// package publishes no metric and imports nothing of the simulator's
+// telemetry: a caller that wants gauges (dvmc-stat check -metrics-out)
+// builds them from those accessors.
 package stream

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"dvmc/internal/oracle"
-	"dvmc/internal/telemetry"
 	"dvmc/internal/trace"
 )
 
@@ -139,23 +138,6 @@ func (c *Checker) PendingValueQueries() int64 {
 		n += int64(len(qs))
 	}
 	return n
-}
-
-// RegisterMetrics exposes the checker's gauges on a telemetry registry:
-// stream_events_total, stream_frontier_depth, stream_frontier_max,
-// stream_pending_value_queries. Values refresh on Registry.Collect via a
-// probe, which must run on the feeding goroutine.
-func (c *Checker) RegisterMetrics(reg *telemetry.Registry) {
-	events := reg.Counter("stream_events_total", "events fed to the streaming oracle")
-	depth := reg.Gauge("stream_frontier_depth", "committed-but-unperformed operations retained")
-	peak := reg.Gauge("stream_frontier_max", "high-water frontier depth (bounded-memory gauge)")
-	pend := reg.Gauge("stream_pending_value_queries", "deferred R3 value queries awaiting a writer")
-	reg.AddProbe(func() {
-		events.Set(0, int64(c.EventsFed()))
-		depth.Set(0, c.FrontierDepth())
-		peak.Set(0, c.MaxFrontier())
-		pend.Set(0, c.PendingValueQueries())
-	})
 }
 
 // CheckReader checks a binary trace from src — a file, a pipe from a

@@ -121,9 +121,6 @@ type CPU struct {
 	lastInject      sim.Cycle
 
 	wb WriteBuffer
-	// wbModels remembers the effective model of stores in the write
-	// buffer so perform events check against the right ordering table.
-	wbModels map[uint64]consistency.Model
 
 	// DVMC checkers; nil when DVMC is disabled.
 	uo      *core.UniprocChecker
@@ -304,8 +301,8 @@ func (c *CPU) WriteBuffer() WriteBuffer { return c.wb }
 func (c *CPU) ROBLen() int { return len(c.rob) }
 
 // WBLen returns the current write-buffer store count (0 when the model
-// has no write buffer). Allocation-free; telemetry probes call it every
-// sampling tick.
+// has no write buffer). Allocation-free; the telemetry sampler reads it
+// every sampling tick.
 func (c *CPU) WBLen() int {
 	if c.wb == nil {
 		return 0
@@ -1081,8 +1078,7 @@ func (c *CPU) retireStore(u *uop, now sim.Cycle) bool {
 		return u.performed
 	}
 	if !u.irrevocable {
-		ordered := u.model == consistency.TSO || u.model == consistency.SC
-		if !c.wb.Push(u.seq, u.op.Addr, u.op.Data, ordered) {
+		if !c.wb.Push(u.seq, u.op.Addr, u.op.Data, u.model) {
 			c.stall(&c.stats.WBFullStalls)
 			return false
 		}
@@ -1095,7 +1091,6 @@ func (c *CPU) retireStore(u *uop, now sim.Cycle) bool {
 		if c.uo != nil {
 			c.uo.StoreCommitted(u.op.Addr, u.op.Data)
 		}
-		c.rememberModel(u.seq, u.model)
 	}
 	return true
 }
@@ -1110,28 +1105,7 @@ func (u *uop) storeDone() {
 	}
 	c.wake()
 	u.performed = true
-	c.storePerformedChecks(u.seq, u.op.Addr, u.op.Data, u.model)
-}
-
-// rememberModel records the effective model of a store entering the
-// write buffer.
-func (c *CPU) rememberModel(seq uint64, m consistency.Model) {
-	if c.wbModels == nil {
-		c.wbModels = make(map[uint64]consistency.Model)
-	}
-	c.wbModels[seq] = m
-}
-
-// storePerformed is the write buffer's perform callback.
-func (c *CPU) storePerformed(seq uint64, addr mem.Addr, written mem.Word) {
-	m := c.model
-	if c.wbModels != nil {
-		if mm, ok := c.wbModels[seq]; ok {
-			m = mm
-			delete(c.wbModels, seq)
-		}
-	}
-	c.storePerformedChecks(seq, addr, written, m)
+	c.storePerformed(u.seq, u.op.Addr, u.op.Data, u.model)
 }
 
 // traceCommitStore emits a store's commit record at the point its place
@@ -1151,7 +1125,10 @@ func (c *CPU) traceCommitStore(u *uop) {
 	})
 }
 
-func (c *CPU) storePerformedChecks(seq uint64, addr mem.Addr, written mem.Word, m consistency.Model) {
+// storePerformed runs the checks of a store at its perform point, under
+// the effective model m it was decoded under: the write buffer's perform
+// callback, and an SC store's cache completion.
+func (c *CPU) storePerformed(seq uint64, addr mem.Addr, written mem.Word, m consistency.Model) {
 	c.wbProgressAt = c.lastTick()
 	if c.tracer != nil {
 		c.emitTrace(trace.Event{
@@ -1455,7 +1432,6 @@ func (c *CPU) Recover(st ArchState) {
 	if c.wb != nil {
 		c.wb.Clear()
 	}
-	c.wbModels = nil
 	c.prog.Restore(st.ProgSnap)
 	c.nextResult = st.Prev
 	c.finished = false

@@ -61,12 +61,12 @@ func (f *fakeCtrl) Load(addr mem.Addr, class network.Class, done func(mem.Word, 
 	} else {
 		f.loads++
 	}
-	f.events.After(f.now, f.latencyOf(addr), func() { done(f.mem[addr], true) })
+	f.events.At(f.now+f.latencyOf(addr), func() { done(f.mem[addr], true) })
 }
 
 func (f *fakeCtrl) Store(addr mem.Addr, val mem.Word, done func()) {
 	f.stores++
-	f.events.After(f.now, f.latencyOf(addr), func() {
+	f.events.At(f.now+f.latencyOf(addr), func() {
 		f.mem[addr] = val
 		f.storeLog = append(f.storeLog, val)
 		done()
@@ -74,7 +74,7 @@ func (f *fakeCtrl) Store(addr mem.Addr, val mem.Word, done func()) {
 }
 
 func (f *fakeCtrl) RMW(addr mem.Addr, fn func(mem.Word) mem.Word, done func(mem.Word)) {
-	f.events.After(f.now, f.latencyOf(addr), func() {
+	f.events.At(f.now+f.latencyOf(addr), func() {
 		old := f.mem[addr]
 		f.mem[addr] = fn(old)
 		done(old)
@@ -84,7 +84,7 @@ func (f *fakeCtrl) RMW(addr mem.Addr, fn func(mem.Word) mem.Word, done func(mem.
 func (f *fakeCtrl) PrefetchExclusive(addr mem.Addr) {
 	f.prefetches++
 	if f.warmLatency > 0 {
-		f.events.After(f.now, f.warmAfter, func() { f.warm[addr.Block()] = true })
+		f.events.At(f.now+f.warmAfter, func() { f.warm[addr.Block()] = true })
 	}
 }
 

@@ -9,18 +9,19 @@ import (
 
 // performFn is invoked by a write buffer when a store performs at the
 // cache: seq is the store's sequence number, written the value that
-// reached the cache.
-type performFn func(seq uint64, addr mem.Addr, written mem.Word)
+// reached the cache, model the effective model it was pushed under.
+type performFn func(seq uint64, addr mem.Addr, written mem.Word, model consistency.Model)
 
 // WriteBuffer is the post-retirement store queue. Implementations differ
 // per consistency model (paper Table 5): TSO uses an in-order buffer,
 // PSO/RMO an out-of-order write-combining buffer. SC has none.
 type WriteBuffer interface {
-	// Push enqueues a retired store; false means the buffer is full and
-	// retirement must stall. ordered marks stores that must not be
-	// reordered with other ordered stores (SC/TSO-mode ops on a relaxed
-	// system, per the Table 8 mode-switching requirement).
-	Push(seq uint64, addr mem.Addr, val mem.Word, ordered bool) bool
+	// Push enqueues a retired store with the effective model it was
+	// decoded under, which its perform callback reports; false means the
+	// buffer is full and retirement must stall. SC/TSO-mode stores are
+	// ordered: they must not be reordered with other ordered stores (on a
+	// relaxed system, per the Table 8 mode-switching requirement).
+	Push(seq uint64, addr mem.Addr, val mem.Word, model consistency.Model) bool
 	// Lookup returns the newest buffered value for a word (store-to-load
 	// forwarding).
 	Lookup(addr mem.Addr) (mem.Word, bool)
@@ -80,11 +81,15 @@ type InOrderWB struct {
 }
 
 type wbStore struct {
-	seq     uint64
-	addr    mem.Addr
-	val     mem.Word
-	ordered bool
+	seq   uint64
+	addr  mem.Addr
+	val   mem.Word
+	model consistency.Model
 }
+
+// orderedModel reports whether stores of model m are ordered: they must
+// not be reordered with other ordered stores.
+func orderedModel(m consistency.Model) bool { return m == consistency.TSO || m == consistency.SC }
 
 var _ WriteBuffer = (*InOrderWB)(nil)
 
@@ -96,13 +101,13 @@ func NewInOrderWB(ctrl coherence.Controller, capacity int, perf performFn, wake 
 }
 
 // Push implements WriteBuffer.
-func (w *InOrderWB) Push(seq uint64, addr mem.Addr, val mem.Word, ordered bool) bool {
+func (w *InOrderWB) Push(seq uint64, addr mem.Addr, val mem.Word, model consistency.Model) bool {
 	if len(w.queue) >= w.cap {
 		return false
 	}
 	// Queue capacity amortizes to the configured bound; steady state reuses
 	// the backing array.
-	w.queue = append(w.queue, wbStore{seq: seq, addr: addr, val: val, ordered: ordered})
+	w.queue = append(w.queue, wbStore{seq: seq, addr: addr, val: val, model: model})
 	return true
 }
 
@@ -152,7 +157,7 @@ func (w *InOrderWB) Tick(now sim.Cycle) {
 		w.drainCB = func() {
 			st := w.draining
 			w.busy = false
-			w.perf(st.seq, st.addr, st.val)
+			w.perf(st.seq, st.addr, st.val, st.model)
 			w.wake()
 		}
 	}
@@ -258,7 +263,8 @@ func NewOOOWB(ctrl coherence.Controller, capacity, maxOutstanding int, perf perf
 // reordering same-word stores in violation of Uniprocessor Ordering
 // (a real write-buffer bug the VC checker caught; see the
 // false-alarm-wb-rmw-store fuzzer reproducer, which was no false alarm).
-func (w *OOOWB) Push(seq uint64, addr mem.Addr, val mem.Word, ordered bool) bool {
+func (w *OOOWB) Push(seq uint64, addr mem.Addr, val mem.Word, model consistency.Model) bool {
+	ordered := orderedModel(model)
 	if w.fault.dropNext {
 		w.fault.dropNext = false
 		w.fault.dropSeq = seq
@@ -277,7 +283,7 @@ func (w *OOOWB) Push(seq uint64, addr mem.Addr, val mem.Word, ordered bool) bool
 			e.valid[addr.WordIndex()] = true
 			// constituents is reset to [:0] on recycle; its capacity
 			// amortizes to the per-entry store bound.
-			e.constituents = append(e.constituents, wbStore{seq: seq, addr: addr, val: val})
+			e.constituents = append(e.constituents, wbStore{seq: seq, addr: addr, val: val, model: model})
 			w.stores++
 			return true
 		}
@@ -292,7 +298,7 @@ func (w *OOOWB) Push(seq uint64, addr mem.Addr, val mem.Word, ordered bool) bool
 	e.valid[addr.WordIndex()] = true
 	// constituents is reset to [:0] on recycle; its capacity amortizes to
 	// the per-entry store bound.
-	e.constituents = append(e.constituents, wbStore{seq: seq, addr: addr, val: val})
+	e.constituents = append(e.constituents, wbStore{seq: seq, addr: addr, val: val, model: model})
 	// entries grows to the configured entry capacity; removal keeps the
 	// backing array.
 	w.entries = append(w.entries, e)
@@ -452,7 +458,7 @@ func (w *OOOWB) finish(e *oooEntry) {
 			w.fault.fired = true
 			continue
 		}
-		w.perf(st.seq, st.addr, st.val)
+		w.perf(st.seq, st.addr, st.val, st.model)
 	}
 	if found {
 		w.recycle(e)

@@ -26,11 +26,11 @@ type tick interface{ Tick(sim.Cycle) }
 func TestInOrderWBDrainsFIFO(t *testing.T) {
 	f := newFakeCtrl(3)
 	var performed []uint64
-	wb := NewInOrderWB(f, 8, func(seq uint64, _ mem.Addr, _ mem.Word) {
+	wb := NewInOrderWB(f, 8, func(seq uint64, _ mem.Addr, _ mem.Word, _ consistency.Model) {
 		performed = append(performed, seq)
 	}, func() {})
 	for i := uint64(1); i <= 5; i++ {
-		if !wb.Push(i, mem.Addr(0x100+64*i), mem.Word(i), true) {
+		if !wb.Push(i, mem.Addr(0x100+64*i), mem.Word(i), consistency.TSO) {
 			t.Fatalf("push %d rejected", i)
 		}
 	}
@@ -44,20 +44,20 @@ func TestInOrderWBDrainsFIFO(t *testing.T) {
 
 func TestInOrderWBCapacity(t *testing.T) {
 	f := newFakeCtrl(1000) // effectively never drains during the test
-	wb := NewInOrderWB(f, 2, func(uint64, mem.Addr, mem.Word) {}, func() {})
-	if !wb.Push(1, 0x100, 1, true) || !wb.Push(2, 0x140, 2, true) {
+	wb := NewInOrderWB(f, 2, func(uint64, mem.Addr, mem.Word, consistency.Model) {}, func() {})
+	if !wb.Push(1, 0x100, 1, consistency.TSO) || !wb.Push(2, 0x140, 2, consistency.TSO) {
 		t.Fatal("pushes below capacity rejected")
 	}
-	if wb.Push(3, 0x180, 3, true) {
+	if wb.Push(3, 0x180, 3, consistency.TSO) {
 		t.Fatal("push above capacity accepted")
 	}
 }
 
 func TestInOrderWBLookupNewest(t *testing.T) {
 	f := newFakeCtrl(1000)
-	wb := NewInOrderWB(f, 8, func(uint64, mem.Addr, mem.Word) {}, func() {})
-	wb.Push(1, 0x100, 1, true)
-	wb.Push(2, 0x100, 2, true)
+	wb := NewInOrderWB(f, 8, func(uint64, mem.Addr, mem.Word, consistency.Model) {}, func() {})
+	wb.Push(1, 0x100, 1, consistency.TSO)
+	wb.Push(2, 0x100, 2, consistency.TSO)
 	if v, ok := wb.Lookup(0x100); !ok || v != 2 {
 		t.Errorf("Lookup = %v,%v; want newest value 2", v, ok)
 	}
@@ -73,7 +73,7 @@ func TestOOOWBSameWordStoresPerformInOrder(t *testing.T) {
 	f := func(wordChoices []uint8) bool {
 		ctrl := newFakeCtrl(2)
 		var performed []wbStore
-		wb := NewOOOWB(ctrl, 256, 4, func(seq uint64, addr mem.Addr, val mem.Word) {
+		wb := NewOOOWB(ctrl, 256, 4, func(seq uint64, addr mem.Addr, val mem.Word, _ consistency.Model) {
 			performed = append(performed, wbStore{seq: seq, addr: addr, val: val})
 		}, func() {})
 		var kernel sim.Kernel
@@ -86,7 +86,7 @@ func TestOOOWBSameWordStoresPerformInOrder(t *testing.T) {
 			// Few distinct words across two blocks to force conflicts.
 			addr := mem.Addr(0x1000 + 8*int(wc%6) + 64*(int(wc)%2))
 			val := mem.Word(seq * 1000)
-			if !wb.Push(seq, addr, val, false) {
+			if !wb.Push(seq, addr, val, consistency.RMO) {
 				return false
 			}
 			latest[addr] = val
@@ -126,8 +126,10 @@ func TestOOOWBOrderedStoreIsBarrier(t *testing.T) {
 		ctrl := newFakeCtrl(2)
 		var performed []uint64
 		ordered := map[uint64]bool{}
-		wb := NewOOOWB(ctrl, 256, 4, func(seq uint64, _ mem.Addr, _ mem.Word) {
+		models := map[uint64]consistency.Model{}
+		wb := NewOOOWB(ctrl, 256, 4, func(seq uint64, _ mem.Addr, _ mem.Word, m consistency.Model) {
 			performed = append(performed, seq)
+			models[seq] = m
 		}, func() {})
 		var kernel sim.Kernel
 		kernel.Register(ctrl)
@@ -136,7 +138,11 @@ func TestOOOWBOrderedStoreIsBarrier(t *testing.T) {
 			seq := uint64(i + 1)
 			ordered[seq] = ord
 			addr := mem.Addr(0x1000 + 64*(i%5))
-			if !wb.Push(seq, addr, mem.Word(seq), ord) {
+			model := consistency.RMO
+			if ord {
+				model = consistency.TSO
+			}
+			if !wb.Push(seq, addr, mem.Word(seq), model) {
 				return false
 			}
 			if i%3 == 0 {
@@ -146,9 +152,13 @@ func TestOOOWBOrderedStoreIsBarrier(t *testing.T) {
 		if !kernel.RunUntil(wb.Empty, 100000) {
 			return false
 		}
-		// For every ordered store O: everything performed before O has a
+		// Each store performs under the model it was pushed with. For
+		// every ordered store O: everything performed before O has a
 		// smaller seq, everything after a larger one.
 		for pos, seq := range performed {
+			if orderedModel(models[seq]) != ordered[seq] {
+				return false
+			}
 			if !ordered[seq] {
 				continue
 			}
@@ -172,9 +182,9 @@ func TestOOOWBOrderedStoreIsBarrier(t *testing.T) {
 
 func TestOOOWBCoalescesSameBlock(t *testing.T) {
 	f := newFakeCtrl(50)
-	wb := NewOOOWB(f, 32, 4, func(uint64, mem.Addr, mem.Word) {}, func() {})
-	wb.Push(1, 0x1000, 1, false)
-	wb.Push(2, 0x1008, 2, false) // same block, different word
+	wb := NewOOOWB(f, 32, 4, func(uint64, mem.Addr, mem.Word, consistency.Model) {}, func() {})
+	wb.Push(1, 0x1000, 1, consistency.RMO)
+	wb.Push(2, 0x1008, 2, consistency.RMO) // same block, different word
 	if wb.Len() != 2 {
 		t.Fatalf("Len = %d", wb.Len())
 	}
@@ -188,10 +198,10 @@ func TestOOOWBCoalescesSameBlock(t *testing.T) {
 
 func TestOOOWBPendingSortedBySeq(t *testing.T) {
 	f := newFakeCtrl(10000)
-	wb := NewOOOWB(f, 32, 4, func(uint64, mem.Addr, mem.Word) {}, func() {})
-	wb.Push(3, 0x1000, 3, false)
-	wb.Push(1, 0x2000, 1, false)
-	wb.Push(2, 0x1008, 2, false)
+	wb := NewOOOWB(f, 32, 4, func(uint64, mem.Addr, mem.Word, consistency.Model) {}, func() {})
+	wb.Push(3, 0x1000, 3, consistency.RMO)
+	wb.Push(1, 0x2000, 1, consistency.RMO)
+	wb.Push(2, 0x1008, 2, consistency.RMO)
 	p := wb.Pending()
 	if len(p) != 3 {
 		t.Fatalf("Pending len %d", len(p))
@@ -209,7 +219,7 @@ func TestOOOWBPendingSortedBySeq(t *testing.T) {
 
 func TestNewWriteBufferFor(t *testing.T) {
 	f := newFakeCtrl(1)
-	perf := func(uint64, mem.Addr, mem.Word) {}
+	perf := func(uint64, mem.Addr, mem.Word, consistency.Model) {}
 	if NewWriteBufferFor(consistency.SC, DefaultConfig(), f, perf, func() {}) != nil {
 		t.Error("SC got a write buffer")
 	}
@@ -232,21 +242,21 @@ func TestNewWriteBufferFor(t *testing.T) {
 func TestOOOWBCoalesceTargetsNewestSameBlockEntry(t *testing.T) {
 	ctrl := newFakeCtrl(6)
 	var performed []wbStore
-	wb := NewOOOWB(ctrl, 256, 4, func(seq uint64, addr mem.Addr, val mem.Word) {
+	wb := NewOOOWB(ctrl, 256, 4, func(seq uint64, addr mem.Addr, val mem.Word, _ consistency.Model) {
 		performed = append(performed, wbStore{seq: seq, addr: addr, val: val})
 	}, func() {})
 	var k sim.Kernel
 	k.Register(ctrl)
 	k.Register(tick(wb))
 	addr := mem.Addr(0x1000)
-	if !wb.Push(1, addr, 100, false) {
+	if !wb.Push(1, addr, 100, consistency.RMO) {
 		t.Fatal("push 1 rejected")
 	}
 	k.Step() // the first entry begins draining
-	if !wb.Push(2, addr, 200, false) {
+	if !wb.Push(2, addr, 200, consistency.RMO) {
 		t.Fatal("push 2 rejected")
 	}
-	if !wb.Push(3, addr, 300, false) {
+	if !wb.Push(3, addr, 300, consistency.RMO) {
 		t.Fatal("push 3 rejected")
 	}
 	if !k.RunUntil(wb.Empty, 100000) {
@@ -300,16 +310,16 @@ func (h *heldStoreCtrl) complete() {
 // OOOWB's entries come back from its free list (recycle on finish, Get
 // on the next push).
 func TestWriteBufferSteadyStateAllocFree(t *testing.T) {
-	perf := func(uint64, mem.Addr, mem.Word) {}
+	perf := func(uint64, mem.Addr, mem.Word, consistency.Model) {}
 	t.Run("InOrderWB", func(t *testing.T) {
 		ctrl := &heldStoreCtrl{}
 		wb := NewInOrderWB(ctrl, 4, perf, func() {})
 		seq := uint64(0)
 		cycle := func() {
 			seq++
-			wb.Push(seq, 0x100, mem.Word(seq), false)
+			wb.Push(seq, 0x100, mem.Word(seq), consistency.RMO)
 			seq++
-			wb.Push(seq, 0x148, mem.Word(seq), false)
+			wb.Push(seq, 0x148, mem.Word(seq), consistency.RMO)
 			for !wb.Empty() {
 				wb.Tick(0)
 				ctrl.complete()
@@ -331,7 +341,7 @@ func TestWriteBufferSteadyStateAllocFree(t *testing.T) {
 			// third opens a second entry.
 			for _, addr := range []mem.Addr{0x100, 0x108, 0x140} {
 				seq++
-				wb.Push(seq, addr, mem.Word(seq), false)
+				wb.Push(seq, addr, mem.Word(seq), consistency.RMO)
 			}
 			for !wb.Empty() {
 				wb.Tick(0)

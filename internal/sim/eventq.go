@@ -67,9 +67,6 @@ func (q *EventQueue) At(at Cycle, fn func()) {
 	q.siftUp(len(q.h) - 1)
 }
 
-// After schedules fn delay cycles after now.
-func (q *EventQueue) After(now Cycle, delay Cycle, fn func()) { q.At(now+delay, fn) }
-
 // Tick runs every event due at or before now. Events scheduled during
 // Tick for the current cycle also run within the same Tick.
 func (q *EventQueue) Tick(now Cycle) {

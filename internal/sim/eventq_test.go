@@ -60,20 +60,6 @@ func TestEventQueueScheduleDuringTick(t *testing.T) {
 	}
 }
 
-func TestEventQueueAfter(t *testing.T) {
-	var q EventQueue
-	fired := false
-	q.After(10, 5, func() { fired = true })
-	q.Tick(14)
-	if fired {
-		t.Error("fired early")
-	}
-	q.Tick(15)
-	if !fired {
-		t.Error("did not fire at now+delay")
-	}
-}
-
 func TestEventQueueLen(t *testing.T) {
 	var q EventQueue
 	if q.Len() != 0 {

@@ -74,9 +74,6 @@ type Kernel struct {
 	wheel []uint64
 	occ   uint64
 	limit Cycle
-
-	// stopped is set by Stop to end a Run early.
-	stopped bool
 }
 
 // NewKernel returns a kernel whose table and calendar hold n components
@@ -213,19 +210,16 @@ func (k *Kernel) idle(end Cycle) {
 	}
 }
 
-// Stop makes the innermost Run or RunUntil return after the current cycle.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run advances the clock n cycles, or fewer if Stop is called.
-// It returns the number of cycles actually simulated.
+// Run advances the clock n cycles (saturating at Never) and returns the
+// number of cycles simulated.
 func (k *Kernel) Run(n uint64) uint64 {
 	start := k.now
 	k.RunUntil(func() bool { return false }, n)
 	return uint64(k.now - start)
 }
 
-// RunUntil steps the clock until done returns true, Stop is called or
-// maxCycles elapse (saturating at Never). It reports whether done became
+// RunUntil steps the clock until done returns true or maxCycles elapse
+// (saturating at Never). It reports whether done became
 // true.
 //
 // Cycles in which no component is due are skipped, not stepped, so done
@@ -235,12 +229,11 @@ func (k *Kernel) Run(n uint64) uint64 {
 // time itself is a deadline, passed as maxCycles of a RunUntil that ends
 // there.
 func (k *Kernel) RunUntil(done func() bool, maxCycles uint64) bool {
-	k.stopped = false
 	end := k.now + Cycle(maxCycles)
 	if end < k.now {
 		end = Never
 	}
-	for k.now < end && !k.stopped {
+	for k.now < end {
 		if done() {
 			return true
 		}

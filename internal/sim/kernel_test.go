@@ -8,16 +8,11 @@ import (
 type counter struct {
 	ticks  int
 	lastAt Cycle
-	kernel *Kernel
-	stopAt int
 }
 
 func (c *counter) Tick(now Cycle) {
 	c.ticks++
 	c.lastAt = now
-	if c.stopAt > 0 && c.ticks == c.stopAt {
-		c.kernel.Stop()
-	}
 }
 
 func TestKernelStep(t *testing.T) {
@@ -43,15 +38,6 @@ func TestKernelRun(t *testing.T) {
 	}
 	if c.ticks != 100 {
 		t.Errorf("ticks = %d, want 100", c.ticks)
-	}
-}
-
-func TestKernelStop(t *testing.T) {
-	var k Kernel
-	c := &counter{kernel: &k, stopAt: 5}
-	k.Register(c)
-	if n := k.Run(100); n != 5 {
-		t.Errorf("Run stopped after %d cycles, want 5", n)
 	}
 }
 

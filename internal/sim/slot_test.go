@@ -18,8 +18,8 @@ type stamp struct {
 // that ends by publishing the cycle the guard next lets it act. When it
 // acts it draws, from its own stream, a new timer (near, on or next to a
 // 64-cycle boundary, past the calendar's window, or Never), maybe a
-// self-wake, maybe a Stop, and maybe a wake for a random peer, earlier or
-// later in the table.
+// self-wake, and maybe a wake for a random peer, earlier or later in the
+// table.
 type model struct {
 	id    int
 	k     *Kernel
@@ -68,9 +68,6 @@ func (m *model) act(now Cycle) {
 	}
 	if m.rng.Intn(6) == 0 {
 		m.woken = true
-	}
-	if m.rng.Intn(64) == 0 {
-		m.k.Stop()
 	}
 	if m.rng.Intn(3) == 0 {
 		m.peers[m.rng.Intn(len(m.peers))].poke()
@@ -229,16 +226,16 @@ func (s *sleeper) Tick(Cycle) {
 	s.slot.SleepUntil(Never)
 }
 
-// TestKernelCountsWithSleepingComponents: Run, RunUntil and Stop count
+// TestKernelCountsWithSleepingComponents: Run and RunUntil count
 // cycles, not calls, and a sleeping component still counts its Ticks.
 func TestKernelCountsWithSleepingComponents(t *testing.T) {
 	k := NewKernel(2)
 	s := &sleeper{}
-	c := &counter{kernel: k, stopAt: 40}
+	c := &counter{}
 	k.Register(s)
 	k.Register(c)
-	if n := k.Run(100); n != 40 {
-		t.Fatalf("Run stopped after %d cycles, want 40", n)
+	if n := k.Run(40); n != 40 {
+		t.Fatalf("Run(40) = %d", n)
 	}
 	if n := k.Run(25); n != 25 {
 		t.Fatalf("Run(25) = %d", n)
@@ -296,9 +293,8 @@ type ending struct {
 
 // everyCycle is RunUntil as the always-ticked reference runs it: the
 // predicate before every Step, on every cycle.
-func everyCycle(k *Kernel, step func(), done func() bool, maxCycles uint64) bool {
-	k.stopped = false
-	for i := uint64(0); i < maxCycles && !k.stopped; i++ {
+func everyCycle(step func(), done func() bool, maxCycles uint64) bool {
+	for i := uint64(0); i < maxCycles; i++ {
 		if done() {
 			return true
 		}
@@ -354,7 +350,7 @@ func driveModel(seed uint64, n, calls int, reference bool) (log []stamp, evals [
 			budget = uint64(between.Intn(400))
 		case 2:
 			// A budget near 2^64 saturates: the run ends when the alarm
-			// rings (or at a Stop), as it would stepping every cycle.
+			// rings, as it would stepping every cycle.
 			al.set(k.Now() + Cycle(between.Intn(500)))
 			done = func() bool { return al.rang }
 			budget = ^uint64(0) - uint64(between.Intn(3))
@@ -367,7 +363,7 @@ func driveModel(seed uint64, n, calls int, reference bool) (log []stamp, evals [
 		if done == nil {
 			var ran uint64
 			if reference {
-				everyCycle(k, step, func() bool { return false }, budget)
+				everyCycle(step, func() bool { return false }, budget)
 				ran = uint64(k.Now() - start)
 			} else {
 				ran = k.Run(budget)
@@ -382,7 +378,7 @@ func driveModel(seed uint64, n, calls int, reference bool) (log []stamp, evals [
 		}
 		var ok bool
 		if reference {
-			ok = everyCycle(k, step, ask, budget)
+			ok = everyCycle(step, ask, budget)
 		} else {
 			ok = k.RunUntil(ask, budget)
 		}
@@ -396,7 +392,7 @@ func driveModel(seed uint64, n, calls int, reference bool) (log []stamp, evals [
 // predicate answer they ask for and every return value and end cycle as
 // an always-ticked kernel asking the predicate on every cycle — with one
 // and two words of components, dues on and next to the calendar's window
-// edges, past it and Never, Stop inside a tick, and budgets near 2^64.
+// edges, past it and Never, and budgets near 2^64.
 func TestKernelRunUntilMatchesAlwaysTicked(t *testing.T) {
 	for _, n := range []int{12, 100} {
 		asked, refAsked := 0, 0

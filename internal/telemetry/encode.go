@@ -11,7 +11,7 @@ import (
 	"dvmc/internal/strictjson"
 )
 
-// Snapshot is the serialisable view of a registry at one instant: the
+// Snapshot is the serialisable view of a system's metrics at one instant: the
 // JSON interchange format shared by the -metrics-out flags, dvmc-stat,
 // and the live /metrics endpoint. Prometheus and CSV renderings are
 // derived from it, so every encoder sees the same data in the same
@@ -19,7 +19,7 @@ import (
 type Snapshot struct {
 	// Cycle is the simulation cycle the snapshot was taken at.
 	Cycle uint64 `json:"cycle"`
-	// Metrics holds every registered metric, sorted by name.
+	// Metrics holds every metric, sorted by name.
 	Metrics []MetricSnapshot `json:"metrics"`
 	// Series holds the tracked time-series rings, sorted by
 	// (name, label value slot order).
@@ -115,40 +115,32 @@ func (l *LatencySnapshot) Sample() *stats.Sample {
 	return s
 }
 
-// Snapshot captures the registry (after refreshing all probes) as of
-// the given cycle. The result is deterministic: metrics are sorted by
-// name, series by (name, slot). The registry records no violation, so
-// the events and latency sections are left to FoldViolations.
-func (r *Registry) Snapshot(cycle uint64) *Snapshot {
-	r.Collect()
-	snap := &Snapshot{Cycle: cycle}
-	for _, m := range r.Metrics() {
-		ms := MetricSnapshot{
-			Name:  m.Name(),
-			Help:  m.Help(),
-			Kind:  m.Kind().String(),
-			Label: m.Label(),
-		}
-		for i := 0; i < m.Len(); i++ {
-			ms.Values = append(ms.Values, MetricValue{LabelValue: m.LabelValue(i), Value: m.Value(i)})
-		}
-		snap.Metrics = append(snap.Metrics, ms)
+// TakeSnapshot reads every metric of ms as of the given cycle, and the
+// series sp has recorded; with no sampler (nil), each tracked slot of ms
+// is listed with no samples. The result is deterministic: ms is sorted
+// by name (a duplicate name panics), series by (name, slot). Nothing
+// here records a violation, so the events and latency sections are left
+// to FoldViolations.
+func TakeSnapshot(cycle uint64, ms []Metric, sp *Sampler) *Snapshot {
+	if sp == nil {
+		sp = NewSampler(ms, 0)
+	} else {
+		sortByName(ms)
 	}
-	series := append([]*Series(nil), r.series...)
-	sort.SliceStable(series, func(i, j int) bool {
-		if series[i].metric.name != series[j].metric.name {
-			return series[i].metric.name < series[j].metric.name
+	snap := &Snapshot{Cycle: cycle}
+	for i := range ms {
+		m := &ms[i]
+		out := MetricSnapshot{Name: m.Name, Help: m.Help, Kind: m.Kind.String(), Label: m.Label}
+		for slot := 0; slot < m.Len(); slot++ {
+			out.Values = append(out.Values, MetricValue{LabelValue: m.LabelValue(slot), Value: m.Read(slot)})
 		}
-		return series[i].slot < series[j].slot
-	})
-	for _, s := range series {
-		ss := SeriesSnapshot{
-			Name:       s.metric.name,
-			Label:      s.metric.label,
-			LabelValue: s.LabelValue(),
-		}
-		for i := 0; i < s.Len(); i++ {
-			c, v := s.At(i)
+		snap.Metrics = append(snap.Metrics, out)
+	}
+	for i := range sp.series {
+		s := &sp.series[i]
+		ss := SeriesSnapshot{Name: s.metric.Name, Label: s.metric.Label, LabelValue: s.metric.LabelValue(s.slot)}
+		for j := 0; j < s.count; j++ {
+			c, v := s.at(j)
 			ss.Cycles = append(ss.Cycles, c)
 			ss.Values = append(ss.Values, v)
 		}

@@ -38,20 +38,19 @@ func TestSamplerTwins(t *testing.T) {
 	const cycles = every * (DefaultSeriesCap + 16)
 	var (
 		ks     [2]*sim.Kernel
-		regs   [2]*Registry
 		sps    [2]*Sampler
-		gauges [2]*Metric
+		reads  [2]int
 		always *alwaysDue
 		calls  *counting
 	)
 	for i := range ks {
 		ks[i] = sim.NewKernel(1)
-		regs[i] = NewRegistry()
-		gauges[i] = regs[i].Track(regs[i].Gauge("g", "a gauge set every cycle"))
 		k := ks[i]
-		g := gauges[i]
-		regs[i].AddProbe(func() { g.Set(0, int64(k.Now())*3) })
-		sps[i] = NewSampler(regs[i], every)
+		sps[i] = NewSampler([]Metric{{Name: "g", Help: "a gauge that changes every cycle", Kind: KindGauge, Tracked: true,
+			Read: func(int) int64 {
+				reads[i]++
+				return int64(k.Now()) * 3
+			}}}, every)
 		if i == 0 {
 			calls = &counting{Scheduled: sps[i]}
 			k.Register(calls)
@@ -61,10 +60,10 @@ func TestSamplerTwins(t *testing.T) {
 		}
 	}
 	samples := func(i int) [][2]int64 {
-		s := regs[i].Series()[0]
-		out := make([][2]int64, s.Len())
+		s := &sps[i].series[0]
+		out := make([][2]int64, s.count)
 		for j := range out {
-			c, v := s.At(j)
+			c, v := s.at(j)
 			out[j] = [2]int64{int64(c), v}
 		}
 		return out
@@ -74,11 +73,11 @@ func TestSamplerTwins(t *testing.T) {
 		for _, k := range ks {
 			k.Step()
 		}
-		if sps[0].Samples() != sps[1].Samples() || !reflect.DeepEqual(samples(0), samples(1)) {
+		if reads[0] != reads[1] || !reflect.DeepEqual(samples(0), samples(1)) {
 			t.Fatalf("cycle %d: the sampler diverged from its twin\n sleeping %v\n twin     %v", c, samples(0), samples(1))
 		}
 	}
-	if want := uint64(cycles+every-1) / every; sps[0].Samples() != want || calls.calls != int(want) {
-		t.Fatalf("%d samples in %d calls over %d cycles, want %d of each", sps[0].Samples(), calls.calls, cycles, want)
+	if want := (cycles + every - 1) / every; reads[0] != want || calls.calls != want {
+		t.Fatalf("%d samples in %d calls over %d cycles, want %d of each", reads[0], calls.calls, cycles, want)
 	}
 }

@@ -1,14 +1,15 @@
 // Package telemetry is the simulator's deterministic observability
-// layer: a central registry of named counters and gauges with per-node,
-// per-class, and per-invariant labels, fixed-capacity time-series rings
-// fed by a cycle-driven Sampler, and snapshots that fold a run's checker
+// layer: named counters and gauges with per-node, per-class, and
+// per-invariant labels, fixed-capacity time-series rings fed by a
+// cycle-driven Sampler, and snapshots that fold a run's checker
 // violations into structured events and per-invariant detection latency.
 //
-// A registry holds no fact of its own: its probes read the live
-// components, and the violation sections of a snapshot are folded from
-// the system's violation list when the snapshot is taken
-// (Snapshot.FoldViolations). A system therefore builds its registry when
-// it is first read, or at construction when the sampler is scheduled.
+// Nothing here keeps a counter. A Metric is a name, help, kind and label
+// vector plus a read of the live component that keeps its value:
+// TakeSnapshot reads every metric when the snapshot is taken, the
+// Sampler reads only the tracked ones into its rings, and the violation
+// sections of a snapshot are folded from the system's violation list
+// (Snapshot.FoldViolations).
 //
 // The paper evaluates DVMC through end-of-run aggregates (runtime
 // overhead, replay bandwidth, link utilisation, detection latency); this
@@ -19,13 +20,13 @@
 //
 // Determinism is a first-class property, exactly as in the simulator
 // proper: sampling is driven by the event kernel's cycle counter (never a
-// wall clock), metric registration order is fixed by the assembly code,
-// and every encoder iterates metrics in sorted-name order — so a
-// telemetry dump is a pure function of (Config, Workload, Seed) and can
-// be pinned byte-for-byte by golden tests. The package therefore lives
-// inside the dvmc-lint determinism allowlist. The steady-state hot paths
-// (metric updates and sampler ticks) are allocation-free, enforced by
-// AllocsPerRun assertions, matching the checker hot-path discipline.
+// wall clock), and snapshots, samplers and every encoder take metrics in
+// sorted-name order — so a telemetry dump is a pure function of (Config,
+// Workload, Seed) and can be pinned byte-for-byte by golden tests. The
+// package therefore lives inside the dvmc-lint determinism allowlist.
+// The sampler tick, the one steady-state path, is allocation-free,
+// enforced by an AllocsPerRun assertion, matching the checker hot-path
+// discipline.
 //
 // Wall-clock-facing surfaces (the live /metrics HTTP endpoint, pprof) are
 // deliberately kept in the cmd layer, outside this package and outside
@@ -50,8 +51,8 @@ const DefaultMaxEvents = 1024
 type Config struct {
 	// Enabled turns on cycle sampling: it schedules the Sampler on the
 	// simulation kernel so time series are captured while the system
-	// runs. Without it the registry is built when first read; its
-	// end-of-run counters read the live components either way.
+	// runs. A snapshot reads its counters from the live components
+	// either way.
 	Enabled bool
 	// Every is the sampling period in cycles (0 means DefaultEvery).
 	Every sim.Cycle

@@ -9,81 +9,112 @@ import (
 	"dvmc/internal/sim"
 )
 
-func TestRegistryRegisterAndUpdate(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("a.total", "a total")
-	g := r.GaugeVec("b.depth", "b depth", "node", NodeLabels(3))
+// live is a stand-in component: the metrics below read it where its
+// values live.
+type live struct {
+	total int64
+	depth [3]int64
+}
 
-	c.Inc(0)
-	c.Add(0, 41)
-	g.Set(1, 7)
-	g.Set(2, 9)
-
-	if got := c.Value(0); got != 42 {
-		t.Errorf("counter = %d, want 42", got)
-	}
-	if got := g.Total(); got != 16 {
-		t.Errorf("gauge total = %d, want 16", got)
-	}
-	if got := g.LabelValue(2); got != "2" {
-		t.Errorf("label value = %q, want \"2\"", got)
-	}
-	if r.Lookup("a.total") != c || r.Lookup("nope") != nil {
-		t.Errorf("Lookup misbehaves")
-	}
-
-	ms := r.Metrics()
-	if len(ms) != 2 || ms[0].Name() != "a.total" || ms[1].Name() != "b.depth" {
-		t.Errorf("Metrics() not sorted by name: %v, %v", ms[0].Name(), ms[1].Name())
+func (l *live) metrics() []Metric {
+	return []Metric{
+		{Name: "b.depth", Help: "b depth", Kind: KindGauge, Label: "node", LabelVals: NodeLabels(3),
+			Read: func(i int) int64 { return l.depth[i] }},
+		{Name: "a.total", Help: "a total", Kind: KindCounter, Read: func(int) int64 { return l.total }},
 	}
 }
 
+// TestRegistryRegisterAndUpdate: a snapshot lists the metrics sorted by
+// name, with their label values, and reads each one's live value when it
+// is taken.
+func TestRegistryRegisterAndUpdate(t *testing.T) {
+	var l live
+	l.total = 42
+	l.depth[1], l.depth[2] = 7, 9
+	snap := TakeSnapshot(5, l.metrics(), nil)
+	if len(snap.Metrics) != 2 || snap.Metrics[0].Name != "a.total" || snap.Metrics[1].Name != "b.depth" {
+		t.Fatalf("metrics not sorted by name: %+v", snap.Metrics)
+	}
+	if got := snap.Metrics[0].Values; len(got) != 1 || got[0] != (MetricValue{Value: 42}) {
+		t.Errorf("counter = %+v, want one unlabelled 42", got)
+	}
+	if got := snap.Metrics[1]; got.Total() != 16 || got.Label != "node" || got.Values[2].LabelValue != "2" || got.Kind != "gauge" {
+		t.Errorf("gauge = %+v, want total 16 over node 0..2", got)
+	}
+	l.total = 43
+	if got := TakeSnapshot(6, l.metrics(), nil).Metrics[0].Values[0].Value; got != 43 {
+		t.Errorf("second snapshot read %d, want the live 43", got)
+	}
+}
+
+// TestRegistryDuplicatePanics: two metrics of one name are a wiring bug,
+// refused by the snapshot and the sampler alike.
 func TestRegistryDuplicatePanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x", "")
-	defer func() {
-		if recover() == nil {
-			t.Errorf("duplicate registration did not panic")
-		}
-	}()
-	r.Counter("x", "")
+	dup := func() []Metric {
+		return []Metric{{Name: "x", Kind: KindCounter, Read: func(int) int64 { return 0 }},
+			{Name: "x", Kind: KindGauge, Read: func(int) int64 { return 0 }}}
+	}
+	for _, c := range []struct {
+		name string
+		take func()
+	}{
+		{"snapshot", func() { TakeSnapshot(0, dup(), nil) }},
+		{"sampler", func() { NewSampler(dup(), 0) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: duplicate metric did not panic", c.name)
+				}
+			}()
+			c.take()
+		}()
+	}
 }
 
 func TestSeriesRingEviction(t *testing.T) {
-	r := NewRegistry()
-	g := r.Track(r.Gauge("q", "queue depth"))
+	var v int64
+	sp := NewSampler([]Metric{{Name: "q", Help: "queue depth", Kind: KindGauge, Tracked: true,
+		Read: func(int) int64 { return v }}}, 1)
 	for i := 1; i <= DefaultSeriesCap+2; i++ {
-		g.Set(0, int64(10*i))
-		r.Sample(uint64(i))
+		v = int64(10 * i)
+		sp.Tick(sim.Cycle(i))
 	}
-	s := r.Series()[0]
-	if s.Cap() != DefaultSeriesCap || s.Len() != DefaultSeriesCap {
-		t.Fatalf("ring len/cap = %d/%d, want %d/%d", s.Len(), s.Cap(), DefaultSeriesCap, DefaultSeriesCap)
+	s := &sp.series[0]
+	if s.count != DefaultSeriesCap {
+		t.Fatalf("ring len = %d, want %d", s.count, DefaultSeriesCap)
 	}
 	// Oldest two samples (cycles 1, 2) were evicted.
-	for i := 0; i < s.Len(); i++ {
-		cycle, v := s.At(i)
+	for i := 0; i < s.count; i++ {
+		cycle, v := s.at(i)
 		wantCycle := uint64(i + 3)
 		if cycle != wantCycle || v != int64(10*wantCycle) {
-			t.Errorf("At(%d) = (%d, %d), want (%d, %d)", i, cycle, v, wantCycle, 10*wantCycle)
+			t.Errorf("at(%d) = (%d, %d), want (%d, %d)", i, cycle, v, wantCycle, 10*wantCycle)
 		}
 	}
 }
 
 func TestSamplerPeriodGating(t *testing.T) {
-	r := NewRegistry()
-	probes := 0
-	r.AddProbe(func() { probes++ })
-	sp := NewSampler(r, 8)
+	reads := 0
+	ms := func() []Metric {
+		return []Metric{{Name: "r", Kind: KindCounter, Tracked: true, Read: func(int) int64 { reads++; return 0 }},
+			{Name: "untracked", Kind: KindCounter, Read: func(int) int64 { t.Fatal("sampler read an untracked metric"); return 0 }}}
+	}
+	sp := NewSampler(ms(), 8)
 	for now := sim.Cycle(0); now < 33; now++ {
 		sp.Tick(now)
 	}
 	// Cycles 0, 8, 16, 24, 32.
-	if sp.Samples() != 5 || probes != 5 {
-		t.Errorf("samples = %d, probes = %d, want 5, 5", sp.Samples(), probes)
+	if reads != 5 {
+		t.Errorf("reads = %d, want 5", reads)
 	}
-	if NewSampler(r, 0).Every() != DefaultEvery {
-		t.Errorf("zero period did not default to %d", DefaultEvery)
+	reads = 0
+	sp = NewSampler(ms(), 0)
+	for now := sim.Cycle(0); now <= 2*DefaultEvery; now++ {
+		sp.Tick(now)
+	}
+	if reads != 3 {
+		t.Errorf("zero period: %d reads over cycles 0..%d, want 3 (every %d)", reads, 2*DefaultEvery, DefaultEvery)
 	}
 }
 
@@ -146,16 +177,20 @@ func TestFoldViolations(t *testing.T) {
 // buildSnapshot assembles a snapshot with every feature in play:
 // scalars, vectors, tracked series, events, and latency samples.
 func buildSnapshot(cycle uint64) *Snapshot {
-	r := NewRegistry()
-	c := r.CounterVec("proc.ops", "ops retired", "node", NodeLabels(2))
-	q := r.Track(r.Gauge("checker.queue", "inform queue depth"))
-	c.Add(0, 10)
-	c.Add(1, 20)
-	for i := 1; i <= 3; i++ {
-		q.Set(0, int64(i))
-		r.Sample(uint64(100 * i))
+	ops := []int64{10, 20}
+	var q int64
+	ms := []Metric{
+		{Name: "proc.ops", Help: "ops retired", Kind: KindCounter, Label: "node", LabelVals: NodeLabels(2),
+			Read: func(i int) int64 { return ops[i] }},
+		{Name: "checker.queue", Help: "inform queue depth", Kind: KindGauge, Tracked: true,
+			Read: func(int) int64 { return q }},
 	}
-	snap := r.Snapshot(cycle)
+	sp := NewSampler(ms, 100)
+	for i := 1; i <= 3; i++ {
+		q = int64(i)
+		sp.Tick(sim.Cycle(100 * i))
+	}
+	snap := TakeSnapshot(cycle, ms, sp)
 	snap.FoldViolations(1, func(int) ViolationEvent {
 		return ViolationEvent{Invariant: "coherence-epoch-overlap", Node: 1, Addr: 0x80,
 			DetectCycle: 150, Detail: "cet epoch overlap"}
@@ -194,7 +229,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotEncodersDeterministic(t *testing.T) {
-	// Two independently built but identical registries must encode
+	// Two independently built but identical snapshots must encode
 	// byte-identically in every format.
 	a, b := buildSnapshot(300), buildSnapshot(300)
 	encoders := map[string]func(*Snapshot, *bytes.Buffer) error{
@@ -213,7 +248,7 @@ func TestSnapshotEncodersDeterministic(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
-			t.Errorf("%s encoding differs between identical registries", name)
+			t.Errorf("%s encoding differs between identical snapshots", name)
 		}
 		if wa.Len() == 0 {
 			t.Errorf("%s encoding is empty", name)
@@ -244,61 +279,29 @@ func TestPrometheusExposition(t *testing.T) {
 
 // --- allocation discipline -------------------------------------------
 
-// TestRegistryUpdateSteadyStateAllocFree pins the metric update path —
-// the only telemetry code on simulator hot paths — to zero allocations.
-func TestRegistryUpdateSteadyStateAllocFree(t *testing.T) {
-	r := NewRegistry()
-	c := r.CounterVec("c", "", "node", NodeLabels(8))
-	g := r.Gauge("g", "")
-	i := 0
-	step := func() {
-		c.Inc(i & 7)
-		c.Add((i+1)&7, 3)
-		g.Set(0, int64(i))
-		i++
-	}
-	// One measured run of 2000 steps: AllocsPerRun truncates the mean
-	// per run to an integer, so only a single run counts an allocation
-	// that happens once in the 2000.
-	batch := func() {
-		for k := 0; k < 2000; k++ {
-			step()
-		}
-	}
-	if allocs := testing.AllocsPerRun(1, batch); allocs != 0 {
-		t.Errorf("registry update steady state: %.0f allocs in 2000 steps, want 0", allocs)
-	}
-}
-
-// newLoadedRegistry builds a registry shaped like a real 8-node system:
-// probed vectors, tracked rings, and a sampler — the steady-state
-// configuration whose tick must not allocate.
-func newLoadedRegistry() (*Registry, *Sampler) {
-	r := NewRegistry()
-	var shadow [8]uint64 // stands in for live Stats() structs
+// newLoadedSampler builds a sampler shaped like a real 8-node system's:
+// tracked vectors read from live per-node counters, one of them a gauge
+// — the steady-state configuration whose tick must not allocate.
+func newLoadedSampler() *Sampler {
+	var live [8]uint64 // stands in for the components' own counters
+	var ms []Metric
 	for _, name := range []string{"proc.ops", "cache.l1_misses", "checker.informs"} {
-		m := r.Track(r.CounterVec(name, "", "node", NodeLabels(8)))
-		r.AddProbe(func() {
-			for i := range shadow {
-				shadow[i] += uint64(i)
-				m.Set(i, int64(shadow[i]))
-			}
-		})
+		ms = append(ms, Metric{Name: name, Kind: KindCounter, Label: "node", LabelVals: NodeLabels(8), Tracked: true,
+			Read: func(i int) int64 {
+				live[i] += uint64(i)
+				return int64(live[i])
+			}})
 	}
-	depth := r.Track(r.GaugeVec("checker.met_queue_depth", "", "node", NodeLabels(8)))
-	r.AddProbe(func() {
-		for i := 0; i < 8; i++ {
-			depth.Set(i, int64(i))
-		}
-	})
-	return r, NewSampler(r, 1)
+	ms = append(ms, Metric{Name: "checker.met_queue_depth", Kind: KindGauge, Label: "node", LabelVals: NodeLabels(8), Tracked: true,
+		Read: func(i int) int64 { return int64(i) }})
+	return NewSampler(ms, 1)
 }
 
 // TestSamplerTickSteadyStateAllocFree pins the whole sampling tick —
-// probe refresh plus ring append, including ring wrap-around — to zero
-// allocations.
+// the tracked reads plus ring append, including ring wrap-around — to
+// zero allocations.
 func TestSamplerTickSteadyStateAllocFree(t *testing.T) {
-	r, sp := newLoadedRegistry()
+	sp := newLoadedSampler()
 	now := sim.Cycle(0)
 	step := func() {
 		sp.Tick(now)
@@ -319,23 +322,13 @@ func TestSamplerTickSteadyStateAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1, batch); allocs != 0 {
 		t.Errorf("sampler tick steady state: %.0f allocs in 2000 ticks, want 0", allocs)
 	}
-	if got := r.Series()[0].Len(); got != DefaultSeriesCap {
+	if got := sp.series[0].count; got != DefaultSeriesCap {
 		t.Fatalf("ring not saturated: len %d, want %d", got, DefaultSeriesCap)
 	}
 }
 
-func BenchmarkRegistryUpdate(b *testing.B) {
-	r := NewRegistry()
-	c := r.CounterVec("c", "", "node", NodeLabels(8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc(i & 7)
-	}
-}
-
 func BenchmarkSamplerTick(b *testing.B) {
-	_, sp := newLoadedRegistry()
+	sp := newLoadedSampler()
 	for i := 0; i < DefaultSeriesCap+16; i++ {
 		sp.Tick(sim.Cycle(i))
 	}

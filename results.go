@@ -3,10 +3,7 @@ package dvmc
 import (
 	"fmt"
 
-	"dvmc/internal/coherence"
-	"dvmc/internal/core"
 	"dvmc/internal/network"
-	"dvmc/internal/proc"
 )
 
 // Results summarises one simulation interval: what Run, RunCycles or
@@ -176,42 +173,3 @@ func (s *System) results() Results {
 // advancing the system or closing an interval — live introspection and
 // chunked run drivers.
 func (s *System) ResultsSoFar() Results { return s.results() }
-
-// CPUStats exposes one core's counters (examples and tests).
-func (s *System) CPUStats(node int) proc.Stats { return s.cpus[node].Stats() }
-
-// ControllerStats exposes one cache controller's counters.
-func (s *System) ControllerStats(node int) coherence.ControllerStats { return s.ctrls[node].Stats() }
-
-// UOStats exposes one node's Uniprocessor Ordering checker counters
-// (zero value if the checker is disabled).
-func (s *System) UOStats(node int) core.UniprocStats {
-	if s.uo[node] == nil {
-		return core.UniprocStats{}
-	}
-	return s.uo[node].Stats()
-}
-
-// ReorderStats exposes one node's Allowable Reordering checker counters.
-func (s *System) ReorderStats(node int) core.ReorderStats {
-	if s.reorder[node] == nil {
-		return core.ReorderStats{}
-	}
-	return s.reorder[node].Stats()
-}
-
-// CETStats exposes one node's cache-epoch-table counters.
-func (s *System) CETStats(node int) core.CETStats {
-	if len(s.cet) == 0 {
-		return core.CETStats{}
-	}
-	return s.cet[node].Stats()
-}
-
-// METStats exposes one node's memory-epoch-table counters.
-func (s *System) METStats(node int) core.METStats {
-	if len(s.met) == 0 {
-		return core.METStats{}
-	}
-	return s.met[node].Stats()
-}

@@ -6,6 +6,8 @@ package dvmc
 
 import (
 	"testing"
+
+	"dvmc/internal/core"
 )
 
 func measure(t *testing.T, cfg Config, w Workload, txns uint64) Results {
@@ -137,10 +139,10 @@ func TestShapeCheckerActivity(t *testing.T) {
 	}
 	var replays, checked, accesses, informs uint64
 	for n := 0; n < cfg.Nodes; n++ {
-		replays += s.UOStats(n).LoadsReplayed
-		checked += s.ReorderStats(n).OpsChecked
-		accesses += s.CETStats(n).Accesses
-		informs += s.METStats(n).InformsProcessed
+		replays += checkerStats(s.uo, n, (*core.UniprocChecker).Stats).LoadsReplayed
+		checked += checkerStats(s.reorder, n, (*core.ReorderChecker).Stats).OpsChecked
+		accesses += checkerStats(s.cet, n, (*core.CacheChecker).Stats).Accesses
+		informs += checkerStats(s.met, n, (*core.MemChecker).Stats).InformsProcessed
 	}
 	if replays == 0 || checked == 0 || accesses == 0 || informs == 0 {
 		t.Errorf("idle checker: replays=%d reorderChecked=%d cetAccesses=%d metInforms=%d",

@@ -87,9 +87,9 @@ type System struct {
 	rec    *trace.Recorder
 	tracer trace.Sink
 
-	// reg is the telemetry registry; nil until first read unless
-	// Config.Telemetry scheduled the sampler (see telemetry.go).
-	reg *telemetry.Registry
+	// sampler records the tracked telemetry series; nil unless
+	// Config.Telemetry is enabled (see telemetry.go).
+	sampler *telemetry.Sampler
 
 	// spanRec is the causal span recorder; nil unless Config.Spans is
 	// enabled (see spans.go).
@@ -335,7 +335,8 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	// The telemetry sampler (if enabled) ticks after every component so
 	// each sample observes the cycle's final state.
 	if cfg.Telemetry.Enabled {
-		s.kernel.Register(telemetry.NewSampler(s.Telemetry(), cfg.Telemetry.Every))
+		s.sampler = telemetry.NewSampler(s.telemetryMetrics(), cfg.Telemetry.Every)
+		s.kernel.Register(s.sampler)
 	}
 	s.buildSpans(cfg)
 	return s, nil

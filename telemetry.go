@@ -1,8 +1,11 @@
 package dvmc
 
 import (
+	"dvmc/internal/coherence"
 	"dvmc/internal/core"
 	"dvmc/internal/network"
+	"dvmc/internal/proc"
+	"dvmc/internal/safetynet"
 	"dvmc/internal/telemetry"
 )
 
@@ -13,25 +16,13 @@ type TelemetryConfig = telemetry.Config
 // (cycle sampling every telemetry.DefaultEvery cycles).
 func TelemetryOn() TelemetryConfig { return telemetry.On() }
 
-// Telemetry returns the system's metric registry. NewSystem builds it
-// when Config.Telemetry.Enabled schedules the cycle sampler; otherwise
-// the first call does. It holds no fact of its own — its probes read the
-// live components — so a registry built late reads what an early one
-// would have.
-func (s *System) Telemetry() *telemetry.Registry {
-	if s.reg == nil {
-		s.buildTelemetry()
-	}
-	return s.reg
-}
-
-// TelemetrySnapshot refreshes all probes and captures the registry as
-// of the current cycle (the -metrics-out flags and the live /metrics
-// endpoint serialise this). Its events and latency sections are folded
-// from the violation list and what RunInjectionSystem attributed at
-// detection.
+// TelemetrySnapshot reads every metric from the live components as of
+// the current cycle, with the series the sampler has recorded (the
+// -metrics-out flags and the live /metrics endpoint serialise this). Its
+// events and latency sections are folded from the violation list and
+// what RunInjectionSystem attributed at detection.
 func (s *System) TelemetrySnapshot() *telemetry.Snapshot {
-	snap := s.Telemetry().Snapshot(uint64(s.Now()))
+	snap := telemetry.TakeSnapshot(uint64(s.Now()), s.telemetryMetrics(), s.sampler)
 	vs := s.Violations()
 	at := telemetry.Attribution{InjectCycle: uint64(s.attributedFrom), Violations: s.attributedViolations}
 	if s.replayCaughtAt != 0 {
@@ -54,165 +45,119 @@ func (s *System) TelemetrySnapshot() *telemetry.Snapshot {
 // network.Class order.
 var classLabels = []string{"coherence", "inform", "safetynet", "replay"}
 
-// classOf maps label slots back to network classes.
+// classOf maps label slots to network classes.
 var classOf = []network.Class{network.ClassCoherence, network.ClassInform,
 	network.ClassSafetyNet, network.ClassReplay}
 
-// buildTelemetry registers the system's metrics, the probes that
-// refresh them from the live structures, and the tracked time series.
-// It runs once every component exists: at the end of NewSystem when the
-// sampler is scheduled, else at the first Telemetry call.
-//
-// Probe discipline: probes run on every sampling tick and must not
-// allocate — they read existing counters/depth accessors and perform
-// plain slice writes into the registry (enforced by the
-// SteadyStateAllocFree assertions in telemetry_test.go).
-func (s *System) buildTelemetry() {
+// telemetryMetrics lists the system's metrics, each a read of the live
+// component that keeps its value. Tracked metrics are what the sampler
+// records: four counters as the run's work profile — ops retired,
+// coherence transactions issued, link bytes and informs processed, one
+// per layer, which dvmc-stat timeline draws as counter tracks — and the
+// occupancy gauges. The sampler calls a tracked metric's read on every
+// tick, so those reads must not allocate.
+func (s *System) telemetryMetrics() []telemetry.Metric {
 	cfg := s.cfg
-	s.reg = telemetry.NewRegistry()
-	reg := s.reg
 	nodes := telemetry.NodeLabels(cfg.Nodes)
+	const counter, gauge = telemetry.KindCounter, telemetry.KindGauge
+	perNode := func(kind telemetry.Kind, name, help string, read func(i int) int64) telemetry.Metric {
+		return telemetry.Metric{Name: name, Help: help, Kind: kind, Label: "node", LabelVals: nodes, Read: read}
+	}
+	scalar := func(kind telemetry.Kind, name, help string, read func() int64) telemetry.Metric {
+		return telemetry.Metric{Name: name, Help: help, Kind: kind, Read: func(int) int64 { return read() }}
+	}
+	tracked := func(m telemetry.Metric) telemetry.Metric {
+		m.Tracked = true
+		return m
+	}
+	cpu := func(i int) proc.Stats { return s.cpus[i].Stats() }
+	ctrl := func(i int) coherence.ControllerStats { return s.ctrls[i].Stats() }
 
-	// Core pipeline counters and occupancy gauges. Four counters are
-	// tracked as the run's work profile — ops retired, coherence
-	// transactions issued, link bytes and informs processed, one per
-	// layer — which dvmc-stat timeline draws as counter tracks.
-	ops := reg.Track(reg.CounterVec("proc.ops_retired", "operations retired", "node", nodes))
-	txns := reg.CounterVec("proc.transactions", "workload transactions committed", "node", nodes)
-	spec := reg.CounterVec("proc.spec_squashes", "load-order mis-speculation flushes", "node", nodes)
-	verify := reg.CounterVec("proc.verify_squashes", "UO replay mismatch flushes", "node", nodes)
-	membar := reg.CounterVec("proc.membar_stalls", "cycles stalled at membars", "node", nodes)
-	vcFull := reg.CounterVec("proc.vc_full_stalls", "stalls on a full verification cache", "node", nodes)
-	wbFull := reg.CounterVec("proc.wb_full_stalls", "stalls on a full write buffer", "node", nodes)
-	rob := reg.Track(reg.GaugeVec("proc.rob_occupancy", "reorder-buffer entries in flight", "node", nodes))
-	wb := reg.Track(reg.GaugeVec("proc.wb_occupancy", "write-buffer stores pending", "node", nodes))
-	reg.AddProbe(func() {
-		for i, c := range s.cpus {
-			st := c.Stats()
-			ops.Set(i, int64(st.OpsRetired))
-			txns.Set(i, int64(st.Transactions))
-			spec.Set(i, int64(st.SpecSquashes))
-			verify.Set(i, int64(st.VerifySquashes))
-			membar.Set(i, int64(st.MembarStalls))
-			vcFull.Set(i, int64(st.VCFullStalls))
-			wbFull.Set(i, int64(st.WBFullStalls))
-			rob.Set(i, int64(c.ROBLen()))
-			wb.Set(i, int64(c.WBLen()))
-		}
-	})
+	ms := []telemetry.Metric{
+		// Core pipeline counters and occupancy gauges.
+		tracked(perNode(counter, "proc.ops_retired", "operations retired", func(i int) int64 { return int64(cpu(i).OpsRetired) })),
+		perNode(counter, "proc.transactions", "workload transactions committed", func(i int) int64 { return int64(cpu(i).Transactions) }),
+		perNode(counter, "proc.spec_squashes", "load-order mis-speculation flushes", func(i int) int64 { return int64(cpu(i).SpecSquashes) }),
+		perNode(counter, "proc.verify_squashes", "UO replay mismatch flushes", func(i int) int64 { return int64(cpu(i).VerifySquashes) }),
+		perNode(counter, "proc.membar_stalls", "cycles stalled at membars", func(i int) int64 { return int64(cpu(i).MembarStalls) }),
+		perNode(counter, "proc.vc_full_stalls", "stalls on a full verification cache", func(i int) int64 { return int64(cpu(i).VCFullStalls) }),
+		perNode(counter, "proc.wb_full_stalls", "stalls on a full write buffer", func(i int) int64 { return int64(cpu(i).WBFullStalls) }),
+		tracked(perNode(gauge, "proc.rob_occupancy", "reorder-buffer entries in flight", func(i int) int64 { return int64(s.cpus[i].ROBLen()) })),
+		tracked(perNode(gauge, "proc.wb_occupancy", "write-buffer stores pending", func(i int) int64 { return int64(s.cpus[i].WBLen()) })),
 
-	// Memory-system counters.
-	l1h := reg.CounterVec("cache.l1_hits", "L1 hits", "node", nodes)
-	l1m := reg.CounterVec("cache.l1_misses", "L1 misses", "node", nodes)
-	l2h := reg.CounterVec("cache.l2_hits", "L2 hits", "node", nodes)
-	l2m := reg.CounterVec("cache.l2_misses", "L2 misses", "node", nodes)
-	rply := reg.CounterVec("cache.replay_loads", "loads issued by VC replay", "node", nodes)
-	rplyMiss := reg.CounterVec("cache.replay_l1_misses", "L1 misses on replay loads", "node", nodes)
-	wbacks := reg.CounterVec("cache.writebacks", "dirty writebacks", "node", nodes)
-	issued := reg.Track(reg.CounterVec("cache.transactions_issued", "coherence transactions issued onto the interconnect", "node", nodes))
-	reg.AddProbe(func() {
-		for i, c := range s.ctrls {
-			st := c.Stats()
-			issued.Set(i, int64(st.TransactionsIssued))
-			l1h.Set(i, int64(st.L1Hits))
-			l1m.Set(i, int64(st.L1Misses))
-			l2h.Set(i, int64(st.L2Hits))
-			l2m.Set(i, int64(st.L2Misses))
-			rply.Set(i, int64(st.ReplayLoads))
-			rplyMiss.Set(i, int64(st.ReplayL1Misses))
-			wbacks.Set(i, int64(st.WritebacksDirty))
-		}
-	})
+		// Memory-system counters.
+		perNode(counter, "cache.l1_hits", "L1 hits", func(i int) int64 { return int64(ctrl(i).L1Hits) }),
+		perNode(counter, "cache.l1_misses", "L1 misses", func(i int) int64 { return int64(ctrl(i).L1Misses) }),
+		perNode(counter, "cache.l2_hits", "L2 hits", func(i int) int64 { return int64(ctrl(i).L2Hits) }),
+		perNode(counter, "cache.l2_misses", "L2 misses", func(i int) int64 { return int64(ctrl(i).L2Misses) }),
+		perNode(counter, "cache.replay_loads", "loads issued by VC replay", func(i int) int64 { return int64(ctrl(i).ReplayLoads) }),
+		perNode(counter, "cache.replay_l1_misses", "L1 misses on replay loads", func(i int) int64 { return int64(ctrl(i).ReplayL1Misses) }),
+		perNode(counter, "cache.writebacks", "dirty writebacks", func(i int) int64 { return int64(ctrl(i).WritebacksDirty) }),
+		tracked(perNode(counter, "cache.transactions_issued", "coherence transactions issued onto the interconnect", func(i int) int64 { return int64(ctrl(i).TransactionsIssued) })),
 
-	// DVMC checker counters and table/queue occupancy.
-	viol := reg.Counter("checker.violations", "detected consistency violations")
-	reg.AddProbe(func() { viol.Set(0, int64(s.violations.Count())) })
-	if cfg.DVMC.UniprocessorOrdering {
-		vcEntries := reg.Track(reg.GaugeVec("checker.vc_entries", "verification-cache words allocated", "node", nodes))
-		vcStores := reg.GaugeVec("checker.vc_store_entries", "VC words tracking unperformed stores", "node", nodes)
-		reg.AddProbe(func() {
-			for i, u := range s.uo {
-				if u == nil {
-					continue
+		// DVMC checker counters.
+		scalar(counter, "checker.violations", "detected consistency violations", func() int64 { return int64(s.violations.Count()) }),
+
+		// Interconnect byte counters, per traffic class (Figure 7's
+		// breakdown, as a time series).
+		tracked(telemetry.Metric{Name: "net.bytes", Help: "bytes carried, by traffic class", Kind: counter,
+			Label: "class", LabelVals: classLabels, Read: func(i int) int64 {
+				b := s.torus.ClassBytes(classOf[i])
+				if s.bcast != nil {
+					b += s.bcast.ClassBytes(classOf[i])
 				}
-				vcEntries.Set(i, int64(u.Entries()))
-				vcStores.Set(i, int64(u.StoreEntries()))
+				return int64(b)
+			}}),
+		tracked(scalar(counter, "net.bytes_total", "total bytes carried on all links", func() int64 {
+			total := s.torus.TotalBytes()
+			if s.bcast != nil {
+				total += s.bcast.TotalBytes()
 			}
-		})
+			return int64(total)
+		})),
+	}
+
+	// Table and queue occupancy of the checkers that are on.
+	if cfg.DVMC.UniprocessorOrdering {
+		ms = append(ms,
+			tracked(perNode(gauge, "checker.vc_entries", "verification-cache words allocated", func(i int) int64 { return int64(s.uo[i].Entries()) })),
+			perNode(gauge, "checker.vc_store_entries", "VC words tracking unperformed stores", func(i int) int64 { return int64(s.uo[i].StoreEntries()) }),
+		)
 	}
 	if cfg.DVMC.CacheCoherence {
-		informs := reg.Track(reg.CounterVec("checker.informs", "Inform-Epochs sent to the MET", "node", nodes))
-		openInf := reg.CounterVec("checker.open_informs", "Inform-Open-Epochs sent", "node", nodes)
-		cetOpen := reg.Track(reg.GaugeVec("checker.cet_open_epochs", "open epochs in the cache epoch table", "node", nodes))
-		cetSlab := reg.GaugeVec("checker.cet_slab_in_use", "occupied CET slab slots", "node", nodes)
-		cetScrub := reg.Track(reg.GaugeVec("checker.cet_scrub_queue", "delayed informs queued for scrub", "node", nodes))
-		metQ := reg.Track(reg.GaugeVec("checker.met_queue_depth", "informs waiting in the MET priority queue", "node", nodes))
-		metEnt := reg.GaugeVec("checker.met_entries", "memory epoch table entries", "node", nodes)
-		metProc := reg.Track(reg.CounterVec("checker.informs_processed", "informs the MET has checked and folded in", "node", nodes))
-		metOver := reg.CounterVec("checker.met_queue_overflows", "MET queue overflows forcing early processing", "node", nodes)
-		reg.AddProbe(func() {
-			for i, c := range s.cet {
-				st := c.Stats()
-				informs.Set(i, int64(st.Informs))
-				openInf.Set(i, int64(st.OpenInforms))
-				cetOpen.Set(i, int64(c.OpenEpochs()))
-				cetSlab.Set(i, int64(c.SlabInUse()))
-				cetScrub.Set(i, int64(c.ScrubQueueLen()))
-			}
-			for i, m := range s.met {
-				metQ.Set(i, int64(m.QueueDepth()))
-				metEnt.Set(i, int64(m.Entries()))
-				st := m.Stats()
-				metProc.Set(i, int64(st.InformsProcessed))
-				metOver.Set(i, int64(st.QueueOverflows))
-			}
-		})
+		cet := func(i int) core.CETStats { return s.cet[i].Stats() }
+		met := func(i int) core.METStats { return s.met[i].Stats() }
+		ms = append(ms,
+			tracked(perNode(counter, "checker.informs", "Inform-Epochs sent to the MET", func(i int) int64 { return int64(cet(i).Informs) })),
+			perNode(counter, "checker.open_informs", "Inform-Open-Epochs sent", func(i int) int64 { return int64(cet(i).OpenInforms) }),
+			tracked(perNode(gauge, "checker.cet_open_epochs", "open epochs in the cache epoch table", func(i int) int64 { return int64(s.cet[i].OpenEpochs()) })),
+			perNode(gauge, "checker.cet_slab_in_use", "occupied CET slab slots", func(i int) int64 { return int64(s.cet[i].SlabInUse()) }),
+			tracked(perNode(gauge, "checker.cet_scrub_queue", "delayed informs queued for scrub", func(i int) int64 { return int64(s.cet[i].ScrubQueueLen()) })),
+			tracked(perNode(gauge, "checker.met_queue_depth", "informs waiting in the MET priority queue", func(i int) int64 { return int64(s.met[i].QueueDepth()) })),
+			perNode(gauge, "checker.met_entries", "memory epoch table entries", func(i int) int64 { return int64(s.met[i].Entries()) }),
+			tracked(perNode(counter, "checker.informs_processed", "informs the MET has checked and folded in", func(i int) int64 { return int64(met(i).InformsProcessed) })),
+			perNode(counter, "checker.met_queue_overflows", "MET queue overflows forcing early processing", func(i int) int64 { return int64(met(i).QueueOverflows) }),
+		)
 	}
-
-	// Interconnect byte counters, per traffic class (Figure 7's
-	// breakdown, as a time series).
-	netBytes := reg.Track(reg.CounterVec("net.bytes", "bytes carried, by traffic class", "class", classLabels))
-	netTotal := reg.Track(reg.Counter("net.bytes_total", "total bytes carried on all links"))
-	reg.AddProbe(func() {
-		for i, cl := range classOf {
-			b := s.torus.ClassBytes(cl)
-			if s.bcast != nil {
-				b += s.bcast.ClassBytes(cl)
-			}
-			netBytes.Set(i, int64(b))
-		}
-		total := s.torus.TotalBytes()
-		if s.bcast != nil {
-			total += s.bcast.TotalBytes()
-		}
-		netTotal.Set(0, int64(total))
-	})
 
 	// SafetyNet checkpoint/log pressure.
 	if cfg.SafetyNet {
-		cps := reg.Counter("sn.checkpoints", "coordinated checkpoints taken")
-		recov := reg.Counter("sn.recoveries", "rollback recoveries performed")
-		logMsgs := reg.Counter("sn.log_messages", "write-log ownership messages sent")
-		logBytes := reg.Track(reg.Counter("sn.log_bytes", "write-log bytes on the wire"))
-		live := reg.Track(reg.Gauge("sn.live_checkpoints", "retained (unexpired) checkpoints"))
-		reg.AddProbe(func() {
-			st := s.snMgr.Stats()
-			cps.Set(0, int64(st.CheckpointsTaken))
-			recov.Set(0, int64(st.Recoveries))
-			logMsgs.Set(0, int64(st.LogMessages))
-			logBytes.Set(0, int64(st.LogBytes))
-			live.Set(0, int64(s.snMgr.LiveCount()))
-		})
+		sn := func() safetynet.Stats { return s.snMgr.Stats() }
+		ms = append(ms,
+			scalar(counter, "sn.checkpoints", "coordinated checkpoints taken", func() int64 { return int64(sn().CheckpointsTaken) }),
+			scalar(counter, "sn.recoveries", "rollback recoveries performed", func() int64 { return int64(sn().Recoveries) }),
+			scalar(counter, "sn.log_messages", "write-log ownership messages sent", func() int64 { return int64(sn().LogMessages) }),
+			tracked(scalar(counter, "sn.log_bytes", "write-log bytes on the wire", func() int64 { return int64(sn().LogBytes) })),
+			tracked(scalar(gauge, "sn.live_checkpoints", "retained (unexpired) checkpoints", func() int64 { return int64(s.snMgr.LiveCount()) })),
+		)
 	}
 
 	// Execution-trace recorder accounting.
 	if s.rec != nil {
-		trEvents := reg.Counter("trace.events", "execution-trace events recorded")
-		trSpills := reg.Counter("trace.spills", "trace ring drains into the encoder")
-		reg.AddProbe(func() {
-			st := s.rec.Stats()
-			trEvents.Set(0, int64(st.Events))
-			trSpills.Set(0, int64(st.Spills))
-		})
+		ms = append(ms,
+			scalar(counter, "trace.events", "execution-trace events recorded", func() int64 { return int64(s.rec.Stats().Events) }),
+			scalar(counter, "trace.spills", "trace ring drains into the encoder", func() int64 { return int64(s.rec.Stats().Spills) }),
+		)
 	}
+	return ms
 }

@@ -116,65 +116,73 @@ func TestTelemetrySnapshotShape(t *testing.T) {
 	if _, err := sys.Run(50, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	reg := sys.Telemetry()
+	snap := sys.TelemetrySnapshot()
+	byName := map[string]*telemetry.MetricSnapshot{}
+	for i := range snap.Metrics {
+		byName[snap.Metrics[i].Name] = &snap.Metrics[i]
+	}
 	for _, name := range []string{
 		"proc.ops_retired", "cache.l1_misses", "checker.informs",
 		"checker.met_queue_depth", "net.bytes", "sn.checkpoints",
 	} {
-		m := reg.Lookup(name)
+		m := byName[name]
 		if m == nil {
-			t.Errorf("metric %q not registered", name)
+			t.Errorf("metric %q missing", name)
 			continue
 		}
-		if m.Label() == "node" && m.Len() != cfg.Nodes {
-			t.Errorf("%s has %d slots, want %d", name, m.Len(), cfg.Nodes)
+		if m.Label == "node" && len(m.Values) != cfg.Nodes {
+			t.Errorf("%s has %d slots, want %d", name, len(m.Values), cfg.Nodes)
 		}
 	}
-	if reg.Lookup("proc.ops_retired").Total() == 0 {
+	if byName["proc.ops_retired"].Total() == 0 {
 		t.Errorf("proc.ops_retired stayed zero over a 50-txn run")
 	}
-	series := reg.Series()
-	if len(series) == 0 {
+	if len(snap.Series) == 0 {
 		t.Fatal("no tracked series")
 	}
-	for i, s := range series[:1] {
-		if s.Len() < 2 {
-			t.Errorf("series %d[%s] has %d samples, want several", i, s.LabelValue(), s.Len())
+	for _, s := range snap.Series[:1] {
+		if len(s.Cycles) < 2 {
+			t.Errorf("series %s[%s] has %d samples, want several", s.Name, s.LabelValue, len(s.Cycles))
+			continue
 		}
-		c0, _ := s.At(0)
-		c1, _ := s.At(1)
-		if c1-c0 != 128 {
-			t.Errorf("sampling stride = %d cycles, want 128", c1-c0)
+		if stride := s.Cycles[1] - s.Cycles[0]; stride != 128 {
+			t.Errorf("sampling stride = %d cycles, want 128", stride)
 		}
 	}
 }
 
-// TestTelemetryBuiltWhenRead: a system builds its registry in NewSystem
-// only when the sampler is scheduled; otherwise the first read does.
+// TestTelemetryBuiltWhenRead: a system schedules a sampler in NewSystem
+// only when telemetry is enabled, and reads its metrics from the live
+// components when a snapshot is taken, so sampling changes no value a
+// snapshot reads.
 func TestTelemetryBuiltWhenRead(t *testing.T) {
-	for _, tc := range []TelemetryConfig{{}, TelemetryOn()} {
+	var metrics [2][]telemetry.MetricSnapshot
+	for i, tc := range []TelemetryConfig{{}, TelemetryOn()} {
 		sys, err := NewSystem(smallConfig().WithTelemetry(tc), smallWorkload())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if built := sys.reg != nil; built != tc.Enabled {
-			t.Errorf("telemetry enabled=%v: registry built by NewSystem = %v", tc.Enabled, built)
+		if scheduled := sys.sampler != nil; scheduled != tc.Enabled {
+			t.Errorf("telemetry enabled=%v: sampler scheduled by NewSystem = %v", tc.Enabled, scheduled)
 		}
-		if sys.Telemetry() == nil || sys.Telemetry() != sys.reg {
-			t.Errorf("telemetry enabled=%v: Telemetry() does not return the one registry", tc.Enabled)
+		if _, err := sys.Run(20, 2_000_000); err != nil {
+			t.Fatal(err)
 		}
+		metrics[i] = sys.TelemetrySnapshot().Metrics
+	}
+	if !reflect.DeepEqual(metrics[0], metrics[1]) {
+		t.Errorf("the sampled run's snapshot reads other metric values than the unsampled run's")
 	}
 }
 
-// TestTelemetryOffBuildsNoRing: with telemetry off the sampler never
-// runs, so no series ring is ever allocated. Every series still reports
-// its configured capacity and no samples, and the snapshot encodes to the
-// bytes the eagerly allocated rings gave (testdata/golden_telemetry_off.json
-// was written by the commit before rings became lazy; since then it has
-// gained entries, for newly registered metrics and series, and one MET
-// inform moved from informs_processed to met_queue_depth, with
-// informs_processed's help reworded, when the end of a run stopped
-// folding unjudged informs).
+// TestTelemetryOffBuildsNoRing: with telemetry off no sampler runs, so
+// no series ring is ever allocated. Every tracked series is still listed
+// with no samples, and the snapshot encodes to the bytes the eagerly
+// allocated rings gave (testdata/golden_telemetry_off.json was written by
+// the commit before rings became lazy; since then it has gained entries,
+// for newly registered metrics and series, and one MET inform moved from
+// informs_processed to met_queue_depth, with informs_processed's help
+// reworded, when the end of a run stopped folding unjudged informs).
 func TestTelemetryOffBuildsNoRing(t *testing.T) {
 	sys, err := NewSystem(smallConfig(), smallWorkload())
 	if err != nil {
@@ -183,20 +191,20 @@ func TestTelemetryOffBuildsNoRing(t *testing.T) {
 	if _, err := sys.Run(20, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	series := sys.Telemetry().Series()
-	if len(series) == 0 {
+	if sys.sampler != nil {
+		t.Fatal("telemetry off scheduled a sampler")
+	}
+	snap := sys.TelemetrySnapshot()
+	if len(snap.Series) == 0 {
 		t.Fatal("no tracked series")
 	}
-	for i, s := range series {
-		if s.Len() != 0 || s.Cap() != telemetry.DefaultSeriesCap {
-			t.Errorf("series %d[%s]: len/cap %d/%d, want 0/%d", i, s.LabelValue(), s.Len(), s.Cap(), telemetry.DefaultSeriesCap)
-		}
-		if ring := reflect.ValueOf(s).Elem(); !ring.FieldByName("cycles").IsNil() || !ring.FieldByName("vals").IsNil() {
-			t.Errorf("series %d[%s]: ring allocated with telemetry off", i, s.LabelValue())
+	for _, s := range snap.Series {
+		if s.Cycles != nil || s.Values != nil {
+			t.Errorf("series %s[%s]: samples with telemetry off", s.Name, s.LabelValue)
 		}
 	}
 	var got bytes.Buffer
-	if err := sys.TelemetrySnapshot().EncodeJSON(&got); err != nil {
+	if err := snap.EncodeJSON(&got); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "golden_telemetry_off.json")
