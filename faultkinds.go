@@ -552,22 +552,29 @@ func armMsgBurst(s *System, _ int, inj Injection, _ *sim.Rand) bool {
 func flipMessageData(m *network.Message, rng *sim.Rand) bool {
 	bit := rng.Intn(mem.BlockBytes * 8)
 	word, off := bit/64, bit%64
+	// A payload is immutable once sent (network.Message): the flip goes
+	// into a copy, so an envelope sharing the body keeps the sent data.
 	switch p := m.Payload.(type) {
-	case coherence.MsgData:
-		p.Data[word] ^= 1 << off
-		m.Payload = p
-	case coherence.MsgPutM:
-		p.Data[word] ^= 1 << off
-		m.Payload = p
-	case coherence.MsgRecallAck:
-		p.Data[word] ^= 1 << off
-		m.Payload = p
-	case coherence.MsgSnoopData:
-		p.Data[word] ^= 1 << off
-		m.Payload = p
-	case coherence.MsgSnoopWB:
-		p.Data[word] ^= 1 << off
-		m.Payload = p
+	case *coherence.MsgData:
+		q := *p
+		q.Data[word] ^= 1 << off
+		m.Payload = &q
+	case *coherence.MsgPutM:
+		q := *p
+		q.Data[word] ^= 1 << off
+		m.Payload = &q
+	case *coherence.MsgRecallAck:
+		q := *p
+		q.Data[word] ^= 1 << off
+		m.Payload = &q
+	case *coherence.MsgSnoopData:
+		q := *p
+		q.Data[word] ^= 1 << off
+		m.Payload = &q
+	case *coherence.MsgSnoopWB:
+		q := *p
+		q.Data[word] ^= 1 << off
+		m.Payload = &q
 	default:
 		return false
 	}

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"reflect"
 	"testing"
 
 	"dvmc/internal/mem"
@@ -68,7 +69,7 @@ func TestAccessPathSteadyStateAllocFree(t *testing.T) {
 		// message can be delivered again and again.
 		dc := c.proto.(*DirCache)
 		ack := &network.Message{Src: 1, Dst: 0, Size: CtrlBytes, Class: network.ClassCoherence,
-			Payload: MsgWBAck{Block: mem.Addr(0x8000).Block()}}
+			Payload: &MsgWBAck{Block: mem.Addr(0x8000).Block()}}
 		deliver := func() {
 			dc.Handle(ack)
 			tick()
@@ -93,7 +94,7 @@ func TestHomeLatchSteadyStateAllocFree(t *testing.T) {
 	h.setStrict(false)
 	home := h.dirHomes[0]
 	msg := &network.Message{Src: 1, Dst: 0, Size: CtrlBytes, Class: network.ClassCoherence,
-		Payload: MsgUnblock{Block: 0x40, From: 1}}
+		Payload: &MsgUnblock{Block: 0x40, From: 1}}
 	now := sim.Cycle(0)
 	deliver := func() {
 		home.Handle(msg)
@@ -104,6 +105,122 @@ func TestHomeLatchSteadyStateAllocFree(t *testing.T) {
 	deliver()
 	if allocs := testing.AllocsPerRun(1, batch(deliver)); allocs != 0 {
 		t.Errorf("home input latch: %v allocs in 500 messages, want 0", allocs)
+	}
+}
+
+// msgTrap is a network that keeps only the last message sent on it.
+type msgTrap struct {
+	last *network.Message
+	sent int
+}
+
+func (n *msgTrap) Send(m *network.Message) { n.last, n.sent = m, n.sent+1 }
+
+// TestCoherenceSendSteadyStateAllocBudget pins every coherence payload
+// type, on both protocols, at one heap object per send: the envelope and
+// its body are one allocation (network.Wrap). Each row drives one real
+// send site against a trap network; also counts what the site allocates
+// besides the message.
+func TestCoherenceSendSteadyStateAllocBudget(t *testing.T) {
+	cfg := testConfig(4)
+	k := &sim.Kernel{}
+	trap := &msgTrap{}
+	dc := NewDirCache(0, cfg, trap, NewSkewedClock(k.Now, 0, 8))
+	dh := NewDirHome(1, cfg, trap, mem.NewMemory())
+	tree := network.NewBroadcastTree(cfg.Nodes, 8.0, 3, nil)
+	sc := NewSnoopCache(0, cfg, tree, trap)
+	sh := NewSnoopHome(1, cfg, trap, mem.NewMemory())
+	for _, c := range []sim.Clockable{dc, dh, tree, sc, sh} {
+		k.Register(c)
+	}
+	// The tree has no handlers: what it delivers lands in the trap.
+	tree.SetObserver(func(m *network.Message, _ sim.Cycle) { trap.Send(m) })
+	dc.SetStrict(false)
+
+	const b = mem.BlockAddr(5)
+	var data mem.Block
+	data[0] = 1
+	line := dc.allocate(b) // evicted and reinstalled by the PutM/PutS rows
+	e := dh.entry(b)
+	req := &mshr{block: b, class: network.ClassCoherence}
+	reqM := &mshr{block: b, wantM: true, class: network.ClassCoherence}
+	inv, recall := &MsgInv{Block: b}, &MsgRecall{Block: b}
+	getS, getM := &MsgGetS{Block: b, Requestor: 2}, &MsgGetM{Block: b, Requestor: 0}
+	putS := &MsgPutS{Block: b, Requestor: 2}
+	wb := &wbEntry{data: data, dirty: true}
+	supply := &snoopWait{what: workSupply, block: b, node: 2}
+
+	for _, row := range []struct {
+		name string
+		want any // a nil pointer of the payload type the row sends
+		also int
+		send func()
+	}{
+		{"directory GetS", (*MsgGetS)(nil), 0, func() { dc.sendRequest(req) }},
+		{"directory GetM", (*MsgGetM)(nil), 0, func() { dc.sendRequest(reqM) }},
+		{"directory PutM", (*MsgPutM)(nil), 1, func() { // the writeback-buffer entry
+			dc.l2.install(line, b, Modified, data, true)
+			dc.evict(line)
+			delete(dc.wb, b)
+		}},
+		{"directory PutS", (*MsgPutS)(nil), 1, func() { // the writeback-buffer entry
+			dc.l2.install(line, b, Shared, data, true)
+			dc.evict(line)
+			delete(dc.wb, b)
+		}},
+		{"directory InvAck", (*MsgInvAck)(nil), 0, func() { dc.onInv(inv) }},
+		{"directory RecallAck", (*MsgRecallAck)(nil), 0, func() { dc.onRecall(recall) }},
+		{"directory Unblock", (*MsgUnblock)(nil), 0, func() {
+			ms := dc.mshrFree.Get()
+			ms.block = b
+			dc.serve(ms, line, true)
+		}},
+		{"directory Recall", (*MsgRecall)(nil), 0, func() {
+			e.busy, e.owner = false, 0
+			dh.startGetS(e, getS)
+		}},
+		{"directory Inv", (*MsgInv)(nil), 0, func() {
+			e.busy, e.owner, e.sharers = false, 0, 1<<2
+			dh.startGetM(e, getM)
+		}},
+		{"directory Data", (*MsgData)(nil), 0, func() {
+			e.begin(txnGetS, 2).haveData = true
+			dh.maybeGrant(b, e)
+		}},
+		{"directory PermM", (*MsgPermM)(nil), 0, func() {
+			t := e.begin(txnGetM, 0)
+			t.haveData, t.upgrade = true, true
+			dh.maybeGrant(b, e)
+		}},
+		{"directory WBAck", (*MsgWBAck)(nil), 0, func() {
+			e.busy = false
+			dh.startPutS(e, putS)
+		}},
+		{"snooping request", (*MsgSnoop)(nil), 0, func() {
+			sc.sendRequest(req)
+			k.Run(8)
+		}},
+		{"snooping cache supply", (*MsgSnoopData)(nil), 0, func() { sc.supply(2, b, data) }},
+		{"snooping home supply", (*MsgSnoopData)(nil), 0, func() { sh.perform(supply) }},
+		{"snooping writeback", (*MsgSnoopWB)(nil), 0, func() {
+			sc.wb[b] = wb
+			sc.onOwnPutM(b)
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			trap.last = nil
+			n := trap.sent
+			row.send()
+			if trap.sent != n+1 || trap.last == nil {
+				t.Fatalf("sent %d messages, want 1", trap.sent-n)
+			}
+			if got, want := reflect.TypeOf(trap.last.Payload), reflect.TypeOf(row.want); got != want {
+				t.Fatalf("sent a %v, want a %v", got, want)
+			}
+			if allocs := testing.AllocsPerRun(100, row.send); allocs != float64(1+row.also) {
+				t.Errorf("%v heap objects per send, want %d", allocs, 1+row.also)
+			}
+		})
 	}
 }
 

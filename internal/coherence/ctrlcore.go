@@ -116,7 +116,7 @@ type mshr struct {
 	grantKind   EpochKind
 	curState    State // our state in global order during the pending phase
 	transitions []snoopTransition
-	dataPending *mem.Block // data that arrived before a line could be allocated
+	dataPending *MsgSnoopData // data that arrived before a line could be allocated
 }
 
 // wbEntry is an evicted block awaiting the protocol's writeback

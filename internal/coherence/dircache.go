@@ -48,20 +48,22 @@ func (c *DirCache) endNow(b mem.BlockAddr, k EpochKind, data mem.Block) {
 	c.epochEnd(b, k, c.clock.LogicalNow(), data)
 }
 
-// toHome sends a coherence-class message to block b's home controller.
-func (c *DirCache) toHome(b mem.BlockAddr, size int, payload any) {
-	c.net.Send(&network.Message{Src: c.node, Dst: c.cfg.HomeOf(b), Size: size, Class: network.ClassCoherence, Payload: payload})
+// toHome addresses a coherence-class envelope of size bytes to block b's
+// home controller.
+func (c *DirCache) toHome(b mem.BlockAddr, size int) network.Message {
+	return network.Message{Src: c.node, Dst: c.cfg.HomeOf(b), Size: size, Class: network.ClassCoherence}
 }
 
-// sendRequest implements protocol: GetS/GetM go to the home controller.
+// sendRequest implements protocol: GetS/GetM go to the home controller,
+// in the MSHR's traffic class.
 func (c *DirCache) sendRequest(ms *mshr) {
-	var payload any
+	env := c.toHome(ms.block, CtrlBytes)
+	env.Class = ms.class
 	if ms.wantM {
-		payload = MsgGetM{Block: ms.block, Requestor: c.node}
+		c.net.Send(network.Wrap(env, MsgGetM{Block: ms.block, Requestor: c.node}))
 	} else {
-		payload = MsgGetS{Block: ms.block, Requestor: c.node}
+		c.net.Send(network.Wrap(env, MsgGetS{Block: ms.block, Requestor: c.node}))
 	}
-	c.net.Send(&network.Message{Src: c.node, Dst: c.cfg.HomeOf(ms.block), Size: CtrlBytes, Class: ms.class, Payload: payload})
 }
 
 // Handle takes a delivered network message into the controller.
@@ -70,15 +72,15 @@ func (c *DirCache) Handle(m *network.Message) { c.receive(m) }
 // deliver implements protocol: dispatch by payload.
 func (c *DirCache) deliver(m *network.Message) {
 	switch p := m.Payload.(type) {
-	case MsgData:
+	case *MsgData:
 		c.onData(p)
-	case MsgPermM:
+	case *MsgPermM:
 		c.onPermM(p)
-	case MsgInv:
+	case *MsgInv:
 		c.onInv(p)
-	case MsgRecall:
+	case *MsgRecall:
 		c.onRecall(p)
-	case MsgWBAck:
+	case *MsgWBAck:
 		c.wbDone(p.Block)
 	default:
 		if c.strict {
@@ -101,12 +103,12 @@ func (c *DirCache) evict(l *line) {
 		c.endNow(b, epochKindOf(l.state), data)
 		c.wb[b] = &wbEntry{data: data, dirty: true}
 		c.stats.WritebacksDirty++
-		c.toHome(b, DataBytes, MsgPutM{Block: b, Requestor: c.node, Data: data})
+		c.net.Send(network.Wrap(c.toHome(b, DataBytes), MsgPutM{Block: b, Requestor: c.node, Data: data}))
 	case Shared:
 		c.endNow(b, ReadOnly, data)
 		c.wb[b] = &wbEntry{}
 		c.stats.EvictionsClean++
-		c.toHome(b, CtrlBytes, MsgPutS{Block: b, Requestor: c.node})
+		c.net.Send(network.Wrap(c.toHome(b, CtrlBytes), MsgPutS{Block: b, Requestor: c.node}))
 	default:
 		panic(fmt.Sprintf("DirCache %d: evict of %v line %#x", c.node, l.state, b))
 	}
@@ -114,7 +116,7 @@ func (c *DirCache) evict(l *line) {
 }
 
 // onData installs a granted block and serves the MSHR's waiters.
-func (c *DirCache) onData(p MsgData) {
+func (c *DirCache) onData(p *MsgData) {
 	ms := c.mshrs[p.Block]
 	if ms == nil {
 		if c.strict {
@@ -151,7 +153,7 @@ func (c *DirCache) onData(p MsgData) {
 }
 
 // onPermM upgrades an Owned line to Modified.
-func (c *DirCache) onPermM(p MsgPermM) {
+func (c *DirCache) onPermM(p *MsgPermM) {
 	ms := c.mshrs[p.Block]
 	l := c.l2.peek(p.Block)
 	if ms == nil || l == nil || !l.valid {
@@ -171,7 +173,7 @@ func (c *DirCache) onPermM(p MsgPermM) {
 // was granted but store waiters remain, the MSHR re-issues as GetM.
 func (c *DirCache) serve(ms *mshr, l *line, exclusive bool) {
 	c.serveWaiters(ms, l, exclusive)
-	c.toHome(ms.block, CtrlBytes, MsgUnblock{Block: ms.block, From: c.node})
+	c.net.Send(network.Wrap(c.toHome(ms.block, CtrlBytes), MsgUnblock{Block: ms.block, From: c.node}))
 	if c.retire(ms) {
 		// Shared was not enough; upgrade. The home has been unblocked, so
 		// this is a fresh transaction — demand traffic on behalf of the
@@ -182,7 +184,7 @@ func (c *DirCache) serve(ms *mshr, l *line, exclusive bool) {
 }
 
 // onInv invalidates a Shared copy and acks the home.
-func (c *DirCache) onInv(p MsgInv) {
+func (c *DirCache) onInv(p *MsgInv) {
 	l := c.l2.peek(p.Block)
 	if l != nil && l.valid {
 		c.stateFaultLeaving(p.Block, true) // a demoted line's dirty copy is dropped
@@ -194,11 +196,11 @@ func (c *DirCache) onInv(p MsgInv) {
 		c.endNow(p.Block, epochKindOf(l.state), c.l2.readBlock(l))
 		c.dropLine(l)
 	}
-	c.toHome(p.Block, CtrlBytes, MsgInvAck{Block: p.Block, From: c.node})
+	c.net.Send(network.Wrap(c.toHome(p.Block, CtrlBytes), MsgInvAck{Block: p.Block, From: c.node}))
 }
 
 // onRecall surrenders an owned block to the home controller.
-func (c *DirCache) onRecall(p MsgRecall) {
+func (c *DirCache) onRecall(p *MsgRecall) {
 	// Home recalls what it believes is this node's owned copy; a demoted
 	// line fails the ownership check below, so the response carries no
 	// data and the dirty copy is lost.
@@ -214,13 +216,13 @@ func (c *DirCache) onRecall(p MsgRecall) {
 			l.state = Owned
 			c.beginNow(p.Block, ReadOnly, data)
 		}
-		c.toHome(p.Block, DataBytes, MsgRecallAck{Block: p.Block, Data: data, From: c.node})
+		c.net.Send(network.Wrap(c.toHome(p.Block, DataBytes), MsgRecallAck{Block: p.Block, Data: data, From: c.node}))
 		return
 	}
 	if e, ok := c.wb[p.Block]; ok && e.dirty {
 		// Eviction raced with the recall: respond from the writeback
 		// buffer; the stale PutM will be acked later.
-		c.toHome(p.Block, DataBytes, MsgRecallAck{Block: p.Block, Data: e.data, From: c.node})
+		c.net.Send(network.Wrap(c.toHome(p.Block, DataBytes), MsgRecallAck{Block: p.Block, Data: e.data, From: c.node}))
 		return
 	}
 	if c.strict {
@@ -228,5 +230,5 @@ func (c *DirCache) onRecall(p MsgRecall) {
 	}
 	// Under fault injection a misrouted recall can land here; answer with
 	// zeros so the protocol proceeds and DVMC sees the corruption.
-	c.toHome(p.Block, DataBytes, MsgRecallAck{Block: p.Block, From: c.node})
+	c.net.Send(network.Wrap(c.toHome(p.Block, DataBytes), MsgRecallAck{Block: p.Block, From: c.node}))
 }

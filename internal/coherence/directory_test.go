@@ -178,8 +178,8 @@ func TestDirHomeQueueSurvivesPutS(t *testing.T) {
 		name     string
 		finisher any // the queued request that completes without a transaction
 	}{
-		{"PutS", MsgPutS{Block: 3, Requestor: 1}},
-		{"stale PutM", MsgPutM{Block: 3, Requestor: 1}},
+		{"PutS", &MsgPutS{Block: 3, Requestor: 1}},
+		{"stale PutM", &MsgPutM{Block: 3, Requestor: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const b = mem.BlockAddr(3) // homed at node 3 of 4
@@ -193,30 +193,30 @@ func TestDirHomeQueueSurvivesPutS(t *testing.T) {
 			for n := 0; n < 4; n++ {
 				tor.SetHandler(network.NodeID(n), func(m *network.Message) {
 					got[n] = append(got[n], m.Payload)
-					if _, ok := m.Payload.(MsgRecall); ok { // node 0 owns the block by then
-						home.Handle(&network.Message{Payload: MsgRecallAck{Block: b, From: network.NodeID(n)}})
+					if _, ok := m.Payload.(*MsgRecall); ok { // node 0 owns the block by then
+						home.Handle(&network.Message{Payload: &MsgRecallAck{Block: b, From: network.NodeID(n)}})
 					}
 				})
 			}
 			granted := func(n int) bool {
 				for _, p := range got[n] {
-					if d, ok := p.(MsgData); ok && d.Block == b {
+					if d, ok := p.(*MsgData); ok && d.Block == b {
 						return true
 					}
 				}
 				return false
 			}
-			home.Handle(&network.Message{Payload: MsgGetM{Block: b, Requestor: 0}})
+			home.Handle(&network.Message{Payload: &MsgGetM{Block: b, Requestor: 0}})
 			if !k.RunUntil(func() bool { return granted(0) }, 1000) {
 				t.Fatal("node 0's GetM never granted")
 			}
 			home.Handle(&network.Message{Payload: tc.finisher})
-			home.Handle(&network.Message{Payload: MsgGetS{Block: b, Requestor: 2}})
+			home.Handle(&network.Message{Payload: &MsgGetS{Block: b, Requestor: 2}})
 			k.Run(50)
 			if home.Stats().QueuedConflicts != 2 {
 				t.Fatalf("QueuedConflicts = %d, want both requests queued behind the open GetM", home.Stats().QueuedConflicts)
 			}
-			home.Handle(&network.Message{Payload: MsgUnblock{Block: b, From: 0}})
+			home.Handle(&network.Message{Payload: &MsgUnblock{Block: b, From: 0}})
 			if !k.RunUntil(func() bool { return granted(2) }, 5000) {
 				t.Fatalf("node 2's GetS stranded in the block's queue after the %s ahead of it completed (node 1 got %v)", tc.name, got[1])
 			}

@@ -46,22 +46,40 @@ const (
 	txnGetM
 )
 
+// homeTxn is the GetS or GetM in flight for one block. It lives in the
+// block's dirEntry: starting a transaction overwrites the record, ending
+// one clears active.
 type homeTxn struct {
+	active    bool
 	kind      txnKind
 	requestor network.NodeID
 	needAcks  int
 	haveData  bool
 	data      mem.Block
-	upgrade   bool // requestor already owns the data (PermM path)
-	granted   bool // grant sent; waiting for Unblock
+	upgrade   bool   // requestor already owns the data (PermM path)
+	granted   bool   // grant sent; waiting for Unblock
+	serial    uint32 // counts the block's transactions; names this one to a DRAM read
 }
 
 type dirEntry struct {
 	owner   network.NodeID // -1: memory is the owner
 	sharers uint64         // bitmask; node i at bit i
-	busy    bool
-	txn     *homeTxn
+	busy    bool           // a transaction or a PutM's memory write holds the block
+	txn     homeTxn
 	queue   []*network.Message
+}
+
+// begin starts a transaction of kind for requestor in the entry's record.
+func (e *dirEntry) begin(kind txnKind, requestor network.NodeID) *homeTxn {
+	e.busy = true
+	e.txn = homeTxn{active: true, kind: kind, requestor: requestor, serial: e.txn.serial + 1}
+	return &e.txn
+}
+
+// end closes the entry's transaction and frees the block.
+func (e *dirEntry) end() {
+	e.busy = false
+	e.txn.active = false
 }
 
 // NewDirHome builds the home controller for a node. The memory is the
@@ -115,7 +133,9 @@ type dirWait struct {
 	what dirWork
 	m    *network.Message // workDispatch, workStart
 	e    *dirEntry        // all but workDispatch
-	t    *homeTxn         // workGetMData: the transaction that asked
+	// serial is the transaction a workGetMData read serves: a record
+	// overwritten by a later transaction by then takes no data.
+	serial uint32
 	// block is what the DRAM waits read or write; from and data are the
 	// PutM's writer and contents.
 	block mem.BlockAddr
@@ -161,17 +181,22 @@ func (h *DirHome) perform(w *dirWait) {
 		w.e.txn.data = h.memory.ReadBlock(w.block)
 		h.maybeGrant(w.block, w.e)
 	case workGetMData:
-		w.t.haveData = true
-		w.t.data = h.memory.ReadBlock(w.block)
+		if t := &w.e.txn; t.active && t.serial == w.serial {
+			t.haveData = true
+			t.data = h.memory.ReadBlock(w.block)
+		}
 		h.maybeGrant(w.block, w.e)
 	case workPutM:
 		h.memory.WriteBlock(w.block, w.data)
-		h.net.Send(&network.Message{Src: h.node, Dst: w.from, Size: CtrlBytes, Class: network.ClassCoherence,
-			Payload: MsgWBAck{Block: w.block}})
-		w.e.busy = false
-		w.e.txn = nil
+		h.net.Send(network.Wrap(h.to(w.from, CtrlBytes), MsgWBAck{Block: w.block}))
+		w.e.end()
 		h.next(w.block, w.e)
 	}
+}
+
+// to addresses a coherence-class envelope of size bytes to dst.
+func (h *DirHome) to(dst network.NodeID, size int) network.Message {
+	return network.Message{Src: h.node, Dst: dst, Size: size, Class: network.ClassCoherence}
 }
 
 // Handle takes a delivered network message into the input latch.
@@ -183,13 +208,13 @@ func (h *DirHome) Handle(m *network.Message) {
 
 func (h *DirHome) dispatch(m *network.Message) {
 	switch p := m.Payload.(type) {
-	case MsgGetS, MsgGetM, MsgPutS, MsgPutM:
+	case *MsgGetS, *MsgGetM, *MsgPutS, *MsgPutM:
 		h.request(m)
-	case MsgRecallAck:
+	case *MsgRecallAck:
 		h.onRecallAck(p)
-	case MsgInvAck:
+	case *MsgInvAck:
 		h.onInvAck(p)
-	case MsgUnblock:
+	case *MsgUnblock:
 		h.onUnblock(p)
 	default:
 		if h.strict {
@@ -200,13 +225,13 @@ func (h *DirHome) dispatch(m *network.Message) {
 
 func blockOf(m *network.Message) mem.BlockAddr {
 	switch p := m.Payload.(type) {
-	case MsgGetS:
+	case *MsgGetS:
 		return p.Block
-	case MsgGetM:
+	case *MsgGetM:
 		return p.Block
-	case MsgPutS:
+	case *MsgPutS:
 		return p.Block
-	case MsgPutM:
+	case *MsgPutM:
 		return p.Block
 	default:
 		panic("coherence: blockOf on non-request")
@@ -236,27 +261,25 @@ func (h *DirHome) start(e *dirEntry, m *network.Message) {
 		return
 	}
 	switch p := m.Payload.(type) {
-	case MsgGetS:
+	case *MsgGetS:
 		h.startGetS(e, p)
-	case MsgGetM:
+	case *MsgGetM:
 		h.startGetM(e, p)
-	case MsgPutS:
+	case *MsgPutS:
 		h.startPutS(e, p)
-	case MsgPutM:
+	case *MsgPutM:
 		h.startPutM(e, p)
 	default:
 		panic(fmt.Sprintf("DirHome %d: queued message with unexpected payload %T", h.node, p))
 	}
 }
 
-func (h *DirHome) startGetS(e *dirEntry, p MsgGetS) {
+func (h *DirHome) startGetS(e *dirEntry, p *MsgGetS) {
 	h.stats.GetS++
-	e.busy = true
-	e.txn = &homeTxn{kind: txnGetS, requestor: p.Requestor}
+	e.begin(txnGetS, p.Requestor)
 	if e.owner >= 0 {
 		// Owner supplies; it downgrades M→O and keeps ownership.
-		h.net.Send(&network.Message{Src: h.node, Dst: e.owner, Size: CtrlBytes, Class: network.ClassCoherence,
-			Payload: MsgRecall{Block: p.Block, ForGetM: false}})
+		h.net.Send(network.Wrap(h.to(e.owner, CtrlBytes), MsgRecall{Block: p.Block, ForGetM: false}))
 		return
 	}
 	h.stats.MemoryReads++
@@ -265,19 +288,16 @@ func (h *DirHome) startGetS(e *dirEntry, p MsgGetS) {
 	h.after(memLatency, w)
 }
 
-func (h *DirHome) startGetM(e *dirEntry, p MsgGetM) {
+func (h *DirHome) startGetM(e *dirEntry, p *MsgGetM) {
 	h.stats.GetM++
-	e.busy = true
-	t := &homeTxn{kind: txnGetM, requestor: p.Requestor}
-	e.txn = t
+	t := e.begin(txnGetM, p.Requestor)
 	// Invalidate every sharer except the requestor.
 	for n := 0; n < h.cfg.Nodes; n++ {
 		if e.sharers&(1<<uint(n)) == 0 || network.NodeID(n) == p.Requestor {
 			continue
 		}
 		t.needAcks++
-		h.net.Send(&network.Message{Src: h.node, Dst: network.NodeID(n), Size: CtrlBytes, Class: network.ClassCoherence,
-			Payload: MsgInv{Block: p.Block}})
+		h.net.Send(network.Wrap(h.to(network.NodeID(n), CtrlBytes), MsgInv{Block: p.Block}))
 	}
 	switch {
 	case e.owner == p.Requestor:
@@ -286,12 +306,11 @@ func (h *DirHome) startGetM(e *dirEntry, p MsgGetM) {
 		t.upgrade = true
 		t.haveData = true
 	case e.owner >= 0:
-		h.net.Send(&network.Message{Src: h.node, Dst: e.owner, Size: CtrlBytes, Class: network.ClassCoherence,
-			Payload: MsgRecall{Block: p.Block, ForGetM: true}})
+		h.net.Send(network.Wrap(h.to(e.owner, CtrlBytes), MsgRecall{Block: p.Block, ForGetM: true}))
 	default:
 		h.stats.MemoryReads++
 		w := h.waits.Get()
-		w.what, w.e, w.t, w.block = workGetMData, e, t, p.Block
+		w.what, w.e, w.serial, w.block = workGetMData, e, t.serial, p.Block
 		h.after(memLatency, w)
 	}
 	h.maybeGrant(p.Block, e)
@@ -300,19 +319,17 @@ func (h *DirHome) startGetM(e *dirEntry, p MsgGetM) {
 // startPutS drops a sharer. It completes on the spot without making the
 // entry busy, so when it was popped from the block's queue it must hand
 // on to the next queued request itself: no Unblock or memory write will.
-func (h *DirHome) startPutS(e *dirEntry, p MsgPutS) {
+func (h *DirHome) startPutS(e *dirEntry, p *MsgPutS) {
 	e.sharers &^= 1 << uint(p.Requestor)
-	h.net.Send(&network.Message{Src: h.node, Dst: p.Requestor, Size: CtrlBytes, Class: network.ClassCoherence,
-		Payload: MsgWBAck{Block: p.Block}})
+	h.net.Send(network.Wrap(h.to(p.Requestor, CtrlBytes), MsgWBAck{Block: p.Block}))
 	h.next(p.Block, e)
 }
 
-func (h *DirHome) startPutM(e *dirEntry, p MsgPutM) {
+func (h *DirHome) startPutM(e *dirEntry, p *MsgPutM) {
 	if e.owner != p.Requestor {
 		// Raced with a recall: home already obtained the data. Like a
 		// PutS this finishes at once, so the queue moves on from here.
-		h.net.Send(&network.Message{Src: h.node, Dst: p.Requestor, Size: CtrlBytes, Class: network.ClassCoherence,
-			Payload: MsgWBAck{Block: p.Block, Stale: true}})
+		h.net.Send(network.Wrap(h.to(p.Requestor, CtrlBytes), MsgWBAck{Block: p.Block, Stale: true}))
 		h.next(p.Block, e)
 		return
 	}
@@ -325,9 +342,9 @@ func (h *DirHome) startPutM(e *dirEntry, p MsgPutM) {
 	h.after(memLatency, w)
 }
 
-func (h *DirHome) onRecallAck(p MsgRecallAck) {
+func (h *DirHome) onRecallAck(p *MsgRecallAck) {
 	e := h.entries[p.Block]
-	if e == nil || e.txn == nil {
+	if e == nil || !e.txn.active {
 		if h.strict {
 			panic(fmt.Sprintf("DirHome %d: RecallAck for %#x without txn", h.node, p.Block))
 		}
@@ -338,9 +355,9 @@ func (h *DirHome) onRecallAck(p MsgRecallAck) {
 	h.maybeGrant(p.Block, e)
 }
 
-func (h *DirHome) onInvAck(p MsgInvAck) {
+func (h *DirHome) onInvAck(p *MsgInvAck) {
 	e := h.entries[p.Block]
-	if e == nil || e.txn == nil {
+	if e == nil || !e.txn.active {
 		if h.strict {
 			panic(fmt.Sprintf("DirHome %d: InvAck for %#x without txn", h.node, p.Block))
 		}
@@ -354,39 +371,35 @@ func (h *DirHome) onInvAck(p MsgInvAck) {
 
 // maybeGrant sends the grant once data and all invalidation acks are in.
 func (h *DirHome) maybeGrant(b mem.BlockAddr, e *dirEntry) {
-	t := e.txn
-	if t == nil || t.granted || !t.haveData || t.needAcks > 0 {
+	t := &e.txn
+	if !t.active || t.granted || !t.haveData || t.needAcks > 0 {
 		return
 	}
 	t.granted = true
 	switch t.kind {
 	case txnGetS:
 		e.sharers |= 1 << uint(t.requestor)
-		h.net.Send(&network.Message{Src: h.node, Dst: t.requestor, Size: DataBytes, Class: network.ClassCoherence,
-			Payload: MsgData{Block: b, Data: t.data, Exclusive: false}})
+		h.net.Send(network.Wrap(h.to(t.requestor, DataBytes), MsgData{Block: b, Data: t.data, Exclusive: false}))
 	case txnGetM:
 		e.sharers = 0
 		e.owner = t.requestor
 		if t.upgrade {
-			h.net.Send(&network.Message{Src: h.node, Dst: t.requestor, Size: CtrlBytes, Class: network.ClassCoherence,
-				Payload: MsgPermM{Block: b}})
+			h.net.Send(network.Wrap(h.to(t.requestor, CtrlBytes), MsgPermM{Block: b}))
 		} else {
-			h.net.Send(&network.Message{Src: h.node, Dst: t.requestor, Size: DataBytes, Class: network.ClassCoherence,
-				Payload: MsgData{Block: b, Data: t.data, Exclusive: true}})
+			h.net.Send(network.Wrap(h.to(t.requestor, DataBytes), MsgData{Block: b, Data: t.data, Exclusive: true}))
 		}
 	}
 }
 
-func (h *DirHome) onUnblock(p MsgUnblock) {
+func (h *DirHome) onUnblock(p *MsgUnblock) {
 	e := h.entries[p.Block]
-	if e == nil || e.txn == nil || !e.txn.granted {
+	if e == nil || !e.txn.active || !e.txn.granted {
 		if h.strict {
 			panic(fmt.Sprintf("DirHome %d: Unblock for %#x without granted txn", h.node, p.Block))
 		}
 		return
 	}
-	e.busy = false
-	e.txn = nil
+	e.end()
 	h.next(p.Block, e)
 }
 

@@ -10,9 +10,9 @@ import (
 func DirectoryHandler(cache *DirCache, home *DirHome, fallback network.Handler) network.Handler {
 	return func(m *network.Message) {
 		switch m.Payload.(type) {
-		case MsgData, MsgPermM, MsgInv, MsgRecall, MsgWBAck:
+		case *MsgData, *MsgPermM, *MsgInv, *MsgRecall, *MsgWBAck:
 			cache.Handle(m)
-		case MsgGetS, MsgGetM, MsgPutS, MsgPutM, MsgRecallAck, MsgInvAck, MsgUnblock:
+		case *MsgGetS, *MsgGetM, *MsgPutS, *MsgPutM, *MsgRecallAck, *MsgInvAck, *MsgUnblock:
 			home.Handle(m)
 		default:
 			if fallback != nil {
@@ -26,9 +26,9 @@ func DirectoryHandler(cache *DirCache, home *DirHome, fallback network.Handler) 
 func SnoopingDataHandler(cache *SnoopCache, home *SnoopHome, fallback network.Handler) network.Handler {
 	return func(m *network.Message) {
 		switch m.Payload.(type) {
-		case MsgSnoopData:
+		case *MsgSnoopData:
 			cache.HandleData(m)
-		case MsgSnoopWB:
+		case *MsgSnoopWB:
 			home.HandleData(m)
 		default:
 			if fallback != nil {

@@ -156,3 +156,83 @@ func (h *harness) rmw(t *testing.T, n int, addr mem.Addr, v mem.Word) mem.Word {
 	h.run(t, func() bool { return ok }, 100000)
 	return old
 }
+
+// TestSnoopInstallRetry orders an own GetS and an own GetM into an L2 set
+// whose ways are all transient (every resident line has an MSHR), so the
+// ordering point cannot allocate and installRetry takes over. The data
+// arrives while the set is still full and waits in the MSHR; the first
+// retry finds the set full again and reschedules itself; once a way is
+// freed the next retry installs the line in the granted state and applies
+// the waiting data.
+func TestSnoopInstallRetry(t *testing.T) {
+	for _, tc := range []struct {
+		kind SnoopKind
+		want State
+	}{
+		{SnoopGetS, Shared},
+		{SnoopGetM, Modified},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			h := newHarness(t, snooping, 2)
+			c := h.ctrl(0)
+			sc := c.proto.(*SnoopCache)
+			sets := mem.BlockAddr(h.cfg.L2Sets)
+			const target = mem.BlockAddr(5)
+			// Fill target's set with Shared lines, each pinned by an MSHR.
+			var pins []mem.BlockAddr
+			for i := 1; i <= h.cfg.L2Ways; i++ {
+				b := target + mem.BlockAddr(i)*sets
+				l := c.allocate(b)
+				if l == nil {
+					t.Fatalf("way %d: set already full", i)
+				}
+				c.l2.install(l, b, Shared, mem.Block{}, true)
+				c.mshrs[b] = &mshr{block: b, issued: true}
+				pins = append(pins, b)
+			}
+
+			var got mem.Word
+			loaded := false
+			ms := &mshr{block: target, wantM: tc.kind == SnoopGetM, issued: true}
+			ms.waiters = append(ms.waiters, waiter{kind: waitLoad, addr: target.WordAddr(2),
+				loadDone: func(v mem.Word, _ bool) { got, loaded = v, true }})
+			c.mshrs[target] = ms
+			sc.Snoop(network.Wrap(network.Message{Src: 0, Size: CtrlBytes, Class: network.ClassCoherence},
+				MsgSnoop{Kind: tc.kind, Block: target, Requestor: 0}))
+			if c.l2.peek(target) != nil {
+				t.Fatal("the ordering point installed into a set of transient ways")
+			}
+			var data mem.Block
+			data[2] = 0xfeed
+			sc.deliver(network.Wrap(network.Message{Src: 1, Dst: 0, Size: DataBytes, Class: network.ClassCoherence},
+				MsgSnoopData{Block: target, Data: data}))
+			if ms.dataPending == nil || ms.dataArrived {
+				t.Fatal("data for an uninstalled line was not held in the MSHR")
+			}
+
+			h.k.Run(6) // one retry, still no free way
+			if c.l2.peek(target) != nil || ms.dataPending == nil {
+				t.Fatal("installRetry installed into a set of transient ways")
+			}
+			delete(c.mshrs, pins[0])
+			h.k.Run(6)
+
+			l := c.l2.peek(target)
+			if l == nil {
+				t.Fatal("installRetry never installed the line")
+			}
+			if l.state != tc.want || !l.dataValid {
+				t.Errorf("line installed %v (data valid %v), want %v with its data", l.state, l.dataValid, tc.want)
+			}
+			if !loaded || got != 0xfeed {
+				t.Errorf("load waiter got %#x (served %v), want the held data's 0xfeed", got, loaded)
+			}
+			if v, ok := c.PeekWord(target.WordAddr(2)); !ok || v != 0xfeed {
+				t.Errorf("line holds %#x (readable %v), want the held data's 0xfeed", v, ok)
+			}
+			if c.mshrs[target] != nil {
+				t.Error("MSHR not retired after the held data was applied")
+			}
+		})
+	}
+}

@@ -57,20 +57,20 @@ func (c *SnoopCache) sendRequest(ms *mshr) {
 	if ms.wantM {
 		kind = SnoopGetM
 	}
-	c.bcast.Send(&network.Message{Src: c.node, Size: CtrlBytes, Class: ms.class,
-		Payload: MsgSnoop{Kind: kind, Block: ms.block, Requestor: c.node}})
+	c.bcast.Send(network.Wrap(network.Message{Src: c.node, Size: CtrlBytes, Class: ms.class},
+		MsgSnoop{Kind: kind, Block: ms.block, Requestor: c.node}))
 }
 
 // supply ships the block to a requestor over the data network.
 func (c *SnoopCache) supply(req network.NodeID, b mem.BlockAddr, data mem.Block) {
-	c.data.Send(&network.Message{Src: c.node, Dst: req, Size: DataBytes, Class: network.ClassCoherence,
-		Payload: MsgSnoopData{Block: b, Data: data}})
+	c.data.Send(network.Wrap(network.Message{Src: c.node, Dst: req, Size: DataBytes, Class: network.ClassCoherence},
+		MsgSnoopData{Block: b, Data: data}))
 }
 
 // Snoop processes one broadcast; the network delivers these in the global
 // total order. seq is the broadcast's sequence number.
 func (c *SnoopCache) Snoop(m *network.Message) {
-	p, ok := m.Payload.(MsgSnoop)
+	p, ok := m.Payload.(*MsgSnoop)
 	if !ok {
 		if c.strict {
 			panic(fmt.Sprintf("SnoopCache %d: unexpected broadcast %T", c.node, m.Payload))
@@ -93,7 +93,7 @@ func (c *SnoopCache) Snoop(m *network.Message) {
 }
 
 // onOwnRequest is the ordering point of this cache's own transaction.
-func (c *SnoopCache) onOwnRequest(p MsgSnoop, seq uint64) {
+func (c *SnoopCache) onOwnRequest(p *MsgSnoop, seq uint64) {
 	ms := c.mshrs[p.Block]
 	if ms == nil || !ms.issued || ms.ordered {
 		if c.strict {
@@ -179,10 +179,9 @@ func (c *SnoopCache) installRetry(ms *mshr) {
 		st = Modified
 	}
 	c.l2.install(l, ms.block, st, mem.Block{}, false)
-	if ms.dataPending != nil {
-		data := *ms.dataPending
+	if p := ms.dataPending; p != nil {
 		ms.dataPending = nil
-		c.onSnoopData(MsgSnoopData{Block: ms.block, Data: data})
+		c.onSnoopData(p)
 	}
 }
 
@@ -201,8 +200,8 @@ func (c *SnoopCache) evict(l *line) {
 		c.epochEnd(b, epochKindOf(l.state), c.seqNow(), data)
 		c.wb[b] = &wbEntry{data: data, dirty: true}
 		c.stats.WritebacksDirty++
-		c.bcast.Send(&network.Message{Src: c.node, Size: CtrlBytes, Class: network.ClassCoherence,
-			Payload: MsgSnoop{Kind: SnoopPutM, Block: b, Requestor: c.node}})
+		c.bcast.Send(network.Wrap(network.Message{Src: c.node, Size: CtrlBytes, Class: network.ClassCoherence},
+			MsgSnoop{Kind: SnoopPutM, Block: b, Requestor: c.node}))
 	case Shared:
 		c.epochEnd(b, ReadOnly, c.seqNow(), data)
 		c.stats.EvictionsClean++
@@ -213,7 +212,7 @@ func (c *SnoopCache) evict(l *line) {
 }
 
 // onForeignRequest reacts to another node's ordered request.
-func (c *SnoopCache) onForeignRequest(p MsgSnoop, seq uint64) {
+func (c *SnoopCache) onForeignRequest(p *MsgSnoop, seq uint64) {
 	b := p.Block
 	if ms := c.mshrs[b]; ms != nil && ms.ordered && !ms.dataArrived {
 		c.deferTransition(ms, p, seq)
@@ -256,7 +255,7 @@ func (c *SnoopCache) onForeignRequest(p MsgSnoop, seq uint64) {
 
 // deferTransition records a foreign request ordered inside our pending
 // transaction's epoch, to be replayed when the data arrives.
-func (c *SnoopCache) deferTransition(ms *mshr, p MsgSnoop, seq uint64) {
+func (c *SnoopCache) deferTransition(ms *mshr, p *MsgSnoop, seq uint64) {
 	switch {
 	case p.Kind == SnoopGetS && ms.curState == Modified:
 		ms.transitions = append(ms.transitions, snoopTransition{
@@ -290,15 +289,15 @@ func (c *SnoopCache) onOwnPutM(b mem.BlockAddr) {
 	}
 	if e.dirty {
 		home := c.cfg.HomeOf(b)
-		c.data.Send(&network.Message{Src: c.node, Dst: home, Size: DataBytes, Class: network.ClassCoherence,
-			Payload: MsgSnoopWB{Block: b, Data: e.data, From: c.node}})
+		c.data.Send(network.Wrap(network.Message{Src: c.node, Dst: home, Size: DataBytes, Class: network.ClassCoherence},
+			MsgSnoopWB{Block: b, Data: e.data, From: c.node}))
 	}
 	c.wbDone(b)
 }
 
 // HandleData takes a block arriving over the torus into the controller.
 func (c *SnoopCache) HandleData(m *network.Message) {
-	if _, ok := m.Payload.(MsgSnoopData); !ok {
+	if _, ok := m.Payload.(*MsgSnoopData); !ok {
 		if c.strict {
 			panic(fmt.Sprintf("SnoopCache %d: unexpected data payload %T", c.node, m.Payload))
 		}
@@ -308,9 +307,9 @@ func (c *SnoopCache) HandleData(m *network.Message) {
 }
 
 // deliver implements protocol: only data blocks pass HandleData.
-func (c *SnoopCache) deliver(m *network.Message) { c.onSnoopData(m.Payload.(MsgSnoopData)) }
+func (c *SnoopCache) deliver(m *network.Message) { c.onSnoopData(m.Payload.(*MsgSnoopData)) }
 
-func (c *SnoopCache) onSnoopData(p MsgSnoopData) {
+func (c *SnoopCache) onSnoopData(p *MsgSnoopData) {
 	ms := c.mshrs[p.Block]
 	if ms == nil || !ms.ordered {
 		if c.strict {
@@ -320,10 +319,9 @@ func (c *SnoopCache) onSnoopData(p MsgSnoopData) {
 	}
 	l := c.l2.peek(p.Block)
 	if l == nil {
-		// The ordering point could not allocate a line yet; stash the
-		// data until installRetry succeeds.
-		d := p.Data
-		ms.dataPending = &d
+		// The ordering point could not allocate a line yet; keep the
+		// (immutable) payload until installRetry succeeds.
+		ms.dataPending = p
 		return
 	}
 	ms.dataArrived = true

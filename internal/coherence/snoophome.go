@@ -88,7 +88,7 @@ func (h *SnoopHome) OwnerOf(b mem.BlockAddr) network.NodeID { return h.ownerOf(b
 
 // Snoop processes a broadcast for blocks homed at this node.
 func (h *SnoopHome) Snoop(m *network.Message) {
-	p, ok := m.Payload.(MsgSnoop)
+	p, ok := m.Payload.(*MsgSnoop)
 	if !ok {
 		if h.strict {
 			panic(fmt.Sprintf("SnoopHome %d: unexpected broadcast %T", h.node, m.Payload))
@@ -187,10 +187,10 @@ func (h *SnoopHome) perform(w *snoopWait) {
 	switch w.what {
 	case workSupply:
 		data := h.memory.ReadBlock(w.block)
-		h.data.Send(&network.Message{Src: h.node, Dst: w.node, Size: DataBytes, Class: network.ClassCoherence,
-			Payload: MsgSnoopData{Block: w.block, Data: data}})
+		h.data.Send(network.Wrap(network.Message{Src: h.node, Dst: w.node, Size: DataBytes, Class: network.ClassCoherence},
+			MsgSnoopData{Block: w.block, Data: data}))
 	case workWBLatch:
-		h.onWBData(MsgSnoopWB{Block: w.block, Data: w.data, From: w.node})
+		h.onWBData(w.block, w.data)
 	case workWBWrite:
 		h.memory.WriteBlock(w.block, w.data)
 		delete(h.pendingWB, w.block)
@@ -205,7 +205,7 @@ func (h *SnoopHome) perform(w *snoopWait) {
 // HandleData processes torus messages addressed to the home: writeback
 // data.
 func (h *SnoopHome) HandleData(m *network.Message) {
-	p, ok := m.Payload.(MsgSnoopWB)
+	p, ok := m.Payload.(*MsgSnoopWB)
 	if !ok {
 		if h.strict {
 			panic(fmt.Sprintf("SnoopHome %d: unexpected data payload %T", h.node, m.Payload))
@@ -217,15 +217,15 @@ func (h *SnoopHome) HandleData(m *network.Message) {
 	h.after(1, w)
 }
 
-func (h *SnoopHome) onWBData(p MsgSnoopWB) {
-	if !h.pendingWB[p.Block] {
+func (h *SnoopHome) onWBData(b mem.BlockAddr, data mem.Block) {
+	if !h.pendingWB[b] {
 		if h.strict {
-			panic(fmt.Sprintf("SnoopHome %d: writeback data for %#x without pending PutM", h.node, p.Block))
+			panic(fmt.Sprintf("SnoopHome %d: writeback data for %#x without pending PutM", h.node, b))
 		}
 		return
 	}
 	h.stats.MemoryWrites++
 	w := h.waits.Get()
-	w.what, w.block, w.data = workWBWrite, p.Block, p.Data
+	w.what, w.block, w.data = workWBWrite, b, data
 	h.after(memLatency, w)
 }

@@ -56,11 +56,31 @@ func (c Class) String() string {
 
 // Message is the unit of transfer. Payload carries a protocol-defined
 // struct; the network treats it opaquely except for fault injection.
+//
+// A payload is immutable once sent. Envelopes are copied freely (a
+// duplicate or a stale replay is a second envelope with the same Payload),
+// and receivers may keep a payload they were handed, so a body may be
+// shared by several envelopes and outlive its delivery. Whatever must
+// change one message's payload — a fault hook's bit flip — replaces
+// Payload with a changed copy and never writes through the shared body.
 type Message struct {
 	Src, Dst NodeID
 	Size     int // bytes on the wire
 	Class    Class
 	Payload  any
+}
+
+// Wrap returns m carrying body as its payload, built as one heap object:
+// the envelope and the body share an allocation, and Payload holds a *P
+// pointing at the body inside it (a pointer in an interface boxes nothing
+// more). m's own Payload is replaced.
+func Wrap[P any](m Message, body P) *Message {
+	w := &struct {
+		Message
+		body P
+	}{m, body}
+	w.Payload = &w.body
+	return &w.Message
 }
 
 // Handler consumes messages delivered at a node.

@@ -62,7 +62,10 @@ func (c *Checker) checkValue(idx uint64, ev *trace.Event, v mem.Word) {
 		what = "rmw old value"
 	}
 	// Pending queries exist only for anomalous bindings; zero on legal
-	// traces.
+	// traces, which never make the map.
+	if c.pending == nil {
+		c.pending = make(map[wkey][]finding)
+	}
 	c.pending[k] = append(c.pending[k], finding{idx: idx, v: oracle.Violation{
 		Rule: oracle.RuleLoadValue, Node: int(ev.Node), Seq: ev.Seq, Time: ev.Time,
 		Detail: fmt.Sprintf("%s bound %#x at %#x, which no processor wrote", what, uint64(v), uint64(ev.Addr)),

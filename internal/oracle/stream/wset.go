@@ -10,6 +10,7 @@ type wset struct {
 	slots []wkey
 	n     int  // occupied slots
 	zero  bool // whether {0, 0} is in the set
+	first int  // slots of the first table, a power of two; 16 when zero
 }
 
 // hash mixes both halves of the key into every bit, so addresses that
@@ -67,10 +68,11 @@ func (s *wset) add(k wkey) bool {
 	return true
 }
 
-// grow doubles the table (to 16 slots from empty) and re-places every key.
+// grow doubles the table (to first, or 16, slots from empty) and
+// re-places every key.
 func (s *wset) grow() {
 	old := s.slots
-	s.slots = make([]wkey, max(16, 2*len(old)))
+	s.slots = make([]wkey, max(16, s.first, 2*len(old)))
 	for _, k := range old {
 		if k != (wkey{}) {
 			s.slots[s.slot(k)] = k

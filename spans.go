@@ -67,35 +67,35 @@ func (t txnTap) TxnEnd(b mem.BlockAddr, upgraded bool) {
 func hopOf(m *network.Message) (label span.Label, addr uint64, requestor int32, ok bool) {
 	requestor = -1
 	switch p := m.Payload.(type) {
-	case coherence.MsgGetS:
+	case *coherence.MsgGetS:
 		return span.LabelGetS, uint64(p.Block), int32(p.Requestor), true
-	case coherence.MsgGetM:
+	case *coherence.MsgGetM:
 		return span.LabelGetM, uint64(p.Block), int32(p.Requestor), true
-	case coherence.MsgPutS:
+	case *coherence.MsgPutS:
 		return span.LabelPutS, uint64(p.Block), int32(p.Requestor), true
-	case coherence.MsgPutM:
+	case *coherence.MsgPutM:
 		return span.LabelPutM, uint64(p.Block), int32(p.Requestor), true
-	case coherence.MsgData:
+	case *coherence.MsgData:
 		return span.LabelData, uint64(p.Block), requestor, true
-	case coherence.MsgPermM:
+	case *coherence.MsgPermM:
 		return span.LabelPermM, uint64(p.Block), requestor, true
-	case coherence.MsgInv:
+	case *coherence.MsgInv:
 		return span.LabelInv, uint64(p.Block), requestor, true
-	case coherence.MsgInvAck:
+	case *coherence.MsgInvAck:
 		return span.LabelInvAck, uint64(p.Block), requestor, true
-	case coherence.MsgRecall:
+	case *coherence.MsgRecall:
 		return span.LabelRecall, uint64(p.Block), requestor, true
-	case coherence.MsgRecallAck:
+	case *coherence.MsgRecallAck:
 		return span.LabelRecallAck, uint64(p.Block), requestor, true
-	case coherence.MsgWBAck:
+	case *coherence.MsgWBAck:
 		return span.LabelWBAck, uint64(p.Block), requestor, true
-	case coherence.MsgUnblock:
+	case *coherence.MsgUnblock:
 		return span.LabelUnblock, uint64(p.Block), int32(p.From), true
-	case coherence.MsgSnoop:
+	case *coherence.MsgSnoop:
 		return span.LabelSnoop, uint64(p.Block), int32(p.Requestor), true
-	case coherence.MsgSnoopData:
+	case *coherence.MsgSnoopData:
 		return span.LabelSnoopData, uint64(p.Block), requestor, true
-	case coherence.MsgSnoopWB:
+	case *coherence.MsgSnoopWB:
 		return span.LabelSnoopWB, uint64(p.Block), int32(p.From), true
 	default:
 		return 0, 0, -1, false
