@@ -12,12 +12,14 @@ import (
 // traffic itself, one object per message: envelope and payload body are
 // one allocation, and a directory transaction lives in its block's entry
 // (DESIGN.md, "Object lifetimes", says why messages stay on the heap).
-// The access path, the pipeline and checkpoints contribute nothing once
-// warm. The two read 0.177 and 0.074, and the budgets are that plus 10 %
-// (0.37 and 0.14 while a message was two objects and a transaction one
-// more; 1.84 and 1.01 before the access path recycled its records). A
-// second object per message, or one closure per load or per fetched op,
-// fails here, not in a benchmark.
+// The access path, the pipeline, evictions' writeback entries, benign
+// replay mismatches and checkpoints contribute nothing once warm. The
+// two read 0.176 and 0.072, and the budgets are that plus 10 % (0.177
+// and 0.074 while an eviction kept a heap entry and a mismatch formatted
+// a violation; 0.37 and 0.14 while a message was two objects and a
+// transaction one more; 1.84 and 1.01 before the access path recycled
+// its records). A second object per message, or one closure per load or
+// per fetched op, fails here, not in a benchmark.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 2 × 250k cycles")
@@ -28,8 +30,8 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		w      Workload
 		budget float64
 	}{
-		{"directory/TSO/oltp", ScaledConfig().WithProtocol(Directory).WithModel(TSO), OLTP(), 0.195},
-		{"snooping/RMO/slash", ScaledConfig().WithProtocol(Snooping).WithModel(RMO), Slashcode(), 0.082},
+		{"directory/TSO/oltp", ScaledConfig().WithProtocol(Directory).WithModel(TSO), OLTP(), 0.194},
+		{"snooping/RMO/slash", ScaledConfig().WithProtocol(Snooping).WithModel(RMO), Slashcode(), 0.080},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := NewSystem(tc.cfg, tc.w)

@@ -24,8 +24,9 @@
 // dvmc-fuzz replay -spans-out / -metrics-out.
 //
 // Exit codes: 0 clean (and for -h), 1 usage or I/O error, 2 campaign
-// failure found (fuzz: escape, false alarm, or crash; experiment:
-// undetected faults) or, on resume, a checkpoint that does not decode —
+// failure found (fuzz: escape, false alarm, or crash; experiment: the
+// Section 6.1 verdict, an undetected fault or a detection with no live
+// pre-error checkpoint) or, on resume, a checkpoint that does not decode —
 // torn mid-file, a CRC mismatch, a DVMC1 journal from before shard
 // results became verdicts, an experiment journal whose results carry
 // per-row "rows", a fuzz journal whose spec names breeding "generations"
@@ -47,7 +48,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"time"
 
 	"dvmc"
 	"dvmc/internal/fabric"
@@ -243,9 +243,9 @@ func (c *cli) serve(args []string, resume bool) int {
 	if err != nil {
 		return c.failf("%s: %v", name, err)
 	}
-	// Linger past the workers' poll interval so they observe the job's
-	// Done state instead of a vanished coordinator.
-	time.Sleep(4 * time.Second)
+	// Stay up until every worker has been answered Done (or has gone
+	// silent), so none meets a vanished coordinator.
+	coord.Drain()
 	srv.Shutdown(context.Background())
 	if failed {
 		return 2
@@ -285,10 +285,10 @@ func (c *cli) writeOutputs(out *fabric.Output, report io.Writer, jsonOut bool, r
 		return false, nil
 	}
 
-	// Experiment job: print the table; fail on undetected faults.
+	// Experiment job: print the table; fail by its verdict.
 	fmt.Fprint(report, out.Table)
-	if _, _, _, undetected := (dvmc.CampaignResult{Results: out.Injections}).Counts(); undetected > 0 {
-		fmt.Fprintf(c.stderr, "dvmc-farm: %d undetected faults\n", undetected)
+	if err := out.Table.Verdict(); err != nil {
+		fmt.Fprintf(c.stderr, "dvmc-farm: Section 6.1: %v\n", err)
 		return true, nil
 	}
 	return false, nil

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"dvmc"
 	"dvmc/internal/fabric"
 	"dvmc/internal/fuzz"
 	"dvmc/internal/hash"
@@ -24,11 +25,12 @@ func runFarm(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errOut.String()
 }
 
-// TestExitCodes pins the tool's contract on the paths that end before a
-// coordinator binds: 0 for help, 1 for a usage error, 2 for a checkpoint
-// that does not decode or holds a result the job would refuse. Every
-// serve and resume names port 0, so a case that did reach the listener
-// would not collide with anything.
+// TestExitCodes pins the tool's contract: 0 for help and a finished
+// experiment its verdict passes, 1 for a usage error, 2 for a checkpoint
+// that does not decode or holds a result the job would refuse, and for
+// an experiment the Section 6.1 verdict fails. Every serve and resume
+// names port 0, so a case that did reach the listener would not collide
+// with anything; a finished journal resumes with no worker to wait for.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string, data []byte) string {
@@ -76,6 +78,25 @@ func TestExitCodes(t *testing.T) {
 	hugeRuns := file("huge-runs.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"fuzz","fuzz":{"seed":5,"runs":1099511627776,"budget":2000}}}`)))
 	// A journal from when a campaign could breed generations.
 	gens := file("gens.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"fuzz","fuzz":{"seed":5,"runs":4,"generations":2,"workers":0,"fault_frac":0,"budget":2000,"minimize":false},"shard_size":2}}`)))
+	// Finished experiment journals whose results the coordinator accepts
+	// (each reports its derived injection): one all recoverable, one
+	// with a detection no live checkpoint could roll back.
+	experiment := func(name string, recoverable ...bool) string {
+		spec := fabric.JobSpec{Kind: fabric.JobExperiment, Experiment: &fabric.ExperimentSpec{Faults: 1, Budget: 1000, Seed: 3}, ShardSize: 8}
+		res := fabric.ShardResult{Shard: spec.Shards()[0]}
+		for i, inj := range dvmc.ErrorDetection(1, 1000, 3).Injections() {
+			res.Injections = append(res.Injections, dvmc.InjectionResult{Injection: inj, Applied: true, Detected: true, Recoverable: recoverable[i]})
+		}
+		var journal bytes.Buffer
+		for _, e := range []fabric.CheckpointEntry{{Spec: &spec}, {Result: &res}} {
+			if err := fabric.AppendEntry(&journal, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return file(name, journal.Bytes())
+	}
+	recovered := experiment("recovered.ckpt", true, true, true, true, true, true, true, true)
+	unrecoverable := experiment("unrecoverable.ckpt", true, true, true, false, true, true, true, true)
 	hugeFaults := file("huge-faults.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"experiment","experiment":{"faults":137438953472,"budget":1000,"seed":3}}}`)))
 	// A coordinator whose status reply carries a second value.
 	twoStatuses := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -109,6 +130,8 @@ func TestExitCodes(t *testing.T) {
 		{"breeding generations", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", gens}, 2, `unknown field "generations"`},
 		{"fuzz runs near 2^40", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", hugeRuns}, 2, "record 0, offset 0: fabric: fuzz Runs = 1099511627776, need <= 1048576 cases"},
 		{"experiment faults near 2^40", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", hugeFaults}, 2, "record 0, offset 0: fabric: experiment Faults = 137438953472, need <= 1048576 cases"},
+		{"experiment all recovered", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", recovered}, 0, "(1 already done)"},
+		{"experiment with an unrecoverable detection", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", unrecoverable}, 2, "dvmc-farm: Section 6.1: 0 undetected and 1 unrecoverable faults"},
 	} {
 		code, _, stderr := runFarm(tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.stderr) {

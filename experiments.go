@@ -51,6 +51,22 @@ type Table struct {
 	Rows  []string
 	Cols  []string
 	Cells [][]Cell
+
+	// Injections are the results the Section 6.1 table counts, in index
+	// order (row-major); a figure's table has none. They are not printed.
+	Injections []InjectionResult
+}
+
+// Verdict is the Section 6.1 rule dvmc-bench and dvmc-farm exit 2 by: an
+// error when an applied fault went undetected (a false negative) or was
+// detected with no live pre-error checkpoint (unrecoverable). A table
+// that counts no injections passes.
+func (t Table) Verdict() error {
+	_, _, _, undetected, unrecoverable := CampaignResult{Results: t.Injections}.Counts()
+	if undetected == 0 && unrecoverable == 0 {
+		return nil
+	}
+	return fmt.Errorf("%d undetected and %d unrecoverable faults", undetected, unrecoverable)
 }
 
 // String renders the table.
@@ -144,9 +160,8 @@ type runs struct {
 // injectionSpace numbers the injections of a list of campaigns as one
 // index space: campaign by campaign, each campaign's derived injections
 // in order. The Section 6.1 matrix's campaigns are its rows, so there
-// index i is row i/faults, injection i%faults. Evaluate's pool,
-// RunCampaign and the fabric's experiment shards all run index i
-// through run.
+// index i is row i/faults, injection i%faults. Evaluate's pool and the
+// fabric's experiment shards both run index i through run.
 type injectionSpace struct {
 	jobs  []campaignJob
 	injs  []Injection // every campaign's injections, campaign by campaign
@@ -493,7 +508,7 @@ func ErrorDetectionRows() []ErrorDetectionRow {
 // ErrorDetectionConfig builds one row's fully-protected system
 // configuration (tight SafetyNet interval, periodic membar
 // injection) — the exact knobs the Section 6.1 campaign has always
-// used, exported so dvmc-errors runs the same rows.
+// used.
 func ErrorDetectionConfig(r ErrorDetectionRow, seed uint64) Config {
 	cfg := protectConfig(r.Protocol, r.Model).WithSeed(seed)
 	cfg.SNConfig.Interval = 10000
@@ -505,8 +520,9 @@ func ErrorDetectionConfig(r ErrorDetectionRow, seed uint64) Config {
 // ErrorDetection is the Section 6.1 experiment as a Figure: per
 // ErrorDetectionRows row, a campaign of faultsPerConfig injections into
 // OLTP of budget cycles each, seeded from seed, reporting detection
-// coverage. Each injection is one slot of Evaluate's pool; the rows in
-// order make its injection index space row-major.
+// coverage and recoverability. Each injection is one slot of Evaluate's
+// pool; the rows in order make its injection index space row-major, and
+// the table carries every result in that order (Table.Injections).
 func ErrorDetection(faultsPerConfig int, budget uint64, seed uint64) Figure {
 	rows := ErrorDetectionRows()
 	campaigns := make([]campaignJob, len(rows))
@@ -516,15 +532,19 @@ func ErrorDetection(faultsPerConfig int, budget uint64, seed uint64) Figure {
 	return Figure{Name: "Section 6.1", campaigns: campaigns, view: func(r *runs) Table {
 		t := Table{
 			Title: "Section 6.1: error-detection campaign (detected / applied; masked faults had no architectural effect)",
-			Cols:  []string{"applied", "detected", "masked", "undetected"},
+			Note:  "unrecoverable: detected with no live pre-error checkpoint, outside SafetyNet's recovery window",
+			Cols:  []string{"applied", "detected", "masked", "undetected", "unrecoverable"},
 		}
 		for i, row := range rows {
-			applied, detected, masked, undetected := r.campaigns[campaigns[i].key()].Counts()
+			c := r.campaigns[campaigns[i].key()]
+			applied, detected, masked, undetected, unrecoverable := c.Counts()
 			t.Rows = append(t.Rows, fmt.Sprintf("%v/%v", row.Protocol, row.Model))
 			t.Cells = append(t.Cells, []Cell{
 				{Mean: float64(applied)}, {Mean: float64(detected)},
 				{Mean: float64(masked)}, {Mean: float64(undetected)},
+				{Mean: float64(unrecoverable)},
 			})
+			t.Injections = append(t.Injections, c.Results...)
 		}
 		return t
 	}}

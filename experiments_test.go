@@ -110,10 +110,35 @@ func TestErrorDetectionTableSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertTableShape(t, tab, 8, 4)
+	assertTableShape(t, tab, 8, 5)
 	for i := range tab.Rows {
 		if undetected := tab.Cells[i][3].Mean; undetected != 0 {
 			t.Errorf("%s: %v false negatives", tab.Rows[i], undetected)
+		}
+		if unrecoverable := tab.Cells[i][4].Mean; unrecoverable != 0 {
+			t.Errorf("%s: %v detections outside the recovery window", tab.Rows[i], unrecoverable)
+		}
+	}
+	if len(tab.Injections) != 8*3 {
+		t.Errorf("the table carries %d injection results, want 24", len(tab.Injections))
+	}
+}
+
+// TestErrorDetectionConfigIsTheTableRow: each Section 6.1 row runs the
+// fully protected system of its protocol and model with the campaign's
+// own knobs (a 10k-cycle SafetyNet interval keeping 10 checkpoints, a
+// membar injected every 5,000 cycles) and the campaign seed.
+func TestErrorDetectionConfigIsTheTableRow(t *testing.T) {
+	for _, seed := range []uint64{1, 42} {
+		for _, row := range ErrorDetectionRows() {
+			want := ScaledConfig().WithSeed(seed)
+			want.SNConfig.Interval = 10000
+			want.SNConfig.Keep = 10
+			want.Proc.MembarInjectionInterval = 5000
+			want.DVMC, want.SafetyNet = Full(), true
+			if want = want.WithModel(row.Model).WithProtocol(row.Protocol); ErrorDetectionConfig(row, seed) != want {
+				t.Errorf("%v/%v seed %d: config differs from the campaign's knobs", row.Protocol, row.Model, seed)
+			}
 		}
 	}
 }

@@ -249,7 +249,8 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 			}
 			res.DetectionKind = core.UOMismatch
 			res.Latency = s.Now() - res.ActivatedAt
-			// Inline UO-replay detections never reach the violation sink.
+			// An inline UO-replay catch is no violation: the checker only
+			// counts it, so the telemetry fold reads it from here.
 			s.replayCaughtAt = s.Now()
 		}
 		if s.snMgr != nil {
@@ -274,10 +275,12 @@ type CampaignResult struct {
 	Results []InjectionResult
 }
 
-// Counts returns (applied, detected, masked, undetected) totals.
-// Undetected excludes masked faults: it counts only faults that affected
-// architectural state without any checker noticing — false negatives.
-func (c CampaignResult) Counts() (applied, detected, masked, undetected int) {
+// Counts returns (applied, detected, masked, undetected, unrecoverable)
+// totals. Undetected excludes masked faults: it counts only faults that
+// affected architectural state without any checker noticing — false
+// negatives. Unrecoverable counts the detected faults no live pre-error
+// checkpoint could roll back.
+func (c CampaignResult) Counts() (applied, detected, masked, undetected, unrecoverable int) {
 	for _, r := range c.Results {
 		if !r.Applied {
 			continue
@@ -286,6 +289,9 @@ func (c CampaignResult) Counts() (applied, detected, masked, undetected int) {
 		switch {
 		case r.Detected:
 			detected++
+			if !r.Recoverable {
+				unrecoverable++
+			}
 		case r.Masked:
 			masked++
 		default:
@@ -295,33 +301,10 @@ func (c CampaignResult) Counts() (applied, detected, masked, undetected int) {
 	return
 }
 
-// MaxLatency returns the worst detection latency among detected faults.
-func (c CampaignResult) MaxLatency() sim.Cycle {
-	var m sim.Cycle
-	for _, r := range c.Results {
-		if r.Detected && r.Latency > m {
-			m = r.Latency
-		}
-	}
-	return m
-}
-
-// AllRecoverable reports whether every detected fault was caught while a
-// pre-error checkpoint was still live.
-func (c CampaignResult) AllRecoverable() bool {
-	for _, r := range c.Results {
-		if r.Detected && !r.Recoverable {
-			return false
-		}
-	}
-	return true
-}
-
 // DeriveCampaignInjections precomputes a campaign's n injections
 // (random kind, node, and time, per the paper's methodology). The
-// sequence is a pure function of cfg.Seed — the same stream RunCampaign
-// has always drawn — so any injection of the campaign can be executed
-// anywhere and still agree with the serial run.
+// sequence is a pure function of cfg.Seed, so any injection of the
+// campaign can be executed anywhere and still agree with the serial run.
 func DeriveCampaignInjections(cfg Config, n int) []Injection {
 	rng := sim.NewRand(cfg.Seed + 0xfa17)
 	kinds := AllFaultKinds()
@@ -334,17 +317,4 @@ func DeriveCampaignInjections(cfg Config, n int) []Injection {
 		}
 	}
 	return out
-}
-
-// RunCampaign injects n random faults (random kind, node, and time, per
-// the paper's methodology) into fresh systems and aggregates detection.
-// It is Evaluate over one campaign: each injection is one slot of the
-// default-sized pool, and the result is the same at any worker count.
-func RunCampaign(cfg Config, w Workload, n int, budget uint64) (CampaignResult, error) {
-	job := campaignJob{cfg, w, n, budget}
-	r, err := execute([]Figure{{Name: "campaign", campaigns: []campaignJob{job}}}, ExperimentOpts{})
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	return r.campaigns[job.key()], nil
 }

@@ -125,6 +125,17 @@ func TestInjectionAcrossModels(t *testing.T) {
 	}
 }
 
+// runCampaign runs one campaign of n derived injections through
+// Evaluate's pool, as the Section 6.1 table runs each of its rows.
+func runCampaign(cfg Config, w Workload, n int, budget uint64) (CampaignResult, error) {
+	job := campaignJob{cfg, w, n, budget}
+	r, err := execute([]Figure{{Name: "campaign", campaigns: []campaignJob{job}}}, ExperimentOpts{})
+	if err != nil {
+		return CampaignResult{}, err
+	}
+	return r.campaigns[job.key()], nil
+}
+
 // TestCampaign runs a randomized multi-fault campaign and checks the
 // aggregate: every detected fault within the window, none detected but
 // unrecoverable, and a high detection rate among applied faults.
@@ -133,13 +144,19 @@ func TestCampaign(t *testing.T) {
 		t.Skip("campaign is slow")
 	}
 	cfg := injCfg()
-	camp, err := RunCampaign(cfg, Slashcode(), 30, 400_000)
+	camp, err := runCampaign(cfg, Slashcode(), 30, 400_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied, detected, masked, undetected := camp.Counts()
-	t.Logf("campaign: applied=%d detected=%d masked=%d undetected=%d maxLatency=%d",
-		applied, detected, masked, undetected, camp.MaxLatency())
+	applied, detected, masked, undetected, unrecoverable := camp.Counts()
+	var maxLatency sim.Cycle
+	for _, r := range camp.Results {
+		if r.Detected {
+			maxLatency = max(maxLatency, r.Latency)
+		}
+	}
+	t.Logf("campaign: applied=%d detected=%d masked=%d undetected=%d unrecoverable=%d maxLatency=%d",
+		applied, detected, masked, undetected, unrecoverable, maxLatency)
 	if applied == 0 {
 		t.Fatal("no faults applied")
 	}
@@ -150,7 +167,7 @@ func TestCampaign(t *testing.T) {
 			}
 		}
 	}
-	if !camp.AllRecoverable() {
+	if unrecoverable != 0 {
 		for _, r := range camp.Results {
 			if r.Detected && !r.Recoverable {
 				t.Errorf("outside recovery window: %v", r)
@@ -233,8 +250,8 @@ func TestRunInjectionRejectsBadInput(t *testing.T) {
 		t.Errorf("node 5 of 4: applied = %v, err = %v", res.Applied, err)
 	}
 	// A negative campaign size used to panic sizing the injection list.
-	if _, err := RunCampaign(injCfg(), OLTP(), -1, 1000); err == nil {
-		t.Error("RunCampaign(n = -1) returned no error")
+	if _, err := runCampaign(injCfg(), OLTP(), -1, 1000); err == nil {
+		t.Error("a campaign of -1 faults returned no error")
 	}
 }
 
@@ -254,67 +271,57 @@ func TestInjectionResultString(t *testing.T) {
 }
 
 // TestCampaignResultCounts checks the aggregation arithmetic over a
-// hand-built result set: not-applied results are excluded entirely, and
-// applied results partition into detected / masked / undetected.
+// hand-built result set: not-applied results are excluded entirely,
+// applied results partition into detected / masked / undetected, and a
+// detection with no live pre-error checkpoint is also unrecoverable.
 func TestCampaignResultCounts(t *testing.T) {
 	c := CampaignResult{Results: []InjectionResult{
-		{},                              // not applied
-		{Applied: true, Detected: true}, // detected
-		{Applied: true, Detected: true}, // detected
-		{Applied: true, Masked: true},   // masked
-		{Applied: true},                 // undetected escape
-		{Applied: true, Detected: true, Masked: true}, // detection wins over masking
+		{}, // not applied
+		{Applied: true, Detected: true, Recoverable: true}, // detected
+		{Applied: true, Detected: true, Recoverable: true}, // detected
+		{Applied: true, Masked: true},                      // masked
+		{Applied: true},                                    // undetected escape
+		{Applied: true, Detected: true, Masked: true},      // detection wins over masking; unrecoverable
 	}}
-	applied, detected, masked, undetected := c.Counts()
-	if applied != 5 || detected != 3 || masked != 1 || undetected != 1 {
-		t.Fatalf("Counts() = %d/%d/%d/%d, want 5/3/1/1", applied, detected, masked, undetected)
+	applied, detected, masked, undetected, unrecoverable := c.Counts()
+	if applied != 5 || detected != 3 || masked != 1 || undetected != 1 || unrecoverable != 1 {
+		t.Fatalf("Counts() = %d/%d/%d/%d/%d, want 5/3/1/1/1", applied, detected, masked, undetected, unrecoverable)
 	}
 }
 
 func TestCampaignResultCountsEmpty(t *testing.T) {
 	var c CampaignResult
-	applied, detected, masked, undetected := c.Counts()
-	if applied+detected+masked+undetected != 0 {
-		t.Fatalf("empty campaign counted %d/%d/%d/%d", applied, detected, masked, undetected)
-	}
-	if got := c.MaxLatency(); got != 0 {
-		t.Fatalf("empty campaign MaxLatency = %d", got)
-	}
-	if !c.AllRecoverable() {
-		t.Fatal("empty campaign must be vacuously recoverable")
+	applied, detected, masked, undetected, unrecoverable := c.Counts()
+	if applied+detected+masked+undetected+unrecoverable != 0 {
+		t.Fatalf("empty campaign counted %d/%d/%d/%d/%d", applied, detected, masked, undetected, unrecoverable)
 	}
 }
 
-// TestCampaignResultMaxLatency: only detected faults contribute; the
-// worst one wins.
-func TestCampaignResultMaxLatency(t *testing.T) {
-	c := CampaignResult{Results: []InjectionResult{
-		{Applied: true, Detected: true, Latency: 40},
-		{Applied: true, Detected: true, Latency: 900},
-		{Applied: true, Latency: 5000}, // undetected: latency is meaningless
-		{Applied: true, Detected: true, Latency: 7},
-	}}
-	if got := c.MaxLatency(); got != sim.Cycle(900) {
-		t.Fatalf("MaxLatency = %d, want 900", got)
-	}
-}
-
-// TestCampaignResultAllRecoverable: one unrecoverable detection poisons
-// the campaign; undetected results do not count against it.
-func TestCampaignResultAllRecoverable(t *testing.T) {
-	ok := CampaignResult{Results: []InjectionResult{
+// TestTableVerdict: one unrecoverable detection or one false negative
+// fails the Section 6.1 verdict; recoverable detections, masked and
+// not-applied faults pass it, and so does a table of no injections.
+func TestTableVerdict(t *testing.T) {
+	pass := []InjectionResult{
+		{},
 		{Applied: true, Detected: true, Recoverable: true},
-		{Applied: true}, // undetected: recoverability not applicable
-	}}
-	if !ok.AllRecoverable() {
-		t.Fatal("campaign with only recoverable detections reported unrecoverable")
+		{Applied: true, Masked: true}, // undetected but masked: recoverability not applicable
 	}
-	bad := CampaignResult{Results: []InjectionResult{
-		{Applied: true, Detected: true, Recoverable: true},
-		{Applied: true, Detected: true, Recoverable: false},
-	}}
-	if bad.AllRecoverable() {
-		t.Fatal("campaign with an unrecoverable detection reported recoverable")
+	for _, tc := range []struct {
+		name string
+		add  []InjectionResult
+		want string // "" passes
+	}{
+		{"clean", nil, ""},
+		{"unrecoverable", []InjectionResult{{Applied: true, Detected: true}}, "0 undetected and 1 unrecoverable faults"},
+		{"undetected", []InjectionResult{{Applied: true}, {Applied: true}}, "2 undetected and 0 unrecoverable faults"},
+	} {
+		err := Table{Injections: append(append([]InjectionResult(nil), pass...), tc.add...)}.Verdict()
+		if got := fmt.Sprint(err); tc.want == "" && err != nil || tc.want != "" && got != tc.want {
+			t.Errorf("%s: Verdict() = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if err := (Table{}).Verdict(); err != nil {
+		t.Errorf("a table of no injections: Verdict() = %v", err)
 	}
 }
 
@@ -361,8 +368,9 @@ func TestInjectionLSQValueFlipRMO(t *testing.T) {
 
 // TestCampaignMatchesSerialLoop pins the one rule every campaign path
 // runs injection i by, and that benchmark/ inlines: a fresh system
-// seeded cfg.Seed+i, given the campaign's derived injection i. RunCampaign
-// runs on the pool; its results must equal the plain serial loop's.
+// seeded cfg.Seed+i, given the campaign's derived injection i. A
+// campaign runs on Evaluate's pool; its results must equal the plain
+// serial loop's.
 func TestCampaignMatchesSerialLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign is slow")
@@ -370,7 +378,7 @@ func TestCampaignMatchesSerialLoop(t *testing.T) {
 	cfg := injCfg()
 	const n, budget = 5, 200_000
 	for _, w := range []Workload{OLTP(), Slashcode()} {
-		camp, err := RunCampaign(cfg, w, n, budget)
+		camp, err := runCampaign(cfg, w, n, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +389,7 @@ func TestCampaignMatchesSerialLoop(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(camp.Results, want) {
-			t.Fatalf("%s: RunCampaign differs from the serial loop:\n got %+v\nwant %+v", w.Name, camp.Results, want)
+			t.Fatalf("%s: the pooled campaign differs from the serial loop:\n got %+v\nwant %+v", w.Name, camp.Results, want)
 		}
 	}
 }

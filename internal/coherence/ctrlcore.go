@@ -37,7 +37,7 @@ type ctrlCore struct {
 	queue
 
 	mshrs map[mem.BlockAddr]*mshr
-	wb    map[mem.BlockAddr]*wbEntry
+	wb    map[mem.BlockAddr]wbEntry
 
 	// Records that live and die inside this controller are recycled
 	// (DESIGN.md, "Object lifetimes"): a processor request on its way
@@ -125,6 +125,8 @@ type mshr struct {
 // copy, so recalls/snoops are answered from it and checkpoints capture
 // it: false for the directory's dataless PutS placeholder, and cleared
 // when a foreign GetM takes ownership before a snooping PutM is ordered.
+// Entries are held by value, so an eviction allocates nothing beyond its
+// message.
 type wbEntry struct {
 	data  mem.Block
 	dirty bool
@@ -138,7 +140,7 @@ func (c *ctrlCore) init(node network.NodeID, cfg Config, proto protocol, hitUnde
 	c.l2 = newCacheArray(cfg.L2Sets, cfg.L2Ways)
 	c.l1 = newTagFilter(cfg.L1Sets, cfg.L1Ways)
 	c.mshrs = make(map[mem.BlockAddr]*mshr)
-	c.wb = make(map[mem.BlockAddr]*wbEntry)
+	c.wb = make(map[mem.BlockAddr]wbEntry)
 	c.strict = true
 }
 
@@ -648,7 +650,7 @@ func (c *ctrlCore) Reset() {
 	}
 	c.l1 = newTagFilter(c.cfg.L1Sets, c.cfg.L1Ways)
 	c.mshrs = make(map[mem.BlockAddr]*mshr)
-	c.wb = make(map[mem.BlockAddr]*wbEntry)
+	c.wb = make(map[mem.BlockAddr]wbEntry)
 	c.events = sim.EventQueue{}
 }
 

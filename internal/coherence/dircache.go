@@ -101,12 +101,12 @@ func (c *DirCache) evict(l *line) {
 	switch l.state {
 	case Modified, Owned:
 		c.endNow(b, epochKindOf(l.state), data)
-		c.wb[b] = &wbEntry{data: data, dirty: true}
+		c.wb[b] = wbEntry{data: data, dirty: true}
 		c.stats.WritebacksDirty++
 		c.net.Send(network.Wrap(c.toHome(b, DataBytes), MsgPutM{Block: b, Requestor: c.node, Data: data}))
 	case Shared:
 		c.endNow(b, ReadOnly, data)
-		c.wb[b] = &wbEntry{}
+		c.wb[b] = wbEntry{}
 		c.stats.EvictionsClean++
 		c.net.Send(network.Wrap(c.toHome(b, CtrlBytes), MsgPutS{Block: b, Requestor: c.node}))
 	default:

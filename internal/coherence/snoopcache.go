@@ -198,7 +198,7 @@ func (c *SnoopCache) evict(l *line) {
 	switch l.state {
 	case Modified, Owned:
 		c.epochEnd(b, epochKindOf(l.state), c.seqNow(), data)
-		c.wb[b] = &wbEntry{data: data, dirty: true}
+		c.wb[b] = wbEntry{data: data, dirty: true}
 		c.stats.WritebacksDirty++
 		c.bcast.Send(network.Wrap(network.Message{Src: c.node, Size: CtrlBytes, Class: network.ClassCoherence},
 			MsgSnoop{Kind: SnoopPutM, Block: b, Requestor: c.node}))
@@ -249,6 +249,7 @@ func (c *SnoopCache) onForeignRequest(p *MsgSnoop, seq uint64) {
 		c.supply(p.Requestor, b, e.data)
 		if p.Kind == SnoopGetM {
 			e.dirty = false // ownership moved on before our PutM ordered
+			c.wb[b] = e
 		}
 	}
 }

@@ -10,37 +10,52 @@ import (
 )
 
 // TestSnoopHandleDataRefusesUnexpectedPayloads: the data network hands a
-// snooping cache only *MsgSnoopData. Anything else — another protocol's
-// payload, or a data block by value rather than in its envelope — panics
-// in strict mode and is dropped before the input latch otherwise.
+// snooping cache only *MsgSnoopData and a snooping home only *MsgSnoopWB.
+// Anything else — the other end's payload, another protocol's, or a
+// payload by value rather than in its envelope — panics in strict mode
+// and is dropped before the input latch otherwise.
 func TestSnoopHandleDataRefusesUnexpectedPayloads(t *testing.T) {
-	for _, payload := range []any{
-		&MsgSnoopWB{Block: 3},
-		MsgSnoopData{Block: 3},
-		&MsgData{Block: 3},
-		"not a payload",
-	} {
-		for _, strict := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%T/strict=%v", payload, strict), func(t *testing.T) {
-				h := newHarness(t, snooping, 2)
-				h.setStrict(strict)
+	for _, r := range []struct {
+		prefix   string // the cache's subtests are unprefixed
+		payloads []any
+		handle   func(h *harness, m *network.Message) (queued int)
+	}{
+		{"", []any{&MsgSnoopWB{Block: 3}, MsgSnoopData{Block: 3}, &MsgData{Block: 3}, "not a payload"},
+			func(h *harness, m *network.Message) int {
 				c := h.ctrl(0)
-				m := &network.Message{Src: 1, Dst: 0, Size: DataBytes, Class: network.ClassCoherence, Payload: payload}
-				defer func() {
-					r := recover()
-					switch {
-					case strict && r == nil:
-						t.Error("strict: no panic")
-					case strict && !strings.Contains(fmt.Sprint(r), "unexpected data payload"):
-						t.Errorf("strict: panic %q does not name the unexpected payload", r)
-					case !strict && r != nil:
-						t.Errorf("non-strict: panic %v", r)
-					case !strict && c.events.Len() != 0:
-						t.Errorf("non-strict: %d events queued, want the message dropped", c.events.Len())
-					}
-				}()
 				c.proto.(*SnoopCache).HandleData(m)
-			})
+				return c.events.Len()
+			}},
+		{"home/", []any{&MsgSnoopData{Block: 3}, MsgSnoopWB{Block: 3}, &MsgData{Block: 3}, "not a payload"},
+			func(h *harness, m *network.Message) int {
+				home := h.homes[0].(*SnoopHome)
+				home.HandleData(m)
+				return home.events.Len()
+			}},
+	} {
+		for _, payload := range r.payloads {
+			for _, strict := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s%T/strict=%v", r.prefix, payload, strict), func(t *testing.T) {
+					h := newHarness(t, snooping, 2)
+					h.setStrict(strict)
+					m := &network.Message{Src: 1, Dst: 0, Size: DataBytes, Class: network.ClassCoherence, Payload: payload}
+					queued := 0
+					defer func() {
+						r := recover()
+						switch {
+						case strict && r == nil:
+							t.Error("strict: no panic")
+						case strict && !strings.Contains(fmt.Sprint(r), "unexpected data payload"):
+							t.Errorf("strict: panic %q does not name the unexpected payload", r)
+						case !strict && r != nil:
+							t.Errorf("non-strict: panic %v", r)
+						case !strict && queued != 0:
+							t.Errorf("non-strict: %d events queued, want the message dropped", queued)
+						}
+					}()
+					queued = r.handle(h, m)
+				})
+			}
 		}
 	}
 }

@@ -16,7 +16,9 @@ type ViolationKind uint8
 const (
 	// UOMismatch: a replayed load's value differed from the original
 	// execution (Uniprocessor Ordering, Section 4.1). Resolved by a
-	// pipeline flush; benign occurrences are load-order mis-speculation.
+	// pipeline flush; benign occurrences are load-order mis-speculation,
+	// so no checker reports one. It labels an injected fault the replay
+	// caught (the injection harness and telemetry set it).
 	UOMismatch ViolationKind = iota + 1
 	// UOStoreMismatch: at VC deallocation the value written to the cache
 	// differed from the verification cache's entry.

@@ -40,6 +40,7 @@ type workerInfo struct {
 	lastSeen    uint64
 	lastRenew   uint64 // last renewal/completion — the mid-shard heartbeat
 	activeShard int    // currently leased shard, -1 when idle
+	told        bool   // answered Done (a lease or a completion ack): it has left
 }
 
 // Coordinator owns a job's lease table and accumulates shard results.
@@ -60,6 +61,7 @@ type Coordinator struct {
 	ttl           uint64
 	completeLimit int64 // body bound for PathComplete, from the largest shard
 	doneCh        chan struct{}
+	toldCh        chan struct{} // wakes Drain when a worker is answered Done
 }
 
 // NewCoordinator starts a fresh job.
@@ -172,6 +174,7 @@ func newCoordinator(spec JobSpec, shards []Shard, opts CoordinatorOptions) *Coor
 		ttl:           ttl,
 		completeLimit: caseBodyLimit(largest),
 		doneCh:        make(chan struct{}),
+		toldCh:        make(chan struct{}, 1),
 	}
 }
 
@@ -203,6 +206,59 @@ func (c *Coordinator) Close() error {
 
 // Done is closed when every shard has completed.
 func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
+
+// tell notes that info's worker is being answered Done and wakes Drain.
+// The caller holds c.mu.
+func (c *Coordinator) tell(info *workerInfo) {
+	if info == nil {
+		return
+	}
+	info.told = true
+	select {
+	case c.toldCh <- struct{}{}:
+	default: // Drain has a wake-up pending already
+	}
+}
+
+// drained reports that the job is done and no registered worker still
+// needs an answer: each has been answered Done, or has been silent for
+// more than one idle-poll wait. The clock counts whole seconds, so
+// silence is judged one second late: a live idle worker polls again
+// after idleWait and is answered before it could be given up.
+//
+// The caller holds c.mu.
+func (c *Coordinator) drained() bool {
+	if !c.leases.Done() {
+		return false
+	}
+	now := c.clock()
+	//dvmc:orderinsensitive an all-workers predicate
+	for _, info := range c.workers {
+		if !info.told && now-info.lastSeen <= c.idleWait()+1 {
+			return false
+		}
+	}
+	return true
+}
+
+// Drain blocks until the finished job is drained: every registered
+// worker answered Done or given up as silent, at once if none
+// registered. A Done answer wakes it; a quarter-second tick lets the
+// clock give up a silent worker.
+func (c *Coordinator) Drain() {
+	for {
+		c.mu.Lock()
+		drained := c.drained()
+		c.mu.Unlock()
+		if drained {
+			return
+		}
+		select {
+		case <-c.toldCh:
+		case <-time.After(250 * time.Millisecond):
+		}
+	}
+}
 
 // Spec returns the job being coordinated (on resume, the journaled one).
 func (c *Coordinator) Spec() JobSpec { return c.spec }
@@ -237,24 +293,31 @@ func (c *Coordinator) Register(req RegisterRequest) RegisterResponse {
 func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.touch(req.Worker)
+	info := c.touch(req.Worker)
 	if c.leases.Done() {
+		c.tell(info)
 		return LeaseResponse{Done: true}
 	}
 	if sh, ok := c.leases.Acquire(req.Worker, c.clock()); ok {
-		if info := c.workers[req.Worker]; info != nil {
+		if info != nil {
 			info.activeShard = sh.ID
 		}
 		return LeaseResponse{Shard: &sh}
 	}
 	// Everything is either done or actively leased; poll back soon —
-	// both to steal expired leases promptly and to observe Done before
-	// the coordinator's post-job linger expires.
+	// both to steal expired leases promptly and to be answered Done
+	// before the coordinator gives the worker up as silent.
+	return LeaseResponse{WaitSeconds: c.idleWait()}
+}
+
+// idleWait is the poll interval Lease hands an idle worker: a quarter
+// of the lease TTL, at least 1 and at most 2 seconds.
+func (c *Coordinator) idleWait() uint64 {
 	wait := c.ttl / 4
 	if wait == 0 || wait > 2 {
 		wait = 2
 	}
-	return LeaseResponse{WaitSeconds: wait}
+	return wait
 }
 
 // Renew extends a worker's lease.
@@ -329,7 +392,11 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	}
 	id := req.Result.Shard.ID
 	if !c.leases.Complete(id) {
-		return CompleteResponse{Accepted: false, Done: c.leases.Done()}, nil
+		done := c.leases.Done()
+		if done {
+			c.tell(info)
+		}
+		return CompleteResponse{Accepted: false, Done: done}, nil
 	}
 	r := req.Result
 	c.results[id] = &r
@@ -342,6 +409,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	done := c.leases.Done()
 	if done {
 		close(c.doneCh)
+		c.tell(info)
 	}
 	return CompleteResponse{Accepted: true, Done: done}, nil
 }
@@ -427,10 +495,9 @@ type Output struct {
 	Records  []fuzz.Record
 	Summary  fuzz.Summary
 	Snapshot *telemetry.Snapshot
-	// Experiment jobs: every injection result in index order, and the
-	// Section 6.1 table rendered from them.
-	Injections []dvmc.InjectionResult
-	Table      dvmc.Table
+	// Experiment jobs: the Section 6.1 table, rendered from every
+	// injection result, which it carries in index order.
+	Table dvmc.Table
 }
 
 // Finalize assembles the finished job's artifacts. For fuzz jobs it
@@ -474,12 +541,12 @@ func (c *Coordinator) Finalize() (*Output, error) {
 	case JobExperiment:
 		// Each accepted result covers its shard exactly, so the shards'
 		// results in shard order are the index space.
-		out.Injections = make([]dvmc.InjectionResult, 0, c.spec.TotalCases())
+		injections := make([]dvmc.InjectionResult, 0, c.spec.TotalCases())
 		for id := range c.shards {
-			out.Injections = append(out.Injections, c.results[id].Injections...)
+			injections = append(injections, c.results[id].Injections...)
 		}
 		var err error
-		if out.Table, err = c.spec.Experiment.figure().View(out.Injections); err != nil {
+		if out.Table, err = c.spec.Experiment.figure().View(injections); err != nil {
 			return nil, err
 		}
 	default:

@@ -418,8 +418,11 @@ func TestFarmExperimentMatchesSerial(t *testing.T) {
 	if out.Table.String() != want.String() {
 		t.Errorf("farm table differs from serial:\n%s\nvs\n%s", out.Table, want)
 	}
-	if len(out.Injections) != spec.TotalCases() {
-		t.Fatalf("%d injection results for %d cases", len(out.Injections), spec.TotalCases())
+	if len(out.Table.Injections) != spec.TotalCases() {
+		t.Fatalf("%d injection results for %d cases", len(out.Table.Injections), spec.TotalCases())
+	}
+	if !reflect.DeepEqual(out.Table.Injections, want.Injections) {
+		t.Error("farm injection results differ from serial")
 	}
 }
 

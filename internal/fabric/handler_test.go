@@ -482,3 +482,93 @@ func TestJSONInputsRefuseTrailingBytes(t *testing.T) {
 		t.Errorf("verdicts with a second value: %v, want an error naming the trailing data", err)
 	}
 }
+
+// TestCoordinatorDrainsOnDoneAnswers pins the farm's shutdown handshake
+// on the coordinator's clock, with no sleep: a finished job with no
+// registered worker drains at once; with workers, once each has been
+// answered Done, by a completion ack or by a lease; and a worker that has
+// gone silent is given up once more than one idle-poll wait (2 s at a
+// 10 s TTL) has passed on the whole-second clock.
+func TestCoordinatorDrainsOnDoneAnswers(t *testing.T) {
+	var now uint64
+	newCoord := func() *Coordinator {
+		now = 0
+		coord, err := NewCoordinator(twoShardFuzz(), CoordinatorOptions{TTLSeconds: 10, Clock: func() uint64 { return now }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return coord
+	}
+	complete := func(coord *Coordinator, worker string, sh Shard) CompleteResponse {
+		t.Helper()
+		ack, err := coord.Complete(CompleteRequest{Worker: worker, Result: ShardResult{Shard: sh,
+			Records: []fuzz.Record{{Index: sh.From}, {Index: sh.From + 1}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ack
+	}
+	drained := func(coord *Coordinator) bool {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		return coord.drained()
+	}
+
+	// No worker registered: the job's end is the drain.
+	coord := newCoord()
+	for _, sh := range coord.shards {
+		if drained(coord) {
+			t.Fatal("drained before the job was done")
+		}
+		complete(coord, "", sh)
+	}
+	coord.Drain() // returns at once
+
+	// Two workers: w2 is answered Done by its completion ack, w1 by its
+	// next lease.
+	coord = newCoord()
+	for _, w := range []string{"w1", "w2"} {
+		coord.Register(RegisterRequest{Worker: w})
+		if lease := coord.Lease(LeaseRequest{Worker: w}); lease.Shard == nil {
+			t.Fatalf("%s got no shard: %+v", w, lease)
+		}
+	}
+	if ack := complete(coord, "w1", coord.shards[0]); ack.Done {
+		t.Fatal("the first completion ack said Done")
+	}
+	if ack := complete(coord, "w2", coord.shards[1]); !ack.Done {
+		t.Fatal("the last completion ack did not say Done")
+	}
+	if drained(coord) {
+		t.Fatal("drained before w1 was answered Done")
+	}
+	drain := make(chan struct{})
+	go func() {
+		coord.Drain()
+		close(drain)
+	}()
+	if lease := coord.Lease(LeaseRequest{Worker: "w1"}); !lease.Done {
+		t.Fatalf("w1's lease after the job: %+v, want Done", lease)
+	}
+	select {
+	case <-drain:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain did not return once both workers were answered Done")
+	}
+
+	// A worker that registers and falls silent holds the drain for one
+	// idle-poll wait past the clock's second, then is given up.
+	coord = newCoord()
+	coord.Register(RegisterRequest{Worker: "silent"})
+	for _, sh := range coord.shards {
+		complete(coord, "", sh)
+	}
+	for now = 0; now <= 3; now++ {
+		if drained(coord) {
+			t.Fatalf("drained %d s after the silent worker was last seen", now)
+		}
+	}
+	if !drained(coord) {
+		t.Fatal("the silent worker was not given up 4 s after it was last seen")
+	}
+}

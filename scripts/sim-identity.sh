@@ -20,8 +20,8 @@
 #   - stdout of CI's two fuzz-smoke campaigns
 #   - per fault kind (all 19): dvmc-fuzz run -seed 7 -n 40 -fault-frac 1
 #     -kinds <kind> -v, stdout and exit code
-#   - dvmc-errors -n 40 -each on directory/TSO and snooping/RMO, stdout
-#     and exit code
+#   - dvmc-bench -fig errors -each: the Section 6.1 table and its 80
+#     per-injection results (8 rows x 10 faults), stdout and exit code
 #   - dvmc-fuzz replay of the committed corpus (re-records all 13 .trc)
 #   - dvmc-fuzz replay -metrics-out of each corpus case, one telemetry
 #     snapshot a case (its end cycle and recovery count show where the
@@ -33,7 +33,7 @@
 #     -corpus tree
 #   - the directory soak, seeds 1..8, which must also exit 0
 #
-# That is 101 artifacts a side.
+# That is 100 artifacts a side.
 #
 # A commit that means to change simulated behaviour declares it with a
 # trailer in its message:   Identity-Change: <reason>
@@ -64,7 +64,7 @@ echo "sim-identity: building $(git -C "$root" rev-parse --short "$base") and the
 for side in base head; do
 	src=$tmp/base/src
 	[ $side = head ] && src=$root
-	(cd "$src" && go build -o "$tmp/$side/bin/" ./cmd/dvmc-stat ./cmd/dvmc-sim ./cmd/dvmc-fuzz ./cmd/dvmc-errors)
+	(cd "$src" && go build -o "$tmp/$side/bin/" ./cmd/dvmc-stat ./cmd/dvmc-sim ./cmd/dvmc-fuzz ./cmd/dvmc-bench)
 done
 
 # The fault-kind vocabulary, in kind order (TestFaultKindStrings pins it).
@@ -74,8 +74,9 @@ kinds="msg-drop msg-duplicate msg-misroute msg-reorder msg-data-flip msg-stale-d
 	ctrl-state-corrupt lt-skew nested-recovery"
 
 # verdict OUTFILE CMD...: run a command that exits 0 (clean) or 2 (a
-# failure found, an undetected fault) and append the exit code to its
-# stdout, so the code is compared too instead of aborting the script.
+# failure found, an undetected or unrecoverable fault) and append the
+# exit code to its stdout, so the code is compared too instead of
+# aborting the script.
 verdict() {
 	local outfile=$1 code=0
 	shift
@@ -112,8 +113,7 @@ artifacts() {
 	for k in $kinds; do
 		verdict "fuzz-kind-$k.stdout" "$bin/dvmc-fuzz" run -seed 7 -n 40 -fault-frac 1 -kinds $k -v
 	done
-	verdict errors-directory-TSO.stdout "$bin/dvmc-errors" -n 40 -each
-	verdict errors-snooping-RMO.stdout "$bin/dvmc-errors" -n 40 -each -protocol snooping -model RMO
+	verdict errors.stdout "$bin/dvmc-bench" -fig errors -each 2>>"$out.log"
 	(cd "$src" && "$bin/dvmc-fuzz" replay internal/fuzz/testdata/corpus) >fuzz-replay.stdout
 	for c in "$src"/internal/fuzz/testdata/corpus/*.json; do
 		c=$(basename "$c" .json)

@@ -31,7 +31,6 @@ var (
 	Uniform        = workload.Uniform
 	CustomWorkload = workload.Custom
 	Workloads      = workload.All
-	WorkloadNames  = workload.Names
 )
 
 // WorkloadByName resolves a workload by its Table 8 name
@@ -365,11 +364,6 @@ func (s *System) informFallback(met *core.MemChecker) network.Handler {
 // sink returns the violation sink shared by all checkers.
 func (s *System) sink() core.Sink {
 	return core.SinkFunc(func(v Violation) {
-		// Benign UO load mismatches are resolved by a pipeline flush and
-		// are not errors; everything else is a detected violation.
-		if v.Kind == core.UOMismatch {
-			return
-		}
 		s.violations.Violation(v)
 		if s.spanRec != nil {
 			s.spanRec.FaultEvent(span.LabelViolation, v.Cycle, uint64(v.Kind), uint64(v.Block))
