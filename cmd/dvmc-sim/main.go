@@ -7,10 +7,11 @@
 // JSON (inspect and render it with dvmc-stat); -http serves live /metrics (Prometheus
 // text), /metrics.json, and /debug/pprof/ while the simulation runs.
 // Both enable the deterministic cycle sampler. -spans-out records the
-// causal span dump (coherence transactions, the fault flight) — render
-// it with dvmc-stat timeline, together with the snapshot's work series,
-// and open in Perfetto. -trace-out records the execution trace, every
-// commit and perform event — check it with dvmc-stat check. Any one of
+// causal span dump of coherence transactions — render it with dvmc-stat
+// timeline, together with the snapshot's work series and the trace's
+// fault track, and open in Perfetto. -trace-out records the execution
+// trace: every commit and perform event, and every checkpoint, recovery
+// and violation — check it with dvmc-stat check. Any one of
 // the three may be '-': that artifact is then all of stdout and the
 // report goes to stderr.
 //

@@ -11,8 +11,8 @@
 //	dump      re-encode a snapshot (text, json, prom, csv, series-csv)
 //	series    print tracked time series as CSV, optionally filtered
 //	top       rank metrics by value
-//	timeline  render a span dump, and optionally the same run's snapshot
-//	          as counter tracks, as Chrome trace-event JSON (Perfetto)
+//	timeline  render a run's span dump, trace and snapshot (any of them)
+//	          as Chrome trace-event JSON (Perfetto)
 //
 // A snapshot is always JSON; every other view is re-encoded from it, so
 // all views agree by construction.
@@ -31,21 +31,27 @@
 //	dvmc-stat top -n 10 run.json
 //	dvmc-sim -spans-out run.spans -metrics-out run.json
 //	dvmc-stat timeline -o run.trace.json run.spans run.json
+//	dvmc-stat timeline internal/fuzz/testdata/corpus/detect-wb-corrupt-tso.trc
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
 	"dvmc"
+	"dvmc/internal/core"
+	"dvmc/internal/sim"
 	"dvmc/internal/span"
 	"dvmc/internal/telemetry"
+	"dvmc/internal/trace"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
@@ -92,7 +98,7 @@ func (c *cli) usage() {
   dvmc-stat dump     [-format text|json|prom|csv|series-csv] <snapshot>
   dvmc-stat series   [-metric NAME] <snapshot>
   dvmc-stat top      [-n N] [-kind counter|gauge] <snapshot>
-  dvmc-stat timeline [-o FILE] <spans> [<snapshot>]
+  dvmc-stat timeline [-o FILE] <source> [<source> [<source>]]
 
 <trace> is written by dvmc-sim -trace-out. 'check' verifies it with the
 offline oracle as it is decoded, in bounded memory, so it can sit on the
@@ -105,9 +111,10 @@ replay, dvmc-stat check, dvmc-farm), or an http(s):// URL of a live
 /metrics.json (dvmc-sim -http, a dvmc-farm coordinator). Every view is
 re-encoded from the JSON, so text, Prometheus and CSV always agree.
 
-<spans> is a span dump written by -spans-out; timeline renders it as
-Chrome trace-event JSON for Perfetto, with the same run's snapshot's
-tracked series as counter tracks (work per window for counters).
+timeline renders one run's span dump (-spans-out), trace and snapshot,
+any of them, as Chrome trace-event JSON for Perfetto: transaction
+slices, the fault track (arming to verdict, with every violation,
+checkpoint and recovery), and counter tracks (work per window).
 
 Any source may be '-' for stdin. An artifact flag (check -metrics-out,
 timeline -o) named '-' makes that artifact all of stdout; the report
@@ -169,17 +176,13 @@ func (c *cli) open(path string, urls bool) (io.ReadCloser, error) {
 	return os.Open(path)
 }
 
-// load decodes the snapshot named by the single positional argument.
+// load decodes the snapshot named by the single positional argument,
+// from any source open accepts. A nil snapshot comes with the exit code.
 func (c *cli) load(fs *flag.FlagSet) (*telemetry.Snapshot, int) {
 	if fs.NArg() != 1 {
 		return nil, c.failf("%s: need exactly one snapshot source (file, '-' for stdin, or http(s) URL)", fs.Name())
 	}
-	return c.loadSnapshot(fs.Arg(0))
-}
-
-// loadSnapshot decodes a snapshot from any source open accepts. A nil
-// snapshot comes with the exit code.
-func (c *cli) loadSnapshot(path string) (*telemetry.Snapshot, int) {
+	path := fs.Arg(0)
 	src, err := c.open(path, true)
 	if err != nil {
 		return nil, c.failf("%v", err)
@@ -298,47 +301,65 @@ func (c *cli) top(args []string) int {
 	return c.verdict(snap)
 }
 
-// timeline renders a binary span dump as Chrome trace-event JSON: one
-// "X" slice per span (transaction or fault flight) and one "i" instant
-// per child event, ready for Perfetto or chrome://tracing. With a
-// snapshot of the same run, every tracked series becomes a counter track
-// beside them. Timestamps are simulated cycles, shown as µs.
+// timeline renders what one run left behind as one Chrome trace-event
+// JSON document for Perfetto: a span dump's transactions, a trace's
+// fault track, and a snapshot's tracked series as counter tracks. It
+// takes one to three sources, at most one of each kind, told apart by
+// their leading bytes. Timestamps are simulated cycles, shown as µs.
 func (c *cli) timeline(args []string) int {
 	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
 	out := fs.String("o", "-", "write the JSON to this file ('-' for stdout)")
 	if code, ok := c.flags(fs, args); !ok {
 		return code
 	}
-	if fs.NArg() < 1 || fs.NArg() > 2 {
-		return c.failf("timeline: need exactly one span dump source (file or '-' for stdin) and at most one snapshot source")
+	if fs.NArg() < 1 || fs.NArg() > 3 {
+		return c.failf("timeline: need one to three sources (a span dump, a trace, a snapshot; file or '-' for stdin)")
 	}
-	if fs.NArg() == 2 && fs.Arg(0) == "-" && fs.Arg(1) == "-" {
+	if i := slices.Index(fs.Args(), "-"); i >= 0 && slices.Contains(fs.Args()[i+1:], "-") {
 		return c.failf("timeline: only one source can be '-' (stdin)")
 	}
-	path := fs.Arg(0)
-	src, err := c.open(path, false)
-	if err != nil {
-		return c.failf("%v", err)
-	}
-	data, err := io.ReadAll(src)
-	src.Close()
-	if err != nil {
-		return c.failf("%v", err)
-	}
-	meta, spans, err := span.Decode(data)
-	if err != nil {
-		fmt.Fprintf(c.stderr, "dvmc-stat: %s: decoding span dump: %v\n", path, err)
-		return 2
-	}
-	var snap *telemetry.Snapshot
-	if fs.NArg() == 2 {
-		var code int
-		if snap, code = c.loadSnapshot(fs.Arg(1)); snap == nil {
-			return code
+	var (
+		meta  span.Meta // a span dump and a trace of one run carry the same header
+		spans []span.Span
+		track []span.ChromeEvent
+		snap  *telemetry.Snapshot
+		seen  = map[string]bool{}
+	)
+	for _, path := range fs.Args() {
+		src, err := c.open(path, true)
+		if err != nil {
+			return c.failf("%v", err)
 		}
+		data, err := io.ReadAll(src)
+		src.Close()
+		if err != nil {
+			return c.failf("%v", err)
+		}
+		var kind string
+		switch {
+		case bytes.HasPrefix(data, []byte(span.Magic)):
+			kind = "span dump"
+			meta, spans, err = span.Decode(data)
+		case bytes.HasPrefix(data, []byte(trace.Magic)):
+			kind = "trace"
+			meta, track, err = faultTrack(data)
+		case bytes.HasPrefix(data, []byte("{")):
+			kind = "snapshot"
+			snap, err = telemetry.DecodeSnapshot(bytes.NewReader(data))
+		default:
+			kind, err = "source", errors.New("not a span dump, trace or snapshot")
+		}
+		if err != nil {
+			fmt.Fprintf(c.stderr, "dvmc-stat: %s: decoding %s: %v\n", path, kind, err)
+			return 2
+		}
+		if seen[kind] {
+			return c.failf("timeline: %s is a second %s (at most one span dump, one trace and one snapshot)", path, kind)
+		}
+		seen[kind] = true
 	}
-	counters := counterTracks(snap)
-	render := func(w io.Writer) error { return span.WriteChrome(w, meta, spans, spanName, counters) }
+	extra := append(track, counterTracks(snap)...)
+	render := func(w io.Writer) error { return span.WriteChrome(w, meta, spans, extra) }
 	if err := dvmc.WriteArtifact(*out, c.stdout, render); err != nil {
 		return c.failf("timeline: %v", err)
 	}
@@ -348,11 +369,63 @@ func (c *cli) timeline(args []string) int {
 	return c.verdict(snap)
 }
 
-// counterTracks turns a snapshot's tracked series into counter samples
-// (none for a nil snapshot). A counter series shows the work done in
-// each sampling window, stamped at the window's start; a gauge series
-// shows its sampled level.
-func counterTracks(snap *telemetry.Snapshot) []span.Counter {
+// faultPid is the fault track's row group: after the counter tracks (0)
+// and transaction spans (span.FamilyTxn).
+const faultPid = 2
+
+// faultOutcomes names a trace.EvFault record's outcome byte.
+var faultOutcomes = [...]string{"not-applied", "detected", "masked", "escape"}
+
+// faultTrack decodes a trace and draws its fault, violation, checkpoint
+// and recovery records as one track on the fault's node (0 when the run
+// injected none): the fault as a slice named "fault <kind>" from its
+// arming to its record, with the outcome as an arg, and its firing and
+// every other record as an instant.
+func faultTrack(data []byte) (span.Meta, []span.ChromeEvent, error) {
+	tm, events, err := trace.Decode(data)
+	meta := span.Meta{Nodes: tm.Nodes, Model: uint8(tm.Model), Protocol: tm.Protocol, Seed: tm.Seed}
+	if err != nil {
+		return meta, nil, err
+	}
+	var track []span.ChromeEvent
+	instant := func(name string, at sim.Cycle, args map[string]any) {
+		track = append(track, span.ChromeEvent{Name: name, Ph: "i", Pid: faultPid, Ts: uint64(at), S: "t", Args: args})
+	}
+	node := 0
+	for _, ev := range events {
+		switch ev.Kind {
+		case trace.EvCommit, trace.EvPerform:
+		case trace.EvCheckpoint:
+			instant("checkpoint", ev.Time, map[string]any{"seq": ev.Seq})
+		case trace.EvRecover:
+			instant("recovery", ev.Time, map[string]any{"checkpoint_cycle": uint64(ev.Val)})
+		case trace.EvViolation:
+			instant(core.ViolationKind(ev.Seq).String(), ev.Time,
+				map[string]any{"node": ev.Node, "block": fmt.Sprintf("0x%x", uint64(ev.Addr))})
+		case trace.EvFault:
+			node = int(ev.Node)
+			armed, end := uint64(ev.Val), uint64(ev.Time)
+			track = append(track, span.ChromeEvent{
+				Name: "fault " + dvmc.FaultKind(ev.Seq).String(), Ph: "X", Pid: faultPid,
+				Ts: armed, Dur: max(end, armed+1) - armed, // zero-width slices are invisible
+				Args: map[string]any{"outcome": faultOutcomes[ev.Mask]},
+			})
+			if ev.Val2 != 0 {
+				instant("fired", sim.Cycle(ev.Val2), nil)
+			}
+		}
+	}
+	for i := range track {
+		track[i].Tid = node
+	}
+	return meta, track, nil
+}
+
+// counterTracks turns a snapshot's tracked series into "C" counter
+// events on row group 0 (none for a nil snapshot). A counter series
+// shows the work done in each sampling window, stamped at the window's
+// start; a gauge series shows its sampled level.
+func counterTracks(snap *telemetry.Snapshot) []span.ChromeEvent {
 	if snap == nil {
 		return nil
 	}
@@ -360,7 +433,10 @@ func counterTracks(snap *telemetry.Snapshot) []span.Counter {
 	for _, m := range snap.Metrics {
 		kind[m.Name] = m.Kind
 	}
-	var out []span.Counter
+	var out []span.ChromeEvent
+	sample := func(name, key string, ts uint64, v int64) {
+		out = append(out, span.ChromeEvent{Name: name, Ph: "C", Ts: ts, Args: map[string]any{key: v}})
+	}
 	for _, s := range snap.Series {
 		key := "value"
 		if s.Label != "" {
@@ -368,23 +444,13 @@ func counterTracks(snap *telemetry.Snapshot) []span.Counter {
 		}
 		if kind[s.Name] != telemetry.KindCounter.String() {
 			for i, v := range s.Values {
-				out = append(out, span.Counter{Name: s.Name, Key: key, Ts: s.Cycles[i], Value: v})
+				sample(s.Name, key, s.Cycles[i], v)
 			}
 			continue
 		}
 		for i := 1; i < len(s.Values); i++ {
-			out = append(out, span.Counter{Name: s.Name, Key: key, Ts: s.Cycles[i-1], Value: s.Values[i] - s.Values[i-1]})
+			sample(s.Name, key, s.Cycles[i-1], s.Values[i]-s.Values[i-1])
 		}
 	}
 	return out
-}
-
-// spanName renders span display names with the fault-kind vocabulary
-// the injection campaigns use, so a flight recording reads
-// "fault msg-drop", not "fault kind=1".
-func spanName(s *span.Span) string {
-	if s.Family == span.FamilyFault {
-		return "fault " + dvmc.FaultKind(s.Kind).String()
-	}
-	return s.Name()
 }

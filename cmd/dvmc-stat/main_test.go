@@ -98,8 +98,10 @@ func TestExitCodes(t *testing.T) {
 		{"unknown format", []string{"dump", "-format", "xml", clean}, 1, "", `unknown format "xml"`},
 		{"unknown kind", []string{"top", "-kind", "histogram", clean}, 1, "", `unknown kind "histogram"`},
 		{"unknown series", []string{"series", "-metric", "no.such", clean}, 1, "", `no tracked series named "no.such"`},
-		{"timeline source", []string{"timeline"}, 1, "", "need exactly one span dump source"},
-		{"timeline three sources", []string{"timeline", clean, clean, clean}, 1, "", "at most one snapshot source"},
+		{"timeline source", []string{"timeline"}, 1, "", "need one to three sources"},
+		{"timeline four sources", []string{"timeline", clean, clean, clean, clean}, 1, "", "need one to three sources"},
+		{"timeline two snapshots", []string{"timeline", clean, clean}, 1, "", "is a second snapshot"},
+		{"timeline no artifact", []string{"timeline", "-"}, 2, "", "-: decoding source: not a span dump, trace or snapshot"},
 		{"timeline two stdin", []string{"timeline", "-", "-"}, 1, "", "only one source can be '-'"},
 		{"dump", []string{"dump", clean}, 0, "cycle", ""},
 		{"dump prom", []string{"dump", "-format", "prom", clean}, 0, "# TYPE", ""},
@@ -317,5 +319,105 @@ func TestTimelineRefusesPhaseDump(t *testing.T) {
 	code, stdout, stderr := runStat(t, "timeline", path)
 	if code != 2 || stdout != "" || !strings.Contains(stderr, path) || !strings.Contains(stderr, "unknown span family 3") {
 		t.Fatalf("exit %d, want 2 naming %s and the family; stdout %q, stderr: %s", code, path, stdout, stderr)
+	}
+}
+
+// timelineEvent is one rendered trace event, as a test reads it.
+type timelineEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Pid  int            `json:"pid"`
+	Ts   uint64         `json:"ts"`
+	Dur  uint64         `json:"dur"`
+	Args map[string]any `json:"args"`
+}
+
+// renderTimeline runs timeline on the sources and decodes its output.
+func renderTimeline(t *testing.T, sources ...string) []timelineEvent {
+	t.Helper()
+	code, stdout, stderr := runStat(t, append([]string{"timeline"}, sources...)...)
+	if code != 0 {
+		t.Fatalf("timeline %v: exit %d; stderr: %s", sources, code, stderr)
+	}
+	var out struct {
+		TraceEvents []timelineEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.TraceEvents
+}
+
+// TestTimelineExplainsCommittedReproducer renders a committed fuzz
+// reproducer's trace alone: its fault track is the EXPERIMENTS.md
+// walkthrough — the wb-corrupt fault armed and fired at cycle 10, the
+// uniprocessor-ordering store mismatch that caught it at 168, and the
+// slice closing as detected.
+func TestTimelineExplainsCommittedReproducer(t *testing.T) {
+	events := renderTimeline(t, filepath.Join("..", "..", "internal", "fuzz", "testdata", "corpus", "detect-wb-corrupt-tso.trc"))
+	want := map[string]timelineEvent{
+		"fault wb-corrupt":                     {Ph: "X", Ts: 10, Dur: 160},
+		"fired":                                {Ph: "i", Ts: 10},
+		"uniprocessor-ordering-store-mismatch": {Ph: "i", Ts: 168},
+	}
+	if len(events) != len(want) {
+		t.Fatalf("%d events, want %d: %+v", len(events), len(want), events)
+	}
+	for _, e := range events {
+		w, ok := want[e.Name]
+		if !ok || e.Ph != w.Ph || e.Pid != faultPid || e.Ts != w.Ts || e.Dur != w.Dur {
+			t.Errorf("event %+v, want %+v on the fault track", e, w)
+		}
+		if e.Ph == "X" && e.Args["outcome"] != "detected" {
+			t.Errorf("fault slice outcome %v, want detected", e.Args["outcome"])
+		}
+	}
+}
+
+// TestTimelineJoinsThreeSources renders one injection run's span dump,
+// trace and snapshot together, the same in any order of the sources:
+// transaction slices, the fault track with its checkpoints, and the
+// counter tracks.
+func TestTimelineJoinsThreeSources(t *testing.T) {
+	cfg := dvmc.ScaledConfig().WithNodes(4)
+	dir := t.TempDir()
+	out := dvmc.Outputs{Spans: filepath.Join(dir, "run.spans"), Trace: filepath.Join(dir, "run.trc"), Metrics: filepath.Join(dir, "run.json")}
+	_, sys, err := dvmc.RunInjectionSystem(out.Observe(cfg), dvmc.OLTP(), dvmc.Injection{Kind: dvmc.FaultWBDrop, Node: 1, Cycle: 3000}, 40_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Write(sys, nil, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runStat(t, "timeline", out.Spans, out.Trace, out.Metrics)
+	if code != 0 && code != 2 { // 2: the snapshot records the fault's violations
+		t.Fatalf("timeline: exit %d; stderr: %s", code, stderr)
+	}
+	if _, reordered, _ := runStat(t, "timeline", out.Metrics, out.Trace, out.Spans); reordered != stdout {
+		t.Error("the timeline depends on the order of its sources")
+	}
+	var doc struct {
+		TraceEvents []timelineEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &doc); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Ph == "X" && e.Pid == int(span.FamilyTxn):
+			seen["transaction"] = true
+		case e.Ph == "X" && e.Name == "fault wb-drop":
+			seen["fault"] = true
+		case e.Name == "checkpoint":
+			seen["checkpoint"] = true
+		case e.Ph == "C":
+			seen["counter"] = true
+		}
+	}
+	for _, k := range []string{"transaction", "fault", "checkpoint", "counter"} {
+		if !seen[k] {
+			t.Errorf("no %s in the joined timeline", k)
+		}
 	}
 }

@@ -40,17 +40,9 @@ func (c *cli) openTrace(fs *flag.FlagSet) (io.ReadCloser, int) {
 	return src, 0
 }
 
-// metaJSON is a trace header as check -json and info -json print it.
-// The key of the retired truncated-window header flag stays, always
-// false, so their output keeps its shape.
-type metaJSON struct {
-	trace.Meta
-	Truncated bool
-}
-
 // checkJSON is the machine-readable verdict of `check -json`.
 type checkJSON struct {
-	Meta       metaJSON           `json:"meta"`
+	Meta       trace.Meta         `json:"meta"`
 	Violations []oracle.Violation `json:"violations"`
 	Stats      oracle.Stats       `json:"stats"`
 }
@@ -110,7 +102,7 @@ func (c *cli) check(args []string) int {
 		verdict = 2
 	}
 	if *jsonOut {
-		out := checkJSON{Meta: metaJSON{Meta: rep.Meta}, Violations: rep.Violations, Stats: rep.Stats}
+		out := checkJSON{Meta: rep.Meta, Violations: rep.Violations, Stats: rep.Stats}
 		if out.Violations == nil {
 			out.Violations = []oracle.Violation{}
 		}
@@ -162,15 +154,18 @@ func checkerSnapshot(chk *stream.Checker, elapsed time.Duration) *telemetry.Snap
 
 // infoJSON is the machine-readable summary of `info -json`.
 type infoJSON struct {
-	Meta     metaJSON `json:"meta"`
-	Bytes    int64    `json:"bytes"`
-	Events   uint64   `json:"events"`
-	Commits  uint64   `json:"commits"`
-	Performs uint64   `json:"performs"`
-	Recovers uint64   `json:"recovers"`
-	SpanLo   uint64   `json:"span_lo"`
-	SpanHi   uint64   `json:"span_hi"`
-	PerNode  []uint64 `json:"per_node"`
+	Meta        trace.Meta `json:"meta"`
+	Bytes       int64      `json:"bytes"`
+	Events      uint64     `json:"events"`
+	Commits     uint64     `json:"commits"`
+	Performs    uint64     `json:"performs"`
+	Recovers    uint64     `json:"recovers"`
+	Checkpoints uint64     `json:"checkpoints"`
+	Violations  uint64     `json:"violations"`
+	Faults      uint64     `json:"faults"`
+	SpanLo      uint64     `json:"span_lo"`
+	SpanHi      uint64     `json:"span_hi"`
+	PerNode     []uint64   `json:"per_node"`
 }
 
 func (c *cli) info(args []string) int {
@@ -192,7 +187,7 @@ func (c *cli) info(args []string) int {
 	}
 	meta := r.Meta()
 	// The reader vouches for every event's node being below meta.Nodes.
-	sum := infoJSON{Meta: metaJSON{Meta: meta}, PerNode: make([]uint64, meta.Nodes)}
+	sum := infoJSON{Meta: meta, PerNode: make([]uint64, meta.Nodes)}
 	for {
 		ev, err := r.Next()
 		if err == io.EOF {
@@ -208,6 +203,12 @@ func (c *cli) info(args []string) int {
 			sum.Performs++
 		case trace.EvRecover:
 			sum.Recovers++
+		case trace.EvCheckpoint:
+			sum.Checkpoints++
+		case trace.EvViolation:
+			sum.Violations++
+		case trace.EvFault:
+			sum.Faults++
 		}
 		sum.PerNode[ev.Node]++
 		if sum.Events == 0 {
@@ -228,7 +229,8 @@ func (c *cli) info(args []string) int {
 		meta.Version, meta.Nodes, meta.Model, protoName(meta.Protocol), meta.Seed)
 	fmt.Fprintf(c.stdout, "size:   %d bytes, %d events (%.2f bytes/event)\n",
 		sum.Bytes, sum.Events, float64(sum.Bytes)/float64(max(1, sum.Events)))
-	fmt.Fprintf(c.stdout, "events: %d commits, %d performs, %d recovery markers\n", sum.Commits, sum.Performs, sum.Recovers)
+	fmt.Fprintf(c.stdout, "events: %d commits, %d performs, %d recovery markers, %d checkpoints, %d violations, %d faults\n",
+		sum.Commits, sum.Performs, sum.Recovers, sum.Checkpoints, sum.Violations, sum.Faults)
 	if sum.Events > 0 {
 		fmt.Fprintf(c.stdout, "span:   cycles %d..%d\n", sum.SpanLo, sum.SpanHi)
 	}

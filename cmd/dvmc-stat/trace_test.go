@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,9 +69,14 @@ func TestTraceExitCodes(t *testing.T) {
 	flipped := append([]byte(nil), clean...)
 	flipped[len(flipped)/2] ^= 0x41
 	// A CRC-valid header declaring 300 nodes: `info` used to loop on it forever.
-	lie := []byte("DVMCTR\x01\x00\xac\x02\x02\x00\x07\x00\x00") // header, sentinel, count 0
-	crc := hash.Sum(lie)
-	hostile := file("hostile.trc", append(lie, byte(crc), byte(crc>>8)))
+	sealed := func(body string) []byte {
+		crc := hash.Sum([]byte(body))
+		return append([]byte(body), byte(crc), byte(crc>>8))
+	}
+	hostile := file("hostile.trc", sealed("DVMCTR\x02\x00\xac\x02\x02\x00\x07\x00\x00")) // header, sentinel, count 0
+	// A whole version-1 trace, from before the annotation records: one
+	// store commit (its tag in the two-bit-kind layout) and the footer.
+	v1 := file("v1.trc", sealed("DVMCTR\x01\x00\x01\x02\x00\x07\x09\x00\x02\x01\x08\x01\x00\x00\x01"))
 
 	for _, sub := range [][]string{{"check"}, {"info"}} {
 		checks := sub[0] == "check"
@@ -91,6 +97,7 @@ func TestTraceExitCodes(t *testing.T) {
 			{"torn tail", nil, torn, 2, "offset "},
 			{"flipped byte on stdin", flipped, "-", 2, "offset "},
 			{"hostile node count", nil, hostile, 2, "offset 8: node count 300"},
+			{"version 1", nil, v1, 2, "offset 6: unsupported version 1 (want 2)"},
 			{"not a trace", []byte("not a trace"), "-", 2, "bad magic"},
 			{"empty stdin", nil, "-", 2, "bad magic"},
 		} {
@@ -182,5 +189,24 @@ func TestCheckMetricsToStdout(t *testing.T) {
 	code, dumped, stderr := runStdin([]byte(stdout), "dump", "-")
 	if code != 0 || !strings.Contains(dumped, "stream_frontier_max") {
 		t.Errorf("dump -: exit %d, stdout lacks stream_frontier_max:\n%s\nstderr: %s", code, dumped, stderr)
+	}
+}
+
+// TestInfoCountsTheFaultLifecycle: info reports a trace's annotation
+// records beside its commits and performs, in text and in -json. The
+// committed nested-recovery reproducer restores one checkpoint twice.
+func TestInfoCountsTheFaultLifecycle(t *testing.T) {
+	path := filepath.Join("..", "..", "internal", "fuzz", "testdata", "corpus", "masked-nested-recovery-tolerated.trc")
+	code, stdout, stderr := runStat(t, "info", path)
+	if want := "events: 76 commits, 71 performs, 2 recovery markers, 1 checkpoints, 0 violations, 1 faults"; code != 0 || !strings.Contains(stdout, want) {
+		t.Fatalf("info: exit %d, stdout lacks %q:\n%s%s", code, want, stdout, stderr)
+	}
+	code, stdout, stderr = runStat(t, "info", "-json", path)
+	var sum infoJSON
+	if err := json.Unmarshal([]byte(stdout), &sum); code != 0 || err != nil {
+		t.Fatalf("info -json: exit %d, %v\n%s", code, err, stderr)
+	}
+	if sum.Recovers != 2 || sum.Checkpoints != 1 || sum.Violations != 0 || sum.Faults != 1 || sum.Events != 151 {
+		t.Errorf("info -json: %+v", sum)
 	}
 }

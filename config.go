@@ -148,8 +148,8 @@ type Config struct {
 	Telemetry TelemetryConfig
 
 	// Spans enables the causal span recorder: ring-buffered coherence-
-	// transaction, fault-flight, and phase-profiling spans exportable as
-	// a deterministic binary dump (see spans.go and internal/span).
+	// transaction spans exportable as a deterministic binary dump (see
+	// spans.go and internal/span).
 	Spans SpanConfig
 
 	// Seed drives every pseudo-random choice; perturbing it provides the

@@ -432,7 +432,8 @@ var faultKinds = [numFaultKinds]faultKind{
 
 // String implements fmt.Stringer.
 func (k FaultKind) String() string {
-	// Any byte can arrive here from a span dump (dvmc-stat timeline).
+	// Any byte can arrive here from a trace's fault record (dvmc-stat
+	// timeline).
 	if k < numFaultKinds && faultKinds[k].name != "" {
 		return faultKinds[k].name
 	}

@@ -3,6 +3,9 @@ package dvmc
 import (
 	"fmt"
 	"testing"
+
+	"dvmc/internal/core"
+	"dvmc/internal/trace"
 )
 
 // goldenVerdict is one RunInjection verdict, every field the injection
@@ -18,12 +21,11 @@ type goldenVerdict struct {
 	Masked        bool
 }
 
-// goldenInjectionRuns runs, for every fault kind on directory/TSO and
-// snooping/RMO, three fixed (node, cycle, seed) injections with SafetyNet
-// on, over a 20,000-cycle observation window.
-func goldenInjectionRuns(t *testing.T) []goldenVerdict {
-	t.Helper()
-	var out []goldenVerdict
+// forGoldenInjections calls run for every fault kind on directory/TSO
+// and snooping/RMO with three fixed (node, cycle, seed) injections, in
+// the order of testdata/golden_injections.json. Each runs with
+// SafetyNet on over a 20,000-cycle observation window.
+func forGoldenInjections(run func(name string, cfg Config, inj Injection)) {
 	for _, sys := range []struct {
 		p Protocol
 		m Model
@@ -36,19 +38,34 @@ func goldenInjectionRuns(t *testing.T) []goldenVerdict {
 			}{{0, 1500, 3}, {2, 3100, 11}, {3, 4900, 29}} {
 				cfg := injCfg().WithProtocol(sys.p).WithModel(sys.m).WithSeed(at.seed)
 				inj := Injection{Kind: kind, Node: at.node, Cycle: at.cycle}
-				name := fmt.Sprintf("%v/%v/%v/node%d@%d/seed%d", sys.p, sys.m, kind, at.node, at.cycle, at.seed)
-				res, err := RunInjection(cfg, OLTP(), inj, 20_000)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				out = append(out, goldenVerdict{
-					Name: name, Applied: res.Applied, ActivatedAt: uint64(res.ActivatedAt),
-					Detected: res.Detected, DetectionKind: res.DetectionKind.String(),
-					Latency: uint64(res.Latency), Recoverable: res.Recoverable, Masked: res.Masked,
-				})
+				run(fmt.Sprintf("%v/%v/%v/node%d@%d/seed%d", sys.p, sys.m, kind, at.node, at.cycle, at.seed), cfg, inj)
 			}
 		}
 	}
+}
+
+const goldenInjectionBudget = 20_000
+
+// verdictOf is the golden form of one injection result.
+func verdictOf(name string, res InjectionResult) goldenVerdict {
+	return goldenVerdict{
+		Name: name, Applied: res.Applied, ActivatedAt: uint64(res.ActivatedAt),
+		Detected: res.Detected, DetectionKind: res.DetectionKind.String(),
+		Latency: uint64(res.Latency), Recoverable: res.Recoverable, Masked: res.Masked,
+	}
+}
+
+// goldenInjectionRuns runs every golden injection untraced.
+func goldenInjectionRuns(t *testing.T) []goldenVerdict {
+	t.Helper()
+	var out []goldenVerdict
+	forGoldenInjections(func(name string, cfg Config, inj Injection) {
+		res, err := RunInjection(cfg, OLTP(), inj, goldenInjectionBudget)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, verdictOf(name, res))
+	})
 	return out
 }
 
@@ -90,4 +107,82 @@ func TestGoldenInjections(t *testing.T) {
 			t.Errorf("no golden run ends %s", o)
 		}
 	}
+}
+
+// TestTraceFoldEqualsInjectionResult runs every golden injection with
+// tracing on and folds its trace's fault and violation records: the
+// trace alone must tell what InjectionResult tells. The fault record
+// names the injected kind and node, its outcome and fired cycle match
+// the verdict (a fault that never fired records 0 and keeps its arming
+// cycle as ActivatedAt), and a detection by violation is the
+// first violation record at or after arming, in kind and cycle. Checkpoint
+// records count up from 1, and each recovery names a recorded checkpoint.
+// The traced verdicts are the golden file's: recording perturbs nothing.
+func TestTraceFoldEqualsInjectionResult(t *testing.T) {
+	var want []goldenVerdict
+	goldenFile(t, "golden_injections.json", nil, &want)
+	i := 0
+	forGoldenInjections(func(name string, cfg Config, inj Injection) {
+		defer func() { i++ }()
+		res, s, err := RunInjectionSystem(cfg.WithTrace(TraceOn()), OLTP(), inj, goldenInjectionBudget)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := verdictOf(name, res); i >= len(want) || got != want[i] {
+			t.Errorf("%s: traced verdict %+v is not the golden one", name, got)
+		}
+		data, err := s.TraceBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, events, err := trace.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var faults, violations []trace.Event
+		checkpoints := map[Cycle]bool{} // by cycle taken
+		for _, ev := range events {
+			switch ev.Kind {
+			case trace.EvFault:
+				faults = append(faults, ev)
+			case trace.EvViolation:
+				violations = append(violations, ev)
+			case trace.EvCheckpoint:
+				if ev.Seq != uint64(len(checkpoints))+1 {
+					t.Errorf("%s: checkpoint record %v after %d checkpoints", name, ev, len(checkpoints))
+				}
+				checkpoints[ev.Time] = true
+			case trace.EvRecover:
+				if !checkpoints[Cycle(ev.Val)] {
+					t.Errorf("%s: recovery %v restores no recorded checkpoint", name, ev)
+				}
+			}
+		}
+		if len(faults) != 1 || events[len(events)-1] != faults[0] {
+			t.Fatalf("%s: %d fault records, want one closing the trace", name, len(faults))
+		}
+		f := faults[0]
+		armed, fired := Cycle(f.Val), Cycle(f.Val2)
+		if FaultKind(f.Seq) != inj.Kind || int(f.Node) != inj.Node%cfg.Nodes || f.Mask != faultOutcome(res) {
+			t.Errorf("%s: fault record %v, result %+v", name, f, res)
+		}
+		if fired != res.ActivatedAt && !(fired == 0 && res.ActivatedAt == armed) {
+			t.Errorf("%s: fault fired at %d, ActivatedAt %d (armed %d)", name, fired, res.ActivatedAt, armed)
+		}
+		if !res.Detected || res.DetectionKind == core.ECCCorrected {
+			return
+		}
+		for _, v := range violations {
+			if Cycle(v.Time) >= armed {
+				if core.ViolationKind(v.Seq) != res.DetectionKind || v.Time != res.ActivatedAt+res.Latency {
+					t.Errorf("%s: first violation after arming %v; detected %v at %d",
+						name, v, res.DetectionKind, res.ActivatedAt+res.Latency)
+				}
+				return
+			}
+		}
+		if res.DetectionKind != core.UOMismatch {
+			t.Errorf("%s: detected as %v, but the trace records no violation after arming", name, res.DetectionKind)
+		}
+	})
 }

@@ -108,7 +108,9 @@ func goldenRecoveryRuns(t *testing.T) []goldenRecovery {
 // `go test -run TestGoldenRecoveries -update-golden .`, and regenerated
 // once since, when line ECC became always on: the names lost their ecc=
 // part, and only the three snooping cache-data-flip rows changed, their
-// flip now corrected at first use.
+// flip now corrected at first use; and when the trace format became
+// version 2, which moved every TraceSHA256 and nothing else (the decoded
+// commits, performs and recovery markers are the same).
 func TestGoldenRecoveries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 36 runs of 100k cycles")

@@ -3,9 +3,11 @@ package dvmc
 import (
 	"fmt"
 
+	"dvmc/internal/consistency"
 	"dvmc/internal/core"
+	"dvmc/internal/mem"
 	"dvmc/internal/sim"
-	"dvmc/internal/span"
+	"dvmc/internal/trace"
 )
 
 // Injection describes one fault to inject.
@@ -55,6 +57,8 @@ func (r InjectionResult) String() string {
 	switch {
 	case !r.Applied:
 		return fmt.Sprintf("%v@%d node %d: not applied", r.Injection.Kind, r.Injection.Cycle, r.Injection.Node)
+	case r.Masked:
+		return fmt.Sprintf("%v@%d node %d: masked", r.Injection.Kind, r.Injection.Cycle, r.Injection.Node)
 	case !r.Detected:
 		return fmt.Sprintf("%v@%d node %d: NOT DETECTED", r.Injection.Kind, r.Injection.Cycle, r.Injection.Node)
 	default:
@@ -128,26 +132,19 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 	baseECC := s.eccCorrections()
 	baseViolations := len(s.Violations())
 
-	// Open the fault flight recording: checkpoint, recovery, and
-	// violation transitions annotate it while the run observes, and the
-	// verdict below closes it. The fire transition is back-filled at
-	// close, once dormant-fault activation times are known.
-	if s.spanRec != nil {
-		s.spanRec.FaultOpen(uint8(inj.Kind), int32(n), s.Now())
+	// A traced run closes with the fault's record: armed here, fired at
+	// the activation cycle the verdict below settles (0 for a fault that
+	// was not applied or stayed dormant), and its outcome.
+	fired := true
+	if s.tracer != nil {
+		armed := s.Now()
 		defer func() {
-			out := span.OutcomeEscape
-			switch {
-			case !res.Applied:
-				out = span.OutcomeNotApplied
-			case res.Detected:
-				out = span.OutcomeDetected
-			case res.Masked:
-				out = span.OutcomeMasked
+			firedAt := res.ActivatedAt
+			if !fired {
+				firedAt = 0
 			}
-			if res.Applied && res.ActivatedAt > 0 {
-				s.spanRec.FaultEvent(span.LabelFired, res.ActivatedAt, uint64(inj.Kind), 0)
-			}
-			s.spanRec.FaultClose(out, s.Now())
+			s.tracer.Emit(trace.Event{Kind: trace.EvFault, Node: uint8(n), Seq: uint64(inj.Kind),
+				Val: mem.Word(armed), Val2: mem.Word(firedAt), Mask: faultOutcome(res), Time: s.Now()})
 		}()
 	}
 
@@ -162,9 +159,6 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 	res.Applied = row.arm(s, n, eff, rng)
 	if !res.Applied {
 		return res, s, nil
-	}
-	if s.spanRec != nil {
-		s.spanRec.FaultEvent(span.LabelArmed, s.Now(), uint64(inj.Kind), 0)
 	}
 	// Stamp activation with the time the fault actually applied, not the
 	// requested injection cycle: the warm-up stops early when every
@@ -213,7 +207,6 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 	}
 	// Dormant-fault activation, where the system can report it; the
 	// other kinds activated where they were armed.
-	fired := true
 	if row.fired != nil {
 		var at sim.Cycle
 		if at, fired = row.fired(s, n); fired && at > 0 {
@@ -267,6 +260,21 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 	// Undetected: the row's policy says whether that is maskable.
 	res.Masked = row.undetected == masked || row.undetected == maskedIfDormant && !fired
 	return res, s, nil
+}
+
+// faultOutcome is an injection result's outcome byte in its trace.EvFault
+// record.
+func faultOutcome(r InjectionResult) consistency.MembarMask {
+	switch {
+	case !r.Applied:
+		return 0
+	case r.Detected:
+		return 1
+	case r.Masked:
+		return 2
+	default:
+		return 3 // escape
+	}
 }
 
 // CampaignResult aggregates an injection campaign: Results holds one

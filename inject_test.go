@@ -255,18 +255,24 @@ func TestRunInjectionRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestInjectionResultString pins the per-injection line dvmc-bench -fig
+// errors -each prints for each of the four outcomes: a masked fault says
+// so, and only an escape reads NOT DETECTED.
 func TestInjectionResultString(t *testing.T) {
-	r := InjectionResult{Injection: Injection{Kind: FaultWBDrop, Node: 1, Cycle: 5}}
-	if r.String() == "" {
-		t.Error("empty string")
-	}
-	r.Applied = true
-	if r.String() == "" {
-		t.Error("empty string")
-	}
-	r.Detected = true
-	if r.String() == "" {
-		t.Error("empty string")
+	inj := Injection{Kind: FaultWBDrop, Node: 1, Cycle: 5}
+	for _, tc := range []struct {
+		res  InjectionResult
+		want string
+	}{
+		{InjectionResult{Injection: inj}, "wb-drop@5 node 1: not applied"},
+		{InjectionResult{Injection: inj, Applied: true, Masked: true}, "wb-drop@5 node 1: masked"},
+		{InjectionResult{Injection: inj, Applied: true}, "wb-drop@5 node 1: NOT DETECTED"},
+		{InjectionResult{Injection: inj, Applied: true, Detected: true, DetectionKind: core.LostOperation, Latency: 40, Recoverable: true},
+			"wb-drop@5 node 1: detected as lost-operation after 40 cycles (recoverable=true)"},
+	} {
+		if got := tc.res.String(); got != tc.want {
+			t.Errorf("%+v: %q, want %q", tc.res, got, tc.want)
+		}
 	}
 }
 

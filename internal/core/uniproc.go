@@ -319,7 +319,7 @@ func (u *UniprocChecker) ReplayLoad(addr mem.Addr, orig mem.Word, _ sim.Cycle) (
 
 // CompareReplay finishes a VC-miss replay with the value read from the
 // cache hierarchy.
-func (u *UniprocChecker) CompareReplay(_ mem.Addr, orig, replay mem.Word, _ sim.Cycle) bool {
+func (u *UniprocChecker) CompareReplay(orig, replay mem.Word) bool {
 	return u.compare(orig, replay)
 }
 

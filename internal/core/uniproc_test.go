@@ -92,10 +92,10 @@ func TestUniprocReplayMissGoesToCache(t *testing.T) {
 	if hit {
 		t.Fatal("empty VC reported a hit")
 	}
-	if !u.CompareReplay(0x300, 9, 9, 6) {
+	if !u.CompareReplay(9, 9) {
 		t.Error("matching cache replay reported mismatch")
 	}
-	if u.CompareReplay(0x300, 9, 8, 7) {
+	if u.CompareReplay(9, 8) {
 		t.Error("mismatching cache replay reported match")
 	}
 	st := u.Stats()

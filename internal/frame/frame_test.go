@@ -33,10 +33,14 @@ func seal(body []byte, records uint64) []byte {
 	return append(out, byte(crc), byte(crc>>8))
 }
 
-// header renders a version-1 header with no flags, model TSO (2),
-// protocol 0 and seed 7.
+// header renders a header of magic's current version with no flags,
+// model TSO (2), protocol 0 and seed 7.
 func header(magic string, nodes uint64) []byte {
-	b := append([]byte(magic), 1, 0)
+	version := byte(trace.Version)
+	if magic == span.Magic {
+		version = span.Version
+	}
+	b := append([]byte(magic), version, 0)
 	b = binary.AppendUvarint(b, nodes)
 	return append(b, 2, 0, 7)
 }
@@ -44,7 +48,7 @@ func header(magic string, nodes uint64) []byte {
 // storeCommit renders one trace record: a store commit with the given
 // node and model bytes, seq 1, addr 8, val 1, time delta 0.
 func storeCommit(node, model byte) []byte {
-	const tag = 1 | 2<<2 // EvCommit | Store<<2
+	const tag = 1 | 2<<3 // EvCommit | Store<<3
 	return []byte{tag, node, model, 1, 8, 1, 0}
 }
 
@@ -147,9 +151,9 @@ func spanDump(t testing.TB) []byte {
 	data, err := span.Encode(span.Meta{Nodes: 4, Model: 2, Protocol: 1, Seed: 42}, []span.Span{
 		{ID: 1, Family: span.FamilyTxn, Kind: span.TxnWrite, Node: 2, Addr: 0x40, Start: 10, End: 55, Outcome: span.OutcomeDone,
 			Events: []span.Event{{Label: span.LabelGetM, Time: 12, A: 2, B: 0}, {Label: span.LabelData, Time: 50, A: 0, B: 2}}},
-		{ID: 2, Family: span.FamilyFault, Kind: 5, Node: 1, Start: 10, End: 9000, Outcome: span.OutcomeDetected, Dropped: 3,
-			Events: []span.Event{{Label: span.LabelArmed, Time: 10}, {Label: span.LabelFired, Time: 8, A: 1 << 40}}},
-		{ID: 7, Family: span.FamilyFault, Kind: 2, Node: -1, Start: 1024, End: 2048, Outcome: span.OutcomeMasked},
+		{ID: 2, Family: span.FamilyTxn, Kind: span.TxnRead, Node: 1, Addr: 0x80, Start: 10, End: 9000, Outcome: span.OutcomeAborted, Dropped: 3,
+			Events: []span.Event{{Label: span.LabelGetS, Time: 10}, {Label: span.LabelInv, Time: 8, A: 1 << 40}}},
+		{ID: 7, Family: span.FamilyTxn, Kind: span.TxnWrite, Node: -1, Start: 1024, End: 2048, Outcome: span.OutcomeUpgraded},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,14 +217,14 @@ func TestOneSpelling(t *testing.T) {
 	if _, _, err := trace.Decode(good); err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	long := append([]byte(trace.Magic), 1, 0, 0x84, 0x00, 2, 0, 7) // nodes 4 spelt in two bytes
-	huge := append([]byte(trace.Magic), 1, 0, 4, 2, 0)
+	long := append([]byte(trace.Magic), trace.Version, 0, 0x84, 0x00, 2, 0, 7) // nodes 4 spelt in two bytes
+	huge := append([]byte(trace.Magic), trace.Version, 0, 4, 2, 0)
 	huge = append(huge, bytes.Repeat([]byte{0xff}, 9)...) // seed: 9 groups then a 10th that overflows
 	huge = append(huge, 0x02)
 	flags := append([]byte(nil), header(trace.Magic, 4)...)
 	flags[7] = 0x82
 	version := append([]byte(nil), header(trace.Magic, 4)...)
-	version[6] = 2
+	version[6] = 1 // the format before annotation records
 	// The same two spellings as a record's seq field (offset 15), with a
 	// whole record and the footer — more than ten bytes — behind them.
 	inRecord := func(seq ...byte) []byte {
@@ -240,7 +244,7 @@ func TestOneSpelling(t *testing.T) {
 		{"overflowing varint in a record", inRecord(append(bytes.Repeat([]byte{0xff}, 9), 0x02)...), 25, "overflows 64 bits"},
 		{"unterminated varint in a record", inRecord(bytes.Repeat([]byte{0x80}, 10)...), 25, "overflows 64 bits"},
 		{"unknown flag", seal(flags, 0), 7, "unknown header flags 0x82"},
-		{"unknown version", seal(version, 0), 6, "unsupported version 2"},
+		{"retired version", seal(version, 0), 6, "unsupported version 1"},
 		{"trailing byte", append(append([]byte(nil), good...), 0), int64(len(good)), "trailing bytes"},
 		{"wrong count", seal(header(trace.Magic, 4), 1), 14, "footer count 1"},
 	} {

@@ -1,69 +1,71 @@
 package fuzz
 
 import (
-	"bytes"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dvmc"
-	"dvmc/internal/span"
+	"dvmc/internal/core"
+	"dvmc/internal/mem"
+	"dvmc/internal/network"
+	"dvmc/internal/oracle"
+	"dvmc/internal/trace"
 )
 
-// replaySpans replays one corpus file with span recording on and
-// returns the dump of that same execution, failing unless the replay
-// still reproduces the case's classification and committed trace.
-func replaySpans(t *testing.T, path string) []byte {
-	t.Helper()
-	rr, sys := ReplayFile(path, func(cfg dvmc.Config) dvmc.Config { return cfg.WithSpans(dvmc.SpansOn()) })
-	if !rr.OK {
-		t.Fatalf("replay with spans on: expect %s, got %s; %s %s", rr.Expect, rr.Got, rr.Result.Panic, rr.TraceDiff)
-	}
-	dump, err := sys.SpanBytes()
+// TestCorpusCaseTraceExplainsVerdict reads each committed reproducer's
+// .trc and re-derives the case's classification from the trace alone,
+// through the campaign's own classifier: the fault record gives the
+// injection ground truth (kind, node, outcome), the violation records
+// the online verdict, and the oracle judges the recorded events. No
+// case is re-run. A trace cannot tell a hang (it does not record
+// whether the programs finished), and the corpus holds none.
+func TestCorpusCaseTraceExplainsVerdict(t *testing.T) {
+	files, err := CorpusFiles(filepath.Join("testdata", "corpus"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dump
-}
-
-// TestCorpusCaseSpansExplainVerdict replays a committed detect-class
-// corpus reproducer with span recording and checks its flight recording
-// carries the verdict end-to-end: the fault span closes as detected and
-// contains the armed and violation transitions the EXPERIMENTS.md
-// timeline walkthrough cites. The dump comes from the replay that
-// re-checked the case, and is the same on a second replay.
-func TestCorpusCaseSpansExplainVerdict(t *testing.T) {
-	path := filepath.Join("testdata", "corpus", "detect-wb-corrupt-tso.json")
-	dump := replaySpans(t, path)
-	if again := replaySpans(t, path); !bytes.Equal(dump, again) {
-		t.Fatal("corpus case span dump is not deterministic")
-	}
-	_, spans, err := span.Decode(dump)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flight *span.Span
-	for i := range spans {
-		if spans[i].Family == span.FamilyFault {
-			flight = &spans[i]
+	for _, path := range files {
+		c, err := LoadCase(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if flight == nil {
-		t.Fatal("no fault flight recording in corpus case dump")
-	}
-	if flight.Outcome != span.OutcomeDetected {
-		t.Fatalf("flight outcome %v, want detected", flight.Outcome)
-	}
-	var armed, violation bool
-	for _, e := range flight.Events {
-		switch e.Label {
-		case span.LabelArmed:
-			armed = true
-		case span.LabelViolation:
-			violation = true
+		data, err := os.ReadFile(strings.TrimSuffix(path, ".json") + ".trc")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !armed || !violation {
-		t.Fatalf("flight transitions incomplete: armed=%v violation=%v (%d events)", armed, violation, len(flight.Events))
+		meta, events, err := trace.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var faults []trace.Event
+		v := dvmc.RunVerdict{Oracle: oracle.Check(meta, events)}
+		for _, ev := range events {
+			switch ev.Kind {
+			case trace.EvFault:
+				faults = append(faults, ev)
+			case trace.EvViolation:
+				v.Online = append(v.Online, dvmc.Violation{Kind: core.ViolationKind(ev.Seq),
+					Node: network.NodeID(ev.Node), Block: mem.BlockAddr(ev.Addr), Cycle: ev.Time})
+			}
+		}
+		var got Class
+		switch {
+		case c.Fault == nil && len(faults) == 0:
+			got, _ = classifyClean(v, true)
+		case c.Fault == nil || len(faults) != 1:
+			t.Fatalf("%s: %d fault records for fault %+v", path, len(faults), c.Fault)
+		default:
+			f := faults[0]
+			if kind := dvmc.FaultKind(f.Seq).String(); kind != c.Fault.Kind || int(f.Node) != c.Fault.Node%meta.Nodes {
+				t.Errorf("%s: fault record names %s on node %d, the case %s on node %d", path, kind, f.Node, c.Fault.Kind, c.Fault.Node)
+			}
+			got, _ = classifyFault(dvmc.InjectionResult{Applied: f.Mask != 0, Detected: f.Mask == 1, Masked: f.Mask == 2}, v)
+		}
+		if got != c.Expect {
+			t.Errorf("%s: the trace explains %s, the case expects %s", path, got, c.Expect)
+		}
 	}
 }
 

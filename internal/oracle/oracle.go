@@ -213,8 +213,9 @@ func (c *checker) violate(rule Rule, ev trace.Event, detail string) {
 }
 
 func (c *checker) feed(ev trace.Event) {
-	c.stats.Events++
 	switch ev.Kind {
+	case trace.EvCheckpoint, trace.EvViolation, trace.EvFault:
+		return // an annotation: judged by nothing, counted as no event
 	case trace.EvRecover:
 		c.recover()
 	case trace.EvCommit:
@@ -222,6 +223,7 @@ func (c *checker) feed(ev trace.Event) {
 	case trace.EvPerform:
 		c.perform(ev)
 	}
+	c.stats.Events++
 }
 
 // recover handles a SafetyNet rollback marker: every node's architectural

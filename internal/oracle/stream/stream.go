@@ -62,15 +62,17 @@ func New(meta trace.Meta, _ Options) *Checker {
 const writersFirst = 128
 
 // Feed judges one event: the owning node's ordering, structural and
-// store-value rules, then the value rule. Events after Finish are ignored.
-// Steady-state allocation-free on legal traces.
+// store-value rules, then the value rule. Events after Finish, and the
+// annotation kinds (checkpoint, violation, fault), are neither judged nor
+// counted. Steady-state allocation-free on legal traces.
 func (c *Checker) Feed(ev trace.Event) {
 	if c.report != nil {
 		return
 	}
 	idx := c.stats.Events
-	c.stats.Events++
 	switch ev.Kind {
+	case trace.EvCheckpoint, trace.EvViolation, trace.EvFault:
+		return
 	case trace.EvRecover:
 		c.recover()
 	case trace.EvCommit:
@@ -78,6 +80,7 @@ func (c *Checker) Feed(ev trace.Event) {
 	case trace.EvPerform:
 		c.perform(idx, &ev)
 	}
+	c.stats.Events++
 }
 
 // Emit implements trace.Sink, so a Checker can be wired straight into

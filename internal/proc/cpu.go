@@ -925,7 +925,7 @@ func (u *uop) replayLoadDone(v mem.Word, _ bool) {
 	c.wake()
 	u.replayVal = v
 	u.replayDone = true
-	u.replayMatch = c.uo.CompareReplay(u.op.Addr, u.loadVal, v, c.lastTick())
+	u.replayMatch = c.uo.CompareReplay(u.loadVal, v)
 }
 
 func (c *CPU) retireStage(now sim.Cycle) {

@@ -92,9 +92,6 @@ type Manager struct {
 	// re-restores the same checkpoint the first recovery used.
 	cpAfterRecovery bool
 
-	onCheckpoint func(seq uint64, at sim.Cycle)
-	onRecovery   func(seq uint64, cpCycle, errorCycle sim.Cycle)
-
 	// logMsgs and logRecs recycle the loggers' write-log messages, which
 	// are sent at one node and released (ReleaseLog) at another.
 	logMsgs sim.FreeList[network.Message]
@@ -129,18 +126,6 @@ func NewManager(cfg Config, capture CaptureFunc, restore RestoreFunc) *Manager {
 // Stats returns BER counters (log traffic is accounted by the loggers).
 func (m *Manager) Stats() Stats { return m.stats }
 
-// SetCheckpointListener installs a callback fired after every coordinated
-// checkpoint is captured; nil clears it. The span recorder uses it to
-// annotate fault flight recordings with the BER schedule.
-func (m *Manager) SetCheckpointListener(f func(seq uint64, at sim.Cycle)) { m.onCheckpoint = f }
-
-// SetRecoveryListener installs a callback fired after a successful
-// rollback, with the checkpoint used and the error cycle that triggered
-// it; nil clears it.
-func (m *Manager) SetRecoveryListener(f func(seq uint64, cpCycle, errorCycle sim.Cycle)) {
-	m.onRecovery = f
-}
-
 // SetReleaseFunc installs the callback that runs exactly once for every
 // checkpoint leaving the live set; nil clears it.
 func (m *Manager) SetReleaseFunc(f ReleaseFunc) { m.release = f }
@@ -171,9 +156,6 @@ func (m *Manager) checkpoint(now sim.Cycle) {
 	m.live = append(m.live, cp)
 	if len(m.live) > m.cfg.Keep {
 		m.leave(0, 1) // oldest checkpoint expires
-	}
-	if m.onCheckpoint != nil {
-		m.onCheckpoint(cp.Seq, now)
 	}
 }
 
@@ -231,9 +213,6 @@ func (m *Manager) Recover(errorCycle sim.Cycle) (Checkpoint, bool) {
 	}
 	m.leave(newer, len(m.live))
 	m.restore(cp.State)
-	if m.onRecovery != nil {
-		m.onRecovery(cp.Seq, cp.Cycle, errorCycle)
-	}
 	return cp, true
 }
 

@@ -22,9 +22,7 @@ import (
 //	event:  label u8 | time-delta zigzag | a uvarint | b uvarint
 //
 // ID and Start are deltas against the previous span; event times against
-// the span start, then the previous event, and signed because backfilled
-// events (the fault span's "fired" annotation) may sit earlier than their
-// neighbours. The encoding is a pure function of (Meta, sorted span list):
+// the span start, then the previous event, and signed. The encoding is a pure function of (Meta, sorted span list):
 // dumps are byte-comparable across runs, worker counts and farm shapes.
 
 // Magic identifies a span dump file.
@@ -126,9 +124,9 @@ func Decode(data []byte) (Meta, []Span, error) {
 		n := f.Uvarint()
 		switch {
 		case f.Failed():
-		case s.Family != FamilyTxn && s.Family != FamilyFault:
+		case s.Family != FamilyTxn:
 			f.Failf("unknown span family %d", fam)
-		case s.Outcome > OutcomeNotApplied:
+		case s.Outcome > OutcomeAborted:
 			f.Failf("unknown span outcome %d", uint8(s.Outcome))
 		case int64(s.Node) != node || uint64(s.Dropped) != dropped:
 			f.Failf("node %d or dropped count %d out of range", node, dropped)
@@ -144,7 +142,7 @@ func Decode(data []byte) (Meta, []Span, error) {
 		prevT := int64(s.Start)
 		for ; n > 0 && !f.Failed(); n-- {
 			e := Event{Label: Label(f.Byte())}
-			if e.Label < LabelGetS || e.Label > LabelRecovery {
+			if e.Label < LabelGetS || e.Label > LabelSnoopWB {
 				f.Failf("span %d: unknown event label %d", s.ID, uint8(e.Label))
 			}
 			prevT += f.Zigzag()

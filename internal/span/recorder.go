@@ -42,10 +42,6 @@ type Stats struct {
 // open-transaction map, which is only ever read, inserted into, and
 // deleted from (never ranged), so it is deterministic and, once warm,
 // allocation-free.
-//
-// The injected-fault flight record lives outside the ring in a
-// dedicated slot: it stays open for most of a fault run and must never
-// block ring eviction or be evicted itself.
 type Recorder struct {
 	slots  []Span
 	ring   []int32 // retained slot indices, oldest at head
@@ -55,10 +51,6 @@ type Recorder struct {
 	open   map[openKey]int32
 	nextID uint64
 	stats  Stats
-
-	faultSpan Span
-	faultOpen bool // a fault span is currently open
-	faultUsed bool // a fault span was opened at some point
 }
 
 // NewRecorder builds a recorder of DefaultCap spans with DefaultEventCap
@@ -75,7 +67,6 @@ func NewRecorder(Config) *Recorder {
 		r.slots[i].Events = make([]Event, 0, DefaultEventCap)
 		r.free = append(r.free, int32(i))
 	}
-	r.faultSpan.Events = make([]Event, 0, DefaultEventCap)
 	return r
 }
 
@@ -182,43 +173,6 @@ func (r *Recorder) TxnEvent(node int32, addr uint64, label Label, now sim.Cycle,
 // Orphan counts a protocol hop that matched no open transaction span.
 func (r *Recorder) Orphan() { r.stats.Orphans++ }
 
-// FaultOpen starts the injected-fault flight record. A second open
-// (nothing in the simulator does this today) displaces the first,
-// counting it as dropped.
-func (r *Recorder) FaultOpen(kind uint8, node int32, now sim.Cycle) {
-	if r.faultUsed {
-		r.stats.SpansDropped++
-	}
-	ev := r.faultSpan.Events[:0]
-	r.faultSpan = Span{
-		ID: r.nextID, Family: FamilyFault, Kind: kind, Node: node,
-		Start: now, End: now, Outcome: OutcomeOpen, Events: ev,
-	}
-	r.nextID++
-	r.stats.Spans++
-	r.faultOpen = true
-	r.faultUsed = true
-}
-
-// FaultEvent annotates the open fault span; a no-op when none is open,
-// so checker and SafetyNet taps can fire unconditionally.
-func (r *Recorder) FaultEvent(label Label, t sim.Cycle, a, b uint64) {
-	if !r.faultOpen {
-		return
-	}
-	r.addEvent(&r.faultSpan, label, t, a, b)
-}
-
-// FaultClose stamps the fault span's verdict.
-func (r *Recorder) FaultClose(outcome Outcome, now sim.Cycle) {
-	if !r.faultOpen {
-		return
-	}
-	r.faultSpan.End = now
-	r.faultSpan.Outcome = outcome
-	r.faultOpen = false
-}
-
 // AbortOpen closes every open transaction span as aborted — the
 // system-recovery hook: a rollback discards the in-flight transactions
 // whose spans would otherwise dangle open across the restored state.
@@ -243,17 +197,10 @@ func (r *Recorder) Stats() Stats { return r.stats }
 // End stamped to now on the copy but keep OutcomeOpen. The recorder is
 // not modified; Drain may be called repeatedly.
 func (r *Recorder) Drain(now sim.Cycle) []Span {
-	n := r.count
-	if r.faultUsed {
-		n++
-	}
-	out := make([]Span, 0, n)
+	out := make([]Span, 0, r.count)
 	for i := 0; i < r.count; i++ {
 		idx := r.ring[(r.head+i)%len(r.ring)]
 		out = append(out, copySpan(&r.slots[idx], now))
-	}
-	if r.faultUsed {
-		out = append(out, copySpan(&r.faultSpan, now))
 	}
 	sortSpans(out)
 	return out

@@ -1,20 +1,17 @@
 // Package span is the simulator's deterministic causal flight recorder:
 // an allocation-free, ring-buffered span store clocked by the event
-// kernel. Two span families connect cause to effect across the system:
+// kernel. Its one span family, FamilyTxn, connects cause to effect
+// across the system: one span per coherence transaction, keyed by
+// (requestor node, block address), with a child event for every protocol
+// message hop observed on the interconnect — the request→forward→ack→
+// grant chain the protocol tables imply but the statistics counters
+// cannot show.
 //
-//   - FamilyTxn: one span per coherence transaction, keyed by
-//     (requestor node, block address), with a child event for every
-//     protocol message hop observed on the interconnect — the
-//     request→forward→ack→grant chain the protocol tables imply but the
-//     statistics counters cannot show.
-//   - FamilyFault: a single flight record for an injected fault, opened
-//     at arming and annotated with fire, checkpoint, recovery, and
-//     violation transitions until the run's verdict closes it — the
-//     inject→detect chain, hop by hop.
-//
-// Where simulated work went over time is not a span family: it is the
-// telemetry snapshot's tracked series, which dvmc-stat timeline draws as
-// counter tracks beside the spans.
+// Two things that are not span families sit beside the spans in
+// dvmc-stat timeline: where simulated work went over time (the telemetry
+// snapshot's tracked series, drawn as counter tracks), and an injected
+// fault's life from arming to verdict (the execution trace's fault,
+// violation, checkpoint and recovery records, drawn as the fault track).
 //
 // Determinism is a first-class property, exactly as in internal/trace:
 // spans are stamped with kernel cycles (never wall clocks), the dump is
@@ -37,26 +34,13 @@ import (
 type Family uint8
 
 // The span families. Values start at 1: 0x00 is the codec's footer
-// sentinel, so a family byte is never zero. 3 is reserved: older dumps
-// used it for per-component phase slices, and the decoder refuses it.
+// sentinel, so a family byte is never zero. 2 and 3 are reserved: older
+// dumps used them for the fault flight record and for per-component
+// phase slices, and the decoder refuses both.
 const (
 	// FamilyTxn spans one coherence transaction (directory or snooping).
 	FamilyTxn Family = 1
-	// FamilyFault spans an injected fault from arming to verdict.
-	FamilyFault Family = 2
 )
-
-// String implements fmt.Stringer.
-func (f Family) String() string {
-	switch f {
-	case FamilyTxn:
-		return "txn"
-	case FamilyFault:
-		return "fault"
-	default:
-		return fmt.Sprintf("Family(%d)", uint8(f))
-	}
-}
 
 // Outcome records how a span closed.
 type Outcome uint8
@@ -74,14 +58,6 @@ const (
 	// OutcomeAborted: closed by rollback/recovery or displaced by a new
 	// transaction on the same (node, block) key.
 	OutcomeAborted
-	// OutcomeDetected: the fault was caught by a checker.
-	OutcomeDetected
-	// OutcomeMasked: the fault provably had no architectural effect.
-	OutcomeMasked
-	// OutcomeEscape: the fault took effect and no checker fired.
-	OutcomeEscape
-	// OutcomeNotApplied: the fault found no target.
-	OutcomeNotApplied
 )
 
 // String implements fmt.Stringer.
@@ -95,21 +71,12 @@ func (o Outcome) String() string {
 		return "upgraded"
 	case OutcomeAborted:
 		return "aborted"
-	case OutcomeDetected:
-		return "detected"
-	case OutcomeMasked:
-		return "masked"
-	case OutcomeEscape:
-		return "escape"
-	case OutcomeNotApplied:
-		return "not-applied"
 	default:
 		return fmt.Sprintf("Outcome(%d)", uint8(o))
 	}
 }
 
-// Label names a child event within a span: a protocol message hop or a
-// fault lifecycle transition.
+// Label names a child event within a span: a protocol message hop.
 type Label uint8
 
 // Child-event labels.
@@ -134,13 +101,6 @@ const (
 	LabelSnoop
 	LabelSnoopData
 	LabelSnoopWB
-
-	// Fault-flight transitions.
-	LabelArmed
-	LabelFired
-	LabelViolation
-	LabelCheckpoint
-	LabelRecovery
 
 	// LabelWork is written by no product recorder and refused by
 	// Decode. It stays defined only because benchmark/layers.go drives
@@ -181,16 +141,6 @@ func (l Label) String() string {
 		return "SnoopData"
 	case LabelSnoopWB:
 		return "SnoopWB"
-	case LabelArmed:
-		return "armed"
-	case LabelFired:
-		return "fired"
-	case LabelViolation:
-		return "violation"
-	case LabelCheckpoint:
-		return "checkpoint"
-	case LabelRecovery:
-		return "recovery"
 	case LabelWork:
 		return "work"
 	default:
@@ -206,17 +156,8 @@ const (
 	TxnWrite uint8 = 1
 )
 
-// TxnKindName names a FamilyTxn span kind.
-func TxnKindName(kind uint8) string {
-	if kind == TxnWrite {
-		return "GetM"
-	}
-	return "GetS"
-}
-
-// Event is one child event inside a span. The payload words A and B are
-// label-defined: for protocol hops, source and destination node; for
-// fault transitions, kind-specific detail (e.g. checkpoint sequence).
+// Event is one child event inside a span: a protocol hop, with its
+// source and destination node in the payload words A and B.
 type Event struct {
 	Label Label
 	Time  sim.Cycle
@@ -239,16 +180,12 @@ type Span struct {
 	Events  []Event
 }
 
-// Name renders the span's default display name.
+// Name renders the span's display name: its request and block.
 func (s *Span) Name() string {
-	switch s.Family {
-	case FamilyTxn:
-		return fmt.Sprintf("%s 0x%x", TxnKindName(s.Kind), s.Addr)
-	case FamilyFault:
-		return fmt.Sprintf("fault kind=%d", s.Kind)
-	default:
-		return s.Family.String()
+	if s.Kind == TxnWrite {
+		return fmt.Sprintf("GetM 0x%x", s.Addr)
 	}
+	return fmt.Sprintf("GetS 0x%x", s.Addr)
 }
 
 // The recorder's sizes.

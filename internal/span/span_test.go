@@ -15,8 +15,8 @@ func testMeta() Meta {
 	return Meta{Nodes: 4, Model: 1, Protocol: 0, Seed: 42}
 }
 
-// fillRecorder records a representative mix: transactions with hops
-// and a fault flight.
+// fillRecorder records a representative mix: transactions with hops, and
+// one displaced by a retry on its key.
 func fillRecorder(r *Recorder) {
 	r.TxnBegin(0, 0x40, TxnRead, 10)
 	r.TxnEvent(0, 0x40, LabelGetS, 11, 0, 2)
@@ -29,11 +29,10 @@ func fillRecorder(r *Recorder) {
 	r.TxnEvent(1, 0x80, LabelInvAck, 18, 3, 2)
 	r.TxnEnd(1, 0x80, OutcomeDone, 20)
 
-	r.FaultOpen(7, 2, 25)
-	r.FaultEvent(LabelArmed, 25, 0, 0)
-	r.FaultEvent(LabelFired, 30, 1, 0)
-	r.FaultEvent(LabelViolation, 40, 2, 0)
-	r.FaultClose(OutcomeDetected, 41)
+	r.TxnBegin(2, 0xc0, TxnRead, 25)
+	r.TxnEvent(2, 0xc0, LabelSnoop, 30, 2, 0)
+	r.TxnBegin(2, 0xc0, TxnWrite, 40)
+	r.TxnEnd(2, 0xc0, OutcomeUpgraded, 41)
 }
 
 func sameSpans(t *testing.T, got, want []Span) {
@@ -129,8 +128,8 @@ func TestCRCDetectsCorruption(t *testing.T) {
 
 // TestDecodeRefusesUnknownBytes: the decoder fails closed. A family,
 // outcome or event label outside the defined sets — a dump from a build
-// that recorded phase slices, say — is refused at its record's offset
-// instead of decoding into nameless spans.
+// that recorded fault flights or phase slices, say — is refused at its
+// record's offset instead of decoding into nameless spans.
 func TestDecodeRefusesUnknownBytes(t *testing.T) {
 	txn := func(id uint64, start sim.Cycle) Span {
 		return Span{ID: id, Family: FamilyTxn, Kind: TxnRead, Node: 0, Addr: 0x40, Start: start, End: start + 10,
@@ -141,9 +140,10 @@ func TestDecodeRefusesUnknownBytes(t *testing.T) {
 		edit func(*Span)
 		want string
 	}{
+		{"fault family", func(s *Span) { s.Family, s.Kind, s.Node, s.Outcome = 2, 7, 1, 4 }, "unknown span family 2"},
 		{"family", func(s *Span) { s.Family, s.Kind, s.Node, s.Outcome = 3, 2, -1, 8 }, "unknown span family 3"},
-		{"outcome", func(s *Span) { s.Outcome = OutcomeNotApplied + 1 }, "unknown span outcome 8"},
-		{"label", func(s *Span) { s.Events[0].Label = LabelWork }, "span 3: unknown event label 21"},
+		{"outcome", func(s *Span) { s.Outcome = OutcomeAborted + 1 }, "unknown span outcome 4"},
+		{"label", func(s *Span) { s.Events[0].Label = LabelWork }, "span 3: unknown event label 16"},
 	} {
 		bad := txn(3, 40)
 		tc.edit(&bad)
@@ -238,33 +238,6 @@ func TestEventCapDrops(t *testing.T) {
 	}
 }
 
-func TestFaultFlightOutsideRing(t *testing.T) {
-	// Every ring slot held open: the fault span must still record,
-	// because it lives outside the ring.
-	r := NewRecorder(Config{Enabled: true})
-	openAll(r)
-	r.FaultOpen(3, 1, 5)
-	r.FaultEvent(LabelFired, 8, 0, 0)
-	r.FaultClose(OutcomeMasked, 12)
-	r.FaultEvent(LabelViolation, 13, 0, 0) // after close: ignored
-	spans := r.Drain(2 * DefaultCap)
-	if len(spans) != DefaultCap+1 {
-		t.Fatalf("got %d spans, want %d", len(spans), DefaultCap+1)
-	}
-	var fault *Span
-	for i := range spans {
-		if spans[i].Family == FamilyFault {
-			fault = &spans[i]
-		}
-	}
-	if fault == nil {
-		t.Fatal("fault span missing from drain")
-	}
-	if fault.Outcome != OutcomeMasked || fault.End != 12 || len(fault.Events) != 1 {
-		t.Fatalf("fault span = %+v", *fault)
-	}
-}
-
 func TestAbortOpen(t *testing.T) {
 	r := NewRecorder(Config{Enabled: true})
 	r.TxnBegin(0, 0x40, TxnRead, 1)
@@ -302,12 +275,12 @@ func TestChromeExportStrictJSON(t *testing.T) {
 	r := NewRecorder(Config{Enabled: true})
 	fillRecorder(r)
 	spans := r.Drain(2000)
-	counters := []Counter{
-		{Name: "proc.ops_retired", Key: "node=0", Ts: 0, Value: 900},
-		{Name: "net.bytes_total", Key: "value", Ts: 0, Value: 1300},
+	counters := []ChromeEvent{
+		{Name: "proc.ops_retired", Ph: "C", Args: map[string]any{"node=0": 900}},
+		{Name: "net.bytes_total", Ph: "C", Args: map[string]any{"value": 1300}},
 	}
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, testMeta(), spans, nil, counters); err != nil {
+	if err := WriteChrome(&buf, testMeta(), spans, counters); err != nil {
 		t.Fatal(err)
 	}
 	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
@@ -337,7 +310,7 @@ func TestChromeExportStrictJSON(t *testing.T) {
 	}
 	// Deterministic bytes: a second export is identical.
 	var buf2 bytes.Buffer
-	if err := WriteChrome(&buf2, testMeta(), spans, nil, counters); err != nil {
+	if err := WriteChrome(&buf2, testMeta(), spans, counters); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -346,8 +319,8 @@ func TestChromeExportStrictJSON(t *testing.T) {
 }
 
 // TestRecorderSteadyStateAllocFree pins the recording hot paths at zero
-// allocations once warm: span open/close, hop events and the fault
-// flight all run out of preallocated storage (CI runs this by
+// allocations once warm: span open/close and hop events run out of
+// preallocated storage (CI runs this by
 // name alongside the other packages' AllocsPerRun assertions). The warm-up
 // fills every slot, so each measured span evicts the oldest one.
 func TestRecorderSteadyStateAllocFree(t *testing.T) {
@@ -367,7 +340,6 @@ func TestRecorderSteadyStateAllocFree(t *testing.T) {
 		r.TxnEvent(node, addr, LabelGetM, now+1, 0, 1)
 		r.TxnEvent(node, addr, LabelData, now+3, 1, 0)
 		r.TxnEnd(node, addr, OutcomeDone, now+4)
-		r.FaultEvent(LabelCheckpoint, now, 1, 0)
 		now += 16
 	})
 	if allocs != 0 {

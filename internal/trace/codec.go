@@ -12,16 +12,21 @@ import (
 	"dvmc/internal/sim"
 )
 
-// Binary trace format (version 1): a sealed stream (internal/frame —
+// Binary trace format (version 2): a sealed stream (internal/frame —
 // header, records, footer with record count and CRC-16) whose records
 // are events, little-endian varints throughout:
 //
 //	event:   tag u8 | fields (see below) | time-delta zigzag-varint
 //
-// The tag byte packs kind (bits 0..1, values 1..3 so a tag is never 0x00),
-// class (bits 2..3), IsRMW (bit 4), and Fwd (bit 5). Fields by shape:
+// The tag byte packs kind (bits 0..2, values 1..6 so a tag is never 0x00),
+// class (bits 3..4), IsRMW (bit 5), and Fwd (bit 6); the annotation kinds
+// set kind bits only. Fields by shape:
 //
-//	recover:     node u8
+//	recover:     node u8 | checkpoint cycle uvarint
+//	checkpoint:  node u8 | seq uvarint
+//	violation:   node u8 | violation kind u8 | block uvarint
+//	fault:       node u8 | fault kind u8 | armed uvarint |
+//	             fired uvarint | outcome u8 (0..3)
 //	membar:      node u8 | model u8 | mask u8 | seq uvarint
 //	load/store:  node u8 | model u8 | seq uvarint | addr uvarint |
 //	             val uvarint | val2 uvarint (RMW performs only)
@@ -30,22 +35,26 @@ import (
 // signed varints: callback timestamps across CPUs can be up to one cycle
 // stale, so deltas may be slightly negative. A trace sets no header
 // flag: bit 0 once marked a flight-recorder window, and a reader refuses
-// it like any other unknown flag.
+// it like any other unknown flag. Version 1 (two kind bits, no
+// annotations) is refused as an unsupported version.
 
 // Magic is the 6-byte file signature of a trace.
 const Magic = "DVMCTR"
 
 // Version is the current format version. Bump on any incompatible change
 // and update the golden fixture deliberately.
-const Version = 1
+const Version = 2
 
 const (
-	tagKindBits   = 0x03
-	tagClassShift = 2
+	tagKindBits   = 0x07
+	tagClassShift = 3
 	tagClassBits  = 0x03
-	tagRMWBit     = 1 << 4
-	tagFwdBit     = 1 << 5
+	tagRMWBit     = 1 << 5
+	tagFwdBit     = 1 << 6
 	tagUsedBits   = tagKindBits | tagClassBits<<tagClassShift | tagRMWBit | tagFwdBit
+
+	// maxOutcome is the largest fault outcome byte (escape).
+	maxOutcome = 3
 )
 
 // The container's failures, under the names trace's callers match on.
@@ -77,22 +86,41 @@ func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 
 // Write appends one event.
 func (w *Writer) Write(ev Event) error {
-	if ev.Kind < EvCommit || ev.Kind > EvRecover {
+	if ev.Kind < EvCommit || ev.Kind > EvFault {
 		return fmt.Errorf("trace: invalid event kind %d", ev.Kind)
 	}
-	tag := byte(ev.Kind) | byte(ev.Class)<<tagClassShift
-	if ev.IsRMW {
-		tag |= tagRMWBit
+	if (ev.Kind == EvViolation || ev.Kind == EvFault) && ev.Seq > 0xff {
+		return fmt.Errorf("trace: %v kind %d does not fit a byte", ev.Kind, ev.Seq)
 	}
-	if ev.Fwd {
-		tag |= tagFwdBit
+	if ev.Kind == EvFault && ev.Mask > maxOutcome {
+		return fmt.Errorf("trace: invalid fault outcome %d", uint8(ev.Mask))
+	}
+	tag := byte(ev.Kind)
+	if ev.Kind <= EvPerform {
+		tag |= byte(ev.Class) << tagClassShift
+		if ev.IsRMW {
+			tag |= tagRMWBit
+		}
+		if ev.Fwd {
+			tag |= tagFwdBit
+		}
 	}
 	// The frame's scratch buffer keeps its growth between records, so these
 	// appends amortize to zero.
 	b := append(w.f.Buf(), tag, ev.Node)
 	switch {
 	case ev.Kind == EvRecover:
-		// node only
+		b = binary.AppendUvarint(b, uint64(ev.Val))
+	case ev.Kind == EvCheckpoint:
+		b = binary.AppendUvarint(b, ev.Seq)
+	case ev.Kind == EvViolation:
+		b = append(b, byte(ev.Seq))
+		b = binary.AppendUvarint(b, uint64(ev.Addr))
+	case ev.Kind == EvFault:
+		b = append(b, byte(ev.Seq))
+		b = binary.AppendUvarint(b, uint64(ev.Val))
+		b = binary.AppendUvarint(b, uint64(ev.Val2))
+		b = append(b, byte(ev.Mask))
 	case ev.Class == consistency.Membar:
 		b = append(b, byte(ev.Model), byte(ev.Mask))
 		b = binary.AppendUvarint(b, ev.Seq)
@@ -164,11 +192,23 @@ func (r *Reader) Next() (Event, error) {
 		Fwd:   tag&tagFwdBit != 0,
 		Node:  f.Byte(),
 	}
+	op := ev.Kind == EvCommit || ev.Kind == EvPerform
 	switch {
-	case tag&^tagUsedBits != 0 || ev.Kind == 0 || ev.Class == 0 && ev.Kind != EvRecover:
+	case tag&^tagUsedBits != 0 || ev.Kind == 0 || ev.Kind > EvFault ||
+		op == (ev.Class == 0) || !op && tag&^tagKindBits != 0:
 		f.Failf("invalid tag %#02x (corrupt byte or mid-stream damage)", tag)
 	case ev.Kind == EvRecover:
-		// node only
+		ev.Val = mem.Word(f.Uvarint())
+	case ev.Kind == EvCheckpoint:
+		ev.Seq = f.Uvarint()
+	case ev.Kind == EvViolation:
+		ev.Seq, ev.Addr = uint64(f.Byte()), mem.Addr(f.Uvarint())
+	case ev.Kind == EvFault:
+		ev.Seq = uint64(f.Byte())
+		ev.Val, ev.Val2 = mem.Word(f.Uvarint()), mem.Word(f.Uvarint())
+		if ev.Mask = consistency.MembarMask(f.Byte()); ev.Mask > maxOutcome {
+			f.Failf("fault outcome %d is none of not-applied, detected, masked, escape", uint8(ev.Mask))
+		}
 	case ev.Class == consistency.Membar:
 		ev.Model, ev.Mask = consistency.Model(f.Byte()), consistency.MembarMask(f.Byte())
 		ev.Seq = f.Uvarint()
@@ -185,7 +225,7 @@ func (r *Reader) Next() (Event, error) {
 	if int(ev.Node) >= r.meta.Nodes {
 		f.Failf("event for node %d but the header declares %d nodes", ev.Node, r.meta.Nodes)
 	}
-	if ev.Kind != EvRecover && (ev.Model < consistency.SC || ev.Model > consistency.RMO) {
+	if op && (ev.Model < consistency.SC || ev.Model > consistency.RMO) {
 		f.Failf("model byte %d is none of SC, TSO, PSO, RMO", uint8(ev.Model))
 	}
 	if err := f.End(); err != nil {

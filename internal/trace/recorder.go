@@ -7,7 +7,9 @@ import (
 
 // RecorderStats reports capture accounting.
 type RecorderStats struct {
-	// Events is the number of events emitted to the recorder.
+	// Events is the number of commits, performs and recovery markers
+	// emitted to the recorder: the events the oracles judge and count.
+	// The annotation records are written but not counted.
 	Events uint64
 	// Spills is the number of times the ring was encoded and drained.
 	Spills uint64
@@ -45,7 +47,9 @@ func (r *Recorder) Emit(ev Event) {
 	if r.finished {
 		return
 	}
-	r.stats.Events++
+	if ev.Kind < EvCheckpoint {
+		r.stats.Events++
+	}
 	if r.ring.full() {
 		r.spill()
 	}

@@ -41,9 +41,25 @@ const (
 	// EvRecover marks a SafetyNet recovery: all architectural state rolled
 	// back to the recovery point. Committed-but-unperformed operations
 	// before this marker were discarded and will never perform; values
-	// exposed before it may reappear.
+	// exposed before it may reappear. Val is the cycle of the checkpoint
+	// restored.
 	EvRecover Kind = 3
+	// EvCheckpoint marks a SafetyNet checkpoint taken at Time; Seq is its
+	// sequence number.
+	EvCheckpoint Kind = 4
+	// EvViolation marks an online checker's violation: Node detected it
+	// at Time, Seq is its core.ViolationKind and Addr the block it names.
+	EvViolation Kind = 5
+	// EvFault closes an injected fault's record at Time, once per
+	// injection run: Node is its target, Seq its fault kind, Val the
+	// cycle it was armed, Val2 the cycle it fired (0 if it never did),
+	// and Mask its outcome — 0 not applied, 1 detected, 2 masked,
+	// 3 escape.
+	EvFault Kind = 6
 )
+
+// The kinds from EvCheckpoint on are annotations: they explain a run to
+// its reader, and the oracles skip them before they count an event.
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
@@ -54,6 +70,12 @@ func (k Kind) String() string {
 		return "perform"
 	case EvRecover:
 		return "recover"
+	case EvCheckpoint:
+		return "checkpoint"
+	case EvViolation:
+		return "violation"
+	case EvFault:
+		return "fault"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -70,11 +92,12 @@ func (k Kind) String() string {
 // the oracle skips value plausibility for them.
 //
 // For RMW performs, Val is the newly written value and Val2 the old value
-// the atomic load half observed.
+// the atomic load half observed. A recovery marker and the annotation
+// kinds use the fields their Kind constants name.
 type Event struct {
 	Kind  Kind
 	Node  uint8
-	Class consistency.OpClass    // Load, Store, or Membar (0 for EvRecover)
+	Class consistency.OpClass    // Load, Store, or Membar (0 for the other kinds)
 	Mask  consistency.MembarMask // membars only
 	IsRMW bool
 	Fwd   bool              // load satisfied by store-forwarding
@@ -93,9 +116,19 @@ func (e Event) Op() consistency.Op {
 
 // String implements fmt.Stringer for debugging.
 func (e Event) String() string {
+	switch e.Kind {
+	case EvRecover:
+		return fmt.Sprintf("t=%d n%d recover to checkpoint @%d", e.Time, e.Node, uint64(e.Val))
+	case EvCheckpoint:
+		return fmt.Sprintf("t=%d checkpoint seq=%d", e.Time, e.Seq)
+	case EvViolation:
+		return fmt.Sprintf("t=%d n%d violation kind=%d block=%#x", e.Time, e.Node, e.Seq, uint64(e.Addr))
+	case EvFault:
+		return fmt.Sprintf("t=%d n%d fault kind=%d armed=%d fired=%d outcome=%d",
+			e.Time, e.Node, e.Seq, uint64(e.Val), uint64(e.Val2), uint8(e.Mask))
+	case EvCommit, EvPerform:
+	}
 	switch {
-	case e.Kind == EvRecover:
-		return fmt.Sprintf("t=%d n%d recover", e.Time, e.Node)
 	case e.Class == consistency.Membar:
 		return fmt.Sprintf("t=%d n%d %v seq=%d membar %v (%v)",
 			e.Time, e.Node, e.Kind, e.Seq, e.Mask, e.Model)

@@ -15,8 +15,10 @@ func sampleMeta() Meta {
 
 // sampleEvents exercises every field shape the codec supports: loads,
 // stores, membars, RMW commits and performs, forwarded loads, a recovery
-// marker, large varint values, and a negative time delta (cross-CPU
-// callback timestamps can be up to one cycle stale).
+// marker, one checkpoint, violation and fault record each, large varint
+// values, and negative time deltas (cross-CPU callback timestamps can be
+// up to one cycle stale; a violation is stamped with its detection
+// cycle).
 func sampleEvents() []Event {
 	return []Event{
 		{Kind: EvCommit, Node: 0, Class: consistency.Store, Model: consistency.TSO,
@@ -35,11 +37,14 @@ func sampleEvents() []Event {
 			Seq: 2, Addr: 0x80, Val: 0, Time: 30},
 		{Kind: EvPerform, Node: 3, Class: consistency.Store, IsRMW: true, Model: consistency.SC,
 			Seq: 2, Addr: 0x80, Val: 99, Val2: 98, Time: 33},
-		{Kind: EvRecover, Node: 0, Time: 40},
+		{Kind: EvCheckpoint, Seq: 3, Time: 34},
+		{Kind: EvViolation, Node: 2, Seq: 4, Addr: 0x1234_5678_9ac0, Time: 33},
+		{Kind: EvRecover, Node: 0, Val: 34, Time: 40},
 		{Kind: EvCommit, Node: 0, Class: consistency.Load, Model: consistency.TSO,
 			Seq: 6, Addr: 0x40, Val: 0, Time: 45},
 		{Kind: EvPerform, Node: 0, Class: consistency.Load, Model: consistency.TSO,
 			Seq: 6, Addr: 0x40, Val: 0, Time: 45},
+		{Kind: EvFault, Node: 3, Seq: 19, Val: 31, Val2: 32, Mask: 1, Time: 50},
 	}
 }
 
@@ -129,9 +134,15 @@ func TestRecorderSpillCapturesAll(t *testing.T) {
 	if !reflect.DeepEqual(got, events) {
 		t.Errorf("spill recorder lost or reordered events: got %d, want %d", len(got), len(events))
 	}
+	var judged uint64 // the annotations are written, not counted
+	for _, ev := range events {
+		if ev.Kind < EvCheckpoint {
+			judged++
+		}
+	}
 	st := rec.Stats()
-	if st.Events != uint64(len(events)) || st.Spills != 3 {
-		t.Errorf("stats: %+v, want %d events in 3 spills", st, len(events))
+	if st.Events != judged || st.Spills != 3 {
+		t.Errorf("stats: %+v, want %d events in 3 spills", st, judged)
 	}
 	// Idempotent Finish.
 	again, err := rec.Finish()

@@ -135,9 +135,9 @@ func (s *System) spanHop(m *network.Message, at sim.Cycle) {
 }
 
 // buildSpans installs the span recorder and its taps: per-controller
-// transaction listeners, the network delivery observer, and the
-// SafetyNet checkpoint/recovery annotations. It registers no kernel
-// component: the work profile over time is telemetry's tracked series.
+// transaction listeners and the network delivery observer. It registers
+// no kernel component: the work profile over time is telemetry's
+// tracked series, and a fault's life is the trace's.
 // Called at the end of NewSystem, after buildTelemetry; with
 // Config.Spans disabled it installs nothing and the only residual cost
 // is a nil observer check on the network delivery path.
@@ -152,14 +152,6 @@ func (s *System) buildSpans(cfg Config) {
 	s.torus.SetObserver(s.spanHop)
 	if s.bcast != nil {
 		s.bcast.SetObserver(s.spanHop)
-	}
-	if s.snMgr != nil {
-		s.snMgr.SetCheckpointListener(func(seq uint64, at sim.Cycle) {
-			s.spanRec.FaultEvent(span.LabelCheckpoint, at, seq, 0)
-		})
-		s.snMgr.SetRecoveryListener(func(seq uint64, cpCycle, errorCycle sim.Cycle) {
-			s.spanRec.FaultEvent(span.LabelRecovery, errorCycle, seq, uint64(cpCycle))
-		})
 	}
 }
 

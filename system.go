@@ -361,12 +361,14 @@ func (s *System) informFallback(met *core.MemChecker) network.Handler {
 	}
 }
 
-// sink returns the violation sink shared by all checkers.
+// sink returns the violation sink shared by all checkers. A traced run
+// records each violation in the trace too.
 func (s *System) sink() core.Sink {
 	return core.SinkFunc(func(v Violation) {
 		s.violations.Violation(v)
-		if s.spanRec != nil {
-			s.spanRec.FaultEvent(span.LabelViolation, v.Cycle, uint64(v.Kind), uint64(v.Block))
+		if s.tracer != nil {
+			s.tracer.Emit(trace.Event{Kind: trace.EvViolation, Node: uint8(v.Node),
+				Seq: uint64(v.Kind), Addr: mem.Addr(v.Block), Time: v.Cycle})
 		}
 	})
 }
@@ -484,7 +486,8 @@ func (s *System) TraceStats() trace.RecorderStats {
 // not hold at that moment: the dirty cache lines and each core's
 // committed-but-unperformed stores.
 type checkpointState struct {
-	marks []uint64 // per home: the undo mark of its memory
+	cycle sim.Cycle // when it was taken
+	marks []uint64  // per home: the undo mark of its memory
 	// dirty is every dirty line and writeback entry, controllers in index
 	// order, ForEachDirty order within: the order recovery writes them.
 	dirty []dirtyLine
@@ -498,9 +501,16 @@ type dirtyLine struct {
 
 // capture builds a checkpoint: one undo mark per home memory, the dirty
 // cache lines of the moment, and each core's architectural program
-// position with its write-buffer stores.
+// position with its write-buffer stores. A traced run records the
+// checkpoint's sequence number.
 func (s *System) capture(now sim.Cycle) any {
+	if s.tracer != nil {
+		// The manager counts this checkpoint before capturing it: the count
+		// is its sequence number.
+		s.tracer.Emit(trace.Event{Kind: trace.EvCheckpoint, Seq: s.snMgr.Stats().CheckpointsTaken, Time: now})
+	}
 	st := s.cpStates.Get()
+	st.cycle = now
 	for _, h := range s.homes {
 		st.marks = append(st.marks, h.Memory().Mark())
 	}
@@ -551,8 +561,8 @@ func (s *System) restore(state any) {
 		// operations before this point were discarded, and previously
 		// exposed values may legally reappear. The offline oracle clears
 		// its pending state at this marker, mirroring the online
-		// checkers' Reset below.
-		s.tracer.Emit(trace.Event{Kind: trace.EvRecover, Time: s.kernel.Now()})
+		// checkers' Reset below. The marker names the checkpoint's cycle.
+		s.tracer.Emit(trace.Event{Kind: trace.EvRecover, Val: mem.Word(st.cycle), Time: s.kernel.Now()})
 	}
 	if s.spanRec != nil {
 		// In-flight transactions are squashed with the networks below;
