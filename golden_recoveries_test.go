@@ -5,12 +5,17 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"dvmc/internal/trace"
 )
 
 // goldenRecovery is everything one recovery scenario leaves behind: the
 // injection verdict, the whole-run results, how many violations fired and
 // the hash of the execution trace (which carries every committed and
-// performed value, so a restore that is off by one word changes it).
+// performed value, so a restore that is off by one word changes it). The
+// trace is hashed as its decoded events, annotations included, each in
+// the fixed text of traceEventsSHA256: what the run did, not how the trace
+// codec wrote it down (internal/trace/testdata/golden.trc pins that).
 type goldenRecovery struct {
 	Name        string
 	Injection   InjectionResult
@@ -91,13 +96,29 @@ func goldenRecoveryRuns(t *testing.T) []goldenRecovery {
 				out = append(out, goldenRecovery{
 					Name: name, Injection: res, Results: s.ResultsSoFar(),
 					Violations:   len(s.Violations()),
-					TraceSHA256:  fmt.Sprintf("%x", sha256.Sum256(tr)),
+					TraceSHA256:  traceEventsSHA256(t, tr),
 					MemorySHA256: fmt.Sprintf("%x", memory.Sum(nil)),
 				})
 			}
 		}
 	}
 	return out
+}
+
+// traceEventsSHA256 hashes a trace's decoded events, one line of every
+// field's number per event.
+func traceEventsSHA256(t *testing.T, tr []byte) string {
+	t.Helper()
+	_, events, err := trace.Decode(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, e := range events {
+		fmt.Fprintf(h, "%d %d %d %d %t %t %d %d %d %d %d %d\n", e.Kind, e.Node, e.Class, e.Mask, e.IsRMW, e.Fwd,
+			e.Model, e.Seq, uint64(e.Addr), uint64(e.Val), uint64(e.Val2), uint64(e.Time))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // TestGoldenRecoveries pins recoveries the other gates never reach: late
@@ -110,7 +131,9 @@ func goldenRecoveryRuns(t *testing.T) []goldenRecovery {
 // part, and only the three snooping cache-data-flip rows changed, their
 // flip now corrected at first use; and when the trace format became
 // version 2, which moved every TraceSHA256 and nothing else (the decoded
-// commits, performs and recovery markers are the same).
+// commits, performs and recovery markers are the same); and when the
+// trace column became the hash of the decoded events, which moved every
+// TraceSHA256 once more and nothing else.
 func TestGoldenRecoveries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 36 runs of 100k cycles")

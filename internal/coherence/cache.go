@@ -40,42 +40,64 @@ const chunkSets = 16
 // one.
 type setArray[E any] struct {
 	sets, ways int
-	// chunks[k] holds sets k*chunkSets onwards (fewer in the last chunk),
-	// ways entries each, row-major by set; nil until fillSet first needs
-	// one of them. Walking chunks in order and each chunk's entries in
-	// order visits allocated entries in set order, as a flat array would.
-	chunks [][]E
+	// chunks[k] holds sets k*chunkSets onwards (fewer in the last chunk);
+	// its entries are nil until fillSet first needs one of them. Walking
+	// chunks in order and each chunk's entries in order visits allocated
+	// entries in set order, as a flat array would.
+	chunks []chunk[E]
 }
 
-func newSetArray[E any](sets, ways int) setArray[E] {
-	return setArray[E]{sets: sets, ways: ways, chunks: make([][]E, (sets+chunkSets-1)/chunkSets)}
+// chunk is one allocation of entries, ways per set, row-major by set.
+type chunk[E any] struct {
+	entries []E
+	// touched has bit i set when a line of the chunk's set i changed since
+	// the last ForEachDirty (the L2 array only; see cacheArray.touch). It
+	// rides beside the entries, so an array's change record costs no
+	// allocation of its own.
+	touched uint16
 }
+
+// A chunk's touched mask has one bit per set.
+var _ [16 - chunkSets]struct{}
+
+func newSetArray[E any](sets, ways int) setArray[E] {
+	return setArray[E]{sets: sets, ways: ways, chunks: make([]chunk[E], (sets+chunkSets-1)/chunkSets)}
+}
+
+// setIndex returns block b's set.
+func (a *setArray[E]) setIndex(b mem.BlockAddr) int { return int(uint64(b) % uint64(a.sets)) }
 
 // setOf returns block b's set: empty while its chunk has never been
 // filled, so a lookup there misses.
-func (a *setArray[E]) setOf(b mem.BlockAddr) []E {
-	s := int(uint64(b) % uint64(a.sets))
-	chunk := a.chunks[s/chunkSets]
-	if chunk == nil {
+func (a *setArray[E]) setOf(b mem.BlockAddr) []E { return a.set(a.setIndex(b)) }
+
+// set returns set s's entries, empty while its chunk has never been
+// filled.
+func (a *setArray[E]) set(s int) []E {
+	entries := a.chunks[s/chunkSets].entries
+	if entries == nil {
 		return nil
 	}
 	i := s % chunkSets * a.ways
-	return chunk[i : i+a.ways]
+	return entries[i : i+a.ways]
 }
 
 // fillSet is setOf for a fill: it allocates b's chunk on first use.
 func (a *setArray[E]) fillSet(b mem.BlockAddr) []E {
-	k := int(uint64(b)%uint64(a.sets)) / chunkSets
-	if a.chunks[k] == nil {
+	k := a.setIndex(b) / chunkSets
+	if a.chunks[k].entries == nil {
 		n := min(chunkSets, a.sets-k*chunkSets)
-		a.chunks[k] = make([]E, n*a.ways)
+		a.chunks[k].entries = make([]E, n*a.ways)
 	}
 	return a.setOf(b)
 }
 
 // cacheArray is a set-associative array with LRU replacement, its lines
 // under SEC-DED ECC (the paper's Cache Correctness assumes ECC on every
-// cache line).
+// cache line). Every change to a line's block, state, valid, dataValid or
+// data is made here and marks the line's set touched, which is how
+// ForEachDirty knows what a checkpoint must re-read (TestLineWrites keeps
+// the other files from writing those fields).
 type cacheArray struct {
 	setArray[line]
 	tick uint64
@@ -84,6 +106,12 @@ type cacheArray struct {
 
 func newCacheArray(sets, ways int) *cacheArray {
 	return &cacheArray{setArray: newSetArray[line](sets, ways)}
+}
+
+// touch marks block b's set as changed since the last ForEachDirty.
+func (a *cacheArray) touch(b mem.BlockAddr) {
+	s := a.setIndex(b)
+	a.chunks[s/chunkSets].touched |= 1 << (s % chunkSets)
 }
 
 // lookup returns the line holding b, or nil.
@@ -115,6 +143,22 @@ func (a *cacheArray) install(l *line, b mem.BlockAddr, s State, data mem.Block, 
 	a.tick++
 	*l = line{valid: true, block: b, state: s, data: data, dataValid: dataValid, lru: a.tick}
 	a.ecc.Forget(uint64(b))
+	a.touch(b)
+}
+
+// setState changes a resident line's MOSI state and whether its data has
+// arrived (a snooping upgrade is ordered before its data).
+func (a *cacheArray) setState(l *line, s State, dataValid bool) {
+	l.state = s
+	l.dataValid = dataValid
+	a.touch(l.block)
+}
+
+// correct lets ECC repair l's data before it is read.
+func (a *cacheArray) correct(l *line) {
+	if a.ecc.Correct(uint64(l.block), &l.data) {
+		a.touch(l.block)
+	}
 }
 
 // writeWord performs a store into a resident line. ECC corrects the line
@@ -124,6 +168,7 @@ func (a *cacheArray) writeWord(l *line, addr mem.Addr, w mem.Word) {
 	a.ecc.Correct(uint64(l.block), &l.data)
 	l.data[addr.WordIndex()] = w
 	a.ecc.Forget(uint64(l.block))
+	a.touch(l.block)
 }
 
 // writeBlock replaces a resident line's data (snooping data arrival).
@@ -131,36 +176,47 @@ func (a *cacheArray) writeBlock(l *line, data mem.Block) {
 	l.data = data
 	l.dataValid = true
 	a.ecc.Forget(uint64(l.block))
+	a.touch(l.block)
 }
 
 // readWord reads a word, letting ECC correct a single-bit upset first.
 func (a *cacheArray) readWord(l *line, addr mem.Addr) mem.Word {
-	a.ecc.Correct(uint64(l.block), &l.data)
+	a.correct(l)
 	return l.data[addr.WordIndex()]
 }
 
 // readBlock reads the whole block, letting ECC correct it first.
 func (a *cacheArray) readBlock(l *line) mem.Block {
-	a.ecc.Correct(uint64(l.block), &l.data)
+	a.correct(l)
 	return l.data
 }
 
 // flip upsets one bit of a resident line behind the code.
-func (a *cacheArray) flip(l *line, bit int) { a.ecc.Flip(uint64(l.block), &l.data, bit) }
+func (a *cacheArray) flip(l *line, bit int) {
+	a.ecc.Flip(uint64(l.block), &l.data, bit)
+	a.touch(l.block)
+}
 
 // invalidate frees a line, and ECC forgets its upsets.
 func (a *cacheArray) invalidate(l *line) {
 	a.ecc.Forget(uint64(l.block))
 	l.valid = false
 	l.state = Invalid
+	a.touch(l.block)
+}
+
+// dirty reports whether l holds the system's only up-to-date copy of its
+// block: what a checkpoint must capture.
+func (l *line) dirty() bool {
+	return l.valid && l.dataValid && (l.state == Modified || l.state == Owned)
 }
 
 // occupancy returns the number of valid lines (for tests).
 func (a *cacheArray) occupancy() int {
 	n := 0
 	for _, chunk := range a.chunks {
-		for i := range chunk {
-			if chunk[i].valid {
+		for i := range chunk.entries {
+			if chunk.entries[i].valid {
 				n++
 			}
 		}

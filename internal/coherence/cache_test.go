@@ -143,6 +143,34 @@ type dirtyLine struct {
 	data mem.Block
 }
 
+// dirtyView rebuilds a controller's whole dirty list from what
+// ForEachDirty reports changed, as a checkpoint capture does: lines is
+// the L2 part of the last update (nil after Reset).
+type dirtyView struct {
+	sets  int
+	lines []dirtyLine
+}
+
+// update returns the controller's dirty lines and writeback entries.
+func (v *dirtyView) update(c *ctrlCore) []dirtyLine {
+	var out []dirtyLine
+	prev := v.lines
+	setOf := func(b mem.BlockAddr) int { return int(uint64(b) % uint64(v.sets)) }
+	c.ForEachDirty(func(s int) {
+		for len(prev) > 0 && setOf(prev[0].b) < s {
+			out = append(out, prev[0])
+			prev = prev[1:]
+		}
+		for len(prev) > 0 && setOf(prev[0].b) == s {
+			prev = prev[1:]
+		}
+		if s == v.sets {
+			v.lines = append([]dirtyLine(nil), out...)
+		}
+	}, func(b mem.BlockAddr, data mem.Block) { out = append(out, dirtyLine{b, data}) })
+	return out
+}
+
 // modelEvict is a protocol whose eviction drops the victim, as both
 // real protocols end theirs.
 type modelEvict struct{ c *ctrlCore }
@@ -213,9 +241,11 @@ func TestLineSize(t *testing.T) {
 
 // TestChunkedArrayMatchesFlat drives the chunked L2 array, through the
 // real ctrlCore.allocate, and the flat reference with the same random
-// fills, lookups, peeks, word reads and writes, invalidations and busy
-// (MSHR-held) blocks. Victims, LRU state, occupancy, the order of valid
-// lines, the ForEachDirty sequence and ResidentBlocks must all agree,
+// fills, lookups, peeks, word reads and writes, upsets, state changes,
+// data arrivals, invalidations and busy (MSHR-held) blocks. Victims, LRU
+// state, occupancy, the order of valid lines, the dirty list rebuilt from
+// ForEachDirty's reports (as a checkpoint does) and ResidentBlocks must
+// all agree,
 // including on geometries whose set count is not a multiple of the chunk;
 // and only a fill may allocate a chunk.
 func TestChunkedArrayMatchesFlat(t *testing.T) {
@@ -227,6 +257,7 @@ func TestChunkedArrayMatchesFlat(t *testing.T) {
 			c := &ctrlCore{l2: newCacheArray(g.sets, g.ways), mshrs: make(map[mem.BlockAddr]*mshr)}
 			c.proto = modelEvict{c}
 			filled := make(map[int]bool) // chunks a fill has landed in
+			view := dirtyView{sets: g.sets}
 			rng := sim.NewRand(uint64(g.sets)<<8 | uint64(g.ways))
 			span := 2 * g.sets * g.ways
 
@@ -243,7 +274,7 @@ func TestChunkedArrayMatchesFlat(t *testing.T) {
 				}
 				var got, want []line
 				for _, chunk := range c.l2.chunks {
-					for _, l := range chunk {
+					for _, l := range chunk.entries {
 						if l.valid {
 							got = append(got, l)
 						}
@@ -257,17 +288,15 @@ func TestChunkedArrayMatchesFlat(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("op %d: valid lines differ from the flat array's, in content or order", op)
 				}
-				var dirty []dirtyLine
-				c.ForEachDirty(func(b mem.BlockAddr, data mem.Block) { dirty = append(dirty, dirtyLine{b, data}) })
-				if !reflect.DeepEqual(dirty, flat.dirty()) {
+				if dirty := view.update(c); !reflect.DeepEqual(dirty, flat.dirty()) {
 					t.Fatalf("op %d: ForEachDirty sequence differs from the flat array's", op)
 				}
 				if got, want := c.ResidentBlocks(8), flat.resident(8); !reflect.DeepEqual(got, want) {
 					t.Fatalf("op %d: ResidentBlocks %v, flat %v", op, got, want)
 				}
 				for k, chunk := range c.l2.chunks {
-					if (chunk != nil) != filled[k] {
-						t.Fatalf("op %d: chunk %d allocated=%v, filled=%v", op, k, chunk != nil, filled[k])
+					if (chunk.entries != nil) != filled[k] {
+						t.Fatalf("op %d: chunk %d allocated=%v, filled=%v", op, k, chunk.entries != nil, filled[k])
 					}
 				}
 			}
@@ -276,7 +305,7 @@ func TestChunkedArrayMatchesFlat(t *testing.T) {
 			for op := 0; op < ops; op++ {
 				b := mem.BlockAddr(rng.Intn(span))
 				addr := mem.Addr(uint64(b)*mem.BlockBytes + uint64(rng.Intn(mem.WordsPerBlock))*mem.WordBytes)
-				switch k := rng.Intn(10); {
+				switch k := rng.Intn(12); {
 				case k < 3: // fill: a miss's data arrives
 					if (c.l2.peek(b) == nil) != (flat.peek(b) == nil) {
 						t.Fatalf("op %d: residency of %#x differs", op, b)
@@ -318,13 +347,14 @@ func TestChunkedArrayMatchesFlat(t *testing.T) {
 						flat.writeWord(want, addr, w)
 					}
 				case k < 8:
+					// An upset, or a read that corrects an earlier one: a
+					// dirty walk between the two sees the flipped line.
 					if got, want := c.l2.peek(b), flat.peek(b); got != nil && want != nil {
-						if rng.Intn(4) == 0 { // an upset for the read to correct
+						if rng.Intn(4) == 0 {
 							bit := rng.Intn(mem.BlockBytes * 8)
 							c.l2.flip(got, bit)
 							flat.ecc.Flip(uint64(b), &want.data, bit)
-						}
-						if c.l2.readWord(got, addr) != flat.readWord(want, addr) {
+						} else if c.l2.readWord(got, addr) != flat.readWord(want, addr) {
 							t.Fatalf("op %d: readWord(%#x) differs", op, addr)
 						}
 					}
@@ -332,6 +362,19 @@ func TestChunkedArrayMatchesFlat(t *testing.T) {
 					if got, want := c.l2.peek(b), flat.peek(b); got != nil && want != nil {
 						c.l2.invalidate(got)
 						flat.invalidate(want)
+					}
+				case k < 10: // a protocol transition, or a state fault
+					if got, want := c.l2.peek(b), flat.peek(b); got != nil && want != nil {
+						st, dataValid := []State{Shared, Owned, Modified}[rng.Intn(3)], rng.Intn(3) > 0
+						c.l2.setState(got, st, dataValid)
+						want.state, want.dataValid = st, dataValid
+					}
+				case k < 11: // a snooping data arrival
+					if got, want := c.l2.peek(b), flat.peek(b); got != nil && want != nil {
+						data := mem.Block{mem.Word(rng.Uint64())}
+						c.l2.writeBlock(got, data)
+						want.data, want.dataValid = data, true
+						flat.ecc.Forget(uint64(b))
 					}
 				default: // an MSHR takes or releases the block
 					if _, isBusy := c.mshrs[b]; isBusy {
@@ -347,6 +390,7 @@ func TestChunkedArrayMatchesFlat(t *testing.T) {
 			compare(ops)
 
 			c.Reset()
+			view.lines = nil
 			for i := range flat.lines {
 				if flat.lines[i].valid {
 					flat.invalidate(&flat.lines[i])
@@ -454,12 +498,12 @@ func TestTagFilterMatchesFlat(t *testing.T) {
 					t.Fatalf("op %d: tick %d, flat %d", op, f.tick, flat.tick)
 				}
 				for k, chunk := range f.chunks {
-					if (chunk != nil) != filled[k] {
-						t.Fatalf("op %d: chunk %d allocated=%v, filled=%v", op, k, chunk != nil, filled[k])
+					if (chunk.entries != nil) != filled[k] {
+						t.Fatalf("op %d: chunk %d allocated=%v, filled=%v", op, k, chunk.entries != nil, filled[k])
 					}
 				}
 				for s := 0; s < g.sets; s++ {
-					chunk := f.chunks[s/chunkSets]
+					chunk := f.chunks[s/chunkSets].entries
 					for w := 0; w < g.ways; w++ {
 						i := s*g.ways + w
 						var got tag

@@ -313,9 +313,16 @@ type Controller interface {
 	// masked.
 	StateFaultFired() (sim.Cycle, bool)
 
-	// ForEachDirty visits every resident dirty (M or O) block, for
-	// SafetyNet checkpoint capture.
-	ForEachDirty(fn func(b mem.BlockAddr, data mem.Block))
+	// ForEachDirty reports what changed among the dirty blocks since its
+	// last call (or since Reset, which leaves none), for SafetyNet's
+	// incremental checkpoint capture. Every L2 set whose lines changed is
+	// reported in ascending order as set(s), followed by fn for each of
+	// its dirty (M or O) lines in way order; then set(n), n the number of
+	// sets; then fn for every dirty writeback entry in ascending block
+	// order. A caller holding the previous call's lines in array order,
+	// block b in set b mod n, rebuilds the full list: at set(s) it keeps
+	// its lines of the sets below s and drops those of set s.
+	ForEachDirty(set func(s int), fn func(b mem.BlockAddr, data mem.Block))
 
 	// ResidentBlocks returns up to max resident blocks with valid data,
 	// most recently used first (fault-injection targeting).

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"dvmc/internal/mem"
@@ -38,6 +40,9 @@ type ctrlCore struct {
 
 	mshrs map[mem.BlockAddr]*mshr
 	wb    map[mem.BlockAddr]wbEntry
+	// wbOrder is ForEachDirty's buffer for the writeback entries' blocks,
+	// kept so a checkpoint with writebacks outstanding allocates nothing.
+	wbOrder []mem.BlockAddr
 
 	// Records that live and die inside this controller are recycled
 	// (DESIGN.md, "Object lifetimes"): a processor request on its way
@@ -581,8 +586,8 @@ func (c *ctrlCore) resident(max int, keep func(*line) bool) []mem.BlockAddr {
 	}
 	var cands []cand
 	for _, chunk := range c.l2.chunks {
-		for i := range chunk {
-			l := &chunk[i]
+		for i := range chunk.entries {
+			l := &chunk.entries[i]
 			if l.valid && l.dataValid && keep(l) {
 				cands = append(cands, cand{l.block, l.lru})
 			}
@@ -609,26 +614,35 @@ func (c *ctrlCore) ResidentReadOnlyBlocks(max int) []mem.BlockAddr {
 	return c.resident(max, func(l *line) bool { return l.state == Shared || l.state == Owned })
 }
 
-// ForEachDirty implements Controller: dirty lines in array order, then
-// dirty writeback entries in ascending block order (deterministic).
-func (c *ctrlCore) ForEachDirty(fn func(b mem.BlockAddr, data mem.Block)) {
-	for _, chunk := range c.l2.chunks {
-		for i := range chunk {
-			l := &chunk[i]
-			if l.valid && l.dataValid && (l.state == Modified || l.state == Owned) {
-				fn(l.block, l.data)
+// ForEachDirty implements Controller. The touched masks say which sets
+// changed since the last call; each is reported and cleared.
+func (c *ctrlCore) ForEachDirty(set func(s int), fn func(b mem.BlockAddr, data mem.Block)) {
+	a := c.l2
+	for k := range a.chunks {
+		ch := &a.chunks[k]
+		for m := ch.touched; m != 0; m &= m - 1 {
+			s := k*chunkSets + bits.TrailingZeros16(m)
+			set(s)
+			lines := a.set(s)
+			for i := range lines {
+				if l := &lines[i]; l.dirty() {
+					fn(l.block, l.data)
+				}
 			}
 		}
+		ch.touched = 0
 	}
+	set(a.sets)
 	if len(c.wb) == 0 {
 		return // every checkpoint comes through here
 	}
-	wbs := make([]mem.BlockAddr, 0, len(c.wb))
+	order := c.wbOrder[:0]
 	for b := range c.wb {
-		wbs = append(wbs, b)
+		order = append(order, b)
 	}
-	sort.Slice(wbs, func(i, j int) bool { return wbs[i] < wbs[j] })
-	for _, b := range wbs {
+	slices.Sort(order)
+	c.wbOrder = order
+	for _, b := range order {
 		if e := c.wb[b]; e.dirty {
 			fn(b, e.data)
 		}
@@ -638,15 +652,18 @@ func (c *ctrlCore) ForEachDirty(fn func(b mem.BlockAddr, data mem.Block)) {
 // ECCCorrected implements Controller.
 func (c *ctrlCore) ECCCorrected() uint64 { return c.l2.ecc.Corrected() }
 
-// Reset implements Controller.
+// Reset implements Controller. The empty cache is the new baseline of
+// ForEachDirty: no set counts as touched.
 func (c *ctrlCore) Reset() {
 	c.stateFaultArmed = false // recovery wipes the cache; fired persists
-	for _, chunk := range c.l2.chunks {
-		for i := range chunk {
-			if chunk[i].valid {
-				c.l2.invalidate(&chunk[i])
+	for k := range c.l2.chunks {
+		ch := &c.l2.chunks[k]
+		for i := range ch.entries {
+			if ch.entries[i].valid {
+				c.l2.invalidate(&ch.entries[i])
 			}
 		}
+		ch.touched = 0
 	}
 	c.l1 = newTagFilter(c.cfg.L1Sets, c.cfg.L1Ways)
 	c.mshrs = make(map[mem.BlockAddr]*mshr)
@@ -700,12 +717,12 @@ func (c *ctrlCore) CorruptLineStateFault(b mem.BlockAddr, promote bool) bool {
 		if l.state != Shared && l.state != Owned {
 			return false
 		}
-		l.state = Modified
+		c.l2.setState(l, Modified, l.dataValid)
 	} else {
 		if l.state != Modified {
 			return false
 		}
-		l.state = Shared
+		c.l2.setState(l, Shared, l.dataValid)
 	}
 	c.stateFaultBlock = b
 	c.stateFaultPromote = promote

@@ -164,7 +164,7 @@ func (c *DirCache) onPermM(p *MsgPermM) {
 	}
 	data := c.l2.readBlock(l)
 	c.endNow(p.Block, ReadOnly, data)
-	l.state = Modified
+	c.l2.setState(l, Modified, l.dataValid)
 	c.beginNow(p.Block, ReadWrite, data)
 	c.serve(ms, l, true)
 }
@@ -213,7 +213,7 @@ func (c *DirCache) onRecall(p *MsgRecall) {
 			c.dropLine(l)
 		} else if l.state == Modified {
 			c.endNow(p.Block, ReadWrite, data)
-			l.state = Owned
+			c.l2.setState(l, Owned, l.dataValid)
 			c.beginNow(p.Block, ReadOnly, data)
 		}
 		c.net.Send(network.Wrap(c.toHome(p.Block, DataBytes), MsgRecallAck{Block: p.Block, Data: data, From: c.node}))

@@ -112,7 +112,7 @@ func (c *SnoopCache) onOwnRequest(p *MsgSnoop, seq uint64) {
 			c.epochEnd(p.Block, epochKindOf(l.state), seq, old)
 			if l.state == Owned && l.dataValid {
 				// Upgrade in place: we are the owner; no data transfer.
-				l.state = Modified
+				c.l2.setState(l, Modified, l.dataValid)
 				c.epochBegin(p.Block, ReadWrite, seq, true, old)
 				ms.dataArrived = true
 				c.complete(ms, l)
@@ -128,8 +128,7 @@ func (c *SnoopCache) onOwnRequest(p *MsgSnoop, seq uint64) {
 				c.stateFaultLeaving(p.Block, true)
 			}
 			// We held S: permission granted now, data still in flight.
-			l.state = Modified
-			l.dataValid = false
+			c.l2.setState(l, Modified, false)
 			c.epochBegin(p.Block, ReadWrite, seq, false, mem.Block{})
 			return
 		}
@@ -229,7 +228,7 @@ func (c *SnoopCache) onForeignRequest(p *MsgSnoop, seq uint64) {
 		switch {
 		case p.Kind == SnoopGetS && l.state == Modified:
 			c.epochEnd(b, ReadWrite, seq, data)
-			l.state = Owned
+			c.l2.setState(l, Owned, l.dataValid)
 			c.epochBegin(b, ReadOnly, seq, true, data)
 			c.supply(p.Requestor, b, data)
 		case p.Kind == SnoopGetS && l.state == Owned:
@@ -350,7 +349,7 @@ func (c *SnoopCache) complete(ms *mshr, l *line) {
 		if tr.supplyTo >= 0 {
 			c.supply(tr.supplyTo, ms.block, data)
 		}
-		l.state = tr.toState
+		c.l2.setState(l, tr.toState, l.dataValid)
 	}
 	if l.state == Invalid {
 		c.dropLine(l)

@@ -99,8 +99,20 @@ type CPU struct {
 	// reaches the end. robBuf starts empty and doubles, up to ROBInstrs,
 	// when the window fills half of it, so a short program pays for the
 	// ops it keeps in flight and a long one stops growing it once full.
-	rob      []*uop
-	robBuf   []*uop
+	rob    []*uop
+	robBuf []*uop
+	// Three lists of ROB entries, each in ROB order, so that execute and
+	// verify visit only the ops that can act. Each holds at most the ops
+	// in flight, so each has a region of robBuf's size in robBuf's
+	// allocation (growROB) and never grows on its own. execQ: the ops not
+	// yet issued and the forwarded loads waiting for execReadyAt. fenceQ:
+	// the membars and RMWs, the ops a younger load's issue can wait for.
+	// replayQ: the executed loads that have neither started replay nor
+	// performed (kept only under DVMC). An op leaves each list eagerly,
+	// before its uop can be recycled.
+	execQ    []*uop
+	fenceQ   []*uop
+	replayQ  []*uop
 	uops     sim.FreeList[uop]
 	instrs   int // instructions in flight (ops + gaps)
 	seqNext  uint64
@@ -546,22 +558,65 @@ func (c *CPU) nextFromProgram(now sim.Cycle) bool {
 // fuzz thread keeps in flight.
 const robBufMin = 32
 
-// pushROB appends a fetched op to the reorder buffer.
+// pushROB appends a fetched op to the reorder buffer and its lists.
 func (c *CPU) pushROB(u *uop) {
 	if len(c.rob) == cap(c.rob) {
 		// The window reached the end of the buffer: move it to the front,
 		// of a buffer twice the size if it fills half of this one. Every
 		// op in flight costs at least one of the ROBInstrs, so that bounds
 		// the buffer.
-		buf := c.robBuf
-		if 2*len(c.rob) >= len(buf) && len(buf) < c.cfg.ROBInstrs {
-			buf = make([]*uop, min(max(2*len(buf), robBufMin), c.cfg.ROBInstrs))
+		if n := len(c.robBuf); 2*len(c.rob) >= n && n < c.cfg.ROBInstrs {
+			c.growROB(min(max(2*n, robBufMin), c.cfg.ROBInstrs))
+		} else {
+			k := copy(c.robBuf, c.rob)
+			clear(c.robBuf[k:])
+			c.rob = c.robBuf[:k]
 		}
-		n := copy(buf, c.rob)
-		clear(buf[n:])
-		c.robBuf, c.rob = buf, buf[:n]
 	}
 	c.rob = append(c.rob, u)
+	c.execQ = append(c.execQ, u)
+	if u.op.Kind == OpMembar || u.op.Kind == OpRMW {
+		c.fenceQ = append(c.fenceQ, u)
+	}
+}
+
+// growROB moves the reorder buffer and its three lists into one
+// allocation of n entries each.
+func (c *CPU) growROB(n int) {
+	buf := make([]*uop, 4*n)
+	c.robBuf = buf[:n:n]
+	c.rob = c.robBuf[:copy(c.robBuf, c.rob)]
+	c.execQ = append(buf[n:n:2*n], c.execQ...)
+	c.fenceQ = append(buf[2*n:2*n:3*n], c.fenceQ...)
+	c.replayQ = append(buf[3*n:3*n:4*n], c.replayQ...)
+}
+
+// olderThan returns list q, in ROB order, without its ops of sequence
+// number cut and younger.
+func olderThan(q []*uop, cut uint64) []*uop {
+	n := len(q)
+	for n > 0 && q[n-1].seq >= cut {
+		n--
+	}
+	return q[:n]
+}
+
+// compact ends a walk of list q that kept q[:kept] of the q[:i] it
+// visited: the unvisited rest closes up behind them.
+func compact(q []*uop, kept, i int) []*uop {
+	if kept == i {
+		return q
+	}
+	return q[:kept+copy(q[kept:], q[i:])]
+}
+
+// dropFirst takes u off the front of list q, if it is there. Removing
+// by shifting keeps the list at the start of its region.
+func dropFirst(q []*uop, u *uop) []*uop {
+	if len(q) == 0 || q[0] != u {
+		return q
+	}
+	return q[:copy(q, q[1:])]
 }
 
 // setBlocking changes the op fetch is stalled behind. The front end may
@@ -629,40 +684,44 @@ func (c *CPU) blockingValueReady(u *uop) bool {
 
 // ---------- execute ----------
 
+// executeStage walks execQ in ROB order: it issues up to width ops from
+// the first window not yet issued, and completes the forwarded loads whose
+// value is due, stopping at the width-th issue.
 func (c *CPU) executeStage(now sim.Cycle) {
 	issued := 0
 	considered := 0
-	// What the ops older than u impose on a load's issue, gathered in the
-	// same pass (canIssueLoad): the union of the masks of unperformed
-	// membars, and whether an unperformed RMW is among them.
-	var older *uop
+	// What the ops older than u impose on a load's issue (canIssueLoad),
+	// gathered from fenceQ as the walk passes them: the union of the masks
+	// of unperformed membars, and whether an unperformed RMW is among
+	// them. Membars and RMWs perform only at the retire head, never here.
 	var fence consistency.MembarMask
 	rmw := false
-	for _, u := range c.rob {
-		if older != nil && !older.performed {
-			switch older.op.Kind {
-			case OpMembar:
-				fence |= older.op.Mask
-			case OpRMW:
-				rmw = true
-			default:
-				// Older loads and stores impose no issue-order constraint
-				// on a younger load (store-to-load forwarding is modelled
-				// at perform time).
-			}
-		}
-		older = u
+	f := 0
+	q := c.execQ
+	kept, i := 0, 0
+	for ; i < len(q); i++ {
+		u := q[i]
 		if issued >= width {
 			break
 		}
-		if u.state == uExecuted {
-			continue
+		for ; f < len(c.fenceQ) && c.fenceQ[f].seq < u.seq; f++ {
+			if older := c.fenceQ[f]; !older.performed {
+				if older.op.Kind == OpMembar {
+					fence |= older.op.Mask
+				} else {
+					rmw = true
+				}
+			}
 		}
 		if u.state == uExecuting {
-			if u.op.Kind == OpLoad && u.forwarded && now >= u.execReadyAt {
+			// A forwarded load: its value is ready the cycle after issue.
+			if now >= u.execReadyAt {
 				c.loadExecuted(u)
 				c.wake()
+				continue
 			}
+			q[kept] = u
+			kept++
 			continue
 		}
 		considered++
@@ -671,11 +730,10 @@ func (c *CPU) executeStage(now sim.Cycle) {
 		}
 		switch u.op.Kind {
 		case OpLoad:
-			if !c.canIssueLoad(u, fence, rmw) {
-				continue
+			if c.canIssueLoad(u, fence, rmw) {
+				issued++
+				c.issueLoad(u, now)
 			}
-			issued++
-			c.issueLoad(u, now)
 		case OpStore:
 			issued++
 			u.state = uExecuted
@@ -688,7 +746,12 @@ func (c *CPU) executeStage(now sim.Cycle) {
 			issued++
 			u.state = uExecuted
 		}
+		if u.state == uFetched || u.state == uExecuting && u.forwarded {
+			q[kept] = u
+			kept++
+		}
 	}
+	c.execQ = compact(q, kept, i)
 	if issued > 0 {
 		c.wake()
 	}
@@ -700,7 +763,7 @@ func (c *CPU) executeStage(now sim.Cycle) {
 // orders a load after a membar when its entry shares a bit with the
 // membar's mask, so the union orders the load exactly when one of the
 // membars does. An unperformed same-word RMW cannot forward; the load
-// waits. RMWs are rare, so only then are the older ops walked.
+// waits. RMWs are rare, so only then are the older ones walked.
 func (c *CPU) canIssueLoad(u *uop, fence consistency.MembarMask, rmw bool) bool {
 	if fence != 0 && consistency.TableFor(u.model).Ordered(
 		consistency.Op{Class: consistency.Membar, Mask: fence}, consistency.Op{Class: consistency.Load}) {
@@ -709,8 +772,8 @@ func (c *CPU) canIssueLoad(u *uop, fence consistency.MembarMask, rmw bool) bool 
 	if !rmw {
 		return true
 	}
-	for _, older := range c.rob {
-		if older == u {
+	for _, older := range c.fenceQ {
+		if older.seq >= u.seq {
 			break
 		}
 		if older.op.Kind == OpRMW && !older.performed && older.op.Addr == u.op.Addr {
@@ -831,6 +894,21 @@ func (c *CPU) loadExecuted(u *uop) {
 	if !u.forwarded {
 		u.speculative = true
 	}
+	if c.uo != nil {
+		c.awaitReplay(u)
+	}
+}
+
+// awaitReplay enters an executed load into replayQ. Loads execute out of
+// order, so it is inserted at its place from the young end.
+func (c *CPU) awaitReplay(u *uop) {
+	q := append(c.replayQ, u)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].seq > u.seq; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = u
+	c.replayQ = q
 }
 
 // olderOrderedLoadInFlight reports whether an unperformed load with
@@ -865,34 +943,44 @@ const verifyWindow = 24
 // near the ROB head, so a VC-miss replay does not serialise retirement.
 // A load may only replay early if no older in-flight store or RMW
 // touches the same word (its replay would otherwise need the older op's
-// VC entry, which is written in program order at the retire head).
+// VC entry, which is written in program order at the retire head). The
+// candidates are replayQ's loads in the window: sequence numbers are not
+// contiguous across squashes, so the window ends at its last op's.
 func (c *CPU) verifyStage(now sim.Cycle) {
 	if c.uo == nil || !c.verifyDue {
 		return
 	}
 	c.verifyDue = false
-	limit := verifyWindow
-	if limit > len(c.rob) {
-		limit = len(c.rob)
+	if len(c.rob) == 0 {
+		return
 	}
-	for i := 0; i < limit; i++ {
-		u := c.rob[i]
-		if u.op.Kind != OpLoad || u.state != uExecuted || u.replayStarted || u.performed {
-			continue
-		}
-		conflict := false
-		for j := 0; j < i; j++ {
-			o := c.rob[j]
-			if (o.op.Kind == OpStore || o.op.Kind == OpRMW) && o.op.Addr == u.op.Addr {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
+	last := c.rob[min(verifyWindow, len(c.rob))-1].seq
+	q := c.replayQ
+	kept, i := 0, 0
+	for ; i < len(q) && q[i].seq <= last; i++ {
+		u := q[i]
+		if c.olderSameWordStore(u) {
+			q[kept] = u
+			kept++
 			continue
 		}
 		c.startReplay(u, now)
 	}
+	c.replayQ = compact(q, kept, i)
+}
+
+// olderSameWordStore reports whether a store or RMW older than u writes
+// u's word.
+func (c *CPU) olderSameWordStore(u *uop) bool {
+	for _, o := range c.rob {
+		if o == u {
+			return false
+		}
+		if (o.op.Kind == OpStore || o.op.Kind == OpRMW) && o.op.Addr == u.op.Addr {
+			return true
+		}
+	}
+	return false
 }
 
 // startReplay replays a load against the VC, or on a VC miss against
@@ -980,6 +1068,7 @@ func (c *CPU) popHead(u *uop) {
 	c.verifyDue = true
 	c.rob[0] = nil
 	c.rob = c.rob[1:]
+	c.fenceQ = dropFirst(c.fenceQ, u)
 	c.instrs -= int(u.instrCost)
 	c.stats.OpsRetired++
 	c.stats.InstrsRetired += uint64(u.instrCost)
@@ -1008,6 +1097,7 @@ func (c *CPU) retireLoad(u *uop, now sim.Cycle) bool {
 	if !u.replayStarted {
 		// The eager verify window skipped this load (same-word conflict
 		// with an older store, now retired): replay at the head.
+		c.replayQ = dropFirst(c.replayQ, u)
 		c.startReplay(u, now)
 	}
 	if !u.replayDone {
@@ -1342,6 +1432,12 @@ func (c *CPU) squashFrom(u *uop, spec bool) {
 // longer waits on anything.
 func (c *CPU) flushFrom(idx int) {
 	c.setBlocking(nil)
+	if idx < len(c.rob) {
+		cut := c.rob[idx].seq
+		c.execQ = olderThan(c.execQ, cut)
+		c.fenceQ = olderThan(c.fenceQ, cut)
+		c.replayQ = olderThan(c.replayQ, cut)
+	}
 	for _, r := range c.rob[idx:] {
 		c.squash(r)
 		c.instrs -= int(r.instrCost)

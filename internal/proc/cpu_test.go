@@ -104,13 +104,13 @@ func (f *fakeCtrl) DropPermissionFault(mem.BlockAddr) bool       { return false 
 func (f *fakeCtrl) WriteWithoutPermissionFault(mem.Addr, mem.Word) bool {
 	return false
 }
-func (f *fakeCtrl) ForEachDirty(func(mem.BlockAddr, mem.Block))    {}
-func (f *fakeCtrl) ResidentBlocks(int) []mem.BlockAddr             { return nil }
-func (f *fakeCtrl) ECCCorrected() uint64                           { return 0 }
-func (f *fakeCtrl) ResidentReadOnlyBlocks(int) []mem.BlockAddr     { return nil }
-func (f *fakeCtrl) CorruptLineStateFault(mem.BlockAddr, bool) bool { return false }
-func (f *fakeCtrl) StateFaultFired() (sim.Cycle, bool)             { return 0, false }
-func (f *fakeCtrl) Reset()                                         {}
+func (f *fakeCtrl) ForEachDirty(func(int), func(mem.BlockAddr, mem.Block)) {}
+func (f *fakeCtrl) ResidentBlocks(int) []mem.BlockAddr                     { return nil }
+func (f *fakeCtrl) ECCCorrected() uint64                                   { return 0 }
+func (f *fakeCtrl) ResidentReadOnlyBlocks(int) []mem.BlockAddr             { return nil }
+func (f *fakeCtrl) CorruptLineStateFault(mem.BlockAddr, bool) bool         { return false }
+func (f *fakeCtrl) StateFaultFired() (sim.Cycle, bool)                     { return 0, false }
+func (f *fakeCtrl) Reset()                                                 {}
 
 var _ coherence.Controller = (*fakeCtrl)(nil)
 

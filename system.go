@@ -76,6 +76,11 @@ type System struct {
 	snLoggers []*safetynet.Logger
 	// cpStates recycles checkpoint records released by the manager.
 	cpStates sim.FreeList[checkpointState]
+	// lastCp is the newest checkpoint: the next capture keeps its dirty
+	// lines wherever the caches have not changed since. nil after a
+	// restore, whose caches start empty.
+	lastCp *checkpointState
+	merge  dirtyMerge
 
 	// rec captures the execution trace when Config.Trace is enabled. One
 	// shared recorder preserves the global chronological order of events
@@ -480,23 +485,81 @@ func (s *System) TraceStats() trace.RecorderStats {
 }
 
 // checkpointState is the architectural state captured per checkpoint.
-// Memory is not copied: each home's memory opens an undo interval (marks)
-// and logs old contents as blocks change, so a checkpoint costs what is
-// written after it. What the checkpoint does record is what memory does
-// not hold at that moment: the dirty cache lines and each core's
-// committed-but-unperformed stores.
+// Memory is not copied: each home's memory opens an undo interval (its
+// mark) and logs old contents as blocks change, so a checkpoint costs
+// what is written after it. What the checkpoint does record is what
+// memory does not hold at that moment: the dirty cache lines and each
+// core's committed-but-unperformed stores.
 type checkpointState struct {
 	cycle sim.Cycle // when it was taken
-	marks []uint64  // per home: the undo mark of its memory
+	nodes []nodeCapture
 	// dirty is every dirty line and writeback entry, controllers in index
-	// order, ForEachDirty order within: the order recovery writes them.
+	// order, each controller's lines in array order and then its
+	// writeback entries in block order: the order recovery writes them.
 	dirty []dirtyLine
 	cpus  []proc.ArchState
+}
+
+// nodeCapture is one node's bookkeeping in a checkpoint.
+type nodeCapture struct {
+	mark uint64 // the undo mark of the node's home memory
+	// linesEnd is where the node's controller's lines end in dirty and its
+	// writeback entries begin; end is where its entries end.
+	linesEnd, end int
 }
 
 type dirtyLine struct {
 	block mem.BlockAddr
 	data  mem.Block
+}
+
+// lines returns controller i's L2 lines in st.dirty.
+func (st *checkpointState) lines(i int) []dirtyLine {
+	from := 0
+	if i > 0 {
+		from = st.nodes[i-1].end
+	}
+	return st.dirty[from:st.nodes[i].linesEnd]
+}
+
+// dirtyMerge builds one controller's part of a checkpoint from the
+// previous checkpoint's lines and what ForEachDirty reports changed: a
+// checkpoint copies the lines of unchanged sets in runs, and reads only
+// the sets that changed. Its two callbacks are bound once, so a capture
+// allocates no closure.
+type dirtyMerge struct {
+	sets int // L2 sets per controller: block b lives in set b mod sets
+	st   *checkpointState
+	// prev is the controller's lines at the previous checkpoint not yet
+	// kept or dropped, in array order.
+	prev []dirtyLine
+	keep func(s int)
+	add  func(b mem.BlockAddr, data mem.Block)
+}
+
+func (m *dirtyMerge) setOf(b mem.BlockAddr) int { return int(uint64(b) % uint64(m.sets)) }
+
+// keepBelow keeps the previous lines of the sets below s and drops those
+// of set s, whose lines ForEachDirty reports next. set(sets) keeps the
+// rest: the controller's lines end there, and its writeback entries
+// follow.
+func (m *dirtyMerge) keepBelow(s int) {
+	n := 0
+	for n < len(m.prev) && m.setOf(m.prev[n].block) < s {
+		n++
+	}
+	m.st.dirty = append(m.st.dirty, m.prev[:n]...)
+	for n < len(m.prev) && m.setOf(m.prev[n].block) == s {
+		n++
+	}
+	m.prev = m.prev[n:]
+	if s == m.sets {
+		m.st.nodes[len(m.st.nodes)-1].linesEnd = len(m.st.dirty)
+	}
+}
+
+func (m *dirtyMerge) addLine(b mem.BlockAddr, data mem.Block) {
+	m.st.dirty = append(m.st.dirty, dirtyLine{b, data})
 }
 
 // capture builds a checkpoint: one undo mark per home memory, the dirty
@@ -511,14 +574,9 @@ func (s *System) capture(now sim.Cycle) any {
 	}
 	st := s.cpStates.Get()
 	st.cycle = now
-	for _, h := range s.homes {
-		st.marks = append(st.marks, h.Memory().Mark())
-	}
-	keep := func(b mem.BlockAddr, data mem.Block) {
-		st.dirty = append(st.dirty, dirtyLine{b, data})
-	}
-	for _, c := range s.ctrls {
-		c.ForEachDirty(keep)
+	s.captureLines(st)
+	for i, h := range s.homes {
+		st.nodes[i].mark = h.Memory().Mark()
 	}
 	for _, c := range s.cpus {
 		st.cpus = append(st.cpus, c.ArchSnapshot())
@@ -526,16 +584,46 @@ func (s *System) capture(now sim.Cycle) any {
 	return st
 }
 
+// captureLines records every controller's dirty lines and writeback
+// entries into st, one nodeCapture each, keeping lastCp's lines wherever
+// a set has not changed since, and makes st the newest checkpoint.
+func (s *System) captureLines(st *checkpointState) {
+	m := &s.merge
+	if m.keep == nil {
+		m.sets = s.cfg.Memory.L2Sets
+		m.keep, m.add = m.keepBelow, m.addLine
+	}
+	m.st = st
+	for i, c := range s.ctrls {
+		m.prev = nil
+		if s.lastCp != nil {
+			m.prev = s.lastCp.lines(i)
+		}
+		st.nodes = append(st.nodes, nodeCapture{})
+		c.ForEachDirty(m.keep, m.add)
+		st.nodes[i].end = len(st.dirty)
+	}
+	m.st, m.prev = nil, nil
+	s.lastCp = st
+}
+
 // release lets go of a checkpoint that expired or was squashed by a
 // recovery: the memories trim its undo interval (which is what bounds the
 // log to the live checkpoints' first writes) and the record is recycled.
+// The newest checkpoint leaves only in a recovery, whose restore drops
+// lastCp before the next capture.
 func (s *System) release(state any) {
 	st := state.(*checkpointState)
 	for i, h := range s.homes {
-		h.Memory().Trim(st.marks[i])
+		h.Memory().Trim(st.nodes[i].mark)
 	}
+	s.recycle(st)
+}
+
+// recycle returns a checkpoint record to the pool, keeping its buffers.
+func (s *System) recycle(st *checkpointState) {
 	clear(st.cpus) // drop the program snapshots and pending-store slices
-	*st = checkpointState{marks: st.marks[:0], dirty: st.dirty[:0], cpus: st.cpus[:0]}
+	*st = checkpointState{nodes: st.nodes[:0], dirty: st.dirty[:0], cpus: st.cpus[:0]}
 	s.cpStates.Put(st)
 }
 
@@ -574,7 +662,7 @@ func (s *System) restore(state any) {
 		s.bcast.Reset()
 	}
 	for i, h := range s.homes {
-		h.Memory().Rewind(st.marks[i])
+		h.Memory().Rewind(st.nodes[i].mark)
 	}
 	for _, d := range st.dirty {
 		s.homeMemory(d.block).WriteBlock(d.block, d.data)
@@ -590,6 +678,8 @@ func (s *System) restore(state any) {
 	for _, h := range s.homes {
 		h.Reset()
 	}
+	// The caches empty: the next capture reads every line filled since.
+	s.lastCp = nil
 	for _, c := range s.ctrls {
 		c.Reset()
 	}
