@@ -242,3 +242,61 @@ func TestJSONOutputsMatchSerial(t *testing.T) {
 		t.Error("the record table differs from the serial campaign's records")
 	}
 }
+
+// TestWorkAndStatus drives work and status against an in-process
+// coordinator: status as text and -json while the job runs and once it
+// has finished, a worker that stops after one shard, one that drains the
+// rest, and a worker whose coordinator does not answer, which exits 1
+// once its register retries (about 10 s) run out.
+func TestWorkAndStatus(t *testing.T) {
+	spec := fabric.JobSpec{Kind: fabric.JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 5, Runs: 4, Budget: 2000}, ShardSize: 2}
+	coord, err := fabric.NewCoordinator(spec, fabric.CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+
+	status := func(wantText string, wantFinished bool, wantDone int) {
+		t.Helper()
+		code, stdout, stderr := runFarm("status", "-coordinator", srv.URL)
+		if code != 0 || !strings.Contains(stdout, wantText) || strings.Contains(stdout, "[finished]") != wantFinished {
+			t.Errorf("status: exit %d, want 0 with %q (finished %v); got\n%s%s", code, wantText, wantFinished, stdout, stderr)
+		}
+		code, stdout, stderr = runFarm("status", "-coordinator", srv.URL, "-json")
+		var st fabric.StatusResponse
+		if code != 0 {
+			t.Fatalf("status -json: exit %d\n%s", code, stderr)
+		}
+		if err := strictjson.Decode(strings.NewReader(stdout), &st); err != nil {
+			t.Fatalf("status -json does not decode strictly: %v\n%s", err, stdout)
+		}
+		if st.Kind != fabric.JobFuzz || st.Total != 2 || st.Cases != 4 || st.Done != wantDone || st.Finished != wantFinished {
+			t.Errorf("status -json = %+v, want 2 fuzz shards of 4 cases, %d done, finished %v", st, wantDone, wantFinished)
+		}
+	}
+
+	status("fuzz job: 4 cases, shards 0 done / 0 active / 2 pending of 2", false, 0)
+	code, _, stderr := runFarm("work", "-coordinator", srv.URL, "-name", "w1", "-max-shards", "1")
+	if code != 0 || !strings.Contains(stderr, "dvmc-farm[w1]: registered with "+srv.URL) {
+		t.Fatalf("work -max-shards 1: exit %d\n%s", code, stderr)
+	}
+	status("shards 1 done / 0 active / 1 pending of 2", false, 1)
+	if _, stdout, _ := runFarm("status", "-coordinator", srv.URL); !strings.Contains(stdout, "worker w1") || !strings.Contains(stdout, "1 shards") {
+		t.Errorf("status does not list worker w1 with its shard:\n%s", stdout)
+	}
+	if code, _, stderr := runFarm("work", "-coordinator", srv.URL, "-name", "w2", "-q"); code != 0 || stderr != "" {
+		t.Fatalf("work -q: exit %d, stderr %q", code, stderr)
+	}
+	status("shards 2 done / 0 active / 0 pending of 2", true, 2)
+
+	if testing.Short() {
+		return
+	}
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	if code, _, stderr := runFarm("work", "-coordinator", gone.URL, "-name", "w3", "-q"); code != 1 || !strings.Contains(stderr, "register with "+gone.URL) {
+		t.Errorf("work against a closed coordinator: exit %d, want 1 naming the register; stderr:\n%s", code, stderr)
+	}
+}

@@ -109,6 +109,12 @@ func RunInjection(cfg Config, w Workload, inj Injection, budget uint64) (Injecti
 // generators never finish, so RunInjection's behaviour is unchanged for
 // them.
 func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (InjectionResult, *System, error) {
+	return runInjection(cfg, w, inj, budget, nil)
+}
+
+// runInjection is RunInjectionSystem building the system on sp's
+// storage, if sp is not nil.
+func runInjection(cfg Config, w Workload, inj Injection, budget uint64, sp *spare) (InjectionResult, *System, error) {
 	res := InjectionResult{Injection: inj}
 	// Injections arrive from case files and the command line: refuse what
 	// the table cannot index. Nodes past the last one wrap around.
@@ -118,7 +124,7 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 	if inj.Node < 0 {
 		return res, nil, fmt.Errorf("dvmc: injection node %d is negative", inj.Node)
 	}
-	s, err := NewSystem(cfg, w)
+	s, err := newSystem(cfg, w, sp)
 	if err != nil {
 		return res, nil, err
 	}

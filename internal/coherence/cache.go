@@ -45,6 +45,9 @@ type setArray[E any] struct {
 	// chunks in order and each chunk's entries in order visits allocated
 	// entries in set order, as a flat array would.
 	chunks []chunk[E]
+	// spare, when the array's controller was lent a Spare, is where a
+	// chunk is taken from before the heap and returned to on Reclaim.
+	spare *slabs[E]
 }
 
 // chunk is one allocation of entries, ways per set, row-major by set.
@@ -82,14 +85,35 @@ func (a *setArray[E]) set(s int) []E {
 	return entries[i : i+a.ways]
 }
 
-// fillSet is setOf for a fill: it allocates b's chunk on first use.
+// fillSet is setOf for a fill: it allocates b's chunk on first use, from
+// the spare if it holds a chunk of this size, else from the heap. Only a
+// full chunk is taken from or returned to a spare, so the length is all
+// a chunk's fit depends on.
 func (a *setArray[E]) fillSet(b mem.BlockAddr) []E {
 	k := a.setIndex(b) / chunkSets
 	if a.chunks[k].entries == nil {
-		n := min(chunkSets, a.sets-k*chunkSets)
-		a.chunks[k].entries = make([]E, n*a.ways)
+		n := min(chunkSets, a.sets-k*chunkSets) * a.ways
+		var e []E
+		if a.spare != nil && n == chunkSets*a.ways {
+			e = a.spare.take(n)
+		}
+		if e == nil {
+			e = make([]E, n)
+		}
+		a.chunks[k].entries = e
 	}
 	return a.setOf(b)
+}
+
+// release empties the array: its full chunks go to the spare, if it has
+// one, and the rest to the collector.
+func (a *setArray[E]) release() {
+	for k := range a.chunks {
+		if e := a.chunks[k].entries; a.spare != nil && len(e) == chunkSets*a.ways {
+			a.spare.free = append(a.spare.free, e)
+		}
+		a.chunks[k] = chunk[E]{}
+	}
 }
 
 // cacheArray is a set-associative array with LRU replacement, its lines

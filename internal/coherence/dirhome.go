@@ -27,6 +27,8 @@ type DirHome struct {
 	queue
 
 	entries map[mem.BlockAddr]*dirEntry
+	// spare, if the home was lent one, is where a new entry comes from.
+	spare *Spare
 
 	// waits recycles the records of work waiting out a latency in events.
 	waits sim.FreeList[dirWait]
@@ -114,7 +116,7 @@ func (h *DirHome) Stats() HomeStats { return h.stats }
 func (h *DirHome) entry(b mem.BlockAddr) *dirEntry {
 	e, ok := h.entries[b]
 	if !ok {
-		e = &dirEntry{owner: -1}
+		e = h.spare.newEntry()
 		h.entries[b] = e
 		if h.newBlock != nil {
 			h.newBlock(b, h.memory.ReadBlock(b))

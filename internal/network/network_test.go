@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -425,5 +426,25 @@ func TestClassString(t *testing.T) {
 	if ClassCoherence.String() != "coherence" || ClassInform.String() != "inform" ||
 		ClassSafetyNet.String() != "safetynet" || ClassReplay.String() != "replay" {
 		t.Error("Class String() mismatch")
+	}
+}
+
+// TestSerializeMemoMatchesExpression holds the memoized link occupancy
+// equal to the expression it caches, for sizes inside and outside the
+// memo, asked twice, at the bandwidths the figures use.
+func TestSerializeMemoMatchesExpression(t *testing.T) {
+	for _, bw := range []float64{0.5, 1.25, 2.5, 3.75, 16} {
+		tor := NewTorus(4, bw, 15, sim.NewRand(1))
+		for pass := 0; pass < 2; pass++ {
+			for size := -1; size < 300; size++ {
+				want := sim.Cycle(math.Ceil(float64(size) / bw))
+				if want < 1 {
+					want = 1
+				}
+				if got := tor.serialize(size); got != want {
+					t.Fatalf("bw %v size %d pass %d: %d cycles, want %d", bw, size, pass, got, want)
+				}
+			}
+		}
 	}
 }

@@ -16,6 +16,10 @@ type Torus struct {
 	dimX, dimY int
 	bw         float64   // bytes per cycle per link
 	hopLatency sim.Cycle // pipeline latency per hop
+	// serialized[size] memoizes serialize for the message sizes below its
+	// length: 0 until first asked (a message occupies a link at least one
+	// cycle).
+	serialized [128]sim.Cycle
 
 	links    []*link    // all directed links, fixed order for determinism
 	outLinks [][4]*link // per node: +X, -X, +Y, -Y (nil if dimension degenerate)
@@ -314,8 +318,18 @@ func (t *Torus) recycleTransit(tr *transit) {
 // standing in for zero.
 func (t *Torus) SetFaultWindow(w sim.Cycle) { t.faultWindow = w }
 
-// serialize returns the cycles a message occupies a link.
+// serialize returns the cycles a message of size bytes occupies a link.
 func (t *Torus) serialize(size int) sim.Cycle {
+	if size < 0 || size >= len(t.serialized) {
+		return t.serialCycles(size)
+	}
+	if t.serialized[size] == 0 {
+		t.serialized[size] = t.serialCycles(size)
+	}
+	return t.serialized[size]
+}
+
+func (t *Torus) serialCycles(size int) sim.Cycle {
 	c := sim.Cycle(math.Ceil(float64(size) / t.bw))
 	if c < 1 {
 		c = 1

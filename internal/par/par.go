@@ -7,6 +7,7 @@
 package par
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 )
@@ -14,16 +15,30 @@ import (
 // For runs fn(0..n-1) on min(workers, n) goroutines; workers <= 0 sizes
 // the pool to GOMAXPROCS first, and one worker runs inline.
 func For(n, workers int, fn func(i int)) {
+	ForWith(n, workers, func(_ *struct{}, i int) { fn(i) })
+}
+
+// ForWith is For with a state per worker: fn(s, i) gets the running
+// worker's *S, which the worker keeps across every index it runs and
+// then leaves idle for a later ForWith over S to take up, until the
+// collector frees it. So an S is either zero or what some earlier index
+// left in it; which, depends on the schedule, and what fn(i) writes to
+// its slot must not. A caller keeps storage there, not results. An S is
+// touched by one goroutine at a time.
+func ForWith[S any](n, workers int, fn func(s *S, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
+	pool := idleStates[S]()
 	if workers <= 1 {
+		s := pool.Get().(*S)
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(s, i)
 		}
+		pool.Put(s)
 		return
 	}
 	jobs := make(chan int)
@@ -32,9 +47,11 @@ func For(n, workers int, fn func(i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := pool.Get().(*S)
 			for i := range jobs {
-				fn(i)
+				fn(s, i)
 			}
+			pool.Put(s)
 		}()
 	}
 	for i := 0; i < n; i++ {
@@ -42,4 +59,18 @@ func For(n, workers int, fn func(i int)) {
 	}
 	close(jobs)
 	wg.Wait()
+}
+
+// idle holds a sync.Pool of idle worker states per state type.
+var idle sync.Map
+
+// idleStates is the pool of idle states of type S; it makes a zero S
+// when none is idle.
+func idleStates[S any]() *sync.Pool {
+	t := reflect.TypeFor[S]()
+	if p, ok := idle.Load(t); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := idle.LoadOrStore(t, &sync.Pool{New: func() any { return new(S) }})
+	return p.(*sync.Pool)
 }

@@ -187,7 +187,21 @@ const (
 
 // NewSystem assembles a multiprocessor running the given workload: one
 // thread per node.
-func NewSystem(cfg Config, w Workload) (*System, error) {
+func NewSystem(cfg Config, w Workload) (*System, error) { return newSystem(cfg, w, nil) }
+
+// spare is what a figure worker keeps of the last system it ran, for the
+// next one it builds (DESIGN.md, "Object lifetimes"): the controllers'
+// and homes' storage, the epoch checkers' tables, and the checkpoint
+// records with their capture buffers. Nothing reaches a new system
+// uncleared, so a system built on a spare runs exactly as NewSystem's.
+type spare struct {
+	coh coherence.Spare
+	chk core.Spare
+	cps sim.FreeList[checkpointState]
+}
+
+// newSystem is NewSystem building on sp's storage, if sp is not nil.
+func newSystem(cfg Config, w Workload, sp *spare) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -244,6 +258,9 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 		s.snMgr = safetynet.NewManager(cfg.SNConfig, s.capture, s.restore)
 		s.snMgr.SetReleaseFunc(s.release)
 		s.kernel.Register(s.snMgr)
+		if sp != nil {
+			s.cpStates, sp.cps = sp.cps, sim.FreeList[checkpointState]{}
+		}
 	}
 
 	if cfg.DVMC.CacheCoherence {
@@ -275,6 +292,9 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 			s.bcast.SetHandler(nid, coherence.SnoopingAddressHandler(sc, sh))
 			s.torus.SetHandler(nid, coherence.SnoopingDataHandler(sc, sh, s.informFallback(met)))
 			ctrl, home = sc, sh
+		}
+		if sp != nil {
+			sp.coh.Lend(ctrl, home)
 		}
 		s.ctrls = append(s.ctrls, ctrl)
 		s.homes = append(s.homes, home)
@@ -319,6 +339,9 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 			cet.SetInformPool(s.informPool)
 			s.cet = append(s.cet, cet)
 			s.kernel.Register(cet)
+		}
+		if sp != nil {
+			sp.chk.Lend(met, cet)
 		}
 
 		var logger *safetynet.Logger
@@ -625,6 +648,23 @@ func (s *System) recycle(st *checkpointState) {
 	clear(st.cpus) // drop the program snapshots and pending-store slices
 	*st = checkpointState{nodes: st.nodes[:0], dirty: st.dirty[:0], cpus: st.cpus[:0]}
 	s.cpStates.Put(st)
+}
+
+// retire hands the system's storage to sp, if sp is not nil, for the
+// next system built on it; the system must not run again. Its live
+// checkpoints join the records it recycled.
+func (s *System) retire(sp *spare) {
+	if sp == nil {
+		return
+	}
+	if s.snMgr != nil {
+		for _, cp := range s.snMgr.Live() {
+			s.recycle(cp.State.(*checkpointState))
+		}
+		sp.cps, s.cpStates = s.cpStates, sim.FreeList[checkpointState]{}
+	}
+	sp.coh.Reclaim()
+	sp.chk.Reclaim()
 }
 
 // homeMemory returns the memory module block b lives in.
