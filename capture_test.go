@@ -207,7 +207,7 @@ func TestCaptureSteadyStateAllocFree(t *testing.T) {
 						c.CorruptCacheBit(b, 7)
 					}
 				}
-				st := s.cpStates.Get()
+				st := s.sp.cps.Get()
 				s.captureLines(st)
 				if mine != nil {
 					s.recycle(mine)

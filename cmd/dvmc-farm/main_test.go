@@ -247,7 +247,7 @@ func TestJSONOutputsMatchSerial(t *testing.T) {
 // coordinator: status as text and -json while the job runs and once it
 // has finished, a worker that stops after one shard, one that drains the
 // rest, and a worker whose coordinator does not answer, which exits 1
-// once its register retries (about 10 s) run out.
+// once its register retries (about 3 s) run out.
 func TestWorkAndStatus(t *testing.T) {
 	spec := fabric.JobSpec{Kind: fabric.JobFuzz, Fuzz: &fuzz.CampaignConfig{Seed: 5, Runs: 4, Budget: 2000}, ShardSize: 2}
 	coord, err := fabric.NewCoordinator(spec, fabric.CoordinatorOptions{})

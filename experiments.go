@@ -182,18 +182,14 @@ func newInjectionSpace(jobs []campaignJob) injectionSpace {
 
 // run executes index i, injection j of its campaign, into a fresh system
 // seeded cfg.Seed+j: the rule that makes any injection of a campaign
-// runnable anywhere with the serial run's result. The system is built on
-// sp and retired into it, if sp is not nil.
-func (s injectionSpace) run(i int, sp *spare) (InjectionResult, error) {
+// runnable anywhere with the serial run's result.
+func (s injectionSpace) run(i int) (InjectionResult, error) {
 	c := 0
 	for i >= s.first[c+1] {
 		c++
 	}
 	job, j := s.jobs[c], i-s.first[c]
-	r, sys, err := runInjection(job.cfg.WithSeed(job.cfg.Seed+uint64(j)), job.w, s.injs[i], job.budget, sp)
-	if sys != nil {
-		sys.retire(sp)
-	}
+	r, err := RunInjection(job.cfg.WithSeed(job.cfg.Seed+uint64(j)), job.w, s.injs[i], job.budget)
 	if err != nil {
 		return r, fmt.Errorf("injection %d (%v): %w", j, s.injs[i].Kind, err)
 	}
@@ -262,13 +258,12 @@ func execute(figs []Figure, opts ExperimentOpts) (*runs, error) {
 	results := make([][]Results, len(samples))
 	injections := make([]InjectionResult, len(space.injs))
 	errs := make([]error, len(samples)+len(injections))
-	// Each worker builds its next system on the storage of its last.
-	par.ForWith(len(errs), opts.Workers, func(sp *spare, k int) {
+	par.For(len(errs), opts.Workers, func(k int) {
 		if k < len(samples) {
-			results[k], errs[k] = runtimeSample(samples[k].cfg, samples[k].w, opts, sp)
+			results[k], errs[k] = runtimeSample(samples[k].cfg, samples[k].w, opts)
 			return
 		}
-		injections[k-len(samples)], errs[k] = space.run(k-len(samples), sp)
+		injections[k-len(samples)], errs[k] = space.run(k - len(samples))
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -326,7 +321,7 @@ func (f Figure) Inject(i int) (InjectionResult, error) {
 	if i < 0 || i >= len(s.injs) {
 		return InjectionResult{}, fmt.Errorf("dvmc: %s has no injection %d", f.Name, i)
 	}
-	return s.run(i, nil)
+	return s.run(i)
 }
 
 // View renders a figure that runs nothing but injections from their
@@ -350,23 +345,23 @@ func evaluateOne(f Figure, opts ExperimentOpts) (Table, error) {
 }
 
 // runtimeSample runs cfg on w over perturbed repetitions and returns
-// each repetition's Results. Each system is built on sp and retired into
-// it, if sp is not nil.
-func runtimeSample(cfg Config, w Workload, opts ExperimentOpts, sp *spare) ([]Results, error) {
+// each repetition's Results.
+func runtimeSample(cfg Config, w Workload, opts ExperimentOpts) ([]Results, error) {
 	var all []Results
 	for rep := 0; rep < opts.Repetitions; rep++ {
-		s, err := newSystem(cfg.WithSeed(opts.SeedBase+uint64(rep)), w, sp)
+		s, err := NewSystem(cfg.WithSeed(opts.SeedBase+uint64(rep)), w)
 		if err != nil {
 			return nil, err
 		}
 		res, err := s.Run(opts.Transactions, opts.MaxCycles)
+		v := s.Violations()
+		s.Retire()
 		if err != nil {
 			return nil, fmt.Errorf("%s/%v/%v rep %d: %w", w.Name, cfg.Protocol, cfg.Model, rep, err)
 		}
-		if v := s.Violations(); len(v) != 0 {
+		if len(v) != 0 {
 			return nil, fmt.Errorf("%s/%v/%v rep %d: unexpected violation %v", w.Name, cfg.Protocol, cfg.Model, rep, v[0])
 		}
-		s.retire(sp)
 		all = append(all, res)
 	}
 	return all, nil

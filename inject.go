@@ -93,10 +93,11 @@ func (s *System) eccCorrections() uint64 {
 }
 
 // RunInjection builds a system, runs it to the injection point, applies
-// the fault, and observes detection. budget bounds the post-injection
-// observation window in cycles.
+// the fault, observes detection and retires the system. budget bounds the
+// post-injection observation window in cycles.
 func RunInjection(cfg Config, w Workload, inj Injection, budget uint64) (InjectionResult, error) {
-	res, _, err := RunInjectionSystem(cfg, w, inj, budget)
+	res, s, err := RunInjectionSystem(cfg, w, inj, budget)
+	s.Retire()
 	return res, err
 }
 
@@ -109,12 +110,6 @@ func RunInjection(cfg Config, w Workload, inj Injection, budget uint64) (Injecti
 // generators never finish, so RunInjection's behaviour is unchanged for
 // them.
 func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (InjectionResult, *System, error) {
-	return runInjection(cfg, w, inj, budget, nil)
-}
-
-// runInjection is RunInjectionSystem building the system on sp's
-// storage, if sp is not nil.
-func runInjection(cfg Config, w Workload, inj Injection, budget uint64, sp *spare) (InjectionResult, *System, error) {
 	res := InjectionResult{Injection: inj}
 	// Injections arrive from case files and the command line: refuse what
 	// the table cannot index. Nodes past the last one wrap around.
@@ -124,7 +119,7 @@ func runInjection(cfg Config, w Workload, inj Injection, budget uint64, sp *spar
 	if inj.Node < 0 {
 		return res, nil, fmt.Errorf("dvmc: injection node %d is negative", inj.Node)
 	}
-	s, err := newSystem(cfg, w, sp)
+	s, err := NewSystem(cfg, w)
 	if err != nil {
 		return res, nil, err
 	}

@@ -9,7 +9,7 @@ import "dvmc/internal/mem"
 // draw on; each takes from it before the heap and clears what it takes
 // (a table is cleared when reclaimed), so a system built on a Spare runs
 // exactly as one built fresh. Reclaim
-// takes back the storage of everything lent since the last Reclaim. A
+// takes back the storage of retired controllers and homes it lent. A
 // Spare has one owner at a time and is not safe for concurrent use; the
 // zero value is empty.
 type Spare struct {
@@ -19,9 +19,6 @@ type Spare struct {
 	// maps whose buckets stay allocated.
 	entries []*dirEntry
 	tables  []map[mem.BlockAddr]*dirEntry
-	// What Reclaim takes back from.
-	ctrls []*ctrlCore
-	homes []*DirHome
 }
 
 // slabs are full chunks of one kind of array entry.
@@ -48,17 +45,8 @@ func (p *slabs[E]) take(n int) []E {
 // Lend makes s the first source of c's chunks and, if h is a directory
 // home, of its entries and its table. Call it before the system runs.
 func (s *Spare) Lend(c Controller, h Home) {
-	var cc *ctrlCore
-	switch c := c.(type) {
-	case *DirCache:
-		cc = &c.ctrlCore
-	case *SnoopCache:
-		cc = &c.ctrlCore
-	}
-	if cc != nil {
-		cc.l2.spare, cc.l1.spare = &s.lines, &s.tags
-		s.ctrls = append(s.ctrls, cc)
-	}
+	cc := coreOf(c)
+	cc.l2.spare, cc.l1.spare = &s.lines, &s.tags
 	if dh, ok := h.(*DirHome); ok {
 		dh.spare = s
 		if n := len(s.tables); n > 0 {
@@ -66,28 +54,34 @@ func (s *Spare) Lend(c Controller, h Home) {
 			s.tables[n-1] = nil
 			s.tables = s.tables[:n-1]
 		}
-		s.homes = append(s.homes, dh)
 	}
 }
 
-// Reclaim takes back the chunks, entries and tables of every controller
-// and home lent s since the last Reclaim. They must not run again.
-func (s *Spare) Reclaim() {
-	for _, c := range s.ctrls {
-		c.l2.release()
-		c.l1.release()
-	}
-	for _, h := range s.homes {
-		for _, e := range h.entries { //dvmc:orderinsensitive a record is zeroed when it is taken, so which block takes which record changes nothing
-			s.entries = append(s.entries, e)
+// Reclaim takes back the chunks, entries and tables of cs and hs, node
+// i's controller and home at index i, which were lent s. They must not
+// run again.
+func (s *Spare) Reclaim(cs []Controller, hs []Home) {
+	for i, c := range cs {
+		cc := coreOf(c)
+		cc.l2.release()
+		cc.l1.release()
+		if dh, ok := hs[i].(*DirHome); ok {
+			for _, e := range dh.entries { //dvmc:orderinsensitive a record is zeroed when it is taken, so which block takes which record changes nothing
+				s.entries = append(s.entries, e)
+			}
+			clear(dh.entries)
+			s.tables = append(s.tables, dh.entries)
+			dh.entries = nil
 		}
-		clear(h.entries)
-		s.tables = append(s.tables, h.entries)
-		h.entries = nil
 	}
-	clear(s.ctrls)
-	clear(s.homes)
-	s.ctrls, s.homes = s.ctrls[:0], s.homes[:0]
+}
+
+// coreOf is the state c shares with the other protocol's controller.
+func coreOf(c Controller) *ctrlCore {
+	if dc, ok := c.(*DirCache); ok {
+		return &dc.ctrlCore
+	}
+	return &c.(*SnoopCache).ctrlCore
 }
 
 // newEntry is a directory entry for a block memory owns: a record from

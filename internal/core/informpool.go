@@ -26,7 +26,8 @@ import (
 // value is ready to use and starts empty. A nil *InformPool is valid
 // everywhere and degrades to plain allocation, so standalone
 // CacheChecker tests need no pool. The simulator is single-threaded; the
-// pool is not safe for concurrent use, and each System owns its own.
+// pool is not safe for concurrent use, and each system uses the one in
+// the storage it was built on, which has one owner at a time.
 type InformPool struct {
 	msgs    sim.FreeList[network.Message]
 	epochs  sim.FreeList[InformEpoch]

@@ -7,15 +7,12 @@ import "dvmc/internal/mem"
 // and CET's block map, whose buckets stay allocated, and its entry slab.
 // Lend gives a new node's checkers a retired pair's tables, cleared as
 // Reset clears them, so a checker built on a Spare runs exactly as one
-// built fresh; Reclaim takes back the tables of every checker lent since
-// the last Reclaim. A Spare has one owner at a time and is not safe for
-// concurrent use; the zero value is empty.
+// built fresh; Reclaim takes back the tables of retired checkers it lent.
+// A Spare has one owner at a time and is not safe for concurrent use; the
+// zero value is empty.
 type Spare struct {
 	mets []metTables
 	cets []cetTables
-	// What Reclaim takes back from.
-	lentMETs []*MemChecker
-	lentCETs []*CacheChecker
 }
 
 type metTables struct {
@@ -40,7 +37,6 @@ func (s *Spare) Lend(m *MemChecker, c *CacheChecker) {
 			clear(t.met)
 			m.met, m.slab = t.met, t.slab[:0]
 		}
-		s.lentMETs = append(s.lentMETs, m)
 	}
 	if c != nil {
 		if n := len(s.cets); n > 0 {
@@ -50,22 +46,18 @@ func (s *Spare) Lend(m *MemChecker, c *CacheChecker) {
 			clear(t.cet)
 			c.cet, c.slab, c.free = t.cet, t.slab[:0], t.free[:0]
 		}
-		s.lentCETs = append(s.lentCETs, c)
 	}
 }
 
-// Reclaim takes back the tables of every checker lent s since the last
-// Reclaim. Those checkers must not run again.
-func (s *Spare) Reclaim() {
-	for _, m := range s.lentMETs {
+// Reclaim takes back the tables of ms and cs, which were lent s. They
+// must not run again.
+func (s *Spare) Reclaim(ms []*MemChecker, cs []*CacheChecker) {
+	for _, m := range ms {
 		s.mets = append(s.mets, metTables{m.met, m.slab})
 		m.met, m.slab = nil, nil
 	}
-	for _, c := range s.lentCETs {
+	for _, c := range cs {
 		s.cets = append(s.cets, cetTables{c.cet, c.slab, c.free})
 		c.cet, c.slab, c.free = nil, nil, nil
 	}
-	clear(s.lentMETs)
-	clear(s.lentCETs)
-	s.lentMETs, s.lentCETs = s.lentMETs[:0], s.lentCETs[:0]
 }

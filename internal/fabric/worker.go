@@ -98,19 +98,11 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 		logf = func(string, ...any) {}
 	}
 
-	// Register, retrying briefly so workers may start before the
+	// Register through the retries, so workers may start before the
 	// coordinator finishes binding its listener.
 	var reg RegisterResponse
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = postJSON(ctx, client, opts.Coordinator+PathRegister, RegisterRequest{Worker: opts.Name}, &reg, MaxControlBody)
-		if err == nil {
-			break
-		}
-		if attempt >= 40 || ctx.Err() != nil {
-			return 0, fmt.Errorf("fabric: register with %s: %w", opts.Coordinator, err)
-		}
-		sleep(ctx, 250*time.Millisecond)
+	if err := postJSONRetry(ctx, client, opts.Coordinator+PathRegister, RegisterRequest{Worker: opts.Name}, &reg, MaxControlBody, logf); err != nil {
+		return 0, fmt.Errorf("fabric: register with %s: %w", opts.Coordinator, err)
 	}
 	if err := reg.Spec.Validate(); err != nil {
 		return 0, fmt.Errorf("fabric: coordinator sent an invalid spec: %w", err)
@@ -124,7 +116,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 			return completed, ctx.Err()
 		}
 		var lease LeaseResponse
-		if err := postJSONRetry(ctx, client, opts.Coordinator+PathLease, LeaseRequest{Worker: opts.Name}, &lease, MaxControlBody); err != nil {
+		if err := postJSONRetry(ctx, client, opts.Coordinator+PathLease, LeaseRequest{Worker: opts.Name}, &lease, MaxControlBody, logf); err != nil {
 			return completed, err
 		}
 		switch {
@@ -147,7 +139,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 			return completed, fmt.Errorf("fabric: shard %d: %w", sh.ID, err)
 		}
 		var ack CompleteResponse
-		if err := postJSONRetry(ctx, client, opts.Coordinator+PathComplete, CompleteRequest{Worker: opts.Name, Result: result}, &ack, MaxControlBody); err != nil {
+		if err := postJSONRetry(ctx, client, opts.Coordinator+PathComplete, CompleteRequest{Worker: opts.Name, Result: result}, &ack, MaxControlBody, logf); err != nil {
 			return completed, err
 		}
 		if ack.Accepted {
@@ -194,12 +186,14 @@ func executeWithHeartbeat(ctx context.Context, client *http.Client, opts WorkerO
 }
 
 // postJSONRetry rides out transient transport failures (a coordinator
-// restarting, a dropped connection) with a few short retries. HTTP
-// errors — the coordinator answered, unhappily — are not retried.
-func postJSONRetry(ctx context.Context, client *http.Client, url string, req, resp any, limit int64) error {
+// starting or restarting, a dropped connection) with a few short retries,
+// logging each failed attempt. HTTP errors — the coordinator answered,
+// unhappily — are not retried.
+func postJSONRetry(ctx context.Context, client *http.Client, url string, req, resp any, limit int64, logf func(string, ...any)) error {
 	var err error
 	for attempt := 0; attempt < 10; attempt++ {
 		if attempt > 0 {
+			logf("attempt %d of 10 failed, retrying: %v", attempt, err)
 			sleep(ctx, 300*time.Millisecond)
 			if ctx.Err() != nil {
 				break

@@ -36,8 +36,10 @@ type RunResult struct {
 // crash classification — the campaign driver relies on this to survive
 // hostile generated programs. The returned trace is the run's captured
 // execution trace (nil for crashes), written next to corpus reproducers.
+// The system is retired once its trace is read.
 func RunCase(c *Case) (RunResult, []byte, error) {
-	res, trace, _, err := runCase(c, nil, true)
+	res, trace, sys, err := runCase(c, nil, true)
+	sys.Retire()
 	return res, trace, err
 }
 
@@ -46,17 +48,20 @@ func RunCase(c *Case) (RunResult, []byte, error) {
 // run never materializes its trace — the bounded-memory mode campaign
 // workers use (a soak case's verdict costs the frontier, not the
 // trace). Classification is identical to RunCase's: the streaming
-// checker's report is byte-identical to the batch oracle's.
+// checker's report is byte-identical to the batch oracle's. The system
+// is retired once the snapshot is taken.
 func RunCaseStreamed(c *Case, instrument bool) (RunResult, *telemetry.Snapshot, error) {
 	var observe func(dvmc.Config) dvmc.Config
 	if instrument {
 		observe = func(cfg dvmc.Config) dvmc.Config { return cfg.WithTelemetry(dvmc.TelemetryOn()) }
 	}
 	res, _, sys, err := runCase(c, observe, false)
-	if !instrument || sys == nil {
-		return res, nil, err
+	var snap *telemetry.Snapshot
+	if instrument && sys != nil {
+		snap = sys.TelemetrySnapshot()
 	}
-	return res, sys.TelemetrySnapshot(), err
+	sys.Retire()
+	return res, snap, err
 }
 
 // execute is the one place a case becomes a system: run c's program on
@@ -85,7 +90,8 @@ func execute(c *Case, cfg dvmc.Config) (*dvmc.System, dvmc.InjectionResult, erro
 // runCase is RunCase and RunCaseStreamed: observe (nil for none)
 // switches on the caller's observers, record keeps the trace bytes, and
 // the finished system is returned for the observers to be read (nil for
-// a crash).
+// a crash, whose storage goes to the collector). The caller retires it,
+// unless it hands the system on (ReplayFile).
 func runCase(c *Case, observe func(dvmc.Config) dvmc.Config, record bool) (res RunResult, traceBytes []byte, sys *dvmc.System, err error) {
 	defer func() {
 		if r := recover(); r != nil {

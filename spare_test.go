@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"dvmc/internal/proc"
@@ -20,35 +22,54 @@ type spareRun struct {
 	cps   []checkpointState
 }
 
+// onSpare runs fn with every system it builds drawing sp (nil: a new,
+// empty one): the tests' way to build on an explicit spare. fn builds one
+// system at a time and retires each before the next.
+func onSpare(sp *spare, fn func()) {
+	if sp == nil {
+		sp = new(spare)
+	}
+	saved := spares
+	spares = &sync.Pool{New: func() any { return sp }}
+	defer func() { spares = saved }()
+	fn()
+}
+
 // runSample runs one Figure 5 repetition of cfg on w, traced, on sp (nil:
 // fresh), and retires the system into sp.
-func runSample(t *testing.T, cfg Config, w Workload, sp *spare) spareRun {
+func runSample(t *testing.T, cfg Config, w Workload, sp *spare) (r spareRun) {
 	t.Helper()
-	s, err := newSystem(cfg.WithTrace(TraceOn()), w, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(spareTxns, 30_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return finish(t, s, spareRun{res: res}, sp)
+	onSpare(sp, func() {
+		s, err := NewSystem(cfg.WithTrace(TraceOn()), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(spareTxns, 30_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r = finish(t, s, spareRun{res: res})
+	})
+	return r
 }
 
 // runInj runs injection j of cfg's campaign as Evaluate numbers it,
 // traced, on sp (nil: fresh), and retires the system into sp.
-func runInj(t *testing.T, cfg Config, j int, sp *spare) spareRun {
+func runInj(t *testing.T, cfg Config, j int, sp *spare) (r spareRun) {
 	t.Helper()
 	inj := DeriveCampaignInjections(cfg, j+1)[j]
-	r, s, err := runInjection(cfg.WithSeed(cfg.Seed+uint64(j)).WithTrace(TraceOn()), OLTP(), inj, spareBudget, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return finish(t, s, spareRun{inj: r}, sp)
+	onSpare(sp, func() {
+		res, s, err := RunInjectionSystem(cfg.WithSeed(cfg.Seed+uint64(j)).WithTrace(TraceOn()), OLTP(), inj, spareBudget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r = finish(t, s, spareRun{inj: res})
+	})
+	return r
 }
 
-// finish adds to r what s leaves and retires s into sp.
-func finish(t *testing.T, s *System, r spareRun, sp *spare) spareRun {
+// finish adds to r what s leaves and retires s.
+func finish(t *testing.T, s *System, r spareRun) spareRun {
 	t.Helper()
 	r.viols = append([]Violation(nil), s.Violations()...)
 	tr, err := s.TraceBytes()
@@ -66,7 +87,7 @@ func finish(t *testing.T, s *System, r spareRun, sp *spare) spareRun {
 			r.cps = append(r.cps, st)
 		}
 	}
-	s.retire(sp)
+	s.Retire()
 	return r
 }
 
@@ -120,7 +141,10 @@ func equalRuns(t *testing.T, what string, fresh, spared spareRun) {
 // TestSpareRunEqualsFresh runs every Figure 5 sample and the first two
 // injections of every Section 6.1 row once fresh and once on a spare
 // that has just run different rows (otherRows), and requires the same results,
-// violations and trace bytes. Under -short, one injection per row.
+// violations and trace bytes. Under -short, one injection per row. Then
+// Figure.Inject, drawing what Evaluate's pool retired, must give each
+// injection Evaluate's result. TestSpareCaseEqualsFresh does the same
+// for fuzz cases.
 func TestSpareRunEqualsFresh(t *testing.T) {
 	samples, _ := plan([]Figure{Figures()[2]})
 	for _, job := range samples {
@@ -143,6 +167,16 @@ func TestSpareRunEqualsFresh(t *testing.T) {
 				runInj(t, o, 0, sp)
 			}
 			equalRuns(t, configName(cfg), runInj(t, cfg, j, nil), runInj(t, cfg, j, sp))
+		}
+	}
+	fig := ErrorDetection(1, spareBudget, 4)
+	tables, err := Evaluate([]Figure{fig}, ExperimentOpts{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range tables[0].Injections {
+		if got, err := fig.Inject(i); err != nil || got != want {
+			t.Errorf("Inject(%d) = %v, %v; Evaluate ran it as %v", i, got, err, want)
 		}
 	}
 }
@@ -176,23 +210,22 @@ func TestSpareSteadyStateAllocBudget(t *testing.T) {
 	sample := protectConfig(Directory, TSO).WithSeed(100)
 	for _, tc := range []struct {
 		name string
-		run  func(sp *spare)
+		run  func()
 	}{
-		{"injection", func(sp *spare) {
-			if _, s, err := runInjection(cfg, OLTP(), DeriveCampaignInjections(cfg, 1)[0], spareBudget, sp); err == nil {
-				s.retire(sp)
-			} else {
+		{"injection", func() {
+			if _, err := RunInjection(cfg, OLTP(), DeriveCampaignInjections(cfg, 1)[0], spareBudget); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"sample", func(sp *spare) {
-			if _, err := runtimeSample(sample, Barnes(), ExperimentOpts{Transactions: spareTxns, MaxCycles: 30_000_000, Repetitions: 1, SeedBase: 100}, sp); err != nil {
+		{"sample", func() {
+			if _, err := runtimeSample(sample, Barnes(), ExperimentOpts{Transactions: spareTxns, MaxCycles: 30_000_000, Repetitions: 1, SeedBase: 100}); err != nil {
 				t.Fatal(err)
 			}
 		}},
 	} {
 		sp := &spare{}
-		first, second := allocated(func() { tc.run(sp) }), allocated(func() { tc.run(sp) })
+		run := func() { onSpare(sp, tc.run) }
+		first, second := allocated(run), allocated(run)
 		t.Logf("%s: first run %d bytes, second %d (%.2f)", tc.name, first, second, float64(second)/float64(first))
 		if float64(second) > fraction*float64(first) {
 			t.Errorf("%s: the run on a spare allocated %d bytes, over %.2f of the first run's %d", tc.name, second, fraction, first)
@@ -210,10 +243,11 @@ func allocated(fn func()) uint64 {
 }
 
 // TestSpareHandOffAcrossWorkers evaluates Figure 5 and a Section 6.1
-// table twice at two workers, so each worker's spare passes through the
-// pool's idle states into the next evaluation, possibly on another
-// goroutine (the race detector's case), and requires the tables of one
-// worker, which builds every system on one spare, each time.
+// table twice at two workers, so the spares the systems retire pass
+// through the root's pool into the next systems built, possibly on
+// another goroutine (the race detector's case), and requires the tables
+// of one worker, which hands its spare from each system to the next,
+// each time.
 func TestSpareHandOffAcrossWorkers(t *testing.T) {
 	figs := []Figure{Figures()[2], ErrorDetection(1, 30_000, 4)}
 	opts := ExperimentOpts{Transactions: 8, MaxCycles: 20_000_000, Repetitions: 1, SeedBase: 3, Workers: 1}
@@ -232,5 +266,39 @@ func TestSpareHandOffAcrossWorkers(t *testing.T) {
 				t.Errorf("pass %d: %s differs at two workers\nserial:\n%s\ntwo workers:\n%s", pass, figs[i].Name, serial[i], got[i])
 			}
 		}
+	}
+}
+
+// TestRetiredSystemFailsClosed retires a system twice, which is one
+// retirement, and then requires every way of running it to panic naming
+// the misuse.
+func TestRetiredSystemFailsClosed(t *testing.T) {
+	s, err := NewSystem(ScaledConfig().WithNodes(4), OLTP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunCycles(1000)
+	s.Retire()
+	s.Retire()
+	if s.sp != nil {
+		t.Fatal("a retired system keeps its spare")
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"Run", func() { s.Run(1, 1000) }},
+		{"RunCycles", func() { s.RunCycles(1) }},
+		{"RunToCompletion", func() { s.RunToCompletion(1000) }},
+		{"DrainCheckers", s.DrainCheckers},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.name+" on a retired System") {
+					t.Errorf("%s on a retired system: recovered %q", tc.name, msg)
+				}
+			}()
+			tc.run()
+		}()
 	}
 }

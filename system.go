@@ -2,6 +2,7 @@ package dvmc
 
 import (
 	"fmt"
+	"sync"
 
 	"dvmc/internal/coherence"
 	"dvmc/internal/core"
@@ -66,16 +67,15 @@ type System struct {
 	cet     []*core.CacheChecker
 	met     []*core.MemChecker
 
-	// informPool recycles CET→MET inform messages; each inform is
-	// released back to the pool right after its MET handler returns
-	// (Handle copies what it keeps). One pool per System — the sim is
-	// single-threaded within a system.
-	informPool *core.InformPool
+	// sp is the storage the system was built on, its own until Retire
+	// gives it back; nil once retired. Its lists recycle the checkpoint
+	// records the manager releases and the CET→MET inform messages, each
+	// released right after its MET handler returns (Handle copies what it
+	// keeps).
+	sp *spare
 
 	snMgr     *safetynet.Manager
 	snLoggers []*safetynet.Logger
-	// cpStates recycles checkpoint records released by the manager.
-	cpStates sim.FreeList[checkpointState]
 	// lastCp is the newest checkpoint: the next capture keeps its dirty
 	// lines wherever the caches have not changed since. nil after a
 	// restore, whose caches start empty.
@@ -185,23 +185,30 @@ const (
 	treeHopLatency = hopLatency/3 + 1
 )
 
-// NewSystem assembles a multiprocessor running the given workload: one
-// thread per node.
-func NewSystem(cfg Config, w Workload) (*System, error) { return newSystem(cfg, w, nil) }
-
-// spare is what a figure worker keeps of the last system it ran, for the
-// next one it builds (DESIGN.md, "Object lifetimes"): the controllers'
-// and homes' storage, the epoch checkers' tables, and the checkpoint
-// records with their capture buffers. Nothing reaches a new system
-// uncleared, so a system built on a spare runs exactly as NewSystem's.
+// spare is the storage a system is built on and gives back when it is
+// retired, for the next system built (DESIGN.md, "Object lifetimes"):
+// the controllers' and homes' storage, the epoch checkers' tables, the
+// checkpoint records with their capture buffers, and the inform messages.
+// Nothing reaches a new system uncleared, so a system built on a spare
+// runs exactly as one built on an empty spare.
 type spare struct {
-	coh coherence.Spare
-	chk core.Spare
-	cps sim.FreeList[checkpointState]
+	coh     coherence.Spare
+	chk     core.Spare
+	cps     sim.FreeList[checkpointState]
+	informs core.InformPool
 }
 
-// newSystem is NewSystem building on sp's storage, if sp is not nil.
-func newSystem(cfg Config, w Workload, sp *spare) (*System, error) {
+// spares holds the spares of retired systems. NewSystem draws one, or an
+// empty spare when none is idle, and Retire puts it back. Which spare a
+// system draws depends on the schedule; what it computes cannot. It is a
+// pointer so that a test can put in its place a pool that hands out a
+// spare of its choosing.
+var spares = &sync.Pool{New: func() any { return new(spare) }}
+
+// NewSystem assembles a multiprocessor running the given workload: one
+// thread per node, built on the storage of a retired system if one is
+// idle (see Retire).
+func NewSystem(cfg Config, w Workload) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -213,7 +220,7 @@ func newSystem(cfg Config, w Workload, sp *spare) (*System, error) {
 	// At most four system-wide components (torus, tree, SafetyNet manager,
 	// telemetry sampler) and six per node (home, controller, MET, CET,
 	// logger, core).
-	s := &System{cfg: cfg, kernel: sim.NewKernel(4 + 6*cfg.Nodes)}
+	s := &System{cfg: cfg, kernel: sim.NewKernel(4 + 6*cfg.Nodes), sp: spares.Get().(*spare)}
 	rng := sim.NewRand(cfg.Seed)
 	now := s.kernel.Now
 
@@ -258,13 +265,6 @@ func newSystem(cfg Config, w Workload, sp *spare) (*System, error) {
 		s.snMgr = safetynet.NewManager(cfg.SNConfig, s.capture, s.restore)
 		s.snMgr.SetReleaseFunc(s.release)
 		s.kernel.Register(s.snMgr)
-		if sp != nil {
-			s.cpStates, sp.cps = sp.cps, sim.FreeList[checkpointState]{}
-		}
-	}
-
-	if cfg.DVMC.CacheCoherence {
-		s.informPool = &core.InformPool{}
 	}
 
 	for n := 0; n < cfg.Nodes; n++ {
@@ -293,9 +293,7 @@ func newSystem(cfg Config, w Workload, sp *spare) (*System, error) {
 			s.torus.SetHandler(nid, coherence.SnoopingDataHandler(sc, sh, s.informFallback(met)))
 			ctrl, home = sc, sh
 		}
-		if sp != nil {
-			sp.coh.Lend(ctrl, home)
-		}
+		s.sp.coh.Lend(ctrl, home)
 		s.ctrls = append(s.ctrls, ctrl)
 		s.homes = append(s.homes, home)
 		s.kernel.Register(home)
@@ -336,13 +334,11 @@ func newSystem(cfg Config, w Workload, sp *spare) (*System, error) {
 		var cet *core.CacheChecker
 		if cfg.DVMC.CacheCoherence {
 			cet = core.NewCacheChecker(nid, cfg.Memory, s.torus, clock, now, s.sink())
-			cet.SetInformPool(s.informPool)
+			cet.SetInformPool(&s.sp.informs)
 			s.cet = append(s.cet, cet)
 			s.kernel.Register(cet)
 		}
-		if sp != nil {
-			sp.chk.Lend(met, cet)
-		}
+		s.sp.chk.Lend(met, cet)
 
 		var logger *safetynet.Logger
 		if cfg.SafetyNet {
@@ -370,7 +366,7 @@ func newSystem(cfg Config, w Workload, sp *spare) (*System, error) {
 }
 
 // informFallback is the handler for what is not coherence traffic: it
-// gives a delivered inform to the MET and then returns it to the system's
+// gives a delivered inform to the MET and then returns it to the spare's
 // pool, and returns a SafetyNet write-log message (which the home only
 // accounts) to the loggers. MemChecker.Handle is synchronous and copies
 // everything it retains, so release-after-handle is safe.
@@ -381,7 +377,7 @@ func (s *System) informFallback(met *core.MemChecker) network.Handler {
 	return func(m *network.Message) {
 		if met != nil {
 			met.Handle(m)
-			s.informPool.Release(m)
+			s.sp.informs.Release(m)
 		}
 		if s.snMgr != nil {
 			s.snMgr.ReleaseLog(m)
@@ -417,6 +413,7 @@ func (s *System) Transactions() uint64 {
 // transactions (across all nodes) or the cycle budget expires. It returns the results
 // and an error if the budget expired first.
 func (s *System) Run(transactions uint64, maxCycles uint64) (Results, error) {
+	s.running("Run")
 	startTxns := s.Transactions()
 	done := func() bool {
 		return s.Transactions()-startTxns >= transactions
@@ -432,6 +429,7 @@ func (s *System) Run(transactions uint64, maxCycles uint64) (Results, error) {
 
 // RunCycles simulates a fixed number of cycles.
 func (s *System) RunCycles(n uint64) Results {
+	s.running("RunCycles")
 	s.kernel.Run(n)
 	return s.interval()
 }
@@ -453,6 +451,7 @@ func (s *System) Finished() bool {
 // budget. Only finite programs (workload.Custom specs) settle; a
 // statistical workload runs the whole budget.
 func (s *System) RunToCompletion(maxCycles uint64) (Results, bool) {
+	s.running("RunToCompletion")
 	s.kernel.RunUntil(s.settled, maxCycles)
 	return s.interval(), s.Finished()
 }
@@ -460,6 +459,7 @@ func (s *System) RunToCompletion(maxCycles uint64) (Results, bool) {
 // DrainCheckers settles a finished run that was driven by Run or
 // RunCycles, and leaves an unfinished one as it is.
 func (s *System) DrainCheckers() {
+	s.running("DrainCheckers")
 	if s.Finished() {
 		s.kernel.RunUntil(s.settled, uint64(sim.Never))
 	}
@@ -595,7 +595,7 @@ func (s *System) capture(now sim.Cycle) any {
 		// is its sequence number.
 		s.tracer.Emit(trace.Event{Kind: trace.EvCheckpoint, Seq: s.snMgr.Stats().CheckpointsTaken, Time: now})
 	}
-	st := s.cpStates.Get()
+	st := s.sp.cps.Get()
 	st.cycle = now
 	s.captureLines(st)
 	for i, h := range s.homes {
@@ -647,24 +647,35 @@ func (s *System) release(state any) {
 func (s *System) recycle(st *checkpointState) {
 	clear(st.cpus) // drop the program snapshots and pending-store slices
 	*st = checkpointState{nodes: st.nodes[:0], dirty: st.dirty[:0], cpus: st.cpus[:0]}
-	s.cpStates.Put(st)
+	s.sp.cps.Put(st)
 }
 
-// retire hands the system's storage to sp, if sp is not nil, for the
-// next system built on it; the system must not run again. Its live
-// checkpoints join the records it recycled.
-func (s *System) retire(sp *spare) {
-	if sp == nil {
+// Retire gives the system's storage back, for the next system built on
+// it; its live checkpoints join the records it recycled. Read what the
+// run left first: the system must not run again, and Run, RunCycles,
+// RunToCompletion and DrainCheckers panic once it is retired. Retiring a
+// retired or nil system does nothing.
+func (s *System) Retire() {
+	if s == nil || s.sp == nil {
 		return
 	}
 	if s.snMgr != nil {
 		for _, cp := range s.snMgr.Live() {
 			s.recycle(cp.State.(*checkpointState))
 		}
-		sp.cps, s.cpStates = s.cpStates, sim.FreeList[checkpointState]{}
 	}
-	sp.coh.Reclaim()
-	sp.chk.Reclaim()
+	sp := s.sp
+	s.sp = nil
+	sp.coh.Reclaim(s.ctrls, s.homes)
+	sp.chk.Reclaim(s.met, s.cet)
+	spares.Put(sp)
+}
+
+// running panics if s was retired: its storage may be another system's.
+func (s *System) running(op string) {
+	if s.sp == nil {
+		panic("dvmc: " + op + " on a retired System")
+	}
 }
 
 // homeMemory returns the memory module block b lives in.
