@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dvmc/internal/oracle/stream"
+	"dvmc/internal/trace"
 )
 
 // TestSteadyStateAllocBudget pins heap objects per simulated cycle on the
@@ -68,22 +69,22 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 func TestConstructionAllocBudget(t *testing.T) {
 	fuzzShape := smallConfig().WithProtocol(Snooping).WithModel(TSO)
 	fuzzShape.SafetyNet = true
-	fuzzShape.Trace.Sink = stream.New(fuzzShape.TraceMeta(), stream.Options{})
 	for _, tc := range []struct {
 		name   string
 		cfg    Config
 		w      Workload
+		oracle trace.Sink
 		budget uint64
 	}{
-		{"fuzz shape: 4-node snooping/TSO/SafetyNet, sink-only trace", fuzzShape, smallWorkload(), 32 << 10},
-		{"8-node ScaledConfig/OLTP", ScaledConfig(), OLTP(), 64 << 10},
+		{"fuzz shape: 4-node snooping/TSO/SafetyNet, sink-only trace", fuzzShape, smallWorkload(), stream.New(fuzzShape.TraceMeta(), stream.Options{}), 32 << 10},
+		{"8-node ScaledConfig/OLTP", ScaledConfig(), OLTP(), nil, 64 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const builds = 8
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < builds; i++ {
-				if _, err := NewSystem(tc.cfg, tc.w); err != nil {
+				if _, err := newSystem(tc.cfg, tc.w, tc.oracle); err != nil {
 					t.Fatal(err)
 				}
 			}

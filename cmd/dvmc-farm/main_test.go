@@ -79,13 +79,14 @@ func TestExitCodes(t *testing.T) {
 	// A journal from when a campaign could breed generations.
 	gens := file("gens.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"fuzz","fuzz":{"seed":5,"runs":4,"generations":2,"workers":0,"fault_frac":0,"budget":2000,"minimize":false},"shard_size":2}}`)))
 	// Finished experiment journals whose results the coordinator accepts
-	// (each reports its derived injection): one all recoverable, one
-	// with a detection no live checkpoint could roll back.
-	experiment := func(name string, recoverable ...bool) string {
+	// (each reports its derived injection, judged): one all recoverable,
+	// one with a detection no live checkpoint could roll back. And one it
+	// refuses, from before injections were judged.
+	experiment := func(name string, class dvmc.Class, recoverable ...bool) string {
 		spec := fabric.JobSpec{Kind: fabric.JobExperiment, Experiment: &fabric.ExperimentSpec{Faults: 1, Budget: 1000, Seed: 3}, ShardSize: 8}
 		res := fabric.ShardResult{Shard: spec.Shards()[0]}
 		for i, inj := range dvmc.ErrorDetection(1, 1000, 3).Injections() {
-			res.Injections = append(res.Injections, dvmc.InjectionResult{Injection: inj, Applied: true, Detected: true, Recoverable: recoverable[i]})
+			res.Injections = append(res.Injections, dvmc.InjectionResult{Injection: inj, Applied: true, Detected: true, Recoverable: recoverable[i], Class: class})
 		}
 		var journal bytes.Buffer
 		for _, e := range []fabric.CheckpointEntry{{Spec: &spec}, {Result: &res}} {
@@ -95,8 +96,9 @@ func TestExitCodes(t *testing.T) {
 		}
 		return file(name, journal.Bytes())
 	}
-	recovered := experiment("recovered.ckpt", true, true, true, true, true, true, true, true)
-	unrecoverable := experiment("unrecoverable.ckpt", true, true, true, false, true, true, true, true)
+	recovered := experiment("recovered.ckpt", dvmc.ClassAgreeDetect, true, true, true, true, true, true, true, true)
+	unrecoverable := experiment("unrecoverable.ckpt", dvmc.ClassAgreeDetect, true, true, true, false, true, true, true, true)
+	unjudged := experiment("unjudged.ckpt", "", true, true, true, true, true, true, true, true)
 	hugeFaults := file("huge-faults.ckpt", []byte(frame("DVMC2", `{"spec":{"kind":"experiment","experiment":{"faults":137438953472,"budget":1000,"seed":3}}}`)))
 	// A coordinator whose status reply carries a second value.
 	twoStatuses := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -130,6 +132,7 @@ func TestExitCodes(t *testing.T) {
 		{"breeding generations", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", gens}, 2, `unknown field "generations"`},
 		{"fuzz runs near 2^40", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", hugeRuns}, 2, "record 0, offset 0: fabric: fuzz Runs = 1099511627776, need <= 1048576 cases"},
 		{"experiment faults near 2^40", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", hugeFaults}, 2, "record 0, offset 0: fabric: experiment Faults = 137438953472, need <= 1048576 cases"},
+		{"unjudged experiment results", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", unjudged}, 2, `record 1, offset 106: fabric: result does not belong to this job: shard 0 reports case 0 unjudged (class "")`},
 		{"experiment all recovered", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", recovered}, 0, "(1 already done)"},
 		{"experiment with an unrecoverable detection", []string{"resume", "-addr", "127.0.0.1:0", "-checkpoint", unrecoverable}, 2, "dvmc-farm: Section 6.1: 0 undetected and 1 unrecoverable faults"},
 	} {

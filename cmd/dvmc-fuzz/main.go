@@ -250,7 +250,7 @@ func (c *cli) campaign(args []string) int {
 	}
 	if *verbose {
 		for _, r := range fuzz.SortRecordsByClass(records) {
-			if r.Result.Class == fuzz.ClassAgreeClean {
+			if r.Result.Class == dvmc.ClassAgreeClean {
 				continue
 			}
 			fmt.Fprintf(c.stdout, "  run %d: %s %s/%s", r.Index, r.Result.Class, r.Case.Model, r.Case.Protocol)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"dvmc"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,7 +45,7 @@ func TestExitCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Expect = fuzz.ClassEscape // it runs agree-clean
+	c.Expect = dvmc.ClassEscape // it runs agree-clean
 	wrong, err := c.Encode()
 	if err != nil {
 		t.Fatal(err)

@@ -382,7 +382,7 @@ func TestTimelineJoinsThreeSources(t *testing.T) {
 	cfg := dvmc.ScaledConfig().WithNodes(4)
 	dir := t.TempDir()
 	out := dvmc.Outputs{Spans: filepath.Join(dir, "run.spans"), Trace: filepath.Join(dir, "run.trc"), Metrics: filepath.Join(dir, "run.json")}
-	_, sys, err := dvmc.RunInjectionSystem(out.Observe(cfg), dvmc.OLTP(), dvmc.Injection{Kind: dvmc.FaultWBDrop, Node: 1, Cycle: 3000}, 40_000)
+	_, _, sys, err := dvmc.RunJudged(out.Observe(cfg), dvmc.OLTP(), &dvmc.Injection{Kind: dvmc.FaultWBDrop, Node: 1, Cycle: 3000}, 40_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,9 +256,8 @@ func (c Config) WithTrace(t TraceConfig) Config {
 }
 
 // TraceMeta returns the trace header a system built from this
-// configuration stamps on its captured execution trace. External
-// consumers that check events live (a streaming oracle attached via
-// TraceConfig.Sink) need the same header to judge them against.
+// configuration stamps on its captured execution trace, and the header
+// a judged run's stream oracle checks its events against (RunJudged).
 func (c Config) TraceMeta() trace.Meta {
 	return trace.Meta{
 		Version:  trace.Version,

@@ -1,6 +1,7 @@
 package dvmc
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -58,15 +59,26 @@ type Table struct {
 }
 
 // Verdict is the Section 6.1 rule dvmc-bench and dvmc-farm exit 2 by: an
-// error when an applied fault went undetected (a false negative) or was
-// detected with no live pre-error checkpoint (unrecoverable). A table
-// that counts no injections passes.
+// error when an applied fault went undetected (a false negative), was
+// detected with no live pre-error checkpoint (unrecoverable), or made a
+// referee fire although it had no architectural effect (a false alarm).
+// A table that counts no injections passes.
 func (t Table) Verdict() error {
 	_, _, _, undetected, unrecoverable := CampaignResult{Results: t.Injections}.Counts()
-	if undetected == 0 && unrecoverable == 0 {
+	falseAlarms := 0
+	for _, r := range t.Injections {
+		if r.Class == ClassFalseAlarm {
+			falseAlarms++
+		}
+	}
+	if undetected+unrecoverable+falseAlarms == 0 {
 		return nil
 	}
-	return fmt.Errorf("%d undetected and %d unrecoverable faults", undetected, unrecoverable)
+	msg := fmt.Sprintf("%d undetected and %d unrecoverable faults", undetected, unrecoverable)
+	if falseAlarms > 0 {
+		msg += fmt.Sprintf(", %d false alarms", falseAlarms)
+	}
+	return errors.New(msg)
 }
 
 // String renders the table.
@@ -115,9 +127,12 @@ func (o ExperimentOpts) Validate() error {
 type Figure struct {
 	Name string // "Figure 3" … "Figure 9", "Section 6.1"
 
-	configs   []Config      // sample jobs: each config against every workload
-	campaigns []campaignJob // injection campaigns (the Section 6.1 rows)
-	view      func(*runs) Table
+	configs []Config // sample jobs: each config against every workload
+	view    func(*runs) Table
+	// space holds the injection campaigns (the Section 6.1 rows) and
+	// their index space, as Evaluate numbers it, derived once when the
+	// figure is built.
+	space injectionSpace
 }
 
 // sampleJob is one runtimeSample: a configuration against a workload.
@@ -294,7 +309,7 @@ func plan(figs []Figure) ([]sampleJob, []campaignJob) {
 				}
 			}
 		}
-		for _, c := range f.campaigns {
+		for _, c := range f.space.jobs {
 			if !seenCampaign[c.key()] {
 				seenCampaign[c.key()] = true
 				campaigns = append(campaigns, c)
@@ -304,35 +319,27 @@ func plan(figs []Figure) ([]sampleJob, []campaignJob) {
 	return samples, campaigns
 }
 
-// space is f's injection index space, as Evaluate numbers it.
-func (f Figure) space() injectionSpace {
-	_, campaigns := plan([]Figure{f})
-	return newInjectionSpace(campaigns)
-}
-
 // Injections are f's injections in index order (for the Section 6.1
 // figure, row-major): the index space a caller that runs them elsewhere
 // — the fabric's experiment shards — walks with Inject.
-func (f Figure) Injections() []Injection { return f.space().injs }
+func (f Figure) Injections() []Injection { return f.space.injs }
 
 // Inject runs injection i of f exactly as Evaluate does.
 func (f Figure) Inject(i int) (InjectionResult, error) {
-	s := f.space()
-	if i < 0 || i >= len(s.injs) {
+	if i < 0 || i >= len(f.space.injs) {
 		return InjectionResult{}, fmt.Errorf("dvmc: %s has no injection %d", f.Name, i)
 	}
-	return s.run(i)
+	return f.space.run(i)
 }
 
 // View renders a figure that runs nothing but injections from their
 // results, one per index in index order, through the view Evaluate
 // renders it with.
 func (f Figure) View(results []InjectionResult) (Table, error) {
-	s := f.space()
-	if len(results) != len(s.injs) {
-		return Table{}, fmt.Errorf("dvmc: %s has %d injections, got %d results", f.Name, len(s.injs), len(results))
+	if len(results) != len(f.space.injs) {
+		return Table{}, fmt.Errorf("dvmc: %s has %d injections, got %d results", f.Name, len(f.space.injs), len(results))
 	}
-	return f.view(&runs{campaigns: s.campaigns(results)}), nil
+	return f.view(&runs{campaigns: f.space.campaigns(results)}), nil
 }
 
 // evaluateOne runs a single figure.
@@ -531,7 +538,7 @@ func ErrorDetection(faultsPerConfig int, budget uint64, seed uint64) Figure {
 	for i, row := range rows {
 		campaigns[i] = campaignJob{ErrorDetectionConfig(row, seed), OLTP(), faultsPerConfig, budget}
 	}
-	return Figure{Name: "Section 6.1", campaigns: campaigns, view: func(r *runs) Table {
+	return Figure{Name: "Section 6.1", space: newInjectionSpace(campaigns), view: func(r *runs) Table {
 		t := Table{
 			Title: "Section 6.1: error-detection campaign (detected / applied; masked faults had no architectural effect)",
 			Note:  "unrecoverable: detected with no live pre-error checkpoint, outside SafetyNet's recovery window",

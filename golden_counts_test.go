@@ -130,7 +130,7 @@ func goldenRuns(t *testing.T) []goldenCounts {
 		{"msg-drop/directory/TSO/oltp", Injection{Kind: FaultMsgDrop, Node: 0, Cycle: 20_000}, 60_000},
 	} {
 		cfg := ScaledConfig()
-		res, s, err := RunInjectionSystem(cfg, OLTP(), f.inj, f.budget)
+		_, res, s, err := RunJudged(cfg, OLTP(), &f.inj, f.budget)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}

@@ -124,7 +124,7 @@ func TestTraceFoldEqualsInjectionResult(t *testing.T) {
 	i := 0
 	forGoldenInjections(func(name string, cfg Config, inj Injection) {
 		defer func() { i++ }()
-		res, s, err := RunInjectionSystem(cfg.WithTrace(TraceOn()), OLTP(), inj, goldenInjectionBudget)
+		_, res, s, err := RunJudged(cfg.WithTrace(TraceOn()), OLTP(), &inj, goldenInjectionBudget)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -50,6 +50,9 @@ type InjectionResult struct {
 	// idempotently, a dormant LSQ fault that never triggered, a corrupted
 	// line evicted unread). Masked faults are not false negatives.
 	Masked bool
+	// Class is the run's judged class (RunJudged): the ground truth
+	// above audited by both referees.
+	Class Class
 }
 
 // String implements fmt.Stringer.
@@ -57,6 +60,8 @@ func (r InjectionResult) String() string {
 	switch {
 	case !r.Applied:
 		return fmt.Sprintf("%v@%d node %d: not applied", r.Injection.Kind, r.Injection.Cycle, r.Injection.Node)
+	case r.Masked && r.Class.Failure():
+		return fmt.Sprintf("%v@%d node %d: masked, but judged %s", r.Injection.Kind, r.Injection.Cycle, r.Injection.Node, r.Class)
 	case r.Masked:
 		return fmt.Sprintf("%v@%d node %d: masked", r.Injection.Kind, r.Injection.Cycle, r.Injection.Node)
 	case !r.Detected:
@@ -92,39 +97,29 @@ func (s *System) eccCorrections() uint64 {
 	return n
 }
 
-// RunInjection builds a system, runs it to the injection point, applies
-// the fault, observes detection and retires the system. budget bounds the
-// post-injection observation window in cycles.
+// RunInjection is the judged injection run (RunJudged): it builds a
+// system with the stream oracle riding along, runs it to the injection
+// point, applies the fault, observes detection for at most budget cycles
+// and retires the system. The result is the injection's ground truth
+// with its judged Class; a run that panics is an error.
 func RunInjection(cfg Config, w Workload, inj Injection, budget uint64) (InjectionResult, error) {
-	res, s, err := RunInjectionSystem(cfg, w, inj, budget)
+	j, res, s, err := RunJudged(cfg, w, &inj, budget)
 	s.Retire()
+	if err == nil && j.Class == ClassCrash {
+		err = fmt.Errorf("dvmc: %v injection panicked: %s", inj.Kind, j.Panic)
+	}
 	return res, err
 }
 
-// RunInjectionSystem is RunInjection with the finished system returned
-// for verdict extraction: dvmc-fuzz's differential check needs the
-// execution trace and the online violations alongside the injection
-// ground truth, which RunInjection's summary result discards. Finite
-// programs (workload.Custom specs) additionally end the observation
-// window early once the system is settled; the statistical workload
-// generators never finish, so RunInjection's behaviour is unchanged for
-// them.
-func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (InjectionResult, *System, error) {
-	res := InjectionResult{Injection: inj}
-	// Injections arrive from case files and the command line: refuse what
-	// the table cannot index. Nodes past the last one wrap around.
-	if inj.Kind == 0 || inj.Kind >= numFaultKinds {
-		return res, nil, fmt.Errorf("dvmc: unknown fault kind %v", inj.Kind)
-	}
-	if inj.Node < 0 {
-		return res, nil, fmt.Errorf("dvmc: injection node %d is negative", inj.Node)
-	}
-	s, err := NewSystem(cfg, w)
-	if err != nil {
-		return res, nil, err
-	}
+// inject runs a freshly built system to the injection point, applies
+// the fault and observes it for at most budget cycles: the injection's
+// ground truth. A finite program (a workload.Custom spec) ends the
+// observation early once the system is settled; the statistical
+// workload generators never finish, so they observe the whole budget.
+func (s *System) inject(inj Injection, budget uint64) (res InjectionResult) {
+	res.Injection = inj
 	s.SetStrict(false)
-	rng := sim.NewRand(cfg.Seed ^ (uint64(inj.Cycle)+uint64(inj.Node)*977)*0x9e3779b97f4a7c15)
+	rng := sim.NewRand(s.cfg.Seed ^ (uint64(inj.Cycle)+uint64(inj.Node)*977)*0x9e3779b97f4a7c15)
 	row := &faultKinds[inj.Kind]
 	n := inj.Node % s.cfg.Nodes
 
@@ -159,7 +154,7 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 	}
 	res.Applied = row.arm(s, n, eff, rng)
 	if !res.Applied {
-		return res, s, nil
+		return res
 	}
 	// Stamp activation with the time the fault actually applied, not the
 	// requested injection cycle: the warm-up stops early when every
@@ -228,7 +223,7 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 			res.ActivatedAt = s.Now()
 			res.Latency = 0
 			res.Recoverable = true
-			return res, s, nil
+			return res
 		case len(s.Violations()) > baseViolations:
 			res.DetectionKind = s.Violations()[baseViolations].Kind
 			res.Latency = s.Violations()[baseViolations].Cycle - res.ActivatedAt
@@ -239,7 +234,7 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 				// Erased by a flush before verification: masked.
 				res.Detected = false
 				res.Masked = true
-				return res, s, nil
+				return res
 			}
 			res.DetectionKind = core.UOMismatch
 			res.Latency = s.Now() - res.ActivatedAt
@@ -256,11 +251,11 @@ func RunInjectionSystem(cfg Config, w Workload, inj Injection, budget uint64) (I
 				_, res.Recoverable = s.snMgr.ValidFor(res.ActivatedAt)
 			}
 		}
-		return res, s, nil
+		return res
 	}
 	// Undetected: the row's policy says whether that is maskable.
 	res.Masked = row.undetected == masked || row.undetected == maskedIfDormant && !fired
-	return res, s, nil
+	return res
 }
 
 // faultOutcome is an injection result's outcome byte in its trace.EvFault
@@ -285,27 +280,30 @@ type CampaignResult struct {
 }
 
 // Counts returns (applied, detected, masked, undetected, unrecoverable)
-// totals. Undetected excludes masked faults: it counts only faults that
-// affected architectural state without any checker noticing — false
-// negatives. Unrecoverable counts the detected faults no live pre-error
-// checkpoint could roll back.
+// totals by each result's judged Class. Detected counts agree-detect
+// runs. Masked counts the faults ground truth calls masked that no
+// oracle finding contradicts: agree-clean runs, and false alarms, where
+// an online checker fired on a fault with no architectural effect
+// (Table.Verdict fails on those). Undetected counts escapes: faults that
+// affected architectural state without any checker noticing, a masked
+// run the oracle flags included. Unrecoverable counts the detected
+// faults no live pre-error checkpoint could roll back.
 func (c CampaignResult) Counts() (applied, detected, masked, undetected, unrecoverable int) {
 	for _, r := range c.Results {
-		if !r.Applied {
-			continue
-		}
-		applied++
-		switch {
-		case r.Detected:
+		switch r.Class {
+		case ClassAgreeDetect:
 			detected++
 			if !r.Recoverable {
 				unrecoverable++
 			}
-		case r.Masked:
+		case ClassAgreeClean, ClassFalseAlarm:
 			masked++
-		default:
+		case ClassEscape:
 			undetected++
+		default: // not applied
+			continue
 		}
+		applied++
 	}
 	return
 }

@@ -129,7 +129,7 @@ func TestInjectionAcrossModels(t *testing.T) {
 // Evaluate's pool, as the Section 6.1 table runs each of its rows.
 func runCampaign(cfg Config, w Workload, n int, budget uint64) (CampaignResult, error) {
 	job := campaignJob{cfg, w, n, budget}
-	r, err := execute([]Figure{{Name: "campaign", campaigns: []campaignJob{job}}}, ExperimentOpts{})
+	r, err := execute([]Figure{{Name: "campaign", space: newInjectionSpace([]campaignJob{job})}}, ExperimentOpts{})
 	if err != nil {
 		return CampaignResult{}, err
 	}
@@ -240,7 +240,7 @@ func TestRunInjectionRejectsBadInput(t *testing.T) {
 		{Kind: numFaultKinds, Node: 0, Cycle: 100},
 		{Kind: 200, Node: 0, Cycle: 100},
 	} {
-		if _, s, err := RunInjectionSystem(injCfg(), OLTP(), inj, 1000); err == nil || s != nil {
+		if _, _, s, err := RunJudged(injCfg(), OLTP(), &inj, 1000); err == nil || s != nil {
 			t.Errorf("%+v: err = %v, system = %v; want an error and no system", inj, err, s != nil)
 		}
 	}
@@ -257,7 +257,8 @@ func TestRunInjectionRejectsBadInput(t *testing.T) {
 
 // TestInjectionResultString pins the per-injection line dvmc-bench -fig
 // errors -each prints for each of the four outcomes: a masked fault says
-// so, and only an escape reads NOT DETECTED.
+// so (and says when a referee disagreed), and only an escape reads NOT
+// DETECTED.
 func TestInjectionResultString(t *testing.T) {
 	inj := Injection{Kind: FaultWBDrop, Node: 1, Cycle: 5}
 	for _, tc := range []struct {
@@ -266,6 +267,7 @@ func TestInjectionResultString(t *testing.T) {
 	}{
 		{InjectionResult{Injection: inj}, "wb-drop@5 node 1: not applied"},
 		{InjectionResult{Injection: inj, Applied: true, Masked: true}, "wb-drop@5 node 1: masked"},
+		{InjectionResult{Injection: inj, Applied: true, Masked: true, Class: ClassEscape}, "wb-drop@5 node 1: masked, but judged escape"},
 		{InjectionResult{Injection: inj, Applied: true}, "wb-drop@5 node 1: NOT DETECTED"},
 		{InjectionResult{Injection: inj, Applied: true, Detected: true, DetectionKind: core.LostOperation, Latency: 40, Recoverable: true},
 			"wb-drop@5 node 1: detected as lost-operation after 40 cycles (recoverable=true)"},
@@ -277,21 +279,25 @@ func TestInjectionResultString(t *testing.T) {
 }
 
 // TestCampaignResultCounts checks the aggregation arithmetic over a
-// hand-built result set: not-applied results are excluded entirely,
-// applied results partition into detected / masked / undetected, and a
-// detection with no live pre-error checkpoint is also unrecoverable.
+// hand-built result set, counted by judged class: not-applied results
+// are excluded entirely, applied results partition into detected /
+// masked / undetected, a masked run the oracle flags is undetected, a
+// false alarm is masked, and a detection with no live pre-error
+// checkpoint is also unrecoverable.
 func TestCampaignResultCounts(t *testing.T) {
 	c := CampaignResult{Results: []InjectionResult{
-		{}, // not applied
-		{Applied: true, Detected: true, Recoverable: true}, // detected
-		{Applied: true, Detected: true, Recoverable: true}, // detected
-		{Applied: true, Masked: true},                      // masked
-		{Applied: true},                                    // undetected escape
-		{Applied: true, Detected: true, Masked: true},      // detection wins over masking; unrecoverable
+		{Class: ClassNotApplied},
+		{Applied: true, Detected: true, Recoverable: true, Class: ClassAgreeDetect},
+		{Applied: true, Detected: true, Recoverable: true, Class: ClassAgreeDetect},
+		{Applied: true, Masked: true, Class: ClassAgreeClean},
+		{Applied: true, Class: ClassEscape},
+		{Applied: true, Detected: true, Masked: true, Class: ClassAgreeDetect}, // unrecoverable
+		{Applied: true, Masked: true, Class: ClassEscape},                      // the oracle flagged it
+		{Applied: true, Masked: true, Class: ClassFalseAlarm},
 	}}
 	applied, detected, masked, undetected, unrecoverable := c.Counts()
-	if applied != 5 || detected != 3 || masked != 1 || undetected != 1 || unrecoverable != 1 {
-		t.Fatalf("Counts() = %d/%d/%d/%d/%d, want 5/3/1/1/1", applied, detected, masked, undetected, unrecoverable)
+	if applied != 7 || detected != 3 || masked != 2 || undetected != 2 || unrecoverable != 1 {
+		t.Fatalf("Counts() = %d/%d/%d/%d/%d, want 7/3/2/2/1", applied, detected, masked, undetected, unrecoverable)
 	}
 }
 
@@ -303,23 +309,27 @@ func TestCampaignResultCountsEmpty(t *testing.T) {
 	}
 }
 
-// TestTableVerdict: one unrecoverable detection or one false negative
-// fails the Section 6.1 verdict; recoverable detections, masked and
-// not-applied faults pass it, and so does a table of no injections.
+// TestTableVerdict: one unrecoverable detection, one false negative or
+// one false alarm fails the Section 6.1 verdict; recoverable
+// detections, masked and not-applied faults pass it, and so does a
+// table of no injections.
 func TestTableVerdict(t *testing.T) {
 	pass := []InjectionResult{
-		{},
-		{Applied: true, Detected: true, Recoverable: true},
-		{Applied: true, Masked: true}, // undetected but masked: recoverability not applicable
+		{Class: ClassNotApplied},
+		{Applied: true, Detected: true, Recoverable: true, Class: ClassAgreeDetect},
+		{Applied: true, Masked: true, Class: ClassAgreeClean}, // undetected but masked: recoverability not applicable
 	}
+	escape := InjectionResult{Applied: true, Class: ClassEscape}
 	for _, tc := range []struct {
 		name string
 		add  []InjectionResult
 		want string // "" passes
 	}{
 		{"clean", nil, ""},
-		{"unrecoverable", []InjectionResult{{Applied: true, Detected: true}}, "0 undetected and 1 unrecoverable faults"},
-		{"undetected", []InjectionResult{{Applied: true}, {Applied: true}}, "2 undetected and 0 unrecoverable faults"},
+		{"unrecoverable", []InjectionResult{{Applied: true, Detected: true, Class: ClassAgreeDetect}}, "0 undetected and 1 unrecoverable faults"},
+		{"undetected", []InjectionResult{escape, escape}, "2 undetected and 0 unrecoverable faults"},
+		{"masked, oracle flags", []InjectionResult{{Applied: true, Masked: true, Class: ClassEscape}}, "1 undetected and 0 unrecoverable faults"},
+		{"false alarm", []InjectionResult{{Applied: true, Masked: true, Class: ClassFalseAlarm}}, "0 undetected and 0 unrecoverable faults, 1 false alarms"},
 	} {
 		err := Table{Injections: append(append([]InjectionResult(nil), pass...), tc.add...)}.Verdict()
 		if got := fmt.Sprint(err); tc.want == "" && err != nil || tc.want != "" && got != tc.want {

@@ -54,7 +54,7 @@ func TestInjectionWindowEndsSettled(t *testing.T) {
 	run := func(budget uint64) (InjectionResult, *System) {
 		t.Helper()
 		inj := Injection{Kind: FaultMsgMisroute, Node: 1, Cycle: armAt}
-		res, s, err := RunInjectionSystem(injCfg(), windowWorkload(), inj, budget)
+		_, res, s, err := RunJudged(injCfg(), windowWorkload(), &inj, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestRunToCompletionEndsSettled(t *testing.T) {
 func TestInjectionSecondRollbackOnDeadline(t *testing.T) {
 	cfg := injCfg().WithTrace(TraceOn())
 	inj := Injection{Kind: FaultNestedRecovery, Node: 0, Cycle: 12_000, Window: 1_777}
-	res, s, err := RunInjectionSystem(cfg, smallWorkload(), inj, 6_000)
+	_, res, s, err := RunJudged(cfg, smallWorkload(), &inj, 6_000)
 	if err != nil {
 		t.Fatal(err)
 	}

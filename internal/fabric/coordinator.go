@@ -50,11 +50,12 @@ type workerInfo struct {
 // shape reproduces a serial run's bytes.
 type Coordinator struct {
 	mu     sync.Mutex
-	spec   JobSpec // immutable after construction
-	shards []Shard // immutable after construction
+	spec   JobSpec   // immutable after construction
+	space  caseSpace // the spec's, built once; immutable
+	shards []Shard   // immutable after construction
 	// mu guards leases, results, workers and ckpt.
 	leases        *LeaseTable
-	results       map[int]*ShardResult
+	results       []*ShardResult // by shard ID; nil until accepted
 	workers       map[string]*workerInfo
 	ckpt          *os.File
 	clock         func() uint64
@@ -66,14 +67,14 @@ type Coordinator struct {
 
 // NewCoordinator starts a fresh job.
 func NewCoordinator(spec JobSpec, opts CoordinatorOptions) (*Coordinator, error) {
-	if err := spec.Validate(); err != nil {
+	sp, err := spec.space()
+	if err != nil {
 		return nil, err
 	}
-	shards := spec.Shards()
-	if len(shards) == 0 {
+	c := newCoordinator(spec, sp, opts)
+	if len(c.shards) == 0 {
 		return nil, fmt.Errorf("fabric: job has no cases to shard")
 	}
-	c := newCoordinator(spec, shards, opts)
 	if opts.CheckpointPath != "" {
 		f, err := os.OpenFile(opts.CheckpointPath, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
@@ -108,7 +109,8 @@ func ResumeCoordinator(path string, opts CoordinatorOptions) (*Coordinator, erro
 		return nil, fmt.Errorf("fabric: checkpoint %s: %w", path, &frame.PosError{Err: errors.New("does not start with a job spec")})
 	}
 	spec := *entries[0].Spec
-	if err := spec.Validate(); err != nil {
+	sp, err := spec.space()
+	if err != nil {
 		// A spec no coordinator would have journaled: the file is damaged
 		// (or hostile), and says so like any other undecodable record.
 		return nil, fmt.Errorf("fabric: checkpoint %s: %w", path, &frame.PosError{Err: err})
@@ -118,7 +120,7 @@ func ResumeCoordinator(path string, opts CoordinatorOptions) (*Coordinator, erro
 			return nil, fmt.Errorf("fabric: dropping torn checkpoint tail: %w", err)
 		}
 	}
-	c := newCoordinator(spec, spec.Shards(), opts)
+	c := newCoordinator(spec, sp, opts)
 	// off is the byte offset of record k's line: the entries decoded, so
 	// each is one newline-terminated line.
 	off := 0
@@ -150,7 +152,8 @@ func ResumeCoordinator(path string, opts CoordinatorOptions) (*Coordinator, erro
 	return c, nil
 }
 
-func newCoordinator(spec JobSpec, shards []Shard, opts CoordinatorOptions) *Coordinator {
+func newCoordinator(spec JobSpec, sp caseSpace, opts CoordinatorOptions) *Coordinator {
+	shards := spec.partition(sp.len())
 	ttl := opts.TTLSeconds
 	if ttl == 0 {
 		ttl = 60
@@ -166,9 +169,10 @@ func newCoordinator(spec JobSpec, shards []Shard, opts CoordinatorOptions) *Coor
 	}
 	return &Coordinator{
 		spec:          spec,
-		shards:        append([]Shard(nil), shards...),
+		space:         sp,
+		shards:        shards,
 		leases:        NewLeaseTable(shards, ttl),
-		results:       make(map[int]*ShardResult),
+		results:       make([]*ShardResult, len(shards)),
 		workers:       make(map[string]*workerInfo),
 		clock:         clock,
 		ttl:           ttl,
@@ -337,39 +341,13 @@ var ErrBadResult = errors.New("fabric: result does not belong to this job")
 
 // checkResult refuses a result that finalize could not place: accepted,
 // it would be journaled and sink the whole job after its last shard. A
-// result carries exactly one outcome per case of its shard, in index
-// order, of its job's kind; an experiment outcome must report the
-// injection the coordinator derives for its index, so a worker reports
-// outcomes and cannot put a case of its own into the table.
+// result covers a shard of the partition, and its job's case space
+// holds it to one outcome per case of that shard (caseSpace.check).
 func (c *Coordinator) checkResult(r *ShardResult) error {
-	id := r.Shard.ID
-	if id < 0 || id >= len(c.shards) || r.Shard != c.shards[id] {
+	if id := r.Shard.ID; id < 0 || id >= len(c.shards) || r.Shard != c.shards[id] {
 		return fmt.Errorf("%w: shard %+v is not in its partition", ErrBadResult, r.Shard)
 	}
-	// Outcomes of the job's kind (records for a fuzz job, injection
-	// results for an experiment) and of the other kind.
-	ours, theirs := len(r.Records), len(r.Injections)
-	if c.spec.Kind == JobExperiment {
-		ours, theirs = theirs, ours
-	}
-	if ours != r.Shard.To-r.Shard.From || theirs != 0 {
-		return fmt.Errorf("%w: shard %d covers cases [%d, %d) of a %s job but carries %d records and %d injection results",
-			ErrBadResult, id, r.Shard.From, r.Shard.To, c.spec.Kind, len(r.Records), len(r.Injections))
-	}
-	for k, rec := range r.Records {
-		if rec.Index != r.Shard.From+k {
-			return fmt.Errorf("%w: shard %d carries record %d at case %d", ErrBadResult, id, rec.Index, r.Shard.From+k)
-		}
-	}
-	if len(r.Injections) > 0 {
-		injs := c.spec.Experiment.figure().Injections()
-		for k, res := range r.Injections {
-			if i := r.Shard.From + k; res.Injection != injs[i] {
-				return fmt.Errorf("%w: shard %d reports injection %+v at case %d, which is %+v", ErrBadResult, id, res.Injection, i, injs[i])
-			}
-		}
-	}
-	return nil
+	return c.space.check(r)
 }
 
 // Complete accepts a shard result. The first completion wins; a
@@ -426,7 +404,7 @@ func (c *Coordinator) Status() StatusResponse {
 		Pending:  pending,
 		Active:   active,
 		Done:     done,
-		Cases:    c.spec.TotalCases(),
+		Cases:    c.space.len(),
 		Finished: c.leases.Done(),
 	}
 	names := make([]string, 0, len(c.workers))
@@ -459,32 +437,12 @@ func (c *Coordinator) Status() StatusResponse {
 // of the merge makes this canonical at any completion state.
 func (c *Coordinator) MetricsSnapshot() (*telemetry.Snapshot, error) {
 	c.mu.Lock()
-	snaps, err := c.snapshots()
+	snaps, err := snapshots(c.results)
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	return telemetry.MergeSnapshots(snaps...)
-}
-
-// snapshots decodes the telemetry snapshots of the shards accepted so
-// far, in shard order.
-//
-// The caller holds c.mu.
-func (c *Coordinator) snapshots() ([]*telemetry.Snapshot, error) {
-	var snaps []*telemetry.Snapshot
-	for id := range c.shards {
-		r := c.results[id]
-		if r == nil || len(r.Snapshot) == 0 {
-			continue
-		}
-		s, err := telemetry.DecodeSnapshot(bytes.NewReader(r.Snapshot))
-		if err != nil {
-			return nil, err
-		}
-		snaps = append(snaps, s)
-	}
-	return snaps, nil
 }
 
 // Output is a finished job's merged artifacts — the same values the
@@ -500,59 +458,17 @@ type Output struct {
 	Table dvmc.Table
 }
 
-// Finalize assembles the finished job's artifacts. For fuzz jobs it
-// runs the same fuzz.Finalize pass as the local driver (corpus writes
-// into the spec's CorpusDir, then the summary). Callable only after
-// Done.
+// Finalize assembles the finished job's artifacts through its case
+// space: for fuzz jobs the same fuzz.Finalize pass as the local driver
+// (corpus writes into the spec's CorpusDir, then the summary), for
+// experiment jobs the figure's View. Callable only after Done.
 func (c *Coordinator) Finalize() (*Output, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.leases.Done() {
 		return nil, fmt.Errorf("fabric: Finalize before all shards completed")
 	}
-	out := &Output{}
-	switch c.spec.Kind {
-	case JobFuzz:
-		// This is the one place verdicts become records. Each accepted
-		// result covers its shard exactly, so the shards' records in shard
-		// order are the table, whatever order they were accepted in (live
-		// or replayed from the journal); every case is re-derived by index.
-		cfg := *c.spec.Fuzz
-		out.Records = make([]fuzz.Record, 0, cfg.Runs)
-		for id := range c.shards {
-			for _, rec := range c.results[id].Records {
-				rec.Case = fuzz.CaseAt(cfg, rec.Index)
-				out.Records = append(out.Records, rec)
-			}
-		}
-		var err error
-		if out.Summary, err = fuzz.Finalize(cfg, out.Records); err != nil {
-			return nil, err
-		}
-		if cfg.Metrics {
-			snaps, err := c.snapshots()
-			if err != nil {
-				return nil, err
-			}
-			if out.Snapshot, err = telemetry.MergeSnapshots(snaps...); err != nil {
-				return nil, err
-			}
-		}
-	case JobExperiment:
-		// Each accepted result covers its shard exactly, so the shards'
-		// results in shard order are the index space.
-		injections := make([]dvmc.InjectionResult, 0, c.spec.TotalCases())
-		for id := range c.shards {
-			injections = append(injections, c.results[id].Injections...)
-		}
-		var err error
-		if out.Table, err = c.spec.Experiment.figure().View(injections); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("fabric: unknown job kind %q", c.spec.Kind)
-	}
-	return out, nil
+	return c.space.finalize(c.results)
 }
 
 // ServeHTTP implements the coordinator side of the wire protocol.

@@ -9,15 +9,19 @@
 //  1. Every case is a pure function of (job spec, case index) —
 //     fuzz.CaseAt, and for the Section 6.1 matrix the Inject(i) of
 //     dvmc.ErrorDetection's figure, the per-index function dvmc.Evaluate
-//     runs too. A lease is therefore only a shard, and a shard's result
-//     does not depend on which worker ran it, when, or how many times
-//     (re-running a stolen lease reproduces the same bytes). Because a
+//     runs too; both are judged runs (dvmc.RunJudged). The spec becomes
+//     a case space once, the one place a job's kind is decided
+//     (JobSpec.space; the experiment space derives the figure's
+//     injections once). A lease is therefore only a shard, and a
+//     shard's result does not depend on which worker ran it, when, or
+//     how many times (re-running a stolen lease reproduces the same
+//     bytes). Because a
 //     case is derivable, a result carries outcomes, not cases: a fuzz
 //     shard's verdicts (Verdicts: the index, result and minimized
 //     reproducer), which the coordinator turns back into records by
 //     re-deriving every case with fuzz.CaseAt, and an experiment
 //     shard's injection results, each of which must report the
-//     injection the coordinator derives for its index.
+//     injection the coordinator derives for its index, judged.
 //  2. Shards partition the index space into contiguous ranges, and the
 //     coordinator accepts only a result with exactly one outcome per
 //     index of its shard, in index order. Joining the accepted results

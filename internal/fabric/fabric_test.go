@@ -375,7 +375,8 @@ func TestFarmCrashResumeMatchesSerial(t *testing.T) {
 
 // TestFarmExperimentMatchesSerial shards the Section 6.1 matrix with
 // shard boundaries that cross rows and checks the assembled table's
-// bytes against dvmc.ErrorDetectionTable run on one worker.
+// bytes, and one shard's judged results run alone, against
+// dvmc.ErrorDetectionTable run on one worker.
 func TestFarmExperimentMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("farm test in -short mode")
@@ -423,6 +424,21 @@ func TestFarmExperimentMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out.Table.Injections, want.Injections) {
 		t.Error("farm injection results differ from serial")
+	}
+	// One shard run alone, on its own derived space, carries Evaluate's
+	// judged results for its indices.
+	sh := spec.Shards()[2]
+	res, err := ExecuteShard(spec, sh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Injections, want.Injections[sh.From:sh.To]) {
+		t.Errorf("shard %d's results differ from Evaluate's for cases [%d, %d):\n%v\nvs\n%v", sh.ID, sh.From, sh.To, res.Injections, want.Injections[sh.From:sh.To])
+	}
+	for i, r := range want.Injections {
+		if r.Class == "" {
+			t.Fatalf("Evaluate's injection %d is unjudged: %v", i, r)
+		}
 	}
 }
 

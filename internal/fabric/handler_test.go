@@ -266,9 +266,9 @@ func TestHandlersRefuseWhatIsNotTheirs(t *testing.T) {
 
 // TestExperimentRefusesUnderivedInjections: an experiment completion
 // reports one outcome per case of its shard, each for the injection the
-// coordinator derives for that index. A tampered node, a short result
-// and an empty one are refused with 400 and change nothing; the honest
-// result is taken.
+// coordinator derives for that index, judged. A tampered node, an
+// unjudged outcome, a short result and an empty one are refused with
+// 400 and change nothing; the honest result is taken.
 func TestExperimentRefusesUnderivedInjections(t *testing.T) {
 	spec := JobSpec{Kind: JobExperiment, Experiment: &ExperimentSpec{Faults: 2, Budget: 1000, Seed: 3}, ShardSize: 3}
 	f := newHandlerFixture(t, spec)
@@ -277,15 +277,18 @@ func TestExperimentRefusesUnderivedInjections(t *testing.T) {
 	result := func(n int) ShardResult {
 		res := ShardResult{Shard: sh}
 		for i := sh.From; i < sh.From+n; i++ {
-			res.Injections = append(res.Injections, dvmc.InjectionResult{Injection: injs[i], Applied: true, Detected: true})
+			res.Injections = append(res.Injections, dvmc.InjectionResult{Injection: injs[i], Applied: true, Detected: true, Class: dvmc.ClassAgreeDetect})
 		}
 		return res
 	}
 	tampered := result(3)
 	tampered.Injections[1].Injection.Node++
+	unjudged := result(3)
+	unjudged.Injections[2].Class = ""
 	before := f.coord.Status()
 	for name, res := range map[string]ShardResult{
 		"a tampered node":    tampered,
+		"an unjudged result": unjudged,
 		"a short completion": result(2),
 		"no results at all":  result(0),
 		"fuzz records":       {Shard: sh, Records: Verdicts{{Index: 3}, {Index: 4}, {Index: 5}}},

@@ -161,7 +161,7 @@ type Verdicts []fuzz.Record
 // verdict is one record's wire form.
 type verdict struct {
 	Index  int            `json:"index"`
-	Result fuzz.RunResult `json:"result"`
+	Result dvmc.Judgement `json:"result"`
 	// Minimized travels because the coordinator cannot rebuild it: it is
 	// the outcome of a ddmin search, present only on failures.
 	Minimized *fuzz.Case `json:"minimized,omitempty"`

@@ -66,67 +66,48 @@ const maxCases = 1 << 20
 
 // Validate reports specification errors.
 func (s JobSpec) Validate() error {
-	switch s.Kind {
-	case JobFuzz:
-		if s.Fuzz == nil {
-			return fmt.Errorf("fabric: %s job without a fuzz config", s.Kind)
-		}
-		if err := s.Fuzz.Validate(); err != nil {
-			return err
-		}
-		if s.Fuzz.Runs > maxCases {
-			return fmt.Errorf("fabric: fuzz Runs = %d, need <= %d cases", s.Fuzz.Runs, maxCases)
-		}
-	case JobExperiment:
-		if s.Experiment == nil {
-			return fmt.Errorf("fabric: %s job without an experiment spec", s.Kind)
-		}
-		if s.Experiment.Faults < 1 {
-			return fmt.Errorf("fabric: experiment Faults = %d, need >= 1", s.Experiment.Faults)
-		}
-		if s.Experiment.Budget == 0 {
-			return fmt.Errorf("fabric: experiment Budget = 0")
-		}
-		if rows := len(dvmc.ErrorDetectionRows()); s.Experiment.Faults > maxCases/rows {
-			return fmt.Errorf("fabric: experiment Faults = %d, need <= %d cases over %d rows", s.Experiment.Faults, maxCases, rows)
-		}
-	default:
-		return fmt.Errorf("fabric: unknown job kind %q", s.Kind)
-	}
-	if s.ShardSize < 0 {
-		return fmt.Errorf("fabric: ShardSize = %d, need >= 0", s.ShardSize)
-	}
-	return nil
+	_, err := s.space()
+	return err
 }
 
-// TotalCases is the size of the job's global case index space.
+// TotalCases is the size of the job's global case index space (0 for a
+// spec that does not validate).
 func (s JobSpec) TotalCases() int {
-	switch s.Kind {
-	case JobFuzz:
-		if s.Fuzz == nil {
-			return 0
-		}
-		return s.Fuzz.Runs
-	case JobExperiment:
-		if s.Experiment == nil {
-			return 0
-		}
-		return len(s.Experiment.figure().Injections())
-	default:
+	sp, err := s.space()
+	if err != nil {
 		return 0
 	}
+	return sp.len()
+}
+
+// space validates the spec and builds its case space: the one place a
+// job's kind is decided.
+func (s JobSpec) space() (caseSpace, error) {
+	if s.ShardSize < 0 {
+		return nil, fmt.Errorf("fabric: ShardSize = %d, need >= 0", s.ShardSize)
+	}
+	switch s.Kind {
+	case JobFuzz:
+		return newFuzzSpace(s.Fuzz)
+	case JobExperiment:
+		return newExperimentSpace(s.Experiment)
+	}
+	return nil, fmt.Errorf("fabric: unknown job kind %q", s.Kind)
 }
 
 // Shards partitions the case space into contiguous leases of ShardSize
 // cases, the last one ragged. Shard IDs are their position, so the
 // partition is a pure function of the spec.
-func (s JobSpec) Shards() []Shard {
+func (s JobSpec) Shards() []Shard { return s.partition(s.TotalCases()) }
+
+// partition is Shards over a space of n cases.
+func (s JobSpec) partition(n int) []Shard {
 	size := s.ShardSize
 	if size <= 0 {
 		size = DefaultShardSize
 	}
 	var out []Shard
-	for n, f := s.TotalCases(), 0; f < n; f += size {
+	for f := 0; f < n; f += size {
 		out = append(out, Shard{ID: len(out), From: f, To: min(f+size, n)})
 	}
 	return out

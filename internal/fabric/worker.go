@@ -11,9 +11,7 @@ import (
 	neturl "net/url"
 	"time"
 
-	"dvmc/internal/fuzz"
 	"dvmc/internal/strictjson"
-	"dvmc/internal/telemetry"
 )
 
 // ExecuteShard runs one shard of a job — the worker's entire
@@ -24,48 +22,11 @@ import (
 // three-argument calls, ExecuteShard(spec, sh, nil) from when a lease
 // also carried a seed pool, compiling.
 func ExecuteShard(spec JobSpec, sh Shard, _ ...json.RawMessage) (ShardResult, error) {
-	out := ShardResult{Shard: sh}
-	switch spec.Kind {
-	case JobFuzz:
-		cfg := *spec.Fuzz
-		// Corpus writing is the coordinator's finalize step; worker-side
-		// config must not touch the (possibly nonexistent) directory.
-		cfg.CorpusDir = ""
-		records, snap, err := fuzz.RunRange(cfg, sh.From, sh.To)
-		if err != nil {
-			return out, err
-		}
-		out.Records = records
-		if err := out.encodeSnapshot(snap); err != nil {
-			return out, err
-		}
-	case JobExperiment:
-		fig := spec.Experiment.figure()
-		for i := sh.From; i < sh.To; i++ {
-			r, err := fig.Inject(i)
-			if err != nil {
-				return out, err
-			}
-			out.Injections = append(out.Injections, r)
-		}
-	default:
-		return out, fmt.Errorf("fabric: unknown job kind %q", spec.Kind)
+	sp, err := spec.space()
+	if err != nil {
+		return ShardResult{Shard: sh}, err
 	}
-	return out, nil
-}
-
-// encodeSnapshot stores a shard's merged telemetry snapshot (nil is a
-// no-op: the campaign ran without Metrics).
-func (r *ShardResult) encodeSnapshot(snap *telemetry.Snapshot) error {
-	if snap == nil {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := snap.EncodeJSON(&buf); err != nil {
-		return err
-	}
-	r.Snapshot = json.RawMessage(buf.Bytes())
-	return nil
+	return sp.run(sh)
 }
 
 // WorkerOptions configure one worker process.
@@ -104,11 +65,12 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 	if err := postJSONRetry(ctx, client, opts.Coordinator+PathRegister, RegisterRequest{Worker: opts.Name}, &reg, MaxControlBody, logf); err != nil {
 		return 0, fmt.Errorf("fabric: register with %s: %w", opts.Coordinator, err)
 	}
-	if err := reg.Spec.Validate(); err != nil {
+	sp, err := reg.Spec.space()
+	if err != nil {
 		return 0, fmt.Errorf("fabric: coordinator sent an invalid spec: %w", err)
 	}
 	logf("registered with %s: %s job, %d cases, lease ttl %ds",
-		opts.Coordinator, reg.Spec.Kind, reg.Spec.TotalCases(), reg.TTLSeconds)
+		opts.Coordinator, reg.Spec.Kind, sp.len(), reg.TTLSeconds)
 
 	completed := 0
 	for {
@@ -134,7 +96,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 
 		sh := *lease.Shard
 		logf("leased shard %d: cases [%d, %d)", sh.ID, sh.From, sh.To)
-		result, err := executeWithHeartbeat(ctx, client, opts, reg, sh)
+		result, err := executeWithHeartbeat(ctx, client, opts, reg.TTLSeconds, sp, sh)
 		if err != nil {
 			return completed, fmt.Errorf("fabric: shard %d: %w", sh.ID, err)
 		}
@@ -162,10 +124,10 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (int, error) {
 // background so long shards survive the TTL. A failed renewal (lease
 // stolen) does not abort the computation — the result is still correct,
 // and Complete resolves the race.
-func executeWithHeartbeat(ctx context.Context, client *http.Client, opts WorkerOptions, reg RegisterResponse, sh Shard) (ShardResult, error) {
+func executeWithHeartbeat(ctx context.Context, client *http.Client, opts WorkerOptions, ttl uint64, sp caseSpace, sh Shard) (ShardResult, error) {
 	hbCtx, stop := context.WithCancel(ctx)
 	defer stop()
-	interval := time.Duration(reg.TTLSeconds) * time.Second / 3
+	interval := time.Duration(ttl) * time.Second / 3
 	if interval < time.Second {
 		interval = time.Second
 	}
@@ -182,7 +144,7 @@ func executeWithHeartbeat(ctx context.Context, client *http.Client, opts WorkerO
 			}
 		}
 	}()
-	return ExecuteShard(reg.Spec, sh)
+	return sp.run(sh)
 }
 
 // postJSONRetry rides out transient transport failures (a coordinator

@@ -104,9 +104,9 @@ func ParseKinds(s string) []string {
 
 // Record is one campaign run's identity and outcome.
 type Record struct {
-	Index  int       `json:"index"`
-	Case   *Case     `json:"case"`
-	Result RunResult `json:"result"`
+	Index  int            `json:"index"`
+	Case   *Case          `json:"case"`
+	Result dvmc.Judgement `json:"result"`
 	// Minimized is the delta-debugged reproducer for failures (nil when
 	// minimization is off or the run passed).
 	Minimized *Case `json:"minimized,omitempty"`
@@ -116,12 +116,12 @@ type Record struct {
 
 // Summary aggregates a campaign.
 type Summary struct {
-	Seed   uint64        `json:"seed"`
-	Runs   int           `json:"runs"`
-	Counts map[Class]int `json:"counts"`
+	Seed   uint64             `json:"seed"`
+	Runs   int                `json:"runs"`
+	Counts map[dvmc.Class]int `json:"counts"`
 	// ByKind breaks Counts down by the injected fault kind ("none" for a
 	// fault-free run). It is in the JSON only; String prints Counts.
-	ByKind map[string]map[Class]int `json:"by_kind"`
+	ByKind map[string]map[dvmc.Class]int `json:"by_kind"`
 	// Failures counts escape + false-alarm + crash runs.
 	Failures int `json:"failures"`
 	// Latency statistics over agree-detect runs, in cycles.
@@ -138,7 +138,7 @@ func (s Summary) Failed() bool { return s.Failures > 0 }
 func (s Summary) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "campaign seed=%d runs=%d\n", s.Seed, s.Runs)
-	for _, c := range Classes {
+	for _, c := range dvmc.Classes {
 		if n := s.Counts[c]; n > 0 {
 			fmt.Fprintf(&b, "  %-12s %d\n", c, n)
 		}
@@ -257,7 +257,7 @@ func runOne(cfg CampaignConfig, i int) (Record, *telemetry.Snapshot) {
 	if err != nil {
 		// Structural errors cannot occur for derived cases; record them
 		// as crashes so the campaign survives.
-		res = RunResult{Class: ClassCrash, Panic: err.Error()}
+		res = dvmc.Judgement{Class: dvmc.ClassCrash, Panic: err.Error()}
 		snap = nil
 	}
 	rec := Record{Index: i, Case: c, Result: res}
@@ -388,8 +388,8 @@ func summarize(seed uint64, records []Record) Summary {
 	s := Summary{
 		Seed:   seed,
 		Runs:   len(records),
-		Counts: make(map[Class]int),
-		ByKind: make(map[string]map[Class]int),
+		Counts: make(map[dvmc.Class]int),
+		ByKind: make(map[string]map[dvmc.Class]int),
 	}
 	var lat stats.Sample
 	for i := range records {
@@ -400,13 +400,13 @@ func summarize(seed uint64, records []Record) Summary {
 			kind = r.Case.Fault.Kind
 		}
 		if s.ByKind[kind] == nil {
-			s.ByKind[kind] = make(map[Class]int)
+			s.ByKind[kind] = make(map[dvmc.Class]int)
 		}
 		s.ByKind[kind][r.Result.Class]++
 		if r.Result.Class.Failure() {
 			s.Failures++
 		}
-		if r.Result.Class == ClassAgreeDetect {
+		if r.Result.Class == dvmc.ClassAgreeDetect {
 			lat.Add(float64(r.Result.Latency))
 		}
 	}
@@ -423,8 +423,8 @@ func summarize(seed uint64, records []Record) Summary {
 // the rest, stable within class by index.
 func SortRecordsByClass(records []Record) []Record {
 	out := append([]Record(nil), records...)
-	rank := make(map[Class]int, len(Classes))
-	for i, c := range Classes {
+	rank := make(map[dvmc.Class]int, len(dvmc.Classes))
+	for i, c := range dvmc.Classes {
 		rank[c] = i
 	}
 	sort.SliceStable(out, func(i, j int) bool {

@@ -9,52 +9,6 @@ import (
 	"dvmc/internal/strictjson"
 )
 
-// Class is the differential classification of one run: what the online
-// checkers, the offline oracle, and the injected-fault ground truth
-// agreed (or disagreed) on.
-type Class string
-
-// The classifications. The first four are the differential verdicts; the
-// last three are campaign bookkeeping.
-const (
-	// ClassAgreeClean: no architectural error occurred (fault-free, or
-	// the fault was masked) and both referees stayed silent.
-	ClassAgreeClean Class = "agree-clean"
-	// ClassAgreeDetect: an injected fault took effect and the online
-	// checkers caught it.
-	ClassAgreeDetect Class = "agree-detect"
-	// ClassEscape: an architectural error went undetected online — the
-	// injected fault was neither detected nor masked, or the offline
-	// oracle proved an effect the online checkers missed. A false
-	// negative; the thing DVMC exists to prevent.
-	ClassEscape Class = "escape"
-	// ClassFalseAlarm: a referee flagged a run with no unmasked fault —
-	// a false positive in the online checkers or the oracle.
-	ClassFalseAlarm Class = "false-alarm"
-	// ClassNotApplied: the fault found no target (e.g. a write-buffer
-	// fault with an empty write buffer). Neutral.
-	ClassNotApplied Class = "not-applied"
-	// ClassHang: a fault-free run did not finish within its cycle
-	// budget. Neutral for classification but reported, since a
-	// reproducible hang is a liveness bug.
-	ClassHang Class = "hang"
-	// ClassCrash: the simulation panicked; the campaign's recover
-	// wrapper isolated it. Always a bug.
-	ClassCrash Class = "crash"
-)
-
-// Failure reports whether this class must fail a campaign (and is worth
-// minimizing into the corpus).
-func (c Class) Failure() bool {
-	return c == ClassEscape || c == ClassFalseAlarm || c == ClassCrash
-}
-
-// Classes lists every classification in reporting order.
-var Classes = []Class{
-	ClassAgreeClean, ClassAgreeDetect, ClassEscape,
-	ClassFalseAlarm, ClassNotApplied, ClassHang, ClassCrash,
-}
-
 // FaultSpec is the serializable form of a dvmc.Injection.
 type FaultSpec struct {
 	Kind  string `json:"kind"` // dvmc.FaultKind string name, e.g. "wb-reorder"
@@ -123,7 +77,7 @@ type Case struct {
 	Program Program `json:"program"`
 	// Expect records the classification this case reproduces; replay
 	// verifies it still holds.
-	Expect Class `json:"expect,omitempty"`
+	Expect dvmc.Class `json:"expect,omitempty"`
 }
 
 // Validate reports structural errors.

@@ -78,10 +78,10 @@ func CorpusFiles(dir string) ([]string, error) {
 
 // ReplayResult is one corpus file's replay outcome.
 type ReplayResult struct {
-	Path   string    `json:"path"`
-	Expect Class     `json:"expect"`
-	Got    Class     `json:"got"`
-	Result RunResult `json:"result"`
+	Path   string         `json:"path"`
+	Expect dvmc.Class     `json:"expect"`
+	Got    dvmc.Class     `json:"got"`
+	Result dvmc.Judgement `json:"result"`
 	// TraceDiff is set when the re-recorded execution trace is not byte
 	// for byte the committed <name>.trc: the case name and the first
 	// differing offset.

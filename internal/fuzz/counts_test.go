@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"bytes"
+	"dvmc"
 	"encoding/json"
 	"flag"
 	"os"
@@ -79,7 +80,7 @@ func TestSettledInformsCatchDataFlips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Class != ClassAgreeDetect || !strings.Contains(res.Detail, "detected as "+tc.by) {
+		if res.Class != dvmc.ClassAgreeDetect || !strings.Contains(res.Detail, "detected as "+tc.by) {
 			t.Errorf("run %d (%s): %s (%s), want agree-detect as %s", tc.index, tc.kind, res.Class, res.Detail, tc.by)
 		}
 	}

@@ -2,9 +2,11 @@
 // simulator: it generates random multithreaded memory-operation programs
 // (explicit per-thread op lists, in contrast to internal/workload's
 // statistical generators), runs them across the consistency-model ×
-// coherence-protocol × fault matrix, and cross-checks three independent
-// verdicts per run — the online DVMC checkers, the offline trace oracle
-// (internal/oracle), and the injected-fault ground truth. Any
+// coherence-protocol × fault matrix, and has each run judged by the
+// root package's one judged run (dvmc.RunJudged), which cross-checks
+// three independent verdicts — the online DVMC checkers, the stream
+// trace oracle (internal/oracle/stream), and the injected-fault ground
+// truth — by the rule the Section 6.1 table is judged by too. Any
 // disagreement (an escape the online checkers missed, or a false alarm
 // on a clean run) is delta-debugged down to a 1-minimal reproducer and
 // written to a corpus directory that a regression test replays.
@@ -17,17 +19,18 @@
 //     (loads, stores, RMWs, membars with random masks), Bits32 fractions,
 //     and lengths long enough to stress 16-bit logical-time wraparound.
 //   - Case / RunCase — one complete experiment (program + config + an
-//     optional fault), run through the unchanged NewSystem/RunInjection
-//     paths via workload.Custom, classified as agree-clean /
-//     agree-detect / escape / false-alarm (plus not-applied, hang, and
-//     crash for campaign bookkeeping).
+//     optional fault), run as a dvmc.RunJudged run via workload.Custom
+//     and classified by dvmc.Classify as agree-clean / agree-detect /
+//     escape / false-alarm (plus not-applied, hang, and crash for
+//     campaign bookkeeping). The package builds no system and
+//     classifies nothing of its own.
 //   - CampaignConfig / Run — the campaign driver. Run i's case is
 //     CaseAt(cfg, i), a pure function of the configuration and the
 //     index. A bounded worker pool spreads the independent simulations
 //     across host cores; because every run depends on nothing but its
 //     index, the classification table and corpus artifacts are
-//     byte-identical across invocations and worker counts, and a
-//     per-run recover wrapper turns a panicking simulation into a
+//     byte-identical across invocations and worker counts, and the
+//     judged run's recover wrapper turns a panicking simulation into a
 //     "crash" classification instead of killing the campaign. RunRange
 //     is the same step for one index range — the shard a fabric worker
 //     executes — and Finalize the merge both callers share: reproducers

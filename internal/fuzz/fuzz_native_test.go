@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"dvmc"
 	"os"
 	"path/filepath"
 	"slices"
@@ -15,7 +16,7 @@ const fuzzBudget = 20_000
 // FuzzDecodeCase: bytes that decode and validate as a case must run to a
 // classification, or be refused by the simulator's own configuration
 // check naming the field. A case that makes the simulator panic (PR 16's
-// negative fault.node was one) comes back as ClassCrash, which this
+// negative fault.node was one) comes back as dvmc.ClassCrash, which this
 // target does not accept from a validated case.
 func FuzzDecodeCase(f *testing.F) {
 	corpus, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.json"))
@@ -48,11 +49,11 @@ func FuzzDecodeCase(f *testing.F) {
 			}
 			return
 		}
-		if res.Class == ClassCrash {
+		if res.Class == dvmc.ClassCrash {
 			t.Fatalf("a validated case crashed the simulator: %s", res.Panic)
 		}
-		if !slices.Contains(Classes, res.Class) {
-			t.Fatalf("class %q is not one of %v", res.Class, Classes)
+		if !slices.Contains(dvmc.Classes, res.Class) {
+			t.Fatalf("class %q is not one of %v", res.Class, dvmc.Classes)
 		}
 	})
 }

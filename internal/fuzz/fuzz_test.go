@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"bytes"
+	"dvmc"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -115,7 +116,7 @@ func TestCaseEncodeDecodeRoundTrip(t *testing.T) {
 		Name: "rt", Model: "PSO", Protocol: "snooping", Seed: 11,
 		Budget: 1000, DVMC: true, SafetyNet: true,
 		Fault:   &FaultSpec{Kind: "wb-drop", Node: 1, Cycle: 50},
-		Program: *prog, Expect: ClassAgreeDetect,
+		Program: *prog, Expect: dvmc.ClassAgreeDetect,
 	}
 	data, err := c.Encode()
 	if err != nil {
@@ -212,7 +213,7 @@ func TestRunCaseCleanAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Class != ClassAgreeClean {
+	if res.Class != dvmc.ClassAgreeClean {
 		t.Fatalf("clean case classified %s (detail %q)", res.Class, res.Detail)
 	}
 	if !res.Finished {
@@ -247,7 +248,7 @@ func TestRunCaseHang(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Class != ClassHang {
+	if res.Class != dvmc.ClassHang {
 		t.Fatalf("starved case classified %s", res.Class)
 	}
 	if res.Class.Failure() {
@@ -268,7 +269,7 @@ func TestRunCaseCrashRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Class != ClassCrash {
+	if res.Class != dvmc.ClassCrash {
 		t.Fatalf("panicking run classified %s", res.Class)
 	}
 	if res.Panic == "" {
@@ -301,10 +302,10 @@ func TestRunCaseFaultDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Class != ClassAgreeDetect && res.Class != ClassNotApplied {
+	if res.Class != dvmc.ClassAgreeDetect && res.Class != dvmc.ClassNotApplied {
 		t.Fatalf("msg-drop classified %s (detail %q)", res.Class, res.Detail)
 	}
-	if res.Class == ClassAgreeDetect && res.Latency == 0 && res.Detail == "" {
+	if res.Class == dvmc.ClassAgreeDetect && res.Latency == 0 && res.Detail == "" {
 		t.Fatal("detection carried no latency or detail")
 	}
 }
@@ -339,7 +340,7 @@ func TestRunCaseSeededEscape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Class != ClassEscape {
+	if res.Class != dvmc.ClassEscape {
 		t.Fatalf("silent write with checkers off classified %s, want escape", res.Class)
 	}
 	if !res.Applied || res.Detected {
@@ -351,7 +352,7 @@ func TestRunCaseSeededEscape(t *testing.T) {
 
 func TestMinimizeSeededEscape(t *testing.T) {
 	c := seededEscapeCase()
-	c.Expect = ClassEscape
+	c.Expect = dvmc.ClassEscape
 	min, err := Minimize(c, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +372,7 @@ func TestMinimizeSeededEscape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Class != ClassEscape {
+	if res.Class != dvmc.ClassEscape {
 		t.Fatalf("minimized case classified %s", res.Class)
 	}
 	// And be deterministic: minimizing twice gives identical bytes.
@@ -388,13 +389,13 @@ func TestMinimizeSeededEscape(t *testing.T) {
 
 func seededEscapeCaseWithExpect() *Case {
 	c := seededEscapeCase()
-	c.Expect = ClassEscape
+	c.Expect = dvmc.ClassEscape
 	return c
 }
 
 func TestMinimizeRejectsNonReproducing(t *testing.T) {
 	c := cleanCase(4)
-	c.Expect = ClassEscape // a clean case cannot reproduce an escape
+	c.Expect = dvmc.ClassEscape // a clean case cannot reproduce an escape
 	if _, err := Minimize(c, 50); err == nil {
 		t.Fatal("Minimize accepted a non-reproducing expectation")
 	}
@@ -731,8 +732,8 @@ func TestCampaignMetricsDeterministic(t *testing.T) {
 }
 
 func TestSummaryString(t *testing.T) {
-	s := Summary{Seed: 9, Runs: 3, Counts: map[Class]int{
-		ClassAgreeClean: 2, ClassEscape: 1,
+	s := Summary{Seed: 9, Runs: 3, Counts: map[dvmc.Class]int{
+		dvmc.ClassAgreeClean: 2, dvmc.ClassEscape: 1,
 	}, Failures: 1}
 	out := s.String()
 	for _, want := range []string{"seed=9", "runs=3", "agree-clean", "escape"} {
@@ -747,10 +748,10 @@ func TestSummaryString(t *testing.T) {
 
 func TestSortRecordsByClass(t *testing.T) {
 	recs := []Record{
-		{Index: 0, Result: RunResult{Class: ClassAgreeClean}},
-		{Index: 1, Result: RunResult{Class: ClassCrash}},
-		{Index: 2, Result: RunResult{Class: ClassEscape}},
-		{Index: 3, Result: RunResult{Class: ClassEscape}},
+		{Index: 0, Result: dvmc.Judgement{Class: dvmc.ClassAgreeClean}},
+		{Index: 1, Result: dvmc.Judgement{Class: dvmc.ClassCrash}},
+		{Index: 2, Result: dvmc.Judgement{Class: dvmc.ClassEscape}},
+		{Index: 3, Result: dvmc.Judgement{Class: dvmc.ClassEscape}},
 	}
 	got := SortRecordsByClass(recs)
 	wantIdx := []int{2, 3, 1, 0} // escapes first (stable by index), then crash, then clean
@@ -784,7 +785,7 @@ func TestCorpusWriteLoadReplay(t *testing.T) {
 	if len(results) != 1 || !results[0].OK {
 		t.Fatalf("replay = %+v", results)
 	}
-	if results[0].Got != ClassEscape {
+	if results[0].Got != dvmc.ClassEscape {
 		t.Fatalf("replay class = %s", results[0].Got)
 	}
 }

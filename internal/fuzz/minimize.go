@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dvmc"
 	"dvmc/internal/mem"
 )
 
@@ -64,7 +65,7 @@ func Minimize(c *Case, budget int) (*Case, error) {
 // re-run budget, and whether the current round changed anything that
 // sizeOf does not see (op simplification, address canonicalization).
 type minimizer struct {
-	target   Class
+	target   dvmc.Class
 	budget   int
 	progress bool
 }

@@ -16,9 +16,10 @@ import (
 
 // TestCorpusCaseTraceExplainsVerdict reads each committed reproducer's
 // .trc and re-derives the case's classification from the trace alone,
-// through the campaign's own classifier: the fault record gives the
-// injection ground truth (kind, node, outcome), the violation records
-// the online verdict, and the oracle judges the recorded events. No
+// through the one rule every judged run uses (dvmc.Classify): the fault
+// record gives the injection ground truth (kind, node, outcome), the
+// violation records the online verdict, and the oracle judges the
+// recorded events. No
 // case is re-run. A trace cannot tell a hang (it does not record
 // whether the programs finished), and the corpus holds none.
 func TestCorpusCaseTraceExplainsVerdict(t *testing.T) {
@@ -40,20 +41,19 @@ func TestCorpusCaseTraceExplainsVerdict(t *testing.T) {
 			t.Fatalf("%s: %v", path, err)
 		}
 		var faults []trace.Event
-		v := dvmc.RunVerdict{Oracle: oracle.Check(meta, events)}
+		var online []dvmc.Violation
 		for _, ev := range events {
 			switch ev.Kind {
 			case trace.EvFault:
 				faults = append(faults, ev)
 			case trace.EvViolation:
-				v.Online = append(v.Online, dvmc.Violation{Kind: core.ViolationKind(ev.Seq),
+				online = append(online, dvmc.Violation{Kind: core.ViolationKind(ev.Seq),
 					Node: network.NodeID(ev.Node), Block: mem.BlockAddr(ev.Addr), Cycle: ev.Time})
 			}
 		}
-		var got Class
+		var truth *dvmc.InjectionResult
 		switch {
 		case c.Fault == nil && len(faults) == 0:
-			got, _ = classifyClean(v, true)
 		case c.Fault == nil || len(faults) != 1:
 			t.Fatalf("%s: %d fault records for fault %+v", path, len(faults), c.Fault)
 		default:
@@ -61,9 +61,9 @@ func TestCorpusCaseTraceExplainsVerdict(t *testing.T) {
 			if kind := dvmc.FaultKind(f.Seq).String(); kind != c.Fault.Kind || int(f.Node) != c.Fault.Node%meta.Nodes {
 				t.Errorf("%s: fault record names %s on node %d, the case %s on node %d", path, kind, f.Node, c.Fault.Kind, c.Fault.Node)
 			}
-			got, _ = classifyFault(dvmc.InjectionResult{Applied: f.Mask != 0, Detected: f.Mask == 1, Masked: f.Mask == 2}, v)
+			truth = &dvmc.InjectionResult{Applied: f.Mask != 0, Detected: f.Mask == 1, Masked: f.Mask == 2}
 		}
-		if got != c.Expect {
+		if got, _ := dvmc.Classify(truth, online, oracle.Check(meta, events).Violations, true); got != c.Expect {
 			t.Errorf("%s: the trace explains %s, the case expects %s", path, got, c.Expect)
 		}
 	}

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"dvmc"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -22,7 +23,7 @@ func TestSettledRunJudgesEveryInform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Class != ClassAgreeClean {
+	if res.Class != dvmc.ClassAgreeClean {
 		t.Fatalf("%s (%s), want agree-clean", res.Class, res.Detail)
 	}
 	r := sys.ResultsSoFar()
@@ -39,7 +40,7 @@ func TestSettledRunJudgesEveryInform(t *testing.T) {
 // programs finished stopped at cycle 3,456, before the second rollback.
 func TestNestedRecoveryCorpusRollsBackTwice(t *testing.T) {
 	rr, sys := ReplayFile(filepath.Join("testdata", "corpus", "masked-nested-recovery-tolerated.json"), nil)
-	if !rr.OK || rr.Got != ClassAgreeClean {
+	if !rr.OK || rr.Got != dvmc.ClassAgreeClean {
 		t.Fatalf("replay: expect %s, got %s; %s %s", rr.Expect, rr.Got, rr.Result.Panic, rr.TraceDiff)
 	}
 	data, err := sys.TraceBytes()
@@ -76,7 +77,7 @@ func TestNestedRecoveryRollsBackTwice(t *testing.T) {
 			continue
 		}
 		applied++
-		if got := sys.ResultsSoFar().Recoveries; got != 2 || res.Class != ClassAgreeClean {
+		if got := sys.ResultsSoFar().Recoveries; got != 2 || res.Class != dvmc.ClassAgreeClean {
 			t.Errorf("run %d: %s after %d rollbacks, want agree-clean after 2", i, res.Class, got)
 		}
 	}

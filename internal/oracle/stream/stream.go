@@ -83,8 +83,9 @@ func (c *Checker) Feed(ev trace.Event) {
 	c.stats.Events++
 }
 
-// Emit implements trace.Sink, so a Checker can be wired straight into
-// trace.Config.Sink and verify a simulation as it runs.
+// Emit implements trace.Sink, so a Checker can receive a simulation's
+// events as they are emitted and verify the run as it goes (the root
+// package's judged run).
 func (c *Checker) Emit(ev trace.Event) { c.Feed(ev) }
 
 // violate records a finding against the event at stream index idx.

@@ -162,15 +162,6 @@ type Config struct {
 	// Enabled keeps the trace bytes: the system records every event for
 	// TraceBytes.
 	Enabled bool
-	// Sink, when non-nil, receives every event as it is emitted, whether
-	// or not Enabled keeps the bytes. This is how a streaming consistency
-	// checker (internal/oracle/stream) rides along with the simulation
-	// instead of replaying encoded bytes afterwards; with Enabled off it
-	// is the bounded-memory mode fuzz campaigns use, a verdict without
-	// ever materializing the trace. The sink is called from the simulation
-	// goroutine in event order; implementations that hand events to other
-	// goroutines must not let anything flow back into the simulation.
-	Sink Sink
 }
 
 // DefaultRingEvents is the recorder's ring capacity. The ring is a
@@ -187,8 +178,8 @@ type Sink interface {
 	Emit(Event)
 }
 
-// TeeSink fans one event stream out to two sinks in emission order — the
-// byte recorder and a live streaming checker, typically.
+// TeeSink fans one event stream out to two sinks in emission order: a
+// judged run's byte recorder and its live stream checker.
 type TeeSink struct{ A, B Sink }
 
 // Emit implements Sink.

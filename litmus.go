@@ -3,7 +3,6 @@ package dvmc
 import (
 	"dvmc/internal/consistency"
 	"dvmc/internal/core"
-	"dvmc/internal/oracle"
 )
 
 // PerformEvent is one memory operation in a litmus-style trace: its rank
@@ -59,35 +58,6 @@ func VerifyPerformOrder(model Model, events []PerformEvent) []Violation {
 		_ = i
 	}
 	return sink.Violations
-}
-
-// OracleReport re-exports the offline oracle's verdict for public
-// verdict extraction (dvmc-fuzz's differential check reads it).
-type OracleReport = oracle.Report
-
-// OracleViolation re-exports one offline-oracle finding.
-type OracleViolation = oracle.Violation
-
-// RunVerdict captures both referees' conclusions about one finished run:
-// the online DVMC checkers' violations and, when the run's trace events
-// went to an oracle, that oracle's independent verdict on them. The two
-// share only the ordering tables, so disagreement between them (or with
-// injected-fault ground truth) localises a bug to one implementation —
-// the differential check at the heart of dvmc-fuzz.
-type RunVerdict struct {
-	// Online is every violation the online checkers reported.
-	Online []Violation
-	// Oracle is the trace oracle's verdict (nil when no oracle ran).
-	Oracle *OracleReport
-}
-
-// CleanOnline reports whether the online checkers stayed silent.
-func (v RunVerdict) CleanOnline() bool { return len(v.Online) == 0 }
-
-// CleanOracle reports whether the trace oracle stayed silent (true when
-// none ran — no oracle, no findings).
-func (v RunVerdict) CleanOracle() bool {
-	return v.Oracle == nil || v.Oracle.Clean()
 }
 
 // OrderingRequired reports whether the model's ordering table requires a

@@ -13,7 +13,7 @@ import (
 // RunCase's result and trace bytes, and RunCaseStreamed's result and
 // telemetry snapshot.
 type caseRun struct {
-	res, streamed fuzz.RunResult
+	res, streamed dvmc.Judgement
 	trace, snap   []byte
 }
 

@@ -59,7 +59,7 @@ func runInj(t *testing.T, cfg Config, j int, sp *spare) (r spareRun) {
 	t.Helper()
 	inj := DeriveCampaignInjections(cfg, j+1)[j]
 	onSpare(sp, func() {
-		res, s, err := RunInjectionSystem(cfg.WithSeed(cfg.Seed+uint64(j)).WithTrace(TraceOn()), OLTP(), inj, spareBudget)
+		_, res, s, err := RunJudged(cfg.WithSeed(cfg.Seed+uint64(j)).WithTrace(TraceOn()), OLTP(), &inj, spareBudget)
 		if err != nil {
 			t.Fatal(err)
 		}

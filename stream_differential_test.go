@@ -169,10 +169,11 @@ func TestStreamEquivalenceInjectedFaults(t *testing.T) {
 func TestStreamedFuzzVerdictMatchesBatch(t *testing.T) {
 	run := func(sink *stream.Checker) *System {
 		cfg := tracedConfig()
+		var consumer trace.Sink // nil: the recorder alone
 		if sink != nil {
-			cfg.Trace = TraceConfig{Sink: sink}
+			cfg.Trace, consumer = TraceConfig{}, sink
 		}
-		s, err := NewSystem(cfg, smallWorkload())
+		s, err := newSystem(cfg, smallWorkload(), consumer)
 		if err != nil {
 			t.Fatal(err)
 		}

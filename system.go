@@ -86,8 +86,8 @@ type System struct {
 	// shared recorder preserves the global chronological order of events
 	// across processors, which the offline oracle's value checks rely on.
 	// tracer is the sink the processors actually emit into: the recorder,
-	// an extra Config.Trace.Sink (a live streaming checker), or a tee of
-	// both. rec is nil unless Config.Trace.Enabled.
+	// the stream oracle of a judged run (RunJudged), or a tee of both.
+	// rec is nil unless Config.Trace.Enabled.
 	rec    *trace.Recorder
 	tracer trace.Sink
 
@@ -110,7 +110,7 @@ type System struct {
 	// injection run issues the second rollback.
 	recoverAgainAt sim.Cycle
 
-	// What RunInjectionSystem attributed when its fault was detected,
+	// What System.inject attributed when its fault was detected,
 	// which TelemetrySnapshot folds into detection latency: the
 	// activation cycle (0 attributes nothing), how many violations
 	// existed then, and the cycle an inline UO-replay detection caught
@@ -208,7 +208,12 @@ var spares = &sync.Pool{New: func() any { return new(spare) }}
 // NewSystem assembles a multiprocessor running the given workload: one
 // thread per node, built on the storage of a retired system if one is
 // idle (see Retire).
-func NewSystem(cfg Config, w Workload) (*System, error) {
+func NewSystem(cfg Config, w Workload) (*System, error) { return newSystem(cfg, w, nil) }
+
+// newSystem is NewSystem with oracle, when non-nil, receiving every
+// trace event as it is emitted: how RunJudged's stream checker rides
+// along with the run.
+func newSystem(cfg Config, w Workload, oracle trace.Sink) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -232,11 +237,11 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 		s.rec = rec
 		s.tracer = rec
 	}
-	if extra := cfg.Trace.Sink; extra != nil {
+	if oracle != nil {
 		if s.tracer != nil {
-			s.tracer = trace.TeeSink{A: s.tracer, B: extra}
+			s.tracer = trace.TeeSink{A: s.tracer, B: oracle}
 		} else {
-			s.tracer = extra
+			s.tracer = oracle
 		}
 	}
 

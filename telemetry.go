@@ -20,7 +20,7 @@ func TelemetryOn() TelemetryConfig { return telemetry.On() }
 // the current cycle, with the series the sampler has recorded (the
 // -metrics-out flags and the live /metrics endpoint serialise this). Its
 // events and latency sections are folded from the violation list and
-// what RunInjectionSystem attributed at detection.
+// what System.inject attributed at detection.
 func (s *System) TelemetrySnapshot() *telemetry.Snapshot {
 	snap := telemetry.TakeSnapshot(uint64(s.Now()), s.telemetryMetrics(), s.sampler)
 	vs := s.Violations()

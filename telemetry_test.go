@@ -235,7 +235,7 @@ func TestInjectionPopulatesLatencyHistogram(t *testing.T) {
 		{Kind: FaultMsgDrop, Node: 1, Cycle: 4000},
 		{Kind: FaultLSQValue, Node: 0, Cycle: 4000},
 	} {
-		res, sys, err := RunInjectionSystem(cfg, smallWorkload(), inj, 2_000_000)
+		_, res, sys, err := RunJudged(cfg, smallWorkload(), &inj, 2_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
