@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dvmc/internal/fuzz"
+	"dvmc/internal/strictjson"
 )
 
 func runFuzz(args ...string) (code int, stdout, stderr string) {
@@ -18,14 +19,16 @@ func runFuzz(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errOut.String()
 }
 
-// TestExitCodes pins the tool's contract: 0 for a clean campaign or
-// replay, a generated case and a shrunk one, 1 for usage errors — the
-// removed -coverage, -gens, and run's -spans-out and -metrics-out flags
-// among them, replay observers asked of anything but one case file, a
-// malformed -fault spec, and a case shrink cannot load — and 2 for a
-// found failure, which includes a replayed case that no longer shows its
-// classification and a case file that does not decode (a whole case with
-// bytes after it among them).
+// TestExitCodes pins the tool's contract: 0 for a clean campaign (as a
+// table or as JSON) or replay, a generated case and a shrunk one, 1 for
+// usage errors — the removed -coverage, -gens, and run's -spans-out and
+// -metrics-out flags among them, a stray argument to run, replay
+// observers asked of anything but one case file, a malformed -fault
+// spec, and a case shrink cannot load — and 2 for a found failure, which
+// includes a failing campaign (its -v lines and corpus reproducer
+// checked too), a replayed case that no longer shows its classification
+// and a case file that does not decode (a whole case with bytes after it
+// among them).
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string, data []byte) string {
@@ -60,6 +63,12 @@ func TestExitCodes(t *testing.T) {
 	}
 	corpusCase := filepath.Join("..", "..", "internal", "fuzz", "testdata", "corpus", "detect-wb-corrupt-tso.json")
 	shrunk := filepath.Join(t.TempDir(), "shrunk.json")
+	corpusDir := t.TempDir()
+	// Seed 21's one escape in 24 fault runs is run 7, a msg-drop that
+	// wedges the directory home: no checker fires and nothing settles.
+	failingRun := func(flags ...string) []string {
+		return append([]string{"run", "-seed", "21", "-n", "24", "-fault-frac", "1", "-workers", "1"}, flags...)
+	}
 
 	for _, tc := range []struct {
 		name   string
@@ -69,6 +78,10 @@ func TestExitCodes(t *testing.T) {
 		stderr string
 	}{
 		{"clean run", []string{"run", "-seed", "42", "-n", "6", "-workers", "1"}, 0, "campaign seed=42 runs=6", ""},
+		{"clean run as JSON", []string{"run", "-seed", "42", "-n", "6", "-workers", "1", "-json"}, 0, `"seed": 42`, ""},
+		{"failing run, verbose", failingRun("-v"), 2, "  run 7: escape RMO/directory fault=msg-drop@5683", "1 failing runs"},
+		{"failing run to a corpus", failingRun("-corpus", corpusDir, "-minimize=false"), 2, "escape       1", "1 failing runs"},
+		{"stray run argument", []string{"run", "-n", "4", "extra"}, 1, "", "unexpected arguments [extra]"},
 		{"clean replay", []string{"replay", clean}, 0, "replayed 1 cases, 0 mismatches", ""},
 		{"failing replay", []string{"replay", failing}, 2, "MISMATCH", ""},
 		{"torn case", []string{"replay", torn}, 2, "decode case: offset", ""},
@@ -103,6 +116,23 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("%s: exit %d, want %d with stdout %q and stderr %q; got\nstdout: %s\nstderr: %s",
 				tc.name, code, tc.code, tc.stdout, tc.stderr, stdout, stderr)
 		}
+	}
+
+	// The JSON summary decodes, strictly, as a fuzz.Summary.
+	_, stdout, _ := runFuzz("run", "-seed", "42", "-n", "6", "-workers", "1", "-json")
+	var sum fuzz.Summary
+	if err := strictjson.Decode(strings.NewReader(stdout), &sum); err != nil || sum.Seed != 42 || sum.Runs != 6 || sum.Failed() {
+		t.Errorf("-json summary %+v (%v) from:\n%s", sum, err, stdout)
+	}
+
+	// The corpus holds run 7's reproducer, unminimized, expecting its
+	// escape.
+	repro, err := filepath.Glob(filepath.Join(corpusDir, "escape-*-000007.json"))
+	if err != nil || len(repro) != 1 {
+		t.Fatalf("corpus reproducers %v (%v), want one for run 7", repro, err)
+	}
+	if c, err := fuzz.LoadCase(repro[0]); err != nil || c.Expect != dvmc.ClassEscape || c.Fault == nil || c.Fault.Kind != "msg-drop" {
+		t.Errorf("reproducer %s: %+v (%v), want a msg-drop expecting escape", repro[0], c, err)
 	}
 
 	// The shrunk case decodes and replays to the class it was shrunk from.

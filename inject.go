@@ -113,10 +113,12 @@ func RunInjection(cfg Config, w Workload, inj Injection, budget uint64) (Injecti
 
 // inject runs a freshly built system to the injection point, applies
 // the fault and observes it for at most budget cycles: the injection's
-// ground truth. A finite program (a workload.Custom spec) ends the
-// observation early once the system is settled; the statistical
-// workload generators never finish, so they observe the whole budget.
+// ground truth, which the system keeps for its telemetry snapshot. A
+// finite program (a workload.Custom spec) ends the observation early
+// once the system is settled; the statistical workload generators never
+// finish, so they observe the whole budget.
 func (s *System) inject(inj Injection, budget uint64) (res InjectionResult) {
+	defer func() { s.injected = res }()
 	res.Injection = inj
 	s.SetStrict(false)
 	rng := sim.NewRand(s.cfg.Seed ^ (uint64(inj.Cycle)+uint64(inj.Node)*977)*0x9e3779b97f4a7c15)
@@ -211,10 +213,6 @@ func (s *System) inject(inj Injection, budget uint64) (res InjectionResult) {
 	}
 	if detected() {
 		res.Detected = true
-		// The facts the telemetry snapshot folds per-invariant latency
-		// from: the activation cycle, taken before the ECC path below
-		// resets it, and the violations that existed at detection.
-		s.attributedFrom, s.attributedViolations = res.ActivatedAt, len(s.Violations())
 		switch {
 		case s.eccCorrections() > baseECC:
 			// The flip was corrected in place on first use: detection and
@@ -238,9 +236,6 @@ func (s *System) inject(inj Injection, budget uint64) (res InjectionResult) {
 			}
 			res.DetectionKind = core.UOMismatch
 			res.Latency = s.Now() - res.ActivatedAt
-			// An inline UO-replay catch is no violation: the checker only
-			// counts it, so the telemetry fold reads it from here.
-			s.replayCaughtAt = s.Now()
 		}
 		if s.snMgr != nil {
 			if res.DetectionKind == core.OperationTimeout {

@@ -1113,7 +1113,7 @@ func (c *CPU) retireLoad(u *uop, now sim.Cycle) bool {
 		// stale value. Unlike a full squash this guarantees forward
 		// progress under block ping-pong.
 		u.loadVal = u.replayVal
-		c.squashYounger(u)
+		c.squashYounger(0) // u is the ROB head: retirement is in order
 		c.performLoad(u)
 		return true
 	}
@@ -1392,32 +1392,17 @@ func (c *CPU) watchdog(now sim.Cycle) {
 
 // ---------- squash ----------
 
-// squashFrom flushes u and everything younger, rewinding the program.
-// spec marks a load-order mis-speculation squash (vs a verification
-// mismatch).
-func (c *CPU) squashFrom(u *uop, spec bool) {
-	idx := -1
-	for i, r := range c.rob {
-		if r == u {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		panic("proc: squash target not in ROB")
+// squashFrom flushes rob[idx] and everything younger after a load-order
+// mis-speculation, rewinding the program to just before rob[idx] was
+// fetched.
+func (c *CPU) squashFrom(idx int) {
+	u := c.rob[idx]
+	if c.snappedFrom(idx) != u {
+		panic("proc: squash target carries no program snapshot")
 	}
 	c.wake()
-	if spec {
-		c.stats.SpecSquashes++
-	} else {
-		c.stats.VerifySquashes++
-	}
-	// Rewind the generator to just before the squashed op was fetched.
-	if u.snapped {
-		c.prog.Restore(u.snapBuf)
-		c.nextResult = u.prev()
-		c.finished = false
-	}
+	c.stats.SpecSquashes++
+	c.rewind(u)
 	c.flushFrom(idx)
 	for _, r := range c.rob {
 		if r.op.Blocking && !c.blockingValueReady(r) {
@@ -1425,6 +1410,30 @@ func (c *CPU) squashFrom(u *uop, spec bool) {
 		}
 	}
 	c.fetchStallUntil = c.lastTick() + squashPenalty
+}
+
+// snappedFrom is the oldest op at or after ROB index i that carries a
+// program snapshot, else the pending op if it carries one, else nil.
+// Every op the program produced carries one (nextFromProgram); only
+// injected membars do not, so a squash target, always a program op, is
+// its own answer.
+func (c *CPU) snappedFrom(i int) *uop {
+	for ; i < len(c.rob); i++ {
+		if c.rob[i].snapped {
+			return c.rob[i]
+		}
+	}
+	if c.pendingOp != nil && c.pendingOp.snapped {
+		return c.pendingOp
+	}
+	return nil
+}
+
+// rewind restores the program to just before u was generated.
+func (c *CPU) rewind(u *uop) {
+	c.prog.Restore(u.snapBuf)
+	c.nextResult = u.prev()
+	c.finished = false
 }
 
 // flushFrom squashes rob[idx:] and the pending (not yet inserted) op,
@@ -1483,13 +1492,8 @@ func (c *CPU) ArchSnapshot() ArchState {
 	}
 	// The position is the snapshot of the first remaining op that carries
 	// one (injected membars do not).
-	for j := i; j < len(c.rob); j++ {
-		if c.rob[j].snapped {
-			return c.rob[j].keepSnapshot(st)
-		}
-	}
-	if c.pendingOp != nil && c.pendingOp.snapped {
-		return c.pendingOp.keepSnapshot(st)
+	if u := c.snappedFrom(i); u != nil {
+		return u.keepSnapshot(st)
 	}
 	// Nothing speculative in flight: the generator's current state is the
 	// position. If an irrevocable blocking op (RMW) performed, its value
@@ -1534,39 +1538,19 @@ func (c *CPU) Recover(st ArchState) {
 	c.fetchStallUntil = c.lastTick() + squashPenalty
 }
 
-// squashYounger flushes everything younger than u (u itself survives,
-// typically with an updated value), rewinding the program to just after
-// u. Used by value-update recovery at verification mismatches.
-func (c *CPU) squashYounger(u *uop) {
+// squashYounger flushes everything younger than rob[idx] (which
+// survives, typically with an updated value), rewinding the program to
+// just after it. Used by value-update recovery at verification
+// mismatches.
+func (c *CPU) squashYounger(idx int) {
+	u := c.rob[idx]
 	c.wake()
 	c.stats.VerifySquashes++
-	idx := -1
-	for i, r := range c.rob {
-		if r == u {
-			idx = i
-			break
-		}
+	// Rewind the generator to the first younger op carrying a snapshot;
+	// if nothing younger was fetched, it already sits after u.
+	if y := c.snappedFrom(idx + 1); y != nil {
+		c.rewind(y)
 	}
-	if idx < 0 {
-		panic("proc: squashYounger target not in ROB")
-	}
-	// Rewind the generator to the first younger op carrying a snapshot.
-	restored := false
-	for j := idx + 1; j < len(c.rob); j++ {
-		if c.rob[j].snapped {
-			c.prog.Restore(c.rob[j].snapBuf)
-			c.nextResult = c.rob[j].prev()
-			restored = true
-			break
-		}
-	}
-	if !restored && c.pendingOp != nil && c.pendingOp.snapped {
-		c.prog.Restore(c.pendingOp.snapBuf)
-		c.nextResult = c.pendingOp.prev()
-		restored = true
-	}
-	// If nothing younger was fetched, the generator already sits after u.
-	c.finished = c.finished && !restored
 	if u.op.Blocking {
 		// Younger ops will be regenerated from u's corrected value.
 		c.nextResult = Result{Valid: true, Value: u.loadVal}
@@ -1586,11 +1570,11 @@ func (c *CPU) squashYounger(u *uop) {
 // designs and guarantees forward progress under block ping-pong.
 func (c *CPU) EpochEnd(b mem.BlockAddr) {
 	olderUnperformed := false
-	for _, u := range c.rob {
+	for i, u := range c.rob {
 		isLoadClass := u.op.Kind == OpLoad || u.op.Kind == OpRMW
 		if u.op.Kind == OpLoad && u.speculative && u.state == uExecuted &&
 			u.op.Addr.Block() == b && olderUnperformed {
-			c.squashFrom(u, true)
+			c.squashFrom(i)
 			return
 		}
 		if isLoadClass && !u.performed {

@@ -28,8 +28,8 @@ type Snapshot struct {
 	Events []ViolationEvent `json:"events,omitempty"`
 	// EventsDropped counts events discarded after the log filled.
 	EventsDropped uint64 `json:"events_dropped,omitempty"`
-	// Latency holds per-invariant detection-latency distributions,
-	// sorted by invariant name.
+	// Latency holds the detection-latency distributions, one per
+	// detection kind, sorted by kind name.
 	Latency []LatencySnapshot `json:"latency,omitempty"`
 }
 
@@ -59,9 +59,8 @@ func (m *MetricSnapshot) Total() int64 {
 }
 
 // ViolationEvent is one checker firing as a snapshot records it: which
-// invariant, on which node, at which address/epoch, when the underlying
-// fault was activated versus when the checker caught it, and which
-// comparison caught it.
+// invariant, on which node, at which address, when the checker caught
+// it, and which comparison caught it.
 type ViolationEvent struct {
 	// Invariant is the violation-kind name (core.ViolationKind.String()).
 	Invariant string `json:"invariant"`
@@ -69,15 +68,8 @@ type ViolationEvent struct {
 	Node int `json:"node"`
 	// Addr is the implicated address (0 if not address-attributed).
 	Addr uint64 `json:"addr"`
-	// Epoch is the implicated epoch (0 if not epoch-attributed).
-	Epoch uint64 `json:"epoch,omitempty"`
-	// InjectCycle is the cycle the fault activated (0 when unknown, e.g.
-	// fault-free runs or faults detected before attribution).
-	InjectCycle uint64 `json:"inject_cycle,omitempty"`
 	// DetectCycle is the cycle the checker fired.
 	DetectCycle uint64 `json:"detect_cycle"`
-	// Latency is DetectCycle-InjectCycle when InjectCycle is known.
-	Latency uint64 `json:"latency,omitempty"`
 	// Detail names the comparison that caught it (e.g. "vc store value",
 	// "met inform order", "cet epoch overlap").
 	Detail string `json:"detail,omitempty"`
@@ -92,7 +84,7 @@ type SeriesSnapshot struct {
 	Values     []int64  `json:"values"`
 }
 
-// LatencySnapshot is one invariant's detection-latency distribution.
+// LatencySnapshot is one detection kind's latency distribution.
 // Raw observations are kept so downstream tools (dvmc-stat, the
 // experiment harness) can re-bucket histograms at any resolution.
 type LatencySnapshot struct {
@@ -149,50 +141,26 @@ func TakeSnapshot(cycle uint64, ms []Metric, sp *Sampler) *Snapshot {
 	return snap
 }
 
-// Attribution is what an injection run attributed when its fault was
-// detected: the facts FoldViolations derives detection latency from.
-type Attribution struct {
-	// InjectCycle is the activation cycle attributed at detection; 0
-	// attributes nothing.
-	InjectCycle uint64
-	// Violations is how many violations existed at detection.
-	Violations int
-	// Inline names the invariant of a detection that never reached the
-	// violation list ("" for none); InlineLatency is its latency.
-	Inline        string
-	InlineLatency uint64
-}
-
-// FoldViolations sets snap's events, events_dropped and latency sections
-// from a run's violation list, which is the one record of its checker
-// firings: n is the list's length and event(i) its i-th entry without
-// inject cycle or latency. Events holds the first DefaultMaxEvents in
-// list order and EventsDropped counts the rest. An event is attributed
-// when its index is below at.Violations and it was detected at or after
-// at.InjectCycle: it gets the inject cycle and its latency, which feeds
-// its invariant's sample in event order. An inline detection's latency
-// follows under its invariant. Latency entries are sorted by invariant.
-func (snap *Snapshot) FoldViolations(n int, event func(i int) ViolationEvent, at Attribution) {
+// FoldViolations sets snap's events and events_dropped sections from a
+// run's violation list, which is the one record of its checker firings:
+// n is the list's length and event(i) its i-th entry. Events holds the
+// first DefaultMaxEvents in list order and EventsDropped counts the
+// rest. The latency section is the run's one detection: latency cycles
+// under kind, or nothing when kind is "" (no fault was detected).
+func (snap *Snapshot) FoldViolations(n int, event func(i int) ViolationEvent, kind string, latency uint64) {
 	kept := min(n, DefaultMaxEvents)
 	snap.Events, snap.EventsDropped = nil, uint64(n-kept)
-	latVals := map[string][]float64{}
 	for i := 0; i < kept; i++ {
-		ev := event(i)
-		if at.InjectCycle != 0 && i < at.Violations && ev.DetectCycle >= at.InjectCycle {
-			ev.InjectCycle = at.InjectCycle
-			ev.Latency = ev.DetectCycle - at.InjectCycle
-			latVals[ev.Invariant] = append(latVals[ev.Invariant], float64(ev.Latency))
-		}
-		snap.Events = append(snap.Events, ev)
+		snap.Events = append(snap.Events, event(i))
 	}
-	if at.Inline != "" {
-		latVals[at.Inline] = append(latVals[at.Inline], float64(at.InlineLatency))
+	snap.Latency = nil
+	if kind != "" {
+		snap.Latency = latencySections(map[string][]float64{kind: {float64(latency)}})
 	}
-	snap.Latency = latencySections(latVals)
 }
 
-// latencySections summarises each invariant's observations, kept in the
-// order given, into latency entries sorted by invariant (nil for none).
+// latencySections summarises each detection kind's observations, kept
+// in the order given, into latency entries sorted by kind (nil for none).
 func latencySections(latVals map[string][]float64) []LatencySnapshot {
 	invariants := make([]string, 0, len(latVals))
 	//dvmc:orderinsensitive keys are collected and sorted before use
@@ -322,7 +290,7 @@ func (s *Snapshot) SeriesCSV(w io.Writer) error {
 }
 
 // Text writes a human-readable report: metrics grouped with per-slot
-// breakdowns, then per-invariant detection-latency histograms, then the
+// breakdowns, then per-detection-kind latency histograms, then the
 // violation-event log.
 func (s *Snapshot) Text(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "telemetry snapshot @ cycle %d\n", s.Cycle); err != nil {
@@ -372,11 +340,6 @@ func (s *Snapshot) Text(w io.Writer) error {
 			ev := &s.Events[i]
 			if _, err := fmt.Fprintf(w, "  [%d] %s node=%d addr=%#x detect=%d", i, ev.Invariant, ev.Node, ev.Addr, ev.DetectCycle); err != nil {
 				return err
-			}
-			if ev.InjectCycle != 0 {
-				if _, err := fmt.Fprintf(w, " inject=%d latency=%d", ev.InjectCycle, ev.Latency); err != nil {
-					return err
-				}
 			}
 			if ev.Detail != "" {
 				if _, err := fmt.Fprintf(w, " via %q", ev.Detail); err != nil {

@@ -23,11 +23,12 @@ import (
 //     gauge reads as a farm-wide total, not a point-in-time depth.
 //     Slots are re-sorted by label value, so merged vectors are
 //     canonical even when inputs registered slots in different orders.
-//   - Latency: distributions unioned by invariant; observations are
-//     pooled and sorted ascending, stats recomputed from the pool.
+//   - Latency: distributions unioned by detection kind; observations
+//     are pooled and sorted ascending, stats recomputed from the pool.
+//     A campaign's merged section is thus its runs' detection latencies
+//     grouped by detection kind.
 //   - Events: concatenated and sorted by (detect cycle, invariant,
-//     node, addr, epoch, inject cycle, latency, detail); EventsDropped
-//     sums.
+//     node, addr, detail); EventsDropped sums.
 //   - Series: dropped. Time-series rings are per-process views; they
 //     do not aggregate meaningfully across processes.
 //
@@ -114,12 +115,6 @@ func eventLess(a, b *ViolationEvent) bool {
 		return a.Node < b.Node
 	case a.Addr != b.Addr:
 		return a.Addr < b.Addr
-	case a.Epoch != b.Epoch:
-		return a.Epoch < b.Epoch
-	case a.InjectCycle != b.InjectCycle:
-		return a.InjectCycle < b.InjectCycle
-	case a.Latency != b.Latency:
-		return a.Latency < b.Latency
 	default:
 		return strings.Compare(a.Detail, b.Detail) < 0
 	}

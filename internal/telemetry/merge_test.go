@@ -256,3 +256,29 @@ func TestMergeSnapshotsEmpty(t *testing.T) {
 		t.Fatalf("empty merge = %+v", m)
 	}
 }
+
+// TestEventLess walks every tie-break of the merged event order: each
+// row differs from base in one field only, later in the order than
+// every field it ties on, and must sort after base and never before it.
+func TestEventLess(t *testing.T) {
+	base := ViolationEvent{Invariant: "lost-operation", Node: 1, Addr: 0x40, DetectCycle: 90, Detail: "a"}
+	for _, tc := range []struct {
+		name  string
+		later func(e *ViolationEvent)
+	}{
+		{"detect cycle", func(e *ViolationEvent) { e.DetectCycle, e.Invariant = 91, "a" }},
+		{"invariant", func(e *ViolationEvent) { e.Invariant, e.Node = "operation-timeout", 0 }},
+		{"node", func(e *ViolationEvent) { e.Node, e.Addr = 2, 0 }},
+		{"addr", func(e *ViolationEvent) { e.Addr, e.Detail = 0x80, "" }},
+		{"detail", func(e *ViolationEvent) { e.Detail = "b" }},
+	} {
+		b := base
+		tc.later(&b)
+		if !eventLess(&base, &b) || eventLess(&b, &base) {
+			t.Errorf("%s: %+v must sort strictly before %+v", tc.name, base, b)
+		}
+	}
+	if same := base; eventLess(&base, &same) {
+		t.Errorf("equal events must tie: %+v", base)
+	}
+}

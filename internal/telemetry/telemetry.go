@@ -1,15 +1,19 @@
 // Package telemetry is the simulator's deterministic observability
 // layer: named counters and gauges with per-node, per-class, and
 // per-invariant labels, fixed-capacity time-series rings fed by a
-// cycle-driven Sampler, and snapshots that fold a run's checker
-// violations into structured events and per-invariant detection latency.
+// cycle-driven Sampler, and snapshots that list a run's checker
+// violations as structured events beside its detection latency.
 //
-// Nothing here keeps a counter. A Metric is a name, help, kind and label
-// vector plus a read of the live component that keeps its value:
-// TakeSnapshot reads every metric when the snapshot is taken, the
-// Sampler reads only the tracked ones into its rings, and the violation
-// sections of a snapshot are folded from the system's violation list
-// (Snapshot.FoldViolations).
+// Nothing here keeps a counter or decides a latency. A Metric is a name,
+// help, kind and label vector plus a read of the live component that
+// keeps its value: TakeSnapshot reads every metric when the snapshot is
+// taken, and the Sampler reads only the tracked ones into its rings.
+// Snapshot.FoldViolations copies the system's violation list into the
+// events section and the one detection it is handed into the latency
+// section: the root package hands it what its injection concluded
+// (InjectionResult's DetectionKind and Latency), so a snapshot reports
+// the latency the Section 6.1 table and the fuzz summary report, and
+// MergeSnapshots pools a campaign's runs into one entry per kind.
 //
 // The paper evaluates DVMC through end-of-run aggregates (runtime
 // overhead, replay bandwidth, link utilisation, detection latency); this

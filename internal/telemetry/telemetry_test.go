@@ -119,56 +119,44 @@ func TestSamplerPeriodGating(t *testing.T) {
 }
 
 // TestFoldViolations pins the one rule a snapshot's events,
-// events_dropped and latency sections are folded by: the bound and drop
-// count, which events are attributed (index below the count at
-// detection, detected at or after the activation cycle), the untouched
-// pre-activation events, the inline latency after the events, and the
-// sorted invariants.
+// events_dropped and latency sections are folded by: the events are the
+// violation list as given, up to the bound, with the rest counted as
+// dropped, and the latency section is the one detection handed in,
+// whatever the events hold.
 func TestFoldViolations(t *testing.T) {
 	list := []ViolationEvent{
 		{Invariant: "uo", Node: 1, DetectCycle: 100},
 		{Invariant: "cc", Node: 2, DetectCycle: 300, Detail: "cet epoch overlap"},
 	}
-	// Fill the list past the bound with events detected before the
-	// activation below, so attribution leaves them alone; the last one
-	// lands beyond the bound.
 	for len(list) <= DefaultMaxEvents {
 		list = append(list, ViolationEvent{Invariant: "uo", Node: 0, DetectCycle: 10})
 	}
-	list[DefaultMaxEvents-1].DetectCycle = 500 // at or after activation, but found after detection
 	event := func(i int) ViolationEvent { return list[i] }
 
 	var snap Snapshot
-	snap.FoldViolations(len(list), event, Attribution{InjectCycle: 40, Violations: DefaultMaxEvents - 1, Inline: "uo", InlineLatency: 7})
+	snap.FoldViolations(len(list), event, "cc", 60)
 	if len(snap.Events) != DefaultMaxEvents || snap.EventsDropped != 1 {
 		t.Fatalf("events = %d dropped = %d, want %d, 1", len(snap.Events), snap.EventsDropped, DefaultMaxEvents)
 	}
-	if got := snap.Events[0]; got.InjectCycle != 40 || got.Latency != 60 {
-		t.Errorf("event 0 = %+v, want inject 40 latency 60", got)
+	if !reflect.DeepEqual(snap.Events, list[:DefaultMaxEvents]) {
+		t.Errorf("events are not the list's first %d entries", DefaultMaxEvents)
 	}
-	if got := snap.Events[1]; got.InjectCycle != 40 || got.Latency != 260 || got.Detail != "cet epoch overlap" {
-		t.Errorf("event 1 = %+v, want inject 40 latency 260 via its detail", got)
-	}
-	if got := snap.Events[2]; got.InjectCycle != 0 || got.Latency != 0 {
-		t.Errorf("pre-activation event = %+v, want unattributed", got)
-	}
-	if got := snap.Events[DefaultMaxEvents-1]; got.InjectCycle != 0 || got.Latency != 0 {
-		t.Errorf("event found after detection = %+v, want unattributed", got)
-	}
-	if len(snap.Latency) != 2 || snap.Latency[0].Invariant != "cc" || snap.Latency[1].Invariant != "uo" {
-		t.Fatalf("latency invariants = %+v, want [cc uo]", snap.Latency)
-	}
-	if got := snap.Latency[1]; !reflect.DeepEqual(got.Values, []float64{60, 7}) || got.N != 2 || got.MaxCyc != 60 {
-		t.Errorf("uo latency = %+v, want values [60 7] (events first, then the inline one)", got)
+	if len(snap.Latency) != 1 || snap.Latency[0].Invariant != "cc" || !reflect.DeepEqual(snap.Latency[0].Values, []float64{60}) || snap.Latency[0].N != 1 {
+		t.Fatalf("latency = %+v, want cc [60] alone", snap.Latency)
 	}
 
-	// Without an activation cycle nothing is attributed, and a clean
-	// run folds to empty sections.
-	snap.FoldViolations(2, event, Attribution{Violations: 2})
-	if len(snap.Events) != 2 || snap.EventsDropped != 0 || snap.Latency != nil || snap.Events[0].Latency != 0 {
-		t.Errorf("unattributed fold = %+v", snap)
+	// A detection that is no violation (an ECC correction) still has
+	// its entry; with no detection, events leave the latency section
+	// empty, and a clean run folds to empty sections.
+	snap.FoldViolations(0, event, "ecc-corrected", 0)
+	if snap.Events != nil || len(snap.Latency) != 1 || snap.Latency[0].Invariant != "ecc-corrected" || !reflect.DeepEqual(snap.Latency[0].Values, []float64{0}) {
+		t.Errorf("ECC fold = %+v, want no events and ecc-corrected [0]", snap)
 	}
-	snap.FoldViolations(0, event, Attribution{})
+	snap.FoldViolations(2, event, "", 0)
+	if len(snap.Events) != 2 || snap.EventsDropped != 0 || snap.Latency != nil {
+		t.Errorf("fold without detection = %+v", snap)
+	}
+	snap.FoldViolations(0, event, "", 0)
 	if snap.Events != nil || snap.EventsDropped != 0 || snap.Latency != nil {
 		t.Errorf("clean fold = %+v, want empty sections", snap)
 	}
@@ -194,7 +182,7 @@ func buildSnapshot(cycle uint64) *Snapshot {
 	snap.FoldViolations(1, func(int) ViolationEvent {
 		return ViolationEvent{Invariant: "coherence-epoch-overlap", Node: 1, Addr: 0x80,
 			DetectCycle: 150, Detail: "cet epoch overlap"}
-	}, Attribution{InjectCycle: 120, Violations: 1})
+	}, "coherence-epoch-overlap", 30)
 	return snap
 }
 
@@ -220,10 +208,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Errorf("decoded snapshot shape: cycle=%d metrics=%d series=%d events=%d",
 			got.Cycle, len(got.Metrics), len(got.Series), len(got.Events))
 	}
-	if got.Events[0].Latency != 30 {
-		t.Errorf("event latency = %d, want 30", got.Events[0].Latency)
-	}
-	if len(got.Latency) != 1 || got.Latency[0].Invariant != "coherence-epoch-overlap" {
+	if len(got.Latency) != 1 || got.Latency[0].Invariant != "coherence-epoch-overlap" || !reflect.DeepEqual(got.Latency[0].Values, []float64{30}) {
 		t.Errorf("latency snapshot = %+v", got.Latency)
 	}
 }

@@ -110,14 +110,9 @@ type System struct {
 	// injection run issues the second rollback.
 	recoverAgainAt sim.Cycle
 
-	// What System.inject attributed when its fault was detected,
-	// which TelemetrySnapshot folds into detection latency: the
-	// activation cycle (0 attributes nothing), how many violations
-	// existed then, and the cycle an inline UO-replay detection caught
-	// the fault (0 for none), which never reaches the violation list.
-	attributedFrom       sim.Cycle
-	attributedViolations int
-	replayCaughtAt       sim.Cycle
+	// injected is what System.inject concluded (zero for a run without
+	// one); TelemetrySnapshot reads its detection latency from here.
+	injected InjectionResult
 }
 
 // snoopClock adapts the broadcast sequence number as the snooping

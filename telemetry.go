@@ -19,15 +19,16 @@ func TelemetryOn() TelemetryConfig { return telemetry.On() }
 // TelemetrySnapshot reads every metric from the live components as of
 // the current cycle, with the series the sampler has recorded (the
 // -metrics-out flags and the live /metrics endpoint serialise this). Its
-// events and latency sections are folded from the violation list and
-// what System.inject attributed at detection.
+// events are the violation list, and its latency section is the
+// detection System.inject concluded: one observation, the result's
+// Latency under its DetectionKind, for a detected injection.
 func (s *System) TelemetrySnapshot() *telemetry.Snapshot {
 	snap := telemetry.TakeSnapshot(uint64(s.Now()), s.telemetryMetrics(), s.sampler)
-	vs := s.Violations()
-	at := telemetry.Attribution{InjectCycle: uint64(s.attributedFrom), Violations: s.attributedViolations}
-	if s.replayCaughtAt != 0 {
-		at.Inline, at.InlineLatency = core.UOMismatch.String(), uint64(s.replayCaughtAt-s.attributedFrom)
+	var kind string
+	if s.injected.Detected {
+		kind = s.injected.DetectionKind.String()
 	}
+	vs := s.Violations()
 	snap.FoldViolations(len(vs), func(i int) telemetry.ViolationEvent {
 		v := &vs[i]
 		return telemetry.ViolationEvent{
@@ -37,7 +38,7 @@ func (s *System) TelemetrySnapshot() *telemetry.Snapshot {
 			DetectCycle: uint64(v.Cycle),
 			Detail:      v.Detail,
 		}
-	}, at)
+	}, kind, uint64(s.injected.Latency))
 	return snap
 }
 

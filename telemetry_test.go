@@ -224,11 +224,10 @@ func TestTelemetryOffBuildsNoRing(t *testing.T) {
 }
 
 // TestInjectionPopulatesLatencyHistogram drives detectable faults
-// through the injection harness and requires the snapshot's
-// per-invariant detection-latency section, folded from the violation
-// list, to hold the harness's own latency measurement. The LSQ fault is
-// caught inline by UO replay, which never reaches the violation sink;
-// its latency is folded in under UOMismatch.
+// through the injection harness and requires the snapshot's latency
+// section to be exactly the harness's own verdict: one observation, its
+// Latency under its DetectionKind. The LSQ fault is caught inline by UO
+// replay, which never reaches the violation list.
 func TestInjectionPopulatesLatencyHistogram(t *testing.T) {
 	cfg := smallConfig().WithTelemetry(TelemetryOn())
 	for _, inj := range []Injection{
@@ -243,16 +242,12 @@ func TestInjectionPopulatesLatencyHistogram(t *testing.T) {
 			t.Errorf("%v: fault not detected (masked=%v)", inj.Kind, res.Masked)
 			continue
 		}
-		lat := sys.TelemetrySnapshot().Latency
-		name := res.DetectionKind.String()
-		names := make([]string, len(lat))
-		found := false
-		for i, l := range lat {
-			names[i] = fmt.Sprintf("%s(n=%d)", l.Invariant, l.N)
-			found = found || l.Invariant == name && slices.Contains(l.Values, float64(res.Latency))
+		got := make([]string, 0, 1)
+		for _, l := range sys.TelemetrySnapshot().Latency {
+			got = append(got, fmt.Sprintf("%s %v", l.Invariant, l.Values))
 		}
-		if !found {
-			t.Errorf("%v: no %d-cycle latency sample for detection kind %q; have %v", inj.Kind, res.Latency, name, names)
+		if want := fmt.Sprintf("%s [%d]", res.DetectionKind, res.Latency); !slices.Equal(got, []string{want}) {
+			t.Errorf("%v: latency section %q, want exactly [%q]", inj.Kind, got, want)
 		}
 	}
 }
