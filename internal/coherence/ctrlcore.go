@@ -44,13 +44,16 @@ type ctrlCore struct {
 	// kept so a checkpoint with writebacks outstanding allocates nothing.
 	wbOrder []mem.BlockAddr
 
-	// Records that live and die inside this controller are recycled
-	// (DESIGN.md, "Object lifetimes"): a processor request on its way
-	// through the lookup stages, a delivered message in the input latch,
-	// and MSHRs.
-	accesses sim.FreeList[access]
-	inbounds sim.FreeList[inbound]
-	mshrFree sim.FreeList[mshr]
+	// Records that live and die inside one system are recycled (DESIGN.md,
+	// "Object lifetimes"): a processor request on its way through the
+	// lookup stages, a delivered message in the input latch, MSHRs, and a
+	// request waiting for one to free up. The lists are the controller's
+	// own until Spare.Lend points them at the spare's, which every
+	// controller and home of the system shares.
+	accesses *sim.FreeList[access]
+	inbounds *sim.FreeList[inbound]
+	mshrFree *sim.FreeList[mshr]
+	retries  *sim.FreeList[retry]
 
 	epochL  EpochListener
 	accessL AccessListener
@@ -147,6 +150,12 @@ func (c *ctrlCore) init(node network.NodeID, cfg Config, proto protocol, hitUnde
 	c.mshrs = make(map[mem.BlockAddr]*mshr)
 	c.wb = make(map[mem.BlockAddr]wbEntry)
 	c.strict = true
+	c.draw(new(records))
+}
+
+// draw makes r's lists the source of the controller's records.
+func (c *ctrlCore) draw(r *records) {
+	c.accesses, c.inbounds, c.mshrFree, c.retries = &r.accesses, &r.inbounds, &r.mshrs, &r.retries
 }
 
 // SetStrict implements Controller: toggles panic-on-protocol-anomaly
@@ -205,9 +214,9 @@ func (c *ctrlCore) mayHit(b mem.BlockAddr) bool {
 // hands its waiter to an MSHR; either way it is released first, so at no
 // time do both the queue and an MSHR know it.
 type access struct {
-	core *ctrlCore
-	step func() // run, bound once when the record is first made
-	w    waiter // kind 0: an exclusive prefetch
+	core *ctrlCore // the controller that took it
+	step func()    // run, bound once when the record is first made
+	w    waiter    // kind 0: an exclusive prefetch
 	// class is the traffic class a miss is issued under.
 	class network.Class
 	// atL2 says the L1 stage missed and this is the L2 lookup.
@@ -218,10 +227,9 @@ type access struct {
 func (c *ctrlCore) launch(w waiter, class network.Class, delay sim.Cycle) {
 	a := c.accesses.Get()
 	if a.step == nil {
-		a.core = c
 		a.step = a.run
 	}
-	a.w, a.class = w, class
+	a.core, a.w, a.class = c, w, class
 	c.schedule(a, delay)
 }
 
@@ -230,9 +238,10 @@ func (c *ctrlCore) schedule(a *access, delay sim.Cycle) { c.later(delay, a.step)
 
 // finish releases a, handing back what its last stage still needs.
 func (a *access) finish() (w waiter, class network.Class) {
+	c := a.core
 	w, class = a.w, a.class
-	*a = access{core: a.core, step: a.step}
-	a.core.accesses.Put(a)
+	*a = access{step: a.step}
+	c.accesses.Put(a)
 	return w, class
 }
 
@@ -372,8 +381,8 @@ func (c *ctrlCore) prefetchStage(a *access, b mem.BlockAddr) {
 // inbound is a delivered message in the controller's one-cycle input
 // latch.
 type inbound struct {
-	core *ctrlCore
-	step func() // run, bound once
+	core *ctrlCore // the controller that took it
+	step func()    // run, bound once
 	m    *network.Message
 }
 
@@ -381,10 +390,9 @@ type inbound struct {
 func (c *ctrlCore) receive(m *network.Message) {
 	r := c.inbounds.Get()
 	if r.step == nil {
-		r.core = c
 		r.step = r.run
 	}
-	r.m = m
+	r.core, r.m = c, m
 	c.latch(r)
 }
 
@@ -393,7 +401,7 @@ func (c *ctrlCore) latch(r *inbound) { c.later(1, r.step) }
 
 func (r *inbound) run() {
 	c, m := r.core, r.m
-	*r = inbound{core: c, step: r.step}
+	*r = inbound{step: r.step}
 	c.inbounds.Put(r)
 	c.proto.deliver(m)
 }
@@ -427,7 +435,12 @@ func (c *ctrlCore) join(b mem.BlockAddr, needM bool, class network.Class, w wait
 	if ms == nil {
 		if len(c.mshrs) >= maxMSHRs {
 			// Structural stall: retry when an MSHR frees up.
-			c.later(4, func() { c.join(b, needM, class, w) })
+			r := c.retries.Get()
+			if r.step == nil {
+				r.step = r.run
+			}
+			r.core, r.b, r.needM, r.class, r.w = c, b, needM, class, w
+			c.later(4, r.step)
 			return
 		}
 		ms = c.mshrFree.Get()
@@ -444,6 +457,23 @@ func (c *ctrlCore) join(b mem.BlockAddr, needM bool, class network.Class, w wait
 	if w.kind != 0 {
 		ms.waiters = append(ms.waiters, w)
 	}
+}
+
+// retry is a request that found every MSHR busy, waiting to join again.
+type retry struct {
+	core  *ctrlCore // the controller that took it
+	step  func()    // run, bound once when the record is first made
+	b     mem.BlockAddr
+	needM bool
+	class network.Class
+	w     waiter
+}
+
+func (r *retry) run() {
+	c, b, needM, class, w := r.core, r.b, r.needM, r.class, r.w
+	*r = retry{step: r.step}
+	c.retries.Put(r)
+	c.join(b, needM, class, w)
 }
 
 // issue starts the MSHR's transaction and sends its request.
@@ -541,7 +571,11 @@ func (c *ctrlCore) retire(ms *mshr) (upgrade bool) {
 	if !upgrade {
 		delete(c.mshrs, ms.block)
 		// Nothing else points to a retired MSHR: its waiters were served
-		// and a snooping install retry ends before the line exists.
+		// and a snooping install retry ends before the line exists. The
+		// served waiters' callbacks are cleared from the slice's array,
+		// so that an idle MSHR in the spare keeps no retired system
+		// reachable.
+		clear(ms.waiters[:cap(ms.waiters)])
 		*ms = mshr{waiters: ms.waiters[:0], transitions: ms.transitions[:0]}
 		c.mshrFree.Put(ms)
 		return false

@@ -30,8 +30,9 @@ type DirHome struct {
 	// spare, if the home was lent one, is where a new entry comes from.
 	spare *Spare
 
-	// waits recycles the records of work waiting out a latency in events.
-	waits sim.FreeList[dirWait]
+	// waits recycles the records of work waiting out a latency in events:
+	// the home's own list until Spare.Lend points it at the spare's.
+	waits *sim.FreeList[dirWait]
 
 	newBlock func(b mem.BlockAddr, data mem.Block)
 
@@ -93,6 +94,7 @@ func NewDirHome(node network.NodeID, cfg Config, net network.Network, memory *me
 		net:     net,
 		memory:  memory,
 		entries: make(map[mem.BlockAddr]*dirEntry),
+		waits:   new(sim.FreeList[dirWait]),
 		strict:  true,
 	}
 }
@@ -130,8 +132,8 @@ func (h *DirHome) entry(b mem.BlockAddr) *dirEntry {
 // directory lookup, or a transaction waiting for DRAM. The queue holds it
 // through step until it runs; it is released when its work is done.
 type dirWait struct {
-	home *DirHome
-	step func() // run, bound once when the record is first made
+	home *DirHome // the home that took it
+	step func()   // run, bound once when the record is first made
 	what dirWork
 	m    *network.Message // workDispatch, workStart
 	e    *dirEntry        // all but workDispatch
@@ -155,12 +157,13 @@ const (
 	workPutM                        // DRAM write of a PutM
 )
 
-// after schedules w, filled in by the caller, delay cycles from now.
+// after schedules w, just taken and filled in by the caller, delay cycles
+// from now, as h's.
 func (h *DirHome) after(delay sim.Cycle, w *dirWait) {
 	if w.step == nil {
-		w.home = h
 		w.step = w.run
 	}
+	w.home = h
 	h.later(delay, w.step)
 }
 
@@ -168,7 +171,7 @@ func (h *DirHome) after(delay sim.Cycle, w *dirWait) {
 func (w *dirWait) run() {
 	h := w.home
 	h.perform(w)
-	*w = dirWait{home: h, step: w.step}
+	*w = dirWait{step: w.step}
 	h.waits.Put(w)
 }
 

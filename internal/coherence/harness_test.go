@@ -51,6 +51,7 @@ type harness struct {
 	torus *network.Torus
 	bcast *network.BroadcastTree // snooping only
 
+	ctrls      []Controller
 	cores      []*ctrlCore
 	homes      []Home
 	dirHomes   []*DirHome
@@ -95,6 +96,7 @@ func newHarnessWithCfg(t *testing.T, proto protocolKind, cfg Config) *harness {
 			h.dirHomes = append(h.dirHomes, dh)
 			cache, home = dc, dh
 		}
+		h.ctrls = append(h.ctrls, cache)
 		h.homes = append(h.homes, home)
 		h.k.Register(cache)
 		h.k.Register(home)

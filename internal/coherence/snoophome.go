@@ -28,8 +28,9 @@ type SnoopHome struct {
 	pendingWB map[mem.BlockAddr]bool
 	deferred  map[mem.BlockAddr][]network.NodeID // supplies awaiting WB data
 
-	// waits recycles the records of work waiting out a latency in events.
-	waits sim.FreeList[snoopWait]
+	// waits recycles the records of work waiting out a latency in events:
+	// the home's own list until Spare.Lend points it at the spare's.
+	waits *sim.FreeList[snoopWait]
 
 	newBlock func(b mem.BlockAddr, data mem.Block)
 
@@ -49,6 +50,7 @@ func NewSnoopHome(node network.NodeID, cfg Config, data network.Network, memory 
 		owner:     make(map[mem.BlockAddr]network.NodeID),
 		pendingWB: make(map[mem.BlockAddr]bool),
 		deferred:  make(map[mem.BlockAddr][]network.NodeID),
+		waits:     new(sim.FreeList[snoopWait]),
 		strict:    true,
 	}
 }
@@ -148,8 +150,8 @@ func (h *SnoopHome) supplyFromMemory(b mem.BlockAddr, req network.NodeID) {
 // to or from DRAM. The queue holds it through step until it runs; it is
 // released when its work is done.
 type snoopWait struct {
-	home *SnoopHome
-	step func() // run, bound once when the record is first made
+	home *SnoopHome // the home that took it
+	step func()     // run, bound once when the record is first made
 	what snoopWork
 	// block is read (workSupply, for node) or written with data (the
 	// writeback of node).
@@ -166,12 +168,13 @@ const (
 	workWBWrite                      // DRAM write of the writeback
 )
 
-// after schedules w, filled in by the caller, delay cycles from now.
+// after schedules w, just taken and filled in by the caller, delay cycles
+// from now, as h's.
 func (h *SnoopHome) after(delay sim.Cycle, w *snoopWait) {
 	if w.step == nil {
-		w.home = h
 		w.step = w.run
 	}
+	w.home = h
 	h.later(delay, w.step)
 }
 
@@ -179,7 +182,7 @@ func (h *SnoopHome) after(delay sim.Cycle, w *snoopWait) {
 func (w *snoopWait) run() {
 	h := w.home
 	h.perform(w)
-	*w = snoopWait{home: h, step: w.step}
+	*w = snoopWait{step: w.step}
 	h.waits.Put(w)
 }
 

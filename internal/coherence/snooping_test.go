@@ -60,6 +60,50 @@ func TestSnoopHandleDataRefusesUnexpectedPayloads(t *testing.T) {
 	}
 }
 
+// TestSnoopHomeDropsWritebackWithoutPutM: writeback data passes the
+// home's input latch for a block with no PutM pending. Strict mode
+// panics naming it; non-strict mode drops the data: no memory write, no
+// DRAM wait scheduled, and no wait record taken (the one on top of the
+// home's list is still there, under the latch's own record).
+func TestSnoopHomeDropsWritebackWithoutPutM(t *testing.T) {
+	for _, strict := range []bool{true, false} {
+		t.Run(fmt.Sprintf("strict=%v", strict), func(t *testing.T) {
+			h := newHarness(t, snooping, 2)
+			h.setStrict(strict)
+			home := h.snoopHomes[0]
+			const b = mem.BlockAddr(3)
+			var data mem.Block
+			data[0] = 0xdead
+			home.HandleData(&network.Message{Src: 1, Dst: 0, Size: DataBytes, Class: network.ClassCoherence,
+				Payload: &MsgSnoopWB{Block: b, From: 1, Data: data}})
+			top := new(snoopWait)
+			home.waits.Put(top)
+			defer func() {
+				r := recover()
+				if strict {
+					if !strings.Contains(fmt.Sprint(r), "writeback data for 0x3 without pending PutM") {
+						t.Errorf("strict: recovered %v, want the panic naming the block", r)
+					}
+					return
+				}
+				if r != nil {
+					t.Fatalf("non-strict: panic %v", r)
+				}
+				if got := home.memory.ReadBlock(b); got != (mem.Block{}) || home.stats.MemoryWrites != 0 {
+					t.Errorf("non-strict: memory holds %v after %d writes, want the data dropped", got, home.stats.MemoryWrites)
+				}
+				if n := home.events.Len(); n != 0 {
+					t.Errorf("non-strict: %d events queued after the latch, want none", n)
+				}
+				if home.waits.Get(); home.waits.Get() != top {
+					t.Error("non-strict: dropping the data took a wait record")
+				}
+			}()
+			h.k.Run(4)
+		})
+	}
+}
+
 func TestSnoopLogicalTimeIsBroadcastOrder(t *testing.T) {
 	// Epoch begin logical times must be monotone in broadcast order and
 	// equal to the sequence number of the ordering broadcast.

@@ -1,17 +1,22 @@
 package coherence
 
-import "dvmc/internal/mem"
+import (
+	"dvmc/internal/mem"
+	"dvmc/internal/sim"
+)
 
 // Spare is the storage of retired controllers and homes, kept for those
 // of the next system its owner builds: L2 line and L1 tag chunks,
-// directory entry records and directory tables (DESIGN.md, "Object
-// lifetimes"). Lend gives a new node's controller and home the spare to
-// draw on; each takes from it before the heap and clears what it takes
-// (a table is cleared when reclaimed), so a system built on a Spare runs
-// exactly as one built fresh. Reclaim
-// takes back the storage of retired controllers and homes it lent. A
-// Spare has one owner at a time and is not safe for concurrent use; the
-// zero value is empty.
+// directory entry records and directory tables, and the free lists of
+// the records controllers and homes take (DESIGN.md, "Object lifetimes").
+// Lend gives a new node's controller and home the spare to draw on; each
+// takes from it before the heap and clears what it takes (a table is
+// cleared when reclaimed, a record when it is put back), so a system
+// built on a Spare runs exactly as one built fresh. Reclaim takes back
+// the storage of retired controllers and homes it lent; the records need
+// no reclaiming, since every node of the system took and put them back
+// here all along. A Spare has one owner at a time and is not safe for
+// concurrent use; the zero value is empty.
 type Spare struct {
 	lines slabs[line]
 	tags  slabs[tag]
@@ -19,6 +24,20 @@ type Spare struct {
 	// maps whose buckets stay allocated.
 	entries []*dirEntry
 	tables  []map[mem.BlockAddr]*dirEntry
+	records
+}
+
+// records are the free lists of the event records, one per type, of the
+// controllers and homes that draw on them: one controller's own (its
+// constructor's), or every node's of a system built on a Spare. Whoever
+// takes a record binds itself as its owner.
+type records struct {
+	accesses   sim.FreeList[access]
+	inbounds   sim.FreeList[inbound]
+	mshrs      sim.FreeList[mshr]
+	retries    sim.FreeList[retry]
+	dirWaits   sim.FreeList[dirWait]
+	snoopWaits sim.FreeList[snoopWait]
 }
 
 // slabs are full chunks of one kind of array entry.
@@ -43,17 +62,23 @@ func (p *slabs[E]) take(n int) []E {
 }
 
 // Lend makes s the first source of c's chunks and, if h is a directory
-// home, of its entries and its table. Call it before the system runs.
+// home, of its entries and its table, and the one source of both's
+// records. Call it before the system runs.
 func (s *Spare) Lend(c Controller, h Home) {
 	cc := coreOf(c)
 	cc.l2.spare, cc.l1.spare = &s.lines, &s.tags
-	if dh, ok := h.(*DirHome); ok {
-		dh.spare = s
+	cc.draw(&s.records)
+	switch h := h.(type) {
+	case *DirHome:
+		h.spare = s
+		h.waits = &s.dirWaits
 		if n := len(s.tables); n > 0 {
-			dh.entries = s.tables[n-1]
+			h.entries = s.tables[n-1]
 			s.tables[n-1] = nil
 			s.tables = s.tables[:n-1]
 		}
+	case *SnoopHome:
+		h.waits = &s.snoopWaits
 	}
 }
 

@@ -20,12 +20,24 @@ import (
 // 109,980 bytes and 1,066 objects; the object budget is that plus 10 %.
 // The pipeline's three lists of ROB entries, which take regions of the
 // reorder buffer's allocation, and a checkpoint capture that allocates
-// nothing make that 116,577 bytes and 1,059 objects.
+// nothing make that 116,577 bytes and 1,059 objects. Building each case
+// on a retired system's storage made it 95,883 and 1,017. With the free
+// lists of every record a system's components take (micro-ops, cache
+// accesses, MSHRs, transits, home waits) kept in that storage too,
+// shared by the system's nodes, a case costs 69,590 bytes and 619
+// objects, and both budgets are that plus 10 %. Those counts assume the
+// case finds the spare the previous case retired, so they are not taken
+// in a race-detector build, whose pool drops a quarter of the spares put
+// back: there a case costs about 84 KB and 750 objects. CI's allocation
+// step and `go test ./...` hold the budget in the build campaigns run.
 func TestCaseAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops spares, so cases build on empty ones")
+	}
 	const (
 		cases       = 200
-		bytesBudget = 126_000
-		objsBudget  = 1_173
+		bytesBudget = 76_500
+		objsBudget  = 681
 	)
 	cfg := CampaignConfig{Seed: 1, Runs: cases, FaultFrac: 0.5}
 	cs := make([]*Case, cases)

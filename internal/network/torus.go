@@ -46,8 +46,9 @@ type Torus struct {
 	routes [][]*link
 
 	// transits recycles transit envelopes so the steady-state Send path
-	// does not allocate.
-	transits sim.FreeList[transit]
+	// does not allocate: the torus's own list until Spare.Lend points it
+	// at the spare's.
+	transits *sim.FreeList[transit]
 
 	local   []localDelivery // loopback messages in flight
 	delayed []delayedSend   // FaultDelay / FaultDupStale victims
@@ -122,6 +123,7 @@ func NewTorus(n int, bytesPerCycle float64, hopLatency sim.Cycle, rng *sim.Rand)
 		routes:     make([][]*link, n*n),
 		rng:        rng,
 		wakeAt:     sim.Never,
+		transits:   new(sim.FreeList[transit]),
 	}
 	addLink := func(node int, dir int, label string) {
 		l := &link{name: fmt.Sprintf("n%d%s", node, label), index: len(t.links)}

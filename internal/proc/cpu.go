@@ -28,9 +28,10 @@ const (
 // those have let go — so a completion that arrives after a squash finds
 // squashed set, never a new occupant.
 type uop struct {
-	// What survives recycling: the owner, the completion callbacks handed
-	// to the cache (bound on first use), and the buffer the program's
-	// snapshot is taken into.
+	// cpu is the core that took the uop. What survives recycling: the
+	// completion callbacks handed to the cache (bound on first use), and
+	// the buffer the program's snapshot is taken into, which may be
+	// another program's, even another program type's.
 	cpu      *CPU
 	onLoad   func(mem.Word, bool)
 	onReplay func(mem.Word, bool)
@@ -110,10 +111,12 @@ type CPU struct {
 	// replayQ: the executed loads that have neither started replay nor
 	// performed (kept only under DVMC). An op leaves each list eagerly,
 	// before its uop can be recycled.
-	execQ    []*uop
-	fenceQ   []*uop
-	replayQ  []*uop
-	uops     sim.FreeList[uop]
+	execQ   []*uop
+	fenceQ  []*uop
+	replayQ []*uop
+	// uops is the core's own free list until Spare.Lend points it at the
+	// spare's, which every core of the system shares.
+	uops     *sim.FreeList[uop]
 	instrs   int // instructions in flight (ops + gaps)
 	seqNext  uint64
 	finished bool
@@ -207,6 +210,7 @@ func NewCPU(node network.NodeID, cfg Config, model consistency.Model, ctrl coher
 		ctrl:  ctrl,
 		prog:  prog,
 		awake: true,
+		uops:  new(sim.FreeList[uop]),
 	}
 	c.wb = NewWriteBufferFor(model, cfg, ctrl, c.storePerformed, c.wake)
 	c.watchdogCycles = 30000
@@ -660,7 +664,7 @@ func (c *CPU) reclaim(u *uop) {
 	if u.snapKept {
 		buf = nil
 	}
-	*u = uop{cpu: c, onLoad: u.onLoad, onReplay: u.onReplay, onStore: u.onStore, onRMW: u.onRMW, snapBuf: buf}
+	*u = uop{onLoad: u.onLoad, onReplay: u.onReplay, onStore: u.onStore, onRMW: u.onRMW, snapBuf: buf}
 	c.uops.Put(u)
 }
 

@@ -110,8 +110,11 @@ type Program interface {
 	// Snapshot captures the generator state before the next Next call.
 	// The processor takes one per fetched op, so a program whose state is
 	// more than a word should not box a fresh copy each time: into is nil
-	// or a value an earlier Snapshot of this program returned and the
-	// caller is done with, which may be overwritten and returned.
+	// or a value an earlier Snapshot of some program returned and the
+	// caller is done with. One of this program's type may be overwritten
+	// and returned; any other value (a recycled micro-op's buffer may come
+	// from another system's program) is left alone, and a fresh one
+	// returned.
 	Snapshot(into any) any
 	// Restore rewinds to a previously captured state. It must not keep s:
 	// the caller may hand it back to Snapshot.

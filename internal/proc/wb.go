@@ -221,8 +221,9 @@ type OOOWB struct {
 
 	// free recycles drained entries (and their constituent slices and
 	// drain closures) so the steady-state push/drain path is
-	// allocation-free.
-	free sim.FreeList[oooEntry]
+	// allocation-free: the buffer's own list until Spare.Lend points it
+	// at the spare's, which every buffer of the system shares.
+	free *sim.FreeList[oooEntry]
 }
 
 type oooEntry struct {
@@ -239,7 +240,7 @@ type oooEntry struct {
 	drainWords []int
 	cursor     int
 	cb         func()
-	owner      *OOOWB
+	owner      *OOOWB // the buffer that took it
 }
 
 var _ WriteBuffer = (*OOOWB)(nil)
@@ -247,7 +248,8 @@ var _ WriteBuffer = (*OOOWB)(nil)
 // NewOOOWB builds the PSO/RMO write buffer. maxOutstanding bounds
 // concurrent block drains; wake is as for NewInOrderWB.
 func NewOOOWB(ctrl coherence.Controller, capacity, maxOutstanding int, perf performFn, wake func()) *OOOWB {
-	return &OOOWB{ctrl: ctrl, capStores: capacity, maxOut: maxOutstanding, perf: perf, wake: wake}
+	return &OOOWB{ctrl: ctrl, capStores: capacity, maxOut: maxOutstanding, perf: perf, wake: wake,
+		free: new(sim.FreeList[oooEntry])}
 }
 
 // Push implements WriteBuffer, coalescing same-block stores. While an
@@ -292,6 +294,7 @@ func (w *OOOWB) Push(seq uint64, addr mem.Addr, val mem.Word, model consistency.
 		return false
 	}
 	e := w.free.Get()
+	e.owner = w
 	e.block = b
 	e.ordered = ordered
 	e.words[addr.WordIndex()] = val
@@ -419,7 +422,6 @@ func (w *OOOWB) drain(e *oooEntry) {
 	}
 	e.cursor = 0
 	if e.cb == nil {
-		e.owner = w
 		e.cb = func() { e.owner.stepDrain(e) }
 	}
 	w.stepDrain(e)
@@ -473,7 +475,7 @@ func (w *OOOWB) finish(e *oooEntry) {
 // recovery flushed the buffer while their drain was in flight) are not
 // recycled: their completion callback may still fire.
 func (w *OOOWB) recycle(e *oooEntry) {
-	*e = oooEntry{constituents: e.constituents[:0], drainWords: e.drainWords[:0], cb: e.cb, owner: e.owner}
+	*e = oooEntry{constituents: e.constituents[:0], drainWords: e.drainWords[:0], cb: e.cb}
 	w.free.Put(e)
 }
 

@@ -93,9 +93,10 @@ type Manager struct {
 	cpAfterRecovery bool
 
 	// logMsgs and logRecs recycle the loggers' write-log messages, which
-	// are sent at one node and released (ReleaseLog) at another.
-	logMsgs sim.FreeList[network.Message]
-	logRecs sim.FreeList[LogRecord]
+	// are sent at one node and released (ReleaseLog) at another: the
+	// manager's own lists until Spare.Lend points them at the spare's.
+	logMsgs *sim.FreeList[network.Message]
+	logRecs *sim.FreeList[LogRecord]
 
 	stats Stats
 }
@@ -120,7 +121,8 @@ func NewManager(cfg Config, capture CaptureFunc, restore RestoreFunc) *Manager {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Manager{cfg: cfg, capture: capture, restore: restore, cpAfterRecovery: true}
+	return &Manager{cfg: cfg, capture: capture, restore: restore, cpAfterRecovery: true,
+		logMsgs: new(sim.FreeList[network.Message]), logRecs: new(sim.FreeList[LogRecord])}
 }
 
 // Stats returns BER counters (log traffic is accounted by the loggers).

@@ -1,20 +1,22 @@
 package sim
 
-// FreeList recycles objects whose whole life passes inside one component
-// of one system: an event record, a transit envelope, a micro-op. Get
-// hands out the object most recently Put, or a new zero T when none is
-// waiting, so a list grows to its owner's peak demand and nothing is
-// allocated ahead of need. The zero value is an empty list.
+// FreeList recycles objects whose whole life passes inside one system:
+// an event record, a transit envelope, a micro-op. The components of one
+// system may share a list, so the taker binds itself as owner: every Get
+// site sets the record's owner field before it uses the record. Get hands
+// out the object most recently Put, or a new zero T when none is waiting,
+// so a list grows to its system's peak demand and nothing is allocated
+// ahead of need. The zero value is an empty list.
 //
 // Put takes the object as its owner left it. An owner that keeps state
 // across lives — a callback bound once, a slice's capacity — resets the
 // rest itself, in one assignment that names what survives:
 //
-//	*r = record{owner: r.owner, step: r.step}
+//	*r = record{step: r.step}
 //
-// so that no other field can show a previous life. The simulator is
-// single-threaded within a system; a FreeList is not safe for concurrent
-// use.
+// so that no other field, the owner included, can show a previous life.
+// The simulator is single-threaded within a system; a FreeList is not
+// safe for concurrent use.
 type FreeList[T any] struct {
 	free []*T
 }
@@ -27,8 +29,8 @@ func (f *FreeList[T]) Get() *T {
 		f.free = f.free[:n-1]
 		return p
 	}
-	// Refill is cold: the list grows to its owner's peak demand and steady
-	// state recycles.
+	// Refill is cold: the list grows to its system's peak demand and
+	// steady state recycles.
 	return new(T)
 }
 

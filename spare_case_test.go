@@ -17,12 +17,17 @@ type caseRun struct {
 	trace, snap   []byte
 }
 
-// runOnOneSpare runs cs in turn through RunCase on one new spare, and
-// again through RunCaseStreamed with metrics on another, and returns what
-// the last case left.
-func runOnOneSpare(t *testing.T, cs ...*fuzz.Case) (r caseRun) {
+// runOnOneSpare runs before, unless nil, and then cs in turn through
+// RunCase on one new spare, and again, before first, through
+// RunCaseStreamed with metrics on another, and returns what the last case
+// left.
+func runOnOneSpare(t *testing.T, before func(), cs ...*fuzz.Case) (r caseRun) {
 	t.Helper()
+	if before == nil {
+		before = func() {}
+	}
 	dvmc.OnOneSpare(func() {
+		before()
 		for _, c := range cs {
 			res, trace, err := fuzz.RunCase(c)
 			if err != nil {
@@ -32,6 +37,7 @@ func runOnOneSpare(t *testing.T, cs ...*fuzz.Case) (r caseRun) {
 		}
 	})
 	dvmc.OnOneSpare(func() {
+		before()
 		for _, c := range cs {
 			res, snap, err := fuzz.RunCaseStreamed(c, true)
 			if err != nil {
@@ -48,10 +54,13 @@ func runOnOneSpare(t *testing.T, cs ...*fuzz.Case) (r caseRun) {
 }
 
 // TestSpareCaseEqualsFresh runs fuzz cases, fault-free and faulted, once
-// fresh and once on a spare that has just run a case of the other
-// protocol and another model, and requires the same results, trace bytes
-// and snapshot. It is TestSpareRunEqualsFresh for the fuzz executor, in
-// the external package because internal/fuzz imports this one.
+// fresh, once on a spare that has just run a case of the other protocol
+// and another model, and once on a spare that has just run an 8-node
+// directory Section 6.1 injection into OLTP — whose micro-ops hold that
+// generator's snapshot buffers and whose MSHRs have grown waiter slices —
+// and requires the same results, trace bytes and snapshot. It is
+// TestSpareRunEqualsFresh for the fuzz executor, in the external package
+// because internal/fuzz imports this one.
 func TestSpareCaseEqualsFresh(t *testing.T) {
 	cfg := fuzz.CampaignConfig{Seed: 1, Runs: 24, FaultFrac: 0.5}
 	if testing.Short() {
@@ -59,17 +68,35 @@ func TestSpareCaseEqualsFresh(t *testing.T) {
 	}
 	for i := 0; i < cfg.Runs; i++ {
 		c := fuzz.CaseAt(cfg, i)
-		other := otherCase(cfg, c, i)
-		fresh, spared := runOnOneSpare(t, c), runOnOneSpare(t, other, c)
-		if fresh.res != spared.res || fresh.streamed != spared.streamed {
-			t.Errorf("case %d: results differ on a spare:\nfresh %+v, %+v\nspare %+v, %+v", i, fresh.res, fresh.streamed, spared.res, spared.streamed)
+		fresh := runOnOneSpare(t, nil, c)
+		for _, spare := range []struct {
+			after  string
+			spared caseRun
+		}{
+			{"a case", runOnOneSpare(t, nil, otherCase(cfg, c, i), c)},
+			{"an OLTP injection", runOnOneSpare(t, func() { injectOLTP(t) }, c)},
+		} {
+			spared := spare.spared
+			if fresh.res != spared.res || fresh.streamed != spared.streamed {
+				t.Errorf("case %d after %s: results differ on a spare:\nfresh %+v, %+v\nspare %+v, %+v", i, spare.after, fresh.res, fresh.streamed, spared.res, spared.streamed)
+			}
+			if !bytes.Equal(fresh.trace, spared.trace) {
+				t.Errorf("case %d after %s: traces differ on a spare (%d and %d bytes)", i, spare.after, len(fresh.trace), len(spared.trace))
+			}
+			if !bytes.Equal(fresh.snap, spared.snap) {
+				t.Errorf("case %d after %s: snapshots differ on a spare:\nfresh %s\nspare %s", i, spare.after, fresh.snap, spared.snap)
+			}
 		}
-		if !bytes.Equal(fresh.trace, spared.trace) {
-			t.Errorf("case %d: traces differ on a spare (%d and %d bytes)", i, len(fresh.trace), len(spared.trace))
-		}
-		if !bytes.Equal(fresh.snap, spared.snap) {
-			t.Errorf("case %d: snapshots differ on a spare:\nfresh %s\nspare %s", i, fresh.snap, spared.snap)
-		}
+	}
+}
+
+// injectOLTP runs the first injection of the 8-node directory/TSO
+// Section 6.1 row, which retires its system into the spare.
+func injectOLTP(t *testing.T) {
+	t.Helper()
+	cfg := dvmc.ErrorDetectionConfig(dvmc.ErrorDetectionRow{Protocol: dvmc.Directory, Model: dvmc.TSO}, 4)
+	if _, err := dvmc.RunInjection(cfg, dvmc.OLTP(), dvmc.DeriveCampaignInjections(cfg, 1)[0], 60_000); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -183,12 +183,17 @@ const (
 // spare is the storage a system is built on and gives back when it is
 // retired, for the next system built (DESIGN.md, "Object lifetimes"):
 // the controllers' and homes' storage, the epoch checkers' tables, the
-// checkpoint records with their capture buffers, and the inform messages.
-// Nothing reaches a new system uncleared, so a system built on a spare
-// runs exactly as one built on an empty spare.
+// checkpoint records with their capture buffers, the inform messages, and
+// the free lists of every record the system's components take — one list
+// per record type, shared by all nodes. Nothing reaches a new system
+// uncleared, so a system built on a spare runs exactly as one built on an
+// empty spare.
 type spare struct {
 	coh     coherence.Spare
 	chk     core.Spare
+	cpus    proc.Spare
+	net     network.Spare
+	sn      safetynet.Spare
 	cps     sim.FreeList[checkpointState]
 	informs core.InformPool
 }
@@ -241,6 +246,7 @@ func newSystem(cfg Config, w Workload, oracle trace.Sink) (*System, error) {
 	}
 
 	s.torus = network.NewTorus(cfg.Nodes, cfg.bytesPerCycle(), hopLatency, rng.Fork(1000))
+	s.sp.net.Lend(s.torus)
 	s.kernel.Register(s.torus)
 	if cfg.Protocol == Snooping {
 		s.bcast = network.NewBroadcastTree(cfg.Nodes, cfg.bytesPerCycle(), treeHopLatency, rng.Fork(1001))
@@ -264,6 +270,7 @@ func newSystem(cfg Config, w Workload, oracle trace.Sink) (*System, error) {
 	if cfg.SafetyNet {
 		s.snMgr = safetynet.NewManager(cfg.SNConfig, s.capture, s.restore)
 		s.snMgr.SetReleaseFunc(s.release)
+		s.sp.sn.Lend(s.snMgr)
 		s.kernel.Register(s.snMgr)
 	}
 
@@ -306,6 +313,7 @@ func newSystem(cfg Config, w Workload, oracle trace.Sink) (*System, error) {
 		// Core.
 		prog := w.NewProgram(n, cfg.Seed)
 		cpu := proc.NewCPU(nid, cfg.Proc, cfg.Model, ctrl, prog)
+		s.sp.cpus.Lend(cpu)
 		if s.tracer != nil {
 			cpu.AttachTracer(s.tracer)
 		}
