@@ -205,10 +205,8 @@ func configName(cfg Config) string {
 // run, which finds the first one's storage, must allocate under a share
 // of what the first allocated. The injection and the sample are held to
 // 40 % of the bytes (26 % and 22 % at these seeds). The case is held to
-// 85 % of the heap objects: it reads 79 %, and read 95 % while the free
-// lists of its records were each component's own rather than the
-// spare's. What a case's second run still allocates is mostly its
-// coherence messages.
+// 85 % of the heap objects (79 % at this seed). What a case's second
+// run still allocates is mostly its coherence messages.
 func TestSpareSteadyStateAllocBudget(t *testing.T) {
 	cfg := ErrorDetectionConfig(ErrorDetectionRow{Directory, TSO}, 4)
 	sample := protectConfig(Directory, TSO).WithSeed(100)
