@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"dvmc/internal/mem"
+	"dvmc/internal/sim"
 )
 
 // line is one L2 cache line: the coherence unit. Data lives only here;
@@ -45,9 +46,6 @@ type setArray[E any] struct {
 	// chunks in order and each chunk's entries in order visits allocated
 	// entries in set order, as a flat array would.
 	chunks []chunk[E]
-	// spare, when the array's controller was lent a Spare, is where a
-	// chunk is taken from before the heap and returned to on Reclaim.
-	spare *slabs[E]
 }
 
 // chunk is one allocation of entries, ways per set, row-major by set.
@@ -63,8 +61,18 @@ type chunk[E any] struct {
 // A chunk's touched mask has one bit per set.
 var _ [16 - chunkSets]struct{}
 
-func newSetArray[E any](sets, ways int) setArray[E] {
-	return setArray[E]{sets: sets, ways: ways, chunks: make([]chunk[E], (sets+chunkSets-1)/chunkSets)}
+// emptied returns a with no entry, for sets × ways: the chunks already
+// filled are kept, cleared, when the geometry is a's, and dropped
+// otherwise.
+func (a *setArray[E]) emptied(sets, ways int) setArray[E] {
+	if a.sets != sets || a.ways != ways {
+		return setArray[E]{sets: sets, ways: ways, chunks: make([]chunk[E], (sets+chunkSets-1)/chunkSets)}
+	}
+	for k := range a.chunks {
+		clear(a.chunks[k].entries)
+		a.chunks[k].touched = 0
+	}
+	return setArray[E]{sets: sets, ways: ways, chunks: a.chunks}
 }
 
 // setIndex returns block b's set.
@@ -85,35 +93,13 @@ func (a *setArray[E]) set(s int) []E {
 	return entries[i : i+a.ways]
 }
 
-// fillSet is setOf for a fill: it allocates b's chunk on first use, from
-// the spare if it holds a chunk of this size, else from the heap. Only a
-// full chunk is taken from or returned to a spare, so the length is all
-// a chunk's fit depends on.
+// fillSet is setOf for a fill: it allocates b's chunk on first use.
 func (a *setArray[E]) fillSet(b mem.BlockAddr) []E {
 	k := a.setIndex(b) / chunkSets
 	if a.chunks[k].entries == nil {
-		n := min(chunkSets, a.sets-k*chunkSets) * a.ways
-		var e []E
-		if a.spare != nil && n == chunkSets*a.ways {
-			e = a.spare.take(n)
-		}
-		if e == nil {
-			e = make([]E, n)
-		}
-		a.chunks[k].entries = e
+		a.chunks[k].entries = make([]E, min(chunkSets, a.sets-k*chunkSets)*a.ways)
 	}
 	return a.setOf(b)
-}
-
-// release empties the array: its full chunks go to the spare, if it has
-// one, and the rest to the collector.
-func (a *setArray[E]) release() {
-	for k := range a.chunks {
-		if e := a.chunks[k].entries; a.spare != nil && len(e) == chunkSets*a.ways {
-			a.spare.free = append(a.spare.free, e)
-		}
-		a.chunks[k] = chunk[E]{}
-	}
 }
 
 // cacheArray is a set-associative array with LRU replacement, its lines
@@ -128,8 +114,12 @@ type cacheArray struct {
 	ecc  mem.ECC
 }
 
-func newCacheArray(sets, ways int) *cacheArray {
-	return &cacheArray{setArray: newSetArray[line](sets, ways)}
+// emptied returns a, or a new array if a is nil, holding no line and no
+// upset for sets × ways. An upset ledger is rare enough to drop.
+func (a *cacheArray) emptied(sets, ways int) *cacheArray {
+	a = sim.OrNew(a)
+	*a = cacheArray{setArray: a.setArray.emptied(sets, ways)}
+	return a
 }
 
 // touch marks block b's set as changed since the last ForEachDirty.
@@ -264,8 +254,11 @@ type tag struct {
 	lru   uint64
 }
 
-func newTagFilter(sets, ways int) *tagFilter {
-	return &tagFilter{setArray: newSetArray[tag](sets, ways)}
+// emptied returns f, or a new filter if f is nil, holding no tag.
+func (f *tagFilter) emptied(sets, ways int) *tagFilter {
+	f = sim.OrNew(f)
+	*f = tagFilter{setArray: f.setArray.emptied(sets, ways)}
+	return f
 }
 
 // present reports an L1 tag hit and refreshes LRU.

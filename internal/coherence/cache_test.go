@@ -199,7 +199,7 @@ func wayOf(t *testing.T, set []line, l *line) int {
 // line ECC holds upsets, never a copy of a line.
 func TestCacheArraySteadyStateAllocFree(t *testing.T) {
 	const ways = 2
-	c := &ctrlCore{l2: newCacheArray(4, ways), mshrs: make(map[mem.BlockAddr]*mshr)}
+	c := &ctrlCore{l2: new(cacheArray).emptied(4, ways), mshrs: make(map[mem.BlockAddr]*mshr)}
 	c.proto = modelEvict{c}
 	n := 0
 	churn := func() {
@@ -254,7 +254,7 @@ func TestChunkedArrayMatchesFlat(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%dx%d", g.sets, g.ways), func(t *testing.T) {
 			flat := newFlatArray(g.sets, g.ways)
-			c := &ctrlCore{l2: newCacheArray(g.sets, g.ways), mshrs: make(map[mem.BlockAddr]*mshr)}
+			c := &ctrlCore{l2: new(cacheArray).emptied(g.sets, g.ways), mshrs: make(map[mem.BlockAddr]*mshr)}
 			c.proto = modelEvict{c}
 			filled := make(map[int]bool) // chunks a fill has landed in
 			view := dirtyView{sets: g.sets}
@@ -475,7 +475,7 @@ func (f *flatTagFilter) invalidate(b mem.BlockAddr) {
 func TestTagFilterMatchesFlat(t *testing.T) {
 	for _, g := range []struct{ sets, ways int }{{1, 2}, {3, 1}, {17, 2}, {64, 2}, {256, 4}} {
 		t.Run(fmt.Sprintf("%dx%d", g.sets, g.ways), func(t *testing.T) {
-			f, flat := newTagFilter(g.sets, g.ways), newFlatTagFilter(g.sets, g.ways)
+			f, flat := new(tagFilter).emptied(g.sets, g.ways), newFlatTagFilter(g.sets, g.ways)
 			rng := sim.NewRand(uint64(g.sets)<<8 | uint64(g.ways))
 			span := 3 * g.sets * g.ways
 			filled := make(map[int]bool) // chunks an insert has landed in

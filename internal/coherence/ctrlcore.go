@@ -48,8 +48,8 @@ type ctrlCore struct {
 	// "Object lifetimes"): a processor request on its way through the
 	// lookup stages, a delivered message in the input latch, MSHRs, and a
 	// request waiting for one to free up. The lists are the controller's
-	// own until Spare.Lend points them at the spare's, which every
-	// controller and home of the system shares.
+	// own, or its Spare's, which every controller and home of the system
+	// shares.
 	accesses *sim.FreeList[access]
 	inbounds *sim.FreeList[inbound]
 	mshrFree *sim.FreeList[mshr]
@@ -140,22 +140,13 @@ type wbEntry struct {
 	dirty bool
 }
 
-func (c *ctrlCore) init(node network.NodeID, cfg Config, proto protocol, hitUnderMiss bool) {
-	c.node = node
-	c.cfg = cfg
-	c.proto = proto
-	c.hitUnderMiss = hitUnderMiss
-	c.l2 = newCacheArray(cfg.L2Sets, cfg.L2Ways)
-	c.l1 = newTagFilter(cfg.L1Sets, cfg.L1Ways)
-	c.mshrs = make(map[mem.BlockAddr]*mshr)
-	c.wb = make(map[mem.BlockAddr]wbEntry)
-	c.strict = true
-	c.draw(new(records))
-}
-
-// draw makes r's lists the source of the controller's records.
-func (c *ctrlCore) draw(r *records) {
-	c.accesses, c.inbounds, c.mshrFree, c.retries = &r.accesses, &r.inbounds, &r.mshrs, &r.retries
+// renewed is a new controller's core on c's storage, emptied, taking its
+// records from r.
+func (c *ctrlCore) renewed(node network.NodeID, cfg Config, proto protocol, hitUnderMiss bool, r *records) ctrlCore {
+	return ctrlCore{node: node, cfg: cfg, proto: proto, hitUnderMiss: hitUnderMiss, strict: true,
+		l2: c.l2.emptied(cfg.L2Sets, cfg.L2Ways), l1: c.l1.emptied(cfg.L1Sets, cfg.L1Ways),
+		queue: queue{events: c.events.Emptied()}, mshrs: sim.Cleared(c.mshrs), wb: sim.Cleared(c.wb), wbOrder: c.wbOrder[:0],
+		accesses: &r.accesses, inbounds: &r.inbounds, mshrFree: &r.mshrs, retries: &r.retries}
 }
 
 // SetStrict implements Controller: toggles panic-on-protocol-anomaly
@@ -699,10 +690,10 @@ func (c *ctrlCore) Reset() {
 		}
 		ch.touched = 0
 	}
-	c.l1 = newTagFilter(c.cfg.L1Sets, c.cfg.L1Ways)
-	c.mshrs = make(map[mem.BlockAddr]*mshr)
-	c.wb = make(map[mem.BlockAddr]wbEntry)
-	c.events = sim.EventQueue{}
+	c.l1 = c.l1.emptied(c.cfg.L1Sets, c.cfg.L1Ways)
+	clear(c.mshrs)
+	clear(c.wb)
+	c.events = c.events.Emptied()
 }
 
 // CorruptCacheBit implements Controller.

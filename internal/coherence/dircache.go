@@ -33,8 +33,12 @@ var _ Controller = (*DirCache)(nil)
 // NewDirCache builds the directory cache controller for a node. clock is
 // the node's logical time base (a SkewedClock in the directory system).
 func NewDirCache(node network.NodeID, cfg Config, net network.Network, clock LogicalClock) *DirCache {
-	c := &DirCache{net: net, clock: clock}
-	c.init(node, cfg, c, true)
+	return new(DirCache).init(node, cfg, net, clock, new(records))
+}
+
+// init makes c what NewDirCache builds, taking its records from r.
+func (c *DirCache) init(node network.NodeID, cfg Config, net network.Network, clock LogicalClock, r *records) *DirCache {
+	*c = DirCache{ctrlCore: c.renewed(node, cfg, c, true, r), net: net, clock: clock}
 	return c
 }
 

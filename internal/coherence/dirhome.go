@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 
 	"dvmc/internal/mem"
 	"dvmc/internal/network"
@@ -27,12 +28,12 @@ type DirHome struct {
 	queue
 
 	entries map[mem.BlockAddr]*dirEntry
-	// spare, if the home was lent one, is where a new entry comes from.
-	spare *Spare
 
-	// waits recycles the records of work waiting out a latency in events:
-	// the home's own list until Spare.Lend points it at the spare's.
+	// waits recycles the records of work waiting out a latency in events,
+	// and free the directory entries a reset or a new life drops: the
+	// home's own lists, or its Spare's.
 	waits *sim.FreeList[dirWait]
+	free  *sim.FreeList[dirEntry]
 
 	newBlock func(b mem.BlockAddr, data mem.Block)
 
@@ -88,15 +89,15 @@ func (e *dirEntry) end() {
 // NewDirHome builds the home controller for a node. The memory is the
 // slice of global memory this node is home for.
 func NewDirHome(node network.NodeID, cfg Config, net network.Network, memory *mem.Memory) *DirHome {
-	return &DirHome{
-		node:    node,
-		cfg:     cfg,
-		net:     net,
-		memory:  memory,
-		entries: make(map[mem.BlockAddr]*dirEntry),
-		waits:   new(sim.FreeList[dirWait]),
-		strict:  true,
-	}
+	return new(DirHome).init(node, cfg, net, memory, new(records))
+}
+
+// init makes h what NewDirHome builds, taking its records from r.
+func (h *DirHome) init(node network.NodeID, cfg Config, net network.Network, memory *mem.Memory, r *records) *DirHome {
+	h.dropEntries()
+	*h = DirHome{node: node, cfg: cfg, net: net, memory: memory, strict: true,
+		queue: queue{events: h.events.Emptied()}, entries: sim.Cleared(h.entries), waits: &r.dirWaits, free: &r.dirEntries}
+	return h
 }
 
 // SetStrict toggles panic-on-protocol-anomaly (default true).
@@ -118,7 +119,8 @@ func (h *DirHome) Stats() HomeStats { return h.stats }
 func (h *DirHome) entry(b mem.BlockAddr) *dirEntry {
 	e, ok := h.entries[b]
 	if !ok {
-		e = h.spare.newEntry()
+		e = h.free.Get()
+		*e = dirEntry{owner: -1}
 		h.entries[b] = e
 		if h.newBlock != nil {
 			h.newBlock(b, h.memory.ReadBlock(b))
@@ -155,6 +157,7 @@ const (
 	workGetSData                    // DRAM read for a GetS
 	workGetMData                    // DRAM read for a GetM
 	workPutM                        // DRAM write of a PutM
+	workNext                        // directory lookup → start of a queued request
 )
 
 // after schedules w, just taken and filled in by the caller, delay cycles
@@ -196,6 +199,13 @@ func (h *DirHome) perform(w *dirWait) {
 		h.net.Send(network.Wrap(h.to(w.from, CtrlBytes), MsgWBAck{Block: w.block}))
 		w.e.end()
 		h.next(w.block, w.e)
+	case workNext:
+		if w.e.busy {
+			// A fresh request slipped in; requeue at the front.
+			w.e.queue = slices.Insert(w.e.queue, 0, w.m)
+			return
+		}
+		h.start(w.e, w.m)
 	}
 }
 
@@ -413,24 +423,27 @@ func (h *DirHome) next(b mem.BlockAddr, e *dirEntry) {
 	if e.busy || len(e.queue) == 0 {
 		return
 	}
-	m := e.queue[0]
+	w := h.waits.Get()
+	w.what, w.e, w.m = workNext, e, e.queue[0]
 	e.queue = e.queue[1:]
-	h.later(dirLatency, func() {
-		if e.busy {
-			// A fresh request slipped in; requeue at the front.
-			e.queue = append([]*network.Message{m}, e.queue...)
-			return
-		}
-		h.start(e, m)
-	})
+	h.after(dirLatency, w)
 }
 
 // Reset clears all directory and transient state (SafetyNet recovery).
 // Dropping the entries re-arms the new-block hook, which rebuilds the
 // MET from the restored memory contents.
 func (h *DirHome) Reset() {
-	h.entries = make(map[mem.BlockAddr]*dirEntry)
-	h.events = sim.EventQueue{}
+	h.dropEntries()
+	h.events = h.events.Emptied()
+}
+
+// dropEntries empties the table into the free list: only dropped events
+// could still name an entry.
+func (h *DirHome) dropEntries() {
+	for _, e := range h.entries { //dvmc:orderinsensitive an entry is cleared when it is taken, so which block takes which entry changes nothing
+		h.free.Put(e)
+	}
+	clear(h.entries)
 }
 
 // OwnerOf returns the directory's view of a block's owner (-1 if memory)

@@ -42,8 +42,12 @@ type snoopTransition struct {
 
 // NewSnoopCache builds the snooping cache controller for a node.
 func NewSnoopCache(node network.NodeID, cfg Config, bcast *network.BroadcastTree, data network.Network) *SnoopCache {
-	c := &SnoopCache{bcast: bcast, data: data}
-	c.init(node, cfg, c, false)
+	return new(SnoopCache).init(node, cfg, bcast, data, new(records))
+}
+
+// init makes c what NewSnoopCache builds, taking its records from r.
+func (c *SnoopCache) init(node network.NodeID, cfg Config, bcast *network.BroadcastTree, data network.Network, r *records) *SnoopCache {
+	*c = SnoopCache{ctrlCore: c.renewed(node, cfg, c, false, r), bcast: bcast, data: data}
 	return c
 }
 

@@ -29,7 +29,7 @@ type SnoopHome struct {
 	deferred  map[mem.BlockAddr][]network.NodeID // supplies awaiting WB data
 
 	// waits recycles the records of work waiting out a latency in events:
-	// the home's own list until Spare.Lend points it at the spare's.
+	// the home's own list, or its Spare's.
 	waits *sim.FreeList[snoopWait]
 
 	newBlock func(b mem.BlockAddr, data mem.Block)
@@ -42,17 +42,14 @@ var _ Home = (*SnoopHome)(nil)
 
 // NewSnoopHome builds the snooping memory controller for a node.
 func NewSnoopHome(node network.NodeID, cfg Config, data network.Network, memory *mem.Memory) *SnoopHome {
-	return &SnoopHome{
-		node:      node,
-		cfg:       cfg,
-		data:      data,
-		memory:    memory,
-		owner:     make(map[mem.BlockAddr]network.NodeID),
-		pendingWB: make(map[mem.BlockAddr]bool),
-		deferred:  make(map[mem.BlockAddr][]network.NodeID),
-		waits:     new(sim.FreeList[snoopWait]),
-		strict:    true,
-	}
+	return new(SnoopHome).init(node, cfg, data, memory, new(records))
+}
+
+// init makes h what NewSnoopHome builds, taking its records from r.
+func (h *SnoopHome) init(node network.NodeID, cfg Config, data network.Network, memory *mem.Memory, r *records) *SnoopHome {
+	*h = SnoopHome{node: node, cfg: cfg, data: data, memory: memory, strict: true, waits: &r.snoopWaits,
+		queue: queue{events: h.events.Emptied()}, owner: sim.Cleared(h.owner), pendingWB: sim.Cleared(h.pendingWB), deferred: sim.Cleared(h.deferred)}
+	return h
 }
 
 // SetStrict toggles panic-on-protocol-anomaly (default true).
@@ -71,10 +68,10 @@ func (h *SnoopHome) Stats() HomeStats { return h.stats }
 // Reset clears ownership tracking and pending writebacks (SafetyNet
 // recovery); the new-block hook re-arms for MET reconstruction.
 func (h *SnoopHome) Reset() {
-	h.owner = make(map[mem.BlockAddr]network.NodeID)
-	h.pendingWB = make(map[mem.BlockAddr]bool)
-	h.deferred = make(map[mem.BlockAddr][]network.NodeID)
-	h.events = sim.EventQueue{}
+	clear(h.owner)
+	clear(h.pendingWB)
+	clear(h.deferred)
+	h.events = h.events.Emptied()
 }
 
 // ownerOf returns the tracked owner (-1 if memory owns the block).

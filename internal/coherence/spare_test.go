@@ -1,47 +1,49 @@
 package coherence
 
 import (
+	"slices"
 	"testing"
 
 	"dvmc/internal/mem"
 	"dvmc/internal/network"
 )
 
-// TestSpareTakesOnlyFittingChunks lends an array a spare holding a chunk
-// of another geometry, then one of its own: the misfit is dropped and a
-// new chunk made, the fitting one is taken cleared, and release returns
-// both full chunks.
+// TestSpareTakesOnlyFittingChunks empties an array that filled two
+// chunks, once for its own geometry and once for another: the fitting
+// array keeps both chunks, cleared and untouched, and the misfit drops
+// them for chunks of its own, made at its first fill.
 func TestSpareTakesOnlyFittingChunks(t *testing.T) {
-	var sp Spare
-	wide := make([]line, chunkSets*8)
-	sp.lines.free = [][]line{wide}
-	a := newCacheArray(4*chunkSets, 4)
-	a.spare = &sp.lines
-	a.fillSet(3)
-	if got := a.chunks[0].entries; len(got) != chunkSets*4 || &got[0] == &wide[0] {
-		t.Fatalf("chunk 0 has %d lines (want %d) or is the 8-way spare", len(got), chunkSets*4)
+	a := new(cacheArray).emptied(4*chunkSets, 4)
+	for _, b := range []mem.BlockAddr{3, chunkSets} {
+		l := &a.fillSet(b)[0]
+		a.install(l, b, Modified, mem.Block{1}, true)
 	}
-	if len(sp.lines.free) != 0 {
-		t.Errorf("the spare keeps %d chunks that do not fit", len(sp.lines.free))
+	first, second := &a.chunks[0].entries[0], &a.chunks[1].entries[0]
+	a.emptied(4*chunkSets, 4)
+	if &a.chunks[0].entries[0] != first || &a.chunks[1].entries[0] != second {
+		t.Fatal("an array emptied for its own geometry dropped its chunks")
 	}
-
-	fit := make([]line, chunkSets*4)
-	fit[5] = line{valid: true, block: 7, state: Modified}
-	sp.lines.free = [][]line{fit}
-	a.fillSet(chunkSets)
-	if got := a.chunks[1].entries; &got[0] != &fit[0] || got[5] != (line{}) {
-		t.Errorf("chunk 1 is not the spare's chunk, cleared: %+v", got[5])
+	for k := range a.chunks[:2] {
+		if c := a.chunks[k]; c.touched != 0 || slices.ContainsFunc(c.entries, func(l line) bool { return l != line{} }) {
+			t.Errorf("chunk %d is not cleared: touched %#x", k, c.touched)
+		}
+	}
+	if a.tick != 0 || a.occupancy() != 0 {
+		t.Errorf("the emptied array keeps tick %d and %d lines", a.tick, a.occupancy())
 	}
 
-	a.release()
-	if len(sp.lines.free) != 2 || a.chunks[0].entries != nil || a.chunks[1].entries != nil {
-		t.Errorf("release left the spare %d chunks and the array chunks %v, %v", len(sp.lines.free), a.chunks[0].entries != nil, a.chunks[1].entries != nil)
+	a.emptied(4*chunkSets, 8)
+	if len(a.chunks) != 4 || a.chunks[0].entries != nil || a.chunks[1].entries != nil {
+		t.Fatal("an array emptied for another geometry kept its chunks")
+	}
+	if got := a.fillSet(3); len(got) != 8 {
+		t.Errorf("a fill after the geometry changed made a set of %d ways, want 8", len(got))
 	}
 }
 
-// TestSharedRecordsBindTheirTaker lends one Spare to both nodes'
-// controllers and homes, so they take their records from one list per
-// type. Before each take, the list's top record is one that node 0
+// TestSharedRecordsBindTheirTaker points both nodes' controllers and
+// homes at one Spare's records, as building them on it does, so they take
+// their records from one list per type. Before each take, the list's top record is one that node 0
 // released, still naming it (as a record another system's controller put
 // back would name that controller): each must come out naming the
 // controller or home that took it. Then both nodes' accesses run through
@@ -51,8 +53,14 @@ func TestSharedRecordsBindTheirTaker(t *testing.T) {
 		h := newHarness(t, proto, 2)
 		h.setStrict(false)
 		var sp Spare
-		for n := range h.ctrls {
-			sp.Lend(h.ctrls[n], h.homes[n])
+		for _, c := range h.cores {
+			c.accesses, c.inbounds, c.mshrFree, c.retries = &sp.accesses, &sp.inbounds, &sp.mshrs, &sp.retries
+		}
+		for _, dh := range h.dirHomes {
+			dh.waits = &sp.dirWaits
+		}
+		for _, sh := range h.snoopHomes {
+			sh.waits = &sp.snoopWaits
 		}
 		c0, c1 := h.ctrl(0), h.ctrl(1)
 		nop := func(mem.Word, bool) {}

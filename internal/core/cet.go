@@ -94,15 +94,14 @@ type scrubEntry struct {
 // violations with the current processor cycle.
 func NewCacheChecker(node network.NodeID, cfg coherence.Config, net network.Network,
 	clock coherence.LogicalClock, cycleNow func() sim.Cycle, sink Sink) *CacheChecker {
-	c := &CacheChecker{
-		node:     node,
-		cfg:      cfg,
-		net:      net,
-		clock:    clock,
-		sink:     sink,
-		cet:      make(map[mem.BlockAddr]int32),
-		cycleNow: cycleNow,
-	}
+	return new(CacheChecker).init(node, cfg, net, clock, cycleNow, sink)
+}
+
+// init makes c what NewCacheChecker builds.
+func (c *CacheChecker) init(node network.NodeID, cfg coherence.Config, net network.Network, clock coherence.LogicalClock, cycleNow func() sim.Cycle, sink Sink) *CacheChecker {
+	c.scrub.reset()
+	*c = CacheChecker{node: node, cfg: cfg, net: net, clock: clock, sink: sink, cycleNow: cycleNow,
+		cet: sim.Cleared(c.cet), slab: c.slab[:0], free: c.free[:0], scrub: c.scrub}
 	if cc, ok := clock.(cycleClock); ok {
 		c.sched = cc
 		cc.OnSkew(c.wake)

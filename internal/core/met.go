@@ -196,14 +196,14 @@ const (
 // NewMemChecker builds the MET checker for one home node.
 func NewMemChecker(node network.NodeID, cfg coherence.Config, clock coherence.LogicalClock,
 	cycleNow func() sim.Cycle, sink Sink) *MemChecker {
-	m := &MemChecker{
-		node:     node,
-		cfg:      cfg,
-		clock:    clock,
-		sink:     sink,
-		met:      make(map[mem.BlockAddr]int32),
-		cycleNow: cycleNow,
-	}
+	return new(MemChecker).init(node, cfg, clock, cycleNow, sink)
+}
+
+// init makes m what NewMemChecker builds.
+func (m *MemChecker) init(node network.NodeID, cfg coherence.Config, clock coherence.LogicalClock, cycleNow func() sim.Cycle, sink Sink) *MemChecker {
+	m.pq.reset()
+	*m = MemChecker{node: node, cfg: cfg, clock: clock, sink: sink, cycleNow: cycleNow,
+		met: sim.Cleared(m.met), slab: m.slab[:0], pq: m.pq}
 	if cc, ok := clock.(cycleClock); ok {
 		m.sched = cc
 		cc.OnSkew(m.wake)

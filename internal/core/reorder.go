@@ -71,7 +71,13 @@ type PerformedOp struct {
 
 // NewReorderChecker builds the checker for one processor.
 func NewReorderChecker(node network.NodeID, sink Sink) *ReorderChecker {
-	return &ReorderChecker{node: node, sink: sink}
+	return new(ReorderChecker).init(node, sink)
+}
+
+// init makes r what NewReorderChecker builds.
+func (r *ReorderChecker) init(node network.NodeID, sink Sink) *ReorderChecker {
+	*r = ReorderChecker{node: node, sink: sink}
+	return r
 }
 
 // Stats returns checker counters.

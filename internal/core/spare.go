@@ -1,63 +1,49 @@
 package core
 
-import "dvmc/internal/mem"
+import (
+	"dvmc/internal/coherence"
+	"dvmc/internal/network"
+	"dvmc/internal/sim"
+)
 
-// Spare is the epoch tables of retired checkers, kept for those of the
-// next system its owner builds (DESIGN.md, "Object lifetimes"): each MET
-// and CET's block map, whose buckets stay allocated, and its entry slab.
-// Lend gives a new node's checkers a retired pair's tables, cleared as
-// Reset clears them, so a checker built on a Spare runs exactly as one
-// built fresh; Reclaim takes back the tables of retired checkers it lent.
-// A Spare has one owner at a time and is not safe for concurrent use; the
-// zero value is empty.
+// Spare is the checkers of retired systems, one list per type, kept for
+// those of the next system its owner builds (DESIGN.md, "Object
+// lifetimes"). Its constructors re-initialise a kept checker as the
+// package's build a new one, its tables emptied, so a checker built on a
+// Spare runs exactly as one built fresh. A Spare has one owner at a time
+// and is not safe for concurrent use; the zero value is empty.
 type Spare struct {
-	mets []metTables
-	cets []cetTables
+	mets sim.FreeList[MemChecker]
+	cets sim.FreeList[CacheChecker]
+	uos  sim.FreeList[UniprocChecker]
+	ros  sim.FreeList[ReorderChecker]
 }
 
-type metTables struct {
-	met  map[mem.BlockAddr]int32
-	slab []metEntry
+// NewMemChecker is NewMemChecker on a kept MET.
+func (s *Spare) NewMemChecker(node network.NodeID, cfg coherence.Config, clock coherence.LogicalClock, cycleNow func() sim.Cycle, sink Sink) *MemChecker {
+	return s.mets.Get().init(node, cfg, clock, cycleNow, sink)
 }
 
-type cetTables struct {
-	cet  map[mem.BlockAddr]int32
-	slab []cetEntry
-	free []int32
+// NewCacheChecker is NewCacheChecker on a kept CET.
+func (s *Spare) NewCacheChecker(node network.NodeID, cfg coherence.Config, net network.Network, clock coherence.LogicalClock, cycleNow func() sim.Cycle, sink Sink) *CacheChecker {
+	return s.cets.Get().init(node, cfg, net, clock, cycleNow, sink)
 }
 
-// Lend gives m and c, either of which may be nil, retired tables if s
-// holds any. Call it before the system runs.
-func (s *Spare) Lend(m *MemChecker, c *CacheChecker) {
-	if m != nil {
-		if n := len(s.mets); n > 0 {
-			t := s.mets[n-1]
-			s.mets[n-1] = metTables{}
-			s.mets = s.mets[:n-1]
-			clear(t.met)
-			m.met, m.slab = t.met, t.slab[:0]
-		}
-	}
-	if c != nil {
-		if n := len(s.cets); n > 0 {
-			t := s.cets[n-1]
-			s.cets[n-1] = cetTables{}
-			s.cets = s.cets[:n-1]
-			clear(t.cet)
-			c.cet, c.slab, c.free = t.cet, t.slab[:0], t.free[:0]
-		}
-	}
+// NewUniprocChecker is NewUniprocChecker on a kept checker.
+func (s *Spare) NewUniprocChecker(node network.NodeID, capacity int, cacheLoadValues bool, sink Sink) *UniprocChecker {
+	return s.uos.Get().init(node, capacity, cacheLoadValues, sink)
 }
 
-// Reclaim takes back the tables of ms and cs, which were lent s. They
-// must not run again.
-func (s *Spare) Reclaim(ms []*MemChecker, cs []*CacheChecker) {
-	for _, m := range ms {
-		s.mets = append(s.mets, metTables{m.met, m.slab})
-		m.met, m.slab = nil, nil
-	}
-	for _, c := range cs {
-		s.cets = append(s.cets, cetTables{c.cet, c.slab, c.free})
-		c.cet, c.slab, c.free = nil, nil, nil
-	}
+// NewReorderChecker is NewReorderChecker on a kept checker.
+func (s *Spare) NewReorderChecker(node network.NodeID, sink Sink) *ReorderChecker {
+	return s.ros.Get().init(node, sink)
+}
+
+// Keep takes back a retired system's checkers (nil entries: a node
+// without that checker).
+func (s *Spare) Keep(ms []*MemChecker, cs []*CacheChecker, us []*UniprocChecker, rs []*ReorderChecker) {
+	s.mets.PutAll(ms)
+	s.cets.PutAll(cs)
+	s.uos.PutAll(us)
+	s.ros.PutAll(rs)
 }

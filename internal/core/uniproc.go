@@ -90,20 +90,19 @@ func (e *vcEntry) pending() int { return len(e.vals) - e.head }
 // the VC (the paper sizes it so that all committed-but-unperformed stores
 // fit; 32-256 bytes of storage).
 func NewUniprocChecker(node network.NodeID, capacity int, cacheLoadValues bool, sink Sink) *UniprocChecker {
+	return new(UniprocChecker).init(node, capacity, cacheLoadValues, sink)
+}
+
+// init makes u what NewUniprocChecker builds.
+func (u *UniprocChecker) init(node network.NodeID, capacity int, cacheLoadValues bool, sink Sink) *UniprocChecker {
 	if capacity < 1 {
 		panic("core: UniprocChecker capacity must be positive")
 	}
 	// The index is unsized: a short run indexes a few words, and a map
 	// sized for the VC's capacity would cost every node its table up front.
-	return &UniprocChecker{
-		node:            node,
-		sink:            sink,
-		idx:             make(map[mem.Addr]int32),
-		loadHead:        -1,
-		loadTail:        -1,
-		capacity:        capacity,
-		cacheLoadValues: cacheLoadValues,
-	}
+	*u = UniprocChecker{node: node, sink: sink, loadHead: -1, loadTail: -1, capacity: capacity, cacheLoadValues: cacheLoadValues,
+		slab: u.slab[:0], free: u.free[:0], idx: sim.Cleared(u.idx)}
+	return u
 }
 
 // Stats returns checker counters.

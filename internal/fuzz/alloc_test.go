@@ -25,16 +25,20 @@ import (
 // lists of every record a system's components take (micro-ops, cache
 // accesses, MSHRs, transits, home waits) kept in that storage too,
 // shared by the system's nodes, a case costs 69,590 bytes and 619
+// objects. With the components themselves kept too (kernel, networks,
+// memories, controllers, homes, cores, checkers, SafetyNet), each
+// re-initialised by its constructor, a case costs 33,313 bytes and 370
 // objects, and both budgets are that plus 10 %. Those counts assume the
 // case finds the spare the previous case retired. A race-detector build's
 // pool drops a quarter of the spares put back at random, so there a case
-// costs 84,031-92,295 bytes and 749-819 objects (16 runs), and its
-// budgets are the highest of those plus 10 %.
+// costs 63,631-73,551 bytes and 587-658 objects (16 runs; 84,031-92,295
+// and 749-819 before the components were kept), and its budgets are the
+// highest of those plus 10 %.
 func TestCaseAllocBudget(t *testing.T) {
 	const cases = 200
-	bytesBudget, objsBudget := uint64(76_500), uint64(681)
+	bytesBudget, objsBudget := uint64(36_700), uint64(407)
 	if raceEnabled {
-		bytesBudget, objsBudget = 101_500, 901
+		bytesBudget, objsBudget = 81_000, 724
 	}
 	cfg := CampaignConfig{Seed: 1, Runs: cases, FaultFrac: 0.5}
 	cs := make([]*Case, cases)

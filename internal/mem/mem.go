@@ -11,6 +11,8 @@ package mem
 import (
 	"fmt"
 	"sort"
+
+	"dvmc/internal/sim"
 )
 
 const (
@@ -103,8 +105,13 @@ type mark struct {
 // ("DVMC requires ECC on all main memory DRAMs"). ECC is not optional, so
 // any argument is ignored: it is accepted only because benchmark/layers.go
 // still passes the flag an ECC-off memory once took.
-func NewMemory(...bool) *Memory {
-	return &Memory{blocks: make(map[BlockAddr]*cell)}
+func NewMemory(...bool) *Memory { return new(Memory).Init() }
+
+// Init makes m what NewMemory builds, on m's table and logs: how a
+// retired system's memory is reused.
+func (m *Memory) Init() *Memory {
+	*m = Memory{blocks: sim.Cleared(m.blocks), log: m.log[:0], marks: m.marks[:0], ecc: ECC{upsets: m.ecc.upsets[:0]}}
+	return m
 }
 
 // logOld records block b's contents before its first change since the

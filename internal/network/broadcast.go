@@ -38,20 +38,27 @@ var _ sim.Scheduled = (*BroadcastTree)(nil)
 // NewBroadcastTree builds the ordered address network for n nodes. The
 // tree draws nothing at random: its *sim.Rand argument is not read.
 func NewBroadcastTree(n int, bytesPerCycle float64, latency sim.Cycle, _ *sim.Rand) *BroadcastTree {
+	return new(BroadcastTree).init(n, bytesPerCycle, latency)
+}
+
+// init makes b what NewBroadcastTree builds.
+func (b *BroadcastTree) init(n int, bytesPerCycle float64, latency sim.Cycle) *BroadcastTree {
 	if n < 1 {
 		panic("network: broadcast tree needs at least one node")
 	}
 	if bytesPerCycle <= 0 {
 		panic("network: non-positive link bandwidth")
 	}
-	return &BroadcastTree{
-		bw:       bytesPerCycle,
-		latency:  latency,
-		handlers: make([]Handler, n),
-		stat:     LinkStat{Name: "bcast-root"},
+	if len(b.handlers) != n {
 		// Each node's two coherence checkers run on the sequence clock.
-		advance: make([]sim.Slot, 0, 2*n),
+		b.handlers, b.advance = make([]Handler, n), make([]sim.Slot, 0, 2*n)
 	}
+	clear(b.handlers)
+	clear(b.queue)
+	clear(b.advance)
+	*b = BroadcastTree{bw: bytesPerCycle, latency: latency, stat: LinkStat{Name: "bcast-root"},
+		handlers: b.handlers, queue: b.queue[:0], advance: b.advance[:0]}
+	return b
 }
 
 // Attach implements sim.Scheduled.

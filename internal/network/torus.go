@@ -46,8 +46,7 @@ type Torus struct {
 	routes [][]*link
 
 	// transits recycles transit envelopes so the steady-state Send path
-	// does not allocate: the torus's own list until Spare.Lend points it
-	// at the spare's.
+	// does not allocate: the torus's own list, or its Spare's.
 	transits *sim.FreeList[transit]
 
 	local   []localDelivery // loopback messages in flight
@@ -106,24 +105,33 @@ type link struct {
 // rectangles get the most square factorisation (8 -> 4x2, 6 -> 3x2,
 // primes -> nx1 ring).
 func NewTorus(n int, bytesPerCycle float64, hopLatency sim.Cycle, rng *sim.Rand) *Torus {
+	return new(Torus).init(n, bytesPerCycle, hopLatency, rng, new(sim.FreeList[transit]))
+}
+
+// init makes t what NewTorus builds, taking its transits from transits.
+// A torus of n nodes keeps its links, emptied, and the routes naming them.
+func (t *Torus) init(n int, bytesPerCycle float64, hopLatency sim.Cycle, rng *sim.Rand, transits *sim.FreeList[transit]) *Torus {
 	if n < 1 {
 		panic("network: torus needs at least one node")
 	}
 	if bytesPerCycle <= 0 {
 		panic("network: non-positive link bandwidth")
 	}
+	t.Reset() // recycles what the last life left in flight
+	if len(t.handlers) != n {
+		t.links, t.dueAt = nil, nil
+		t.outLinks, t.handlers, t.routes = make([][4]*link, n), make([]Handler, n), make([][]*link, n*n)
+	}
+	clear(t.handlers)
 	dimX, dimY := factor(n)
-	t := &Torus{
-		dimX:       dimX,
-		dimY:       dimY,
-		bw:         bytesPerCycle,
-		hopLatency: hopLatency,
-		outLinks:   make([][4]*link, n),
-		handlers:   make([]Handler, n),
-		routes:     make([][]*link, n*n),
-		rng:        rng,
-		wakeAt:     sim.Never,
-		transits:   new(sim.FreeList[transit]),
+	*t = Torus{dimX: dimX, dimY: dimY, bw: bytesPerCycle, hopLatency: hopLatency, rng: rng, wakeAt: sim.Never, transits: transits,
+		links: t.links, outLinks: t.outLinks, handlers: t.handlers, dueAt: t.dueAt, routes: t.routes,
+		local: t.local, delayed: t.delayed, held: t.held}
+	for _, l := range t.links {
+		*l = link{name: l.name, index: l.index, queue: l.queue}
+	}
+	if t.links != nil {
+		return t
 	}
 	addLink := func(node int, dir int, label string) {
 		l := &link{name: fmt.Sprintf("n%d%s", node, label), index: len(t.links)}

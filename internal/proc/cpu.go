@@ -114,8 +114,8 @@ type CPU struct {
 	execQ   []*uop
 	fenceQ  []*uop
 	replayQ []*uop
-	// uops is the core's own free list until Spare.Lend points it at the
-	// spare's, which every core of the system shares.
+	// uops is the core's own free list, or its Spare's, which every core
+	// of the system shares.
 	uops     *sim.FreeList[uop]
 	instrs   int // instructions in flight (ops + gaps)
 	seqNext  uint64
@@ -200,20 +200,30 @@ var (
 // NewCPU builds a core for the given model. ctrl is the node's cache
 // controller; prog the thread's program.
 func NewCPU(node network.NodeID, cfg Config, model consistency.Model, ctrl coherence.Controller, prog Program) *CPU {
+	return new(CPU).init(node, cfg, model, ctrl, prog, new(sim.FreeList[uop]), new(sim.FreeList[oooEntry]))
+}
+
+// init makes c what NewCPU builds, taking its records from uops and
+// entries. The uops c's last run left in flight go back first: nothing of
+// that run can complete them any more.
+func (c *CPU) init(node network.NodeID, cfg Config, model consistency.Model, ctrl coherence.Controller, prog Program, uops *sim.FreeList[uop], entries *sim.FreeList[oooEntry]) *CPU {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &CPU{
-		node:  node,
-		cfg:   cfg,
-		model: model,
-		ctrl:  ctrl,
-		prog:  prog,
-		awake: true,
-		uops:  new(sim.FreeList[uop]),
+	for _, u := range c.rob {
+		u.inflight = 0
 	}
-	c.wb = NewWriteBufferFor(model, cfg, ctrl, c.storePerformed, c.wake)
-	c.watchdogCycles = 30000
+	c.flushFrom(0)
+	rob, execQ, fenceQ, replayQ := c.robBuf[:0], c.execQ[:0], c.fenceQ[:0], c.replayQ[:0]
+	if len(c.robBuf) > cfg.ROBInstrs {
+		rob, execQ, fenceQ, replayQ = nil, nil, nil, nil
+	}
+	for _, q := range [...][]*uop{rob, execQ, fenceQ, replayQ} {
+		clear(q[:cap(q)])
+	}
+	*c = CPU{node: node, cfg: cfg, model: model, ctrl: ctrl, prog: prog, uops: uops, awake: true, watchdogCycles: 30000,
+		rob: rob, robBuf: rob[:cap(rob)], execQ: execQ, fenceQ: fenceQ, replayQ: replayQ,
+		wb: newWriteBuffer(c.wb, model, cfg, ctrl, c.storePerformed, c.wake, entries)}
 	return c
 }
 

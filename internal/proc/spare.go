@@ -1,25 +1,29 @@
 package proc
 
-import "dvmc/internal/sim"
+import (
+	"dvmc/internal/coherence"
+	"dvmc/internal/consistency"
+	"dvmc/internal/network"
+	"dvmc/internal/sim"
+)
 
-// Spare is the free lists of the records cores and their write-combining
-// buffers take, one list per record type, kept for the cores of the next
-// system its owner builds (DESIGN.md, "Object lifetimes"). Lend points a
-// new core at them; every core of the system then takes and puts back
-// there, binding itself as the owner of what it takes, and a record is
-// cleared when it is put back, so a core built on a Spare runs exactly as
-// one built fresh. A Spare has one owner at a time and is not safe for
-// concurrent use; the zero value is empty.
+// Spare is what retired cores leave for the next system its owner builds
+// (DESIGN.md, "Object lifetimes"): the cores with their write buffers,
+// which NewCPU re-initialises as the package's NewCPU builds a new one,
+// and one free list per record type they take, shared by the system's
+// cores, each record cleared when put back. So a core built on a Spare
+// runs exactly as one built fresh. A Spare has one owner at a time and is
+// not safe for concurrent use; the zero value is empty.
 type Spare struct {
+	cpus    sim.FreeList[CPU]
 	uops    sim.FreeList[uop]
 	entries sim.FreeList[oooEntry]
 }
 
-// Lend makes s the one source of c's micro-ops and, if its write buffer
-// combines, of its entries. Call it before the system runs.
-func (s *Spare) Lend(c *CPU) {
-	c.uops = &s.uops
-	if w, ok := c.wb.(*OOOWB); ok {
-		w.free = &s.entries
-	}
+// NewCPU is NewCPU on a kept core, drawing its records from s.
+func (s *Spare) NewCPU(node network.NodeID, cfg Config, model consistency.Model, ctrl coherence.Controller, prog Program) *CPU {
+	return s.cpus.Get().init(node, cfg, model, ctrl, prog, &s.uops, &s.entries)
 }
+
+// Keep takes back a retired system's cores.
+func (s *Spare) Keep(cs []*CPU) { s.cpus.PutAll(cs) }

@@ -97,7 +97,13 @@ var _ WriteBuffer = (*InOrderWB)(nil)
 // that the buffer changed: a drain started or completed, or a fault was
 // armed.
 func NewInOrderWB(ctrl coherence.Controller, capacity int, perf performFn, wake func()) *InOrderWB {
-	return &InOrderWB{ctrl: ctrl, cap: capacity, perf: perf, wake: wake}
+	return new(InOrderWB).init(ctrl, capacity, perf, wake)
+}
+
+// init makes w what NewInOrderWB builds, keeping its drain closure.
+func (w *InOrderWB) init(ctrl coherence.Controller, capacity int, perf performFn, wake func()) *InOrderWB {
+	*w = InOrderWB{ctrl: ctrl, cap: capacity, perf: perf, wake: wake, queue: w.queue[:0], drainCB: w.drainCB}
+	return w
 }
 
 // Push implements WriteBuffer.
@@ -221,8 +227,8 @@ type OOOWB struct {
 
 	// free recycles drained entries (and their constituent slices and
 	// drain closures) so the steady-state push/drain path is
-	// allocation-free: the buffer's own list until Spare.Lend points it
-	// at the spare's, which every buffer of the system shares.
+	// allocation-free: the buffer's own list, or its core's Spare's, which
+	// every buffer of the system shares.
 	free *sim.FreeList[oooEntry]
 }
 
@@ -248,8 +254,15 @@ var _ WriteBuffer = (*OOOWB)(nil)
 // NewOOOWB builds the PSO/RMO write buffer. maxOutstanding bounds
 // concurrent block drains; wake is as for NewInOrderWB.
 func NewOOOWB(ctrl coherence.Controller, capacity, maxOutstanding int, perf performFn, wake func()) *OOOWB {
-	return &OOOWB{ctrl: ctrl, capStores: capacity, maxOut: maxOutstanding, perf: perf, wake: wake,
-		free: new(sim.FreeList[oooEntry])}
+	return new(OOOWB).init(ctrl, capacity, maxOutstanding, perf, wake, new(sim.FreeList[oooEntry]))
+}
+
+// init makes w what NewOOOWB builds, taking its entries from free.
+func (w *OOOWB) init(ctrl coherence.Controller, capacity, maxOutstanding int, perf performFn, wake func(), free *sim.FreeList[oooEntry]) *OOOWB {
+	clear(w.entries)
+	*w = OOOWB{ctrl: ctrl, capStores: capacity, maxOut: maxOutstanding, perf: perf, wake: wake,
+		entries: w.entries[:0], free: free}
+	return w
 }
 
 // Push implements WriteBuffer, coalescing same-block stores. While an
@@ -517,13 +530,21 @@ func (w *OOOWB) FaultFired() bool { return w.fault.fired }
 // NewWriteBufferFor builds the write buffer matching a model's Table 5
 // optimization, or nil for SC (no write buffer).
 func NewWriteBufferFor(model consistency.Model, cfg Config, ctrl coherence.Controller, perf performFn, wake func()) WriteBuffer {
+	return newWriteBuffer(nil, model, cfg, ctrl, perf, wake, new(sim.FreeList[oooEntry]))
+}
+
+// newWriteBuffer is NewWriteBufferFor on old, a retired core's buffer,
+// where it is of the kind model needs, taking combining entries from free.
+func newWriteBuffer(old WriteBuffer, model consistency.Model, cfg Config, ctrl coherence.Controller, perf performFn, wake func(), free *sim.FreeList[oooEntry]) WriteBuffer {
 	switch model {
 	case consistency.SC:
 		return nil
 	case consistency.TSO, consistency.PC:
-		return NewInOrderWB(ctrl, cfg.WBEntries, perf, wake)
+		w, _ := old.(*InOrderWB)
+		return sim.OrNew(w).init(ctrl, cfg.WBEntries, perf, wake)
 	case consistency.PSO, consistency.RMO:
-		return NewOOOWB(ctrl, cfg.WBEntries, wbOutstand, perf, wake)
+		w, _ := old.(*OOOWB)
+		return sim.OrNew(w).init(ctrl, cfg.WBEntries, wbOutstand, perf, wake, free)
 	default:
 		panic("proc: unknown model")
 	}

@@ -94,7 +94,7 @@ type Manager struct {
 
 	// logMsgs and logRecs recycle the loggers' write-log messages, which
 	// are sent at one node and released (ReleaseLog) at another: the
-	// manager's own lists until Spare.Lend points them at the spare's.
+	// manager's own lists, or its Spare's.
 	logMsgs *sim.FreeList[network.Message]
 	logRecs *sim.FreeList[LogRecord]
 
@@ -118,11 +118,19 @@ type Stats struct {
 
 // NewManager builds the checkpoint manager.
 func NewManager(cfg Config, capture CaptureFunc, restore RestoreFunc) *Manager {
+	return new(Manager).init(cfg, capture, restore, new(sim.FreeList[network.Message]), new(sim.FreeList[LogRecord]))
+}
+
+// init makes m what NewManager builds, taking write-log messages and
+// records from logMsgs and logRecs.
+func (m *Manager) init(cfg Config, capture CaptureFunc, restore RestoreFunc, logMsgs *sim.FreeList[network.Message], logRecs *sim.FreeList[LogRecord]) *Manager {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Manager{cfg: cfg, capture: capture, restore: restore, cpAfterRecovery: true,
-		logMsgs: new(sim.FreeList[network.Message]), logRecs: new(sim.FreeList[LogRecord])}
+	clear(m.live)
+	*m = Manager{cfg: cfg, capture: capture, restore: restore, live: m.live[:0], cpAfterRecovery: true,
+		logMsgs: logMsgs, logRecs: logRecs}
+	return m
 }
 
 // Stats returns BER counters (log traffic is accounted by the loggers).
@@ -254,15 +262,14 @@ type LogRecord struct {
 // NewLogger builds the write logger for one node.
 func NewLogger(node network.NodeID, homeOf func(mem.BlockAddr) network.NodeID,
 	net network.Network, mgr *Manager) *Logger {
-	return &Logger{
-		node:     node,
-		homeOf:   homeOf,
-		net:      net,
-		mgr:      mgr,
-		interval: mgr.cfg.Interval,
-		next:     mgr.cfg.Interval,
-		logged:   make(map[mem.BlockAddr]bool),
-	}
+	return new(Logger).init(node, homeOf, net, mgr)
+}
+
+// init makes l what NewLogger builds.
+func (l *Logger) init(node network.NodeID, homeOf func(mem.BlockAddr) network.NodeID, net network.Network, mgr *Manager) *Logger {
+	*l = Logger{node: node, homeOf: homeOf, net: net, mgr: mgr, interval: mgr.cfg.Interval, next: mgr.cfg.Interval,
+		logged: sim.Cleared(l.logged)}
+	return l
 }
 
 var _ sim.Scheduled = (*Logger)(nil)

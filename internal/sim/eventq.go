@@ -91,5 +91,11 @@ func (q *EventQueue) Next() Cycle {
 	return q.h[0].at
 }
 
+// Emptied returns q with no events, on q's storage; q must not tick again.
+func (q *EventQueue) Emptied() EventQueue {
+	clear(q.h)
+	return EventQueue{h: q.h[:0]}
+}
+
 // Len returns the number of pending events.
 func (q *EventQueue) Len() int { return len(q.h) }

@@ -39,3 +39,29 @@ func (f *FreeList[T]) Put(p *T) {
 	// The list's capacity amortizes to the peak number of idle objects.
 	f.free = append(f.free, p)
 }
+
+// PutAll puts back every object of ps but the nil ones.
+func (f *FreeList[T]) PutAll(ps []*T) {
+	for _, p := range ps {
+		if p != nil {
+			f.Put(p)
+		}
+	}
+}
+
+// OrNew returns p, or a new T if p is nil.
+func OrNew[T any](p *T) *T {
+	if p == nil {
+		return new(T)
+	}
+	return p
+}
+
+// Cleared returns m emptied, keeping its buckets, or a new map if m is nil.
+func Cleared[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return make(map[K]V)
+	}
+	clear(m)
+	return m
+}

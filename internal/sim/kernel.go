@@ -78,9 +78,18 @@ type Kernel struct {
 
 // NewKernel returns a kernel whose table and calendar hold n components
 // without growing.
-func NewKernel(n int) *Kernel {
-	words := (n + 63) / 64
-	return &Kernel{table: make([]entry, 0, n), wheel: make([]uint64, words*wheelSlots)}
+func NewKernel(n int) *Kernel { return new(Kernel).Init(n) }
+
+// Init makes k what NewKernel(n) builds, on k's table and calendar where
+// they fit: how a retired system's kernel is reused.
+func (k *Kernel) Init(n int) *Kernel {
+	table, wheel := k.table[:cap(k.table)], k.wheel
+	if words := (n + 63) / 64; len(table) < n || len(wheel) != words*wheelSlots {
+		table, wheel = make([]entry, n), make([]uint64, words*wheelSlots)
+	}
+	clear(wheel)
+	*k = Kernel{table: table[:0], wheel: wheel}
+	return k
 }
 
 // Register adds a component to the tick list, due at once. Components are

@@ -180,15 +180,16 @@ const (
 	treeHopLatency = hopLatency/3 + 1
 )
 
-// spare is the storage a system is built on and gives back when it is
-// retired, for the next system built (DESIGN.md, "Object lifetimes"):
-// the controllers' and homes' storage, the epoch checkers' tables, the
-// checkpoint records with their capture buffers, the inform messages, and
-// the free lists of every record the system's components take — one list
-// per record type, shared by all nodes. Nothing reaches a new system
-// uncleared, so a system built on a spare runs exactly as one built on an
-// empty spare.
+// spare is what a system is built on and gives back when it is retired,
+// for the next system built (DESIGN.md, "Object lifetimes"): its
+// components, one list per type, each re-initialised by its constructor;
+// the checkpoint records, the inform messages, and one free list per
+// record type the components take, shared by all nodes. Nothing reaches
+// a new system uncleared, so a system built on a spare runs exactly as
+// one built on an empty spare.
 type spare struct {
+	kernels sim.FreeList[sim.Kernel]
+	mems    sim.FreeList[mem.Memory]
 	coh     coherence.Spare
 	chk     core.Spare
 	cpus    proc.Spare
@@ -225,9 +226,15 @@ func newSystem(cfg Config, w Workload, oracle trace.Sink) (*System, error) {
 	// At most four system-wide components (torus, tree, SafetyNet manager,
 	// telemetry sampler) and six per node (home, controller, MET, CET,
 	// logger, core).
-	s := &System{cfg: cfg, kernel: sim.NewKernel(4 + 6*cfg.Nodes), sp: spares.Get().(*spare)}
+	sp, n := spares.Get().(*spare), cfg.Nodes
+	s := &System{cfg: cfg, kernel: sp.kernels.Get().Init(4 + 6*n), sp: sp,
+		ctrls: make([]coherence.Controller, 0, n), homes: make([]coherence.Home, 0, n), clocks: make([]*coherence.SkewedClock, 0, n),
+		cpus: make([]*proc.CPU, 0, n), progs: make([]proc.Program, 0, n), uo: make([]*core.UniprocChecker, 0, n),
+		reorder: make([]*core.ReorderChecker, 0, n), met: make([]*core.MemChecker, 0, n), cet: make([]*core.CacheChecker, 0, n),
+		snLoggers: make([]*safetynet.Logger, 0, n)}
 	rng := sim.NewRand(cfg.Seed)
 	now := s.kernel.Now
+	sink := s.sink()
 
 	if cfg.Trace.Enabled {
 		rec, err := trace.NewRecorder(cfg.TraceMeta())
@@ -245,11 +252,10 @@ func newSystem(cfg Config, w Workload, oracle trace.Sink) (*System, error) {
 		}
 	}
 
-	s.torus = network.NewTorus(cfg.Nodes, cfg.bytesPerCycle(), hopLatency, rng.Fork(1000))
-	s.sp.net.Lend(s.torus)
+	s.torus = sp.net.NewTorus(n, cfg.bytesPerCycle(), hopLatency, rng.Fork(1000))
 	s.kernel.Register(s.torus)
 	if cfg.Protocol == Snooping {
-		s.bcast = network.NewBroadcastTree(cfg.Nodes, cfg.bytesPerCycle(), treeHopLatency, rng.Fork(1001))
+		s.bcast = sp.net.NewBroadcastTree(n, cfg.bytesPerCycle(), treeHopLatency)
 		s.kernel.Register(s.bcast)
 	}
 
@@ -268,9 +274,8 @@ func newSystem(cfg Config, w Workload, oracle trace.Sink) (*System, error) {
 	// SafetyNet manager must tick first so checkpoints capture
 	// cycle-start state.
 	if cfg.SafetyNet {
-		s.snMgr = safetynet.NewManager(cfg.SNConfig, s.capture, s.restore)
+		s.snMgr = sp.sn.NewManager(cfg.SNConfig, s.capture, s.restore)
 		s.snMgr.SetReleaseFunc(s.release)
-		s.sp.sn.Lend(s.snMgr)
 		s.kernel.Register(s.snMgr)
 	}
 
@@ -281,26 +286,25 @@ func newSystem(cfg Config, w Workload, oracle trace.Sink) (*System, error) {
 		// Coherence substrate.
 		var ctrl coherence.Controller
 		var home coherence.Home
-		memory := mem.NewMemory()
+		memory := sp.mems.Get().Init()
 		var met *core.MemChecker
 		if cfg.DVMC.CacheCoherence {
-			met = core.NewMemChecker(nid, cfg.Memory, clock, now, s.sink())
+			met = sp.chk.NewMemChecker(nid, cfg.Memory, clock, now, sink)
 			s.met = append(s.met, met)
 		}
 		switch cfg.Protocol {
 		case Directory:
-			dc := coherence.NewDirCache(nid, cfg.Memory, s.torus, clock)
-			dh := coherence.NewDirHome(nid, cfg.Memory, s.torus, memory)
+			dc := sp.coh.NewDirCache(nid, cfg.Memory, s.torus, clock)
+			dh := sp.coh.NewDirHome(nid, cfg.Memory, s.torus, memory)
 			s.torus.SetHandler(nid, coherence.DirectoryHandler(dc, dh, s.informFallback(met)))
 			ctrl, home = dc, dh
 		case Snooping:
-			sc := coherence.NewSnoopCache(nid, cfg.Memory, s.bcast, s.torus)
-			sh := coherence.NewSnoopHome(nid, cfg.Memory, s.torus, memory)
+			sc := sp.coh.NewSnoopCache(nid, cfg.Memory, s.bcast, s.torus)
+			sh := sp.coh.NewSnoopHome(nid, cfg.Memory, s.torus, memory)
 			s.bcast.SetHandler(nid, coherence.SnoopingAddressHandler(sc, sh))
 			s.torus.SetHandler(nid, coherence.SnoopingDataHandler(sc, sh, s.informFallback(met)))
 			ctrl, home = sc, sh
 		}
-		s.sp.coh.Lend(ctrl, home)
 		s.ctrls = append(s.ctrls, ctrl)
 		s.homes = append(s.homes, home)
 		s.kernel.Register(home)
@@ -312,8 +316,7 @@ func newSystem(cfg Config, w Workload, oracle trace.Sink) (*System, error) {
 
 		// Core.
 		prog := w.NewProgram(n, cfg.Seed)
-		cpu := proc.NewCPU(nid, cfg.Proc, cfg.Model, ctrl, prog)
-		s.sp.cpus.Lend(cpu)
+		cpu := sp.cpus.NewCPU(nid, cfg.Proc, cfg.Model, ctrl, prog)
 		if s.tracer != nil {
 			cpu.AttachTracer(s.tracer)
 		}
@@ -324,10 +327,10 @@ func newSystem(cfg Config, w Workload, oracle trace.Sink) (*System, error) {
 		var uo *core.UniprocChecker
 		var ro *core.ReorderChecker
 		if cfg.DVMC.UniprocessorOrdering {
-			uo = core.NewUniprocChecker(nid, cfg.Proc.VCWords, cfg.Model == RMO, s.sink())
+			uo = sp.chk.NewUniprocChecker(nid, cfg.Proc.VCWords, cfg.Model == RMO, sink)
 		}
 		if cfg.DVMC.AllowableReordering {
-			ro = core.NewReorderChecker(nid, s.sink())
+			ro = sp.chk.NewReorderChecker(nid, sink)
 		}
 		if uo != nil || ro != nil {
 			// The pipeline's verification stage needs a VC even if only
@@ -341,16 +344,15 @@ func newSystem(cfg Config, w Workload, oracle trace.Sink) (*System, error) {
 
 		var cet *core.CacheChecker
 		if cfg.DVMC.CacheCoherence {
-			cet = core.NewCacheChecker(nid, cfg.Memory, s.torus, clock, now, s.sink())
-			cet.SetInformPool(&s.sp.informs)
+			cet = sp.chk.NewCacheChecker(nid, cfg.Memory, s.torus, clock, now, sink)
+			cet.SetInformPool(&sp.informs)
 			s.cet = append(s.cet, cet)
 			s.kernel.Register(cet)
 		}
-		s.sp.chk.Lend(met, cet)
 
 		var logger *safetynet.Logger
 		if cfg.SafetyNet {
-			logger = safetynet.NewLogger(nid, cfg.Memory.HomeOf, s.torus, s.snMgr)
+			logger = sp.sn.NewLogger(nid, cfg.Memory.HomeOf, s.torus, s.snMgr)
 			s.snLoggers = append(s.snLoggers, logger)
 			s.kernel.Register(logger)
 		}
@@ -410,6 +412,7 @@ func (s *System) Now() sim.Cycle { return s.kernel.Now() }
 
 // Transactions returns the total committed transactions across nodes.
 func (s *System) Transactions() uint64 {
+	s.running("Transactions")
 	var t uint64
 	for _, c := range s.cpus {
 		t += c.Transactions()
@@ -446,6 +449,7 @@ func (s *System) RunCycles(n uint64) Results {
 // pipeline and write buffer drained. The statistical workload generators
 // never finish; explicit finite programs (workload.Custom, dvmc-fuzz) do.
 func (s *System) Finished() bool {
+	s.running("Finished")
 	for _, c := range s.cpus {
 		if !c.Finished() {
 			return false
@@ -658,11 +662,12 @@ func (s *System) recycle(st *checkpointState) {
 	s.sp.cps.Put(st)
 }
 
-// Retire gives the system's storage back, for the next system built on
-// it; its live checkpoints join the records it recycled. Read what the
-// run left first: the system must not run again, and Run, RunCycles,
-// RunToCompletion and DrainCheckers panic once it is retired. Retiring a
-// retired or nil system does nothing.
+// Retire gives the system's components and storage back, for the next
+// system built on them; its live checkpoints join the records it
+// recycled. Read what the run left first: running the system or reading
+// its components (Now, Transactions, Finished, Results, a telemetry
+// snapshot) panics from now on. Retiring a retired or nil system does
+// nothing.
 func (s *System) Retire() {
 	if s == nil || s.sp == nil {
 		return
@@ -673,13 +678,22 @@ func (s *System) Retire() {
 		}
 	}
 	sp := s.sp
-	s.sp = nil
-	sp.coh.Reclaim(s.ctrls, s.homes)
-	sp.chk.Reclaim(s.met, s.cet)
+	sp.kernels.Put(s.kernel)
+	sp.net.Keep(s.torus, s.bcast)
+	for _, h := range s.homes {
+		sp.mems.Put(h.Memory())
+	}
+	sp.coh.Keep(s.ctrls, s.homes)
+	sp.cpus.Keep(s.cpus)
+	sp.chk.Keep(s.met, s.cet, s.uo, s.reorder)
+	sp.sn.Keep(s.snMgr, s.snLoggers)
+	s.sp, s.kernel, s.torus, s.bcast, s.ctrls, s.homes, s.cpus = nil, nil, nil, nil, nil, nil, nil
+	s.met, s.cet, s.uo, s.reorder, s.snMgr, s.snLoggers = nil, nil, nil, nil, nil, nil
 	spares.Put(sp)
 }
 
-// running panics if s was retired: its storage may be another system's.
+// running panics if s was retired: its components may be another
+// system's.
 func (s *System) running(op string) {
 	if s.sp == nil {
 		panic("dvmc: " + op + " on a retired System")
