@@ -553,29 +553,19 @@ func armMsgBurst(s *System, _ int, inj Injection, _ *sim.Rand) bool {
 func flipMessageData(m *network.Message, rng *sim.Rand) bool {
 	bit := rng.Intn(mem.BlockBytes * 8)
 	word, off := bit/64, bit%64
-	// A payload is immutable once sent (network.Message): the flip goes
-	// into a copy, so an envelope sharing the body keeps the sent data.
+	// A body belongs to one envelope (network.Message): the flip writes it
+	// in place.
 	switch p := m.Payload.(type) {
 	case *coherence.MsgData:
-		q := *p
-		q.Data[word] ^= 1 << off
-		m.Payload = &q
+		p.Data[word] ^= 1 << off
 	case *coherence.MsgPutM:
-		q := *p
-		q.Data[word] ^= 1 << off
-		m.Payload = &q
+		p.Data[word] ^= 1 << off
 	case *coherence.MsgRecallAck:
-		q := *p
-		q.Data[word] ^= 1 << off
-		m.Payload = &q
+		p.Data[word] ^= 1 << off
 	case *coherence.MsgSnoopData:
-		q := *p
-		q.Data[word] ^= 1 << off
-		m.Payload = &q
+		p.Data[word] ^= 1 << off
 	case *coherence.MsgSnoopWB:
-		q := *p
-		q.Data[word] ^= 1 << off
-		m.Payload = &q
+		p.Data[word] ^= 1 << off
 	default:
 		return false
 	}

@@ -86,7 +86,7 @@ func TestAccessPathSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestHomeLatchSteadyStateAllocFree: a message delivered to a directory
-// home waits in a recycled record, not a closure. An Unblock for a block
+// home waits in the home's input latch, not a closure. An Unblock for a block
 // with no transaction is dropped at dispatch (strict off), so only the
 // latch is measured.
 func TestHomeLatchSteadyStateAllocFree(t *testing.T) {
@@ -108,20 +108,29 @@ func TestHomeLatchSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// msgTrap is a network that keeps only the last message sent on it.
+// msgTrap is a network that consumes what is sent on it, keeping the
+// payload type of the last message.
 type msgTrap struct {
-	last *network.Message
+	last reflect.Type
 	sent int
 }
 
-func (n *msgTrap) Send(m *network.Message) { n.last, n.sent = m, n.sent+1 }
+func (n *msgTrap) Send(m *network.Message) {
+	n.saw(m)
+	m.Release()
+}
+
+func (n *msgTrap) saw(m *network.Message) { n.last, n.sent = reflect.TypeOf(m.Payload), n.sent+1 }
 
 // TestCoherenceSendSteadyStateAllocBudget pins every coherence payload
-// type, on both protocols, at one heap object per send: the envelope and
-// its body are one allocation (network.Wrap). Each row drives one real
-// send site against a trap network. An eviction's writeback-buffer entry
-// is held by value, so the PutM and PutS rows allocate their message
-// only.
+// type, on both protocols, at no heap object per warm send: a message is
+// a record taken from its payload type's list and released by its last
+// holder, here the trap network (it was one object per send while a
+// message was left to the collector, two before its envelope and body
+// were one allocation). Each row drives one real send site against the
+// trap. An eviction's writeback-buffer entry is held by value, so the
+// PutM and PutS rows allocate nothing either. Every list is balanced at
+// the end.
 func TestCoherenceSendSteadyStateAllocBudget(t *testing.T) {
 	cfg := testConfig(4)
 	k := &sim.Kernel{}
@@ -134,8 +143,9 @@ func TestCoherenceSendSteadyStateAllocBudget(t *testing.T) {
 	for _, c := range []sim.Clockable{dc, dh, tree, sc, sh} {
 		k.Register(c)
 	}
-	// The tree has no handlers: what it delivers lands in the trap.
-	tree.SetObserver(func(m *network.Message, _ sim.Cycle) { trap.Send(m) })
+	// The tree has no handlers: the trap sees what it delivers, and the
+	// tree releases it.
+	tree.SetObserver(func(m *network.Message, _ sim.Cycle) { trap.saw(m) })
 	dc.SetStrict(false)
 
 	const b = mem.BlockAddr(5)
@@ -214,13 +224,18 @@ func TestCoherenceSendSteadyStateAllocBudget(t *testing.T) {
 			if trap.sent != n+1 || trap.last == nil {
 				t.Fatalf("sent %d messages, want 1", trap.sent-n)
 			}
-			if got, want := reflect.TypeOf(trap.last.Payload), reflect.TypeOf(row.want); got != want {
+			if got, want := trap.last, reflect.TypeOf(row.want); got != want {
 				t.Fatalf("sent a %v, want a %v", got, want)
 			}
-			if allocs := testing.AllocsPerRun(100, row.send); allocs != 1 {
-				t.Errorf("%v heap objects per send, want 1", allocs)
+			if allocs := testing.AllocsPerRun(100, row.send); allocs != 0 {
+				t.Errorf("%v heap objects per warm send, want 0", allocs)
 			}
 		})
+	}
+	for _, msgs := range []*messages{dc.msgs, dh.msgs, sc.msgs, sh.msgs} {
+		if err := msgs.balance(); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -46,14 +46,21 @@ type ctrlCore struct {
 
 	// Records that live and die inside one system are recycled (DESIGN.md,
 	// "Object lifetimes"): a processor request on its way through the
-	// lookup stages, a delivered message in the input latch, MSHRs, and a
-	// request waiting for one to free up. The lists are the controller's
-	// own, or its Spare's, which every controller and home of the system
+	// lookup stages, MSHRs, a request waiting for one to free up, and the
+	// messages the controller sends. The lists are the controller's own,
+	// or its Spare's, which every controller and home of the system
 	// shares.
 	accesses *sim.FreeList[access]
-	inbounds *sim.FreeList[inbound]
 	mshrFree *sim.FreeList[mshr]
 	retries  *sim.FreeList[retry]
+	msgs     *messages
+
+	// inbox is the input latch: the delivered messages the protocol has
+	// not seen yet, oldest first, each one cycle away. The controller
+	// holds them until deliverNext releases them; latched is deliverNext,
+	// bound once.
+	inbox   []*network.Message
+	latched func()
 
 	epochL  EpochListener
 	accessL AccessListener
@@ -124,7 +131,10 @@ type mshr struct {
 	grantKind   EpochKind
 	curState    State // our state in global order during the pending phase
 	transitions []snoopTransition
-	dataPending *MsgSnoopData // data that arrived before a line could be allocated
+	// dataPending says the data arrived before a line could be allocated,
+	// and pendingData holds it.
+	dataPending bool
+	pendingData mem.Block
 }
 
 // wbEntry is an evicted block awaiting the protocol's writeback
@@ -143,10 +153,15 @@ type wbEntry struct {
 // renewed is a new controller's core on c's storage, emptied, taking its
 // records from r.
 func (c *ctrlCore) renewed(node network.NodeID, cfg Config, proto protocol, hitUnderMiss bool, r *records) ctrlCore {
+	c.dropInbox()
+	if c.latched == nil {
+		c.latched = c.deliverNext
+	}
 	return ctrlCore{node: node, cfg: cfg, proto: proto, hitUnderMiss: hitUnderMiss, strict: true,
 		l2: c.l2.emptied(cfg.L2Sets, cfg.L2Ways), l1: c.l1.emptied(cfg.L1Sets, cfg.L1Ways),
 		queue: queue{events: c.events.Emptied()}, mshrs: sim.Cleared(c.mshrs), wb: sim.Cleared(c.wb), wbOrder: c.wbOrder[:0],
-		accesses: &r.accesses, inbounds: &r.inbounds, mshrFree: &r.mshrs, retries: &r.retries}
+		accesses: &r.accesses, mshrFree: &r.mshrs, retries: &r.retries, msgs: &r.msgs,
+		inbox: c.inbox, latched: c.latched}
 }
 
 // SetStrict implements Controller: toggles panic-on-protocol-anomaly
@@ -369,32 +384,31 @@ func (c *ctrlCore) prefetchStage(a *access, b mem.BlockAddr) {
 	c.join(b, true, class, w)
 }
 
-// inbound is a delivered message in the controller's one-cycle input
-// latch.
-type inbound struct {
-	core *ctrlCore // the controller that took it
-	step func()    // run, bound once
-	m    *network.Message
-}
-
 // receive latches a delivered message; the protocol sees it next cycle.
 func (c *ctrlCore) receive(m *network.Message) {
-	r := c.inbounds.Get()
-	if r.step == nil {
-		r.step = r.run
-	}
-	r.core, r.m = c, m
-	c.latch(r)
+	c.inbox = append(c.inbox, m)
+	c.later(1, c.latched)
 }
 
-// latch hands r to the event queue for the one cycle of input latency.
-func (c *ctrlCore) latch(r *inbound) { c.later(1, r.step) }
-
-func (r *inbound) run() {
-	c, m := r.core, r.m
-	*r = inbound{step: r.step}
-	c.inbounds.Put(r)
+// deliverNext hands the protocol the oldest latched message and releases
+// it. Every message waits the same one cycle, so they come due in the
+// order they were latched.
+func (c *ctrlCore) deliverNext() {
+	m := c.inbox[0]
+	n := copy(c.inbox, c.inbox[1:])
+	c.inbox[n] = nil
+	c.inbox = c.inbox[:n]
 	c.proto.deliver(m)
+	m.Release()
+}
+
+// dropInbox releases the latched messages, whose events are dropped.
+func (c *ctrlCore) dropInbox() {
+	for i, m := range c.inbox {
+		m.Release()
+		c.inbox[i] = nil
+	}
+	c.inbox = c.inbox[:0]
 }
 
 // PeekWord implements Controller.
@@ -693,6 +707,7 @@ func (c *ctrlCore) Reset() {
 	c.l1 = c.l1.emptied(c.cfg.L1Sets, c.cfg.L1Ways)
 	clear(c.mshrs)
 	clear(c.wb)
+	c.dropInbox()
 	c.events = c.events.Emptied()
 }
 

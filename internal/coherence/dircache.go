@@ -64,9 +64,9 @@ func (c *DirCache) sendRequest(ms *mshr) {
 	env := c.toHome(ms.block, CtrlBytes)
 	env.Class = ms.class
 	if ms.wantM {
-		c.net.Send(network.Wrap(env, MsgGetM{Block: ms.block, Requestor: c.node}))
+		c.net.Send(c.msgs.getM.Wrap(env, MsgGetM{Block: ms.block, Requestor: c.node}))
 	} else {
-		c.net.Send(network.Wrap(env, MsgGetS{Block: ms.block, Requestor: c.node}))
+		c.net.Send(c.msgs.getS.Wrap(env, MsgGetS{Block: ms.block, Requestor: c.node}))
 	}
 }
 
@@ -107,12 +107,12 @@ func (c *DirCache) evict(l *line) {
 		c.endNow(b, epochKindOf(l.state), data)
 		c.wb[b] = wbEntry{data: data, dirty: true}
 		c.stats.WritebacksDirty++
-		c.net.Send(network.Wrap(c.toHome(b, DataBytes), MsgPutM{Block: b, Requestor: c.node, Data: data}))
+		c.net.Send(c.msgs.putM.Wrap(c.toHome(b, DataBytes), MsgPutM{Block: b, Requestor: c.node, Data: data}))
 	case Shared:
 		c.endNow(b, ReadOnly, data)
 		c.wb[b] = wbEntry{}
 		c.stats.EvictionsClean++
-		c.net.Send(network.Wrap(c.toHome(b, CtrlBytes), MsgPutS{Block: b, Requestor: c.node}))
+		c.net.Send(c.msgs.putS.Wrap(c.toHome(b, CtrlBytes), MsgPutS{Block: b, Requestor: c.node}))
 	default:
 		panic(fmt.Sprintf("DirCache %d: evict of %v line %#x", c.node, l.state, b))
 	}
@@ -132,8 +132,10 @@ func (c *DirCache) onData(p *MsgData) {
 	if l == nil {
 		l = c.allocate(p.Block)
 		if l == nil {
-			// Every way in the set is transient; retry installation.
-			c.later(4, func() { c.onData(p) })
+			// Every way in the set is transient; retry installation
+			// with a copy: the message is released once delivered.
+			d := *p
+			c.later(4, func() { c.onData(&d) })
 			return
 		}
 	} else if l.valid && l.state != Invalid {
@@ -177,7 +179,7 @@ func (c *DirCache) onPermM(p *MsgPermM) {
 // was granted but store waiters remain, the MSHR re-issues as GetM.
 func (c *DirCache) serve(ms *mshr, l *line, exclusive bool) {
 	c.serveWaiters(ms, l, exclusive)
-	c.net.Send(network.Wrap(c.toHome(ms.block, CtrlBytes), MsgUnblock{Block: ms.block, From: c.node}))
+	c.net.Send(c.msgs.unblock.Wrap(c.toHome(ms.block, CtrlBytes), MsgUnblock{Block: ms.block, From: c.node}))
 	if c.retire(ms) {
 		// Shared was not enough; upgrade. The home has been unblocked, so
 		// this is a fresh transaction — demand traffic on behalf of the
@@ -200,7 +202,7 @@ func (c *DirCache) onInv(p *MsgInv) {
 		c.endNow(p.Block, epochKindOf(l.state), c.l2.readBlock(l))
 		c.dropLine(l)
 	}
-	c.net.Send(network.Wrap(c.toHome(p.Block, CtrlBytes), MsgInvAck{Block: p.Block, From: c.node}))
+	c.net.Send(c.msgs.invAck.Wrap(c.toHome(p.Block, CtrlBytes), MsgInvAck{Block: p.Block, From: c.node}))
 }
 
 // onRecall surrenders an owned block to the home controller.
@@ -220,13 +222,13 @@ func (c *DirCache) onRecall(p *MsgRecall) {
 			c.l2.setState(l, Owned, l.dataValid)
 			c.beginNow(p.Block, ReadOnly, data)
 		}
-		c.net.Send(network.Wrap(c.toHome(p.Block, DataBytes), MsgRecallAck{Block: p.Block, Data: data, From: c.node}))
+		c.net.Send(c.msgs.recallAck.Wrap(c.toHome(p.Block, DataBytes), MsgRecallAck{Block: p.Block, Data: data, From: c.node}))
 		return
 	}
 	if e, ok := c.wb[p.Block]; ok && e.dirty {
 		// Eviction raced with the recall: respond from the writeback
 		// buffer; the stale PutM will be acked later.
-		c.net.Send(network.Wrap(c.toHome(p.Block, DataBytes), MsgRecallAck{Block: p.Block, Data: e.data, From: c.node}))
+		c.net.Send(c.msgs.recallAck.Wrap(c.toHome(p.Block, DataBytes), MsgRecallAck{Block: p.Block, Data: e.data, From: c.node}))
 		return
 	}
 	if c.strict {
@@ -234,5 +236,5 @@ func (c *DirCache) onRecall(p *MsgRecall) {
 	}
 	// Under fault injection a misrouted recall can land here; answer with
 	// zeros so the protocol proceeds and DVMC sees the corruption.
-	c.net.Send(network.Wrap(c.toHome(p.Block, DataBytes), MsgRecallAck{Block: p.Block, From: c.node}))
+	c.net.Send(c.msgs.recallAck.Wrap(c.toHome(p.Block, DataBytes), MsgRecallAck{Block: p.Block, From: c.node}))
 }

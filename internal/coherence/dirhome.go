@@ -29,11 +29,24 @@ type DirHome struct {
 
 	entries map[mem.BlockAddr]*dirEntry
 
-	// waits recycles the records of work waiting out a latency in events,
-	// and free the directory entries a reset or a new life drops: the
-	// home's own lists, or its Spare's.
+	// waits recycles the records of DRAM work waiting out a latency in
+	// events, free the directory entries a reset or a new life drops, and
+	// msgs the messages the home sends: the home's own lists, or its
+	// Spare's.
 	waits *sim.FreeList[dirWait]
 	free  *sim.FreeList[dirEntry]
+	msgs  *messages
+
+	// inbox is the input latch and lookups the directory lookup: the
+	// messages waiting out each latency, oldest first. Every message
+	// waits the same latency in each, so they come due in the order they
+	// entered; dispatched and looked are the steps that pop them, bound
+	// once. The home holds these messages, as it holds the requests an
+	// entry queues, until it has handled them.
+	inbox      []*network.Message
+	lookups    []lookup
+	dispatched func()
+	looked     func()
 
 	newBlock func(b mem.BlockAddr, data mem.Block)
 
@@ -70,7 +83,18 @@ type dirEntry struct {
 	sharers uint64         // bitmask; node i at bit i
 	busy    bool           // a transaction or a PutM's memory write holds the block
 	txn     homeTxn
-	queue   []*network.Message
+	// queue is the block's waiting requests, oldest first; a recycled
+	// entry keeps its array.
+	queue []*network.Message
+}
+
+// lookup is a request in the directory lookup. queued says it was popped
+// from its block's queue, and goes back to the front if the block is busy
+// again.
+type lookup struct {
+	e      *dirEntry
+	m      *network.Message
+	queued bool
 }
 
 // begin starts a transaction of kind for requestor in the entry's record.
@@ -94,9 +118,13 @@ func NewDirHome(node network.NodeID, cfg Config, net network.Network, memory *me
 
 // init makes h what NewDirHome builds, taking its records from r.
 func (h *DirHome) init(node network.NodeID, cfg Config, net network.Network, memory *mem.Memory, r *records) *DirHome {
-	h.dropEntries()
+	h.dropMessages()
 	*h = DirHome{node: node, cfg: cfg, net: net, memory: memory, strict: true,
-		queue: queue{events: h.events.Emptied()}, entries: sim.Cleared(h.entries), waits: &r.dirWaits, free: &r.dirEntries}
+		queue: queue{events: h.events.Emptied()}, entries: sim.Cleared(h.entries), waits: &r.dirWaits, free: &r.dirEntries,
+		msgs: &r.msgs, inbox: h.inbox, lookups: h.lookups, dispatched: h.dispatched, looked: h.looked}
+	if h.dispatched == nil {
+		h.dispatched, h.looked = h.dispatchNext, h.lookupNext
+	}
 	return h
 }
 
@@ -120,7 +148,7 @@ func (h *DirHome) entry(b mem.BlockAddr) *dirEntry {
 	e, ok := h.entries[b]
 	if !ok {
 		e = h.free.Get()
-		*e = dirEntry{owner: -1}
+		*e = dirEntry{owner: -1, queue: e.queue[:0]}
 		h.entries[b] = e
 		if h.newBlock != nil {
 			h.newBlock(b, h.memory.ReadBlock(b))
@@ -129,16 +157,14 @@ func (h *DirHome) entry(b mem.BlockAddr) *dirEntry {
 	return e
 }
 
-// dirWait is one piece of work waiting out a latency in the home's event
-// queue: a delivered message in the input latch, a request in the
-// directory lookup, or a transaction waiting for DRAM. The queue holds it
-// through step until it runs; it is released when its work is done.
+// dirWait is a transaction waiting for DRAM in the home's event queue.
+// The queue holds it through step until it runs; it is released when its
+// work is done.
 type dirWait struct {
 	home *DirHome // the home that took it
 	step func()   // run, bound once when the record is first made
 	what dirWork
-	m    *network.Message // workDispatch, workStart
-	e    *dirEntry        // all but workDispatch
+	e    *dirEntry
 	// serial is the transaction a workGetMData read serves: a record
 	// overwritten by a later transaction by then takes no data.
 	serial uint32
@@ -152,12 +178,9 @@ type dirWait struct {
 type dirWork uint8
 
 const (
-	workDispatch dirWork = iota + 1 // input latch → dispatch
-	workStart                       // directory lookup → start
-	workGetSData                    // DRAM read for a GetS
+	workGetSData dirWork = iota + 1 // DRAM read for a GetS
 	workGetMData                    // DRAM read for a GetM
 	workPutM                        // DRAM write of a PutM
-	workNext                        // directory lookup → start of a queued request
 )
 
 // after schedules w, just taken and filled in by the caller, delay cycles
@@ -180,10 +203,6 @@ func (w *dirWait) run() {
 
 func (h *DirHome) perform(w *dirWait) {
 	switch w.what {
-	case workDispatch:
-		h.dispatch(w.m)
-	case workStart:
-		h.start(w.e, w.m)
 	case workGetSData:
 		w.e.txn.haveData = true
 		w.e.txn.data = h.memory.ReadBlock(w.block)
@@ -196,16 +215,9 @@ func (h *DirHome) perform(w *dirWait) {
 		h.maybeGrant(w.block, w.e)
 	case workPutM:
 		h.memory.WriteBlock(w.block, w.data)
-		h.net.Send(network.Wrap(h.to(w.from, CtrlBytes), MsgWBAck{Block: w.block}))
+		h.net.Send(h.msgs.wbAck.Wrap(h.to(w.from, CtrlBytes), MsgWBAck{Block: w.block}))
 		w.e.end()
 		h.next(w.block, w.e)
-	case workNext:
-		if w.e.busy {
-			// A fresh request slipped in; requeue at the front.
-			w.e.queue = slices.Insert(w.e.queue, 0, w.m)
-			return
-		}
-		h.start(w.e, w.m)
 	}
 }
 
@@ -216,15 +228,26 @@ func (h *DirHome) to(dst network.NodeID, size int) network.Message {
 
 // Handle takes a delivered network message into the input latch.
 func (h *DirHome) Handle(m *network.Message) {
-	w := h.waits.Get()
-	w.what, w.m = workDispatch, m
-	h.after(1, w)
+	h.inbox = append(h.inbox, m)
+	h.later(1, h.dispatched)
 }
 
+// dispatchNext dispatches the oldest message in the input latch.
+func (h *DirHome) dispatchNext() {
+	m := h.inbox[0]
+	n := copy(h.inbox, h.inbox[1:])
+	h.inbox[n] = nil
+	h.inbox = h.inbox[:n]
+	h.dispatch(m)
+}
+
+// dispatch hands a request on to its block, and handles and releases any
+// other message.
 func (h *DirHome) dispatch(m *network.Message) {
 	switch p := m.Payload.(type) {
 	case *MsgGetS, *MsgGetM, *MsgPutS, *MsgPutM:
 		h.request(m)
+		return
 	case *MsgRecallAck:
 		h.onRecallAck(p)
 	case *MsgInvAck:
@@ -236,6 +259,27 @@ func (h *DirHome) dispatch(m *network.Message) {
 			panic(fmt.Sprintf("DirHome %d: unexpected payload %T", h.node, m.Payload))
 		}
 	}
+	m.Release()
+}
+
+// lookupNext starts the oldest request in the directory lookup.
+func (h *DirHome) lookupNext() {
+	r := h.lookups[0]
+	n := copy(h.lookups, h.lookups[1:])
+	h.lookups[n] = lookup{}
+	h.lookups = h.lookups[:n]
+	if r.queued && r.e.busy {
+		// A fresh request slipped in; requeue at the front.
+		r.e.queue = slices.Insert(r.e.queue, 0, r.m)
+		return
+	}
+	h.start(r.e, r.m)
+}
+
+// look hands request m for entry e to the directory lookup.
+func (h *DirHome) look(e *dirEntry, m *network.Message, queued bool) {
+	h.lookups = append(h.lookups, lookup{e: e, m: m, queued: queued})
+	h.later(dirLatency, h.looked)
 }
 
 func blockOf(m *network.Message) mem.BlockAddr {
@@ -262,11 +306,11 @@ func (h *DirHome) request(m *network.Message) {
 		h.stats.QueuedConflicts++
 		return
 	}
-	w := h.waits.Get()
-	w.what, w.e, w.m = workStart, e, m
-	h.after(dirLatency, w)
+	h.look(e, m, false)
 }
 
+// start begins request m's transaction and releases m, or queues m
+// behind the block's transaction.
 func (h *DirHome) start(e *dirEntry, m *network.Message) {
 	if e.busy {
 		// Another request for the block won the race between the busy
@@ -287,6 +331,7 @@ func (h *DirHome) start(e *dirEntry, m *network.Message) {
 	default:
 		panic(fmt.Sprintf("DirHome %d: queued message with unexpected payload %T", h.node, p))
 	}
+	m.Release()
 }
 
 func (h *DirHome) startGetS(e *dirEntry, p *MsgGetS) {
@@ -294,7 +339,7 @@ func (h *DirHome) startGetS(e *dirEntry, p *MsgGetS) {
 	e.begin(txnGetS, p.Requestor)
 	if e.owner >= 0 {
 		// Owner supplies; it downgrades M→O and keeps ownership.
-		h.net.Send(network.Wrap(h.to(e.owner, CtrlBytes), MsgRecall{Block: p.Block, ForGetM: false}))
+		h.net.Send(h.msgs.recall.Wrap(h.to(e.owner, CtrlBytes), MsgRecall{Block: p.Block, ForGetM: false}))
 		return
 	}
 	h.stats.MemoryReads++
@@ -312,7 +357,7 @@ func (h *DirHome) startGetM(e *dirEntry, p *MsgGetM) {
 			continue
 		}
 		t.needAcks++
-		h.net.Send(network.Wrap(h.to(network.NodeID(n), CtrlBytes), MsgInv{Block: p.Block}))
+		h.net.Send(h.msgs.inv.Wrap(h.to(network.NodeID(n), CtrlBytes), MsgInv{Block: p.Block}))
 	}
 	switch {
 	case e.owner == p.Requestor:
@@ -321,7 +366,7 @@ func (h *DirHome) startGetM(e *dirEntry, p *MsgGetM) {
 		t.upgrade = true
 		t.haveData = true
 	case e.owner >= 0:
-		h.net.Send(network.Wrap(h.to(e.owner, CtrlBytes), MsgRecall{Block: p.Block, ForGetM: true}))
+		h.net.Send(h.msgs.recall.Wrap(h.to(e.owner, CtrlBytes), MsgRecall{Block: p.Block, ForGetM: true}))
 	default:
 		h.stats.MemoryReads++
 		w := h.waits.Get()
@@ -336,7 +381,7 @@ func (h *DirHome) startGetM(e *dirEntry, p *MsgGetM) {
 // on to the next queued request itself: no Unblock or memory write will.
 func (h *DirHome) startPutS(e *dirEntry, p *MsgPutS) {
 	e.sharers &^= 1 << uint(p.Requestor)
-	h.net.Send(network.Wrap(h.to(p.Requestor, CtrlBytes), MsgWBAck{Block: p.Block}))
+	h.net.Send(h.msgs.wbAck.Wrap(h.to(p.Requestor, CtrlBytes), MsgWBAck{Block: p.Block}))
 	h.next(p.Block, e)
 }
 
@@ -344,7 +389,7 @@ func (h *DirHome) startPutM(e *dirEntry, p *MsgPutM) {
 	if e.owner != p.Requestor {
 		// Raced with a recall: home already obtained the data. Like a
 		// PutS this finishes at once, so the queue moves on from here.
-		h.net.Send(network.Wrap(h.to(p.Requestor, CtrlBytes), MsgWBAck{Block: p.Block, Stale: true}))
+		h.net.Send(h.msgs.wbAck.Wrap(h.to(p.Requestor, CtrlBytes), MsgWBAck{Block: p.Block, Stale: true}))
 		h.next(p.Block, e)
 		return
 	}
@@ -394,14 +439,14 @@ func (h *DirHome) maybeGrant(b mem.BlockAddr, e *dirEntry) {
 	switch t.kind {
 	case txnGetS:
 		e.sharers |= 1 << uint(t.requestor)
-		h.net.Send(network.Wrap(h.to(t.requestor, DataBytes), MsgData{Block: b, Data: t.data, Exclusive: false}))
+		h.net.Send(h.msgs.data.Wrap(h.to(t.requestor, DataBytes), MsgData{Block: b, Data: t.data, Exclusive: false}))
 	case txnGetM:
 		e.sharers = 0
 		e.owner = t.requestor
 		if t.upgrade {
-			h.net.Send(network.Wrap(h.to(t.requestor, CtrlBytes), MsgPermM{Block: b}))
+			h.net.Send(h.msgs.permM.Wrap(h.to(t.requestor, CtrlBytes), MsgPermM{Block: b}))
 		} else {
-			h.net.Send(network.Wrap(h.to(t.requestor, DataBytes), MsgData{Block: b, Data: t.data, Exclusive: true}))
+			h.net.Send(h.msgs.data.Wrap(h.to(t.requestor, DataBytes), MsgData{Block: b, Data: t.data, Exclusive: true}))
 		}
 	}
 }
@@ -418,29 +463,48 @@ func (h *DirHome) onUnblock(p *MsgUnblock) {
 	h.next(p.Block, e)
 }
 
-// next dispatches the oldest queued request for the block, if any.
+// next dispatches the oldest queued request for the block, if any,
+// popping it in place so the queue keeps its array.
 func (h *DirHome) next(b mem.BlockAddr, e *dirEntry) {
 	if e.busy || len(e.queue) == 0 {
 		return
 	}
-	w := h.waits.Get()
-	w.what, w.e, w.m = workNext, e, e.queue[0]
-	e.queue = e.queue[1:]
-	h.after(dirLatency, w)
+	m := e.queue[0]
+	n := copy(e.queue, e.queue[1:])
+	e.queue[n] = nil
+	e.queue = e.queue[:n]
+	h.look(e, m, true)
 }
 
 // Reset clears all directory and transient state (SafetyNet recovery).
 // Dropping the entries re-arms the new-block hook, which rebuilds the
 // MET from the restored memory contents.
 func (h *DirHome) Reset() {
-	h.dropEntries()
+	h.dropMessages()
 	h.events = h.events.Emptied()
 }
 
-// dropEntries empties the table into the free list: only dropped events
-// could still name an entry.
-func (h *DirHome) dropEntries() {
-	for _, e := range h.entries { //dvmc:orderinsensitive an entry is cleared when it is taken, so which block takes which entry changes nothing
+// dropMessages releases every message the home holds, in the input
+// latch, the directory lookup and the entries' queues, and empties the
+// table into the free list: only the events dropped with them could still
+// name an entry or a message.
+func (h *DirHome) dropMessages() {
+	for i, m := range h.inbox {
+		m.Release()
+		h.inbox[i] = nil
+	}
+	h.inbox = h.inbox[:0]
+	for i, r := range h.lookups {
+		r.m.Release()
+		h.lookups[i] = lookup{}
+	}
+	h.lookups = h.lookups[:0]
+	for _, e := range h.entries { //dvmc:orderinsensitive an entry is cleared when it is taken and a message when it is released, so which block takes which entry, or which send which message, changes nothing
+		for i, m := range e.queue {
+			m.Release()
+			e.queue[i] = nil
+		}
+		e.queue = e.queue[:0]
 		h.free.Put(e)
 	}
 	clear(h.entries)

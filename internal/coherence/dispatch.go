@@ -5,8 +5,9 @@ import (
 )
 
 // DirectoryHandler routes torus messages delivered at a node to its cache
-// controller or home controller by payload type. Unknown payloads go to
-// fallback (the DVMC checkers' Inform-Epoch traffic), which may be nil.
+// controller or home controller by payload type, which release them.
+// Unknown payloads go to fallback (the DVMC checkers' Inform-Epoch
+// traffic), which may be nil.
 func DirectoryHandler(cache *DirCache, home *DirHome, fallback network.Handler) network.Handler {
 	return func(m *network.Message) {
 		switch m.Payload.(type) {
@@ -39,9 +40,11 @@ func SnoopingDataHandler(cache *SnoopCache, home *SnoopHome, fallback network.Ha
 }
 
 // SnoopingAddressHandler fans a broadcast out to the node's cache and
-// home controllers. Order matters: the cache processes the snoop first so
-// that an owning cache's supply decision precedes the home's ownership
-// update for the same broadcast (both observe the same sequence number).
+// home controllers, which copy what they keep of it: the tree releases it
+// once every node has seen it. Order matters: the cache processes the
+// snoop first so that an owning cache's supply decision precedes the
+// home's ownership update for the same broadcast (both observe the same
+// sequence number).
 func SnoopingAddressHandler(cache *SnoopCache, home *SnoopHome) network.Handler {
 	return func(m *network.Message) {
 		cache.Snoop(m)

@@ -199,21 +199,21 @@ func TestSnoopInstallRetry(t *testing.T) {
 			ms.waiters = append(ms.waiters, waiter{kind: waitLoad, addr: target.WordAddr(2),
 				loadDone: func(v mem.Word, _ bool) { got, loaded = v, true }})
 			c.mshrs[target] = ms
-			sc.Snoop(network.Wrap(network.Message{Src: 0, Size: CtrlBytes, Class: network.ClassCoherence},
+			sc.Snoop(sc.msgs.snoop.Wrap(network.Message{Src: 0, Size: CtrlBytes, Class: network.ClassCoherence},
 				MsgSnoop{Kind: tc.kind, Block: target, Requestor: 0}))
 			if c.l2.peek(target) != nil {
 				t.Fatal("the ordering point installed into a set of transient ways")
 			}
 			var data mem.Block
 			data[2] = 0xfeed
-			sc.deliver(network.Wrap(network.Message{Src: 1, Dst: 0, Size: DataBytes, Class: network.ClassCoherence},
+			sc.deliver(sc.msgs.snoopData.Wrap(network.Message{Src: 1, Dst: 0, Size: DataBytes, Class: network.ClassCoherence},
 				MsgSnoopData{Block: target, Data: data}))
-			if ms.dataPending == nil || ms.dataArrived {
+			if !ms.dataPending || ms.dataArrived {
 				t.Fatal("data for an uninstalled line was not held in the MSHR")
 			}
 
 			h.k.Run(6) // one retry, still no free way
-			if c.l2.peek(target) != nil || ms.dataPending == nil {
+			if c.l2.peek(target) != nil || !ms.dataPending {
 				t.Fatal("installRetry installed into a set of transient ways")
 			}
 			delete(c.mshrs, pins[0])

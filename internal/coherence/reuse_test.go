@@ -68,7 +68,8 @@ func orNew[T any](h *harness, of func(*harness) any) *T {
 
 // blankKept clears the storage init keeps, which a new component makes
 // afresh, where it holds nothing: array chunks, the writeback order
-// buffer and the event queue's array.
+// buffer, the input latch and directory lookup, their steps bound once,
+// and the event queue's array.
 func blankKept(t *testing.T, x any) {
 	t.Helper()
 	var q *sim.EventQueue
@@ -80,6 +81,7 @@ func blankKept(t *testing.T, x any) {
 		blankCore(&x.ctrlCore)
 		q = &x.events
 	case *DirHome:
+		x.inbox, x.lookups, x.dispatched, x.looked = zeroOrNil(x.inbox), zeroOrNil(x.lookups), nil, nil
 		q = &x.events
 	case *SnoopHome:
 		q = &x.events
@@ -98,6 +100,7 @@ func blankCore(c *ctrlCore) {
 		c.l1.chunks[k].entries = zeroOrNil(c.l1.chunks[k].entries)
 	}
 	c.wbOrder = zeroOrNil(c.wbOrder)
+	c.inbox, c.latched = zeroOrNil(c.inbox), nil
 }
 
 // zeroOrNil is s, or nil if every entry of s is zero.

@@ -61,13 +61,13 @@ func (c *SnoopCache) sendRequest(ms *mshr) {
 	if ms.wantM {
 		kind = SnoopGetM
 	}
-	c.bcast.Send(network.Wrap(network.Message{Src: c.node, Size: CtrlBytes, Class: ms.class},
+	c.bcast.Send(c.msgs.snoop.Wrap(network.Message{Src: c.node, Size: CtrlBytes, Class: ms.class},
 		MsgSnoop{Kind: kind, Block: ms.block, Requestor: c.node}))
 }
 
 // supply ships the block to a requestor over the data network.
 func (c *SnoopCache) supply(req network.NodeID, b mem.BlockAddr, data mem.Block) {
-	c.data.Send(network.Wrap(network.Message{Src: c.node, Dst: req, Size: DataBytes, Class: network.ClassCoherence},
+	c.data.Send(c.msgs.snoopData.Wrap(network.Message{Src: c.node, Dst: req, Size: DataBytes, Class: network.ClassCoherence},
 		MsgSnoopData{Block: b, Data: data}))
 }
 
@@ -182,9 +182,9 @@ func (c *SnoopCache) installRetry(ms *mshr) {
 		st = Modified
 	}
 	c.l2.install(l, ms.block, st, mem.Block{}, false)
-	if p := ms.dataPending; p != nil {
-		ms.dataPending = nil
-		c.onSnoopData(p)
+	if ms.dataPending {
+		ms.dataPending = false
+		c.onSnoopData(ms.block, ms.pendingData)
 	}
 }
 
@@ -203,7 +203,7 @@ func (c *SnoopCache) evict(l *line) {
 		c.epochEnd(b, epochKindOf(l.state), c.seqNow(), data)
 		c.wb[b] = wbEntry{data: data, dirty: true}
 		c.stats.WritebacksDirty++
-		c.bcast.Send(network.Wrap(network.Message{Src: c.node, Size: CtrlBytes, Class: network.ClassCoherence},
+		c.bcast.Send(c.msgs.snoop.Wrap(network.Message{Src: c.node, Size: CtrlBytes, Class: network.ClassCoherence},
 			MsgSnoop{Kind: SnoopPutM, Block: b, Requestor: c.node}))
 	case Shared:
 		c.epochEnd(b, ReadOnly, c.seqNow(), data)
@@ -293,7 +293,7 @@ func (c *SnoopCache) onOwnPutM(b mem.BlockAddr) {
 	}
 	if e.dirty {
 		home := c.cfg.HomeOf(b)
-		c.data.Send(network.Wrap(network.Message{Src: c.node, Dst: home, Size: DataBytes, Class: network.ClassCoherence},
+		c.data.Send(c.msgs.snoopWB.Wrap(network.Message{Src: c.node, Dst: home, Size: DataBytes, Class: network.ClassCoherence},
 			MsgSnoopWB{Block: b, Data: e.data, From: c.node}))
 	}
 	c.wbDone(b)
@@ -311,26 +311,29 @@ func (c *SnoopCache) HandleData(m *network.Message) {
 }
 
 // deliver implements protocol: only data blocks pass HandleData.
-func (c *SnoopCache) deliver(m *network.Message) { c.onSnoopData(m.Payload.(*MsgSnoopData)) }
+func (c *SnoopCache) deliver(m *network.Message) {
+	p := m.Payload.(*MsgSnoopData)
+	c.onSnoopData(p.Block, p.Data)
+}
 
-func (c *SnoopCache) onSnoopData(p *MsgSnoopData) {
-	ms := c.mshrs[p.Block]
+func (c *SnoopCache) onSnoopData(b mem.BlockAddr, data mem.Block) {
+	ms := c.mshrs[b]
 	if ms == nil || !ms.ordered {
 		if c.strict {
-			panic(fmt.Sprintf("SnoopCache %d: data for %#x without ordered MSHR", c.node, p.Block))
+			panic(fmt.Sprintf("SnoopCache %d: data for %#x without ordered MSHR", c.node, b))
 		}
 		return
 	}
-	l := c.l2.peek(p.Block)
+	l := c.l2.peek(b)
 	if l == nil {
 		// The ordering point could not allocate a line yet; keep the
-		// (immutable) payload until installRetry succeeds.
-		ms.dataPending = p
+		// block until installRetry succeeds.
+		ms.dataPending, ms.pendingData = true, data
 		return
 	}
 	ms.dataArrived = true
-	c.l2.writeBlock(l, p.Data)
-	c.epochData(p.Block, p.Data)
+	c.l2.writeBlock(l, data)
+	c.epochData(b, data)
 	c.complete(ms, l)
 }
 

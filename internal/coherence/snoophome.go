@@ -28,9 +28,11 @@ type SnoopHome struct {
 	pendingWB map[mem.BlockAddr]bool
 	deferred  map[mem.BlockAddr][]network.NodeID // supplies awaiting WB data
 
-	// waits recycles the records of work waiting out a latency in events:
-	// the home's own list, or its Spare's.
+	// waits recycles the records of work waiting out a latency in events,
+	// and msgs the data messages it sends: the home's own lists, or its
+	// Spare's.
 	waits *sim.FreeList[snoopWait]
+	msgs  *messages
 
 	newBlock func(b mem.BlockAddr, data mem.Block)
 
@@ -47,7 +49,7 @@ func NewSnoopHome(node network.NodeID, cfg Config, data network.Network, memory 
 
 // init makes h what NewSnoopHome builds, taking its records from r.
 func (h *SnoopHome) init(node network.NodeID, cfg Config, data network.Network, memory *mem.Memory, r *records) *SnoopHome {
-	*h = SnoopHome{node: node, cfg: cfg, data: data, memory: memory, strict: true, waits: &r.snoopWaits,
+	*h = SnoopHome{node: node, cfg: cfg, data: data, memory: memory, strict: true, waits: &r.snoopWaits, msgs: &r.msgs,
 		queue: queue{events: h.events.Emptied()}, owner: sim.Cleared(h.owner), pendingWB: sim.Cleared(h.pendingWB), deferred: sim.Cleared(h.deferred)}
 	return h
 }
@@ -187,7 +189,7 @@ func (h *SnoopHome) perform(w *snoopWait) {
 	switch w.what {
 	case workSupply:
 		data := h.memory.ReadBlock(w.block)
-		h.data.Send(network.Wrap(network.Message{Src: h.node, Dst: w.node, Size: DataBytes, Class: network.ClassCoherence},
+		h.data.Send(h.msgs.snoopData.Wrap(network.Message{Src: h.node, Dst: w.node, Size: DataBytes, Class: network.ClassCoherence},
 			MsgSnoopData{Block: w.block, Data: data}))
 	case workWBLatch:
 		h.onWBData(w.block, w.data)
@@ -203,7 +205,7 @@ func (h *SnoopHome) perform(w *snoopWait) {
 }
 
 // HandleData processes torus messages addressed to the home: writeback
-// data.
+// data, which it copies into the input latch and releases.
 func (h *SnoopHome) HandleData(m *network.Message) {
 	p, ok := m.Payload.(*MsgSnoopWB)
 	if !ok {
@@ -214,6 +216,7 @@ func (h *SnoopHome) HandleData(m *network.Message) {
 	}
 	w := h.waits.Get()
 	w.what, w.block, w.node, w.data = workWBLatch, p.Block, p.From, p.Data
+	m.Release()
 	h.after(1, w)
 }
 

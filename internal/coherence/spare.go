@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"errors"
+
 	"dvmc/internal/mem"
 	"dvmc/internal/network"
 	"dvmc/internal/sim"
@@ -22,18 +24,50 @@ type Spare struct {
 	records
 }
 
-// records are the free lists of the event records, one per type, of the
-// controllers and homes that draw on them: one controller's own (its
-// constructor's), or every node's of a system built on a Spare. Whoever
-// takes a record binds itself as its owner.
+// records are the free lists of the event records and messages, one per
+// type, of the controllers and homes that draw on them: one controller's
+// own (its constructor's), or every node's of a system built on a Spare.
+// Whoever takes a record binds itself as its owner; a message binds its
+// list, and goes back to it from whichever component releases it.
 type records struct {
 	accesses   sim.FreeList[access]
-	inbounds   sim.FreeList[inbound]
 	mshrs      sim.FreeList[mshr]
 	retries    sim.FreeList[retry]
 	dirWaits   sim.FreeList[dirWait]
 	snoopWaits sim.FreeList[snoopWait]
 	dirEntries sim.FreeList[dirEntry]
+	msgs       messages
+}
+
+// messages are the free lists of the coherence messages, one per payload
+// type.
+type messages struct {
+	getS      network.Pool[MsgGetS]
+	getM      network.Pool[MsgGetM]
+	putS      network.Pool[MsgPutS]
+	putM      network.Pool[MsgPutM]
+	data      network.Pool[MsgData]
+	permM     network.Pool[MsgPermM]
+	inv       network.Pool[MsgInv]
+	invAck    network.Pool[MsgInvAck]
+	recall    network.Pool[MsgRecall]
+	recallAck network.Pool[MsgRecallAck]
+	wbAck     network.Pool[MsgWBAck]
+	unblock   network.Pool[MsgUnblock]
+	snoop     network.Pool[MsgSnoop]
+	snoopData network.Pool[MsgSnoopData]
+	snoopWB   network.Pool[MsgSnoopWB]
+}
+
+// Balance reports an error unless every coherence message s handed out is
+// back exactly once (network.Pool.Balance).
+func (s *Spare) Balance() error { return s.msgs.balance() }
+
+func (m *messages) balance() error {
+	return errors.Join(m.getS.Balance(), m.getM.Balance(), m.putS.Balance(), m.putM.Balance(),
+		m.data.Balance(), m.permM.Balance(), m.inv.Balance(), m.invAck.Balance(), m.recall.Balance(),
+		m.recallAck.Balance(), m.wbAck.Balance(), m.unblock.Balance(), m.snoop.Balance(),
+		m.snoopData.Balance(), m.snoopWB.Balance())
 }
 
 // NewDirCache is NewDirCache on a kept controller, drawing its records
@@ -57,15 +91,20 @@ func (s *Spare) NewSnoopHome(node network.NodeID, cfg Config, data network.Netwo
 	return s.snoopHomes.Get().init(node, cfg, data, memory, &s.records)
 }
 
-// Keep takes back a retired system's controllers and homes.
-// Node i's controller and home are cs[i] and hs[i], of one protocol.
+// Keep takes back a retired system's controllers and homes, releasing
+// the messages they still hold. Node i's controller and home are cs[i]
+// and hs[i], of one protocol.
 func (s *Spare) Keep(cs []Controller, hs []Home) {
 	for i, c := range cs {
 		switch c := c.(type) {
 		case *DirCache:
+			c.dropInbox()
 			s.dirCaches.Put(c)
-			s.dirHomes.Put(hs[i].(*DirHome))
+			h := hs[i].(*DirHome)
+			h.dropMessages()
+			s.dirHomes.Put(h)
 		case *SnoopCache:
+			c.dropInbox()
 			s.snoopCaches.Put(c)
 			s.snoopHomes.Put(hs[i].(*SnoopHome))
 		}

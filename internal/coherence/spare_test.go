@@ -47,20 +47,21 @@ func TestSpareTakesOnlyFittingChunks(t *testing.T) {
 // released, still naming it (as a record another system's controller put
 // back would name that controller): each must come out naming the
 // controller or home that took it. Then both nodes' accesses run through
-// the shared lists and see each other's stores.
+// the shared lists and see each other's stores, and every message the
+// lists handed out is back once the system is quiet.
 func TestSharedRecordsBindTheirTaker(t *testing.T) {
 	bothProtocols(t, func(t *testing.T, proto protocolKind) {
 		h := newHarness(t, proto, 2)
 		h.setStrict(false)
 		var sp Spare
 		for _, c := range h.cores {
-			c.accesses, c.inbounds, c.mshrFree, c.retries = &sp.accesses, &sp.inbounds, &sp.mshrs, &sp.retries
+			c.accesses, c.mshrFree, c.retries, c.msgs = &sp.accesses, &sp.mshrs, &sp.retries, &sp.msgs
 		}
 		for _, dh := range h.dirHomes {
-			dh.waits = &sp.dirWaits
+			dh.waits, dh.msgs = &sp.dirWaits, &sp.msgs
 		}
 		for _, sh := range h.snoopHomes {
-			sh.waits = &sp.snoopWaits
+			sh.waits, sh.msgs = &sp.snoopWaits, &sp.msgs
 		}
 		c0, c1 := h.ctrl(0), h.ctrl(1)
 		nop := func(mem.Word, bool) {}
@@ -71,16 +72,6 @@ func TestSharedRecordsBindTheirTaker(t *testing.T) {
 		c1.Load(0x1000, network.ClassCoherence, nop)
 		if a.core != c1 {
 			t.Error("an access record names the controller that released it, not the one that took it")
-		}
-
-		r := &inbound{core: c0}
-		r.step = r.run
-		sp.inbounds.Put(r)
-		// Data for no MSHR, which a non-strict cache of either protocol drops.
-		c1.receive(&network.Message{Src: 0, Dst: 1, Size: DataBytes, Class: network.ClassCoherence,
-			Payload: &MsgSnoopData{Block: 0x80}})
-		if r.core != c1 {
-			t.Error("an input-latch record names the controller that released it, not the one that took it")
 		}
 
 		rt := &retry{core: c0}
@@ -101,8 +92,8 @@ func TestSharedRecordsBindTheirTaker(t *testing.T) {
 			w := &dirWait{home: h.dirHomes[0]}
 			w.step = w.run
 			sp.dirWaits.Put(w)
-			h.dirHomes[1].Handle(&network.Message{Src: 0, Dst: 1, Size: CtrlBytes, Class: network.ClassCoherence,
-				Payload: &MsgUnblock{Block: 0xa0, From: 0}})
+			dh := h.dirHomes[1]
+			dh.startGetS(dh.entry(0xa0), &MsgGetS{Block: 0xa0, Requestor: 0}) // a DRAM read
 			if w.home != h.dirHomes[1] {
 				t.Error("a directory home's wait record names the home that released it, not the one that took it")
 			}
@@ -124,6 +115,10 @@ func TestSharedRecordsBindTheirTaker(t *testing.T) {
 			if got := h.load(t, int(i+1)%2, addr); got != mem.Word(i+1) {
 				t.Errorf("node %d loaded %d from %#x, node %d stored %d", (i+1)%2, got, addr, i%2, i+1)
 			}
+		}
+		h.k.Run(5000)
+		if err := sp.Balance(); err != nil {
+			t.Error(err)
 		}
 	})
 }

@@ -123,9 +123,9 @@ func (c *CacheChecker) wake() {
 	c.slot.Wake()
 }
 
-// SetInformPool attaches a message pool for inform traffic. The owner of
-// the pool must release each inform after its MET consumes it. A nil
-// pool (the default) falls back to plain allocation.
+// SetInformPool attaches the free lists of inform traffic. Whoever the
+// network delivers an inform to releases it after its MET consumes it. A
+// nil pool (the default) falls back to plain allocation.
 func (c *CacheChecker) SetInformPool(p *InformPool) { c.pool = p }
 
 // Stats returns checker counters.
@@ -219,30 +219,23 @@ func (c *CacheChecker) EpochEnd(b mem.BlockAddr, kind coherence.EpochKind, ltime
 	home := c.cfg.HomeOf(b)
 	if e.informedOpen {
 		c.stats.ClosedInforms++
-		pl := c.pool.closed()
-		*pl = InformClosedEpoch{Block: b, Kind: kind, End: Wrap(ltime), EndHash: endHash, From: c.node}
-		c.send(home, InformClosedBytes, pl)
+		c.net.Send(c.pool.closedList().Wrap(c.inform(home, InformClosedBytes),
+			InformClosedEpoch{Block: b, Kind: kind, End: Wrap(ltime), EndHash: endHash, From: c.node}))
 	} else {
 		c.stats.Informs++
-		pl := c.pool.epoch()
-		*pl = InformEpoch{Block: b, Kind: kind, Begin: Wrap(e.begin), End: Wrap(ltime),
-			BeginHash: e.beginHash, EndHash: endHash, From: c.node}
-		c.send(home, InformEpochBytes, pl)
+		c.net.Send(c.pool.epochList().Wrap(c.inform(home, InformEpochBytes),
+			InformEpoch{Block: b, Kind: kind, Begin: Wrap(e.begin), End: Wrap(ltime),
+				BeginHash: e.beginHash, EndHash: endHash, From: c.node}))
 	}
 	delete(c.cet, b)
 	// Free-list capacity tracks the slab, which is itself bounded.
 	c.free = append(c.free, i)
 }
 
-// send ships one inform payload to the block's home MET.
-func (c *CacheChecker) send(home network.NodeID, size int, payload any) {
-	m := c.pool.message()
-	m.Src = c.node
-	m.Dst = home
-	m.Size = size
-	m.Class = network.ClassInform
-	m.Payload = payload
-	c.net.Send(m)
+// inform addresses an inform-class envelope of size bytes to the block's
+// home MET.
+func (c *CacheChecker) inform(home network.NodeID, size int) network.Message {
+	return network.Message{Src: c.node, Dst: home, Size: size, Class: network.ClassInform}
 }
 
 // Access implements coherence.AccessListener: coherence rule 1 — reads
@@ -335,9 +328,8 @@ func (c *CacheChecker) scrubOne(s scrubEntry) {
 	}
 	e.informedOpen = true
 	c.stats.OpenInforms++
-	pl := c.pool.open()
-	*pl = InformOpenEpoch{Block: s.block, Kind: e.kind, Begin: Wrap(e.begin), BeginHash: e.beginHash, From: c.node}
-	c.send(c.cfg.HomeOf(s.block), InformOpenBytes, pl)
+	c.net.Send(c.pool.openList().Wrap(c.inform(c.cfg.HomeOf(s.block), InformOpenBytes),
+		InformOpenEpoch{Block: s.block, Kind: e.kind, Begin: Wrap(e.begin), BeginHash: e.beginHash, From: c.node}))
 }
 
 func (c *CacheChecker) violate(b mem.BlockAddr, kind ViolationKind, detail string) {

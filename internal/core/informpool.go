@@ -1,90 +1,62 @@
 package core
 
 import (
+	"errors"
+
 	"dvmc/internal/network"
-	"dvmc/internal/sim"
 )
 
-// InformPool recycles the network.Message envelopes and inform payload
-// structs that carry CET→MET verification traffic. Without it every
-// epoch end costs two heap allocations (the message plus the payload
-// boxed into the `any` field); with a warm pool the steady-state inform
-// path allocates nothing.
+// InformPool holds the free lists of the messages that carry CET→MET
+// verification traffic, one per inform payload type (network.Pool): with
+// a warm pool the steady-state inform path allocates nothing.
 //
-// Ownership is linear: the CET takes an envelope and payload from the
-// pool when it sends, and the system's inform fallback handler returns
-// them with Release after MemChecker.Handle comes back. Handle is
-// synchronous and copies everything it keeps (queuedInform for epoch
-// informs, metEntry fields for open/closed informs), so nothing aliases
-// the released structs. Coherence-class messages are deliberately NOT
-// pooled: the home controllers park them in per-block queues, fault
-// injection duplicates and holds them, and span observers read them
-// after delivery, so no one owner knows when a message is dead
-// (DESIGN.md, "Object lifetimes").
+// Ownership is linear, as for every message (DESIGN.md, "Object
+// lifetimes"): the CET takes a message from the pool when it sends, and
+// the system's inform fallback handler releases it after
+// MemChecker.Handle comes back, or the torus does when it drops it.
+// Handle is synchronous and copies everything it keeps (queuedInform for
+// epoch informs, metEntry fields for open/closed informs), so nothing
+// aliases a released message.
 //
-// The pool is four sim.FreeLists behind the inform vocabulary; its zero
-// value is ready to use and starts empty. A nil *InformPool is valid
-// everywhere and degrades to plain allocation, so standalone
+// The zero value is ready to use and starts empty. A nil *InformPool is
+// valid everywhere and hands out messages from no pool, so standalone
 // CacheChecker tests need no pool. The simulator is single-threaded; the
 // pool is not safe for concurrent use, and each system uses the one in
 // the storage it was built on, which has one owner at a time.
 type InformPool struct {
-	msgs    sim.FreeList[network.Message]
-	epochs  sim.FreeList[InformEpoch]
-	opens   sim.FreeList[InformOpenEpoch]
-	closeds sim.FreeList[InformClosedEpoch]
+	epochs  network.Pool[InformEpoch]
+	opens   network.Pool[InformOpenEpoch]
+	closeds network.Pool[InformClosedEpoch]
 }
 
-func (p *InformPool) message() *network.Message {
+// epochList, openList and closedList are p's lists, nil for a nil p.
+func (p *InformPool) epochList() *network.Pool[InformEpoch] {
 	if p == nil {
-		// The nil-pool fallback is for standalone checker tests; a system
-		// always has a pool.
-		return &network.Message{}
+		return nil
 	}
-	return p.msgs.Get()
+	return &p.epochs
 }
 
-func (p *InformPool) epoch() *InformEpoch {
+func (p *InformPool) openList() *network.Pool[InformOpenEpoch] {
 	if p == nil {
-		return &InformEpoch{}
+		return nil
 	}
-	return p.epochs.Get()
+	return &p.opens
 }
 
-func (p *InformPool) open() *InformOpenEpoch {
+func (p *InformPool) closedList() *network.Pool[InformClosedEpoch] {
 	if p == nil {
-		return &InformOpenEpoch{}
+		return nil
 	}
-	return p.opens.Get()
+	return &p.closeds
 }
 
-func (p *InformPool) closed() *InformClosedEpoch {
-	if p == nil {
-		return &InformClosedEpoch{}
-	}
-	return p.closeds.Get()
-}
+// Release releases a delivered inform: m.Release, which returns m to the
+// list it came from, whichever pool that is. Nil-safe.
+func (p *InformPool) Release(m *network.Message) { m.Release() }
 
-// Release returns a delivered inform message and its payload to the
-// pool. Messages whose payload is not a pooled inform pointer (value
-// payloads from tests, foreign traffic) are ignored. Nil-safe.
-func (p *InformPool) Release(m *network.Message) {
-	if p == nil || m == nil {
-		return
-	}
-	switch pl := m.Payload.(type) {
-	case *InformEpoch:
-		*pl = InformEpoch{}
-		p.epochs.Put(pl)
-	case *InformOpenEpoch:
-		*pl = InformOpenEpoch{}
-		p.opens.Put(pl)
-	case *InformClosedEpoch:
-		*pl = InformClosedEpoch{}
-		p.closeds.Put(pl)
-	default:
-		return
-	}
-	*m = network.Message{}
-	p.msgs.Put(m)
+// Balance reports an error unless every inform p handed out is back
+// exactly once (network.Pool.Balance).
+func (p *InformPool) Balance() error {
+	return errors.Join(p.epochs.Balance(), p.opens.Balance(), p.closeds.Balance())
 }

@@ -32,7 +32,7 @@ func TestKeptEqualsNew(t *testing.T) {
 			m := orNew[MemChecker](kept).init(0, cfg, clock, func() sim.Cycle { return 9 }, sink)
 			for b := mem.BlockAddr(0); b < 40; b += 8 {
 				m.BlockRequested(b, blockData(mem.Word(b)))
-				m.Handle(network.Wrap(network.Message{}, InformEpoch{Block: b, Kind: coherence.ReadWrite, Begin: Wrap(101), End: Wrap(102)}))
+				m.Handle(&network.Message{Payload: &InformEpoch{Block: b, Kind: coherence.ReadWrite, Begin: Wrap(101), End: Wrap(102)}})
 			}
 			return m
 		}, func(kept any, cfg coherence.Config) any {

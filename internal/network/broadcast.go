@@ -53,8 +53,8 @@ func (b *BroadcastTree) init(n int, bytesPerCycle float64, latency sim.Cycle) *B
 		// Each node's two coherence checkers run on the sequence clock.
 		b.handlers, b.advance = make([]Handler, n), make([]sim.Slot, 0, 2*n)
 	}
+	b.Reset() // releases what the last life left in flight
 	clear(b.handlers)
-	clear(b.queue)
 	clear(b.advance)
 	*b = BroadcastTree{bw: bytesPerCycle, latency: latency, stat: LinkStat{Name: "bcast-root"},
 		handlers: b.handlers, queue: b.queue[:0], advance: b.advance[:0]}
@@ -106,6 +106,8 @@ func (b *BroadcastTree) Tick(now sim.Cycle) {
 					h(m)
 				}
 			}
+			// The snoop handlers copy what they keep of a broadcast.
+			m.Release()
 		}
 	}
 	if b.inFlight == nil && now >= b.busyUntil && len(b.queue) > 0 {
@@ -154,11 +156,16 @@ func (b *BroadcastTree) ClassBytes(c Class) uint64 { return b.stat.ClassBytes(c)
 // link, without allocating.
 func (b *BroadcastTree) TotalBytes() uint64 { return b.stat.Bytes }
 
-// Reset drops queued and in-flight broadcasts (SafetyNet recovery). The
-// sequence counter keeps advancing: logical time is monotonic across
-// recoveries.
+// Reset drops and releases queued and in-flight broadcasts (SafetyNet
+// recovery). The sequence counter keeps advancing: logical time is
+// monotonic across recoveries.
 func (b *BroadcastTree) Reset() {
-	b.queue = nil
+	for i, m := range b.queue {
+		m.Release()
+		b.queue[i] = nil
+	}
+	b.queue = b.queue[:0]
+	b.inFlight.Release()
 	b.inFlight = nil
 	b.busyUntil = 0
 }

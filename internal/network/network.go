@@ -57,30 +57,122 @@ func (c Class) String() string {
 // Message is the unit of transfer. Payload carries a protocol-defined
 // struct; the network treats it opaquely except for fault injection.
 //
-// A payload is immutable once sent. Envelopes are copied freely (a
-// duplicate or a stale replay is a second envelope with the same Payload),
-// and receivers may keep a payload they were handed, so a body may be
-// shared by several envelopes and outlive its delivery. Whatever must
-// change one message's payload — a fault hook's bit flip — replaces
-// Payload with a changed copy and never writes through the shared body.
+// A message has one holder at a time (DESIGN.md, "Object lifetimes"). Its
+// sender takes it from a Pool of its payload type, whose record holds the
+// envelope and the body together; the network holds it while it is in
+// flight and hands it to the destination's handler. Its last holder — the
+// component that consumed it, or the network that dropped it — calls
+// Release exactly once, which zeroes it and returns it to the Pool it came
+// from, so a late reader finds a nil Payload. Whoever must keep something
+// of a message copies it out first. A body therefore belongs to one
+// envelope: a duplicate is a Clone with a body of its own, and a fault
+// hook's bit flip writes the body in place. A Message built as a literal
+// comes from no pool, and Release leaves it alone.
 type Message struct {
 	Src, Dst NodeID
 	Size     int // bytes on the wire
 	Class    Class
 	Payload  any
+
+	// rec is the pool record holding the message, nil for a literal.
+	rec record
 }
 
-// Wrap returns m carrying body as its payload, built as one heap object:
-// the envelope and the body share an allocation, and Payload holds a *P
-// pointing at the body inside it (a pointer in an interface boxes nothing
-// more). m's own Payload is replaced.
-func Wrap[P any](m Message, body P) *Message {
-	w := &struct {
-		Message
-		body P
-	}{m, body}
-	w.Payload = &w.body
-	return &w.Message
+// record is a Pool's record seen from the message it holds.
+type record interface {
+	release()
+	clone() *Message
+}
+
+// Release returns m, zeroed, to the pool it came from: its last holder
+// calls it once, and nothing may read m after. Nil-safe, and a no-op for
+// a message that came from no pool. Releasing a message twice panics
+// while it is still idle.
+func (m *Message) Release() {
+	if m != nil && m.rec != nil {
+		m.rec.release()
+	}
+}
+
+// Clone returns a copy of m with a body of its own, taken from m's pool:
+// a duplicate the network delivers beside m. A literal's copy shares its
+// Payload.
+func (m *Message) Clone() *Message {
+	if m.rec == nil {
+		dup := *m
+		return &dup
+	}
+	return m.rec.clone()
+}
+
+// Pool is the free list of the messages that carry a P. A message and its
+// body are one record, which binds the pool when it is first made, so a
+// message goes back to the pool it came from whoever releases it, also
+// when the components of a test each take from their own. The zero value
+// is an empty pool; a nil *Pool hands out messages from no pool. A Pool
+// has one owner at a time and is not safe for concurrent use.
+type Pool[P any] struct {
+	free sim.FreeList[pooled[P]]
+	out  int // handed out and not yet released
+}
+
+// pooled is a Pool's record: the envelope, its body, and the pool.
+type pooled[P any] struct {
+	Message
+	body P
+	pool *Pool[P]
+}
+
+// Wrap returns a message with env's envelope carrying body, taken from p:
+// Payload is a *P pointing at the body inside the record (a pointer in an
+// interface boxes nothing more). env's Payload is replaced.
+func (p *Pool[P]) Wrap(env Message, body P) *Message {
+	var r *pooled[P]
+	env.rec = nil
+	if p == nil {
+		r = new(pooled[P])
+	} else {
+		r = p.free.Get()
+		if r.pool == nil {
+			r.pool = p
+		}
+		p.out++
+		env.rec = r
+	}
+	r.body = body
+	env.Payload = &r.body
+	r.Message = env
+	return &r.Message
+}
+
+func (r *pooled[P]) release() {
+	if r.Payload == nil {
+		panic(fmt.Sprintf("network: %T message released twice", r.body))
+	}
+	p := r.pool
+	*r = pooled[P]{Message: Message{rec: r}, pool: p}
+	p.out--
+	p.free.Put(r)
+}
+
+func (r *pooled[P]) clone() *Message { return r.pool.Wrap(r.Message, r.body) }
+
+// Balance reports an error unless every message p handed out is back
+// exactly once: none is out, and no record is idle twice.
+func (p *Pool[P]) Balance() error {
+	idle := p.free.Idle()
+	seen := make(map[*pooled[P]]bool, len(idle))
+	for _, r := range idle {
+		if seen[r] {
+			return fmt.Errorf("network: a %T message is idle twice", r.body)
+		}
+		seen[r] = true
+	}
+	if p.out != 0 {
+		var body P
+		return fmt.Errorf("network: %d %T messages handed out and not released", p.out, body)
+	}
+	return nil
 }
 
 // Handler consumes messages delivered at a node.

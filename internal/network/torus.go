@@ -117,7 +117,7 @@ func (t *Torus) init(n int, bytesPerCycle float64, hopLatency sim.Cycle, rng *si
 	if bytesPerCycle <= 0 {
 		panic("network: non-positive link bandwidth")
 	}
-	t.Reset() // recycles what the last life left in flight
+	t.Reset() // releases what the last life left in flight
 	if len(t.handlers) != n {
 		t.links, t.dueAt = nil, nil
 		t.outLinks, t.handlers, t.routes = make([][4]*link, n), make([]Handler, n), make([][]*link, n*n)
@@ -251,10 +251,10 @@ func (t *Torus) sendAt(m *Message, when sim.Cycle) {
 	if t.fault != nil {
 		switch t.fault(m) {
 		case FaultDrop:
+			m.Release()
 			return
 		case FaultDuplicate:
-			dup := *m
-			t.enqueue(&dup, when)
+			t.enqueue(m.Clone(), when)
 		case FaultMisroute:
 			m.Dst = NodeID(t.rng.Intn(len(t.handlers)))
 		case FaultDelay:
@@ -267,8 +267,7 @@ func (t *Torus) sendAt(m *Message, when sim.Cycle) {
 			// The original is delivered normally; a byte-identical replay
 			// re-enters the network a full fault window later, typically
 			// after the transaction it belonged to has completed.
-			dup := *m
-			t.delayed = append(t.delayed, delayedSend{msg: &dup, at: when + t.faultWindow})
+			t.delayed = append(t.delayed, delayedSend{msg: m.Clone(), at: when + t.faultWindow})
 			t.slot.Wake()
 		case FaultHold:
 			// Capture into the held burst; Tick releases the burst in
@@ -526,26 +525,35 @@ func (t *Torus) TotalBytes() uint64 {
 // one link; it keeps total inform delay within the MET's sorting window.
 const maxDefer sim.Cycle = 192
 
-// Reset drops every in-flight message (SafetyNet recovery: pre-error
-// traffic must not leak into the restored state). Link statistics are
-// preserved.
+// Reset drops and releases every in-flight message (SafetyNet recovery:
+// pre-error traffic must not leak into the restored state). Link
+// statistics are preserved.
 func (t *Torus) Reset() {
 	t.inFlight = 0
+	for i, d := range t.local {
+		d.msg.Release()
+		t.local[i] = localDelivery{}
+	}
 	t.local = t.local[:0]
+	for i, d := range t.delayed {
+		d.msg.Release()
+		t.delayed[i] = delayedSend{}
+	}
 	t.delayed = t.delayed[:0]
-	for i := range t.held {
+	for i, m := range t.held {
+		m.Release()
 		t.held[i] = nil
 	}
 	t.held = t.held[:0]
 	for _, l := range t.links {
-		for _, tr := range l.queue {
+		for i, tr := range l.queue {
+			tr.msg.Release()
 			t.recycleTransit(tr)
-		}
-		for i := range l.queue {
 			l.queue[i] = nil
 		}
 		l.queue = l.queue[:0]
 		if l.head != nil {
+			l.head.msg.Release()
 			t.recycleTransit(l.head)
 			l.head = nil
 		}

@@ -15,7 +15,7 @@ import (
 // storage its init keeps is blanked in both: a field init forgets to
 // reset shows as a difference.
 func TestKeptEqualsNew(t *testing.T) {
-	msgs, recs := new(sim.FreeList[network.Message]), new(sim.FreeList[LogRecord])
+	logs := new(network.Pool[LogRecord])
 	net := &captureNet{}
 	other := Config{Interval: 300, Keep: 2}
 
@@ -32,7 +32,7 @@ func TestKeptEqualsNew(t *testing.T) {
 		t.Fatal("the manager and logger hold nothing to retire with")
 	}
 
-	got, want := m.init(other, nil, nil, msgs, recs), new(Manager).init(other, nil, nil, msgs, recs)
+	got, want := m.init(other, nil, nil, logs), new(Manager).init(other, nil, nil, logs)
 	got.live, want.live = none(got.live), none(want.live)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("re-initialised manager:\n%+v\nnew:\n%+v", got, want)

@@ -92,11 +92,10 @@ type Manager struct {
 	// re-restores the same checkpoint the first recovery used.
 	cpAfterRecovery bool
 
-	// logMsgs and logRecs recycle the loggers' write-log messages, which
-	// are sent at one node and released (ReleaseLog) at another: the
-	// manager's own lists, or its Spare's.
-	logMsgs *sim.FreeList[network.Message]
-	logRecs *sim.FreeList[LogRecord]
+	// logs recycles the loggers' write-log messages, which are sent at
+	// one node and released at another: the manager's own list, or its
+	// Spare's.
+	logs *network.Pool[LogRecord]
 
 	stats Stats
 }
@@ -118,18 +117,18 @@ type Stats struct {
 
 // NewManager builds the checkpoint manager.
 func NewManager(cfg Config, capture CaptureFunc, restore RestoreFunc) *Manager {
-	return new(Manager).init(cfg, capture, restore, new(sim.FreeList[network.Message]), new(sim.FreeList[LogRecord]))
+	return new(Manager).init(cfg, capture, restore, new(network.Pool[LogRecord]))
 }
 
-// init makes m what NewManager builds, taking write-log messages and
-// records from logMsgs and logRecs.
-func (m *Manager) init(cfg Config, capture CaptureFunc, restore RestoreFunc, logMsgs *sim.FreeList[network.Message], logRecs *sim.FreeList[LogRecord]) *Manager {
+// init makes m what NewManager builds, taking write-log messages from
+// logs.
+func (m *Manager) init(cfg Config, capture CaptureFunc, restore RestoreFunc, logs *network.Pool[LogRecord]) *Manager {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	clear(m.live)
 	*m = Manager{cfg: cfg, capture: capture, restore: restore, live: m.live[:0], cpAfterRecovery: true,
-		logMsgs: logMsgs, logRecs: logRecs}
+		logs: logs}
 	return m
 }
 
@@ -296,29 +295,6 @@ func (l *Logger) Access(b mem.BlockAddr, write bool) {
 	l.logged[b] = true
 	l.mgr.stats.LogMessages++
 	l.mgr.stats.LogBytes += logMsgBytes
-	rec := l.mgr.logRecs.Get()
-	*rec = LogRecord{Block: b, From: l.node}
-	m := l.mgr.logMsgs.Get()
-	*m = network.Message{
-		Src:     l.node,
-		Dst:     l.homeOf(b),
-		Size:    logMsgBytes,
-		Class:   network.ClassSafetyNet,
-		Payload: rec,
-	}
-	l.net.Send(m)
-}
-
-// ReleaseLog takes back a delivered write-log message and its record for
-// the loggers to send again; the assembly calls it from the handler the
-// message was delivered to. Other messages are left alone.
-func (m *Manager) ReleaseLog(msg *network.Message) {
-	rec, ok := msg.Payload.(*LogRecord)
-	if !ok {
-		return
-	}
-	*rec = LogRecord{}
-	m.logRecs.Put(rec)
-	*msg = network.Message{}
-	m.logMsgs.Put(msg)
+	l.net.Send(l.mgr.logs.Wrap(network.Message{Src: l.node, Dst: l.homeOf(b), Size: logMsgBytes, Class: network.ClassSafetyNet},
+		LogRecord{Block: b, From: l.node}))
 }

@@ -9,20 +9,23 @@ import (
 // Spare is what a retired system's SafetyNet leaves for the next system
 // its owner builds (DESIGN.md, "Object lifetimes"): the manager and
 // loggers, which its constructors re-initialise as the package's build
-// new ones, and the write-log messages and records, cleared when put
-// back. A Spare has one owner at a time; the zero value is empty.
+// new ones, and the write-log messages, cleared when released. A Spare
+// has one owner at a time; the zero value is empty.
 type Spare struct {
 	managers sim.FreeList[Manager]
 	loggers  sim.FreeList[Logger]
-	logMsgs  sim.FreeList[network.Message]
-	logRecs  sim.FreeList[LogRecord]
+	logs     network.Pool[LogRecord]
 }
 
 // NewManager is NewManager on a kept manager, drawing its write-log
-// messages and records from s.
+// messages from s.
 func (s *Spare) NewManager(cfg Config, capture CaptureFunc, restore RestoreFunc) *Manager {
-	return s.managers.Get().init(cfg, capture, restore, &s.logMsgs, &s.logRecs)
+	return s.managers.Get().init(cfg, capture, restore, &s.logs)
 }
+
+// Balance reports an error unless every write-log message s handed out
+// is back exactly once (network.Pool.Balance).
+func (s *Spare) Balance() error { return s.logs.Balance() }
 
 // NewLogger is NewLogger on a kept logger.
 func (s *Spare) NewLogger(node network.NodeID, homeOf func(mem.BlockAddr) network.NodeID, net network.Network, mgr *Manager) *Logger {

@@ -40,6 +40,10 @@ func (f *FreeList[T]) Put(p *T) {
 	f.free = append(f.free, p)
 }
 
+// Idle returns the objects waiting to be handed out, most recently Put
+// last. The caller must not change it.
+func (f *FreeList[T]) Idle() []*T { return f.free }
+
 // PutAll puts back every object of ps but the nil ones.
 func (f *FreeList[T]) PutAll(ps []*T) {
 	for _, p := range ps {

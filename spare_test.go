@@ -259,11 +259,11 @@ func configName(cfg Config) string {
 // Figure 5 sample and fuzz-shaped case twice on one spare: the second
 // run, which finds the first one's storage, must allocate under a share
 // of what the first allocated. The injection and the sample are held to
-// 40 % of the bytes (24 % and 18 % at these seeds). The case is held to
-// 69 % of the heap objects: it read 79 % while the spare kept only the
-// components' storage and records, and 62 % since it keeps the
-// components themselves; the bound is that plus 10 %. What a case's
-// second run still allocates is mostly its coherence messages.
+// 40 % of the bytes (13 % and 5 % at these seeds). The case is held to
+// 51 % of the heap objects: it read 79 % while the spare kept only the
+// components' storage and records, 62 % once it kept the components
+// themselves, and 46 % since it keeps the messages too; the bound is that
+// plus 10 %.
 func TestSpareSteadyStateAllocBudget(t *testing.T) {
 	cfg := ErrorDetectionConfig(ErrorDetectionRow{Directory, TSO}, 4)
 	sample := protectConfig(Directory, TSO).WithSeed(100)
@@ -283,7 +283,7 @@ func TestSpareSteadyStateAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"fuzz case", true, 0.69, func() {
+		{"fuzz case", true, 0.51, func() {
 			// A fuzz campaign's shape: four threads of a finite program
 			// on a 4-node snooping/TSO system with SafetyNet, judged by
 			// the stream oracle, a message fault injected.

@@ -376,10 +376,10 @@ func newSystem(cfg Config, w Workload, oracle trace.Sink) (*System, error) {
 }
 
 // informFallback is the handler for what is not coherence traffic: it
-// gives a delivered inform to the MET and then returns it to the spare's
-// pool, and returns a SafetyNet write-log message (which the home only
-// accounts) to the loggers. MemChecker.Handle is synchronous and copies
-// everything it retains, so release-after-handle is safe.
+// gives a delivered inform to the MET and releases it, and releases a
+// SafetyNet write-log message, which the home only accounts.
+// MemChecker.Handle is synchronous and copies everything it retains, so
+// release-after-handle is safe.
 func (s *System) informFallback(met *core.MemChecker) network.Handler {
 	if met == nil && s.snMgr == nil {
 		return nil
@@ -387,11 +387,8 @@ func (s *System) informFallback(met *core.MemChecker) network.Handler {
 	return func(m *network.Message) {
 		if met != nil {
 			met.Handle(m)
-			s.sp.informs.Release(m)
 		}
-		if s.snMgr != nil {
-			s.snMgr.ReleaseLog(m)
-		}
+		m.Release()
 	}
 }
 
